@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race check updatecheck bench bench-json bench-obs bench-quick fleet-smoke registry-smoke
+.PHONY: build vet lint test race check updatecheck bench-check bench bench-json bench-obs bench-quick fleet-smoke registry-smoke
 
 build:
 	$(GO) build ./...
@@ -28,13 +28,20 @@ race:
 updatecheck:
 	$(GO) run ./cmd/dapper-updatecheck -selftest
 
+# bench-check compiles, vets and tests the host-time benchmark. bench/ is
+# a Go module of its own (bench/README.md), so `go build|vet|test ./...`
+# never see it: without this target an API removal under internal/ breaks
+# the benchmark silently.
+bench-check:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+
 # check is the CI gate: compile everything, vet, run the repo's own
-# analyzers, verify every compiled binary's stack maps, run the full test
-# suite under the race detector, and measure the disabled-telemetry
-# overhead (which must stay cheap enough to leave instrumented code
-# unconditional).
+# analyzers, verify every compiled binary's stack maps, compile and test
+# the benchmark module, run the full test suite under the race detector,
+# and measure the disabled-telemetry overhead (which must stay cheap
+# enough to leave instrumented code unconditional).
 check:
-	$(GO) build ./... && $(GO) vet ./... && $(MAKE) lint && $(MAKE) updatecheck && $(GO) test -race ./... && $(MAKE) bench-obs
+	$(GO) build ./... && $(GO) vet ./... && $(MAKE) lint && $(MAKE) updatecheck && $(MAKE) bench-check && $(GO) test -race ./... && $(MAKE) bench-obs
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -15,13 +15,13 @@
 //	dapperctl restore ckpt.imgdir prog.sx86.delf [prog.sarm.delf]
 //	    Restore an image directory (binaries resolve the files image).
 //
-//	dapperctl migrate -at 0.5 [-lazy|-precopy] [-shuffle] [-codec raw|none|flate] [-delta] prog.sx86.delf prog.sarm.delf
+//	dapperctl migrate -at 0.5 [-lazy|-precopy] [-shuffle] [-codec none|flate] [-delta] prog.sx86.delf prog.sarm.delf
 //	    Full live migration x86 -> arm with the phase breakdown. -codec
-//	    selects the wire codec (raw keeps the legacy framing, none
-//	    batches, flate batches and compresses); -delta XOR-delta-encodes
+//	    selects the wire codec (none frames without compressing, flate
+//	    compresses each segment and batch); -delta XOR-delta-encodes
 //	    re-dirtied pre-copy pages and requires -precopy.
 //
-//	dapperctl stats -at 0.5 [-lazy|-precopy] [-codec raw|none|flate] [-delta] [-json] prog.sx86.delf prog.sarm.delf
+//	dapperctl stats -at 0.5 [-lazy|-precopy] [-codec none|flate] [-delta] [-json] prog.sx86.delf prog.sarm.delf
 //	    Run a migration with telemetry attached and print the full obs
 //	    report: counters, latency histograms, and the phase span tree
 //	    (see docs/observability.md). -json emits machine-readable output.
@@ -275,9 +275,9 @@ func cmdMigrate(args []string) error {
 	lazy := fs.Bool("lazy", false, "post-copy migration")
 	precopy := fs.Bool("precopy", false, "iterative pre-copy migration")
 	shuffle := fs.Bool("shuffle", false, "also re-randomize the stack layout during the rewrite")
-	codec := fs.String("codec", "raw", "wire codec: raw (legacy framing), none (batched), flate (batched+compressed)")
+	codec := fs.String("codec", "none", "wire codec: none (uncompressed) or flate (compressed)")
 	delta := fs.Bool("delta", false, "XOR-delta encode re-dirtied pre-copy pages (requires -precopy)")
-	stream := fs.Bool("stream", false, "streamed restore: decode/verify/install while the image is still arriving (requires a batched -codec)")
+	stream := fs.Bool("stream", false, "streamed restore: decode/verify/install while the image is still arriving")
 	workers := fs.Int("workers", 0, "worker bound for the parallel pipeline stages (0 = NumCPU)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -295,13 +295,8 @@ func cmdMigrate(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *stream {
-		if *lazy || *precopy {
-			return fmt.Errorf("-stream applies to vanilla migrations only")
-		}
-		if !wireCodec.Batched() {
-			return fmt.Errorf("-stream requires a batched -codec (none or flate)")
-		}
+	if *stream && (*lazy || *precopy) {
+		return fmt.Errorf("-stream applies to vanilla migrations only")
 	}
 	srcNode, p, srcBin, err := startAndRunTo(fs.Arg(0), *at)
 	if err != nil {
@@ -350,7 +345,7 @@ func cmdStats(args []string) (err error) {
 	at := fs.Float64("at", 0.5, "migration position as a fraction of total cycles")
 	lazy := fs.Bool("lazy", false, "post-copy migration (over a real TCP page server)")
 	precopy := fs.Bool("precopy", false, "iterative pre-copy migration")
-	codec := fs.String("codec", "raw", "wire codec: raw (legacy framing), none (batched), flate (batched+compressed)")
+	codec := fs.String("codec", "none", "wire codec: none (uncompressed) or flate (compressed)")
 	delta := fs.Bool("delta", false, "XOR-delta encode re-dirtied pre-copy pages (requires -precopy)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text")
 	if err := fs.Parse(args); err != nil {
@@ -550,7 +545,7 @@ func cmdSubmit(args []string) error {
 	at := fs.Float64("at", 0.5, "migration position as a fraction of total cycles")
 	lazy := fs.Bool("lazy", false, "post-copy migration")
 	precopy := fs.Bool("precopy", false, "iterative pre-copy migration")
-	codec := fs.String("codec", "raw", "wire codec: raw, none, or flate")
+	codec := fs.String("codec", "none", "wire codec: none or flate")
 	delta := fs.Bool("delta", false, "XOR-delta pre-copy rounds (requires -precopy)")
 	dedup := fs.Bool("dedup", false, "content-addressed page dedup in the dump")
 	workers := fs.Int("workers", 0, "parallel pipeline workers (0 = NumCPU)")

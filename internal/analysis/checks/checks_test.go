@@ -178,6 +178,14 @@ func (j *journal) Append(data []byte) error {
 }`, checks.Journalfsync)
 	expect(t, diags)
 
+	// The shared journal package is in scope too.
+	diags = lint(t, "internal/journal", `package p
+func (j *Journal) Append(data []byte) error {
+	_, err := j.f.Write(data)
+	return err
+}`, checks.Journalfsync)
+	expect(t, diags, "journal append")
+
 	// Hash and buffer writes never match either pattern.
 	diags = lint(t, "internal/registry", `package p
 func digest(h hasher, parts [][]byte) {

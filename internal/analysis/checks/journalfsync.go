@@ -7,13 +7,14 @@ import (
 )
 
 // Journalfsync guards the durability contract of the control plane's
-// persistent state (internal/fleet's job journal, internal/registry's
-// event journal and chunk store): a write that a caller will observe as
+// persistent state (internal/journal, the event log under both
+// internal/fleet's job journal and internal/registry's manifest journal,
+// plus the registry's chunk store): a write that a caller will observe as
 // success — a journal append acknowledged, a chunk file renamed into
-// place — must reach Sync first. Both packages replay these files after a
-// crash to reconstruct in-flight jobs and manifest contents; a write that
-// made it to the page cache but not the platter is exactly the torn state
-// the replay logic cannot distinguish from corruption.
+// place — must reach Sync first. Fleet and registry replay these files
+// after a crash to reconstruct in-flight jobs and manifest contents; a
+// write that made it to the page cache but not the platter is exactly the
+// torn state the replay logic cannot distinguish from corruption.
 //
 // The check is syntactic, keyed to the two conventions these packages
 // use:
@@ -21,9 +22,9 @@ import (
 //   - a file handle opened in the same function (os.Create, os.CreateTemp,
 //     os.OpenFile) and then written must be Synced in that function — the
 //     temp-then-rename idiom makes the *name* durable, never the bytes;
-//   - a write through a field named f (the journal-handle convention in
-//     both packages) must be Synced in the same function, keeping every
-//     append durable before its caller sees nil.
+//   - a write through a field named f (the journal-handle convention)
+//     must be Synced in the same function, keeping every append durable
+//     before its caller sees nil.
 //
 // Hashes, buffers, and network writers don't match either pattern and are
 // never flagged. A deliberate unsynced write carries //lint:ignore
@@ -32,7 +33,7 @@ var Journalfsync = &analysis.Analyzer{
 	Name:      "journalfsync",
 	Doc:       "journal appends and freshly-created files must fsync before success is observable",
 	SkipTests: true,
-	Packages:  []string{"internal/fleet", "internal/registry"},
+	Packages:  []string{"internal/fleet", "internal/registry", "internal/journal"},
 	Run: func(p *analysis.Pass) {
 		for _, f := range p.Files {
 			osName := importName(f, "os")
@@ -111,7 +112,7 @@ func checkJournalfsync(p *analysis.Pass, body *ast.BlockStmt, osName string) {
 	}
 }
 
-// isJournalHandle matches the x.f convention both journals use for their
+// isJournalHandle matches the x.f convention the journal uses for its
 // *os.File.
 func isJournalHandle(expr string) bool {
 	return len(expr) > 2 && expr[len(expr)-2:] == ".f"

@@ -13,10 +13,8 @@
 package cluster
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -24,6 +22,7 @@ import (
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/core"
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/imgcheck"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
@@ -121,9 +120,9 @@ type Breakdown struct {
 	RecodeHost time.Duration
 	// ImageBytes is the marshaled image size before any wire codec.
 	ImageBytes uint64
-	// WireBytes is what actually crossed the link after batching and
-	// compression; equal to ImageBytes when no codec is in play. Copy is
-	// modeled from this figure.
+	// WireBytes is what actually crossed the link: the image after
+	// per-segment compression, plus the stream's framing. Copy is modeled
+	// from this figure.
 	WireBytes uint64
 	// LazyBytes counts bytes later served by the page server (post-copy).
 	LazyBytes uint64
@@ -186,12 +185,6 @@ type MigrateOpts struct {
 	// rewrite (policy chaining); ShuffleSeed selects the permutation.
 	Shuffle     bool
 	ShuffleSeed int64
-	// RecodeOn selects where the rewrite runs; nil means the faster node
-	// (the paper notes the transformation can always run on the most
-	// powerful machine).
-	RecodeOn *Node
-	// Link models the connection (defaults to InfiniBand).
-	Link *Link
 	// MaxPauses bounds the monitor's wait for equivalence points.
 	MaxPauses int
 	// PreCopy selects iterative pre-copy migration (see precopy.go): the
@@ -217,21 +210,20 @@ type MigrateOpts struct {
 	// Obs registry). Restore resolves the references transparently.
 	Dedup bool
 	// Codec selects the wire codec for image transfers (and, for LazyTCP,
-	// the page client's batch framing): CodecRaw (the zero value) keeps
-	// the legacy framing; CodecNone batches; CodecFlate batches and
-	// compresses. Negotiated/self-describing on the wire, so mixed-version
-	// peers interoperate. Restored images are byte-identical across all
-	// settings; only Breakdown.WireBytes changes.
+	// the page client's batch frames unless PageClient asks for
+	// compression itself): CodecNone (the zero value) frames without
+	// compressing; CodecFlate compresses each segment and batch. Restored
+	// images are byte-identical across both; only Breakdown.WireBytes
+	// changes.
 	Codec criu.Codec
-	// StreamRestore overlaps the copy and restore phases: the image
-	// streams through the v3 wire framing straight into a
-	// criu.StreamRestorer, which verifies metadata, maps the address
-	// space, and installs page batches on a background worker while later
-	// segments are still in flight (see docs/perf.md, "restore
-	// pipeline"). Downtime is then modeled as checkpoint + recode +
-	// max(copy, restore) instead of their sum. Restored state is
-	// byte-identical to a non-streamed migration. Requires a batched
-	// Codec; incompatible with Lazy, PreCopy, and Registry.
+	// StreamRestore overlaps the copy and restore phases: the image's
+	// segments feed a criu.StreamRestorer directly, which verifies
+	// metadata, maps the address space, and installs page batches on a
+	// background worker while later segments are still being decoded (see
+	// docs/perf.md, "restore pipeline"). Downtime is then modeled as
+	// checkpoint + recode + max(copy, restore) instead of their sum.
+	// Restored state is byte-identical to a non-streamed migration.
+	// Incompatible with Lazy, PreCopy, and Registry.
 	StreamRestore bool
 	// Delta enables XOR-delta encoding of re-dirtied pages in pre-copy
 	// rounds (requires PreCopy): a page the chain already holds ships as
@@ -371,33 +363,23 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 	if opts.MaxPauses == 0 {
 		opts.MaxPauses = 1 << 20
 	}
-	link := opts.Link
-	if link == nil {
-		link = &InfiniBand
-	}
-	recodeNode := opts.RecodeOn
-	if recodeNode == nil {
-		recodeNode = fasterNode(src, dst)
-	}
+	// The rewrite runs on the faster node: the paper notes the
+	// transformation can always run on the most powerful machine.
+	recodeNode := fasterNode(src, dst)
 	if opts.Delta && opts.PreCopy == nil {
 		return nil, fmt.Errorf("cluster: delta encoding requires pre-copy migration")
 	}
 	if opts.Registry != nil && (opts.Lazy || opts.PreCopy != nil) {
 		return nil, fmt.Errorf("cluster: registry transfer supports vanilla migrations only")
 	}
-	if opts.StreamRestore {
-		if opts.Lazy || opts.PreCopy != nil || opts.Registry != nil {
-			return nil, fmt.Errorf("cluster: streamed restore supports vanilla wire migrations only")
-		}
-		if !opts.Codec.Batched() {
-			return nil, fmt.Errorf("cluster: streamed restore requires a batched wire codec (CodecNone or CodecFlate)")
-		}
+	if opts.StreamRestore && (opts.Lazy || opts.PreCopy != nil || opts.Registry != nil) {
+		return nil, fmt.Errorf("cluster: streamed restore supports vanilla wire migrations only")
 	}
 	if opts.PreCopy != nil {
 		if opts.Lazy {
 			return nil, fmt.Errorf("cluster: pre-copy is incompatible with lazy migration")
 		}
-		return migratePreCopy(src, dst, p, meta, opts, link, recodeNode)
+		return migratePreCopy(src, dst, p, meta, opts, recodeNode)
 	}
 
 	var bd Breakdown
@@ -439,15 +421,16 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 		return nil, fmt.Errorf("cluster: recode pre-flight: %w", err)
 	}
 
-	// 3. Copy images over the link (scp). With a batch codec the blob
-	// round-trips the real v3 stream encoder — the exact bytes a TCP
-	// transfer would carry — so WireBytes is measured, not estimated.
-	// With a registry the image is pushed instead: only chunks the store
-	// does not already hold cross the wire, and the destination pulls
-	// and pre-flights the materialized directory.
+	// 3. Copy images over the link (scp). The blob is handed over segment
+	// by segment exactly as a TCP transfer would carry it, so WireBytes
+	// is measured, not estimated. With a registry the image is pushed
+	// instead: only chunks the store does not already hold cross the
+	// wire, and the destination pulls and pre-flights the materialized
+	// directory.
 	var dir2 *criu.ImageDir
 	var manifest string
 	var p2 *kernel.Process
+	ropts := criu.RestoreOpts{Workers: opts.Workers, Obs: opts.Obs}
 	if opts.Registry != nil {
 		m, pst, err := opts.Registry.Push(dir, registry.PushOpts{Owner: opts.RegistryOwner})
 		if err != nil {
@@ -468,30 +451,17 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 			return nil, fmt.Errorf("cluster: registry pull pre-flight: %w", err)
 		}
 	} else if blob := sh.marshal(dir, opts.Workers); opts.StreamRestore {
-		// Streamed pipeline: the sender's v3 stream feeds the restorer
-		// through a pipe, so receive/decode, incremental verify, and
-		// parallel page install all overlap. The restore is complete when
-		// Finish returns; step 4 below only attributes modeled time.
+		// Streamed pipeline: the segments feed the restorer directly, so
+		// decode, incremental verify, and parallel page install all
+		// overlap. The restore is complete when Finish returns; step 4
+		// below only attributes modeled time.
 		bd.ImageBytes = uint64(len(blob))
-		sr := criu.NewStreamRestorer(dst.K, dst.Binaries, criu.RestoreOpts{Workers: opts.Workers, Obs: opts.Obs})
-		pr, pw := io.Pipe()
-		var wire uint64
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w, werr := writeImageStream(pw, blob, opts.Codec, 0, opts.Obs)
-			wire = w
-			pw.CloseWithError(werr)
-		}()
-		segs, rerr := readImageStreamInto(pr, sr)
-		// Unblock the writer if the reader bailed early, then join it so
-		// wire is settled before we read it.
-		pr.CloseWithError(rerr)
-		wg.Wait()
+		sr := criu.NewStreamRestorer(dst.K, dst.Binaries, ropts)
+		wire, segs, terr := transfer(blob, opts.Codec, sr, opts.Obs)
+		// Finish runs on every path: it reaps the background installer.
 		p2, err = sr.Finish()
-		if rerr != nil {
-			return nil, fmt.Errorf("cluster: transfer: %w", rerr)
+		if terr != nil {
+			return nil, fmt.Errorf("cluster: transfer: %w", terr)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("cluster: restore: %w", err)
@@ -500,33 +470,21 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 		bd.StreamSegments = segs
 		bd.StreamBatches = sr.Stats().Batches
 		dir2 = sr.Dir()
-	} else if opts.Codec.Batched() {
-		bd.ImageBytes = uint64(len(blob))
-		var buf bytes.Buffer
-		wire, err := writeImageStream(&buf, blob, opts.Codec, 0, opts.Obs)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: transfer: %w", err)
-		}
-		bd.WireBytes = wire
-		if dir2, err = readImageDirFrom(&buf); err != nil {
-			return nil, fmt.Errorf("cluster: transfer: %w", err)
-		}
 	} else {
 		bd.ImageBytes = uint64(len(blob))
-		bd.WireBytes = bd.ImageBytes
-		var err error
-		if dir2, err = criu.UnmarshalImageDir(blob); err != nil {
+		sink := image.NewDirSinkFor(len(blob))
+		if bd.WireBytes, _, err = transfer(blob, opts.Codec, sink, opts.Obs); err != nil {
 			return nil, fmt.Errorf("cluster: transfer: %w", err)
 		}
+		dir2 = sink.Dir()
 	}
-	bd.Copy = link.TransferTime(bd.WireBytes)
+	bd.Copy = InfiniBand.TransferTime(bd.WireBytes)
 
 	// 4. Restore on the destination node. The streamed pipeline already
 	// restored while receiving; non-streamed paths restore here from the
 	// materialized directory.
 	if p2 == nil {
-		p2, err = criu.RestoreWith(dst.K, dir2, dst.Binaries, criu.RestoreOpts{Workers: opts.Workers, Obs: opts.Obs})
-		if err != nil {
+		if p2, err = criu.RestoreWith(dst.K, dir2, dst.Binaries, ropts); err != nil {
 			return nil, fmt.Errorf("cluster: restore: %w", err)
 		}
 	}
@@ -588,8 +546,12 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 		criu.InstallLazyHandler(p2, criu.ObsSource(pageSrc, opts.Obs))
 		return res, nil
 	}
+	// From here a failure must reap p2: it is already adopted by dst.K,
+	// and a caller handed (nil, err) has no way to reach it. The source
+	// stays paused and untouched, so the caller can ResumeLocal and retry.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
+		dst.K.Reap(p2)
 		return nil, fmt.Errorf("cluster: page server: %w", err)
 	}
 	if opts.WrapListener != nil {
@@ -603,9 +565,9 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 	if copts.Obs == nil {
 		copts.Obs = opts.Obs
 	}
-	if !copts.Codec.Batched() && opts.Codec.Batched() {
+	if copts.Codec == criu.CodecNone {
 		// The migration-level codec extends to the post-copy page stream
-		// unless the client options pin their own.
+		// unless the client options ask for compression themselves.
 		copts.Codec = opts.Codec
 	}
 	client, err := criu.DialPageServerOpts(srv.Addr(), copts)
@@ -614,6 +576,7 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 		if cerr := srv.Close(); cerr != nil {
 			err = errors.Join(err, fmt.Errorf("cluster: page server close: %w", cerr))
 		}
+		dst.K.Reap(p2)
 		return nil, err
 	}
 	criu.InstallLazyHandler(p2, criu.ObsSource(client, opts.Obs))

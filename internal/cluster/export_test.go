@@ -1,0 +1,14 @@
+package cluster
+
+import "testing"
+
+// MalformedStreams exposes the malformed-transfer corpus to the external
+// test package, so the receiver-level test drives the same cases as the
+// parser-level one.
+func MalformedStreams(t testing.TB, blob []byte) [][]byte {
+	var out [][]byte
+	for _, tc := range malformedStreams(t, blob) {
+		out = append(out, tc.payload)
+	}
+	return out
+}

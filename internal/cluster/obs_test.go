@@ -74,7 +74,7 @@ func TestTakeWaitDelivers(t *testing.T) {
 	defer recv.Close()
 	go func() {
 		time.Sleep(30 * time.Millisecond)
-		if _, err := cluster.SendImages(recv.Addr(), tinyImageDir()); err != nil {
+		if _, _, err := cluster.SendImagesOpts(recv.Addr(), tinyImageDir(), cluster.SendOpts{}); err != nil {
 			t.Errorf("send: %v", err)
 		}
 	}()

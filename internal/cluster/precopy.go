@@ -1,12 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/imgcheck"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
@@ -22,12 +22,15 @@ import (
 // flattens the received chain, recodes it, and restores; downtime shrinks
 // from "copy everything" to "copy the last round's working set".
 
-// Pre-copy defaults; see PreCopyOpts.
+// Pre-copy convergence rules: at most maxPreCopyRounds checkpoints
+// including the final stop-and-copy delta; stop once a round's delta is
+// down to stopPages data pages, or once the link could ship it within
+// downtimeTarget — pre-copying further rounds cannot improve downtime.
 const (
-	defaultPreCopyRounds  = 4
-	defaultStopPages      = 16
-	defaultDowntimeTarget = 5 * time.Millisecond
-	defaultRoundBudget    = 1 << 20
+	maxPreCopyRounds   = 4
+	stopPages          = 16
+	downtimeTarget     = 5 * time.Millisecond
+	defaultRoundBudget = 1 << 20
 	// quiesceSlices bounds RunUntilIdle: the source must block within this
 	// many budget slices per round.
 	quiesceSlices = 64
@@ -35,16 +38,6 @@ const (
 
 // PreCopyOpts tunes iterative pre-copy migration (MigrateOpts.PreCopy).
 type PreCopyOpts struct {
-	// MaxRounds bounds the total number of checkpoints, including the
-	// final stop-and-copy delta (default 4).
-	MaxRounds int
-	// StopPages converges when a round's delta carries at most this many
-	// data pages (default 16).
-	StopPages int
-	// DowntimeTarget is the bandwidth-aware stop rule: when the link could
-	// ship the current delta within this duration, pre-copying further
-	// rounds cannot improve downtime, so stop (default 5ms).
-	DowntimeTarget time.Duration
 	// RoundBudget is the guest-cycle budget the source runs for between
 	// rounds (default 1Mi cycles).
 	RoundBudget uint64
@@ -58,34 +51,16 @@ type PreCopyOpts struct {
 	// arriving at the source while rounds are in flight.
 	BetweenRounds func(p *kernel.Process, round int)
 	// TCP ships each round's images over the real ImageReceiver transport
-	// instead of in-process marshaling.
+	// instead of the in-process hand-off.
 	TCP bool
-	// ShipTimeout bounds the wait for each TCP-shipped round to arrive at
-	// the receiver. Zero derives the bound from the link model: 20× the
-	// modeled transfer time of the payload, floored at 2s, so a slow
-	// modeled link never races the real transport.
-	ShipTimeout time.Duration
-}
-
-func (pc PreCopyOpts) withDefaults() PreCopyOpts {
-	if pc.MaxRounds <= 0 {
-		pc.MaxRounds = defaultPreCopyRounds
-	}
-	if pc.StopPages <= 0 {
-		pc.StopPages = defaultStopPages
-	}
-	if pc.DowntimeTarget <= 0 {
-		pc.DowntimeTarget = defaultDowntimeTarget
-	}
-	if pc.RoundBudget == 0 {
-		pc.RoundBudget = defaultRoundBudget
-	}
-	return pc
 }
 
 // migratePreCopy is the iterative path behind MigrateOpts.PreCopy.
-func migratePreCopy(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts MigrateOpts, link *Link, recodeNode *Node) (*MigrationResult, error) {
-	pc := opts.PreCopy.withDefaults()
+func migratePreCopy(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts MigrateOpts, recodeNode *Node) (*MigrationResult, error) {
+	pc := *opts.PreCopy
+	if pc.RoundBudget == 0 {
+		pc.RoundBudget = defaultRoundBudget
+	}
 	reg := opts.Obs
 	var bd Breakdown
 	mon := monitor.New(src.K, p, meta).WithObs(reg)
@@ -103,39 +78,23 @@ func migratePreCopy(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, 
 	}
 	// ship moves one round's images to the destination and returns the
 	// directory as the destination sees it plus the marshaled (raw) and
-	// on-wire payload sizes. With a batch codec the in-process path
-	// round-trips the real stream encoder, so both paths report the same
-	// wire figure for the same images.
+	// on-wire payload sizes. Both arms carry the same segments, so they
+	// report the same wire figure for the same images.
 	ship := func(dir *criu.ImageDir) (*criu.ImageDir, uint64, uint64, error) {
 		if !pc.TCP {
 			blob := dir.Marshal()
-			raw := uint64(len(blob))
-			if opts.Codec.Batched() {
-				var buf bytes.Buffer
-				wire, err := writeImageStream(&buf, blob, opts.Codec, 0, reg)
-				if err != nil {
-					return nil, 0, 0, fmt.Errorf("cluster: pre-copy encode: %w", err)
-				}
-				d2, err := readImageDirFrom(&buf)
-				return d2, raw, wire, err
+			sink := image.NewDirSinkFor(len(blob))
+			wire, _, err := transfer(blob, opts.Codec, sink, reg)
+			if err != nil {
+				return nil, 0, 0, fmt.Errorf("cluster: pre-copy transfer: %w", err)
 			}
-			d2, err := criu.UnmarshalImageDir(blob)
-			return d2, raw, raw, err
+			return sink.Dir(), uint64(len(blob)), wire, nil
 		}
-		raw, wire, err := SendImagesOpts(recv.Addr(), dir, SendOpts{
-			Codec: opts.Codec, Timeout: pc.ShipTimeout, Link: link, Obs: reg,
-		})
+		raw, wire, err := SendImagesOpts(recv.Addr(), dir, SendOpts{Codec: opts.Codec, Obs: reg})
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("cluster: pre-copy send: %w", err)
 		}
-		timeout := pc.ShipTimeout
-		if timeout <= 0 {
-			timeout = 20 * link.TransferTime(wire)
-			if timeout < 2*time.Second {
-				timeout = 2 * time.Second
-			}
-		}
-		d, err := recv.TakeWait(timeout)
+		d, err := recv.TakeWait(shipTimeout(wire))
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("cluster: pre-copy: %w", err)
 		}
@@ -191,16 +150,15 @@ func migratePreCopy(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, 
 		parent = dir
 		bd.RoundBytes = append(bd.RoundBytes, n)
 		ck := CheckpointTime(dir.Size())
-		xfer := link.TransferTime(n)
+		xfer := InfiniBand.TransferTime(n)
 
-		// Convergence: the first round always pre-copies (unless MaxRounds
-		// forbids more); afterwards stop when the delta is small enough,
-		// cheap enough to ship within the downtime target, no longer
-		// shrinking, or the source has quiesced.
-		final := round+1 >= pc.MaxRounds || idle
+		// Convergence: the first round always pre-copies; afterwards stop
+		// when the delta is small enough, cheap enough to ship within the
+		// downtime target, no longer shrinking, or the source has quiesced.
+		final := round+1 >= maxPreCopyRounds || idle
 		if round >= 1 && !final {
-			final = dataPages <= pc.StopPages ||
-				link.TransferTime(uint64(dataPages)*mem.PageSize) <= pc.DowntimeTarget ||
+			final = dataPages <= stopPages ||
+				InfiniBand.TransferTime(uint64(dataPages)*mem.PageSize) <= downtimeTarget ||
 				(prevPages >= 0 && dataPages >= prevPages)
 		}
 		prevPages = dataPages

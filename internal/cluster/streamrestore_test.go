@@ -170,8 +170,7 @@ func TestStreamRestoreOptionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []cluster.MigrateOpts{
-		{StreamRestore: true},                                           // raw codec cannot stream
-		{StreamRestore: true, Codec: criu.CodecFlate, Lazy: true},       // lazy leaves pages behind
+		{StreamRestore: true, Codec: criu.CodecFlate, Lazy: true}, // lazy leaves pages behind
 		{StreamRestore: true, Codec: criu.CodecFlate, PreCopy: &cluster.PreCopyOpts{}},
 	}
 	for i, opts := range bad {

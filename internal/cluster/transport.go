@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -13,19 +12,17 @@ import (
 )
 
 // ImageReceiver accepts checkpoint image directories over TCP — the scp
-// step of a real cross-node deployment. The in-process Migrate path uses
-// direct marshaling for speed; integration tests and multi-process
-// deployments use this. Both wire framings are accepted per connection:
-// the legacy length-prefixed blob and the v3 segmented codec stream
-// (see wire.go) — the receiver sniffs which one the sender speaks.
+// step of a real cross-node deployment. The in-process Migrate path hands
+// the same segments over by reference (transfer, wire.go); integration
+// tests and multi-process deployments use this. Each connection carries
+// one segmented codec stream (see wire.go).
 //
-// A malformed payload (truncated header, truncated body, oversized image,
-// undecodable directory) is dropped, counted in Errors, and does not
-// affect other transfers. Concurrent inbound transfers beyond MaxInflight
-// are rejected at accept and counted the same way.
+// A malformed payload (missing magic, truncated header, truncated body,
+// oversized image, undecodable directory) is dropped, counted in Errors,
+// and does not affect other transfers. Concurrent inbound transfers beyond
+// MaxInflight are rejected at accept and counted the same way.
 type ImageReceiver struct {
-	ln   net.Listener
-	opts ReceiverOpts
+	ln net.Listener
 	// sem bounds concurrent serving goroutines; a slot is taken before
 	// each one is spawned and released when it exits.
 	sem *parallel.Semaphore
@@ -75,7 +72,6 @@ func ListenImagesOpts(addr string, opts ReceiverOpts) (*ImageReceiver, error) {
 	}
 	r := &ImageReceiver{
 		ln:     ln,
-		opts:   opts,
 		sem:    parallel.NewSemaphore(opts.MaxInflight),
 		conns:  make(map[net.Conn]struct{}),
 		notify: make(chan struct{}, 1),
@@ -199,7 +195,7 @@ func (r *ImageReceiver) acceptLoop() {
 		go func() {
 			defer r.wg.Done()
 			defer r.sem.Release()
-			dir, err := readImageDir(conn)
+			dir, err := readImageDirFrom(conn)
 			// The payload is fully read (or failed and counted); a close
 			// error after that is peer-FIN noise.
 			_ = conn.Close()
@@ -224,40 +220,35 @@ func (r *ImageReceiver) acceptLoop() {
 	}
 }
 
-// SendOpts tunes SendImagesOpts; the zero value reproduces the legacy
-// SendImages behavior (raw framing, link-derived write deadline).
+// SendOpts tunes SendImagesOpts; the zero value sends uncompressed
+// segments under a link-derived write deadline.
 type SendOpts struct {
-	// Codec selects the v3 segmented stream with optional per-segment
-	// compression; CodecRaw (the zero value) keeps the legacy
-	// length-prefixed framing, which any receiver version accepts.
+	// Codec is the per-segment wire codec; the zero value, CodecNone,
+	// frames without compressing.
 	Codec criu.Codec
-	// SegmentBytes caps each v3 segment's raw payload (default 4 MiB).
-	SegmentBytes int
 	// Timeout bounds the whole send. Zero derives it from the link
-	// model: 20x the modeled transfer time of the payload, floored at
-	// 2s, so a slow modeled link never trips the real transport.
+	// model (shipTimeout), so a slow modeled link never trips the real
+	// transport.
 	Timeout time.Duration
-	// Link is the modeled link the default Timeout derives from; nil
-	// selects InfiniBand.
-	Link *Link
-	// Obs receives the v3 wire telemetry ("wire.*"); nil disables it.
+	// Obs receives the wire telemetry ("wire.*"); nil disables it.
 	Obs *obs.Registry
 }
 
-// SendImages copies a checkpoint directory to a receiver over TCP using
-// the legacy framing, returning the bytes transferred (the scp payload
-// size). A close failure after the writes is reported: it can mean the
-// payload never flushed.
-func SendImages(addr string, dir *criu.ImageDir) (uint64, error) {
-	_, wire, err := SendImagesOpts(addr, dir, SendOpts{})
-	return wire, err
+// shipTimeout is the host-time bound on moving n bytes over the real
+// transport: 20x the modeled InfiniBand transfer time, floored at 2s.
+func shipTimeout(n uint64) time.Duration {
+	if t := 20 * InfiniBand.TransferTime(n); t > 2*time.Second {
+		return t
+	}
+	return 2 * time.Second
 }
 
 // SendImagesOpts copies a checkpoint directory to a receiver over TCP,
 // returning the marshaled image size and the bytes actually put on the
-// wire (equal for raw framing; smaller when compression wins). The whole
+// wire (image plus framing; smaller when compression wins). The whole
 // send runs under a write deadline so a stalled receiver fails the
-// migration round instead of hanging it forever.
+// migration round instead of hanging it forever. A close failure after
+// the writes is reported: it can mean the payload never flushed.
 func SendImagesOpts(addr string, dir *criu.ImageDir, opts SendOpts) (raw, wire uint64, err error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -272,14 +263,7 @@ func SendImagesOpts(addr string, dir *criu.ImageDir, opts SendOpts) (raw, wire u
 	raw = uint64(len(blob))
 	timeout := opts.Timeout
 	if timeout <= 0 {
-		link := opts.Link
-		if link == nil {
-			link = &InfiniBand
-		}
-		timeout = 20 * link.TransferTime(raw)
-		if timeout < 2*time.Second {
-			timeout = 2 * time.Second
-		}
+		timeout = shipTimeout(raw)
 	}
 	// The deadline covers every write of this send and is cleared before
 	// the close: a deadline left armed could fail the connection teardown
@@ -288,28 +272,11 @@ func SendImagesOpts(addr string, dir *criu.ImageDir, opts SendOpts) (raw, wire u
 	if derr := conn.SetWriteDeadline(time.Now().Add(timeout)); derr != nil {
 		return 0, 0, fmt.Errorf("cluster: send images: %w", derr)
 	}
-	if opts.Codec.Batched() {
-		wire, err = writeImageStream(conn, blob, opts.Codec, opts.SegmentBytes, opts.Obs)
-	} else {
-		var hdr [8]byte
-		binary.BigEndian.PutUint64(hdr[:], raw)
-		// One gathered write instead of header-then-blob: a single
-		// syscall, and no chance of the header flushing while the blob
-		// write dies separately.
-		bufs := net.Buffers{hdr[:], blob}
-		var n int64
-		n, err = bufs.WriteTo(conn)
-		wire = uint64(n)
-	}
-	if err != nil {
+	if wire, err = writeImageStream(conn, blob, opts.Codec, imageSegment, opts.Obs); err != nil {
 		return 0, 0, err
 	}
 	if derr := conn.SetWriteDeadline(time.Time{}); derr != nil {
 		return 0, 0, fmt.Errorf("cluster: send images: clear deadline: %w", derr)
 	}
 	return raw, wire, nil
-}
-
-func readImageDir(conn net.Conn) (*criu.ImageDir, error) {
-	return readImageDirFrom(conn)
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/kernel"
+	"github.com/dapper-sim/dapper/internal/monitor"
 )
 
 func waitForErrors(t *testing.T, r *cluster.ImageReceiver, want uint64) {
@@ -44,20 +45,25 @@ func TestImageReceiverMalformedPayloads(t *testing.T) {
 		conn.Close()
 	}
 
-	// Truncated header: fewer than 8 length bytes.
-	send([]byte{0, 1, 2})
+	streamHdr := func(rawTotal uint64) []byte {
+		b := append([]byte("DIB3"), 0, 0, 0, 0)
+		return binary.BigEndian.AppendUint64(b, rawTotal)
+	}
+
+	// Truncated header: the connection dies inside the magic.
+	send([]byte("DI"))
 	waitForErrors(t, recvr, 1)
 
-	// Truncated body: header promises more bytes than arrive.
-	var hdr [8]byte
-	binary.BigEndian.PutUint64(hdr[:], 4096)
-	send(append(hdr[:], []byte("short")...))
+	// Truncated body: the segment header promises more bytes than arrive.
+	seg := binary.BigEndian.AppendUint32(nil, 4096)
+	seg = binary.BigEndian.AppendUint32(seg, 4096)
+	seg = append(seg, 0)
+	send(append(append(streamHdr(4096), seg...), []byte("short")...))
 	waitForErrors(t, recvr, 2)
 
-	// Oversized image: length over the 1 GiB limit must be rejected
+	// Oversized image: a total over the 1 GiB limit must be rejected
 	// without attempting the allocation.
-	binary.BigEndian.PutUint64(hdr[:], 8<<30)
-	send(hdr[:])
+	send(streamHdr(8 << 30))
 	waitForErrors(t, recvr, 3)
 
 	if d := recvr.Take(); d != nil {
@@ -67,7 +73,7 @@ func TestImageReceiverMalformedPayloads(t *testing.T) {
 	// The receiver must still be healthy for a real transfer.
 	dir := criu.NewImageDir()
 	dir.Put("inventory.img", []byte{1, 2, 3, 4})
-	if _, err := cluster.SendImages(recvr.Addr(), dir); err != nil {
+	if _, _, err := cluster.SendImagesOpts(recvr.Addr(), dir, cluster.SendOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	var got *criu.ImageDir
@@ -253,6 +259,53 @@ func TestLazyMigrationTCPWithFaults(t *testing.T) {
 	}
 	if !p.Exited {
 		t.Error("lazy source not reaped by Close")
+	}
+}
+
+// TestLazyTCPSetupFailureReapsRestored: when the page transport cannot be
+// set up after the restore — here a listener that kills every hello ack —
+// Migrate returns no result, so it must reap the restored process itself;
+// before the fix each failed attempt leaked one process on the
+// destination kernel. The paused source is untouched: it resumes locally
+// and finishes with the native output.
+func TestLazyTCPSetupFailureReapsRestored(t *testing.T) {
+	xeon, pi, pair := setup(t)
+	ref := cluster.NewNode(cluster.XeonSpec)
+	ref.Install("work", pair)
+	want := nativeOut(t, ref)
+
+	p, err := xeon.Start("work")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := xeon.K.RunBudget(p, 200_000); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cluster.Migrate(xeon, pi, p, pair.Meta, cluster.MigrateOpts{
+		Lazy: true, LazyTCP: true,
+		WrapListener: func(ln net.Listener) net.Listener {
+			return criu.NewFlakyListener(ln, criu.FaultSpec{Seed: 1, DropRate: 1})
+		},
+		PageClient: &criu.PageClientOpts{DialTimeout: 500 * time.Millisecond},
+	})
+	if err == nil {
+		res.Close()
+		t.Fatal("migration succeeded over a listener that kills every hello")
+	}
+	if n := pi.K.Live(); n != 0 {
+		t.Errorf("destination kernel holds %d processes after the failed migration, want 0", n)
+	}
+	if p.Exited {
+		t.Fatal("failed migration reaped the source")
+	}
+	if err := monitor.New(xeon.K, p, pair.Meta).ResumeLocal(); err != nil {
+		t.Fatalf("resume the source after the failed migration: %v", err)
+	}
+	if err := xeon.K.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.ConsoleString(); got != want {
+		t.Errorf("resumed source printed %q, want %q", got, want)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestTakeWaitConcurrentWaiters(t *testing.T) {
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				_, err := cluster.SendImages(recvr.Addr(), smallDir(byte(s)))
+				_, _, err := cluster.SendImagesOpts(recvr.Addr(), smallDir(byte(s)), cluster.SendOpts{})
 				sendErrs <- err
 			}(s)
 		}
@@ -118,9 +118,9 @@ func TestSendImagesStalledReceiverDeadline(t *testing.T) {
 	}
 }
 
-// TestSendImagesCodecOverTCP runs the v3 compressed stream through the
-// real sender/receiver pair: the receiver sniffs the framing, the decoded
-// directory is byte-identical, and compression shrinks the wire volume.
+// TestSendImagesCodecOverTCP runs the compressed stream through the real
+// sender/receiver pair: the decoded directory is byte-identical, and
+// compression shrinks the wire volume.
 func TestSendImagesCodecOverTCP(t *testing.T) {
 	recvr, err := cluster.ListenImages("127.0.0.1:0")
 	if err != nil {
@@ -169,9 +169,9 @@ func TestImageReceiverMaxInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint64(hdr[:], 1<<20)
-	if _, err := stall.Write(hdr[:]); err != nil {
+	hdr := append([]byte("DIB3"), 0, 0, 0, 0)
+	hdr = binary.BigEndian.AppendUint64(hdr, 1<<20)
+	if _, err := stall.Write(hdr); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond) // let the slot be acquired
@@ -179,7 +179,7 @@ func TestImageReceiverMaxInflight(t *testing.T) {
 	// A second transfer while the slot is busy: shed at accept. The send
 	// itself may report success (its bytes fit the socket buffer before
 	// the reset lands); the receiver-side reject count is the contract.
-	_, _ = cluster.SendImages(recvr.Addr(), smallDir(1))
+	_, _, _ = cluster.SendImagesOpts(recvr.Addr(), smallDir(1), cluster.SendOpts{})
 	waitForErrors(t, recvr, 1)
 	if d := recvr.Take(); d != nil {
 		t.Fatalf("over-bound transfer produced a directory: %v", d.Names())
@@ -191,7 +191,7 @@ func TestImageReceiverMaxInflight(t *testing.T) {
 	waitForErrors(t, recvr, 2)
 
 	// ...and the receiver serves normal transfers again.
-	if _, err := cluster.SendImages(recvr.Addr(), smallDir(2)); err != nil {
+	if _, _, err := cluster.SendImagesOpts(recvr.Addr(), smallDir(2), cluster.SendOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := recvr.TakeWait(2 * time.Second)
@@ -206,9 +206,10 @@ func TestImageReceiverMaxInflight(t *testing.T) {
 	}
 }
 
-// TestImageReceiverMalformedV3Streams feeds the receiver corrupt v3
-// headers and segments; each is counted and none may produce a directory
-// or a large allocation, and a valid compressed transfer still works.
+// TestImageReceiverMalformedV3Streams feeds the receiver the malformed
+// corpus (TestReadImageStreamMalformed pins each case's named error);
+// each is counted and none may produce a directory or a large
+// allocation, and a valid compressed transfer still works.
 func TestImageReceiverMalformedV3Streams(t *testing.T) {
 	recvr, err := cluster.ListenImages("127.0.0.1:0")
 	if err != nil {
@@ -216,8 +217,8 @@ func TestImageReceiverMalformedV3Streams(t *testing.T) {
 	}
 	defer recvr.Close()
 
-	send := func(payload []byte) {
-		t.Helper()
+	want := uint64(0)
+	for _, payload := range cluster.MalformedStreams(t, smallDir(3).Marshal()) {
 		conn, err := net.Dial("tcp", recvr.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -227,51 +228,9 @@ func TestImageReceiverMalformedV3Streams(t *testing.T) {
 		}
 		// One-shot malformed payload; peer drops it regardless.
 		_ = conn.Close()
+		want++
+		waitForErrors(t, recvr, want)
 	}
-	v3hdr := func(codec byte, pad byte, rawTotal uint64) []byte {
-		b := append([]byte("DIB3"), codec, pad, 0, 0)
-		var tot [8]byte
-		binary.BigEndian.PutUint64(tot[:], rawTotal)
-		return append(b, tot[:]...)
-	}
-	seg := func(rawLen, wireLen uint32, codec byte) []byte {
-		var b [9]byte
-		binary.BigEndian.PutUint32(b[0:4], rawLen)
-		binary.BigEndian.PutUint32(b[4:8], wireLen)
-		b[8] = codec
-		return b[:]
-	}
-
-	want := uint64(0)
-	// Unknown header codec byte.
-	send(v3hdr(0x7F, 0, 100))
-	want++
-	waitForErrors(t, recvr, want)
-	// Nonzero padding: not a v3 header this receiver speaks.
-	send(v3hdr(1, 9, 100))
-	want++
-	waitForErrors(t, recvr, want)
-	// Whole-image size over the 1 GiB cap.
-	send(v3hdr(1, 0, 2<<30))
-	want++
-	waitForErrors(t, recvr, want)
-	// Empty segment inside a non-empty stream.
-	send(append(v3hdr(1, 0, 100), seg(0, 0, 1)...))
-	want++
-	waitForErrors(t, recvr, want)
-	// Segment raw size over the per-segment cap.
-	send(append(v3hdr(1, 0, 512<<20), seg(16<<20, 10, 1)...))
-	want++
-	waitForErrors(t, recvr, want)
-	// Segment claiming more wire bytes than raw bytes (Compress never
-	// expands, so this proves corruption).
-	send(append(v3hdr(1, 0, 100), seg(10, 11, 1)...))
-	want++
-	waitForErrors(t, recvr, want)
-	// Segments overflowing the declared total.
-	send(append(v3hdr(1, 0, 4), seg(8, 8, 1)...))
-	want++
-	waitForErrors(t, recvr, want)
 
 	if d := recvr.Take(); d != nil {
 		t.Fatalf("malformed v3 stream produced a directory: %v", d.Names())

@@ -55,7 +55,7 @@ func TestMigrationOverRealTCP(t *testing.T) {
 	if err := (crossISAFor(pi)).Rewrite(dir, coreCtx(xeon)); err != nil {
 		t.Fatal(err)
 	}
-	sent, err := cluster.SendImages(recvr.Addr(), dir)
+	_, sent, err := cluster.SendImagesOpts(recvr.Addr(), dir, cluster.SendOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

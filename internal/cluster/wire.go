@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,7 +13,7 @@ import (
 	"github.com/dapper-sim/dapper/internal/obs"
 )
 
-// Image transfer wire format v3: a self-describing segmented stream with
+// Image transfer wire format: a self-describing segmented stream with
 // optional per-segment compression, sharing the codec layer (and its
 // telemetry names) with the page protocol's batch frames. See
 // docs/transport.md.
@@ -23,56 +24,42 @@ import (
 // Segments concatenate (after decoding) to exactly rawTotal bytes of
 // ImageDir.Marshal output. Each segment carries its own codec byte
 // because Compress falls back to CodecNone per segment when compression
-// does not shrink it; the header codec records what was requested. The
-// receiver sniffs the first 8 bytes: the legacy framing is a u64 BE
-// length capped at 1 GiB, so its first four bytes are always zero and
-// can never read "DIB3".
+// does not shrink it; the header codec records what was requested.
 const (
 	imageMagic     = "DIB3"
+	imageHdrLen    = 16
 	imageSegHdrLen = 9
-	// maxImageBytes caps a whole transfer (both framings); it doubles as
-	// proof that a legacy length header never collides with the magic.
+	// maxImageBytes caps a whole transfer.
 	maxImageBytes = 1 << 30
-	// maxImageSegment caps one v3 segment's raw payload; the writer's
-	// default stays well under it.
-	maxImageSegment     = 8 << 20
-	defaultImageSegment = 4 << 20
+	// maxImageSegment caps one segment's raw payload; imageSegment, what
+	// the writer cuts, stays well under it.
+	maxImageSegment = 8 << 20
+	imageSegment    = 4 << 20
 	// recvChunk bounds how much readBounded grows per read, so a corrupt
 	// length header allocates memory only as fast as bytes actually
 	// arrive instead of committing the claimed size up front.
 	recvChunk = 1 << 20
 )
 
-// writeImageStream writes blob as a v3 stream, compressing each segment
-// with codec, and returns the total bytes put on the wire. segBytes <= 0
-// selects the default segment size. Wire telemetry ("wire.*") lands in
-// reg; nil disables recording.
-func writeImageStream(w io.Writer, blob []byte, codec criu.Codec, segBytes int, reg *obs.Registry) (uint64, error) {
-	if !codec.Batched() {
-		return 0, fmt.Errorf("cluster: codec %s cannot frame an image stream", codec)
-	}
-	if segBytes <= 0 {
-		segBytes = defaultImageSegment
-	}
-	if segBytes > maxImageSegment {
-		segBytes = maxImageSegment
-	}
+// errNotImageStream refuses a transfer that does not open with the stream
+// magic — a peer speaking some other framing, or line noise.
+var errNotImageStream = errors.New("cluster: image stream: missing DIB3 magic")
+
+// eachSegment cuts blob into segments of at most segBytes and hands each
+// to emit together with its encoded payload and the codec that actually
+// encoded it (an empty blob still yields one empty segment). For
+// CodecNone the payload aliases blob. It is the one place a stream's
+// segments, their wire size and the "wire.*" telemetry are decided, so a
+// TCP send and an in-process transfer of the same blob report the same
+// figures. It returns the stream's total wire size, header included, and
+// refuses a blob over the transfer cap before emitting anything.
+func eachSegment(blob []byte, codec criu.Codec, segBytes int, reg *obs.Registry, emit func(raw, payload []byte, used criu.Codec) error) (uint64, error) {
 	if uint64(len(blob)) > maxImageBytes {
 		return 0, fmt.Errorf("cluster: image of %d bytes exceeds limit", len(blob))
 	}
-	hdr := make([]byte, 16)
-	copy(hdr, imageMagic)
-	hdr[4] = byte(codec)
-	binary.BigEndian.PutUint64(hdr[8:16], uint64(len(blob)))
-	if _, err := w.Write(hdr); err != nil {
-		return 0, err
-	}
-	wire := uint64(len(hdr))
-	for off := 0; off < len(blob) || off == 0; {
-		end := off + segBytes
-		if end > len(blob) {
-			end = len(blob)
-		}
+	wire := uint64(imageHdrLen)
+	for off := 0; ; {
+		end := min(off+segBytes, len(blob))
 		raw := blob[off:end]
 		//lint:ignore wallclock codec_ns is host-side codec cost telemetry, never part of modeled migration time
 		start := time.Now()
@@ -82,142 +69,109 @@ func writeImageStream(w io.Writer, blob []byte, codec criu.Codec, segBytes int, 
 		if err != nil {
 			return 0, err
 		}
-		seg := make([]byte, imageSegHdrLen)
-		binary.BigEndian.PutUint32(seg[0:4], uint32(len(raw)))
-		binary.BigEndian.PutUint32(seg[4:8], uint32(len(payload)))
-		seg[8] = byte(used)
-		bufs := net.Buffers{seg, payload}
-		if _, err := bufs.WriteTo(w); err != nil {
+		if err := emit(raw, payload, used); err != nil {
 			return 0, err
 		}
 		wire += uint64(imageSegHdrLen + len(payload))
 		reg.Counter("wire.batches").Inc()
 		reg.Counter("wire.bytes_raw").Add(uint64(len(raw)))
 		reg.Counter("wire.bytes_wire").Add(uint64(imageSegHdrLen + len(payload)))
-		off = end
-		if len(blob) == 0 {
-			break
+		if off = end; off == len(blob) {
+			return wire, nil
 		}
 	}
-	return wire, nil
 }
 
-// readImageDirFrom reads one image transfer — either framing — and
-// decodes the directory. Malformed input fails without large allocations:
-// both paths grow buffers only as bytes actually arrive.
-func readImageDirFrom(r io.Reader) (*criu.ImageDir, error) {
-	var pre [8]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
-		return nil, err
-	}
-	if string(pre[:4]) != imageMagic {
-		// Legacy framing: the 8 bytes are the payload length.
-		n := binary.BigEndian.Uint64(pre[:])
-		if n > maxImageBytes {
-			return nil, fmt.Errorf("cluster: image of %d bytes exceeds limit", n)
-		}
-		blob, err := readBounded(r, n)
-		if err != nil {
-			return nil, err
-		}
-		return criu.UnmarshalImageDir(blob)
-	}
-	if pre[5] != 0 || pre[6] != 0 || pre[7] != 0 {
-		return nil, fmt.Errorf("cluster: image stream: nonzero header padding")
-	}
-	if hdrCodec := criu.Codec(pre[4]); !hdrCodec.Batched() {
-		return nil, fmt.Errorf("cluster: image stream: bad codec %s", hdrCodec)
-	}
-	var tot [8]byte
-	if _, err := io.ReadFull(r, tot[:]); err != nil {
-		return nil, err
-	}
-	rawTotal := binary.BigEndian.Uint64(tot[:])
-	if rawTotal > maxImageBytes {
-		return nil, fmt.Errorf("cluster: image of %d bytes exceeds limit", rawTotal)
-	}
-	blob := make([]byte, 0, minU64(rawTotal, recvChunk))
-	for uint64(len(blob)) < rawTotal || rawTotal == 0 {
+// writeImageStream writes blob as a segmented stream, compressing each
+// segment with codec, and returns the total bytes put on the wire. Wire
+// telemetry ("wire.*") lands in reg; nil disables recording.
+func writeImageStream(w io.Writer, blob []byte, codec criu.Codec, segBytes int, reg *obs.Registry) (uint64, error) {
+	// The stream header rides in front of the first segment, so nothing
+	// is written for a blob eachSegment refuses.
+	hdr := make([]byte, imageHdrLen, imageHdrLen+imageSegHdrLen)
+	copy(hdr, imageMagic)
+	hdr[4] = byte(codec)
+	binary.BigEndian.PutUint64(hdr[8:16], uint64(len(blob)))
+	return eachSegment(blob, codec, segBytes, reg, func(raw, payload []byte, used criu.Codec) error {
 		var seg [imageSegHdrLen]byte
-		if _, err := io.ReadFull(r, seg[:]); err != nil {
-			return nil, err
-		}
-		rawLen := binary.BigEndian.Uint32(seg[0:4])
-		wireLen := binary.BigEndian.Uint32(seg[4:8])
-		codec := criu.Codec(seg[8])
-		switch {
-		case !codec.Batched():
-			return nil, fmt.Errorf("cluster: image stream: bad segment codec %s", codec)
-		case rawLen == 0 && rawTotal != 0:
-			return nil, fmt.Errorf("cluster: image stream: empty segment")
-		case rawLen > maxImageSegment:
-			return nil, fmt.Errorf("cluster: image segment of %d bytes exceeds limit", rawLen)
-		case uint64(wireLen) > uint64(rawLen):
-			return nil, fmt.Errorf("cluster: image segment wire size %d exceeds raw size %d", wireLen, rawLen)
-		case uint64(len(blob))+uint64(rawLen) > rawTotal:
-			return nil, fmt.Errorf("cluster: image segments overflow the declared %d bytes", rawTotal)
-		}
-		payload, err := readBounded(r, uint64(wireLen))
-		if err != nil {
-			return nil, err
-		}
-		raw, err := codec.Decompress(payload, int(rawLen))
-		if err != nil {
-			return nil, fmt.Errorf("cluster: image stream: %w", err)
-		}
-		blob = append(blob, raw...)
-		if rawTotal == 0 {
-			break
-		}
-	}
-	return criu.UnmarshalImageDir(blob)
+		binary.BigEndian.PutUint32(seg[0:4], uint32(len(raw)))
+		binary.BigEndian.PutUint32(seg[4:8], uint32(len(payload)))
+		seg[8] = byte(used)
+		bufs := net.Buffers{append(hdr, seg[:]...), payload}
+		hdr = hdr[:0]
+		_, err := bufs.WriteTo(w)
+		return err
+	})
 }
 
-// readImageStreamInto reads one image transfer — either framing — and
-// feeds it to sink incrementally: each v3 segment is decoded and handed
-// to an image.StreamSplitter the moment it arrives, so the consumer sees
-// completed files (metadata first, by sort order) while later segments
-// are still on the wire. It returns the number of wire segments
-// delivered; a legacy-framed transfer is read whole and fed as one
-// piece, counting as a single segment. On error the sink may have been
-// fed a prefix; the caller owns cleanup of any consumer state.
+// transfer is the in-process hand-off of an image blob to sink: the blob
+// is cut, encoded and decoded segment by segment exactly as a TCP send
+// would carry it — so the returned wire size is measured, not estimated —
+// but by reference, with no stream in between: for CodecNone each segment
+// reaches the sink still aliasing blob, and the image bytes are copied
+// once, by the sink. A sink that works in the background (the streaming
+// restorer's installer) overlaps with the next segment's decode. It
+// returns the bytes a wire would have carried and the segments delivered.
+func transfer(blob []byte, codec criu.Codec, sink image.StreamSink, reg *obs.Registry) (wire uint64, segments int, err error) {
+	sp := image.NewStreamSplitter(sink)
+	wire, err = eachSegment(blob, codec, imageSegment, reg, func(raw, payload []byte, used criu.Codec) error {
+		dec, err := used.Decompress(payload, len(raw))
+		if err != nil {
+			return err
+		}
+		segments++
+		_, err = sp.Write(dec)
+		return err
+	})
+	if err != nil {
+		return 0, segments, err
+	}
+	return wire, segments, sp.Close()
+}
+
+// readImageDirFrom reads one image transfer and materializes the
+// directory.
+func readImageDirFrom(r io.Reader) (*criu.ImageDir, error) {
+	sink := image.NewDirSink()
+	if _, err := readImageStreamInto(r, sink); err != nil {
+		return nil, err
+	}
+	return sink.Dir(), nil
+}
+
+// readImageStreamInto is the one parser of the image stream: it reads a
+// transfer and feeds it to sink incrementally, each segment decoded and
+// handed to an image.StreamSplitter the moment it arrives, so the
+// consumer sees completed files (metadata first, by sort order) while
+// later segments are still on the wire. It returns the number of
+// segments delivered. Malformed input fails without large allocations:
+// buffers grow only as bytes actually arrive. On error the sink may have
+// been fed a prefix; the caller owns cleanup of any consumer state.
 func readImageStreamInto(r io.Reader, sink image.StreamSink) (int, error) {
 	sp := image.NewStreamSplitter(sink)
-	var pre [8]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
+	var hdr [imageHdrLen]byte
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return 0, err
 	}
-	if string(pre[:4]) != imageMagic {
-		n := binary.BigEndian.Uint64(pre[:])
-		if n > maxImageBytes {
-			return 0, fmt.Errorf("cluster: image of %d bytes exceeds limit", n)
-		}
-		blob, err := readBounded(r, n)
-		if err != nil {
-			return 0, err
-		}
-		if _, err := sp.Write(blob); err != nil {
-			return 0, err
-		}
-		return 1, sp.Close()
+	if string(hdr[:4]) != imageMagic {
+		return 0, errNotImageStream
 	}
-	if pre[5] != 0 || pre[6] != 0 || pre[7] != 0 {
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return 0, err
+	}
+	if hdr[5] != 0 || hdr[6] != 0 || hdr[7] != 0 {
 		return 0, fmt.Errorf("cluster: image stream: nonzero header padding")
 	}
-	if hdrCodec := criu.Codec(pre[4]); !hdrCodec.Batched() {
+	if hdrCodec := criu.Codec(hdr[4]); !hdrCodec.Valid() {
 		return 0, fmt.Errorf("cluster: image stream: bad codec %s", hdrCodec)
 	}
-	var tot [8]byte
-	if _, err := io.ReadFull(r, tot[:]); err != nil {
-		return 0, err
-	}
-	rawTotal := binary.BigEndian.Uint64(tot[:])
+	rawTotal := binary.BigEndian.Uint64(hdr[8:16])
 	if rawTotal > maxImageBytes {
 		return 0, fmt.Errorf("cluster: image of %d bytes exceeds limit", rawTotal)
 	}
 	segments := 0
 	var fed uint64
-	for fed < rawTotal || rawTotal == 0 {
+	for {
 		var seg [imageSegHdrLen]byte
 		if _, err := io.ReadFull(r, seg[:]); err != nil {
 			return segments, err
@@ -226,7 +180,7 @@ func readImageStreamInto(r io.Reader, sink image.StreamSink) (int, error) {
 		wireLen := binary.BigEndian.Uint32(seg[4:8])
 		codec := criu.Codec(seg[8])
 		switch {
-		case !codec.Batched():
+		case !codec.Valid():
 			return segments, fmt.Errorf("cluster: image stream: bad segment codec %s", codec)
 		case rawLen == 0 && rawTotal != 0:
 			return segments, fmt.Errorf("cluster: image stream: empty segment")
@@ -248,24 +202,19 @@ func readImageStreamInto(r io.Reader, sink image.StreamSink) (int, error) {
 		if _, err := sp.Write(raw); err != nil {
 			return segments, err
 		}
-		fed += uint64(rawLen)
 		segments++
-		if rawTotal == 0 {
-			break
+		if fed += uint64(rawLen); fed == rawTotal {
+			return segments, sp.Close()
 		}
 	}
-	return segments, sp.Close()
 }
 
 // readBounded reads exactly n bytes, growing the buffer in bounded
 // chunks so the allocation tracks delivery, not the peer's claim.
 func readBounded(r io.Reader, n uint64) ([]byte, error) {
-	blob := make([]byte, 0, minU64(n, recvChunk))
+	blob := make([]byte, 0, min(n, recvChunk))
 	for uint64(len(blob)) < n {
-		c := n - uint64(len(blob))
-		if c > recvChunk {
-			c = recvChunk
-		}
+		c := min(n-uint64(len(blob)), recvChunk)
 		off := len(blob)
 		blob = append(blob, make([]byte, c)...)
 		if _, err := io.ReadFull(r, blob[off:]); err != nil {
@@ -273,11 +222,4 @@ func readBounded(r io.Reader, n uint64) ([]byte, error) {
 		}
 	}
 	return blob, nil
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -19,14 +19,14 @@ func wireTestDir() *criu.ImageDir {
 	return dir
 }
 
-// TestImageStreamRoundTrip pins the v3 stream: for both batch codecs and
+// TestImageStreamRoundTrip pins the image stream: for both codecs and
 // several segment sizes (forcing 1..many segments), the decoded directory
 // is byte-identical to the source, and flate shrinks the wire volume.
 func TestImageStreamRoundTrip(t *testing.T) {
 	dir := wireTestDir()
 	blob := dir.Marshal()
 	for _, codec := range []criu.Codec{criu.CodecNone, criu.CodecFlate} {
-		for _, segBytes := range []int{0, 1 << 10, 17, len(blob) + 1} {
+		for _, segBytes := range []int{imageSegment, 1 << 10, 17, len(blob) + 1} {
 			var buf bytes.Buffer
 			reg := obs.New()
 			wire, err := writeImageStream(&buf, blob, codec, segBytes, reg)
@@ -36,7 +36,7 @@ func TestImageStreamRoundTrip(t *testing.T) {
 			if wire != uint64(buf.Len()) {
 				t.Errorf("codec %s seg %d: reported %d wire bytes, wrote %d", codec, segBytes, wire, buf.Len())
 			}
-			if codec == criu.CodecFlate && segBytes == 0 && wire >= uint64(len(blob)) {
+			if codec == criu.CodecFlate && segBytes == imageSegment && wire >= uint64(len(blob)) {
 				t.Errorf("flate stream did not shrink: raw %d, wire %d", len(blob), wire)
 			}
 			if reg.Counter("wire.batches").Value() == 0 {
@@ -59,7 +59,7 @@ func TestImageStreamEmptyDir(t *testing.T) {
 	dir := criu.NewImageDir()
 	blob := dir.Marshal()
 	var buf bytes.Buffer
-	if _, err := writeImageStream(&buf, blob, criu.CodecFlate, 0, nil); err != nil {
+	if _, err := writeImageStream(&buf, blob, criu.CodecFlate, imageSegment, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := readImageDirFrom(&buf)
@@ -68,40 +68,6 @@ func TestImageStreamEmptyDir(t *testing.T) {
 	}
 	if len(got.Names()) != 0 {
 		t.Errorf("empty directory decoded to %v", got.Names())
-	}
-}
-
-// TestImageStreamRejectsRawCodec: the legacy codec cannot label a v3
-// stream — writers must refuse rather than emit an undecodable header.
-func TestImageStreamRejectsRawCodec(t *testing.T) {
-	if _, err := writeImageStream(&bytes.Buffer{}, []byte{1}, criu.CodecRaw, 0, nil); err == nil {
-		t.Error("writeImageStream accepted CodecRaw")
-	}
-}
-
-// TestReadImageDirFromLegacy: the pre-v3 length-prefixed framing still
-// decodes through the same entry point (receiver compatibility).
-func TestReadImageDirFromLegacy(t *testing.T) {
-	dir := wireTestDir()
-	blob := dir.Marshal()
-	var buf bytes.Buffer
-	var hdr [8]byte
-	putLegacyLen(hdr[:], uint64(len(blob)))
-	buf.Write(hdr[:])
-	buf.Write(blob)
-	got, err := readImageDirFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Marshal(), blob) {
-		t.Error("legacy framing decoded to a different directory")
-	}
-}
-
-func putLegacyLen(b []byte, n uint64) {
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(n)
-		n >>= 8
 	}
 }
 

@@ -91,9 +91,7 @@ type Codec = imgproto.Codec
 
 // Wire codecs, re-exported from imgproto.
 const (
-	// CodecRaw keeps the legacy unbatched framing (the zero value).
-	CodecRaw = imgproto.CodecRaw
-	// CodecNone batches frames without compression.
+	// CodecNone batches frames without compression (the zero value).
 	CodecNone = imgproto.CodecNone
 	// CodecFlate batches frames and DEFLATE-compresses each batch.
 	CodecFlate = imgproto.CodecFlate

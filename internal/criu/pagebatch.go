@@ -10,28 +10,25 @@ import (
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/imgproto"
-	"github.com/dapper-sim/dapper/internal/mem"
 )
 
-// Page-server wire protocol v3: batched, optionally compressed response
-// frames, negotiated per connection so v2 peers keep working. See
-// docs/transport.md for the full specification.
+// Page-server wire protocol: batched, optionally compressed response
+// frames. See docs/transport.md for the full specification.
 //
-// Negotiation rides inside the v2 framing: the client's first frame is a
-// normal 12-byte request whose reqID and address carry magic values plus
-// the requested codec. A v3 server answers with a HELLO frame (status
-// 0x02) and both sides switch to batch mode; a v2 server serves the
-// magic address like any other page — an OK or ERR frame — and the
-// client silently falls back to v2.
+// Every connection opens with a hello: a 12-byte request frame whose
+// reqID and address carry magic values plus the requested codec. The
+// server answers with a HELLO frame (status 0x02) naming the codec it
+// will use, and from then on every response travels inside a batch
+// frame. A first frame that is not a hello closes the connection.
 //
 //	hello     := reqID = 0xD4B3FACE, addr = 0xD4B3C0DE00000000 | codec
 //	hello-ack := reqID(u32 BE) 0x02 version(u8) codec(u8)
 //	batch     := 0xB3(u8) codec(u8) count(u16 BE) rawLen(u32 BE) wireLen(u32 BE) payload[wireLen]
 //
 // A batch payload decodes (per its codec byte) to exactly count
-// concatenated v2 response frames. Any header violation — bad magic, a
-// non-batch codec byte, zero count, wireLen > rawLen, bounds exceeded,
-// or a payload that does not parse to exactly count frames —
+// concatenated response frames (pageproto.go). Any header violation —
+// bad magic, an unknown codec byte, zero count, wireLen > rawLen, bounds
+// exceeded, or a payload that does not parse to exactly count frames —
 // desynchronizes the stream and the reader must drop the connection.
 const (
 	pageHelloID        = 0xD4B3FACE
@@ -42,14 +39,9 @@ const (
 
 	pageBatchMagic  = 0xB3
 	pageBatchHdrLen = 12
-	// Server-side batching defaults (PageServerOpts) and the hard frame
-	// count ceiling imposed by the header's u16 count field.
-	defaultBatchPages = 32
-	defaultBatchBytes = 256 << 10
-	maxBatchFrames    = 1<<16 - 1
 	// maxBatchRaw bounds a batch's decoded payload so a corrupt header
-	// cannot trigger a huge allocation; generous next to any sane
-	// BatchPages * (5 + PageSize) product.
+	// cannot trigger a huge allocation; generous next to what the server
+	// ever batches (see pageBatchWriter.full).
 	maxBatchRaw = 1 << 24
 )
 
@@ -70,7 +62,7 @@ func isHelloRequest(req pageRequest) bool {
 	return req.ID == pageHelloID && req.Addr&pageHelloAddrMask == pageHelloAddrMagic
 }
 
-// writeHelloAck sends the server's v3 acknowledgment carrying the codec
+// writeHelloAck sends the server's acknowledgment carrying the codec
 // the server will actually use.
 func writeHelloAck(w io.Writer, codec imgproto.Codec) error {
 	var buf [7]byte
@@ -83,70 +75,34 @@ func writeHelloAck(w io.Writer, codec imgproto.Codec) error {
 }
 
 // negotiatePageBatch performs the synchronous hello exchange on a fresh
-// connection, before any pipelined traffic. It returns the codec the
-// connection will speak: the server's choice for a v3 peer, CodecRaw
-// (legacy v2 framing) when the peer answered the magic address like a
-// normal request. The deadline covers the whole exchange and is cleared
-// before returning.
-func negotiatePageBatch(conn net.Conn, want imgproto.Codec, timeout time.Duration) (imgproto.Codec, error) {
+// connection, before any pipelined traffic. Batch frames name their own
+// codec, so the acknowledged one is only validated, not returned. The
+// deadline covers the whole exchange and is cleared before returning.
+func negotiatePageBatch(conn net.Conn, want imgproto.Codec, timeout time.Duration) (err error) {
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return 0, fmt.Errorf("criu: page hello: %w", err)
+		return fmt.Errorf("criu: page hello: %w", err)
 	}
-	codec, err := negotiateLocked(conn, want)
-	if cerr := conn.SetDeadline(time.Time{}); err == nil && cerr != nil {
-		err = fmt.Errorf("criu: page hello: clear deadline: %w", cerr)
-	}
-	return codec, err
-}
-
-func negotiateLocked(conn net.Conn, want imgproto.Codec) (imgproto.Codec, error) {
+	defer func() {
+		if cerr := conn.SetDeadline(time.Time{}); err == nil && cerr != nil {
+			err = fmt.Errorf("criu: page hello: clear deadline: %w", cerr)
+		}
+	}()
 	if err := writePageRequest(conn, helloRequest(want)); err != nil {
-		return 0, fmt.Errorf("criu: page hello: %w", err)
+		return fmt.Errorf("criu: page hello: %w", err)
 	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return 0, fmt.Errorf("criu: page hello: %w", err)
+	var ack [7]byte
+	if _, err := io.ReadFull(conn, ack[:]); err != nil {
+		return fmt.Errorf("criu: page hello: %w", err)
 	}
-	id := binary.BigEndian.Uint32(hdr[0:4])
-	switch hdr[4] {
-	case pageStatusHello:
-		var body [2]byte
-		if _, err := io.ReadFull(conn, body[:]); err != nil {
-			return 0, fmt.Errorf("criu: page hello: %w", err)
-		}
-		codec := imgproto.Codec(body[1])
-		if id != pageHelloID || body[0] != pageProtoVersion || !codec.Batched() {
-			return 0, fmt.Errorf("criu: page hello: malformed ack (id 0x%x version %d codec %s)", id, body[0], codec)
-		}
-		return codec, nil
-	case pageStatusOK:
-		// A v2 server served the magic address as a page: drain the body
-		// and fall back to the legacy framing.
-		if _, err := io.CopyN(io.Discard, conn, int64(mem.PageSize)); err != nil {
-			return 0, fmt.Errorf("criu: page hello: %w", err)
-		}
-		return imgproto.CodecRaw, nil
-	case pageStatusErr:
-		// A v2 server reported the magic address unmapped: same fallback.
-		var ln [2]byte
-		if _, err := io.ReadFull(conn, ln[:]); err != nil {
-			return 0, fmt.Errorf("criu: page hello: %w", err)
-		}
-		n := binary.BigEndian.Uint16(ln[:])
-		if n > maxPageErrMsg {
-			return 0, fmt.Errorf("criu: page hello: error frame of %d bytes exceeds limit", n)
-		}
-		if _, err := io.CopyN(io.Discard, conn, int64(n)); err != nil {
-			return 0, fmt.Errorf("criu: page hello: %w", err)
-		}
-		return imgproto.CodecRaw, nil
-	default:
-		return 0, fmt.Errorf("criu: page hello: bad response status 0x%02x", hdr[4])
+	id := binary.BigEndian.Uint32(ack[0:4])
+	codec := imgproto.Codec(ack[6])
+	if id != pageHelloID || ack[4] != pageStatusHello || ack[5] != pageProtoVersion || !codec.Valid() {
+		return fmt.Errorf("criu: page hello: malformed ack (id 0x%x status 0x%02x version %d codec %s)", id, ack[4], ack[5], codec)
 	}
+	return nil
 }
 
-// encodePageResponse builds an OK frame (the body writePageResponse
-// writes) for batching.
+// encodePageResponse builds an OK frame for batching.
 func encodePageResponse(id uint32, page []byte) []byte {
 	buf := make([]byte, 5+len(page))
 	binary.BigEndian.PutUint32(buf[0:4], id)
@@ -169,22 +125,27 @@ func encodePageError(id uint32, fetchErr error) []byte {
 	return buf
 }
 
-// writePageBatch compresses raw (count concatenated response frames)
-// with codec and writes one batch frame in a single gathered write. It
-// returns the raw and on-wire payload sizes for telemetry.
-func writePageBatch(w io.Writer, codec imgproto.Codec, count int, raw []byte) (rawN, wireN int, err error) {
+// writePageBatch compresses the count concatenated response frames held
+// in frame after pageBatchHdrLen reserved bytes and writes header and
+// payload as one batch frame in a single write — one syscall, and one
+// roll of a lossy link's dice, per batch. Compress never expands, so the
+// encoded payload is laid over the raw frames in place: frame is consumed.
+// It returns the raw and on-wire payload sizes for telemetry.
+func writePageBatch(w io.Writer, codec imgproto.Codec, count int, frame []byte) (rawN, wireN int, err error) {
+	raw := frame[pageBatchHdrLen:]
 	payload, used, err := codec.Compress(raw)
 	if err != nil {
 		return 0, 0, err
 	}
-	hdr := make([]byte, pageBatchHdrLen)
-	hdr[0] = pageBatchMagic
-	hdr[1] = byte(used)
-	binary.BigEndian.PutUint16(hdr[2:4], uint16(count))
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(raw)))
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	bufs := net.Buffers{hdr, payload}
-	if _, err := bufs.WriteTo(w); err != nil {
+	frame[0] = pageBatchMagic
+	frame[1] = byte(used)
+	binary.BigEndian.PutUint16(frame[2:4], uint16(count))
+	binary.BigEndian.PutUint32(frame[4:8], uint32(len(raw)))
+	binary.BigEndian.PutUint32(frame[8:12], uint32(len(payload)))
+	if used != imgproto.CodecNone { // CodecNone's payload is raw itself
+		copy(raw, payload)
+	}
+	if _, err := w.Write(frame[:pageBatchHdrLen+len(payload)]); err != nil {
 		return 0, 0, err
 	}
 	return len(raw), pageBatchHdrLen + len(payload), nil
@@ -205,7 +166,7 @@ func readPageBatch(r io.Reader) ([]pageResponse, error) {
 	switch {
 	case hdr[0] != pageBatchMagic:
 		return nil, fmt.Errorf("%w: bad magic 0x%02x", errBatchDesync, hdr[0])
-	case !codec.Batched():
+	case !codec.Valid():
 		return nil, fmt.Errorf("%w: bad codec byte 0x%02x", errBatchDesync, hdr[1])
 	case count == 0:
 		return nil, fmt.Errorf("%w: empty batch", errBatchDesync)

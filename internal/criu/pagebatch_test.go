@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -24,6 +25,12 @@ func batchOf(frames ...[]byte) ([]byte, int) {
 	return raw, len(frames)
 }
 
+// writeBatch is writePageBatch over a copy of raw laid behind the header
+// room the server's batch writer reserves.
+func writeBatch(w io.Writer, codec imgproto.Codec, count int, raw []byte) (int, int, error) {
+	return writePageBatch(w, codec, count, append(make([]byte, pageBatchHdrLen), raw...))
+}
+
 func TestPageBatchRoundTrip(t *testing.T) {
 	for _, codec := range []imgproto.Codec{imgproto.CodecNone, imgproto.CodecFlate} {
 		t.Run(codec.String(), func(t *testing.T) {
@@ -34,7 +41,7 @@ func TestPageBatchRoundTrip(t *testing.T) {
 				encodePageResponse(4, pagePattern(7*mem.PageSize)),
 			)
 			var buf bytes.Buffer
-			rawN, wireN, err := writePageBatch(&buf, codec, count, raw)
+			rawN, wireN, err := writeBatch(&buf, codec, count, raw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +87,7 @@ func TestPageBatchFlateShrinks(t *testing.T) {
 		encodePageResponse(2, make([]byte, mem.PageSize)),
 	)
 	var buf bytes.Buffer
-	rawN, wireN, err := writePageBatch(&buf, imgproto.CodecFlate, count, raw)
+	rawN, wireN, err := writeBatch(&buf, imgproto.CodecFlate, count, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +103,7 @@ func TestReadPageBatchDesync(t *testing.T) {
 	goodBatch := func() []byte {
 		raw, count := batchOf(encodePageResponse(9, pagePattern(mem.PageSize)))
 		var buf bytes.Buffer
-		if _, _, err := writePageBatch(&buf, imgproto.CodecNone, count, raw); err != nil {
+		if _, _, err := writeBatch(&buf, imgproto.CodecNone, count, raw); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -114,13 +121,6 @@ func TestReadPageBatchDesync(t *testing.T) {
 		{"bad codec byte", func() []byte {
 			b := goodBatch()
 			b[1] = 0x7F
-			return b
-		}, true},
-		{"raw codec byte", func() []byte {
-			// CodecRaw is the legacy non-batch marker; it can never label a
-			// batch frame.
-			b := goodBatch()
-			b[1] = byte(imgproto.CodecRaw)
 			return b
 		}, true},
 		{"zero count", func() []byte {
@@ -147,7 +147,7 @@ func TestReadPageBatchDesync(t *testing.T) {
 			// Header claims two frames, payload holds one.
 			raw, _ := batchOf(encodePageResponse(9, pagePattern(0)))
 			var buf bytes.Buffer
-			if _, _, err := writePageBatch(&buf, imgproto.CodecNone, 2, raw); err != nil {
+			if _, _, err := writeBatch(&buf, imgproto.CodecNone, 2, raw); err != nil {
 				t.Fatal(err)
 			}
 			return buf.Bytes()
@@ -156,7 +156,7 @@ func TestReadPageBatchDesync(t *testing.T) {
 			raw, _ := batchOf(encodePageResponse(9, pagePattern(0)))
 			raw = append(raw, 0xAA, 0xBB)
 			var buf bytes.Buffer
-			if _, _, err := writePageBatch(&buf, imgproto.CodecNone, 1, raw); err != nil {
+			if _, _, err := writeBatch(&buf, imgproto.CodecNone, 1, raw); err != nil {
 				t.Fatal(err)
 			}
 			return buf.Bytes()
@@ -201,7 +201,7 @@ func TestPageClientBatchedFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.New()
-	srv := ServePagesOpts(ln, src, PageServerOpts{Obs: reg})
+	srv := ServePagesObs(ln, src, reg)
 	defer srv.Close()
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
 		Conns: 2, Codec: imgproto.CodecFlate,
@@ -259,9 +259,6 @@ func TestPageClientBatchedFetch(t *testing.T) {
 	if st.Batches == 0 {
 		t.Error("no batch frames received despite negotiated codec")
 	}
-	if st.HelloFallbacks != 0 {
-		t.Errorf("HelloFallbacks = %d against a v3 server, want 0", st.HelloFallbacks)
-	}
 	if st.BatchDesyncs != 0 {
 		t.Errorf("BatchDesyncs = %d, want 0", st.BatchDesyncs)
 	}
@@ -274,76 +271,36 @@ func TestPageClientBatchedFetch(t *testing.T) {
 	}
 }
 
-// TestPageHelloFallbackV2Server dials a hand-rolled v2-only server with a
-// batch codec requested: the hello must be served as an ordinary page
-// request, the client must silently fall back to raw framing, and every
-// fetch must still work.
-func TestPageHelloFallbackV2Server(t *testing.T) {
-	// wg.Wait must run after ln.Close (LIFO defers): the accept goroutine
-	// only exits once the listener dies.
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// TestPageServerRequiresHello: the hello is mandatory. A peer whose first
+// frame is an ordinary page request gets the connection closed without a
+// byte in reply, and the request is never served.
+func TestPageServerRequiresHello(t *testing.T) {
+	srv, err := ServePages("127.0.0.1:0", &mapSource{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		// Test-server teardown; accept-loop exit is the observable effect.
-		_ = ln.Close()
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func(c net.Conn) {
-				defer wg.Done()
-				// Serving goroutine owns the conn for its whole life.
-				defer func() { _ = c.Close() }()
-				for {
-					req, err := readPageRequest(c)
-					if err != nil {
-						return
-					}
-					// A v2 server has no notion of the hello: the magic
-					// address is just another page to serve.
-					if err := writePageResponse(c, req.ID, pagePattern(req.Addr)); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	c, err := DialPageServerOpts(ln.Addr().String(), PageClientOpts{
-		Conns: 1, Codec: imgproto.CodecFlate,
-	})
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	const n = 8
-	for i := 0; i < n; i++ {
-		addr := uint64(i) * mem.PageSize
-		page, err := c.FetchPage(addr)
-		if err != nil {
-			t.Fatalf("page 0x%x after fallback: %v", addr, err)
-		}
-		checkPage(t, addr, page)
+	defer conn.Close()
+	if err := writePageRequest(conn, pageRequest{ID: 0, Addr: 3 * mem.PageSize}); err != nil {
+		t.Fatal(err)
 	}
-	st := c.Stats()
-	if st.HelloFallbacks != 1 {
-		t.Errorf("HelloFallbacks = %d, want 1", st.HelloFallbacks)
+	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
 	}
-	if st.Batches != 0 {
-		t.Errorf("Batches = %d on a raw-framing connection, want 0", st.Batches)
+	var b [1]byte
+	n, rerr := conn.Read(b[:])
+	if err := conn.SetReadDeadline(time.Time{}); err != nil {
+		t.Fatal(err)
 	}
-	if st.Fetches != n {
-		t.Errorf("Fetches = %d, want %d", st.Fetches, n)
+	if n != 0 || !errors.Is(rerr, io.EOF) {
+		t.Fatalf("read after a non-hello first frame: n=%d err=%v, want a clean close", n, rerr)
+	}
+	if got := srv.Stats().Requests; got != 0 {
+		t.Errorf("server served %d requests on a connection that never said hello", got)
 	}
 }
 
@@ -397,7 +354,7 @@ func TestPageBatchDesyncRecovery(t *testing.T) {
 					}
 					raw, count := batchOf(encodePageResponse(req.ID, pagePattern(req.Addr)))
 					var buf bytes.Buffer
-					if _, _, err := writePageBatch(&buf, imgproto.CodecNone, count, raw); err != nil {
+					if _, _, err := writeBatch(&buf, imgproto.CodecNone, count, raw); err != nil {
 						return
 					}
 					frame := buf.Bytes()

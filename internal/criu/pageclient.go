@@ -48,7 +48,7 @@ type PageClientOpts struct {
 	// Prefetch can never spawn an unbounded goroutine fan-out.
 	PrefetchWorkers int
 	// DialTimeout bounds one (re)connection attempt (default 1s),
-	// including the batch-codec hello when Codec asks for one.
+	// including the hello exchange.
 	DialTimeout time.Duration
 	// RedialBudget bounds consecutive failed connection incarnations per
 	// pool slot (default 8). Dial failures, failed hello exchanges, and
@@ -60,11 +60,9 @@ type PageClientOpts struct {
 	// speaks the protocol — an unguarded client would redial such a
 	// server forever, once per retry of every faulted page.
 	RedialBudget int
-	// Codec requests batched (optionally compressed) response framing
-	// from the server (default CodecRaw = legacy v2 frames, no hello).
-	// Negotiated per connection at dial time; a v2 server answers the
-	// hello like an ordinary page request and the connection silently
-	// falls back to raw framing, counted in pageclient.hello_fallback.
+	// Codec is the batch codec requested from the server in each
+	// connection's hello; the zero value, CodecNone, batches without
+	// compression.
 	Codec imgproto.Codec
 	// Dial overrides the dialer; tests inject faulty transports here.
 	Dial func(addr string) (net.Conn, error)
@@ -124,13 +122,10 @@ type PageClientStats struct {
 	// of prefetch requests ever in flight at once (always <= the bound).
 	PrefetchSkipped uint64
 	PrefetchPeak    uint64
-	// Batches counts batch frames received in v3 mode; HelloFallbacks
-	// counts connections that asked for a batch codec but fell back to
-	// raw framing against a v2 server; BatchDesyncs counts connections
-	// dropped because a batch frame violated its own framing.
-	Batches        uint64
-	HelloFallbacks uint64
-	BatchDesyncs   uint64
+	// Batches counts batch frames received; BatchDesyncs counts
+	// connections dropped because a batch frame violated its own framing.
+	Batches      uint64
+	BatchDesyncs uint64
 	// RedialsExhausted counts pool slots poisoned after RedialBudget
 	// consecutive failed connection incarnations.
 	RedialsExhausted uint64
@@ -181,8 +176,7 @@ type RemotePageSource struct {
 	prefActive atomic.Int64
 	prefPeak   atomic.Int64
 
-	// v3 batch-mode counters.
-	batchesC, helloFallback, batchDesync *obs.Counter
+	batchesC, batchDesync *obs.Counter
 
 	redialExhausted *obs.Counter
 }
@@ -216,7 +210,6 @@ func DialPageServerOpts(addr string, opts PageClientOpts) (*RemotePageSource, er
 	c.prefHits = reg.Counter("pageclient.prefetch_hits")
 	c.prefSkips = reg.Counter("pageclient.prefetch_skipped")
 	c.batchesC = reg.Counter("pageclient.batches")
-	c.helloFallback = reg.Counter("pageclient.hello_fallback")
 	c.batchDesync = reg.Counter("pageclient.batch_desync")
 	c.redialExhausted = reg.Counter("pageclient.redial_exhausted")
 	c.faultLat = reg.Histogram("pageclient.fault_ns")
@@ -246,7 +239,6 @@ func (c *RemotePageSource) Stats() PageClientStats {
 		PrefetchSkipped:  c.prefSkips.Value(),
 		PrefetchPeak:     uint64(c.prefPeak.Load()),
 		Batches:          c.batchesC.Value(),
-		HelloFallbacks:   c.helloFallback.Value(),
 		BatchDesyncs:     c.batchDesync.Value(),
 		RedialsExhausted: c.redialExhausted.Value(),
 	}
@@ -458,11 +450,8 @@ type pageResult struct {
 type connState struct {
 	conn net.Conn
 	// br buffers the response stream; all reads go through it (a read
-	// from conn directly would lose whatever it has buffered). codec is
-	// the framing negotiated for this incarnation: raw v2 frames, or
-	// batch frames when Batched().
-	br    *bufio.Reader
-	codec imgproto.Codec
+	// from conn directly would lose whatever it has buffered).
+	br *bufio.Reader
 
 	mu      sync.Mutex
 	pending map[uint32]pendingFetch
@@ -535,28 +524,21 @@ func (pc *pageConn) state() (*connState, error) {
 		}
 		return nil, err
 	}
-	codec := imgproto.CodecRaw
-	if want := pc.client.opts.Codec; want.Batched() {
-		// The hello is synchronous — before the read loop exists — so the
-		// reply frame is unambiguously ours.
-		codec, err = negotiatePageBatch(conn, want, pc.client.opts.DialTimeout)
-		if err != nil {
-			// The exchange died mid-frame, leaving the stream position
-			// unknown; the conn is unusable either way.
-			_ = conn.Close()
-			pc.noteFailLocked()
-			return nil, err
-		}
-		if !codec.Batched() {
-			pc.client.helloFallback.Inc()
-		}
+	// The hello is synchronous — before the read loop exists — so the
+	// reply frame is unambiguously ours.
+	if err := negotiatePageBatch(conn, pc.client.opts.Codec, pc.client.opts.DialTimeout); err != nil {
+		// The exchange died mid-frame, leaving the stream position
+		// unknown; the conn is unusable either way.
+		_ = conn.Close()
+		pc.noteFailLocked()
+		return nil, err
 	}
 	if pc.everAlive {
 		pc.client.reconnects.Inc()
 	}
 	pc.everAlive = true
 	cs := &connState{
-		conn: conn, br: bufio.NewReader(conn), codec: codec,
+		conn: conn, br: bufio.NewReader(conn),
 		pending: make(map[uint32]pendingFetch),
 	}
 	pc.cur = cs
@@ -593,33 +575,14 @@ func (pc *pageConn) drop(cs *connState, err error) {
 
 func (pc *pageConn) readLoop(cs *connState) {
 	for {
-		if cs.codec.Batched() {
-			resps, err := readPageBatch(cs.br)
-			if err != nil {
-				if errors.Is(err, errBatchDesync) {
-					// A corrupt frame, not a closed conn: count it before
-					// dropping — the retry path redials transparently, so
-					// this counter is the only visible trace.
-					pc.client.batchDesync.Inc()
-				}
-				if !cs.sawFrame {
-					pc.noteFail()
-				}
-				pc.drop(cs, err)
-				return
-			}
-			if !cs.sawFrame {
-				cs.sawFrame = true
-				pc.resetFails()
-			}
-			pc.client.batchesC.Inc()
-			for _, resp := range resps {
-				pc.dispatch(cs, resp)
-			}
-			continue
-		}
-		resp, err := readPageResponse(cs.br)
+		resps, err := readPageBatch(cs.br)
 		if err != nil {
+			if errors.Is(err, errBatchDesync) {
+				// A corrupt frame, not a closed conn: count it before
+				// dropping — the retry path redials transparently, so
+				// this counter is the only visible trace.
+				pc.client.batchDesync.Inc()
+			}
 			if !cs.sawFrame {
 				pc.noteFail()
 			}
@@ -630,7 +593,10 @@ func (pc *pageConn) readLoop(cs *connState) {
 			cs.sawFrame = true
 			pc.resetFails()
 		}
-		pc.dispatch(cs, resp)
+		pc.client.batchesC.Inc()
+		for _, resp := range resps {
+			pc.dispatch(cs, resp)
+		}
 	}
 }
 

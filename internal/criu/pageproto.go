@@ -8,13 +8,14 @@ import (
 	"github.com/dapper-sim/dapper/internal/mem"
 )
 
-// Page-server wire protocol (v2). See docs/transport.md for the full
-// specification.
+// Page-server request and response frames. See docs/transport.md for the
+// full specification.
 //
 // Requests and responses are independent frame streams, so a client may
 // pipeline many requests on one connection; responses carry the request ID
 // back so they can arrive in any order relative to other connections and be
-// matched after a client-side timeout abandoned the request.
+// matched after a client-side timeout abandoned the request. Requests
+// travel bare; responses travel inside batch frames (pagebatch.go).
 //
 //	request  := reqID(u32 BE) pageAddr(u64 BE)
 //	response := reqID(u32 BE) status(u8) body
@@ -65,16 +66,6 @@ func readPageRequest(r io.Reader) (pageRequest, error) {
 		ID:   binary.BigEndian.Uint32(buf[0:4]),
 		Addr: binary.BigEndian.Uint64(buf[4:12]),
 	}, nil
-}
-
-func writePageResponse(w io.Writer, id uint32, page []byte) error {
-	_, err := w.Write(encodePageResponse(id, page))
-	return err
-}
-
-func writePageError(w io.Writer, id uint32, fetchErr error) error {
-	_, err := w.Write(encodePageError(id, fetchErr))
-	return err
 }
 
 func readPageResponse(r io.Reader) (pageResponse, error) {

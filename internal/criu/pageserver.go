@@ -18,15 +18,14 @@ import (
 // an explicit error frame instead of dropping the connection, so one bad
 // page cannot desynchronize an otherwise healthy stream.
 //
-// A connection whose client negotiates the v3 hello (see pagebatch.go)
-// switches to batched responses: pipelined requests coalesce into one
-// batch frame per write, flushed when the request stream drains or the
-// batch limits fill, so a burst of prefetches costs one syscall and one
-// compression call instead of one write per page.
+// Every connection opens with the client's hello (see pagebatch.go) and
+// answers in batches: pipelined requests coalesce into one batch frame
+// per write, flushed when the request stream drains or the batch limits
+// fill, so a burst of prefetches costs one syscall and one compression
+// call instead of one write per page.
 type PageServer struct {
-	src  PageSource
-	ln   net.Listener
-	opts PageServerOpts
+	src PageSource
+	ln  net.Listener
 
 	// Serving counters live in an obs registry ("pageserver.*"); the
 	// service-latency histogram records every fetch, failed ones included.
@@ -47,33 +46,6 @@ type PageServer struct {
 	closed bool
 }
 
-// PageServerOpts tunes batching; the zero value selects the defaults
-// noted on each field.
-type PageServerOpts struct {
-	// Obs, if set, receives the serving and wire telemetry. Nil gives the
-	// server a private registry so Stats keeps working.
-	Obs *obs.Registry
-	// BatchPages caps how many response frames coalesce into one batch
-	// before a flush is forced (default 32, max 65535 — the frame's count
-	// field is 16 bits).
-	BatchPages int
-	// BatchBytes caps a batch's raw payload size (default 256 KiB).
-	BatchBytes int
-}
-
-func (o PageServerOpts) withDefaults() PageServerOpts {
-	if o.BatchPages <= 0 {
-		o.BatchPages = defaultBatchPages
-	}
-	if o.BatchPages > maxBatchFrames {
-		o.BatchPages = maxBatchFrames
-	}
-	if o.BatchBytes <= 0 {
-		o.BatchBytes = defaultBatchBytes
-	}
-	return o
-}
-
 // ServePages starts a TCP page server on addr ("127.0.0.1:0" for tests).
 func ServePages(addr string, src PageSource) (*PageServer, error) {
 	ln, err := net.Listen("tcp", addr)
@@ -87,26 +59,19 @@ func ServePages(addr string, src PageSource) (*PageServer, error) {
 // telemetry registry. Tests use this to interpose fault-injecting
 // listeners (see FlakyListener); the server takes ownership of ln.
 func ServePagesOn(ln net.Listener, src PageSource) *PageServer {
-	return ServePagesOpts(ln, src, PageServerOpts{})
+	return ServePagesObs(ln, src, nil)
 }
 
 // ServePagesObs starts a page server on an existing listener, recording
-// into reg ("pageserver.*" counters and the service-latency histogram).
-// A nil reg gives the server a private registry so Stats keeps working.
+// into reg ("pageserver.*" counters, the service-latency histogram, and
+// the "wire.*" batch telemetry). A nil reg gives the server a private
+// registry so Stats keeps working. The server takes ownership of ln.
 func ServePagesObs(ln net.Listener, src PageSource, reg *obs.Registry) *PageServer {
-	return ServePagesOpts(ln, src, PageServerOpts{Obs: reg})
-}
-
-// ServePagesOpts starts a page server on an existing listener with full
-// control over telemetry and batching; the server takes ownership of ln.
-func ServePagesOpts(ln net.Listener, src PageSource, opts PageServerOpts) *PageServer {
-	opts = opts.withDefaults()
-	reg := opts.Obs
 	if reg == nil {
 		reg = obs.New()
 	}
 	s := &PageServer{
-		src: src, ln: ln, opts: opts, conns: make(map[net.Conn]struct{}),
+		src: src, ln: ln, conns: make(map[net.Conn]struct{}),
 		reqs:      reg.Counter("pageserver.requests"),
 		bytesSent: reg.Counter("pageserver.bytes_sent"),
 		errsC:     reg.Counter("pageserver.errors"),
@@ -197,9 +162,9 @@ func (s *PageServer) serveConn(conn net.Conn) {
 	// Buffering the request stream serves two purposes: fewer read
 	// syscalls under pipelining, and br.Buffered() doubles as the flush
 	// heuristic — a non-empty buffer means another request is already
-	// waiting, so batch mode can keep accumulating instead of flushing.
+	// waiting, so the batch can keep accumulating instead of flushing.
 	br := bufio.NewReaderSize(conn, 16*pageReqLen)
-	var bw *pageBatchWriter // nil until the client negotiates v3
+	var bw *pageBatchWriter // nil until the client's hello
 	for {
 		req, err := readPageRequest(br)
 		if err != nil {
@@ -212,36 +177,31 @@ func (s *PageServer) serveConn(conn net.Conn) {
 				return
 			}
 			codec := imgproto.Codec(req.Addr &^ pageHelloAddrMask)
-			if !codec.Batched() {
+			if !codec.Valid() {
 				codec = imgproto.CodecNone
 			}
 			if writeHelloAck(conn, codec) != nil {
 				return
 			}
-			bw = &pageBatchWriter{
-				codec: codec, maxFrames: s.opts.BatchPages, maxBytes: s.opts.BatchBytes,
-			}
+			bw = &pageBatchWriter{codec: codec, frame: make([]byte, pageBatchHdrLen)}
 			continue
+		}
+		if bw == nil {
+			// The hello is mandatory: a peer that opens with anything
+			// else does not speak this protocol.
+			return
 		}
 		start := time.Now()
 		page, ferr := s.src.FetchPage(req.Addr)
 		s.svcLat.Observe(time.Since(start))
 		s.reqs.Inc()
-		var frame []byte
 		if ferr != nil {
 			s.errsC.Inc()
-			frame = encodePageError(req.ID, ferr)
+			bw.add(encodePageError(req.ID, ferr))
 		} else {
 			s.bytesSent.Add(uint64(len(page)))
-			frame = encodePageResponse(req.ID, page)
+			bw.add(encodePageResponse(req.ID, page))
 		}
-		if bw == nil {
-			if _, err := conn.Write(frame); err != nil {
-				return
-			}
-			continue
-		}
-		bw.add(frame)
 		// Flush when the batch is full, or when the request stream has
 		// drained — holding frames while the client has nothing else in
 		// flight would deadlock the fetch against its own batch.
@@ -253,22 +213,30 @@ func (s *PageServer) serveConn(conn net.Conn) {
 	}
 }
 
-// pageBatchWriter accumulates encoded response frames for one batch.
+// A batch flushes at batchPages response frames or batchBytes of raw
+// payload, whichever fills first; both sit far below the frame header's
+// u16 count field and the reader's maxBatchRaw.
+const (
+	batchPages = 32
+	batchBytes = 256 << 10
+)
+
+// pageBatchWriter accumulates encoded response frames for one batch,
+// behind room for the batch header so the whole frame goes out in one
+// write.
 type pageBatchWriter struct {
-	codec     imgproto.Codec
-	raw       []byte
-	count     int
-	maxFrames int
-	maxBytes  int
+	codec imgproto.Codec
+	frame []byte // pageBatchHdrLen reserved bytes, then the responses
+	count int
 }
 
-func (b *pageBatchWriter) add(frame []byte) {
-	b.raw = append(b.raw, frame...)
+func (b *pageBatchWriter) add(resp []byte) {
+	b.frame = append(b.frame, resp...)
 	b.count++
 }
 
 func (b *pageBatchWriter) full() bool {
-	return b.count >= b.maxFrames || len(b.raw) >= b.maxBytes
+	return b.count >= batchPages || len(b.frame)-pageBatchHdrLen >= batchBytes
 }
 
 // flushBatch writes the accumulated batch as one frame and records the
@@ -278,7 +246,7 @@ func (s *PageServer) flushBatch(conn net.Conn, bw *pageBatchWriter) error {
 		return nil
 	}
 	start := time.Now()
-	rawN, wireN, err := writePageBatch(conn, bw.codec, bw.count, bw.raw)
+	rawN, wireN, err := writePageBatch(conn, bw.codec, bw.count, bw.frame)
 	s.codecNs.Observe(time.Since(start))
 	if err != nil {
 		return err
@@ -286,7 +254,7 @@ func (s *PageServer) flushBatch(conn net.Conn, bw *pageBatchWriter) error {
 	s.batches.Inc()
 	s.bytesRaw.Add(uint64(rawN))
 	s.bytesWire.Add(uint64(wireN))
-	bw.raw = bw.raw[:0]
+	bw.frame = bw.frame[:pageBatchHdrLen]
 	bw.count = 0
 	return nil
 }

@@ -118,7 +118,7 @@ func TestRedialBudgetResetsOnGoodFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServePagesOpts(ln, src, PageServerOpts{})
+	srv := ServePagesOn(ln, src)
 	defer srv.Close()
 
 	// Connect for real, then fail the next (budget-1) dials, repeatedly:

@@ -77,77 +77,84 @@ func Restore(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider) (*kernel.
 	return RestoreWith(k, dir, provider, RestoreOpts{})
 }
 
-// RestoreWith is Restore with options.
+// RestoreWith is Restore with options. It is the directory feeder of the
+// restore core (restorer): the image set is complete, so every pre-flight
+// runs before the first page installs and pages.img is handed to the
+// install stage as it sits in the directory, never copied.
 func RestoreWith(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider, opts RestoreOpts) (*kernel.Process, error) {
 	verifyStart := time.Now()
 	// Pre-flight: a corrupt or truncated image set (shuffled pagemap,
 	// missing core, flagged entries carrying bytes, ...) must fail here
 	// with a named invariant, not mid-restore with pages installed at the
-	// wrong addresses. VerifyLink permits in_parent entries; the explicit
-	// flatten check below still owns that error. Streamed restores run
-	// the same invariants incrementally (imgcheck.StreamVerifier); this
-	// whole-image pass is the non-streamed fallback.
+	// wrong addresses. VerifyLink permits in_parent entries; the plan
+	// stage owns the flatten refusal. Streamed restores run the same
+	// invariants incrementally (imgcheck.StreamVerifier).
 	if err := imgcheck.VerifyLinkWith(dir, imgcheck.Opts{Workers: opts.Workers}); err != nil {
 		return nil, fmt.Errorf("criu: restore pre-flight: %w", err)
 	}
-	env, err := decodeRestoreMeta(dir, provider)
+	r, err := openRestorer(dir, provider, opts)
 	if err != nil {
 		return nil, err
 	}
-	if env.bin.Meta != nil {
-		// The image must actually belong to this binary: thread PCs and
-		// stack return addresses that resolve nowhere in its stack maps
-		// mean version skew, best rejected before pages install.
-		if err := imgcheck.VerifyTargetBinary(dir, env.updateBinary()); err != nil {
-			return nil, fmt.Errorf("criu: restore pre-flight: binary %q: %w", env.files.ExePath, err)
-		}
+	if err := r.verifyTarget(dir); err != nil {
+		return nil, err
 	}
 	verifyDur := time.Since(verifyStart)
 
 	installStart := time.Now()
-	if err := env.buildAddressSpace(); err != nil {
+	pages, _ := dir.Get("pages.img")
+	if err := r.plan(dir, len(pages)); err != nil {
 		return nil, err
 	}
-	ps, err := LoadPageSet(dir)
+	r.install(pages, 0, len(r.dataAddrs))
+	p, err := r.build(k, dir, pages)
 	if err != nil {
 		return nil, err
 	}
-	if len(ps.ParentPages) > 0 {
-		return nil, fmt.Errorf("criu: image has %d unresolved in_parent pages; flatten the chain (FlattenChain) before restore", len(ps.ParentPages))
-	}
-	if len(ps.DeltaPages) > 0 {
-		return nil, fmt.Errorf("criu: image has %d unresolved XOR-delta pages; flatten the chain (FlattenChain) before restore", len(ps.DeltaPages))
-	}
-	installed := installPages(env.as, ps, opts)
-	p, err := env.buildProcess(k, dir)
-	if err != nil {
-		return nil, err
-	}
-	installDur := time.Since(installStart)
-	recordRestoreObs(opts.Obs, installed, 0, verifyDur, installDur)
+	recordRestoreObs(opts.Obs, r.installed, 0, verifyDur, time.Since(installStart))
 	return p, nil
 }
 
-// restoreEnv is the decoded restore metadata shared by the whole-image
-// (RestoreWith) and streaming (StreamRestorer) paths: the inventory,
-// files, and mm views, the opened binary, and the address space under
-// construction.
-type restoreEnv struct {
+// restorer is the one restore core. Its feeders — RestoreWith with a
+// complete directory, StreamRestorer with a byte stream — differ only in
+// when the bytes are at hand; both drive the same stages:
+//
+//	openRestorer  decode inventory/files/mm, open and check the binary
+//	verifyTarget  image-vs-binary version skew (needs pages.img)
+//	plan          map the address space and turn the pagemap into an
+//	              install schedule; refuse unflattened chains
+//	install       payload pages -> frames, any range, any number of calls
+//	build         dedup references, threads, mutexes, adoption
+type restorer struct {
+	opts RestoreOpts
+
 	inv        *InventoryImage
 	files      *FilesImage
 	mm         *MMImage
 	bin        *compiler.Binary
 	as         *mem.AddressSpace
 	heapMapped bool
+
+	// The install schedule plan decodes from the pagemap: dataAddrs[i] is
+	// the vaddr of payload page i (ascending, as the pagemap is sorted);
+	// dedups wait for build, when every source page has landed.
+	dataAddrs []uint64
+	dedups    []dedupPage
+	installed int
 }
 
-// decodeRestoreMeta decodes inventory/files/mm from the directory and
-// opens the binary, checking the architecture and the stack map's
-// cross-ISA alignment. Image-level pre-flights (VerifyLink, the
-// image-vs-binary skew check) are the caller's to schedule — before
-// everything for the whole-image path, interleaved with the wire for the
-// streaming path.
-func decodeRestoreMeta(dir *ImageDir, provider BinaryProvider) (*restoreEnv, error) {
+// dedupPage is a pagemap dedup reference scheduled for installation once
+// its source page's payload has landed.
+type dedupPage struct {
+	addr uint64 // page to install
+	src  int    // payload index of the source data page
+}
+
+// openRestorer decodes inventory/files/mm from the directory and opens
+// the binary, checking the architecture and the stack map's cross-ISA
+// alignment. Image-level pre-flights (VerifyLink or the StreamVerifier,
+// verifyTarget) are the feeder's to schedule.
+func openRestorer(dir *ImageDir, provider BinaryProvider, opts RestoreOpts) (*restorer, error) {
 	invRaw, ok := dir.Get("inventory.img")
 	if !ok {
 		return nil, fmt.Errorf("criu: missing inventory.img")
@@ -186,49 +193,158 @@ func decodeRestoreMeta(dir *ImageDir, provider BinaryProvider) (*restoreEnv, err
 	if err != nil {
 		return nil, err
 	}
-	return &restoreEnv{inv: inv, files: files, mm: mm, bin: bin}, nil
+	return &restorer{opts: opts, inv: inv, files: files, mm: mm, bin: bin}, nil
 }
 
-// updateBinary adapts the opened binary for updatecheck's image-vs-binary
-// version-skew pass.
-func (env *restoreEnv) updateBinary() *updatecheck.Binary {
-	return &updatecheck.Binary{
-		Arch: env.bin.Arch, Text: env.bin.Text, Symbols: env.bin.Symbols, Meta: env.bin.Meta,
+// verifyTarget checks that the image actually belongs to the opened
+// binary: thread PCs and stack return addresses that resolve nowhere in
+// its stack maps mean version skew. It reads the stack words in
+// pages.img, so a streaming feeder can only run it once the payload is
+// complete; either way it runs before any process is built.
+func (r *restorer) verifyTarget(dir *ImageDir) error {
+	if r.bin.Meta == nil {
+		return nil
 	}
-}
-
-// buildAddressSpace maps the VMAs and loads the executable's text (dumped
-// pages overlay it later).
-func (env *restoreEnv) buildAddressSpace() error {
-	env.as = mem.NewAddressSpace()
-	for _, v := range env.mm.VMAs {
-		if err := env.as.Map(mem.VMA{Start: v.Start, End: v.End, Kind: mem.VMAKind(v.Kind), Prot: v.Prot, TID: v.TID}); err != nil {
-			return fmt.Errorf("criu: restore vma: %w", err)
-		}
-		if mem.VMAKind(v.Kind) == mem.VMAHeap {
-			env.heapMapped = true
-		}
-	}
-	if err := env.as.WriteBytes(isa.TextBase, env.bin.Text); err != nil {
-		return fmt.Errorf("criu: restore text: %w", err)
+	if err := imgcheck.VerifyTargetBinary(dir, &updatecheck.Binary{
+		Arch: r.bin.Arch, Text: r.bin.Text, Symbols: r.bin.Symbols, Meta: r.bin.Meta,
+	}); err != nil {
+		return fmt.Errorf("criu: restore pre-flight: binary %q: %w", r.files.ExePath, err)
 	}
 	return nil
 }
 
-// buildProcess finishes the restore once every page is installed: thread
-// cores (with trap-PC nudging), mutexes, the cleared DAPPER flag, and
-// adoption by the kernel.
-func (env *restoreEnv) buildProcess(k *kernel.Kernel, dir *ImageDir) (*kernel.Process, error) {
-	coder := compiler.CoderFor(env.inv.Arch)
-	p := kernel.NewRestoredProcess(env.inv.Arch, coder, env.as)
-	p.ExePath = env.files.ExePath
-	p.Entry = env.bin.Entry
-	p.ThreadExit = env.bin.ThreadExit
-	p.Brk = env.mm.Brk
-	if env.heapMapped {
+// plan maps the VMAs, loads the executable's text (dumped pages overlay
+// it later), and decodes the install schedule from the pagemap: data
+// pages in payload order, dedup references deferred to build, zero pages
+// materialized immediately when the image is lazy — a post-copy restore
+// installs a fault handler, and a zero page must never round-trip to the
+// page server — and lazy pages left for that handler. pagesSize is the
+// pages.img size the directory holds or the wire announced.
+func (r *restorer) plan(dir *ImageDir, pagesSize int) error {
+	r.as = mem.NewAddressSpace()
+	for _, v := range r.mm.VMAs {
+		if err := r.as.Map(mem.VMA{Start: v.Start, End: v.End, Kind: mem.VMAKind(v.Kind), Prot: v.Prot, TID: v.TID}); err != nil {
+			return fmt.Errorf("criu: restore vma: %w", err)
+		}
+		if mem.VMAKind(v.Kind) == mem.VMAHeap {
+			r.heapMapped = true
+		}
+	}
+	if err := r.as.WriteBytes(isa.TextBase, r.bin.Text); err != nil {
+		return fmt.Errorf("criu: restore text: %w", err)
+	}
+	pmRaw, ok := dir.Get("pagemap.img")
+	if !ok {
+		return fmt.Errorf("criu: missing pagemap.img")
+	}
+	pm, err := UnmarshalPagemap(pmRaw)
+	if err != nil {
+		return err
+	}
+	var zeroAddrs []uint64
+	lazyPages, parentPages, deltaPages := 0, 0, 0
+	for _, en := range pm.Entries {
+		for i := uint32(0); i < en.NrPages; i++ {
+			addr := en.Vaddr + uint64(i)*mem.PageSize
+			switch {
+			case en.Delta:
+				deltaPages++
+			case en.Dedup:
+				// References point strictly backwards at data pages, and
+				// the pagemap is address-sorted (both pre-flighted), so the
+				// source is an earlier entry of the ascending schedule.
+				srcAddr := en.DedupSrc + uint64(i)*mem.PageSize
+				src := sort.Search(len(r.dataAddrs), func(j int) bool { return r.dataAddrs[j] >= srcAddr })
+				if src == len(r.dataAddrs) || r.dataAddrs[src] != srcAddr {
+					return fmt.Errorf("criu: restore: dedup page 0x%x references 0x%x, which holds no data", addr, srcAddr)
+				}
+				r.dedups = append(r.dedups, dedupPage{addr: addr, src: src})
+			case en.Lazy:
+				lazyPages++
+			case en.InParent:
+				parentPages++
+			case en.Zero:
+				zeroAddrs = append(zeroAddrs, addr)
+			default:
+				r.dataAddrs = append(r.dataAddrs, addr)
+			}
+		}
+	}
+	if parentPages > 0 {
+		return fmt.Errorf("criu: image has %d unresolved in_parent pages; flatten the chain (FlattenChain) before restore", parentPages)
+	}
+	if deltaPages > 0 {
+		return fmt.Errorf("criu: image has %d unresolved XOR-delta pages; flatten the chain (FlattenChain) before restore", deltaPages)
+	}
+	if want := len(r.dataAddrs) * mem.PageSize; want != pagesSize {
+		return fmt.Errorf("criu: restore: pages.img holds %d bytes, pagemap describes %d", pagesSize, want)
+	}
+	if lazyPages > 0 {
+		for _, addr := range zeroAddrs {
+			r.as.InstallPreparedPage(addr/mem.PageSize, mem.PreparePage(nil))
+			r.installed++
+		}
+	}
+	return nil
+}
+
+// install turns payload pages [lo, hi) — by payload index into the plan's
+// schedule — into resident frames. The expensive half, the 4K copy into
+// each frame, fans out over the worker pool; workers only read payload
+// and call the mutex-protected FrameCache. The AddressSpace, which is not
+// concurrency-safe, is touched exclusively by the serial adoption loop on
+// the calling goroutine, in payload order, so contents are byte-identical
+// for every worker count and every split into ranges.
+func (r *restorer) install(payload []byte, lo, hi int) {
+	frames := make([]*mem.Page, hi-lo)
+	_ = parallel.New(r.opts.Workers).ForEach(hi-lo, func(i int) error {
+		frames[i] = r.frame(r.dataAddrs[lo+i]/mem.PageSize, payload, lo+i)
+		return nil
+	})
+	for i, f := range frames {
+		r.adopt(r.dataAddrs[lo+i]/mem.PageSize, f)
+	}
+}
+
+// frame builds the frame for page idx from payload page pi: a shared
+// copy-on-write frame from the cache when the restore has one, a private
+// copy otherwise.
+func (r *restorer) frame(idx uint64, payload []byte, pi int) *mem.Page {
+	data := payload[pi*mem.PageSize : (pi+1)*mem.PageSize]
+	if r.opts.Frames != nil {
+		return r.opts.Frames.Frame(idx, data)
+	}
+	return mem.PreparePage(data)
+}
+
+func (r *restorer) adopt(idx uint64, f *mem.Page) {
+	if r.opts.Frames != nil {
+		r.as.InstallSharedPage(idx, f)
+	} else {
+		r.as.InstallPreparedPage(idx, f)
+	}
+	r.installed++
+}
+
+// build finishes the restore once every payload page is installed: dedup
+// references (their sources have all landed by now), thread cores with
+// trap-PC nudging, mutexes, the cleared DAPPER flag, and adoption by the
+// kernel.
+func (r *restorer) build(k *kernel.Kernel, dir *ImageDir, payload []byte) (*kernel.Process, error) {
+	for _, dp := range r.dedups {
+		idx := dp.addr / mem.PageSize
+		r.adopt(idx, r.frame(idx, payload, dp.src))
+	}
+	coder := compiler.CoderFor(r.inv.Arch)
+	p := kernel.NewRestoredProcess(r.inv.Arch, coder, r.as)
+	p.ExePath = r.files.ExePath
+	p.Entry = r.bin.Entry
+	p.ThreadExit = r.bin.ThreadExit
+	p.Brk = r.mm.Brk
+	if r.heapMapped {
 		p.MarkHeapMapped()
 	}
-	for _, tid := range env.inv.TIDs {
+	for _, tid := range r.inv.TIDs {
 		raw, ok := dir.Get(CoreName(tid))
 		if !ok {
 			return nil, fmt.Errorf("criu: missing %s", CoreName(tid))
@@ -241,81 +357,20 @@ func (env *restoreEnv) buildProcess(k *kernel.Kernel, dir *ImageDir) (*kernel.Pr
 			TID: core.TID, Regs: core.Regs, State: kernel.ThreadRunnable,
 			StackLow: core.StackLow, StackHigh: core.StackHigh, TLSBlock: core.TLSBlock,
 		}
-		if site, ok := env.bin.Meta.SiteByTrapPC(env.inv.Arch, t.Regs.PC); ok {
-			t.Regs.PC = site.PCs[archIdx(env.inv.Arch)].ResumePC
+		if site, ok := r.bin.Meta.SiteByTrapPC(r.inv.Arch, t.Regs.PC); ok {
+			t.Regs.PC = site.PCs[archIdx(r.inv.Arch)].ResumePC
 		}
 		p.AddRestoredThread(t)
 	}
-	for _, m := range env.inv.Mutexes {
+	for _, m := range r.inv.Mutexes {
 		p.RestoreMutex(m.ID, m.Holder, m.Recurse)
 	}
 	// Clear the transformation flag so checkers fall through.
-	if err := env.as.WriteU64(isa.FlagAddr, 0); err != nil {
+	if err := r.as.WriteU64(isa.FlagAddr, 0); err != nil {
 		return nil, fmt.Errorf("criu: clear flag: %w", err)
 	}
 	k.AdoptProcess(p)
 	return p, nil
-}
-
-// preparedFrame pairs a page index with its ready-to-adopt frame.
-type preparedFrame struct {
-	idx    uint64
-	frame  *mem.Page
-	shared bool
-}
-
-// installPages populates the address space from the page set, sharding
-// the expensive half — the 4K copy into each frame — over the worker
-// pool. Workers only read the page-set maps (safe concurrently) and
-// call the mutex-protected FrameCache; the AddressSpace, which is not
-// concurrency-safe, is touched exclusively by the serial adoption loop
-// on the calling goroutine. Addresses are sorted and shards contiguous,
-// so contents are byte-identical for every worker count.
-//
-// Zero pages normally stay demand-zero, but a post-copy restore installs
-// a fault handler: they fold into the same sharded install (as prepared
-// zero frames) so a zero page never round-trips to the page server.
-func installPages(as *mem.AddressSpace, ps *PageSet, opts RestoreOpts) int {
-	addrs := make([]uint64, 0, len(ps.Pages)+len(ps.ZeroPages))
-	for a := range ps.Pages {
-		addrs = append(addrs, a)
-	}
-	if len(ps.LazyPages) > 0 {
-		for a := range ps.ZeroPages {
-			addrs = append(addrs, a)
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	chunks := parallel.Chunks(len(addrs), parallel.Normalize(opts.Workers))
-	shards := make([][]preparedFrame, len(chunks))
-	_ = parallel.New(opts.Workers).ForEach(len(chunks), func(ci int) error {
-		c := chunks[ci]
-		out := make([]preparedFrame, 0, c.Hi-c.Lo)
-		for _, a := range addrs[c.Lo:c.Hi] {
-			idx := a / mem.PageSize
-			pg, hasData := ps.Pages[a]
-			if opts.Frames != nil && hasData {
-				out = append(out, preparedFrame{idx: idx, frame: opts.Frames.Frame(idx, pg), shared: true})
-				continue
-			}
-			// pg is nil for the folded-in zero pages: a prepared zero frame.
-			out = append(out, preparedFrame{idx: idx, frame: mem.PreparePage(pg)})
-		}
-		shards[ci] = out
-		return nil
-	})
-	n := 0
-	for _, shard := range shards {
-		for _, pf := range shard {
-			if pf.shared {
-				as.InstallSharedPage(pf.idx, pf.frame)
-			} else {
-				as.InstallPreparedPage(pf.idx, pf.frame)
-			}
-			n++
-		}
-	}
-	return n
 }
 
 // recordRestoreObs emits the restore telemetry: the pages counter, the

@@ -9,28 +9,16 @@ import (
 	"github.com/dapper-sim/dapper/internal/imgcheck"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
-	"github.com/dapper-sim/dapper/internal/parallel"
 )
-
-// StreamSink is the image-stream consumer interface, re-exported from
-// internal/image for transport callers.
-type StreamSink = image.StreamSink
 
 // streamBatchBuffer bounds how many page batches may queue between the
 // wire goroutine and the installer before the wire blocks (backpressure
 // instead of unbounded buffering).
 const streamBatchBuffer = 64
 
-// pageBatch is a run of completed payload pages [Lo, Hi) by payload
+// pageBatch is a run of completed payload pages [lo, hi) by payload
 // index, handed from the wire to the installer.
 type pageBatch struct{ lo, hi int }
-
-// dedupPage is a pagemap dedup reference scheduled for installation once
-// its source page's payload has landed.
-type dedupPage struct {
-	addr uint64 // page to install
-	src  int    // payload index of the source data page
-}
 
 // StreamRestoreStats describes the realized streaming-restore pipeline.
 type StreamRestoreStats struct {
@@ -42,19 +30,18 @@ type StreamRestoreStats struct {
 	// proves the installer started consuming before the final chunk
 	// arrived — the structural witness that the overlap engaged.
 	Batches int
-	// PayloadBytes is the pages.img payload size.
-	PayloadBytes int
 }
 
-// StreamRestorer restores a process from an image *stream* instead of a
-// materialized directory: it implements image.StreamSink, so the
-// transport feeds it files as segments decompress. Because image names
-// sort metadata-first, the restorer verifies invariants incrementally
-// (imgcheck.StreamVerifier), maps VMAs, and loads the text as soon as
-// pages.img is announced — then installs page batches on a background
-// goroutine while later payload segments are still on the wire. The
-// receive/decode, verify, and install stages of the classic serial
-// restore overlap instead of running back-to-back.
+// StreamRestorer is the stream feeder of the restore core (restorer): it
+// restores a process from an image *stream* instead of a materialized
+// directory. It implements image.StreamSink, so the transport feeds it
+// files as segments decompress. Because image names sort metadata-first,
+// it verifies invariants incrementally (imgcheck.StreamVerifier) and runs
+// the core's plan stage as soon as pages.img is announced — then feeds
+// the install stage batch by batch on a background goroutine while later
+// payload segments are still on the wire. The receive/decode, verify,
+// and install stages of a directory restore overlap instead of running
+// back-to-back.
 //
 // Usage: construct, feed the wire through an image.StreamSplitter (the
 // sink methods return any error, poisoning the stream), then call
@@ -66,12 +53,13 @@ type StreamRestorer struct {
 	provider BinaryProvider
 	opts     RestoreOpts
 
-	sv  *imgcheck.StreamVerifier
-	env *restoreEnv
+	sv *imgcheck.StreamVerifier
+	r  *restorer
 
-	// Current metadata file under reception.
-	cur string
-	buf []byte
+	// Metadata files accumulate in a directory sink (its delivery-paced
+	// buffering included); cur names the one under reception.
+	meta *image.DirSink
+	cur  string
 
 	// pages.img reception. payload is sized up front from the announced
 	// length: the wire goroutine writes [written, written+n) and the
@@ -82,14 +70,10 @@ type StreamRestorer struct {
 	payload   []byte
 	written   int
 
-	// Install schedule decoded from the pagemap when pages.img begins.
-	dataAddrs []uint64       // payload order: vaddr of each data page
-	byAddr    map[uint64]int // data vaddr -> payload index
-	dedups    []dedupPage
-
-	batches   chan pageBatch
-	wg        sync.WaitGroup
-	installed int // owned by the installer goroutine until Finish joins
+	// The installer goroutine owns r (its address space and installed
+	// count) from beginPages until Finish joins it.
+	batches chan pageBatch
+	wg      sync.WaitGroup
 
 	stats    StreamRestoreStats
 	start    time.Time
@@ -109,7 +93,8 @@ type StreamRestorer struct {
 func NewStreamRestorer(k *kernel.Kernel, provider BinaryProvider, opts RestoreOpts) *StreamRestorer {
 	return &StreamRestorer{
 		k: k, provider: provider, opts: opts,
-		sv: imgcheck.NewStreamVerifier(imgcheck.Opts{Workers: opts.Workers}),
+		sv:   imgcheck.NewStreamVerifier(imgcheck.Opts{Workers: opts.Workers}),
+		meta: image.NewDirSink(),
 	}
 }
 
@@ -130,8 +115,7 @@ func (sr *StreamRestorer) BeginFile(name string, size int) error {
 		return sr.beginPages(size)
 	}
 	sr.cur = name
-	sr.buf = make([]byte, 0, size)
-	return nil
+	return sr.meta.BeginFile(name, size)
 }
 
 // FileChunk implements image.StreamSink.
@@ -140,8 +124,7 @@ func (sr *StreamRestorer) FileChunk(p []byte) error {
 		return sr.err
 	}
 	if !sr.inPages {
-		sr.buf = append(sr.buf, p...)
-		return nil
+		return sr.meta.FileChunk(p)
 	}
 	copy(sr.payload[sr.written:], p)
 	done := sr.written / mem.PageSize
@@ -165,8 +148,11 @@ func (sr *StreamRestorer) EndFile() error {
 		sr.sv.File("pages.img", sr.payload)
 		return nil
 	}
-	sr.sv.File(sr.cur, sr.buf)
-	sr.cur, sr.buf = "", nil
+	if err := sr.meta.EndFile(); err != nil {
+		return err
+	}
+	data, _ := sr.meta.Dir().Get(sr.cur)
+	sr.sv.File(sr.cur, data)
 	return nil
 }
 
@@ -187,113 +173,31 @@ func (sr *StreamRestorer) beginPages(size int) error {
 	if err := sr.sv.VerifyMeta(size); err != nil {
 		return sr.fail(fmt.Errorf("criu: stream restore pre-flight: %w", err))
 	}
-	env, err := decodeRestoreMeta(sr.sv.Dir(), sr.provider)
+	r, err := openRestorer(sr.sv.Dir(), sr.provider, sr.opts)
 	if err != nil {
 		return sr.fail(err)
 	}
-	sr.env = env
+	sr.r = r
 	sr.verifyNs += time.Since(verifyStart)
 
 	installStart := time.Now()
-	if err := env.buildAddressSpace(); err != nil {
+	if err := r.plan(sr.sv.Dir(), size); err != nil {
 		return sr.fail(err)
-	}
-	// Decode the install schedule from the pagemap: data pages in payload
-	// order, dedup references deferred until their source bytes land,
-	// zero pages materialized immediately when the image is lazy (they
-	// must never round-trip to the page server), lazy pages left for the
-	// fault handler. Unflattened incremental images are refused exactly
-	// like RestoreWith.
-	pmRaw, _ := sr.sv.Dir().Get("pagemap.img")
-	pm, err := UnmarshalPagemap(pmRaw)
-	if err != nil {
-		return sr.fail(err)
-	}
-	sr.byAddr = make(map[uint64]int)
-	var zeroAddrs []uint64
-	lazyPages, parentPages, deltaPages := 0, 0, 0
-	for _, en := range pm.Entries {
-		for i := uint32(0); i < en.NrPages; i++ {
-			addr := en.Vaddr + uint64(i)*mem.PageSize
-			switch {
-			case en.Delta:
-				deltaPages++
-			case en.Dedup:
-				src, ok := sr.byAddr[en.DedupSrc+uint64(i)*mem.PageSize]
-				if !ok {
-					return sr.fail(fmt.Errorf("criu: stream restore: dedup page 0x%x references 0x%x, which holds no data", addr, en.DedupSrc+uint64(i)*mem.PageSize))
-				}
-				sr.dedups = append(sr.dedups, dedupPage{addr: addr, src: src})
-			case en.Lazy:
-				lazyPages++
-			case en.InParent:
-				parentPages++
-			case en.Zero:
-				zeroAddrs = append(zeroAddrs, addr)
-			default:
-				sr.byAddr[addr] = len(sr.dataAddrs)
-				sr.dataAddrs = append(sr.dataAddrs, addr)
-			}
-		}
-	}
-	if parentPages > 0 {
-		return sr.fail(fmt.Errorf("criu: image has %d unresolved in_parent pages; flatten the chain (FlattenChain) before restore", parentPages))
-	}
-	if deltaPages > 0 {
-		return sr.fail(fmt.Errorf("criu: image has %d unresolved XOR-delta pages; flatten the chain (FlattenChain) before restore", deltaPages))
-	}
-	if want := len(sr.dataAddrs) * mem.PageSize; want != size {
-		return sr.fail(fmt.Errorf("criu: stream restore: pages.img announces %d bytes, pagemap describes %d", size, want))
-	}
-	if lazyPages > 0 {
-		for _, addr := range zeroAddrs {
-			env.as.InstallPreparedPage(addr/mem.PageSize, mem.PreparePage(nil))
-			sr.installed++
-		}
 	}
 	sr.installNs += time.Since(installStart)
 
 	sr.inPages = true
 	sr.payload = make([]byte, size)
-	sr.written = 0
-	sr.stats.PayloadBytes = size
 	sr.batches = make(chan pageBatch, streamBatchBuffer)
-	// The installer owns the address space from here until Finish joins
-	// it; its frame copies run under the stream, not after it.
+	// Frame copies run under the stream, not after it.
 	sr.wg.Add(1)
 	go func() {
 		defer sr.wg.Done()
 		for b := range sr.batches {
-			sr.installBatch(b.lo, b.hi)
+			r.install(sr.payload, b.lo, b.hi)
 		}
 	}()
 	return nil
-}
-
-// installBatch prepares frames for payload pages [lo, hi) on the worker
-// pool and adopts them serially — the same two-phase shape as the
-// whole-image installPages, scoped to one batch.
-func (sr *StreamRestorer) installBatch(lo, hi int) {
-	prepared := make([]preparedFrame, hi-lo)
-	_ = parallel.New(sr.opts.Workers).ForEach(hi-lo, func(i int) error {
-		pi := lo + i
-		idx := sr.dataAddrs[pi] / mem.PageSize
-		data := sr.payload[pi*mem.PageSize : (pi+1)*mem.PageSize]
-		if sr.opts.Frames != nil {
-			prepared[i] = preparedFrame{idx: idx, frame: sr.opts.Frames.Frame(idx, data), shared: true}
-			return nil
-		}
-		prepared[i] = preparedFrame{idx: idx, frame: mem.PreparePage(data)}
-		return nil
-	})
-	for _, pf := range prepared {
-		if pf.shared {
-			sr.env.as.InstallSharedPage(pf.idx, pf.frame)
-		} else {
-			sr.env.as.InstallPreparedPage(pf.idx, pf.frame)
-		}
-		sr.installed++
-	}
 }
 
 // Stats returns the realized pipeline statistics. Valid after Finish.
@@ -317,7 +221,6 @@ func (sr *StreamRestorer) Finish() (*kernel.Process, error) {
 	if sr.batches != nil {
 		close(sr.batches)
 		sr.wg.Wait()
-		sr.batches = nil
 	}
 	if sr.err != nil {
 		return nil, sr.err
@@ -329,40 +232,22 @@ func (sr *StreamRestorer) Finish() (*kernel.Process, error) {
 		return nil, fmt.Errorf("criu: stream restore: pages.img truncated: %d of %d bytes", sr.written, len(sr.payload))
 	}
 
-	installStart := time.Now()
-	// Dedup references resolve against payload bytes, all of which have
-	// landed by now (sources point strictly backwards, but batching makes
-	// "after the wire" the simplest sound point to install them).
-	for _, dp := range sr.dedups {
-		idx := dp.addr / mem.PageSize
-		data := sr.payload[dp.src*mem.PageSize : (dp.src+1)*mem.PageSize]
-		if sr.opts.Frames != nil {
-			sr.env.as.InstallSharedPage(idx, sr.opts.Frames.Frame(idx, data))
-		} else {
-			sr.env.as.InstallPreparedPage(idx, mem.PreparePage(data))
-		}
-		sr.installed++
-	}
-	sr.installNs += time.Since(installStart)
-
 	verifyStart := time.Now()
-	if sr.env.bin.Meta != nil {
-		// Version skew check needs the stack words in pages.img, so in
-		// streaming mode it is the one pre-flight that waits for the
-		// payload. Nothing has run: a failure still discards everything.
-		if err := imgcheck.VerifyTargetBinary(sr.sv.Dir(), sr.env.updateBinary()); err != nil {
-			return nil, fmt.Errorf("criu: stream restore pre-flight: binary %q: %w", sr.env.files.ExePath, err)
-		}
+	// The version-skew check needs the stack words in pages.img, so in
+	// streaming mode it is the one pre-flight that waits for the payload.
+	// Nothing has run: a failure still discards everything.
+	if err := sr.r.verifyTarget(sr.sv.Dir()); err != nil {
+		return nil, err
 	}
 	sr.verifyNs += time.Since(verifyStart)
 
 	buildStart := time.Now()
-	p, err := sr.env.buildProcess(sr.k, sr.sv.Dir())
+	p, err := sr.r.build(sr.k, sr.sv.Dir(), sr.payload)
 	if err != nil {
 		return nil, err
 	}
 	sr.installNs += time.Since(buildStart)
-	sr.stats.Pages = sr.installed
+	sr.stats.Pages = sr.r.installed
 
 	// Span contract: stream + verify + install sum exactly to the
 	// restore's wall time; the background installer's work hides inside
@@ -372,7 +257,7 @@ func (sr *StreamRestorer) Finish() (*kernel.Process, error) {
 	if streamNs < 0 {
 		streamNs = 0
 	}
-	recordRestoreObs(sr.opts.Obs, sr.installed, streamNs, sr.verifyNs, sr.installNs)
+	recordRestoreObs(sr.opts.Obs, sr.r.installed, streamNs, sr.verifyNs, sr.installNs)
 	return p, nil
 }
 

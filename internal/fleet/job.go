@@ -56,8 +56,8 @@ type JobOpts struct {
 	Workers int `json:"workers,omitempty"`
 	// Dedup content-addresses page payloads in the dump.
 	Dedup bool `json:"dedup,omitempty"`
-	// Codec names the wire codec: "raw" (default), "none" (batched), or
-	// "flate" (batched + compressed).
+	// Codec names the wire codec: "none" (the default, also selected by
+	// the empty string) or "flate" (compressed).
 	Codec string `json:"codec,omitempty"`
 	// Delta enables XOR-delta pre-copy rounds; requires PreCopy.
 	Delta bool `json:"delta,omitempty"`
@@ -68,7 +68,7 @@ type JobOpts struct {
 	// Stream selects the streamed restore pipeline
 	// (cluster.MigrateOpts.StreamRestore): the destination decodes,
 	// verifies, and installs pages while the image is still arriving.
-	// Requires a batched codec ("none" or "flate"); vanilla jobs only.
+	// Vanilla jobs only.
 	Stream bool `json:"stream,omitempty"`
 }
 
@@ -78,18 +78,16 @@ func (o JobOpts) MigrateCodec() (imgproto.Codec, error) {
 	return ParseCodec(o.Codec)
 }
 
-// ParseCodec maps a codec name ("", "raw", "none", "flate") to the wire
-// codec it selects.
+// ParseCodec maps a codec name ("", "none", "flate") to the wire codec
+// it selects.
 func ParseCodec(name string) (imgproto.Codec, error) {
 	switch name {
-	case "", "raw":
-		return imgproto.CodecRaw, nil
-	case "none":
+	case "", "none":
 		return imgproto.CodecNone, nil
 	case "flate":
 		return imgproto.CodecFlate, nil
 	default:
-		return imgproto.CodecRaw, fmt.Errorf("fleet: unknown codec %q (want raw, none, or flate)", name)
+		return imgproto.CodecNone, fmt.Errorf("fleet: unknown codec %q (want none or flate)", name)
 	}
 }
 
@@ -177,17 +175,11 @@ func (s *JobSpec) normalize() error {
 	if s.Opts.Lazy && s.Opts.PreCopy {
 		return fmt.Errorf("fleet: lazy and precopy are mutually exclusive")
 	}
-	codec, err := s.Opts.MigrateCodec()
-	if err != nil {
+	if _, err := s.Opts.MigrateCodec(); err != nil {
 		return err
 	}
-	if s.Opts.Stream {
-		if s.Opts.Lazy || s.Opts.PreCopy {
-			return fmt.Errorf("fleet: streamed restore applies to vanilla jobs only")
-		}
-		if !codec.Batched() {
-			return fmt.Errorf("fleet: streamed restore requires a batched codec (none or flate)")
-		}
+	if s.Opts.Stream && (s.Opts.Lazy || s.Opts.PreCopy) {
+		return fmt.Errorf("fleet: streamed restore applies to vanilla jobs only")
 	}
 	switch s.TargetArch {
 	case "", "sx86", "sarm":

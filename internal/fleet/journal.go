@@ -1,20 +1,16 @@
 package fleet
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"os"
-	"sync"
-
+	jnl "github.com/dapper-sim/dapper/internal/journal"
 	"github.com/dapper-sim/dapper/internal/workloads"
 )
 
 // The journal is the daemon's durability story: an append-only JSONL
-// file of job-lifecycle events. Every submitted job and every state
-// transition is one line, written and fsynced before the transition
-// takes effect anywhere else, so a daemon killed mid-queue can replay
-// the file and resume exactly where it stopped:
+// file of job-lifecycle events (file mechanics: internal/journal). Every
+// submitted job and every state transition is one line, written and
+// fsynced before the transition takes effect anywhere else, so a daemon
+// killed mid-queue can replay the file and resume exactly where it
+// stopped:
 //
 //   - a job with a submit event and no terminal event is requeued as
 //     Pending (its in-memory process died with the daemon, so the job
@@ -48,15 +44,10 @@ type Event struct {
 	Retries int    `json:"retries,omitempty"`
 }
 
-// journal appends events to a JSONL file. A nil journal (no path
-// configured) accepts appends and drops them — the in-memory-only mode
-// tests and the bench harness use.
-type journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	seq  int64
-	path string
-}
+// journal is the job journal: the shared durable JSONL log carrying
+// fleet Events. A nil journal (no path configured) accepts appends and
+// drops them — the in-memory-only mode tests and the bench harness use.
+type journal = jnl.Journal[Event]
 
 // openJournal opens (creating if needed) the journal at path and returns
 // it along with the replayed history. An empty path returns a nil
@@ -65,103 +56,7 @@ func openJournal(path string) (*journal, []Event, error) {
 	if path == "" {
 		return nil, nil, nil
 	}
-	events, err := replayJournal(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet: open journal: %w", err)
-	}
-	j := &journal{f: f, path: path}
-	if n := len(events); n > 0 {
-		j.seq = events[n-1].Seq
-	}
-	return j, events, nil
-}
-
-// replayJournal reads every well-formed event line. A torn final line
-// (daemon killed mid-write) is tolerated and dropped; a torn line in the
-// middle is an error, because everything after it is suspect.
-func replayJournal(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("fleet: replay journal: %w", err)
-	}
-	defer func() {
-		// Read-only descriptor; the scanner has already surfaced errors.
-		_ = f.Close()
-	}()
-	var events []Event
-	var torn bool
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if torn {
-			return nil, fmt.Errorf("fleet: journal %s: malformed event mid-file", path)
-		}
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			// Possibly the torn tail of a crashed append: accept only if
-			// nothing follows.
-			torn = true
-			continue
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fleet: replay journal: %w", err)
-	}
-	return events, nil
-}
-
-// Append journals one event durably (write + fsync) and stamps its
-// sequence number. Safe for concurrent use.
-func (j *journal) Append(ev Event) error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.seq++
-	ev.Seq = j.seq
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return fmt.Errorf("fleet: journal marshal: %w", err)
-	}
-	data = append(data, '\n')
-	if _, err := j.f.Write(data); err != nil {
-		return fmt.Errorf("fleet: journal write: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("fleet: journal sync: %w", err)
-	}
-	return nil
-}
-
-// Close closes the journal file.
-func (j *journal) Close() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	if err != nil {
-		return fmt.Errorf("fleet: close journal: %w", err)
-	}
-	return nil
+	return jnl.Open(path, func(ev *Event) *int64 { return &ev.Seq })
 }
 
 // replayState is the manager-facing digest of a journal: programs to

@@ -449,40 +449,20 @@ func (d *ImageDir) Marshal() []byte {
 	return out
 }
 
-// UnmarshalImageDir parses a directory blob.
+// UnmarshalImageDir parses a directory blob: the stream splitter run over
+// the whole blob at once, so a blob at rest and a blob arriving in
+// segments go through the same frame parser.
 func UnmarshalImageDir(b []byte) (*ImageDir, error) {
-	d := NewImageDir()
-	err := imgproto.NewDecoder(b).Each(func(f uint32, dec *imgproto.Decoder) error {
-		if f != 1 {
-			return nil
-		}
-		var name string
-		var data []byte
-		if err := dec.FieldMessage(func(nf uint32, nd *imgproto.Decoder) error {
-			switch nf {
-			case 1:
-				s, err := nd.FieldString()
-				name = s
-				return err
-			case 2:
-				raw, err := nd.FieldBytes()
-				if err != nil {
-					return err
-				}
-				data = make([]byte, len(raw))
-				copy(data, raw)
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		d.Put(name, data)
-		return nil
-	})
+	sink := NewDirSinkFor(len(b))
+	sp := NewStreamSplitter(sink)
+	_, err := sp.Write(b)
+	if err == nil {
+		err = sp.Close()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("image: image dir: %w", err)
 	}
-	return d, nil
+	return sink.Dir(), nil
 }
 
 // PageSet is an editable view of pagemap.img + pages.img: the rewriter

@@ -14,6 +14,7 @@ package image
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/dapper-sim/dapper/internal/imgproto"
 )
@@ -32,16 +33,15 @@ type StreamSink interface {
 	EndFile() error
 }
 
-// Splitter states: parsing a frame header, or streaming payload bytes.
-const (
-	splitHeader = iota
-	splitData
-)
-
 // maxStreamName bounds a frame's file name so a corrupt header cannot
 // make the splitter buffer unbounded garbage while "waiting for the
 // name to complete". Real image names are tens of bytes.
 const maxStreamName = 4096
+
+// maxFrameHeader bounds a whole frame header: six varints (three tags,
+// three lengths), each at most ten bytes however it is padded, around
+// the name.
+const maxFrameHeader = maxStreamName + 6*10
 
 // StreamSplitter incrementally parses the ImageDir wire encoding
 // (concatenated FrameFile frames) and feeds a StreamSink. Write may be
@@ -49,12 +49,12 @@ const maxStreamName = 4096
 // transport decompresses them; Close verifies the stream ended on a
 // frame boundary.
 type StreamSplitter struct {
-	sink  StreamSink
-	state int
+	sink StreamSink
 	// hdr accumulates header bytes (outer tag+len, name field, data
 	// field tag+len) until they parse; payload bytes never land here.
 	hdr []byte
-	// remaining counts payload bytes still owed to the current file.
+	// remaining counts payload bytes still owed to the current file;
+	// zero means the splitter is between frames, parsing a header.
 	remaining int
 	err       error
 }
@@ -75,57 +75,57 @@ func (s *StreamSplitter) Write(p []byte) (int, error) {
 	}
 	n := len(p)
 	for len(p) > 0 {
-		if s.state == splitData {
-			take := len(p)
-			if take > s.remaining {
-				take = s.remaining
+		if s.remaining == 0 {
+			// Header bytes are tiny (tag/length varints plus the name):
+			// buffer only as many as a header can span, so payload bytes
+			// that follow it in p reach the sink by reference, never
+			// through hdr.
+			held := len(s.hdr)
+			take := min(len(p), maxFrameHeader-held)
+			s.hdr = append(s.hdr, p[:take]...)
+			name, dataLen, used, err := parseFrameHeader(s.hdr)
+			if err == errNeedMore {
+				if take > 0 {
+					p = p[take:]
+					continue
+				}
+				// hdr is full and still no header: unreachable while
+				// maxFrameHeader covers the longest header parseFrameHeader
+				// accepts, and a refusal, never a spin, if it stops doing so.
+				err = fmt.Errorf("image: stream frame header exceeds %d bytes", maxFrameHeader)
 			}
+			if err == nil {
+				err = s.sink.BeginFile(name, dataLen)
+			}
+			if err != nil {
+				return s.fail(err)
+			}
+			// The header ended used-held bytes into p; the payload (none,
+			// for an empty file) starts there.
+			p = p[used-held:]
+			s.hdr = s.hdr[:0]
+			s.remaining = dataLen
+		}
+		if take := min(len(p), s.remaining); take > 0 {
 			if err := s.sink.FileChunk(p[:take]); err != nil {
-				s.err = err
-				return 0, err
+				return s.fail(err)
 			}
 			s.remaining -= take
 			p = p[take:]
-			if s.remaining == 0 {
-				if err := s.sink.EndFile(); err != nil {
-					s.err = err
-					return 0, err
-				}
-				s.state = splitHeader
-			}
-			continue
-		}
-		// Header bytes are tiny (tag/length varints plus the name);
-		// buffer until the full prefix through the data length parses.
-		s.hdr = append(s.hdr, p...)
-		p = nil
-		name, dataLen, used, err := parseFrameHeader(s.hdr)
-		if err == errNeedMore {
-			return n, nil
-		}
-		if err != nil {
-			s.err = err
-			return 0, err
-		}
-		// Re-queue whatever followed the header and hand off to the
-		// payload state.
-		p = s.hdr[used:]
-		s.hdr = nil
-		s.state = splitData
-		s.remaining = dataLen
-		if err := s.sink.BeginFile(name, dataLen); err != nil {
-			s.err = err
-			return 0, err
 		}
 		if s.remaining == 0 {
 			if err := s.sink.EndFile(); err != nil {
-				s.err = err
-				return 0, err
+				return s.fail(err)
 			}
-			s.state = splitHeader
 		}
 	}
 	return n, nil
+}
+
+// fail poisons the splitter with err.
+func (s *StreamSplitter) fail(err error) (int, error) {
+	s.err = err
+	return 0, err
 }
 
 // Close verifies the stream ended exactly on a frame boundary.
@@ -133,7 +133,7 @@ func (s *StreamSplitter) Close() error {
 	if s.err != nil {
 		return s.err
 	}
-	if s.state == splitData {
+	if s.remaining > 0 {
 		return fmt.Errorf("image: stream truncated: %d payload bytes missing", s.remaining)
 	}
 	if len(s.hdr) > 0 {
@@ -208,6 +208,9 @@ func parseFrameHeader(b []byte) (name string, dataLen, used int, err error) {
 	if err != nil {
 		return "", 0, 0, err
 	}
+	if dlen > math.MaxInt {
+		return "", 0, 0, fmt.Errorf("image: stream frame %q: payload of %d bytes exceeds limit", name, dlen)
+	}
 	// The outer length must cover the inner fields exactly: name header
 	// and bytes, data header, data bytes — no slack, no overrun.
 	innerHdr := off - innerStart
@@ -217,29 +220,49 @@ func parseFrameHeader(b []byte) (name string, dataLen, used int, err error) {
 	return name, int(dlen), off, nil
 }
 
-// DirSink is the trivial StreamSink: it rebuilds the ImageDir in memory.
-// Splitting a Marshal blob through it reproduces UnmarshalImageDir.
+// DirSink is the trivial StreamSink: it rebuilds the ImageDir in memory
+// (UnmarshalImageDir is a splitter over one).
 type DirSink struct {
 	dir  *ImageDir
 	name string
+	size int
 	buf  []byte
+	// prealloc bounds what BeginFile allocates on a frame header's say-so.
+	prealloc int
 }
 
-// NewDirSink returns a sink accumulating into a fresh directory.
-func NewDirSink() *DirSink { return &DirSink{dir: NewImageDir()} }
+// dirSinkPrealloc is the bound for a stream of unknown length. A larger
+// file's buffer doubles as its payload actually arrives, so a header that
+// lies about the size costs at most twice the bytes delivered; files up
+// to the bound get one exact allocation.
+const dirSinkPrealloc = 8 << 20
+
+// NewDirSink returns a sink accumulating into a fresh directory from a
+// stream whose length is the peer's claim.
+func NewDirSink() *DirSink { return &DirSink{dir: NewImageDir(), prealloc: dirSinkPrealloc} }
+
+// NewDirSinkFor returns a sink for a stream the caller already holds
+// whole, total bytes of it: no file in it can be larger, so every file
+// gets one exact allocation and its bytes are copied exactly once.
+func NewDirSinkFor(total int) *DirSink { return &DirSink{dir: NewImageDir(), prealloc: total} }
 
 // Dir returns the directory built so far.
 func (d *DirSink) Dir() *ImageDir { return d.dir }
 
 // BeginFile implements StreamSink.
 func (d *DirSink) BeginFile(name string, size int) error {
-	d.name = name
-	d.buf = make([]byte, 0, size)
+	d.name, d.size = name, size
+	d.buf = make([]byte, 0, min(size, d.prealloc))
 	return nil
 }
 
 // FileChunk implements StreamSink.
 func (d *DirSink) FileChunk(p []byte) error {
+	if need := len(d.buf) + len(p); need > cap(d.buf) {
+		grown := make([]byte, len(d.buf), min(d.size, max(need, 2*cap(d.buf))))
+		copy(grown, d.buf)
+		d.buf = grown
+	}
 	d.buf = append(d.buf, p...)
 	return nil
 }

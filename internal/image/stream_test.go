@@ -157,3 +157,78 @@ func (r refuseSink) BeginFile(name string, size int) error {
 }
 func (r refuseSink) FileChunk(p []byte) error { return r.inner.FileChunk(p) }
 func (r refuseSink) EndFile() error           { return r.inner.EndFile() }
+
+// paddedUvarint is v as a non-canonical ten-byte varint — the longest
+// encoding imgproto.Uvarint accepts.
+func paddedUvarint(v uint64) []byte {
+	b := make([]byte, 10)
+	for i := range b[:9] {
+		b[i] = byte(v>>(7*i))&0x7f | 0x80
+	}
+	b[9] = byte(v >> 63)
+	return b
+}
+
+// TestStreamSplitterLongestHeader: the longest header the frame parser
+// accepts — six padded varints around a name at the cap — is parsed, not
+// waited on forever, however the bytes are fragmented; one byte more of
+// name is refused.
+func TestStreamSplitterLongestHeader(t *testing.T) {
+	frame := func(nameLen int) []byte {
+		name := bytes.Repeat([]byte{'n'}, nameLen)
+		data := []byte("payload")
+		inner := append(paddedUvarint(0x0A), paddedUvarint(uint64(nameLen))...)
+		inner = append(inner, name...)
+		inner = append(inner, paddedUvarint(0x12)...)
+		inner = append(inner, paddedUvarint(uint64(len(data)))...)
+		inner = append(inner, data...)
+		out := append(paddedUvarint(0x0A), paddedUvarint(uint64(len(inner)))...)
+		return append(out, inner...)
+	}
+	blob := frame(4096)
+	for name, sizes := range map[string]func(int) int{
+		"whole": func(r int) int { return r },
+		"byte":  func(int) int { return 1 },
+	} {
+		dir := splitInto(t, blob, sizes)
+		if got, _ := dir.Get(string(bytes.Repeat([]byte{'n'}, 4096))); string(got) != "payload" {
+			t.Errorf("%s: longest-header frame decoded to %q", name, got)
+		}
+	}
+	sp := image.NewStreamSplitter(image.NewDirSink())
+	if _, err := sp.Write(frame(4097)); err == nil {
+		t.Error("a name over the cap was accepted")
+	}
+}
+
+// TestDirSinkLargeFile: a file larger than what a sink commits up front
+// on a header's say-so still lands intact through the growth path, and a
+// sink told the stream's length allocates it once, exactly.
+func TestDirSinkLargeFile(t *testing.T) {
+	d := image.NewImageDir()
+	big := make([]byte, 20<<20)
+	rand.New(rand.NewSource(3)).Read(big)
+	d.Put("pages.img", big)
+	blob := d.Marshal()
+	for name, sink := range map[string]*image.DirSink{
+		"claimed": image.NewDirSink(),
+		"known":   image.NewDirSinkFor(len(blob)),
+	} {
+		sp := image.NewStreamSplitter(sink)
+		for off := 0; off < len(blob); off += 4 << 20 {
+			if _, err := sp.Write(blob[off:min(off+4<<20, len(blob))]); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if err := sp.Close(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, _ := sink.Dir().Get("pages.img")
+		if !bytes.Equal(got, big) {
+			t.Errorf("%s: large file corrupted in the sink", name)
+		}
+		if name == "known" && cap(got) != len(big) {
+			t.Errorf("known-length sink: buffer cap %d for a %d-byte file, want exact", cap(got), len(big))
+		}
+	}
+}

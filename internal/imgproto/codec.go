@@ -9,16 +9,13 @@ import (
 
 // Codec selects the wire codec for batched transport frames (the page
 // protocol's batch frames and the image-copy stream's segments; see
-// docs/transport.md). The zero value keeps the legacy unbatched framing,
-// so a zero-initialized option struct is wire-compatible with old peers.
+// docs/transport.md). The zero value is CodecNone, so a zero-initialized
+// option struct means "batched, uncompressed".
 type Codec uint8
 
 const (
-	// CodecRaw is the legacy framing: one frame per write, no batching,
-	// no compression. Never appears inside a batch frame header.
-	CodecRaw Codec = iota
-	// CodecNone batches frames but stores each batch payload verbatim.
-	CodecNone
+	// CodecNone stores each batch payload verbatim.
+	CodecNone Codec = iota
 	// CodecFlate batches frames and DEFLATE-compresses each batch. A
 	// batch whose compressed form is not smaller is sent as CodecNone
 	// (the header carries the codec actually used), so the wire payload
@@ -29,8 +26,6 @@ const (
 // String names the codec for diagnostics and bench tables.
 func (c Codec) String() string {
 	switch c {
-	case CodecRaw:
-		return "raw"
 	case CodecNone:
 		return "none"
 	case CodecFlate:
@@ -40,9 +35,10 @@ func (c Codec) String() string {
 	}
 }
 
-// Batched reports whether the codec uses the batched framing (anything
-// but the legacy raw framing).
-func (c Codec) Batched() bool { return c == CodecNone || c == CodecFlate }
+// Valid reports whether c names a codec this build can decode; readers
+// check every codec byte taken off the wire with it before trusting the
+// lengths that follow.
+func (c Codec) Valid() bool { return c <= CodecFlate }
 
 // flateLevel is fixed so compressed output is deterministic for a given
 // input — the byte-identity and bytes-on-wire regression tests depend on

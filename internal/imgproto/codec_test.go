@@ -29,8 +29,8 @@ func TestCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s payload %d: compress: %v", codec, i, err)
 			}
-			if !used.Batched() {
-				t.Fatalf("%s payload %d: compress reported non-batch codec %s", codec, i, used)
+			if !used.Valid() {
+				t.Fatalf("%s payload %d: compress reported unknown codec %s", codec, i, used)
 			}
 			if len(wire) > len(raw) {
 				t.Fatalf("%s payload %d: wire %d bytes exceeds raw %d", codec, i, len(wire), len(raw))
@@ -109,7 +109,9 @@ func TestCodecDecompressRejectsLies(t *testing.T) {
 	if _, err := CodecNone.Decompress([]byte{1, 2, 3}, 4); err == nil {
 		t.Fatal("CodecNone length mismatch accepted")
 	}
-	if _, err := CodecRaw.Decompress(nil, 0); err == nil {
-		t.Fatal("CodecRaw accepted as a batch codec")
+	if unknown := CodecFlate + 1; unknown.Valid() {
+		t.Fatalf("%s reads as a valid codec", unknown)
+	} else if _, err := unknown.Decompress(nil, 0); err == nil {
+		t.Fatalf("%s accepted as a batch codec", unknown)
 	}
 }

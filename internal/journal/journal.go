@@ -1,0 +1,139 @@
+// Package journal is the durable event log under the control plane's
+// persistent state: an append-only JSONL file, one event per line,
+// written and fsynced before the event takes effect anywhere else, so a
+// process killed at any point can replay the file and resume exactly
+// where it stopped. internal/fleet journals job-lifecycle events with
+// it, internal/registry manifest mutations; each keeps its own event
+// struct and its own digest of the replayed history.
+//
+// On replay a torn final line — a process killed mid-append — is
+// tolerated and dropped; a torn line in the middle is an error, because
+// everything after it is suspect.
+package journal
+
+import (
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"os"
+	"sync"
+)
+
+// maxLine caps one replayed event line (a registry manifest lists every
+// chunk of an image).
+const maxLine = 64 << 20
+
+// Journal appends events of type E to a JSONL file. A nil *Journal is
+// the in-memory mode: it accepts appends and drops them.
+type Journal[E any] struct {
+	mu  sync.Mutex
+	f   *os.File
+	seq int64
+	// seqOf locates E's sequence-number field, which Append stamps.
+	seqOf func(*E) *int64
+}
+
+// Open opens (creating if needed) the journal at path and returns it
+// along with the replayed history; sequence numbers continue above the
+// last replayed event's.
+func Open[E any](path string, seqOf func(*E) *int64) (*Journal[E], []E, error) {
+	events, err := replay[E](path)
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("journal: open: %w", err)
+	}
+	j := &Journal[E]{f: f, seqOf: seqOf}
+	if n := len(events); n > 0 {
+		j.seq = *seqOf(&events[n-1])
+	}
+	return j, events, nil
+}
+
+// replay reads every well-formed event line of the journal at path,
+// tolerating only a torn tail. A missing file is an empty history.
+func replay[E any](path string) ([]E, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("journal: replay: %w", err)
+	}
+	defer func() {
+		// Read-only descriptor; the scanner has already surfaced errors.
+		_ = f.Close()
+	}()
+	var events []E
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
+	torn := false
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		if torn {
+			return nil, fmt.Errorf("journal: %s: malformed event mid-file", path)
+		}
+		var ev E
+		if err := json.Unmarshal(line, &ev); err != nil {
+			// Possibly the torn tail of a crashed append: accept only if
+			// nothing follows.
+			torn = true
+			continue
+		}
+		events = append(events, ev)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("journal: replay: %w", err)
+	}
+	return events, nil
+}
+
+// Append journals one event durably (write + fsync) and stamps its
+// sequence number. Safe for concurrent use.
+func (j *Journal[E]) Append(ev E) error {
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f == nil {
+		return fmt.Errorf("journal: closed")
+	}
+	j.seq++
+	*j.seqOf(&ev) = j.seq
+	data, err := json.Marshal(ev)
+	if err != nil {
+		return fmt.Errorf("journal: marshal: %w", err)
+	}
+	data = append(data, '\n')
+	if _, err := j.f.Write(data); err != nil {
+		return fmt.Errorf("journal: write: %w", err)
+	}
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("journal: sync: %w", err)
+	}
+	return nil
+}
+
+// Close closes the journal file. It is idempotent.
+func (j *Journal[E]) Close() error {
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f == nil {
+		return nil
+	}
+	err := j.f.Close()
+	j.f = nil
+	if err != nil {
+		return fmt.Errorf("journal: close: %w", err)
+	}
+	return nil
+}

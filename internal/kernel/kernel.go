@@ -249,6 +249,14 @@ func (k *Kernel) Reap(p *Process) {
 	k.procMu.Unlock()
 }
 
+// Live reports how many processes the kernel's table holds: started or
+// adopted, and not yet reaped.
+func (k *Kernel) Live() int {
+	k.procMu.Lock()
+	defer k.procMu.Unlock()
+	return len(k.procs)
+}
+
 // IsLazyFaultError reports whether err was caused by a failed lazy page
 // fetch — a post-copy transport failure surfaced through the fault
 // handler — rather than an ordinary illegal access. Callers use this to

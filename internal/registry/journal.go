@@ -1,18 +1,9 @@
 package registry
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"os"
-	"sync"
-)
-
-// The manifest journal follows the fleet job journal's discipline: one
-// JSONL line per metadata mutation, written and fsynced before the
-// mutation takes effect anywhere else. On replay a torn final line — a
-// store killed mid-append — is tolerated and dropped; a torn line in
-// the middle is an error, because everything after it is suspect.
+// The manifest journal shares the fleet job journal's file mechanics
+// (internal/journal): one JSONL line per metadata mutation, written and
+// fsynced before the mutation takes effect anywhere else; on replay
+// only a torn final line — a store killed mid-append — is tolerated.
 
 // event is one journal line.
 type event struct {
@@ -29,109 +20,4 @@ type event struct {
 	// sweep: what a completed GC pass deleted
 	Manifests []string `json:"manifests,omitempty"`
 	Chunks    []string `json:"chunks,omitempty"`
-}
-
-// journal appends events to a JSONL file.
-type journal struct {
-	mu  sync.Mutex
-	f   *os.File
-	seq int64
-}
-
-// openJournal opens (creating if needed) the journal at path and
-// returns it along with the replayed history.
-func openJournal(path string) (*journal, []event, error) {
-	events, err := replayJournal(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("registry: open journal: %w", err)
-	}
-	j := &journal{f: f}
-	if n := len(events); n > 0 {
-		j.seq = events[n-1].Seq
-	}
-	return j, events, nil
-}
-
-// replayJournal reads every well-formed event line, tolerating only a
-// torn tail.
-func replayJournal(path string) ([]event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("registry: replay journal: %w", err)
-	}
-	defer func() {
-		// Read-only descriptor; the scanner has already surfaced errors.
-		_ = f.Close()
-	}()
-	var events []event
-	var torn bool
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if torn {
-			return nil, fmt.Errorf("registry: journal %s: malformed event mid-file", path)
-		}
-		var ev event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			// Possibly the torn tail of a crashed append: accept only if
-			// nothing follows.
-			torn = true
-			continue
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("registry: replay journal: %w", err)
-	}
-	return events, nil
-}
-
-// Append journals one event durably (write + fsync) and stamps its
-// sequence number.
-func (j *journal) Append(ev event) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("registry: journal closed")
-	}
-	j.seq++
-	ev.Seq = j.seq
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return fmt.Errorf("registry: journal marshal: %w", err)
-	}
-	data = append(data, '\n')
-	if _, err := j.f.Write(data); err != nil {
-		return fmt.Errorf("registry: journal write: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("registry: journal sync: %w", err)
-	}
-	return nil
-}
-
-// Close closes the journal file.
-func (j *journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	if err != nil {
-		return fmt.Errorf("registry: close journal: %w", err)
-	}
-	return nil
 }

@@ -27,6 +27,7 @@ import (
 	"sync"
 
 	"github.com/dapper-sim/dapper/internal/image"
+	"github.com/dapper-sim/dapper/internal/journal"
 	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/obs"
 )
@@ -86,7 +87,7 @@ type Store struct {
 	dir string
 
 	mu        sync.Mutex
-	j         *journal
+	j         *journal.Journal[event]
 	chunks    map[string]bool // hash -> present on disk
 	manifests map[string]*Manifest
 
@@ -117,7 +118,7 @@ func Open(dir string, opts Opts) (*Store, error) {
 			s.chunks[e.Name()] = true
 		}
 	}
-	j, events, err := openJournal(filepath.Join(dir, "manifests.jsonl"))
+	j, events, err := journal.Open(filepath.Join(dir, "manifests.jsonl"), func(ev *event) *int64 { return &ev.Seq })
 	if err != nil {
 		return nil, err
 	}
