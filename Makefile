@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race check updatecheck bench-check bench bench-json bench-obs bench-quick fleet-smoke registry-smoke
+.PHONY: build vet lint test race check updatecheck bench-check bench-host bench bench-json bench-obs bench-quick fleet-smoke registry-smoke
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,20 @@ updatecheck:
 # the benchmark silently.
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+
+# bench-host runs the host-time migration benchmark (BENCHMARK.json,
+# bench/README.md) for 8 s per workload and keeps each workload's
+# contract line — the five end-to-end metrics, ops attempted and failed —
+# as BENCH_host.json, keyed by workload. It gates nothing: the timings
+# are the machine's, and a claim needs paired runs against the parent
+# (docs/perf.md, "Copy budget"). The committed file additionally carries
+# the paired runs it was last measured with, under "paired_runs".
+bench-host:
+	@sep='{'; for w in kv_vanilla kv_precopy kv_lazy mt_shuffle; do \
+		out=$$(bash bench/run.sh --workload $$w --seconds 8) || exit 1; \
+		printf '%s\n  "%s": %s' "$$sep" "$$w" "$$(printf '%s\n' "$$out" | tail -n 1)"; sep=','; \
+	done > BENCH_host.json.tmp && printf '\n}\n' >> BENCH_host.json.tmp && mv BENCH_host.json.tmp BENCH_host.json
+	@cat BENCH_host.json
 
 # check is the CI gate: compile everything, vet, run the repo's own
 # analyzers, verify every compiled binary's stack maps, compile and test

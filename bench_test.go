@@ -328,13 +328,13 @@ func BenchmarkInterpreter_Throughput(b *testing.B) {
 // pausedBench compiles the named workload, loads rediska-style input if
 // requested, runs to mid-execution, and pauses at an equivalence point,
 // returning the still-paused process and its nodes.
-func pausedBench(b *testing.B, name string, rediskaKeys uint64) (*cluster.Node, *kernel.Process, *compiler.Pair) {
+func pausedBench(b *testing.B, name string, class workloads.Class, rediskaKeys uint64) (*cluster.Node, *kernel.Process, *compiler.Pair) {
 	b.Helper()
 	w, err := workloads.Get(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pair, err := workloads.CompilePair(w, benchClass)
+	pair, err := workloads.CompilePair(w, class)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func pausedBench(b *testing.B, name string, rediskaKeys uint64) (*cluster.Node, 
 // dedup-aware dump with its elision metrics. All configurations produce
 // byte-identical pagemap ordering; only host time differs.
 func BenchmarkDumpParallel(b *testing.B) {
-	_, p, _ := pausedBench(b, "rediska", 2000)
+	_, p, _ := pausedBench(b, "rediska", benchClass, 2000)
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -409,7 +409,7 @@ func BenchmarkDumpParallel(b *testing.B) {
 // core translation plus stack rebuild — at Workers=1 versus NumCPU on a
 // multithreaded PARSEC workload.
 func BenchmarkRewriteThreads(b *testing.B) {
-	xeon, p, _ := pausedBench(b, "streamcluster", 0)
+	xeon, p, _ := pausedBench(b, "streamcluster", benchClass, 0)
 	dir, err := criu.Dump(p, criu.DumpOpts{})
 	if err != nil {
 		b.Fatal(err)
@@ -434,7 +434,7 @@ func BenchmarkRewriteThreads(b *testing.B) {
 // BenchmarkImgcheckVerify measures the static image verifier's sharded
 // sweeps at Workers=1 versus NumCPU over a heap-heavy image set.
 func BenchmarkImgcheckVerify(b *testing.B) {
-	_, p, _ := pausedBench(b, "rediska", 2000)
+	_, p, _ := pausedBench(b, "rediska", benchClass, 2000)
 	dir, err := criu.Dump(p, criu.DumpOpts{})
 	if err != nil {
 		b.Fatal(err)
@@ -447,5 +447,39 @@ func BenchmarkImgcheckVerify(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkMigrateVanilla is the kv_vanilla workload of the host-time
+// benchmark (bench/) as a Go benchmark, so the image path can be
+// profiled: a 12000-key class-A rediska server (3.5 MB image) cloned from a
+// golden checkpoint outside the timer, then one stop-and-copy
+// SX86→SARM Migrate per iteration. docs/perf.md "Copy budget" reads its
+// CPU profile.
+func BenchmarkMigrateVanilla(b *testing.B) {
+	xeon, p, pair := pausedBench(b, "rediska", workloads.ClassA, 12000)
+	golden, err := criu.Dump(p, criu.DumpOpts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pi := cluster.NewNode(cluster.PiSpec)
+	pi.Install("rediska", pair)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		clone, err := criu.Restore(xeon.K, golden, xeon.Binaries)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := cluster.Migrate(xeon, pi, clone, pair.Meta, cluster.MigrateOpts{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		b.SetBytes(int64(res.Breakdown.ImageBytes))
+		pi.K.Reap(res.Proc)
+		b.StartTimer()
 	}
 }

@@ -198,11 +198,10 @@ type MigrateOpts struct {
 	// docs/observability.md). Nil disables recording at ~1 ns per site.
 	Obs *obs.Registry
 	// Workers bounds every parallel stage of the migration pipeline:
-	// dump page-shard collection, per-thread core rewrites, the imgcheck
-	// pre-flight sweeps, and transfer framing (see internal/parallel and
-	// docs/perf.md). Values <= 0 select runtime.NumCPU(); 1 reproduces
-	// the historical serial pipeline. Images are byte-identical for
-	// every worker count.
+	// dump page-shard collection, per-thread core rewrites and the
+	// imgcheck pre-flight sweeps (see internal/parallel and docs/perf.md).
+	// Values <= 0 select runtime.NumCPU(); 1 reproduces the historical
+	// serial pipeline. Images are byte-identical for every worker count.
 	Workers int
 	// Dedup content-addresses page payloads in the dump: duplicate 4K
 	// pages become pagemap-only references, shrinking pages.img and the
@@ -402,12 +401,10 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 
 	// 2. Rewrite (recode) for the destination architecture, optionally
 	// chaining a stack shuffle (the destination starts with a fresh
-	// layout). The shipper pre-frames core images as rewrite workers
-	// finish them, overlapping transfer framing with the rewrite stage.
-	sh := newShipper()
+	// layout).
 	//lint:ignore wallclock RecodeHost is real host time by definition, reported separately and never part of modeled downtime
 	hostStart := time.Now()
-	if err := rewriteForDest(dir, src, dst, opts, sh.OnFile); err != nil {
+	if err := rewriteForDest(dir, src, dst, opts); err != nil {
 		return nil, err
 	}
 	//lint:ignore wallclock RecodeHost is real host time by definition, reported separately and never part of modeled downtime
@@ -450,7 +447,7 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 		if err := imgcheck.VerifyWith(dir2, imgcheck.Opts{Workers: opts.Workers}); err != nil {
 			return nil, fmt.Errorf("cluster: registry pull pre-flight: %w", err)
 		}
-	} else if blob := sh.marshal(dir, opts.Workers); opts.StreamRestore {
+	} else if blob := dir.Marshal(); opts.StreamRestore {
 		// Streamed pipeline: the segments feed the restorer directly, so
 		// decode, incremental verify, and parallel page install all
 		// overlap. The restore is complete when Finish returns; step 4
@@ -586,11 +583,9 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 
 // rewriteForDest runs the recode pipeline on an image directory: the
 // cross-ISA rewrite when the architectures differ, then the optional
-// stack shuffle. Shared by the vanilla/lazy and pre-copy paths. onFile,
-// when non-nil, observes each finalized core image from the rewrite
-// workers (see core.Context.OnFile) so shipping can overlap rewriting.
-func rewriteForDest(dir *criu.ImageDir, src, dst *Node, opts MigrateOpts, onFile func(name string, data []byte)) error {
-	ctx := &core.Context{Binaries: src.Binaries, Workers: opts.Workers, Obs: opts.Obs, OnFile: onFile}
+// stack shuffle. Shared by the vanilla/lazy and pre-copy paths.
+func rewriteForDest(dir *criu.ImageDir, src, dst *Node, opts MigrateOpts) error {
+	ctx := &core.Context{Binaries: src.Binaries, Workers: opts.Workers, Obs: opts.Obs}
 	if src.Spec.Arch != dst.Spec.Arch {
 		policy := core.CrossISAPolicy{Target: dst.Spec.Arch}
 		if err := policy.Rewrite(dir, ctx); err != nil {

@@ -1,0 +1,67 @@
+package cluster_test
+
+import (
+	"runtime"
+	"testing"
+
+	"github.com/dapper-sim/dapper/internal/cluster"
+	"github.com/dapper-sim/dapper/internal/workloads"
+)
+
+// TestMigrateCopyBudget holds the image path to its copy budget (docs/
+// perf.md, "Copy budget"): a vanilla cross-ISA migration moves the page
+// payload once per stage that changes its owner — dump gather, rewrite
+// store, marshal, sink, install — and not at all in stages that only read
+// it, so the heap it allocates stays a small multiple of the image. Five
+// payload-sized buffers plus page-frame headers, maps and metadata come
+// to about 5.5x; the budget is 8x. The code before the budget allocated
+// 21x.
+func TestMigrateCopyBudget(t *testing.T) {
+	const budget = 8
+	w, err := workloads.Get("rediska")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := workloads.CompilePair(w, workloads.ClassA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := 0.0
+	for run := 0; run < 3; run++ {
+		xeon := cluster.NewNode(cluster.XeonSpec)
+		pi := cluster.NewNode(cluster.PiSpec)
+		xeon.Install(w.Name, pair)
+		pi.Install(w.Name, pair)
+		p, err := xeon.Start(w.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.PushInput(workloads.RediskaLoad(4000))
+		for st, err := xeon.K.Step(p); st.Blocked != 1 || p.PendingInput() != 0; st, err = xeon.K.Step(p) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := cluster.Migrate(xeon, pi, p, pair.Meta, cluster.MigrateOpts{Workers: 1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		image := res.Breakdown.ImageBytes
+		if image < 1<<20 {
+			t.Fatalf("image is only %d bytes; fixed costs would drown the payload", image)
+		}
+		ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(image)
+		t.Logf("run %d: %d bytes allocated for a %d-byte image: %.2fx", run, after.TotalAlloc-before.TotalAlloc, image, ratio)
+		// Another goroutine's allocations can only inflate a run, so the
+		// cheapest of three is the migration's own figure.
+		if best == 0 || ratio < best {
+			best = ratio
+		}
+	}
+	if best > budget {
+		t.Errorf("Migrate allocated %.1fx the image, over the copy budget of %dx: some stage copies the payload again", best, budget)
+	}
+}

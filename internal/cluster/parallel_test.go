@@ -106,7 +106,7 @@ func TestMigrateParallelDedupIdentity(t *testing.T) {
 	}
 
 	// The shuffle policy chains a second rewrite over the same cores; the
-	// overlap shipper must still produce a restorable image.
+	// result must still be a restorable image.
 	shufOut, _, _ := run(8, true, true)
 	if shufOut != ref {
 		t.Errorf("parallel shuffled migration output %q, want %q", shufOut, ref)

@@ -220,7 +220,7 @@ func migratePreCopy(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, 
 	}
 	//lint:ignore wallclock RecodeHost is real host time by definition, reported separately and never part of modeled downtime
 	hostStart := time.Now()
-	if err := rewriteForDest(flat, src, dst, opts, nil); err != nil {
+	if err := rewriteForDest(flat, src, dst, opts); err != nil {
 		return nil, err
 	}
 	//lint:ignore wallclock RecodeHost is real host time by definition, reported separately and never part of modeled downtime

@@ -70,39 +70,3 @@ func TestImageStreamEmptyDir(t *testing.T) {
 		t.Errorf("empty directory decoded to %v", got.Names())
 	}
 }
-
-// TestShipperDropsFramesAfterMarshal (satellite: stale-frame leak): a
-// shipper reused across pre-copy rounds must not retain round N's
-// pre-built frames into round N+1 — they pin every round's rewritten
-// images in memory for the whole migration.
-func TestShipperDropsFramesAfterMarshal(t *testing.T) {
-	dir := criu.NewImageDir()
-	dir.Put("core-1.img", []byte{1, 2, 3})
-	dir.Put("pages.img", bytes.Repeat([]byte{7}, 4096))
-
-	sh := newShipper()
-	core, _ := dir.Get("core-1.img")
-	sh.OnFile("core-1.img", core)
-	if got := sh.marshal(dir, 2); !bytes.Equal(got, dir.Marshal()) {
-		t.Fatal("round 1 marshal output differs from dir.Marshal")
-	}
-	sh.mu.Lock()
-	left := len(sh.frames)
-	sh.mu.Unlock()
-	if left != 0 {
-		t.Errorf("%d pre-built frames retained after marshal; each round's images stay pinned", left)
-	}
-	// A later round with fresh hooks still works and still cleans up.
-	dir.Put("pages.img", bytes.Repeat([]byte{9}, 4096))
-	pages, _ := dir.Get("pages.img")
-	sh.OnFile("pages.img", pages)
-	if got := sh.marshal(dir, 1); !bytes.Equal(got, dir.Marshal()) {
-		t.Fatal("round 2 marshal output differs from dir.Marshal")
-	}
-	sh.mu.Lock()
-	left = len(sh.frames)
-	sh.mu.Unlock()
-	if left != 0 {
-		t.Errorf("%d pre-built frames retained after round 2", left)
-	}
-}

@@ -21,10 +21,7 @@ import (
 //
 // The returned blobs are the marshaled core images, index-aligned with
 // the returned cores; callers Put exactly these bytes into the image
-// directory. When ctx.OnFile is set it observes each (name, blob) pair
-// from the worker that produced it — before rewriteThreads returns —
-// letting a transfer pipeline frame finished cores while other threads
-// are still rewriting.
+// directory.
 func rewriteThreads(dir *criu.ImageDir, ps *criu.PageSet, tids []int, src, dst Side, ctx *Context, errPrefix string) ([]*criu.CoreImage, [][]byte, error) {
 	start := time.Now()
 	cores := make([]*criu.CoreImage, len(tids))
@@ -53,9 +50,6 @@ func rewriteThreads(dir *criu.ImageDir, ps *criu.PageSet, tids []int, src, dst S
 		subs[i] = sub
 		newCores[i] = nc
 		blobs[i] = nc.Marshal()
-		if ctx.OnFile != nil {
-			ctx.OnFile(criu.CoreName(nc.TID), blobs[i])
-		}
 		return nil
 	})
 	ctx.Obs.Counter("rewrite.threads").Add(uint64(len(cores)))

@@ -22,12 +22,6 @@ type Context struct {
 	// Obs, if set, receives rewrite telemetry: "rewrite.par_ns" (wall
 	// time of the whole per-thread fan-out) and "rewrite.threads".
 	Obs *obs.Registry
-	// OnFile, if set, is called from rewrite workers as each thread's
-	// core image is finalized, with the image filename and its marshaled
-	// bytes. The cluster transfer path uses it to overlap image framing
-	// and shipping with the rewrite stage. Implementations must be safe
-	// for concurrent calls.
-	OnFile func(name string, data []byte)
 }
 
 // Policy transforms a checkpoint image directory in place. Policies are

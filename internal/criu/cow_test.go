@@ -1,0 +1,109 @@
+package criu_test
+
+import (
+	"bytes"
+	"testing"
+
+	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/monitor"
+)
+
+// TestChainLinksNeverWritten: FlattenChain and AdvanceBase load every
+// link without copying it and hand pages from set to set by reference.
+// Over a three-link delta chain, neither they nor any write through the
+// sets they return may change a byte of any link's pages.img.
+func TestChainLinksNeverWritten(t *testing.T) {
+	k, p, pair := goldenProc(t, "rediska")
+	mon := monitor.New(k, p, pair.Meta)
+	var chain []*criu.ImageDir
+	var snaps [][]byte
+	var base *criu.PageSet
+	unchanged := func(when string) {
+		t.Helper()
+		for i, dir := range chain[:len(snaps)] {
+			if got, _ := dir.Get("pages.img"); !bytes.Equal(got, snaps[i]) {
+				t.Fatalf("%s: chain link %d's pages.img changed", when, i)
+			}
+		}
+	}
+	// scribble writes one word into every page the set holds.
+	scribble := func(ps *criu.PageSet) {
+		t.Helper()
+		for addr := range ps.Pages {
+			if err := ps.WriteU64(addr+8, 0xfeedfacefeedface); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for round := 0; round < 3; round++ {
+		if round > 0 {
+			if err := mon.ResumeLocal(); err != nil {
+				t.Fatal(err)
+			}
+			goldenAdvance(t, k, p, "rediska", round)
+		}
+		if err := mon.Pause(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+		opts := criu.DumpOpts{TrackMem: true}
+		if round > 0 {
+			opts.Parent, opts.DeltaBase = chain[round-1], base
+		}
+		dir, err := criu.Dump(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round > 0 && criu.DumpedPages(dir) == 0 {
+			t.Fatalf("round %d dumped no page; the chain would not exercise the merge", round)
+		}
+		chain = append(chain, dir)
+		pages, _ := dir.Get("pages.img")
+		snaps = append(snaps, bytes.Clone(pages))
+		if base, err = criu.AdvanceBase(base, dir); err != nil {
+			t.Fatal(err)
+		}
+		unchanged("AdvanceBase")
+	}
+
+	flat, err := criu.FlattenChain(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged("FlattenChain")
+	want := flat.Marshal()
+
+	// The base borrows pages from all three links: writing every page of
+	// it must copy each first.
+	scribble(base)
+	unchanged("writes through the AdvanceBase base")
+	// A page the base privatised and a later round replaces is borrowed
+	// again, whatever the base owned at that address before.
+	if base, err = criu.AdvanceBase(base, chain[2]); err != nil {
+		t.Fatal(err)
+	}
+	scribble(base)
+	unchanged("writes through a re-advanced base")
+
+	for i, dir := range chain {
+		ps, err := criu.LoadPageSet(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for addr := range ps.Pages {
+			if ps.DeltaPages[addr] {
+				continue // a delta page refuses word writes by design
+			}
+			if err := ps.WriteU64(addr, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	unchanged("writes through each link's own PageSet")
+	again, err := criu.FlattenChain(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Marshal(), want) {
+		t.Fatal("the chain flattens differently after writes through sets loaded from it")
+	}
+}

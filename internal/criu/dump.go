@@ -1,10 +1,13 @@
 package criu
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"time"
 
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
@@ -98,8 +101,9 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 		if !p.DirtyTracking() {
 			return nil, fmt.Errorf("criu: incremental dump of pid %d without dirty tracking (take the parent dump with TrackMem)", p.PID)
 		}
-		dirty = make(map[uint64]bool)
-		for _, idx := range p.CollectDirty() {
+		dirtyIdx := p.CollectDirty()
+		dirty = make(map[uint64]bool, len(dirtyIdx))
+		for _, idx := range dirtyIdx {
 			dirty[idx] = true
 		}
 		var err error
@@ -141,24 +145,27 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 
 	dir.Put("files.img", (&FilesImage{ExePath: p.ExePath}).Marshal())
 
-	ps := NewPageSet()
 	execPages := execContextPages(p)
 	popPages := p.AS.PopulatedPages()
-	// Shard the populated-page walk over contiguous index ranges. Each
-	// shard classifies and copies its pages into a private slice — the
-	// address space is stopped and only read (FindVMA/PageData), so
-	// shards share it freely — then the slices merge in shard order.
-	// The coalescer in StoreWith sorts addresses, so the encoded images
-	// are byte-identical for every worker count.
+	// Shard the populated-page walk (ascending, as PopulatedPages returns
+	// it) over contiguous index ranges. Each shard classifies its pages
+	// into its own range of recs — the address space is stopped and only
+	// read (FindVMA/PageData), so shards share it freely, and a data
+	// record aliases the resident frame rather than copying it.
+	// EncodePages then sizes pages.img exactly and copies each page once,
+	// straight to its final offset; it sees one sequence in address order
+	// whatever the sharding, so the encoded images are byte-identical for
+	// every worker count.
+	recs := make([]image.PageRecord, len(popPages))
 	chunks := parallel.Chunks(len(popPages), parallel.Normalize(opts.Workers))
-	shards := make([][]shardPage, len(chunks))
 	pool := parallel.New(opts.Workers)
 	if err := pool.ForEach(len(chunks), func(ci int) error {
 		shardStart := time.Now()
 		c := chunks[ci]
-		out := make([]shardPage, 0, c.Hi-c.Lo)
-		for _, idx := range popPages[c.Lo:c.Hi] {
+		for i, idx := range popPages[c.Lo:c.Hi] {
 			addr := idx * mem.PageSize
+			rec := &recs[c.Lo+i]
+			rec.Addr = addr
 			vma, ok := p.AS.FindVMA(addr)
 			if !ok {
 				continue
@@ -174,62 +181,40 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 				// Post-copy keeps data/heap contents behind, except the first
 				// data page: it holds the DAPPER flag, which the restored
 				// process must read (cleared) without a network fault.
-				out = append(out, shardPage{addr: addr, cls: shardLazy})
+				rec.Class = image.PageLazy
 				continue
 			}
 			if opts.Parent != nil && inParent[addr] && !dirty[idx] {
 				// Unchanged since the parent checkpoint: the chain holds it.
-				out = append(out, shardPage{addr: addr, cls: shardParent})
+				rec.Class = image.PageParent
 				continue
 			}
 			data, _ := p.AS.PageData(idx)
 			if allZero(data) {
-				out = append(out, shardPage{addr: addr, cls: shardZero})
+				rec.Class = image.PageZero
 				continue
 			}
+			rec.Class, rec.Data = image.PageData, data
 			if opts.DeltaBase != nil && opts.Parent != nil && inParent[addr] {
 				// Dirty page with known parent content: ship the XOR.
 				if basePg, ok := deltaBaseContent(opts.DeltaBase, addr); ok {
-					xor := XorPages(data, basePg)
-					if allZero(xor) {
+					if bytes.Equal(data, basePg) {
 						// Soft-dirty false positive: content is unchanged,
 						// so the chain still holds it — no bytes at all.
-						out = append(out, shardPage{addr: addr, cls: shardParent})
-						continue
+						rec.Class, rec.Data = image.PageParent, nil
+					} else {
+						rec.Class, rec.Data = image.PageDelta, XorPages(data, basePg)
 					}
-					out = append(out, shardPage{addr: addr, cls: shardDelta, data: xor})
-					continue
 				}
 			}
-			pg := make([]byte, mem.PageSize)
-			copy(pg, data)
-			out = append(out, shardPage{addr: addr, cls: shardData, data: pg})
 		}
-		shards[ci] = out
 		opts.Obs.Histogram("dump.shard_ns").Observe(time.Since(shardStart))
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	opts.Obs.Counter("dump.shards").Add(uint64(len(chunks)))
-	for _, shard := range shards {
-		for _, sp := range shard {
-			switch sp.cls {
-			case shardData:
-				ps.Pages[sp.addr] = sp.data
-			case shardLazy:
-				ps.LazyPages[sp.addr] = true
-			case shardParent:
-				ps.ParentPages[sp.addr] = true
-			case shardZero:
-				ps.ZeroPages[sp.addr] = true
-			case shardDelta:
-				ps.Pages[sp.addr] = sp.data
-				ps.DeltaPages[sp.addr] = true
-			}
-		}
-	}
-	stats := ps.StoreWith(dir, StoreOpts{Dedup: opts.Dedup})
+	stats := image.EncodePages(dir, recs, StoreOpts{Dedup: opts.Dedup})
 	if opts.Dedup {
 		opts.Obs.Counter("dedup.pages_elided").Add(stats.PagesElided)
 		opts.Obs.Counter("dedup.bytes_saved").Add(stats.BytesSaved)
@@ -240,11 +225,15 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 	// All obs calls are nil-safe: with no registry this block is four
 	// no-op lookups on a cold path.
 	opts.Obs.Counter("dump.count").Inc()
-	opts.Obs.Counter("dump.pages_dumped").Add(uint64(len(ps.Pages)))
-	opts.Obs.Counter("dump.pages_zero").Add(uint64(len(ps.ZeroPages)))
-	opts.Obs.Counter("dump.pages_lazy").Add(uint64(len(ps.LazyPages)))
-	opts.Obs.Counter("dump.pages_parent").Add(uint64(len(ps.ParentPages)))
-	opts.Obs.Counter("dump.pages_delta").Add(uint64(len(ps.DeltaPages)))
+	var perClass [image.PageDelta + 1]uint64
+	for i := range recs {
+		perClass[recs[i].Class]++
+	}
+	opts.Obs.Counter("dump.pages_dumped").Add(perClass[image.PageData] + perClass[image.PageDelta])
+	opts.Obs.Counter("dump.pages_zero").Add(perClass[image.PageZero])
+	opts.Obs.Counter("dump.pages_lazy").Add(perClass[image.PageLazy])
+	opts.Obs.Counter("dump.pages_parent").Add(perClass[image.PageParent])
+	opts.Obs.Counter("dump.pages_delta").Add(perClass[image.PageDelta])
 	if opts.Registry != nil {
 		m, _, err := opts.Registry.Push(dir, registry.PushOpts{
 			Parent: opts.RegistryParent, Owner: opts.RegistryOwner,
@@ -260,23 +249,6 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 	return dir, nil
 }
 
-// shardPage is one classified page produced by a dump shard, merged
-// into the PageSet after the fan-out joins.
-type shardPage struct {
-	addr uint64
-	cls  uint8
-	data []byte // set only for shardData
-}
-
-// Shard page classes.
-const (
-	shardData = iota
-	shardLazy
-	shardParent
-	shardZero
-	shardDelta
-)
-
 // deltaBaseContent returns the base content to XOR a dirty page against,
 // or ok=false when XOR gains nothing: a zero base page XORs to the page
 // itself, an unresolved (delta/parent/lazy) base has no usable bytes.
@@ -290,7 +262,13 @@ func deltaBaseContent(base *PageSet, addr uint64) ([]byte, bool) {
 
 // allZero reports whether a page's bytes are all zero (the zero pagemap
 // flag: such pages restore demand-zero and need no bytes in pages.img).
+// It compares a word at a time; a data page usually fails on its first.
 func allZero(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+	}
 	for _, c := range b {
 		if c != 0 {
 			return false
@@ -310,17 +288,4 @@ func execContextPages(p *kernel.Process) map[uint64]bool {
 		out[t.Regs.PC/mem.PageSize*mem.PageSize] = true
 	}
 	return out
-}
-
-// archOf is a small helper for tests.
-func archOf(dir *ImageDir) (isa.Arch, error) {
-	raw, ok := dir.Get("inventory.img")
-	if !ok {
-		return 0, fmt.Errorf("criu: missing inventory.img")
-	}
-	inv, err := UnmarshalInventory(raw)
-	if err != nil {
-		return 0, err
-	}
-	return inv.Arch, nil
 }

@@ -44,8 +44,6 @@ type (
 	PageSet = image.PageSet
 	// StoreOpts selects optional PageSet.Store encodings (page dedup).
 	StoreOpts = image.StoreOpts
-	// StoreStats reports what a dedup-aware store elided.
-	StoreStats = image.StoreStats
 )
 
 // UnmarshalCore decodes a core image.
@@ -68,11 +66,6 @@ func NewImageDir() *ImageDir { return image.NewImageDir() }
 
 // UnmarshalImageDir parses a directory blob.
 func UnmarshalImageDir(b []byte) (*ImageDir, error) { return image.UnmarshalImageDir(b) }
-
-// FrameFile encodes one directory entry exactly as it appears inside
-// ImageDir.Marshal; concatenating frames over sorted names reproduces
-// Marshal byte for byte (the parallel transfer path's contract).
-func FrameFile(name string, data []byte) []byte { return image.FrameFile(name, data) }
 
 // NewPageSet returns an empty page set with all maps allocated.
 func NewPageSet() *PageSet { return image.NewPageSet() }

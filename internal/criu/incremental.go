@@ -27,7 +27,11 @@ func CoveredPages(dir *ImageDir) (map[uint64]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[uint64]bool)
+	n := 0
+	for _, en := range pm.Entries {
+		n += int(en.NrPages)
+	}
+	out := make(map[uint64]bool, n)
 	for _, en := range pm.Entries {
 		for i := uint32(0); i < en.NrPages; i++ {
 			out[en.Vaddr+uint64(i)*mem.PageSize] = true
@@ -97,7 +101,9 @@ func resolveChain(sets []*PageSet, addr uint64, i int) (kind int, pg []byte, err
 // in the newest pagemap resolves newest-wins down the chain, applying
 // XOR deltas against the older content they were encoded from. The
 // result restores exactly as a full dump taken at the newest checkpoint
-// would.
+// would. Every link is loaded without copying and the flattened set
+// borrows the pages it resolves to, so the chain's bytes are copied once,
+// by the final store, and no link is ever written.
 func FlattenChain(chain []*ImageDir) (*ImageDir, error) {
 	if len(chain) == 0 {
 		return nil, fmt.Errorf("criu: empty checkpoint chain")
@@ -197,10 +203,10 @@ func AdvanceBase(base *PageSet, dir *ImageDir) (*PageSet, error) {
 				}
 				old = nil
 			}
-			base.Pages[addr] = XorPages(pg, old)
-		} else {
-			base.Pages[addr] = pg
+			pg = XorPages(pg, old)
 		}
+		// Plain pages stay inside dir's pages.img; the base only borrows.
+		base.SharePage(addr, pg)
 		delete(base.ZeroPages, addr)
 	}
 	for addr := range ps.ZeroPages {

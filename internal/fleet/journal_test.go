@@ -127,6 +127,34 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalAppendAfterTornTail (ROADMAP 4c): a daemon restarted over a
+// torn tail keeps journaling, and the first event it appends must be
+// there on the restart after that — not glued to the torn bytes.
+func TestJournalAppendAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "torn.journal")
+	good := `{"seq":1,"type":"submit","job":1,"spec":{"program":"counter"}}` + "\n"
+	if err := os.WriteFile(path, []byte(good+`{"seq":2,"type":"done","jo`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(Event{Type: "done", Job: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := replayJournal(path)
+	if err != nil {
+		t.Fatalf("replay after append: %v", err)
+	}
+	if len(events) != 2 || events[1].Type != "done" || events[1].Seq != 2 {
+		t.Fatalf("replayed %+v, want the submit and the appended done event", events)
+	}
+}
+
 // TestNilJournal pins the in-memory mode: appends and close are no-ops.
 func TestNilJournal(t *testing.T) {
 	var j *journal

@@ -15,6 +15,7 @@ package image
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/dapper-sim/dapper/internal/imgproto"
@@ -428,25 +429,35 @@ func (d *ImageDir) Size() uint64 {
 
 // FrameFile encodes one directory entry exactly as it appears inside
 // Marshal's output: concatenating FrameFile over Names() in sorted
-// order reproduces Marshal() byte for byte. The parallel transfer path
-// relies on this to frame files on worker goroutines (overlapping
-// framing with the rewrite stage) and splice them in name order.
+// order reproduces Marshal() byte for byte.
 func FrameFile(name string, data []byte) []byte {
-	var e imgproto.Encoder
-	e.Message(1, func(n *imgproto.Encoder) {
-		n.String(1, name)
-		n.BytesField(2, data)
-	})
-	return e.Bytes()
+	return bytes.Join([][]byte{frameHeader(name, len(data)), data}, nil)
 }
 
-// Marshal flattens the directory into one blob for network transfer.
+// frameHeader returns the bytes that precede a file's data in its frame:
+// the entry's tag and length, the name field, and the data field's tag
+// and length (parseFrameHeader reads them back).
+func frameHeader(name string, dataLen int) []byte {
+	const lenDelimited = byte(imgproto.WireBytes)
+	var e imgproto.Encoder
+	e.String(1, name)
+	inner := imgproto.AppendUvarint(append(e.Bytes(), 2<<3|lenDelimited), uint64(dataLen))
+	hdr := imgproto.AppendUvarint([]byte{1<<3 | lenDelimited}, uint64(len(inner)+dataLen))
+	return append(hdr, inner...)
+}
+
+// Marshal flattens the directory into one blob for network transfer:
+// bytes.Join sizes the blob up front and copies each frame header and
+// each file's bytes into place exactly once, into memory it does not
+// zero first.
 func (d *ImageDir) Marshal() []byte {
-	var out []byte
-	for _, name := range d.Names() {
-		out = append(out, FrameFile(name, d.files[name])...)
+	names := d.Names()
+	parts := make([][]byte, 0, 2*len(names))
+	for _, name := range names {
+		data := d.files[name]
+		parts = append(parts, frameHeader(name, len(data)), data)
 	}
-	return out
+	return bytes.Join(parts, nil)
 }
 
 // UnmarshalImageDir parses a directory blob: the stream splitter run over
@@ -467,8 +478,17 @@ func UnmarshalImageDir(b []byte) (*ImageDir, error) {
 
 // PageSet is an editable view of pagemap.img + pages.img: the rewriter
 // loads it, mutates page contents, and stores it back.
+//
+// Page bytes are copy-on-write. A loaded set aliases the pages.img it was
+// loaded from, and views and chain merges share pages between sets; the
+// set copies a page the first time it writes to it (WriteU64) unless it
+// already holds the only reference. A write through a PageSet therefore
+// never reaches the directory it was loaded from, and a stage that only
+// reads pays for no page it does not touch.
 type PageSet struct {
 	// Pages maps page-aligned vaddr -> page bytes (nil for lazy pages).
+	// Treat the bytes as read-only: they may belong to an image directory
+	// or another set. Mutate through WriteU64 and InstallPage.
 	Pages map[uint64][]byte
 	// LazyPages records pages left on the source node.
 	LazyPages map[uint64]bool
@@ -482,38 +502,50 @@ type PageSet struct {
 	// (against the parent chain) rather than plain content. Resolve with
 	// FlattenChain before restoring or rewriting.
 	DeltaPages map[uint64]bool
+
+	// owned marks the pages this set allocated itself and nothing else
+	// references; every other entry of Pages is borrowed and is copied on
+	// its first write. An entry assigned to Pages directly counts as
+	// borrowed, so the default is the safe one.
+	owned map[uint64]bool
 }
 
-// Page classes for the pagemap run coalescer.
+// PageClass names how a page is represented in pagemap.img + pages.img.
+type PageClass uint8
+
+// Page classes. Data and delta pages carry bytes in pages.img; the rest
+// live in the pagemap alone.
 const (
-	pageData = iota
-	pageZero
-	pageParent
-	pageLazy
-	pageDedup
-	pageDelta
+	PageAbsent PageClass = iota // not part of the image
+	PageData
+	PageZero
+	PageParent
+	PageLazy
+	PageDelta
 )
 
 // classOf reports how the page at a is represented. Data beats the flag
 // maps; a nil entry in Pages keeps its historical "lazy" meaning.
-func (ps *PageSet) classOf(a uint64) int {
+func (ps *PageSet) classOf(a uint64) PageClass {
 	if pg, ok := ps.Pages[a]; ok && pg != nil {
 		if ps.DeltaPages[a] {
-			return pageDelta
+			return PageDelta
 		}
-		return pageData
+		return PageData
 	}
 	switch {
 	case ps.ZeroPages[a]:
-		return pageZero
+		return PageZero
 	case ps.ParentPages[a]:
-		return pageParent
+		return PageParent
 	default:
-		return pageLazy
+		return PageLazy
 	}
 }
 
-// LoadPageSet parses the pagemap/pages pair from a directory.
+// LoadPageSet parses the pagemap/pages pair from a directory. Nothing is
+// copied: every Pages entry aliases its 4K of pages.img (and a dedup
+// page its source's), capped so a write cannot run past the page.
 func LoadPageSet(dir *ImageDir) (*PageSet, error) {
 	pmRaw, ok := dir.Get("pagemap.img")
 	if !ok {
@@ -558,13 +590,8 @@ func LoadPageSet(dir *ImageDir) (*PageSet, error) {
 		ParentPages: make(map[uint64]bool, nParent),
 		ZeroPages:   make(map[uint64]bool, nZero),
 		DeltaPages:  make(map[uint64]bool, nDelta),
+		owned:       make(map[uint64]bool),
 	}
-	// One private copy of the payload, subsliced per page: each data
-	// entry costs one bounds-checked three-index slice instead of its own
-	// allocation and copy, and mutations through the PageSet (WriteU64
-	// stays inside its page's capped slice) never reach pages.img.
-	buf := make([]byte, nData*mem.PageSize)
-	copy(buf, pages)
 	off := 0
 	for _, en := range pm.Entries {
 		for i := uint32(0); i < en.NrPages; i++ {
@@ -578,8 +605,8 @@ func LoadPageSet(dir *ImageDir) (*PageSet, error) {
 				// dedup entry an earlier data page: the delta flag names
 				// the representation of the shared bytes, and a mismatch
 				// would alias XOR-diff bytes as content (or vice versa).
-				// The copy stays: a dedup page must be independently
-				// mutable from its source.
+				// The page shares its source's bytes until either is
+				// written.
 				src := en.DedupSrc + uint64(i)*mem.PageSize
 				srcPg, ok := ps.Pages[src]
 				if !ok || srcPg == nil {
@@ -588,9 +615,7 @@ func LoadPageSet(dir *ImageDir) (*PageSet, error) {
 				if en.Delta != ps.DeltaPages[src] {
 					return nil, fmt.Errorf("image: dedup page 0x%x (delta=%v) references 0x%x (delta=%v): flag class mismatch", addr, en.Delta, src, ps.DeltaPages[src])
 				}
-				pg := make([]byte, mem.PageSize)
-				copy(pg, srcPg)
-				ps.Pages[addr] = pg
+				ps.Pages[addr] = srcPg
 				if en.Delta {
 					ps.DeltaPages[addr] = true
 				}
@@ -605,7 +630,7 @@ func LoadPageSet(dir *ImageDir) (*PageSet, error) {
 				ps.ZeroPages[addr] = true
 				continue
 			}
-			ps.Pages[addr] = buf[off : off+mem.PageSize : off+mem.PageSize]
+			ps.Pages[addr] = pages[off : off+mem.PageSize : off+mem.PageSize]
 			if en.Delta {
 				ps.DeltaPages[addr] = true
 			}
@@ -623,6 +648,7 @@ func NewPageSet() *PageSet {
 		ParentPages: make(map[uint64]bool),
 		ZeroPages:   make(map[uint64]bool),
 		DeltaPages:  make(map[uint64]bool),
+		owned:       make(map[uint64]bool),
 	}
 }
 
@@ -669,98 +695,118 @@ func (ps *PageSet) Store(dir *ImageDir) {
 // lowest-vaddr occurrence), never on map iteration or worker
 // scheduling, so output is deterministic for any producer.
 func (ps *PageSet) StoreWith(dir *ImageDir, opts StoreOpts) StoreStats {
-	seen := make(map[uint64]bool, len(ps.Pages))
 	addrs := make([]uint64, 0, len(ps.Pages)+len(ps.LazyPages)+len(ps.ParentPages)+len(ps.ZeroPages))
-	add := func(a uint64) {
-		if !seen[a] {
-			seen[a] = true
-			addrs = append(addrs, a)
-		}
-	}
 	for a := range ps.Pages {
-		add(a)
+		addrs = append(addrs, a)
 	}
 	for a := range ps.LazyPages {
-		add(a)
+		addrs = append(addrs, a)
 	}
 	for a := range ps.ParentPages {
-		add(a)
+		addrs = append(addrs, a)
 	}
 	for a := range ps.ZeroPages {
-		add(a)
+		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
+	addrs = slices.Compact(addrs) // an address may sit in several maps
+	recs := make([]PageRecord, len(addrs))
+	for i, a := range addrs {
+		recs[i] = PageRecord{Addr: a, Class: ps.classOf(a), Data: ps.Pages[a]}
+	}
+	return EncodePages(dir, recs, opts)
+}
 
+// PageRecord is one page of the sequence EncodePages encodes.
+type PageRecord struct {
+	Addr  uint64
+	Class PageClass
+	// Data is the page's pages.img bytes (content, or the XOR for
+	// PageDelta); read only for PageData and PageDelta.
+	Data []byte
+}
+
+// EncodePages writes pagemap.img and pages.img for a page sequence
+// sorted by address (PageAbsent records are skipped). It is the one
+// encoder behind Dump and PageSet.Store: contiguous same-class pages
+// coalesce into runs, pages.img is allocated once at its exact size, and
+// each data or delta page is copied once, straight to its final offset
+// (bytes.Join, which also does not zero the buffer before filling it).
+func EncodePages(dir *ImageDir, recs []PageRecord, opts StoreOpts) StoreStats {
 	var stats StoreStats
-	var dedupSrc map[uint64]uint64 // page vaddr -> source data page vaddr
+	var dedupSrc map[int]uint64 // record index -> source data page vaddr
 	if opts.Dedup {
-		dedupSrc = make(map[uint64]uint64)
-		byHash := make(map[uint64][]uint64) // content hash -> keeper vaddrs
-		for _, a := range addrs {
-			cls := ps.classOf(a)
-			if cls != pageData && cls != pageDelta {
+		dedupSrc = make(map[int]uint64)
+		byHash := make(map[uint64][]int) // content hash -> keeper record indices
+		for i, r := range recs {
+			if r.Class != PageData && r.Class != PageDelta {
 				continue
 			}
 			// Data pages dedup against data pages and delta pages against
 			// delta pages, never across: the bytes are only interchangeable
 			// within one representation. The class travels on the emitted
 			// entry as the combined dedup+delta flag pair.
-			pg := ps.Pages[a]
-			h := fnv1a64(pg)
+			h := fnv1a64(r.Data)
 			matched := false
-			for _, src := range byHash[h] {
-				if ps.classOf(src) == cls && bytes.Equal(ps.Pages[src], pg) {
-					dedupSrc[a] = src
+			for _, k := range byHash[h] {
+				if recs[k].Class == r.Class && bytes.Equal(recs[k].Data, r.Data) {
+					dedupSrc[i] = recs[k].Addr
 					matched = true
 					break
 				}
 			}
 			if !matched {
-				byHash[h] = append(byHash[h], a)
+				byHash[h] = append(byHash[h], i)
 			}
 		}
 		stats.PagesElided = uint64(len(dedupSrc))
 		stats.BytesSaved = stats.PagesElided * mem.PageSize
 	}
-	classOf := func(a uint64) int {
-		if _, dup := dedupSrc[a]; dup {
-			return pageDedup
-		}
-		return ps.classOf(a)
-	}
 
+	nPayload := 0
+	for i, r := range recs {
+		if _, dup := dedupSrc[i]; !dup && (r.Class == PageData || r.Class == PageDelta) {
+			nPayload++
+		}
+	}
+	payload := make([][]byte, 0, nPayload) // pages.img, page by page
 	var pm PagemapImage
-	var blob []byte
-	for i := 0; i < len(addrs); {
-		a := addrs[i]
-		cls := classOf(a)
-		if cls == pageDedup {
+	for i := 0; i < len(recs); {
+		r := recs[i]
+		if r.Class == PageAbsent {
+			i++
+			continue
+		}
+		if src, dup := dedupSrc[i]; dup {
 			// Dedup runs stay single-page: each reference names its own
 			// source, and adjacent duplicates rarely share a contiguous
 			// source range worth the extra coalescing complexity.
 			pm.Entries = append(pm.Entries, PagemapEntry{
-				Vaddr: a, NrPages: 1, Dedup: true, DedupSrc: dedupSrc[a],
-				Delta: ps.classOf(a) == pageDelta,
+				Vaddr: r.Addr, NrPages: 1, Dedup: true, DedupSrc: src,
+				Delta: r.Class == PageDelta,
 			})
 			i++
 			continue
 		}
 		j := i
-		for j < len(addrs) && addrs[j] == a+uint64(j-i)*mem.PageSize && classOf(addrs[j]) == cls {
-			if cls == pageData || cls == pageDelta {
-				blob = append(blob, ps.Pages[addrs[j]]...)
+		for ; j < len(recs) && recs[j].Addr == r.Addr+uint64(j-i)*mem.PageSize && recs[j].Class == r.Class; j++ {
+			if _, dup := dedupSrc[j]; dup {
+				break
 			}
-			j++
+			if r.Class == PageData || r.Class == PageDelta {
+				payload = append(payload, recs[j].Data)
+			}
 		}
 		pm.Entries = append(pm.Entries, PagemapEntry{
-			Vaddr: a, NrPages: uint32(j - i),
-			Lazy: cls == pageLazy, InParent: cls == pageParent, Zero: cls == pageZero,
-			Delta: cls == pageDelta,
+			Vaddr: r.Addr, NrPages: uint32(j - i),
+			Lazy: r.Class == PageLazy, InParent: r.Class == PageParent, Zero: r.Class == PageZero,
+			Delta: r.Class == PageDelta,
 		})
 		i = j
 	}
+
 	dir.Put("pagemap.img", pm.Marshal())
-	dir.Put("pages.img", blob)
+	dir.Put("pages.img", bytes.Join(payload, nil))
 	return stats
 }
 
@@ -793,22 +839,26 @@ func (ps *PageSet) ReadU64(addr uint64) (uint64, error) {
 }
 
 // WriteU64 writes a word, populating the page if absent (zero pages
-// materialize as zeros). Writing into an in_parent page is an error: the
-// local set does not hold its content, so the chain must be flattened
-// first.
+// materialize as zeros) and copying it first if the set only borrows its
+// bytes. Writing into an in_parent page is an error: the local set does
+// not hold its content, so the chain must be flattened first.
 func (ps *PageSet) WriteU64(addr, v uint64) error {
 	base := addr / mem.PageSize * mem.PageSize
 	pg, ok := ps.Pages[base]
-	if !ok || pg == nil {
+	switch {
+	case !ok || pg == nil:
 		if ps.ParentPages[base] {
 			return fmt.Errorf("image: write at 0x%x hits an in-parent page (flatten the chain first)", addr)
 		}
 		pg = make([]byte, mem.PageSize)
-		ps.Pages[base] = pg
+		ps.own(base, pg)
 		delete(ps.LazyPages, base)
 		delete(ps.ZeroPages, base)
-	} else if ps.DeltaPages[base] {
+	case ps.DeltaPages[base]:
 		return fmt.Errorf("image: write at 0x%x hits an XOR-delta page (flatten the chain first)", addr)
+	case !ps.owned[base]:
+		pg = bytes.Clone(pg)
+		ps.own(base, pg)
 	}
 	off := addr % mem.PageSize
 	if off+8 > mem.PageSize {
@@ -820,31 +870,38 @@ func (ps *PageSet) WriteU64(addr, v uint64) error {
 	return nil
 }
 
+// own installs pg, which the caller just allocated, as the set's private
+// copy of the page at base.
+func (ps *PageSet) own(base uint64, pg []byte) {
+	ps.Pages[base] = pg
+	if ps.owned == nil {
+		ps.owned = make(map[uint64]bool)
+	}
+	ps.owned[base] = true
+}
+
+// SharePage makes pg the content of the page at base without copying it:
+// the set borrows the bytes and copies them on its first write. Chain
+// merges use it to hand pages from one set to another.
+func (ps *PageSet) SharePage(base uint64, pg []byte) {
+	ps.Pages[base] = pg
+	delete(ps.owned, base)
+}
+
 // DropRange removes pages overlapping [start, end) from the set.
 func (ps *PageSet) DropRange(start, end uint64) {
-	for a := range ps.Pages {
+	dropRange(ps.Pages, start, end)
+	dropRange(ps.LazyPages, start, end)
+	dropRange(ps.ParentPages, start, end)
+	dropRange(ps.ZeroPages, start, end)
+	dropRange(ps.DeltaPages, start, end)
+	dropRange(ps.owned, start, end)
+}
+
+func dropRange[V any](m map[uint64]V, start, end uint64) {
+	for a := range m {
 		if a >= start && a < end {
-			delete(ps.Pages, a)
-		}
-	}
-	for a := range ps.LazyPages {
-		if a >= start && a < end {
-			delete(ps.LazyPages, a)
-		}
-	}
-	for a := range ps.ParentPages {
-		if a >= start && a < end {
-			delete(ps.ParentPages, a)
-		}
-	}
-	for a := range ps.ZeroPages {
-		if a >= start && a < end {
-			delete(ps.ZeroPages, a)
-		}
-	}
-	for a := range ps.DeltaPages {
-		if a >= start && a < end {
-			delete(ps.DeltaPages, a)
+			delete(m, a)
 		}
 	}
 }
@@ -853,10 +910,11 @@ func (ps *PageSet) DropRange(start, end uint64) {
 // of ps inside the range, with page bytes shared rather than copied.
 // Concurrent callers may take views of disjoint ranges while nothing
 // mutates ps (map reads only); each caller may then mutate its own view
-// freely — DropRange and WriteU64 allocate fresh pages, so the shared
-// ps is never written through a view. Fold a mutated view back with
-// AbsorbRange after every view's work has joined. This pair is what
-// lets per-thread stack rewriters run concurrently over one dump.
+// freely — the view borrows every page, so its first write to one
+// copies it and the shared ps is never written through a view. Fold a
+// mutated view back with AbsorbRange after every view's work has
+// joined. This pair is what lets per-thread stack rewriters run
+// concurrently over one dump.
 func (ps *PageSet) ExtractRange(start, end uint64) *PageSet {
 	sub := NewPageSet()
 	for a := start / mem.PageSize * mem.PageSize; a < end; a += mem.PageSize {
@@ -887,27 +945,24 @@ func (ps *PageSet) AbsorbRange(sub *PageSet, start, end uint64) {
 	ps.DropRange(start, end)
 	for a, pg := range sub.Pages {
 		if a >= start && a < end {
-			ps.Pages[a] = pg
+			// The view is spent: what it owned, ps now owns.
+			if sub.owned[a] {
+				ps.own(a, pg)
+			} else {
+				ps.Pages[a] = pg
+			}
 		}
 	}
-	for a := range sub.LazyPages {
+	absorbFlags(ps.LazyPages, sub.LazyPages, start, end)
+	absorbFlags(ps.ParentPages, sub.ParentPages, start, end)
+	absorbFlags(ps.ZeroPages, sub.ZeroPages, start, end)
+	absorbFlags(ps.DeltaPages, sub.DeltaPages, start, end)
+}
+
+func absorbFlags(dst, src map[uint64]bool, start, end uint64) {
+	for a := range src {
 		if a >= start && a < end {
-			ps.LazyPages[a] = true
-		}
-	}
-	for a := range sub.ParentPages {
-		if a >= start && a < end {
-			ps.ParentPages[a] = true
-		}
-	}
-	for a := range sub.ZeroPages {
-		if a >= start && a < end {
-			ps.ZeroPages[a] = true
-		}
-	}
-	for a := range sub.DeltaPages {
-		if a >= start && a < end {
-			ps.DeltaPages[a] = true
+			dst[a] = true
 		}
 	}
 }
@@ -917,7 +972,7 @@ func (ps *PageSet) InstallPage(addr uint64, data []byte) {
 	pg := make([]byte, mem.PageSize)
 	copy(pg, data)
 	base := addr / mem.PageSize * mem.PageSize
-	ps.Pages[base] = pg
+	ps.own(base, pg)
 	delete(ps.LazyPages, base)
 	delete(ps.ParentPages, base)
 	delete(ps.ZeroPages, base)

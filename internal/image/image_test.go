@@ -1,0 +1,187 @@
+package image_test
+
+import (
+	"bytes"
+	"testing"
+
+	"github.com/dapper-sim/dapper/internal/image"
+	"github.com/dapper-sim/dapper/internal/mem"
+)
+
+// TestMarshalEqualsFrameFiles pins Marshal's contract at its corners —
+// no files, an empty file, a file past the sink's 8 MiB preallocation
+// bound: the blob is the concatenation of FrameFile over Names(), sized
+// exactly, and it round-trips.
+func TestMarshalEqualsFrameFiles(t *testing.T) {
+	big := image.NewImageDir()
+	big.Put("mm.img", []byte{1, 2, 3})
+	big.Put("pages.img", bytes.Repeat([]byte{0x5a, 0xa5, 0}, (8<<20)/3+4096))
+	empty := image.NewImageDir()
+	empty.Put("inventory.img", nil)
+	empty.Put("pages.img", []byte{})
+	for name, dir := range map[string]*image.ImageDir{
+		"no files": image.NewImageDir(), "empty files": empty, "framing corners": testDir(), "file over 8 MiB": big,
+	} {
+		var want []byte
+		for _, n := range dir.Names() {
+			data, _ := dir.Get(n)
+			want = append(want, image.FrameFile(n, data)...)
+		}
+		got := dir.Marshal()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: Marshal is %d bytes, FrameFile concatenation %d, or they differ", name, len(got), len(want))
+		}
+		if cap(got) != len(got) {
+			t.Errorf("%s: Marshal allocated %d bytes for a %d-byte blob", name, cap(got), len(got))
+		}
+		back, err := image.UnmarshalImageDir(got)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(back.Marshal(), got) {
+			t.Errorf("%s: blob does not round-trip", name)
+		}
+	}
+}
+
+const cowBase = 0x10000
+
+// cowDir stores n data pages at cowBase (page i filled with byte i+1)
+// followed by one zero page, and returns the directory with a private
+// copy of its pages.img to compare against later.
+func cowDir(t *testing.T, n int, opts image.StoreOpts) (*image.ImageDir, []byte) {
+	t.Helper()
+	ps := image.NewPageSet()
+	for i := 0; i < n; i++ {
+		ps.InstallPage(cowBase+uint64(i)*mem.PageSize, bytes.Repeat([]byte{byte(i + 1)}, mem.PageSize))
+	}
+	ps.ZeroPages[cowBase+uint64(n)*mem.PageSize] = true
+	dir := image.NewImageDir()
+	ps.StoreWith(dir, opts)
+	pages, _ := dir.Get("pages.img")
+	return dir, bytes.Clone(pages)
+}
+
+// TestPageSetCopyOnWrite is the invariant the alias-not-copy LoadPageSet
+// rests on: no write through a PageSet — by any of its mutators, directly
+// or through a range view — reaches the directory it was loaded from.
+func TestPageSetCopyOnWrite(t *testing.T) {
+	page := func(i int) uint64 { return cowBase + uint64(i)*mem.PageSize }
+	mutations := map[string]func(t *testing.T, ps *image.PageSet){
+		"WriteU64": func(t *testing.T, ps *image.PageSet) {
+			for _, a := range []uint64{page(0), page(2) + 8, page(2) + 4088} {
+				if err := ps.WriteU64(a, 0xdeadbeefcafef00d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if v, _ := ps.ReadU64(page(2) + 8); v != 0xdeadbeefcafef00d {
+				t.Errorf("read back 0x%x through the writing set", v)
+			}
+			if v, _ := ps.ReadU64(page(2) + 16); v != 0x0303030303030303 {
+				t.Errorf("the rest of a copied page reads 0x%x, want its loaded content", v)
+			}
+		},
+		"WriteU64 into the zero page": func(t *testing.T, ps *image.PageSet) {
+			if err := ps.WriteU64(page(4)+64, 7); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"InstallPage": func(t *testing.T, ps *image.PageSet) {
+			ps.InstallPage(page(1), bytes.Repeat([]byte{0xee}, mem.PageSize))
+			if err := ps.WriteU64(page(1), 1); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"DropRange then write": func(t *testing.T, ps *image.PageSet) {
+			ps.DropRange(page(1), page(3))
+			if err := ps.WriteU64(page(1)+8, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := ps.WriteU64(page(3)+8, 3); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"ExtractRange, write, AbsorbRange": func(t *testing.T, ps *image.PageSet) {
+			sub := ps.ExtractRange(page(1), page(3))
+			if err := sub.WriteU64(page(1)+8, 4); err != nil {
+				t.Fatal(err)
+			}
+			if v, _ := ps.ReadU64(page(1) + 8); v != 0x0202020202020202 {
+				t.Errorf("a write through a view reached the set it was taken from: 0x%x", v)
+			}
+			ps.AbsorbRange(sub, page(1), page(3))
+			if v, _ := ps.ReadU64(page(1) + 8); v != 4 {
+				t.Errorf("absorbed page reads 0x%x, want the view's write", v)
+			}
+			// The absorbed page is private now; the untouched one is still
+			// borrowed and must be copied by this write.
+			if err := ps.WriteU64(page(1)+16, 5); err != nil {
+				t.Fatal(err)
+			}
+			if err := ps.WriteU64(page(2)+16, 6); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, mutate := range mutations {
+		t.Run(name, func(t *testing.T) {
+			dir, want := cowDir(t, 4, image.StoreOpts{})
+			ps, err := image.LoadPageSet(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mutate(t, ps)
+			if got, _ := dir.Get("pages.img"); !bytes.Equal(got, want) {
+				t.Fatal("a write through the PageSet reached the pages.img it was loaded from")
+			}
+			// The edits themselves must survive a store into another
+			// directory, again without touching the source.
+			out := image.NewImageDir()
+			ps.Store(out)
+			if got, _ := dir.Get("pages.img"); !bytes.Equal(got, want) {
+				t.Fatal("Store wrote into the source pages.img")
+			}
+			if stored, _ := out.Get("pages.img"); bytes.Equal(stored, want) {
+				t.Error("the stored pages.img carries none of the edits")
+			}
+		})
+	}
+}
+
+// TestPageSetDedupPagesSplitOnWrite: a dedup page shares its source's
+// bytes after a load; a write to either must leave the other — and the
+// directory — alone.
+func TestPageSetDedupPagesSplitOnWrite(t *testing.T) {
+	ps := image.NewPageSet()
+	for i := 0; i < 3; i++ {
+		ps.InstallPage(cowBase+uint64(i)*mem.PageSize, bytes.Repeat([]byte{0x77}, mem.PageSize))
+	}
+	dir := image.NewImageDir()
+	if st := ps.StoreWith(dir, image.StoreOpts{Dedup: true}); st.PagesElided != 2 {
+		t.Fatalf("dedup elided %d pages, want 2", st.PagesElided)
+	}
+	pages, _ := dir.Get("pages.img")
+	want := bytes.Clone(pages)
+	loaded, err := image.LoadPageSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.WriteU64(cowBase+mem.PageSize, 1); err != nil { // a dedup page
+		t.Fatal(err)
+	}
+	if err := loaded.WriteU64(cowBase+8, 2); err != nil { // their source
+		t.Fatal(err)
+	}
+	for addr, word := range map[uint64]uint64{
+		cowBase: 0x7777777777777777, cowBase + 8: 2,
+		cowBase + mem.PageSize: 1, cowBase + mem.PageSize + 8: 0x7777777777777777,
+		cowBase + 2*mem.PageSize: 0x7777777777777777, cowBase + 2*mem.PageSize + 8: 0x7777777777777777,
+	} {
+		if v, _ := loaded.ReadU64(addr); v != word {
+			t.Errorf("word at 0x%x reads 0x%x, want 0x%x", addr, v, word)
+		}
+	}
+	if got, _ := dir.Get("pages.img"); !bytes.Equal(got, want) {
+		t.Fatal("a write to a dedup page or its source reached pages.img")
+	}
+}

@@ -251,13 +251,21 @@ func (d *DirSink) Dir() *ImageDir { return d.dir }
 
 // BeginFile implements StreamSink.
 func (d *DirSink) BeginFile(name string, size int) error {
-	d.name, d.size = name, size
-	d.buf = make([]byte, 0, min(size, d.prealloc))
+	d.name, d.size, d.buf = name, size, []byte{}
 	return nil
 }
 
-// FileChunk implements StreamSink.
+// FileChunk implements StreamSink. The file's buffer is allocated when
+// its first bytes arrive, in one step with copying them in, so only the
+// part they do not cover is zeroed first: a file delivered in one chunk
+// is written exactly once.
 func (d *DirSink) FileChunk(p []byte) error {
+	if cap(d.buf) == 0 {
+		buf := make([]byte, max(len(p), min(d.size, d.prealloc)))
+		copy(buf, p)
+		d.buf = buf[:len(p)]
+		return nil
+	}
 	if need := len(d.buf) + len(p); need > cap(d.buf) {
 		grown := make([]byte, len(d.buf), min(d.size, max(need, 2*cap(d.buf))))
 		copy(grown, d.buf)

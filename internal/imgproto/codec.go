@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Codec selects the wire codec for batched transport frames (the page
@@ -45,6 +46,37 @@ func (c Codec) Valid() bool { return c <= CodecFlate }
 // replayed migrations producing identical wire sizes.
 const flateLevel = flate.BestSpeed
 
+// flateEncoder is the reusable half of a CodecFlate Compress call: the
+// compressor (about 640 KB of state a fresh flate.NewWriter allocates)
+// and the scratch buffer it writes into. A page stream compresses a
+// batch every 32 pages, so both are pooled and Reset per call; only the
+// exact-size payload handed to the caller is allocated.
+type flateEncoder struct {
+	zw  *flate.Writer
+	buf bytes.Buffer
+}
+
+// flateDecoder is Decompress's counterpart: the inflater and the reader
+// feeding it.
+type flateDecoder struct {
+	zr io.ReadCloser // also a flate.Resetter
+	br bytes.Reader
+}
+
+var (
+	flateEncoders = sync.Pool{New: func() any {
+		e := new(flateEncoder)
+		// NewWriter fails only on a level outside flate's range.
+		e.zw, _ = flate.NewWriter(&e.buf, flateLevel)
+		return e
+	}}
+	flateDecoders = sync.Pool{New: func() any {
+		d := new(flateDecoder)
+		d.zr = flate.NewReader(&d.br)
+		return d
+	}}
+)
+
 // Compress encodes raw for the wire and returns the payload together
 // with the codec that actually encoded it: CodecFlate downgrades itself
 // to CodecNone when compression does not shrink the payload, so
@@ -55,21 +87,20 @@ func (c Codec) Compress(raw []byte) ([]byte, Codec, error) {
 	case CodecNone:
 		return raw, CodecNone, nil
 	case CodecFlate:
-		var buf bytes.Buffer
-		zw, err := flate.NewWriter(&buf, flateLevel)
-		if err != nil {
-			return nil, 0, fmt.Errorf("imgproto: flate init: %w", err)
-		}
-		if _, err := zw.Write(raw); err != nil {
+		e := flateEncoders.Get().(*flateEncoder)
+		defer flateEncoders.Put(e)
+		e.buf.Reset()
+		e.zw.Reset(&e.buf)
+		if _, err := e.zw.Write(raw); err != nil {
 			return nil, 0, fmt.Errorf("imgproto: flate write: %w", err)
 		}
-		if err := zw.Close(); err != nil {
+		if err := e.zw.Close(); err != nil {
 			return nil, 0, fmt.Errorf("imgproto: flate close: %w", err)
 		}
-		if buf.Len() >= len(raw) {
+		if e.buf.Len() >= len(raw) {
 			return raw, CodecNone, nil
 		}
-		return buf.Bytes(), CodecFlate, nil
+		return bytes.Clone(e.buf.Bytes()), CodecFlate, nil
 	default:
 		return nil, 0, fmt.Errorf("imgproto: codec %s cannot encode batch payloads", c)
 	}
@@ -86,18 +117,26 @@ func (c Codec) Decompress(wire []byte, rawLen int) ([]byte, error) {
 		}
 		return wire, nil
 	case CodecFlate:
-		zr := flate.NewReader(bytes.NewReader(wire))
+		d := flateDecoders.Get().(*flateDecoder)
+		defer func() {
+			d.br.Reset(nil) // do not pin the caller's payload in the pool
+			flateDecoders.Put(d)
+		}()
+		d.br.Reset(wire)
+		if err := d.zr.(flate.Resetter).Reset(&d.br, nil); err != nil {
+			return nil, fmt.Errorf("imgproto: flate init: %w", err)
+		}
 		raw := make([]byte, rawLen)
-		if _, err := io.ReadFull(zr, raw); err != nil {
+		if _, err := io.ReadFull(d.zr, raw); err != nil {
 			return nil, fmt.Errorf("imgproto: flate payload truncated: %w", err)
 		}
 		// The stream must end exactly at rawLen: trailing bytes mean the
 		// header lied and the connection is desynchronized.
 		var extra [1]byte
-		if n, _ := zr.Read(extra[:]); n != 0 {
+		if n, _ := d.zr.Read(extra[:]); n != 0 {
 			return nil, fmt.Errorf("imgproto: flate payload longer than the %d-byte header claims", rawLen)
 		}
-		if err := zr.Close(); err != nil {
+		if err := d.zr.Close(); err != nil {
 			return nil, fmt.Errorf("imgproto: flate payload corrupt: %w", err)
 		}
 		return raw, nil

@@ -2,6 +2,8 @@ package imgproto
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"testing"
 )
 
@@ -113,5 +115,96 @@ func TestCodecDecompressRejectsLies(t *testing.T) {
 		t.Fatalf("%s reads as a valid codec", unknown)
 	} else if _, err := unknown.Decompress(nil, 0); err == nil {
 		t.Fatalf("%s accepted as a batch codec", unknown)
+	}
+}
+
+// TestCodecFlatePooledMatchesFresh: Compress reuses a pooled compressor,
+// and a reused one must emit the bytes a fresh flate.Writer would — the
+// wire sizes other tests pin depend on it — whatever it compressed
+// before.
+func TestCodecFlatePooledMatchesFresh(t *testing.T) {
+	payloads := [][]byte{
+		kvPages(32),
+		bytes.Repeat([]byte("abcd"), 1024),
+		kvPages(7),
+	}
+	for round := 0; round < 2; round++ {
+		for i, raw := range payloads {
+			var want bytes.Buffer
+			zw, err := flate.NewWriter(&want, flateLevel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := zw.Write(raw); err != nil {
+				t.Fatal(err)
+			}
+			if err := zw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, used, err := CodecFlate.Compress(raw)
+			if err != nil || used != CodecFlate {
+				t.Fatalf("round %d payload %d: used %s, err %v", round, i, used, err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("round %d payload %d: pooled compressor emitted %d bytes, a fresh one %d", round, i, len(got), want.Len())
+			}
+			back, err := used.Decompress(got, len(raw))
+			if err != nil || !bytes.Equal(back, raw) {
+				t.Fatalf("round %d payload %d: round trip failed: %v", round, i, err)
+			}
+		}
+	}
+}
+
+// kvPages builds n pages shaped like a key-value heap: 8-byte words,
+// most of them small integers, some pseudo-random — compressible the
+// way real page payloads are, not the way a constant fill is.
+func kvPages(n int) []byte {
+	raw := make([]byte, n*4096)
+	x := uint64(0x9e3779b97f4a7c15)
+	for off := 0; off < len(raw); off += 8 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		v := x
+		if off/8%4 != 0 {
+			v &= 0xffff
+		}
+		binary.LittleEndian.PutUint64(raw[off:], v)
+	}
+	return raw
+}
+
+// BenchmarkCodecFlate measures the flate codec at the two sizes the
+// transport uses it at: a 32-page batch of the page stream and a 4 MiB
+// segment of the image stream.
+func BenchmarkCodecFlate(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		pages int
+	}{{"batch128K", 32}, {"segment4M", 1024}} {
+		raw := kvPages(size.pages)
+		wire, used, err := CodecFlate.Compress(raw)
+		if err != nil || used != CodecFlate {
+			b.Fatalf("%s: used %s, err %v", size.name, used, err)
+		}
+		b.Run(size.name+"/compress", func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := CodecFlate.Compress(raw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(size.name+"/decompress", func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := used.Decompress(wire, len(raw)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -7,12 +7,14 @@
 // struct and its own digest of the replayed history.
 //
 // On replay a torn final line — a process killed mid-append — is
-// tolerated and dropped; a torn line in the middle is an error, because
-// everything after it is suspect.
+// tolerated and dropped, and Open cuts it off the file before the next
+// append; a torn line in the middle is an error, because everything
+// after it is suspect.
 package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -35,15 +37,31 @@ type Journal[E any] struct {
 
 // Open opens (creating if needed) the journal at path and returns it
 // along with the replayed history; sequence numbers continue above the
-// last replayed event's.
+// last replayed event's. A torn tail is cut off, and a final line missing
+// only its newline is terminated, before the file opens for append: the
+// next event must start on a line of its own, or the following replay
+// would read it glued to the leftover bytes and drop it with them.
 func Open[E any](path string, seqOf func(*E) *int64) (*Journal[E], []E, error) {
-	events, err := replay[E](path)
+	events, end, terminated, err := replay[E](path)
 	if err != nil {
 		return nil, nil, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: open: %w", err)
+	}
+	st, err := f.Stat()
+	if err == nil && (st.Size() != end || !terminated) {
+		if err = f.Truncate(end); err == nil && !terminated {
+			_, err = f.Write([]byte{'\n'})
+		}
+		if err == nil {
+			err = f.Sync()
+		}
+	}
+	if err != nil {
+		_ = f.Close() // the repair error is the one to report
+		return nil, nil, fmt.Errorf("journal: repair tail: %w", err)
 	}
 	j := &Journal[E]{f: f, seqOf: seqOf}
 	if n := len(events); n > 0 {
@@ -52,31 +70,49 @@ func Open[E any](path string, seqOf func(*E) *int64) (*Journal[E], []E, error) {
 	return j, events, nil
 }
 
+// scanLine is bufio.ScanLines keeping each line's terminator, so replay
+// can tell how many bytes a line spans and whether the last one ended.
+func scanLine(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
 // replay reads every well-formed event line of the journal at path,
-// tolerating only a torn tail. A missing file is an empty history.
-func replay[E any](path string) ([]E, error) {
+// tolerating only a torn tail. It also returns where the well-formed
+// history ends — the offset the next append belongs at — and whether the
+// line ending there carries its newline. A missing file is an empty
+// history.
+func replay[E any](path string) (events []E, end int64, terminated bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return nil, 0, true, nil
 		}
-		return nil, fmt.Errorf("journal: replay: %w", err)
+		return nil, 0, false, fmt.Errorf("journal: replay: %w", err)
 	}
 	defer func() {
 		// Read-only descriptor; the scanner has already surfaced errors.
 		_ = f.Close()
 	}()
-	var events []E
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
+	sc.Split(scanLine)
 	torn := false
+	terminated = true
+	var off int64
 	for sc.Scan() {
 		line := sc.Bytes()
-		if len(line) == 0 {
+		off += int64(len(line))
+		if len(bytes.TrimRight(line, "\r\n")) == 0 {
 			continue
 		}
 		if torn {
-			return nil, fmt.Errorf("journal: %s: malformed event mid-file", path)
+			return nil, 0, false, fmt.Errorf("journal: %s: malformed event mid-file", path)
 		}
 		var ev E
 		if err := json.Unmarshal(line, &ev); err != nil {
@@ -86,11 +122,12 @@ func replay[E any](path string) ([]E, error) {
 			continue
 		}
 		events = append(events, ev)
+		end, terminated = off, line[len(line)-1] == '\n'
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("journal: replay: %w", err)
+		return nil, 0, false, fmt.Errorf("journal: replay: %w", err)
 	}
-	return events, nil
+	return events, end, terminated, nil
 }
 
 // Append journals one event durably (write + fsync) and stamps its

@@ -12,6 +12,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/dapper-sim/dapper/internal/isa"
@@ -357,7 +358,7 @@ func (as *AddressSpace) PopulatedPages() []uint64 {
 	for idx := range as.pages {
 		out = append(out, idx)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -2,7 +2,7 @@
 // primitive: bounded fan-out with error joining, deterministic result
 // placement, and optional telemetry. Every host-side hot path that fans
 // out — dump page-shard collection, per-thread core rewrites, imgcheck
-// sweeps, transfer framing — goes through this package so the whole
+// sweeps, restore page preparation — goes through this package so the whole
 // pipeline shares one parallelism knob (MigrateOpts.Workers) and one
 // goroutine-hygiene story: a Pool joins every goroutine it launches
 // before returning, and a Semaphore bounds fire-and-forget fan-out whose

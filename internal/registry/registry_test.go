@@ -212,6 +212,53 @@ func TestJournalReplayAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestJournalAppendAfterTornTail (ROADMAP 4c): a store reopened over a
+// torn tail keeps journaling, and the first mutation it acknowledges
+// must still be there on the open after that.
+func TestJournalAppendAfterTornTail(t *testing.T) {
+	root := t.TempDir()
+	s, err := Open(root, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := s.Push(testDir("meta", 0x11, 0x22), PushOpts{Owner: "job-1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(root, "manifests.jsonl"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"type":"unref","id":"` + m.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(root, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Ref(m.ID, "job-2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(root, Opts{})
+	if err != nil {
+		t.Fatalf("open after append: %v", err)
+	}
+	defer func() { _ = s3.Close() }() // test teardown; errors surfaced by assertions
+	if got := s3.Manifest(m.ID); got == nil || got.Refs() != 2 {
+		t.Fatalf("replayed manifest = %v, want 2 refs (job-1 and the appended job-2)", got)
+	}
+}
+
 func TestJournalTornMidFileRejected(t *testing.T) {
 	root := t.TempDir()
 	s, err := Open(root, Opts{})
