@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race check updatecheck bench-check bench-host bench bench-json bench-obs bench-quick fleet-smoke registry-smoke
+.PHONY: build vet lint test race check updatecheck bench-check bench-host bench bench-vm bench-tables bench-json bench-obs bench-quick fleet-smoke registry-smoke
 
 build:
 	$(GO) build ./...
@@ -60,11 +60,28 @@ check:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
+# bench-vm times the interpreter alone: host nanoseconds per guest
+# instruction for an ALU loop, a load/store loop and a call/return loop on
+# each ISA, and for kernel.Step over four threads (docs/perf.md,
+# "Interpreter budget"). The budget itself — no slow-path entry, no
+# allocation on a warm loop — is gated by TestInterpreterHitPath in tier-1.
+bench-vm:
+	$(GO) test -run=^$$ -bench=InterpreterLoop ./internal/vm
+
+# bench-tables regenerates every experiment table and fails if a modeled
+# column — guest cycles, modeled times, byte counts; everything not read
+# off the host's clock or CPU count — differs from the committed
+# docs/experiments_tables.md. A change to the interpreter, the kernel or
+# the timing model that moves a guest cycle shows up here.
+bench-tables:
+	$(GO) run ./cmd/dapper-bench -check docs/experiments_tables.md all
+
 # bench-json regenerates the three-way migration comparison (vanilla vs
 # lazy vs pre-copy), with each row's full obs telemetry report embedded,
-# and archives it as machine-readable JSON.
+# and archives it as machine-readable JSON; its modeled columns must match
+# the committed BENCH_seed.json (see bench-tables).
 bench-json:
-	$(GO) run ./cmd/dapper-bench -jsonout BENCH_fig7x.json fig7x
+	$(GO) run ./cmd/dapper-bench -jsonout BENCH_fig7x.json -check BENCH_seed.json fig7x
 
 # bench-quick exercises the parallel-pipeline benchmarks one iteration
 # each under the race detector (Workers=NumCPU fans out on CI's
@@ -80,7 +97,7 @@ bench-quick:
 	$(GO) run ./cmd/dapper-bench -jsonout BENCH_parpipe.json parpipe
 	$(GO) run ./cmd/dapper-bench -jsonout BENCH_wirecodec.json wirecodec
 	$(GO) run ./cmd/dapper-bench -jsonout BENCH_fleet.json fleet
-	$(GO) run ./cmd/dapper-bench -jsonout BENCH_restore.json restore
+	$(GO) run ./cmd/dapper-bench -jsonout BENCH_restore.json -check BENCH_restore.json restore
 
 # fleet-smoke gates the control plane: the fleet package's deterministic
 # fault-injection tests (retry, rollback, journal resume, drain,
@@ -103,7 +120,7 @@ fleet-smoke:
 registry-smoke:
 	$(GO) test -race ./internal/registry/ ./internal/kernel/
 	$(GO) test -race -run 'TestClone|TestMigrateViaRegistry' ./internal/cluster/ ./internal/fleet/
-	$(GO) run ./cmd/dapper-bench -jsonout BENCH_registry.json registry
+	$(GO) run ./cmd/dapper-bench -jsonout BENCH_registry.json -check BENCH_registry.json registry
 
 # bench-obs measures the telemetry fast paths: the Disabled* benchmarks
 # are the nil-registry no-ops every migration pays even with telemetry

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	dapper-bench [-class S|A|B] [-out EXPERIMENTS-data.md] [fig5 fig6 ... attacks | all]
+//	dapper-bench [-class S|A|B] [-out EXPERIMENTS-data.md] [-check stored.json|stored.md] [fig5 fig6 ... attacks | all]
 package main
 
 import (
@@ -32,8 +32,17 @@ func run(args []string) error {
 	out := fs.String("out", "", "also append markdown tables to this file")
 	jsonOut := fs.String("jsonout", "", "also write the generated tables as a JSON array to this file")
 	lazyTCP := fs.Bool("lazytcp", false, "serve post-copy pages over a real TCP page server (fig7)")
+	check := fs.String("check", "", "compare the modeled columns of the generated tables with this stored -jsonout or -out file and fail on any difference")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	var stored map[string]*experiments.Table
+	if *check != "" {
+		// Read first: -jsonout may name the same file.
+		var err error
+		if stored, err = loadStored(*check); err != nil {
+			return err
+		}
 	}
 	experiments.LazyTCP = *lazyTCP
 	c := workloads.Class(strings.ToUpper(*class))
@@ -77,6 +86,19 @@ func run(args []string) error {
 		md.WriteString(tbl.Markdown())
 		tables = append(tables, tbl)
 	}
+	if stored != nil {
+		var diffs []string
+		for _, tbl := range tables {
+			want, ok := stored[tbl.ID]
+			if !ok {
+				return fmt.Errorf("%s has no table %q", *check, tbl.ID)
+			}
+			diffs = append(diffs, experiments.DiffModeled(tbl, want)...)
+		}
+		if len(diffs) > 0 {
+			return fmt.Errorf("modeled columns differ from %s:\n  %s", *check, strings.Join(diffs, "\n  "))
+		}
+	}
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(tables, "", "  ")
 		if err != nil {
@@ -100,4 +122,27 @@ func run(args []string) error {
 		}
 	}
 	return nil
+}
+
+// loadStored reads the tables of a -jsonout file, or of a markdown file
+// written by -out, keyed by table ID.
+func loadStored(path string) (map[string]*experiments.Table, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var tables []*experiments.Table
+	if strings.HasSuffix(path, ".md") {
+		tables, err = experiments.ParseMarkdown(string(data))
+	} else {
+		err = json.Unmarshal(data, &tables)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	out := make(map[string]*experiments.Table, len(tables))
+	for _, t := range tables {
+		out[t.ID] = t
+	}
+	return out, nil
 }

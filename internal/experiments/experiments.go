@@ -79,6 +79,89 @@ func (t *Table) Markdown() string {
 	return sb.String()
 }
 
+// ParseMarkdown reads back what Markdown (and dapper-bench -out) wrote:
+// the tables of a markdown file, with their ID, title, header, rows and
+// notes.
+func ParseMarkdown(md string) ([]*Table, error) {
+	var out []*Table
+	var t *Table
+	for n, line := range strings.Split(md, "\n") {
+		switch {
+		case strings.HasPrefix(line, "### "):
+			id, title, ok := strings.Cut(line[4:], ": ")
+			if !ok {
+				return nil, fmt.Errorf("line %d: table heading %q is not \"### id: title\"", n+1, line)
+			}
+			t = &Table{ID: id, Title: title}
+			out = append(out, t)
+		case t == nil:
+		case strings.HasPrefix(line, "| "):
+			cells := strings.Split(strings.TrimSuffix(strings.TrimPrefix(line, "| "), " |"), " | ")
+			switch {
+			case t.Header == nil:
+				t.Header = cells
+			case len(t.Rows) == 0 && cells[0] == "---":
+				// the rule under the header
+			default:
+				t.Rows = append(t.Rows, cells)
+			}
+		case strings.HasPrefix(line, "*") && strings.HasSuffix(line, "*") && len(line) > 1:
+			t.Notes = append(t.Notes, line[1:len(line)-1])
+		}
+	}
+	return out, nil
+}
+
+// hostMeasured names, per table, the columns read off the host — its
+// clock, or its CPU count in a label — by the prefix of their header.
+// Every other column is modeled: it is computed from guest cycles, byte
+// counts and the constants of cluster/timing.go, and regenerates
+// identically on any machine.
+var hostMeasured = map[string][]string{
+	"fig5":     {"recode-host(ms)"},
+	"fig7x":    {"fault-p95(us)"},
+	"fig9":     {"host(ms)"},
+	"parpipe":  {"serial(ms)", "workers=", "speedup"}, // "workers=<NumCPU>(ms)"
+	"fleet":    {"wall time", "migs/sec"},
+	"registry": {"pull", "restore"},
+	"restore":  {"mode"}, // "streamed+<NumCPU>w"
+}
+
+func (t *Table) hostColumn(header string) bool {
+	for _, h := range hostMeasured[t.ID] {
+		if strings.HasPrefix(header, h) {
+			return true
+		}
+	}
+	return false
+}
+
+// DiffModeled compares the modeled columns of a regenerated table with a
+// stored copy of it, cell by cell, and returns one line per difference.
+// Host-measured columns, titles, notes and telemetry are not compared.
+func DiffModeled(got, want *Table) []string {
+	var diffs []string
+	if len(got.Header) != len(want.Header) || len(got.Rows) != len(want.Rows) {
+		return []string{fmt.Sprintf("%s: %d columns x %d rows, stored %d x %d",
+			got.ID, len(got.Header), len(got.Rows), len(want.Header), len(want.Rows))}
+	}
+	for c, h := range got.Header {
+		if got.hostColumn(h) {
+			continue
+		}
+		if want.Header[c] != h {
+			diffs = append(diffs, fmt.Sprintf("%s: column %d is %q, stored %q", got.ID, c, h, want.Header[c]))
+			continue
+		}
+		for r := range got.Rows {
+			if g, w := got.Rows[r][c], want.Rows[r][c]; g != w {
+				diffs = append(diffs, fmt.Sprintf("%s: row %d (%s) %s = %s, stored %s", got.ID, r, got.Rows[r][0], h, g, w))
+			}
+		}
+	}
+	return diffs
+}
+
 func ms(d interface{ Seconds() float64 }) string {
 	return fmt.Sprintf("%.1f", d.Seconds()*1000)
 }

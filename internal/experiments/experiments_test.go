@@ -201,3 +201,38 @@ func parseF(t *testing.T, s string) float64 {
 	}
 	return sign * (v + frac)
 }
+
+// TestStoredTableRoundTrip: a table written as markdown reads back with
+// the same modeled cells, and DiffModeled sees a changed modeled cell but
+// not a changed host-measured one — the two properties `dapper-bench
+// -check` rests on.
+func TestStoredTableRoundTrip(t *testing.T) {
+	tbl, err := experiments.Fig5(workloads.ClassS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := experiments.ParseMarkdown("preamble\n\n" + tbl.Markdown() + tbl.Markdown())
+	if err != nil || len(parsed) != 2 {
+		t.Fatalf("parsed %d tables, err %v", len(parsed), err)
+	}
+	back := parsed[1]
+	if back.ID != tbl.ID || back.Title != tbl.Title || len(back.Notes) != len(tbl.Notes) {
+		t.Errorf("read back %q %q with %d notes", back.ID, back.Title, len(back.Notes))
+	}
+	if diffs := experiments.DiffModeled(tbl, back); len(diffs) != 0 {
+		t.Errorf("round trip differs: %v", diffs)
+	}
+	host := len(tbl.Header) - 1 // recode-host(ms)
+	back.Rows[0][host] += "9"
+	if diffs := experiments.DiffModeled(tbl, back); len(diffs) != 0 {
+		t.Errorf("a host-measured cell was compared: %v", diffs)
+	}
+	back.Rows[0][1] += "9"
+	if diffs := experiments.DiffModeled(tbl, back); len(diffs) != 1 {
+		t.Errorf("a changed modeled cell gave %d differences: %v", len(diffs), diffs)
+	}
+	back.Rows = back.Rows[1:]
+	if diffs := experiments.DiffModeled(tbl, back); len(diffs) != 1 {
+		t.Errorf("a missing row gave %d differences: %v", len(diffs), diffs)
+	}
+}

@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -123,6 +122,9 @@ type Process struct {
 	// VCycles is the process's virtual-time cycle counter, advanced by the
 	// scheduler with a simple multi-core time-sharing model.
 	VCycles uint64
+	// Syscalls counts the SYSCALL instructions this kernel has dispatched
+	// for the process (retries of a blocked call are not counted again).
+	Syscalls uint64
 
 	nextTID int
 }
@@ -461,6 +463,7 @@ func (k *Kernel) runThread(p *Process, t *Thread) (uint64, error) {
 			t.State = ThreadTrapped
 			return total, nil
 		case vm.StopSyscall:
+			p.Syscalls++
 			num := t.Regs.R[p.ABI.SyscallNumReg]
 			var args [5]uint64
 			for i, r := range p.ABI.SyscallArgRegs {
@@ -572,8 +575,4 @@ func appendInt(b *bytes.Buffer, v int64) {
 }
 
 // SortedVMAs returns the process VMAs ordered by start address (dump order).
-func (p *Process) SortedVMAs() []mem.VMA {
-	vmas := p.AS.VMAs()
-	sort.Slice(vmas, func(i, j int) bool { return vmas[i].Start < vmas[j].Start })
-	return vmas
-}
+func (p *Process) SortedVMAs() []mem.VMA { return p.AS.VMAs() }

@@ -7,13 +7,18 @@
 // missing pages from the source node's page server. The CRIU dumper walks
 // VMAs and populated pages to produce the pagemap/pages images, exactly
 // mirroring the structure of CRIU's memory dump.
+//
+// Word accesses — the interpreter's loads and stores — go through a small
+// software TLB (see tlbEntry): a hit costs one compare and touches neither
+// the VMA list nor the page map. Every method that changes what a page
+// index means flushes it.
 package mem
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/dapper-sim/dapper/internal/isa"
 )
@@ -92,8 +97,8 @@ func (e *FaultError) Error() string {
 func (e *FaultError) Unwrap() error { return e.Cause }
 
 // Page is one populated page and its write version (used by the
-// interpreters to invalidate decoded-instruction caches when code pages are
-// rewritten).
+// interpreter, together with the frame's identity, to invalidate its
+// predecoded tables when code pages are rewritten or replaced).
 type Page struct {
 	Data    [PageSize]byte
 	Version uint64
@@ -104,15 +109,46 @@ type Page struct {
 // pages are demand-zero.
 type FaultHandler func(pageAddr uint64) ([]byte, error)
 
+// tlbWays is the size of each software TLB. One entry each is not
+// enough: a guest alternates between its stack, its globals, the heap and
+// its TLS block, and with one entry consecutive loads evict each other
+// (docs/perf.md, "Interpreter budget", has the miss counts).
+const tlbWays = 64
+
+// tlbEntry caches the verdict of the slow path for one page: tag is the
+// page index plus one (so the zero value matches nothing) and page the
+// resident frame behind it.
+//
+// An entry of the read TLB says the page is mapped and resident. An entry
+// of the write TLB says in addition that the frame is private (not a
+// copy-on-write share) and already marked soft-dirty, or that tracking is
+// off — everything a store would otherwise have to establish — so a store
+// that hits is a bounds check, PutUint64 and Version++.
+type tlbEntry struct {
+	tag  uint64
+	page *Page
+}
+
+// tlbSlot spreads page indices over the ways. The address-space layout
+// puts text, data, heap, TLS and stacks 2^28 bytes or more apart with
+// equal low index bits, so the bits above the low sixteen are folded in.
+func tlbSlot(idx uint64) uint64 { return (idx ^ idx>>16) % tlbWays }
+
 // AddressSpace is a simulated virtual address space.
 type AddressSpace struct {
 	vmas  []VMA // sorted by Start
 	pages map[uint64]*Page
 
-	// lastIdx/lastPage cache the most recently touched page, which makes
-	// the interpreter's sequential access patterns cheap.
-	lastIdx  uint64
-	lastPage *Page
+	// rtlb and wtlb serve ReadU64 and WriteU64; they are separate so that
+	// loads and stores do not evict each other. Instruction fetch has no
+	// entry here: the interpreter holds its code frames itself and
+	// revalidates them against epoch.
+	rtlb, wtlb [tlbWays]tlbEntry
+	// epoch counts TLB flushes, i.e. moments after which a page index may
+	// name a different frame, or none.
+	epoch uint64
+	// tlbMisses counts word accesses that left the hit path.
+	tlbMisses uint64
 
 	fault FaultHandler
 
@@ -138,7 +174,27 @@ func NewAddressSpace() *AddressSpace {
 // demand-zero behaviour.
 func (as *AddressSpace) SetFaultHandler(h FaultHandler) {
 	as.fault = h
+	as.flushTLB()
 }
+
+// flushTLB forgets every cached verdict. Each method that changes what a
+// page index means — which frame is behind it, whether it is mapped,
+// shared or soft-dirty — calls it, so a hit never has to re-check.
+func (as *AddressSpace) flushTLB() {
+	as.rtlb = [tlbWays]tlbEntry{}
+	as.wtlb = [tlbWays]tlbEntry{}
+	as.epoch++
+}
+
+// Epoch changes whenever a page index may have come to name a different
+// frame or none (a mapping change, a page installed, dropped or
+// privatized). A caller that holds on to frames CodePage gave it — the
+// interpreter's predecoded code pages — must ask again once it moves.
+func (as *AddressSpace) Epoch() uint64 { return as.epoch }
+
+// TLBMisses reports how many ReadU64/WriteU64 calls took the slow path
+// (VMA search and page-map lookup) since the space was created.
+func (as *AddressSpace) TLBMisses() uint64 { return as.tlbMisses }
 
 // Map adds a VMA. It returns an error if the range is empty, unaligned, or
 // overlaps an existing area.
@@ -152,7 +208,8 @@ func (as *AddressSpace) Map(v VMA) error {
 		}
 	}
 	as.vmas = append(as.vmas, v)
-	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
+	slices.SortFunc(as.vmas, func(a, b VMA) int { return cmp.Compare(a.Start, b.Start) })
+	as.flushTLB()
 	return nil
 }
 
@@ -167,6 +224,7 @@ func (as *AddressSpace) Resize(start, newEnd uint64) error {
 				return fmt.Errorf("mem: resize of 0x%x to 0x%x overlaps next VMA", start, newEnd)
 			}
 			as.vmas[i].End = newEnd
+			as.flushTLB()
 			return nil
 		}
 	}
@@ -182,9 +240,15 @@ func (as *AddressSpace) VMAs() []VMA {
 
 // FindVMA returns the area containing addr.
 func (as *AddressSpace) FindVMA(addr uint64) (VMA, bool) {
-	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > addr })
-	if i < len(as.vmas) && as.vmas[i].Contains(addr) {
-		return as.vmas[i], true
+	// A process has a dozen areas or so; they are sorted, so the first
+	// one ending above addr decides.
+	for i := range as.vmas {
+		if v := &as.vmas[i]; addr < v.End {
+			if addr >= v.Start {
+				return *v, true
+			}
+			break
+		}
 	}
 	return VMA{}, false
 }
@@ -198,9 +262,6 @@ func (as *AddressSpace) mapped(addr uint64) bool {
 // must already be known to be mapped.
 func (as *AddressSpace) page(addr uint64) (*Page, error) {
 	idx := addr / PageSize
-	if as.lastPage != nil && as.lastIdx == idx {
-		return as.lastPage, nil
-	}
 	p, ok := as.pages[idx]
 	if !ok {
 		p = &Page{}
@@ -215,21 +276,32 @@ func (as *AddressSpace) page(addr uint64) (*Page, error) {
 		}
 		as.pages[idx] = p
 	}
-	as.lastIdx, as.lastPage = idx, p
 	return p, nil
 }
 
 // ReadU64 reads an 8-byte little-endian word.
 func (as *AddressSpace) ReadU64(addr uint64) (uint64, error) {
-	if !as.mapped(addr) || !as.mapped(addr+7) {
+	idx, off := addr/PageSize, addr%PageSize
+	if e := &as.rtlb[tlbSlot(idx)]; e.tag == idx+1 && off <= PageSize-8 {
+		return binary.LittleEndian.Uint64(e.page.Data[off:]), nil
+	}
+	return as.readU64Slow(addr)
+}
+
+func (as *AddressSpace) readU64Slow(addr uint64) (uint64, error) {
+	as.tlbMisses++
+	idx, off := addr/PageSize, addr%PageSize
+	// VMAs are page-aligned: a word inside one page needs one verdict.
+	if !as.mapped(addr) || (off > PageSize-8 && !as.mapped(addr+7)) {
 		return 0, &FaultError{Addr: addr}
 	}
-	if addr%PageSize <= PageSize-8 {
+	if off <= PageSize-8 {
 		p, err := as.page(addr)
 		if err != nil {
 			return 0, err
 		}
-		return binary.LittleEndian.Uint64(p.Data[addr%PageSize:]), nil
+		as.rtlb[tlbSlot(idx)] = tlbEntry{tag: idx + 1, page: p}
+		return binary.LittleEndian.Uint64(p.Data[off:]), nil
 	}
 	var buf [8]byte
 	if err := as.ReadBytes(addr, buf[:]); err != nil {
@@ -253,9 +325,7 @@ func (as *AddressSpace) pageForWrite(addr uint64) (*Page, error) {
 		delete(as.cow, idx)
 		as.cowBreaks++
 		as.pages[idx] = priv
-		if as.lastIdx == idx {
-			as.lastPage = priv
-		}
+		as.flushTLB()
 		p = priv
 	}
 	return p, nil
@@ -263,17 +333,32 @@ func (as *AddressSpace) pageForWrite(addr uint64) (*Page, error) {
 
 // WriteU64 writes an 8-byte little-endian word.
 func (as *AddressSpace) WriteU64(addr, v uint64) error {
-	if !as.mapped(addr) || !as.mapped(addr+7) {
+	idx, off := addr/PageSize, addr%PageSize
+	if e := &as.wtlb[tlbSlot(idx)]; e.tag == idx+1 && off <= PageSize-8 {
+		binary.LittleEndian.PutUint64(e.page.Data[off:], v)
+		e.page.Version++
+		return nil
+	}
+	return as.writeU64Slow(addr, v)
+}
+
+func (as *AddressSpace) writeU64Slow(addr, v uint64) error {
+	as.tlbMisses++
+	idx, off := addr/PageSize, addr%PageSize
+	if !as.mapped(addr) || (off > PageSize-8 && !as.mapped(addr+7)) {
 		return &FaultError{Addr: addr, Write: true}
 	}
-	if addr%PageSize <= PageSize-8 {
+	if off <= PageSize-8 {
 		p, err := as.pageForWrite(addr)
 		if err != nil {
 			return err
 		}
-		binary.LittleEndian.PutUint64(p.Data[addr%PageSize:], v)
+		binary.LittleEndian.PutUint64(p.Data[off:], v)
 		p.Version++
-		as.markDirty(addr / PageSize)
+		as.markDirty(idx)
+		// The frame is now private, resident and marked: later stores to
+		// the page need none of the above until something flushes.
+		as.wtlb[tlbSlot(idx)] = tlbEntry{tag: idx + 1, page: p}
 		return nil
 	}
 	var buf [8]byte
@@ -343,7 +428,8 @@ func (as *AddressSpace) WriteBytes(addr uint64, p []byte) error {
 }
 
 // CodePage returns the page with index idx for instruction fetch, along
-// with its write version. The page must be inside a mapped VMA.
+// with its write version. The page must be inside a mapped VMA. The
+// answer holds until Epoch moves.
 func (as *AddressSpace) CodePage(idx uint64) (*Page, error) {
 	addr := idx * PageSize
 	if !as.mapped(addr) {
@@ -376,9 +462,7 @@ func (as *AddressSpace) PageData(idx uint64) ([]byte, bool) {
 func (as *AddressSpace) DropPage(idx uint64) {
 	delete(as.pages, idx)
 	delete(as.cow, idx)
-	if as.lastIdx == idx {
-		as.lastPage = nil
-	}
+	as.flushTLB()
 }
 
 // InstallPage populates page idx with data without going through the fault
@@ -390,9 +474,7 @@ func (as *AddressSpace) InstallPage(idx uint64, data []byte) {
 	as.markDirty(idx)
 	as.pages[idx] = p
 	delete(as.cow, idx)
-	if as.lastIdx == idx {
-		as.lastPage = p
-	}
+	as.flushTLB()
 }
 
 // PreparePage builds a private page frame off to the side: data (up to
@@ -415,9 +497,7 @@ func (as *AddressSpace) InstallPreparedPage(idx uint64, p *Page) {
 	as.markDirty(idx)
 	as.pages[idx] = p
 	delete(as.cow, idx)
-	if as.lastIdx == idx {
-		as.lastPage = p
-	}
+	as.flushTLB()
 }
 
 // InstallSharedPage installs a page frame owned jointly with other
@@ -432,9 +512,7 @@ func (as *AddressSpace) InstallSharedPage(idx uint64, p *Page) {
 		as.cow = make(map[uint64]struct{})
 	}
 	as.cow[idx] = struct{}{}
-	if as.lastIdx == idx {
-		as.lastPage = p
-	}
+	as.flushTLB()
 }
 
 // SharedResidentPages reports how many resident pages are still

@@ -1,6 +1,6 @@
 package mem
 
-import "sort"
+import "slices"
 
 // Soft-dirty page tracking, the simulator's analog of Linux's
 // /proc/<pid>/clear_refs + pagemap soft-dirty bits that CRIU's --track-mem
@@ -14,12 +14,14 @@ import "sort"
 func (as *AddressSpace) StartDirtyTracking() {
 	as.tracking = true
 	as.dirty = make(map[uint64]struct{})
+	as.flushTLB()
 }
 
 // StopDirtyTracking disables tracking and discards the dirty set.
 func (as *AddressSpace) StopDirtyTracking() {
 	as.tracking = false
 	as.dirty = nil
+	as.flushTLB()
 }
 
 // DirtyTracking reports whether soft-dirty tracking is active.
@@ -32,7 +34,7 @@ func (as *AddressSpace) CollectDirty() []uint64 {
 	for idx := range as.dirty {
 		out = append(out, idx)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -41,10 +43,13 @@ func (as *AddressSpace) CollectDirty() []uint64 {
 func (as *AddressSpace) ClearSoftDirty() {
 	if as.tracking {
 		as.dirty = make(map[uint64]struct{})
+		as.flushTLB()
 	}
 }
 
-// markDirty records a store into page idx while tracking is enabled.
+// markDirty records a store into page idx while tracking is enabled. A
+// store that hits the write TLB skips it: its entry was made after the
+// page was marked, and clearing the marks flushes the TLB.
 func (as *AddressSpace) markDirty(idx uint64) {
 	if as.tracking {
 		as.dirty[idx] = struct{}{}

@@ -1,0 +1,325 @@
+package mem_test
+
+import (
+	"errors"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"github.com/dapper-sim/dapper/internal/mem"
+)
+
+const (
+	tlbBase = uint64(0x10000) // start of the test VMA
+	tlbPage = tlbBase + 2*mem.PageSize
+	tlbIdx  = tlbPage / mem.PageSize
+)
+
+// prime fills the read and the write TLB entry of tlbPage and checks that
+// further accesses of each kind hit.
+func prime(t *testing.T, as *mem.AddressSpace) {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		if err := as.WriteU64(tlbPage+8, 0xAA); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := as.ReadU64(tlbPage + 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	misses := as.TLBMisses()
+	if err := as.WriteU64(tlbPage+8, 0xAA); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := as.ReadU64(tlbPage + 8); err != nil {
+		t.Fatal(err)
+	}
+	if as.TLBMisses() != misses {
+		t.Fatal("accesses to a primed page still miss")
+	}
+}
+
+func pageOf(b byte) []byte {
+	data := make([]byte, mem.PageSize)
+	for i := range data {
+		data[i] = b
+	}
+	return data
+}
+
+func readWord(t *testing.T, as *mem.AddressSpace, addr uint64) uint64 {
+	t.Helper()
+	v, err := as.ReadU64(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestTLBFlushPoints primes the read and write entries of one page, then
+// changes what the page index means in each of the ways the address space
+// allows, and checks that the next access sees the new state rather than
+// the cached verdict — and that Epoch, which the interpreter's code
+// tables are validated against, moved.
+func TestTLBFlushPoints(t *testing.T) {
+	cases := map[string]func(t *testing.T, as *mem.AddressSpace){
+		"Map": func(t *testing.T, as *mem.AddressSpace) {
+			if err := as.Map(mem.VMA{Start: 0x40000, End: 0x41000, Kind: mem.VMAData}); err != nil {
+				t.Fatal(err)
+			}
+			if err := as.WriteU64(0x40010, 3); err != nil {
+				t.Errorf("store into the new area: %v", err)
+			}
+		},
+		"Resize": func(t *testing.T, as *mem.AddressSpace) {
+			if err := as.Resize(tlbBase, tlbBase+mem.PageSize); err != nil {
+				t.Fatal(err)
+			}
+			var fe *mem.FaultError
+			if _, err := as.ReadU64(tlbPage + 8); !errors.As(err, &fe) || fe.Addr != tlbPage+8 || fe.Write {
+				t.Errorf("load from the shrunk-away page: %v", err)
+			}
+			if err := as.WriteU64(tlbPage+8, 1); !errors.As(err, &fe) || !fe.Write {
+				t.Errorf("store to the shrunk-away page: %v", err)
+			}
+		},
+		"DropPage": func(t *testing.T, as *mem.AddressSpace) {
+			calls := 0
+			as.SetFaultHandler(func(pageAddr uint64) ([]byte, error) {
+				calls++
+				return pageOf(0x5C), nil
+			})
+			prime(t, as)
+			as.DropPage(tlbIdx)
+			if v := readWord(t, as, tlbPage+8); v != 0x5C5C5C5C5C5C5C5C || calls != 1 {
+				t.Errorf("load after the drop = %#x with %d handler calls, want the handler's page and 1", v, calls)
+			}
+			as.DropPage(tlbIdx)
+			if err := as.WriteU64(tlbPage+16, 7); err != nil {
+				t.Fatal(err)
+			}
+			if v := readWord(t, as, tlbPage+8); v != 0x5C5C5C5C5C5C5C5C || calls != 2 {
+				t.Errorf("store after the drop landed in a frame the handler did not fill (%#x, %d calls)", v, calls)
+			}
+		},
+		"InstallPage": func(t *testing.T, as *mem.AddressSpace) {
+			as.InstallPage(tlbIdx, pageOf(0x11))
+			checkReplaced(t, as, 0x11)
+		},
+		"InstallPreparedPage": func(t *testing.T, as *mem.AddressSpace) {
+			as.InstallPreparedPage(tlbIdx, mem.PreparePage(pageOf(0x22)))
+			checkReplaced(t, as, 0x22)
+		},
+		"InstallSharedPage": func(t *testing.T, as *mem.AddressSpace) {
+			shared := mem.PreparePage(pageOf(0x33))
+			as.InstallSharedPage(tlbIdx, shared)
+			if v := readWord(t, as, tlbPage+8); v != 0x3333333333333333 {
+				t.Errorf("load after the install = %#x, want the shared frame's bytes", v)
+			}
+			for i := uint64(0); i < 3; i++ {
+				if err := as.WriteU64(tlbPage+8*i, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if as.CowBreaks() != 1 || as.PageShared(tlbIdx) {
+				t.Errorf("three stores broke the share %d times, want exactly once", as.CowBreaks())
+			}
+			if shared.Data[0] != 0x33 || shared.Data[16] != 0x33 {
+				t.Error("a store reached the shared frame")
+			}
+		},
+		"COW break": func(t *testing.T, as *mem.AddressSpace) {
+			shared := mem.PreparePage(pageOf(0x44))
+			as.InstallSharedPage(tlbIdx, shared)
+			// Prime the read entry on the shared frame; the store must
+			// not leave later loads looking at it.
+			for i := 0; i < 2; i++ {
+				readWord(t, as, tlbPage+8)
+			}
+			epoch := as.Epoch()
+			if err := as.WriteU64(tlbPage+8, 99); err != nil {
+				t.Fatal(err)
+			}
+			if as.Epoch() == epoch {
+				t.Error("the break did not move the epoch")
+			}
+			if v := readWord(t, as, tlbPage+8); v != 99 {
+				t.Errorf("load after the break = %#x, want the stored 99", v)
+			}
+			if v := readWord(t, as, tlbPage+16); v != 0x4444444444444444 {
+				t.Errorf("private copy lost the shared bytes: %#x", v)
+			}
+			if shared.Data[8] != 0x44 || as.CowBreaks() != 1 {
+				t.Errorf("shared frame written or %d breaks", as.CowBreaks())
+			}
+		},
+		"SetFaultHandler": func(t *testing.T, as *mem.AddressSpace) {
+			as.SetFaultHandler(func(uint64) ([]byte, error) { return pageOf(0x66), nil })
+			if v := readWord(t, as, tlbPage+8); v != 0xAA {
+				t.Errorf("resident page re-faulted: %#x", v)
+			}
+			if v := readWord(t, as, tlbPage+mem.PageSize); v != 0x6666666666666666 {
+				t.Errorf("missing page not filled by the new handler: %#x", v)
+			}
+		},
+		"StartDirtyTracking": func(t *testing.T, as *mem.AddressSpace) {
+			as.StartDirtyTracking()
+			checkStoreMarks(t, as)
+		},
+		"StopDirtyTracking": func(t *testing.T, as *mem.AddressSpace) {
+			// No cached verdict goes wrong when tracking stops (a write
+			// entry holds with tracking off); the flush is the uniform
+			// rule, and all there is to see of it is the epoch.
+			as.StartDirtyTracking()
+			prime(t, as)
+			epoch := as.Epoch()
+			as.StopDirtyTracking()
+			if as.Epoch() == epoch {
+				t.Error("stopping did not move the epoch")
+			}
+			if err := as.WriteU64(tlbPage+8, 1); err != nil {
+				t.Fatal(err)
+			}
+			as.StartDirtyTracking()
+			checkStoreMarks(t, as)
+		},
+		"ClearSoftDirty": func(t *testing.T, as *mem.AddressSpace) {
+			as.StartDirtyTracking()
+			prime(t, as)
+			as.ClearSoftDirty()
+			checkStoreMarks(t, as)
+		},
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			as := mapped(t)
+			prime(t, as)
+			epoch := as.Epoch()
+			mutate(t, as)
+			if as.Epoch() == epoch {
+				t.Error("the epoch did not move")
+			}
+		})
+	}
+}
+
+// checkReplaced: the page was replaced by a frame filled with b; loads see
+// it and stores land in it, not in the frame the TLB knew.
+func checkReplaced(t *testing.T, as *mem.AddressSpace, b byte) {
+	t.Helper()
+	want := uint64(b) * 0x0101010101010101
+	if v := readWord(t, as, tlbPage+8); v != want {
+		t.Errorf("load after the install = %#x, want %#x", v, want)
+	}
+	if err := as.WriteU64(tlbPage+8, 5); err != nil {
+		t.Fatal(err)
+	}
+	data, _ := as.PageData(tlbIdx)
+	if data[8] != 5 || data[16] != b {
+		t.Errorf("store after the install did not land in the installed frame (%#x %#x)", data[8], data[16])
+	}
+}
+
+// checkStoreMarks: with tracking on and the set empty, a store to the
+// primed page must show up in CollectDirty.
+func checkStoreMarks(t *testing.T, as *mem.AddressSpace) {
+	t.Helper()
+	if got := as.CollectDirty(); len(got) != 0 {
+		t.Fatalf("dirty set not empty: %v", got)
+	}
+	if err := as.WriteU64(tlbPage+8, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := as.CollectDirty(); !slices.Equal(got, []uint64{tlbIdx}) {
+		t.Errorf("dirty set after a store = %v, want [%d]", got, tlbIdx)
+	}
+}
+
+// TestSoftDirtyMatchesNaiveModel drives random sequences of stores, loads,
+// tracking switches, soft-dirty clears, page installs, COW shares and
+// drops, and compares CollectDirty after every step with a set the test
+// keeps by the obvious rule: while tracking is on, anything that writes a
+// page adds it. The write TLB skips markDirty on a hit; this is the test
+// that it only does so when the mark is already there.
+func TestSoftDirtyMatchesNaiveModel(t *testing.T) {
+	const pages = 24
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		as := mem.NewAddressSpace()
+		if err := as.Map(mem.VMA{Start: tlbBase, End: tlbBase + pages*mem.PageSize, Kind: mem.VMAData}); err != nil {
+			t.Fatal(err)
+		}
+		tracking := false
+		model := map[uint64]bool{}
+		mark := func(idx uint64) {
+			if tracking {
+				model[idx] = true
+			}
+		}
+		for step := 0; step < 2000; step++ {
+			idx := tlbBase/mem.PageSize + uint64(rng.Intn(pages))
+			switch op := rng.Intn(100); {
+			case op < 45: // word store, sometimes across a page boundary
+				off := uint64(rng.Intn(mem.PageSize/8)) * 8
+				if rng.Intn(8) == 0 {
+					off = mem.PageSize - 4
+				}
+				err := as.WriteU64(idx*mem.PageSize+off, rng.Uint64())
+				straddles := off > mem.PageSize-8
+				last := idx == tlbBase/mem.PageSize+pages-1
+				switch {
+				case straddles && last:
+					if err == nil {
+						t.Fatalf("seed %d step %d: store across the VMA end succeeded", seed, step)
+					}
+				case err != nil:
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				default:
+					mark(idx)
+					if straddles {
+						mark(idx + 1)
+					}
+				}
+			case op < 65:
+				if _, err := as.ReadU64(idx * mem.PageSize); err != nil {
+					t.Fatal(err)
+				}
+			case op < 72:
+				if err := as.WriteBytes(idx*mem.PageSize+100, []byte{1, 2, 3}); err != nil {
+					t.Fatal(err)
+				}
+				mark(idx)
+			case op < 77:
+				as.ClearSoftDirty()
+				if tracking {
+					model = map[uint64]bool{}
+				}
+			case op < 80:
+				as.StartDirtyTracking()
+				tracking, model = true, map[uint64]bool{}
+			case op < 82:
+				as.StopDirtyTracking()
+				tracking, model = false, map[uint64]bool{}
+			case op < 87:
+				as.InstallPage(idx, pageOf(byte(step)))
+				mark(idx)
+			case op < 91:
+				as.InstallPreparedPage(idx, mem.PreparePage(pageOf(byte(step))))
+				mark(idx)
+			case op < 96:
+				as.InstallSharedPage(idx, mem.PreparePage(pageOf(byte(step))))
+				mark(idx)
+			default:
+				as.DropPage(idx)
+			}
+			want := make([]uint64, 0, len(model))
+			for idx := range model {
+				want = append(want, idx)
+			}
+			slices.Sort(want)
+			if got := as.CollectDirty(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: dirty set %v, model %v", seed, step, got, want)
+			}
+		}
+	}
+}

@@ -1,0 +1,216 @@
+package vm_test
+
+import (
+	"testing"
+
+	"github.com/dapper-sim/dapper/internal/asm"
+	"github.com/dapper-sim/dapper/internal/isa"
+	"github.com/dapper-sim/dapper/internal/mem"
+	"github.com/dapper-sim/dapper/internal/vm"
+)
+
+// archs fixes the order sub-tests and sub-benchmarks run in; coders()
+// (vm_test.go) has the coder of each.
+var archs = []isa.Arch{isa.SX86, isa.SARM}
+
+// Loop bodies of the interpreter benchmarks and the hit-path guard. Each
+// emits a few instructions between the loop head and the counter update;
+// r1 is the loop counter, r3 holds 1, r0 points into the data area, r4 and
+// r5 are free.
+var loopBodies = map[string]func(f *asm.Fragment, arch isa.Arch, leaf asm.Label){
+	"alu": func(f *asm.Fragment, _ isa.Arch, _ asm.Label) {
+		f.Emit(isa.Inst{Op: isa.OpAdd, Rd: 4, Rn: 4, Rm: 1})
+		f.Emit(isa.Inst{Op: isa.OpXor, Rd: 4, Rn: 4, Rm: 3})
+		f.Emit(isa.Inst{Op: isa.OpShl, Rd: 4, Rn: 4, Rm: 3})
+		f.Emit(isa.Inst{Op: isa.OpSub, Rd: 4, Rn: 4, Rm: 1})
+		f.Emit(isa.Inst{Op: isa.OpAddImm, Rd: 4, Rn: 4, Imm: 7})
+		f.Emit(isa.Inst{Op: isa.OpMov, Rd: 5, Rn: 4})
+	},
+	"loadstore": func(f *asm.Fragment, arch isa.Arch, _ asm.Label) {
+		sp := isa.ABIFor(arch).SP
+		f.Emit(isa.Inst{Op: isa.OpStore, Rd: 1, Rn: 0, Imm: 0})
+		f.Emit(isa.Inst{Op: isa.OpLoad, Rd: 4, Rn: 0, Imm: 0})
+		f.Emit(isa.Inst{Op: isa.OpStore, Rd: 4, Rn: sp, Imm: -16})
+		f.Emit(isa.Inst{Op: isa.OpLoad, Rd: 5, Rn: sp, Imm: -16})
+		if arch == isa.SX86 {
+			f.Emit(isa.Inst{Op: isa.OpPush, Rd: 5})
+			f.Emit(isa.Inst{Op: isa.OpPop, Rd: 4})
+		} else {
+			f.Emit(isa.Inst{Op: isa.OpStorePair, Rd: 4, Rm: 5, Rn: 0, Imm: 16})
+			f.Emit(isa.Inst{Op: isa.OpLoadPair, Rd: 4, Rm: 5, Rn: 0, Imm: 16})
+		}
+	},
+	"callret": func(f *asm.Fragment, _ isa.Arch, leaf asm.Label) {
+		f.EmitBranch(isa.Inst{Op: isa.OpCall}, leaf)
+		f.EmitBranch(isa.Inst{Op: isa.OpCall}, leaf)
+	},
+}
+
+// mixedBody is all three, for the hit-path guard.
+func mixedBody(f *asm.Fragment, arch isa.Arch, leaf asm.Label) {
+	for _, name := range []string{"alu", "loadstore", "callret"} {
+		loopBodies[name](f, arch, leaf)
+	}
+}
+
+// emitLoop emits `r0 = data; r3 = 1; do { body } while (++r1 < r2)`, then
+// whatever after emits for the fall-through, then the leaf function the
+// callret body calls. r1 and r2 are the caller's to set.
+func emitLoop(f *asm.Fragment, arch isa.Arch, body func(*asm.Fragment, isa.Arch, asm.Label), after func()) {
+	loop, leaf := f.NewLabel(), f.NewLabel()
+	f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: 0, Imm: int64(isa.DataBase + 256)})
+	f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: 3, Imm: 1})
+	f.Define(loop)
+	body(f, arch, leaf)
+	f.Emit(isa.Inst{Op: isa.OpAdd, Rd: 1, Rn: 1, Rm: 3})
+	f.EmitALU3(isa.OpCmpLt, 4, 1, 2, 5)
+	f.EmitBranch(isa.Inst{Op: isa.OpJnz, Rd: 4}, loop)
+	after()
+	f.Define(leaf)
+	f.Emit(isa.Inst{Op: isa.OpAdd, Rd: 5, Rn: 5, Rm: 3})
+	f.Emit(isa.Inst{Op: isa.OpRet})
+}
+
+// loopProgram assembles `for r1 = 0; r1 < r2; r1++ { body }; trap` plus
+// the leaf function the callret body calls, and returns a machine ready to
+// run it. The caller sets r.R[2] to the iteration count.
+func loopProgram(tb testing.TB, arch isa.Arch, body func(*asm.Fragment, isa.Arch, asm.Label)) (*vm.Machine, *isa.RegFile) {
+	tb.Helper()
+	f := asm.New(coders()[arch])
+	emitLoop(f, arch, body, func() { f.Emit(isa.Inst{Op: isa.OpTrap}) })
+
+	code, _, err := f.Assemble(isa.TextBase, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	as := mem.NewAddressSpace()
+	for _, v := range []mem.VMA{
+		{Start: isa.TextBase, End: isa.TextBase + 0x10000, Kind: mem.VMAText},
+		{Start: isa.DataBase, End: isa.DataBase + 0x10000, Kind: mem.VMAData},
+		{Start: isa.StackTop - isa.StackSize, End: isa.StackTop, Kind: mem.VMAStack},
+	} {
+		if err := as.Map(v); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := as.WriteBytes(isa.TextBase, code); err != nil {
+		tb.Fatal(err)
+	}
+	abi := isa.ABIFor(arch)
+	r := &isa.RegFile{PC: isa.TextBase}
+	r.R[abi.SP] = isa.StackTop - 64
+	return vm.New(abi, f.Coder(), as), r
+}
+
+// perIter counts the guest instructions and cycles of one loop iteration
+// by single-stepping two runs that differ by one iteration.
+func perIter(tb testing.TB, arch isa.Arch, body func(*asm.Fragment, isa.Arch, asm.Label)) (insts, cycles uint64) {
+	tb.Helper()
+	run := func(iters uint64) (insts, cycles uint64) {
+		m, r := loopProgram(tb, arch, body)
+		r.R[2] = iters
+		for {
+			stop, err := m.Run(r, 1)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if stop.Kind == vm.StopTrap {
+				return insts, cycles
+			}
+			insts++
+			cycles += stop.Cycles
+		}
+	}
+	i3, c3 := run(3)
+	i2, c2 := run(2)
+	return i3 - i2, c3 - c2
+}
+
+// TestInterpreterHitPath is the guard on the interpreter budget
+// (docs/perf.md): once a loop is warm, 100 000 instructions of loads,
+// stores, push/pop (or ldp/stp), calls and returns leave the hit path at
+// most a handful of times — Run's entry fetch — and allocate nothing. A
+// hash map, a VMA search or an isa.Inst escaping back into the loop shows
+// up here, not first in the benchmark.
+func TestInterpreterHitPath(t *testing.T) {
+	for _, arch := range archs {
+		t.Run(arch.String(), func(t *testing.T) {
+			m, r := loopProgram(t, arch, mixedBody)
+			r.R[2] = 1 << 40
+			if _, err := m.Run(r, 1000); err != nil { // warm-up
+				t.Fatal(err)
+			}
+			fetch0, tlb0 := m.SlowFetches(), m.AS.TLBMisses()
+			stop, err := m.Run(r, 100_000)
+			if err != nil || stop.Kind != vm.StopQuantum {
+				t.Fatalf("stop %+v, err %v", stop, err)
+			}
+			if n := m.SlowFetches() - fetch0; n > 2 {
+				t.Errorf("%d slow fetches in a warm 100k-instruction run, want at most 2", n)
+			}
+			if n := m.AS.TLBMisses() - tlb0; n > 2 {
+				t.Errorf("%d TLB misses in a warm 100k-instruction run, want at most 2", n)
+			}
+			if allocs := testing.AllocsPerRun(5, func() {
+				if _, err := m.Run(r, 100_000); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("a warm run allocates %.0f times, want 0", allocs)
+			}
+		})
+	}
+}
+
+// installers are the three ways a frame gets behind a page index without
+// a guest store; all of them stamp Version 1.
+var installers = map[string]func(as *mem.AddressSpace, idx uint64, data []byte){
+	"InstallPage": func(as *mem.AddressSpace, idx uint64, data []byte) { as.InstallPage(idx, data) },
+	"InstallPreparedPage": func(as *mem.AddressSpace, idx uint64, data []byte) {
+		as.InstallPreparedPage(idx, mem.PreparePage(data))
+	},
+	"InstallSharedPage": func(as *mem.AddressSpace, idx uint64, data []byte) {
+		as.InstallSharedPage(idx, mem.PreparePage(data))
+	},
+}
+
+// TestInstallPageOverExecutedCodeIsSeen replaces a code page the machine
+// has already executed from with a frame of different bytes. Both frames
+// carry Version 1 — every install stamps it — so a decode cache keyed by
+// (page index, version) keeps running the old instructions; the table's
+// validity is the frame's identity as well.
+func TestInstallPageOverExecutedCodeIsSeen(t *testing.T) {
+	for _, arch := range archs {
+		for name, install := range installers {
+			t.Run(arch.String()+"/"+name, func(t *testing.T) {
+				coder := coders()[arch]
+				program := func(add int64) []byte {
+					f := asm.New(coder)
+					f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: 1, Imm: 5})
+					f.Emit(isa.Inst{Op: isa.OpAddImm, Rd: 1, Rn: 1, Imm: add})
+					f.Emit(isa.Inst{Op: isa.OpTrap})
+					code, _, err := f.Assemble(isa.TextBase, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return code
+				}
+				as := mem.NewAddressSpace()
+				if err := as.Map(mem.VMA{Start: isa.TextBase, End: isa.TextBase + mem.PageSize, Kind: mem.VMAText}); err != nil {
+					t.Fatal(err)
+				}
+				m := vm.New(isa.ABIFor(arch), coder, as)
+				for _, add := range []int64{1, 100} {
+					install(as, isa.TextBase/mem.PageSize, program(add))
+					r := &isa.RegFile{PC: isa.TextBase}
+					if stop, err := m.Run(r, 100); err != nil || stop.Kind != vm.StopTrap {
+						t.Fatalf("stop %+v, err %v", stop, err)
+					}
+					if r.R[1] != uint64(5+add) {
+						t.Fatalf("after installing the +%d program r1 = %d, want %d", add, r.R[1], 5+add)
+					}
+				}
+			})
+		}
+	}
+}

@@ -4,15 +4,25 @@
 // (isa.Inst) produced by the per-architecture decoders. The ABI supplies
 // the few genuinely architecture-dependent behaviours: where CALL puts the
 // return address (stack vs link register) and which register is the stack
-// pointer. Decoded instructions are cached per code page and invalidated by
-// the page write version, so process rewrites that swap code pages (the
-// DAPPER cross-ISA transform and the stack-shuffling SBI) take effect on
-// the next fetch.
+// pointer.
+//
+// The interpreter has a per-instruction budget (docs/perf.md, "Interpreter
+// budget"): an instruction that hits executes with no hash-map access, no
+// VMA search, no isa.Inst copy and no allocation. Code is predecoded, one
+// compact slot per executed PC, into a table per code page (codePage) that
+// Run reaches through a pointer it keeps while execution stays on the
+// page; loads and stores go through the address space's software TLB. A
+// table is valid for one frame at one write version — checked when a page
+// is entered, and again after every store the running instruction makes —
+// so process rewrites that swap or patch code pages (the DAPPER cross-ISA
+// transform, the stack-shuffling SBI, self-modifying guests) take effect
+// on the next fetch.
 package vm
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/mem"
@@ -56,10 +66,72 @@ func (e *ExecError) Error() string {
 
 func (e *ExecError) Unwrap() error { return e.Err }
 
-type decodedPage struct {
-	version uint64
-	insts   map[uint16]isa.Inst
+// slot is one predecoded instruction: isa.Inst packed into 16 bytes, with
+// its cycle cost looked up once at decode time. Run reaches slots by
+// pointer; the isa.Inst is rebuilt only to report a fault.
+type slot struct {
+	imm        int64
+	op         isa.Op
+	rd, rn, rm isa.Reg
+	sh         uint8
+	len        uint8
+	cycles     uint8
 }
+
+func makeSlot(in isa.Inst) slot {
+	return slot{
+		imm: in.Imm, op: in.Op, rd: in.Rd, rn: in.Rn, rm: in.Rm, sh: in.Sh,
+		len: uint8(in.Len), cycles: uint8(in.Cycles()),
+	}
+}
+
+func (s *slot) inst() isa.Inst {
+	return isa.Inst{Op: s.op, Rd: s.rd, Rn: s.rn, Rm: s.rm, Sh: s.sh, Imm: s.imm, Len: int(s.len)}
+}
+
+// codePage is the predecoded table of one code page. It is filled lazily,
+// one slot per PC the guest actually executes: instruction starts on the
+// variable-length ISA are only known by executing to them, and a guest
+// runs a few hundred distinct instructions, not a page full.
+type codePage struct {
+	idx uint64 // page index the table belongs to
+	// frame and version say what the slots were decoded from; epoch is the
+	// address-space epoch at which idx was last seen to map to frame. The
+	// table is current while all three still hold.
+	frame   *mem.Page
+	version uint64
+	epoch   uint64
+	// index maps a page offset to its slot, in two levels so that a page
+	// costs memory in proportion to the code executed from it: the page is
+	// cut into windows of windowSize bytes, and a window is allocated when
+	// the first PC inside it is decoded. An entry of 0 means not decoded
+	// yet, so slots[0] is never used.
+	index pageIndex
+	slots []slot
+}
+
+// windowSize trades the memory of a sparsely executed page (2 bytes of
+// index per byte of window touched) against how often Run has to step
+// from one window to the next through the page's index.
+const windowSize = 256
+
+type (
+	window    [windowSize]uint16
+	pageIndex [mem.PageSize / windowSize]*window
+)
+
+// noCode and noWindow are the index of no page and the window of no code:
+// every lookup misses. Run points at them until the first fetch and after
+// a store that may have changed code.
+var (
+	noCode   pageIndex
+	noWindow window
+)
+
+// codeWays is how many code pages a Machine keeps tables for, direct-
+// mapped by page index. Two pages sharing a way evict each other's table
+// (it is rebuilt lazily), so this only has to cover a guest's hot text.
+const codeWays = 32
 
 // Machine interprets one address space with one ISA. It holds no thread
 // state; register files are passed to Run, so a single Machine executes all
@@ -69,240 +141,357 @@ type Machine struct {
 	Coder isa.Coder
 	AS    *mem.AddressSpace
 
-	cache map[uint64]*decodedPage
+	pages [codeWays]*codePage
+	// cur is the page of the most recent fetch.
+	cur *codePage
+	// scratch holds an instruction that crosses into the next page; it is
+	// decoded afresh each time, since no one frame's version covers it.
+	scratch slot
 	// straddleBuf avoids allocating for instructions that cross a page
 	// boundary (possible only on the variable-length ISA).
 	straddleBuf [16]byte
+	// slowFetches counts fetches that left the predecoded table.
+	slowFetches uint64
 }
 
 // New returns a Machine executing code of the coder's architecture from as.
 func New(abi *isa.ABI, coder isa.Coder, as *mem.AddressSpace) *Machine {
-	return &Machine{ABI: abi, Coder: coder, AS: as, cache: make(map[uint64]*decodedPage)}
+	return &Machine{ABI: abi, Coder: coder, AS: as}
 }
 
-// InvalidateCode drops all cached decodes (cheap; used after explicit code
-// rewrites when version tracking is bypassed).
-func (m *Machine) InvalidateCode() {
-	m.cache = make(map[uint64]*decodedPage)
+// DecodedPCs returns, sorted, every PC the machine holds a predecoded
+// instruction for: the instruction starts the guest has executed from
+// code pages still in its tables.
+func (m *Machine) DecodedPCs() []uint64 {
+	var out []uint64
+	for _, cp := range m.pages {
+		if cp == nil {
+			continue
+		}
+		for n, w := range cp.index {
+			if w == nil {
+				continue
+			}
+			for off, i := range w {
+				if i != 0 {
+					out = append(out, cp.idx*mem.PageSize+uint64(n*windowSize+off))
+				}
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
-func (m *Machine) fetch(pc uint64) (isa.Inst, error) {
-	idx := pc / mem.PageSize
-	off := pc % mem.PageSize
-	page, err := m.AS.CodePage(idx)
-	if err != nil {
-		return isa.Inst{}, err
+// fetchSlow is every fetch that is not a table hit: entering a page,
+// revalidating one, decoding a PC for the first time, and the instruction
+// that straddles two pages. It leaves m.cur at pc's page.
+func (m *Machine) fetchSlow(pc uint64) (*slot, error) {
+	m.slowFetches++
+	idx, off := pc/mem.PageSize, pc%mem.PageSize
+	cp := m.pages[idx%codeWays]
+	if cp == nil || cp.idx != idx || cp.epoch != m.AS.Epoch() || cp.frame.Version != cp.version {
+		frame, err := m.AS.CodePage(idx)
+		if err != nil {
+			return nil, err
+		}
+		if cp == nil {
+			cp = new(codePage)
+			m.pages[idx%codeWays] = cp
+		}
+		if cp.idx != idx || cp.frame != frame || cp.version != frame.Version {
+			// Another page, another frame behind this one, or rewritten
+			// bytes: nothing decoded so far can be trusted.
+			cp.index = pageIndex{}
+			cp.slots = append(cp.slots[:0], slot{})
+			cp.idx, cp.frame, cp.version = idx, frame, frame.Version
+		}
+		cp.epoch = m.AS.Epoch()
 	}
-	dp, ok := m.cache[idx]
-	if !ok || dp.version != page.Version {
-		dp = &decodedPage{version: page.Version, insts: make(map[uint16]isa.Inst)}
-		m.cache[idx] = dp
-	}
-	if inst, ok := dp.insts[uint16(off)]; ok {
-		return inst, nil
+	m.cur = cp
+	w := cp.index[off/windowSize]
+	if w == nil {
+		w = new(window)
+		cp.index[off/windowSize] = w
+	} else if i := w[off%windowSize]; i != 0 {
+		return &cp.slots[i], nil
 	}
 	var inst isa.Inst
+	var err error
 	if off > mem.PageSize-16 {
 		// The instruction may straddle the page boundary.
 		n := m.AS.ReadAvail(pc, m.straddleBuf[:])
 		inst, err = m.Coder.Decode(m.straddleBuf[:n], pc)
 	} else {
-		inst, err = m.Coder.Decode(page.Data[off:], pc)
+		inst, err = m.Coder.Decode(cp.frame.Data[off:], pc)
 	}
 	if err != nil {
-		return isa.Inst{}, err
+		return nil, err
 	}
-	dp.insts[uint16(off)] = inst
-	return inst, nil
+	if off+uint64(inst.Len) > mem.PageSize {
+		m.scratch = makeSlot(inst)
+		return &m.scratch, nil
+	}
+	w[off%windowSize] = uint16(len(cp.slots))
+	cp.slots = append(cp.slots, makeSlot(inst))
+	return &cp.slots[len(cp.slots)-1], nil
+}
+
+// codeStale reports whether the current code page may no longer be what
+// its table was decoded from. Run asks after every store: the store may
+// have patched the page (its version moved) or broken a copy-on-write
+// share of it (the epoch moved).
+func (m *Machine) codeStale() bool {
+	cp := m.cur
+	return cp.frame.Version != cp.version || cp.epoch != m.AS.Epoch()
 }
 
 // Run executes up to maxSteps instructions starting from r's PC, mutating r
 // in place. It returns on syscalls, traps, quantum expiry, or a fault.
 func (m *Machine) Run(r *isa.RegFile, maxSteps int) (Stop, error) {
-	abi := m.ABI
-	var cycles uint64
+	// Register numbers are masked, not bounds-checked: the file has
+	// NumRegs slots and both decoders produce numbers below that.
+	const rmask = isa.NumRegs - 1
+	var (
+		as      = m.AS
+		sp      = m.ABI.SP & rmask
+		lr      = m.ABI.LR & rmask
+		onStack = m.ABI.RetAddrOnStack
+		pc      = r.PC
+		cycles  uint64
+		// base, index and slots are the current code page, wbase and win
+		// the window of it execution is in: straight-line code and
+		// branches inside the window look no further than win, branches
+		// inside the page no further than index.
+		base  uint64
+		index = &noCode
+		slots []slot
+		wbase uint64
+		win   = &noWindow
+		s     *slot
+		err   error
+		why   string
+	)
 	for step := 0; step < maxSteps; step++ {
-		inst, err := m.fetch(r.PC)
-		if err != nil {
-			return Stop{Cycles: cycles}, err
+		var i uint16
+		if off := pc - wbase; off < windowSize {
+			i = win[off]
 		}
-		if inst.Op == isa.OpTrap {
+		if i == 0 {
+			if off := pc - base; off < mem.PageSize {
+				if w := index[off/windowSize]; w != nil {
+					wbase, win = pc&^(windowSize-1), w
+					i = w[off%windowSize]
+				}
+			}
+		}
+		if i != 0 {
+			s = &slots[i]
+		} else {
+			if s, err = m.fetchSlow(pc); err != nil {
+				r.PC = pc
+				return Stop{Cycles: cycles}, err
+			}
+			base, index, slots = m.cur.idx*mem.PageSize, &m.cur.index, m.cur.slots
+			wbase, win = pc&^(windowSize-1), index[pc%mem.PageSize/windowSize]
+		}
+		if s.op == isa.OpTrap {
+			r.PC = pc
 			return Stop{Kind: StopTrap, Cycles: cycles}, nil
 		}
-		cycles += inst.Cycles()
-		next := r.PC + uint64(inst.Len)
-		switch inst.Op {
+		cycles += uint64(s.cycles)
+		next := pc + uint64(s.len)
+		switch s.op {
 		case isa.OpNop:
 		case isa.OpSyscall:
 			r.PC = next
 			return Stop{Kind: StopSyscall, Cycles: cycles}, nil
 		case isa.OpMovImm:
-			r.R[inst.Rd] = uint64(inst.Imm)
+			r.R[s.rd&rmask] = uint64(s.imm)
 		case isa.OpMovZ:
-			r.R[inst.Rd] = uint64(inst.Imm) << (16 * inst.Sh)
+			r.R[s.rd&rmask] = uint64(s.imm) << (16 * s.sh)
 		case isa.OpMovK:
-			mask := uint64(0xffff) << (16 * inst.Sh)
-			r.R[inst.Rd] = r.R[inst.Rd]&^mask | uint64(inst.Imm)<<(16*inst.Sh)
+			mask := uint64(0xffff) << (16 * s.sh)
+			r.R[s.rd&rmask] = r.R[s.rd&rmask]&^mask | uint64(s.imm)<<(16*s.sh)
 		case isa.OpMov:
-			r.R[inst.Rd] = r.R[inst.Rn]
+			r.R[s.rd&rmask] = r.R[s.rn&rmask]
 		case isa.OpLoad:
-			v, err := m.AS.ReadU64(r.R[inst.Rn] + uint64(inst.Imm))
-			if err != nil {
-				return Stop{Cycles: cycles}, &ExecError{PC: r.PC, Inst: inst, Err: err}
+			var v uint64
+			if v, err = as.ReadU64(r.R[s.rn&rmask] + uint64(s.imm)); err != nil {
+				goto fault
 			}
-			r.R[inst.Rd] = v
+			r.R[s.rd&rmask] = v
 		case isa.OpStore:
-			if err := m.AS.WriteU64(r.R[inst.Rn]+uint64(inst.Imm), r.R[inst.Rd]); err != nil {
-				return Stop{Cycles: cycles}, &ExecError{PC: r.PC, Inst: inst, Err: err}
+			if err = as.WriteU64(r.R[s.rn&rmask]+uint64(s.imm), r.R[s.rd&rmask]); err != nil {
+				goto fault
+			}
+			if m.codeStale() {
+				index, win = &noCode, &noWindow
 			}
 		case isa.OpLoadPair:
-			base := r.R[inst.Rn] + uint64(inst.Imm)
-			v1, err := m.AS.ReadU64(base)
-			if err == nil {
-				var v2 uint64
-				v2, err = m.AS.ReadU64(base + 8)
-				if err == nil {
-					r.R[inst.Rd], r.R[inst.Rm] = v1, v2
-				}
+			var v1, v2 uint64
+			addr := r.R[s.rn&rmask] + uint64(s.imm)
+			if v1, err = as.ReadU64(addr); err != nil {
+				goto fault
 			}
-			if err != nil {
-				return Stop{Cycles: cycles}, &ExecError{PC: r.PC, Inst: inst, Err: err}
+			if v2, err = as.ReadU64(addr + 8); err != nil {
+				goto fault
 			}
+			r.R[s.rd&rmask], r.R[s.rm&rmask] = v1, v2
 		case isa.OpStorePair:
-			base := r.R[inst.Rn] + uint64(inst.Imm)
-			err := m.AS.WriteU64(base, r.R[inst.Rd])
-			if err == nil {
-				err = m.AS.WriteU64(base+8, r.R[inst.Rm])
+			addr := r.R[s.rn&rmask] + uint64(s.imm)
+			if err = as.WriteU64(addr, r.R[s.rd&rmask]); err != nil {
+				goto fault
 			}
-			if err != nil {
-				return Stop{Cycles: cycles}, &ExecError{PC: r.PC, Inst: inst, Err: err}
+			if err = as.WriteU64(addr+8, r.R[s.rm&rmask]); err != nil {
+				goto fault
+			}
+			if m.codeStale() {
+				index, win = &noCode, &noWindow
 			}
 		case isa.OpLea, isa.OpAddImm:
-			r.R[inst.Rd] = r.R[inst.Rn] + uint64(inst.Imm)
+			r.R[s.rd&rmask] = r.R[s.rn&rmask] + uint64(s.imm)
 		case isa.OpAdd:
-			r.R[inst.Rd] = r.R[inst.Rn] + r.R[inst.Rm]
+			r.R[s.rd&rmask] = r.R[s.rn&rmask] + r.R[s.rm&rmask]
 		case isa.OpSub:
-			r.R[inst.Rd] = r.R[inst.Rn] - r.R[inst.Rm]
+			r.R[s.rd&rmask] = r.R[s.rn&rmask] - r.R[s.rm&rmask]
 		case isa.OpMul:
-			r.R[inst.Rd] = uint64(int64(r.R[inst.Rn]) * int64(r.R[inst.Rm]))
+			r.R[s.rd&rmask] = uint64(int64(r.R[s.rn&rmask]) * int64(r.R[s.rm&rmask]))
 		case isa.OpDiv:
-			if r.R[inst.Rm] == 0 {
-				return Stop{Cycles: cycles}, &ExecError{PC: r.PC, Inst: inst, Why: "integer divide by zero"}
+			if r.R[s.rm&rmask] == 0 {
+				why = "integer divide by zero"
+				goto fault
 			}
-			r.R[inst.Rd] = uint64(int64(r.R[inst.Rn]) / int64(r.R[inst.Rm]))
+			r.R[s.rd&rmask] = uint64(int64(r.R[s.rn&rmask]) / int64(r.R[s.rm&rmask]))
 		case isa.OpMod:
-			if r.R[inst.Rm] == 0 {
-				return Stop{Cycles: cycles}, &ExecError{PC: r.PC, Inst: inst, Why: "integer modulo by zero"}
+			if r.R[s.rm&rmask] == 0 {
+				why = "integer modulo by zero"
+				goto fault
 			}
-			r.R[inst.Rd] = uint64(int64(r.R[inst.Rn]) % int64(r.R[inst.Rm]))
+			r.R[s.rd&rmask] = uint64(int64(r.R[s.rn&rmask]) % int64(r.R[s.rm&rmask]))
 		case isa.OpAnd:
-			r.R[inst.Rd] = r.R[inst.Rn] & r.R[inst.Rm]
+			r.R[s.rd&rmask] = r.R[s.rn&rmask] & r.R[s.rm&rmask]
 		case isa.OpOr:
-			r.R[inst.Rd] = r.R[inst.Rn] | r.R[inst.Rm]
+			r.R[s.rd&rmask] = r.R[s.rn&rmask] | r.R[s.rm&rmask]
 		case isa.OpXor:
-			r.R[inst.Rd] = r.R[inst.Rn] ^ r.R[inst.Rm]
+			r.R[s.rd&rmask] = r.R[s.rn&rmask] ^ r.R[s.rm&rmask]
 		case isa.OpShl:
-			r.R[inst.Rd] = r.R[inst.Rn] << (r.R[inst.Rm] & 63)
+			r.R[s.rd&rmask] = r.R[s.rn&rmask] << (r.R[s.rm&rmask] & 63)
 		case isa.OpShr:
-			r.R[inst.Rd] = r.R[inst.Rn] >> (r.R[inst.Rm] & 63)
+			r.R[s.rd&rmask] = r.R[s.rn&rmask] >> (r.R[s.rm&rmask] & 63)
 		case isa.OpFAdd:
-			r.R[inst.Rd] = f2b(b2f(r.R[inst.Rn]) + b2f(r.R[inst.Rm]))
+			r.R[s.rd&rmask] = f2b(b2f(r.R[s.rn&rmask]) + b2f(r.R[s.rm&rmask]))
 		case isa.OpFSub:
-			r.R[inst.Rd] = f2b(b2f(r.R[inst.Rn]) - b2f(r.R[inst.Rm]))
+			r.R[s.rd&rmask] = f2b(b2f(r.R[s.rn&rmask]) - b2f(r.R[s.rm&rmask]))
 		case isa.OpFMul:
-			r.R[inst.Rd] = f2b(b2f(r.R[inst.Rn]) * b2f(r.R[inst.Rm]))
+			r.R[s.rd&rmask] = f2b(b2f(r.R[s.rn&rmask]) * b2f(r.R[s.rm&rmask]))
 		case isa.OpFDiv:
-			r.R[inst.Rd] = f2b(b2f(r.R[inst.Rn]) / b2f(r.R[inst.Rm]))
+			r.R[s.rd&rmask] = f2b(b2f(r.R[s.rn&rmask]) / b2f(r.R[s.rm&rmask]))
 		case isa.OpItoF:
-			r.R[inst.Rd] = f2b(float64(int64(r.R[inst.Rn])))
+			r.R[s.rd&rmask] = f2b(float64(int64(r.R[s.rn&rmask])))
 		case isa.OpFtoI:
-			r.R[inst.Rd] = uint64(int64(b2f(r.R[inst.Rn])))
+			r.R[s.rd&rmask] = uint64(int64(b2f(r.R[s.rn&rmask])))
 		case isa.OpCmpEq:
-			r.R[inst.Rd] = btoi(r.R[inst.Rn] == r.R[inst.Rm])
+			r.R[s.rd&rmask] = btoi(r.R[s.rn&rmask] == r.R[s.rm&rmask])
 		case isa.OpCmpNe:
-			r.R[inst.Rd] = btoi(r.R[inst.Rn] != r.R[inst.Rm])
+			r.R[s.rd&rmask] = btoi(r.R[s.rn&rmask] != r.R[s.rm&rmask])
 		case isa.OpCmpLt:
-			r.R[inst.Rd] = btoi(int64(r.R[inst.Rn]) < int64(r.R[inst.Rm]))
+			r.R[s.rd&rmask] = btoi(int64(r.R[s.rn&rmask]) < int64(r.R[s.rm&rmask]))
 		case isa.OpCmpLe:
-			r.R[inst.Rd] = btoi(int64(r.R[inst.Rn]) <= int64(r.R[inst.Rm]))
+			r.R[s.rd&rmask] = btoi(int64(r.R[s.rn&rmask]) <= int64(r.R[s.rm&rmask]))
 		case isa.OpCmpGt:
-			r.R[inst.Rd] = btoi(int64(r.R[inst.Rn]) > int64(r.R[inst.Rm]))
+			r.R[s.rd&rmask] = btoi(int64(r.R[s.rn&rmask]) > int64(r.R[s.rm&rmask]))
 		case isa.OpCmpGe:
-			r.R[inst.Rd] = btoi(int64(r.R[inst.Rn]) >= int64(r.R[inst.Rm]))
+			r.R[s.rd&rmask] = btoi(int64(r.R[s.rn&rmask]) >= int64(r.R[s.rm&rmask]))
 		case isa.OpFCmpEq:
-			r.R[inst.Rd] = btoi(b2f(r.R[inst.Rn]) == b2f(r.R[inst.Rm]))
+			r.R[s.rd&rmask] = btoi(b2f(r.R[s.rn&rmask]) == b2f(r.R[s.rm&rmask]))
 		case isa.OpFCmpLt:
-			r.R[inst.Rd] = btoi(b2f(r.R[inst.Rn]) < b2f(r.R[inst.Rm]))
+			r.R[s.rd&rmask] = btoi(b2f(r.R[s.rn&rmask]) < b2f(r.R[s.rm&rmask]))
 		case isa.OpFCmpLe:
-			r.R[inst.Rd] = btoi(b2f(r.R[inst.Rn]) <= b2f(r.R[inst.Rm]))
+			r.R[s.rd&rmask] = btoi(b2f(r.R[s.rn&rmask]) <= b2f(r.R[s.rm&rmask]))
 		case isa.OpPush:
-			r.R[abi.SP] -= 8
-			if err := m.AS.WriteU64(r.R[abi.SP], r.R[inst.Rd]); err != nil {
-				return Stop{Cycles: cycles}, &ExecError{PC: r.PC, Inst: inst, Err: err}
+			r.R[sp] -= 8
+			if err = as.WriteU64(r.R[sp], r.R[s.rd&rmask]); err != nil {
+				goto fault
+			}
+			if m.codeStale() {
+				index, win = &noCode, &noWindow
 			}
 		case isa.OpPop:
-			v, err := m.AS.ReadU64(r.R[abi.SP])
-			if err != nil {
-				return Stop{Cycles: cycles}, &ExecError{PC: r.PC, Inst: inst, Err: err}
+			var v uint64
+			if v, err = as.ReadU64(r.R[sp]); err != nil {
+				goto fault
 			}
-			r.R[inst.Rd] = v
-			r.R[abi.SP] += 8
+			r.R[s.rd&rmask] = v
+			r.R[sp] += 8
 		case isa.OpCall:
-			if abi.RetAddrOnStack {
-				r.R[abi.SP] -= 8
-				if err := m.AS.WriteU64(r.R[abi.SP], next); err != nil {
-					return Stop{Cycles: cycles}, &ExecError{PC: r.PC, Inst: inst, Err: err}
+			if onStack {
+				r.R[sp] -= 8
+				if err = as.WriteU64(r.R[sp], next); err != nil {
+					goto fault
+				}
+				if m.codeStale() {
+					index, win = &noCode, &noWindow
 				}
 			} else {
-				r.R[abi.LR] = next
+				r.R[lr] = next
 			}
-			r.PC = uint64(inst.Imm)
+			pc = uint64(s.imm)
 			continue
 		case isa.OpRet:
-			if abi.RetAddrOnStack {
-				v, err := m.AS.ReadU64(r.R[abi.SP])
-				if err != nil {
-					return Stop{Cycles: cycles}, &ExecError{PC: r.PC, Inst: inst, Err: err}
+			if onStack {
+				var v uint64
+				if v, err = as.ReadU64(r.R[sp]); err != nil {
+					goto fault
 				}
-				r.R[abi.SP] += 8
-				r.PC = v
+				r.R[sp] += 8
+				pc = v
 			} else {
-				r.PC = r.R[abi.LR]
+				pc = r.R[lr]
 			}
 			continue
 		case isa.OpJmp:
-			r.PC = uint64(inst.Imm)
+			pc = uint64(s.imm)
 			continue
 		case isa.OpJz:
-			if r.R[inst.Rd] == 0 {
-				r.PC = uint64(inst.Imm)
+			if r.R[s.rd&rmask] == 0 {
+				pc = uint64(s.imm)
 				continue
 			}
 		case isa.OpJnz:
-			if r.R[inst.Rd] != 0 {
-				r.PC = uint64(inst.Imm)
+			if r.R[s.rd&rmask] != 0 {
+				pc = uint64(s.imm)
 				continue
 			}
 		case isa.OpTlsLoad:
-			v, err := m.AS.ReadU64(r.TLS + uint64(inst.Imm))
-			if err != nil {
-				return Stop{Cycles: cycles}, &ExecError{PC: r.PC, Inst: inst, Err: err}
+			var v uint64
+			if v, err = as.ReadU64(r.TLS + uint64(s.imm)); err != nil {
+				goto fault
 			}
-			r.R[inst.Rd] = v
+			r.R[s.rd&rmask] = v
 		case isa.OpTlsStore:
-			if err := m.AS.WriteU64(r.TLS+uint64(inst.Imm), r.R[inst.Rd]); err != nil {
-				return Stop{Cycles: cycles}, &ExecError{PC: r.PC, Inst: inst, Err: err}
+			if err = as.WriteU64(r.TLS+uint64(s.imm), r.R[s.rd&rmask]); err != nil {
+				goto fault
+			}
+			if m.codeStale() {
+				index, win = &noCode, &noWindow
 			}
 		case isa.OpMrs:
-			r.R[inst.Rd] = r.TLS
+			r.R[s.rd&rmask] = r.TLS
 		case isa.OpMsr:
-			r.TLS = r.R[inst.Rd]
+			r.TLS = r.R[s.rd&rmask]
 		default:
-			return Stop{Cycles: cycles}, &ExecError{PC: r.PC, Inst: inst, Why: "unimplemented operation"}
+			why = "unimplemented operation"
+			goto fault
 		}
-		r.PC = next
+		pc = next
 	}
+	r.PC = pc
 	return Stop{Kind: StopQuantum, Cycles: cycles}, nil
+
+fault:
+	r.PC = pc
+	return Stop{Cycles: cycles}, &ExecError{PC: pc, Inst: s.inst(), Err: err, Why: why}
 }
 
 func b2f(b uint64) float64 { return math.Float64frombits(b) }

@@ -8,6 +8,7 @@ import (
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/isa/sarm"
 	"github.com/dapper-sim/dapper/internal/isa/sx86"
+	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/vm"
 )
@@ -302,46 +303,91 @@ func TestCodeCacheInvalidation(t *testing.T) {
 	}
 }
 
+// BenchmarkInterpreterLoop runs the loops of hitpath_test.go and reports
+// host nanoseconds per guest instruction. alu, loadstore and callret time
+// Machine.Run alone, one b.N per loop iteration; step4 times kernel.Step
+// over four threads running all three bodies, one b.N per scheduler pass,
+// so it adds the quantum hand-over and Run's entry fetch.
 func BenchmarkInterpreterLoop(b *testing.B) {
-	for arch, coder := range map[isa.Arch]isa.Coder{isa.SX86: sx86.Coder{}, isa.SARM: sarm.Coder{}} {
-		b.Run(arch.String(), func(b *testing.B) {
-			f := asm.New(coder)
-			loop := f.NewLabel()
-			done := f.NewLabel()
-			f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: 1, Imm: 0})
-			f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: 2, Imm: int64(b.N)})
-			f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: 3, Imm: 1})
-			f.Define(loop)
-			f.EmitALU3(isa.OpCmpGe, 4, 1, 2, 0)
-			f.EmitBranch(isa.Inst{Op: isa.OpJnz, Rd: 4}, done)
-			f.Emit(isa.Inst{Op: isa.OpAdd, Rd: 1, Rn: 1, Rm: 3})
-			f.EmitBranch(isa.Inst{Op: isa.OpJmp}, loop)
-			f.Define(done)
-			f.Emit(isa.Inst{Op: isa.OpTrap})
-			code, _, err := f.Assemble(isa.TextBase, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			as := mem.NewAddressSpace()
-			if err := as.Map(mem.VMA{Start: isa.TextBase, End: isa.TextBase + 0x100000, Kind: mem.VMAText}); err != nil {
-				b.Fatal(err)
-			}
-			if err := as.WriteBytes(isa.TextBase, code); err != nil {
-				b.Fatal(err)
-			}
-			abi := isa.ABIFor(arch)
-			m := vm.New(abi, coder, as)
-			r := &isa.RegFile{PC: isa.TextBase}
+	for _, name := range []string{"alu", "loadstore", "callret"} {
+		body := loopBodies[name]
+		for _, arch := range archs {
+			b.Run(name+"/"+arch.String(), func(b *testing.B) {
+				insts, _ := perIter(b, arch, body)
+				m, r := loopProgram(b, arch, body)
+				r.R[2] = uint64(b.N)
+				b.ResetTimer()
+				for {
+					stop, err := m.Run(r, 1<<20)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if stop.Kind == vm.StopTrap {
+						break
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*insts), "ns/guest-inst")
+			})
+		}
+	}
+	for _, arch := range archs {
+		b.Run("step4/"+arch.String(), func(b *testing.B) {
+			// The kernel counts cycles, not instructions: convert with
+			// the mixed loop's instructions per cycle.
+			insts, cycles := perIter(b, arch, mixedBody)
+			k, p := fourThreads(b, arch)
 			b.ResetTimer()
-			for {
-				stop, err := m.Run(r, 1<<20)
-				if err != nil {
+			for i := 0; i < b.N; i++ {
+				if _, err := k.Step(p); err != nil {
 					b.Fatal(err)
 				}
-				if stop.Kind == vm.StopTrap {
-					break
-				}
 			}
+			var ran uint64
+			for _, t := range p.Threads {
+				ran += t.Cycles
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(ran)*float64(insts)/float64(cycles)), "ns/guest-inst")
 		})
 	}
+}
+
+// fourThreads starts a process whose main thread spawns three workers and
+// then joins them in running the mixed loop forever.
+func fourThreads(tb testing.TB, arch isa.Arch) (*kernel.Kernel, *kernel.Process) {
+	tb.Helper()
+	abi := isa.ABIFor(arch)
+	f := asm.New(coders()[arch])
+	worker, threadExit := f.NewLabel(), f.NewLabel()
+	for i := 0; i < 3; i++ {
+		f.EmitBranch(isa.Inst{Op: isa.OpMovImm, Rd: abi.SyscallArgRegs[0]}, worker)
+		f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: abi.SyscallNumReg, Imm: int64(kernel.SysSpawn)})
+		f.Emit(isa.Inst{Op: isa.OpSyscall})
+	}
+	f.Define(worker)
+	f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: 1, Imm: 0})
+	f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: 2, Imm: 1 << 40})
+	emitLoop(f, arch, mixedBody, func() {
+		f.Define(threadExit)
+		f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: abi.SyscallNumReg, Imm: int64(kernel.SysExitThread)})
+		f.Emit(isa.Inst{Op: isa.OpSyscall})
+	})
+	code, labels, err := f.Assemble(isa.TextBase, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	k := kernel.New(kernel.Config{Cores: 4})
+	p, err := k.StartProcess(kernel.LoadSpec{
+		Arch: arch, Coder: f.Coder(), Text: code, Data: make([]byte, 1024),
+		Entry: isa.TextBase, ThreadExit: labels[threadExit], ExePath: "/bin/step4-" + arch.String(),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := k.Step(p); err != nil { // spawn the workers
+		tb.Fatal(err)
+	}
+	if len(p.Threads) != 4 {
+		tb.Fatalf("%d threads after the first pass, want 4", len(p.Threads))
+	}
+	return k, p
 }
