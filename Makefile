@@ -83,18 +83,15 @@ bench-tables:
 bench-json:
 	$(GO) run ./cmd/dapper-bench -jsonout BENCH_fig7x.json -check BENCH_seed.json fig7x
 
-# bench-quick exercises the parallel-pipeline benchmarks one iteration
-# each under the race detector (Workers=NumCPU fans out on CI's
-# multicore runners) and regenerates the parpipe table — serial vs
-# parallel host time per stage plus dedup savings — the wirecodec
+# bench-quick runs the dump, rewrite and verify profiling benchmarks one
+# iteration each under the race detector and regenerates the wirecodec
 # table — bytes-on-wire for raw vs batched vs flate vs delta+flate on a
 # live pre-copy; the run itself fails if the codec stack saves nothing —
-# and the restore table — serial vs streamed vs streamed+workers
-# downtime on rediska; it hard-fails if the overlap never engages or any
-# worker count changes the restored bytes — as JSON for the CI artifacts.
+# the fleet table, and the restore table — serial vs streamed downtime on
+# rediska; it hard-fails if the overlap never engages or the streamed
+# restore changes the restored bytes — as JSON for the CI artifacts.
 bench-quick:
-	$(GO) test -race -run=^$$ -bench='DumpParallel|RewriteThreads|ImgcheckVerify' -benchtime=1x .
-	$(GO) run ./cmd/dapper-bench -jsonout BENCH_parpipe.json parpipe
+	$(GO) test -race -run=^$$ -bench='^Benchmark(Dump|Rewrite|ImgcheckVerify)$$' -benchtime=1x .
 	$(GO) run ./cmd/dapper-bench -jsonout BENCH_wirecodec.json wirecodec
 	$(GO) run ./cmd/dapper-bench -jsonout BENCH_fleet.json fleet
 	$(GO) run ./cmd/dapper-bench -jsonout BENCH_restore.json -check BENCH_restore.json restore

@@ -8,8 +8,6 @@
 package dapper
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
@@ -23,7 +21,6 @@ import (
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/monitor"
-	"github.com/dapper-sim/dapper/internal/obs"
 	"github.com/dapper-sim/dapper/internal/workloads"
 )
 
@@ -378,75 +375,54 @@ func pausedBench(b *testing.B, name string, class workloads.Class, rediskaKeys u
 	return xeon, p, pair
 }
 
-// BenchmarkDumpParallel measures the sharded page-collection dump at
-// Workers=1 (the historical serial path) versus Workers=NumCPU, plus the
-// dedup-aware dump with its elision metrics. All configurations produce
-// byte-identical pagemap ordering; only host time differs.
-func BenchmarkDumpParallel(b *testing.B) {
+// BenchmarkDump is a profiling handle on the dump's page walk and encode
+// over a heap-heavy rediska server.
+func BenchmarkDump(b *testing.B) {
 	_, p, _ := pausedBench(b, "rediska", benchClass, 2000)
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := criu.Dump(p, criu.DumpOpts{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	b.Run("dedup", func(b *testing.B) {
-		reg := obs.New()
-		for i := 0; i < b.N; i++ {
-			if _, err := criu.Dump(p, criu.DumpOpts{Workers: runtime.NumCPU(), Dedup: true, Obs: reg}); err != nil {
-				b.Fatal(err)
-			}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := criu.Dump(p, criu.DumpOpts{}); err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(reg.Counter("dedup.pages_elided").Value())/float64(b.N), "pages-elided/op")
-		b.ReportMetric(float64(reg.Counter("dedup.bytes_saved").Value())/float64(b.N), "B-saved/op")
-	})
+	}
 }
 
-// BenchmarkRewriteThreads measures the cross-ISA rewrite — per-thread
-// core translation plus stack rebuild — at Workers=1 versus NumCPU on a
-// multithreaded PARSEC workload.
-func BenchmarkRewriteThreads(b *testing.B) {
+// BenchmarkRewrite is a profiling handle on the cross-ISA rewrite —
+// per-thread core translation plus stack rebuild — of a multithreaded
+// PARSEC workload.
+func BenchmarkRewrite(b *testing.B) {
 	xeon, p, _ := pausedBench(b, "streamcluster", benchClass, 0)
 	dir, err := criu.Dump(p, criu.DumpOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	blob := dir.Marshal()
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d2, err := criu.UnmarshalImageDir(blob)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ctx := &core.Context{Binaries: xeon.Binaries, Workers: workers}
-				if err := (core.CrossISAPolicy{Target: isa.SARM}).Rewrite(d2, ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d2, err := criu.UnmarshalImageDir(blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := &core.Context{Binaries: xeon.Binaries}
+		if err := (core.CrossISAPolicy{Target: isa.SARM}).Rewrite(d2, ctx); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkImgcheckVerify measures the static image verifier's sharded
-// sweeps at Workers=1 versus NumCPU over a heap-heavy image set.
+// BenchmarkImgcheckVerify is a profiling handle on the static image
+// verifier over a heap-heavy image set.
 func BenchmarkImgcheckVerify(b *testing.B) {
 	_, p, _ := pausedBench(b, "rediska", benchClass, 2000)
 	dir, err := criu.Dump(p, criu.DumpOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := imgcheck.VerifyWith(dir, imgcheck.Opts{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := imgcheck.Verify(dir); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

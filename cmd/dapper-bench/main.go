@@ -56,7 +56,6 @@ func run(args []string) error {
 		"fig7x":     experiments.Fig7x,
 		"fig10":     experiments.Fig10,
 		"fig11":     experiments.Fig11,
-		"parpipe":   experiments.Parpipe,
 		"wirecodec": experiments.Wirecodec,
 		"fleet":     experiments.Fleet,
 		"registry":  experiments.Registry,
@@ -65,7 +64,7 @@ func run(args []string) error {
 			return experiments.Attacks()
 		},
 	}
-	order := []string{"fig1", "fig5", "fig6", "fig7", "fig7x", "fig8", "fig9", "fig10", "fig11", "parpipe", "wirecodec", "fleet", "registry", "restore", "attacks"}
+	order := []string{"fig1", "fig5", "fig6", "fig7", "fig7x", "fig8", "fig9", "fig10", "fig11", "wirecodec", "fleet", "registry", "restore", "attacks"}
 
 	want := fs.Args()
 	if len(want) == 0 || (len(want) == 1 && want[0] == "all") {

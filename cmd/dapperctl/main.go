@@ -39,7 +39,7 @@
 // Fleet subcommands (clients of the dapperd control plane; see
 // docs/fleet.md — start the daemon first):
 //
-//	dapperctl submit -socket dapperd.sock -program cg [-lazy|-precopy] [-codec C] [-delta] [-dedup] [-workers N] [-at F] [-target sx86|sarm] [-retries N] [-manifest ID -clone N]
+//	dapperctl submit -socket dapperd.sock -program cg [-lazy|-precopy] [-codec C] [-delta] [-at F] [-target sx86|sarm] [-retries N] [-manifest ID -clone N]
 //	    Queue a migration job; prints the job id. With -manifest the job
 //	    becomes a clone job: the daemon (started with -registry) restores
 //	    the stored checkpoint onto the placed node -clone times instead
@@ -278,7 +278,6 @@ func cmdMigrate(args []string) error {
 	codec := fs.String("codec", "none", "wire codec: none (uncompressed) or flate (compressed)")
 	delta := fs.Bool("delta", false, "XOR-delta encode re-dirtied pre-copy pages (requires -precopy)")
 	stream := fs.Bool("stream", false, "streamed restore: decode/verify/install while the image is still arriving")
-	workers := fs.Int("workers", 0, "worker bound for the parallel pipeline stages (0 = NumCPU)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -314,7 +313,7 @@ func cmdMigrate(args []string) error {
 	opts := cluster.MigrateOpts{
 		Lazy: *lazy, Shuffle: *shuffle, ShuffleSeed: 1,
 		Codec: wireCodec, Delta: *delta,
-		StreamRestore: *stream, Workers: *workers,
+		StreamRestore: *stream,
 	}
 	if *precopy {
 		opts.PreCopy = &cluster.PreCopyOpts{}
@@ -547,8 +546,6 @@ func cmdSubmit(args []string) error {
 	precopy := fs.Bool("precopy", false, "iterative pre-copy migration")
 	codec := fs.String("codec", "none", "wire codec: none or flate")
 	delta := fs.Bool("delta", false, "XOR-delta pre-copy rounds (requires -precopy)")
-	dedup := fs.Bool("dedup", false, "content-addressed page dedup in the dump")
-	workers := fs.Int("workers", 0, "parallel pipeline workers (0 = NumCPU)")
 	src := fs.String("src", "", "pin the source node by name")
 	dst := fs.String("dst", "", "pin the destination node by name")
 	target := fs.String("target", "", "constrain destination ISA: sx86 or sarm")
@@ -572,8 +569,6 @@ func cmdSubmit(args []string) error {
 		Clone:      *clones,
 		Class:      workloads.Class(strings.ToUpper(*class)),
 		Opts: fleet.JobOpts{
-			Workers: *workers,
-			Dedup:   *dedup,
 			Codec:   *codec,
 			Delta:   *delta,
 			Lazy:    *lazy,

@@ -7,9 +7,9 @@ import (
 )
 
 // Goreap requires every goroutine launched in the transport packages
-// (internal/criu, internal/cluster), in the worker-pool substrate
-// (internal/parallel), in the fleet control plane (internal/fleet —
-// scheduler/heartbeat loops, per-job executors, and the control socket's
+// (internal/criu, internal/cluster), beside the semaphore that bounds
+// their fan-out (internal/parallel), in the fleet control plane
+// (internal/fleet — scheduler/heartbeat loops, per-job executors, and the control socket's
 // accept/serve goroutines), and in the persistent checkpoint store
 // (internal/registry — its journal and GC must never leave background
 // writers unjoined past Close) to have a visible join/reap path. A leaked

@@ -8,15 +8,11 @@ import (
 	"github.com/dapper-sim/dapper/internal/imgcheck"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/obs"
-	"github.com/dapper-sim/dapper/internal/parallel"
 	"github.com/dapper-sim/dapper/internal/registry"
 )
 
 // CloneOpts controls a clone fan-out.
 type CloneOpts struct {
-	// Workers bounds the parallel restore fan-out and the imgcheck
-	// pre-flight sweeps. Values <= 0 select runtime.NumCPU().
-	Workers int
 	// Obs, if set, receives clone telemetry (clone.count,
 	// clone.shared_frames, clone.restore_host_ns).
 	Obs *obs.Registry
@@ -65,7 +61,7 @@ func CloneFromRegistry(store *registry.Store, manifest string, targets []*Node, 
 	// Pre-flight once for the whole fan-out: every chunk was re-hashed
 	// inside Pull, and the materialized image must satisfy every static
 	// invariant before it is installed anywhere.
-	if err := imgcheck.VerifyWith(dir, imgcheck.Opts{Workers: opts.Workers}); err != nil {
+	if err := imgcheck.Verify(dir); err != nil {
 		return nil, fmt.Errorf("cluster: clone pre-flight: %w", err)
 	}
 	res := &CloneResult{
@@ -77,22 +73,16 @@ func CloneFromRegistry(store *registry.Store, manifest string, targets []*Node, 
 
 	//lint:ignore wallclock clone latency is real host time by definition, reported separately from modeled migration time
 	restoreStart := time.Now()
-	pool := parallel.New(opts.Workers)
-	if err := pool.ForEach(len(targets), func(i int) error {
-		p, err := criu.RestoreWith(targets[i].K, dir, targets[i].Binaries, criu.RestoreOpts{Frames: res.Frames, Workers: opts.Workers, Obs: opts.Obs})
+	for i, t := range targets {
+		p, err := criu.RestoreWith(t.K, dir, t.Binaries, criu.RestoreOpts{Frames: res.Frames, Obs: opts.Obs})
 		if err != nil {
-			return fmt.Errorf("cluster: clone %d on %s: %w", i, targets[i].Spec.Name, err)
+			// Reap the clones that did land so a partial fan-out leaks nothing.
+			for j, p := range res.Procs[:i] {
+				targets[j].K.Reap(p)
+			}
+			return nil, fmt.Errorf("cluster: clone %d on %s: %w", i, t.Spec.Name, err)
 		}
 		res.Procs[i] = p
-		return nil
-	}); err != nil {
-		// Reap any clones that did land so a partial fan-out leaks nothing.
-		for i, p := range res.Procs {
-			if p != nil {
-				targets[i].K.Reap(p)
-			}
-		}
-		return nil, err
 	}
 	//lint:ignore wallclock clone latency is real host time by definition, reported separately from modeled migration time
 	res.RestoreHost = time.Since(restoreStart)

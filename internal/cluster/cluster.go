@@ -197,17 +197,6 @@ type MigrateOpts struct {
 	// modeled phase end-to-end (see internal/obs and
 	// docs/observability.md). Nil disables recording at ~1 ns per site.
 	Obs *obs.Registry
-	// Workers bounds every parallel stage of the migration pipeline:
-	// dump page-shard collection, per-thread core rewrites and the
-	// imgcheck pre-flight sweeps (see internal/parallel and docs/perf.md).
-	// Values <= 0 select runtime.NumCPU(); 1 reproduces the historical
-	// serial pipeline. Images are byte-identical for every worker count.
-	Workers int
-	// Dedup content-addresses page payloads in the dump: duplicate 4K
-	// pages become pagemap-only references, shrinking pages.img and the
-	// bytes on the wire ("dedup.pages_elided"/"dedup.bytes_saved" in the
-	// Obs registry). Restore resolves the references transparently.
-	Dedup bool
 	// Codec selects the wire codec for image transfers (and, for LazyTCP,
 	// the page client's batch frames unless PageClient asks for
 	// compression itself): CodecNone (the zero value) frames without
@@ -388,13 +377,13 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 	if err := mon.Pause(opts.MaxPauses); err != nil {
 		return nil, fmt.Errorf("cluster: pause: %w", err)
 	}
-	dir, err := criu.Dump(p, criu.DumpOpts{Lazy: opts.Lazy, Obs: opts.Obs, Workers: opts.Workers, Dedup: opts.Dedup})
+	dir, err := criu.Dump(p, criu.DumpOpts{Lazy: opts.Lazy, Obs: opts.Obs})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dump: %w", err)
 	}
 	// Fail fast on the source side: a dump that violates an image
 	// invariant must not be rewritten or shipped.
-	if err := imgcheck.VerifyWith(dir, imgcheck.Opts{Workers: opts.Workers}); err != nil {
+	if err := imgcheck.Verify(dir); err != nil {
 		return nil, fmt.Errorf("cluster: dump pre-flight: %w", err)
 	}
 	bd.Checkpoint = CheckpointTime(dir.Size())
@@ -427,7 +416,7 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 	var dir2 *criu.ImageDir
 	var manifest string
 	var p2 *kernel.Process
-	ropts := criu.RestoreOpts{Workers: opts.Workers, Obs: opts.Obs}
+	ropts := criu.RestoreOpts{Obs: opts.Obs}
 	if opts.Registry != nil {
 		m, pst, err := opts.Registry.Push(dir, registry.PushOpts{Owner: opts.RegistryOwner})
 		if err != nil {
@@ -444,7 +433,7 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 		// Pull-path pre-flight: the materialized image re-verifies every
 		// invariant (and every chunk re-hashed inside Pull), so a corrupt
 		// store entry fails here with a named invariant, never mid-restore.
-		if err := imgcheck.VerifyWith(dir2, imgcheck.Opts{Workers: opts.Workers}); err != nil {
+		if err := imgcheck.Verify(dir2); err != nil {
 			return nil, fmt.Errorf("cluster: registry pull pre-flight: %w", err)
 		}
 	} else if blob := dir.Marshal(); opts.StreamRestore {
@@ -585,7 +574,7 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 // cross-ISA rewrite when the architectures differ, then the optional
 // stack shuffle. Shared by the vanilla/lazy and pre-copy paths.
 func rewriteForDest(dir *criu.ImageDir, src, dst *Node, opts MigrateOpts) error {
-	ctx := &core.Context{Binaries: src.Binaries, Workers: opts.Workers, Obs: opts.Obs}
+	ctx := &core.Context{Binaries: src.Binaries, Obs: opts.Obs}
 	if src.Spec.Arch != dst.Spec.Arch {
 		policy := core.CrossISAPolicy{Target: dst.Spec.Arch}
 		if err := policy.Rewrite(dir, ctx); err != nil {

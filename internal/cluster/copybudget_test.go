@@ -44,7 +44,7 @@ func TestMigrateCopyBudget(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := cluster.Migrate(xeon, pi, p, pair.Meta, cluster.MigrateOpts{Workers: 1})
+		res, err := cluster.Migrate(xeon, pi, p, pair.Meta, cluster.MigrateOpts{})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

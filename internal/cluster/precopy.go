@@ -119,7 +119,7 @@ func migratePreCopy(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, 
 		if err := mon.Pause(opts.MaxPauses); err != nil {
 			return nil, fmt.Errorf("cluster: pre-copy pause (round %d): %w", round, err)
 		}
-		dopts := criu.DumpOpts{Parent: parent, TrackMem: true, Obs: reg, Workers: opts.Workers, Dedup: opts.Dedup}
+		dopts := criu.DumpOpts{Parent: parent, TrackMem: true, Obs: reg}
 		if opts.Delta && parent != nil {
 			dopts.DeltaBase = base
 		}
@@ -143,7 +143,7 @@ func migratePreCopy(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, 
 		// Each received link is verified on arrival, so a checkpoint
 		// corrupted in transit fails this round — with the invariant named
 		// — instead of poisoning the flatten after the final pause.
-		if err := imgcheck.VerifyLinkWith(got, imgcheck.Opts{Workers: opts.Workers}); err != nil {
+		if err := imgcheck.VerifyLink(got); err != nil {
 			return nil, fmt.Errorf("cluster: pre-copy round %d received a broken image set: %w", round, err)
 		}
 		chain = append(chain, got)
@@ -211,7 +211,7 @@ func migratePreCopy(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, 
 	// Final delta in hand and the source still paused: verify the chain
 	// end to end (in_parent resolvability, acyclicity), then flatten it
 	// on the destination, recode, restore.
-	if err := imgcheck.VerifyChainWith(chain, imgcheck.Opts{Workers: opts.Workers}); err != nil {
+	if err := imgcheck.VerifyChain(chain); err != nil {
 		return nil, fmt.Errorf("cluster: pre-copy chain: %w", err)
 	}
 	flat, err := criu.FlattenChain(chain)
@@ -228,7 +228,7 @@ func migratePreCopy(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, 
 	// Earlier rounds were recoded as they streamed in (PreCopyTime); the
 	// pause pays the per-image stack rewrite plus the final delta's pages.
 	bd.Recode = RecodeTime(recodeNode, finalBytes)
-	p2, err := criu.RestoreWith(dst.K, flat, dst.Binaries, criu.RestoreOpts{Workers: opts.Workers, Obs: opts.Obs})
+	p2, err := criu.RestoreWith(dst.K, flat, dst.Binaries, criu.RestoreOpts{Obs: opts.Obs})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: pre-copy restore: %w", err)
 	}

@@ -69,7 +69,7 @@ func TestStreamRestoreMigration(t *testing.T) {
 	want := nativeOut(t, ref)
 
 	plain, plainSnap, plainOut := migrateOnce(t, pair, pair.Meta, cluster.MigrateOpts{Codec: criu.CodecFlate})
-	streamed, streamSnap, streamOut := migrateOnce(t, pair, pair.Meta, cluster.MigrateOpts{Codec: criu.CodecFlate, StreamRestore: true, Workers: 4})
+	streamed, streamSnap, streamOut := migrateOnce(t, pair, pair.Meta, cluster.MigrateOpts{Codec: criu.CodecFlate, StreamRestore: true})
 
 	if streamOut != want {
 		t.Errorf("streamed output %q, want %q", streamOut, want)

@@ -66,8 +66,6 @@ func ListenImagesOpts(addr string, opts ReceiverOpts) (*ImageReceiver, error) {
 		return nil, fmt.Errorf("cluster: image receiver: %w", err)
 	}
 	if opts.MaxInflight <= 0 {
-		// Explicit default: NewSemaphore(0) would normalize to NumCPU,
-		// which is a build-machine fact, not a transport policy.
 		opts.MaxInflight = 8
 	}
 	r := &ImageReceiver{

@@ -3,8 +3,10 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -164,7 +166,7 @@ func TestReadImageStreamMalformed(t *testing.T) {
 	blob := dir.Marshal()
 
 	// The corpus is built around a stream that is itself fine.
-	sr := criu.NewStreamRestorer(node.K, node.Binaries, criu.RestoreOpts{Workers: 2})
+	sr := criu.NewStreamRestorer(node.K, node.Binaries, criu.RestoreOpts{})
 	wire, segs, err := transfer(blob, criu.CodecNone, sr, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +190,7 @@ func TestReadImageStreamMalformed(t *testing.T) {
 			}
 		})
 		t.Run(tc.name+"/restorer", func(t *testing.T) {
-			sr := criu.NewStreamRestorer(node.K, node.Binaries, criu.RestoreOpts{Workers: 2})
+			sr := criu.NewStreamRestorer(node.K, node.Binaries, criu.RestoreOpts{})
 			_, err := readImageStreamInto(bytes.NewReader(tc.payload), sr)
 			tc.check(t, err)
 			if p, ferr := sr.Finish(); ferr == nil || p != nil {
@@ -199,13 +201,84 @@ func TestReadImageStreamMalformed(t *testing.T) {
 			}
 		})
 	}
+	noInstallerLeft(t, goroutines)
+}
+
+// noInstallerLeft fails if the goroutine count does not come back down to
+// before: a refused restorer's Finish must have reaped its installer.
+func noInstallerLeft(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if n := runtime.NumGoroutine(); n > goroutines {
-		t.Errorf("%d goroutines after the corpus, %d before: an installer outlived Finish", n, goroutines)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the refusals, %d before: an installer outlived Finish", n, before)
 	}
+}
+
+// TestRetiredDedupImageRefused: an image written by a build that still
+// had within-dump page dedup (imgcheck's dedup_retired fixture is one,
+// byte for byte: pagemap fields 6 and 7) must not decode as plain data
+// entries. Both readers refuse it by name before a page is installed —
+// the directory restore at its pre-flight, the streamed restorer the
+// moment pages.img is announced — and leave no process and no installer
+// goroutine behind.
+func TestRetiredDedupImageRefused(t *testing.T) {
+	raw, err := os.ReadFile("../imgcheck/testdata/dedup_retired.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var docs []json.RawMessage
+	if err := json.Unmarshal(raw, &docs); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := criu.EncodeJSON(docs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if _, err := writeImageStream(&stream, dir.Marshal(), criu.CodecNone, 4096, nil); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(t *testing.T, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("an image with retired dedup entries was accepted")
+		}
+		for _, want := range []string{"image-decode", image.ErrRetiredField.Error()} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %q", err, want)
+			}
+		}
+	}
+	node := NewNode(XeonSpec)
+	goroutines := runtime.NumGoroutine()
+	t.Run("dir", func(t *testing.T) {
+		got, err := readImageDirFrom(bytes.NewReader(stream.Bytes()))
+		if err != nil {
+			t.Fatalf("the stream itself is well-formed: %v", err)
+		}
+		p, err := criu.RestoreWith(node.K, got, node.Binaries, criu.RestoreOpts{})
+		refused(t, err)
+		if p != nil {
+			t.Error("a refused restore returned a process")
+		}
+	})
+	t.Run("restorer", func(t *testing.T) {
+		sr := criu.NewStreamRestorer(node.K, node.Binaries, criu.RestoreOpts{})
+		_, err := readImageStreamInto(bytes.NewReader(stream.Bytes()), sr)
+		refused(t, err)
+		p, ferr := sr.Finish()
+		refused(t, ferr)
+		if p != nil {
+			t.Error("Finish after a refused stream returned a process")
+		}
+	})
+	if n := node.K.Live(); n != 0 {
+		t.Errorf("%d processes adopted from a refused image", n)
+	}
+	noInstallerLeft(t, goroutines)
 }
 
 // FuzzReadImageStream: whatever bytes arrive, the stream parser returns

@@ -10,18 +10,33 @@ import (
 	"github.com/dapper-sim/dapper/internal/obs"
 )
 
-// Context supplies a policy's environment: how to resolve executables
-// and how much the rewrite stage may fan out.
+// Context supplies a policy's environment: how to resolve executables.
 type Context struct {
 	Binaries criu.BinaryProvider
-	// Workers bounds the per-thread rewrite fan-out: values <= 0 select
-	// runtime.NumCPU(), 1 reproduces the historical serial loop. Any
-	// worker count produces identical images (each thread's rewrite is
-	// confined to its own stack range).
-	Workers int
-	// Obs, if set, receives rewrite telemetry: "rewrite.par_ns" (wall
-	// time of the whole per-thread fan-out) and "rewrite.threads".
+	// Obs, if set, receives rewrite telemetry: "rewrite.threads".
 	Obs *obs.Registry
+}
+
+// rewriteThreads applies RewriteThread to every live thread named by the
+// inventory, in inventory order. It is the shared rewrite stage behind
+// CrossISAPolicy and StackShufflePolicy.
+func rewriteThreads(dir *criu.ImageDir, ps *criu.PageSet, tids []int, src, dst Side, ctx *Context, errPrefix string) ([]*criu.CoreImage, error) {
+	newCores := make([]*criu.CoreImage, len(tids))
+	for i, tid := range tids {
+		raw, ok := dir.Get(criu.CoreName(tid))
+		if !ok {
+			return nil, fmt.Errorf("core: missing %s", criu.CoreName(tid))
+		}
+		c, err := criu.UnmarshalCore(raw)
+		if err != nil {
+			return nil, err
+		}
+		if newCores[i], err = RewriteThread(c, ps, src, dst); err != nil {
+			return nil, fmt.Errorf("%s %d: %w", errPrefix, c.TID, err)
+		}
+	}
+	ctx.Obs.Counter("rewrite.threads").Add(uint64(len(tids)))
+	return newCores, nil
 }
 
 // Policy transforms a checkpoint image directory in place. Policies are
@@ -120,7 +135,7 @@ func (p CrossISAPolicy) Rewrite(dir *criu.ImageDir, ctx *Context) error {
 	src := Side{Arch: srcArch, Meta: srcBin.Meta}
 	dst := Side{Arch: dstArch, Meta: dstBin.Meta}
 
-	newCores, coreBlobs, err := rewriteThreads(dir, ps, inv.TIDs, src, dst, ctx, "core: thread")
+	newCores, err := rewriteThreads(dir, ps, inv.TIDs, src, dst, ctx, "core: thread")
 	if err != nil {
 		return err
 	}
@@ -144,8 +159,8 @@ func (p CrossISAPolicy) Rewrite(dir *criu.ImageDir, ctx *Context) error {
 		return fmt.Errorf("core: clear flag: %w", err)
 	}
 
-	for i, nc := range newCores {
-		dir.Put(criu.CoreName(nc.TID), coreBlobs[i])
+	for _, nc := range newCores {
+		dir.Put(criu.CoreName(nc.TID), nc.Marshal())
 	}
 	inv.Arch = dstArch
 	dir.Put("inventory.img", inv.Marshal())

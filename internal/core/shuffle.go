@@ -274,7 +274,7 @@ func (p StackShufflePolicy) Rewrite(dir *criu.ImageDir, ctx *Context) error {
 	}
 	src := Side{Arch: inv.Arch, Meta: bin.Meta}
 	dst := Side{Arch: inv.Arch, Meta: shuffled.Meta}
-	newCores, coreBlobs, err := rewriteThreads(dir, ps, inv.TIDs, src, dst, ctx, "core: shuffle thread")
+	newCores, err := rewriteThreads(dir, ps, inv.TIDs, src, dst, ctx, "core: shuffle thread")
 	if err != nil {
 		return err
 	}
@@ -293,8 +293,8 @@ func (p StackShufflePolicy) Rewrite(dir *criu.ImageDir, ctx *Context) error {
 	if err := ps.WriteU64(isa.FlagAddr, 0); err != nil {
 		return err
 	}
-	for i, nc := range newCores {
-		dir.Put(criu.CoreName(nc.TID), coreBlobs[i])
+	for _, nc := range newCores {
+		dir.Put(criu.CoreName(nc.TID), nc.Marshal())
 	}
 	ps.Store(dir)
 	// Publish the instrumented binary at the original path so restore

@@ -12,7 +12,6 @@ import (
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/obs"
-	"github.com/dapper-sim/dapper/internal/parallel"
 	"github.com/dapper-sim/dapper/internal/registry"
 )
 
@@ -50,23 +49,10 @@ type DumpOpts struct {
 	// (dumped / zero / lazy / elided-as-in_parent) and the host wall time
 	// of the dump. Nil disables recording.
 	Obs *obs.Registry
-	// Workers bounds the page-collection fan-out: populated pages are
-	// sharded into contiguous ranges classified and copied concurrently,
-	// then merged in shard order. Values <= 0 select runtime.NumCPU();
-	// 1 reproduces the historical serial walk. The produced images are
-	// byte-identical for every worker count (the page-set coalescer
-	// sorts addresses before encoding).
-	Workers int
-	// Dedup content-addresses data pages in the stored page set: later
-	// pages whose bytes match an earlier page become pagemap-only dedup
-	// references, shrinking pages.img and the wire transfer. Off by
-	// default to keep images byte-identical with pre-dedup dumps.
-	Dedup bool
 	// Registry, if set, pushes the finished image to this persistent
 	// content-addressed store: page chunks the store already holds are
-	// elided (the store's registry.chunks_hit counter — the cross-dump
-	// analogue of Dedup's within-dump elision) and the manifest is
-	// journaled durably.
+	// elided (the store's registry.chunks_hit counter) and the manifest
+	// is journaled durably.
 	Registry *registry.Store
 	// RegistryParent links the pushed manifest to the parent
 	// checkpoint's manifest, making the incremental/delta chain
@@ -147,78 +133,59 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 
 	execPages := execContextPages(p)
 	popPages := p.AS.PopulatedPages()
-	// Shard the populated-page walk (ascending, as PopulatedPages returns
-	// it) over contiguous index ranges. Each shard classifies its pages
-	// into its own range of recs — the address space is stopped and only
-	// read (FindVMA/PageData), so shards share it freely, and a data
-	// record aliases the resident frame rather than copying it.
-	// EncodePages then sizes pages.img exactly and copies each page once,
-	// straight to its final offset; it sees one sequence in address order
-	// whatever the sharding, so the encoded images are byte-identical for
-	// every worker count.
+	// Classify the populated pages in ascending order (as PopulatedPages
+	// returns them). The address space is stopped and only read, and a data
+	// record aliases the resident frame rather than copying it: EncodePages
+	// sizes pages.img exactly and copies each page once, straight to its
+	// final offset.
 	recs := make([]image.PageRecord, len(popPages))
-	chunks := parallel.Chunks(len(popPages), parallel.Normalize(opts.Workers))
-	pool := parallel.New(opts.Workers)
-	if err := pool.ForEach(len(chunks), func(ci int) error {
-		shardStart := time.Now()
-		c := chunks[ci]
-		for i, idx := range popPages[c.Lo:c.Hi] {
-			addr := idx * mem.PageSize
-			rec := &recs[c.Lo+i]
-			rec.Addr = addr
-			vma, ok := p.AS.FindVMA(addr)
-			if !ok {
+	for i, idx := range popPages {
+		addr := idx * mem.PageSize
+		rec := &recs[i]
+		rec.Addr = addr
+		vma, ok := p.AS.FindVMA(addr)
+		if !ok {
+			continue
+		}
+		switch {
+		case vma.Kind == mem.VMAText:
+			// CRIU only dumps the execution-context code page(s); the rest
+			// reload from the executable on page faults.
+			if !execPages[addr] {
 				continue
 			}
-			switch {
-			case vma.Kind == mem.VMAText:
-				// CRIU only dumps the execution-context code page(s); the rest
-				// reload from the executable on page faults.
-				if !execPages[addr] {
-					continue
-				}
-			case opts.Lazy && vma.Kind != mem.VMAStack && vma.Kind != mem.VMATLS && addr != isa.DataBase:
-				// Post-copy keeps data/heap contents behind, except the first
-				// data page: it holds the DAPPER flag, which the restored
-				// process must read (cleared) without a network fault.
-				rec.Class = image.PageLazy
-				continue
-			}
-			if opts.Parent != nil && inParent[addr] && !dirty[idx] {
-				// Unchanged since the parent checkpoint: the chain holds it.
-				rec.Class = image.PageParent
-				continue
-			}
-			data, _ := p.AS.PageData(idx)
-			if allZero(data) {
-				rec.Class = image.PageZero
-				continue
-			}
-			rec.Class, rec.Data = image.PageData, data
-			if opts.DeltaBase != nil && opts.Parent != nil && inParent[addr] {
-				// Dirty page with known parent content: ship the XOR.
-				if basePg, ok := deltaBaseContent(opts.DeltaBase, addr); ok {
-					if bytes.Equal(data, basePg) {
-						// Soft-dirty false positive: content is unchanged,
-						// so the chain still holds it — no bytes at all.
-						rec.Class, rec.Data = image.PageParent, nil
-					} else {
-						rec.Class, rec.Data = image.PageDelta, XorPages(data, basePg)
-					}
+		case opts.Lazy && vma.Kind != mem.VMAStack && vma.Kind != mem.VMATLS && addr != isa.DataBase:
+			// Post-copy keeps data/heap contents behind, except the first
+			// data page: it holds the DAPPER flag, which the restored
+			// process must read (cleared) without a network fault.
+			rec.Class = image.PageLazy
+			continue
+		}
+		if opts.Parent != nil && inParent[addr] && !dirty[idx] {
+			// Unchanged since the parent checkpoint: the chain holds it.
+			rec.Class = image.PageParent
+			continue
+		}
+		data, _ := p.AS.PageData(idx)
+		if allZero(data) {
+			rec.Class = image.PageZero
+			continue
+		}
+		rec.Class, rec.Data = image.PageData, data
+		if opts.DeltaBase != nil && opts.Parent != nil && inParent[addr] {
+			// Dirty page with known parent content: ship the XOR.
+			if basePg, ok := deltaBaseContent(opts.DeltaBase, addr); ok {
+				if bytes.Equal(data, basePg) {
+					// Soft-dirty false positive: content is unchanged,
+					// so the chain still holds it — no bytes at all.
+					rec.Class, rec.Data = image.PageParent, nil
+				} else {
+					rec.Class, rec.Data = image.PageDelta, XorPages(data, basePg)
 				}
 			}
 		}
-		opts.Obs.Histogram("dump.shard_ns").Observe(time.Since(shardStart))
-		return nil
-	}); err != nil {
-		return nil, err
 	}
-	opts.Obs.Counter("dump.shards").Add(uint64(len(chunks)))
-	stats := image.EncodePages(dir, recs, StoreOpts{Dedup: opts.Dedup})
-	if opts.Dedup {
-		opts.Obs.Counter("dedup.pages_elided").Add(stats.PagesElided)
-		opts.Obs.Counter("dedup.bytes_saved").Add(stats.BytesSaved)
-	}
+	image.EncodePages(dir, recs)
 	if opts.TrackMem {
 		p.StartDirtyTracking()
 	}

@@ -14,22 +14,18 @@ import (
 
 // goldenImages pins every image byte the dump path produces: SHA-256 of
 // ImageDir.Marshal() per workload and dump kind, recorded from the commit
-// before the copy-budget change (PR 14). The digests are the same at
-// Workers 1 and 4. A change on the image path may move how often bytes
-// are copied, never which bytes come out; if one of these moves, the
-// change altered an image.
+// before the copy-budget change (PR 14). A change on the image path may
+// move how often bytes are copied, never which bytes come out; if one of
+// these moves, the change altered an image.
 var goldenImages = map[string]string{
 	"rediska/full":             "3cd79a26330adf967295ed2c057615d3cec38cccd29d64be801eb42c9c8cb64d",
 	"rediska/lazy":             "7f75db27442b2ce31ccbb54c4077eb98556d3f998df3ffa3c3cb1629677498fc",
-	"rediska/dedup":            "3cd79a26330adf967295ed2c057615d3cec38cccd29d64be801eb42c9c8cb64d",
 	"rediska/incr-delta":       "9e9230641b28c080d399e8515136c4dadb79f2aa37cf4c19a6ca5ab715e20d23",
 	"rediska/flattened":        "9f5839418f30fa0732fb66dee429d6202490ded5426aa65f3d23d40e626dce80",
 	"streamcluster/full":       "964e226c1881268327de0bf5cd4cc585ff9c6ead839b877d0e06d2eccabf952c",
 	"streamcluster/lazy":       "bb4c065f3554daec9899befb6e0581ad53f98488ada27b79603e4f72bcf3466d",
-	"streamcluster/dedup":      "964e226c1881268327de0bf5cd4cc585ff9c6ead839b877d0e06d2eccabf952c",
 	"streamcluster/incr-delta": "082f626c2efe61c67a4a70f48e217d388b53a808f150bcaf86d2fd75bac89037",
 	"streamcluster/flattened":  "db2d951a4f6694fb52fb016dd270b72ebd0c058185f8e050106d5f758239f144",
-	"dupheavy/dedup":           "f6a6c757cb293aad7036b6a291b48ec7e64013b171ee8ed791a5d7a4438238f8",
 }
 
 // goldenProc starts a workload and runs it to a deterministic pause: the
@@ -86,60 +82,42 @@ func goldenAdvance(t *testing.T, k *kernel.Kernel, p *kernel.Process, name strin
 
 func TestGoldenImageDigests(t *testing.T) {
 	for _, name := range []string{"rediska", "streamcluster"} {
-		for _, workers := range []int{1, 4} {
-			k, p, pair := goldenProc(t, name)
-			mon := monitor.New(k, p, pair.Meta)
-			if err := mon.Pause(1 << 20); err != nil {
-				t.Fatal(err)
-			}
-			check := func(kind string, dir *criu.ImageDir, err error) *criu.ImageDir {
-				t.Helper()
-				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", name, kind, workers, err)
-				}
-				sum := sha256.Sum256(dir.Marshal())
-				if got, want := hex.EncodeToString(sum[:]), goldenImages[name+"/"+kind]; got != want {
-					t.Errorf("%s/%s workers=%d: image digest %s, golden %s", name, kind, workers, got, want)
-				}
-				return dir
-			}
-			dump := func(kind string, opts criu.DumpOpts) *criu.ImageDir {
-				t.Helper()
-				opts.Workers = workers
-				dir, err := criu.Dump(p, opts)
-				return check(kind, dir, err)
-			}
-			dump("lazy", criu.DumpOpts{Lazy: true})
-			dump("dedup", criu.DumpOpts{Dedup: true})
-			full := dump("full", criu.DumpOpts{TrackMem: true})
-			base, err := criu.AdvanceBase(nil, full)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := mon.ResumeLocal(); err != nil {
-				t.Fatal(err)
-			}
-			goldenAdvance(t, k, p, name, 1)
-			if err := mon.Pause(1 << 20); err != nil {
-				t.Fatal(err)
-			}
-			incr := dump("incr-delta", criu.DumpOpts{Parent: full, DeltaBase: base, TrackMem: true})
-			flat, err := criu.FlattenChain([]*criu.ImageDir{full, incr})
-			check("flattened", flat, err)
+		k, p, pair := goldenProc(t, name)
+		mon := monitor.New(k, p, pair.Meta)
+		if err := mon.Pause(1 << 20); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Neither workload holds two identical pages at these pause points, so
-	// their dedup digests pin only "dedup elides nothing"; the
-	// duplicate-heavy fixture pins the dedup encoding itself.
-	p := pausedDupProc(t)
-	for _, workers := range []int{1, 4} {
-		dir, err := criu.Dump(p, criu.DumpOpts{Dedup: true, Workers: workers})
+		check := func(kind string, dir *criu.ImageDir, err error) *criu.ImageDir {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, kind, err)
+			}
+			sum := sha256.Sum256(dir.Marshal())
+			if got, want := hex.EncodeToString(sum[:]), goldenImages[name+"/"+kind]; got != want {
+				t.Errorf("%s/%s: image digest %s, golden %s", name, kind, got, want)
+			}
+			return dir
+		}
+		dump := func(kind string, opts criu.DumpOpts) *criu.ImageDir {
+			t.Helper()
+			dir, err := criu.Dump(p, opts)
+			return check(kind, dir, err)
+		}
+		dump("lazy", criu.DumpOpts{Lazy: true})
+		full := dump("full", criu.DumpOpts{TrackMem: true})
+		base, err := criu.AdvanceBase(nil, full)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(dir.Marshal())
-		if got, want := hex.EncodeToString(sum[:]), goldenImages["dupheavy/dedup"]; got != want {
-			t.Errorf("dupheavy/dedup workers=%d: image digest %s, golden %s", workers, got, want)
+		if err := mon.ResumeLocal(); err != nil {
+			t.Fatal(err)
 		}
+		goldenAdvance(t, k, p, name, 1)
+		if err := mon.Pause(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+		incr := dump("incr-delta", criu.DumpOpts{Parent: full, DeltaBase: base, TrackMem: true})
+		flat, err := criu.FlattenChain([]*criu.ImageDir{full, incr})
+		check("flattened", flat, err)
 	}
 }

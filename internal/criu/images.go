@@ -42,8 +42,6 @@ type (
 	ImageDir = image.ImageDir
 	// PageSet is an editable view of pagemap.img + pages.img.
 	PageSet = image.PageSet
-	// StoreOpts selects optional PageSet.Store encodings (page dedup).
-	StoreOpts = image.StoreOpts
 )
 
 // UnmarshalCore decodes a core image.

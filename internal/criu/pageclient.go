@@ -37,16 +37,9 @@ type PageClientOpts struct {
 	// Prefetch asynchronously requests this many pages following every
 	// demand-fetched page (default 0 = disabled), hiding round-trip
 	// latency for sequential access patterns. Prefetched pages are held
-	// in a bounded cache until the fault handler asks for them.
+	// in a bounded cache until the fault handler asks for them. At most
+	// prefetchSlots requests are in flight whatever the window size.
 	Prefetch int
-	// PrefetchWorkers bounds the number of concurrent prefetch requests
-	// regardless of the window size (values <= 0 select
-	// max(runtime.NumCPU(), 8), so typical windows still fill on small
-	// machines). When every slot is busy, the remaining pages of a
-	// window are skipped rather than queued — they will be
-	// demand-fetched with retries if actually faulted — so a large
-	// Prefetch can never spawn an unbounded goroutine fan-out.
-	PrefetchWorkers int
 	// DialTimeout bounds one (re)connection attempt (default 1s),
 	// including the hello exchange.
 	DialTimeout time.Duration
@@ -93,12 +86,6 @@ func (o PageClientOpts) withDefaults() PageClientOpts {
 	if o.RedialBudget <= 0 {
 		o.RedialBudget = 8
 	}
-	if o.PrefetchWorkers <= 0 {
-		o.PrefetchWorkers = parallel.Normalize(0)
-		if o.PrefetchWorkers < 8 {
-			o.PrefetchWorkers = 8
-		}
-	}
 	return o
 }
 
@@ -117,9 +104,9 @@ type PageClientStats struct {
 	PrefetchIssued uint64
 	Prefetched     uint64
 	PrefetchHits   uint64
-	// PrefetchSkipped counts window pages skipped because every
-	// PrefetchWorkers slot was busy; PrefetchPeak is the highest number
-	// of prefetch requests ever in flight at once (always <= the bound).
+	// PrefetchSkipped counts window pages skipped because every prefetch
+	// slot was busy; PrefetchPeak is the highest number of prefetch
+	// requests ever in flight at once (always <= the bound).
 	PrefetchSkipped uint64
 	PrefetchPeak    uint64
 	// Batches counts batch frames received; BatchDesyncs counts
@@ -168,9 +155,9 @@ type RemotePageSource struct {
 
 	closeOnce  sync.Once
 	prefetchWG sync.WaitGroup
-	// prefSem bounds the prefetch goroutine fan-out to
-	// PrefetchWorkers slots; prefActive/prefPeak track the realized
-	// concurrency (peak is reported in Stats and pinned by tests).
+	// prefSem bounds the prefetch goroutine fan-out to prefetchSlots;
+	// prefActive/prefPeak track the realized concurrency (peak is
+	// reported in Stats and pinned by tests).
 	prefSem    *parallel.Semaphore
 	prefSkips  *obs.Counter
 	prefActive atomic.Int64
@@ -213,7 +200,7 @@ func DialPageServerOpts(addr string, opts PageClientOpts) (*RemotePageSource, er
 	c.batchDesync = reg.Counter("pageclient.batch_desync")
 	c.redialExhausted = reg.Counter("pageclient.redial_exhausted")
 	c.faultLat = reg.Histogram("pageclient.fault_ns")
-	c.prefSem = parallel.NewSemaphore(c.opts.PrefetchWorkers)
+	c.prefSem = parallel.NewSemaphore(prefetchSlots)
 	c.conns = make([]*pageConn, c.opts.Conns)
 	for i := range c.conns {
 		c.conns[i] = &pageConn{client: c}
@@ -385,13 +372,18 @@ func (c *RemotePageSource) cacheAbort(addr uint64) {
 	}
 }
 
+// prefetchSlots bounds the concurrent prefetch requests of one client.
+// When every slot is busy the rest of a window is skipped rather than
+// queued — those pages are demand-fetched, with retries, if actually
+// faulted — so a large Prefetch can never spawn an unbounded fan-out.
+const prefetchSlots = 8
+
 // maybePrefetch speculatively requests the window of pages following addr.
 // Prefetches are single-attempt and best-effort: a failure just means the
 // page will be demand-fetched (with retries) when actually faulted. The
-// fan-out is bounded by PrefetchWorkers semaphore slots — each goroutine
+// fan-out is bounded by prefetchSlots semaphore slots — each goroutine
 // holds a slot from before it is spawned until it exits, so no window
-// size can exceed the bound; pages past the bound are skipped, not
-// queued.
+// size can exceed the bound.
 func (c *RemotePageSource) maybePrefetch(addr uint64) {
 	for i := 1; i <= c.opts.Prefetch; i++ {
 		paddr := addr + uint64(i)*mem.PageSize

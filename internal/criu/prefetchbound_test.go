@@ -20,11 +20,11 @@ func (s *slowSource) FetchPage(addr uint64) ([]byte, error) {
 }
 
 // TestPrefetchFanoutBounded pins the prefetch goroutine bound: a window
-// far larger than PrefetchWorkers must never have more than
-// PrefetchWorkers requests in flight at once — the excess is skipped,
+// far larger than prefetchSlots must never have more than
+// prefetchSlots requests in flight at once — the excess is skipped,
 // not queued — and the realized peak is observable in Stats.
 func TestPrefetchFanoutBounded(t *testing.T) {
-	const bound = 3
+	const bound = prefetchSlots
 	src := &slowSource{delay: 10 * time.Millisecond}
 	srv, err := ServePages("127.0.0.1:0", src)
 	if err != nil {
@@ -32,9 +32,8 @@ func TestPrefetchFanoutBounded(t *testing.T) {
 	}
 	defer srv.Close()
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
-		Prefetch:        64, // much larger than the bound
-		PrefetchWorkers: bound,
-		Conns:           4,
+		Prefetch: 64, // much larger than the bound
+		Conns:    4,
 	})
 	if err != nil {
 		t.Fatal(err)

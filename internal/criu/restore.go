@@ -2,7 +2,6 @@ package criu
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/compiler"
@@ -11,7 +10,6 @@ import (
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/obs"
-	"github.com/dapper-sim/dapper/internal/parallel"
 	"github.com/dapper-sim/dapper/internal/updatecheck"
 )
 
@@ -51,12 +49,6 @@ type RestoreOpts struct {
 	// the clone fan-out path, where N restores of one checkpoint share
 	// resident pages until first write.
 	Frames *kernel.FrameCache
-	// Workers bounds the restore's parallel stages: the imgcheck
-	// pre-flight sweeps and the page-frame preparation shards. Values
-	// <= 0 select runtime.NumCPU(); 1 reproduces the serial restore.
-	// Restored address-space contents are byte-identical for every
-	// worker count.
-	Workers int
 	// Obs, if set, receives restore telemetry: the restore.pages
 	// counter, restore.verify_ns / restore.install_ns histograms, and a
 	// "restore" span whose verify/install (and, when streaming, stream)
@@ -89,7 +81,7 @@ func RestoreWith(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider, opts 
 	// wrong addresses. VerifyLink permits in_parent entries; the plan
 	// stage owns the flatten refusal. Streamed restores run the same
 	// invariants incrementally (imgcheck.StreamVerifier).
-	if err := imgcheck.VerifyLinkWith(dir, imgcheck.Opts{Workers: opts.Workers}); err != nil {
+	if err := imgcheck.VerifyLink(dir); err != nil {
 		return nil, fmt.Errorf("criu: restore pre-flight: %w", err)
 	}
 	r, err := openRestorer(dir, provider, opts)
@@ -107,7 +99,7 @@ func RestoreWith(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider, opts 
 		return nil, err
 	}
 	r.install(pages, 0, len(r.dataAddrs))
-	p, err := r.build(k, dir, pages)
+	p, err := r.build(k, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +116,7 @@ func RestoreWith(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider, opts 
 //	plan          map the address space and turn the pagemap into an
 //	              install schedule; refuse unflattened chains
 //	install       payload pages -> frames, any range, any number of calls
-//	build         dedup references, threads, mutexes, adoption
+//	build         threads, mutexes, adoption
 type restorer struct {
 	opts RestoreOpts
 
@@ -136,18 +128,9 @@ type restorer struct {
 	heapMapped bool
 
 	// The install schedule plan decodes from the pagemap: dataAddrs[i] is
-	// the vaddr of payload page i (ascending, as the pagemap is sorted);
-	// dedups wait for build, when every source page has landed.
+	// the vaddr of payload page i (ascending, as the pagemap is sorted).
 	dataAddrs []uint64
-	dedups    []dedupPage
 	installed int
-}
-
-// dedupPage is a pagemap dedup reference scheduled for installation once
-// its source page's payload has landed.
-type dedupPage struct {
-	addr uint64 // page to install
-	src  int    // payload index of the source data page
 }
 
 // openRestorer decodes inventory/files/mm from the directory and opens
@@ -215,11 +198,11 @@ func (r *restorer) verifyTarget(dir *ImageDir) error {
 
 // plan maps the VMAs, loads the executable's text (dumped pages overlay
 // it later), and decodes the install schedule from the pagemap: data
-// pages in payload order, dedup references deferred to build, zero pages
-// materialized immediately when the image is lazy — a post-copy restore
-// installs a fault handler, and a zero page must never round-trip to the
-// page server — and lazy pages left for that handler. pagesSize is the
-// pages.img size the directory holds or the wire announced.
+// pages in payload order, zero pages materialized immediately when the
+// image is lazy — a post-copy restore installs a fault handler, and a zero
+// page must never round-trip to the page server — and lazy pages left for
+// that handler. pagesSize is the pages.img size the directory holds or
+// the wire announced.
 func (r *restorer) plan(dir *ImageDir, pagesSize int) error {
 	r.as = mem.NewAddressSpace()
 	for _, v := range r.mm.VMAs {
@@ -249,16 +232,6 @@ func (r *restorer) plan(dir *ImageDir, pagesSize int) error {
 			switch {
 			case en.Delta:
 				deltaPages++
-			case en.Dedup:
-				// References point strictly backwards at data pages, and
-				// the pagemap is address-sorted (both pre-flighted), so the
-				// source is an earlier entry of the ascending schedule.
-				srcAddr := en.DedupSrc + uint64(i)*mem.PageSize
-				src := sort.Search(len(r.dataAddrs), func(j int) bool { return r.dataAddrs[j] >= srcAddr })
-				if src == len(r.dataAddrs) || r.dataAddrs[src] != srcAddr {
-					return fmt.Errorf("criu: restore: dedup page 0x%x references 0x%x, which holds no data", addr, srcAddr)
-				}
-				r.dedups = append(r.dedups, dedupPage{addr: addr, src: src})
 			case en.Lazy:
 				lazyPages++
 			case en.InParent:
@@ -289,52 +262,26 @@ func (r *restorer) plan(dir *ImageDir, pagesSize int) error {
 }
 
 // install turns payload pages [lo, hi) — by payload index into the plan's
-// schedule — into resident frames. The expensive half, the 4K copy into
-// each frame, fans out over the worker pool; workers only read payload
-// and call the mutex-protected FrameCache. The AddressSpace, which is not
-// concurrency-safe, is touched exclusively by the serial adoption loop on
-// the calling goroutine, in payload order, so contents are byte-identical
-// for every worker count and every split into ranges.
-func (r *restorer) install(payload []byte, lo, hi int) {
-	frames := make([]*mem.Page, hi-lo)
-	_ = parallel.New(r.opts.Workers).ForEach(hi-lo, func(i int) error {
-		frames[i] = r.frame(r.dataAddrs[lo+i]/mem.PageSize, payload, lo+i)
-		return nil
-	})
-	for i, f := range frames {
-		r.adopt(r.dataAddrs[lo+i]/mem.PageSize, f)
-	}
-}
-
-// frame builds the frame for page idx from payload page pi: a shared
+// schedule — into resident frames, in payload order: a shared
 // copy-on-write frame from the cache when the restore has one, a private
 // copy otherwise.
-func (r *restorer) frame(idx uint64, payload []byte, pi int) *mem.Page {
-	data := payload[pi*mem.PageSize : (pi+1)*mem.PageSize]
-	if r.opts.Frames != nil {
-		return r.opts.Frames.Frame(idx, data)
+func (r *restorer) install(payload []byte, lo, hi int) {
+	for pi := lo; pi < hi; pi++ {
+		idx := r.dataAddrs[pi] / mem.PageSize
+		data := payload[pi*mem.PageSize : (pi+1)*mem.PageSize]
+		if r.opts.Frames != nil {
+			r.as.InstallSharedPage(idx, r.opts.Frames.Frame(idx, data))
+		} else {
+			r.as.InstallPreparedPage(idx, mem.PreparePage(data))
+		}
+		r.installed++
 	}
-	return mem.PreparePage(data)
 }
 
-func (r *restorer) adopt(idx uint64, f *mem.Page) {
-	if r.opts.Frames != nil {
-		r.as.InstallSharedPage(idx, f)
-	} else {
-		r.as.InstallPreparedPage(idx, f)
-	}
-	r.installed++
-}
-
-// build finishes the restore once every payload page is installed: dedup
-// references (their sources have all landed by now), thread cores with
-// trap-PC nudging, mutexes, the cleared DAPPER flag, and adoption by the
-// kernel.
-func (r *restorer) build(k *kernel.Kernel, dir *ImageDir, payload []byte) (*kernel.Process, error) {
-	for _, dp := range r.dedups {
-		idx := dp.addr / mem.PageSize
-		r.adopt(idx, r.frame(idx, payload, dp.src))
-	}
+// build finishes the restore once every payload page is installed:
+// thread cores with trap-PC nudging, mutexes, the cleared DAPPER flag, and
+// adoption by the kernel.
+func (r *restorer) build(k *kernel.Kernel, dir *ImageDir) (*kernel.Process, error) {
 	coder := compiler.CoderFor(r.inv.Arch)
 	p := kernel.NewRestoredProcess(r.inv.Arch, coder, r.as)
 	p.ExePath = r.files.ExePath

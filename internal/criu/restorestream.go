@@ -22,8 +22,8 @@ type pageBatch struct{ lo, hi int }
 
 // StreamRestoreStats describes the realized streaming-restore pipeline.
 type StreamRestoreStats struct {
-	// Pages counts pages installed into the address space (data, dedup,
-	// and materialized zero pages).
+	// Pages counts pages installed into the address space (data and
+	// materialized zero pages).
 	Pages int
 	// Batches counts page batches handed to the background installer.
 	// Each wire chunk dispatches at most one batch, so Batches >= 2
@@ -88,12 +88,12 @@ type StreamRestorer struct {
 }
 
 // NewStreamRestorer returns a restorer for one image stream arriving on
-// kernel k. opts carries the worker bound, the COW frame cache, and the
-// telemetry registry exactly as for RestoreWith.
+// kernel k. opts carries the COW frame cache and the telemetry registry
+// exactly as for RestoreWith.
 func NewStreamRestorer(k *kernel.Kernel, provider BinaryProvider, opts RestoreOpts) *StreamRestorer {
 	return &StreamRestorer{
 		k: k, provider: provider, opts: opts,
-		sv:   imgcheck.NewStreamVerifier(imgcheck.Opts{Workers: opts.Workers}),
+		sv:   imgcheck.NewStreamVerifier(),
 		meta: image.NewDirSink(),
 	}
 }
@@ -208,11 +208,11 @@ func (sr *StreamRestorer) Stats() StreamRestoreStats { return sr.stats }
 func (sr *StreamRestorer) Dir() *ImageDir { return sr.sv.Dir() }
 
 // Finish completes the restore after the stream has been fully fed (the
-// splitter's Close returned nil): it joins the background installer,
-// resolves dedup references, runs the image-vs-binary version-skew check
-// over the now-complete directory, and builds the process. Finish must
-// be called exactly once, on every path — including after a sink error,
-// where it reaps the installer and returns the poisoning error.
+// splitter's Close returned nil): it joins the background installer, runs
+// the image-vs-binary version-skew check over the now-complete directory,
+// and builds the process. Finish must be called exactly once, on every
+// path — including after a sink error, where it reaps the installer and
+// returns the poisoning error.
 func (sr *StreamRestorer) Finish() (*kernel.Process, error) {
 	if sr.finished {
 		return nil, fmt.Errorf("criu: stream restore: Finish called twice")
@@ -242,7 +242,7 @@ func (sr *StreamRestorer) Finish() (*kernel.Process, error) {
 	sr.verifyNs += time.Since(verifyStart)
 
 	buildStart := time.Now()
-	p, err := sr.r.build(sr.k, sr.sv.Dir(), sr.payload)
+	p, err := sr.r.build(sr.k, sr.sv.Dir())
 	if err != nil {
 		return nil, err
 	}

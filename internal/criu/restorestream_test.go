@@ -3,7 +3,6 @@ package criu_test
 import (
 	"bytes"
 	"encoding/binary"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -20,8 +19,35 @@ import (
 	"github.com/dapper-sim/dapper/internal/obs"
 )
 
-// pausedDupPair is pausedDupProc plus the compiled pair, for tests that
-// need to restore (and therefore need the binary provider).
+// dupHeavy fills a large array with a pattern that repeats every 512
+// ints — exactly one 4K page — so the resident set is full of
+// byte-identical nonzero pages.
+// Equivalence points live at function entry, so the post-fill work sits
+// in a callee the monitor can pause between calls to.
+const dupHeavy = `
+var data[8192] int;
+var sum int;
+func fill() {
+	var i int;
+	for i = 0; i < 8192; i = i + 1 {
+		data[i] = (i % 512) + 7;
+	}
+}
+func step(round int) {
+	sum = sum + data[(round * 512) % 8192];
+}
+func main() {
+	var round int;
+	fill();
+	for round = 0; round < 4096; round = round + 1 {
+		step(round);
+	}
+	printi(sum);
+}`
+
+// pausedDupPair compiles dupHeavy, runs it past the fill loop, and pauses
+// it at an equivalence point, ready to dump; the compiled pair is what a
+// restore's binary provider needs.
 func pausedDupPair(t *testing.T) (*kernel.Process, *compiler.Pair) {
 	t.Helper()
 	pair, err := compiler.Compile(dupHeavy)
@@ -78,7 +104,7 @@ func streamRestore(t *testing.T, k *kernel.Kernel, prov criu.BinaryProvider, dir
 }
 
 // asSnapshot serializes an address space's populated pages in index
-// order — the byte-identity fingerprint for the worker matrix.
+// order — the byte-identity fingerprint for the restore matrix.
 func asSnapshot(as *mem.AddressSpace) []byte {
 	idxs := as.PopulatedPages()
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
@@ -98,7 +124,7 @@ func asSnapshot(as *mem.AddressSpace) []byte {
 // restore.
 func TestStreamRestoreMatchesRestore(t *testing.T) {
 	p, pair := pausedDupPair(t)
-	dir, err := criu.Dump(p, criu.DumpOpts{Dedup: true})
+	dir, err := criu.Dump(p, criu.DumpOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +136,9 @@ func TestStreamRestoreMatchesRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	k2 := kernel.New(kernel.Config{Cores: 2})
-	// 4 KiB chunks: the dedup-shrunk payload still spans several chunks,
-	// so the installer provably consumes batches before the stream ends.
-	p2, sr := streamRestore(t, k2, prov, dir, criu.RestoreOpts{Workers: 4}, 4<<10)
+	// 4 KiB chunks: the payload spans many chunks, so the installer
+	// provably consumes batches before the stream ends.
+	p2, sr := streamRestore(t, k2, prov, dir, criu.RestoreOpts{}, 4<<10)
 
 	if got, want := asSnapshot(p2.AS), asSnapshot(p1.AS); !bytes.Equal(got, want) {
 		t.Fatal("streamed restore produced a different memory image")
@@ -131,14 +157,14 @@ func TestStreamRestoreMatchesRestore(t *testing.T) {
 	}
 }
 
-// TestRestoreWorkerMatrixByteIdentical is the satellite byte-identity
-// matrix: worker counts {1, 4, NumCPU} x frame sharing {private, COW
-// cache} x image shapes {vanilla, flattened incremental, streamed} must
-// all restore the identical memory image. Run under -race this also
-// shakes out install-path data races.
-func TestRestoreWorkerMatrixByteIdentical(t *testing.T) {
+// TestRestoreMatrixByteIdentical is the byte-identity matrix: frame
+// sharing {private, COW cache} x image shapes {vanilla, flattened
+// incremental} x feeders {directory, streamed} must all restore the
+// identical memory image. Run under -race this also shakes out
+// install-path data races between the stream and its installer.
+func TestRestoreMatrixByteIdentical(t *testing.T) {
 	dupProc, dupPair := pausedDupPair(t)
-	vanilla, err := criu.Dump(dupProc, criu.DumpOpts{Dedup: true})
+	vanilla, err := criu.Dump(dupProc, criu.DumpOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +186,6 @@ func TestRestoreWorkerMatrixByteIdentical(t *testing.T) {
 		{"vanilla", vanilla, criu.MapProvider{"/bin/dup.sx86": dupPair.X86}},
 		{"flattened", flat, criu.MapProvider{"/bin/inc.sx86": sparsePair.X86}},
 	}
-	workerCounts := []int{1, 4, runtime.NumCPU()}
 
 	for _, img := range images {
 		var golden []byte
@@ -172,32 +197,29 @@ func TestRestoreWorkerMatrixByteIdentical(t *testing.T) {
 				return
 			}
 			if !bytes.Equal(snap, golden) {
-				t.Errorf("%s/%s: memory image differs from workers=1 baseline", img.name, label)
+				t.Errorf("%s/%s: memory image differs from the private directory restore", img.name, label)
 			}
 		}
-		for _, w := range workerCounts {
-			for _, frames := range []bool{false, true} {
-				opts := criu.RestoreOpts{Workers: w}
-				label := "private"
-				if frames {
-					opts.Frames = kernel.NewFrameCache()
-					label = "cow"
-				}
-				k := kernel.New(kernel.Config{Cores: 2})
-				p, err := criu.RestoreWith(k, img.dir, img.prov, opts)
-				if err != nil {
-					t.Fatalf("%s restore workers=%d frames=%v: %v", img.name, w, frames, err)
-				}
-				check(label+"/restore", p.AS)
-
-				ks := kernel.New(kernel.Config{Cores: 2})
-				opts.Frames = nil
-				if frames {
-					opts.Frames = kernel.NewFrameCache()
-				}
-				ps, _ := streamRestore(t, ks, img.prov, img.dir, opts, 48<<10)
-				check(label+"/stream", ps.AS)
+		for _, frames := range []bool{false, true} {
+			var opts criu.RestoreOpts
+			label := "private"
+			if frames {
+				opts.Frames = kernel.NewFrameCache()
+				label = "cow"
 			}
+			k := kernel.New(kernel.Config{Cores: 2})
+			p, err := criu.RestoreWith(k, img.dir, img.prov, opts)
+			if err != nil {
+				t.Fatalf("%s restore frames=%v: %v", img.name, frames, err)
+			}
+			check(label+"/restore", p.AS)
+
+			ks := kernel.New(kernel.Config{Cores: 2})
+			if frames {
+				opts.Frames = kernel.NewFrameCache()
+			}
+			ps, _ := streamRestore(t, ks, img.prov, img.dir, opts, 48<<10)
+			check(label+"/stream", ps.AS)
 		}
 	}
 }
@@ -214,7 +236,7 @@ func TestStreamRestoreTelemetry(t *testing.T) {
 	prov := criu.MapProvider{"/bin/dup.sx86": pair.X86}
 	reg := obs.New()
 	k := kernel.New(kernel.Config{Cores: 2})
-	_, sr := streamRestore(t, k, prov, dir, criu.RestoreOpts{Workers: 2, Obs: reg}, 64<<10)
+	_, sr := streamRestore(t, k, prov, dir, criu.RestoreOpts{Obs: reg}, 64<<10)
 
 	rep := reg.Report()
 	root, ok := rep.Span("restore")
@@ -277,7 +299,7 @@ func TestStreamRestoreTruncated(t *testing.T) {
 	prov := criu.MapProvider{"/bin/dup.sx86": pair.X86}
 	blob := dir.Marshal()
 	k := kernel.New(kernel.Config{Cores: 2})
-	sr := criu.NewStreamRestorer(k, prov, criu.RestoreOpts{Workers: 2})
+	sr := criu.NewStreamRestorer(k, prov, criu.RestoreOpts{})
 	sp := image.NewStreamSplitter(sr)
 	if _, err := sp.Write(blob[:len(blob)-4096]); err != nil {
 		t.Fatalf("prefix write should be clean: %v", err)
@@ -374,7 +396,7 @@ func main() {
 
 	prov := criu.MapProvider{"/bin/zl.sx86": pair.X86}
 	k2 := kernel.New(kernel.Config{Cores: 2})
-	p2, err := criu.RestoreWith(k2, dir, prov, criu.RestoreOpts{Workers: 4})
+	p2, err := criu.RestoreWith(k2, dir, prov, criu.RestoreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

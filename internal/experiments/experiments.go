@@ -113,7 +113,7 @@ func ParseMarkdown(md string) ([]*Table, error) {
 }
 
 // hostMeasured names, per table, the columns read off the host — its
-// clock, or its CPU count in a label — by the prefix of their header.
+// clock — by the prefix of their header.
 // Every other column is modeled: it is computed from guest cycles, byte
 // counts and the constants of cluster/timing.go, and regenerates
 // identically on any machine.
@@ -121,10 +121,8 @@ var hostMeasured = map[string][]string{
 	"fig5":     {"recode-host(ms)"},
 	"fig7x":    {"fault-p95(us)"},
 	"fig9":     {"host(ms)"},
-	"parpipe":  {"serial(ms)", "workers=", "speedup"}, // "workers=<NumCPU>(ms)"
 	"fleet":    {"wall time", "migs/sec"},
 	"registry": {"pull", "restore"},
-	"restore":  {"mode"}, // "streamed+<NumCPU>w"
 }
 
 func (t *Table) hostColumn(header string) bool {

@@ -89,8 +89,8 @@ func fleetRun(c workloads.Class, conc int) (*fleet.FleetReport, time.Duration, e
 					FlakySource:  &criu.FaultSpec{Seed: int64(1000 + i), FailRate: 1.0},
 				},
 			}
-		case 1: // vanilla with the full wire stack
-			spec.Opts = fleet.JobOpts{Codec: "flate", Dedup: true}
+		case 1: // vanilla over the compressed wire
+			spec.Opts = fleet.JobOpts{Codec: "flate"}
 		case 2: // iterative pre-copy with XOR-delta rounds
 			spec.Opts = fleet.JobOpts{PreCopy: true, Delta: true, Codec: "flate"}
 		}
@@ -126,8 +126,8 @@ func fleetRun(c workloads.Class, conc int) (*fleet.FleetReport, time.Duration, e
 }
 
 // Fleet measures control-plane throughput: the same 12-job mixed queue
-// (post-copy with injected first-attempt faults, vanilla with
-// flate+dedup, pre-copy with delta) pushed through four mixed-ISA nodes
+// (post-copy with injected first-attempt faults, vanilla with flate,
+// pre-copy with delta) pushed through four mixed-ISA nodes
 // at fleet-wide concurrency bounds of 1, 4, and 8. Retry rate is retries
 // per job — nonzero by construction, since every third job's fault plan
 // fails its first attempt.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
@@ -27,18 +26,12 @@ var restoreDBs = []struct {
 	{"large", 24000},
 }
 
-// restoreMode is one row group of the restore pipeline comparison.
-type restoreMode struct {
-	name    string
-	stream  bool
-	workers int
-}
-
-// restoreOnce loads db keys into a fresh rediska pair, migrates in the
-// given mode, and fingerprints the restored address space before the
-// process runs again — the byte-identity witness across modes. The
-// returned console output covers a query sweep on the restored server.
-func restoreOnce(c workloads.Class, db uint64, m restoreMode) (_ *cluster.Breakdown, _ *obs.Report, _ []byte, _ string, err error) {
+// restoreOnce loads db keys into a fresh rediska pair, migrates with or
+// without the streamed restore, and fingerprints the restored address
+// space before the process runs again — the byte-identity witness across
+// modes. The returned console output covers a query sweep on the restored
+// server.
+func restoreOnce(c workloads.Class, db uint64, stream bool) (_ *cluster.Breakdown, _ *obs.Report, _ []byte, _ string, err error) {
 	w, err := workloads.Get("rediska")
 	if err != nil {
 		return nil, nil, nil, "", err
@@ -70,8 +63,7 @@ func restoreOnce(c workloads.Class, db uint64, m restoreMode) (_ *cluster.Breakd
 	opts := cluster.MigrateOpts{
 		Obs:           reg,
 		Codec:         criu.CodecFlate,
-		StreamRestore: m.stream,
-		Workers:       m.workers,
+		StreamRestore: stream,
 	}
 	res, err := cluster.Migrate(xeon, pi, p, pair.Meta, opts)
 	if err != nil {
@@ -120,15 +112,9 @@ func restoreFingerprint(as *mem.AddressSpace) []byte {
 // the large image, or if streaming fails to beat the serial modeled
 // downtime there.
 func Restore(c workloads.Class) (*Table, error) {
-	par := runtime.NumCPU()
-	modes := []restoreMode{
-		{"serial", false, 1},
-		{"streamed", true, 1},
-		{fmt.Sprintf("streamed+%dw", par), true, par},
-	}
 	t := &Table{
 		ID:        "restore",
-		Title:     "restore pipeline: serial vs streamed vs streamed+workers (rediska, flate wire codec)",
+		Title:     "restore pipeline: serial vs streamed (rediska, flate wire codec)",
 		Header:    []string{"case", "mode", "images(KiB)", "copy(ms)", "restore(ms)", "downtime(ms)", "segments", "batches"},
 		Telemetry: map[string]*obs.Report{},
 	}
@@ -137,34 +123,38 @@ func Restore(c workloads.Class) (*Table, error) {
 		var serial *cluster.Breakdown
 		var goldFP []byte
 		var goldOut string
-		for _, m := range modes {
-			bd, rep, fp, out, err := restoreOnce(c, db.keys, m)
-			if err != nil {
-				return nil, fmt.Errorf("restore %s %s: %w", label, m.name, err)
+		for _, stream := range []bool{false, true} {
+			mode := "serial"
+			if stream {
+				mode = "streamed"
 			}
-			if m.name == "serial" {
+			bd, rep, fp, out, err := restoreOnce(c, db.keys, stream)
+			if err != nil {
+				return nil, fmt.Errorf("restore %s %s: %w", label, mode, err)
+			}
+			if !stream {
 				serial, goldFP, goldOut = bd, fp, out
 			} else {
 				if !bytes.Equal(fp, goldFP) {
-					return nil, fmt.Errorf("restore %s %s: restored memory differs from the serial transfer", label, m.name)
+					return nil, fmt.Errorf("restore %s %s: restored memory differs from the serial transfer", label, mode)
 				}
 				if out != goldOut {
-					return nil, fmt.Errorf("restore %s %s: query answers differ from the serial transfer", label, m.name)
+					return nil, fmt.Errorf("restore %s %s: query answers differ from the serial transfer", label, mode)
 				}
 			}
 			t.Rows = append(t.Rows, []string{
-				label, m.name, kb(bd.ImageBytes), ms(bd.Copy), ms(bd.Restore), ms(bd.Downtime),
+				label, mode, kb(bd.ImageBytes), ms(bd.Copy), ms(bd.Restore), ms(bd.Downtime),
 				fmt.Sprintf("%d", bd.StreamSegments), fmt.Sprintf("%d", bd.StreamBatches),
 			})
-			t.Telemetry[label+"/"+m.name] = rep
-			if db.label == "large" && m.stream {
+			t.Telemetry[label+"/"+mode] = rep
+			if db.label == "large" && stream {
 				if bd.StreamSegments < 2 || bd.StreamBatches < 2 {
 					return nil, fmt.Errorf("restore %s %s: overlap never engaged (segments=%d batches=%d, want both >= 2)",
-						label, m.name, bd.StreamSegments, bd.StreamBatches)
+						label, mode, bd.StreamSegments, bd.StreamBatches)
 				}
 				if bd.Downtime >= serial.Downtime {
 					return nil, fmt.Errorf("restore %s %s: modeled downtime %v did not beat serial %v",
-						label, m.name, bd.Downtime, serial.Downtime)
+						label, mode, bd.Downtime, serial.Downtime)
 				}
 			}
 		}
@@ -172,7 +162,6 @@ func Restore(c workloads.Class) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"serial downtime = checkpoint+recode+copy+restore; streamed downtime replaces copy+restore with max(copy, restore)",
 		"segments/batches prove the overlap: pages were installing while later wire segments were still arriving",
-		"every mode must land byte-identical memory and identical query answers; the generator hard-fails otherwise",
-		fmt.Sprintf("worker fan-out is machine-dependent (this run: %d CPUs); install stays byte-identical at any width", par))
+		"both modes must land byte-identical memory and identical query answers; the generator hard-fails otherwise")
 	return t, nil
 }

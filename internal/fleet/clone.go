@@ -137,10 +137,7 @@ func (m *Manager) attemptClone(job *Job, dst *NodeState) error {
 	for i := range targets {
 		targets[i] = dst.Node
 	}
-	res, err := cluster.CloneFromRegistry(m.cfg.Registry, job.Spec.Manifest, targets, cluster.CloneOpts{
-		Workers: job.Spec.Opts.Workers,
-		Obs:     m.reg,
-	})
+	res, err := cluster.CloneFromRegistry(m.cfg.Registry, job.Spec.Manifest, targets, cluster.CloneOpts{Obs: m.reg})
 	if err != nil {
 		return fmt.Errorf("fleet: clone %.12s onto %s: %w", job.Spec.Manifest, dst.Name, err)
 	}

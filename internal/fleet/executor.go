@@ -15,8 +15,8 @@ import (
 //
 //  1. First attempt only: start the job's program on the source node and
 //     run it to the spec's cycle fraction (the migration point).
-//  2. cluster.Migrate with the job's per-job MigrateOpts (workers,
-//     dedup, codec, delta, lazy/precopy) and the fleet obs registry.
+//  2. cluster.Migrate with the job's per-job MigrateOpts (codec,
+//     delta, lazy/precopy, stream) and the fleet obs registry.
 //     Restore pre-flights every image through imgcheck, so a corrupt
 //     image can never be silently resumed.
 //  3. Lazy jobs then run the restored process, realizing post-copy
@@ -208,8 +208,6 @@ func (m *Manager) migrateOpts(job *Job, attempt int, refCycles uint64) (cluster.
 		return cluster.MigrateOpts{}, err
 	}
 	opts := cluster.MigrateOpts{
-		Workers:       job.Spec.Opts.Workers,
-		Dedup:         job.Spec.Opts.Dedup,
 		Codec:         codec,
 		Delta:         job.Spec.Opts.Delta,
 		Lazy:          job.Spec.Opts.Lazy,

@@ -108,10 +108,10 @@ func TestFleetSmoke(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		spec := JobSpec{Program: "counter", RunFrac: 0.4}
 		switch i % 5 {
-		case 0: // vanilla, batched codec
-			spec.Opts = JobOpts{Codec: "none", Workers: 2}
-		case 1: // vanilla, compressed + dedup
-			spec.Opts = JobOpts{Codec: "flate", Dedup: true}
+		case 0: // vanilla, uncompressed
+			spec.Opts = JobOpts{Codec: "none"}
+		case 1: // vanilla, compressed
+			spec.Opts = JobOpts{Codec: "flate"}
 		case 2: // pre-copy with XOR-delta rounds
 			spec.Opts = JobOpts{PreCopy: true, Delta: true, Codec: "flate"}
 		case 3: // lazy with an injected page-fetch failure on attempt 1

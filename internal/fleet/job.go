@@ -47,15 +47,9 @@ func (s JobState) String() string {
 }
 
 // JobOpts is the per-job migration configuration, the fleet-level mirror
-// of cluster.MigrateOpts: every knob the single-migration library grew
-// (parallel workers, content-addressed dedup, wire codec, XOR-delta
-// rounds) is selectable per job.
+// of cluster.MigrateOpts: the migration mode, the wire codec and XOR-delta
+// rounds are selectable per job.
 type JobOpts struct {
-	// Workers bounds the parallel stages of this job's migration
-	// pipeline (cluster.MigrateOpts.Workers). 0 selects NumCPU.
-	Workers int `json:"workers,omitempty"`
-	// Dedup content-addresses page payloads in the dump.
-	Dedup bool `json:"dedup,omitempty"`
 	// Codec names the wire codec: "none" (the default, also selected by
 	// the empty string) or "flate" (compressed).
 	Codec string `json:"codec,omitempty"`
@@ -254,9 +248,7 @@ type JobView struct {
 	Mode       string        `json:"mode"`
 	Codec      string        `json:"codec,omitempty"`
 	Delta      bool          `json:"delta,omitempty"`
-	Dedup      bool          `json:"dedup,omitempty"`
 	Stream     bool          `json:"stream,omitempty"`
-	Workers    int           `json:"workers,omitempty"`
 	Migration  time.Duration `json:"migration_ns,omitempty"`
 	Downtime   time.Duration `json:"downtime_ns,omitempty"`
 	ImageBytes uint64        `json:"image_bytes,omitempty"`
@@ -287,9 +279,7 @@ func (j *Job) view() JobView {
 		Mode:       mode,
 		Codec:      j.Spec.Opts.Codec,
 		Delta:      j.Spec.Opts.Delta,
-		Dedup:      j.Spec.Opts.Dedup,
 		Stream:     j.Spec.Opts.Stream,
-		Workers:    j.Spec.Opts.Workers,
 		Migration:  j.MigrationTime,
 		Downtime:   j.Downtime,
 		ImageBytes: j.ImageBytes,

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"encoding/json"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,5 +52,62 @@ func TestJournalRawCodecJob(t *testing.T) {
 				t.Errorf("job 2: state %s err %q, want done", v.State, v.Err)
 			}
 		}
+	}
+}
+
+// TestRetiredJobOptsIgnored: builds before the parallel pipeline and page
+// dedup were deleted journaled and submitted "workers" and "dedup" job
+// options. A journal line carrying them must resume, and a submit
+// carrying them must be accepted, as the same job without them.
+func TestRetiredJobOptsIgnored(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "old.journal")
+	line := `{"seq":1,"type":"submit","job":1,"spec":{"program":"counter","run_frac":0.5,"opts":{"workers":4,"dedup":true,"codec":"flate"}}}` + "\n"
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastConfig()
+	cfg.Journal = path
+	m := mixedFleet(t, cfg, 1)
+	defer stopManager(t, m)
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	socket := filepath.Join(dir, "d.sock")
+	srv, err := Serve(m, socket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := srv.Close(); err != nil {
+			t.Errorf("server close: %v", err)
+		}
+	}()
+	conn, err := net.Dial("unix", socket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte(`{"op":"submit","spec":{"program":"counter","opts":{"workers":4,"dedup":true}}}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := json.NewDecoder(conn).Decode(&resp); err != nil || !resp.OK {
+		t.Fatalf("submit with retired options: resp %+v err %v", resp, err)
+	}
+	if err := m.WaitIdle(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	jobs := m.Jobs()
+	if len(jobs) != 2 {
+		t.Fatalf("%d jobs, want the journaled one and the submitted one", len(jobs))
+	}
+	for _, v := range jobs {
+		if v.State != "done" {
+			t.Errorf("job %d: state %s err %q, want done", v.ID, v.State, v.Err)
+		}
+	}
+	if v, _ := m.Job(1); v.Codec != "flate" || !v.Resumed {
+		t.Errorf("journaled job resumed as %+v, want its flate codec kept", v)
 	}
 }

@@ -14,6 +14,7 @@ package image
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -168,31 +169,26 @@ func UnmarshalMM(b []byte) (*MMImage, error) {
 // (incremental dumps, CRIU's in_parent flag) carry no bytes either: the
 // content is unchanged since the parent checkpoint and resolves through
 // the chain. Zero entries mark all-zero pages whose bytes are elided;
-// restore leaves them demand-zero. Dedup entries (the content-addressed
-// page store) carry no bytes either: each of the run's pages is
-// byte-identical to the data page at DedupSrc + i*PageSize earlier in
-// the SAME pagemap — the reference must point strictly backwards, so a
-// single forward pass resolves it and cycles are impossible by
-// construction. Delta entries (pre-copy XOR encoding) DO carry bytes in
-// pages.img, but the bytes are the XOR of the page's content with its
-// content at the parent checkpoint: a re-dirtied page whose bytes barely
-// changed encodes as mostly zeros, which the wire codec compresses away.
-// Resolving a delta page therefore needs the parent chain, like
-// in_parent but with local bytes.
+// restore leaves them demand-zero. Delta entries (pre-copy XOR encoding)
+// DO carry bytes in pages.img, but the bytes are the XOR of the page's
+// content with its content at the parent checkpoint: a re-dirtied page
+// whose bytes barely changed encodes as mostly zeros, which the wire
+// codec compresses away. Resolving a delta page therefore needs the
+// parent chain, like in_parent but with local bytes.
 type PagemapEntry struct {
 	Vaddr    uint64 `json:"vaddr"`
 	NrPages  uint32 `json:"nrPages"`
 	Lazy     bool   `json:"lazy,omitempty"`
 	InParent bool   `json:"inParent,omitempty"`
 	Zero     bool   `json:"zero,omitempty"`
-	Dedup    bool   `json:"dedup,omitempty"`
-	// DedupSrc is the page-aligned vaddr of the data page holding this
-	// run's bytes; meaningful only when Dedup is set.
-	DedupSrc uint64 `json:"dedupSrc,omitempty"`
 	// Delta marks the run's pages.img bytes as XORed against the same
 	// page's content in the parent chain (incremental dumps only).
 	Delta bool `json:"delta,omitempty"`
 }
+
+// ErrRetiredField is what UnmarshalPagemap returns for an entry carrying
+// field 6 or 7, the within-dump dedup back-reference older builds wrote.
+var ErrRetiredField = errors.New("retired field")
 
 // PagemapImage is pagemap.img: the index into pages.img.
 type PagemapImage struct {
@@ -209,20 +205,9 @@ func (p *PagemapImage) Marshal() []byte {
 			n.Bool(3, en.Lazy)
 			n.Bool(4, en.InParent)
 			n.Bool(5, en.Zero)
-			// Fields 6/7 are emitted only for dedup runs so that images
-			// written without dedup stay byte-identical to the pre-dedup
-			// encoding (the Workers=1 golden-output contract).
-			// Flag and source are emitted independently so a malformed
-			// source-without-flag entry survives a CRIT round trip for the
-			// verifier to reject.
-			if en.Dedup {
-				n.Bool(6, true)
-			}
-			if en.DedupSrc != 0 {
-				n.Fixed64(7, en.DedupSrc)
-			}
-			// Field 8 likewise appears only on delta runs, so non-delta
-			// images keep the historical byte-identical encoding.
+			// Field 8 appears only on delta runs, so non-delta images keep
+			// the historical byte-identical encoding. Fields 6 and 7 are
+			// retired (see UnmarshalPagemap).
 			if en.Delta {
 				n.Bool(8, true)
 			}
@@ -261,14 +246,10 @@ func UnmarshalPagemap(b []byte) (*PagemapImage, error) {
 				v, err := nd.FieldBool()
 				en.Zero = v
 				return err
-			case 6:
-				v, err := nd.FieldBool()
-				en.Dedup = v
-				return err
-			case 7:
-				u, err := nd.FieldUint64()
-				en.DedupSrc = u
-				return err
+			case 6, 7:
+				// Skipping these like an unknown field would decode the entry
+				// as a data run whose bytes pages.img never carried.
+				return fmt.Errorf("entry at 0x%x: %w %d (page dedup back-reference; re-dump the process with this build)", en.Vaddr, ErrRetiredField, nf)
 			case 8:
 				v, err := nd.FieldBool()
 				en.Delta = v
@@ -544,8 +525,8 @@ func (ps *PageSet) classOf(a uint64) PageClass {
 }
 
 // LoadPageSet parses the pagemap/pages pair from a directory. Nothing is
-// copied: every Pages entry aliases its 4K of pages.img (and a dedup
-// page its source's), capped so a write cannot run past the page.
+// copied: every Pages entry aliases its 4K of pages.img, capped so a
+// write cannot run past the page.
 func LoadPageSet(dir *ImageDir) (*PageSet, error) {
 	pmRaw, ok := dir.Get("pagemap.img")
 	if !ok {
@@ -559,15 +540,10 @@ func LoadPageSet(dir *ImageDir) (*PageSet, error) {
 	// Pre-scan the pagemap: per-class page counts size every map exactly
 	// once, and the data-page total bounds-checks pages.img up front so
 	// the install loop below never re-checks per entry.
-	var nData, nDedup, nLazy, nParent, nZero, nDelta int
+	var nData, nLazy, nParent, nZero, nDelta int
 	for _, en := range pm.Entries {
 		n := int(en.NrPages)
 		switch {
-		case en.Dedup:
-			nDedup += n
-			if en.Delta {
-				nDelta += n
-			}
 		case en.Lazy:
 			nLazy += n
 		case en.InParent:
@@ -585,7 +561,7 @@ func LoadPageSet(dir *ImageDir) (*PageSet, error) {
 		return nil, fmt.Errorf("image: pages.img truncated: pagemap describes %d data bytes, file carries %d", want, len(pages))
 	}
 	ps := &PageSet{
-		Pages:       make(map[uint64][]byte, nData+nDedup),
+		Pages:       make(map[uint64][]byte, nData),
 		LazyPages:   make(map[uint64]bool, nLazy),
 		ParentPages: make(map[uint64]bool, nParent),
 		ZeroPages:   make(map[uint64]bool, nZero),
@@ -597,29 +573,6 @@ func LoadPageSet(dir *ImageDir) (*PageSet, error) {
 		for i := uint32(0); i < en.NrPages; i++ {
 			addr := en.Vaddr + uint64(i)*mem.PageSize
 			switch {
-			case en.Dedup:
-				// Dedup references point strictly backwards (the page
-				// with the lowest vaddr keeps the bytes), so a single
-				// forward pass resolves every run. A combined dedup+delta
-				// entry must reference an earlier delta page and a plain
-				// dedup entry an earlier data page: the delta flag names
-				// the representation of the shared bytes, and a mismatch
-				// would alias XOR-diff bytes as content (or vice versa).
-				// The page shares its source's bytes until either is
-				// written.
-				src := en.DedupSrc + uint64(i)*mem.PageSize
-				srcPg, ok := ps.Pages[src]
-				if !ok || srcPg == nil {
-					return nil, fmt.Errorf("image: dedup page 0x%x references 0x%x, which holds no data", addr, src)
-				}
-				if en.Delta != ps.DeltaPages[src] {
-					return nil, fmt.Errorf("image: dedup page 0x%x (delta=%v) references 0x%x (delta=%v): flag class mismatch", addr, en.Delta, src, ps.DeltaPages[src])
-				}
-				ps.Pages[addr] = srcPg
-				if en.Delta {
-					ps.DeltaPages[addr] = true
-				}
-				continue
 			case en.Lazy:
 				ps.LazyPages[addr] = true
 				continue
@@ -652,49 +605,11 @@ func NewPageSet() *PageSet {
 	}
 }
 
-// StoreOpts selects optional encodings for PageSet.Store.
-type StoreOpts struct {
-	// Dedup content-addresses data pages (FNV-1a 64 over each 4K page,
-	// byte-compared on hash collision): the occurrence with the lowest
-	// vaddr keeps its bytes in pages.img, every later identical page
-	// becomes a pagemap-only dedup entry referencing it. Off by default
-	// so existing images stay byte-identical.
-	Dedup bool
-}
-
-// StoreStats reports what a store elided.
-type StoreStats struct {
-	// PagesElided counts data pages encoded as dedup references.
-	PagesElided uint64
-	// BytesSaved is PagesElided * PageSize: payload bytes absent from
-	// pages.img (and therefore from the wire).
-	BytesSaved uint64
-}
-
-// fnv1a64 hashes one page with FNV-1a (the content address used by the
-// dedup store). Inline so the codec stays dependency-free.
-func fnv1a64(b []byte) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
-}
-
 // Store serializes the page set back into the directory, coalescing
-// contiguous same-class (data/lazy/in_parent/zero) runs. Output is
-// byte-identical to the historical encoding; use StoreWith for dedup.
+// contiguous same-class (data/lazy/in_parent/zero/delta) runs. The
+// emitted pagemap depends only on the page-set contents (addresses are
+// sorted), never on map iteration.
 func (ps *PageSet) Store(dir *ImageDir) {
-	ps.StoreWith(dir, StoreOpts{})
-}
-
-// StoreWith is Store with options. The emitted pagemap depends only on
-// the page-set contents (addresses are sorted, dedup sources are the
-// lowest-vaddr occurrence), never on map iteration or worker
-// scheduling, so output is deterministic for any producer.
-func (ps *PageSet) StoreWith(dir *ImageDir, opts StoreOpts) StoreStats {
 	addrs := make([]uint64, 0, len(ps.Pages)+len(ps.LazyPages)+len(ps.ParentPages)+len(ps.ZeroPages))
 	for a := range ps.Pages {
 		addrs = append(addrs, a)
@@ -714,7 +629,7 @@ func (ps *PageSet) StoreWith(dir *ImageDir, opts StoreOpts) StoreStats {
 	for i, a := range addrs {
 		recs[i] = PageRecord{Addr: a, Class: ps.classOf(a), Data: ps.Pages[a]}
 	}
-	return EncodePages(dir, recs, opts)
+	EncodePages(dir, recs)
 }
 
 // PageRecord is one page of the sequence EncodePages encodes.
@@ -732,40 +647,10 @@ type PageRecord struct {
 // coalesce into runs, pages.img is allocated once at its exact size, and
 // each data or delta page is copied once, straight to its final offset
 // (bytes.Join, which also does not zero the buffer before filling it).
-func EncodePages(dir *ImageDir, recs []PageRecord, opts StoreOpts) StoreStats {
-	var stats StoreStats
-	var dedupSrc map[int]uint64 // record index -> source data page vaddr
-	if opts.Dedup {
-		dedupSrc = make(map[int]uint64)
-		byHash := make(map[uint64][]int) // content hash -> keeper record indices
-		for i, r := range recs {
-			if r.Class != PageData && r.Class != PageDelta {
-				continue
-			}
-			// Data pages dedup against data pages and delta pages against
-			// delta pages, never across: the bytes are only interchangeable
-			// within one representation. The class travels on the emitted
-			// entry as the combined dedup+delta flag pair.
-			h := fnv1a64(r.Data)
-			matched := false
-			for _, k := range byHash[h] {
-				if recs[k].Class == r.Class && bytes.Equal(recs[k].Data, r.Data) {
-					dedupSrc[i] = recs[k].Addr
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				byHash[h] = append(byHash[h], i)
-			}
-		}
-		stats.PagesElided = uint64(len(dedupSrc))
-		stats.BytesSaved = stats.PagesElided * mem.PageSize
-	}
-
+func EncodePages(dir *ImageDir, recs []PageRecord) {
 	nPayload := 0
-	for i, r := range recs {
-		if _, dup := dedupSrc[i]; !dup && (r.Class == PageData || r.Class == PageDelta) {
+	for _, r := range recs {
+		if r.Class == PageData || r.Class == PageDelta {
 			nPayload++
 		}
 	}
@@ -777,22 +662,8 @@ func EncodePages(dir *ImageDir, recs []PageRecord, opts StoreOpts) StoreStats {
 			i++
 			continue
 		}
-		if src, dup := dedupSrc[i]; dup {
-			// Dedup runs stay single-page: each reference names its own
-			// source, and adjacent duplicates rarely share a contiguous
-			// source range worth the extra coalescing complexity.
-			pm.Entries = append(pm.Entries, PagemapEntry{
-				Vaddr: r.Addr, NrPages: 1, Dedup: true, DedupSrc: src,
-				Delta: r.Class == PageDelta,
-			})
-			i++
-			continue
-		}
 		j := i
 		for ; j < len(recs) && recs[j].Addr == r.Addr+uint64(j-i)*mem.PageSize && recs[j].Class == r.Class; j++ {
-			if _, dup := dedupSrc[j]; dup {
-				break
-			}
 			if r.Class == PageData || r.Class == PageDelta {
 				payload = append(payload, recs[j].Data)
 			}
@@ -807,7 +678,6 @@ func EncodePages(dir *ImageDir, recs []PageRecord, opts StoreOpts) StoreStats {
 
 	dir.Put("pagemap.img", pm.Marshal())
 	dir.Put("pages.img", bytes.Join(payload, nil))
-	return stats
 }
 
 // ReadU64 reads a word from the page set (for the stack rewriter). Zero
@@ -902,67 +772,6 @@ func dropRange[V any](m map[uint64]V, start, end uint64) {
 	for a := range m {
 		if a >= start && a < end {
 			delete(m, a)
-		}
-	}
-}
-
-// ExtractRange returns a PageSet view of [start, end): every page entry
-// of ps inside the range, with page bytes shared rather than copied.
-// Concurrent callers may take views of disjoint ranges while nothing
-// mutates ps (map reads only); each caller may then mutate its own view
-// freely — the view borrows every page, so its first write to one
-// copies it and the shared ps is never written through a view. Fold a
-// mutated view back with AbsorbRange after every view's work has
-// joined. This pair is what lets per-thread stack rewriters run
-// concurrently over one dump.
-func (ps *PageSet) ExtractRange(start, end uint64) *PageSet {
-	sub := NewPageSet()
-	for a := start / mem.PageSize * mem.PageSize; a < end; a += mem.PageSize {
-		if pg, ok := ps.Pages[a]; ok {
-			sub.Pages[a] = pg
-		}
-		if ps.LazyPages[a] {
-			sub.LazyPages[a] = true
-		}
-		if ps.ParentPages[a] {
-			sub.ParentPages[a] = true
-		}
-		if ps.ZeroPages[a] {
-			sub.ZeroPages[a] = true
-		}
-		if ps.DeltaPages[a] {
-			sub.DeltaPages[a] = true
-		}
-	}
-	return sub
-}
-
-// AbsorbRange replaces [start, end) of ps with the contents of sub, a
-// view produced by ExtractRange and since mutated. Entries of sub
-// outside the range are ignored. Not concurrency-safe: absorb views
-// serially, after the fan-out that mutated them has joined.
-func (ps *PageSet) AbsorbRange(sub *PageSet, start, end uint64) {
-	ps.DropRange(start, end)
-	for a, pg := range sub.Pages {
-		if a >= start && a < end {
-			// The view is spent: what it owned, ps now owns.
-			if sub.owned[a] {
-				ps.own(a, pg)
-			} else {
-				ps.Pages[a] = pg
-			}
-		}
-	}
-	absorbFlags(ps.LazyPages, sub.LazyPages, start, end)
-	absorbFlags(ps.ParentPages, sub.ParentPages, start, end)
-	absorbFlags(ps.ZeroPages, sub.ZeroPages, start, end)
-	absorbFlags(ps.DeltaPages, sub.DeltaPages, start, end)
-}
-
-func absorbFlags(dst, src map[uint64]bool, start, end uint64) {
-	for a := range src {
-		if a >= start && a < end {
-			dst[a] = true
 		}
 	}
 }

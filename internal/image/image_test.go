@@ -49,7 +49,7 @@ const cowBase = 0x10000
 // cowDir stores n data pages at cowBase (page i filled with byte i+1)
 // followed by one zero page, and returns the directory with a private
 // copy of its pages.img to compare against later.
-func cowDir(t *testing.T, n int, opts image.StoreOpts) (*image.ImageDir, []byte) {
+func cowDir(t *testing.T, n int) (*image.ImageDir, []byte) {
 	t.Helper()
 	ps := image.NewPageSet()
 	for i := 0; i < n; i++ {
@@ -57,14 +57,14 @@ func cowDir(t *testing.T, n int, opts image.StoreOpts) (*image.ImageDir, []byte)
 	}
 	ps.ZeroPages[cowBase+uint64(n)*mem.PageSize] = true
 	dir := image.NewImageDir()
-	ps.StoreWith(dir, opts)
+	ps.Store(dir)
 	pages, _ := dir.Get("pages.img")
 	return dir, bytes.Clone(pages)
 }
 
 // TestPageSetCopyOnWrite is the invariant the alias-not-copy LoadPageSet
-// rests on: no write through a PageSet — by any of its mutators, directly
-// or through a range view — reaches the directory it was loaded from.
+// rests on: no write through a PageSet, by any of its mutators, reaches
+// the directory it was loaded from.
 func TestPageSetCopyOnWrite(t *testing.T) {
 	page := func(i int) uint64 { return cowBase + uint64(i)*mem.PageSize }
 	mutations := map[string]func(t *testing.T, ps *image.PageSet){
@@ -101,31 +101,10 @@ func TestPageSetCopyOnWrite(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		"ExtractRange, write, AbsorbRange": func(t *testing.T, ps *image.PageSet) {
-			sub := ps.ExtractRange(page(1), page(3))
-			if err := sub.WriteU64(page(1)+8, 4); err != nil {
-				t.Fatal(err)
-			}
-			if v, _ := ps.ReadU64(page(1) + 8); v != 0x0202020202020202 {
-				t.Errorf("a write through a view reached the set it was taken from: 0x%x", v)
-			}
-			ps.AbsorbRange(sub, page(1), page(3))
-			if v, _ := ps.ReadU64(page(1) + 8); v != 4 {
-				t.Errorf("absorbed page reads 0x%x, want the view's write", v)
-			}
-			// The absorbed page is private now; the untouched one is still
-			// borrowed and must be copied by this write.
-			if err := ps.WriteU64(page(1)+16, 5); err != nil {
-				t.Fatal(err)
-			}
-			if err := ps.WriteU64(page(2)+16, 6); err != nil {
-				t.Fatal(err)
-			}
-		},
 	}
 	for name, mutate := range mutations {
 		t.Run(name, func(t *testing.T) {
-			dir, want := cowDir(t, 4, image.StoreOpts{})
+			dir, want := cowDir(t, 4)
 			ps, err := image.LoadPageSet(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -145,43 +124,5 @@ func TestPageSetCopyOnWrite(t *testing.T) {
 				t.Error("the stored pages.img carries none of the edits")
 			}
 		})
-	}
-}
-
-// TestPageSetDedupPagesSplitOnWrite: a dedup page shares its source's
-// bytes after a load; a write to either must leave the other — and the
-// directory — alone.
-func TestPageSetDedupPagesSplitOnWrite(t *testing.T) {
-	ps := image.NewPageSet()
-	for i := 0; i < 3; i++ {
-		ps.InstallPage(cowBase+uint64(i)*mem.PageSize, bytes.Repeat([]byte{0x77}, mem.PageSize))
-	}
-	dir := image.NewImageDir()
-	if st := ps.StoreWith(dir, image.StoreOpts{Dedup: true}); st.PagesElided != 2 {
-		t.Fatalf("dedup elided %d pages, want 2", st.PagesElided)
-	}
-	pages, _ := dir.Get("pages.img")
-	want := bytes.Clone(pages)
-	loaded, err := image.LoadPageSet(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.WriteU64(cowBase+mem.PageSize, 1); err != nil { // a dedup page
-		t.Fatal(err)
-	}
-	if err := loaded.WriteU64(cowBase+8, 2); err != nil { // their source
-		t.Fatal(err)
-	}
-	for addr, word := range map[uint64]uint64{
-		cowBase: 0x7777777777777777, cowBase + 8: 2,
-		cowBase + mem.PageSize: 1, cowBase + mem.PageSize + 8: 0x7777777777777777,
-		cowBase + 2*mem.PageSize: 0x7777777777777777, cowBase + 2*mem.PageSize + 8: 0x7777777777777777,
-	} {
-		if v, _ := loaded.ReadU64(addr); v != word {
-			t.Errorf("word at 0x%x reads 0x%x, want 0x%x", addr, v, word)
-		}
-	}
-	if got, _ := dir.Get("pages.img"); !bytes.Equal(got, want) {
-		t.Fatal("a write to a dedup page or its source reached pages.img")
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/mem"
-	"github.com/dapper-sim/dapper/internal/parallel"
 	"github.com/dapper-sim/dapper/internal/stackmap"
 )
 
@@ -52,7 +51,6 @@ const (
 	InvCorePC        = "core-pc"        // thread PC outside every VMA
 	InvCoreTID       = "core-tid"       // core images and inventory TIDs disagree
 	InvSymbolAlign   = "symbol-align"   // per-ISA site PCs fall outside their function's unified address range
-	InvDedupRef      = "dedup-ref"      // dedup entry dangling, forward-referencing, or malformed
 	InvDeltaChain    = "delta-chain"    // delta page with no in-chain content to apply the XOR to
 )
 
@@ -189,94 +187,54 @@ func decode(dir *image.ImageDir, r *Report) *decoded {
 	return d
 }
 
-// sweep runs fn over contiguous shards of [0, n) on a worker pool and
-// appends the per-shard violations in shard order. Because shards are
-// contiguous and concatenated in order, the diagnostics are identical
-// to a serial sweep for every worker count.
-func sweep(r *Report, workers, n int, fn func(c parallel.Chunk, sr *Report)) {
-	chunks := parallel.Chunks(n, parallel.Normalize(workers))
-	reps := make([]Report, len(chunks))
-	_ = parallel.New(workers).ForEach(len(chunks), func(ci int) error {
-		fn(chunks[ci], &reps[ci])
-		return nil
-	})
-	for _, sr := range reps {
-		r.Violations = append(r.Violations, sr.Violations...)
-	}
-}
-
 // checkStructure runs the per-directory structural invariants shared by
-// VerifyLink and Verify: VMA ordering, pagemap ordering and flags,
-// dedup-reference shape, and the exact pages.img byte count. The
-// per-VMA and per-entry checks shard over the pool; the dedup
-// resolution pass and the byte accounting — which need the whole
-// pagemap — stay serial.
-func checkStructure(d *decoded, r *Report, workers int) {
-	checkStructureMeta(d, r, workers)
+// VerifyLink and Verify: VMA ordering, pagemap ordering and flags, and the
+// exact pages.img byte count.
+func checkStructure(d *decoded, r *Report) {
+	checkStructureMeta(d, r)
 	checkPagesBytes(len(d.pages), d.pm, r)
-	checkDedupResolution(d, r)
 }
 
 // checkStructureMeta is the metadata half of checkStructure — everything
 // that needs only mm.img and pagemap.img, not the page payload. The
 // streaming verifier runs it the moment pages.img is announced, while
 // payload bytes are still on the wire.
-func checkStructureMeta(d *decoded, r *Report, workers int) {
-	sweep(r, workers, len(d.mm.VMAs), func(c parallel.Chunk, sr *Report) {
-		for i := c.Lo; i < c.Hi; i++ {
-			v := d.mm.VMAs[i]
-			if v.Start >= v.End || v.Start%mem.PageSize != 0 || v.End%mem.PageSize != 0 {
-				sr.add(InvVMAOrder, "vma %d [0x%x,0x%x) inverted or unaligned", i, v.Start, v.End)
-			}
-			if i > 0 && v.Start < d.mm.VMAs[i-1].End {
-				sr.add(InvVMAOrder, "vma %d [0x%x,0x%x) overlaps or precedes [0x%x,0x%x)",
-					i, v.Start, v.End, d.mm.VMAs[i-1].Start, d.mm.VMAs[i-1].End)
+func checkStructureMeta(d *decoded, r *Report) {
+	for i, v := range d.mm.VMAs {
+		if v.Start >= v.End || v.Start%mem.PageSize != 0 || v.End%mem.PageSize != 0 {
+			r.add(InvVMAOrder, "vma %d [0x%x,0x%x) inverted or unaligned", i, v.Start, v.End)
+		}
+		if i > 0 && v.Start < d.mm.VMAs[i-1].End {
+			r.add(InvVMAOrder, "vma %d [0x%x,0x%x) overlaps or precedes [0x%x,0x%x)",
+				i, v.Start, v.End, d.mm.VMAs[i-1].Start, d.mm.VMAs[i-1].End)
+		}
+	}
+	for i, en := range d.pm.Entries {
+		if en.NrPages == 0 {
+			r.add(InvPagemapOrder, "entry %d at 0x%x spans zero pages", i, en.Vaddr)
+			continue
+		}
+		if en.Vaddr%mem.PageSize != 0 {
+			r.add(InvPagemapOrder, "entry %d at 0x%x not page-aligned", i, en.Vaddr)
+		}
+		if i > 0 {
+			prev := d.pm.Entries[i-1]
+			prevEnd := prev.Vaddr + uint64(prev.NrPages)*mem.PageSize
+			if en.Vaddr < prevEnd {
+				r.add(InvPagemapOrder, "entry %d at 0x%x overlaps or precedes run ending 0x%x",
+					i, en.Vaddr, prevEnd)
 			}
 		}
-	})
-	sweep(r, workers, len(d.pm.Entries), func(c parallel.Chunk, sr *Report) {
-		for i := c.Lo; i < c.Hi; i++ {
-			en := d.pm.Entries[i]
-			if en.NrPages == 0 {
-				sr.add(InvPagemapOrder, "entry %d at 0x%x spans zero pages", i, en.Vaddr)
-				continue
-			}
-			if en.Vaddr%mem.PageSize != 0 {
-				sr.add(InvPagemapOrder, "entry %d at 0x%x not page-aligned", i, en.Vaddr)
-			}
-			if i > 0 {
-				prev := d.pm.Entries[i-1]
-				prevEnd := prev.Vaddr + uint64(prev.NrPages)*mem.PageSize
-				if en.Vaddr < prevEnd {
-					sr.add(InvPagemapOrder, "entry %d at 0x%x overlaps or precedes run ending 0x%x",
-						i, en.Vaddr, prevEnd)
-				}
-			}
-			flags := 0
-			for _, f := range []bool{en.Lazy, en.InParent, en.Zero, en.Dedup, en.Delta} {
-				if f {
-					flags++
-				}
-			}
-			// Exactly one flag pair is legal: dedup+delta, a dedup
-			// reference whose shared bytes are an XOR payload rather than
-			// plain content. Every other combination is contradictory.
-			if flags > 1 && !(flags == 2 && en.Dedup && en.Delta) {
-				sr.add(InvPagemapFlags, "entry %d at 0x%x sets %d of lazy/in_parent/zero/dedup/delta", i, en.Vaddr, flags)
-			}
-			switch {
-			case en.Dedup:
-				if en.DedupSrc%mem.PageSize != 0 {
-					sr.add(InvDedupRef, "entry %d at 0x%x: dedup source 0x%x not page-aligned", i, en.Vaddr, en.DedupSrc)
-				}
-				if en.DedupSrc >= en.Vaddr {
-					sr.add(InvDedupRef, "entry %d at 0x%x: dedup source 0x%x is not strictly backwards", i, en.Vaddr, en.DedupSrc)
-				}
-			case en.DedupSrc != 0:
-				sr.add(InvDedupRef, "entry %d at 0x%x carries dedup source 0x%x without the dedup flag", i, en.Vaddr, en.DedupSrc)
+		flags := 0
+		for _, f := range []bool{en.Lazy, en.InParent, en.Zero, en.Delta} {
+			if f {
+				flags++
 			}
 		}
-	})
+		if flags > 1 {
+			r.add(InvPagemapFlags, "entry %d at 0x%x sets %d of lazy/in_parent/zero/dedup/delta", i, en.Vaddr, flags)
+		}
+	}
 }
 
 // checkPagesBytes is the pages.img byte accounting. Delta entries carry
@@ -287,55 +245,13 @@ func checkStructureMeta(d *decoded, r *Report, workers int) {
 func checkPagesBytes(pagesLen int, pm *image.PagemapImage, r *Report) {
 	dataPages := 0
 	for _, en := range pm.Entries {
-		if !en.Lazy && !en.InParent && !en.Zero && !en.Dedup {
+		if !en.Lazy && !en.InParent && !en.Zero {
 			dataPages += int(en.NrPages)
 		}
 	}
 	if want := dataPages * mem.PageSize; pagesLen != want {
 		r.add(InvPagesBytes, "pages.img carries %d bytes, pagemap describes %d data+delta pages (%d bytes) — byte-free flags must carry no bytes",
 			pagesLen, dataPages, want)
-	}
-}
-
-// checkDedupResolution verifies every dedup run resolves to a
-// byte-carrying page that appears earlier in the pagemap (references are
-// strictly backwards by construction, so one forward pass suffices) and
-// that the reference stays within its representation class: a plain
-// dedup entry must name an earlier data page, a combined dedup+delta
-// entry an earlier delta page. A dangling or class-crossing reference
-// would make LoadPageSet fail — or alias XOR-diff bytes as content — and
-// a forward one would make the image's meaning depend on decode order,
-// so imgcheck rejects all three.
-func checkDedupResolution(d *decoded, r *Report) {
-	const (
-		clsData = iota + 1
-		clsDelta
-	)
-	kept := make(map[uint64]int) // keeper vaddr -> representation class
-	for i, en := range d.pm.Entries {
-		if en.Dedup {
-			want, wantName := clsData, "data"
-			if en.Delta {
-				want, wantName = clsDelta, "delta"
-			}
-			for k := uint32(0); k < en.NrPages; k++ {
-				src := en.DedupSrc + uint64(k)*mem.PageSize
-				if kept[src] != want {
-					r.add(InvDedupRef, "entry %d: dedup page 0x%x references 0x%x, which is not an earlier %s page",
-						i, en.Vaddr+uint64(k)*mem.PageSize, src, wantName)
-				}
-			}
-			continue
-		}
-		if !en.Lazy && !en.InParent && !en.Zero {
-			cls := clsData
-			if en.Delta {
-				cls = clsDelta
-			}
-			for k := uint32(0); k < en.NrPages; k++ {
-				kept[en.Vaddr+uint64(k)*mem.PageSize] = cls
-			}
-		}
 	}
 }
 
@@ -366,26 +282,17 @@ func vmaCover(mm *image.MMImage, lo, hi uint64) bool {
 
 // checkAddressSpace runs the self-contained address-space invariants:
 // every pagemap page inside a VMA, thread PCs mapped, stacks mapped and
-// upright, and register files within the core's ISA width. Both loops
-// shard over the pool; VMA coverage lookups only read the decoded mm.
-func checkAddressSpace(d *decoded, r *Report, workers int) {
-	sweep(r, workers, len(d.pm.Entries), func(c parallel.Chunk, sr *Report) {
-		for i := c.Lo; i < c.Hi; i++ {
-			en := d.pm.Entries[i]
-			end := en.Vaddr + uint64(en.NrPages)*mem.PageSize
-			if !vmaCover(d.mm, en.Vaddr, end) {
-				sr.add(InvPagemapMapped, "entry %d [0x%x,0x%x) outside the mapped vmas", i, en.Vaddr, end)
-			}
+// upright, and register files within the core's ISA width.
+func checkAddressSpace(d *decoded, r *Report) {
+	for i, en := range d.pm.Entries {
+		end := en.Vaddr + uint64(en.NrPages)*mem.PageSize
+		if !vmaCover(d.mm, en.Vaddr, end) {
+			r.add(InvPagemapMapped, "entry %d [0x%x,0x%x) outside the mapped vmas", i, en.Vaddr, end)
 		}
-	})
-	tids := sortedTIDs(d.cores)
-	sweep(r, workers, len(tids), func(c parallel.Chunk, sr *Report) {
-		for ti := c.Lo; ti < c.Hi; ti++ {
-			tid := tids[ti]
-			core := d.cores[tid]
-			checkCore(d, tid, core, sr)
-		}
-	})
+	}
+	for _, tid := range sortedTIDs(d.cores) {
+		checkCore(d, tid, d.cores[tid], r)
+	}
 }
 
 // checkCore verifies one thread's core image against the inventory and
@@ -427,8 +334,8 @@ func sortedTIDs(cores map[int]*image.CoreImage) []int {
 
 // pagesOf expands a pagemap into per-class page address sets: in_parent
 // references, delta pages (XOR payloads needing older content), lazy
-// markers, and content pages (data, zero, dedup — anything an older
-// link's delta could be applied to).
+// markers, and content pages (data, zero — anything an older link's
+// delta could be applied to).
 func pagesOf(pm *image.PagemapImage) (inParent, delta, lazy, content map[uint64]bool) {
 	inParent = make(map[uint64]bool)
 	delta = make(map[uint64]bool)
@@ -452,14 +359,9 @@ func pagesOf(pm *image.PagemapImage) (inParent, delta, lazy, content map[uint64]
 	return inParent, delta, lazy, content
 }
 
-// Opts controls how a verification runs; the zero value is the default.
-type Opts struct {
-	// Workers bounds the check fan-out: per-VMA, per-pagemap-entry, and
-	// per-core sweeps shard over a pool of this size. Values <= 0 select
-	// runtime.NumCPU(); 1 reproduces the serial sweep. Diagnostics are
-	// reported in the same order for every worker count.
-	Workers int
-}
+// Opts is empty: nothing about a verification is configurable. It and the
+// three *With forwards below exist only because bench/ spells them.
+type Opts struct{}
 
 // VerifyLink checks one directory's structural invariants, permitting
 // lazy and in_parent entries — the right check for a chain member or a
@@ -467,33 +369,26 @@ type Opts struct {
 // someone else's job. This is the cheap pre-flight criu.Restore and the
 // migration receive paths run.
 func VerifyLink(dir *image.ImageDir) error {
-	return VerifyLinkWith(dir, Opts{})
-}
-
-// VerifyLinkWith is VerifyLink with an explicit worker count.
-func VerifyLinkWith(dir *image.ImageDir, opts Opts) error {
 	var r Report
 	d := decode(dir, &r)
 	if d != nil {
-		checkStructure(d, &r, opts.Workers)
+		checkStructure(d, &r)
 	}
 	return r.Err()
 }
+
+// VerifyLinkWith is VerifyLink.
+func VerifyLinkWith(dir *image.ImageDir, _ Opts) error { return VerifyLink(dir) }
 
 // Verify checks a self-contained directory: VerifyLink plus the
 // address-space invariants and the requirement that no page claims to
 // live in a parent checkpoint (a lone directory has none).
 func Verify(dir *image.ImageDir) error {
-	return VerifyWith(dir, Opts{})
-}
-
-// VerifyWith is Verify with an explicit worker count.
-func VerifyWith(dir *image.ImageDir, opts Opts) error {
 	var r Report
 	d := decode(dir, &r)
 	if d != nil {
-		checkStructure(d, &r, opts.Workers)
-		checkAddressSpace(d, &r, opts.Workers)
+		checkStructure(d, &r)
+		checkAddressSpace(d, &r)
 		inParent, delta, _, _ := pagesOf(d.pm)
 		if len(inParent) > 0 {
 			r.add(InvInParent, "%d in_parent pages with no parent directory to resolve them (verify the full chain, or flatten first)",
@@ -507,21 +402,18 @@ func VerifyWith(dir *image.ImageDir, opts Opts) error {
 	return r.Err()
 }
 
+// VerifyWith is Verify.
+func VerifyWith(dir *image.ImageDir, _ Opts) error { return Verify(dir) }
+
 // VerifyChain checks an incremental checkpoint chain ordered oldest
 // (root) to newest (final delta): every link passes its structural
 // checks, the newest link passes the address-space checks, the root has
 // no in_parent or delta entries (either at the root would never
 // terminate — the cyclic/truncated-chain case), every in_parent page in
 // link i resolves to a non-in_parent entry in some older link, and every
-// delta page resolves to actual *content* — data, zero, dedup, or an
-// older delta — never to a lazy marker, which has no bytes to XOR
-// against.
+// delta page resolves to actual *content* — data, zero, or an older
+// delta — never to a lazy marker, which has no bytes to XOR against.
 func VerifyChain(chain []*image.ImageDir) error {
-	return VerifyChainWith(chain, Opts{})
-}
-
-// VerifyChainWith is VerifyChain with an explicit worker count.
-func VerifyChainWith(chain []*image.ImageDir, opts Opts) error {
 	var r Report
 	if len(chain) == 0 {
 		r.add(InvInParent, "empty chain")
@@ -535,9 +427,9 @@ func VerifyChainWith(chain []*image.ImageDir, opts Opts) error {
 			return r.Err()
 		}
 		decs[i] = d
-		checkStructure(d, &r, opts.Workers)
+		checkStructure(d, &r)
 	}
-	checkAddressSpace(decs[len(decs)-1], &r, opts.Workers)
+	checkAddressSpace(decs[len(decs)-1], &r)
 	// Two monotone resolution sets: resolvedAny is every page some older
 	// link mentions with bytes-or-marker (content, delta, lazy) — what an
 	// in_parent reference needs; resolvedContent excludes lazy — what a
@@ -583,6 +475,9 @@ func VerifyChainWith(chain []*image.ImageDir, opts Opts) error {
 	}
 	return r.Err()
 }
+
+// VerifyChainWith is VerifyChain.
+func VerifyChainWith(chain []*image.ImageDir, _ Opts) error { return VerifyChain(chain) }
 
 func sortedAddrs(set map[uint64]bool) []uint64 {
 	out := make([]uint64, 0, len(set))

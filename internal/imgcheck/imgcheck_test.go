@@ -38,16 +38,7 @@ var fixtureWant = map[string]string{
 	"sx86_highregs.json":    imgcheck.InvCoreRegs,
 	"stack_inverted.json":   imgcheck.InvCoreStack,
 	"vma_overlap.json":      imgcheck.InvVMAOrder,
-	"ok_dedup.json":         "",
-	"dedup_dangling.json":   imgcheck.InvDedupRef,
-	"dedup_forward.json":    imgcheck.InvDedupRef,
-	"dedup_unaligned.json":  imgcheck.InvDedupRef,
-	"dedup_no_flag.json":    imgcheck.InvDedupRef,
-
-	"ok_dedup_delta.json":          "",
-	"dedup_delta_cross.json":       imgcheck.InvDedupRef,
-	"dedup_delta_plain_cross.json": imgcheck.InvDedupRef,
-	"dedup_delta_forward.json":     imgcheck.InvDedupRef,
+	"dedup_retired.json":    imgcheck.InvImageDecode,
 }
 
 // loadFixture parses one corpus file: a JSON array of CRIT documents
@@ -266,80 +257,5 @@ func TestVerifyMeta(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), imgcheck.InvSymbolAlign) {
 		t.Fatalf("error does not name %q: %v", imgcheck.InvSymbolAlign, err)
-	}
-}
-
-// brokenManyDoc builds an image set carrying many independent
-// violations spread across pagemap entries, VMAs, and cores, so the
-// verifier's report has enough lines for ordering differences to show.
-func brokenManyDoc(t *testing.T) *criu.ImageDir {
-	t.Helper()
-	const page = 0x1000
-	doc := &criu.CritDoc{
-		Inventory: &criu.InventoryImage{Arch: isa.SX86, TIDs: []int{1, 2, 3}},
-		Files:     &criu.FilesImage{ExePath: "/bin/broken.sx86"},
-		MM:        &criu.MMImage{Brk: 0x2000_0000},
-		Pagemap:   &criu.PagemapImage{},
-	}
-	// Eight data VMAs; every second one inverted (vma-order violations).
-	for i := uint64(0); i < 8; i++ {
-		start := 0x1000_0000 + i*0x10*page
-		end := start + 2*page
-		if i%2 == 1 {
-			start, end = end, start
-		}
-		doc.MM.VMAs = append(doc.MM.VMAs, criu.VMAEntry{Start: start, End: end, Kind: 2, Prot: 3})
-	}
-	doc.MM.VMAs = append(doc.MM.VMAs,
-		criu.VMAEntry{Start: 0x6FFF_0000, End: 0x7000_0000, Kind: 4, Prot: 3})
-	// Twelve pagemap entries, each claiming two exclusive flags
-	// (pagemap-flags) and half also carrying a malformed dedup source
-	// (dedup-ref).
-	for i := uint64(0); i < 12; i++ {
-		en := criu.PagemapEntry{
-			Vaddr: 0x1000_0000 + i*3*page, NrPages: 1,
-			Zero: true, Lazy: true,
-		}
-		if i%2 == 0 {
-			en.Zero = false
-			en.Dedup = true
-			en.DedupSrc = en.Vaddr + page // forward: not strictly backwards
-		}
-		doc.Pagemap.Entries = append(doc.Pagemap.Entries, en)
-	}
-	// Three cores: inverted stacks and unmapped PCs.
-	for tid := 1; tid <= 3; tid++ {
-		c := &criu.CoreImage{
-			TID: tid, Arch: isa.SX86,
-			StackLow: 0x7000_0000, StackHigh: 0x6FFF_0000,
-		}
-		c.Regs.PC = 0xDEAD_0000 + uint64(tid)*page
-		doc.Cores = append(doc.Cores, c)
-	}
-	return criu.Encode(doc)
-}
-
-// TestVerifyParallelDeterministic pins the parallel verifier's
-// diagnostics contract: for any worker count the report must be
-// line-for-line identical to the serial run, because shard sub-reports
-// are concatenated in chunk order.
-func TestVerifyParallelDeterministic(t *testing.T) {
-	dir := brokenManyDoc(t)
-	serial := imgcheck.VerifyWith(dir, imgcheck.Opts{Workers: 1})
-	if serial == nil {
-		t.Fatal("broken image set verified clean")
-	}
-	if n := strings.Count(serial.Error(), "imgcheck:"); n < 10 {
-		t.Fatalf("want a many-violation report to exercise ordering, got %d:\n%v", n, serial)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		par := imgcheck.VerifyWith(dir, imgcheck.Opts{Workers: workers})
-		if par == nil {
-			t.Fatalf("workers=%d verified clean", workers)
-		}
-		if par.Error() != serial.Error() {
-			t.Errorf("workers=%d report differs from serial:\n--- serial ---\n%v\n--- parallel ---\n%v",
-				workers, serial, par)
-		}
 	}
 }

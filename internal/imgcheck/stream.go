@@ -11,21 +11,20 @@ import "github.com/dapper-sim/dapper/internal/image"
 // still in flight. The pre-flight cost therefore hides under the
 // transfer instead of extending the downtime window.
 //
-// The checks are the same chunked sweeps VerifyLink runs (shared
-// helpers, shard-ordered diagnostics), with one substitution: the
+// The checks are the ones VerifyLink runs (shared helpers, same
+// diagnostics in the same order), with one substitution: the
 // pages.img byte accounting (InvPagesBytes) runs against the size the
 // stream announced rather than a materialized file. The stream framing
 // delivers exactly that many payload bytes or fails, so the two are
 // equivalent. Non-streamed restores keep the whole-image VerifyLink.
 type StreamVerifier struct {
-	opts Opts
-	dir  *image.ImageDir
+	dir *image.ImageDir
 }
 
 // NewStreamVerifier returns a verifier accumulating files for a
-// streaming restore. Opts carries the sweep worker bound.
-func NewStreamVerifier(opts Opts) *StreamVerifier {
-	return &StreamVerifier{opts: opts, dir: image.NewImageDir()}
+// streaming restore.
+func NewStreamVerifier() *StreamVerifier {
+	return &StreamVerifier{dir: image.NewImageDir()}
 }
 
 // File ingests one completed image file. The verifier retains the slice.
@@ -38,12 +37,11 @@ func (sv *StreamVerifier) File(name string, data []byte) {
 func (sv *StreamVerifier) Dir() *image.ImageDir { return sv.dir }
 
 // VerifyMeta runs every VerifyLink invariant that does not need the page
-// payload — decode, VMA/pagemap ordering and flags, dedup resolution,
-// address-space coverage, core/thread checks — plus the InvPagesBytes
-// accounting against declaredPagesLen, the size the wire announced for
-// pages.img. Call it when pages.img is announced; like VerifyLink it
-// permits lazy and in_parent entries (the flatten check is the restore
-// path's own).
+// payload — decode, VMA/pagemap ordering and flags, address-space
+// coverage, core/thread checks — plus the InvPagesBytes accounting
+// against declaredPagesLen, the size the wire announced for pages.img.
+// Call it when pages.img is announced; like VerifyLink it permits lazy
+// and in_parent entries (the flatten check is the restore path's own).
 func (sv *StreamVerifier) VerifyMeta(declaredPagesLen int) error {
 	var r Report
 	// decode requires pages.img present; it has not landed yet, so check
@@ -59,9 +57,8 @@ func (sv *StreamVerifier) VerifyMeta(declaredPagesLen int) error {
 	}
 	d := decode(view, &r)
 	if d != nil {
-		checkStructureMeta(d, &r, sv.opts.Workers)
-		checkDedupResolution(d, &r)
-		checkAddressSpace(d, &r, sv.opts.Workers)
+		checkStructureMeta(d, &r)
+		checkAddressSpace(d, &r)
 		checkPagesBytes(declaredPagesLen, d.pm, &r)
 	}
 	return r.Err()

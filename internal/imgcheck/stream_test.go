@@ -18,7 +18,7 @@ func feedMeta(t *testing.T, fixture string) (*imgcheck.StreamVerifier, int) {
 	if len(dirs) != 1 {
 		t.Fatalf("%s: want a single-image fixture, got %d", fixture, len(dirs))
 	}
-	sv := imgcheck.NewStreamVerifier(imgcheck.Opts{Workers: 2})
+	sv := imgcheck.NewStreamVerifier()
 	var pagesLen int
 	for _, name := range dirs[0].Names() {
 		data, _ := dirs[0].Get(name)
@@ -37,11 +37,6 @@ func TestStreamVerifierAcceptsValidMeta(t *testing.T) {
 	sv, pagesLen := feedMeta(t, "ok_minimal.json")
 	if err := sv.VerifyMeta(pagesLen); err != nil {
 		t.Fatalf("clean metadata rejected: %v", err)
-	}
-	// Dedup images also verify their references without the payload.
-	sv, pagesLen = feedMeta(t, "ok_dedup.json")
-	if err := sv.VerifyMeta(pagesLen); err != nil {
-		t.Fatalf("clean dedup metadata rejected: %v", err)
 	}
 }
 
@@ -70,8 +65,7 @@ func TestStreamVerifierCatchesMetaInvariants(t *testing.T) {
 		{"pagemap_unsorted.json", imgcheck.InvPagemapOrder},
 		{"pagemap_overlap.json", imgcheck.InvPagemapOrder},
 		{"vma_overlap.json", imgcheck.InvVMAOrder},
-		{"dedup_forward.json", imgcheck.InvDedupRef},
-		{"dedup_dangling.json", imgcheck.InvDedupRef},
+		{"dedup_retired.json", imgcheck.InvImageDecode},
 	}
 	for _, tc := range cases {
 		sv, pagesLen := feedMeta(t, tc.fixture)

@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/imgproto"
 	"github.com/dapper-sim/dapper/internal/isa"
 )
 
@@ -176,113 +177,33 @@ func main() {
 	d.MM.VMAs[1].End = tlsLo + page
 	fixtures["vma_overlap.json"] = []*criu.CritDoc{d}
 
-	// Accepted by Verify: a well-formed dedup image — the second data
-	// page is a backwards reference to the first and carries no bytes.
+	// image-decode: the image a build with the retired within-dump page
+	// dedup wrote — well-formed then: the second data page is a backwards
+	// reference to the first (pagemap fields 6 and 7) and carries no
+	// bytes. The typed pagemap can no longer say that, so it rides as the
+	// raw file that build marshaled.
 	d = baseDoc()
 	d.MM.VMAs[1].End = dataLo + 2*page
-	d.Pagemap.Entries = []criu.PagemapEntry{
-		{Vaddr: dataLo, NrPages: 1},
-		{Vaddr: dataLo + page, NrPages: 1, Dedup: true, DedupSrc: dataLo},
-		{Vaddr: stackHi - page, NrPages: 1, Zero: true},
+	d.Pagemap = nil
+	var pm imgproto.Encoder
+	pmEntry := func(vaddr uint64, zero bool, dedupSrc uint64) {
+		pm.Message(1, func(n *imgproto.Encoder) {
+			n.Fixed64(1, vaddr)
+			n.Uint64(2, 1)
+			n.Bool(3, false)
+			n.Bool(4, false)
+			n.Bool(5, zero)
+			if dedupSrc != 0 {
+				n.Bool(6, true)
+				n.Fixed64(7, dedupSrc)
+			}
+		})
 	}
-	fixtures["ok_dedup.json"] = []*criu.CritDoc{d}
-
-	// dedup-ref: the referenced page is a zero page, not a data page, so
-	// the reference dangles.
-	d = baseDoc()
-	d.MM.VMAs[1].End = dataLo + 2*page
-	d.Pagemap.Entries = []criu.PagemapEntry{
-		{Vaddr: dataLo, NrPages: 1, Zero: true},
-		{Vaddr: dataLo + page, NrPages: 1, Dedup: true, DedupSrc: dataLo},
-	}
-	emptyPages(d)
-	fixtures["dedup_dangling.json"] = []*criu.CritDoc{d}
-
-	// dedup-ref: a self-reference — dedup sources must point strictly
-	// backwards so a single forward pass resolves them.
-	d = baseDoc()
-	d.MM.VMAs[1].End = dataLo + 2*page
-	d.Pagemap.Entries = []criu.PagemapEntry{
-		{Vaddr: dataLo, NrPages: 1},
-		{Vaddr: dataLo + page, NrPages: 1, Dedup: true, DedupSrc: dataLo + page},
-	}
-	fixtures["dedup_forward.json"] = []*criu.CritDoc{d}
-
-	// dedup-ref: source address not page-aligned.
-	d = baseDoc()
-	d.MM.VMAs[1].End = dataLo + 2*page
-	d.Pagemap.Entries = []criu.PagemapEntry{
-		{Vaddr: dataLo, NrPages: 1},
-		{Vaddr: dataLo + page, NrPages: 1, Dedup: true, DedupSrc: dataLo + 0x10},
-	}
-	fixtures["dedup_unaligned.json"] = []*criu.CritDoc{d}
-
-	// dedup-ref: a data entry carries a dedup source without the flag.
-	d = baseDoc()
-	d.Pagemap.Entries[0].DedupSrc = stackLo
-	fixtures["dedup_no_flag.json"] = []*criu.CritDoc{d}
-
-	// chainRoot returns a chain root carrying two plain data pages, the
-	// older content the delta fixtures below XOR against.
-	chainRoot := func() *criu.CritDoc {
-		r := baseDoc()
-		r.MM.VMAs[1].End = dataLo + 2*page
-		r.Pagemap.Entries = []criu.PagemapEntry{
-			{Vaddr: dataLo, NrPages: 2},
-			{Vaddr: stackHi - page, NrPages: 1, Zero: true},
-		}
-		r.Pages = bytes.Repeat([]byte{0x41}, 2*page)
-		return r
-	}
-
-	// Accepted by VerifyChain: the combined dedup+delta flag pair — the
-	// second delta page's XOR payload is identical to the first's, so it
-	// is a backwards dedup reference into an earlier delta page.
-	root = chainRoot()
-	d = baseDoc()
-	d.MM.VMAs[1].End = dataLo + 2*page
-	d.Pagemap.Entries = []criu.PagemapEntry{
-		{Vaddr: dataLo, NrPages: 1, Delta: true},
-		{Vaddr: dataLo + page, NrPages: 1, Dedup: true, DedupSrc: dataLo, Delta: true},
-		{Vaddr: stackHi - page, NrPages: 1, Zero: true},
-	}
-	fixtures["ok_dedup_delta.json"] = []*criu.CritDoc{root, d}
-
-	// dedup-ref: a dedup+delta entry referencing a plain data page — the
-	// classes must match or flattening would XOR content bytes as a diff.
-	root = chainRoot()
-	d = baseDoc()
-	d.MM.VMAs[1].End = dataLo + 2*page
-	d.Pagemap.Entries = []criu.PagemapEntry{
-		{Vaddr: dataLo, NrPages: 1},
-		{Vaddr: dataLo + page, NrPages: 1, Dedup: true, DedupSrc: dataLo, Delta: true},
-		{Vaddr: stackHi - page, NrPages: 1, Zero: true},
-	}
-	fixtures["dedup_delta_cross.json"] = []*criu.CritDoc{root, d}
-
-	// dedup-ref: a plain dedup entry referencing a delta page — the
-	// inverse class crossing, which would alias an XOR diff as content.
-	root = chainRoot()
-	d = baseDoc()
-	d.MM.VMAs[1].End = dataLo + 2*page
-	d.Pagemap.Entries = []criu.PagemapEntry{
-		{Vaddr: dataLo, NrPages: 1, Delta: true},
-		{Vaddr: dataLo + page, NrPages: 1, Dedup: true, DedupSrc: dataLo},
-		{Vaddr: stackHi - page, NrPages: 1, Zero: true},
-	}
-	fixtures["dedup_delta_plain_cross.json"] = []*criu.CritDoc{root, d}
-
-	// dedup-ref: a dedup+delta self-reference — combined-flag refs must
-	// point strictly backwards exactly like plain dedup refs.
-	root = chainRoot()
-	d = baseDoc()
-	d.MM.VMAs[1].End = dataLo + 2*page
-	d.Pagemap.Entries = []criu.PagemapEntry{
-		{Vaddr: dataLo, NrPages: 1, Delta: true},
-		{Vaddr: dataLo + page, NrPages: 1, Dedup: true, DedupSrc: dataLo + page, Delta: true},
-		{Vaddr: stackHi - page, NrPages: 1, Zero: true},
-	}
-	fixtures["dedup_delta_forward.json"] = []*criu.CritDoc{root, d}
+	pmEntry(dataLo, false, 0)
+	pmEntry(dataLo+page, false, dataLo)
+	pmEntry(stackHi-page, true, 0)
+	d.Extra = map[string][]byte{"pagemap.img": pm.Bytes()}
+	fixtures["dedup_retired.json"] = []*criu.CritDoc{d}
 
 	for name, docs := range fixtures {
 		out, err := json.MarshalIndent(docs, "", "  ")

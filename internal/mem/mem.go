@@ -480,8 +480,8 @@ func (as *AddressSpace) InstallPage(idx uint64, data []byte) {
 // PreparePage builds a private page frame off to the side: data (up to
 // PageSize bytes; nil yields a zero page) is copied into a fresh frame
 // with the Version an InstallPage would stamp. It touches no
-// address-space state, so restore workers prepare frames concurrently
-// and a single owner adopts them with InstallPreparedPage.
+// address-space state; the space's owner adopts the frame with
+// InstallPreparedPage.
 func PreparePage(data []byte) *Page {
 	p := &Page{Version: 1}
 	copy(p.Data[:], data)

@@ -1,149 +1,6 @@
 package parallel
 
-import (
-	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
-	"testing"
-)
-
-func TestForEachCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8, 100} {
-		p := New(workers)
-		const n = 257
-		counts := make([]atomic.Int32, n)
-		if err := p.ForEach(n, func(i int) error {
-			counts[i].Add(1)
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range counts {
-			if got := counts[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
-			}
-		}
-	}
-}
-
-func TestForEachSerialOrder(t *testing.T) {
-	// One worker must run inline in index order (the byte-identical
-	// serial pipeline depends on it).
-	var order []int
-	if err := New(1).ForEach(10, func(i int) error {
-		order = append(order, i)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if i != v {
-			t.Fatalf("serial order broken: %v", order)
-		}
-	}
-}
-
-func TestForEachJoinsErrorsInIndexOrder(t *testing.T) {
-	p := New(4)
-	err := p.ForEach(10, func(i int) error {
-		if i%3 == 0 {
-			return fmt.Errorf("task-%d", i)
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expected joined error")
-	}
-	want := "task-0\ntask-3\ntask-6\ntask-9"
-	if err.Error() != want {
-		t.Fatalf("error order not deterministic:\n got %q\nwant %q", err.Error(), want)
-	}
-}
-
-func TestForEachSerialStopsAtFirstError(t *testing.T) {
-	ran := 0
-	sentinel := errors.New("boom")
-	err := New(1).ForEach(10, func(i int) error {
-		ran++
-		if i == 2 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) || ran != 3 {
-		t.Fatalf("serial error path: ran=%d err=%v", ran, err)
-	}
-}
-
-func TestForEachBoundsConcurrency(t *testing.T) {
-	const workers = 3
-	p := New(workers)
-	var cur, peak atomic.Int32
-	var mu sync.Mutex
-	if err := p.ForEach(64, func(i int) error {
-		c := cur.Add(1)
-		mu.Lock()
-		if c > peak.Load() {
-			peak.Store(c)
-		}
-		mu.Unlock()
-		defer cur.Add(-1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if peak.Load() > workers {
-		t.Fatalf("concurrency peak %d exceeds %d workers", peak.Load(), workers)
-	}
-}
-
-func TestForEachPanicPropagatesAfterJoin(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("panic did not propagate")
-		}
-	}()
-	_ = New(4).ForEach(8, func(i int) error {
-		if i == 5 {
-			panic("task blew up")
-		}
-		return nil
-	})
-}
-
-func TestChunks(t *testing.T) {
-	for _, tc := range []struct{ n, workers, want int }{
-		{10, 3, 3}, {3, 10, 3}, {0, 4, 0}, {16, 4, 4}, {1, 1, 1}, {7, 0, 1},
-	} {
-		cs := Chunks(tc.n, tc.workers)
-		if len(cs) != tc.want {
-			t.Fatalf("Chunks(%d,%d) = %d chunks, want %d", tc.n, tc.workers, len(cs), tc.want)
-		}
-		covered := 0
-		for i, c := range cs {
-			if c.Hi <= c.Lo {
-				t.Fatalf("Chunks(%d,%d): empty chunk %v", tc.n, tc.workers, c)
-			}
-			if i > 0 && c.Lo != cs[i-1].Hi {
-				t.Fatalf("Chunks(%d,%d): gap between %v and %v", tc.n, tc.workers, cs[i-1], c)
-			}
-			covered += c.Hi - c.Lo
-		}
-		if tc.n > 0 && (covered != tc.n || cs[0].Lo != 0 || cs[len(cs)-1].Hi != tc.n) {
-			t.Fatalf("Chunks(%d,%d) does not cover [0,%d): %v", tc.n, tc.workers, tc.n, cs)
-		}
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	if Normalize(0) < 1 || Normalize(-3) < 1 {
-		t.Fatal("Normalize must return at least 1")
-	}
-	if Normalize(7) != 7 {
-		t.Fatal("positive worker counts pass through")
-	}
-}
+import "testing"
 
 func TestSemaphoreBound(t *testing.T) {
 	s := NewSemaphore(2)

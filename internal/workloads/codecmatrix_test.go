@@ -11,10 +11,9 @@ import (
 
 // TestPreCopyCodecMatrix is the transport-codec acceptance gate: a live
 // rediska pre-copy migration, run under every combination of wire codec
-// (none / flate), delta encoding, and worker count, must
-// produce a byte-identical reply stream — and the raw image bytes must be
-// identical across codec and worker settings (the codec is purely a wire
-// encoding; parallelism never changes the images). Run under -race in CI.
+// (none / flate) and delta encoding, must produce a byte-identical reply
+// stream — and the raw image bytes must be identical across codecs (the
+// codec is purely a wire encoding). Run under -race in CI.
 func TestPreCopyCodecMatrix(t *testing.T) {
 	w, err := workloads.Get("rediska")
 	if err != nil {
@@ -53,7 +52,7 @@ func TestPreCopyCodecMatrix(t *testing.T) {
 	}
 	want := string(rp.TakeOutput())
 
-	run := func(t *testing.T, codec criu.Codec, delta bool, workers int) *cluster.Breakdown {
+	run := func(t *testing.T, codec criu.Codec, delta bool) *cluster.Breakdown {
 		t.Helper()
 		xeon := cluster.NewNode(cluster.XeonSpec)
 		pi := cluster.NewNode(cluster.PiSpec)
@@ -67,9 +66,8 @@ func TestPreCopyCodecMatrix(t *testing.T) {
 		drainRediska(t, xeon, p)
 		next := 0
 		res, err := cluster.Migrate(xeon, pi, p, pair.Meta, cluster.MigrateOpts{
-			Codec:   codec,
-			Delta:   delta,
-			Workers: workers,
+			Codec: codec,
+			Delta: delta,
 			PreCopy: &cluster.PreCopyOpts{
 				RunUntilIdle: true,
 				BetweenRounds: func(p *kernel.Process, round int) {
@@ -102,61 +100,52 @@ func TestPreCopyCodecMatrix(t *testing.T) {
 		return &res.Breakdown
 	}
 
-	// Baseline: no compression, no delta, serial pipeline. CodecNone must
+	// Baseline: no compression, no delta. CodecNone must
 	// not transform bytes: the wire carries the image plus the stream's
 	// framing — per round a 16-byte header and, every round here fitting
 	// one 4 MiB segment, one 9-byte segment header.
-	baseline := run(t, criu.CodecNone, false, 1)
+	baseline := run(t, criu.CodecNone, false)
 	if framing := uint64(baseline.Rounds) * (16 + 9); baseline.WireBytes != baseline.ImageBytes+framing {
 		t.Errorf("none codec wire %d != image %d + framing %d; the uncompressed codec must not transform bytes",
 			baseline.WireBytes, baseline.ImageBytes, framing)
 	}
 
 	// imageBytes[delta] pins the raw marshaled total per delta setting; it
-	// must not vary with codec or worker count.
+	// must not vary with codec.
 	imageBytes := map[bool]uint64{false: baseline.ImageBytes}
 	rounds := map[bool]int{false: baseline.Rounds}
 	var deltaFlateWire uint64
 	for _, codec := range []criu.Codec{criu.CodecNone, criu.CodecFlate} {
 		for _, delta := range []bool{false, true} {
-			// 4 workers rather than NumCPU: the parallel leg must actually
-			// diverge from the serial one even on a single-core runner.
-			for _, workers := range []int{1, 4} {
-				codec, delta, workers := codec, delta, workers
-				name := codec.String()
-				if delta {
-					name += "-delta"
-				} else {
-					name += "-plain"
-				}
-				if workers == 1 {
-					name += "-serial"
-				} else {
-					name += "-parallel"
-				}
-				t.Run(name, func(t *testing.T) {
-					bd := run(t, codec, delta, workers)
-					if prev, ok := imageBytes[delta]; ok {
-						if bd.ImageBytes != prev {
-							t.Errorf("ImageBytes = %d, want %d: images must be byte-identical across codec and worker settings",
-								bd.ImageBytes, prev)
-						}
-						if bd.Rounds != rounds[delta] {
-							t.Errorf("Rounds = %d, want %d: codec/workers must not change convergence",
-								bd.Rounds, rounds[delta])
-						}
-					} else {
-						imageBytes[delta] = bd.ImageBytes
-						rounds[delta] = bd.Rounds
-					}
-					if codec == criu.CodecFlate && bd.WireBytes >= bd.ImageBytes {
-						t.Errorf("flate wire %d not below image %d", bd.WireBytes, bd.ImageBytes)
-					}
-					if codec == criu.CodecFlate && delta {
-						deltaFlateWire = bd.WireBytes
-					}
-				})
+			codec, delta := codec, delta
+			name := codec.String()
+			if delta {
+				name += "-delta"
+			} else {
+				name += "-plain"
 			}
+			t.Run(name, func(t *testing.T) {
+				bd := run(t, codec, delta)
+				if prev, ok := imageBytes[delta]; ok {
+					if bd.ImageBytes != prev {
+						t.Errorf("ImageBytes = %d, want %d: images must be byte-identical across codecs",
+							bd.ImageBytes, prev)
+					}
+					if bd.Rounds != rounds[delta] {
+						t.Errorf("Rounds = %d, want %d: the codec must not change convergence",
+							bd.Rounds, rounds[delta])
+					}
+				} else {
+					imageBytes[delta] = bd.ImageBytes
+					rounds[delta] = bd.Rounds
+				}
+				if codec == criu.CodecFlate && bd.WireBytes >= bd.ImageBytes {
+					t.Errorf("flate wire %d not below image %d", bd.WireBytes, bd.ImageBytes)
+				}
+				if codec == criu.CodecFlate && delta {
+					deltaFlateWire = bd.WireBytes
+				}
+			})
 		}
 	}
 	// The headline saving: delta+flate must beat the uncompressed baseline
