@@ -9,6 +9,7 @@ package dapper
 
 import (
 	"testing"
+	"time"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
 	"github.com/dapper-sim/dapper/internal/compiler"
@@ -21,6 +22,7 @@ import (
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/monitor"
+	"github.com/dapper-sim/dapper/internal/obs"
 	"github.com/dapper-sim/dapper/internal/workloads"
 )
 
@@ -458,4 +460,69 @@ func BenchmarkMigrateVanilla(b *testing.B) {
 		pi.K.Reap(res.Proc)
 		b.StartTimer()
 	}
+}
+
+// BenchmarkMigratePreCopyHost is the kv_precopy workload of the host-time
+// benchmark as a Go benchmark with a registry attached: a 12000-key
+// class-A rediska server migrated by pre-copy over loopback TCP with
+// XOR-delta rounds and flate, 32 overwrites arriving between rounds. It
+// reads the migrate.host span tree of the real Migrate and reports, per
+// migration, the host time of the whole call, of its downtime window (the
+// final pause through restore), and of the image shipping — flate, the
+// socket and the receiver — inside that window and before it.
+// docs/perf.md "Host stages" quotes it; nothing gates on it.
+func BenchmarkMigratePreCopyHost(b *testing.B) {
+	xeon, p, pair := pausedBench(b, "rediska", workloads.ClassA, 12000)
+	golden, err := criu.Dump(p, criu.DumpOpts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pi := cluster.NewNode(cluster.PiSpec)
+	pi.Install("rediska", pair)
+	var total, downtime, shipIn, shipBefore time.Duration
+	rounds := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		clone, err := criu.Restore(xeon.K, golden, xeon.Binaries)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reg := obs.New()
+		b.StartTimer()
+		res, err := cluster.Migrate(xeon, pi, clone, pair.Meta, cluster.MigrateOpts{
+			Obs: reg, Codec: criu.CodecFlate, Delta: true,
+			PreCopy: &cluster.PreCopyOpts{TCP: true, RunUntilIdle: true, BetweenRounds: func(p *kernel.Process, round int) {
+				for k := uint64(0); k < 32; k++ {
+					p.PushInput(workloads.RediskaSet(1000000+7*((uint64(round)*1009+k*37)%12000), k))
+				}
+			}},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		pi.K.Reap(res.Proc)
+		rounds += res.Breakdown.Rounds
+		rep := reg.Report()
+		host, _ := rep.Span("migrate.host")
+		total += host.Dur()
+		for _, w := range rep.Children(host.ID) {
+			ship, _ := rep.Child(w.ID, "cluster.send_recv")
+			switch w.Name {
+			case "downtime":
+				downtime += w.Dur()
+				shipIn += ship.Dur()
+			case "round":
+				shipBefore += ship.Dur()
+			}
+		}
+		b.StartTimer()
+	}
+	perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 / float64(b.N) }
+	b.ReportMetric(perOp(total), "host_ms/op")
+	b.ReportMetric(perOp(downtime), "host_downtime_ms/op")
+	b.ReportMetric(perOp(shipIn), "ship_in_downtime_ms/op")
+	b.ReportMetric(perOp(shipBefore), "ship_before_ms/op")
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 }

@@ -59,12 +59,11 @@ func run(args []string) error {
 		"wirecodec": experiments.Wirecodec,
 		"fleet":     experiments.Fleet,
 		"registry":  experiments.Registry,
-		"restore":   experiments.Restore,
 		"attacks": func(workloads.Class) (*experiments.Table, error) {
 			return experiments.Attacks()
 		},
 	}
-	order := []string{"fig1", "fig5", "fig6", "fig7", "fig7x", "fig8", "fig9", "fig10", "fig11", "wirecodec", "fleet", "registry", "restore", "attacks"}
+	order := []string{"fig1", "fig5", "fig6", "fig7", "fig7x", "fig8", "fig9", "fig10", "fig11", "wirecodec", "fleet", "registry", "attacks"}
 
 	want := fs.Args()
 	if len(want) == 0 || (len(want) == 1 && want[0] == "all") {

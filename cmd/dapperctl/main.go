@@ -277,12 +277,11 @@ func cmdMigrate(args []string) error {
 	shuffle := fs.Bool("shuffle", false, "also re-randomize the stack layout during the rewrite")
 	codec := fs.String("codec", "none", "wire codec: none (uncompressed) or flate (compressed)")
 	delta := fs.Bool("delta", false, "XOR-delta encode re-dirtied pre-copy pages (requires -precopy)")
-	stream := fs.Bool("stream", false, "streamed restore: decode/verify/install while the image is still arriving")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 2 {
-		return fmt.Errorf("usage: dapperctl migrate [-at F] [-lazy|-precopy] [-codec C] [-delta] [-stream] src.delf dst.delf")
+		return fmt.Errorf("usage: dapperctl migrate [-at F] [-lazy|-precopy] [-codec C] [-delta] src.delf dst.delf")
 	}
 	if *lazy && *precopy {
 		return fmt.Errorf("-lazy and -precopy are mutually exclusive")
@@ -293,9 +292,6 @@ func cmdMigrate(args []string) error {
 	wireCodec, err := fleet.ParseCodec(*codec)
 	if err != nil {
 		return err
-	}
-	if *stream && (*lazy || *precopy) {
-		return fmt.Errorf("-stream applies to vanilla migrations only")
 	}
 	srcNode, p, srcBin, err := startAndRunTo(fs.Arg(0), *at)
 	if err != nil {
@@ -313,7 +309,6 @@ func cmdMigrate(args []string) error {
 	opts := cluster.MigrateOpts{
 		Lazy: *lazy, Shuffle: *shuffle, ShuffleSeed: 1,
 		Codec: wireCodec, Delta: *delta,
-		StreamRestore: *stream,
 	}
 	if *precopy {
 		opts.PreCopy = &cluster.PreCopyOpts{}

@@ -7,7 +7,9 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/cluster"
 	"github.com/dapper-sim/dapper/internal/compiler"
+	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/fleet"
+	"github.com/dapper-sim/dapper/internal/monitor"
 	"github.com/dapper-sim/dapper/internal/registry"
 )
 
@@ -33,20 +35,14 @@ func main() {
 }`
 
 // pushCheckpoint stores a mid-run checkpoint of counterSrc (installed as
-// "counter") into the store by routing a migration through it, and
-// returns the manifest ID.
+// "counter") into the store and returns the manifest ID.
 func pushCheckpoint(t *testing.T, store *registry.Store) string {
 	t.Helper()
 	pair, err := compiler.Compile(counterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := cluster.NewNode(cluster.XeonSpec)
-	src.Install("counter", pair)
-	dst := cluster.NewNode(cluster.PiSpec)
-	dst.Install("counter", pair)
-
-	ref := cluster.NewNode(cluster.XeonSpec)
+	ref := cluster.NewNode(cluster.PiSpec)
 	ref.Install("counter", pair)
 	rp, err := ref.Start("counter")
 	if err != nil {
@@ -56,6 +52,10 @@ func pushCheckpoint(t *testing.T, store *registry.Store) string {
 		t.Fatal(err)
 	}
 
+	// What `dapperctl clone` does: pause mid-run on a node of the clones'
+	// architecture, dump, push.
+	src := cluster.NewNode(cluster.PiSpec)
+	src.Install("counter", pair)
 	p, err := src.Start("counter")
 	if err != nil {
 		t.Fatal(err)
@@ -63,12 +63,18 @@ func pushCheckpoint(t *testing.T, store *registry.Store) string {
 	if _, err := src.K.RunBudget(p, rp.VCycles/2); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cluster.Migrate(src, dst, p, pair.Meta, cluster.MigrateOpts{Registry: store})
+	if err := monitor.New(src.K, p, pair.Meta).Pause(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := criu.Dump(p, criu.DumpOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst.K.Reap(res.Proc)
-	return res.Manifest
+	m, _, err := store.Push(dir, registry.PushOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.ID
 }
 
 // TestDaemonRegistryCloneJob is the daemon-level end-to-end path of the

@@ -4,79 +4,17 @@ import (
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
+	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/monitor"
 	"github.com/dapper-sim/dapper/internal/obs"
 	"github.com/dapper-sim/dapper/internal/registry"
 )
-
-// TestMigrateViaRegistry pins the registry transfer path: a vanilla
-// migration routed through the content-addressed store must produce the
-// same output as a direct one, record a manifest, and — on a second
-// migration of an identical checkpoint — elide every page chunk the
-// store already holds.
-func TestMigrateViaRegistry(t *testing.T) {
-	xeon, pi, pair := setup(t)
-	ref := cluster.NewNode(cluster.XeonSpec)
-	ref.Install("work", pair)
-	want := nativeOut(t, ref)
-
-	reg := obs.New()
-	store, err := registry.Open(t.TempDir(), registry.Opts{Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = store.Close() }() // read-side close; nothing to flush
-
-	migrateOnce := func(src, dst *cluster.Node) string {
-		t.Helper()
-		p, err := src.Start("work")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := src.K.RunBudget(p, 200_000); err != nil {
-			t.Fatal(err)
-		}
-		res, err := cluster.Migrate(src, dst, p, pair.Meta, cluster.MigrateOpts{
-			Registry: store, RegistryOwner: "test",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Manifest == "" {
-			t.Fatal("registry migration recorded no manifest")
-		}
-		if res.Breakdown.WireBytes == 0 {
-			t.Fatal("registry migration recorded no wire bytes")
-		}
-		if err := dst.K.Run(res.Proc); err != nil {
-			t.Fatal(err)
-		}
-		return p.ConsoleString() + res.Proc.ConsoleString()
-	}
-
-	if got := migrateOnce(xeon, pi); got != want {
-		t.Errorf("first registry migration output %q, want %q", got, want)
-	}
-	hitsBefore := reg.Counter("registry.chunks_hit").Value()
-
-	// Same program, same budget, fresh nodes: the second dump is
-	// byte-identical, so every page chunk is already in the store.
-	xeon2 := cluster.NewNode(cluster.XeonSpec)
-	pi2 := cluster.NewNode(cluster.PiSpec)
-	xeon2.Install("work", pair)
-	pi2.Install("work", pair)
-	if got := migrateOnce(xeon2, pi2); got != want {
-		t.Errorf("second registry migration output %q, want %q", got, want)
-	}
-	if hits := reg.Counter("registry.chunks_hit").Value(); hits <= hitsBefore {
-		t.Errorf("second migration elided no chunks (hits %d -> %d)", hitsBefore, hits)
-	}
-}
 
 // TestCloneFanOut restores one stored checkpoint onto N nodes at once:
 // every clone must finish with byte-identical output, and the clones
 // must share resident page frames until their first writes.
 func TestCloneFanOut(t *testing.T) {
-	xeon, pi, pair := setup(t)
+	_, pi, pair := setup(t)
 	ref := cluster.NewNode(cluster.XeonSpec)
 	ref.Install("work", pair)
 	want := nativeOut(t, ref)
@@ -87,27 +25,27 @@ func TestCloneFanOut(t *testing.T) {
 	}
 	defer func() { _ = store.Close() }() // read-side close; nothing to flush
 
-	// Produce a checkpoint manifest by migrating through the store.
-	p, err := xeon.Start("work")
+	// Produce a checkpoint manifest the way `dapperctl clone` does: pause
+	// mid-run on a node of the clones' architecture, dump, push.
+	p, err := pi.Start("work")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := xeon.K.RunBudget(p, 200_000); err != nil {
+	if _, err := pi.K.RunBudget(p, 200_000); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cluster.Migrate(xeon, pi, p, pair.Meta, cluster.MigrateOpts{
-		Registry: store, RegistryOwner: "test",
-	})
+	if err := monitor.New(pi.K, p, pair.Meta).Pause(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := criu.Dump(p, criu.DumpOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest, _, err := store.Push(dir, registry.PushOpts{Owner: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prefix := p.ConsoleString()
-	if err := pi.K.Run(res.Proc); err != nil {
-		t.Fatal(err)
-	}
-	if got := prefix + res.Proc.ConsoleString(); got != want {
-		t.Fatalf("migrated output %q, want %q", got, want)
-	}
 
 	const n = 4
 	targets := make([]*cluster.Node, n)
@@ -117,7 +55,7 @@ func TestCloneFanOut(t *testing.T) {
 		targets[i] = node
 	}
 	reg := obs.New()
-	cres, err := cluster.CloneFromRegistry(store, res.Manifest, targets, cluster.CloneOpts{Obs: reg})
+	cres, err := cluster.CloneFromRegistry(store, manifest.ID, targets, cluster.CloneOpts{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

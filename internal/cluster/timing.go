@@ -78,20 +78,6 @@ func RestoreTime(bytes uint64, lazy bool) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// OverlappedCopyRestore models the copy and restore phases of a streamed
-// restore (MigrateOpts.StreamRestore): the destination verifies, maps,
-// and installs pages while later wire segments are still in flight, so
-// the pipeline's critical path is the longer of the two phases instead
-// of their sum. The model deliberately ignores the pipeline's fill/drain
-// ramps — segments are small relative to the image, so the ramp is one
-// segment of skew on either end.
-func OverlappedCopyRestore(copy, restore time.Duration) time.Duration {
-	if copy >= restore {
-		return copy
-	}
-	return restore
-}
-
 // Shuffle-time model (Fig. 9): the SBI pass disassembles and re-encodes
 // every function, so cost is linear in code size and inversely
 // proportional to node speed (the paper's 573 ms on x86 vs 3.2 s on the

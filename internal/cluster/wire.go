@@ -104,107 +104,96 @@ func writeImageStream(w io.Writer, blob []byte, codec criu.Codec, segBytes int, 
 	})
 }
 
-// transfer is the in-process hand-off of an image blob to sink: the blob
-// is cut, encoded and decoded segment by segment exactly as a TCP send
-// would carry it — so the returned wire size is measured, not estimated —
-// but by reference, with no stream in between: for CodecNone each segment
-// reaches the sink still aliasing blob, and the image bytes are copied
-// once, by the sink. A sink that works in the background (the streaming
-// restorer's installer) overlaps with the next segment's decode. It
-// returns the bytes a wire would have carried and the segments delivered.
-func transfer(blob []byte, codec criu.Codec, sink image.StreamSink, reg *obs.Registry) (wire uint64, segments int, err error) {
+// transfer is the in-process hand-off of an image blob to the directory
+// the destination restores from: the blob is cut, encoded and decoded
+// segment by segment exactly as a TCP send would carry it — so the
+// returned wire size is measured, not estimated — but by reference, with
+// no stream in between: for CodecNone each segment reaches the sink still
+// aliasing blob, and the image bytes are copied once, by the sink.
+func transfer(blob []byte, codec criu.Codec, reg *obs.Registry) (*criu.ImageDir, uint64, error) {
+	sink := image.NewDirSinkFor(len(blob))
 	sp := image.NewStreamSplitter(sink)
-	wire, err = eachSegment(blob, codec, imageSegment, reg, func(raw, payload []byte, used criu.Codec) error {
+	wire, err := eachSegment(blob, codec, imageSegment, reg, func(raw, payload []byte, used criu.Codec) error {
 		dec, err := used.Decompress(payload, len(raw))
 		if err != nil {
 			return err
 		}
-		segments++
 		_, err = sp.Write(dec)
 		return err
 	})
-	if err != nil {
-		return 0, segments, err
+	if err == nil {
+		err = sp.Close()
 	}
-	return wire, segments, sp.Close()
+	if err != nil {
+		return nil, 0, err
+	}
+	return sink.Dir(), wire, nil
 }
 
-// readImageDirFrom reads one image transfer and materializes the
-// directory.
+// readImageDirFrom is the one parser of the image stream: it reads a
+// transfer and materializes the directory, each segment decoded and handed
+// to an image.StreamSplitter the moment it arrives. Malformed input fails
+// without large allocations: buffers grow only as bytes actually arrive.
 func readImageDirFrom(r io.Reader) (*criu.ImageDir, error) {
 	sink := image.NewDirSink()
-	if _, err := readImageStreamInto(r, sink); err != nil {
-		return nil, err
-	}
-	return sink.Dir(), nil
-}
-
-// readImageStreamInto is the one parser of the image stream: it reads a
-// transfer and feeds it to sink incrementally, each segment decoded and
-// handed to an image.StreamSplitter the moment it arrives, so the
-// consumer sees completed files (metadata first, by sort order) while
-// later segments are still on the wire. It returns the number of
-// segments delivered. Malformed input fails without large allocations:
-// buffers grow only as bytes actually arrive. On error the sink may have
-// been fed a prefix; the caller owns cleanup of any consumer state.
-func readImageStreamInto(r io.Reader, sink image.StreamSink) (int, error) {
 	sp := image.NewStreamSplitter(sink)
 	var hdr [imageHdrLen]byte
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		return 0, err
+		return nil, err
 	}
 	if string(hdr[:4]) != imageMagic {
-		return 0, errNotImageStream
+		return nil, errNotImageStream
 	}
 	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
-		return 0, err
+		return nil, err
 	}
 	if hdr[5] != 0 || hdr[6] != 0 || hdr[7] != 0 {
-		return 0, fmt.Errorf("cluster: image stream: nonzero header padding")
+		return nil, fmt.Errorf("cluster: image stream: nonzero header padding")
 	}
 	if hdrCodec := criu.Codec(hdr[4]); !hdrCodec.Valid() {
-		return 0, fmt.Errorf("cluster: image stream: bad codec %s", hdrCodec)
+		return nil, fmt.Errorf("cluster: image stream: bad codec %s", hdrCodec)
 	}
 	rawTotal := binary.BigEndian.Uint64(hdr[8:16])
 	if rawTotal > maxImageBytes {
-		return 0, fmt.Errorf("cluster: image of %d bytes exceeds limit", rawTotal)
+		return nil, fmt.Errorf("cluster: image of %d bytes exceeds limit", rawTotal)
 	}
-	segments := 0
 	var fed uint64
 	for {
 		var seg [imageSegHdrLen]byte
 		if _, err := io.ReadFull(r, seg[:]); err != nil {
-			return segments, err
+			return nil, err
 		}
 		rawLen := binary.BigEndian.Uint32(seg[0:4])
 		wireLen := binary.BigEndian.Uint32(seg[4:8])
 		codec := criu.Codec(seg[8])
 		switch {
 		case !codec.Valid():
-			return segments, fmt.Errorf("cluster: image stream: bad segment codec %s", codec)
+			return nil, fmt.Errorf("cluster: image stream: bad segment codec %s", codec)
 		case rawLen == 0 && rawTotal != 0:
-			return segments, fmt.Errorf("cluster: image stream: empty segment")
+			return nil, fmt.Errorf("cluster: image stream: empty segment")
 		case rawLen > maxImageSegment:
-			return segments, fmt.Errorf("cluster: image segment of %d bytes exceeds limit", rawLen)
+			return nil, fmt.Errorf("cluster: image segment of %d bytes exceeds limit", rawLen)
 		case uint64(wireLen) > uint64(rawLen):
-			return segments, fmt.Errorf("cluster: image segment wire size %d exceeds raw size %d", wireLen, rawLen)
+			return nil, fmt.Errorf("cluster: image segment wire size %d exceeds raw size %d", wireLen, rawLen)
 		case fed+uint64(rawLen) > rawTotal:
-			return segments, fmt.Errorf("cluster: image segments overflow the declared %d bytes", rawTotal)
+			return nil, fmt.Errorf("cluster: image segments overflow the declared %d bytes", rawTotal)
 		}
 		payload, err := readBounded(r, uint64(wireLen))
 		if err != nil {
-			return segments, err
+			return nil, err
 		}
 		raw, err := codec.Decompress(payload, int(rawLen))
 		if err != nil {
-			return segments, fmt.Errorf("cluster: image stream: %w", err)
+			return nil, fmt.Errorf("cluster: image stream: %w", err)
 		}
 		if _, err := sp.Write(raw); err != nil {
-			return segments, err
+			return nil, err
 		}
-		segments++
 		if fed += uint64(rawLen); fed == rawTotal {
-			return segments, sp.Close()
+			if err := sp.Close(); err != nil {
+				return nil, err
+			}
+			return sink.Dir(), nil
 		}
 	}
 }

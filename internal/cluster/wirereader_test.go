@@ -7,10 +7,8 @@ import (
 	"errors"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/criu"
@@ -19,7 +17,7 @@ import (
 )
 
 // badStream is one malformed transfer and the refusal it must draw from
-// readImageStreamInto.
+// readImageDirFrom.
 type badStream struct {
 	name    string
 	payload []byte
@@ -32,8 +30,8 @@ type badStream struct {
 // stream of blob: every header and segment bound, the codec bytes, the
 // frame boundary, plain truncation, and the legacy length-prefixed
 // framing this receiver no longer speaks. The last segments of a real
-// dump lie inside pages.img, so the late-corruption cases strike a
-// streaming restorer after its installer has started.
+// dump lie inside pages.img, so the late-corruption cases strike after
+// every metadata file has been delivered.
 func malformedStreams(t testing.TB, blob []byte) []badStream {
 	hdr := func(codec, pad byte, rawTotal uint64) []byte {
 		b := append([]byte(imageMagic), codec, pad, 0, 0)
@@ -157,30 +155,25 @@ func pausedDump(t testing.TB) (*Node, *criu.ImageDir) {
 }
 
 // TestReadImageStreamMalformed runs the corpus through the one stream
-// parser against both of its sinks. Each case must be refused with its
-// named error; the directory sink must yield nothing, and the restorer's
-// Finish must fail, adopt no process and reap its installer goroutine —
-// also when the stream breaks after pages started installing.
+// parser. Each case must be refused with its named error and yield no
+// directory — also when the stream breaks inside pages.img.
 func TestReadImageStreamMalformed(t *testing.T) {
-	node, dir := pausedDump(t)
+	_, dir := pausedDump(t)
 	blob := dir.Marshal()
 
 	// The corpus is built around a stream that is itself fine.
-	sr := criu.NewStreamRestorer(node.K, node.Binaries, criu.RestoreOpts{})
-	wire, segs, err := transfer(blob, criu.CodecNone, sr, nil)
+	got, wire, err := transfer(blob, criu.CodecNone, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if p, err := sr.Finish(); err != nil {
 		t.Fatalf("valid stream refused: %v", err)
-	} else {
-		node.K.Reap(p)
 	}
+	if !bytes.Equal(got.Marshal(), blob) {
+		t.Error("transfer delivered a different directory")
+	}
+	segs := (len(blob) + imageSegment - 1) / imageSegment
 	if want := uint64(len(blob) + imageHdrLen + segs*imageSegHdrLen); wire != want {
 		t.Errorf("transfer reported %d wire bytes, want image + framing = %d", wire, want)
 	}
 
-	goroutines := runtime.NumGoroutine()
 	for _, tc := range malformedStreams(t, blob) {
 		t.Run(tc.name+"/dir", func(t *testing.T) {
 			got, err := readImageDirFrom(bytes.NewReader(tc.payload))
@@ -189,41 +182,15 @@ func TestReadImageStreamMalformed(t *testing.T) {
 				t.Errorf("malformed stream produced a directory: %v", got.Names())
 			}
 		})
-		t.Run(tc.name+"/restorer", func(t *testing.T) {
-			sr := criu.NewStreamRestorer(node.K, node.Binaries, criu.RestoreOpts{})
-			_, err := readImageStreamInto(bytes.NewReader(tc.payload), sr)
-			tc.check(t, err)
-			if p, ferr := sr.Finish(); ferr == nil || p != nil {
-				t.Errorf("Finish after a refused stream: proc=%v err=%v", p, ferr)
-			}
-			if n := node.K.Live(); n != 0 {
-				t.Errorf("%d processes adopted from a refused stream", n)
-			}
-		})
-	}
-	noInstallerLeft(t, goroutines)
-}
-
-// noInstallerLeft fails if the goroutine count does not come back down to
-// before: a refused restorer's Finish must have reaped its installer.
-func noInstallerLeft(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("%d goroutines after the refusals, %d before: an installer outlived Finish", n, before)
 	}
 }
 
 // TestRetiredDedupImageRefused: an image written by a build that still
 // had within-dump page dedup (imgcheck's dedup_retired fixture is one,
 // byte for byte: pagemap fields 6 and 7) must not decode as plain data
-// entries. Both readers refuse it by name before a page is installed —
-// the directory restore at its pre-flight, the streamed restorer the
-// moment pages.img is announced — and leave no process and no installer
-// goroutine behind.
+// entries. The stream itself is well-formed; the restore refuses the
+// directory by name at its pre-flight, before a page is installed, and
+// leaves no process behind.
 func TestRetiredDedupImageRefused(t *testing.T) {
 	raw, err := os.ReadFile("../imgcheck/testdata/dedup_retired.json")
 	if err != nil {
@@ -241,8 +208,13 @@ func TestRetiredDedupImageRefused(t *testing.T) {
 	if _, err := writeImageStream(&stream, dir.Marshal(), criu.CodecNone, 4096, nil); err != nil {
 		t.Fatal(err)
 	}
-	refused := func(t *testing.T, err error) {
-		t.Helper()
+	node := NewNode(XeonSpec)
+	t.Run("dir", func(t *testing.T) {
+		got, err := readImageDirFrom(bytes.NewReader(stream.Bytes()))
+		if err != nil {
+			t.Fatalf("the stream itself is well-formed: %v", err)
+		}
+		p, err := criu.RestoreWith(node.K, got, node.Binaries, criu.RestoreOpts{})
 		if err == nil {
 			t.Fatal("an image with retired dedup entries was accepted")
 		}
@@ -251,34 +223,13 @@ func TestRetiredDedupImageRefused(t *testing.T) {
 				t.Errorf("error %q does not name %q", err, want)
 			}
 		}
-	}
-	node := NewNode(XeonSpec)
-	goroutines := runtime.NumGoroutine()
-	t.Run("dir", func(t *testing.T) {
-		got, err := readImageDirFrom(bytes.NewReader(stream.Bytes()))
-		if err != nil {
-			t.Fatalf("the stream itself is well-formed: %v", err)
-		}
-		p, err := criu.RestoreWith(node.K, got, node.Binaries, criu.RestoreOpts{})
-		refused(t, err)
 		if p != nil {
 			t.Error("a refused restore returned a process")
-		}
-	})
-	t.Run("restorer", func(t *testing.T) {
-		sr := criu.NewStreamRestorer(node.K, node.Binaries, criu.RestoreOpts{})
-		_, err := readImageStreamInto(bytes.NewReader(stream.Bytes()), sr)
-		refused(t, err)
-		p, ferr := sr.Finish()
-		refused(t, ferr)
-		if p != nil {
-			t.Error("Finish after a refused stream returned a process")
 		}
 	})
 	if n := node.K.Live(); n != 0 {
 		t.Errorf("%d processes adopted from a refused image", n)
 	}
-	noInstallerLeft(t, goroutines)
 }
 
 // FuzzReadImageStream: whatever bytes arrive, the stream parser returns
@@ -298,12 +249,11 @@ func FuzzReadImageStream(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		sink := image.NewDirSink()
-		if _, err := readImageStreamInto(bytes.NewReader(payload), sink); err != nil {
+		got, err := readImageDirFrom(bytes.NewReader(payload))
+		if err != nil {
 			return
 		}
 		// Accepted: the directory must survive its own codec.
-		got := sink.Dir()
 		back, err := criu.UnmarshalImageDir(got.Marshal())
 		if err != nil {
 			t.Fatalf("accepted stream re-marshals to an undecodable directory: %v", err)

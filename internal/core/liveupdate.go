@@ -115,34 +115,13 @@ func (p LiveUpdatePolicy) Rewrite(dir *criu.ImageDir, ctx *Context) error {
 	}
 	src := Side{Arch: inv.Arch, Meta: oldBin.Meta}
 	dst := Side{Arch: inv.Arch, Meta: newBin.Meta}
-	var newCores []*criu.CoreImage
-	for _, tid := range inv.TIDs {
-		raw, ok := dir.Get(criu.CoreName(tid))
-		if !ok {
-			return fmt.Errorf("core: missing %s", criu.CoreName(tid))
-		}
-		c, err := criu.UnmarshalCore(raw)
-		if err != nil {
-			return err
-		}
-		nc, err := RewriteThread(c, ps, src, dst)
-		if err != nil {
-			return fmt.Errorf("core: live-update thread %d: %w", tid, err)
-		}
-		newCores = append(newCores, nc)
+	newCores, err := rewriteThreads(dir, ps, inv.TIDs, src, dst, ctx, "core: live-update thread")
+	if err != nil {
+		return err
 	}
 	// The patched text replaces the execution context; the rest reloads
 	// from the new executable at fault time.
-	ps.DropRange(isa.TextBase, isa.TextBase+uint64(maxLen(len(oldBin.Text), len(newBin.Text))))
-	for _, nc := range newCores {
-		pageAddr := nc.Regs.PC / mem.PageSize * mem.PageSize
-		off := pageAddr - isa.TextBase
-		end := off + mem.PageSize
-		if end > uint64(len(newBin.Text)) {
-			end = uint64(len(newBin.Text))
-		}
-		ps.InstallPage(pageAddr, newBin.Text[off:end])
-	}
+	installContextText(ps, newCores, newBin.Text, max(len(oldBin.Text), len(newBin.Text)))
 	if err := ps.WriteU64(isa.FlagAddr, 0); err != nil {
 		return err
 	}
@@ -180,10 +159,3 @@ func (p LiveUpdatePolicy) Rewrite(dir *criu.ImageDir, ctx *Context) error {
 }
 
 func roundPage(n uint64) uint64 { return (n + mem.PageSize - 1) / mem.PageSize * mem.PageSize }
-
-func maxLen(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -19,7 +19,7 @@ type Context struct {
 
 // rewriteThreads applies RewriteThread to every live thread named by the
 // inventory, in inventory order. It is the shared rewrite stage behind
-// CrossISAPolicy and StackShufflePolicy.
+// CrossISAPolicy, StackShufflePolicy and LiveUpdatePolicy.
 func rewriteThreads(dir *criu.ImageDir, ps *criu.PageSet, tids []int, src, dst Side, ctx *Context, errPrefix string) ([]*criu.CoreImage, error) {
 	newCores := make([]*criu.CoreImage, len(tids))
 	for i, tid := range tids {
@@ -37,6 +37,19 @@ func rewriteThreads(dir *criu.ImageDir, ps *criu.PageSet, tids []int, src, dst S
 	}
 	ctx.Obs.Counter("rewrite.threads").Add(uint64(len(tids)))
 	return newCores, nil
+}
+
+// installContextText swaps the process's code for text: the dumped pages
+// of [TextBase, TextBase+span) are dropped — they reload from the new
+// executable at fault time — and the execution-context pages, the ones
+// holding each rewritten thread's PC, are installed from text.
+func installContextText(ps *criu.PageSet, cores []*criu.CoreImage, text []byte, span int) {
+	ps.DropRange(isa.TextBase, isa.TextBase+uint64(span))
+	for _, nc := range cores {
+		pageAddr := nc.Regs.PC / mem.PageSize * mem.PageSize
+		off := pageAddr - isa.TextBase
+		ps.InstallPage(pageAddr, text[off:min(off+mem.PageSize, uint64(len(text)))])
+	}
 }
 
 // Policy transforms a checkpoint image directory in place. Policies are
@@ -140,18 +153,7 @@ func (p CrossISAPolicy) Rewrite(dir *criu.ImageDir, ctx *Context) error {
 		return err
 	}
 
-	// Replace the execution-context code pages with the destination
-	// architecture's instructions.
-	ps.DropRange(isa.TextBase, isa.TextBase+uint64(len(dstBin.Text)))
-	for _, nc := range newCores {
-		pageAddr := nc.Regs.PC / mem.PageSize * mem.PageSize
-		off := pageAddr - isa.TextBase
-		end := off + mem.PageSize
-		if end > uint64(len(dstBin.Text)) {
-			end = uint64(len(dstBin.Text))
-		}
-		ps.InstallPage(pageAddr, dstBin.Text[off:end])
-	}
+	installContextText(ps, newCores, dstBin.Text, len(dstBin.Text))
 
 	// Clear the transformation flag inside the dumped data page so the
 	// restored checkers fall through.

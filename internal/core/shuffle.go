@@ -8,7 +8,6 @@ import (
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/isa"
-	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/stackmap"
 )
 
@@ -279,17 +278,7 @@ func (p StackShufflePolicy) Rewrite(dir *criu.ImageDir, ctx *Context) error {
 		return err
 	}
 
-	// Swap the execution-context code pages for the instrumented text.
-	ps.DropRange(isa.TextBase, isa.TextBase+uint64(len(shuffled.Text)))
-	for _, nc := range newCores {
-		pageAddr := nc.Regs.PC / mem.PageSize * mem.PageSize
-		off := pageAddr - isa.TextBase
-		end := off + mem.PageSize
-		if end > uint64(len(shuffled.Text)) {
-			end = uint64(len(shuffled.Text))
-		}
-		ps.InstallPage(pageAddr, shuffled.Text[off:end])
-	}
+	installContextText(ps, newCores, shuffled.Text, len(shuffled.Text))
 	if err := ps.WriteU64(isa.FlagAddr, 0); err != nil {
 		return err
 	}

@@ -12,7 +12,6 @@ import (
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/obs"
-	"github.com/dapper-sim/dapper/internal/registry"
 )
 
 // DumpOpts controls the dump.
@@ -49,20 +48,6 @@ type DumpOpts struct {
 	// (dumped / zero / lazy / elided-as-in_parent) and the host wall time
 	// of the dump. Nil disables recording.
 	Obs *obs.Registry
-	// Registry, if set, pushes the finished image to this persistent
-	// content-addressed store: page chunks the store already holds are
-	// elided (the store's registry.chunks_hit counter) and the manifest
-	// is journaled durably.
-	Registry *registry.Store
-	// RegistryParent links the pushed manifest to the parent
-	// checkpoint's manifest, making the incremental/delta chain
-	// first-class in the store (GC pins ancestors of live manifests).
-	RegistryParent string
-	// RegistryOwner, when non-empty, takes an owner-tagged reference on
-	// the pushed manifest so it is born pinned against GC.
-	RegistryOwner string
-	// ManifestOut, if non-nil, receives the pushed manifest's ID.
-	ManifestOut *string
 }
 
 // CoreName returns the core image filename for a thread.
@@ -201,17 +186,6 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 	opts.Obs.Counter("dump.pages_lazy").Add(perClass[image.PageLazy])
 	opts.Obs.Counter("dump.pages_parent").Add(perClass[image.PageParent])
 	opts.Obs.Counter("dump.pages_delta").Add(perClass[image.PageDelta])
-	if opts.Registry != nil {
-		m, _, err := opts.Registry.Push(dir, registry.PushOpts{
-			Parent: opts.RegistryParent, Owner: opts.RegistryOwner,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("criu: registry push: %w", err)
-		}
-		if opts.ManifestOut != nil {
-			*opts.ManifestOut = m.ID
-		}
-	}
 	opts.Obs.Histogram("dump.wall_ns").Observe(time.Since(start))
 	return dir, nil
 }

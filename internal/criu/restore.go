@@ -51,10 +51,9 @@ type RestoreOpts struct {
 	Frames *kernel.FrameCache
 	// Obs, if set, receives restore telemetry: the restore.pages
 	// counter, restore.verify_ns / restore.install_ns histograms, and a
-	// "restore" span whose verify/install (and, when streaming, stream)
-	// children sum exactly to it. Host wall time by definition — the
-	// modeled restore cost lives in cluster's timing model. Nil disables
-	// recording.
+	// "restore" span whose verify and install children sum exactly to
+	// it. Host wall time by definition — the modeled restore cost lives
+	// in cluster's timing model. Nil disables recording.
 	Obs *obs.Registry
 }
 
@@ -69,18 +68,16 @@ func Restore(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider) (*kernel.
 	return RestoreWith(k, dir, provider, RestoreOpts{})
 }
 
-// RestoreWith is Restore with options. It is the directory feeder of the
-// restore core (restorer): the image set is complete, so every pre-flight
-// runs before the first page installs and pages.img is handed to the
-// install stage as it sits in the directory, never copied.
+// RestoreWith is Restore with options. The image set is complete, so every
+// pre-flight runs before the first page installs, and pages.img is handed
+// to the install stage as it sits in the directory, never copied.
 func RestoreWith(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider, opts RestoreOpts) (*kernel.Process, error) {
 	verifyStart := time.Now()
 	// Pre-flight: a corrupt or truncated image set (shuffled pagemap,
 	// missing core, flagged entries carrying bytes, ...) must fail here
 	// with a named invariant, not mid-restore with pages installed at the
 	// wrong addresses. VerifyLink permits in_parent entries; the plan
-	// stage owns the flatten refusal. Streamed restores run the same
-	// invariants incrementally (imgcheck.StreamVerifier).
+	// stage owns the flatten refusal.
 	if err := imgcheck.VerifyLink(dir); err != nil {
 		return nil, fmt.Errorf("criu: restore pre-flight: %w", err)
 	}
@@ -98,24 +95,30 @@ func RestoreWith(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider, opts 
 	if err := r.plan(dir, len(pages)); err != nil {
 		return nil, err
 	}
-	r.install(pages, 0, len(r.dataAddrs))
+	r.install(pages)
 	p, err := r.build(k, dir)
 	if err != nil {
 		return nil, err
 	}
-	recordRestoreObs(opts.Obs, r.installed, 0, verifyDur, time.Since(installStart))
+	installDur := time.Since(installStart)
+
+	root := opts.Obs.NewSpan("restore")
+	root.Child("verify").Finish(verifyDur)
+	root.Child("install").Finish(installDur)
+	root.Finish(verifyDur + installDur)
+	opts.Obs.Counter("restore.pages").Add(uint64(r.installed))
+	opts.Obs.Histogram("restore.verify_ns").Observe(verifyDur)
+	opts.Obs.Histogram("restore.install_ns").Observe(installDur)
 	return p, nil
 }
 
-// restorer is the one restore core. Its feeders — RestoreWith with a
-// complete directory, StreamRestorer with a byte stream — differ only in
-// when the bytes are at hand; both drive the same stages:
+// restorer is the restore core RestoreWith drives, stage by stage:
 //
 //	openRestorer  decode inventory/files/mm, open and check the binary
 //	verifyTarget  image-vs-binary version skew (needs pages.img)
 //	plan          map the address space and turn the pagemap into an
 //	              install schedule; refuse unflattened chains
-//	install       payload pages -> frames, any range, any number of calls
+//	install       payload pages -> frames
 //	build         threads, mutexes, adoption
 type restorer struct {
 	opts RestoreOpts
@@ -135,8 +138,7 @@ type restorer struct {
 
 // openRestorer decodes inventory/files/mm from the directory and opens
 // the binary, checking the architecture and the stack map's cross-ISA
-// alignment. Image-level pre-flights (VerifyLink or the StreamVerifier,
-// verifyTarget) are the feeder's to schedule.
+// alignment.
 func openRestorer(dir *ImageDir, provider BinaryProvider, opts RestoreOpts) (*restorer, error) {
 	invRaw, ok := dir.Get("inventory.img")
 	if !ok {
@@ -181,9 +183,7 @@ func openRestorer(dir *ImageDir, provider BinaryProvider, opts RestoreOpts) (*re
 
 // verifyTarget checks that the image actually belongs to the opened
 // binary: thread PCs and stack return addresses that resolve nowhere in
-// its stack maps mean version skew. It reads the stack words in
-// pages.img, so a streaming feeder can only run it once the payload is
-// complete; either way it runs before any process is built.
+// its stack maps mean version skew. It runs before any process is built.
 func (r *restorer) verifyTarget(dir *ImageDir) error {
 	if r.bin.Meta == nil {
 		return nil
@@ -201,8 +201,7 @@ func (r *restorer) verifyTarget(dir *ImageDir) error {
 // pages in payload order, zero pages materialized immediately when the
 // image is lazy — a post-copy restore installs a fault handler, and a zero
 // page must never round-trip to the page server — and lazy pages left for
-// that handler. pagesSize is the pages.img size the directory holds or
-// the wire announced.
+// that handler. pagesSize is the pages.img size the directory holds.
 func (r *restorer) plan(dir *ImageDir, pagesSize int) error {
 	r.as = mem.NewAddressSpace()
 	for _, v := range r.mm.VMAs {
@@ -254,25 +253,24 @@ func (r *restorer) plan(dir *ImageDir, pagesSize int) error {
 	}
 	if lazyPages > 0 {
 		for _, addr := range zeroAddrs {
-			r.as.InstallPreparedPage(addr/mem.PageSize, mem.PreparePage(nil))
+			r.as.InstallPage(addr/mem.PageSize, nil)
 			r.installed++
 		}
 	}
 	return nil
 }
 
-// install turns payload pages [lo, hi) — by payload index into the plan's
-// schedule — into resident frames, in payload order: a shared
-// copy-on-write frame from the cache when the restore has one, a private
-// copy otherwise.
-func (r *restorer) install(payload []byte, lo, hi int) {
-	for pi := lo; pi < hi; pi++ {
-		idx := r.dataAddrs[pi] / mem.PageSize
+// install turns the payload pages into resident frames, in the plan's
+// schedule order: a shared copy-on-write frame from the cache when the
+// restore has one, a private copy otherwise.
+func (r *restorer) install(payload []byte) {
+	for pi, addr := range r.dataAddrs {
+		idx := addr / mem.PageSize
 		data := payload[pi*mem.PageSize : (pi+1)*mem.PageSize]
 		if r.opts.Frames != nil {
 			r.as.InstallSharedPage(idx, r.opts.Frames.Frame(idx, data))
 		} else {
-			r.as.InstallPreparedPage(idx, mem.PreparePage(data))
+			r.as.InstallPage(idx, data)
 		}
 		r.installed++
 	}
@@ -318,23 +316,6 @@ func (r *restorer) build(k *kernel.Kernel, dir *ImageDir) (*kernel.Process, erro
 	}
 	k.AdoptProcess(p)
 	return p, nil
-}
-
-// recordRestoreObs emits the restore telemetry: the pages counter, the
-// phase histograms, and a "restore" span whose children — stream (when
-// the image arrived through the streaming pipeline), verify, install —
-// sum exactly to it.
-func recordRestoreObs(reg *obs.Registry, pages int, stream, verify, install time.Duration) {
-	root := reg.NewSpan("restore")
-	if stream > 0 {
-		root.Child("stream").Finish(stream)
-	}
-	root.Child("verify").Finish(verify)
-	root.Child("install").Finish(install)
-	root.Finish(stream + verify + install)
-	reg.Counter("restore.pages").Add(uint64(pages))
-	reg.Histogram("restore.verify_ns").Observe(verify)
-	reg.Histogram("restore.install_ns").Observe(install)
 }
 
 func archIdx(a isa.Arch) int {

@@ -11,7 +11,6 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/criu"
-	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
@@ -73,36 +72,6 @@ func pausedDupPair(t *testing.T) (*kernel.Process, *compiler.Pair) {
 	return p, pair
 }
 
-// streamRestore pushes dir's marshaled bytes through a StreamSplitter
-// into a StreamRestorer in chunkSize pieces, returning the restored
-// process and the restorer (for stats).
-func streamRestore(t *testing.T, k *kernel.Kernel, prov criu.BinaryProvider, dir *criu.ImageDir, opts criu.RestoreOpts, chunkSize int) (*kernel.Process, *criu.StreamRestorer) {
-	t.Helper()
-	sr := criu.NewStreamRestorer(k, prov, opts)
-	sp := image.NewStreamSplitter(sr)
-	blob := dir.Marshal()
-	for off := 0; off < len(blob); off += chunkSize {
-		end := off + chunkSize
-		if end > len(blob) {
-			end = len(blob)
-		}
-		if _, err := sp.Write(blob[off:end]); err != nil {
-			if _, ferr := sr.Finish(); ferr == nil {
-				t.Fatalf("splitter errored (%v) but Finish succeeded", err)
-			}
-			t.Fatalf("stream write: %v", err)
-		}
-	}
-	if err := sp.Close(); err != nil {
-		t.Fatalf("stream close: %v", err)
-	}
-	p, err := sr.Finish()
-	if err != nil {
-		t.Fatalf("stream finish: %v", err)
-	}
-	return p, sr
-}
-
 // asSnapshot serializes an address space's populated pages in index
 // order — the byte-identity fingerprint for the restore matrix.
 func asSnapshot(as *mem.AddressSpace) []byte {
@@ -119,49 +88,9 @@ func asSnapshot(as *mem.AddressSpace) []byte {
 	return buf.Bytes()
 }
 
-// TestStreamRestoreMatchesRestore: the streamed pipeline must land the
-// exact memory image and console behavior of the classic whole-image
-// restore.
-func TestStreamRestoreMatchesRestore(t *testing.T) {
-	p, pair := pausedDupPair(t)
-	dir, err := criu.Dump(p, criu.DumpOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prov := criu.MapProvider{"/bin/dup.sx86": pair.X86}
-
-	k1 := kernel.New(kernel.Config{Cores: 2})
-	p1, err := criu.Restore(k1, dir, prov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2 := kernel.New(kernel.Config{Cores: 2})
-	// 4 KiB chunks: the payload spans many chunks, so the installer
-	// provably consumes batches before the stream ends.
-	p2, sr := streamRestore(t, k2, prov, dir, criu.RestoreOpts{}, 4<<10)
-
-	if got, want := asSnapshot(p2.AS), asSnapshot(p1.AS); !bytes.Equal(got, want) {
-		t.Fatal("streamed restore produced a different memory image")
-	}
-	if st := sr.Stats(); st.Pages == 0 || st.Batches < 2 {
-		t.Errorf("stats = %+v, want pages installed across >= 2 batches", st)
-	}
-	if err := k1.Run(p1); err != nil {
-		t.Fatal(err)
-	}
-	if err := k2.Run(p2); err != nil {
-		t.Fatal(err)
-	}
-	if p1.ConsoleString() != p2.ConsoleString() {
-		t.Errorf("console diverged: %q vs %q", p1.ConsoleString(), p2.ConsoleString())
-	}
-}
-
 // TestRestoreMatrixByteIdentical is the byte-identity matrix: frame
 // sharing {private, COW cache} x image shapes {vanilla, flattened
-// incremental} x feeders {directory, streamed} must all restore the
-// identical memory image. Run under -race this also shakes out
-// install-path data races between the stream and its installer.
+// incremental} must all restore the identical memory image.
 func TestRestoreMatrixByteIdentical(t *testing.T) {
 	dupProc, dupPair := pausedDupPair(t)
 	vanilla, err := criu.Dump(dupProc, criu.DumpOpts{})
@@ -197,7 +126,7 @@ func TestRestoreMatrixByteIdentical(t *testing.T) {
 				return
 			}
 			if !bytes.Equal(snap, golden) {
-				t.Errorf("%s/%s: memory image differs from the private directory restore", img.name, label)
+				t.Errorf("%s/%s: memory image differs from the private restore", img.name, label)
 			}
 		}
 		for _, frames := range []bool{false, true} {
@@ -212,22 +141,14 @@ func TestRestoreMatrixByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s restore frames=%v: %v", img.name, frames, err)
 			}
-			check(label+"/restore", p.AS)
-
-			ks := kernel.New(kernel.Config{Cores: 2})
-			if frames {
-				opts.Frames = kernel.NewFrameCache()
-			}
-			ps, _ := streamRestore(t, ks, img.prov, img.dir, opts, 48<<10)
-			check(label+"/stream", ps.AS)
+			check(label, p.AS)
 		}
 	}
 }
 
-// TestStreamRestoreTelemetry: the restore span tree must be
-// stream + verify + install == restore exactly, and the counters must
-// reflect the installed pages.
-func TestStreamRestoreTelemetry(t *testing.T) {
+// TestRestoreTelemetry: the restore span tree must be verify + install ==
+// restore exactly, and the counters must reflect the installed pages.
+func TestRestoreTelemetry(t *testing.T) {
 	p, pair := pausedDupPair(t)
 	dir, err := criu.Dump(p, criu.DumpOpts{})
 	if err != nil {
@@ -236,7 +157,9 @@ func TestStreamRestoreTelemetry(t *testing.T) {
 	prov := criu.MapProvider{"/bin/dup.sx86": pair.X86}
 	reg := obs.New()
 	k := kernel.New(kernel.Config{Cores: 2})
-	_, sr := streamRestore(t, k, prov, dir, criu.RestoreOpts{Obs: reg}, 64<<10)
+	if _, err := criu.RestoreWith(k, dir, prov, criu.RestoreOpts{Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
 
 	rep := reg.Report()
 	root, ok := rep.Span("restore")
@@ -244,74 +167,22 @@ func TestStreamRestoreTelemetry(t *testing.T) {
 		t.Fatal("no restore span recorded")
 	}
 	var sum time.Duration
-	names := map[string]bool{}
+	var names []string
 	for _, c := range rep.Children(root.ID) {
 		sum += c.Dur()
-		names[c.Name] = true
+		names = append(names, c.Name)
 	}
 	if sum != root.Dur() {
 		t.Errorf("restore children sum %v != span %v", sum, root.Dur())
 	}
-	for _, want := range []string{"stream", "verify", "install"} {
-		if !names[want] {
-			t.Errorf("restore span missing %q child (have %v)", want, names)
-		}
+	if got := strings.Join(names, " "); got != "verify install" {
+		t.Errorf("restore span children %q, want verify install", got)
 	}
-	if got := rep.Counters["restore.pages"]; got != uint64(sr.Stats().Pages) {
-		t.Errorf("restore.pages = %d, want %d", got, sr.Stats().Pages)
+	if got, want := rep.Counters["restore.pages"], uint64(criu.DumpedPages(dir)); got != want {
+		t.Errorf("restore.pages = %d, want the %d dumped data pages", got, want)
 	}
 	if rep.Histograms["restore.install_ns"].Count == 0 {
 		t.Error("restore.install_ns histogram empty")
-	}
-}
-
-// TestStreamRestoreRefusesUnflattened: streamed restore must reject an
-// incremental image before any page installs, like RestoreWith does.
-func TestStreamRestoreRefusesUnflattened(t *testing.T) {
-	chain, _ := buildChain(t, sparseWriter, isa.SX86, 2, 7_000)
-	pair, err := compiler.Compile(sparseWriter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prov := criu.MapProvider{"/bin/inc.sx86": pair.X86}
-	k := kernel.New(kernel.Config{Cores: 2})
-	sr := criu.NewStreamRestorer(k, prov, criu.RestoreOpts{})
-	sp := image.NewStreamSplitter(sr)
-	_, werr := sp.Write(chain[len(chain)-1].Marshal())
-	_, ferr := sr.Finish()
-	if werr == nil && ferr == nil {
-		t.Fatal("streamed restore accepted an unflattened incremental image")
-	}
-	if ferr != nil && !strings.Contains(ferr.Error(), "flatten") && (werr == nil || !strings.Contains(werr.Error(), "flatten")) {
-		t.Errorf("error does not mention flattening: write=%v finish=%v", werr, ferr)
-	}
-}
-
-// TestStreamRestoreTruncated: a stream that dies mid-payload must fail
-// Finish, and Finish must reap the installer (no goroutine leak under
-// -race and goleak-style reruns).
-func TestStreamRestoreTruncated(t *testing.T) {
-	p, pair := pausedDupPair(t)
-	dir, err := criu.Dump(p, criu.DumpOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prov := criu.MapProvider{"/bin/dup.sx86": pair.X86}
-	blob := dir.Marshal()
-	k := kernel.New(kernel.Config{Cores: 2})
-	sr := criu.NewStreamRestorer(k, prov, criu.RestoreOpts{})
-	sp := image.NewStreamSplitter(sr)
-	if _, err := sp.Write(blob[:len(blob)-4096]); err != nil {
-		t.Fatalf("prefix write should be clean: %v", err)
-	}
-	if err := sp.Close(); err == nil {
-		t.Error("splitter accepted a truncated stream")
-	}
-	if _, err := sr.Finish(); err == nil {
-		t.Error("Finish accepted a truncated restore")
-	}
-	if _, err := sr.Finish(); err == nil {
-		t.Error("second Finish did not error")
 	}
 }
 

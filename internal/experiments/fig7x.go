@@ -172,7 +172,11 @@ func Fig7x(_ workloads.Class) (*Table, error) {
 		// The time columns come from the telemetry span tree, not from the
 		// Breakdown: the spans ARE the accounting now, and a divergence
 		// between the two is a bug worth failing the experiment over.
-		downtime, total := rep.SpanDur("downtime"), rep.SpanDur("migration")
+		// Read under the modeled root: the host tree ("migrate.host") has
+		// a downtime span of its own.
+		root, _ := rep.Span("migration")
+		dt, _ := rep.Child(root.ID, "downtime")
+		downtime, total := dt.Dur(), root.Dur()
 		if downtime != bd.Downtime || total != bd.MigrationTime() {
 			return fmt.Errorf("span tree disagrees with breakdown: downtime %v vs %v, total %v vs %v",
 				downtime, bd.Downtime, total, bd.MigrationTime())

@@ -7,24 +7,20 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/cluster"
 	"github.com/dapper-sim/dapper/internal/compiler"
+	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/monitor"
 	"github.com/dapper-sim/dapper/internal/registry"
 )
 
 // pushCheckpoint materializes a mid-run checkpoint of the counter
-// program into the store (via a registry-routed migration) and returns
-// its manifest ID.
+// program into the store and returns its manifest ID.
 func pushCheckpoint(t *testing.T, store *registry.Store) string {
 	t.Helper()
 	pair, err := compiler.Compile(counter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := cluster.NewNode(cluster.XeonSpec)
-	src.Install("counter", pair)
-	dst := cluster.NewNode(cluster.PiSpec)
-	dst.Install("counter", pair)
-
-	ref := cluster.NewNode(cluster.XeonSpec)
+	ref := cluster.NewNode(cluster.PiSpec)
 	ref.Install("counter", pair)
 	rp, err := ref.Start("counter")
 	if err != nil {
@@ -34,6 +30,10 @@ func pushCheckpoint(t *testing.T, store *registry.Store) string {
 		t.Fatal(err)
 	}
 
+	// What `dapperctl clone` does: pause mid-run on a node of the clones'
+	// architecture, dump, push.
+	src := cluster.NewNode(cluster.PiSpec)
+	src.Install("counter", pair)
 	p, err := src.Start("counter")
 	if err != nil {
 		t.Fatal(err)
@@ -41,12 +41,18 @@ func pushCheckpoint(t *testing.T, store *registry.Store) string {
 	if _, err := src.K.RunBudget(p, rp.VCycles/2); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cluster.Migrate(src, dst, p, pair.Meta, cluster.MigrateOpts{Registry: store})
+	if err := monitor.New(src.K, p, pair.Meta).Pause(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := criu.Dump(p, criu.DumpOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst.K.Reap(res.Proc)
-	return res.Manifest
+	m, _, err := store.Push(dir, registry.PushOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.ID
 }
 
 // TestCloneJobPinsManifestAcrossReplay is the crash-window proof for the

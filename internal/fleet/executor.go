@@ -16,7 +16,7 @@ import (
 //  1. First attempt only: start the job's program on the source node and
 //     run it to the spec's cycle fraction (the migration point).
 //  2. cluster.Migrate with the job's per-job MigrateOpts (codec,
-//     delta, lazy/precopy, stream) and the fleet obs registry.
+//     delta, lazy/precopy) and the fleet obs registry.
 //     Restore pre-flights every image through imgcheck, so a corrupt
 //     image can never be silently resumed.
 //  3. Lazy jobs then run the restored process, realizing post-copy
@@ -200,21 +200,19 @@ func (m *Manager) attempt(job *Job, src, dst *NodeState, attempt int) error {
 }
 
 // migrateOpts builds the attempt's cluster.MigrateOpts from the job
-// spec, wiring in the fleet registry and — on fault-plan attempts — the
-// criu fault injectors.
+// spec, wiring in — on fault-plan attempts — the criu fault injectors.
 func (m *Manager) migrateOpts(job *Job, attempt int, refCycles uint64) (cluster.MigrateOpts, error) {
 	codec, err := job.Spec.Opts.MigrateCodec()
 	if err != nil {
 		return cluster.MigrateOpts{}, err
 	}
 	opts := cluster.MigrateOpts{
-		Codec:         codec,
-		Delta:         job.Spec.Opts.Delta,
-		Lazy:          job.Spec.Opts.Lazy,
-		LazyTCP:       job.Spec.Opts.Lazy,
-		StreamRestore: job.Spec.Opts.Stream,
-		Obs:           m.reg,
-		MaxPauses:     maxPauses,
+		Codec:     codec,
+		Delta:     job.Spec.Opts.Delta,
+		Lazy:      job.Spec.Opts.Lazy,
+		LazyTCP:   job.Spec.Opts.Lazy,
+		Obs:       m.reg,
+		MaxPauses: maxPauses,
 	}
 	if job.Spec.Opts.PreCopy {
 		// Scale the between-round run budget to the program: the library

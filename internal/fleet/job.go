@@ -59,11 +59,6 @@ type JobOpts struct {
 	Lazy bool `json:"lazy,omitempty"`
 	// PreCopy selects iterative pre-copy migration.
 	PreCopy bool `json:"precopy,omitempty"`
-	// Stream selects the streamed restore pipeline
-	// (cluster.MigrateOpts.StreamRestore): the destination decodes,
-	// verifies, and installs pages while the image is still arriving.
-	// Vanilla jobs only.
-	Stream bool `json:"stream,omitempty"`
 }
 
 // MigrateCodec resolves the codec name. Unknown names are an error so a
@@ -172,9 +167,6 @@ func (s *JobSpec) normalize() error {
 	if _, err := s.Opts.MigrateCodec(); err != nil {
 		return err
 	}
-	if s.Opts.Stream && (s.Opts.Lazy || s.Opts.PreCopy) {
-		return fmt.Errorf("fleet: streamed restore applies to vanilla jobs only")
-	}
 	switch s.TargetArch {
 	case "", "sx86", "sarm":
 	default:
@@ -190,8 +182,8 @@ func (s *JobSpec) normalize() error {
 		return fmt.Errorf("fleet: clone count without a manifest")
 	}
 	if s.Manifest != "" {
-		if s.Opts.Lazy || s.Opts.PreCopy || s.Opts.Delta || s.Opts.Stream {
-			return fmt.Errorf("fleet: clone jobs restore a stored checkpoint; lazy/precopy/delta/stream do not apply")
+		if s.Opts.Lazy || s.Opts.PreCopy || s.Opts.Delta {
+			return fmt.Errorf("fleet: clone jobs restore a stored checkpoint; lazy/precopy/delta do not apply")
 		}
 		if s.SrcNode != "" {
 			return fmt.Errorf("fleet: clone jobs have no source node")
@@ -248,7 +240,6 @@ type JobView struct {
 	Mode       string        `json:"mode"`
 	Codec      string        `json:"codec,omitempty"`
 	Delta      bool          `json:"delta,omitempty"`
-	Stream     bool          `json:"stream,omitempty"`
 	Migration  time.Duration `json:"migration_ns,omitempty"`
 	Downtime   time.Duration `json:"downtime_ns,omitempty"`
 	ImageBytes uint64        `json:"image_bytes,omitempty"`
@@ -279,7 +270,6 @@ func (j *Job) view() JobView {
 		Mode:       mode,
 		Codec:      j.Spec.Opts.Codec,
 		Delta:      j.Spec.Opts.Delta,
-		Stream:     j.Spec.Opts.Stream,
 		Migration:  j.MigrationTime,
 		Downtime:   j.Downtime,
 		ImageBytes: j.ImageBytes,

@@ -55,15 +55,18 @@ func TestJournalRawCodecJob(t *testing.T) {
 	}
 }
 
-// TestRetiredJobOptsIgnored: builds before the parallel pipeline and page
-// dedup were deleted journaled and submitted "workers" and "dedup" job
-// options. A journal line carrying them must resume, and a submit
-// carrying them must be accepted, as the same job without them.
+// TestRetiredJobOptsIgnored: builds before the parallel pipeline, page
+// dedup and the streamed restore were deleted journaled and submitted
+// "workers", "dedup" and "stream" job options. A journal line carrying
+// them must resume, and a submit carrying them must be accepted, as the
+// same job without them. The second journal line is a record exactly as
+// the last build with "stream" wrote it.
 func TestRetiredJobOptsIgnored(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "old.journal")
-	line := `{"seq":1,"type":"submit","job":1,"spec":{"program":"counter","run_frac":0.5,"opts":{"workers":4,"dedup":true,"codec":"flate"}}}` + "\n"
-	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+	lines := `{"seq":1,"type":"submit","job":1,"spec":{"program":"counter","run_frac":0.5,"opts":{"workers":4,"dedup":true,"codec":"flate"}}}` + "\n" +
+		`{"seq":2,"type":"submit","job":2,"spec":{"program":"counter","run_frac":0.5,"opts":{"stream":true},"max_retries":3}}` + "\n"
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cfg := fastConfig()
@@ -88,7 +91,7 @@ func TestRetiredJobOptsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte(`{"op":"submit","spec":{"program":"counter","opts":{"workers":4,"dedup":true}}}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"submit","spec":{"program":"counter","opts":{"workers":4,"dedup":true,"stream":true}}}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	var resp Response
@@ -99,8 +102,8 @@ func TestRetiredJobOptsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := m.Jobs()
-	if len(jobs) != 2 {
-		t.Fatalf("%d jobs, want the journaled one and the submitted one", len(jobs))
+	if len(jobs) != 3 {
+		t.Fatalf("%d jobs, want the two journaled ones and the submitted one", len(jobs))
 	}
 	for _, v := range jobs {
 		if v.State != "done" {
@@ -109,5 +112,8 @@ func TestRetiredJobOptsIgnored(t *testing.T) {
 	}
 	if v, _ := m.Job(1); v.Codec != "flate" || !v.Resumed {
 		t.Errorf("journaled job resumed as %+v, want its flate codec kept", v)
+	}
+	if v, _ := m.Job(2); v.Mode != "vanilla" || !v.Resumed {
+		t.Errorf("journaled stream job resumed as %+v, want a plain vanilla job", v)
 	}
 }

@@ -191,15 +191,6 @@ func decode(dir *image.ImageDir, r *Report) *decoded {
 // VerifyLink and Verify: VMA ordering, pagemap ordering and flags, and the
 // exact pages.img byte count.
 func checkStructure(d *decoded, r *Report) {
-	checkStructureMeta(d, r)
-	checkPagesBytes(len(d.pages), d.pm, r)
-}
-
-// checkStructureMeta is the metadata half of checkStructure — everything
-// that needs only mm.img and pagemap.img, not the page payload. The
-// streaming verifier runs it the moment pages.img is announced, while
-// payload bytes are still on the wire.
-func checkStructureMeta(d *decoded, r *Report) {
 	for i, v := range d.mm.VMAs {
 		if v.Start >= v.End || v.Start%mem.PageSize != 0 || v.End%mem.PageSize != 0 {
 			r.add(InvVMAOrder, "vma %d [0x%x,0x%x) inverted or unaligned", i, v.Start, v.End)
@@ -235,23 +226,18 @@ func checkStructureMeta(d *decoded, r *Report) {
 			r.add(InvPagemapFlags, "entry %d at 0x%x sets %d of lazy/in_parent/zero/dedup/delta", i, en.Vaddr, flags)
 		}
 	}
-}
-
-// checkPagesBytes is the pages.img byte accounting. Delta entries carry
-// bytes (the XOR payload is a full page), so they count exactly like
-// plain data entries. pagesLen may be the in-memory file's size or — in
-// the streaming pre-flight — the size the wire announced before any
-// payload byte arrived.
-func checkPagesBytes(pagesLen int, pm *image.PagemapImage, r *Report) {
+	// The pages.img byte accounting. Delta entries carry bytes (the XOR
+	// payload is a full page), so they count exactly like plain data
+	// entries.
 	dataPages := 0
-	for _, en := range pm.Entries {
+	for _, en := range d.pm.Entries {
 		if !en.Lazy && !en.InParent && !en.Zero {
 			dataPages += int(en.NrPages)
 		}
 	}
-	if want := dataPages * mem.PageSize; pagesLen != want {
+	if want := dataPages * mem.PageSize; len(d.pages) != want {
 		r.add(InvPagesBytes, "pages.img carries %d bytes, pagemap describes %d data+delta pages (%d bytes) — byte-free flags must carry no bytes",
-			pagesLen, dataPages, want)
+			len(d.pages), dataPages, want)
 	}
 }
 

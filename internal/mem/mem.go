@@ -465,39 +465,24 @@ func (as *AddressSpace) DropPage(idx uint64) {
 	as.flushTLB()
 }
 
-// InstallPage populates page idx with data without going through the fault
+// InstallPage populates page idx with a private copy of data (up to
+// PageSize bytes; nil yields a zero page) without going through the fault
 // handler (used by restore).
 func (as *AddressSpace) InstallPage(idx uint64, data []byte) {
-	p := &Page{}
-	copy(p.Data[:], data)
-	p.Version = 1
 	as.markDirty(idx)
-	as.pages[idx] = p
+	as.pages[idx] = PreparePage(data)
 	delete(as.cow, idx)
 	as.flushTLB()
 }
 
-// PreparePage builds a private page frame off to the side: data (up to
-// PageSize bytes; nil yields a zero page) is copied into a fresh frame
-// with the Version an InstallPage would stamp. It touches no
-// address-space state; the space's owner adopts the frame with
-// InstallPreparedPage.
+// PreparePage builds a page frame off to the side: data (up to PageSize
+// bytes; nil yields a zero page) is copied into a fresh frame with the
+// Version every install stamps. It touches no address-space state; shared
+// frames are built this way and adopted with InstallSharedPage.
 func PreparePage(data []byte) *Page {
 	p := &Page{Version: 1}
 	copy(p.Data[:], data)
 	return p
-}
-
-// InstallPreparedPage adopts a frame built by PreparePage as a private
-// resident page, skipping the copy InstallPage would redo. Like every
-// other AddressSpace method it is not concurrency-safe: only the
-// goroutine owning the space may call it. The caller must not write
-// through the frame after installing it.
-func (as *AddressSpace) InstallPreparedPage(idx uint64, p *Page) {
-	as.markDirty(idx)
-	as.pages[idx] = p
-	delete(as.cow, idx)
-	as.flushTLB()
 }
 
 // InstallSharedPage installs a page frame owned jointly with other

@@ -106,10 +106,6 @@ func TestTLBFlushPoints(t *testing.T) {
 			as.InstallPage(tlbIdx, pageOf(0x11))
 			checkReplaced(t, as, 0x11)
 		},
-		"InstallPreparedPage": func(t *testing.T, as *mem.AddressSpace) {
-			as.InstallPreparedPage(tlbIdx, mem.PreparePage(pageOf(0x22)))
-			checkReplaced(t, as, 0x22)
-		},
 		"InstallSharedPage": func(t *testing.T, as *mem.AddressSpace) {
 			shared := mem.PreparePage(pageOf(0x33))
 			as.InstallSharedPage(tlbIdx, shared)
@@ -300,11 +296,8 @@ func TestSoftDirtyMatchesNaiveModel(t *testing.T) {
 			case op < 82:
 				as.StopDirtyTracking()
 				tracking, model = false, map[uint64]bool{}
-			case op < 87:
-				as.InstallPage(idx, pageOf(byte(step)))
-				mark(idx)
 			case op < 91:
-				as.InstallPreparedPage(idx, mem.PreparePage(pageOf(byte(step))))
+				as.InstallPage(idx, pageOf(byte(step)))
 				mark(idx)
 			case op < 96:
 				as.InstallSharedPage(idx, mem.PreparePage(pageOf(byte(step))))

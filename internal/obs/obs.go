@@ -250,6 +250,15 @@ func (s *Span) Child(name string) *Span {
 	return s.reg.newSpan(name, s.id)
 }
 
+// Rename changes the name an unfinished span is recorded under, for a
+// phase whose kind is known only once it has run: a pre-copy round turns
+// out to be the final one — the downtime window — after its dump.
+func (s *Span) Rename(name string) {
+	if s != nil {
+		s.name = name
+	}
+}
+
 // End finishes the span with the wall-clock time since it was started.
 func (s *Span) End() {
 	if s == nil {

@@ -93,6 +93,19 @@ func (rep *Report) SpanDur(name string) time.Duration {
 	return 0
 }
 
+// Child returns the first finished child of span parent with the given
+// name. Names repeat across trees (the modeled "migration" tree and the
+// host "migrate.host" tree both have a "downtime"), so a lookup that must
+// land in one tree goes through that tree's root.
+func (rep *Report) Child(parent uint64, name string) (SpanEvent, bool) {
+	for _, ev := range rep.Children(parent) {
+		if ev.Name == name {
+			return ev, true
+		}
+	}
+	return SpanEvent{}, false
+}
+
 // Children returns the spans whose parent is id, in completion order.
 func (rep *Report) Children(id uint64) []SpanEvent {
 	var out []SpanEvent

@@ -162,13 +162,10 @@ func TestInterpreterHitPath(t *testing.T) {
 	}
 }
 
-// installers are the three ways a frame gets behind a page index without
+// installers are the two ways a frame gets behind a page index without
 // a guest store; all of them stamp Version 1.
 var installers = map[string]func(as *mem.AddressSpace, idx uint64, data []byte){
 	"InstallPage": func(as *mem.AddressSpace, idx uint64, data []byte) { as.InstallPage(idx, data) },
-	"InstallPreparedPage": func(as *mem.AddressSpace, idx uint64, data []byte) {
-		as.InstallPreparedPage(idx, mem.PreparePage(data))
-	},
 	"InstallSharedPage": func(as *mem.AddressSpace, idx uint64, data []byte) {
 		as.InstallSharedPage(idx, mem.PreparePage(data))
 	},
