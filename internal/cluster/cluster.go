@@ -187,9 +187,11 @@ type MigrateOpts struct {
 	// Codec selects the wire codec for image transfers (and, for LazyTCP,
 	// the page client's batch frames unless PageClient asks for
 	// compression itself): CodecNone (the zero value) frames without
-	// compressing; CodecFlate compresses each segment and batch. Restored
-	// images are byte-identical across both; only Breakdown.WireBytes
-	// changes.
+	// compressing; CodecFlate compresses each segment and batch, in the
+	// form — plain DEFLATE, DEFLATE over 64-bit word planes, or raw — a
+	// sample of that payload favours (docs/transport.md). Those two are
+	// all there is to ask for. Restored images are byte-identical across
+	// both; only Breakdown.WireBytes changes.
 	Codec criu.Codec
 	// Delta enables XOR-delta encoding of re-dirtied pages in pre-copy
 	// rounds (requires PreCopy): a page the chain already holds ships as

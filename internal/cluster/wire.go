@@ -23,8 +23,9 @@ import (
 //
 // Segments concatenate (after decoding) to exactly rawTotal bytes of
 // ImageDir.Marshal output. Each segment carries its own codec byte
-// because Compress falls back to CodecNone per segment when compression
-// does not shrink it; the header codec records what was requested.
+// because CodecFlate chooses per segment among plain DEFLATE, DEFLATE
+// over word planes and — when compression does not shrink it — the raw
+// bytes; the header codec records what was requested.
 const (
 	imageMagic     = "DIB3"
 	imageHdrLen    = 16
@@ -74,6 +75,7 @@ func eachSegment(blob []byte, codec criu.Codec, segBytes int, reg *obs.Registry,
 		}
 		wire += uint64(imageSegHdrLen + len(payload))
 		reg.Counter("wire.batches").Inc()
+		reg.Counter(criu.WireFormCounter(used)).Inc()
 		reg.Counter("wire.bytes_raw").Add(uint64(len(raw)))
 		reg.Counter("wire.bytes_wire").Add(uint64(imageSegHdrLen + len(payload)))
 		if off = end; off == len(blob) {
@@ -150,7 +152,10 @@ func readImageDirFrom(r io.Reader) (*criu.ImageDir, error) {
 	if hdr[5] != 0 || hdr[6] != 0 || hdr[7] != 0 {
 		return nil, fmt.Errorf("cluster: image stream: nonzero header padding")
 	}
-	if hdrCodec := criu.Codec(hdr[4]); !hdrCodec.Valid() {
+	// The header names what the sender was asked for, so only a codec
+	// one can ask for belongs there; the forms CodecFlate picks among by
+	// itself appear in segment headers alone.
+	if hdrCodec := criu.Codec(hdr[4]); !hdrCodec.Requestable() {
 		return nil, fmt.Errorf("cluster: image stream: bad codec %s", hdrCodec)
 	}
 	rawTotal := binary.BigEndian.Uint64(hdr[8:16])

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/criu"
@@ -68,5 +70,84 @@ func TestImageStreamEmptyDir(t *testing.T) {
 	}
 	if len(got.Names()) != 0 {
 		t.Errorf("empty directory decoded to %v", got.Names())
+	}
+}
+
+// integerHeapDir builds a directory around a pages.img of n 64-bit words
+// shaped like an integer heap — a counter, a strided pointer, a small
+// pseudo-random length, in turn — which CodecFlate ships as word planes
+// once a segment of it is over the form trial's floor.
+func integerHeapDir(n int) *criu.ImageDir {
+	pages := make([]byte, 8*n)
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := 0; i < n; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		v := [3]uint64{uint64(i) / 3, 0x10000000 + uint64(i)*32, x >> 58}[i%3]
+		binary.LittleEndian.PutUint64(pages[8*i:], v)
+	}
+	dir := criu.NewImageDir()
+	dir.Put("pages.img", pages)
+	return dir
+}
+
+// TestImageStreamCodecBytes draws the line between the two questions a
+// codec byte answers. The stream header names what the sender was asked
+// for: none and flate, nothing else — the word-plane form is refused
+// there by name, like any codec nobody can request. A segment header
+// names what encoded its payload: there the word-plane form is what a
+// flate stream of an integer heap carries, and it decodes; the counters
+// say how many segments went out in each form.
+func TestImageStreamCodecBytes(t *testing.T) {
+	const wordPlanes = criu.Codec(2)
+	blob := integerHeapDir(5 << 16).Marshal() // 2.5 MiB: two segments below
+	reg := obs.New()
+	var buf bytes.Buffer
+	if _, err := writeImageStream(&buf, blob, criu.CodecFlate, 2<<20, reg); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	if got := criu.Codec(stream[imageHdrLen+8]); got != wordPlanes {
+		t.Fatalf("first segment of an integer heap went out as %s, want %s", got, wordPlanes)
+	}
+	// Two segments: 2 MiB as word planes, the half MiB left — under the
+	// trial's floor — as plain DEFLATE.
+	for name, want := range map[string]uint64{"wire.form.words": 1, "wire.form.flate": 1, "wire.form.none": 0, "wire.batches": 2} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	with := func(at int, b criu.Codec) []byte {
+		out := bytes.Clone(stream)
+		out[at] = byte(b)
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		want   string // substring of the refusal; empty: accepted
+	}{
+		{"header flate", stream, ""},
+		{"header none", with(4, criu.CodecNone), ""},
+		{"header word planes", with(4, wordPlanes), "bad codec flate-words"},
+		{"header unknown", with(4, 0x7F), "bad codec codec(127)"},
+		{"segment word planes", stream, ""},
+		{"segment unknown", with(imageHdrLen+8, 0x7F), "bad segment codec codec(127)"},
+	} {
+		got, err := readImageDirFrom(bytes.NewReader(tc.stream))
+		switch {
+		case tc.want != "":
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+			}
+		case err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case !bytes.Equal(got.Marshal(), blob):
+			t.Errorf("%s: decoded directory differs from source", tc.name)
+		}
+	}
+	if _, _, err := transfer(blob, wordPlanes, nil); err == nil {
+		t.Error("the word-plane form was accepted as a requested codec")
 	}
 }

@@ -86,6 +86,7 @@ func malformedStreams(t testing.TB, blob []byte) []badStream {
 	return []badStream{
 		{"legacy length-prefixed framing", append(legacy, blob...), "missing DIB3 magic"},
 		{"unknown header codec", hdr(0x7F, 0, 100), "bad codec"},
+		{"self-chosen form as the requested codec", hdr(2, 0, 100), "bad codec flate-words"},
 		{"nonzero header padding", hdr(0, 9, 100), "nonzero header padding"},
 		{"total over the cap", hdr(0, 0, 2<<30), "exceeds limit"},
 		{"empty segment", append(hdr(0, 0, 100), seg(0, 0, 0)...), "empty segment"},

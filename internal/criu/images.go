@@ -84,6 +84,24 @@ type Codec = imgproto.Codec
 const (
 	// CodecNone batches frames without compression (the zero value).
 	CodecNone = imgproto.CodecNone
-	// CodecFlate batches frames and DEFLATE-compresses each batch.
+	// CodecFlate batches frames and DEFLATE-compresses each batch, over
+	// the payload's bytes or its word planes, whichever a sample of it
+	// says is smaller; the form used is named beside each payload and is
+	// nothing a caller selects.
 	CodecFlate = imgproto.CodecFlate
 )
+
+// wireFormCounters names the "wire.form.*" counters by the codec byte a
+// payload went out under.
+var wireFormCounters = [...]string{
+	CodecNone:                "wire.form.none",
+	CodecFlate:               "wire.form.flate",
+	imgproto.CodecFlateWords: "wire.form.words",
+}
+
+// WireFormCounter names the counter of payloads sent in the form used,
+// a codec Compress returned: with CodecFlate requested, the three say how
+// many segments and batches went out raw, as plain DEFLATE and as DEFLATE
+// over word planes — the first thing to read when one migration's wire
+// is ten times another's.
+func WireFormCounter(used Codec) string { return wireFormCounters[used] }

@@ -96,7 +96,7 @@ func negotiatePageBatch(conn net.Conn, want imgproto.Codec, timeout time.Duratio
 	}
 	id := binary.BigEndian.Uint32(ack[0:4])
 	codec := imgproto.Codec(ack[6])
-	if id != pageHelloID || ack[4] != pageStatusHello || ack[5] != pageProtoVersion || !codec.Valid() {
+	if id != pageHelloID || ack[4] != pageStatusHello || ack[5] != pageProtoVersion || !codec.Requestable() {
 		return fmt.Errorf("criu: page hello: malformed ack (id 0x%x status 0x%02x version %d codec %s)", id, ack[4], ack[5], codec)
 	}
 	return nil

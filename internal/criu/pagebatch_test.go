@@ -394,3 +394,99 @@ func TestPageBatchDesyncRecovery(t *testing.T) {
 		t.Error("replacement connection never delivered a well-formed batch")
 	}
 }
+
+// TestPageCodecDecodableNotRequestable draws, on the page protocol's
+// three codec bytes, the line imgproto draws between a codec one may ask
+// for and a form a payload may arrive in. The word-plane form is what
+// CodecFlate makes of a big enough integer-shaped payload by itself:
+// a batch header naming it decodes, a hello asking for it is answered
+// like one asking for a codec that does not exist — with CodecNone — and
+// an acknowledgment promising it is malformed.
+func TestPageCodecDecodableNotRequestable(t *testing.T) {
+	// Batch frames, one per codec byte. Over the form trial's floor, 300
+	// pages of small integers go out as word planes.
+	var frames [][]byte
+	for i := 0; i < 300; i++ {
+		frames = append(frames, encodePageResponse(uint32(i), pagePattern(uint64(i)*mem.PageSize)))
+	}
+	big, bigCount := batchOf(frames...)
+	small, smallCount := batchOf(frames[:2]...)
+	batch := func(codec imgproto.Codec, count int, raw []byte) []byte {
+		var buf bytes.Buffer
+		if _, _, err := writeBatch(&buf, codec, count, raw); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	unknown := batch(imgproto.CodecNone, smallCount, small)
+	unknown[1] = 0x7F
+
+	srv, err := ServePages("127.0.0.1:0", &mapSource{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	for _, tc := range []struct {
+		codec     imgproto.Codec
+		batch     []byte
+		count     int            // frames the batch decodes to; 0: desync
+		helloAck  imgproto.Codec // what a server answers a hello asking for codec
+		ackAccept bool           // whether a client accepts an ack naming codec
+	}{
+		{imgproto.CodecNone, batch(imgproto.CodecNone, smallCount, small), smallCount, imgproto.CodecNone, true},
+		{imgproto.CodecFlate, batch(imgproto.CodecFlate, smallCount, small), smallCount, imgproto.CodecFlate, true},
+		{imgproto.CodecFlateWords, batch(imgproto.CodecFlate, bigCount, big), bigCount, imgproto.CodecNone, false},
+		{0x7F, unknown, 0, imgproto.CodecNone, false},
+	} {
+		t.Run(tc.codec.String(), func(t *testing.T) {
+			if got := imgproto.Codec(tc.batch[1]); got != tc.codec {
+				t.Fatalf("batch went out as %s, want %s", got, tc.codec)
+			}
+			resps, err := readPageBatch(bytes.NewReader(tc.batch))
+			if tc.count == 0 {
+				if !errors.Is(err, errBatchDesync) {
+					t.Errorf("batch: error %v, want a desync", err)
+				}
+			} else if err != nil || len(resps) != tc.count {
+				t.Errorf("batch: %d frames, err %v; want %d", len(resps), err, tc.count)
+			}
+
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := conn.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if err := writePageRequest(conn, helloRequest(tc.codec)); err != nil {
+				t.Fatal(err)
+			}
+			var ack [7]byte
+			_, rerr := io.ReadFull(conn, ack[:])
+			if err := conn.SetDeadline(time.Time{}); err != nil {
+				t.Fatal(err)
+			}
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if got := imgproto.Codec(ack[6]); got != tc.helloAck {
+				t.Errorf("hello asking for %s acknowledged as %s, want %s", tc.codec, got, tc.helloAck)
+			}
+
+			client, server := net.Pipe()
+			defer client.Close()
+			defer server.Close()
+			go func() {
+				if _, err := readPageRequest(server); err == nil {
+					_ = writeHelloAck(server, tc.codec) // the client's verdict is the test
+				}
+			}()
+			err = negotiatePageBatch(client, imgproto.CodecFlate, 2*time.Second)
+			if (err == nil) != tc.ackAccept {
+				t.Errorf("ack naming %s: negotiate returned %v; accepted should be %v", tc.codec, err, tc.ackAccept)
+			}
+		})
+	}
+}

@@ -33,8 +33,10 @@ type PageServer struct {
 	svcLat                 *obs.Histogram
 	// Batch-mode wire telemetry ("wire.*", shared names with the image
 	// transport): batches flushed, payload bytes before and after the
-	// codec, and time spent inside Compress.
+	// codec, batches per form actually sent (indexed by codec byte), and
+	// time spent inside Compress.
 	batches, bytesRaw, bytesWire *obs.Counter
+	forms                        [len(wireFormCounters)]*obs.Counter
 	codecNs                      *obs.Histogram
 
 	wg        sync.WaitGroup
@@ -80,6 +82,9 @@ func ServePagesObs(ln net.Listener, src PageSource, reg *obs.Registry) *PageServ
 		bytesRaw:  reg.Counter("wire.bytes_raw"),
 		bytesWire: reg.Counter("wire.bytes_wire"),
 		codecNs:   reg.Histogram("wire.codec_ns"),
+	}
+	for form, name := range wireFormCounters {
+		s.forms[form] = reg.Counter(name)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -177,7 +182,7 @@ func (s *PageServer) serveConn(conn net.Conn) {
 				return
 			}
 			codec := imgproto.Codec(req.Addr &^ pageHelloAddrMask)
-			if !codec.Valid() {
+			if !codec.Requestable() {
 				codec = imgproto.CodecNone
 			}
 			if writeHelloAck(conn, codec) != nil {
@@ -252,6 +257,7 @@ func (s *PageServer) flushBatch(conn net.Conn, bw *pageBatchWriter) error {
 		return err
 	}
 	s.batches.Inc()
+	s.forms[bw.frame[1]].Inc() // the codec byte writePageBatch just wrote
 	s.bytesRaw.Add(uint64(rawN))
 	s.bytesWire.Add(uint64(wireN))
 	bw.frame = bw.frame[:pageBatchHdrLen]

@@ -3,6 +3,7 @@ package imgproto
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -125,5 +126,64 @@ func FuzzDecoder(f *testing.F) {
 			return nil
 		})
 		_ = NewDecoder(append(append([]byte(nil), garbage...), msg...)).Each(func(uint32, *Decoder) error { return nil })
+	})
+}
+
+// FuzzCodecDecompress drives the one decoder of untrusted compressed
+// bytes with an arbitrary codec byte, claimed raw length and payload: it
+// returns a named error or exactly rawLen bytes, never panics, and never
+// allocates past the claim — which the harness caps at 8 MiB, as
+// readImageDirFrom and readPageBatch cap it before they call. The payload
+// then serves as raw data in its own right: whatever form Compress picks
+// for it, and both flate forms encoded by hand, must decode back to it
+// byte for byte and refuse a claim one byte short.
+func FuzzCodecDecompress(f *testing.F) {
+	const maxRaw = 8 << 20
+	raws := [][]byte{nil, kvPages(8), intPages(8), floatPages(8)}
+	for k := 1; k < 8; k++ {
+		raws = append(raws, kvPages(1)[k:]) // lengths 7...1 mod 8
+	}
+	for _, raw := range raws {
+		f.Add(uint8(CodecNone), uint32(len(raw)), raw)
+		f.Add(uint8(CodecFlate), uint32(len(raw)), deflateFresh(f, raw))
+		f.Add(uint8(CodecFlateWords), uint32(len(raw)), deflateFresh(f, planesOf(raw)))
+	}
+	f.Add(uint8(CodecFlateWords), uint32(maxRaw), deflateFresh(f, kvPages(1)))
+	f.Add(uint8(CodecFlateWords+1), uint32(0), []byte(nil))
+	f.Fuzz(func(t *testing.T, codecByte uint8, rawLen uint32, wire []byte) {
+		n := int(rawLen % (maxRaw + 1))
+		out, err := Codec(codecByte).Decompress(wire, n)
+		switch {
+		case err != nil && !strings.HasPrefix(err.Error(), "imgproto: "):
+			t.Fatalf("unnamed error: %v", err)
+		case err == nil && len(out) != n:
+			t.Fatalf("decoded %d bytes under a header claiming %d", len(out), n)
+		case err == nil && !Codec(codecByte).Valid():
+			t.Fatalf("codec byte %d decoded", codecByte)
+		}
+
+		raw := wire
+		chosen, used, err := CodecFlate.Compress(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, enc := range []struct {
+			codec Codec
+			wire  []byte
+		}{
+			{used, chosen},
+			{CodecFlate, deflateFresh(t, raw)},
+			{CodecFlateWords, deflateFresh(t, planesOf(raw))},
+		} {
+			back, err := enc.codec.Decompress(enc.wire, len(raw))
+			if err != nil || !bytes.Equal(back, raw) {
+				t.Fatalf("%s: %d-byte payload did not round-trip: %v", enc.codec, len(raw), err)
+			}
+			if len(raw) > 0 {
+				if _, err := enc.codec.Decompress(enc.wire, len(raw)-1); err == nil {
+					t.Fatalf("%s: a claim one byte short of %d was accepted", enc.codec, len(raw))
+				}
+			}
+		}
 	})
 }
