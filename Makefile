@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race check loc updatecheck bench-check bench-host bench bench-vm bench-tables bench-json bench-obs bench-quick fleet-smoke registry-smoke
+.PHONY: build vet lint test race check loc updatecheck bench-check bench-host bench bench-vm bench-tables bench-json bench-obs bench-quick fuzz-smoke fleet-smoke registry-smoke
 
 build:
 	$(GO) build ./...
@@ -101,6 +101,19 @@ bench-quick:
 	$(GO) test -race -run=^$$ -bench='^Benchmark(Dump|Rewrite|ImgcheckVerify)$$' -benchtime=1x .
 	$(GO) run ./cmd/dapper-bench -jsonout BENCH_wirecodec.json wirecodec
 	$(GO) run ./cmd/dapper-bench -jsonout BENCH_fleet.json fleet
+
+# fuzz-smoke runs every Fuzz* target in the repo — found with `go test
+# -list`, so a new one joins by existing — for 10 s each, one `go test`
+# per target as -fuzz demands. Their seed corpora already run in tier-1;
+# this is the mutating engine, too slow for `make check`. -fuzzminimizetime
+# keeps the engine from spending a target's whole 10 s minimizing its first
+# interesting input (FuzzReadImageStream's seeds are ~250 KB streams).
+fuzz-smoke:
+	@$(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ {t[++n] = $$1} /^ok/ {for (i = 1; i <= n; i++) print $$2, t[i]; n = 0}' | \
+	while read -r pkg target; do \
+		echo "== $$pkg $$target"; \
+		$(GO) test -run='^$$' -fuzz="^$$target\$$" -fuzztime=10s -fuzzminimizetime=1s "$$pkg" || exit 1; \
+	done
 
 # fleet-smoke gates the control plane: the fleet package's deterministic
 # fault-injection tests (retry, rollback, journal resume, drain,

@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
-	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/workloads"
 )
 
@@ -57,13 +56,11 @@ func run() (err error) {
 		dbKeys, p.AS.ResidentBytes()/1024, xeon.Spec.Name)
 
 	// LazyTCP serves the post-copy pages over a REAL TCP page server, as
-	// the cross-node deployment would: a pooled, pipelined client with
-	// per-fetch deadlines and retry, prefetching a small window around
-	// each fault.
+	// the cross-node deployment would: one request per fault, with a
+	// per-fetch deadline, retry and reconnect.
 	res, err := cluster.Migrate(xeon, pi, p, pair.Meta, cluster.MigrateOpts{
-		Lazy:       true,
-		LazyTCP:    true,
-		PageClient: &criu.PageClientOpts{Prefetch: 4},
+		Lazy:    true,
+		LazyTCP: true,
 	})
 	if err != nil {
 		return err
@@ -117,7 +114,7 @@ func run() (err error) {
 	cst := res.PageClientStats()
 	fmt.Printf("\nserved all queries after post-copy migration; %d KiB now resident on the destination\n",
 		p2.AS.ResidentBytes()/1024)
-	fmt.Printf("page server served %d requests (%d KiB); client: %d fetches, %d retries, %d prefetch hits\n",
-		res.Breakdown.LazyFetches, res.Breakdown.LazyBytes/1024, cst.Fetches, cst.Retries, cst.PrefetchHits)
+	fmt.Printf("page server served %d requests (%d KiB); client: %d fetches, %d retries\n",
+		res.Breakdown.LazyFetches, res.Breakdown.LazyBytes/1024, cst.Fetches, cst.Retries)
 	return nil
 }

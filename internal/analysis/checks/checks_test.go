@@ -223,7 +223,7 @@ func f(s *srv) {
 	expect(t, diags)
 
 	// Compliant: a semaphore-bounded literal — the held slot is the reap
-	// (the page client's prefetch pattern).
+	// (the image receiver's pattern).
 	diags = lint(t, "internal/criu", `package p
 func f(c *client) {
 	if !c.sem.TryAcquire() {

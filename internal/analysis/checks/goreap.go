@@ -22,9 +22,9 @@ import (
 //   - the enclosing function calls .Add(...) (a WaitGroup arm) somewhere
 //     before the launch, or
 //   - the launched function literal itself calls .Done() (WaitGroup
-//     join) or .Release() (semaphore-bounded fire-and-forget, the page
-//     client's prefetch pattern: the slot is held for the goroutine's
-//     whole lifetime, so draining the semaphore IS the reap).
+//     join) or .Release() (semaphore-bounded fire-and-forget, the image
+//     receiver's pattern: the slot is held for the goroutine's whole
+//     lifetime, so draining the semaphore IS the reap).
 //
 // Fire-and-forget goroutines whose lifetime is genuinely bounded another
 // way (reader loops reaped by closing their connection) carry a

@@ -157,8 +157,8 @@ type MigrateOpts struct {
 	// Requires Lazy. The server and client live inside the
 	// MigrationResult; call Close when paging is done.
 	LazyTCP bool
-	// PageClient tunes the TCP page client (pool size, deadlines,
-	// retries, prefetch); nil selects criu's defaults.
+	// PageClient tunes the TCP page client (deadlines, retries, redial
+	// budget); nil selects criu's defaults.
 	PageClient *criu.PageClientOpts
 	// WrapPageSource, if set, wraps the page source serving lazy faults —
 	// tests interpose criu.FlakySource here to inject fetch failures.
@@ -295,7 +295,7 @@ func (r *MigrationResult) PageStats() criu.PageServerStats {
 }
 
 // PageClientStats returns the TCP page client's transport counters
-// (retries, reconnects, timeouts, prefetch activity); zero when the
+// (retries, reconnects, timeouts, desyncs); zero when the
 // migration did not use LazyTCP.
 func (r *MigrationResult) PageClientStats() criu.PageClientStats {
 	if r.pageClient == nil {

@@ -204,8 +204,8 @@ func TestLazyMigrationTCPWithFaults(t *testing.T) {
 			return flakyLn
 		},
 		PageClient: &criu.PageClientOpts{
-			Conns: 3, FetchTimeout: time.Second,
-			MaxRetries: 14, RetryBackoff: time.Millisecond,
+			FetchTimeout: time.Second,
+			MaxRetries:   14, RetryBackoff: time.Millisecond,
 		},
 	})
 	if err != nil {

@@ -11,6 +11,11 @@ import (
 
 // PageSource serves page contents for post-copy restoration. The
 // destination's fault handler calls FetchPage for every missing page.
+// The returned bytes are read-only and valid until the next FetchPage on
+// this source: a source may hand out its own frames by reference, and
+// both consumers copy before they ask again — the in-process handler
+// into the destination frame, the TCP server into the response it writes
+// before reading the next request.
 //
 // Implementations: ProcessPageSource (in-process, same-host),
 // RemotePageSource (TCP client, see pageclient.go), FlakySource
@@ -23,6 +28,8 @@ type PageSource interface {
 // process's address space — the in-process page server used by same-host
 // tests and by the cluster's in-memory transport. Pages that were never
 // populated on the source are returned zeroed (demand-zero semantics).
+// The source process stays stopped for as long as it serves pages, so
+// FetchPage returns its frames by reference and copies nothing.
 type ProcessPageSource struct {
 	mu    sync.Mutex
 	p     *kernel.Process
@@ -69,12 +76,14 @@ func (s *ProcessPageSource) FetchPage(addr uint64) ([]byte, error) {
 	s.reqs.Inc()
 	s.bytes.Add(mem.PageSize)
 	if data, ok := s.p.AS.PageData(addr / mem.PageSize); ok {
-		out := make([]byte, mem.PageSize)
-		copy(out, data)
-		return out, nil
+		return data, nil
 	}
-	return make([]byte, mem.PageSize), nil
+	return zeroPage[:], nil
 }
+
+// zeroPage is the one demand-zero page every never-populated address is
+// served from.
+var zeroPage [mem.PageSize]byte
 
 // Stats returns a snapshot of the counters.
 func (s *ProcessPageSource) Stats() PageServerStats {

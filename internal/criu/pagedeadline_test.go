@@ -1,6 +1,7 @@
 package criu
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -9,32 +10,37 @@ import (
 	"github.com/dapper-sim/dapper/internal/obs"
 )
 
-// deadlineConn wraps a real connection and audits SetWriteDeadline calls:
-// how many times a deadline was armed, how many times it was cleared, and
-// optionally fails the call — the two halves of the pooled-write-deadline
-// regression (a stale deadline left armed, and its error being ignored).
+// deadlineConn wraps a real connection and audits SetDeadline calls: how
+// many times a deadline was armed, how many times it was cleared, and
+// optionally fails the call — the two halves of the stale-deadline
+// regression (a deadline left armed on a connection that outlives the
+// fetch, and its error being ignored).
 type deadlineConn struct {
 	net.Conn
-	mu     sync.Mutex
-	setErr error // returned from SetWriteDeadline when non-nil
-	arms   int   // non-zero deadlines set
-	clears int   // zero-time deadlines (disarms)
+	mu          sync.Mutex
+	setErr      error // returned from SetDeadline when non-nil...
+	setErrAfter int   // ...once this many calls have gone through
+	arms        int   // non-zero deadlines set
+	clears      int   // zero-time deadlines (disarms)
 }
 
-func (c *deadlineConn) SetWriteDeadline(t time.Time) error {
+func (c *deadlineConn) SetDeadline(t time.Time) error {
 	c.mu.Lock()
 	if t.IsZero() {
 		c.clears++
 	} else {
 		c.arms++
 	}
-	err := c.setErr
+	var err error
+	if c.arms+c.clears > c.setErrAfter {
+		err = c.setErr
+	}
 	c.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	//lint:ignore deadlinehygiene counting wrapper forwards t verbatim; arm/clear pairing is the caller's, which this test asserts via counts()
-	return c.Conn.SetWriteDeadline(t)
+	return c.Conn.SetDeadline(t)
 }
 
 func (c *deadlineConn) counts() (arms, clears int) {
@@ -43,9 +49,9 @@ func (c *deadlineConn) counts() (arms, clears int) {
 	return c.arms, c.clears
 }
 
-// TestPageClientClearsWriteDeadline: every armed write deadline must be
-// cleared once the request frame is written, so a pooled connection never
-// carries a stale deadline into a later pipelined write.
+// TestPageClientClearsWriteDeadline: every armed deadline — the hello's
+// and each fetch's — must be cleared once its exchange is over, so the
+// connection never carries a stale deadline into a later fetch.
 func TestPageClientClearsWriteDeadline(t *testing.T) {
 	srv, err := ServePages("127.0.0.1:0", &mapSource{})
 	if err != nil {
@@ -55,7 +61,6 @@ func TestPageClientClearsWriteDeadline(t *testing.T) {
 	var dc *deadlineConn
 	var mu sync.Mutex
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
-		Conns: 1,
 		Dial: func(addr string) (net.Conn, error) {
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {
@@ -80,41 +85,42 @@ func TestPageClientClearsWriteDeadline(t *testing.T) {
 	conn := dc
 	mu.Unlock()
 	arms, clears := conn.counts()
-	if arms != 3 {
-		t.Errorf("deadline armed %d times for 3 fetches, want 3", arms)
+	if arms != 4 {
+		t.Errorf("deadline armed %d times for a hello and 3 fetches, want 4", arms)
 	}
 	if clears != arms {
-		t.Errorf("deadline cleared %d times but armed %d: a stale deadline survives on the pooled connection", clears, arms)
+		t.Errorf("deadline cleared %d times but armed %d: a stale deadline survives on the connection", clears, arms)
 	}
 }
 
-// TestPageClientSurfacesDeadlineError: a transport whose SetWriteDeadline
-// fails cannot bound its writes — the error must fail the fetch attempt
-// instead of being silently ignored.
+// TestPageClientSurfacesDeadlineError: a transport whose SetDeadline
+// fails cannot bound its exchanges — the error must fail the fetch
+// attempt instead of being silently ignored.
 func TestPageClientSurfacesDeadlineError(t *testing.T) {
 	srv, err := ServePages("127.0.0.1:0", &mapSource{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	sentinel := &net.OpError{Op: "set", Err: errConnBroken}
+	sentinel := &net.OpError{Op: "set", Err: errors.New("deadlines unsupported")}
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
-		Conns: 1, MaxRetries: 1, RetryBackoff: time.Millisecond,
+		MaxRetries: 1, RetryBackoff: time.Millisecond,
 		FetchTimeout: 200 * time.Millisecond,
 		Dial: func(addr string) (net.Conn, error) {
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {
 				return nil, err
 			}
-			return &deadlineConn{Conn: conn, setErr: sentinel}, nil
+			// The hello's arm and clear go through, so the dial succeeds.
+			return &deadlineConn{Conn: conn, setErr: sentinel, setErrAfter: 2}, nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.FetchPage(0); err == nil {
-		t.Fatal("fetch succeeded although the write deadline could not be armed")
+	if _, err := c.FetchPage(0); !errors.Is(err, sentinel) {
+		t.Fatalf("fetch error = %v, want the deadline failure", err)
 	}
 }
 
@@ -135,8 +141,8 @@ func TestPageServerCloseRacesInflightFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
-		Conns: 1, FetchTimeout: 200 * time.Millisecond,
-		MaxRetries: 2, RetryBackoff: time.Millisecond,
+		FetchTimeout: 200 * time.Millisecond,
+		MaxRetries:   2, RetryBackoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package criu
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -11,18 +10,12 @@ import (
 	"github.com/dapper-sim/dapper/internal/obs"
 )
 
-// PageServer serves FetchPage requests over TCP using the pipelined frame
-// protocol in pageproto.go. Each accepted connection is served by its own
-// goroutine; requests on a connection are answered in order, but a client
-// may keep many in flight. A FetchPage failure is reported to the client as
-// an explicit error frame instead of dropping the connection, so one bad
+// PageServer serves FetchPage requests over TCP using the frame protocol
+// in pageproto.go. Each accepted connection is served by its own
+// goroutine, one request at a time: read a request, fetch the page, write
+// the response frame. A FetchPage failure is reported to the client as an
+// explicit error frame instead of dropping the connection, so one bad
 // page cannot desynchronize an otherwise healthy stream.
-//
-// Every connection opens with the client's hello (see pagebatch.go) and
-// answers in batches: pipelined requests coalesce into one batch frame
-// per write, flushed when the request stream drains or the batch limits
-// fill, so a burst of prefetches costs one syscall and one compression
-// call instead of one write per page.
 type PageServer struct {
 	src PageSource
 	ln  net.Listener
@@ -31,13 +24,13 @@ type PageServer struct {
 	// service-latency histogram records every fetch, failed ones included.
 	reqs, bytesSent, errsC *obs.Counter
 	svcLat                 *obs.Histogram
-	// Batch-mode wire telemetry ("wire.*", shared names with the image
-	// transport): batches flushed, payload bytes before and after the
-	// codec, batches per form actually sent (indexed by codec byte), and
-	// time spent inside Compress.
-	batches, bytesRaw, bytesWire *obs.Counter
-	forms                        [len(wireFormCounters)]*obs.Counter
-	codecNs                      *obs.Histogram
+	// Wire telemetry ("wire.*", names shared with the image transport; a
+	// response frame is what wire.batches counts here): frames sent,
+	// payload bytes before and after the codec, frames per form actually
+	// sent (indexed by codec byte), and time spent encoding them.
+	frames, bytesRaw, bytesWire *obs.Counter
+	forms                       [len(wireFormCounters)]*obs.Counter
+	codecNs                     *obs.Histogram
 
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -66,7 +59,7 @@ func ServePagesOn(ln net.Listener, src PageSource) *PageServer {
 
 // ServePagesObs starts a page server on an existing listener, recording
 // into reg ("pageserver.*" counters, the service-latency histogram, and
-// the "wire.*" batch telemetry). A nil reg gives the server a private
+// the "wire.*" telemetry). A nil reg gives the server a private
 // registry so Stats keeps working. The server takes ownership of ln.
 func ServePagesObs(ln net.Listener, src PageSource, reg *obs.Registry) *PageServer {
 	if reg == nil {
@@ -78,7 +71,7 @@ func ServePagesObs(ln net.Listener, src PageSource, reg *obs.Registry) *PageServ
 		bytesSent: reg.Counter("pageserver.bytes_sent"),
 		errsC:     reg.Counter("pageserver.errors"),
 		svcLat:    reg.Histogram("pageserver.service_ns"),
-		batches:   reg.Counter("wire.batches"),
+		frames:    reg.Counter("wire.batches"),
 		bytesRaw:  reg.Counter("wire.bytes_raw"),
 		bytesWire: reg.Counter("wire.bytes_wire"),
 		codecNs:   reg.Histogram("wire.codec_ns"),
@@ -164,36 +157,26 @@ func (s *PageServer) acceptLoop() {
 }
 
 func (s *PageServer) serveConn(conn net.Conn) {
-	// Buffering the request stream serves two purposes: fewer read
-	// syscalls under pipelining, and br.Buffered() doubles as the flush
-	// heuristic — a non-empty buffer means another request is already
-	// waiting, so the batch can keep accumulating instead of flushing.
-	br := bufio.NewReaderSize(conn, 16*pageReqLen)
-	var bw *pageBatchWriter // nil until the client's hello
+	// The hello is mandatory: a peer that opens with anything else does
+	// not speak this protocol.
+	req, err := readPageRequest(conn)
+	if err != nil || !isHelloRequest(req) {
+		return
+	}
+	// Honor the requested codec if we can encode it.
+	codec := imgproto.Codec(req.Addr &^ pageHelloAddrMask)
+	if !codec.Requestable() {
+		codec = imgproto.CodecNone
+	}
+	if writeHelloAck(conn, codec) != nil {
+		return
+	}
+	var frame []byte // reused: the previous response is written before the next request is read
 	for {
-		req, err := readPageRequest(br)
-		if err != nil {
-			return
-		}
-		if isHelloRequest(req) {
-			// Flush anything queued under a previous negotiation, honor
-			// the requested codec if we can encode it, and switch.
-			if bw != nil && s.flushBatch(conn, bw) != nil {
-				return
-			}
-			codec := imgproto.Codec(req.Addr &^ pageHelloAddrMask)
-			if !codec.Requestable() {
-				codec = imgproto.CodecNone
-			}
-			if writeHelloAck(conn, codec) != nil {
-				return
-			}
-			bw = &pageBatchWriter{codec: codec, frame: make([]byte, pageBatchHdrLen)}
-			continue
-		}
-		if bw == nil {
-			// The hello is mandatory: a peer that opens with anything
-			// else does not speak this protocol.
+		req, err := readPageRequest(conn)
+		if err != nil || isHelloRequest(req) {
+			// A second hello on a negotiated connection is a protocol
+			// violation, not a renegotiation.
 			return
 		}
 		start := time.Now()
@@ -202,65 +185,22 @@ func (s *PageServer) serveConn(conn net.Conn) {
 		s.reqs.Inc()
 		if ferr != nil {
 			s.errsC.Inc()
-			bw.add(encodePageError(req.ID, ferr))
 		} else {
 			s.bytesSent.Add(uint64(len(page)))
-			bw.add(encodePageResponse(req.ID, page))
 		}
-		// Flush when the batch is full, or when the request stream has
-		// drained — holding frames while the client has nothing else in
-		// flight would deadlock the fetch against its own batch.
-		if bw.full() || br.Buffered() < pageReqLen {
-			if s.flushBatch(conn, bw) != nil {
-				return
-			}
+		start = time.Now()
+		var rawN int
+		frame, rawN, err = appendPageResponse(frame[:0], codec, req.ID, page, ferr)
+		s.codecNs.Observe(time.Since(start))
+		if err == nil {
+			_, err = conn.Write(frame)
 		}
+		if err != nil {
+			return
+		}
+		s.frames.Inc()
+		s.forms[frame[1]].Inc() // the codec byte appendPageResponse just wrote
+		s.bytesRaw.Add(uint64(rawN))
+		s.bytesWire.Add(uint64(len(frame)))
 	}
-}
-
-// A batch flushes at batchPages response frames or batchBytes of raw
-// payload, whichever fills first; both sit far below the frame header's
-// u16 count field and the reader's maxBatchRaw.
-const (
-	batchPages = 32
-	batchBytes = 256 << 10
-)
-
-// pageBatchWriter accumulates encoded response frames for one batch,
-// behind room for the batch header so the whole frame goes out in one
-// write.
-type pageBatchWriter struct {
-	codec imgproto.Codec
-	frame []byte // pageBatchHdrLen reserved bytes, then the responses
-	count int
-}
-
-func (b *pageBatchWriter) add(resp []byte) {
-	b.frame = append(b.frame, resp...)
-	b.count++
-}
-
-func (b *pageBatchWriter) full() bool {
-	return b.count >= batchPages || len(b.frame)-pageBatchHdrLen >= batchBytes
-}
-
-// flushBatch writes the accumulated batch as one frame and records the
-// wire telemetry. A no-op when the batch is empty.
-func (s *PageServer) flushBatch(conn net.Conn, bw *pageBatchWriter) error {
-	if bw.count == 0 {
-		return nil
-	}
-	start := time.Now()
-	rawN, wireN, err := writePageBatch(conn, bw.codec, bw.count, bw.frame)
-	s.codecNs.Observe(time.Since(start))
-	if err != nil {
-		return err
-	}
-	s.batches.Inc()
-	s.forms[bw.frame[1]].Inc() // the codec byte writePageBatch just wrote
-	s.bytesRaw.Add(uint64(rawN))
-	s.bytesWire.Add(uint64(wireN))
-	bw.frame = bw.frame[:pageBatchHdrLen]
-	bw.count = 0
-	return nil
 }

@@ -5,11 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/dapper-sim/dapper/internal/imgproto"
+	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
+	"github.com/dapper-sim/dapper/internal/obs"
 )
 
 // mapSource serves synthetic page contents: every page is filled with a
@@ -58,13 +62,19 @@ func checkPage(t *testing.T, addr uint64, got []byte) {
 	}
 }
 
+// TestPageClientPipelinedConcurrentFetches: the client holds one request
+// in flight, so 64 concurrent callers serialize on it — and every one of
+// them must get the page it asked for, not a neighbour's. Over flate
+// frames, with the server's wire telemetry read back.
 func TestPageClientPipelinedConcurrentFetches(t *testing.T) {
-	srv, err := ServePages("127.0.0.1:0", &mapSource{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.New()
+	srv := ServePagesObs(ln, &mapSource{}, reg)
 	defer srv.Close()
-	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{Conns: 3})
+	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{Codec: imgproto.CodecFlate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +111,24 @@ func TestPageClientPipelinedConcurrentFetches(t *testing.T) {
 	if st.Fetches != n {
 		t.Errorf("client Fetches = %d, want %d", st.Fetches, n)
 	}
+	if st.Reconnects != 0 || st.Retries != 0 {
+		t.Errorf("concurrent callers disturbed the connection: %+v", st)
+	}
 	if got := srv.Stats().Requests; got != n {
 		t.Errorf("server Requests = %d, want %d", got, n)
+	}
+	// The server counts a frame once its write has returned, which the
+	// client's read of that frame does not wait for: Close does.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	frames, flated := reg.Counter("wire.batches").Value(), reg.Counter(WireFormCounter(imgproto.CodecFlate)).Value()
+	if frames != n || flated != n {
+		t.Errorf("server sent %d response frames, %d of them deflated; want %d of both", frames, flated, n)
+	}
+	raw, wire := reg.Counter("wire.bytes_raw").Value(), reg.Counter("wire.bytes_wire").Value()
+	if raw != n*mem.PageSize || wire == 0 || wire >= raw {
+		t.Errorf("wire telemetry: %d raw bytes (want %d), %d on the wire (want fewer)", raw, n*mem.PageSize, wire)
 	}
 }
 
@@ -118,7 +144,7 @@ func TestPageServerErrorFrame(t *testing.T) {
 	}
 	defer srv.Close()
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
-		Conns: 1, MaxRetries: 2, RetryBackoff: time.Millisecond,
+		MaxRetries: 2, RetryBackoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +187,7 @@ func TestPageClientReconnectAfterDrop(t *testing.T) {
 	defer fsrv.Close()
 
 	c, err := DialPageServerOpts(fsrv.Addr(), PageClientOpts{
-		Conns: 2, MaxRetries: 12, RetryBackoff: time.Millisecond, FetchTimeout: time.Second,
+		MaxRetries: 12, RetryBackoff: time.Millisecond, FetchTimeout: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +226,8 @@ func newFlakyServer(t *testing.T, spec FaultSpec, src PageSource) (*FlakyListene
 
 // TestPageClientDeadlineRetry injects latency above the fetch deadline on
 // a fraction of fetches; timed-out attempts must be retried until a fast
-// attempt lands, and late responses must not desynchronize the stream.
+// attempt lands. A timed-out attempt drops its connection, so the late
+// response dies with it and can never be taken for the retry's.
 func TestPageClientDeadlineRetry(t *testing.T) {
 	src := NewFlakySource(&mapSource{}, FaultSpec{
 		Seed: 7, Latency: 150 * time.Millisecond, LatencyRate: 0.4,
@@ -211,8 +238,8 @@ func TestPageClientDeadlineRetry(t *testing.T) {
 	}
 	defer srv.Close()
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
-		Conns: 2, FetchTimeout: 40 * time.Millisecond,
-		MaxRetries: 20, RetryBackoff: time.Millisecond,
+		FetchTimeout: 40 * time.Millisecond,
+		MaxRetries:   20, RetryBackoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,52 +261,11 @@ func TestPageClientDeadlineRetry(t *testing.T) {
 	if st.Timeouts == 0 {
 		t.Errorf("latency injected (%d delays) but no attempt timed out: %+v", src.Delays(), st)
 	}
+	if st.Reconnects < st.Timeouts {
+		t.Errorf("%d attempts timed out but only %d redials: a timed-out connection was reused", st.Timeouts, st.Reconnects)
+	}
 	if st.Fetches != n {
 		t.Errorf("Fetches = %d, want %d", st.Fetches, n)
-	}
-}
-
-// TestPagePrefetch verifies the prefetch window fills the cache and that a
-// subsequent sequential fault is served from it.
-func TestPagePrefetch(t *testing.T) {
-	src := &mapSource{}
-	srv, err := ServePages("127.0.0.1:0", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{Prefetch: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	base := uint64(100) * mem.PageSize
-	page, err := c.FetchPage(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPage(t, base, page)
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Stats().Prefetched < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("prefetch never completed: %+v", c.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	page, err = c.FetchPage(base + mem.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPage(t, base+mem.PageSize, page)
-	st := c.Stats()
-	if st.PrefetchHits != 1 {
-		t.Errorf("PrefetchHits = %d, want 1", st.PrefetchHits)
-	}
-	// The hit must not have produced a second server round trip for that
-	// page: 1 demand fetch + 3 prefetches.
-	if got := src.Requests(); got != 4 {
-		t.Errorf("source served %d requests, want 4 (1 demand + 3 prefetch)", got)
 	}
 }
 
@@ -322,7 +308,7 @@ func TestPageServerCloseUnblocksClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
-		Conns: 1, FetchTimeout: 50 * time.Millisecond, MaxRetries: 1, RetryBackoff: time.Millisecond,
+		FetchTimeout: 50 * time.Millisecond, MaxRetries: 1, RetryBackoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -344,6 +330,58 @@ func TestPageServerCloseUnblocksClients(t *testing.T) {
 	close(blocker)
 	if err := srv.Close(); err != nil {
 		t.Errorf("close with stalled handler: %v", err)
+	}
+}
+
+// TestLazyFaultBudget pins the fault path's copy budget (docs/perf.md):
+// from the stopped source's frame to the page FetchPage returns there is
+// one copy on each side of the socket — into the server's reused response
+// frame, and off the wire into the page returned — and the client owns
+// no goroutine. Every second page was never populated on the source and
+// is served from the one shared zero page.
+func TestLazyFaultBudget(t *testing.T) {
+	const n = 256
+	as := mem.NewAddressSpace()
+	for idx := uint64(0); idx < n; idx += 2 {
+		as.InstallPage(idx, pagePattern(idx*mem.PageSize))
+	}
+	srv, err := ServePages("127.0.0.1:0", NewProcessPageSource(&kernel.Process{AS: as}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	goroutines := runtime.NumGoroutine()
+	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for idx := uint64(0); idx < n; idx++ {
+		page, err := c.FetchPage(idx * mem.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := idx*mem.PageSize ^ 8 // pagePattern's second word
+		if idx%2 == 1 {
+			want = 0
+		}
+		if got := binary.LittleEndian.Uint64(page[8:]); len(page) != mem.PageSize || got != want {
+			t.Fatalf("page %d: %d bytes, word 1 = 0x%x, want 0x%x", idx, len(page), got, want)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perFetch := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("heap allocated per fetch, both ends of the socket: %d B (%.2f pages)", perFetch, float64(perFetch)/mem.PageSize)
+	if limit := uint64(2*mem.PageSize + 512); perFetch > limit {
+		t.Errorf("a fetch allocates %d B, budget %d", perFetch, limit)
+	}
+	// One more than before the dial: the server's goroutine for this
+	// connection. The client added none.
+	if got := runtime.NumGoroutine(); got != goroutines+1 {
+		t.Errorf("%d goroutines before the dial, %d after the last fetch; want %d", goroutines, got, goroutines+1)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 )
 
 // serveHelloThenGarbage is the pathological peer the redial guard exists
-// for: it accepts every connection, answers the batch hello correctly,
-// and then answers the first page request with bytes that violate the
-// batch framing — over and over, on every redial, forever.
+// for: it accepts every connection, answers the hello correctly, and then
+// answers the first page request with bytes that violate the response
+// framing — over and over, on every redial, forever.
 func serveHelloThenGarbage(t *testing.T, ln net.Listener) {
 	t.Helper()
 	go func() {
@@ -35,9 +35,9 @@ func serveHelloThenGarbage(t *testing.T, ln net.Listener) {
 				if _, err := readPageRequest(conn); err != nil {
 					return
 				}
-				// A full header of bad magic: the client's read loop must
-				// desync (a short write would read as a plain EOF).
-				garbage := make([]byte, pageBatchHdrLen+4)
+				// A full header of bad magic: the client must desync (a
+				// short write would read as a plain EOF).
+				garbage := make([]byte, pageRespHdrLen+4)
 				for i := range garbage {
 					garbage[i] = 0xFF
 				}
@@ -66,7 +66,6 @@ func TestRedialBudgetExhausted(t *testing.T) {
 	var dials atomic.Uint64
 	const budget = 3
 	c, err := DialPageServerOpts(ln.Addr().String(), PageClientOpts{
-		Conns:        1,
 		Codec:        imgproto.CodecNone,
 		MaxRetries:   20,
 		RetryBackoff: time.Millisecond,
@@ -93,8 +92,8 @@ func TestRedialBudgetExhausted(t *testing.T) {
 	if st.RedialsExhausted != 1 {
 		t.Errorf("RedialsExhausted = %d, want 1", st.RedialsExhausted)
 	}
-	if st.BatchDesyncs == 0 {
-		t.Error("no batch desyncs recorded despite the garbage frames")
+	if st.Desyncs != budget {
+		t.Errorf("Desyncs = %d, want one per garbage frame (%d)", st.Desyncs, budget)
 	}
 
 	// The poison is sticky: the next fetch fails immediately, without a
@@ -104,7 +103,7 @@ func TestRedialBudgetExhausted(t *testing.T) {
 		t.Fatalf("second fetch error = %v, want ErrRedialExhausted", err)
 	}
 	if got := dials.Load(); got != before {
-		t.Errorf("exhausted slot dialed again (%d -> %d dials)", before, got)
+		t.Errorf("exhausted client dialed again (%d -> %d dials)", before, got)
 	}
 }
 
@@ -127,7 +126,6 @@ func TestRedialBudgetResetsOnGoodFrame(t *testing.T) {
 	const budget = 3
 	var dials atomic.Uint64
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
-		Conns:        1,
 		MaxRetries:   8,
 		RetryBackoff: time.Millisecond,
 		RedialBudget: budget,
@@ -150,11 +148,11 @@ func TestRedialBudgetResetsOnGoodFrame(t *testing.T) {
 		}
 		checkPage(t, uint64(cycle)*mem.PageSize, page)
 		// Break the live conn so the next cycle starts from a redial.
-		c.conns[0].mu.Lock()
-		cs := c.conns[0].cur
-		c.conns[0].mu.Unlock()
-		if cs != nil {
-			c.conns[0].drop(cs, errors.New("test: forced teardown"))
+		c.connMu.Lock()
+		conn := c.conn
+		c.connMu.Unlock()
+		if conn != nil {
+			c.drop(conn)
 		}
 	}
 	if got := c.Stats().RedialsExhausted; got != 0 {

@@ -9,18 +9,18 @@ import (
 	"sync"
 )
 
-// Codec selects the wire codec for batched transport frames (the page
-// protocol's batch frames and the image-copy stream's segments; see
+// Codec selects the wire codec for transport payloads (the page
+// protocol's response frames and the image-copy stream's segments; see
 // docs/transport.md). The zero value is CodecNone, so a zero-initialized
-// option struct means "batched, uncompressed".
+// option struct means "framed, uncompressed".
 type Codec uint8
 
 const (
-	// CodecNone stores each batch payload verbatim.
+	// CodecNone stores each payload verbatim.
 	CodecNone Codec = iota
-	// CodecFlate batches frames and DEFLATE-compresses each batch,
-	// choosing per payload the smallest of three forms and naming the
-	// one it used in the codec byte that rides beside the payload:
+	// CodecFlate DEFLATE-compresses each payload, choosing per payload
+	// the smallest of three forms and naming the one it used in the
+	// codec byte that rides beside the payload:
 	// plain DEFLATE (CodecFlate), DEFLATE over the payload's eight word
 	// planes (CodecFlateWords), or the raw bytes (CodecNone) when
 	// compression does not shrink them — so the wire payload never
@@ -51,7 +51,7 @@ func (c Codec) String() string {
 }
 
 // Valid reports whether c names a codec this build can decode; readers
-// check the codec byte of every segment and batch taken off the wire
+// check the codec byte of every segment and page frame taken off the wire
 // with it before trusting the lengths that follow.
 func (c Codec) Valid() bool { return c <= CodecFlateWords }
 
@@ -83,8 +83,8 @@ const (
 // flateEncoder is the reusable half of a CodecFlate Compress call: the
 // compressor (about 640 KB of state a fresh flate.NewWriter allocates),
 // the scratch buffer it writes into, and the buffer a payload's word
-// planes are laid out in. A page stream compresses a batch every 32
-// pages, so all are pooled and Reset per call; only the exact-size
+// planes are laid out in. A page stream compresses a payload per
+// fault, so all are pooled and Reset per call; only the exact-size
 // payload handed to the caller is allocated.
 type flateEncoder struct {
 	zw     *flate.Writer

@@ -133,7 +133,7 @@ func FuzzDecoder(f *testing.F) {
 // bytes with an arbitrary codec byte, claimed raw length and payload: it
 // returns a named error or exactly rawLen bytes, never panics, and never
 // allocates past the claim — which the harness caps at 8 MiB, as
-// readImageDirFrom and readPageBatch cap it before they call. The payload
+// readImageDirFrom and readPageResponse cap it before they call. The payload
 // then serves as raw data in its own right: whatever form Compress picks
 // for it, and both flate forms encoded by hand, must decode back to it
 // byte for byte and refuse a claim one byte short.

@@ -217,7 +217,9 @@ func (d *Decoder) next() error {
 			return &FieldError{Field: d.field, Err: err}
 		}
 		d.off += n
-		if uint64(d.off)+ln > uint64(len(d.buf)) {
+		// Compared this way round: d.off+ln wraps for a length near 2^64
+		// and would pass.
+		if ln > uint64(len(d.buf)-d.off) {
 			return &FieldError{Field: d.field, Err: ErrTruncated}
 		}
 		d.raw = d.buf[d.off : d.off+int(ln)]

@@ -1,11 +1,11 @@
 // Package parallel holds the pipeline's one concurrency primitive: a
 // non-blocking counting Semaphore that bounds fire-and-forget fan-out
-// whose goroutines are reaped elsewhere (page-client prefetches, inbound
-// image transfers, fleet node and job slots).
+// whose goroutines are reaped elsewhere (inbound image transfers, fleet
+// node and job slots).
 package parallel
 
-// Semaphore bounds fire-and-forget fan-out (e.g. the page client's
-// prefetch goroutines) to a fixed number of concurrent holders. It is
+// Semaphore bounds fire-and-forget fan-out (e.g. the image receiver's
+// per-transfer goroutines) to a fixed number of concurrent holders. It is
 // non-blocking by design: TryAcquire either takes a slot or reports
 // that the bound is reached, so a producer can skip optional work
 // instead of queueing behind it.
