@@ -5,19 +5,20 @@ import (
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
+	"github.com/dapper-sim/dapper/internal/core"
+	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/kernel"
+	"github.com/dapper-sim/dapper/internal/monitor"
+	"github.com/dapper-sim/dapper/internal/stackmap"
 	"github.com/dapper-sim/dapper/internal/workloads"
 )
 
-// TestMigrateCopyBudget holds the image path to its copy budget (docs/
-// perf.md, "Copy budget"): a vanilla cross-ISA migration moves the page
-// payload once per stage that changes its owner — dump gather, rewrite
-// store, marshal, sink, install — and not at all in stages that only read
-// it, so the heap it allocates stays a small multiple of the image. Five
-// payload-sized buffers plus page-frame headers, maps and metadata come
-// to about 5.5x; the budget is 8x. The code before the budget allocated
-// 21x.
-func TestMigrateCopyBudget(t *testing.T) {
-	const budget = 8
+// loadedServer starts a class-A rediska server on a fresh Xeon node,
+// loads it with 4000 keys and runs it until it blocks on an empty input
+// queue: a 1.4 MB image, large enough that fixed costs do not drown the
+// payload.
+func loadedServer(t *testing.T) (xeon, pi *cluster.Node, p *kernel.Process, meta *stackmap.Metadata) {
+	t.Helper()
 	w, err := workloads.Get("rediska")
 	if err != nil {
 		t.Fatal(err)
@@ -26,42 +27,134 @@ func TestMigrateCopyBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	xeon, pi = cluster.NewNode(cluster.XeonSpec), cluster.NewNode(cluster.PiSpec)
+	xeon.Install(w.Name, pair)
+	pi.Install(w.Name, pair)
+	if p, err = xeon.Start(w.Name); err != nil {
+		t.Fatal(err)
+	}
+	p.PushInput(workloads.RediskaLoad(4000))
+	quiesce(t, xeon, p)
+	return xeon, pi, p, pair.Meta
+}
+
+// quiesce steps the server until it blocks with its input drained.
+func quiesce(t *testing.T, n *cluster.Node, p *kernel.Process) {
+	t.Helper()
+	for st, err := n.K.Step(p); st.Blocked != 1 || p.PendingInput() != 0; st, err = n.K.Step(p) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// allocMultiple returns the heap one migration allocates as a multiple of
+// the image it moves. prepare gets a freshly loaded server and returns the
+// migration to measure, which reports that image's size. Another
+// goroutine's allocations can only inflate a run, so the cheapest of three
+// is the migration's own figure.
+func allocMultiple(t *testing.T, prepare func(xeon, pi *cluster.Node, p *kernel.Process, meta *stackmap.Metadata) (migrate func() uint64)) float64 {
+	t.Helper()
 	best := 0.0
 	for run := 0; run < 3; run++ {
-		xeon := cluster.NewNode(cluster.XeonSpec)
-		pi := cluster.NewNode(cluster.PiSpec)
-		xeon.Install(w.Name, pair)
-		pi.Install(w.Name, pair)
-		p, err := xeon.Start(w.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.PushInput(workloads.RediskaLoad(4000))
-		for st, err := xeon.K.Step(p); st.Blocked != 1 || p.PendingInput() != 0; st, err = xeon.K.Step(p) {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
+		migrate := prepare(loadedServer(t))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := cluster.Migrate(xeon, pi, p, pair.Meta, cluster.MigrateOpts{})
+		image := migrate()
 		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		image := res.Breakdown.ImageBytes
 		if image < 1<<20 {
 			t.Fatalf("image is only %d bytes; fixed costs would drown the payload", image)
 		}
 		ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(image)
 		t.Logf("run %d: %d bytes allocated for a %d-byte image: %.2fx", run, after.TotalAlloc-before.TotalAlloc, image, ratio)
-		// Another goroutine's allocations can only inflate a run, so the
-		// cheapest of three is the migration's own figure.
 		if best == 0 || ratio < best {
 			best = ratio
 		}
 	}
-	if best > budget {
-		t.Errorf("Migrate allocated %.1fx the image, over the copy budget of %dx: some stage copies the payload again", best, budget)
+	return best
+}
+
+// TestMigrateCopyBudget holds the image path to its copy budget (docs/
+// perf.md, "Copy budget"): a stop-and-copy cross-ISA migration copies the
+// page payload three times — the dump gathers it out of the frames of a
+// process that may run again, marshal makes it the contiguous blob the
+// wire carries, and install copies it into the destination's frames —
+// and not at all in the stages that read it, rewrite a few pages of it or
+// receive it. Three payload-sized buffers plus maps and metadata come to
+// about 3.2x; the budget is 4x. With a rewriter that re-encoded pages.img
+// and a sink that copied what it was handed it was 5.4x, and before there
+// was a budget, 21x. Chaining the shuffle policy stores the page set a
+// second time and still gathers once (3.3x, from 6.4x), so it has the
+// same budget.
+func TestMigrateCopyBudget(t *testing.T) {
+	const budget = 4
+	for name, opts := range map[string]cluster.MigrateOpts{
+		"cross-ISA":              {},
+		"cross-ISA then shuffle": {Shuffle: true, ShuffleSeed: 3},
+	} {
+		t.Run(name, func(t *testing.T) {
+			got := allocMultiple(t, func(xeon, pi *cluster.Node, p *kernel.Process, meta *stackmap.Metadata) func() uint64 {
+				return func() uint64 {
+					res, err := cluster.Migrate(xeon, pi, p, meta, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res.Breakdown.ImageBytes
+				}
+			})
+			if got > budget {
+				t.Errorf("Migrate allocated %.1fx the image, over the copy budget of %dx: some stage copies the payload again", got, budget)
+			}
+		})
+	}
+}
+
+// TestPreCopyDowntimeCopyBudget holds pre-copy's downtime window to the
+// same rule. With the chain on the destination, flatten → rewrite →
+// restore never marshals: flatten and the rewriter borrow pages and store
+// page lists, so the one payload copy left is the install (1.2x with the
+// maps three loads build). The budget is 2x; when flatten and the rewriter
+// each re-encoded pages.img the same three calls allocated 3.4x.
+func TestPreCopyDowntimeCopyBudget(t *testing.T) {
+	const budget = 2
+	got := allocMultiple(t, func(xeon, pi *cluster.Node, p *kernel.Process, meta *stackmap.Metadata) func() uint64 {
+		// The chain a converged pre-copy leaves on the destination: the
+		// full first round and a final delta of a few re-dirtied pages.
+		mon := monitor.New(xeon.K, p, meta)
+		dump := func(parent *criu.ImageDir) *criu.ImageDir {
+			if err := mon.Pause(1 << 20); err != nil {
+				t.Fatal(err)
+			}
+			dir, err := criu.Dump(p, criu.DumpOpts{Parent: parent, TrackMem: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		}
+		full := dump(nil)
+		if err := mon.ResumeLocal(); err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < 16; i++ {
+			p.PushInput(workloads.RediskaSet(5000+i, i))
+		}
+		quiesce(t, xeon, p)
+		chain := []*criu.ImageDir{full, dump(full)}
+		return func() uint64 {
+			flat, err := criu.FlattenChain(chain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := (core.CrossISAPolicy{Target: pi.Spec.Arch}).Rewrite(flat, &core.Context{Binaries: xeon.Binaries}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := criu.RestoreWith(pi.K, flat, pi.Binaries, criu.RestoreOpts{}); err != nil {
+				t.Fatal(err)
+			}
+			return flat.Size()
+		}
+	})
+	if got > budget {
+		t.Errorf("flatten, rewrite and restore allocated %.1fx the image, over the budget of %dx: a stage that should borrow the payload copies it", got, budget)
 	}
 }

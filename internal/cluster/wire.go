@@ -111,7 +111,10 @@ func writeImageStream(w io.Writer, blob []byte, codec criu.Codec, segBytes int, 
 // segment by segment exactly as a TCP send would carry it — so the
 // returned wire size is measured, not estimated — but by reference, with
 // no stream in between: for CodecNone each segment reaches the sink still
-// aliasing blob, and the image bytes are copied once, by the sink.
+// aliasing blob, and the sink keeps every file that arrives in one chunk
+// by reference, so the directory returned aliases blob (or the decoded
+// segments) and the hand-off copies no image byte. The caller gives blob
+// up: it is the destination's from here on.
 func transfer(blob []byte, codec criu.Codec, reg *obs.Registry) (*criu.ImageDir, uint64, error) {
 	sink := image.NewDirSinkFor(len(blob))
 	sp := image.NewStreamSplitter(sink)
@@ -134,8 +137,10 @@ func transfer(blob []byte, codec criu.Codec, reg *obs.Registry) (*criu.ImageDir,
 
 // readImageDirFrom is the one parser of the image stream: it reads a
 // transfer and materializes the directory, each segment decoded and handed
-// to an image.StreamSplitter the moment it arrives. Malformed input fails
-// without large allocations: buffers grow only as bytes actually arrive.
+// to an image.StreamSplitter the moment it arrives. Every segment is read
+// and decoded into a buffer of its own that nothing refills, so the sink
+// may keep files by reference. Malformed input fails without large
+// allocations: buffers grow only as bytes actually arrive.
 func readImageDirFrom(r io.Reader) (*criu.ImageDir, error) {
 	sink := image.NewDirSink()
 	sp := image.NewStreamSplitter(sink)

@@ -62,7 +62,7 @@ func UnmarshalInventory(b []byte) (*InventoryImage, error) { return image.Unmars
 // NewImageDir returns an empty directory.
 func NewImageDir() *ImageDir { return image.NewImageDir() }
 
-// UnmarshalImageDir parses a directory blob.
+// UnmarshalImageDir parses a directory blob; the directory aliases b.
 func UnmarshalImageDir(b []byte) (*ImageDir, error) { return image.UnmarshalImageDir(b) }
 
 // NewPageSet returns an empty page set with all maps allocated.

@@ -44,8 +44,8 @@ func CoveredPages(dir *ImageDir) (map[uint64]bool, error) {
 // actually carries (the data and delta pages of pages.img) — the size of
 // a pre-copy round's delta, which the convergence heuristics watch.
 func DumpedPages(dir *ImageDir) int {
-	raw, _ := dir.Get("pages.img")
-	return len(raw) / mem.PageSize
+	pages, _ := dir.Payload()
+	return pages.Len() / mem.PageSize
 }
 
 // Resolved page kinds returned by the chain resolver.
@@ -102,8 +102,10 @@ func resolveChain(sets []*PageSet, addr uint64, i int) (kind int, pg []byte, err
 // XOR deltas against the older content they were encoded from. The
 // result restores exactly as a full dump taken at the newest checkpoint
 // would. Every link is loaded without copying and the flattened set
-// borrows the pages it resolves to, so the chain's bytes are copied once,
-// by the final store, and no link is ever written.
+// borrows the pages it resolves to; the store does not copy them either,
+// so the flattened directory still aliases the links' pages.img buffers
+// (plus the few pages an XOR delta resolved into) and no link is ever
+// written.
 func FlattenChain(chain []*ImageDir) (*ImageDir, error) {
 	if len(chain) == 0 {
 		return nil, fmt.Errorf("criu: empty checkpoint chain")

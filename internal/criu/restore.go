@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/compiler"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/imgcheck"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
@@ -70,7 +71,8 @@ func Restore(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider) (*kernel.
 
 // RestoreWith is Restore with options. The image set is complete, so every
 // pre-flight runs before the first page installs, and pages.img is handed
-// to the install stage as it sits in the directory, never copied.
+// to the install stage as it sits in the directory — flat, or the page
+// list a rewrite left — never copied or joined.
 func RestoreWith(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider, opts RestoreOpts) (*kernel.Process, error) {
 	verifyStart := time.Now()
 	// Pre-flight: a corrupt or truncated image set (shuffled pagemap,
@@ -91,8 +93,8 @@ func RestoreWith(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider, opts 
 	verifyDur := time.Since(verifyStart)
 
 	installStart := time.Now()
-	pages, _ := dir.Get("pages.img")
-	if err := r.plan(dir, len(pages)); err != nil {
+	pages, _ := dir.Payload()
+	if err := r.plan(dir, pages.Len()); err != nil {
 		return nil, err
 	}
 	r.install(pages)
@@ -130,9 +132,10 @@ type restorer struct {
 	as         *mem.AddressSpace
 	heapMapped bool
 
-	// The install schedule plan decodes from the pagemap: dataAddrs[i] is
-	// the vaddr of payload page i (ascending, as the pagemap is sorted).
-	dataAddrs []uint64
+	// The install schedule plan decodes from the pagemap: dataPages[i] is
+	// the page index payload page i lands on (ascending, as the pagemap is
+	// sorted).
+	dataPages []uint64
 	installed int
 }
 
@@ -238,7 +241,7 @@ func (r *restorer) plan(dir *ImageDir, pagesSize int) error {
 			case en.Zero:
 				zeroAddrs = append(zeroAddrs, addr)
 			default:
-				r.dataAddrs = append(r.dataAddrs, addr)
+				r.dataPages = append(r.dataPages, addr/mem.PageSize)
 			}
 		}
 	}
@@ -248,7 +251,7 @@ func (r *restorer) plan(dir *ImageDir, pagesSize int) error {
 	if deltaPages > 0 {
 		return fmt.Errorf("criu: image has %d unresolved XOR-delta pages; flatten the chain (FlattenChain) before restore", deltaPages)
 	}
-	if want := len(r.dataAddrs) * mem.PageSize; want != pagesSize {
+	if want := len(r.dataPages) * mem.PageSize; want != pagesSize {
 		return fmt.Errorf("criu: restore: pages.img holds %d bytes, pagemap describes %d", pagesSize, want)
 	}
 	if lazyPages > 0 {
@@ -261,19 +264,18 @@ func (r *restorer) plan(dir *ImageDir, pagesSize int) error {
 }
 
 // install turns the payload pages into resident frames, in the plan's
-// schedule order: a shared copy-on-write frame from the cache when the
-// restore has one, a private copy otherwise.
-func (r *restorer) install(payload []byte) {
-	for pi, addr := range r.dataAddrs {
-		idx := addr / mem.PageSize
-		data := payload[pi*mem.PageSize : (pi+1)*mem.PageSize]
-		if r.opts.Frames != nil {
-			r.as.InstallSharedPage(idx, r.opts.Frames.Frame(idx, data))
-		} else {
-			r.as.InstallPage(idx, data)
+// schedule order: private copies in one bulk install — the restore's one
+// payload copy — or, when the restore has a frame cache, a shared
+// copy-on-write frame per page.
+func (r *restorer) install(payload image.Payload) {
+	if r.opts.Frames == nil {
+		r.as.InstallPages(r.dataPages, payload.Page)
+	} else {
+		for pi, idx := range r.dataPages {
+			r.as.InstallSharedPage(idx, r.opts.Frames.Frame(idx, payload.Page(pi)))
 		}
-		r.installed++
 	}
+	r.installed += len(r.dataPages)
 }
 
 // build finishes the restore once every payload page is installed:

@@ -372,20 +372,85 @@ func UnmarshalInventory(b []byte) (*InventoryImage, error) {
 
 // ImageDir is the checkpoint directory (held in memory, like the paper's
 // tmpfs checkpoint target).
+//
+// pages.img has two forms. A dump, a received stream and Put hold it
+// flat, as one buffer. PageSet.Store leaves it as the ordered list of
+// page slices the set held, so a rewrite that touched a few pages moves
+// none of the others; the list becomes contiguous where the bytes must be
+// anyway, in Marshal. Payload reads either form without joining it, and
+// Get("pages.img") joins a list into a fresh buffer on every call —
+// nothing is cached, so concurrent readers of one directory never write
+// to it.
 type ImageDir struct {
 	files map[string][]byte
+	// pageList is pages.img in list form; files["pages.img"] is then a nil
+	// placeholder that keeps the name in the directory.
+	pageList [][]byte
 }
+
+const pagesName = "pages.img"
 
 // NewImageDir returns an empty directory.
 func NewImageDir() *ImageDir { return &ImageDir{files: make(map[string][]byte)} }
 
 // Put stores a file.
-func (d *ImageDir) Put(name string, data []byte) { d.files[name] = data }
+func (d *ImageDir) Put(name string, data []byte) {
+	if name == pagesName {
+		d.pageList = nil
+	}
+	d.files[name] = data
+}
 
-// Get reads a file.
+// PutPages stores pages.img as the concatenation of pages, one slice of
+// mem.PageSize bytes per page, without copying them: the directory keeps
+// the slices, so the caller must never write through them again.
+func (d *ImageDir) PutPages(pages [][]byte) {
+	d.files[pagesName] = nil
+	d.pageList = pages
+}
+
+// Get reads a file. The bytes are the directory's own, except for a
+// pages.img held in list form, which is joined into a new buffer.
 func (d *ImageDir) Get(name string) ([]byte, bool) {
 	b, ok := d.files[name]
+	if name == pagesName && len(d.pageList) > 0 {
+		b = bytes.Join(d.pageList, nil)
+	}
 	return b, ok
+}
+
+// Payload is pages.img as a directory holds it, readable page by page in
+// either form. The bytes belong to the directory: read-only.
+type Payload struct {
+	flat []byte
+	list [][]byte // one slice per page
+}
+
+// Payload returns pages.img without joining it, and whether the file is
+// present.
+func (d *ImageDir) Payload() (Payload, bool) {
+	flat, ok := d.files[pagesName]
+	return Payload{flat: flat, list: d.pageList}, ok
+}
+
+// Len returns the file's size in bytes.
+func (p Payload) Len() int {
+	n := len(p.flat)
+	for _, pg := range p.list {
+		n += len(pg)
+	}
+	return n
+}
+
+// Page returns the i'th page of the file, capped so an append cannot run
+// into its neighbour. The caller bounds i by Len.
+func (p Payload) Page(i int) []byte {
+	if len(p.list) > 0 {
+		pg := p.list[i]
+		return pg[:len(pg):len(pg)]
+	}
+	off := i * mem.PageSize
+	return p.flat[off : off+mem.PageSize : off+mem.PageSize]
 }
 
 // Names lists files in sorted order.
@@ -404,6 +469,9 @@ func (d *ImageDir) Size() uint64 {
 	var n uint64
 	for _, b := range d.files {
 		n += uint64(len(b))
+	}
+	for _, pg := range d.pageList {
+		n += uint64(len(pg))
 	}
 	return n
 }
@@ -430,12 +498,20 @@ func frameHeader(name string, dataLen int) []byte {
 // Marshal flattens the directory into one blob for network transfer:
 // bytes.Join sizes the blob up front and copies each frame header and
 // each file's bytes into place exactly once, into memory it does not
-// zero first.
+// zero first. A pages.img in list form is gathered here, page by page,
+// straight to its place in the blob — the one copy it gets between the
+// rewriter and the wire.
 func (d *ImageDir) Marshal() []byte {
 	names := d.Names()
-	parts := make([][]byte, 0, 2*len(names))
+	parts := make([][]byte, 0, 2*len(names)+len(d.pageList))
 	for _, name := range names {
 		data := d.files[name]
+		if name == pagesName && len(d.pageList) > 0 {
+			pages, _ := d.Payload()
+			parts = append(parts, frameHeader(name, pages.Len()))
+			parts = append(parts, d.pageList...)
+			continue
+		}
 		parts = append(parts, frameHeader(name, len(data)), data)
 	}
 	return bytes.Join(parts, nil)
@@ -443,7 +519,10 @@ func (d *ImageDir) Marshal() []byte {
 
 // UnmarshalImageDir parses a directory blob: the stream splitter run over
 // the whole blob at once, so a blob at rest and a blob arriving in
-// segments go through the same frame parser.
+// segments go through the same frame parser. The directory aliases b —
+// every file in it is a slice of b, nothing is copied — so b must not be
+// written again. (The callers under cmd/ each parse a buffer they just
+// read from a file and use for nothing else.)
 func UnmarshalImageDir(b []byte) (*ImageDir, error) {
 	sink := NewDirSinkFor(len(b))
 	sp := NewStreamSplitter(sink)
@@ -466,6 +545,10 @@ func UnmarshalImageDir(b []byte) (*ImageDir, error) {
 // already holds the only reference. A write through a PageSet therefore
 // never reaches the directory it was loaded from, and a stage that only
 // reads pays for no page it does not touch.
+//
+// Store does not copy either: the directory stored into keeps the set's
+// page slices and the set's ownership ends, so a write after Store cannot
+// reach that directory.
 type PageSet struct {
 	// Pages maps page-aligned vaddr -> page bytes (nil for lazy pages).
 	// Treat the bytes as read-only: they may belong to an image directory
@@ -525,8 +608,9 @@ func (ps *PageSet) classOf(a uint64) PageClass {
 }
 
 // LoadPageSet parses the pagemap/pages pair from a directory. Nothing is
-// copied: every Pages entry aliases its 4K of pages.img, capped so a
-// write cannot run past the page.
+// copied or joined: every Pages entry aliases its 4K of pages.img in
+// whichever form the directory holds it, capped so a write cannot run
+// past the page.
 func LoadPageSet(dir *ImageDir) (*PageSet, error) {
 	pmRaw, ok := dir.Get("pagemap.img")
 	if !ok {
@@ -536,7 +620,7 @@ func LoadPageSet(dir *ImageDir) (*PageSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	pages, _ := dir.Get("pages.img")
+	pages, _ := dir.Payload()
 	// Pre-scan the pagemap: per-class page counts size every map exactly
 	// once, and the data-page total bounds-checks pages.img up front so
 	// the install loop below never re-checks per entry.
@@ -557,8 +641,8 @@ func LoadPageSet(dir *ImageDir) (*PageSet, error) {
 			}
 		}
 	}
-	if want := nData * mem.PageSize; want > len(pages) {
-		return nil, fmt.Errorf("image: pages.img truncated: pagemap describes %d data bytes, file carries %d", want, len(pages))
+	if want := nData * mem.PageSize; want > pages.Len() {
+		return nil, fmt.Errorf("image: pages.img truncated: pagemap describes %d data bytes, file carries %d", want, pages.Len())
 	}
 	ps := &PageSet{
 		Pages:       make(map[uint64][]byte, nData),
@@ -568,7 +652,7 @@ func LoadPageSet(dir *ImageDir) (*PageSet, error) {
 		DeltaPages:  make(map[uint64]bool, nDelta),
 		owned:       make(map[uint64]bool),
 	}
-	off := 0
+	next := 0 // index into pages.img of the next data page
 	for _, en := range pm.Entries {
 		for i := uint32(0); i < en.NrPages; i++ {
 			addr := en.Vaddr + uint64(i)*mem.PageSize
@@ -583,11 +667,11 @@ func LoadPageSet(dir *ImageDir) (*PageSet, error) {
 				ps.ZeroPages[addr] = true
 				continue
 			}
-			ps.Pages[addr] = pages[off : off+mem.PageSize : off+mem.PageSize]
+			ps.Pages[addr] = pages.Page(next)
 			if en.Delta {
 				ps.DeltaPages[addr] = true
 			}
-			off += mem.PageSize
+			next++
 		}
 	}
 	return ps, nil
@@ -608,7 +692,10 @@ func NewPageSet() *PageSet {
 // Store serializes the page set back into the directory, coalescing
 // contiguous same-class (data/lazy/in_parent/zero/delta) runs. The
 // emitted pagemap depends only on the page-set contents (addresses are
-// sorted), never on map iteration.
+// sorted), never on map iteration. No page is copied: pages.img goes into
+// the directory as the list of the set's page slices (ImageDir.PutPages),
+// and since the directory shares them from here on the set stops owning
+// any — its next write to a page copies it.
 func (ps *PageSet) Store(dir *ImageDir) {
 	addrs := make([]uint64, 0, len(ps.Pages)+len(ps.LazyPages)+len(ps.ParentPages)+len(ps.ZeroPages))
 	for a := range ps.Pages {
@@ -629,7 +716,10 @@ func (ps *PageSet) Store(dir *ImageDir) {
 	for i, a := range addrs {
 		recs[i] = PageRecord{Addr: a, Class: ps.classOf(a), Data: ps.Pages[a]}
 	}
-	EncodePages(dir, recs)
+	pm, payload := encodeRuns(recs)
+	dir.Put("pagemap.img", pm.Marshal())
+	dir.PutPages(payload)
+	clear(ps.owned)
 }
 
 // PageRecord is one page of the sequence EncodePages encodes.
@@ -642,20 +732,30 @@ type PageRecord struct {
 }
 
 // EncodePages writes pagemap.img and pages.img for a page sequence
-// sorted by address (PageAbsent records are skipped). It is the one
-// encoder behind Dump and PageSet.Store: contiguous same-class pages
-// coalesce into runs, pages.img is allocated once at its exact size, and
-// each data or delta page is copied once, straight to its final offset
-// (bytes.Join, which also does not zero the buffer before filling it).
+// sorted by address (PageAbsent records are skipped). It is Dump's
+// encoder, and the dump's one payload copy: the records alias the frames
+// of a process that may run again, so pages.img is gathered — allocated
+// once at its exact size, each data or delta page copied once, straight
+// to its final offset (bytes.Join, which also does not zero the buffer
+// before filling it).
 func EncodePages(dir *ImageDir, recs []PageRecord) {
+	pm, payload := encodeRuns(recs)
+	dir.Put("pagemap.img", pm.Marshal())
+	dir.Put("pages.img", bytes.Join(payload, nil))
+}
+
+// encodeRuns is the one pagemap encoder behind EncodePages and
+// PageSet.Store: contiguous same-class pages coalesce into runs, and the
+// data and delta pages come back in pages.img order, still aliasing the
+// records.
+func encodeRuns(recs []PageRecord) (pm PagemapImage, payload [][]byte) {
 	nPayload := 0
 	for _, r := range recs {
 		if r.Class == PageData || r.Class == PageDelta {
 			nPayload++
 		}
 	}
-	payload := make([][]byte, 0, nPayload) // pages.img, page by page
-	var pm PagemapImage
+	payload = make([][]byte, 0, nPayload)
 	for i := 0; i < len(recs); {
 		r := recs[i]
 		if r.Class == PageAbsent {
@@ -675,9 +775,7 @@ func EncodePages(dir *ImageDir, recs []PageRecord) {
 		})
 		i = j
 	}
-
-	dir.Put("pagemap.img", pm.Marshal())
-	dir.Put("pages.img", bytes.Join(payload, nil))
+	return pm, payload
 }
 
 // ReadU64 reads a word from the page set (for the stack rewriter). Zero

@@ -2,6 +2,7 @@ package image_test
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/image"
@@ -120,9 +121,59 @@ func TestPageSetCopyOnWrite(t *testing.T) {
 			if got, _ := dir.Get("pages.img"); !bytes.Equal(got, want) {
 				t.Fatal("Store wrote into the source pages.img")
 			}
-			if stored, _ := out.Get("pages.img"); bytes.Equal(stored, want) {
+			stored, _ := out.Get("pages.img")
+			if bytes.Equal(stored, want) {
 				t.Error("the stored pages.img carries none of the edits")
+			}
+			// Store copied nothing: out holds the set's own page slices,
+			// the ones it allocated for the edits above included. Its
+			// ownership ended there, so writing every page again must
+			// reach neither directory.
+			blob := out.Marshal()
+			for a := range ps.Pages {
+				if err := ps.WriteU64(a+24, 0x1111111111111111); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, _ := out.Get("pages.img"); !bytes.Equal(got, stored) || !bytes.Equal(out.Marshal(), blob) {
+				t.Fatal("a write after Store reached the directory stored into")
+			}
+			if got, _ := dir.Get("pages.img"); !bytes.Equal(got, want) {
+				t.Fatal("a write after Store reached the pages.img the set was loaded from")
 			}
 		})
 	}
+}
+
+// TestImageDirConcurrentReaders: clone fan-out and the fleet restore one
+// directory from many goroutines, and a rewritten directory holds
+// pages.img as a page list that Get joins. No reader may write to the
+// directory: under -race, N goroutines Get, load, measure and marshal one
+// stored directory and all see the same bytes.
+func TestImageDirConcurrentReaders(t *testing.T) {
+	dir, want := cowDir(t, 64)
+	blob := dir.Marshal()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if got, ok := dir.Get("pages.img"); !ok || !bytes.Equal(got, want) {
+					t.Error("Get(pages.img) differs between readers")
+				}
+				ps, err := image.LoadPageSet(dir)
+				if err != nil || len(ps.Pages) != 64 || !bytes.Equal(ps.Pages[cowBase], want[:mem.PageSize]) {
+					t.Errorf("LoadPageSet: %d pages, err %v", len(ps.Pages), err)
+				}
+				if pl, _ := dir.Payload(); pl.Len() != len(want) || dir.Size() < uint64(len(want)) {
+					t.Errorf("Payload is %d bytes, Size %d, want %d of pages", pl.Len(), dir.Size(), len(want))
+				}
+				if !bytes.Equal(dir.Marshal(), blob) {
+					t.Error("Marshal differs between readers")
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -22,8 +22,11 @@ import (
 // StreamSink consumes an image directory file by file as it decodes.
 // Events arrive strictly in stream order: BeginFile(name, size), then
 // FileChunk zero or more times covering exactly size bytes, then
-// EndFile. Chunks alias the splitter's input buffer and are only valid
-// until the callback returns; a sink that retains bytes must copy them.
+// EndFile. Chunks alias the buffers handed to StreamSplitter.Write and
+// are stable: whoever calls Write never writes those bytes again, so a
+// sink may keep a chunk by reference for as long as it likes. It must not
+// write through one either — the other files of the stream share the
+// same buffer.
 type StreamSink interface {
 	// BeginFile announces the next file and its exact payload size.
 	BeginFile(name string, size int) error
@@ -68,7 +71,10 @@ func NewStreamSplitter(sink StreamSink) *StreamSplitter {
 var errNeedMore = errors.New("need more bytes")
 
 // Write implements io.Writer: it consumes p completely or fails. After
-// an error the splitter is poisoned and every later call returns it.
+// an error the splitter is poisoned and every later call returns it. The
+// sink may retain slices of p (see StreamSink), so the caller gives p up:
+// a marshaled blob, a freshly decompressed or received segment — never a
+// buffer it refills.
 func (s *StreamSplitter) Write(p []byte) (int, error) {
 	if s.err != nil {
 		return 0, s.err
@@ -221,13 +227,17 @@ func parseFrameHeader(b []byte) (name string, dataLen, used int, err error) {
 }
 
 // DirSink is the trivial StreamSink: it rebuilds the ImageDir in memory
-// (UnmarshalImageDir is a splitter over one).
+// (UnmarshalImageDir is a splitter over one). A file that arrives in one
+// chunk — every file of a blob parsed whole, and pages.img of any image
+// that fits one transport segment — is kept by reference, so the directory
+// aliases the buffers the stream was written from; only a file spanning
+// chunks is assembled in a buffer of its own.
 type DirSink struct {
 	dir  *ImageDir
 	name string
 	size int
 	buf  []byte
-	// prealloc bounds what BeginFile allocates on a frame header's say-so.
+	// prealloc bounds what FileChunk allocates on a frame header's say-so.
 	prealloc int
 }
 
@@ -242,8 +252,8 @@ const dirSinkPrealloc = 8 << 20
 func NewDirSink() *DirSink { return &DirSink{dir: NewImageDir(), prealloc: dirSinkPrealloc} }
 
 // NewDirSinkFor returns a sink for a stream the caller already holds
-// whole, total bytes of it: no file in it can be larger, so every file
-// gets one exact allocation and its bytes are copied exactly once.
+// whole, total bytes of it: no file in it can be larger, so a file that
+// has to be assembled gets one exact allocation.
 func NewDirSinkFor(total int) *DirSink { return &DirSink{dir: NewImageDir(), prealloc: total} }
 
 // Dir returns the directory built so far.
@@ -255,12 +265,17 @@ func (d *DirSink) BeginFile(name string, size int) error {
 	return nil
 }
 
-// FileChunk implements StreamSink. The file's buffer is allocated when
-// its first bytes arrive, in one step with copying them in, so only the
-// part they do not cover is zeroed first: a file delivered in one chunk
-// is written exactly once.
+// FileChunk implements StreamSink. A first chunk that is the whole file
+// is the file: chunks are stable, so it is kept as it came, capped so an
+// append cannot reach the frame behind it. Otherwise the file's buffer is
+// allocated when its first bytes arrive, in one step with copying them
+// in, so only the part they do not cover is zeroed first.
 func (d *DirSink) FileChunk(p []byte) error {
 	if cap(d.buf) == 0 {
+		if len(p) == d.size {
+			d.buf = p[:len(p):len(p)]
+			return nil
+		}
 		buf := make([]byte, max(len(p), min(d.size, d.prealloc)))
 		copy(buf, p)
 		d.buf = buf[:len(p)]

@@ -3,7 +3,9 @@ package image_test
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/dapper-sim/dapper/internal/image"
 )
@@ -230,5 +232,64 @@ func TestDirSinkLargeFile(t *testing.T) {
 		if name == "known" && cap(got) != len(big) {
 			t.Errorf("known-length sink: buffer cap %d for a %d-byte file, want exact", cap(got), len(big))
 		}
+	}
+}
+
+// aliases reports whether b starts inside within's bytes.
+func aliases(b, within []byte) bool {
+	if len(b) == 0 || len(within) == 0 {
+		return false
+	}
+	off := uintptr(unsafe.Pointer(&b[0])) - uintptr(unsafe.Pointer(&within[0]))
+	return off < uintptr(len(within))
+}
+
+// TestDirSinkAliasesWholeChunks: chunks are stable, so a file delivered in
+// one chunk is kept by reference — parsing a 3 MB blob allocates none of
+// its payload, and every file of the directory lies inside the blob,
+// capped at its own end — while a file split across two Writes is
+// assembled in a buffer of its own, byte for byte as before.
+func TestDirSinkAliasesWholeChunks(t *testing.T) {
+	d := testDir()
+	pages := make([]byte, 3<<20)
+	rand.New(rand.NewSource(11)).Read(pages)
+	d.Put("pages.img", pages)
+	blob := d.Marshal()
+
+	whole, err := image.UnmarshalImageDir(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range whole.Names() {
+		got, _ := whole.Get(n)
+		want, _ := d.Get(n)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs after the round trip", n)
+		}
+		if len(got) > 0 && (!aliases(got[:1], blob) || cap(got) != len(got)) {
+			t.Errorf("%s: %d bytes, cap %d, inside the blob: %v — want a capped slice of the blob", n, len(got), cap(got), aliases(got[:1], blob))
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := image.UnmarshalImageDir(blob); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<10 {
+		t.Errorf("parsing a %d-byte blob allocated %d bytes: the payload was copied", len(blob), got)
+	}
+
+	// Cut inside pages.img: that file alone spans two chunks.
+	cut := len(blob) - len(pages)/2
+	split := splitInto(t, blob, func(r int) int { return r - (len(blob) - cut) })
+	if !bytes.Equal(split.Marshal(), blob) {
+		t.Fatal("a file split across two writes was assembled differently")
+	}
+	if got, _ := split.Get("pages.img"); aliases(got[:1], blob) || cap(got) != len(pages) {
+		t.Errorf("a two-chunk pages.img must be assembled in its own exact buffer: cap %d for %d bytes, inside the blob: %v", cap(got), len(pages), aliases(got[:1], blob))
+	}
+	if got, _ := split.Get("mm.img"); !aliases(got[:1], blob) {
+		t.Error("mm.img arrived in one chunk of the split stream and was copied")
 	}
 }

@@ -91,11 +91,11 @@ func (r *Report) Err() error {
 
 // decoded is the typed view of one directory, built once per verification.
 type decoded struct {
-	inv   *image.InventoryImage
-	mm    *image.MMImage
-	pm    *image.PagemapImage
-	pages []byte
-	cores map[int]*image.CoreImage
+	inv      *image.InventoryImage
+	mm       *image.MMImage
+	pm       *image.PagemapImage
+	pagesLen int // size of pages.img; its bytes are never read here
+	cores    map[int]*image.CoreImage
 }
 
 // decode unmarshals the required images, reporting InvMissingImage /
@@ -145,10 +145,11 @@ func decode(dir *image.ImageDir, r *Report) *decoded {
 		}
 	}
 	// pages.img may legitimately be empty, but must be present.
-	d.pages, _ = dir.Get("pages.img")
-	if _, has := dir.Get("pages.img"); !has {
+	pages, has := dir.Payload()
+	if !has {
 		r.add(InvMissingImage, "pages.img absent")
 	}
+	d.pagesLen = pages.Len()
 	if d.inv != nil {
 		seen := make(map[int]bool)
 		for _, tid := range d.inv.TIDs {
@@ -235,9 +236,9 @@ func checkStructure(d *decoded, r *Report) {
 			dataPages += int(en.NrPages)
 		}
 	}
-	if want := dataPages * mem.PageSize; len(d.pages) != want {
+	if want := dataPages * mem.PageSize; d.pagesLen != want {
 		r.add(InvPagesBytes, "pages.img carries %d bytes, pagemap describes %d data+delta pages (%d bytes) — byte-free flags must carry no bytes",
-			len(d.pages), dataPages, want)
+			d.pagesLen, dataPages, want)
 	}
 }
 

@@ -475,6 +475,24 @@ func (as *AddressSpace) InstallPage(idx uint64, data []byte) {
 	as.flushTLB()
 }
 
+// InstallPages populates page idxs[i] with a private copy of data(i) (up
+// to PageSize bytes; nil yields a zero page) for every i — restore's bulk
+// form of InstallPage. The frames are one allocation of exactly the
+// payload's size, filled in one pass, and what the pages mean changes
+// once, so the TLBs are flushed once however many pages land.
+func (as *AddressSpace) InstallPages(idxs []uint64, data func(i int) []byte) {
+	frames := make([]Page, len(idxs))
+	for i, idx := range idxs {
+		p := &frames[i]
+		p.Version = 1
+		copy(p.Data[:], data(i))
+		as.markDirty(idx)
+		as.pages[idx] = p
+		delete(as.cow, idx)
+	}
+	as.flushTLB()
+}
+
 // PreparePage builds a page frame off to the side: data (up to PageSize
 // bytes; nil yields a zero page) is copied into a fresh frame with the
 // Version every install stamps. It touches no address-space state; shared

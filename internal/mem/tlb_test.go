@@ -106,6 +106,10 @@ func TestTLBFlushPoints(t *testing.T) {
 			as.InstallPage(tlbIdx, pageOf(0x11))
 			checkReplaced(t, as, 0x11)
 		},
+		"InstallPages": func(t *testing.T, as *mem.AddressSpace) {
+			as.InstallPages([]uint64{tlbIdx + 1, tlbIdx}, func(i int) []byte { return pageOf(0x21 + byte(i)) })
+			checkReplaced(t, as, 0x22)
+		},
 		"InstallSharedPage": func(t *testing.T, as *mem.AddressSpace) {
 			shared := mem.PreparePage(pageOf(0x33))
 			as.InstallSharedPage(tlbIdx, shared)
@@ -296,8 +300,11 @@ func TestSoftDirtyMatchesNaiveModel(t *testing.T) {
 			case op < 82:
 				as.StopDirtyTracking()
 				tracking, model = false, map[uint64]bool{}
-			case op < 91:
+			case op < 86:
 				as.InstallPage(idx, pageOf(byte(step)))
+				mark(idx)
+			case op < 91:
+				as.InstallPages([]uint64{idx}, func(int) []byte { return pageOf(byte(step)) })
 				mark(idx)
 			case op < 96:
 				as.InstallSharedPage(idx, mem.PreparePage(pageOf(byte(step))))
