@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race check loc updatecheck bench-check bench-host bench bench-vm bench-tables bench-json bench-obs bench-quick fuzz-smoke fleet-smoke registry-smoke
+.PHONY: build vet lint test race check loc updatecheck bench-check bench-host bench bench-vm bench-codec bench-tables bench-json bench-obs bench-quick fuzz-smoke fleet-smoke registry-smoke
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,13 @@ bench:
 # allocation on a warm loop — is gated by TestInterpreterHitPath in tier-1.
 bench-vm:
 	$(GO) test -run=^$$ -bench=InterpreterLoop ./internal/vm
+
+# bench-codec runs the flate codec's benchmarks one iteration each — a
+# segment of every shape the form trial tells apart, a page batch, and the
+# transposition alone in both directions (docs/perf.md, "Word planes") —
+# so they keep compiling and running; the timings are informational.
+bench-codec:
+	$(GO) test -run=^$$ -bench='CodecFlate|Planes' -benchtime=1x ./internal/imgproto
 
 # bench-tables regenerates every experiment table and fails if a modeled
 # column — guest cycles, modeled times, byte counts; everything not read

@@ -2,7 +2,6 @@ package criu
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/imgproto"
+	"github.com/dapper-sim/dapper/internal/imgproto/imgprototest"
 	"github.com/dapper-sim/dapper/internal/mem"
 )
 
@@ -385,28 +385,11 @@ func TestPageBatchDesyncRecovery(t *testing.T) {
 // for payloads far larger than a page.
 func wordPlaneFrame(t *testing.T, id uint32, page []byte) []byte {
 	t.Helper()
-	n := len(page) / 8
-	planes := make([]byte, len(page))
-	for i := 0; i < n; i++ {
-		for b := 0; b < 8; b++ {
-			planes[b*n+i] = page[8*i+b]
-		}
-	}
-	var z bytes.Buffer
-	zw, err := flate.NewWriter(&z, flate.BestSpeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := zw.Write(planes); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	wire := imgprototest.FlateWords(page, 0)
 	frame := respFrame(t, imgproto.CodecNone, id, page, nil)[:pageRespHdrLen]
 	frame[respCodecOff] = byte(imgproto.CodecFlateWords)
-	binary.BigEndian.PutUint32(frame[respWireOff:], uint32(z.Len()))
-	return append(frame, z.Bytes()...)
+	binary.BigEndian.PutUint32(frame[respWireOff:], uint32(len(wire)))
+	return append(frame, wire...)
 }
 
 // TestPageCodecDecodableNotRequestable draws, on the page protocol's

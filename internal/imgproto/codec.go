@@ -21,18 +21,19 @@ const (
 	// CodecFlate DEFLATE-compresses each payload, choosing per payload
 	// the smallest of three forms and naming the one it used in the
 	// codec byte that rides beside the payload:
-	// plain DEFLATE (CodecFlate), DEFLATE over the payload's eight word
+	// plain DEFLATE (CodecFlate), DEFLATE over the payload's occupied word
 	// planes (CodecFlateWords), or the raw bytes (CodecNone) when
 	// compression does not shrink them — so the wire payload never
 	// exceeds the raw payload.
 	CodecFlate
-	// CodecFlateWords is DEFLATE of the payload transposed into its
-	// eight byte planes (see toPlanes). Guest scalars are 8 bytes wide,
-	// and a heap of small integers is mostly zero bytes but hardly any
-	// zero words: plane by plane it is long zero runs and slowly varying
-	// streams, where byte-wise LZ77 over the words themselves meets a
-	// literal every two or three bytes. CodecFlate.Compress picks it per
-	// payload; it is decodable but never requestable.
+	// CodecFlateWords is DEFLATE of the payload's byte lanes — byte j of
+	// every 64-bit word — with the lanes nobody uses left out (see
+	// deflateLanes for the layout). Guest scalars are 8 bytes wide, and a
+	// heap of small integers is mostly zero bytes but hardly any zero
+	// words: lane by lane it is slowly varying streams and lanes that are
+	// zero from end to end, where byte-wise LZ77 over the words themselves
+	// meets a literal every two or three bytes. CodecFlate.Compress picks
+	// it per payload; it is decodable but never requestable.
 	CodecFlateWords
 )
 
@@ -80,35 +81,46 @@ const (
 	trialMinSaving = 16
 )
 
+// laneBlock is the number of words one byte of a CodecFlateWords lane map
+// speaks for. Smaller blocks find more empty lane-blocks and pay a longer
+// map; docs/perf.md, "Lanes nobody uses", has the table it was chosen
+// from.
+const laneBlock = 4096
+
+// zeroLane stands in for a lane-block the map says is empty.
+var zeroLane [laneBlock]byte
+
 // flateEncoder is the reusable half of a CodecFlate Compress call: the
 // compressor (about 640 KB of state a fresh flate.NewWriter allocates),
-// the scratch buffer it writes into, and the buffer a payload's word
-// planes are laid out in. A page stream compresses a payload per
+// the scratch buffer it writes into, and the buffer a payload's byte
+// lanes are laid out in. A page stream compresses a payload per
 // fault, so all are pooled and Reset per call; only the exact-size
 // payload handed to the caller is allocated.
 type flateEncoder struct {
-	zw     *flate.Writer
-	buf    bytes.Buffer
-	planes []byte
+	zw    *flate.Writer
+	buf   bytes.Buffer
+	lanes []byte
 }
 
 // flateDecoder is Decompress's counterpart: the inflater, the reader
-// feeding it, and the buffer a CodecFlateWords payload inflates into
-// before its planes are interleaved back into words.
+// feeding it, and the buffer a CodecFlateWords payload's occupied lanes
+// inflate into before they are interleaved back into words.
 type flateDecoder struct {
-	zr     io.ReadCloser // also a flate.Resetter
-	br     bytes.Reader
-	planes []byte
+	zr    io.ReadCloser // also a flate.Resetter
+	br    bytes.Reader
+	lanes []byte
 }
 
 var (
 	flateEncoders = sync.Pool{New: func() any { return newFlateEncoder() }}
-	flateDecoders = sync.Pool{New: func() any {
-		d := new(flateDecoder)
-		d.zr = flate.NewReader(&d.br)
-		return d
-	}}
+	flateDecoders = sync.Pool{New: func() any { return newFlateDecoder() }}
 )
+
+func newFlateDecoder() *flateDecoder {
+	d := new(flateDecoder)
+	d.zr = flate.NewReader(&d.br)
+	return d
+}
 
 func newFlateEncoder() *flateEncoder {
 	e := new(flateEncoder)
@@ -117,22 +129,24 @@ func newFlateEncoder() *flateEncoder {
 	return e
 }
 
-// deflate compresses src into e.buf, replacing what it held, ending a
-// DEFLATE block — so starting a fresh Huffman table — every blockLen
-// bytes.
-func (e *flateEncoder) deflate(src []byte, blockLen int) error {
-	e.buf.Reset()
+// deflate appends to e.buf the one DEFLATE stream of parts joined end to
+// end, ending a DEFLATE block — so starting a fresh Huffman table — every
+// blockLen bytes of a part. Where one part stops and the next starts
+// leaves no mark: level 1 cuts its blocks by bytes taken, not by Write.
+func (e *flateEncoder) deflate(blockLen int, parts ...[]byte) error {
 	e.zw.Reset(&e.buf)
-	for ; len(src) > blockLen; src = src[blockLen:] {
-		if _, err := e.zw.Write(src[:blockLen]); err != nil {
+	for _, src := range parts {
+		for ; len(src) > blockLen; src = src[blockLen:] {
+			if _, err := e.zw.Write(src[:blockLen]); err != nil {
+				return fmt.Errorf("imgproto: flate write: %w", err)
+			}
+			if err := e.zw.Flush(); err != nil {
+				return fmt.Errorf("imgproto: flate flush: %w", err)
+			}
+		}
+		if _, err := e.zw.Write(src); err != nil {
 			return fmt.Errorf("imgproto: flate write: %w", err)
 		}
-		if err := e.zw.Flush(); err != nil {
-			return fmt.Errorf("imgproto: flate flush: %w", err)
-		}
-	}
-	if _, err := e.zw.Write(src); err != nil {
-		return fmt.Errorf("imgproto: flate write: %w", err)
 	}
 	if err := e.zw.Close(); err != nil {
 		return fmt.Errorf("imgproto: flate close: %w", err)
@@ -147,15 +161,16 @@ func (e *flateEncoder) chooseForm(raw []byte) (Codec, error) {
 		return CodecFlate, nil
 	}
 	const sampleLen = trialChunks * trialChunk
-	e.planes = grow(e.planes, 2*sampleLen)
-	sample, planes := e.planes[:sampleLen], e.planes[sampleLen:]
+	e.lanes = grow(e.lanes, 2*sampleLen)
+	sample, planes := e.lanes[:sampleLen], e.lanes[sampleLen:]
 	for i := 0; i < trialChunks; i++ {
 		// Chunk starts keep the payload's word phase, so the sample's
 		// planes are the payload's planes.
 		off := (len(raw) - trialChunk) / (trialChunks - 1) * i &^ 7
 		copy(sample[i*trialChunk:], raw[off:off+trialChunk])
 	}
-	if err := e.deflate(sample, sampleLen); err != nil {
+	e.buf.Reset()
+	if err := e.deflate(sampleLen, sample); err != nil {
 		return 0, err
 	}
 	plain := e.buf.Len()
@@ -164,7 +179,8 @@ func (e *flateEncoder) chooseForm(raw []byte) (Codec, error) {
 	// coded with a Huffman table of its own. Eight planes sharing the
 	// sample's one table would read up to a third larger than they go out.
 	toPlanes(planes, sample)
-	if err := e.deflate(planes, sampleLen/8); err != nil {
+	e.buf.Reset()
+	if err := e.deflate(sampleLen/8, planes); err != nil {
 		return 0, err
 	}
 	words := e.buf.Len()
@@ -184,22 +200,67 @@ func (e *flateEncoder) compress(raw []byte) ([]byte, Codec, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	src := raw
+	e.buf.Reset()
 	switch form {
 	case CodecNone:
 		return raw, CodecNone, nil
 	case CodecFlateWords:
-		e.planes = grow(e.planes, len(raw))
-		src = e.planes
-		toPlanes(src, raw)
+		err = e.deflateLanes(raw)
+	default:
+		err = e.deflate(len(raw), raw)
 	}
-	if err := e.deflate(src, len(src)); err != nil {
+	if err != nil {
 		return nil, 0, err
 	}
 	if e.buf.Len() >= len(raw) {
 		return raw, CodecNone, nil
 	}
 	return bytes.Clone(e.buf.Bytes()), form, nil
+}
+
+// deflateLanes appends raw's CodecFlateWords payload to e.buf:
+//
+//	lanemap ‖ DEFLATE(occupied lane-blocks ‖ tail)
+//
+// raw's len(raw)/8 whole words are cut into blocks of laneBlock words, the
+// last one possibly short. The lane map has one byte per block, outside
+// the DEFLATE stream, so its length follows from len(raw) alone; bit j of
+// it is set when byte j of any word in the block is non-zero. Only those
+// lane-blocks are in the stream, each the block's byte j of every word in
+// order, laid lane-major — all of lane 0's, then all of lane 1's — so
+// level 1's 64 KiB blocks still give each lane a Huffman table of its
+// own, and last the len(raw)%8 bytes that make up no whole word. The
+// encoding is canonical: a bit is never set over an all-zero lane-block,
+// so equal payloads encode to equal bytes.
+func (e *flateEncoder) deflateLanes(raw []byte) error {
+	nw := len(raw) / 8
+	e.lanes = grow(e.lanes, 8*nw)
+	// Lane j's blocks collect at the front of its own nw-byte region. Each
+	// block is transposed to where every lane's next block would start, and
+	// only the lanes it turns out to occupy move past it.
+	var fill [8]int
+	for off := 0; off < nw; off += laneBlock {
+		bw := min(laneBlock, nw-off)
+		var dst [8][]byte
+		for j := range dst {
+			dst[j] = e.lanes[j*nw+fill[j]:][:bw]
+		}
+		or := toLanes(&dst, raw[8*off:8*(off+bw)])
+		var occupied byte
+		for j := range fill {
+			if byte(or>>(8*j)) != 0 {
+				occupied |= 1 << j
+				fill[j] += bw
+			}
+		}
+		e.buf.WriteByte(occupied)
+	}
+	var parts [9][]byte
+	for j := range fill {
+		parts[j] = e.lanes[j*nw:][:fill[j]]
+	}
+	parts[8] = raw[8*nw:]
+	return e.deflate(len(raw), parts[:]...)
 }
 
 // inflate decodes wire into dst, which it must fill exactly.
@@ -229,6 +290,59 @@ func (d *flateDecoder) inflate(dst, wire []byte) error {
 	return nil
 }
 
+// inflateLanes decodes a CodecFlateWords payload (see deflateLanes) of
+// rawLen raw bytes. The lane map sizes the inflate buffer — never past
+// rawLen, whatever it claims — and the stream must fill that buffer
+// exactly, as inflate checks, before the output is made. A set bit over
+// a lane-block that then inflates to zeros is data like any other: only
+// the encoder is canonical. What ties rawLen to the payload is that byte
+// count, so a rawLen other than the encoder's is refused when it changes
+// the map's length or what the map adds up to — not when the words it
+// adds or drops lie in lanes the last block's map leaves empty.
+func (d *flateDecoder) inflateLanes(wire []byte, rawLen int) ([]byte, error) {
+	nw := rawLen / 8
+	nblk := (nw + laneBlock - 1) / laneBlock
+	if len(wire) < nblk {
+		return nil, fmt.Errorf("imgproto: flate-words payload of %d bytes is shorter than the %d-byte lane map its %d raw bytes need", len(wire), nblk, rawLen)
+	}
+	lanemap, wire := wire[:nblk], wire[nblk:]
+	var next [8]int // where lane j's next block starts; first, lane j's length
+	for b, occupied := range lanemap {
+		bw := min(laneBlock, nw-b*laneBlock)
+		for j := range next {
+			next[j] += int(occupied>>j&1) * bw
+		}
+	}
+	total := 0
+	for j, n := range next {
+		next[j], total = total, total+n
+	}
+	d.lanes = grow(d.lanes, total+rawLen%8)
+	if err := d.inflate(d.lanes, wire); err != nil {
+		return nil, err
+	}
+	raw := make([]byte, rawLen)
+	for b, occupied := range lanemap {
+		if occupied == 0 {
+			continue
+		}
+		off := b * laneBlock
+		bw := min(laneBlock, nw-off)
+		var src [8][]byte
+		for j := range src {
+			if occupied>>j&1 != 0 {
+				src[j] = d.lanes[next[j]:][:bw]
+				next[j] += bw
+			} else {
+				src[j] = zeroLane[:bw]
+			}
+		}
+		fromLanes(raw[8*off:8*(off+bw)], &src)
+	}
+	copy(raw[8*nw:], d.lanes[total:])
+	return raw, nil
+}
+
 // grow returns buf resized to n bytes, reallocating (and dropping the old
 // contents) only when its capacity is short.
 func grow(buf []byte, n int) []byte {
@@ -246,27 +360,107 @@ func grow(buf []byte, n int) []byte {
 // phase by k bytes yields the same planes in rotated order.
 func toPlanes(dst, src []byte) {
 	n := len(src) / 8
-	p0, p1, p2, p3 := dst[:n], dst[n:2*n], dst[2*n:3*n], dst[3*n:4*n]
-	p4, p5, p6, p7 := dst[4*n:5*n], dst[5*n:6*n], dst[6*n:7*n], dst[7*n:8*n]
-	for i := 0; i < n; i++ {
-		w := binary.LittleEndian.Uint64(src[8*i:])
-		p0[i], p1[i], p2[i], p3[i] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
-		p4[i], p5[i], p6[i], p7[i] = byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56)
+	var planes [8][]byte
+	for j := range planes {
+		planes[j] = dst[j*n : (j+1)*n]
 	}
+	toLanes(&planes, src[:8*n])
 	copy(dst[8*n:], src[8*n:])
 }
 
-// fromPlanes is toPlanes' inverse.
-func fromPlanes(dst, src []byte) {
+// transpose8 transposes the 8×8 byte matrix whose row k is word k, least
+// significant byte first: byte j of result k is byte k of argument j.
+// Three rounds of masked swaps exchange the off-diagonal 4×4 blocks, then
+// the 2×2 blocks within each of those, then single bytes — all in
+// registers. It is its own inverse, so both directions run it.
+func transpose8(a0, a1, a2, a3, a4, a5, a6, a7 uint64) (_, _, _, _, _, _, _, _ uint64) {
+	const m32, m16, m8 = 0x00000000ffffffff, 0x0000ffff0000ffff, 0x00ff00ff00ff00ff
+	a0, a4 = swapBits(a0, a4, 32, m32)
+	a1, a5 = swapBits(a1, a5, 32, m32)
+	a2, a6 = swapBits(a2, a6, 32, m32)
+	a3, a7 = swapBits(a3, a7, 32, m32)
+
+	a0, a2 = swapBits(a0, a2, 16, m16)
+	a1, a3 = swapBits(a1, a3, 16, m16)
+	a4, a6 = swapBits(a4, a6, 16, m16)
+	a5, a7 = swapBits(a5, a7, 16, m16)
+
+	a0, a1 = swapBits(a0, a1, 8, m8)
+	a2, a3 = swapBits(a2, a3, 8, m8)
+	a4, a5 = swapBits(a4, a5, 8, m8)
+	a6, a7 = swapBits(a6, a7, 8, m8)
+	return a0, a1, a2, a3, a4, a5, a6, a7
+}
+
+// swapBits exchanges the bits of a under mask<<shift with the bits of b
+// under mask.
+func swapBits(a, b uint64, shift uint, mask uint64) (uint64, uint64) {
+	t := (a>>shift ^ b) & mask
+	return a ^ t<<shift, b ^ t
+}
+
+// toLanes writes byte j of word i of src — little-endian 64-bit words,
+// len(src) a multiple of 8 — to lanes[j][i], eight words at a time, and
+// returns the OR of all the words: byte j of it is zero exactly when lane
+// j came out all zero.
+func toLanes(lanes *[8][]byte, src []byte) uint64 {
+	le := binary.LittleEndian
 	n := len(src) / 8
-	p0, p1, p2, p3 := src[:n], src[n:2*n], src[2*n:3*n], src[3*n:4*n]
-	p4, p5, p6, p7 := src[4*n:5*n], src[5*n:6*n], src[6*n:7*n], src[7*n:8*n]
-	for i := 0; i < n; i++ {
-		w := uint64(p0[i]) | uint64(p1[i])<<8 | uint64(p2[i])<<16 | uint64(p3[i])<<24 |
-			uint64(p4[i])<<32 | uint64(p5[i])<<40 | uint64(p6[i])<<48 | uint64(p7[i])<<56
-		binary.LittleEndian.PutUint64(dst[8*i:], w)
+	l0, l1, l2, l3 := lanes[0][:n], lanes[1][:n], lanes[2][:n], lanes[3][:n]
+	l4, l5, l6, l7 := lanes[4][:n], lanes[5][:n], lanes[6][:n], lanes[7][:n]
+	var or uint64
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		s := src[8*i : 8*i+64]
+		a0, a1, a2, a3 := le.Uint64(s), le.Uint64(s[8:]), le.Uint64(s[16:]), le.Uint64(s[24:])
+		a4, a5, a6, a7 := le.Uint64(s[32:]), le.Uint64(s[40:]), le.Uint64(s[48:]), le.Uint64(s[56:])
+		or |= a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7
+		a0, a1, a2, a3, a4, a5, a6, a7 = transpose8(a0, a1, a2, a3, a4, a5, a6, a7)
+		le.PutUint64(l0[i:], a0)
+		le.PutUint64(l1[i:], a1)
+		le.PutUint64(l2[i:], a2)
+		le.PutUint64(l3[i:], a3)
+		le.PutUint64(l4[i:], a4)
+		le.PutUint64(l5[i:], a5)
+		le.PutUint64(l6[i:], a6)
+		le.PutUint64(l7[i:], a7)
 	}
-	copy(dst[8*n:], src[8*n:])
+	for ; i < n; i++ {
+		w := le.Uint64(src[8*i:])
+		or |= w
+		l0[i], l1[i], l2[i], l3[i] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
+		l4[i], l5[i], l6[i], l7[i] = byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56)
+	}
+	return or
+}
+
+// fromLanes is toLanes' inverse: word i of dst takes its byte j from
+// lanes[j][i].
+func fromLanes(dst []byte, lanes *[8][]byte) {
+	le := binary.LittleEndian
+	n := len(dst) / 8
+	l0, l1, l2, l3 := lanes[0][:n], lanes[1][:n], lanes[2][:n], lanes[3][:n]
+	l4, l5, l6, l7 := lanes[4][:n], lanes[5][:n], lanes[6][:n], lanes[7][:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		a0, a1, a2, a3 := le.Uint64(l0[i:]), le.Uint64(l1[i:]), le.Uint64(l2[i:]), le.Uint64(l3[i:])
+		a4, a5, a6, a7 := le.Uint64(l4[i:]), le.Uint64(l5[i:]), le.Uint64(l6[i:]), le.Uint64(l7[i:])
+		a0, a1, a2, a3, a4, a5, a6, a7 = transpose8(a0, a1, a2, a3, a4, a5, a6, a7)
+		d := dst[8*i : 8*i+64]
+		le.PutUint64(d, a0)
+		le.PutUint64(d[8:], a1)
+		le.PutUint64(d[16:], a2)
+		le.PutUint64(d[24:], a3)
+		le.PutUint64(d[32:], a4)
+		le.PutUint64(d[40:], a5)
+		le.PutUint64(d[48:], a6)
+		le.PutUint64(d[56:], a7)
+	}
+	for ; i < n; i++ {
+		w := uint64(l0[i]) | uint64(l1[i])<<8 | uint64(l2[i])<<16 | uint64(l3[i])<<24 |
+			uint64(l4[i])<<32 | uint64(l5[i])<<40 | uint64(l6[i])<<48 | uint64(l7[i])<<56
+		le.PutUint64(dst[8*i:], w)
+	}
 }
 
 // Compress encodes raw for the wire and returns the payload together
@@ -308,13 +502,7 @@ func (c Codec) Decompress(wire []byte, rawLen int) ([]byte, error) {
 	case CodecFlateWords:
 		d := flateDecoders.Get().(*flateDecoder)
 		defer flateDecoders.Put(d)
-		d.planes = grow(d.planes, rawLen)
-		if err := d.inflate(d.planes, wire); err != nil {
-			return nil, err
-		}
-		raw := make([]byte, rawLen)
-		fromPlanes(raw, d.planes)
-		return raw, nil
+		return d.inflateLanes(wire, rawLen)
 	default:
 		return nil, fmt.Errorf("imgproto: codec %s cannot decode batch payloads", c)
 	}

@@ -5,9 +5,13 @@ import (
 	"compress/flate"
 	"crypto/rand"
 	"encoding/binary"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+
+	"github.com/dapper-sim/dapper/internal/imgproto/imgprototest"
 )
 
 // noise fills n bytes from a xorshift generator: deterministic, and
@@ -91,28 +95,26 @@ func floatPages(n int) []byte {
 	return raw
 }
 
-// deflateFresh is the reference encoder: a flate.Writer nothing has used.
-func deflateFresh(t testing.TB, raw []byte) []byte {
-	t.Helper()
-	var out bytes.Buffer
-	zw, err := flate.NewWriter(&out, flateLevel)
-	if err != nil {
-		t.Fatal(err)
+// sparsePages is intPages with every word under 2^24 — the benchmark
+// image's shape: five of the eight byte lanes are zero from end to end.
+func sparsePages(n int) []byte {
+	raw := intPages(n)
+	for off := 0; off < len(raw); off += 32 {
+		e := uint64(off / 32)
+		binary.LittleEndian.PutUint64(raw[off+16:], 0x100000+e*96)
 	}
-	if _, err := zw.Write(raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
+	return raw
 }
 
-// planesOf is toPlanes into a fresh buffer.
-func planesOf(raw []byte) []byte {
-	dst := make([]byte, len(raw))
-	toPlanes(dst, raw)
-	return dst
+// fromPlanes is toPlanes' inverse, on the decoder's kernel.
+func fromPlanes(dst, src []byte) {
+	n := len(src) / 8
+	var planes [8][]byte
+	for j := range planes {
+		planes[j] = src[j*n : (j+1)*n]
+	}
+	fromLanes(dst[:8*n], &planes)
+	copy(dst[8*n:], src[8*n:])
 }
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -124,6 +126,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		noise(4096),
 		kvPages(300),
 		intPages(300),
+		sparsePages(300),
 		floatPages(300),
 		noise(trialFloor),
 	}
@@ -154,21 +157,65 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPlanesLayout pins the transposition the wire format names: byte k
+// TestPlanesLayout pins the transposition the wire format names — byte k
 // of every whole word in plane k, planes in order, the len%8 tail last
-// and unchanged — and fromPlanes undoing it for every length class.
+// and unchanged — then the lane map laid over it, and holds the
+// eight-words-at-a-time kernel to the byte-wise reference in both
+// directions for every length class at every word phase.
 func TestPlanesLayout(t *testing.T) {
 	src := []byte("A1234567B1234567C1234567xyz")
 	const want = "ABC" + "111" + "222" + "333" + "444" + "555" + "666" + "777" + "xyz"
-	if got := string(planesOf(src)); got != want {
+	got := make([]byte, len(src))
+	toPlanes(got, src)
+	if string(got) != want {
 		t.Fatalf("planes of %q = %q, want %q", src, got, want)
 	}
-	raw := noise(200)
-	for n := 0; n <= len(raw); n++ {
-		back := make([]byte, n)
-		fromPlanes(back, planesOf(raw[:n]))
-		if !bytes.Equal(back, raw[:n]) {
-			t.Fatalf("length %d: fromPlanes(toPlanes(x)) != x", n)
+
+	// Three blocks: lanes 0 and 2 of the first occupied, the second all
+	// zero, the third five words long with lanes 0 and 7 occupied, and a
+	// three-byte tail.
+	raw := bytes.Repeat([]byte{0xB0, 0, 0xB2, 0, 0, 0, 0, 0}, laneBlock)
+	raw = append(raw, make([]byte, 8*laneBlock)...)
+	raw = append(raw, bytes.Repeat([]byte{0xC0, 0, 0, 0, 0, 0, 0, 0xC7}, 5)...)
+	raw = append(raw, "xyz"...)
+	wantMap := []byte{1<<0 | 1<<2, 0, 1<<0 | 1<<7}
+	wantBody := bytes.Repeat([]byte{0xB0}, laneBlock)         // lane 0, block 0
+	wantBody = append(wantBody, 0xC0, 0xC0, 0xC0, 0xC0, 0xC0) // lane 0, block 2
+	wantBody = append(wantBody, bytes.Repeat([]byte{0xB2}, laneBlock)...)
+	wantBody = append(wantBody, 0xC7, 0xC7, 0xC7, 0xC7, 0xC7)
+	wantBody = append(wantBody, "xyz"...)
+	e := newFlateEncoder()
+	if err := e.deflateLanes(raw); err != nil {
+		t.Fatal(err)
+	}
+	wire := e.buf.Bytes()
+	if !bytes.Equal(wire[:3], wantMap) {
+		t.Fatalf("lane map %08b, want %08b", wire[:3], wantMap)
+	}
+	if body, err := io.ReadAll(flate.NewReader(bytes.NewReader(wire[3:]))); err != nil || !bytes.Equal(body, wantBody) {
+		t.Fatalf("%d-byte body (err %v), want lane 0 of blocks 0 and 2, lane 2 of block 0, lane 7 of block 2 and the tail: %d bytes", len(body), err, len(wantBody))
+	}
+	if refMap, refBody := imgprototest.Lanes(raw, 0); !bytes.Equal(refMap, wantMap) || !bytes.Equal(refBody, wantBody) {
+		t.Fatal("the reference encoder disagrees with the literal layout")
+	}
+	if back, err := CodecFlateWords.Decompress(wire, len(raw)); err != nil || !bytes.Equal(back, raw) {
+		t.Fatalf("the three-block payload did not round-trip: %v", err)
+	}
+
+	buf := noise(208)
+	for phase := 0; phase < 8; phase++ {
+		for n := 0; n <= 200; n++ {
+			raw := buf[phase : phase+n]
+			planes := make([]byte, n)
+			toPlanes(planes, raw)
+			if !bytes.Equal(planes, imgprototest.Planes(raw)) {
+				t.Fatalf("phase %d length %d: toPlanes differs from the byte-wise reference", phase, n)
+			}
+			back := make([]byte, n)
+			fromPlanes(back, planes)
+			if !bytes.Equal(back, raw) {
+				t.Fatalf("phase %d length %d: fromPlanes(toPlanes(x)) != x", phase, n)
+			}
 		}
 	}
 }
@@ -198,7 +245,7 @@ func TestCodecFlateChoosesForm(t *testing.T) {
 		if used != tc.want {
 			t.Errorf("%s: encoded as %s, want %s", tc.name, used, tc.want)
 		}
-		plain := len(deflateFresh(t, tc.raw))
+		plain := len(imgprototest.Deflate(tc.raw))
 		if len(wire) > plain+plain/50 {
 			t.Errorf("%s: %s form is %d bytes, plain DEFLATE %d", tc.name, used, len(wire), plain)
 		}
@@ -255,6 +302,7 @@ func TestCodecCompressDeterministic(t *testing.T) {
 	}{
 		{bytes.Repeat([]byte("state-rewriting"), 512), CodecFlate},
 		{intPages(300), CodecFlateWords},
+		{sparsePages(300), CodecFlateWords},
 		{floatPages(300), CodecFlate},
 	} {
 		a, usedA, err := CodecFlate.Compress(tc.raw)
@@ -271,34 +319,66 @@ func TestCodecCompressDeterministic(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("%s output differs between identical inputs", tc.want)
 		}
+		// Canonical: no bit of the lane map is set over an all-zero lane.
+		if lanemap, _ := imgprototest.Lanes(tc.raw, 0); tc.want == CodecFlateWords && !bytes.HasPrefix(a, lanemap) {
+			t.Fatalf("lane map %08b, want the canonical %08b", a[:len(lanemap)], lanemap)
+		}
 	}
 }
 
 func TestCodecDecompressRejectsLies(t *testing.T) {
+	type lie struct {
+		name   string
+		wire   []byte
+		rawLen int
+		msg    string
+	}
+	flip := func(wire []byte, i int, bit byte) []byte {
+		wire = bytes.Clone(wire)
+		wire[i] ^= bit
+		return wire
+	}
 	for _, raw := range [][]byte{bytes.Repeat([]byte{7}, 256), intPages(300), intPages(257)[5:]} {
 		wire, used, err := CodecFlate.Compress(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := CodecFlate
+		want, hdr := CodecFlate, 0
 		if len(raw) >= trialFloor {
-			want = CodecFlateWords
+			want, hdr = CodecFlateWords, (len(raw)/8+laneBlock-1)/laneBlock
 		}
 		if used != want {
 			t.Fatalf("%d-byte payload encoded as %s, want %s", len(raw), used, want)
 		}
-		for _, lie := range []struct {
-			name   string
-			wire   []byte
-			rawLen int
-			msg    string
-		}{
-			{"short rawLen", wire, len(raw) - 1, "longer than"},
+		short := "longer than"
+		if used == CodecFlateWords && len(raw)%8 == 0 {
+			// One byte less turns the last word into a seven-byte tail:
+			// seven bytes more to inflate, one fewer in each of intPages'
+			// four occupied lanes.
+			short = "truncated"
+		}
+		lies := []lie{
+			{"short rawLen", wire, len(raw) - 1, short},
 			{"long rawLen", wire, len(raw) + 1, "truncated"},
 			{"truncated payload", wire[:len(wire)-2], len(raw), "unexpected EOF"},
 			{"trailing bytes", append(bytes.Clone(wire), 0), len(raw), "after the end"},
-			{"corrupt stream", append([]byte{0xff}, wire[1:]...), len(raw), "corrupt input"},
-		} {
+			{"corrupt stream", flip(wire, hdr, wire[hdr]^0xff), len(raw), "corrupt input"},
+		}
+		if used == CodecFlateWords {
+			// intPages occupies four lanes of every block: which four is
+			// the payload's phase.
+			empty, occupied := ^wire[0]&-^wire[0], wire[hdr-1]&-wire[hdr-1]
+			if empty == 0 || occupied == 0 {
+				t.Fatalf("lane map %08b has no empty lane to claim or no occupied one to deny", wire[:hdr])
+			}
+			lies = append(lies,
+				lie{"wire shorter than the lane map", wire[:hdr-1], len(raw), "shorter than the"},
+				lie{"no wire at all", nil, len(raw), "shorter than the"},
+				lie{"map bit flipped on", flip(wire, 0, empty), len(raw), "truncated"},
+				lie{"map bit flipped off", flip(wire, hdr-1, occupied), len(raw), "longer than"},
+			)
+		}
+		for _, lie := range lies {
 			_, err := used.Decompress(lie.wire, lie.rawLen)
 			if err == nil {
 				t.Fatalf("%s: %s accepted", used, lie.name)
@@ -316,12 +396,87 @@ func TestCodecDecompressRejectsLies(t *testing.T) {
 	} else if _, err := unknown.Decompress(nil, 0); err == nil {
 		t.Fatalf("%s accepted as a batch codec", unknown)
 	}
+
+	// Not lies. Under eight bytes there is no word, so no block and no
+	// map: the payload is the tail's DEFLATE stream alone.
+	for n := 0; n < 8; n++ {
+		raw := noise(n)
+		wire := imgprototest.FlateWords(raw, 0)
+		if !bytes.Equal(wire, imgprototest.Deflate(raw)) {
+			t.Fatalf("%d raw bytes: the payload is not DEFLATE of the tail alone", n)
+		}
+		if back, err := CodecFlateWords.Decompress(wire, n); err != nil || !bytes.Equal(back, raw) {
+			t.Fatalf("%d raw bytes did not round-trip: %v", n, err)
+		}
+	}
+	// And a bit set over a lane-block of zeros, with the zeros in the
+	// stream, is data: only the encoder is canonical.
+	raw := intPages(20)
+	for _, force := range []byte{1 << 7, 0xff} {
+		wire := imgprototest.FlateWords(raw, force)
+		if back, err := CodecFlateWords.Decompress(wire, len(raw)); err != nil || !bytes.Equal(back, raw) {
+			t.Fatalf("map forced to %08b did not round-trip: %v", force, err)
+		}
+	}
+	// What ties rawLen to the payload is the byte count the map describes
+	// under it, and words in lanes the last block's map leaves empty add
+	// nothing to that: a claim a zero word short decodes, to the prefix.
+	raw = append(intPages(8), make([]byte, 800)...)
+	if back, err := CodecFlateWords.Decompress(imgprototest.FlateWords(raw, 0), len(raw)-8); err != nil || !bytes.Equal(back, raw[:len(raw)-8]) {
+		t.Fatalf("a claim one zero word short: %v", err)
+	}
+}
+
+// TestCodecFlateWordsAllocBound: the lane map is the peer's word, and
+// what it makes Decompress allocate is bounded by rawLen, which callers
+// cap before they call — a refused payload costs at most the inflate
+// buffer, never more than rawLen plus a constant whatever the map claims,
+// and an accepted one on a decoder that has its buffer costs the output.
+func TestCodecFlateWordsAllocBound(t *testing.T) {
+	const rawLen = 4<<20 + 5
+	const slack = 64 << 10
+	nblk := (rawLen/8 + laneBlock - 1) / laneBlock
+	allocated := func(d *flateDecoder, wire []byte) (uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := d.inflateLanes(wire, rawLen)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	full := bytes.Repeat([]byte{0xff}, nblk)
+	zeros := imgprototest.Deflate(make([]byte, rawLen))
+	for _, tc := range []struct {
+		name string
+		wire []byte
+	}{
+		{"every lane claimed, no stream", full},
+		{"every lane claimed, stream too long", append(bytes.Clone(full), imgprototest.Deflate(make([]byte, rawLen+1))...)},
+		{"every lane claimed, stream short", append(bytes.Clone(full), imgprototest.Deflate(make([]byte, rawLen/2))...)},
+		{"no lane claimed, stream of rawLen", append(make([]byte, nblk), zeros...)},
+	} {
+		n, err := allocated(newFlateDecoder(), tc.wire)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if n > rawLen+slack {
+			t.Errorf("%s: refusing it allocated %d bytes, over the %d claimed", tc.name, n, rawLen)
+		}
+	}
+	d := newFlateDecoder()
+	wire := append(bytes.Clone(full), zeros...)
+	if _, err := d.inflateLanes(wire, rawLen); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := allocated(d, wire); err != nil || n > rawLen+slack {
+		t.Errorf("a warm decoder allocated %d bytes for %d of output (err %v)", n, rawLen, err)
+	}
 }
 
 // TestCodecFlatePooledMatchesFresh: Compress reuses a pooled compressor
-// and plane buffer, and a reused encoder must emit the bytes a fresh
-// flate.Writer would — over the payload for the plain form, over its
-// planes for the word-plane form; the wire sizes other tests pin depend
+// and lane buffer, and a reused encoder must emit the bytes a fresh
+// flate.Writer would — over the payload for the plain form; for the
+// word-plane form the reference encoder's canonical lane map and its
+// stream over the occupied lanes; the wire sizes other tests pin depend
 // on it — whatever it compressed before, the other form included.
 func TestCodecFlatePooledMatchesFresh(t *testing.T) {
 	payloads := []struct {
@@ -333,14 +488,15 @@ func TestCodecFlatePooledMatchesFresh(t *testing.T) {
 		{bytes.Repeat([]byte("abcd"), 1024), CodecFlate},
 		{intPages(257)[3:], CodecFlateWords},
 		{floatPages(300), CodecFlate},
+		{sparsePages(300), CodecFlateWords},
 		{kvPages(7), CodecFlate},
 	}
 	e := newFlateEncoder()
 	for round := 0; round < 2; round++ {
 		for i, p := range payloads {
-			want := deflateFresh(t, p.raw)
+			want := imgprototest.Deflate(p.raw)
 			if p.want == CodecFlateWords {
-				want = deflateFresh(t, planesOf(p.raw))
+				want = imgprototest.FlateWords(p.raw, 0)
 			}
 			for _, compress := range []func([]byte) ([]byte, Codec, error){CodecFlate.Compress, e.compress} {
 				got, used, err := compress(p.raw)
@@ -363,7 +519,8 @@ func TestCodecFlatePooledMatchesFresh(t *testing.T) {
 // transport uses it at — a 32-page batch of the page stream, under the
 // form trial's floor, and a 4 MiB segment of the image stream — and, for
 // the segment, on each shape the trial tells apart: integer words (word
-// planes win), repeated doubles (plain wins) and noise (sent raw). The
+// planes win), the same with five of the eight lanes empty (the benchmark
+// image's shape), repeated doubles (plain wins) and noise (sent raw). The
 // form chosen and the ratio it reached are reported beside the timings.
 func BenchmarkCodecFlate(b *testing.B) {
 	random := make([]byte, 4<<20)
@@ -377,6 +534,7 @@ func BenchmarkCodecFlate(b *testing.B) {
 		{"batch128K", kvPages(32)},
 		{"segment4M", kvPages(1024)},
 		{"segment4M-int", intPages(1024)},
+		{"segment4M-sparse", sparsePages(1024)},
 		{"segment4M-float", floatPages(1024)},
 		{"segment4M-random", random},
 	} {
@@ -408,6 +566,29 @@ func BenchmarkCodecFlate(b *testing.B) {
 				}
 			}
 			report(b)
+		})
+	}
+}
+
+// BenchmarkPlanes times the transposition alone, both directions, over a
+// 4 MiB payload with every lane occupied.
+func BenchmarkPlanes(b *testing.B) {
+	raw := kvPages(1024)
+	planes := make([]byte, len(raw))
+	toPlanes(planes, raw)
+	for _, dir := range []struct {
+		name     string
+		fn       func(dst, src []byte)
+		dst, src []byte
+	}{
+		{"to", toPlanes, make([]byte, len(raw)), raw},
+		{"from", fromPlanes, make([]byte, len(raw)), planes},
+	} {
+		b.Run(dir.name, func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			for i := 0; i < b.N; i++ {
+				dir.fn(dir.dst, dir.src)
+			}
 		})
 	}
 }

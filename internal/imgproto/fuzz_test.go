@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"github.com/dapper-sim/dapper/internal/imgproto/imgprototest"
 )
 
 // FuzzUvarint checks the varint decoder against arbitrary byte strings:
@@ -135,20 +137,28 @@ func FuzzDecoder(f *testing.F) {
 // allocates past the claim — which the harness caps at 8 MiB, as
 // readImageDirFrom and readPageResponse cap it before they call. The payload
 // then serves as raw data in its own right: whatever form Compress picks
-// for it, and both flate forms encoded by hand, must decode back to it
-// byte for byte and refuse a claim one byte short.
+// for it, and both flate forms encoded by hand — the word-plane one with
+// its canonical lane map and with bits the codec byte picks forced on over
+// zeros — must decode back to it byte for byte and refuse a claim one
+// byte short.
 func FuzzCodecDecompress(f *testing.F) {
 	const maxRaw = 8 << 20
-	raws := [][]byte{nil, kvPages(8), intPages(8), floatPages(8)}
+	// The last seed is two blocks of words, the second short and ending
+	// in zeros.
+	raws := [][]byte{nil, kvPages(8), intPages(8), floatPages(8), append(sparsePages(9), make([]byte, 3*4096+3)...)}
 	for k := 1; k < 8; k++ {
 		raws = append(raws, kvPages(1)[k:]) // lengths 7...1 mod 8
 	}
 	for _, raw := range raws {
 		f.Add(uint8(CodecNone), uint32(len(raw)), raw)
-		f.Add(uint8(CodecFlate), uint32(len(raw)), deflateFresh(f, raw))
-		f.Add(uint8(CodecFlateWords), uint32(len(raw)), deflateFresh(f, planesOf(raw)))
+		f.Add(uint8(CodecFlate), uint32(len(raw)), imgprototest.Deflate(raw))
+		f.Add(uint8(CodecFlateWords), uint32(len(raw)), imgprototest.FlateWords(raw, 0))
 	}
-	f.Add(uint8(CodecFlateWords), uint32(maxRaw), deflateFresh(f, kvPages(1)))
+	// A few bytes of wire under the largest claim: as its lane map, one
+	// too short, one naming every lane and one naming none.
+	f.Add(uint8(CodecFlateWords), uint32(maxRaw), imgprototest.Deflate(kvPages(1))[:200])
+	f.Add(uint8(CodecFlateWords), uint32(maxRaw), bytes.Repeat([]byte{0xff}, 300))
+	f.Add(uint8(CodecFlateWords), uint32(maxRaw), make([]byte, 300))
 	f.Add(uint8(CodecFlateWords+1), uint32(0), []byte(nil))
 	f.Fuzz(func(t *testing.T, codecByte uint8, rawLen uint32, wire []byte) {
 		n := int(rawLen % (maxRaw + 1))
@@ -172,14 +182,18 @@ func FuzzCodecDecompress(f *testing.F) {
 			wire  []byte
 		}{
 			{used, chosen},
-			{CodecFlate, deflateFresh(t, raw)},
-			{CodecFlateWords, deflateFresh(t, planesOf(raw))},
+			{CodecFlate, imgprototest.Deflate(raw)},
+			{CodecFlateWords, imgprototest.FlateWords(raw, 0)},
+			{CodecFlateWords, imgprototest.FlateWords(raw, codecByte)},
 		} {
 			back, err := enc.codec.Decompress(enc.wire, len(raw))
 			if err != nil || !bytes.Equal(back, raw) {
 				t.Fatalf("%s: %d-byte payload did not round-trip: %v", enc.codec, len(raw), err)
 			}
-			if len(raw) > 0 {
+			// The word-plane form binds the claim through the byte count its
+			// lane map describes, which a claim that unmakes the last word
+			// need not change (see inflateLanes).
+			if len(raw) > 0 && (enc.codec != CodecFlateWords || len(raw)%8 != 0) {
 				if _, err := enc.codec.Decompress(enc.wire, len(raw)-1); err == nil {
 					t.Fatalf("%s: a claim one byte short of %d was accepted", enc.codec, len(raw))
 				}

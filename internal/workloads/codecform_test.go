@@ -2,12 +2,12 @@ package workloads_test
 
 import (
 	"bytes"
-	"compress/flate"
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
 	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/imgproto"
+	"github.com/dapper-sim/dapper/internal/imgproto/imgprototest"
 	"github.com/dapper-sim/dapper/internal/monitor"
 	"github.com/dapper-sim/dapper/internal/workloads"
 )
@@ -20,7 +20,9 @@ import (
 // before the trial existed — by more than 2 %, and must round-trip.
 // Rediska is loaded with 12,000 keys, the benchmark's size, so its image
 // is over the trial's floor; it and `is`, the two integer heaps, must go
-// out as word planes.
+// out as word planes — and, with the lanes nobody uses left out, no
+// larger than DEFLATE of all eight planes, the form's layout before it
+// had a lane map.
 func TestCodecFormChoice(t *testing.T) {
 	wantWords := map[string]bool{"rediska": true, "is": true}
 	for _, w := range workloads.All() {
@@ -63,28 +65,24 @@ func TestCodecFormChoice(t *testing.T) {
 			}
 			blob := dir.Marshal()
 
-			var plain bytes.Buffer
-			zw, err := flate.NewWriter(&plain, flate.BestSpeed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := zw.Write(blob); err != nil {
-				t.Fatal(err)
-			}
-			if err := zw.Close(); err != nil {
-				t.Fatal(err)
-			}
-
+			plain := len(imgprototest.Deflate(blob))
 			wire, used, err := criu.CodecFlate.Compress(blob)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%d-byte image: plain DEFLATE %d bytes, chosen form %s %d bytes", len(blob), plain.Len(), used, len(wire))
-			if limit := plain.Len() + plain.Len()/50; len(wire) > limit {
-				t.Errorf("%s form is %d bytes, plain DEFLATE %d: the choice costs more than 2 %%", used, len(wire), plain.Len())
+			t.Logf("%d-byte image: plain DEFLATE %d bytes, chosen form %s %d bytes", len(blob), plain, used, len(wire))
+			if limit := plain + plain/50; len(wire) > limit {
+				t.Errorf("%s form is %d bytes, plain DEFLATE %d: the choice costs more than 2 %%", used, len(wire), plain)
 			}
 			if got := used == imgproto.CodecFlateWords; got != wantWords[w.Name] {
 				t.Errorf("encoded as %s; word planes expected: %v", used, wantWords[w.Name])
+			}
+			if used == imgproto.CodecFlateWords {
+				planes := len(imgprototest.Deflate(imgprototest.Planes(blob)))
+				t.Logf("DEFLATE of all eight planes %d bytes, of the occupied lanes and their map %d", planes, len(wire))
+				if len(wire) > planes {
+					t.Errorf("%d bytes with the lane map, %d without: leaving lanes out made the payload larger", len(wire), planes)
+				}
 			}
 			back, err := used.Decompress(wire, len(blob))
 			if err != nil {
