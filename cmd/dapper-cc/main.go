@@ -53,7 +53,7 @@ func run(args []string) error {
 	}
 	for _, bin := range []*compiler.Binary{pair.X86, pair.ARM} {
 		name := fmt.Sprintf("%s.%s.delf", stem, bin.Arch)
-		if err := os.WriteFile(name, bin.Marshal(), 0o644); err != nil {
+		if err := os.WriteFile(name, compiler.MarshalBinary(bin), 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s (text %d B, data %d B, %d functions)\n",

@@ -38,6 +38,7 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/updatecheck"
 	"github.com/dapper-sim/dapper/internal/workloads"
 )
@@ -88,7 +89,7 @@ func loadBinary(path string) (*updatecheck.Binary, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &updatecheck.Binary{Arch: b.Arch, Text: b.Text, Symbols: b.Symbols, Meta: b.Meta}, nil
+	return b, nil
 }
 
 // runVerify is the one-binary mode: pass 1 only.
@@ -180,7 +181,7 @@ func runImage(imagePath, binPath string, jsonOut bool) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", imagePath, err)
 	}
-	r := updatecheck.CheckImage(dir, b)
+	r := updatecheck.CheckImage(image.Open(dir), b)
 	if jsonOut {
 		return emitJSON(map[string]any{
 			"image":      imagePath,
@@ -238,8 +239,7 @@ func runSelftest() error {
 			return fmt.Errorf("compile %s: %w", w.Name, err)
 		}
 		for _, b := range []*compiler.Binary{pair.X86, pair.ARM} {
-			ub := &updatecheck.Binary{Arch: b.Arch, Text: b.Text, Symbols: b.Symbols, Meta: b.Meta}
-			if r := updatecheck.CheckBinary(ub); len(r.Violations) > 0 {
+			if r := updatecheck.CheckBinary(b); len(r.Violations) > 0 {
 				return fmt.Errorf("%s/%v: %w", w.Name, b.Arch, r.Err())
 			}
 			checked++
@@ -259,8 +259,7 @@ func runSelftest() error {
 	if err != nil {
 		return err
 	}
-	oldB := &updatecheck.Binary{Arch: p1.X86.Arch, Text: p1.X86.Text, Symbols: p1.X86.Symbols, Meta: p1.X86.Meta}
-	newB := &updatecheck.Binary{Arch: p2.X86.Arch, Text: p2.X86.Text, Symbols: p2.X86.Symbols, Meta: p2.X86.Meta}
+	oldB, newB := p1.X86, p2.X86
 	for _, fd := range updatecheck.Diff(oldB, newB).Funcs {
 		if fd.Class != updatecheck.ClassSafe {
 			return fmt.Errorf("recompile diff: func %s classifies %v, want safe", fd.Name, fd.Class)

@@ -6,9 +6,9 @@ import (
 	"net"
 	"time"
 
-	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/core"
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/imgcheck"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/monitor"
@@ -124,10 +124,20 @@ func (m *migration) stopAndCopy() (*MigrationResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Pre-flight on the source side: a dump that violates an image
+	// invariant must not be rewritten or shipped. The view the check reads
+	// is the one the rewrite goes on to edit.
+	var v *image.View
+	if err := m.stage("imgcheck.verify", func() error {
+		v = image.Open(dir)
+		return imgcheck.Check(v).Err()
+	}); err != nil {
+		return nil, err
+	}
 	m.bd.Checkpoint = CheckpointTime(dir.Size())
 	// Recode for the destination architecture, optionally chaining a stack
 	// shuffle (the destination starts with a fresh layout).
-	if err := m.recode(dir); err != nil {
+	if err := m.recode(v); err != nil {
 		return nil, err
 	}
 	m.bd.Recode = RecodeTime(m.recodeNode, dir.Size())
@@ -151,10 +161,7 @@ func (m *migration) stopAndCopy() (*MigrationResult, error) {
 	return res, nil
 }
 
-// checkpoint pauses the process at equivalence points and dumps it. A
-// stop-and-copy dump is pre-flighted on the source side: one that violates
-// an image invariant must not be rewritten or shipped. A pre-copy dump is
-// a link of a chain, verified as the destination receives it.
+// checkpoint pauses the process at equivalence points and dumps it.
 func (m *migration) checkpoint(dopts criu.DumpOpts) (dir *criu.ImageDir, err error) {
 	if err := m.stage("monitor.pause", func() error { return m.mon.Pause(m.opts.MaxPauses) }); err != nil {
 		return nil, err
@@ -164,37 +171,37 @@ func (m *migration) checkpoint(dopts criu.DumpOpts) (dir *criu.ImageDir, err err
 		name = "criu.dump_incr"
 	}
 	dopts.Obs = m.opts.Obs
-	if err := m.stage(name, func() (err error) {
+	err = m.stage(name, func() (err error) {
 		dir, err = criu.Dump(m.p, dopts)
 		return err
-	}); err != nil {
-		return nil, err
-	}
-	if m.opts.PreCopy != nil {
-		return dir, nil
-	}
-	return dir, m.stage("imgcheck.verify", func() error { return imgcheck.Verify(dir) })
+	})
+	return dir, err
 }
 
 // recode rewrites the image for the destination and takes the one host
 // reading a Breakdown carries.
-func (m *migration) recode(dir *criu.ImageDir) error {
+func (m *migration) recode(v *image.View) error {
 	//lint:ignore wallclock RecodeHost is real host time by definition, reported separately and never part of modeled downtime
 	hostStart := time.Now()
-	err := m.rewriteForDest(dir)
+	err := m.rewriteForDest(v)
 	//lint:ignore wallclock RecodeHost is real host time by definition, reported separately and never part of modeled downtime
 	m.bd.RecodeHost = time.Since(hostStart)
 	return err
 }
 
-// rewriteForDest runs the recode pipeline on an image directory: the
-// cross-ISA rewrite when the architectures differ, then the optional
-// stack shuffle.
-func (m *migration) rewriteForDest(dir *criu.ImageDir) error {
+// rewriteForDest runs the recode pipeline on an open view: the cross-ISA
+// rewrite when the architectures differ, then the optional stack shuffle —
+// each its own stage on the host clock, both over the one view, which
+// whichever runs last commits.
+func (m *migration) rewriteForDest(v *image.View) error {
 	ctx := &core.Context{Binaries: m.src.Binaries, Obs: m.opts.Obs}
 	if m.src.Spec.Arch != m.dst.Spec.Arch {
 		if err := m.stage("core.rewrite", func() error {
-			return core.CrossISAPolicy{Target: m.dst.Spec.Arch}.Rewrite(dir, ctx)
+			err := core.Apply(v, ctx, core.CrossISAPolicy{Target: m.dst.Spec.Arch})
+			if err == nil && !m.opts.Shuffle {
+				v.Commit()
+			}
+			return err
 		}); err != nil {
 			return err
 		}
@@ -203,12 +210,14 @@ func (m *migration) rewriteForDest(dir *criu.ImageDir) error {
 		return nil
 	}
 	return m.stage("core.shuffle", func() error {
-		if err := (core.StackShufflePolicy{Seed: m.opts.ShuffleSeed}).Rewrite(dir, ctx); err != nil {
+		if err := core.Apply(v, ctx, core.StackShufflePolicy{Seed: m.opts.ShuffleSeed}); err != nil {
 			return err
 		}
+		v.Commit()
 		// The shuffled binary must be visible on BOTH nodes: register it
 		// into the destination's provider too.
-		path, bin, err := shipBinary(dir, m.src.Binaries)
+		path := v.Files.ExePath
+		bin, err := m.src.Binaries.Open(path)
 		if err != nil {
 			return err
 		}
@@ -217,34 +226,24 @@ func (m *migration) rewriteForDest(dir *criu.ImageDir) error {
 	})
 }
 
-// shipBinary opens the binary the image's files entry names — the one the
-// destination will open at restore.
-func shipBinary(dir *criu.ImageDir, bins criu.BinaryProvider) (string, *compiler.Binary, error) {
-	filesRaw, ok := dir.Get("files.img")
-	if !ok {
-		return "", nil, fmt.Errorf("image directory missing files.img")
-	}
-	files, err := criu.UnmarshalFiles(filesRaw)
-	if err != nil {
-		return "", nil, err
-	}
-	bin, err := bins.Open(files.ExePath)
-	return files.ExePath, bin, err
-}
-
 // verifyTarget is the source-side version-skew pre-flight: the rewritten
 // image must resolve against the exact binary the destination restores
-// into (thread PCs at known sites, return addresses at known call sites).
-// Catching skew here refuses the migration before any bytes ship.
+// into (thread PCs at known sites, return addresses at known call sites) —
+// the one its files entry names, read from a view opened on the directory
+// as the rewrite left it. Catching skew here refuses the migration before
+// any bytes ship.
 func (m *migration) verifyTarget(dir *criu.ImageDir) error {
 	return m.stage("imgcheck.target_binary", func() error {
-		path, bin, err := shipBinary(dir, m.src.Binaries)
+		v := image.Open(dir)
+		if err := v.Fault(image.FilesName); err != nil {
+			return err
+		}
+		path := v.Files.ExePath
+		bin, err := m.src.Binaries.Open(path)
 		if err != nil || bin.Meta == nil {
 			return err
 		}
-		if err := imgcheck.VerifyTargetBinary(dir, &updatecheck.Binary{
-			Arch: bin.Arch, Text: bin.Text, Symbols: bin.Symbols, Meta: bin.Meta,
-		}); err != nil {
+		if err := updatecheck.CheckImage(v, bin).Err(); err != nil {
 			return fmt.Errorf("recode pre-flight: image/binary version skew for %q: %w", path, err)
 		}
 		return nil

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/imgcheck"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
@@ -141,7 +142,7 @@ func (m *migration) preCopy() (*MigrationResult, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if err := m.recode(flat); err != nil {
+	if err := m.recode(image.Open(flat)); err != nil {
 		return nil, err
 	}
 	// Earlier rounds were recoded as they streamed in (PreCopyTime); the

@@ -12,9 +12,9 @@ import (
 // delfMagic identifies a serialized DELF binary.
 const delfMagic = "DELF1\n"
 
-// Marshal serializes a Binary (including its stack-map metadata) to the
-// DELF on-disk format, a tagged imgproto message.
-func (b *Binary) Marshal() []byte {
+// MarshalBinary serializes a Binary (including its stack-map metadata) to
+// the DELF on-disk format, a tagged imgproto message.
+func MarshalBinary(b *Binary) []byte {
 	var e imgproto.Encoder
 	e.Uint64(1, uint64(b.Arch))
 	e.BytesField(2, b.Text)

@@ -19,7 +19,7 @@ func main() {
 		t.Fatal(err)
 	}
 	for _, bin := range []*compiler.Binary{pair.X86, pair.ARM} {
-		blob := bin.Marshal()
+		blob := compiler.MarshalBinary(bin)
 		got, err := compiler.UnmarshalBinary(blob)
 		if err != nil {
 			t.Fatalf("%v: %v", bin.Arch, err)

@@ -3,7 +3,6 @@ package compiler
 import (
 	"github.com/dapper-sim/dapper/internal/ir"
 	"github.com/dapper-sim/dapper/internal/isa"
-	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/lang"
 )
 
@@ -23,21 +22,6 @@ func Compile(src string) (*Pair, error) {
 		return nil, err
 	}
 	return BuildPair(prog)
-}
-
-// LoadSpec converts a binary into the kernel's loading form. exePath names
-// the executable in the files image; by convention the pair uses the same
-// stem with an architecture suffix so the rewriter can retarget it.
-func (b *Binary) LoadSpec(exePath string) kernel.LoadSpec {
-	return kernel.LoadSpec{
-		Arch:       b.Arch,
-		Coder:      CoderFor(b.Arch),
-		Text:       b.Text,
-		Data:       b.Data,
-		Entry:      b.Entry,
-		ThreadExit: b.ThreadExit,
-		ExePath:    exePath,
-	}
 }
 
 // ExePath returns the conventional executable path for a program name on

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/compiler"
+	"github.com/dapper-sim/dapper/internal/stackmap"
 	"github.com/dapper-sim/dapper/internal/workloads"
 )
 
@@ -25,10 +26,10 @@ func TestCompileDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(a.X86.Marshal(), b.X86.Marshal()) {
+			if !bytes.Equal(compiler.MarshalBinary(a.X86), compiler.MarshalBinary(b.X86)) {
 				t.Error("sx86 binaries differ between identical compiles")
 			}
-			if !bytes.Equal(a.ARM.Marshal(), b.ARM.Marshal()) {
+			if !bytes.Equal(compiler.MarshalBinary(a.ARM), compiler.MarshalBinary(b.ARM)) {
 				t.Error("sarm binaries differ between identical compiles")
 			}
 		})
@@ -48,7 +49,7 @@ func TestTextFullyDisassembles(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, bin := range []*compiler.Binary{pair.X86, pair.ARM} {
-				coder := compiler.CoderFor(bin.Arch)
+				coder := stackmap.CoderFor(bin.Arch)
 				for _, fn := range bin.Meta.Funcs {
 					start := fn.Addr - 0x400000
 					end := start + fn.Size

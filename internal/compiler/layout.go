@@ -11,17 +11,9 @@ import (
 	"github.com/dapper-sim/dapper/internal/stackmap"
 )
 
-// Binary is a loadable DELF image for one architecture. Both binaries of a
-// pair share symbol addresses and metadata (the unified address space).
-type Binary struct {
-	Arch       isa.Arch
-	Text       []byte
-	Data       []byte
-	Entry      uint64
-	ThreadExit uint64
-	Symbols    map[string]uint64
-	Meta       *stackmap.Metadata
-}
+// Binary is a loadable DELF image for one architecture (see
+// stackmap.Binary, where the verifiers can reach it too).
+type Binary = stackmap.Binary
 
 // Pair is the dual-architecture output of one compilation.
 type Pair struct {
@@ -37,14 +29,6 @@ func (p *Pair) ByArch(a isa.Arch) *Binary {
 		return p.X86
 	}
 	return p.ARM
-}
-
-// CoderFor returns the machine-code coder for an architecture.
-func CoderFor(a isa.Arch) isa.Coder {
-	if a == isa.SX86 {
-		return sx86.Coder{}
-	}
-	return sarm.Coder{}
 }
 
 // BuildPair lays out and assembles both binaries from one IR program,

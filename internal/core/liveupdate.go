@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/mem"
-	"github.com/dapper-sim/dapper/internal/stackmap"
 	"github.com/dapper-sim/dapper/internal/updatecheck"
 )
 
@@ -18,8 +18,8 @@ import (
 // using the old binary's metadata as the source side and the new binary's
 // as the destination.
 //
-// The patch must be state-compatible, which UpdateCompatibility verifies
-// from the two binaries' metadata:
+// The patch must be state-compatible, which updatecheck.Compatible
+// verifies from the two binaries' metadata:
 //
 //   - every function with frames on some stack still exists, with the same
 //     equivalence-point site ids and the same live-value sets (a patch may
@@ -37,125 +37,58 @@ func (LiveUpdatePolicy) Name() string { return "live-update" }
 
 var _ Policy = LiveUpdatePolicy{}
 
-// UpdateCompatibility checks that new can adopt process state produced by
-// old. It returns nil when every function and global of old is
-// state-compatible in new. The verdict comes from the updatecheck
-// cross-version classifier (pass 2): every function must classify safe
-// or identity-mappable — today's executor transfers state by slot id
-// with no mapping table — and the global layout must be unchanged.
-func UpdateCompatibility(oldBin, newBin binaryInfo) error {
-	return updatecheck.Compatible(
-		&updatecheck.Binary{Meta: oldBin.metadata(), Symbols: oldBin.symbols()},
-		&updatecheck.Binary{Meta: newBin.metadata(), Symbols: newBin.symbols()},
-	)
-}
-
-// binaryInfo decouples the compatibility check from the compiler package
-// (compiler.Binary satisfies it).
-type binaryInfo interface {
-	metadata() *stackmap.Metadata
-	symbols() map[string]uint64
-}
-
-// binInfo adapts the concrete binary type.
-type binInfo struct {
-	meta *stackmap.Metadata
-	syms map[string]uint64
-}
-
-func (b binInfo) metadata() *stackmap.Metadata { return b.meta }
-func (b binInfo) symbols() map[string]uint64   { return b.syms }
-
-// Rewrite implements Policy.
-func (p LiveUpdatePolicy) Rewrite(dir *criu.ImageDir, ctx *Context) error {
-	invRaw, ok := dir.Get("inventory.img")
-	if !ok {
-		return fmt.Errorf("core: missing inventory.img")
-	}
-	inv, err := criu.UnmarshalInventory(invRaw)
+// Plan implements Policy: the patched binary, once it verifies and is
+// state-compatible with the one the process runs.
+func (p LiveUpdatePolicy) Plan(v *image.View, ctx *Context) (*Plan, error) {
+	arch := v.Inventory.Arch
+	oldBin, err := ctx.Binaries.Open(v.Files.ExePath)
 	if err != nil {
-		return err
-	}
-	filesRaw, ok := dir.Get("files.img")
-	if !ok {
-		return fmt.Errorf("core: missing files.img")
-	}
-	files, err := criu.UnmarshalFiles(filesRaw)
-	if err != nil {
-		return err
-	}
-	oldBin, err := ctx.Binaries.Open(files.ExePath)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	newBin, err := ctx.Binaries.Open(p.NewExePath)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if newBin.Arch != inv.Arch {
-		return fmt.Errorf("core: patched binary is %v but process is %v", newBin.Arch, inv.Arch)
+	if newBin.Arch != arch {
+		return nil, fmt.Errorf("core: patched binary is %v but process is %v", newBin.Arch, arch)
 	}
 	// Pre-flight the patched binary's own metadata before trusting it to
 	// drive a rewrite: a broken stack map would corrupt state silently.
-	if err := updatecheck.VerifyBinary(&updatecheck.Binary{
-		Arch: newBin.Arch, Text: newBin.Text, Symbols: newBin.Symbols, Meta: newBin.Meta,
-	}); err != nil {
-		return fmt.Errorf("core: patched binary fails updatecheck: %w", err)
+	if err := updatecheck.VerifyBinary(newBin); err != nil {
+		return nil, fmt.Errorf("core: patched binary fails updatecheck: %w", err)
 	}
-	if err := UpdateCompatibility(
-		binInfo{oldBin.Meta, oldBin.Symbols},
-		binInfo{newBin.Meta, newBin.Symbols},
-	); err != nil {
-		return err
+	if err := updatecheck.Compatible(oldBin, newBin); err != nil {
+		return nil, err
 	}
+	if err := v.Fault(image.MMName); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return &Plan{
+		Src: Side{Arch: arch, Meta: oldBin.Meta},
+		Dst: Side{Arch: arch, Meta: newBin.Meta},
+		// The patched text replaces the execution context; the rest reloads
+		// from the new executable at fault time.
+		Text: newBin.Text, TextSpan: max(len(oldBin.Text), len(newBin.Text)),
+		ExePath: p.NewExePath,
+		// The patched binary may have grown: widen the text/data VMAs so
+		// restore can load it (new globals appear as demand-zero pages).
+		Finish: func() {
+			for i := range v.MM.VMAs {
+				vma := &v.MM.VMAs[i]
+				switch vma.Start {
+				case isa.TextBase:
+					vma.End = max(vma.End, isa.TextBase+roundPage(uint64(len(newBin.Text))))
+				case isa.DataBase:
+					vma.End = max(vma.End, isa.DataBase+roundPage(uint64(len(newBin.Data))))
+				}
+			}
+		},
+	}, nil
+}
 
-	ps, err := criu.LoadPageSet(dir)
-	if err != nil {
-		return err
-	}
-	src := Side{Arch: inv.Arch, Meta: oldBin.Meta}
-	dst := Side{Arch: inv.Arch, Meta: newBin.Meta}
-	newCores, err := rewriteThreads(dir, ps, inv.TIDs, src, dst, ctx, "core: live-update thread")
-	if err != nil {
-		return err
-	}
-	// The patched text replaces the execution context; the rest reloads
-	// from the new executable at fault time.
-	installContextText(ps, newCores, newBin.Text, max(len(oldBin.Text), len(newBin.Text)))
-	if err := ps.WriteU64(isa.FlagAddr, 0); err != nil {
-		return err
-	}
-	for _, nc := range newCores {
-		dir.Put(criu.CoreName(nc.TID), nc.Marshal())
-	}
-	// The patched binary may have grown: widen the text/data VMAs so
-	// restore can load it (new globals appear as demand-zero pages).
-	mmRaw, ok := dir.Get("mm.img")
-	if !ok {
-		return fmt.Errorf("core: missing mm.img")
-	}
-	mm, err := criu.UnmarshalMM(mmRaw)
-	if err != nil {
-		return err
-	}
-	for i := range mm.VMAs {
-		v := &mm.VMAs[i]
-		switch {
-		case v.Start == isa.TextBase:
-			if end := isa.TextBase + roundPage(uint64(len(newBin.Text))); end > v.End {
-				v.End = end
-			}
-		case v.Start == isa.DataBase:
-			if end := isa.DataBase + roundPage(uint64(len(newBin.Data))); end > v.End {
-				v.End = end
-			}
-		}
-	}
-	dir.Put("mm.img", mm.Marshal())
-	files.ExePath = p.NewExePath
-	dir.Put("files.img", files.Marshal())
-	ps.Store(dir)
-	return nil
+// Rewrite implements Policy.
+func (p LiveUpdatePolicy) Rewrite(dir *criu.ImageDir, ctx *Context) error {
+	return rewriteDir(dir, ctx, p)
 }
 
 func roundPage(n uint64) uint64 { return (n + mem.PageSize - 1) / mem.PageSize * mem.PageSize }

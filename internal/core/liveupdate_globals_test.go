@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/compiler"
+	"github.com/dapper-sim/dapper/internal/updatecheck"
 )
 
-// Global-layout regression tests for UpdateCompatibility, which since the
-// updatecheck refactor is a thin veneer over the pass-2 classifier: moved
-// and removed globals must be rejected with their named invariants, while
+// Global-layout regression tests for the live-update compatibility check,
+// which is updatecheck's pass-2 classifier called directly: moved and
+// removed globals must be rejected with their named invariants, while
 // appended globals (the only layout change a running process cannot
 // observe) must pass. These pin the one-classifier contract — core and
 // dapper-updatecheck agree because they run the same code.
@@ -74,18 +75,18 @@ func main() {
 }
 `
 
-func compileInfo(t *testing.T, src string) binInfo {
+func compileInfo(t *testing.T, src string) *compiler.Binary {
 	t.Helper()
 	p, err := compiler.Compile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return binInfo{p.Meta, p.X86.Symbols}
+	return p.X86
 }
 
 func TestUpdateCompatibilityGlobalMoved(t *testing.T) {
 	old := compileInfo(t, globalsBase)
-	err := UpdateCompatibility(old, compileInfo(t, globalsMoved))
+	err := updatecheck.Compatible(old, compileInfo(t, globalsMoved))
 	if err == nil {
 		t.Fatal("moved globals accepted")
 	}
@@ -96,7 +97,7 @@ func TestUpdateCompatibilityGlobalMoved(t *testing.T) {
 
 func TestUpdateCompatibilityGlobalRemoved(t *testing.T) {
 	old := compileInfo(t, globalsBase)
-	err := UpdateCompatibility(old, compileInfo(t, globalsRemoved))
+	err := updatecheck.Compatible(old, compileInfo(t, globalsRemoved))
 	if err == nil {
 		t.Fatal("removed global accepted")
 	}
@@ -107,7 +108,7 @@ func TestUpdateCompatibilityGlobalRemoved(t *testing.T) {
 
 func TestUpdateCompatibilityGlobalAppended(t *testing.T) {
 	old := compileInfo(t, globalsBase)
-	if err := UpdateCompatibility(old, compileInfo(t, globalsAppended)); err != nil {
+	if err := updatecheck.Compatible(old, compileInfo(t, globalsAppended)); err != nil {
 		t.Fatalf("appended global rejected: %v", err)
 	}
 }

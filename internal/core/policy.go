@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/obs"
@@ -17,47 +18,97 @@ type Context struct {
 	Obs *obs.Registry
 }
 
-// rewriteThreads applies RewriteThread to every live thread named by the
-// inventory, in inventory order. It is the shared rewrite stage behind
-// CrossISAPolicy, StackShufflePolicy and LiveUpdatePolicy.
-func rewriteThreads(dir *criu.ImageDir, ps *criu.PageSet, tids []int, src, dst Side, ctx *Context, errPrefix string) ([]*criu.CoreImage, error) {
-	newCores := make([]*criu.CoreImage, len(tids))
-	for i, tid := range tids {
-		raw, ok := dir.Get(criu.CoreName(tid))
-		if !ok {
-			return nil, fmt.Errorf("core: missing %s", criu.CoreName(tid))
-		}
-		c, err := criu.UnmarshalCore(raw)
-		if err != nil {
-			return nil, err
-		}
-		if newCores[i], err = RewriteThread(c, ps, src, dst); err != nil {
-			return nil, fmt.Errorf("%s %d: %w", errPrefix, c.TID, err)
-		}
-	}
-	ctx.Obs.Counter("rewrite.threads").Add(uint64(len(tids)))
-	return newCores, nil
-}
-
-// installContextText swaps the process's code for text: the dumped pages
-// of [TextBase, TextBase+span) are dropped — they reload from the new
-// executable at fault time — and the execution-context pages, the ones
-// holding each rewritten thread's PC, are installed from text.
-func installContextText(ps *criu.PageSet, cores []*criu.CoreImage, text []byte, span int) {
-	ps.DropRange(isa.TextBase, isa.TextBase+uint64(span))
-	for _, nc := range cores {
-		pageAddr := nc.Regs.PC / mem.PageSize * mem.PageSize
-		off := pageAddr - isa.TextBase
-		ps.InstallPage(pageAddr, text[off:min(off+mem.PageSize, uint64(len(text)))])
-	}
-}
-
 // Policy transforms a checkpoint image directory in place. Policies are
 // DAPPER's extensibility point: cross-ISA migration and stack shuffling
 // are the two the paper evaluates; NopPolicy demonstrates the plumbing.
+//
+// A policy states what it decides — Plan — and Apply, the one rewrite
+// driver, does everything else. Rewrite is the policy run alone on a
+// directory, and is the same line for every policy.
 type Policy interface {
 	Name() string
+	// Plan reads the open view (inventory and files are there to read) and
+	// returns the rewrite the policy wants, or nil for none. Its refusals
+	// — an unsuitable binary, an incompatible patch — are its errors.
+	Plan(v *image.View, ctx *Context) (*Plan, error)
 	Rewrite(dir *criu.ImageDir, ctx *Context) error
+}
+
+// Plan is what a policy decides about a rewrite.
+type Plan struct {
+	// Src and Dst are the layouts every thread is rewritten between.
+	Src, Dst Side
+	// Text is the destination binary's code: the execution-context pages
+	// are installed from it and the first TextSpan bytes of dumped text are
+	// dropped, to reload from the destination executable at fault time.
+	Text     []byte
+	TextSpan int
+	// ExePath is the executable files.img names afterwards.
+	ExePath string
+	// Finish, if set, runs once the view holds the rewritten state: the
+	// policy's own edits to the view, and anything it publishes.
+	Finish func()
+}
+
+// Apply is the rewrite driver: it runs p over an open view. What it
+// guarantees a policy: the images were decoded once, before Plan; every
+// thread the inventory names is rewritten from Plan.Src to Plan.Dst; the
+// destination text is installed and the transformation flag cleared; and
+// nothing reaches the directory until the caller commits the view, once,
+// whatever number of policies ran over it. A view Apply failed on may hold
+// a half-rewritten page set: drop it, the directory is as it was.
+func Apply(v *image.View, ctx *Context, p Policy) error {
+	if err := v.Fault(image.InventoryName, image.FilesName); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	plan, err := p.Plan(v, ctx)
+	if err != nil || plan == nil {
+		return err
+	}
+	ps, err := v.PageSet()
+	if err != nil {
+		return err
+	}
+	cores := make([]*criu.CoreImage, len(v.Inventory.TIDs))
+	for i, tid := range v.Inventory.TIDs {
+		c, err := v.Core(tid)
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		if cores[i], err = RewriteThread(c, ps, plan.Src, plan.Dst); err != nil {
+			return fmt.Errorf("core: %s thread %d: %w", p.Name(), tid, err)
+		}
+	}
+	ctx.Obs.Counter("rewrite.threads").Add(uint64(len(cores)))
+
+	ps.DropRange(isa.TextBase, isa.TextBase+uint64(plan.TextSpan))
+	for _, c := range cores {
+		pageAddr := c.Regs.PC / mem.PageSize * mem.PageSize
+		off := pageAddr - isa.TextBase
+		ps.InstallPage(pageAddr, plan.Text[off:min(off+mem.PageSize, uint64(len(plan.Text)))])
+		v.PutCore(c)
+	}
+	// Clear the transformation flag inside the dumped data page so the
+	// restored checkers fall through.
+	if err := ps.WriteU64(isa.FlagAddr, 0); err != nil {
+		return fmt.Errorf("core: clear flag: %w", err)
+	}
+	v.Inventory.Arch = plan.Dst.Arch
+	v.Files.ExePath = plan.ExePath
+	if plan.Finish != nil {
+		plan.Finish()
+	}
+	return nil
+}
+
+// rewriteDir is every policy's Rewrite: one view, one policy, one commit.
+func rewriteDir(dir *criu.ImageDir, ctx *Context, p Policy) error {
+	v := image.Open(dir)
+	if err := Apply(v, ctx, p); err != nil {
+		return err
+	}
+	v.Commit()
+	return nil
 }
 
 // NopPolicy decodes and re-encodes the images without changing state —
@@ -67,15 +118,11 @@ type NopPolicy struct{}
 // Name implements Policy.
 func (NopPolicy) Name() string { return "nop" }
 
+// Plan implements Policy: nothing to rewrite.
+func (NopPolicy) Plan(*image.View, *Context) (*Plan, error) { return nil, nil }
+
 // Rewrite implements Policy.
-func (NopPolicy) Rewrite(dir *criu.ImageDir, _ *Context) error {
-	ps, err := criu.LoadPageSet(dir)
-	if err != nil {
-		return err
-	}
-	ps.Store(dir)
-	return nil
-}
+func (p NopPolicy) Rewrite(dir *criu.ImageDir, ctx *Context) error { return rewriteDir(dir, ctx, p) }
 
 var _ Policy = NopPolicy{}
 
@@ -104,70 +151,35 @@ func SwapExeArch(path string, dst isa.Arch) string {
 	return path + "." + dst.String()
 }
 
-// Rewrite implements Policy.
-func (p CrossISAPolicy) Rewrite(dir *criu.ImageDir, ctx *Context) error {
-	invRaw, ok := dir.Get("inventory.img")
-	if !ok {
-		return fmt.Errorf("core: missing inventory.img")
-	}
-	inv, err := criu.UnmarshalInventory(invRaw)
-	if err != nil {
-		return err
-	}
-	srcArch := inv.Arch
+// Plan implements Policy: the same program's binary for the other
+// architecture.
+func (p CrossISAPolicy) Plan(v *image.View, ctx *Context) (*Plan, error) {
+	srcArch := v.Inventory.Arch
 	dstArch := p.Target
 	if dstArch == 0 {
 		dstArch = srcArch.Other()
 	}
 	if dstArch == srcArch {
-		return fmt.Errorf("core: cross-ISA rewrite to the same architecture %v", srcArch)
+		return nil, fmt.Errorf("core: cross-ISA rewrite to the same architecture %v", srcArch)
 	}
-
-	filesRaw, ok := dir.Get("files.img")
-	if !ok {
-		return fmt.Errorf("core: missing files.img")
-	}
-	files, err := criu.UnmarshalFiles(filesRaw)
+	srcBin, err := ctx.Binaries.Open(v.Files.ExePath)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	srcBin, err := ctx.Binaries.Open(files.ExePath)
-	if err != nil {
-		return err
-	}
-	dstPath := SwapExeArch(files.ExePath, dstArch)
+	dstPath := SwapExeArch(v.Files.ExePath, dstArch)
 	dstBin, err := ctx.Binaries.Open(dstPath)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	return &Plan{
+		Src:  Side{Arch: srcArch, Meta: srcBin.Meta},
+		Dst:  Side{Arch: dstArch, Meta: dstBin.Meta},
+		Text: dstBin.Text, TextSpan: len(dstBin.Text),
+		ExePath: dstPath,
+	}, nil
+}
 
-	ps, err := criu.LoadPageSet(dir)
-	if err != nil {
-		return err
-	}
-	src := Side{Arch: srcArch, Meta: srcBin.Meta}
-	dst := Side{Arch: dstArch, Meta: dstBin.Meta}
-
-	newCores, err := rewriteThreads(dir, ps, inv.TIDs, src, dst, ctx, "core: thread")
-	if err != nil {
-		return err
-	}
-
-	installContextText(ps, newCores, dstBin.Text, len(dstBin.Text))
-
-	// Clear the transformation flag inside the dumped data page so the
-	// restored checkers fall through.
-	if err := ps.WriteU64(isa.FlagAddr, 0); err != nil {
-		return fmt.Errorf("core: clear flag: %w", err)
-	}
-
-	for _, nc := range newCores {
-		dir.Put(criu.CoreName(nc.TID), nc.Marshal())
-	}
-	inv.Arch = dstArch
-	dir.Put("inventory.img", inv.Marshal())
-	files.ExePath = dstPath
-	dir.Put("files.img", files.Marshal())
-	ps.Store(dir)
-	return nil
+// Rewrite implements Policy.
+func (p CrossISAPolicy) Rewrite(dir *criu.ImageDir, ctx *Context) error {
+	return rewriteDir(dir, ctx, p)
 }

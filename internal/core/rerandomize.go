@@ -57,12 +57,7 @@ func (r *Rerandomizer) Step(p *kernel.Process) (*kernel.Process, error) {
 	}
 	// The process now runs the freshly instrumented binary; subsequent
 	// epochs must unwind with ITS metadata.
-	filesRaw, _ := dir.Get("files.img")
-	files, err := criu.UnmarshalFiles(filesRaw)
-	if err != nil {
-		return nil, err
-	}
-	bin, err := r.Binaries.Open(files.ExePath)
+	bin, err := r.Binaries.Open(np.ExePath)
 	if err != nil {
 		return nil, err
 	}

@@ -22,6 +22,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/dapper-sim/dapper/internal/criu"
@@ -37,22 +38,15 @@ type Side struct {
 	Meta *stackmap.Metadata
 }
 
-func (s Side) abi() *isa.ABI { return isa.ABIFor(s.Arch) }
-func (s Side) idx() int      { return stackmap.ArchIdx(s.Arch) }
-
-// frame is one unwound stack frame. Source-side metadata (fn/site) drives
-// unwinding; destination-side metadata (dstFn/dstSite) drives the rebuild —
+// frame is one unwound stack frame. Source-side metadata comes from the
+// unwind; destination-side metadata (dstFn/dstSite) drives the rebuild —
 // they are the same content for cross-ISA rewrites (shared metadata,
 // different arch index) but differ for stack shuffling (permuted offsets,
 // same arch).
 type frame struct {
-	fn      *stackmap.Func
-	site    *stackmap.Site
-	dstFn   *stackmap.Func
-	dstSite *stackmap.Site
-	// fpSrc is the source frame pointer (zero for the innermost frame,
-	// whose prologue has not run).
-	fpSrc uint64
+	stackmap.Frame // Func, Site and FP on the source side
+	dstFn          *stackmap.Func
+	dstSite        *stackmap.Site
 	// fpDst is assigned during rebuild (frames[0] has none).
 	fpDst uint64
 	// calleeEntrySP is the destination SP at the entry of this frame's
@@ -62,64 +56,22 @@ type frame struct {
 
 // resolveDst fills the destination-side fields of a frame.
 func (fr *frame) resolveDst(dst Side) error {
-	dstFn, ok := dst.Meta.FuncByName(fr.fn.Name)
+	dstFn, ok := dst.Meta.FuncByName(fr.Func.Name)
 	if !ok {
-		return fmt.Errorf("core: destination metadata missing %q", fr.fn.Name)
+		return fmt.Errorf("core: destination metadata missing %q", fr.Func.Name)
 	}
 	fr.dstFn = dstFn
-	if fr.site.Kind == stackmap.SiteEntry {
+	if fr.Site.Kind == stackmap.SiteEntry {
 		fr.dstSite = dstFn.EntrySite
 		return nil
 	}
 	for _, cs := range dstFn.CallSites {
-		if cs.ID == fr.site.ID {
+		if cs.ID == fr.Site.ID {
 			fr.dstSite = cs
 			return nil
 		}
 	}
-	return fmt.Errorf("core: destination metadata missing site %d in %q", fr.site.ID, fr.fn.Name)
-}
-
-type bottomKind uint8
-
-const (
-	bottomStart      bottomKind = iota + 1 // main thread: outermost is _start
-	bottomThreadExit                       // spawned thread: returns into __thread_exit
-)
-
-// stackSnapshot reads the source stack out of the page set before the
-// destination layout overwrites it.
-type stackSnapshot struct {
-	low, high uint64
-	pages     map[uint64][]byte
-}
-
-func snapshotStack(ps *criu.PageSet, low, high uint64) *stackSnapshot {
-	s := &stackSnapshot{low: low, high: high, pages: make(map[uint64][]byte)}
-	for a := low; a < high; a += mem.PageSize {
-		if pg, ok := ps.Pages[a]; ok && pg != nil {
-			cp := make([]byte, mem.PageSize)
-			copy(cp, pg)
-			s.pages[a] = cp
-		}
-	}
-	return s
-}
-
-func (s *stackSnapshot) readU64(addr uint64) (uint64, error) {
-	if addr < s.low || addr+8 > s.high {
-		return 0, fmt.Errorf("core: stack read at 0x%x outside [0x%x, 0x%x)", addr, s.low, s.high)
-	}
-	pg, ok := s.pages[addr/mem.PageSize*mem.PageSize]
-	if !ok {
-		return 0, nil // demand-zero page
-	}
-	off := addr % mem.PageSize
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(pg[off+uint64(i)])
-	}
-	return v, nil
+	return fmt.Errorf("core: destination metadata missing site %d in %q", fr.Site.ID, fr.Func.Name)
 }
 
 // RewriteThread transforms one thread's state from src to dst layout. It
@@ -129,78 +81,42 @@ func RewriteThread(core *criu.CoreImage, ps *criu.PageSet, src, dst Side) (*criu
 	if core.Arch != src.Arch {
 		return nil, fmt.Errorf("core: thread %d dumped as %v, rewrite source is %v", core.TID, core.Arch, src.Arch)
 	}
-	srcABI, dstABI := src.abi(), dst.abi()
-	si, di := src.idx(), dst.idx()
+	srcABI, dstABI := isa.ABIFor(src.Arch), isa.ABIFor(dst.Arch)
+	si, di := stackmap.ArchIdx(src.Arch), stackmap.ArchIdx(dst.Arch)
 	regs := core.Regs
 
-	entrySite, ok := src.Meta.SiteByTrapPC(src.Arch, regs.PC)
-	if !ok {
-		return nil, fmt.Errorf("core: thread %d PC 0x%x is not an equivalence point", core.TID, regs.PC)
-	}
-	entryFn, ok := src.Meta.FuncByName(entrySite.Func)
-	if !ok {
-		return nil, fmt.Errorf("core: no metadata for %q", entrySite.Func)
-	}
-	threadExitFn, ok := src.Meta.FuncByName("__thread_exit")
-	if !ok {
-		return nil, fmt.Errorf("core: missing __thread_exit metadata")
-	}
-
-	snap := snapshotStack(ps, core.StackLow, core.StackHigh)
-
-	// --- Unwind ---
-	frames := []*frame{{fn: entryFn, site: entrySite}}
-	var bottom bottomKind
-	retaddr := uint64(0)
-	haveRet := false
-	if srcABI.RetAddrOnStack {
-		if regs.R[srcABI.SP] >= core.StackHigh {
-			// RET already consumed the trampoline return address: this is
-			// __thread_exit (or an empty main stack).
-			bottom = bottomThreadExit
-		} else {
-			v, err := snap.readU64(regs.R[srcABI.SP])
-			if err != nil {
-				return nil, err
-			}
-			retaddr, haveRet = v, true
+	// old holds the source stack's pages while the destination layout is
+	// written over their addresses. It borrows them from the page set and
+	// copies nothing: the rebuild drops the stack range from the set before
+	// its first write, so every write lands on a page the set allocates
+	// afresh and none reaches a page held here.
+	old := make(map[uint64][]byte)
+	for a := core.StackLow; a < core.StackHigh; a += mem.PageSize {
+		if pg := ps.Pages[a]; pg != nil {
+			old[a] = pg
 		}
-	} else {
-		retaddr, haveRet = regs.R[srcABI.LR], true
 	}
-	fp := regs.R[srcABI.FP]
-	for haveRet {
-		if retaddr == threadExitFn.Addr {
-			bottom = bottomThreadExit
-			break
+	read := func(addr uint64) (uint64, error) {
+		if !stackmap.WordIn(addr, core.StackLow, core.StackHigh) {
+			return 0, fmt.Errorf("core: stack read at 0x%x, not a word of [0x%x, 0x%x)", addr, core.StackLow, core.StackHigh)
 		}
-		csite, ok := src.Meta.SiteByRetAddr(src.Arch, retaddr)
+		pg, ok := old[addr/mem.PageSize*mem.PageSize]
 		if !ok {
-			return nil, fmt.Errorf("core: thread %d: return address 0x%x matches no call site", core.TID, retaddr)
+			return 0, nil // demand-zero page
 		}
-		cfn, _ := src.Meta.FuncByName(csite.Func)
-		frames = append(frames, &frame{fn: cfn, site: csite, fpSrc: fp})
-		if cfn.Name == "_start" {
-			bottom = bottomStart
-			break
-		}
-		next, err := snap.readU64(fp + 8)
-		if err != nil {
-			return nil, err
-		}
-		nfp, err := snap.readU64(fp)
-		if err != nil {
-			return nil, err
-		}
-		retaddr, fp = next, nfp
+		return binary.LittleEndian.Uint64(pg[addr%mem.PageSize:]), nil
 	}
-	if bottom == 0 {
-		if len(frames) == 1 && frames[0].fn.Name == "_start" {
-			bottom = bottomStart
-		} else {
-			return nil, fmt.Errorf("core: thread %d: stack walk did not reach a bottom frame", core.TID)
-		}
+
+	// --- Unwind (the verifier's walk: updatecheck pass 3 runs the same) ---
+	unwound, bottom, err := src.Meta.Unwind(src.Arch, &regs, core.StackLow, core.StackHigh, read)
+	if err != nil {
+		return nil, err
 	}
+	frames := make([]*frame, len(unwound))
+	for i, uf := range unwound {
+		frames[i] = &frame{Frame: uf}
+	}
+	threadExitFn, _ := src.Meta.FuncByName("__thread_exit") // Unwind refuses metadata without it
 
 	for _, fr := range frames {
 		if err := fr.resolveDst(dst); err != nil {
@@ -211,7 +127,7 @@ func RewriteThread(core *criu.CoreImage, ps *criu.PageSet, src, dst Side) (*criu
 	// --- Compute destination frame pointers, outermost first ---
 	outer := len(frames) - 1
 	entrySP := core.StackHigh
-	if bottom == bottomThreadExit && dstABI.RetAddrOnStack && len(frames) > 1 {
+	if bottom == stackmap.BottomThreadExit && dstABI.RetAddrOnStack && len(frames) > 1 {
 		// The spawn trampoline return address occupies one slot on
 		// architectures that keep return addresses on the stack.
 		entrySP -= 8
@@ -242,14 +158,14 @@ func RewriteThread(core *criu.CoreImage, ps *criu.PageSet, src, dst Side) (*criu
 		lookup := func(inclusiveEnd bool) (uint64, bool, error) {
 			for i := 1; i < len(frames); i++ {
 				fr := frames[i]
-				for si2 := range fr.fn.Slots {
-					s := &fr.fn.Slots[si2]
-					start := fr.fpSrc - uint64(s.Off[si])
+				for si2 := range fr.Func.Slots {
+					s := &fr.Func.Slots[si2]
+					start := fr.FP - uint64(s.Off[si])
 					end := start + uint64(s.Size)
 					if val >= start && (val < end || (inclusiveEnd && val == end)) {
 						ds, ok := fr.dstFn.SlotByID(s.ID)
 						if !ok {
-							return 0, false, fmt.Errorf("core: destination missing slot %d in %q", s.ID, fr.fn.Name)
+							return 0, false, fmt.Errorf("core: destination missing slot %d in %q", s.ID, fr.Func.Name)
 						}
 						return fr.fpDst - uint64(ds.Off[di]) + (val - start), true, nil
 					}
@@ -269,7 +185,7 @@ func RewriteThread(core *criu.CoreImage, ps *criu.PageSet, src, dst Side) (*criu
 	// --- Rebuild the destination stack ---
 	ps.DropRange(core.StackLow, core.StackHigh)
 	write := func(addr, v uint64) error {
-		if addr < core.StackLow || addr+8 > core.StackHigh {
+		if !stackmap.WordIn(addr, core.StackLow, core.StackHigh) {
 			return fmt.Errorf("core: stack write at 0x%x outside stack", addr)
 		}
 		return ps.WriteU64(addr, v)
@@ -282,7 +198,7 @@ func RewriteThread(core *criu.CoreImage, ps *criu.PageSet, src, dst Side) (*criu
 		if i+1 <= outer {
 			callerFP = frames[i+1].fpDst
 			ownRet = frames[i+1].dstSite.PCs[di].RetAddr
-		} else if bottom == bottomThreadExit {
+		} else if bottom == stackmap.BottomThreadExit {
 			ownRet = threadExitFn.Addr
 		}
 		if err := write(fr.fpDst, callerFP); err != nil {
@@ -300,26 +216,26 @@ func RewriteThread(core *criu.CoreImage, ps *criu.PageSet, src, dst Side) (*criu
 		for _, dlv := range fr.dstSite.Live {
 			dstLoc[dlv.SlotID] = dlv.Loc[di]
 		}
-		for _, lv := range fr.site.Live {
-			slot, ok := fr.fn.SlotByID(lv.SlotID)
+		for _, lv := range fr.Site.Live {
+			slot, ok := fr.Func.SlotByID(lv.SlotID)
 			if !ok {
-				return nil, fmt.Errorf("core: %s: no slot %d", fr.fn.Name, lv.SlotID)
+				return nil, fmt.Errorf("core: %s: no slot %d", fr.Func.Name, lv.SlotID)
 			}
 			dloc, ok := dstLoc[lv.SlotID]
 			if !ok {
-				return nil, fmt.Errorf("core: %s: destination site missing slot %d", fr.fn.Name, lv.SlotID)
+				return nil, fmt.Errorf("core: %s: destination site missing slot %d", fr.Func.Name, lv.SlotID)
 			}
-			srcBase := fr.fpSrc - uint64(lv.Loc[si].FrameOff)
+			srcBase := fr.FP - uint64(lv.Loc[si].FrameOff)
 			dstBase := fr.fpDst - uint64(dloc.FrameOff)
 			for off := int64(0); off < slot.Size; off += 8 {
-				val, err := snap.readU64(srcBase + uint64(off))
+				val, err := read(srcBase + uint64(off))
 				if err != nil {
 					return nil, err
 				}
 				if lv.Ptr {
 					val, err = remap(val)
 					if err != nil {
-						return nil, fmt.Errorf("core: %s slot %s: %w", fr.fn.Name, slot.Name, err)
+						return nil, fmt.Errorf("core: %s slot %s: %w", fr.Func.Name, slot.Name, err)
 					}
 				}
 				if err := write(dstBase+uint64(off), val); err != nil {
@@ -335,18 +251,18 @@ func RewriteThread(core *criu.CoreImage, ps *criu.PageSet, src, dst Side) (*criu
 	for _, dlv := range frames[0].dstSite.Live {
 		entryDstLoc[dlv.SlotID] = dlv.Loc[di]
 	}
-	for _, lv := range frames[0].site.Live {
+	for _, lv := range frames[0].Site.Live {
 		val := regs.R[srcABI.RegFromDwarf(lv.Loc[si].DwarfReg)]
 		if lv.Ptr {
 			var err error
 			val, err = remap(val)
 			if err != nil {
-				return nil, fmt.Errorf("core: %s param %d: %w", frames[0].fn.Name, lv.SlotID, err)
+				return nil, fmt.Errorf("core: %s param %d: %w", frames[0].Func.Name, lv.SlotID, err)
 			}
 		}
 		dloc, ok := entryDstLoc[lv.SlotID]
 		if !ok {
-			return nil, fmt.Errorf("core: %s: destination entry site missing param %d", frames[0].fn.Name, lv.SlotID)
+			return nil, fmt.Errorf("core: %s: destination entry site missing param %d", frames[0].Func.Name, lv.SlotID)
 		}
 		newRegs.R[dstABI.RegFromDwarf(dloc.DwarfReg)] = val
 	}
@@ -354,13 +270,13 @@ func RewriteThread(core *criu.CoreImage, ps *criu.PageSet, src, dst Side) (*criu
 	if len(frames) == 1 {
 		// No caller frames: reconstruct the thread-start state.
 		switch {
-		case frames[0].fn.Name == "__thread_exit":
+		case frames[0].Func.Name == "__thread_exit":
 			// The trampoline return address was consumed by RET.
 			spDst = core.StackHigh
 			if !dstABI.RetAddrOnStack {
 				newRegs.R[dstABI.LR] = threadExitFn.Addr
 			}
-		case bottom == bottomThreadExit:
+		case bottom == stackmap.BottomThreadExit:
 			// A spawned function at its entry: the trampoline address is
 			// pending.
 			if dstABI.RetAddrOnStack {

@@ -7,6 +7,7 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/stackmap"
 )
@@ -100,7 +101,7 @@ func ShuffleBinary(bin *compiler.Binary, seed int64) (*compiler.Binary, *Shuffle
 	rng := rand.New(rand.NewSource(seed))
 	newMeta := bin.Meta.Clone()
 	newText := append([]byte(nil), bin.Text...)
-	coder := compiler.CoderFor(arch)
+	coder := stackmap.CoderFor(arch)
 	report := &ShuffleReport{Arch: arch}
 
 	totalBits := 0
@@ -232,62 +233,37 @@ func patchFunc(coder isa.Coder, arch isa.Arch, text []byte, fn *stackmap.Func, r
 	return patched, scanned, nil
 }
 
-// Rewrite implements Policy: it publishes the instrumented binary and
-// rewrites the checkpointed stacks and code pages to the new layout.
-func (p StackShufflePolicy) Rewrite(dir *criu.ImageDir, ctx *Context) error {
-	invRaw, ok := dir.Get("inventory.img")
-	if !ok {
-		return fmt.Errorf("core: missing inventory.img")
-	}
-	inv, err := criu.UnmarshalInventory(invRaw)
+// Plan implements Policy: the same binary under a freshly drawn frame
+// layout, published at the original path — so restore loads the shuffled
+// text — once the stacks are in that layout.
+func (p StackShufflePolicy) Plan(v *image.View, ctx *Context) (*Plan, error) {
+	path := v.Files.ExePath
+	bin, err := ctx.Binaries.Open(path)
 	if err != nil {
-		return err
-	}
-	filesRaw, ok := dir.Get("files.img")
-	if !ok {
-		return fmt.Errorf("core: missing files.img")
-	}
-	files, err := criu.UnmarshalFiles(filesRaw)
-	if err != nil {
-		return err
-	}
-	bin, err := ctx.Binaries.Open(files.ExePath)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	shuffled, report, err := ShuffleBinary(bin, p.Seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if p.Report != nil {
 		*p.Report = *report
 	}
 	reg, ok := ctx.Binaries.(BinaryRegistrar)
 	if !ok {
-		return fmt.Errorf("core: binary provider cannot register the instrumented binary")
+		return nil, fmt.Errorf("core: binary provider cannot register the instrumented binary")
 	}
+	arch := v.Inventory.Arch
+	return &Plan{
+		Src:  Side{Arch: arch, Meta: bin.Meta},
+		Dst:  Side{Arch: arch, Meta: shuffled.Meta},
+		Text: shuffled.Text, TextSpan: len(shuffled.Text),
+		ExePath: path,
+		Finish:  func() { reg.Register(path, shuffled) },
+	}, nil
+}
 
-	ps, err := criu.LoadPageSet(dir)
-	if err != nil {
-		return err
-	}
-	src := Side{Arch: inv.Arch, Meta: bin.Meta}
-	dst := Side{Arch: inv.Arch, Meta: shuffled.Meta}
-	newCores, err := rewriteThreads(dir, ps, inv.TIDs, src, dst, ctx, "core: shuffle thread")
-	if err != nil {
-		return err
-	}
-
-	installContextText(ps, newCores, shuffled.Text, len(shuffled.Text))
-	if err := ps.WriteU64(isa.FlagAddr, 0); err != nil {
-		return err
-	}
-	for _, nc := range newCores {
-		dir.Put(criu.CoreName(nc.TID), nc.Marshal())
-	}
-	ps.Store(dir)
-	// Publish the instrumented binary at the original path so restore
-	// loads the shuffled text.
-	reg.Register(files.ExePath, shuffled)
-	return nil
+// Rewrite implements Policy.
+func (p StackShufflePolicy) Rewrite(dir *criu.ImageDir, ctx *Context) error {
+	return rewriteDir(dir, ctx, p)
 }

@@ -3,7 +3,8 @@ package criu
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
+
+	"github.com/dapper-sim/dapper/internal/image"
 )
 
 // CritDoc is the human-readable (JSON) form of an image directory, the
@@ -22,71 +23,34 @@ type CritDoc struct {
 	Extra map[string][]byte `json:"extra,omitempty"`
 }
 
-// Decode converts an image directory to its CRIT document.
+// Decode converts an image directory to its CRIT document: the open view,
+// with any file that does not decode an error.
 func Decode(dir *ImageDir) (*CritDoc, error) {
-	doc := &CritDoc{Extra: map[string][]byte{}}
-	for _, name := range dir.Names() {
-		raw, _ := dir.Get(name)
-		switch {
-		case name == "inventory.img":
-			v, err := UnmarshalInventory(raw)
-			if err != nil {
-				return nil, err
-			}
-			doc.Inventory = v
-		case name == "mm.img":
-			v, err := UnmarshalMM(raw)
-			if err != nil {
-				return nil, err
-			}
-			doc.MM = v
-		case name == "pagemap.img":
-			v, err := UnmarshalPagemap(raw)
-			if err != nil {
-				return nil, err
-			}
-			doc.Pagemap = v
-		case name == "files.img":
-			v, err := UnmarshalFiles(raw)
-			if err != nil {
-				return nil, err
-			}
-			doc.Files = v
-		case name == "pages.img":
-			doc.Pages = raw
-		case strings.HasPrefix(name, "core-"):
-			v, err := UnmarshalCore(raw)
-			if err != nil {
-				return nil, err
-			}
-			doc.Cores = append(doc.Cores, v)
-		default:
-			doc.Extra[name] = raw
+	v := image.Open(dir)
+	doc := &CritDoc{Inventory: v.Inventory, MM: v.MM, Pagemap: v.Pagemap, Files: v.Files, Extra: v.Extra}
+	for _, name := range v.Names() {
+		if err := v.Fault(name); err != nil {
+			return nil, err
+		}
+		if c, ok := v.Cores[name]; ok {
+			doc.Cores = append(doc.Cores, c)
 		}
 	}
+	doc.Pages, _ = dir.Get(image.PagesName)
 	return doc, nil
 }
 
 // Encode converts a CRIT document back to an image directory.
 func Encode(doc *CritDoc) *ImageDir {
 	dir := NewImageDir()
-	if doc.Inventory != nil {
-		dir.Put("inventory.img", doc.Inventory.Marshal())
-	}
-	if doc.MM != nil {
-		dir.Put("mm.img", doc.MM.Marshal())
-	}
-	if doc.Pagemap != nil {
-		dir.Put("pagemap.img", doc.Pagemap.Marshal())
-	}
-	if doc.Files != nil {
-		dir.Put("files.img", doc.Files.Marshal())
-	}
-	if doc.Pages != nil {
-		dir.Put("pages.img", doc.Pages)
-	}
+	v := image.Open(dir)
+	v.Inventory, v.MM, v.Pagemap, v.Files = doc.Inventory, doc.MM, doc.Pagemap, doc.Files
 	for _, c := range doc.Cores {
-		dir.Put(CoreName(c.TID), c.Marshal())
+		v.PutCore(c)
+	}
+	v.Commit()
+	if doc.Pages != nil {
+		dir.Put(image.PagesName, doc.Pages)
 	}
 	for name, raw := range doc.Extra {
 		dir.Put(name, raw)

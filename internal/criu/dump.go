@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/image"
@@ -50,9 +49,6 @@ type DumpOpts struct {
 	Obs *obs.Registry
 }
 
-// CoreName returns the core image filename for a thread.
-func CoreName(tid int) string { return "core-" + strconv.Itoa(tid) + ".img" }
-
 // Dump checkpoints a stopped process whose live threads are all parked at
 // equivalence points (SIGTRAP), producing the image directory.
 func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
@@ -97,7 +93,7 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 			TID: t.TID, Arch: p.Arch, Regs: t.Regs,
 			StackLow: t.StackLow, StackHigh: t.StackHigh, TLSBlock: t.TLSBlock,
 		}
-		dir.Put(CoreName(t.TID), core.Marshal())
+		dir.Put(image.CoreName(t.TID), core.Marshal())
 	}
 	if len(inv.TIDs) == 0 {
 		return nil, fmt.Errorf("criu: no live threads to dump")
@@ -106,15 +102,15 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 		holder, recurse := p.MutexState(id)
 		inv.Mutexes = append(inv.Mutexes, MutexEntry{ID: id, Holder: holder, Recurse: recurse})
 	}
-	dir.Put("inventory.img", inv.Marshal())
+	dir.Put(image.InventoryName, inv.Marshal())
 
 	mm := &MMImage{Brk: p.Brk}
 	for _, v := range p.SortedVMAs() {
 		mm.VMAs = append(mm.VMAs, VMAEntry{Start: v.Start, End: v.End, Kind: uint8(v.Kind), Prot: v.Prot, TID: v.TID})
 	}
-	dir.Put("mm.img", mm.Marshal())
+	dir.Put(image.MMName, mm.Marshal())
 
-	dir.Put("files.img", (&FilesImage{ExePath: p.ExePath}).Marshal())
+	dir.Put(image.FilesName, (&FilesImage{ExePath: p.ExePath}).Marshal())
 
 	execPages := execContextPages(p)
 	popPages := p.AS.PopulatedPages()

@@ -3,6 +3,7 @@ package criu
 import (
 	"fmt"
 
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/mem"
 )
 
@@ -19,24 +20,16 @@ import (
 // an address covered by the immediate parent is — by induction — always
 // resolvable through the chain.
 func CoveredPages(dir *ImageDir) (map[uint64]bool, error) {
-	pmRaw, ok := dir.Get("pagemap.img")
-	if !ok {
-		return nil, fmt.Errorf("criu: missing pagemap.img")
+	v := image.Open(dir)
+	if err := v.Fault(image.PagemapName); err != nil {
+		return nil, fmt.Errorf("criu: %w", err)
 	}
-	pm, err := UnmarshalPagemap(pmRaw)
-	if err != nil {
-		return nil, err
+	total := 0
+	for _, n := range v.Pagemap.Counts() {
+		total += n
 	}
-	n := 0
-	for _, en := range pm.Entries {
-		n += int(en.NrPages)
-	}
-	out := make(map[uint64]bool, n)
-	for _, en := range pm.Entries {
-		for i := uint32(0); i < en.NrPages; i++ {
-			out[en.Vaddr+uint64(i)*mem.PageSize] = true
-		}
-	}
+	out := make(map[uint64]bool, total)
+	v.Pagemap.EachPage(func(addr uint64, _ image.PageClass) { out[addr] = true })
 	return out, nil
 }
 
@@ -48,49 +41,33 @@ func DumpedPages(dir *ImageDir) int {
 	return pages.Len() / mem.PageSize
 }
 
-// Resolved page kinds returned by the chain resolver.
-const (
-	chainData = iota
-	chainZero
-	chainLazy
-)
-
 // errChainAbsent reports an address that fell off the bottom of the
-// chain without resolving; callers wrap it with the flag that asked.
+// chain without resolving.
 var errChainAbsent = fmt.Errorf("criu: page absent from the chain")
 
-// resolveChain returns the content of addr as of chain link i: data
-// bytes (XOR deltas applied recursively), a zero page, or a lazy marker.
-func resolveChain(sets []*PageSet, addr uint64, i int) (kind int, pg []byte, err error) {
+// resolveChain returns the content of addr as of chain link i: its class
+// — data, zero or lazy — and for data the bytes, XOR deltas applied
+// recursively.
+func resolveChain(sets []*PageSet, addr uint64, i int) (image.PageClass, []byte, error) {
 	for j := i; j >= 0; j-- {
-		ps := sets[j]
-		if b, ok := ps.Pages[addr]; ok && b != nil {
-			if !ps.DeltaPages[addr] {
-				return chainData, b, nil
-			}
-			k, basePg, err := resolveChain(sets, addr, j-1)
+		switch class := sets[j].Class(addr); class {
+		case image.PageParent:
+			continue // defer to the next-older link
+		case image.PageDelta:
+			base, basePg, err := resolveChain(sets, addr, j-1)
 			if err != nil {
 				return 0, nil, err
 			}
-			switch k {
-			case chainData:
-				return chainData, XorPages(b, basePg), nil
-			case chainZero:
-				// XOR against zeros is the delta itself.
-				return chainData, XorPages(b, nil), nil
-			default:
+			if base == image.PageLazy {
 				return 0, nil, fmt.Errorf("criu: delta page 0x%x in chain link %d resolves to a lazy page", addr, j)
 			}
+			// XOR against a zero page (no bytes) is the delta itself.
+			return image.PageData, XorPages(sets[j].Pages[addr], basePg), nil
+		case image.PageAbsent:
+			return 0, nil, errChainAbsent
+		default:
+			return class, sets[j].Pages[addr], nil
 		}
-		switch {
-		case ps.ZeroPages[addr]:
-			return chainZero, nil, nil
-		case ps.LazyPages[addr]:
-			return chainLazy, nil, nil
-		case ps.ParentPages[addr]:
-			continue // defer to the next-older link
-		}
-		break
 	}
 	return 0, nil, errChainAbsent
 }
@@ -110,61 +87,42 @@ func FlattenChain(chain []*ImageDir) (*ImageDir, error) {
 	if len(chain) == 0 {
 		return nil, fmt.Errorf("criu: empty checkpoint chain")
 	}
+	var newest *image.View
 	sets := make([]*PageSet, len(chain))
 	for i, dir := range chain {
-		ps, err := LoadPageSet(dir)
+		newest = image.Open(dir)
+		ps, err := newest.PageSet()
 		if err != nil {
 			return nil, fmt.Errorf("criu: chain link %d: %w", i, err)
 		}
 		sets[i] = ps
 	}
-	newest := sets[len(sets)-1]
 	out := NewPageSet()
-	install := func(addr uint64, kind int, pg []byte) {
-		switch kind {
-		case chainData:
+	var failed error
+	newest.Pagemap.EachPage(func(addr uint64, marked image.PageClass) {
+		switch class, pg, err := resolveChain(sets, addr, len(sets)-1); {
+		case err == errChainAbsent && marked == image.PageDelta:
+			failed = fmt.Errorf("criu: page 0x%x marked delta but its base is absent from the chain", addr)
+		case err == errChainAbsent:
+			failed = fmt.Errorf("criu: page 0x%x marked in_parent but absent from the chain", addr)
+		case err != nil:
+			failed = err
+		case class == image.PageData:
 			out.Pages[addr] = pg
-		case chainZero:
+		case class == image.PageZero:
 			out.ZeroPages[addr] = true
-		case chainLazy:
+		default:
 			out.LazyPages[addr] = true
 		}
-	}
-	for addr, pg := range newest.Pages {
-		if !newest.DeltaPages[addr] {
-			out.Pages[addr] = pg
-			continue
-		}
-		kind, resolved, err := resolveChain(sets, addr, len(sets)-1)
-		if err != nil {
-			if err == errChainAbsent {
-				err = fmt.Errorf("criu: page 0x%x marked delta but its base is absent from the chain", addr)
-			}
-			return nil, err
-		}
-		install(addr, kind, resolved)
-	}
-	for addr := range newest.ZeroPages {
-		out.ZeroPages[addr] = true
-	}
-	for addr := range newest.LazyPages {
-		out.LazyPages[addr] = true
-	}
-	for addr := range newest.ParentPages {
-		kind, resolved, err := resolveChain(sets, addr, len(sets)-1)
-		if err != nil {
-			if err == errChainAbsent {
-				err = fmt.Errorf("criu: page 0x%x marked in_parent but absent from the chain", addr)
-			}
-			return nil, err
-		}
-		install(addr, kind, resolved)
+	})
+	if failed != nil {
+		return nil, failed
 	}
 
 	flat := NewImageDir()
 	last := chain[len(chain)-1]
 	for _, name := range last.Names() {
-		if name == "pagemap.img" || name == "pages.img" {
+		if name == image.PagemapName || name == image.PagesName {
 			continue
 		}
 		raw, _ := last.Get(name)

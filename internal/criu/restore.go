@@ -11,6 +11,7 @@ import (
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/obs"
+	"github.com/dapper-sim/dapper/internal/stackmap"
 	"github.com/dapper-sim/dapper/internal/updatecheck"
 )
 
@@ -69,36 +70,22 @@ func Restore(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider) (*kernel.
 	return RestoreWith(k, dir, provider, RestoreOpts{})
 }
 
-// RestoreWith is Restore with options. The image set is complete, so every
-// pre-flight runs before the first page installs, and pages.img is handed
-// to the install stage as it sits in the directory — flat, or the page
-// list a rewrite left — never copied or joined.
+// RestoreWith is Restore with options. One view of the directory serves
+// the pre-flights and the restore itself — nothing writes it in between —
+// so every check runs on the bytes that install, before the first page
+// does; and pages.img is installed from where it sits in the directory,
+// flat or the page list a rewrite left, never copied or joined.
 func RestoreWith(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider, opts RestoreOpts) (*kernel.Process, error) {
 	verifyStart := time.Now()
-	// Pre-flight: a corrupt or truncated image set (shuffled pagemap,
-	// missing core, flagged entries carrying bytes, ...) must fail here
-	// with a named invariant, not mid-restore with pages installed at the
-	// wrong addresses. VerifyLink permits in_parent entries; the plan
-	// stage owns the flatten refusal.
-	if err := imgcheck.VerifyLink(dir); err != nil {
-		return nil, fmt.Errorf("criu: restore pre-flight: %w", err)
-	}
-	r, err := openRestorer(dir, provider, opts)
+	v := image.Open(dir)
+	bin, err := preflight(v, provider)
 	if err != nil {
-		return nil, err
-	}
-	if err := r.verifyTarget(dir); err != nil {
 		return nil, err
 	}
 	verifyDur := time.Since(verifyStart)
 
 	installStart := time.Now()
-	pages, _ := dir.Payload()
-	if err := r.plan(dir, pages.Len()); err != nil {
-		return nil, err
-	}
-	r.install(pages)
-	p, err := r.build(k, dir)
+	p, installed, err := install(k, v, bin, opts.Frames)
 	if err != nil {
 		return nil, err
 	}
@@ -108,221 +95,122 @@ func RestoreWith(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider, opts 
 	root.Child("verify").Finish(verifyDur)
 	root.Child("install").Finish(installDur)
 	root.Finish(verifyDur + installDur)
-	opts.Obs.Counter("restore.pages").Add(uint64(r.installed))
+	opts.Obs.Counter("restore.pages").Add(uint64(installed))
 	opts.Obs.Histogram("restore.verify_ns").Observe(verifyDur)
 	opts.Obs.Histogram("restore.install_ns").Observe(installDur)
 	return p, nil
 }
 
-// restorer is the restore core RestoreWith drives, stage by stage:
-//
-//	openRestorer  decode inventory/files/mm, open and check the binary
-//	verifyTarget  image-vs-binary version skew (needs pages.img)
-//	plan          map the address space and turn the pagemap into an
-//	              install schedule; refuse unflattened chains
-//	install       payload pages -> frames
-//	build         threads, mutexes, adoption
-type restorer struct {
-	opts RestoreOpts
-
-	inv        *InventoryImage
-	files      *FilesImage
-	mm         *MMImage
-	bin        *compiler.Binary
-	as         *mem.AddressSpace
-	heapMapped bool
-
-	// The install schedule plan decodes from the pagemap: dataPages[i] is
-	// the page index payload page i lands on (ascending, as the pagemap is
-	// sorted).
-	dataPages []uint64
-	installed int
-}
-
-// openRestorer decodes inventory/files/mm from the directory and opens
-// the binary, checking the architecture and the stack map's cross-ISA
-// alignment.
-func openRestorer(dir *ImageDir, provider BinaryProvider, opts RestoreOpts) (*restorer, error) {
-	invRaw, ok := dir.Get("inventory.img")
-	if !ok {
-		return nil, fmt.Errorf("criu: missing inventory.img")
+// preflight is everything that must hold before a page installs, and the
+// binary the image restores into. A corrupt or truncated image set
+// (shuffled pagemap, missing core, flagged entries carrying bytes, ...)
+// fails here with a named invariant, not mid-restore with pages at the
+// wrong addresses; the link check permits in_parent entries, install owns
+// the flatten refusal. Then the binary the files image names: right
+// architecture, stack map aligned across ISAs (the rewriter trusts that,
+// and build nudges threads through SiteByTrapPC), and — version skew —
+// every thread PC and stack return address of the image resolving in it.
+func preflight(v *image.View, provider BinaryProvider) (*compiler.Binary, error) {
+	if err := imgcheck.CheckLink(v).Err(); err != nil {
+		return nil, fmt.Errorf("criu: restore pre-flight: %w", err)
 	}
-	inv, err := UnmarshalInventory(invRaw)
+	path := v.Files.ExePath
+	bin, err := provider.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	filesRaw, ok := dir.Get("files.img")
-	if !ok {
-		return nil, fmt.Errorf("criu: missing files.img")
-	}
-	files, err := UnmarshalFiles(filesRaw)
-	if err != nil {
-		return nil, err
-	}
-	bin, err := provider.Open(files.ExePath)
-	if err != nil {
-		return nil, err
-	}
-	if bin.Arch != inv.Arch {
-		return nil, fmt.Errorf("criu: binary %q is %v but image is %v", files.ExePath, bin.Arch, inv.Arch)
+	if bin.Arch != v.Inventory.Arch {
+		return nil, fmt.Errorf("criu: binary %q is %v but image is %v", path, bin.Arch, v.Inventory.Arch)
 	}
 	if bin.Meta != nil {
-		// The rewriter trusts the stack map's cross-ISA address alignment;
-		// verify it before nudging any thread through SiteByTrapPC.
 		if err := imgcheck.VerifyMeta(bin.Meta); err != nil {
-			return nil, fmt.Errorf("criu: restore pre-flight: binary %q: %w", files.ExePath, err)
+			return nil, fmt.Errorf("criu: restore pre-flight: binary %q: %w", path, err)
+		}
+		if err := updatecheck.CheckImage(v, bin).Err(); err != nil {
+			return nil, fmt.Errorf("criu: restore pre-flight: binary %q: %w", path, err)
 		}
 	}
-	mmRaw, ok := dir.Get("mm.img")
-	if !ok {
-		return nil, fmt.Errorf("criu: missing mm.img")
-	}
-	mm, err := UnmarshalMM(mmRaw)
-	if err != nil {
-		return nil, err
-	}
-	return &restorer{opts: opts, inv: inv, files: files, mm: mm, bin: bin}, nil
+	return bin, nil
 }
 
-// verifyTarget checks that the image actually belongs to the opened
-// binary: thread PCs and stack return addresses that resolve nowhere in
-// its stack maps mean version skew. It runs before any process is built.
-func (r *restorer) verifyTarget(dir *ImageDir) error {
-	if r.bin.Meta == nil {
-		return nil
+// install builds the process from a view that passed preflight: the VMAs
+// and the executable's text (dumped pages overlay it), the payload pages
+// in pagemap order — private copies in one bulk install, the restore's one
+// payload copy, or with a frame cache a shared copy-on-write frame per
+// page — then threads with trap-PC nudging, mutexes, the cleared DAPPER
+// flag, and adoption by the kernel. Zero pages are materialized only when
+// the image is lazy: a post-copy restore installs a fault handler, and a
+// zero page must never round-trip to the page server; lazy pages are left
+// for that handler. It also returns the number of pages installed.
+func install(k *kernel.Kernel, v *image.View, bin *compiler.Binary, frames *kernel.FrameCache) (*kernel.Process, int, error) {
+	n := v.Pagemap.Counts()
+	if n[image.PageParent] > 0 {
+		return nil, 0, fmt.Errorf("criu: image has %d unresolved in_parent pages; flatten the chain (FlattenChain) before restore", n[image.PageParent])
 	}
-	if err := imgcheck.VerifyTargetBinary(dir, &updatecheck.Binary{
-		Arch: r.bin.Arch, Text: r.bin.Text, Symbols: r.bin.Symbols, Meta: r.bin.Meta,
-	}); err != nil {
-		return fmt.Errorf("criu: restore pre-flight: binary %q: %w", r.files.ExePath, err)
+	if n[image.PageDelta] > 0 {
+		return nil, 0, fmt.Errorf("criu: image has %d unresolved XOR-delta pages; flatten the chain (FlattenChain) before restore", n[image.PageDelta])
 	}
-	return nil
-}
+	if want := n[image.PageData] * mem.PageSize; want != v.Pages.Len() {
+		return nil, 0, fmt.Errorf("criu: restore: pages.img holds %d bytes, pagemap describes %d", v.Pages.Len(), want)
+	}
+	as := mem.NewAddressSpace()
+	heapMapped := false
+	for _, vma := range v.MM.VMAs {
+		if err := as.Map(mem.VMA{Start: vma.Start, End: vma.End, Kind: mem.VMAKind(vma.Kind), Prot: vma.Prot, TID: vma.TID}); err != nil {
+			return nil, 0, fmt.Errorf("criu: restore vma: %w", err)
+		}
+		heapMapped = heapMapped || mem.VMAKind(vma.Kind) == mem.VMAHeap
+	}
+	if err := as.WriteBytes(isa.TextBase, bin.Text); err != nil {
+		return nil, 0, fmt.Errorf("criu: restore text: %w", err)
+	}
 
-// plan maps the VMAs, loads the executable's text (dumped pages overlay
-// it later), and decodes the install schedule from the pagemap: data
-// pages in payload order, zero pages materialized immediately when the
-// image is lazy — a post-copy restore installs a fault handler, and a zero
-// page must never round-trip to the page server — and lazy pages left for
-// that handler. pagesSize is the pages.img size the directory holds.
-func (r *restorer) plan(dir *ImageDir, pagesSize int) error {
-	r.as = mem.NewAddressSpace()
-	for _, v := range r.mm.VMAs {
-		if err := r.as.Map(mem.VMA{Start: v.Start, End: v.End, Kind: mem.VMAKind(v.Kind), Prot: v.Prot, TID: v.TID}); err != nil {
-			return fmt.Errorf("criu: restore vma: %w", err)
+	// dataPages[i] is the page index payload page i lands on (ascending, as
+	// the pagemap is sorted).
+	dataPages := make([]uint64, 0, n[image.PageData])
+	installed := 0
+	v.Pagemap.EachPage(func(addr uint64, class image.PageClass) {
+		switch {
+		case class == image.PageData:
+			dataPages = append(dataPages, addr/mem.PageSize)
+		case class == image.PageZero && n[image.PageLazy] > 0:
+			as.InstallPage(addr/mem.PageSize, nil)
+			installed++
 		}
-		if mem.VMAKind(v.Kind) == mem.VMAHeap {
-			r.heapMapped = true
-		}
-	}
-	if err := r.as.WriteBytes(isa.TextBase, r.bin.Text); err != nil {
-		return fmt.Errorf("criu: restore text: %w", err)
-	}
-	pmRaw, ok := dir.Get("pagemap.img")
-	if !ok {
-		return fmt.Errorf("criu: missing pagemap.img")
-	}
-	pm, err := UnmarshalPagemap(pmRaw)
-	if err != nil {
-		return err
-	}
-	var zeroAddrs []uint64
-	lazyPages, parentPages, deltaPages := 0, 0, 0
-	for _, en := range pm.Entries {
-		for i := uint32(0); i < en.NrPages; i++ {
-			addr := en.Vaddr + uint64(i)*mem.PageSize
-			switch {
-			case en.Delta:
-				deltaPages++
-			case en.Lazy:
-				lazyPages++
-			case en.InParent:
-				parentPages++
-			case en.Zero:
-				zeroAddrs = append(zeroAddrs, addr)
-			default:
-				r.dataPages = append(r.dataPages, addr/mem.PageSize)
-			}
-		}
-	}
-	if parentPages > 0 {
-		return fmt.Errorf("criu: image has %d unresolved in_parent pages; flatten the chain (FlattenChain) before restore", parentPages)
-	}
-	if deltaPages > 0 {
-		return fmt.Errorf("criu: image has %d unresolved XOR-delta pages; flatten the chain (FlattenChain) before restore", deltaPages)
-	}
-	if want := len(r.dataPages) * mem.PageSize; want != pagesSize {
-		return fmt.Errorf("criu: restore: pages.img holds %d bytes, pagemap describes %d", pagesSize, want)
-	}
-	if lazyPages > 0 {
-		for _, addr := range zeroAddrs {
-			r.as.InstallPage(addr/mem.PageSize, nil)
-			r.installed++
-		}
-	}
-	return nil
-}
-
-// install turns the payload pages into resident frames, in the plan's
-// schedule order: private copies in one bulk install — the restore's one
-// payload copy — or, when the restore has a frame cache, a shared
-// copy-on-write frame per page.
-func (r *restorer) install(payload image.Payload) {
-	if r.opts.Frames == nil {
-		r.as.InstallPages(r.dataPages, payload.Page)
+	})
+	if frames == nil {
+		as.InstallPages(dataPages, v.Pages.Page)
 	} else {
-		for pi, idx := range r.dataPages {
-			r.as.InstallSharedPage(idx, r.opts.Frames.Frame(idx, payload.Page(pi)))
+		for pi, idx := range dataPages {
+			as.InstallSharedPage(idx, frames.Frame(idx, v.Pages.Page(pi)))
 		}
 	}
-	r.installed += len(r.dataPages)
-}
+	installed += len(dataPages)
 
-// build finishes the restore once every payload page is installed:
-// thread cores with trap-PC nudging, mutexes, the cleared DAPPER flag, and
-// adoption by the kernel.
-func (r *restorer) build(k *kernel.Kernel, dir *ImageDir) (*kernel.Process, error) {
-	coder := compiler.CoderFor(r.inv.Arch)
-	p := kernel.NewRestoredProcess(r.inv.Arch, coder, r.as)
-	p.ExePath = r.files.ExePath
-	p.Entry = r.bin.Entry
-	p.ThreadExit = r.bin.ThreadExit
-	p.Brk = r.mm.Brk
-	if r.heapMapped {
+	inv := v.Inventory
+	p := kernel.NewRestoredProcess(inv.Arch, stackmap.CoderFor(inv.Arch), as)
+	p.ExePath, p.Entry, p.ThreadExit, p.Brk = v.Files.ExePath, bin.Entry, bin.ThreadExit, v.MM.Brk
+	if heapMapped {
 		p.MarkHeapMapped()
 	}
-	for _, tid := range r.inv.TIDs {
-		raw, ok := dir.Get(CoreName(tid))
-		if !ok {
-			return nil, fmt.Errorf("criu: missing %s", CoreName(tid))
-		}
-		core, err := UnmarshalCore(raw)
-		if err != nil {
-			return nil, err
-		}
+	for _, tid := range inv.TIDs {
+		core, _ := v.Core(tid) // the link check vouched for every inventory tid's core
 		t := &kernel.Thread{
 			TID: core.TID, Regs: core.Regs, State: kernel.ThreadRunnable,
 			StackLow: core.StackLow, StackHigh: core.StackHigh, TLSBlock: core.TLSBlock,
 		}
-		if site, ok := r.bin.Meta.SiteByTrapPC(r.inv.Arch, t.Regs.PC); ok {
-			t.Regs.PC = site.PCs[archIdx(r.inv.Arch)].ResumePC
+		if site, ok := bin.Meta.SiteByTrapPC(inv.Arch, t.Regs.PC); ok {
+			t.Regs.PC = site.PCs[stackmap.ArchIdx(inv.Arch)].ResumePC
 		}
 		p.AddRestoredThread(t)
 	}
-	for _, m := range r.inv.Mutexes {
+	for _, m := range inv.Mutexes {
 		p.RestoreMutex(m.ID, m.Holder, m.Recurse)
 	}
 	// Clear the transformation flag so checkers fall through.
-	if err := r.as.WriteU64(isa.FlagAddr, 0); err != nil {
-		return nil, fmt.Errorf("criu: clear flag: %w", err)
+	if err := as.WriteU64(isa.FlagAddr, 0); err != nil {
+		return nil, 0, fmt.Errorf("criu: clear flag: %w", err)
 	}
 	k.AdoptProcess(p)
-	return p, nil
-}
-
-func archIdx(a isa.Arch) int {
-	if a == isa.SX86 {
-		return 0
-	}
-	return 1
+	return p, installed, nil
 }

@@ -358,9 +358,7 @@ func (m *Manager) registerLocked(p *program, journal bool) error {
 	// migration that ever targets it; refuse registration up front, on
 	// both architectures.
 	for _, b := range []*compiler.Binary{pair.X86, pair.ARM} {
-		if err := updatecheck.VerifyBinary(&updatecheck.Binary{
-			Arch: b.Arch, Text: b.Text, Symbols: b.Symbols, Meta: b.Meta,
-		}); err != nil {
+		if err := updatecheck.VerifyBinary(b); err != nil {
 			return fmt.Errorf("fleet: program %q fails updatecheck on %v: %w", p.name, b.Arch, err)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/isa"
+	"github.com/dapper-sim/dapper/internal/stackmap"
 )
 
 // MaxGadgetLen is the maximum instructions per gadget (industry-standard
@@ -28,7 +29,7 @@ func Count(text []byte, base uint64, arch isa.Arch) int {
 // CountMax is Count with an explicit gadget-length bound (the scanner
 // sensitivity ablation sweeps it).
 func CountMax(text []byte, base uint64, arch isa.Arch, maxLen int) int {
-	coder := compiler.CoderFor(arch)
+	coder := stackmap.CoderFor(arch)
 	step := 1
 	if arch == isa.SARM {
 		step = 4

@@ -6,14 +6,17 @@
 // The decomposition mirrors CRIU's: per-thread register state in core
 // images, the VMA list in mm, resident page runs in pagemap+pages, and
 // the executable path in files — the exact files the DAPPER process
-// rewriter edits. The codec layer lives below internal/criu (which
-// re-exports every type here under its historical names) so that static
-// verifiers such as internal/imgcheck can decode images without pulling
-// in the checkpoint/restore machinery itself.
+// rewriter edits. The package is the one reader of an image directory:
+// View (view.go) decodes every file once, and dump, restore, the
+// rewriter, CRIT and the static verifiers all work from it. It sits below
+// internal/criu, whose images.go keeps a few of these names alive as
+// aliases, so a verifier reads images without pulling in the
+// checkpoint/restore machinery.
 package image
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -190,9 +193,48 @@ type PagemapEntry struct {
 // field 6 or 7, the within-dump dedup back-reference older builds wrote.
 var ErrRetiredField = errors.New("retired field")
 
+// Class is the one reading of an entry's flags. A well-formed entry sets
+// at most one (imgcheck's pagemap-flags invariant refuses the rest before
+// anything acts on the class), so the order below decides nothing for an
+// image that was verified.
+func (en PagemapEntry) Class() PageClass {
+	switch {
+	case en.Lazy:
+		return PageLazy
+	case en.InParent:
+		return PageParent
+	case en.Zero:
+		return PageZero
+	case en.Delta:
+		return PageDelta
+	}
+	return PageData
+}
+
 // PagemapImage is pagemap.img: the index into pages.img.
 type PagemapImage struct {
 	Entries []PagemapEntry `json:"entries"`
+}
+
+// EachPage calls fn for every page the pagemap describes, in file order,
+// with the page's class. Data and delta pages are the ones with bytes in
+// pages.img, in this order.
+func (p *PagemapImage) EachPage(fn func(addr uint64, class PageClass)) {
+	for _, en := range p.Entries {
+		class := en.Class()
+		for i := uint64(0); i < uint64(en.NrPages); i++ {
+			fn(en.Vaddr+i*mem.PageSize, class)
+		}
+	}
+}
+
+// Counts returns how many pages the pagemap describes of each class,
+// indexed by PageClass.
+func (p *PagemapImage) Counts() (n [PageDelta + 1]int) {
+	for _, en := range p.Entries {
+		n[en.Class()] += int(en.NrPages)
+	}
+	return n
 }
 
 // Marshal encodes the image.
@@ -388,14 +430,12 @@ type ImageDir struct {
 	pageList [][]byte
 }
 
-const pagesName = "pages.img"
-
 // NewImageDir returns an empty directory.
 func NewImageDir() *ImageDir { return &ImageDir{files: make(map[string][]byte)} }
 
 // Put stores a file.
 func (d *ImageDir) Put(name string, data []byte) {
-	if name == pagesName {
+	if name == PagesName {
 		d.pageList = nil
 	}
 	d.files[name] = data
@@ -405,7 +445,7 @@ func (d *ImageDir) Put(name string, data []byte) {
 // mem.PageSize bytes per page, without copying them: the directory keeps
 // the slices, so the caller must never write through them again.
 func (d *ImageDir) PutPages(pages [][]byte) {
-	d.files[pagesName] = nil
+	d.files[PagesName] = nil
 	d.pageList = pages
 }
 
@@ -413,7 +453,7 @@ func (d *ImageDir) PutPages(pages [][]byte) {
 // pages.img held in list form, which is joined into a new buffer.
 func (d *ImageDir) Get(name string) ([]byte, bool) {
 	b, ok := d.files[name]
-	if name == pagesName && len(d.pageList) > 0 {
+	if name == PagesName && len(d.pageList) > 0 {
 		b = bytes.Join(d.pageList, nil)
 	}
 	return b, ok
@@ -429,7 +469,7 @@ type Payload struct {
 // Payload returns pages.img without joining it, and whether the file is
 // present.
 func (d *ImageDir) Payload() (Payload, bool) {
-	flat, ok := d.files[pagesName]
+	flat, ok := d.files[PagesName]
 	return Payload{flat: flat, list: d.pageList}, ok
 }
 
@@ -506,7 +546,7 @@ func (d *ImageDir) Marshal() []byte {
 	parts := make([][]byte, 0, 2*len(names)+len(d.pageList))
 	for _, name := range names {
 		data := d.files[name]
-		if name == pagesName && len(d.pageList) > 0 {
+		if name == PagesName && len(d.pageList) > 0 {
 			pages, _ := d.Payload()
 			parts = append(parts, frameHeader(name, pages.Len()))
 			parts = append(parts, d.pageList...)
@@ -588,105 +628,74 @@ const (
 	PageDelta
 )
 
-// classOf reports how the page at a is represented. Data beats the flag
+// Class reports how the set represents the page at a. Data beats the flag
 // maps; a nil entry in Pages keeps its historical "lazy" meaning.
-func (ps *PageSet) classOf(a uint64) PageClass {
-	if pg, ok := ps.Pages[a]; ok && pg != nil {
-		if ps.DeltaPages[a] {
-			return PageDelta
-		}
-		return PageData
-	}
+func (ps *PageSet) Class(a uint64) PageClass {
+	pg, ok := ps.Pages[a]
 	switch {
+	case pg != nil && ps.DeltaPages[a]:
+		return PageDelta
+	case pg != nil:
+		return PageData
 	case ps.ZeroPages[a]:
 		return PageZero
 	case ps.ParentPages[a]:
 		return PageParent
-	default:
+	case ok || ps.LazyPages[a]:
 		return PageLazy
 	}
+	return PageAbsent
 }
 
-// LoadPageSet parses the pagemap/pages pair from a directory. Nothing is
+// LoadPageSet parses the pagemap/pages pair from a directory: the page set
+// of a view opened for nothing else.
+func LoadPageSet(dir *ImageDir) (*PageSet, error) { return Open(dir).PageSet() }
+
+// newPageSet builds the set a pagemap and its payload describe. Nothing is
 // copied or joined: every Pages entry aliases its 4K of pages.img in
 // whichever form the directory holds it, capped so a write cannot run
 // past the page.
-func LoadPageSet(dir *ImageDir) (*PageSet, error) {
-	pmRaw, ok := dir.Get("pagemap.img")
-	if !ok {
-		return nil, fmt.Errorf("image: missing pagemap.img")
-	}
-	pm, err := UnmarshalPagemap(pmRaw)
-	if err != nil {
-		return nil, err
-	}
-	pages, _ := dir.Payload()
-	// Pre-scan the pagemap: per-class page counts size every map exactly
-	// once, and the data-page total bounds-checks pages.img up front so
-	// the install loop below never re-checks per entry.
-	var nData, nLazy, nParent, nZero, nDelta int
-	for _, en := range pm.Entries {
-		n := int(en.NrPages)
-		switch {
-		case en.Lazy:
-			nLazy += n
-		case en.InParent:
-			nParent += n
-		case en.Zero:
-			nZero += n
-		default:
-			nData += n
-			if en.Delta {
-				nDelta += n
-			}
-		}
-	}
-	if want := nData * mem.PageSize; want > pages.Len() {
+func newPageSet(pm *PagemapImage, pages Payload) (*PageSet, error) {
+	// Per-class page counts size every map exactly once, and the payload
+	// total bounds-checks pages.img up front so the loop below never
+	// re-checks per page.
+	n := pm.Counts()
+	if want := (n[PageData] + n[PageDelta]) * mem.PageSize; want > pages.Len() {
 		return nil, fmt.Errorf("image: pages.img truncated: pagemap describes %d data bytes, file carries %d", want, pages.Len())
 	}
 	ps := &PageSet{
-		Pages:       make(map[uint64][]byte, nData),
-		LazyPages:   make(map[uint64]bool, nLazy),
-		ParentPages: make(map[uint64]bool, nParent),
-		ZeroPages:   make(map[uint64]bool, nZero),
-		DeltaPages:  make(map[uint64]bool, nDelta),
+		Pages:       make(map[uint64][]byte, n[PageData]+n[PageDelta]),
+		LazyPages:   make(map[uint64]bool, n[PageLazy]),
+		ParentPages: make(map[uint64]bool, n[PageParent]),
+		ZeroPages:   make(map[uint64]bool, n[PageZero]),
+		DeltaPages:  make(map[uint64]bool, n[PageDelta]),
 		owned:       make(map[uint64]bool),
 	}
 	next := 0 // index into pages.img of the next data page
-	for _, en := range pm.Entries {
-		for i := uint32(0); i < en.NrPages; i++ {
-			addr := en.Vaddr + uint64(i)*mem.PageSize
-			switch {
-			case en.Lazy:
-				ps.LazyPages[addr] = true
-				continue
-			case en.InParent:
-				ps.ParentPages[addr] = true
-				continue
-			case en.Zero:
-				ps.ZeroPages[addr] = true
-				continue
-			}
+	pm.EachPage(func(addr uint64, class PageClass) {
+		switch class {
+		case PageLazy:
+			ps.LazyPages[addr] = true
+		case PageParent:
+			ps.ParentPages[addr] = true
+		case PageZero:
+			ps.ZeroPages[addr] = true
+		default:
 			ps.Pages[addr] = pages.Page(next)
-			if en.Delta {
+			if class == PageDelta {
 				ps.DeltaPages[addr] = true
 			}
 			next++
 		}
-	}
+	})
 	return ps, nil
 }
 
-// NewPageSet returns an empty page set with all maps allocated.
+// NewPageSet returns an empty page set with all maps allocated: the set of
+// an empty pagemap.
 func NewPageSet() *PageSet {
-	return &PageSet{
-		Pages:       make(map[uint64][]byte),
-		LazyPages:   make(map[uint64]bool),
-		ParentPages: make(map[uint64]bool),
-		ZeroPages:   make(map[uint64]bool),
-		DeltaPages:  make(map[uint64]bool),
-		owned:       make(map[uint64]bool),
-	}
+	ps, _ := newPageSet(&PagemapImage{}, Payload{}) // no page, so no payload to fall short
+	return ps
 }
 
 // Store serializes the page set back into the directory, coalescing
@@ -714,10 +723,10 @@ func (ps *PageSet) Store(dir *ImageDir) {
 	addrs = slices.Compact(addrs) // an address may sit in several maps
 	recs := make([]PageRecord, len(addrs))
 	for i, a := range addrs {
-		recs[i] = PageRecord{Addr: a, Class: ps.classOf(a), Data: ps.Pages[a]}
+		recs[i] = PageRecord{Addr: a, Class: ps.Class(a), Data: ps.Pages[a]}
 	}
 	pm, payload := encodeRuns(recs)
-	dir.Put("pagemap.img", pm.Marshal())
+	dir.Put(PagemapName, pm.Marshal())
 	dir.PutPages(payload)
 	clear(ps.owned)
 }
@@ -740,8 +749,8 @@ type PageRecord struct {
 // before filling it).
 func EncodePages(dir *ImageDir, recs []PageRecord) {
 	pm, payload := encodeRuns(recs)
-	dir.Put("pagemap.img", pm.Marshal())
-	dir.Put("pages.img", bytes.Join(payload, nil))
+	dir.Put(PagemapName, pm.Marshal())
+	dir.Put(PagesName, bytes.Join(payload, nil))
 }
 
 // encodeRuns is the one pagemap encoder behind EncodePages and
@@ -799,11 +808,7 @@ func (ps *PageSet) ReadU64(addr uint64) (uint64, error) {
 	if ps.DeltaPages[base] {
 		return 0, fmt.Errorf("image: address 0x%x holds an XOR delta against the parent (flatten the chain first)", addr)
 	}
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(pg[off+uint64(i)])
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(pg[off:]), nil
 }
 
 // WriteU64 writes a word, populating the page if absent (zero pages
@@ -832,9 +837,7 @@ func (ps *PageSet) WriteU64(addr, v uint64) error {
 	if off+8 > mem.PageSize {
 		return fmt.Errorf("image: unaligned word write at 0x%x crosses page", addr)
 	}
-	for i := 0; i < 8; i++ {
-		pg[off+uint64(i)] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(pg[off:], v)
 	return nil
 }
 

@@ -25,8 +25,8 @@
 package imgcheck
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/dapper-sim/dapper/internal/image"
@@ -42,7 +42,7 @@ const (
 	InvImageDecode   = "image-decode"   // an image fails to decode (truncation/corruption)
 	InvVMAOrder      = "vma-order"      // mm VMAs unsorted, overlapping, inverted, or unaligned
 	InvPagemapOrder  = "pagemap-order"  // pagemap entries unsorted, overlapping, or empty
-	InvPagemapFlags  = "pagemap-flags"  // entry claims more than one of lazy/in_parent/zero
+	InvPagemapFlags  = "pagemap-flags"  // entry claims more than one of lazy/in_parent/zero/delta
 	InvPagemapMapped = "pagemap-mapped" // pagemap page outside every VMA
 	InvPagesBytes    = "pages-bytes"    // pages.img size != data pages × page size
 	InvInParent      = "inparent-chain" // in_parent page unresolvable (orphan, cycle, truncated chain)
@@ -89,119 +89,75 @@ func (r *Report) Err() error {
 	return fmt.Errorf("%d image invariants violated: %s", len(r.Violations), strings.Join(msgs, "; "))
 }
 
-// decoded is the typed view of one directory, built once per verification.
-type decoded struct {
-	inv      *image.InventoryImage
-	mm       *image.MMImage
-	pm       *image.PagemapImage
-	pagesLen int // size of pages.img; its bytes are never read here
-	cores    map[int]*image.CoreImage
-}
-
-// decode unmarshals the required images, reporting InvMissingImage /
-// InvImageDecode, and returns nil if the directory is too broken to check
-// further.
-func decode(dir *image.ImageDir, r *Report) *decoded {
-	d := &decoded{cores: make(map[int]*image.CoreImage)}
-	ok := true
-	req := func(name string) []byte {
-		raw, has := dir.Get(name)
-		if !has {
-			r.add(InvMissingImage, "%s absent", name)
-			ok = false
+// decode names every file the view could not read — InvMissingImage,
+// InvImageDecode — and the inventory/core disagreements. It returns the
+// cores the inventory vouches for, in inventory order, and whether the
+// directory is whole enough to check further.
+func decode(v *image.View, r *Report) (cores []*image.CoreImage, ok bool) {
+	// readable reports the named file's fault, if any, under its invariant.
+	readable := func(name, what string) bool {
+		switch err := v.Fault(name); {
+		case err == nil:
+			return true
+		case errors.Is(err, image.ErrMissing):
+			r.add(InvMissingImage, "%s absent%s", name, what)
+		default:
+			r.add(InvImageDecode, "%s: %v", name, err)
 		}
-		return raw
+		return false
 	}
-	if raw := req("inventory.img"); raw != nil {
-		v, err := image.UnmarshalInventory(raw)
-		if err != nil {
-			r.add(InvImageDecode, "inventory.img: %v", err)
-			ok = false
+	ok = true
+	for _, name := range []string{image.InventoryName, image.MMName, image.PagemapName} {
+		ok = readable(name, "") && ok
+	}
+	// files.img must decode, pages.img (which may be empty) must be there;
+	// no check below reads either.
+	readable(image.FilesName, "")
+	readable(image.PagesName, "")
+	if v.Inventory == nil {
+		return nil, false
+	}
+	seen := make(map[int]bool)
+	for _, tid := range v.Inventory.TIDs {
+		if seen[tid] {
+			r.add(InvCoreTID, "inventory lists tid %d twice", tid)
+			continue
+		}
+		seen[tid] = true
+		name := image.CoreName(tid)
+		if !readable(name, fmt.Sprintf(" (tid %d in inventory)", tid)) {
+			continue
+		}
+		if core, _ := v.Core(tid); core.TID != tid {
+			r.add(InvCoreTID, "%s carries tid %d", name, core.TID)
 		} else {
-			d.inv = v
+			cores = append(cores, core)
 		}
 	}
-	if raw := req("mm.img"); raw != nil {
-		v, err := image.UnmarshalMM(raw)
-		if err != nil {
-			r.add(InvImageDecode, "mm.img: %v", err)
-			ok = false
-		} else {
-			d.mm = v
+	for _, name := range v.Names() {
+		var tid int
+		if n, _ := fmt.Sscanf(name, "core-%d.img", &tid); n == 1 && !seen[tid] {
+			r.add(InvCoreTID, "%s has no inventory entry", name)
 		}
 	}
-	if raw := req("pagemap.img"); raw != nil {
-		v, err := image.UnmarshalPagemap(raw)
-		if err != nil {
-			r.add(InvImageDecode, "pagemap.img: %v", err)
-			ok = false
-		} else {
-			d.pm = v
-		}
-	}
-	if raw := req("files.img"); raw != nil {
-		if _, err := image.UnmarshalFiles(raw); err != nil {
-			r.add(InvImageDecode, "files.img: %v", err)
-		}
-	}
-	// pages.img may legitimately be empty, but must be present.
-	pages, has := dir.Payload()
-	if !has {
-		r.add(InvMissingImage, "pages.img absent")
-	}
-	d.pagesLen = pages.Len()
-	if d.inv != nil {
-		seen := make(map[int]bool)
-		for _, tid := range d.inv.TIDs {
-			if seen[tid] {
-				r.add(InvCoreTID, "inventory lists tid %d twice", tid)
-				continue
-			}
-			seen[tid] = true
-			name := fmt.Sprintf("core-%d.img", tid)
-			raw, has := dir.Get(name)
-			if !has {
-				r.add(InvMissingImage, "%s absent (tid %d in inventory)", name, tid)
-				continue
-			}
-			core, err := image.UnmarshalCore(raw)
-			if err != nil {
-				r.add(InvImageDecode, "%s: %v", name, err)
-				continue
-			}
-			if core.TID != tid {
-				r.add(InvCoreTID, "%s carries tid %d", name, core.TID)
-				continue
-			}
-			d.cores[tid] = core
-		}
-		for _, name := range dir.Names() {
-			var tid int
-			if n, _ := fmt.Sscanf(name, "core-%d.img", &tid); n == 1 && !seen[tid] {
-				r.add(InvCoreTID, "%s has no inventory entry", name)
-			}
-		}
-	}
-	if !ok {
-		return nil
-	}
-	return d
+	return cores, ok
 }
 
 // checkStructure runs the per-directory structural invariants shared by
 // VerifyLink and Verify: VMA ordering, pagemap ordering and flags, and the
 // exact pages.img byte count.
-func checkStructure(d *decoded, r *Report) {
-	for i, v := range d.mm.VMAs {
+func checkStructure(v *image.View, r *Report) {
+	mm, pm := v.MM, v.Pagemap
+	for i, v := range mm.VMAs {
 		if v.Start >= v.End || v.Start%mem.PageSize != 0 || v.End%mem.PageSize != 0 {
 			r.add(InvVMAOrder, "vma %d [0x%x,0x%x) inverted or unaligned", i, v.Start, v.End)
 		}
-		if i > 0 && v.Start < d.mm.VMAs[i-1].End {
+		if i > 0 && v.Start < mm.VMAs[i-1].End {
 			r.add(InvVMAOrder, "vma %d [0x%x,0x%x) overlaps or precedes [0x%x,0x%x)",
-				i, v.Start, v.End, d.mm.VMAs[i-1].Start, d.mm.VMAs[i-1].End)
+				i, v.Start, v.End, mm.VMAs[i-1].Start, mm.VMAs[i-1].End)
 		}
 	}
-	for i, en := range d.pm.Entries {
+	for i, en := range pm.Entries {
 		if en.NrPages == 0 {
 			r.add(InvPagemapOrder, "entry %d at 0x%x spans zero pages", i, en.Vaddr)
 			continue
@@ -210,13 +166,16 @@ func checkStructure(d *decoded, r *Report) {
 			r.add(InvPagemapOrder, "entry %d at 0x%x not page-aligned", i, en.Vaddr)
 		}
 		if i > 0 {
-			prev := d.pm.Entries[i-1]
+			prev := pm.Entries[i-1]
 			prevEnd := prev.Vaddr + uint64(prev.NrPages)*mem.PageSize
 			if en.Vaddr < prevEnd {
 				r.add(InvPagemapOrder, "entry %d at 0x%x overlaps or precedes run ending 0x%x",
 					i, en.Vaddr, prevEnd)
 			}
 		}
+		// The one place outside internal/image that reads the flag fields:
+		// everything else acts on PagemapEntry.Class, which is only
+		// well-defined once no entry sets two of them.
 		flags := 0
 		for _, f := range []bool{en.Lazy, en.InParent, en.Zero, en.Delta} {
 			if f {
@@ -224,21 +183,17 @@ func checkStructure(d *decoded, r *Report) {
 			}
 		}
 		if flags > 1 {
-			r.add(InvPagemapFlags, "entry %d at 0x%x sets %d of lazy/in_parent/zero/dedup/delta", i, en.Vaddr, flags)
+			r.add(InvPagemapFlags, "entry %d at 0x%x sets %d of lazy/in_parent/zero/delta", i, en.Vaddr, flags)
 		}
 	}
 	// The pages.img byte accounting. Delta entries carry bytes (the XOR
 	// payload is a full page), so they count exactly like plain data
 	// entries.
-	dataPages := 0
-	for _, en := range d.pm.Entries {
-		if !en.Lazy && !en.InParent && !en.Zero {
-			dataPages += int(en.NrPages)
-		}
-	}
-	if want := dataPages * mem.PageSize; d.pagesLen != want {
+	n := pm.Counts()
+	dataPages := n[image.PageData] + n[image.PageDelta]
+	if want := dataPages * mem.PageSize; v.Pages.Len() != want {
 		r.add(InvPagesBytes, "pages.img carries %d bytes, pagemap describes %d data+delta pages (%d bytes) — byte-free flags must carry no bytes",
-			d.pagesLen, dataPages, want)
+			v.Pages.Len(), dataPages, want)
 	}
 }
 
@@ -270,23 +225,24 @@ func vmaCover(mm *image.MMImage, lo, hi uint64) bool {
 // checkAddressSpace runs the self-contained address-space invariants:
 // every pagemap page inside a VMA, thread PCs mapped, stacks mapped and
 // upright, and register files within the core's ISA width.
-func checkAddressSpace(d *decoded, r *Report) {
-	for i, en := range d.pm.Entries {
+func checkAddressSpace(v *image.View, cores []*image.CoreImage, r *Report) {
+	for i, en := range v.Pagemap.Entries {
 		end := en.Vaddr + uint64(en.NrPages)*mem.PageSize
-		if !vmaCover(d.mm, en.Vaddr, end) {
+		if !vmaCover(v.MM, en.Vaddr, end) {
 			r.add(InvPagemapMapped, "entry %d [0x%x,0x%x) outside the mapped vmas", i, en.Vaddr, end)
 		}
 	}
-	for _, tid := range sortedTIDs(d.cores) {
-		checkCore(d, tid, d.cores[tid], r)
+	for _, core := range cores {
+		checkCore(v, core, r)
 	}
 }
 
 // checkCore verifies one thread's core image against the inventory and
 // address space.
-func checkCore(d *decoded, tid int, core *image.CoreImage, r *Report) {
-	if core.Arch != d.inv.Arch {
-		r.add(InvCoreRegs, "core-%d.img is %v but inventory is %v", tid, core.Arch, d.inv.Arch)
+func checkCore(v *image.View, core *image.CoreImage, r *Report) {
+	tid := core.TID
+	if core.Arch != v.Inventory.Arch {
+		r.add(InvCoreRegs, "core-%d.img is %v but inventory is %v", tid, core.Arch, v.Inventory.Arch)
 	}
 	if core.Arch == isa.SX86 {
 		// SX86 has 8 architectural registers; a live value recorded
@@ -299,51 +255,15 @@ func checkCore(d *decoded, tid int, core *image.CoreImage, r *Report) {
 			}
 		}
 	}
-	if !vmaCover(d.mm, core.Regs.PC, 0) {
+	if !vmaCover(v.MM, core.Regs.PC, 0) {
 		r.add(InvCorePC, "core-%d.img: pc 0x%x outside every vma", tid, core.Regs.PC)
 	}
 	if core.StackLow >= core.StackHigh {
 		r.add(InvCoreStack, "core-%d.img: stack [0x%x,0x%x) inverted", tid, core.StackLow, core.StackHigh)
-	} else if !vmaCover(d.mm, core.StackLow, core.StackHigh) {
+	} else if !vmaCover(v.MM, core.StackLow, core.StackHigh) {
 		r.add(InvCoreStack, "core-%d.img: stack [0x%x,0x%x) not covered by a vma",
 			tid, core.StackLow, core.StackHigh)
 	}
-}
-
-func sortedTIDs(cores map[int]*image.CoreImage) []int {
-	out := make([]int, 0, len(cores))
-	for tid := range cores {
-		out = append(out, tid)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// pagesOf expands a pagemap into per-class page address sets: in_parent
-// references, delta pages (XOR payloads needing older content), lazy
-// markers, and content pages (data, zero — anything an older link's
-// delta could be applied to).
-func pagesOf(pm *image.PagemapImage) (inParent, delta, lazy, content map[uint64]bool) {
-	inParent = make(map[uint64]bool)
-	delta = make(map[uint64]bool)
-	lazy = make(map[uint64]bool)
-	content = make(map[uint64]bool)
-	for _, en := range pm.Entries {
-		for i := uint32(0); i < en.NrPages; i++ {
-			addr := en.Vaddr + uint64(i)*mem.PageSize
-			switch {
-			case en.InParent:
-				inParent[addr] = true
-			case en.Delta:
-				delta[addr] = true
-			case en.Lazy:
-				lazy[addr] = true
-			default:
-				content[addr] = true
-			}
-		}
-	}
-	return inParent, delta, lazy, content
 }
 
 // Opts is empty: nothing about a verification is configurable. It and the
@@ -355,13 +275,16 @@ type Opts struct{}
 // directory about to be flattened/restored, where in_parent resolution is
 // someone else's job. This is the cheap pre-flight criu.Restore and the
 // migration receive paths run.
-func VerifyLink(dir *image.ImageDir) error {
-	var r Report
-	d := decode(dir, &r)
-	if d != nil {
-		checkStructure(d, &r)
+func VerifyLink(dir *image.ImageDir) error { return CheckLink(image.Open(dir)).Err() }
+
+// CheckLink is VerifyLink over a view the caller already opened — and goes
+// on to use — returning the full report.
+func CheckLink(v *image.View) *Report {
+	r := &Report{}
+	if _, ok := decode(v, r); ok {
+		checkStructure(v, r)
 	}
-	return r.Err()
+	return r
 }
 
 // VerifyLinkWith is VerifyLink.
@@ -370,23 +293,26 @@ func VerifyLinkWith(dir *image.ImageDir, _ Opts) error { return VerifyLink(dir) 
 // Verify checks a self-contained directory: VerifyLink plus the
 // address-space invariants and the requirement that no page claims to
 // live in a parent checkpoint (a lone directory has none).
-func Verify(dir *image.ImageDir) error {
-	var r Report
-	d := decode(dir, &r)
-	if d != nil {
-		checkStructure(d, &r)
-		checkAddressSpace(d, &r)
-		inParent, delta, _, _ := pagesOf(d.pm)
-		if len(inParent) > 0 {
+func Verify(dir *image.ImageDir) error { return Check(image.Open(dir)).Err() }
+
+// Check is Verify over a view the caller already opened — and goes on to
+// use — returning the full report.
+func Check(v *image.View) *Report {
+	r := &Report{}
+	if cores, ok := decode(v, r); ok {
+		checkStructure(v, r)
+		checkAddressSpace(v, cores, r)
+		n := v.Pagemap.Counts()
+		if n[image.PageParent] > 0 {
 			r.add(InvInParent, "%d in_parent pages with no parent directory to resolve them (verify the full chain, or flatten first)",
-				len(inParent))
+				n[image.PageParent])
 		}
-		if len(delta) > 0 {
+		if n[image.PageDelta] > 0 {
 			r.add(InvDeltaChain, "%d delta pages with no parent chain to apply them to (verify the full chain, or flatten first)",
-				len(delta))
+				n[image.PageDelta])
 		}
 	}
-	return r.Err()
+	return r
 }
 
 // VerifyWith is Verify.
@@ -406,74 +332,60 @@ func VerifyChain(chain []*image.ImageDir) error {
 		r.add(InvInParent, "empty chain")
 		return r.Err()
 	}
-	decs := make([]*decoded, len(chain))
-	for i, dir := range chain {
-		d := decode(dir, &r)
-		if d == nil {
-			r.add(InvImageDecode, "chain link %d undecodable; chain checks skipped", i)
-			return r.Err()
-		}
-		decs[i] = d
-		checkStructure(d, &r)
-	}
-	checkAddressSpace(decs[len(decs)-1], &r)
 	// Two monotone resolution sets: resolvedAny is every page some older
 	// link mentions with bytes-or-marker (content, delta, lazy) — what an
 	// in_parent reference needs; resolvedContent excludes lazy — what a
 	// delta's XOR needs, since a lazy page has no bytes to apply it to.
 	resolvedAny := make(map[uint64]bool)
 	resolvedContent := make(map[uint64]bool)
-	for i, d := range decs {
-		inParent, delta, lazy, content := pagesOf(d.pm)
-		if i == 0 {
-			if len(inParent) > 0 {
+	for i, dir := range chain {
+		v := image.Open(dir)
+		cores, ok := decode(v, &r)
+		if !ok {
+			r.add(InvImageDecode, "chain link %d undecodable; chain checks skipped", i)
+			return r.Err()
+		}
+		checkStructure(v, &r)
+		if i == len(chain)-1 {
+			checkAddressSpace(v, cores, &r)
+		}
+		if n := v.Pagemap.Counts(); i == 0 {
+			if n[image.PageParent] > 0 {
 				r.add(InvInParent, "root link has %d in_parent pages — the chain never terminates (cyclic or truncated)",
-					len(inParent))
+					n[image.PageParent])
 			}
-			if len(delta) > 0 {
+			if n[image.PageDelta] > 0 {
 				r.add(InvDeltaChain, "root link has %d delta pages — nothing older to apply the XOR to",
-					len(delta))
+					n[image.PageDelta])
 			}
-		} else {
-			for _, addr := range sortedAddrs(inParent) {
-				if !resolvedAny[addr] {
+		}
+		// A link's pages are distinct addresses (pagemap-order), so checking
+		// and recording page by page reads only what older links recorded.
+		v.Pagemap.EachPage(func(addr uint64, class image.PageClass) {
+			switch class {
+			case image.PageParent:
+				if i > 0 && !resolvedAny[addr] {
 					r.add(InvInParent, "link %d: page 0x%x marked in_parent but absent from every older link", i, addr)
 				}
-			}
-			for _, addr := range sortedAddrs(delta) {
-				if !resolvedContent[addr] {
+				return
+			case image.PageDelta:
+				if i > 0 && !resolvedContent[addr] {
 					r.add(InvDeltaChain, "link %d: delta page 0x%x has no content in any older link to apply the XOR to", i, addr)
 				}
+				// A (valid) delta resolves to content, so it pins content for
+				// the links above it.
 			}
-		}
-		for addr := range content {
 			resolvedAny[addr] = true
-			resolvedContent[addr] = true
-		}
-		for addr := range delta {
-			// A (valid) delta resolves to content, so it pins content for
-			// the links above it.
-			resolvedAny[addr] = true
-			resolvedContent[addr] = true
-		}
-		for addr := range lazy {
-			resolvedAny[addr] = true
-		}
+			if class != image.PageLazy {
+				resolvedContent[addr] = true
+			}
+		})
 	}
 	return r.Err()
 }
 
 // VerifyChainWith is VerifyChain.
 func VerifyChainWith(chain []*image.ImageDir, _ Opts) error { return VerifyChain(chain) }
-
-func sortedAddrs(set map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // VerifyMeta checks a binary's stack-map metadata for cross-ISA symbol
 // alignment: function address ranges are shared by construction (the

@@ -14,5 +14,5 @@ import (
 // rebuilt. The analysis itself is updatecheck's pass 3; it lives here so
 // restore-path callers get every pre-flight from one package.
 func VerifyTargetBinary(dir *image.ImageDir, b *updatecheck.Binary) error {
-	return updatecheck.VerifyImage(dir, b)
+	return updatecheck.CheckImage(image.Open(dir), b).Err()
 }

@@ -390,7 +390,7 @@ func diffGlobals(oldSyms, newSyms map[string]uint64) []Violation {
 // checkpointed against the old one under the *current* executor, which
 // transfers state by slot id with no mapping table: every function must
 // classify safe or identity-mappable, and the global layout must be
-// unchanged. This is the classifier behind core.UpdateCompatibility.
+// unchanged. This is the classifier core.LiveUpdatePolicy runs.
 func Compatible(oldB, newB *Binary) error {
 	d := Diff(oldB, newB)
 	r := &Report{}

@@ -1,20 +1,18 @@
 package updatecheck
 
 import (
-	"fmt"
-	"sort"
+	"errors"
 
 	"github.com/dapper-sim/dapper/internal/image"
-	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/stackmap"
 )
 
-// VerifyImage runs the image-vs-binary consistency pass (pass 3): every
-// thread PC and every stack return address in the checkpoint must
-// resolve against the *target* binary's metadata, catching version skew
-// (an image dumped against one binary, restored into an incompatible
-// one) before any state is rebuilt.
+// CheckImage runs the image-vs-binary consistency pass (pass 3) over an
+// open view: every thread PC and every stack return address in the
+// checkpoint must resolve against the *target* binary's metadata,
+// catching version skew (an image dumped against one binary, restored
+// into an incompatible one) before any state is rebuilt.
 //
 // The pass is deliberately layered under imgcheck: structural breakage
 // (missing or undecodable images) is imgcheck's jurisdiction and is not
@@ -23,39 +21,33 @@ import (
 // verdict rather than guessing. Threads not parked at an equivalence
 // point (plain mid-run dumps) get only the cheap PC checks; a full walk
 // needs the frame discipline that parking guarantees.
-func VerifyImage(dir *image.ImageDir, b *Binary) error {
-	return CheckImage(dir, b).Err()
-}
-
-// CheckImage is VerifyImage returning the full report.
-func CheckImage(dir *image.ImageDir, b *Binary) *Report {
+func CheckImage(v *image.View, b *Binary) *Report {
 	r := &Report{}
-	if b.Meta == nil {
+	if b.Meta == nil || v.Inventory == nil {
 		return r
 	}
-	raw, ok := dir.Get("inventory.img")
-	if !ok {
+	if v.Inventory.Arch != b.Arch {
+		r.add(InvImageArch, "image dumped as %v, target binary is %v", v.Inventory.Arch, b.Arch)
 		return r
 	}
-	inv, err := image.UnmarshalInventory(raw)
+	ps, err := v.PageSet()
 	if err != nil {
 		return r
 	}
-	if inv.Arch != b.Arch {
-		r.add(InvImageArch, "image dumped as %v, target binary is %v", inv.Arch, b.Arch)
-		return r
-	}
-	ps, err := image.LoadPageSet(dir)
-	if err != nil {
-		return r
-	}
-	res := newResolver(b)
-	for _, tid := range inv.TIDs {
-		raw, ok := dir.Get(fmt.Sprintf("core-%d.img", tid))
-		if !ok {
-			continue
+	// Each function of the target binary is decoded at most once, for the
+	// instruction-boundary checks; nil when the text is unavailable or
+	// broken (pass 1's jurisdiction).
+	decoded := make(map[string]*funcCode)
+	decode := func(f *stackmap.Func) *funcCode {
+		fc, ok := decoded[f.Name]
+		if !ok && len(b.Text) > 0 {
+			fc = decodeFunc(b, f, &Report{})
 		}
-		core, err := image.UnmarshalCore(raw)
+		decoded[f.Name] = fc
+		return fc
+	}
+	for _, tid := range v.Inventory.TIDs {
+		core, err := v.Core(tid)
 		if err != nil {
 			continue
 		}
@@ -63,178 +55,61 @@ func CheckImage(dir *image.ImageDir, b *Binary) *Report {
 			r.add(InvImageArch, "thread %d dumped as %v, target binary is %v", tid, core.Arch, b.Arch)
 			continue
 		}
-		checkThread(core, ps, res, r)
+		checkThread(core, ps, b, decode, r)
 	}
 	return r
 }
 
-// resolver holds the target binary's lookup tables, built locally so the
-// pass works on metadata whether or not Index was called, plus a lazy
-// per-function decode cache for instruction-boundary checks.
-type resolver struct {
-	b        *Binary
-	ai       int
-	abi      *isa.ABI
-	funcs    []*stackmap.Func // sorted by address
-	byTrapPC map[uint64]*stackmap.Site
-	byRet    map[uint64]*stackmap.Site
-	byName   map[string]*stackmap.Func
-	code     map[string]*funcCode
-}
-
-func newResolver(b *Binary) *resolver {
-	res := &resolver{
-		b:        b,
-		ai:       archIdx(b.Arch),
-		abi:      isa.ABIFor(b.Arch),
-		funcs:    append([]*stackmap.Func(nil), b.Meta.Funcs...),
-		byTrapPC: make(map[uint64]*stackmap.Site),
-		byRet:    make(map[uint64]*stackmap.Site),
-		byName:   make(map[string]*stackmap.Func),
-		code:     make(map[string]*funcCode),
-	}
-	sort.Slice(res.funcs, func(i, j int) bool { return res.funcs[i].Addr < res.funcs[j].Addr })
-	for _, f := range res.funcs {
-		res.byName[f.Name] = f
-		if f.EntrySite != nil {
-			res.byTrapPC[f.EntrySite.PCs[res.ai].TrapPC] = f.EntrySite
-		}
-		for _, s := range f.CallSites {
-			res.byRet[s.PCs[res.ai].RetAddr] = s
-		}
-	}
-	return res
-}
-
-func (res *resolver) funcByPC(pc uint64) *stackmap.Func {
-	i := sort.Search(len(res.funcs), func(i int) bool { return res.funcs[i].Addr+res.funcs[i].Size > pc })
-	if i < len(res.funcs) && pc >= res.funcs[i].Addr {
-		return res.funcs[i]
-	}
-	return nil
-}
-
-// decode returns the function's decoded body, or nil when the text is
-// unavailable or broken (pass 1's jurisdiction).
-func (res *resolver) decode(f *stackmap.Func) *funcCode {
-	if fc, ok := res.code[f.Name]; ok {
-		return fc
-	}
-	var fc *funcCode
-	if len(res.b.Text) > 0 {
-		fc = decodeFunc(res.b, f, &Report{})
-	}
-	res.code[f.Name] = fc
-	return fc
-}
+// errNoVerdict ends a stack walk at a word whose content is not in the
+// image at hand.
+var errNoVerdict = errors.New("stack word not locally available")
 
 // checkThread validates one thread: its PC must resolve in the target
 // binary, and — when it is parked at an entry equivalence point — its
-// whole stack must unwind through known call sites, exactly as
-// core.RewriteThread will attempt.
-func checkThread(core *image.CoreImage, ps *image.PageSet, res *resolver, r *Report) {
-	pc := core.Regs.PC
-	site, parked := res.byTrapPC[pc]
-	if !parked {
+// whole stack must unwind through known call sites. The walk is
+// stackmap.Unwind, the one core.RewriteThread runs, so what this pass
+// accepts the rewriter unwinds.
+func checkThread(core *image.CoreImage, ps *image.PageSet, b *Binary, decode func(*stackmap.Func) *funcCode, r *Report) {
+	meta, ai := b.Meta, stackmap.ArchIdx(b.Arch)
+	regs := core.Regs
+	if _, parked := meta.SiteByTrapPC(b.Arch, regs.PC); !parked {
 		// Restore nudges trapped threads forward to the checker start, so
 		// accept a resume PC as parked too.
-		for _, f := range res.funcs {
-			if f.EntrySite != nil && f.EntrySite.PCs[res.ai].ResumePC == pc {
-				site, parked = f.EntrySite, true
+		for _, f := range meta.Funcs {
+			if f.EntrySite != nil && f.EntrySite.PCs[ai].ResumePC == regs.PC {
+				regs.PC, parked = f.EntrySite.PCs[ai].TrapPC, true
 				break
 			}
 		}
-	}
-	if !parked {
-		f := res.funcByPC(pc)
-		if f == nil {
-			r.add(InvImagePC, "thread %d: pc 0x%x inside no function of the target binary", core.TID, pc)
-			return
-		}
-		if fc := res.decode(f); fc != nil && !fc.boundary(pc) {
-			r.add(InvImagePC, "thread %d: pc 0x%x off an instruction boundary of %s in the target binary",
-				core.TID, pc, f.Name)
-		}
-		// Not parked at an equivalence point: frames may be mid-call, so
-		// the strict walk does not apply.
-		return
-	}
-	if _, ok := res.byName[site.Func]; !ok {
-		r.add(InvImagePC, "thread %d: entry site at 0x%x names unknown function %q", core.TID, pc, site.Func)
-		return
-	}
-	threadExit, ok := res.byName["__thread_exit"]
-	if !ok {
-		return
-	}
-
-	// Stack walk, mirroring core.RewriteThread's unwind. A word the
-	// local page set cannot produce ends the walk without a verdict.
-	read := func(addr uint64) (uint64, bool) {
-		if addr < core.StackLow || addr+8 > core.StackHigh {
-			r.add(InvImageStack, "thread %d: stack walk reads 0x%x outside [0x%x,0x%x)",
-				core.TID, addr, core.StackLow, core.StackHigh)
-			return 0, false
-		}
-		base := addr / mem.PageSize * mem.PageSize
-		pg, have := ps.Pages[base]
-		switch {
-		case have && pg != nil && !ps.DeltaPages[base]:
-			off := addr % mem.PageSize
-			var v uint64
-			for i := 7; i >= 0; i-- {
-				v = v<<8 | uint64(pg[off+uint64(i)])
+		if !parked {
+			f, ok := meta.FuncByPC(regs.PC)
+			if !ok {
+				r.add(InvImagePC, "thread %d: pc 0x%x inside no function of the target binary", core.TID, regs.PC)
+			} else if fc := decode(f); fc != nil && !fc.boundary(regs.PC) {
+				r.add(InvImagePC, "thread %d: pc 0x%x off an instruction boundary of %s in the target binary",
+					core.TID, regs.PC, f.Name)
 			}
-			return v, true
-		case ps.ZeroPages[base]:
-			return 0, true
-		case ps.LazyPages[base] || ps.ParentPages[base] || (have && ps.DeltaPages[base]):
-			return 0, false // content not locally available; no verdict
-		default:
-			return 0, true // demand-zero stack page
+			// Not parked at an equivalence point: frames may be mid-call, so
+			// the strict walk does not apply.
+			return
 		}
 	}
 
-	var retaddr uint64
-	if res.abi.RetAddrOnStack {
-		sp := core.Regs.R[res.abi.SP]
-		if sp >= core.StackHigh {
-			return // __thread_exit after the trampoline RET: empty stack
+	// A word the local page set cannot produce ends the walk without a
+	// verdict; a stack page the image does not mention is demand-zero.
+	read := func(addr uint64) (uint64, error) {
+		if ps.Class(addr/mem.PageSize*mem.PageSize) == image.PageAbsent {
+			return 0, nil
 		}
-		v, ok := read(sp)
-		if !ok {
-			return
+		v, err := ps.ReadU64(addr)
+		if err != nil {
+			err = errNoVerdict
 		}
-		retaddr = v
-	} else {
-		retaddr = core.Regs.R[res.abi.LR]
+		return v, err
 	}
-	fp := core.Regs.R[res.abi.FP]
-	for depth := 0; ; depth++ {
-		if depth > 1<<16 {
-			r.add(InvImageStack, "thread %d: stack walk exceeds %d frames (corrupt frame chain)", core.TID, 1<<16)
-			return
-		}
-		if retaddr == threadExit.Addr {
-			return
-		}
-		csite, ok := res.byRet[retaddr]
-		if !ok {
-			r.add(InvImageStack, "thread %d: return address 0x%x matches no call site of the target binary",
-				core.TID, retaddr)
-			return
-		}
-		if csite.Func == "_start" {
-			return
-		}
-		next, ok := read(fp + 8)
-		if !ok {
-			return
-		}
-		nfp, ok := read(fp)
-		if !ok {
-			return
-		}
-		retaddr, fp = next, nfp
+	_, _, err := meta.Unwind(b.Arch, &regs, core.StackLow, core.StackHigh, read)
+	var refusal *stackmap.Refusal
+	if errors.As(err, &refusal) { // never unwind-pc: regs.PC is a trap PC by now
+		r.add(InvImageStack, "thread %d: %s in the target binary (%s)", core.TID, refusal.Detail, refusal.Name)
 	}
 }

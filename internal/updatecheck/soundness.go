@@ -2,6 +2,7 @@ package updatecheck
 
 import (
 	"github.com/dapper-sim/dapper/internal/isa"
+	"github.com/dapper-sim/dapper/internal/stackmap"
 )
 
 // VerifyBinary runs the stack-map soundness pass (pass 1) over one
@@ -18,7 +19,7 @@ func CheckBinary(b *Binary) *Report {
 	if b.Meta == nil {
 		return r
 	}
-	ai := archIdx(b.Arch)
+	ai := stackmap.ArchIdx(b.Arch)
 	abi := isa.ABIFor(b.Arch)
 
 	// Function entry addresses, for CALL target validation. Functions are
@@ -146,7 +147,7 @@ func checkEntrySite(fc *funcCode, ai int, abi *isa.ABI, r *Report) {
 // parameters: exactly one record per parameter, in slot-id order, each
 // locating the value in a valid machine register (or a frame slot whose
 // offset agrees with the slot table).
-func checkEntryLive(fc *funcCode, s *stackmapSite, ai int, abi *isa.ABI, r *Report) {
+func checkEntryLive(fc *funcCode, s *stackmap.Site, ai int, abi *isa.ABI, r *Report) {
 	f := fc.f
 	if len(s.Live) != f.NumParams {
 		r.add(InvEntryLive, "func %s: entry site has %d live records for %d parameters",
@@ -244,7 +245,7 @@ func checkSlots(fc *funcCode, ai int, r *Report) {
 func checkSlotAccess(fc *funcCode, ai int, abi *isa.ABI, r *Report) {
 	f := fc.f
 	// covers returns the slot containing [FP-off, FP-off+size).
-	covers := func(off, size int64) *stackmapSlot {
+	covers := func(off, size int64) *stackmap.Slot {
 		for i := range f.Slots {
 			s := &f.Slots[i]
 			if off <= s.Off[ai] && off-size >= s.Off[ai]-s.Size {
@@ -341,7 +342,7 @@ func checkPtrAgreement(fc *funcCode, r *Report) {
 	f := fc.f
 	sites := f.CallSites
 	if f.EntrySite != nil {
-		sites = append([]*stackmapSite{f.EntrySite}, sites...)
+		sites = append([]*stackmap.Site{f.EntrySite}, sites...)
 	}
 	for _, s := range sites {
 		for _, lv := range s.Live {

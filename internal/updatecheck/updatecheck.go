@@ -21,7 +21,7 @@
 //     mappable; a machine-readable slot-mapping table is emitted for an
 //     OSR-style executor), or blocking (arity, live-set, or
 //     global-layout change in a frame that may be live).
-//   - Image consistency (VerifyImage): a checkpoint's thread PCs and
+//   - Image consistency (CheckImage): a checkpoint's thread PCs and
 //     stack return addresses must resolve to known sites of the *target*
 //     binary, so restore/migrate/clone pre-flights catch version skew
 //     before any state is rebuilt.
@@ -38,8 +38,6 @@ import (
 	"strings"
 
 	"github.com/dapper-sim/dapper/internal/isa"
-	"github.com/dapper-sim/dapper/internal/isa/sarm"
-	"github.com/dapper-sim/dapper/internal/isa/sx86"
 	"github.com/dapper-sim/dapper/internal/stackmap"
 )
 
@@ -48,20 +46,20 @@ import (
 // broke.
 const (
 	// Soundness (pass 1).
-	InvTextRange    = "text-range"    // function range outside the text section
-	InvTextDecode   = "text-decode"   // function body fails to decode
-	InvSiteRange    = "site-range"    // site PC outside its function's range
-	InvTrapOp       = "trap-op"       // entry TrapPC does not decode to a TRAP instruction
-	InvEntryChecker = "entry-checker" // function entry missing the equivalence-point checker pattern
-	InvEntryLive    = "entry-live"    // entry live set inconsistent with the declared parameters
-	InvRetSite      = "ret-site"      // call-site return address not immediately after a CALL
-	InvBranchRange  = "branch-range"  // branch target outside the function or off an instruction boundary
-	InvCallTarget   = "call-target"   // CALL target is not a known function entry
+	InvTextRange    = "text-range"     // function range outside the text section
+	InvTextDecode   = "text-decode"    // function body fails to decode
+	InvSiteRange    = "site-range"     // site PC outside its function's range
+	InvTrapOp       = "trap-op"        // entry TrapPC does not decode to a TRAP instruction
+	InvEntryChecker = "entry-checker"  // function entry missing the equivalence-point checker pattern
+	InvEntryLive    = "entry-live"     // entry live set inconsistent with the declared parameters
+	InvRetSite      = "ret-site"       // call-site return address not immediately after a CALL
+	InvBranchRange  = "branch-range"   // branch target outside the function or off an instruction boundary
+	InvCallTarget   = "call-target"    // CALL target is not a known function entry
 	InvSiteReach    = "site-reachable" // equivalence-point site unreachable from function entry
-	InvSlotRange    = "slot-range"    // slot outside the frame's locals area, or overlapping a sibling
-	InvSlotAccess   = "slot-access"   // live-value location disagrees with the frame accesses in the code
-	InvPtrAgree     = "ptr-agree"     // live-value pointer flag disagrees with its slot
-	InvQuiescence   = "quiescence"    // a reachable cycle that can spin without crossing a site
+	InvSlotRange    = "slot-range"     // slot outside the frame's locals area, or overlapping a sibling
+	InvSlotAccess   = "slot-access"    // live-value location disagrees with the frame accesses in the code
+	InvPtrAgree     = "ptr-agree"      // live-value pointer flag disagrees with its slot
+	InvQuiescence   = "quiescence"     // a reachable cycle that can spin without crossing a site
 
 	// Cross-version diff (pass 2).
 	InvFuncRemoved   = "func-removed"   // update removes a function
@@ -115,25 +113,11 @@ func (r *Report) Err() error {
 	return fmt.Errorf("%d update invariants violated: %s", len(r.Violations), strings.Join(msgs, "; "))
 }
 
-// Binary is the view of a compiled binary the checker consumes. It is a
-// strict subset of compiler.Binary so every caller that holds one can
-// build this with a field-for-field literal — the package deliberately
-// does not import the compiler, which keeps it usable from core, criu,
-// imgcheck, and fleet without cycles.
-type Binary struct {
-	Arch    isa.Arch
-	Text    []byte
-	Symbols map[string]uint64
-	Meta    *stackmap.Metadata
-}
-
-// coderFor mirrors compiler.CoderFor without the import.
-func coderFor(a isa.Arch) isa.Coder {
-	if a == isa.SX86 {
-		return sx86.Coder{}
-	}
-	return sarm.Coder{}
-}
+// Binary is the compiled binary the checker consumes: the compiler's own
+// type, declared in stackmap so that this package — used from core, criu,
+// imgcheck and fleet — takes what they hold without importing the
+// compiler. The passes read Arch, Text, Symbols and Meta.
+type Binary = stackmap.Binary
 
 // funcCode is one function's linearly decoded body: the aligned layout
 // pads every function with NOPs, so a linear sweep from the entry covers
@@ -155,7 +139,7 @@ func decodeFunc(b *Binary, f *stackmap.Func, r *Report) *funcCode {
 		return nil
 	}
 	hi := f.Addr + f.Size - isa.TextBase
-	coder := coderFor(b.Arch)
+	coder := stackmap.CoderFor(b.Arch)
 	fc := &funcCode{f: f, idx: make(map[uint64]int)}
 	for pc := f.Addr; pc < f.Addr+f.Size; {
 		in, err := coder.Decode(b.Text[pc-isa.TextBase:hi], pc)
@@ -282,11 +266,3 @@ func (fc *funcCode) reachesProgress() []bool {
 	}
 	return ok
 }
-
-func archIdx(a isa.Arch) int { return stackmap.ArchIdx(a) }
-
-// Local aliases keep the checkers readable.
-type (
-	stackmapSite = stackmap.Site
-	stackmapSlot = stackmap.Slot
-)
