@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/criu"
-	"github.com/dapper-sim/dapper/internal/imgcheck"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/obs"
 	"github.com/dapper-sim/dapper/internal/registry"
@@ -34,7 +33,7 @@ type CloneResult struct {
 
 // CloneFromRegistry restores one stored checkpoint onto every target
 // node — the serverless-style warm-start fan-out. The manifest chain is
-// pulled and flattened once, pre-flighted once with imgcheck, and then
+// pulled once, verified link by link as it is flattened, and then
 // restored N times with copy-on-write page installation: all clones
 // share one set of resident page frames (kernel.FrameCache) until a
 // clone's first write to a page privatizes its copy.
@@ -52,16 +51,12 @@ func CloneFromRegistry(store *registry.Store, manifest string, targets []*Node, 
 	if err != nil {
 		return nil, fmt.Errorf("cluster: clone: %w", err)
 	}
-	dir := chain[len(chain)-1]
-	if len(chain) > 1 {
-		if dir, err = criu.FlattenChain(chain); err != nil {
-			return nil, fmt.Errorf("cluster: clone flatten: %w", err)
-		}
-	}
 	// Pre-flight once for the whole fan-out: every chunk was re-hashed
-	// inside Pull, and the materialized image must satisfy every static
-	// invariant before it is installed anywhere.
-	if err := imgcheck.Verify(dir); err != nil {
+	// inside Pull, but the store checks nothing about a chain, so every link
+	// (a lone checkpoint is a chain of one) must satisfy every static
+	// invariant before what it flattens to is installed anywhere.
+	dir, err := criu.FlattenChain(chain)
+	if err != nil {
 		return nil, fmt.Errorf("cluster: clone pre-flight: %w", err)
 	}
 	res := &CloneResult{

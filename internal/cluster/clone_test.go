@@ -1,10 +1,15 @@
 package cluster_test
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/imgcheck"
 	"github.com/dapper-sim/dapper/internal/monitor"
 	"github.com/dapper-sim/dapper/internal/obs"
 	"github.com/dapper-sim/dapper/internal/registry"
@@ -86,5 +91,51 @@ func TestCloneFanOut(t *testing.T) {
 	}
 	if got := reg.Counter("clone.count").Value(); got != n {
 		t.Errorf("clone.count = %d, want %d", got, n)
+	}
+}
+
+// TestCloneRefusesDamagedChain: the store checks nothing about a chain, so
+// a pulled one is verified link by link as it is flattened. The corpus's
+// skipped-in_parent chain — every link sound on its own, link 2 deferring
+// to a page link 1 dropped — used to reach the flattener unverified; now
+// the clone is refused by invariant name before any target restores.
+func TestCloneRefusesDamagedChain(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "imgcheck", "testdata", "skipped_in_parent.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var docs []json.RawMessage
+	if err := json.Unmarshal(data, &docs); err != nil {
+		t.Fatal(err)
+	}
+	store, err := registry.Open(t.TempDir(), registry.Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = store.Close() }() // read-side close; nothing to flush
+	parent := ""
+	for i, raw := range docs {
+		link, err := criu.EncodeJSON(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := imgcheck.VerifyLink(link); err != nil {
+			t.Fatalf("link %d is not sound on its own: %v", i, err)
+		}
+		manifest, _, err := store.Push(link, registry.PushOpts{Parent: parent})
+		if err != nil {
+			t.Fatalf("push link %d: %v", i, err)
+		}
+		parent = manifest.ID
+	}
+	targets := []*cluster.Node{cluster.NewNode(cluster.XeonSpec), cluster.NewNode(cluster.XeonSpec)}
+	_, err = cluster.CloneFromRegistry(store, parent, targets, cluster.CloneOpts{})
+	if err == nil || !strings.Contains(err.Error(), imgcheck.InvInParent) {
+		t.Fatalf("clone of the damaged chain: err %v, want a refusal naming %s", err, imgcheck.InvInParent)
+	}
+	for i, node := range targets {
+		if n := node.K.Live(); n != 0 {
+			t.Errorf("target %d adopted %d processes", i, n)
+		}
 	}
 }

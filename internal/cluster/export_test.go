@@ -1,6 +1,13 @@
 package cluster
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/dapper-sim/dapper/internal/imgcheck"
+	"github.com/dapper-sim/dapper/internal/kernel"
+	"github.com/dapper-sim/dapper/internal/monitor"
+	"github.com/dapper-sim/dapper/internal/stackmap"
+)
 
 // MalformedStreams exposes the malformed-transfer corpus to the external
 // test package, so the receiver-level test drives the same cases as the
@@ -21,4 +28,21 @@ func DisabledStageAllocs() float64 {
 	return testing.AllocsPerRun(100, func() {
 		_ = m.stage("criu.dump", func() error { n++; return nil })
 	})
+}
+
+// PreCopyForgettingChain runs Migrate's pre-copy composition, and its
+// clean-up of a failed one, with a destination that loses — while the
+// source runs between rounds — every link it had received: the next
+// round's link arrives at an empty chain. Nothing a source can dump makes
+// a link fail to fold, so this is how a test gets a refused round.
+func PreCopyForgettingChain(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts MigrateOpts) error {
+	pc := *opts.PreCopy
+	opts.PreCopy, opts.MaxPauses = &pc, 1<<20
+	m := &migration{src: src, dst: dst, p: p, opts: opts, mon: monitor.New(src.K, p, meta), recodeNode: fasterNode(src, dst)}
+	pc.BetweenRounds = func(*kernel.Process, int) { m.chain = imgcheck.Chain{} }
+	_, err := m.preCopy()
+	if err != nil {
+		p.StopDirtyTracking()
+	}
+	return err
 }

@@ -23,8 +23,8 @@ import (
 //
 //	vanilla   checkpoint → recode → verifyTarget → ship → restore → finish
 //	lazy      the same on a lazy dump, then servePostCopy
-//	pre-copy  {checkpoint → ship → verify link}* → verify chain → flatten
-//	          → recode → restore → finish            (precopy.go)
+//	pre-copy  {checkpoint → ship → verify and fold link}* → verify newest
+//	          → flatten → recode → restore → finish  (precopy.go)
 //
 // The stages are methods on one per-call struct, composed by plain calls:
 // the modes differ in order and one of them loops, which a call sequence
@@ -56,6 +56,8 @@ type migration struct {
 	// what each round's re-dirtied pages are XOR-encoded against,
 	// advanced with every dump.
 	base *criu.PageSet
+	// chain is the pre-copy destination's: every link received, folded.
+	chain imgcheck.Chain
 }
 
 type roundCost struct{ ck, xfer, recode time.Duration }

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
+	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/imgcheck"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/monitor"
 	"github.com/dapper-sim/dapper/internal/obs"
@@ -298,28 +300,78 @@ func TestPreCopyFailureStopsDirtyTracking(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "restore") {
 				t.Fatalf("migration to a node without the binary: err %v, want a restore refusal", err)
 			}
-			if kp.p.AS.DirtyTracking() {
-				t.Error("soft-dirty tracking still armed on the source after the failure")
-			}
-			if n := bare.K.Live(); n != 0 {
-				t.Errorf("%d processes left on the destination", n)
-			}
-			if err := monitor.New(xeon.K, kp.p, pair.Meta).ResumeLocal(); err != nil {
-				t.Fatal(err)
-			}
-			if err := xeon.K.Run(kp.p); err != nil {
-				t.Fatal(err)
-			}
-			if got := kp.p.ConsoleString(); got != kp.nativeOut {
-				t.Errorf("resumed source printed %q, want the native %q", got, kp.nativeOut)
-			}
-			deadline := time.Now().Add(2 * time.Second)
-			for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > goroutines {
-				t.Errorf("%d goroutines after the failure, %d before", n, goroutines)
-			}
+			handedBack(t, xeon, bare, kp, pair, goroutines)
 		})
 	}
+}
+
+// handedBack is what every failed pre-copy owes its caller: the source
+// with soft-dirty tracking off, resumable to the native output; nothing on
+// the destination; and no goroutine — the image receiver's, over TCP —
+// beyond the count taken before the migration.
+func handedBack(t *testing.T, src, dst *cluster.Node, kp *kernelProc, pair *compiler.Pair, goroutines int) {
+	t.Helper()
+	if kp.p.AS.DirtyTracking() {
+		t.Error("soft-dirty tracking still armed on the source after the failure")
+	}
+	if n := dst.K.Live(); n != 0 {
+		t.Errorf("%d processes left on the destination", n)
+	}
+	if err := monitor.New(src.K, kp.p, pair.Meta).ResumeLocal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.K.Run(kp.p); err != nil {
+		t.Fatal(err)
+	}
+	if got := kp.p.ConsoleString(); got != kp.nativeOut {
+		t.Errorf("resumed source printed %q, want the native %q", got, kp.nativeOut)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines after the failure, %d before", n, goroutines)
+	}
+}
+
+// TestPreCopyRefusedLinkHandsBack: the two refusals a link can meet on the
+// destination leave the same state behind as a failed restore does. A
+// round whose link does not fold — here because the destination lost the
+// chain it had, so round 1's in_parent pages have nothing older — is
+// refused inside that round by inparent-chain; a final link whose address
+// space does not check — an sx86 core with a value beyond its eight
+// registers, planted in the running source — is refused in the downtime
+// window's verify by core-regs. Both over TCP, where the refusal must not
+// strand the receiver.
+func TestPreCopyRefusedLinkHandsBack(t *testing.T) {
+	t.Run("round", func(t *testing.T) {
+		xeon, pi, pair, kp := heapSetup(t, 4)
+		goroutines := runtime.NumGoroutine()
+		err := cluster.PreCopyForgettingChain(xeon, pi, kp.p, pair.Meta, cluster.MigrateOpts{
+			PreCopy: &cluster.PreCopyOpts{RoundBudget: kp.native/20 + 1, TCP: true}, Delta: true,
+		})
+		if err == nil || !strings.Contains(err.Error(), "round 1: imgcheck.verify") || !strings.Contains(err.Error(), imgcheck.InvInParent) {
+			t.Fatalf("err %v, want round 1's verify refusing by %s", err, imgcheck.InvInParent)
+		}
+		handedBack(t, xeon, pi, kp, pair, goroutines)
+	})
+	t.Run("newest", func(t *testing.T) {
+		xeon, pi, pair, kp := heapSetup(t, 4)
+		goroutines := runtime.NumGoroutine()
+		_, err := cluster.Migrate(xeon, pi, kp.p, pair.Meta, cluster.MigrateOpts{
+			PreCopy: &cluster.PreCopyOpts{RoundBudget: kp.native/20 + 1, TCP: true, BetweenRounds: func(p *kernel.Process, _ int) {
+				for _, th := range p.Threads {
+					th.Regs.R[12] = 7 // sx86 code never reads or writes it
+				}
+			}},
+		})
+		if err == nil || !strings.Contains(err.Error(), "imgcheck.verify") || !strings.Contains(err.Error(), imgcheck.InvCoreRegs) {
+			t.Fatalf("err %v, want the final verify refusing by %s", err, imgcheck.InvCoreRegs)
+		}
+		if strings.Contains(err.Error(), "round") {
+			t.Errorf("refused inside a round, want the downtime window: %v", err)
+		}
+		handedBack(t, xeon, pi, kp, pair, goroutines)
+	})
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/image"
-	"github.com/dapper-sim/dapper/internal/imgcheck"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
 )
@@ -17,8 +16,8 @@ import (
 // iterative rounds — a full incremental-capable dump first, then only the
 // pages dirtied since the previous round (soft-dirty tracking + in_parent
 // images) — and pauses only for the final small delta. The destination
-// flattens the received chain, recodes it, and restores; downtime shrinks
-// from "copy everything" to "copy the last round's working set".
+// folds each link into one chain as it arrives, then recodes and restores;
+// downtime shrinks from "copy everything" to "copy the last round's set".
 
 // Pre-copy convergence rules: at most maxPreCopyRounds checkpoints
 // including the final stop-and-copy delta; stop once a round's delta is
@@ -70,25 +69,23 @@ func (m *migration) preCopy() (*MigrationResult, error) {
 		}); err != nil {
 			return nil, err
 		}
-		// Teardown after the chain is flattened and restored: at that
-		// point a receiver close failure cannot lose migration data.
+		// Teardown on every way out, and on success after the chain is
+		// restored: a receiver close failure can then lose no data.
 		defer func() { _ = m.recv.Close() }()
 	}
 	bd := &m.bd
 
-	var chain []*criu.ImageDir // destination-side copies, oldest first
-	var parent *criu.ImageDir  // source-side previous dump
+	var parent *criu.ImageDir // source-side previous dump
 	prevPages := -1
 	idle := false
 	for round := 0; ; round++ {
 		window := m.host.StartChild("round")
 		m.at = window
-		dir, got, n, err := m.shipRound(parent)
+		dir, n, err := m.shipRound(parent)
 		if err != nil {
 			return nil, fmt.Errorf("pre-copy round %d: %w", round, err)
 		}
 		dataPages := criu.DumpedPages(dir)
-		chain = append(chain, got)
 		parent = dir
 		bd.RoundBytes = append(bd.RoundBytes, n)
 		ck := CheckpointTime(dir.Size())
@@ -129,21 +126,23 @@ func (m *migration) preCopy() (*MigrationResult, error) {
 		}
 	}
 
-	// Final delta in hand and the source still paused: verify the chain
-	// end to end (in_parent resolvability, acyclicity), then flatten it
-	// on the destination, recode, restore.
-	if err := m.stage("imgcheck.verify", func() error { return imgcheck.VerifyChain(chain) }); err != nil {
+	// Final delta in hand, folded like every link before it, the source
+	// still paused: what is left of verifying the chain is the newest link's
+	// address space, and of flattening it a store. Then recode, restore.
+	if err := m.stage("imgcheck.verify", m.chain.Verify); err != nil {
 		return nil, err
 	}
 	var flat *criu.ImageDir
 	if err := m.stage("criu.flatten", func() (err error) {
-		flat, err = criu.FlattenChain(chain)
+		flat, err = m.chain.Flatten()
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	if err := m.recode(image.Open(flat)); err != nil {
-		return nil, err
+	if m.src.Spec.Arch != m.dst.Spec.Arch || m.opts.Shuffle {
+		if err := m.recode(image.Open(flat)); err != nil {
+			return nil, err
+		}
 	}
 	// Earlier rounds were recoded as they streamed in (PreCopyTime); the
 	// pause pays the per-image stack rewrite plus the final delta's pages.
@@ -159,15 +158,15 @@ func (m *migration) preCopy() (*MigrationResult, error) {
 }
 
 // shipRound is the part every pre-copy window shares: checkpoint the
-// source against the previous round's dump, ship the images, and verify
-// the link the destination received.
-func (m *migration) shipRound(parent *criu.ImageDir) (dir, got *criu.ImageDir, wire uint64, err error) {
+// source against the previous round's dump, ship the images, and push the
+// link the destination received into its chain.
+func (m *migration) shipRound(parent *criu.ImageDir) (dir *criu.ImageDir, wire uint64, err error) {
 	dopts := criu.DumpOpts{Parent: parent, TrackMem: true}
 	if m.opts.Delta && parent != nil {
 		dopts.DeltaBase = m.base
 	}
 	if dir, err = m.checkpoint(dopts); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	if m.opts.Delta {
 		// Fold this round into the resolved chain content so the next
@@ -176,17 +175,18 @@ func (m *migration) shipRound(parent *criu.ImageDir) (dir, got *criu.ImageDir, w
 			m.base, err = criu.AdvanceBase(m.base, dir)
 			return err
 		}); err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
 	}
-	if got, wire, err = m.ship(dir); err != nil {
-		return nil, nil, 0, err
+	got, wire, err := m.ship(dir)
+	if err != nil {
+		return nil, 0, err
 	}
-	// Each received link is verified on arrival, so a checkpoint corrupted
-	// in transit fails this round — with the invariant named — instead of
-	// poisoning the flatten after the final pause.
-	err = m.stage("imgcheck.verify", func() error { return imgcheck.VerifyLink(got) })
-	return dir, got, wire, err
+	// Each received link is verified — structure, then every page against
+	// the chain so far — and folded on arrival, over one view: a checkpoint
+	// corrupted in transit fails this round, with the invariant named.
+	err = m.stage("imgcheck.verify", func() error { return m.chain.Push(image.Open(got)) })
+	return dir, wire, err
 }
 
 // runBetweenRounds lets the resumed source run its between-round budget

@@ -9,74 +9,23 @@ import (
 	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
-	"github.com/dapper-sim/dapper/internal/monitor"
 	"github.com/dapper-sim/dapper/internal/obs"
 )
 
-// buildDeltaChain is buildChain with XOR-delta encoding threaded through:
-// each incremental dump XORs re-dirtied pages against the chain's resolved
-// content, maintained round-over-round with AdvanceBase. It returns the
-// chain, the still-paused process, and the dump telemetry.
+// buildDeltaChain is buildChain with XOR-delta encoding threaded through
+// (dumpChain with delta set). It returns the chain, the still-paused
+// process, and the dump telemetry.
 func buildDeltaChain(t *testing.T, src string, arch isa.Arch, rounds int, budget uint64) ([]*criu.ImageDir, *kernel.Process, *obs.Registry) {
 	t.Helper()
-	pair, err := compiler.Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := kernel.New(kernel.Config{Cores: 2, Quantum: 97})
-	p, err := k.StartProcess(pair.ByArch(arch).LoadSpec("/bin/inc." + arch.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.RunBudget(p, budget); err != nil {
-		t.Fatal(err)
-	}
-	mon := monitor.New(k, p, pair.Meta)
-	if err := mon.Pause(1 << 20); err != nil {
-		t.Fatalf("pause 0: %v", err)
-	}
-	reg := obs.New()
-	full, err := criu.Dump(p, criu.DumpOpts{TrackMem: true, Obs: reg})
-	if err != nil {
-		t.Fatalf("base dump: %v", err)
-	}
-	base, err := criu.AdvanceBase(nil, full)
-	if err != nil {
-		t.Fatalf("base advance: %v", err)
-	}
-	chain := []*criu.ImageDir{full}
-	for r := 1; r <= rounds; r++ {
-		if err := mon.ResumeLocal(); err != nil {
-			t.Fatalf("resume %d: %v", r, err)
-		}
-		alive, err := k.RunBudget(p, budget)
-		if err != nil {
-			t.Fatalf("run %d: %v", r, err)
-		}
-		if !alive {
-			t.Fatalf("program finished before round %d; shrink the budget", r)
-		}
-		if err := mon.Pause(1 << 20); err != nil {
-			t.Fatalf("pause %d: %v", r, err)
-		}
-		delta, err := criu.Dump(p, criu.DumpOpts{
-			Parent: chain[len(chain)-1], TrackMem: true, DeltaBase: base, Obs: reg,
-		})
-		if err != nil {
-			t.Fatalf("delta dump %d: %v", r, err)
-		}
-		if base, err = criu.AdvanceBase(base, delta); err != nil {
-			t.Fatalf("advance %d: %v", r, err)
-		}
-		chain = append(chain, delta)
-	}
-	return chain, p, reg
+	return dumpChain(t, src, arch, rounds, budget, true, nil)
 }
 
 // TestDeltaChainMatchesFullDump is the delta-encoding property test: a
 // chain dumped with XOR deltas must flatten to exactly the pages a single
 // full dump of the final state holds — the deltas are a pure wire
-// encoding, invisible after FlattenChain.
+// encoding, invisible after FlattenChain — and every prefix of it to what a
+// full dump at its pause holds, which is also the base the next round's
+// deltas were encoded against (everyPrefix).
 func TestDeltaChainMatchesFullDump(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -93,7 +42,7 @@ func TestDeltaChainMatchesFullDump(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			chain, p, reg := buildDeltaChain(t, tc.src, tc.arch, tc.rounds, tc.budget)
+			chain, p, reg := dumpChain(t, tc.src, tc.arch, tc.rounds, tc.budget, true, everyPrefix(t))
 			// The dense writer re-dirties the same window every round, so a
 			// chain that never emitted a delta page means the encoder is
 			// dead and this test is vacuous.
@@ -108,21 +57,7 @@ func TestDeltaChainMatchesFullDump(t *testing.T) {
 			if err != nil {
 				t.Fatalf("flatten: %v", err)
 			}
-			want := resolvedPages(t, full)
-			got := resolvedPages(t, flat)
-			if len(got) != len(want) {
-				t.Errorf("flattened delta chain resolves %d pages, full dump has %d", len(got), len(want))
-			}
-			for a, w := range want {
-				g, ok := got[a]
-				if !ok {
-					t.Errorf("page 0x%x missing from flattened delta chain", a)
-					continue
-				}
-				if !bytes.Equal(g, w) {
-					t.Errorf("page 0x%x differs between delta chain and full dump", a)
-				}
-			}
+			samePages(t, "the flattened delta chain", resolvedPages(t, flat), resolvedPages(t, full))
 		})
 	}
 }

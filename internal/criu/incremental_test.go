@@ -9,10 +9,13 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
+	"github.com/dapper-sim/dapper/internal/imgcheck"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/monitor"
+	"github.com/dapper-sim/dapper/internal/obs"
 )
 
 // denseWriter keeps rewriting a sliding window of a big array; sparseWriter
@@ -57,10 +60,15 @@ func main() {
 	printi(sum);
 }`
 
-// buildChain runs the program in budget slices, taking a TrackMem full dump
-// first and an incremental dump (Parent = previous) after each slice. It
-// returns the chain plus the still-paused process and its monitor.
-func buildChain(t *testing.T, src string, arch isa.Arch, rounds int, budget uint64) ([]*criu.ImageDir, *kernel.Process) {
+// dumpChain runs the program in budget slices, taking a TrackMem full dump
+// first and an incremental dump (Parent = previous) after each slice; with
+// delta, each incremental dump XORs re-dirtied pages against the chain's
+// resolved content, maintained round over round with AdvanceBase. each, if
+// set, sees every link at its pause — the process still stopped there —
+// with that base as advanced over the link (nil without delta). It returns
+// the chain, the still-paused process and the dump telemetry.
+func dumpChain(t *testing.T, src string, arch isa.Arch, rounds int, budget uint64, delta bool,
+	each func(i int, p *kernel.Process, link *criu.ImageDir, base *criu.PageSet)) ([]*criu.ImageDir, *kernel.Process, *obs.Registry) {
 	t.Helper()
 	pair, err := compiler.Compile(src)
 	if err != nil {
@@ -75,50 +83,59 @@ func buildChain(t *testing.T, src string, arch isa.Arch, rounds int, budget uint
 		t.Fatal(err)
 	}
 	mon := monitor.New(k, p, pair.Meta)
-	if err := mon.Pause(1 << 20); err != nil {
-		t.Fatalf("pause 0: %v", err)
-	}
-	base, err := criu.Dump(p, criu.DumpOpts{TrackMem: true})
-	if err != nil {
-		t.Fatalf("base dump: %v", err)
-	}
-	chain := []*criu.ImageDir{base}
-	for r := 1; r <= rounds; r++ {
-		if err := mon.ResumeLocal(); err != nil {
-			t.Fatalf("resume %d: %v", r, err)
-		}
-		alive, err := k.RunBudget(p, budget)
-		if err != nil {
-			t.Fatalf("run %d: %v", r, err)
-		}
-		if !alive {
-			t.Fatalf("program finished before round %d; shrink the budget", r)
+	reg := obs.New()
+	var chain []*criu.ImageDir
+	var base *criu.PageSet
+	for r := 0; r <= rounds; r++ {
+		if r > 0 {
+			if err := mon.ResumeLocal(); err != nil {
+				t.Fatalf("resume %d: %v", r, err)
+			}
+			alive, err := k.RunBudget(p, budget)
+			if err != nil {
+				t.Fatalf("run %d: %v", r, err)
+			}
+			if !alive {
+				t.Fatalf("program finished before round %d; shrink the budget", r)
+			}
 		}
 		if err := mon.Pause(1 << 20); err != nil {
 			t.Fatalf("pause %d: %v", r, err)
 		}
-		delta, err := criu.Dump(p, criu.DumpOpts{Parent: chain[len(chain)-1], TrackMem: true})
-		if err != nil {
-			t.Fatalf("delta dump %d: %v", r, err)
+		opts := criu.DumpOpts{TrackMem: true, Obs: reg}
+		if r > 0 {
+			opts.Parent, opts.DeltaBase = chain[r-1], base
 		}
-		chain = append(chain, delta)
+		link, err := criu.Dump(p, opts)
+		if err != nil {
+			t.Fatalf("dump %d: %v", r, err)
+		}
+		if delta {
+			if base, err = criu.AdvanceBase(base, link); err != nil {
+				t.Fatalf("advance %d: %v", r, err)
+			}
+		}
+		chain = append(chain, link)
+		if each != nil {
+			each(r, p, link, base)
+		}
 	}
+	return chain, p, reg
+}
+
+// buildChain is a plain incremental chain from dumpChain.
+func buildChain(t *testing.T, src string, arch isa.Arch, rounds int, budget uint64) ([]*criu.ImageDir, *kernel.Process) {
+	t.Helper()
+	chain, p, _ := dumpChain(t, src, arch, rounds, budget, false, nil)
 	return chain, p
 }
 
-// resolvedPages flattens a self-contained directory's page view: data pages
-// by content, zero pages as zero content.
-func resolvedPages(t *testing.T, dir *criu.ImageDir) map[uint64][]byte {
+// statePages is a resolved page set's content by address: data pages by
+// content, zero pages as zero content.
+func statePages(t *testing.T, ps *criu.PageSet) map[uint64][]byte {
 	t.Helper()
-	ps, err := criu.LoadPageSet(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps.ParentPages) > 0 {
-		t.Fatalf("directory still has %d in_parent pages", len(ps.ParentPages))
-	}
-	if len(ps.LazyPages) > 0 {
-		t.Fatalf("unexpected lazy pages: %d", len(ps.LazyPages))
+	if n := len(ps.ParentPages) + len(ps.DeltaPages) + len(ps.LazyPages); n > 0 {
+		t.Fatalf("%d in_parent, delta or lazy pages in what should be resolved content", n)
 	}
 	zero := make([]byte, mem.PageSize)
 	out := make(map[uint64][]byte, len(ps.Pages)+len(ps.ZeroPages))
@@ -131,10 +148,69 @@ func resolvedPages(t *testing.T, dir *criu.ImageDir) map[uint64][]byte {
 	return out
 }
 
+// resolvedPages is statePages of a self-contained directory.
+func resolvedPages(t *testing.T, dir *criu.ImageDir) map[uint64][]byte {
+	t.Helper()
+	ps, err := criu.LoadPageSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return statePages(t, ps)
+}
+
+// samePages requires got to hold exactly want's pages with want's content.
+func samePages(t *testing.T, what string, got, want map[uint64][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s resolves %d pages, the full dump has %d", what, len(got), len(want))
+	}
+	for a, w := range want {
+		if g, ok := got[a]; !ok {
+			t.Errorf("page 0x%x missing from %s", a, what)
+		} else if !bytes.Equal(g, w) {
+			t.Errorf("page 0x%x differs between %s and the full dump", a, what)
+		}
+	}
+}
+
+// everyPrefix is the dumpChain callback behind the two MatchesFullDump
+// tests: at each pause it takes a full dump and requires the chain pushed
+// so far — the fold's definition of "the chain as of link i" — and
+// AdvanceBase's set after the same link to equal it page for page. A plain
+// chain passes no base, so it is advanced here.
+func everyPrefix(t *testing.T) func(int, *kernel.Process, *criu.ImageDir, *criu.PageSet) {
+	var pushed imgcheck.Chain
+	var own *criu.PageSet
+	return func(i int, p *kernel.Process, link *criu.ImageDir, base *criu.PageSet) {
+		t.Helper()
+		full, err := criu.Dump(p, criu.DumpOpts{})
+		if err != nil {
+			t.Fatalf("reference full dump at pause %d: %v", i, err)
+		}
+		want := resolvedPages(t, full)
+		if err := pushed.Push(image.Open(link)); err != nil {
+			t.Fatalf("push link %d: %v", i, err)
+		}
+		flat, err := pushed.Flatten()
+		if err != nil {
+			t.Fatalf("flatten as of link %d: %v", i, err)
+		}
+		samePages(t, fmt.Sprintf("the chain pushed as of link %d", i), resolvedPages(t, flat), want)
+		if base == nil {
+			if own, err = criu.AdvanceBase(own, link); err != nil {
+				t.Fatalf("advance %d: %v", i, err)
+			}
+			base = own
+		}
+		samePages(t, fmt.Sprintf("AdvanceBase's set as of link %d", i), statePages(t, base), want)
+	}
+}
+
 // TestIncrementalChainMatchesFullDump is the headline property test: across
 // workloads, architectures, chain lengths, and checkpoint spacings, the
 // flattened incremental chain must be page-for-page identical to a single
-// full dump taken at the final pause.
+// full dump taken at the final pause — and so must every prefix of it be to
+// a full dump taken at its pause (everyPrefix).
 func TestIncrementalChainMatchesFullDump(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -153,7 +229,7 @@ func TestIncrementalChainMatchesFullDump(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			chain, p := buildChain(t, tc.src, tc.arch, tc.rounds, tc.budget)
+			chain, p, _ := dumpChain(t, tc.src, tc.arch, tc.rounds, tc.budget, false, everyPrefix(t))
 			full, err := criu.Dump(p, criu.DumpOpts{})
 			if err != nil {
 				t.Fatalf("reference full dump: %v", err)
@@ -162,21 +238,7 @@ func TestIncrementalChainMatchesFullDump(t *testing.T) {
 			if err != nil {
 				t.Fatalf("flatten: %v", err)
 			}
-			want := resolvedPages(t, full)
-			got := resolvedPages(t, flat)
-			if len(got) != len(want) {
-				t.Errorf("flattened chain resolves %d pages, full dump has %d", len(got), len(want))
-			}
-			for a, w := range want {
-				g, ok := got[a]
-				if !ok {
-					t.Errorf("page 0x%x missing from flattened chain", a)
-					continue
-				}
-				if !bytes.Equal(g, w) {
-					t.Errorf("page 0x%x differs between chain and full dump", a)
-				}
-			}
+			samePages(t, "the flattened chain", resolvedPages(t, flat), resolvedPages(t, full))
 			// Non-page images must come from the final pause verbatim.
 			for _, name := range full.Names() {
 				if name == "pagemap.img" || name == "pages.img" {

@@ -647,6 +647,15 @@ func (ps *PageSet) Class(a uint64) PageClass {
 	return PageAbsent
 }
 
+// Pagemap decodes pagemap.img alone, for a reader that needs no other file
+// of the directory.
+func (d *ImageDir) Pagemap() (*PagemapImage, error) {
+	if raw, ok := d.files[PagemapName]; ok {
+		return UnmarshalPagemap(raw)
+	}
+	return nil, fmt.Errorf("image: %w %s", ErrMissing, PagemapName)
+}
+
 // LoadPageSet parses the pagemap/pages pair from a directory: the page set
 // of a view opened for nothing else.
 func LoadPageSet(dir *ImageDir) (*PageSet, error) { return Open(dir).PageSet() }
@@ -849,14 +858,6 @@ func (ps *PageSet) own(base uint64, pg []byte) {
 		ps.owned = make(map[uint64]bool)
 	}
 	ps.owned[base] = true
-}
-
-// SharePage makes pg the content of the page at base without copying it:
-// the set borrows the bytes and copies them on its first write. Chain
-// merges use it to hand pages from one set to another.
-func (ps *PageSet) SharePage(base uint64, pg []byte) {
-	ps.Pages[base] = pg
-	delete(ps.owned, base)
 }
 
 // DropRange removes pages overlapping [start, end) from the set.

@@ -19,8 +19,8 @@
 //   - Verify: VerifyLink plus self-containedness (no in_parent orphans)
 //     and address-space checks — what `dapper-crit verify` runs.
 //   - VerifyChain: Verify semantics over an incremental chain ordered
-//     oldest to newest, proving every in_parent page resolves through
-//     older links and the root terminates the chain (acyclicity).
+//     oldest to newest, proving every in_parent and delta page resolves
+//     in the chain as of the link before it (chain.go; the root has none).
 //   - VerifyMeta: cross-ISA stack-map alignment of a binary's metadata.
 package imgcheck
 
@@ -74,7 +74,7 @@ func (r *Report) add(inv, format string, args ...any) {
 }
 
 // Err returns nil for a clean report, the single Violation when there is
-// exactly one, and an aggregate error naming every invariant otherwise.
+// exactly one, and an aggregate error quoting the first sixteen otherwise.
 func (r *Report) Err() error {
 	switch len(r.Violations) {
 	case 0:
@@ -82,18 +82,18 @@ func (r *Report) Err() error {
 	case 1:
 		return r.Violations[0]
 	}
-	msgs := make([]string, len(r.Violations))
-	for i, v := range r.Violations {
-		msgs[i] = v.Error()
+	// A truncated chain refuses every page of its root: quote the first few.
+	msgs := make([]string, min(len(r.Violations), 16))
+	for i := range msgs {
+		msgs[i] = r.Violations[i].Error()
 	}
-	return fmt.Errorf("%d image invariants violated: %s", len(r.Violations), strings.Join(msgs, "; "))
+	return fmt.Errorf("%d image invariants violated, the first %d: %s", len(r.Violations), len(msgs), strings.Join(msgs, "; "))
 }
 
 // decode names every file the view could not read — InvMissingImage,
-// InvImageDecode — and the inventory/core disagreements. It returns the
-// cores the inventory vouches for, in inventory order, and whether the
-// directory is whole enough to check further.
-func decode(v *image.View, r *Report) (cores []*image.CoreImage, ok bool) {
+// InvImageDecode — and the inventory/core disagreements, and reports
+// whether the directory is whole enough to check further.
+func decode(v *image.View, r *Report) (ok bool) {
 	// readable reports the named file's fault, if any, under its invariant.
 	readable := func(name, what string) bool {
 		switch err := v.Fault(name); {
@@ -115,7 +115,7 @@ func decode(v *image.View, r *Report) (cores []*image.CoreImage, ok bool) {
 	readable(image.FilesName, "")
 	readable(image.PagesName, "")
 	if v.Inventory == nil {
-		return nil, false
+		return false
 	}
 	seen := make(map[int]bool)
 	for _, tid := range v.Inventory.TIDs {
@@ -130,8 +130,6 @@ func decode(v *image.View, r *Report) (cores []*image.CoreImage, ok bool) {
 		}
 		if core, _ := v.Core(tid); core.TID != tid {
 			r.add(InvCoreTID, "%s carries tid %d", name, core.TID)
-		} else {
-			cores = append(cores, core)
 		}
 	}
 	for _, name := range v.Names() {
@@ -140,7 +138,7 @@ func decode(v *image.View, r *Report) (cores []*image.CoreImage, ok bool) {
 			r.add(InvCoreTID, "%s has no inventory entry", name)
 		}
 	}
-	return cores, ok
+	return ok
 }
 
 // checkStructure runs the per-directory structural invariants shared by
@@ -223,17 +221,20 @@ func vmaCover(mm *image.MMImage, lo, hi uint64) bool {
 }
 
 // checkAddressSpace runs the self-contained address-space invariants:
-// every pagemap page inside a VMA, thread PCs mapped, stacks mapped and
-// upright, and register files within the core's ISA width.
-func checkAddressSpace(v *image.View, cores []*image.CoreImage, r *Report) {
+// every pagemap page inside a VMA, and for each core the inventory vouches
+// for (decode named the others) thread PC mapped, stack mapped and upright,
+// and register file within the core's ISA width.
+func checkAddressSpace(v *image.View, r *Report) {
 	for i, en := range v.Pagemap.Entries {
 		end := en.Vaddr + uint64(en.NrPages)*mem.PageSize
 		if !vmaCover(v.MM, en.Vaddr, end) {
 			r.add(InvPagemapMapped, "entry %d [0x%x,0x%x) outside the mapped vmas", i, en.Vaddr, end)
 		}
 	}
-	for _, core := range cores {
-		checkCore(v, core, r)
+	for _, tid := range v.Inventory.TIDs {
+		if core, err := v.Core(tid); err == nil && core.TID == tid {
+			checkCore(v, core, r)
+		}
 	}
 }
 
@@ -281,7 +282,7 @@ func VerifyLink(dir *image.ImageDir) error { return CheckLink(image.Open(dir)).E
 // on to use — returning the full report.
 func CheckLink(v *image.View) *Report {
 	r := &Report{}
-	if _, ok := decode(v, r); ok {
+	if decode(v, r) {
 		checkStructure(v, r)
 	}
 	return r
@@ -299,9 +300,9 @@ func Verify(dir *image.ImageDir) error { return Check(image.Open(dir)).Err() }
 // use — returning the full report.
 func Check(v *image.View) *Report {
 	r := &Report{}
-	if cores, ok := decode(v, r); ok {
+	if decode(v, r) {
 		checkStructure(v, r)
-		checkAddressSpace(v, cores, r)
+		checkAddressSpace(v, r)
 		n := v.Pagemap.Counts()
 		if n[image.PageParent] > 0 {
 			r.add(InvInParent, "%d in_parent pages with no parent directory to resolve them (verify the full chain, or flatten first)",
@@ -317,72 +318,6 @@ func Check(v *image.View) *Report {
 
 // VerifyWith is Verify.
 func VerifyWith(dir *image.ImageDir, _ Opts) error { return Verify(dir) }
-
-// VerifyChain checks an incremental checkpoint chain ordered oldest
-// (root) to newest (final delta): every link passes its structural
-// checks, the newest link passes the address-space checks, the root has
-// no in_parent or delta entries (either at the root would never
-// terminate — the cyclic/truncated-chain case), every in_parent page in
-// link i resolves to a non-in_parent entry in some older link, and every
-// delta page resolves to actual *content* — data, zero, or an older
-// delta — never to a lazy marker, which has no bytes to XOR against.
-func VerifyChain(chain []*image.ImageDir) error {
-	var r Report
-	if len(chain) == 0 {
-		r.add(InvInParent, "empty chain")
-		return r.Err()
-	}
-	// Two monotone resolution sets: resolvedAny is every page some older
-	// link mentions with bytes-or-marker (content, delta, lazy) — what an
-	// in_parent reference needs; resolvedContent excludes lazy — what a
-	// delta's XOR needs, since a lazy page has no bytes to apply it to.
-	resolvedAny := make(map[uint64]bool)
-	resolvedContent := make(map[uint64]bool)
-	for i, dir := range chain {
-		v := image.Open(dir)
-		cores, ok := decode(v, &r)
-		if !ok {
-			r.add(InvImageDecode, "chain link %d undecodable; chain checks skipped", i)
-			return r.Err()
-		}
-		checkStructure(v, &r)
-		if i == len(chain)-1 {
-			checkAddressSpace(v, cores, &r)
-		}
-		if n := v.Pagemap.Counts(); i == 0 {
-			if n[image.PageParent] > 0 {
-				r.add(InvInParent, "root link has %d in_parent pages — the chain never terminates (cyclic or truncated)",
-					n[image.PageParent])
-			}
-			if n[image.PageDelta] > 0 {
-				r.add(InvDeltaChain, "root link has %d delta pages — nothing older to apply the XOR to",
-					n[image.PageDelta])
-			}
-		}
-		// A link's pages are distinct addresses (pagemap-order), so checking
-		// and recording page by page reads only what older links recorded.
-		v.Pagemap.EachPage(func(addr uint64, class image.PageClass) {
-			switch class {
-			case image.PageParent:
-				if i > 0 && !resolvedAny[addr] {
-					r.add(InvInParent, "link %d: page 0x%x marked in_parent but absent from every older link", i, addr)
-				}
-				return
-			case image.PageDelta:
-				if i > 0 && !resolvedContent[addr] {
-					r.add(InvDeltaChain, "link %d: delta page 0x%x has no content in any older link to apply the XOR to", i, addr)
-				}
-				// A (valid) delta resolves to content, so it pins content for
-				// the links above it.
-			}
-			resolvedAny[addr] = true
-			if class != image.PageLazy {
-				resolvedContent[addr] = true
-			}
-		})
-	}
-	return r.Err()
-}
 
 // VerifyChainWith is VerifyChain.
 func VerifyChainWith(chain []*image.ImageDir, _ Opts) error { return VerifyChain(chain) }

@@ -24,26 +24,27 @@ import (
 // if a testdata file is missing from this table or vice versa, so the
 // corpus and expectations cannot drift apart.
 var fixtureWant = map[string]string{
-	"ok_minimal.json":       "",
-	"pagemap_overlap.json":  imgcheck.InvPagemapOrder,
-	"pagemap_unsorted.json": imgcheck.InvPagemapOrder,
-	"pagemap_flags.json":    imgcheck.InvPagemapFlags,
-	"zero_with_bytes.json":  imgcheck.InvPagesBytes,
-	"truncated_pages.json":  imgcheck.InvPagesBytes,
-	"cyclic_in_parent.json": imgcheck.InvInParent,
-	"orphan_in_parent.json": imgcheck.InvInParent,
-	"truncated_core.json":   imgcheck.InvImageDecode,
-	"missing_core.json":     imgcheck.InvMissingImage,
-	"pc_unmapped.json":      imgcheck.InvCorePC,
-	"sx86_highregs.json":    imgcheck.InvCoreRegs,
-	"stack_inverted.json":   imgcheck.InvCoreStack,
-	"vma_overlap.json":      imgcheck.InvVMAOrder,
-	"dedup_retired.json":    imgcheck.InvImageDecode,
+	"ok_minimal.json":        "",
+	"pagemap_overlap.json":   imgcheck.InvPagemapOrder,
+	"pagemap_unsorted.json":  imgcheck.InvPagemapOrder,
+	"pagemap_flags.json":     imgcheck.InvPagemapFlags,
+	"zero_with_bytes.json":   imgcheck.InvPagesBytes,
+	"truncated_pages.json":   imgcheck.InvPagesBytes,
+	"cyclic_in_parent.json":  imgcheck.InvInParent,
+	"orphan_in_parent.json":  imgcheck.InvInParent,
+	"skipped_in_parent.json": imgcheck.InvInParent,
+	"truncated_core.json":    imgcheck.InvImageDecode,
+	"missing_core.json":      imgcheck.InvMissingImage,
+	"pc_unmapped.json":       imgcheck.InvCorePC,
+	"sx86_highregs.json":     imgcheck.InvCoreRegs,
+	"stack_inverted.json":    imgcheck.InvCoreStack,
+	"vma_overlap.json":       imgcheck.InvVMAOrder,
+	"dedup_retired.json":     imgcheck.InvImageDecode,
 }
 
 // loadFixture parses one corpus file: a JSON array of CRIT documents
 // ordered oldest to newest, each encoded back to a binary image set.
-func loadFixture(t *testing.T, path string) []*criu.ImageDir {
+func loadFixture(t testing.TB, path string) []*criu.ImageDir {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {

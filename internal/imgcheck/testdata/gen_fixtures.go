@@ -145,6 +145,22 @@ func main() {
 	emptyPages(delta)
 	fixtures["orphan_in_parent.json"] = []*criu.CritDoc{root, delta}
 
+	// inparent-chain: link 2 marks in_parent a page that link 0 carries and
+	// link 1 does not mention. The chain as of link 1 — what a full dump at
+	// that checkpoint holds — has no such page, so there is nothing to
+	// resolve it against; every link on its own passes VerifyLink.
+	root = baseDoc()
+	skip := baseDoc()
+	skip.Pagemap.Entries = []criu.PagemapEntry{{Vaddr: stackHi - page, NrPages: 1, Zero: true}}
+	emptyPages(skip)
+	delta = baseDoc()
+	delta.Pagemap.Entries = []criu.PagemapEntry{
+		{Vaddr: dataLo, NrPages: 1, InParent: true},
+		{Vaddr: stackHi - page, NrPages: 1, Zero: true},
+	}
+	emptyPages(delta)
+	fixtures["skipped_in_parent.json"] = []*criu.CritDoc{root, skip, delta}
+
 	// image-decode: core-1.img truncated mid-field (a varint header with
 	// no value), as a partially-written checkpoint would leave it.
 	d = baseDoc()
