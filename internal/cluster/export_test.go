@@ -42,7 +42,7 @@ func PreCopyForgettingChain(src, dst *Node, p *kernel.Process, meta *stackmap.Me
 	pc.BetweenRounds = func(*kernel.Process, int) { m.chain = imgcheck.Chain{} }
 	_, err := m.preCopy()
 	if err != nil {
-		p.StopDirtyTracking()
+		p.AS.StopDirtyTracking()
 	}
 	return err
 }

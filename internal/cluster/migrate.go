@@ -97,7 +97,7 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 			// one. Success reaps the source; a failure hands it back to
 			// the caller, who may resume it, and it must not keep paying
 			// for a dirty set nobody will collect.
-			p.StopDirtyTracking()
+			p.AS.StopDirtyTracking()
 		}
 		return nil, fmt.Errorf("cluster: %w", err)
 	}

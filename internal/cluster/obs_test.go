@@ -325,4 +325,11 @@ func TestMigratePreCopyObsReport(t *testing.T) {
 	if got, want := rep.Counters["monitor.pauses"], uint64(bd.Rounds); got != want {
 		t.Errorf("monitor.pauses = %d, want %d (one per round)", got, want)
 	}
+	// Every data page a dump carries is a source frame it shares; the
+	// source, running between rounds, copies the ones it writes, and can
+	// break each share at most once.
+	shared := rep.Counters["dump.pages_dumped"] - rep.Counters["dump.pages_delta"]
+	if breaks := rep.Counters["precopy.cow_breaks"]; breaks == 0 || breaks > shared {
+		t.Errorf("precopy.cow_breaks = %d, want between 1 and the %d pages shared", breaks, shared)
+	}
 }

@@ -119,7 +119,9 @@ func (m *migration) preCopy() (*MigrationResult, error) {
 		window.End()
 		m.at = m.host
 		if err := m.stage("vm.between_rounds", func() (err error) {
+			breaks := m.p.AS.CowBreaks() // the dumps' snapshots, paid for here
 			idle, err = m.runBetweenRounds(&pc, round)
+			m.opts.Obs.Counter("precopy.cow_breaks").Add(m.p.AS.CowBreaks() - breaks)
 			return err
 		}); err != nil {
 			return nil, err

@@ -22,8 +22,11 @@ func TestRewriteNeverWritesBorrowedStackPages(t *testing.T) {
 	chain := []core.Policy{core.CrossISAPolicy{}, core.StackShufflePolicy{Seed: 7}}
 
 	dir, bins := pausedDump(t, "streamcluster")
-	loaded, _ := dir.Get(image.PagesName) // the dump's own buffer, flat
-	pristine := bytes.Clone(loaded)
+	loaded, _ := dir.Payload() // the dump's own pages: the source's frames
+	pristine := make([][]byte, loaded.Len()/mem.PageSize)
+	for i := range pristine {
+		pristine[i] = bytes.Clone(loaded.Page(i))
+	}
 	ctx := &core.Context{Binaries: bins}
 
 	v := image.Open(dir)
@@ -55,8 +58,10 @@ func TestRewriteNeverWritesBorrowedStackPages(t *testing.T) {
 		}
 	}
 	v.Commit()
-	if !bytes.Equal(loaded, pristine) {
-		t.Fatal("a rewrite wrote into the pages.img its view was opened on")
+	for i, was := range pristine {
+		if !bytes.Equal(loaded.Page(i), was) {
+			t.Fatalf("a rewrite wrote into page %d of the pages.img its view was opened on", i)
+		}
 	}
 
 	// Shuffling registered the instrumented binary over the destination

@@ -65,10 +65,10 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 	var dirty map[uint64]bool
 	var inParent map[uint64]bool
 	if opts.Parent != nil {
-		if !p.DirtyTracking() {
+		if !p.AS.DirtyTracking() {
 			return nil, fmt.Errorf("criu: incremental dump of pid %d without dirty tracking (take the parent dump with TrackMem)", p.PID)
 		}
-		dirtyIdx := p.CollectDirty()
+		dirtyIdx := p.AS.CollectDirty()
 		dirty = make(map[uint64]bool, len(dirtyIdx))
 		for _, idx := range dirtyIdx {
 			dirty[idx] = true
@@ -115,11 +115,10 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 	execPages := execContextPages(p)
 	popPages := p.AS.PopulatedPages()
 	// Classify the populated pages in ascending order (as PopulatedPages
-	// returns them). The address space is stopped and only read, and a data
-	// record aliases the resident frame rather than copying it: EncodePages
-	// sizes pages.img exactly and copies each page once, straight to its
-	// final offset.
+	// returns them). A data record is the resident frame itself, and shared
+	// (popPages filtered in place) collects those frames.
 	recs := make([]image.PageRecord, len(popPages))
+	shared := popPages[:0]
 	for i, idx := range popPages {
 		addr := idx * mem.PageSize
 		rec := &recs[i]
@@ -165,10 +164,16 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 				}
 			}
 		}
+		if rec.Class == image.PageData {
+			shared = append(shared, idx)
+		}
 	}
 	image.EncodePages(dir, recs)
+	// The dump is a snapshot: should the process run again, it pays for
+	// the pages it writes.
+	p.AS.SharePages(shared)
 	if opts.TrackMem {
-		p.StartDirtyTracking()
+		p.AS.StartDirtyTracking()
 	}
 	// All obs calls are nil-safe: with no registry this block is four
 	// no-op lookups on a cold path.

@@ -356,7 +356,7 @@ func TestIncrementalDumpGuards(t *testing.T) {
 	if _, err := criu.Dump(p, criu.DumpOpts{Parent: chain[0], Lazy: true}); err == nil {
 		t.Error("incremental+lazy dump succeeded")
 	}
-	p.StopDirtyTracking()
+	p.AS.StopDirtyTracking()
 	if _, err := criu.Dump(p, criu.DumpOpts{Parent: chain[0]}); err == nil {
 		t.Error("incremental dump without tracking succeeded")
 	}
@@ -377,6 +377,56 @@ func TestIncrementalDumpGuards(t *testing.T) {
 	if _, err := criu.FlattenChain(chain[1:]); err == nil {
 		t.Error("flatten of truncated chain succeeded")
 	}
+}
+
+// TestShrunkPageLeavesParent: a page a shrink unmaps and a regrow maps
+// again reads zero on the source, so the next incremental dump must not
+// defer it to a parent holding its old bytes. Reading it back populates a
+// zero frame without a store; the shrink's soft-dirty mark is what keeps
+// it out of in_parent.
+func TestShrunkPageLeavesParent(t *testing.T) {
+	chain, p := buildChain(t, denseWriter, isa.SX86, 0, 9_000)
+	v, ok := p.AS.FindVMA(isa.DataBase)
+	if !ok {
+		t.Fatal("no data VMA")
+	}
+	last := v.End - mem.PageSize
+	if err := p.AS.WriteU64(last+8, 0xdead); err != nil {
+		t.Fatal(err)
+	}
+	parent, err := criu.Dump(p, criu.DumpOpts{Parent: chain[0], TrackMem: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AS.Resize(v.Start, last); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AS.Resize(v.Start, v.End); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := p.AS.ReadU64(last + 8); err != nil || got != 0 {
+		t.Fatalf("regrown page reads %#x (err %v), want 0", got, err)
+	}
+	link, err := criu.Dump(p, criu.DumpOpts{Parent: parent, TrackMem: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := criu.LoadPageSet(link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.ParentPages[last] {
+		t.Errorf("page 0x%x is in_parent: the destination would fold in 0xdead, the source reads 0", last)
+	}
+	full, err := criu.Dump(p, criu.DumpOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := criu.FlattenChain([]*criu.ImageDir{chain[0], parent, link})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePages(t, "the chain after a shrink and regrow", resolvedPages(t, flat), resolvedPages(t, full))
 }
 
 // TestZeroPagesElided: an all-zero resident page travels as a pagemap-only

@@ -415,11 +415,13 @@ func UnmarshalInventory(b []byte) (*InventoryImage, error) {
 // ImageDir is the checkpoint directory (held in memory, like the paper's
 // tmpfs checkpoint target).
 //
-// pages.img has two forms. A dump, a received stream and Put hold it
-// flat, as one buffer. PageSet.Store leaves it as the ordered list of
-// page slices the set held, so a rewrite that touched a few pages moves
-// none of the others; the list becomes contiguous where the bytes must be
-// anyway, in Marshal. Payload reads either form without joining it, and
+// pages.img has two forms. A received stream and Put hold it flat, as one
+// buffer. A dump and PageSet.Store leave it as the ordered list of page
+// slices (EncodePages) — a dump's alias the paused source's frames, which
+// its address space keeps copy-on-write, and a stored set's are the pages
+// it held — so a rewrite that touched a few pages moves none of the
+// others; the list becomes contiguous where the bytes must be anyway, in
+// Marshal. Payload reads either form without joining it, and
 // Get("pages.img") joins a list into a fresh buffer on every call —
 // nothing is cached, so concurrent readers of one directory never write
 // to it.
@@ -734,9 +736,7 @@ func (ps *PageSet) Store(dir *ImageDir) {
 	for i, a := range addrs {
 		recs[i] = PageRecord{Addr: a, Class: ps.Class(a), Data: ps.Pages[a]}
 	}
-	pm, payload := encodeRuns(recs)
-	dir.Put(PagemapName, pm.Marshal())
-	dir.PutPages(payload)
+	EncodePages(dir, recs)
 	clear(ps.owned)
 }
 
@@ -749,31 +749,21 @@ type PageRecord struct {
 	Data []byte
 }
 
-// EncodePages writes pagemap.img and pages.img for a page sequence
-// sorted by address (PageAbsent records are skipped). It is Dump's
-// encoder, and the dump's one payload copy: the records alias the frames
-// of a process that may run again, so pages.img is gathered — allocated
-// once at its exact size, each data or delta page copied once, straight
-// to its final offset (bytes.Join, which also does not zero the buffer
-// before filling it).
+// EncodePages writes pagemap.img and pages.img for a page sequence sorted
+// by address (PageAbsent records are skipped): the one encoder behind
+// criu.Dump and PageSet.Store. Contiguous same-class pages coalesce into
+// runs, and pages.img goes into the directory as the list of the data and
+// delta records' slices (ImageDir.PutPages) — no page is copied, so the
+// directory owns the slices from here on.
 func EncodePages(dir *ImageDir, recs []PageRecord) {
-	pm, payload := encodeRuns(recs)
-	dir.Put(PagemapName, pm.Marshal())
-	dir.Put(PagesName, bytes.Join(payload, nil))
-}
-
-// encodeRuns is the one pagemap encoder behind EncodePages and
-// PageSet.Store: contiguous same-class pages coalesce into runs, and the
-// data and delta pages come back in pages.img order, still aliasing the
-// records.
-func encodeRuns(recs []PageRecord) (pm PagemapImage, payload [][]byte) {
+	var pm PagemapImage
 	nPayload := 0
 	for _, r := range recs {
 		if r.Class == PageData || r.Class == PageDelta {
 			nPayload++
 		}
 	}
-	payload = make([][]byte, 0, nPayload)
+	payload := make([][]byte, 0, nPayload)
 	for i := 0; i < len(recs); {
 		r := recs[i]
 		if r.Class == PageAbsent {
@@ -793,7 +783,8 @@ func encodeRuns(recs []PageRecord) (pm PagemapImage, payload [][]byte) {
 		})
 		i = j
 	}
-	return pm, payload
+	dir.Put(PagemapName, pm.Marshal())
+	dir.PutPages(payload)
 }
 
 // ReadU64 reads a word from the page set (for the stack rewriter). Zero

@@ -128,6 +128,45 @@ func TestSbrkShrink(t *testing.T) {
 	}
 }
 
+// TestSbrkShrinkReleasesPages: heap a shrink gives back is demand-zero
+// when a later sbrk maps it again — the bytes a native run reads there are
+// the ones a process dumped while shrunk restores, not what was stored
+// before the shrink.
+func TestSbrkShrinkReleasesPages(t *testing.T) {
+	arch, coder := isa.SX86, sx86.Coder{}
+	k := kernel.New(kernel.Config{})
+	const stale = int64(isa.HeapBase + 6*4096 + 8)
+	p := load(t, k, arch, coder, nil, func(f *asm.Fragment, abi *isa.ABI, _ asm.Label) {
+		sbrk := func(n int64) {
+			f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: abi.SyscallArgRegs[0], Imm: n})
+			emitSyscall(f, abi, kernel.SysSbrk)
+		}
+		sbrk(8 * 4096)
+		f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: 6, Imm: stale})
+		f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: 7, Imm: 0xdead})
+		f.Emit(isa.Inst{Op: isa.OpStore, Rd: 7, Rn: 6, Imm: 0})
+		sbrk(-4 * 4096)
+		sbrk(4 * 4096)
+		// data[8] = *stale, for the host.
+		f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: 6, Imm: stale})
+		f.Emit(isa.Inst{Op: isa.OpLoad, Rd: 7, Rn: 6, Imm: 0})
+		f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: 6, Imm: int64(isa.DataBase) + 8})
+		f.Emit(isa.Inst{Op: isa.OpStore, Rd: 7, Rn: 6, Imm: 0})
+		f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: abi.SyscallArgRegs[0], Imm: 0})
+		emitSyscall(f, abi, kernel.SysExit)
+	})
+	if err := k.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	v, err := p.AS.ReadU64(isa.DataBase + 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != 0 {
+		t.Errorf("regrown heap reads %#x, want 0: the shrink kept the frame", v)
+	}
+}
+
 // TestGuestFaultKillsProcess: a wild pointer dereference must fail the
 // process with a useful error, not hang the scheduler.
 func TestGuestFaultKillsProcess(t *testing.T) {

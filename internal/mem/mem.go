@@ -159,8 +159,9 @@ type AddressSpace struct {
 
 	// cow marks resident pages whose *Page frame is shared with other
 	// address spaces (clone fan-out restores the same checkpoint into N
-	// spaces without copying). Reads go through the shared frame; the
-	// first write breaks the share by cloning the frame privately.
+	// spaces without copying) or with a checkpoint of this one (a dump's
+	// pages.img aliases the frames). Reads go through the shared frame;
+	// the first write breaks the share by cloning the frame privately.
 	cow       map[uint64]struct{}
 	cowBreaks uint64
 }
@@ -214,6 +215,9 @@ func (as *AddressSpace) Map(v VMA) error {
 }
 
 // Resize grows or shrinks the VMA whose start matches start (used by sbrk).
+// A shrink drops the frames it unmaps, so a regrow maps demand-zero pages,
+// and marks the range soft-dirty, as Linux does a re-mapped one: a parent
+// dump's bytes for those pages are stale.
 func (as *AddressSpace) Resize(start, newEnd uint64) error {
 	for i := range as.vmas {
 		if as.vmas[i].Start == start {
@@ -222,6 +226,11 @@ func (as *AddressSpace) Resize(start, newEnd uint64) error {
 			}
 			if i+1 < len(as.vmas) && newEnd > as.vmas[i+1].Start {
 				return fmt.Errorf("mem: resize of 0x%x to 0x%x overlaps next VMA", start, newEnd)
+			}
+			for idx := newEnd / PageSize; idx < as.vmas[i].End/PageSize; idx++ {
+				delete(as.pages, idx)
+				delete(as.cow, idx)
+				as.markDirty(idx)
 			}
 			as.vmas[i].End = newEnd
 			as.flushTLB()
@@ -312,8 +321,8 @@ func (as *AddressSpace) readU64Slow(addr uint64) (uint64, error) {
 
 // pageForWrite returns the page containing addr, breaking a
 // copy-on-write share first: a shared frame is cloned into a private
-// page so the store never reaches the clones still reading the shared
-// one. Every mutating path must come through here.
+// page so the store never reaches the clones or the dump still reading
+// the shared one. Every mutating path must come through here.
 func (as *AddressSpace) pageForWrite(addr uint64) (*Page, error) {
 	p, err := as.page(addr)
 	if err != nil {
@@ -448,7 +457,8 @@ func (as *AddressSpace) PopulatedPages() []uint64 {
 	return out
 }
 
-// PageData returns the contents of page idx if it is resident.
+// PageData returns the contents of page idx if it is resident: the frame
+// itself, read-only, which a store changes unless SharePages marked it.
 func (as *AddressSpace) PageData(idx uint64) ([]byte, bool) {
 	p, ok := as.pages[idx]
 	if !ok {
@@ -511,15 +521,26 @@ func PreparePage(data []byte) *Page {
 func (as *AddressSpace) InstallSharedPage(idx uint64, p *Page) {
 	as.markDirty(idx)
 	as.pages[idx] = p
+	as.SharePages([]uint64{idx})
+}
+
+// SharePages marks the resident frames of pages idxs copy-on-write, with
+// one TLB flush and no copy: a dump keeps their PageData slices as its
+// snapshot (criu.Dump), and the space's next store to one of the pages
+// privatizes a copy instead. Every index must be resident.
+func (as *AddressSpace) SharePages(idxs []uint64) {
 	if as.cow == nil {
-		as.cow = make(map[uint64]struct{})
+		as.cow = make(map[uint64]struct{}, len(idxs))
 	}
-	as.cow[idx] = struct{}{}
+	for _, idx := range idxs {
+		as.cow[idx] = struct{}{}
+	}
 	as.flushTLB()
 }
 
 // SharedResidentPages reports how many resident pages are still
-// copy-on-write shares (installed by InstallSharedPage, not yet written).
+// copy-on-write shares (installed by InstallSharedPage or marked by
+// SharePages, not yet written).
 func (as *AddressSpace) SharedResidentPages() int { return len(as.cow) }
 
 // CowBreaks reports how many shared pages this space has privatized on

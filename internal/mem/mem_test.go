@@ -55,6 +55,20 @@ func TestResize(t *testing.T) {
 	if err := as.WriteU64(0x19000, 7); err == nil {
 		t.Error("write into shrunk-away region succeeded")
 	}
+	// A shrink releases what it unmaps: regrown, the area is demand-zero,
+	// as a dump taken while it was shrunk would restore it.
+	if err := as.WriteU64(0x11008, 0xdead); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Resize(0x10000, 0x11000); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Resize(0x10000, 0x18000); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := as.ReadU64(0x11008); err != nil || v != 0 {
+		t.Errorf("regrown page reads %#x (err %v), want 0: the shrink kept its frame", v, err)
+	}
 	if err := as.Resize(0x90000, 0xa0000); err == nil {
 		t.Error("resize of unknown VMA succeeded")
 	}

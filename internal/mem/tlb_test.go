@@ -1,6 +1,7 @@
 package mem_test
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"slices"
@@ -153,6 +154,24 @@ func TestTLBFlushPoints(t *testing.T) {
 				t.Errorf("shared frame written or %d breaks", as.CowBreaks())
 			}
 		},
+		"SharePages": func(t *testing.T, as *mem.AddressSpace) {
+			// The write entry still points at the frame; a store through it
+			// would reach the snapshot.
+			snap, _ := as.PageData(tlbIdx)
+			as.SharePages([]uint64{tlbIdx})
+			if err := as.WriteU64(tlbPage+8, 0x77); err != nil {
+				t.Fatal(err)
+			}
+			if snap[8] != 0xAA {
+				t.Errorf("a store after the share reached the snapshot (%#x)", snap[8])
+			}
+			if v := readWord(t, as, tlbPage+8); v != 0x77 {
+				t.Errorf("load after the break = %#x, want the stored 0x77", v)
+			}
+			if as.CowBreaks() != 1 || as.PageShared(tlbIdx) || as.SharedResidentPages() != 0 {
+				t.Errorf("%d breaks, %d shares left; want one break, none left", as.CowBreaks(), as.SharedResidentPages())
+			}
+		},
 		"SetFaultHandler": func(t *testing.T, as *mem.AddressSpace) {
 			as.SetFaultHandler(func(uint64) ([]byte, error) { return pageOf(0x66), nil })
 			if v := readWord(t, as, tlbPage+8); v != 0xAA {
@@ -236,19 +255,26 @@ func checkStoreMarks(t *testing.T, as *mem.AddressSpace) {
 }
 
 // TestSoftDirtyMatchesNaiveModel drives random sequences of stores, loads,
-// tracking switches, soft-dirty clears, page installs, COW shares and
-// drops, and compares CollectDirty after every step with a set the test
-// keeps by the obvious rule: while tracking is on, anything that writes a
-// page adds it. The write TLB skips markDirty on a hit; this is the test
-// that it only does so when the mark is already there.
+// tracking switches, soft-dirty clears, page installs, COW shares, dumps,
+// resizes and drops, and compares CollectDirty after every step with a set
+// the test keeps by the obvious rule: while tracking is on, anything that
+// writes or unmaps a page adds it. The write TLB skips markDirty on a hit; this is
+// the test that it only does so when the mark is already there. A dump
+// keeps every resident page's frame and shares it, as criu.Dump does, and
+// the last few dumps' pages must keep their bytes through everything
+// after: stores that hit, miss or straddle, WriteBytes, installs, shares,
+// drops and resizes.
 func TestSoftDirtyMatchesNaiveModel(t *testing.T) {
 	const pages = 24
+	first := tlbBase / mem.PageSize
+	type kept struct{ page, was []byte }
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		as := mem.NewAddressSpace()
 		if err := as.Map(mem.VMA{Start: tlbBase, End: tlbBase + pages*mem.PageSize, Kind: mem.VMAData}); err != nil {
 			t.Fatal(err)
 		}
+		end := first + pages // one past the last mapped page index
 		tracking := false
 		model := map[uint64]bool{}
 		mark := func(idx uint64) {
@@ -256,21 +282,31 @@ func TestSoftDirtyMatchesNaiveModel(t *testing.T) {
 				model[idx] = true
 			}
 		}
+		var dumps []map[uint64]kept // the last four, oldest first
+		unchanged := func(step int, idxs ...uint64) {
+			for d, dump := range dumps {
+				for _, idx := range idxs {
+					if k, ok := dump[idx]; ok && !bytes.Equal(k.page, k.was) {
+						t.Fatalf("seed %d step %d: page %d of dump %d changed under it", seed, step, idx, d)
+					}
+				}
+			}
+		}
 		for step := 0; step < 2000; step++ {
-			idx := tlbBase/mem.PageSize + uint64(rng.Intn(pages))
+			idx := first + uint64(rng.Intn(pages))
+			inside := idx < end
 			switch op := rng.Intn(100); {
-			case op < 45: // word store, sometimes across a page boundary
+			case op < 40: // word store, sometimes across a page boundary
 				off := uint64(rng.Intn(mem.PageSize/8)) * 8
 				if rng.Intn(8) == 0 {
 					off = mem.PageSize - 4
 				}
 				err := as.WriteU64(idx*mem.PageSize+off, rng.Uint64())
 				straddles := off > mem.PageSize-8
-				last := idx == tlbBase/mem.PageSize+pages-1
 				switch {
-				case straddles && last:
+				case !inside || straddles && idx+1 == end:
 					if err == nil {
-						t.Fatalf("seed %d step %d: store across the VMA end succeeded", seed, step)
+						t.Fatalf("seed %d step %d: store past the VMA end succeeded", seed, step)
 					}
 				case err != nil:
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
@@ -280,38 +316,63 @@ func TestSoftDirtyMatchesNaiveModel(t *testing.T) {
 						mark(idx + 1)
 					}
 				}
+			case op < 58:
+				if _, err := as.ReadU64(idx * mem.PageSize); (err == nil) != inside {
+					t.Fatalf("seed %d step %d: load from page %d, VMA ending at %d: %v", seed, step, idx, end, err)
+				}
 			case op < 65:
-				if _, err := as.ReadU64(idx * mem.PageSize); err != nil {
-					t.Fatal(err)
+				err := as.WriteBytes(idx*mem.PageSize+100, []byte{1, 2, 3})
+				if (err == nil) != inside {
+					t.Fatalf("seed %d step %d: WriteBytes to page %d, VMA ending at %d: %v", seed, step, idx, end, err)
 				}
-			case op < 72:
-				if err := as.WriteBytes(idx*mem.PageSize+100, []byte{1, 2, 3}); err != nil {
-					t.Fatal(err)
+				if err == nil {
+					mark(idx)
 				}
-				mark(idx)
-			case op < 77:
+			case op < 69:
 				as.ClearSoftDirty()
 				if tracking {
 					model = map[uint64]bool{}
 				}
-			case op < 80:
+			case op < 72:
 				as.StartDirtyTracking()
 				tracking, model = true, map[uint64]bool{}
-			case op < 82:
+			case op < 74:
 				as.StopDirtyTracking()
 				tracking, model = false, map[uint64]bool{}
-			case op < 86:
+			case op < 78:
 				as.InstallPage(idx, pageOf(byte(step)))
 				mark(idx)
-			case op < 91:
+			case op < 82:
 				as.InstallPages([]uint64{idx}, func(int) []byte { return pageOf(byte(step)) })
 				mark(idx)
-			case op < 96:
+			case op < 86:
 				as.InstallSharedPage(idx, mem.PreparePage(pageOf(byte(step))))
 				mark(idx)
+			case op < 90: // dump
+				resident := as.PopulatedPages()
+				dump := make(map[uint64]kept, len(resident))
+				for _, i := range resident {
+					pg, _ := as.PageData(i)
+					dump[i] = kept{pg, bytes.Clone(pg)}
+				}
+				as.SharePages(resident)
+				if dumps = append(dumps, dump); len(dumps) > 4 {
+					dumps = dumps[1:]
+				}
+			case op < 95: // sbrk, either way; a shrink marks what it unmaps
+				newEnd := first + 1 + uint64(rng.Intn(pages))
+				if err := as.Resize(tlbBase, newEnd*mem.PageSize); err != nil {
+					t.Fatal(err)
+				}
+				for i := newEnd; i < end; i++ {
+					mark(i)
+				}
+				end = newEnd
 			default:
 				as.DropPage(idx)
 			}
+			// Only the pages a step names can be written by it.
+			unchanged(step, idx, idx+1)
 			want := make([]uint64, 0, len(model))
 			for idx := range model {
 				want = append(want, idx)
@@ -320,6 +381,9 @@ func TestSoftDirtyMatchesNaiveModel(t *testing.T) {
 			if got := as.CollectDirty(); !slices.Equal(got, want) {
 				t.Fatalf("seed %d step %d: dirty set %v, model %v", seed, step, got, want)
 			}
+		}
+		for i := first; i < first+pages; i++ {
+			unchanged(-1, i)
 		}
 	}
 }
