@@ -480,7 +480,7 @@ func cmdClone(args []string) (err error) {
 		return err
 	}
 	fmt.Printf("cloned %.12s onto %d nodes: %d shared frames, %d resident pages/clone shared, pull=%v restore=%v\n",
-		id, *n, res.Frames.Len(), res.Procs[0].AS.SharedResidentPages(), res.PullHost, res.RestoreHost)
+		id, *n, res.SharedPages, res.Procs[0].AS.SharedResidentPages(), res.PullHost, res.RestoreHost)
 	var out string
 	var breaks uint64
 	for i, p := range res.Procs {

@@ -21,10 +21,9 @@ type CloneOpts struct {
 type CloneResult struct {
 	// Procs holds one restored process per target node, in target order.
 	Procs []*kernel.Process
-	// Frames is the shared frame cache every clone reads through; its
-	// Len is the number of distinct resident page frames the clones
-	// share until first write.
-	Frames *kernel.FrameCache
+	// SharedPages is how many pages each clone adopted, copy-on-write, from
+	// the one flattened directory the clones share.
+	SharedPages int
 	// PullHost and RestoreHost are real host wall times for
 	// materializing the image and restoring all clones.
 	PullHost    time.Duration
@@ -34,9 +33,9 @@ type CloneResult struct {
 // CloneFromRegistry restores one stored checkpoint onto every target
 // node — the serverless-style warm-start fan-out. The manifest chain is
 // pulled once, verified link by link as it is flattened, and then
-// restored N times with copy-on-write page installation: all clones
-// share one set of resident page frames (kernel.FrameCache) until a
-// clone's first write to a page privatizes its copy.
+// restored N times, each restore adopting its pages copy-on-write: all
+// clones share one set of resident page frames until a clone's first
+// write to a page privatizes its copy.
 //
 // Targets may repeat a node: each entry restores one clone onto that
 // node's kernel. Every target must have the checkpoint's binary
@@ -60,8 +59,8 @@ func CloneFromRegistry(store *registry.Store, manifest string, targets []*Node, 
 		return nil, fmt.Errorf("cluster: clone pre-flight: %w", err)
 	}
 	res := &CloneResult{
-		Procs:  make([]*kernel.Process, len(targets)),
-		Frames: kernel.NewFrameCache(),
+		Procs:       make([]*kernel.Process, len(targets)),
+		SharedPages: criu.DumpedPages(dir),
 	}
 	//lint:ignore wallclock clone latency is real host time by definition, reported separately from modeled migration time
 	res.PullHost = time.Since(pullStart)
@@ -69,7 +68,7 @@ func CloneFromRegistry(store *registry.Store, manifest string, targets []*Node, 
 	//lint:ignore wallclock clone latency is real host time by definition, reported separately from modeled migration time
 	restoreStart := time.Now()
 	for i, t := range targets {
-		p, err := criu.RestoreWith(t.K, dir, t.Binaries, criu.RestoreOpts{Frames: res.Frames, Obs: opts.Obs})
+		p, err := criu.RestoreWith(t.K, dir, t.Binaries, criu.RestoreOpts{Obs: opts.Obs})
 		if err != nil {
 			// Reap the clones that did land so a partial fan-out leaks nothing.
 			for j, p := range res.Procs[:i] {
@@ -83,7 +82,7 @@ func CloneFromRegistry(store *registry.Store, manifest string, targets []*Node, 
 	res.RestoreHost = time.Since(restoreStart)
 
 	opts.Obs.Counter("clone.count").Add(uint64(len(targets)))
-	opts.Obs.Counter("clone.shared_frames").Add(uint64(res.Frames.Len()))
+	opts.Obs.Counter("clone.shared_frames").Add(uint64(res.SharedPages))
 	opts.Obs.Histogram("clone.restore_host_ns").Observe(res.RestoreHost)
 	return res, nil
 }

@@ -67,8 +67,11 @@ func TestCloneFanOut(t *testing.T) {
 	if len(cres.Procs) != n {
 		t.Fatalf("clone produced %d procs, want %d", len(cres.Procs), n)
 	}
-	if cres.Frames.Len() == 0 {
-		t.Fatal("clone fan-out shares no frames")
+	if cres.SharedPages != criu.DumpedPages(dir) {
+		t.Fatalf("clones adopted %d pages, want the checkpoint's %d", cres.SharedPages, criu.DumpedPages(dir))
+	}
+	if got := reg.Counter("clone.shared_frames").Value(); got != uint64(cres.SharedPages) {
+		t.Errorf("clone.shared_frames = %d, want %d", got, cres.SharedPages)
 	}
 	// Before running, each clone holds shared copy-on-write pages (the
 	// restore itself breaks at most a couple: the DAPPER flag clear and

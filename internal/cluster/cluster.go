@@ -223,6 +223,9 @@ type MigrationResult struct {
 	pageClient *criu.RemotePageSource
 	closeOnce  sync.Once
 	closeErr   error
+	// Close records restore.cow_breaks: Proc's breaks past restoredBreaks.
+	obs            *obs.Registry
+	restoredBreaks uint64
 }
 
 // Close releases the migration's lazy-paging plumbing: it closes the TCP
@@ -230,7 +233,8 @@ type MigrationResult struct {
 // After Close the restored process must not fault any page that was left
 // behind on the source — run it to completion first, or accept that such a
 // fault fails with a transport error (see kernel.IsLazyFaultError). Close
-// is idempotent; for non-lazy migrations it is a no-op.
+// is idempotent; for non-lazy migrations it only records restore.cow_breaks,
+// the pages the restored process copied on first write since restore.
 func (r *MigrationResult) Close() error {
 	return r.finish(true, false)
 }
@@ -250,6 +254,7 @@ func (r *MigrationResult) Rollback() error {
 
 func (r *MigrationResult) finish(reapSource, reapRestored bool) error {
 	r.closeOnce.Do(func() {
+		r.obs.Counter("restore.cow_breaks").Add(r.Proc.AS.CowBreaks() - r.restoredBreaks)
 		if r.pageClient != nil {
 			if err := r.pageClient.Close(); err != nil {
 				r.closeErr = fmt.Errorf("cluster: page client close: %w", err)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/imgcheck"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/monitor"
@@ -18,6 +19,13 @@ func MalformedStreams(t testing.TB, blob []byte) [][]byte {
 		out = append(out, tc.payload)
 	}
 	return out
+}
+
+// Transfer is the in-process hand-off a vanilla Migrate ships its blob
+// through, without a codec: the directory returned aliases blob.
+func Transfer(blob []byte) (*criu.ImageDir, error) {
+	dir, _, err := transfer(blob, criu.CodecNone, nil)
+	return dir, err
 }
 
 // DisabledStageAllocs reports how many heap allocations one stage() costs

@@ -338,7 +338,7 @@ func (m *migration) finish(p2 *kernel.Process) *MigrationResult {
 	reg.Counter("migrate.image_bytes").Add(bd.ImageBytes)
 	reg.Histogram("recode.host_ns").Observe(bd.RecodeHost)
 
-	res := &MigrationResult{Proc: p2, Breakdown: *bd, srcKernel: m.src.K, srcProc: m.p, dstKernel: m.dst.K}
+	res := &MigrationResult{Proc: p2, Breakdown: *bd, srcKernel: m.src.K, srcProc: m.p, dstKernel: m.dst.K, obs: reg, restoredBreaks: p2.AS.CowBreaks()}
 	if !m.opts.Lazy {
 		// Nothing will ever fault back to the source: reap it now instead
 		// of leaking it SIGSTOPed forever. Its console stays readable.

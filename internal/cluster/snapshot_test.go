@@ -1,11 +1,16 @@
 package cluster_test
 
 import (
+	"crypto/sha256"
+	"math/rand"
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
+	"github.com/dapper-sim/dapper/internal/core"
 	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/kernel"
+	"github.com/dapper-sim/dapper/internal/monitor"
+	"github.com/dapper-sim/dapper/internal/obs"
 	"github.com/dapper-sim/dapper/internal/workloads"
 )
 
@@ -101,4 +106,80 @@ func TestPreCopyDeltaCarriesOverwrites(t *testing.T) {
 	if stale > 0 || got != want {
 		t.Errorf("%d of %d overwritten keys read differently on the destination than on a server never migrated", stale, len(gets))
 	}
+}
+
+// serveKV sends a kv_vanilla-shaped script to a migrated server and runs
+// it until idle: pairs that SET a fresh key and GET one of the 4000 keys
+// loadedServer loaded, so the replies depend on migrated memory.
+func serveKV(t *testing.T, n *cluster.Node, p *kernel.Process, pairs int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < pairs; i++ {
+		p.PushInput(workloads.RediskaSet(1<<33+uint64(rng.Int63n(1<<33)), uint64(rng.Int63())))
+		p.PushInput(workloads.RediskaGet(1000000 + 7*uint64(rng.Intn(4000))))
+	}
+	quiesce(t, n, p)
+	if len(p.TakeOutput()) == 0 {
+		t.Fatal("the server answered nothing")
+	}
+}
+
+// TestServeNeverWritesReceivedImage: the destination adopts the received
+// pages.img as its frames, so the copy-on-write share is all that keeps a
+// served request from writing into the bytes that arrived. A kv_vanilla-
+// shaped migration — 4000 keys, cross-ISA, the in-process hand-off —
+// then 256 SET/GET pairs served on the destination must leave the received
+// directory parsing to the bytes it arrived as. Through Migrate, Close
+// records the breaks the serve phase paid as restore.cow_breaks.
+func TestServeNeverWritesReceivedImage(t *testing.T) {
+	xeon, pi, p, meta := loadedServer(t)
+	if err := monitor.New(xeon.K, p, meta).Pause(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := criu.Dump(p, criu.DumpOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (core.CrossISAPolicy{Target: pi.Spec.Arch}).Rewrite(dir, &core.Context{Binaries: xeon.Binaries}); err != nil {
+		t.Fatal(err)
+	}
+	blob := dir.Marshal()
+	sum := sha256.Sum256(blob)
+	got, err := cluster.Transfer(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc, err := criu.Restore(pi.K, got, pi.Binaries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	breaks := proc.AS.CowBreaks()
+	serveKV(t, pi, proc, 256)
+	if proc.AS.CowBreaks() == breaks {
+		t.Error("serving broke no share: the test wrote no adopted page")
+	}
+	again, err := criu.UnmarshalImageDir(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sha256.Sum256(got.Marshal()) != sum || sha256.Sum256(again.Marshal()) != sum {
+		t.Error("serving on the destination wrote into the image it was restored from")
+	}
+
+	xeon, pi, p, meta = loadedServer(t)
+	reg := obs.New()
+	res, err := cluster.Migrate(xeon, pi, p, meta, cluster.MigrateOpts{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	breaks = res.Proc.AS.CowBreaks()
+	serveKV(t, pi, res.Proc, 256)
+	if err := res.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := res.Proc.AS.CowBreaks() - breaks
+	if n := reg.Counter("restore.cow_breaks").Value(); n != want || n == 0 {
+		t.Errorf("restore.cow_breaks = %d, want the %d breaks since restore", n, want)
+	}
+	t.Logf("256 SETs broke %d of %d adopted pages", want, criu.DumpedPages(got))
 }

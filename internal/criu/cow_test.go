@@ -2,9 +2,13 @@ package criu_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/isa"
+	"github.com/dapper-sim/dapper/internal/kernel"
+	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/monitor"
 )
 
@@ -105,5 +109,56 @@ func TestChainLinksNeverWritten(t *testing.T) {
 	}
 	if !bytes.Equal(again.Marshal(), want) {
 		t.Fatal("the chain flattens differently after writes through sets loaded from it")
+	}
+}
+
+// TestRestoreNeverWritesItsDirectory: a restore adopts pages.img in place,
+// so the directory's bytes are the restored process's frames until it
+// writes them, and every restore of the directory reads the same bytes.
+// Of two processes restored from one directory, the first writes a data
+// page, the flag page and a text page it adopted; neither the directory
+// nor anything the second reads may change.
+func TestRestoreNeverWritesItsDirectory(t *testing.T) {
+	src, pair := pausedDupPair(t)
+	dir, err := criu.Dump(src, criu.DumpOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov := criu.MapProvider{"/bin/dup.sx86": pair.X86}
+	sum := sha256.Sum256(dir.Marshal())
+	var procs [2]*kernel.Process
+	for i := range procs {
+		if procs[i], err = criu.Restore(kernel.New(kernel.Config{Cores: 2}), dir, prov); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, second := procs[0].AS, procs[1].AS
+	seen := asSnapshot(second)
+
+	writes := map[string]uint64{"flag": isa.FlagAddr}
+	for _, idx := range first.PopulatedPages() {
+		v, _ := first.FindVMA(idx * mem.PageSize)
+		name := map[mem.VMAKind]string{mem.VMAText: "text", mem.VMAData: "data"}[v.Kind]
+		if _, taken := writes[name]; name != "" && !taken && idx != isa.FlagAddr/mem.PageSize {
+			writes[name] = idx * mem.PageSize
+		}
+	}
+	if len(writes) != 3 {
+		t.Fatalf("want a text page, a data page and the flag page to write, found %v", writes)
+	}
+	breaks := first.CowBreaks()
+	for name, addr := range writes {
+		if err := first.WriteU64(addr+8, 0xfeedfacefeedface); err != nil {
+			t.Fatalf("%s page: %v", name, err)
+		}
+	}
+	if got := first.CowBreaks() - breaks; got != 2 {
+		t.Errorf("writing the text and data pages broke %d shares, want 2 (restore broke the flag page's)", got)
+	}
+	if sha256.Sum256(dir.Marshal()) != sum {
+		t.Error("writes in a restored process reached the directory it was restored from")
+	}
+	if !bytes.Equal(asSnapshot(second), seen) {
+		t.Error("writes in one restored process reached another restored from the same directory")
 	}
 }

@@ -43,14 +43,8 @@ func (m MapProvider) Register(path string, b *compiler.Binary) {
 
 var _ BinaryProvider = MapProvider(nil)
 
-// RestoreOpts selects optional restore behaviors; the zero value is the
-// plain restore every migration uses.
+// RestoreOpts selects optional restore behaviors.
 type RestoreOpts struct {
-	// Frames, when non-nil, installs every dumped page as a shared
-	// copy-on-write frame from this cache instead of a private copy —
-	// the clone fan-out path, where N restores of one checkpoint share
-	// resident pages until first write.
-	Frames *kernel.FrameCache
 	// Obs, if set, receives restore telemetry: the restore.pages
 	// counter, restore.verify_ns / restore.install_ns histograms, and a
 	// "restore" span whose verify and install children sum exactly to
@@ -73,8 +67,8 @@ func Restore(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider) (*kernel.
 // RestoreWith is Restore with options. One view of the directory serves
 // the pre-flights and the restore itself — nothing writes it in between —
 // so every check runs on the bytes that install, before the first page
-// does; and pages.img is installed from where it sits in the directory,
-// flat or the page list a rewrite left, never copied or joined.
+// does; pages.img is adopted where it sits (flat or a page list), never
+// copied, so the directory must not be written while the process runs.
 func RestoreWith(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider, opts RestoreOpts) (*kernel.Process, error) {
 	verifyStart := time.Now()
 	v := image.Open(dir)
@@ -85,7 +79,7 @@ func RestoreWith(k *kernel.Kernel, dir *ImageDir, provider BinaryProvider, opts 
 	verifyDur := time.Since(verifyStart)
 
 	installStart := time.Now()
-	p, installed, err := install(k, v, bin, opts.Frames)
+	p, installed, err := install(k, v, bin)
 	if err != nil {
 		return nil, err
 	}
@@ -135,14 +129,14 @@ func preflight(v *image.View, provider BinaryProvider) (*compiler.Binary, error)
 
 // install builds the process from a view that passed preflight: the VMAs
 // and the executable's text (dumped pages overlay it), the payload pages
-// in pagemap order — private copies in one bulk install, the restore's one
-// payload copy, or with a frame cache a shared copy-on-write frame per
-// page — then threads with trap-PC nudging, mutexes, the cleared DAPPER
+// in pagemap order — adopted in place as copy-on-write frames
+// (mem.InstallPages), so a restore copies no page until the process writes
+// it — then threads with trap-PC nudging, mutexes, the cleared DAPPER
 // flag, and adoption by the kernel. Zero pages are materialized only when
 // the image is lazy: a post-copy restore installs a fault handler, and a
 // zero page must never round-trip to the page server; lazy pages are left
 // for that handler. It also returns the number of pages installed.
-func install(k *kernel.Kernel, v *image.View, bin *compiler.Binary, frames *kernel.FrameCache) (*kernel.Process, int, error) {
+func install(k *kernel.Kernel, v *image.View, bin *compiler.Binary) (*kernel.Process, int, error) {
 	n := v.Pagemap.Counts()
 	if n[image.PageParent] > 0 {
 		return nil, 0, fmt.Errorf("criu: image has %d unresolved in_parent pages; flatten the chain (FlattenChain) before restore", n[image.PageParent])
@@ -165,9 +159,7 @@ func install(k *kernel.Kernel, v *image.View, bin *compiler.Binary, frames *kern
 		return nil, 0, fmt.Errorf("criu: restore text: %w", err)
 	}
 
-	// dataPages[i] is the page index payload page i lands on (ascending, as
-	// the pagemap is sorted).
-	dataPages := make([]uint64, 0, n[image.PageData])
+	dataPages := make([]uint64, 0, n[image.PageData]) // payload page i lands on dataPages[i]
 	installed := 0
 	v.Pagemap.EachPage(func(addr uint64, class image.PageClass) {
 		switch {
@@ -178,13 +170,7 @@ func install(k *kernel.Kernel, v *image.View, bin *compiler.Binary, frames *kern
 			installed++
 		}
 	})
-	if frames == nil {
-		as.InstallPages(dataPages, v.Pages.Page)
-	} else {
-		for pi, idx := range dataPages {
-			as.InstallSharedPage(idx, frames.Frame(idx, v.Pages.Page(pi)))
-		}
-	}
+	as.InstallPages(dataPages, v.Pages.Page)
 	installed += len(dataPages)
 
 	inv := v.Inventory

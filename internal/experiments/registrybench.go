@@ -150,7 +150,7 @@ func Registry(c workloads.Class) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if res.Frames.Len() == 0 {
+		if res.SharedPages == 0 {
 			return nil, fmt.Errorf("registry: clone N=%d shares no frames", n)
 		}
 		var want string
@@ -178,7 +178,7 @@ func Registry(c workloads.Class) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("clone N=%d", n),
 			"-", "-", "-", "-",
-			fmt.Sprintf("%d", res.Frames.Len()),
+			fmt.Sprintf("%d", res.SharedPages),
 			ms(res.PullHost),
 			ms(res.RestoreHost),
 		})

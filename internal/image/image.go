@@ -542,22 +542,31 @@ func frameHeader(name string, dataLen int) []byte {
 // each file's bytes into place exactly once, into memory it does not
 // zero first. A pages.img in list form is gathered here, page by page,
 // straight to its place in the blob — the one copy it gets between the
-// rewriter and the wire.
+// rewriter and the wire. Padding in front of the blob, outside it, starts
+// pages.img's data on a page boundary (the Go heap page-aligns allocations
+// over 32 KiB): a restore adopting the received pages reads aligned words.
 func (d *ImageDir) Marshal() []byte {
 	names := d.Names()
-	parts := make([][]byte, 0, 2*len(names)+len(d.pageList))
+	parts := make([][]byte, 1, 1+2*len(names)+len(d.pageList))
+	at, pad := 0, 0 // the next part's offset in the blob; the padding
 	for _, name := range names {
-		data := d.files[name]
+		file := [][]byte{d.files[name]}
 		if name == PagesName && len(d.pageList) > 0 {
-			pages, _ := d.Payload()
-			parts = append(parts, frameHeader(name, pages.Len()))
-			parts = append(parts, d.pageList...)
-			continue
+			file = d.pageList
 		}
-		parts = append(parts, frameHeader(name, len(data)), data)
+		size := Payload{list: file}.Len()
+		hdr := frameHeader(name, size)
+		if name == PagesName {
+			pad = -(at + len(hdr)) & (mem.PageSize - 1)
+		}
+		parts = append(append(parts, hdr), file...)
+		at += len(hdr) + size
 	}
-	return bytes.Join(parts, nil)
+	parts[0] = blobPadding[:pad]
+	return bytes.Join(parts, nil)[pad:]
 }
+
+var blobPadding [mem.PageSize]byte // what Marshal puts in front of a blob
 
 // UnmarshalImageDir parses a directory blob: the stream splitter run over
 // the whole blob at once, so a blob at rest and a blob arriving in

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/mem"
@@ -41,6 +42,38 @@ func TestMarshalEqualsFrameFiles(t *testing.T) {
 		}
 		if !bytes.Equal(back.Marshal(), got) {
 			t.Errorf("%s: blob does not round-trip", name)
+		}
+	}
+}
+
+// TestMarshalAlignsPayload: whether pages.img is held flat or as a page
+// list, the blob Marshal returns puts its first data byte on a 4 KiB
+// boundary of memory, so the frames a restore adopts from the received
+// blob are aligned, and the blob is still exactly the FrameFile
+// concatenation (TestMarshalEqualsFrameFiles; the golden digests pin the
+// real images).
+func TestMarshalAlignsPayload(t *testing.T) {
+	list, _ := cowDir(t, 16)
+	flat := image.NewImageDir()
+	for _, dir := range []*image.ImageDir{list, flat} {
+		dir.Put("core-1.img", []byte{1, 2, 3}) // odd sizes put pages.img anywhere
+		dir.Put("mm.img", bytes.Repeat([]byte{7}, 555))
+	}
+	pages, _ := list.Get("pages.img")
+	flat.Put("pages.img", pages)
+	for name, dir := range map[string]*image.ImageDir{"list": list, "flat": flat} {
+		blob := dir.Marshal()
+		back, err := image.UnmarshalImageDir(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := back.Payload()
+		first := got.Page(0)
+		if addr := uintptr(unsafe.Pointer(unsafe.SliceData(first))); addr%mem.PageSize != 0 {
+			t.Errorf("%s: pages.img data starts at %#x, %d bytes past a page boundary", name, addr, addr%mem.PageSize)
+		}
+		if at := len(blob) - len(pages); &blob[at] != &first[0] || !bytes.Equal(blob[at:], pages) {
+			t.Errorf("%s: pages.img is not the blob's tail", name)
 		}
 	}
 }

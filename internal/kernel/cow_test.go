@@ -8,35 +8,28 @@ import (
 )
 
 // TestFrameCacheCopyOnWrite pins the clone-sharing contract: N address
-// spaces installing frames from one cache share the same resident
-// pages, reads see identical bytes, and the first write in one clone
-// privatizes only that clone's page — the shared frame and every other
-// clone are untouched.
+// spaces adopting one buffer as their frames (mem.InstallPages, as N
+// restores of one image directory do) share the same resident pages,
+// reads see identical bytes, and the first write in one clone privatizes
+// only that clone's page — the buffer and every other clone are
+// untouched.
 func TestFrameCacheCopyOnWrite(t *testing.T) {
 	const base = uint64(0x1000_0000)
-	fill := func(b byte) []byte {
-		pg := make([]byte, mem.PageSize)
-		for i := range pg {
-			pg[i] = b
-		}
-		return pg
+	payload := make([]byte, 2*mem.PageSize)
+	for i := range payload {
+		payload[i] = byte(0x10 + i/mem.PageSize)
 	}
+	want := bytes.Clone(payload)
 
-	fc := NewFrameCache()
 	spaces := make([]*mem.AddressSpace, 3)
 	for i := range spaces {
 		as := mem.NewAddressSpace()
 		if err := as.Map(mem.VMA{Start: base, End: base + 2*mem.PageSize, Kind: mem.VMAData, Prot: mem.ProtRead | mem.ProtWrite}); err != nil {
 			t.Fatal(err)
 		}
-		for pg := uint64(0); pg < 2; pg++ {
-			idx := base/mem.PageSize + pg
-			as.InstallSharedPage(idx, fc.Frame(idx, fill(byte(0x10+pg))))
-		}
+		idxs := []uint64{base / mem.PageSize, base/mem.PageSize + 1}
+		as.InstallPages(idxs, func(pg int) []byte { return payload[pg*mem.PageSize:] })
 		spaces[i] = as
-	}
-	if fc.Len() != 2 {
-		t.Fatalf("frame cache holds %d frames, want 2", fc.Len())
 	}
 	for i, as := range spaces {
 		if got := as.SharedResidentPages(); got != 2 {
@@ -69,8 +62,8 @@ func TestFrameCacheCopyOnWrite(t *testing.T) {
 			t.Fatalf("clone %d sees clone 0's write through the shared frame", i+1)
 		}
 	}
-	// The shared frame itself is pristine.
-	if frame := fc.Frame(base/mem.PageSize, nil); !bytes.Equal(frame.Data[:8], fill(0x10)[:8]) {
-		t.Fatal("shared frame mutated by a clone write")
+	// The adopted buffer itself is pristine.
+	if !bytes.Equal(payload, want) {
+		t.Fatal("adopted buffer mutated by a clone write")
 	}
 }

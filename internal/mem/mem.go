@@ -15,6 +15,7 @@
 package mem
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -96,12 +97,23 @@ func (e *FaultError) Error() string {
 
 func (e *FaultError) Unwrap() error { return e.Cause }
 
-// Page is one populated page and its write version (used by the
-// interpreter, together with the frame's identity, to invalidate its
-// predecoded tables when code pages are rewritten or replaced).
+// Page is one populated page of one address space: Data is its frame and
+// Version its write version (used by the interpreter, together with the
+// Page's identity, to invalidate its predecoded tables when code pages are
+// rewritten or replaced). The frame may be a window of a buffer the space
+// did not allocate and shares copy-on-write (InstallPages, SharePages);
+// the Page itself is the space's own.
 type Page struct {
-	Data    [PageSize]byte
+	Data    *[PageSize]byte
 	Version uint64
+}
+
+// newPage returns a private frame holding a copy of data (up to PageSize
+// bytes; nil yields a zero page).
+func newPage(data []byte, version uint64) *Page {
+	p := &Page{Data: new([PageSize]byte), Version: version}
+	copy(p.Data[:], data)
+	return p
 }
 
 // FaultHandler populates a missing page on first access. It returns the
@@ -116,8 +128,9 @@ type FaultHandler func(pageAddr uint64) ([]byte, error)
 const tlbWays = 64
 
 // tlbEntry caches the verdict of the slow path for one page: tag is the
-// page index plus one (so the zero value matches nothing) and page the
-// resident frame behind it.
+// page index plus one (so the zero value matches nothing), page the
+// resident Page behind it and data that Page's frame, so a hit loads the
+// bytes without going through the Page.
 //
 // An entry of the read TLB says the page is mapped and resident. An entry
 // of the write TLB says in addition that the frame is private (not a
@@ -126,6 +139,7 @@ const tlbWays = 64
 // that hits is a bounds check, PutUint64 and Version++.
 type tlbEntry struct {
 	tag  uint64
+	data *[PageSize]byte
 	page *Page
 }
 
@@ -157,11 +171,12 @@ type AddressSpace struct {
 	tracking bool
 	dirty    map[uint64]struct{}
 
-	// cow marks resident pages whose *Page frame is shared with other
-	// address spaces (clone fan-out restores the same checkpoint into N
-	// spaces without copying) or with a checkpoint of this one (a dump's
-	// pages.img aliases the frames). Reads go through the shared frame;
-	// the first write breaks the share by cloning the frame privately.
+	// cow marks resident pages whose frame is shared: with the image
+	// directory the space was restored from (InstallPages adopts its
+	// pages.img, so N restores of one directory share it) or with a
+	// checkpoint of this one (a dump's pages.img aliases the frames).
+	// Reads go through the shared frame; the first write breaks the share
+	// by pointing the Page at a private copy.
 	cow       map[uint64]struct{}
 	cowBreaks uint64
 }
@@ -188,9 +203,10 @@ func (as *AddressSpace) flushTLB() {
 }
 
 // Epoch changes whenever a page index may have come to name a different
-// frame or none (a mapping change, a page installed, dropped or
-// privatized). A caller that holds on to frames CodePage gave it — the
-// interpreter's predecoded code pages — must ask again once it moves.
+// Page or none (a mapping change, a page installed or dropped). A caller
+// that holds on to Pages CodePage gave it — the interpreter's predecoded
+// code pages — must ask again once it moves. A copy-on-write break keeps
+// the Page and moves its Version instead.
 func (as *AddressSpace) Epoch() uint64 { return as.epoch }
 
 // TLBMisses reports how many ReadU64/WriteU64 calls took the slow path
@@ -273,16 +289,14 @@ func (as *AddressSpace) page(addr uint64) (*Page, error) {
 	idx := addr / PageSize
 	p, ok := as.pages[idx]
 	if !ok {
-		p = &Page{}
+		var data []byte
 		if as.fault != nil {
-			data, err := as.fault(idx * PageSize)
-			if err != nil {
+			var err error
+			if data, err = as.fault(idx * PageSize); err != nil {
 				return nil, &FaultError{Addr: addr, Cause: err}
 			}
-			if data != nil {
-				copy(p.Data[:], data)
-			}
 		}
+		p = newPage(data, 0)
 		as.pages[idx] = p
 	}
 	return p, nil
@@ -292,7 +306,7 @@ func (as *AddressSpace) page(addr uint64) (*Page, error) {
 func (as *AddressSpace) ReadU64(addr uint64) (uint64, error) {
 	idx, off := addr/PageSize, addr%PageSize
 	if e := &as.rtlb[tlbSlot(idx)]; e.tag == idx+1 && off <= PageSize-8 {
-		return binary.LittleEndian.Uint64(e.page.Data[off:]), nil
+		return binary.LittleEndian.Uint64(e.data[off:]), nil
 	}
 	return as.readU64Slow(addr)
 }
@@ -309,7 +323,7 @@ func (as *AddressSpace) readU64Slow(addr uint64) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		as.rtlb[tlbSlot(idx)] = tlbEntry{tag: idx + 1, page: p}
+		as.rtlb[tlbSlot(idx)] = tlbEntry{tag: idx + 1, data: p.Data, page: p}
 		return binary.LittleEndian.Uint64(p.Data[off:]), nil
 	}
 	var buf [8]byte
@@ -320,9 +334,13 @@ func (as *AddressSpace) readU64Slow(addr uint64) (uint64, error) {
 }
 
 // pageForWrite returns the page containing addr, breaking a
-// copy-on-write share first: a shared frame is cloned into a private
-// page so the store never reaches the clones or the dump still reading
-// the shared one. Every mutating path must come through here.
+// copy-on-write share first, so the store never reaches the directory,
+// the other restores or the dump still reading the shared frame. The
+// break is in place: the Page takes a private copy of its frame (not
+// zeroed first), and only the read TLB slot that held the shared frame
+// is cleared — no write entry can name a shared page. The store that
+// follows moves Version, which is what the interpreter's code tables
+// check. Every mutating path must come through here.
 func (as *AddressSpace) pageForWrite(addr uint64) (*Page, error) {
 	p, err := as.page(addr)
 	if err != nil {
@@ -330,12 +348,10 @@ func (as *AddressSpace) pageForWrite(addr uint64) (*Page, error) {
 	}
 	idx := addr / PageSize
 	if _, shared := as.cow[idx]; shared {
-		priv := &Page{Data: p.Data, Version: p.Version}
+		p.Data = (*[PageSize]byte)(bytes.Clone(p.Data[:]))
 		delete(as.cow, idx)
 		as.cowBreaks++
-		as.pages[idx] = priv
-		as.flushTLB()
-		p = priv
+		as.rtlb[tlbSlot(idx)] = tlbEntry{}
 	}
 	return p, nil
 }
@@ -344,7 +360,7 @@ func (as *AddressSpace) pageForWrite(addr uint64) (*Page, error) {
 func (as *AddressSpace) WriteU64(addr, v uint64) error {
 	idx, off := addr/PageSize, addr%PageSize
 	if e := &as.wtlb[tlbSlot(idx)]; e.tag == idx+1 && off <= PageSize-8 {
-		binary.LittleEndian.PutUint64(e.page.Data[off:], v)
+		binary.LittleEndian.PutUint64(e.data[off:], v)
 		e.page.Version++
 		return nil
 	}
@@ -367,7 +383,7 @@ func (as *AddressSpace) writeU64Slow(addr, v uint64) error {
 		as.markDirty(idx)
 		// The frame is now private, resident and marked: later stores to
 		// the page need none of the above until something flushes.
-		as.wtlb[tlbSlot(idx)] = tlbEntry{tag: idx + 1, page: p}
+		as.wtlb[tlbSlot(idx)] = tlbEntry{tag: idx + 1, data: p.Data, page: p}
 		return nil
 	}
 	var buf [8]byte
@@ -436,9 +452,9 @@ func (as *AddressSpace) WriteBytes(addr uint64, p []byte) error {
 	return nil
 }
 
-// CodePage returns the page with index idx for instruction fetch, along
-// with its write version. The page must be inside a mapped VMA. The
-// answer holds until Epoch moves.
+// CodePage returns the page with index idx for instruction fetch. The
+// page must be inside a mapped VMA. The answer holds until Epoch moves;
+// its bytes until its Version does.
 func (as *AddressSpace) CodePage(idx uint64) (*Page, error) {
 	addr := idx * PageSize
 	if !as.mapped(addr) {
@@ -480,48 +496,29 @@ func (as *AddressSpace) DropPage(idx uint64) {
 // handler (used by restore).
 func (as *AddressSpace) InstallPage(idx uint64, data []byte) {
 	as.markDirty(idx)
-	as.pages[idx] = PreparePage(data)
+	as.pages[idx] = newPage(data, 1)
 	delete(as.cow, idx)
 	as.flushTLB()
 }
 
-// InstallPages populates page idxs[i] with a private copy of data(i) (up
-// to PageSize bytes; nil yields a zero page) for every i — restore's bulk
-// form of InstallPage. The frames are one allocation of exactly the
-// payload's size, filled in one pass, and what the pages mean changes
+// InstallPages adopts data(i), exactly PageSize bytes, as the frame of
+// page idxs[i] for every i — restore's install, which copies nothing. The
+// bytes stay the caller's: every page is a copy-on-write share, so the
+// space reads them in place and its first store to a page copies that
+// page alone, and N spaces adopting one buffer share it by construction.
+// The caller must never write through them again, and they stay alive
+// until the last space's share of each is broken or dropped. The Pages
+// are the space's own, one allocation, and what the pages mean changes
 // once, so the TLBs are flushed once however many pages land.
 func (as *AddressSpace) InstallPages(idxs []uint64, data func(i int) []byte) {
-	frames := make([]Page, len(idxs))
+	pages := make([]Page, len(idxs))
 	for i, idx := range idxs {
-		p := &frames[i]
-		p.Version = 1
-		copy(p.Data[:], data(i))
+		p := &pages[i]
+		p.Data, p.Version = (*[PageSize]byte)(data(i)), 1
 		as.markDirty(idx)
 		as.pages[idx] = p
-		delete(as.cow, idx)
 	}
-	as.flushTLB()
-}
-
-// PreparePage builds a page frame off to the side: data (up to PageSize
-// bytes; nil yields a zero page) is copied into a fresh frame with the
-// Version every install stamps. It touches no address-space state; shared
-// frames are built this way and adopted with InstallSharedPage.
-func PreparePage(data []byte) *Page {
-	p := &Page{Version: 1}
-	copy(p.Data[:], data)
-	return p
-}
-
-// InstallSharedPage installs a page frame owned jointly with other
-// address spaces (clone fan-out). The space serves reads from the shared
-// frame and must never mutate it: the first write through pageForWrite
-// clones it privately. The caller promises not to write through p after
-// installing it anywhere.
-func (as *AddressSpace) InstallSharedPage(idx uint64, p *Page) {
-	as.markDirty(idx)
-	as.pages[idx] = p
-	as.SharePages([]uint64{idx})
+	as.SharePages(idxs)
 }
 
 // SharePages marks the resident frames of pages idxs copy-on-write, with
@@ -539,8 +536,8 @@ func (as *AddressSpace) SharePages(idxs []uint64) {
 }
 
 // SharedResidentPages reports how many resident pages are still
-// copy-on-write shares (installed by InstallSharedPage or marked by
-// SharePages, not yet written).
+// copy-on-write shares (adopted by InstallPages or marked by SharePages,
+// not yet written).
 func (as *AddressSpace) SharedResidentPages() int { return len(as.cow) }
 
 // CowBreaks reports how many shared pages this space has privatized on

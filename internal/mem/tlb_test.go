@@ -61,7 +61,8 @@ func readWord(t *testing.T, as *mem.AddressSpace, addr uint64) uint64 {
 // changes what the page index means in each of the ways the address space
 // allows, and checks that the next access sees the new state rather than
 // the cached verdict — and that Epoch, which the interpreter's code
-// tables are validated against, moved.
+// tables are validated against, moved. A copy-on-write break is the one
+// change that keeps the Page: it moves the Page's Version, not the epoch.
 func TestTLBFlushPoints(t *testing.T) {
 	cases := map[string]func(t *testing.T, as *mem.AddressSpace){
 		"Map": func(t *testing.T, as *mem.AddressSpace) {
@@ -112,10 +113,10 @@ func TestTLBFlushPoints(t *testing.T) {
 			checkReplaced(t, as, 0x22)
 		},
 		"InstallSharedPage": func(t *testing.T, as *mem.AddressSpace) {
-			shared := mem.PreparePage(pageOf(0x33))
-			as.InstallSharedPage(tlbIdx, shared)
+			shared := pageOf(0x33)
+			adopt(as, tlbIdx, shared)
 			if v := readWord(t, as, tlbPage+8); v != 0x3333333333333333 {
-				t.Errorf("load after the install = %#x, want the shared frame's bytes", v)
+				t.Errorf("load after the install = %#x, want the adopted bytes", v)
 			}
 			for i := uint64(0); i < 3; i++ {
 				if err := as.WriteU64(tlbPage+8*i, i); err != nil {
@@ -125,24 +126,37 @@ func TestTLBFlushPoints(t *testing.T) {
 			if as.CowBreaks() != 1 || as.PageShared(tlbIdx) {
 				t.Errorf("three stores broke the share %d times, want exactly once", as.CowBreaks())
 			}
-			if shared.Data[0] != 0x33 || shared.Data[16] != 0x33 {
-				t.Error("a store reached the shared frame")
+			if !bytes.Equal(shared, pageOf(0x33)) {
+				t.Error("a store reached the adopted bytes")
 			}
 		},
 		"COW break": func(t *testing.T, as *mem.AddressSpace) {
-			shared := mem.PreparePage(pageOf(0x44))
-			as.InstallSharedPage(tlbIdx, shared)
+			shared := pageOf(0x44)
+			adopt(as, tlbIdx, shared)
 			// Prime the read entry on the shared frame; the store must
 			// not leave later loads looking at it.
 			for i := 0; i < 2; i++ {
 				readWord(t, as, tlbPage+8)
 			}
-			epoch := as.Epoch()
+			before, err := as.CodePage(tlbIdx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			version, epoch := before.Version, as.Epoch()
 			if err := as.WriteU64(tlbPage+8, 99); err != nil {
 				t.Fatal(err)
 			}
-			if as.Epoch() == epoch {
-				t.Error("the break did not move the epoch")
+			// The break is in place: the same Page, a private frame behind
+			// it, and the store's Version move is what code tables see.
+			after, err := as.CodePage(tlbIdx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after != before || after.Version == version {
+				t.Errorf("the break replaced the Page (%v) or left its Version at %d", after != before, version)
+			}
+			if as.Epoch() != epoch {
+				t.Error("the break flushed the TLBs")
 			}
 			if v := readWord(t, as, tlbPage+8); v != 99 {
 				t.Errorf("load after the break = %#x, want the stored 99", v)
@@ -150,8 +164,8 @@ func TestTLBFlushPoints(t *testing.T) {
 			if v := readWord(t, as, tlbPage+16); v != 0x4444444444444444 {
 				t.Errorf("private copy lost the shared bytes: %#x", v)
 			}
-			if shared.Data[8] != 0x44 || as.CowBreaks() != 1 {
-				t.Errorf("shared frame written or %d breaks", as.CowBreaks())
+			if !bytes.Equal(shared, pageOf(0x44)) || as.CowBreaks() != 1 {
+				t.Errorf("shared bytes written or %d breaks", as.CowBreaks())
 			}
 		},
 		"SharePages": func(t *testing.T, as *mem.AddressSpace) {
@@ -222,6 +236,12 @@ func TestTLBFlushPoints(t *testing.T) {
 	}
 }
 
+// adopt installs data as page idx's frame the way restore does: shared,
+// copy-on-write, without a copy.
+func adopt(as *mem.AddressSpace, idx uint64, data []byte) {
+	as.InstallPages([]uint64{idx}, func(int) []byte { return data })
+}
+
 // checkReplaced: the page was replaced by a frame filled with b; loads see
 // it and stores land in it, not in the frame the TLB knew.
 func checkReplaced(t *testing.T, as *mem.AddressSpace, b byte) {
@@ -255,15 +275,15 @@ func checkStoreMarks(t *testing.T, as *mem.AddressSpace) {
 }
 
 // TestSoftDirtyMatchesNaiveModel drives random sequences of stores, loads,
-// tracking switches, soft-dirty clears, page installs, COW shares, dumps,
+// tracking switches, soft-dirty clears, page installs, adoptions, dumps,
 // resizes and drops, and compares CollectDirty after every step with a set
 // the test keeps by the obvious rule: while tracking is on, anything that
 // writes or unmaps a page adds it. The write TLB skips markDirty on a hit; this is
 // the test that it only does so when the mark is already there. A dump
 // keeps every resident page's frame and shares it, as criu.Dump does, and
-// the last few dumps' pages must keep their bytes through everything
-// after: stores that hit, miss or straddle, WriteBytes, installs, shares,
-// drops and resizes.
+// the last few dumps' pages and adopted buffers must keep their
+// bytes through everything after: stores that hit, miss or straddle,
+// WriteBytes, installs, shares, drops and resizes.
 func TestSoftDirtyMatchesNaiveModel(t *testing.T) {
 	const pages = 24
 	first := tlbBase / mem.PageSize
@@ -283,12 +303,18 @@ func TestSoftDirtyMatchesNaiveModel(t *testing.T) {
 			}
 		}
 		var dumps []map[uint64]kept // the last four, oldest first
+		var adopted []kept          // the last four adopted buffers
 		unchanged := func(step int, idxs ...uint64) {
 			for d, dump := range dumps {
 				for _, idx := range idxs {
 					if k, ok := dump[idx]; ok && !bytes.Equal(k.page, k.was) {
 						t.Fatalf("seed %d step %d: page %d of dump %d changed under it", seed, step, idx, d)
 					}
+				}
+			}
+			for _, k := range adopted {
+				if !bytes.Equal(k.page, k.was) {
+					t.Fatalf("seed %d step %d: an adopted buffer changed", seed, step)
 				}
 			}
 		}
@@ -342,12 +368,20 @@ func TestSoftDirtyMatchesNaiveModel(t *testing.T) {
 			case op < 78:
 				as.InstallPage(idx, pageOf(byte(step)))
 				mark(idx)
-			case op < 82:
-				as.InstallPages([]uint64{idx}, func(int) []byte { return pageOf(byte(step)) })
-				mark(idx)
-			case op < 86:
-				as.InstallSharedPage(idx, mem.PreparePage(pageOf(byte(step))))
-				mark(idx)
+			case op < 86: // adopt one or two pages of one buffer
+				buf := pageOf(byte(step))
+				buf = append(buf, pageOf(^byte(step))...)
+				idxs := []uint64{idx}
+				if idx+1 < first+pages {
+					idxs = append(idxs, idx+1)
+				}
+				as.InstallPages(idxs, func(i int) []byte { return buf[i*mem.PageSize:] })
+				for _, i := range idxs {
+					mark(i)
+				}
+				if adopted = append(adopted, kept{buf, bytes.Clone(buf)}); len(adopted) > 4 {
+					adopted = adopted[1:]
+				}
 			case op < 90: // dump
 				resident := as.PopulatedPages()
 				dump := make(map[uint64]kept, len(resident))

@@ -1,6 +1,8 @@
 package vm_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/asm"
@@ -163,12 +165,19 @@ func TestInterpreterHitPath(t *testing.T) {
 }
 
 // installers are the two ways a frame gets behind a page index without
-// a guest store; all of them stamp Version 1.
+// a guest store: a private copy, and restore's adoption of a page-sized
+// buffer as a shared frame. Both stamp Version 1.
 var installers = map[string]func(as *mem.AddressSpace, idx uint64, data []byte){
-	"InstallPage": func(as *mem.AddressSpace, idx uint64, data []byte) { as.InstallPage(idx, data) },
-	"InstallSharedPage": func(as *mem.AddressSpace, idx uint64, data []byte) {
-		as.InstallSharedPage(idx, mem.PreparePage(data))
-	},
+	"InstallPage":       func(as *mem.AddressSpace, idx uint64, data []byte) { as.InstallPage(idx, data) },
+	"InstallSharedPage": adopt,
+}
+
+// adopt installs data, padded to a page, as page idx's frame the way
+// restore does: shared, copy-on-write, without a copy.
+func adopt(as *mem.AddressSpace, idx uint64, data []byte) {
+	frame := make([]byte, mem.PageSize)
+	copy(frame, data)
+	as.InstallPages([]uint64{idx}, func(int) []byte { return frame })
 }
 
 // TestInstallPageOverExecutedCodeIsSeen replaces a code page the machine
@@ -209,5 +218,81 @@ func TestInstallPageOverExecutedCodeIsSeen(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestStoreBreakingSharedCodePageIsSeen runs a guest from an adopted code
+// page that patches the instruction after its own store: the store breaks
+// the page's copy-on-write share in place — the same Page, no TLB flush —
+// so only the Version the store moves tells the machine that the table
+// it is executing from is stale. The next fetch must decode the patched
+// instruction, and the adopted bytes must not change.
+func TestStoreBreakingSharedCodePageIsSeen(t *testing.T) {
+	for _, arch := range archs {
+		t.Run(arch.String(), func(t *testing.T) {
+			coder := coders()[arch]
+			// r7 = patch word, r6 = its address (both from the data page, so
+			// the code's layout does not depend on them); r1 = 5; store;
+			// patch: r1 += 1; trap.
+			f := asm.New(coder)
+			f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: 2, Imm: int64(isa.DataBase)})
+			f.Emit(isa.Inst{Op: isa.OpLoad, Rd: 7, Rn: 2, Imm: 0})
+			f.Emit(isa.Inst{Op: isa.OpLoad, Rd: 6, Rn: 2, Imm: 8})
+			f.Emit(isa.Inst{Op: isa.OpMovImm, Rd: 1, Imm: 5})
+			f.Emit(isa.Inst{Op: isa.OpStore, Rd: 7, Rn: 6, Imm: 0})
+			patch := f.Here()
+			f.Emit(isa.Inst{Op: isa.OpAddImm, Rd: 1, Rn: 1, Imm: 1})
+			f.Emit(isa.Inst{Op: isa.OpTrap})
+			code, labels, err := f.Assemble(isa.TextBase, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := labels[patch] - isa.TextBase
+			old, err := coder.Encode(nil, isa.Inst{Op: isa.OpAddImm, Rd: 1, Rn: 1, Imm: 1}, labels[patch])
+			if err != nil {
+				t.Fatal(err)
+			}
+			add, err := coder.Encode(nil, isa.Inst{Op: isa.OpAddImm, Rd: 1, Rn: 1, Imm: 100}, labels[patch])
+			if err != nil || len(add) != len(old) || len(add) > 8 {
+				t.Fatalf("patch encodes to %d bytes over %d (err %v)", len(add), len(old), err)
+			}
+			frame := make([]byte, mem.PageSize)
+			copy(frame, code)
+			word := bytes.Clone(frame[at : at+8])
+			copy(word, add)
+
+			as := mem.NewAddressSpace()
+			for _, v := range []mem.VMA{
+				{Start: isa.TextBase, End: isa.TextBase + mem.PageSize, Kind: mem.VMAText},
+				{Start: isa.DataBase, End: isa.DataBase + mem.PageSize, Kind: mem.VMAData},
+			} {
+				if err := as.Map(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			as.InstallPages([]uint64{isa.TextBase / mem.PageSize}, func(int) []byte { return frame })
+			if err := as.WriteU64(isa.DataBase, binary.LittleEndian.Uint64(word)); err != nil {
+				t.Fatal(err)
+			}
+			if err := as.WriteU64(isa.DataBase+8, labels[patch]); err != nil {
+				t.Fatal(err)
+			}
+			want := bytes.Clone(frame)
+			m := vm.New(isa.ABIFor(arch), coder, as)
+			r := &isa.RegFile{PC: isa.TextBase}
+			epoch := as.Epoch()
+			if stop, err := m.Run(r, 100); err != nil || stop.Kind != vm.StopTrap {
+				t.Fatalf("stop %+v, err %v", stop, err)
+			}
+			if r.R[1] != 105 {
+				t.Errorf("r1 = %d, want 105: the patched instruction was not decoded again", r.R[1])
+			}
+			if as.CowBreaks() != 1 || as.Epoch() != epoch {
+				t.Errorf("%d breaks, epoch moved %v; want one in-place break", as.CowBreaks(), as.Epoch() != epoch)
+			}
+			if !bytes.Equal(frame, want) {
+				t.Error("the guest's store reached the adopted bytes")
+			}
+		})
 	}
 }

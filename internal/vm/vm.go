@@ -239,8 +239,8 @@ func (m *Machine) fetchSlow(pc uint64) (*slot, error) {
 
 // codeStale reports whether the current code page may no longer be what
 // its table was decoded from. Run asks after every store: the store may
-// have patched the page (its version moved) or broken a copy-on-write
-// share of it (the epoch moved).
+// have patched the page, breaking its copy-on-write share first if it had
+// one (either way its version moved).
 func (m *Machine) codeStale() bool {
 	cp := m.cur
 	return cp.frame.Version != cp.version || cp.epoch != m.AS.Epoch()
