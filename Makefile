@@ -63,8 +63,8 @@ loc:
 # over its ceiling. The ceilings are the counts of the last PR that moved
 # them; a PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it, and a PR that removes lines lowers it.
-LOC_CEILING = 26592
-LOC_MIGRATION_CEILING = 9069
+LOC_CEILING = 26498
+LOC_MIGRATION_CEILING = 8975
 loc-check:
 	@$(LOC_COUNT); all=$$(count internal cmd); mig=$$(count $(addprefix internal/,$(MIGRATION_PKGS))); \
 	if [ $$all -gt $(LOC_CEILING) ] || [ $$mig -gt $(LOC_MIGRATION_CEILING) ]; then \
@@ -113,13 +113,14 @@ bench-tables:
 bench-json:
 	$(GO) run ./cmd/dapper-bench -jsonout BENCH_fig7x.json -check BENCH_seed.json fig7x
 
-# bench-quick runs the dump, rewrite and verify profiling benchmarks one
-# iteration each under the race detector and regenerates the wirecodec
-# table — bytes-on-wire for raw vs batched vs flate vs delta+flate on a
-# live pre-copy; the run itself fails if the codec stack saves nothing —
-# and the fleet table, as JSON for the CI artifacts.
+# bench-quick runs the dump, chain-fold, page-set store, rewrite and verify
+# profiling benchmarks one iteration each under the race detector and
+# regenerates the wirecodec table — bytes-on-wire for raw vs batched vs
+# flate vs delta+flate on a live pre-copy; the run itself fails if the
+# codec stack saves nothing — and the fleet table, as JSON for the CI
+# artifacts.
 bench-quick:
-	$(GO) test -race -run=^$$ -bench='^Benchmark(Dump|Rewrite|ImgcheckVerify)$$' -benchtime=1x .
+	$(GO) test -race -run=^$$ -bench='^Benchmark(Dump|FoldLink|PageSetStore|Rewrite|ImgcheckVerify)$$' -benchtime=1x .
 	$(GO) run ./cmd/dapper-bench -jsonout BENCH_wirecodec.json wirecodec
 	$(GO) run ./cmd/dapper-bench -jsonout BENCH_fleet.json fleet
 

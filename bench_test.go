@@ -18,9 +18,11 @@ import (
 	"github.com/dapper-sim/dapper/internal/energy"
 	"github.com/dapper-sim/dapper/internal/experiments"
 	"github.com/dapper-sim/dapper/internal/gadget"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/imgcheck"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
+	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/monitor"
 	"github.com/dapper-sim/dapper/internal/obs"
 	"github.com/dapper-sim/dapper/internal/workloads"
@@ -345,16 +347,7 @@ func pausedBench(b *testing.B, name string, class workloads.Class, rediskaKeys u
 	}
 	if rediskaKeys > 0 {
 		p.PushInput(workloads.RediskaLoad(rediskaKeys))
-		for i := 0; i < 5_000_000; i++ {
-			st, err := xeon.K.Step(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st.Blocked == 1 && p.PendingInput() == 0 {
-				break
-			}
-		}
-		p.TakeOutput()
+		serveInput(b, xeon.K, p)
 	} else {
 		// Measure a reference run so the pause lands mid-execution.
 		refNode := cluster.NewNode(cluster.XeonSpec)
@@ -377,6 +370,23 @@ func pausedBench(b *testing.B, name string, class workloads.Class, rediskaKeys u
 	return xeon, p, pair
 }
 
+// serveInput runs a rediska server until it has consumed its pending input
+// and blocks for more, and discards its replies.
+func serveInput(b *testing.B, k *kernel.Kernel, p *kernel.Process) {
+	b.Helper()
+	for i := 0; i < 5_000_000; i++ {
+		st, err := k.Step(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Blocked == 1 && p.PendingInput() == 0 {
+			p.TakeOutput()
+			return
+		}
+	}
+	b.Fatal("rediska did not drain its input")
+}
+
 // BenchmarkDump is a profiling handle on the dump's page walk and encode
 // over a heap-heavy rediska server.
 func BenchmarkDump(b *testing.B) {
@@ -386,6 +396,76 @@ func BenchmarkDump(b *testing.B) {
 		if _, err := criu.Dump(p, criu.DumpOpts{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFoldLink is a profiling handle on image.FoldLink, the chain rule
+// each pre-copy round applies to the link it receives: one iteration folds
+// a two-link XOR-delta chain of a rediska server — its full dump, then an
+// incremental dump after 64 overwrites — from nothing, as AdvanceBase does.
+func BenchmarkFoldLink(b *testing.B) {
+	xeon, p, pair := pausedBench(b, "rediska", benchClass, 2000)
+	root, err := criu.Dump(p, criu.DumpOpts{TrackMem: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := criu.AdvanceBase(nil, root)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mon := monitor.New(xeon.K, p, pair.Meta)
+	if err := mon.ResumeLocal(); err != nil {
+		b.Fatal(err)
+	}
+	for k := uint64(0); k < 64; k++ {
+		p.PushInput(workloads.RediskaSet(1000000+7*k, k))
+	}
+	serveInput(b, xeon.K, p)
+	if err := mon.Pause(1 << 20); err != nil {
+		b.Fatal(err)
+	}
+	delta, err := criu.Dump(p, criu.DumpOpts{Parent: root, DeltaBase: base})
+	if err != nil {
+		b.Fatal(err)
+	}
+	links := []*image.View{image.Open(root), image.Open(delta)}
+	refuse := func(addr uint64, marked image.PageClass) {
+		b.Fatalf("page 0x%x (class %d) did not resolve", addr, marked)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var state *image.PageSet
+		for _, v := range links {
+			if state, err = image.FoldLink(state, v.Pagemap, v.Pages, refuse); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkPageSetStore is a profiling handle on the rewriter's page-set
+// round trip: load a rediska dump's page set, write one word into each of
+// 16 data pages, and store the set into a fresh directory.
+func BenchmarkPageSetStore(b *testing.B) {
+	_, p, _ := pausedBench(b, "rediska", benchClass, 2000)
+	dir, err := criu.Dump(p, criu.DumpOpts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ps, err := criu.LoadPageSet(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for w := uint64(0); w < 16; w++ {
+			if err := ps.WriteU64(isa.DataBase+w*mem.PageSize+8, w); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ps.Store(criu.NewImageDir())
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // A malformed payload (missing magic, truncated header, truncated body,
 // oversized image, undecodable directory) is dropped, counted in Errors,
 // and does not affect other transfers. Concurrent inbound transfers beyond
-// MaxInflight are rejected at accept and counted the same way.
+// maxInflight are rejected at accept and counted the same way.
 type ImageReceiver struct {
 	ln net.Listener
 	// sem bounds concurrent serving goroutines; a slot is taken before
@@ -43,34 +43,20 @@ type ImageReceiver struct {
 	closeErr  error
 }
 
-// ReceiverOpts tunes an ImageReceiver; the zero value selects the
-// defaults noted on each field.
-type ReceiverOpts struct {
-	// MaxInflight bounds concurrent inbound transfers (default 8). A
-	// connection accepted while every slot is busy is dropped immediately
-	// and counted in Errors — backpressure instead of unbounded buffering
-	// of attacker-sized payloads.
-	MaxInflight int
-}
+// maxInflight bounds concurrent inbound transfers. A connection accepted
+// while every slot is busy is dropped immediately and counted in Errors —
+// backpressure instead of unbounded buffering of attacker-sized payloads.
+const maxInflight = 8
 
-// ListenImages starts a receiver on addr ("127.0.0.1:0" for tests) with
-// default options.
+// ListenImages starts a receiver on addr ("127.0.0.1:0" for tests).
 func ListenImages(addr string) (*ImageReceiver, error) {
-	return ListenImagesOpts(addr, ReceiverOpts{})
-}
-
-// ListenImagesOpts starts a receiver with explicit options.
-func ListenImagesOpts(addr string, opts ReceiverOpts) (*ImageReceiver, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: image receiver: %w", err)
 	}
-	if opts.MaxInflight <= 0 {
-		opts.MaxInflight = 8
-	}
 	r := &ImageReceiver{
 		ln:     ln,
-		sem:    parallel.NewSemaphore(opts.MaxInflight),
+		sem:    parallel.NewSemaphore(maxInflight),
 		conns:  make(map[net.Conn]struct{}),
 		notify: make(chan struct{}, 1),
 		done:   make(chan struct{}),
@@ -84,7 +70,7 @@ func ListenImagesOpts(addr string, opts ReceiverOpts) (*ImageReceiver, error) {
 func (r *ImageReceiver) Addr() string { return r.ln.Addr().String() }
 
 // Errors returns how many inbound transfers were discarded: malformed
-// payloads plus connections rejected at the MaxInflight bound.
+// payloads plus connections rejected at the maxInflight bound.
 func (r *ImageReceiver) Errors() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -154,29 +154,32 @@ func TestSendImagesCodecOverTCP(t *testing.T) {
 	}
 }
 
-// TestImageReceiverMaxInflight (satellite: inbound bound): with one
-// inflight slot occupied by a stalled transfer, a second connection is
-// shed at accept and counted; once the slot frees, transfers work again.
+// TestImageReceiverMaxInflight (satellite: inbound bound): with all eight
+// inflight slots occupied by stalled transfers, a ninth connection is shed
+// at accept and counted; once the slots free, transfers work again.
 func TestImageReceiverMaxInflight(t *testing.T) {
-	recvr, err := cluster.ListenImagesOpts("127.0.0.1:0", cluster.ReceiverOpts{MaxInflight: 1})
+	const bound = 8 // the receiver's inflight bound
+	recvr, err := cluster.ListenImages("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer recvr.Close()
 
-	// Occupy the only slot: claim a body, deliver nothing.
-	stall, err := net.Dial("tcp", recvr.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Occupy every slot: claim a body, deliver nothing.
 	hdr := append([]byte("DIB3"), 0, 0, 0, 0)
 	hdr = binary.BigEndian.AppendUint64(hdr, 1<<20)
-	if _, err := stall.Write(hdr); err != nil {
-		t.Fatal(err)
+	stalls := make([]net.Conn, bound)
+	for i := range stalls {
+		if stalls[i], err = net.Dial("tcp", recvr.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := stalls[i].Write(hdr); err != nil {
+			t.Fatal(err)
+		}
 	}
-	time.Sleep(100 * time.Millisecond) // let the slot be acquired
+	time.Sleep(100 * time.Millisecond) // let the slots be acquired
 
-	// A second transfer while the slot is busy: shed at accept. The send
+	// A ninth transfer while every slot is busy: shed at accept. The send
 	// itself may report success (its bytes fit the socket buffer before
 	// the reset lands); the receiver-side reject count is the contract.
 	_, _, _ = cluster.SendImagesOpts(recvr.Addr(), smallDir(1), cluster.SendOpts{})
@@ -185,10 +188,12 @@ func TestImageReceiverMaxInflight(t *testing.T) {
 		t.Fatalf("over-bound transfer produced a directory: %v", d.Names())
 	}
 
-	// Free the slot (truncated body counts as error #2)...
-	// Stalled conn teardown is the point of this line.
-	_ = stall.Close()
-	waitForErrors(t, recvr, 2)
+	// Free the slots (each truncated body counts as an error)...
+	for _, c := range stalls {
+		// Stalled conn teardown is the point of this line.
+		_ = c.Close()
+	}
+	waitForErrors(t, recvr, 1+bound)
 
 	// ...and the receiver serves normal transfers again.
 	if _, _, err := cluster.SendImagesOpts(recvr.Addr(), smallDir(2), cluster.SendOpts{}); err != nil {
@@ -201,8 +206,8 @@ func TestImageReceiverMaxInflight(t *testing.T) {
 	if raw, _ := got.Get("inventory.img"); len(raw) != 4 || raw[0] != 2 {
 		t.Errorf("post-recovery transfer decoded wrong: %v", raw)
 	}
-	if got := recvr.Errors(); got != 2 {
-		t.Errorf("Errors = %d, want 2 (one shed connection, one truncated body)", got)
+	if got := recvr.Errors(); got != 1+bound {
+		t.Errorf("Errors = %d, want %d (one shed connection, %d truncated bodies)", got, 1+bound, bound)
 	}
 }
 

@@ -110,14 +110,13 @@ func writeImageStream(w io.Writer, blob []byte, codec criu.Codec, segBytes int, 
 // the destination restores from: the blob is cut, encoded and decoded
 // segment by segment exactly as a TCP send would carry it — so the
 // returned wire size is measured, not estimated — but by reference, with
-// no stream in between: for CodecNone each segment reaches the sink still
-// aliasing blob, and the sink keeps every file that arrives in one chunk
+// no stream in between: for CodecNone each segment reaches the splitter
+// still aliasing blob, and it keeps every file that arrives in one chunk
 // by reference, so the directory returned aliases blob (or the decoded
 // segments) and the hand-off copies no image byte. The caller gives blob
 // up: it is the destination's from here on.
 func transfer(blob []byte, codec criu.Codec, reg *obs.Registry) (*criu.ImageDir, uint64, error) {
-	sink := image.NewDirSinkFor(len(blob))
-	sp := image.NewStreamSplitter(sink)
+	sp := image.NewStreamSplitter(len(blob))
 	wire, err := eachSegment(blob, codec, imageSegment, reg, func(raw, payload []byte, used criu.Codec) error {
 		dec, err := used.Decompress(payload, len(raw))
 		if err != nil {
@@ -126,24 +125,24 @@ func transfer(blob []byte, codec criu.Codec, reg *obs.Registry) (*criu.ImageDir,
 		_, err = sp.Write(dec)
 		return err
 	})
-	if err == nil {
-		err = sp.Close()
-	}
 	if err != nil {
 		return nil, 0, err
 	}
-	return sink.Dir(), wire, nil
+	dir, err := sp.Close()
+	if err != nil {
+		return nil, 0, err
+	}
+	return dir, wire, nil
 }
 
 // readImageDirFrom is the one parser of the image stream: it reads a
 // transfer and materializes the directory, each segment decoded and handed
 // to an image.StreamSplitter the moment it arrives. Every segment is read
-// and decoded into a buffer of its own that nothing refills, so the sink
-// may keep files by reference. Malformed input fails without large
-// allocations: buffers grow only as bytes actually arrive.
+// and decoded into a buffer of its own that nothing refills, so the
+// splitter may keep files by reference. Malformed input fails without
+// large allocations: buffers grow only as bytes actually arrive.
 func readImageDirFrom(r io.Reader) (*criu.ImageDir, error) {
-	sink := image.NewDirSink()
-	sp := image.NewStreamSplitter(sink)
+	sp := image.NewStreamSplitter(0)
 	var hdr [imageHdrLen]byte
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return nil, err
@@ -200,10 +199,7 @@ func readImageDirFrom(r io.Reader) (*criu.ImageDir, error) {
 			return nil, err
 		}
 		if fed += uint64(rawLen); fed == rawTotal {
-			if err := sp.Close(); err != nil {
-				return nil, err
-			}
-			return sink.Dir(), nil
+			return sp.Close()
 		}
 	}
 }

@@ -41,7 +41,7 @@ func TestRewriteNeverWritesBorrowedStackPages(t *testing.T) {
 	var stacks []held
 	for _, c := range v.Cores {
 		for a := c.StackLow; a < c.StackHigh; a += mem.PageSize {
-			if pg := ps.Pages[a]; pg != nil {
+			if pg := ps.Data(a); pg != nil {
 				stacks = append(stacks, held{pg, bytes.Clone(pg)})
 			}
 		}

@@ -92,7 +92,7 @@ func RewriteThread(core *criu.CoreImage, ps *criu.PageSet, src, dst Side) (*criu
 	// afresh and none reaches a page held here.
 	old := make(map[uint64][]byte)
 	for a := core.StackLow; a < core.StackHigh; a += mem.PageSize {
-		if pg := ps.Pages[a]; pg != nil {
+		if pg := ps.Data(a); pg != nil {
 			old[a] = pg
 		}
 	}

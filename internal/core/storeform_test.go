@@ -119,15 +119,15 @@ func TestStoredFormByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got.Pages) != len(want.Pages) || len(got.ZeroPages) != len(want.ZeroPages) || len(got.LazyPages) != len(want.LazyPages) {
-					t.Fatalf("loaded %d/%d/%d data/zero/lazy pages, flat %d/%d/%d", len(got.Pages), len(got.ZeroPages), len(got.LazyPages),
-						len(want.Pages), len(want.ZeroPages), len(want.LazyPages))
+				pm, err := flat.Pagemap()
+				if err != nil {
+					t.Fatal(err)
 				}
-				for a, pg := range want.Pages {
-					if !bytes.Equal(got.Pages[a], pg) {
-						t.Fatalf("page 0x%x loads differently from the two forms", a)
+				pm.EachPage(func(a uint64, class image.PageClass) {
+					if got.Class(a) != class || want.Class(a) != class || !bytes.Equal(got.Data(a), want.Data(a)) {
+						t.Fatalf("page 0x%x (%v in the pagemap) loads as %v and %v from the two forms, or its bytes differ", a, class, got.Class(a), want.Class(a))
 					}
-				}
+				})
 			})
 		}
 	}

@@ -162,8 +162,8 @@ func TestChainVerifierFlattenerAgreement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pick := func(what string, of map[uint64]bool, ok func(a uint64) bool) uint64 {
-		for a := range of {
+	pick := func(what string, of []uint64, ok func(a uint64) bool) uint64 {
+		for _, a := range of {
 			if ok(a) {
 				return a
 			}
@@ -172,20 +172,19 @@ func TestChainVerifierFlattenerAgreement(t *testing.T) {
 		return 0
 	}
 	rootData := func(a uint64) bool { return sets[0].Class(a) == image.PageData }
-	deltaPg := pick("delta page in link 1 over root data", sets[1].DeltaPages, rootData)
-	parentPg := pick("in_parent page in link 1 over root data", sets[1].ParentPages, rootData)
-	midPg := pick("in_parent page in link 2 that link 1 mentions", sets[2].ParentPages,
+	deltaPg := pick("delta page in link 1 over root data", pagesByClass(t, delta[1])[image.PageDelta], rootData)
+	parentPg := pick("in_parent page in link 1 over root data", pagesByClass(t, delta[1])[image.PageParent], rootData)
+	midPg := pick("in_parent page in link 2 that link 1 mentions", pagesByClass(t, delta[2])[image.PageParent],
 		func(a uint64) bool { return sets[1].Class(a) != image.PageAbsent })
 	drop := func(a uint64) func(*criu.PageSet) {
 		return func(ps *criu.PageSet) { ps.DropRange(a, a+1) }
 	}
 
 	chainVerdicts(t, "delta at the root", editLink(t, delta, 0, func(ps *criu.PageSet) {
-		ps.DeltaPages[deltaPg] = true
+		ps.Put(deltaPg, image.PageDelta, ps.Data(deltaPg))
 	}), imgcheck.InvDeltaChain)
 	chainVerdicts(t, "delta over lazy", editLink(t, delta, 0, func(ps *criu.PageSet) {
-		delete(ps.Pages, deltaPg)
-		ps.LazyPages[deltaPg] = true
+		ps.Put(deltaPg, image.PageLazy, nil)
 	}), imgcheck.InvDeltaChain)
 	chainVerdicts(t, "delta over an unmentioned page", editLink(t, delta, 0, drop(deltaPg)), imgcheck.InvDeltaChain)
 	chainVerdicts(t, "in_parent over an unmentioned page", editLink(t, delta, 0, drop(parentPg)), imgcheck.InvInParent)

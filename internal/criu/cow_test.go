@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
@@ -27,15 +28,6 @@ func TestChainLinksNeverWritten(t *testing.T) {
 		for i, dir := range chain[:len(snaps)] {
 			if got, _ := dir.Get("pages.img"); !bytes.Equal(got, snaps[i]) {
 				t.Fatalf("%s: chain link %d's pages.img changed", when, i)
-			}
-		}
-	}
-	// scribble writes one word into every page the set holds.
-	scribble := func(ps *criu.PageSet) {
-		t.Helper()
-		for addr := range ps.Pages {
-			if err := ps.WriteU64(addr+8, 0xfeedfacefeedface); err != nil {
-				t.Fatal(err)
 			}
 		}
 	}
@@ -75,6 +67,18 @@ func TestChainLinksNeverWritten(t *testing.T) {
 	}
 	unchanged("FlattenChain")
 	want := flat.Marshal()
+	// scribble writes one word into every data page of the chain's resolved
+	// content, which is what the base holds. The addresses come from the
+	// flattened directory, not from storing the base: a Store would end the
+	// base's ownership of its pages before the writes test it.
+	scribble := func(ps *criu.PageSet) {
+		t.Helper()
+		for _, addr := range pagesByClass(t, flat)[image.PageData] {
+			if err := ps.WriteU64(addr+8, 0xfeedfacefeedface); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
 	// The base borrows pages from all three links: writing every page of
 	// it must copy each first.
@@ -93,10 +97,8 @@ func TestChainLinksNeverWritten(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for addr := range ps.Pages {
-			if ps.DeltaPages[addr] {
-				continue // a delta page refuses word writes by design
-			}
+		// A delta page refuses word writes by design.
+		for _, addr := range pagesByClass(t, dir)[image.PageData] {
 			if err := ps.WriteU64(addr, uint64(i)); err != nil {
 				t.Fatal(err)
 			}

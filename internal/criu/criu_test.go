@@ -8,6 +8,7 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
@@ -83,7 +84,7 @@ func TestImageDirRoundTripProperty(t *testing.T) {
 
 func TestPageSetStoreLoadRoundTrip(t *testing.T) {
 	dir := criu.NewImageDir()
-	ps := &criu.PageSet{Pages: map[uint64][]byte{}, LazyPages: map[uint64]bool{}}
+	ps := image.NewPageSet()
 	mk := func(fill byte) []byte {
 		pg := make([]byte, mem.PageSize)
 		for i := range pg {
@@ -92,11 +93,11 @@ func TestPageSetStoreLoadRoundTrip(t *testing.T) {
 		return pg
 	}
 	// Two contiguous runs, a gap, a lazy run interleaved.
-	ps.Pages[0x10000] = mk(1)
-	ps.Pages[0x11000] = mk(2)
-	ps.LazyPages[0x12000] = true
-	ps.LazyPages[0x13000] = true
-	ps.Pages[0x20000] = mk(3)
+	ps.Put(0x10000, image.PageData, mk(1))
+	ps.Put(0x11000, image.PageData, mk(2))
+	ps.Put(0x12000, image.PageLazy, nil)
+	ps.Put(0x13000, image.PageLazy, nil)
+	ps.Put(0x20000, image.PageData, mk(3))
 	ps.Store(dir)
 
 	pmRaw, _ := dir.Get("pagemap.img")
@@ -119,19 +120,20 @@ func TestPageSetStoreLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Pages[0x11000], mk(2)) {
+	if !bytes.Equal(got.Data(0x11000), mk(2)) {
 		t.Error("page content lost")
 	}
-	if !got.LazyPages[0x13000] {
+	if got.Class(0x13000) != image.PageLazy {
 		t.Error("lazy flag lost")
 	}
-	if _, ok := got.Pages[0x12000]; ok {
+	if got.Data(0x12000) != nil {
 		t.Error("lazy page has eager content")
 	}
 }
 
 func TestPageSetReadWrite(t *testing.T) {
-	ps := &criu.PageSet{Pages: map[uint64][]byte{}, LazyPages: map[uint64]bool{0x3000: true}}
+	ps := image.NewPageSet()
+	ps.Put(0x3000, image.PageLazy, nil)
 	if err := ps.WriteU64(0x1008, 0xdead); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestPageSetReadWrite(t *testing.T) {
 	if err := ps.WriteU64(0x3000, 1); err != nil {
 		t.Fatal(err)
 	}
-	if ps.LazyPages[0x3000] {
+	if ps.Class(0x3000) != image.PageData {
 		t.Error("write did not clear lazy flag")
 	}
 	ps.DropRange(0x1000, 0x2000)

@@ -154,13 +154,15 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 		rec.Class, rec.Data = image.PageData, data
 		if opts.DeltaBase != nil && opts.Parent != nil && inParent[addr] {
 			// Dirty page with known parent content: ship the XOR.
-			if basePg, ok := deltaBaseContent(opts.DeltaBase, addr); ok {
+			// A zero base page would XOR to the page itself, and an
+			// unresolved one has no usable bytes: Data is nil for both.
+			if basePg := opts.DeltaBase.Data(addr); basePg != nil {
 				if bytes.Equal(data, basePg) {
 					// Soft-dirty false positive: content is unchanged,
 					// so the chain still holds it — no bytes at all.
 					rec.Class, rec.Data = image.PageParent, nil
 				} else {
-					rec.Class, rec.Data = image.PageDelta, XorPages(data, basePg)
+					rec.Class, rec.Data = image.PageDelta, image.XorPages(data, basePg)
 				}
 			}
 		}
@@ -189,17 +191,6 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 	opts.Obs.Counter("dump.pages_delta").Add(perClass[image.PageDelta])
 	opts.Obs.Histogram("dump.wall_ns").Observe(time.Since(start))
 	return dir, nil
-}
-
-// deltaBaseContent returns the base content to XOR a dirty page against,
-// or ok=false when XOR gains nothing: a zero base page XORs to the page
-// itself, an unresolved (delta/parent/lazy) base has no usable bytes.
-func deltaBaseContent(base *PageSet, addr uint64) ([]byte, bool) {
-	pg, ok := base.Pages[addr]
-	if !ok || pg == nil || base.DeltaPages[addr] {
-		return nil, false
-	}
-	return pg, true
 }
 
 // allZero reports whether a page's bytes are all zero (the zero pagemap

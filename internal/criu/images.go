@@ -65,15 +65,8 @@ func NewImageDir() *ImageDir { return image.NewImageDir() }
 // UnmarshalImageDir parses a directory blob; the directory aliases b.
 func UnmarshalImageDir(b []byte) (*ImageDir, error) { return image.UnmarshalImageDir(b) }
 
-// NewPageSet returns an empty page set with all maps allocated.
-func NewPageSet() *PageSet { return image.NewPageSet() }
-
 // LoadPageSet parses the pagemap/pages pair from a directory.
 func LoadPageSet(dir *ImageDir) (*PageSet, error) { return image.LoadPageSet(dir) }
-
-// XorPages returns the byte-wise XOR of two pages (the delta encoding
-// and its inverse are the same operation).
-func XorPages(a, b []byte) []byte { return image.XorPages(a, b) }
 
 // Codec selects the wire codec for batched transport frames; see
 // imgproto.Codec and docs/transport.md. Re-exported so transport callers

@@ -130,19 +130,41 @@ func buildChain(t *testing.T, src string, arch isa.Arch, rounds int, budget uint
 	return chain, p
 }
 
+// pagesByClass walks dir's pagemap: the address of every page it lists,
+// by class, in file order.
+func pagesByClass(t *testing.T, dir *criu.ImageDir) map[image.PageClass][]uint64 {
+	t.Helper()
+	pm, err := dir.Pagemap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[image.PageClass][]uint64{}
+	pm.EachPage(func(a uint64, class image.PageClass) { out[class] = append(out[class], a) })
+	return out
+}
+
+// setPages is pagesByClass of the pagemap ps stores.
+func setPages(t *testing.T, ps *criu.PageSet) map[image.PageClass][]uint64 {
+	t.Helper()
+	dir := criu.NewImageDir()
+	ps.Store(dir)
+	return pagesByClass(t, dir)
+}
+
 // statePages is a resolved page set's content by address: data pages by
 // content, zero pages as zero content.
 func statePages(t *testing.T, ps *criu.PageSet) map[uint64][]byte {
 	t.Helper()
-	if n := len(ps.ParentPages) + len(ps.DeltaPages) + len(ps.LazyPages); n > 0 {
+	pages := setPages(t, ps)
+	if n := len(pages[image.PageParent]) + len(pages[image.PageDelta]) + len(pages[image.PageLazy]); n > 0 {
 		t.Fatalf("%d in_parent, delta or lazy pages in what should be resolved content", n)
 	}
 	zero := make([]byte, mem.PageSize)
-	out := make(map[uint64][]byte, len(ps.Pages)+len(ps.ZeroPages))
-	for a, pg := range ps.Pages {
-		out[a] = pg
+	out := make(map[uint64][]byte, len(pages[image.PageData])+len(pages[image.PageZero]))
+	for _, a := range pages[image.PageData] {
+		out[a] = ps.Data(a)
 	}
-	for a := range ps.ZeroPages {
+	for _, a := range pages[image.PageZero] {
 		out[a] = zero
 	}
 	return out
@@ -283,8 +305,8 @@ func TestIncrementalChainFlakyFinalDelta(t *testing.T) {
 	}
 	// Serve the final delta's data pages behind injected faults.
 	src := pageFunc(func(addr uint64) ([]byte, error) {
-		pg, ok := ps.Pages[addr]
-		if !ok {
+		pg := ps.Data(addr)
+		if pg == nil {
 			return nil, fmt.Errorf("page 0x%x not in final delta", addr)
 		}
 		return pg, nil
@@ -303,19 +325,17 @@ func TestIncrementalChainFlakyFinalDelta(t *testing.T) {
 	defer client.Close()
 
 	// Rebuild the delta from fetched pages, keeping the flag-only entries.
-	rebuilt := criu.NewPageSet()
-	for a := range ps.ParentPages {
-		rebuilt.ParentPages[a] = true
-	}
-	for a := range ps.ZeroPages {
-		rebuilt.ZeroPages[a] = true
-	}
-	for a := range ps.Pages {
-		pg, err := client.FetchPage(a)
-		if err != nil {
-			t.Fatalf("fetch 0x%x through flaky transport: %v", a, err)
+	rebuilt := image.NewPageSet()
+	for class, addrs := range pagesByClass(t, final) {
+		for _, a := range addrs {
+			var pg []byte
+			if class == image.PageData {
+				if pg, err = client.FetchPage(a); err != nil {
+					t.Fatalf("fetch 0x%x through flaky transport: %v", a, err)
+				}
+			}
+			rebuilt.Put(a, class, pg)
 		}
-		rebuilt.Pages[a] = pg
 	}
 	fetched := criu.NewImageDir()
 	for _, name := range final.Names() {
@@ -415,7 +435,7 @@ func TestShrunkPageLeavesParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.ParentPages[last] {
+	if ps.Class(last) == image.PageParent {
 		t.Errorf("page 0x%x is in_parent: the destination would fold in 0xdead, the source reads 0", last)
 	}
 	full, err := criu.Dump(p, criu.DumpOpts{})
@@ -480,12 +500,13 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ps.ZeroPages) == 0 {
+	zero := pagesByClass(t, dir)[image.PageZero]
+	if len(zero) == 0 {
 		t.Fatal("no zero entries in the pagemap; data[2000]'s page was expected to be elided")
 	}
-	for a := range ps.ZeroPages {
-		if _, dup := ps.Pages[a]; dup {
-			t.Errorf("page 0x%x is both zero and data", a)
+	for _, a := range zero {
+		if class := ps.Class(a); class != image.PageZero {
+			t.Errorf("page 0x%x is both zero and %v", a, class)
 		}
 	}
 	// CRIT shows the flag.

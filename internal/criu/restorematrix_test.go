@@ -3,6 +3,7 @@ package criu_test
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
@@ -254,14 +256,11 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := criu.LoadPageSet(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps.ZeroPages) == 0 {
+	pages := pagesByClass(t, dir)
+	if len(pages[image.PageZero]) == 0 {
 		t.Fatal("lazy dump carries no zero entries; the regression needs one")
 	}
-	if len(ps.LazyPages) == 0 {
+	if len(pages[image.PageLazy]) == 0 {
 		t.Fatal("lazy dump carries no lazy entries")
 	}
 
@@ -273,7 +272,7 @@ func main() {
 	}
 	// Every zero page must already be populated — materialized by the
 	// restore, not left for the fault handler.
-	for addr := range ps.ZeroPages {
+	for _, addr := range pages[image.PageZero] {
 		if _, ok := p2.AS.PageData(addr / mem.PageSize); !ok {
 			t.Errorf("zero page 0x%x not materialized at restore", addr)
 		}
@@ -284,7 +283,7 @@ func main() {
 		t.Fatal(err)
 	}
 	for addr := range rec.addrs {
-		if ps.ZeroPages[addr] {
+		if slices.Contains(pages[image.PageZero], addr) {
 			t.Errorf("zero page 0x%x round-tripped to the page server", addr)
 		}
 	}

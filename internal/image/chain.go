@@ -33,8 +33,7 @@ func FoldLink(older *PageSet, pm *PagemapImage, pages Payload, refuse func(addr 
 	if older == nil {
 		older = &PageSet{}
 	}
-	state := NewPageSet()
-	state.Pages = make(map[uint64][]byte, n[PageData]+n[PageDelta]+n[PageParent])
+	state := sizedPageSet(n)
 	next := 0 // index into pages.img of the next data or delta page
 	pm.EachPage(func(addr uint64, marked PageClass) {
 		var pg []byte
@@ -45,22 +44,18 @@ func FoldLink(older *PageSet, pm *PagemapImage, pages Payload, refuse func(addr 
 		class := marked
 		switch marked {
 		case PageParent:
-			class, pg = older.Class(addr), older.Pages[addr]
+			class, pg = older.Class(addr), older.Data(addr)
 		case PageDelta:
 			switch older.Class(addr) {
 			case PageData:
-				class, pg = PageData, XorPages(pg, older.Pages[addr])
+				class, pg = PageData, XorPages(pg, older.Data(addr))
 			case PageZero:
 				class = PageData // the XOR of zeros is the delta itself
 			}
 		}
 		switch class { // PageParent, PageDelta: nothing resolved it; PageAbsent: older has no such page
-		case PageData:
-			state.Pages[addr] = pg
-		case PageZero:
-			state.ZeroPages[addr] = true
-		case PageLazy:
-			state.LazyPages[addr] = true
+		case PageData, PageZero, PageLazy:
+			state.Put(addr, class, pg)
 		default:
 			refuse(addr, marked)
 		}

@@ -575,16 +575,13 @@ var blobPadding [mem.PageSize]byte // what Marshal puts in front of a blob
 // written again. (The callers under cmd/ each parse a buffer they just
 // read from a file and use for nothing else.)
 func UnmarshalImageDir(b []byte) (*ImageDir, error) {
-	sink := NewDirSinkFor(len(b))
-	sp := NewStreamSplitter(sink)
-	_, err := sp.Write(b)
-	if err == nil {
-		err = sp.Close()
-	}
+	sp := NewStreamSplitter(len(b))
+	_, _ = sp.Write(b) // a refusal poisons the splitter, so Close returns it
+	dir, err := sp.Close()
 	if err != nil {
 		return nil, fmt.Errorf("image: image dir: %w", err)
 	}
-	return sink.Dir(), nil
+	return dir, nil
 }
 
 // PageSet is an editable view of pagemap.img + pages.img: the rewriter
@@ -600,29 +597,31 @@ func UnmarshalImageDir(b []byte) (*ImageDir, error) {
 // Store does not copy either: the directory stored into keeps the set's
 // page slices and the set's ownership ends, so a write after Store cannot
 // reach that directory.
+//
+// Every page-aligned address is in at most one of the two maps, so a page
+// has exactly one class. Read with Class, Data and ReadU64; mutate with
+// Put, WriteU64, InstallPage and DropRange.
 type PageSet struct {
-	// Pages maps page-aligned vaddr -> page bytes (nil for lazy pages).
-	// Treat the bytes as read-only: they may belong to an image directory
-	// or another set. Mutate through WriteU64 and InstallPage.
-	Pages map[uint64][]byte
-	// LazyPages records pages left on the source node.
+	// pages holds every page of the set but the lazy ones.
+	pages map[uint64]setPage
+	// LazyPages records pages left on the source node. A lazy page carries
+	// no bytes, and the set never resolves, reads or writes through one, so
+	// it needs no record: it stays a plain set of addresses, which callers
+	// outside this module (bench/staged.go) count and range over. Read only;
+	// Put is what makes a page lazy or not.
 	LazyPages map[uint64]bool
-	// ParentPages records pages whose content is unchanged since the
-	// parent checkpoint (incremental dumps); resolve with FlattenChain
-	// before restoring or rewriting.
-	ParentPages map[uint64]bool
-	// ZeroPages records all-zero pages carried by the pagemap alone.
-	ZeroPages map[uint64]bool
-	// DeltaPages marks addresses whose Pages entry holds XOR-delta bytes
-	// (against the parent chain) rather than plain content. Resolve with
-	// FlattenChain before restoring or rewriting.
-	DeltaPages map[uint64]bool
+}
 
-	// owned marks the pages this set allocated itself and nothing else
-	// references; every other entry of Pages is borrowed and is copied on
-	// its first write. An entry assigned to Pages directly counts as
-	// borrowed, so the default is the safe one.
-	owned map[uint64]bool
+// setPage is one non-lazy page of a PageSet.
+type setPage struct {
+	// data is the page's pages.img bytes — content, or the XOR for
+	// PageDelta — and nil for zero and in_parent pages.
+	data  *[mem.PageSize]byte
+	class PageClass
+	// owned marks bytes this set allocated itself and nothing else
+	// references; every other page is borrowed and is copied on its first
+	// write.
+	owned bool
 }
 
 // PageClass names how a page is represented in pagemap.img + pages.img.
@@ -639,23 +638,52 @@ const (
 	PageDelta
 )
 
-// Class reports how the set represents the page at a. Data beats the flag
-// maps; a nil entry in Pages keeps its historical "lazy" meaning.
+// Class reports how the set represents the page at a.
 func (ps *PageSet) Class(a uint64) PageClass {
-	pg, ok := ps.Pages[a]
-	switch {
-	case pg != nil && ps.DeltaPages[a]:
-		return PageDelta
-	case pg != nil:
-		return PageData
-	case ps.ZeroPages[a]:
-		return PageZero
-	case ps.ParentPages[a]:
-		return PageParent
-	case ok || ps.LazyPages[a]:
+	if p, ok := ps.pages[a]; ok {
+		return p.class
+	}
+	if ps.LazyPages[a] {
 		return PageLazy
 	}
 	return PageAbsent
+}
+
+// Data returns the bytes of the data page at a, and nil for every other
+// class. The bytes are read-only: they may belong to an image directory or
+// another set.
+func (ps *PageSet) Data(a uint64) []byte {
+	if p := ps.pages[a]; p.class == PageData {
+		return p.data[:]
+	}
+	return nil
+}
+
+// Put makes the page at a one of class; PageAbsent removes it. For
+// PageData and PageDelta, data is the page's bytes, exactly one page, and
+// the set borrows it: it copies the bytes before its first write to the
+// page. Other classes ignore data.
+func (ps *PageSet) Put(a uint64, class PageClass, data []byte) {
+	var pg *[mem.PageSize]byte
+	if data != nil {
+		pg = (*[mem.PageSize]byte)(data)
+	}
+	ps.put(a, setPage{data: pg, class: class})
+}
+
+// put is Put with the record built: every mutation of the set ends here.
+func (ps *PageSet) put(a uint64, p setPage) {
+	switch p.class {
+	case PageLazy:
+		delete(ps.pages, a)
+		ps.LazyPages[a] = true
+		return
+	case PageAbsent:
+		delete(ps.pages, a)
+	default:
+		ps.pages[a] = p
+	}
+	delete(ps.LazyPages, a)
 }
 
 // Pagemap decodes pagemap.img alone, for a reader that needs no other file
@@ -672,51 +700,39 @@ func (d *ImageDir) Pagemap() (*PagemapImage, error) {
 func LoadPageSet(dir *ImageDir) (*PageSet, error) { return Open(dir).PageSet() }
 
 // newPageSet builds the set a pagemap and its payload describe. Nothing is
-// copied or joined: every Pages entry aliases its 4K of pages.img in
-// whichever form the directory holds it, capped so a write cannot run
-// past the page.
+// copied or joined: every data and delta page aliases its 4K of pages.img
+// in whichever form the directory holds it.
 func newPageSet(pm *PagemapImage, pages Payload) (*PageSet, error) {
-	// Per-class page counts size every map exactly once, and the payload
+	// Per-class page counts size both maps exactly once, and the payload
 	// total bounds-checks pages.img up front so the loop below never
 	// re-checks per page.
 	n := pm.Counts()
 	if want := (n[PageData] + n[PageDelta]) * mem.PageSize; want > pages.Len() {
 		return nil, fmt.Errorf("image: pages.img truncated: pagemap describes %d data bytes, file carries %d", want, pages.Len())
 	}
-	ps := &PageSet{
-		Pages:       make(map[uint64][]byte, n[PageData]+n[PageDelta]),
-		LazyPages:   make(map[uint64]bool, n[PageLazy]),
-		ParentPages: make(map[uint64]bool, n[PageParent]),
-		ZeroPages:   make(map[uint64]bool, n[PageZero]),
-		DeltaPages:  make(map[uint64]bool, n[PageDelta]),
-		owned:       make(map[uint64]bool),
-	}
+	ps := sizedPageSet(n)
 	next := 0 // index into pages.img of the next data page
 	pm.EachPage(func(addr uint64, class PageClass) {
-		switch class {
-		case PageLazy:
-			ps.LazyPages[addr] = true
-		case PageParent:
-			ps.ParentPages[addr] = true
-		case PageZero:
-			ps.ZeroPages[addr] = true
-		default:
-			ps.Pages[addr] = pages.Page(next)
-			if class == PageDelta {
-				ps.DeltaPages[addr] = true
-			}
+		var pg []byte
+		if class == PageData || class == PageDelta {
+			pg = pages.Page(next)
 			next++
 		}
+		ps.Put(addr, class, pg)
 	})
 	return ps, nil
 }
 
-// NewPageSet returns an empty page set with all maps allocated: the set of
-// an empty pagemap.
-func NewPageSet() *PageSet {
-	ps, _ := newPageSet(&PagemapImage{}, Payload{}) // no page, so no payload to fall short
-	return ps
+// sizedPageSet returns an empty set with room for n pages of each class.
+func sizedPageSet(n [PageDelta + 1]int) *PageSet {
+	return &PageSet{
+		pages:     make(map[uint64]setPage, n[PageData]+n[PageDelta]+n[PageParent]+n[PageZero]),
+		LazyPages: make(map[uint64]bool, n[PageLazy]),
+	}
 }
+
+// NewPageSet returns an empty page set: the set of an empty pagemap.
+func NewPageSet() *PageSet { return sizedPageSet([PageDelta + 1]int{}) }
 
 // Store serializes the page set back into the directory, coalescing
 // contiguous same-class (data/lazy/in_parent/zero/delta) runs. The
@@ -726,27 +742,31 @@ func NewPageSet() *PageSet {
 // and since the directory shares them from here on the set stops owning
 // any — its next write to a page copies it.
 func (ps *PageSet) Store(dir *ImageDir) {
-	addrs := make([]uint64, 0, len(ps.Pages)+len(ps.LazyPages)+len(ps.ParentPages)+len(ps.ZeroPages))
-	for a := range ps.Pages {
+	addrs := make([]uint64, 0, len(ps.pages)+len(ps.LazyPages))
+	for a := range ps.pages {
 		addrs = append(addrs, a)
 	}
 	for a := range ps.LazyPages {
 		addrs = append(addrs, a)
 	}
-	for a := range ps.ParentPages {
-		addrs = append(addrs, a)
-	}
-	for a := range ps.ZeroPages {
-		addrs = append(addrs, a)
-	}
 	slices.Sort(addrs)
-	addrs = slices.Compact(addrs) // an address may sit in several maps
 	recs := make([]PageRecord, len(addrs))
 	for i, a := range addrs {
-		recs[i] = PageRecord{Addr: a, Class: ps.Class(a), Data: ps.Pages[a]}
+		p, ok := ps.pages[a]
+		if !ok {
+			recs[i] = PageRecord{Addr: a, Class: PageLazy}
+			continue
+		}
+		recs[i] = PageRecord{Addr: a, Class: p.class}
+		if p.data != nil {
+			recs[i].Data = p.data[:]
+		}
+		if p.owned {
+			p.owned = false
+			ps.pages[a] = p
+		}
 	}
 	EncodePages(dir, recs)
-	clear(ps.owned)
 }
 
 // PageRecord is one page of the sequence EncodePages encodes.
@@ -804,70 +824,52 @@ func (ps *PageSet) ReadU64(addr uint64) (uint64, error) {
 	if off+8 > mem.PageSize {
 		return 0, fmt.Errorf("image: unaligned word read at 0x%x crosses page", addr)
 	}
-	pg, ok := ps.Pages[base]
-	if !ok || pg == nil {
-		if ps.ZeroPages[base] {
-			return 0, nil
-		}
-		if ps.ParentPages[base] {
-			return 0, fmt.Errorf("image: address 0x%x is in the parent checkpoint (flatten the chain first)", addr)
-		}
-		return 0, fmt.Errorf("image: address 0x%x not in dumped pages", addr)
-	}
-	if ps.DeltaPages[base] {
+	switch p := ps.pages[base]; p.class {
+	case PageData:
+		return binary.LittleEndian.Uint64(p.data[off:]), nil
+	case PageZero:
+		return 0, nil
+	case PageParent:
+		return 0, fmt.Errorf("image: address 0x%x is in the parent checkpoint (flatten the chain first)", addr)
+	case PageDelta:
 		return 0, fmt.Errorf("image: address 0x%x holds an XOR delta against the parent (flatten the chain first)", addr)
 	}
-	return binary.LittleEndian.Uint64(pg[off:]), nil
+	return 0, fmt.Errorf("image: address 0x%x not in dumped pages", addr)
 }
 
-// WriteU64 writes a word, populating the page if absent (zero pages
-// materialize as zeros) and copying it first if the set only borrows its
-// bytes. Writing into an in_parent page is an error: the local set does
-// not hold its content, so the chain must be flattened first.
+// WriteU64 writes a word, populating the page if absent or lazy (zero
+// pages materialize as zeros) and copying it first if the set only borrows
+// its bytes. Writing into an in_parent or delta page is an error: the
+// local set does not hold its content, so the chain must be flattened
+// first. A refused write leaves the set as it was.
 func (ps *PageSet) WriteU64(addr, v uint64) error {
 	base := addr / mem.PageSize * mem.PageSize
-	pg, ok := ps.Pages[base]
-	switch {
-	case !ok || pg == nil:
-		if ps.ParentPages[base] {
-			return fmt.Errorf("image: write at 0x%x hits an in-parent page (flatten the chain first)", addr)
-		}
-		pg = make([]byte, mem.PageSize)
-		ps.own(base, pg)
-		delete(ps.LazyPages, base)
-		delete(ps.ZeroPages, base)
-	case ps.DeltaPages[base]:
-		return fmt.Errorf("image: write at 0x%x hits an XOR-delta page (flatten the chain first)", addr)
-	case !ps.owned[base]:
-		pg = bytes.Clone(pg)
-		ps.own(base, pg)
-	}
 	off := addr % mem.PageSize
 	if off+8 > mem.PageSize {
 		return fmt.Errorf("image: unaligned word write at 0x%x crosses page", addr)
 	}
-	binary.LittleEndian.PutUint64(pg[off:], v)
-	return nil
-}
-
-// own installs pg, which the caller just allocated, as the set's private
-// copy of the page at base.
-func (ps *PageSet) own(base uint64, pg []byte) {
-	ps.Pages[base] = pg
-	if ps.owned == nil {
-		ps.owned = make(map[uint64]bool)
+	p := ps.pages[base]
+	switch {
+	case p.class == PageParent:
+		return fmt.Errorf("image: write at 0x%x hits an in-parent page (flatten the chain first)", addr)
+	case p.class == PageDelta:
+		return fmt.Errorf("image: write at 0x%x hits an XOR-delta page (flatten the chain first)", addr)
+	case p.class != PageData || !p.owned:
+		pg := new([mem.PageSize]byte)
+		if p.class == PageData {
+			*pg = *p.data
+		}
+		p = setPage{data: pg, class: PageData, owned: true}
+		ps.put(base, p)
 	}
-	ps.owned[base] = true
+	binary.LittleEndian.PutUint64(p.data[off:], v)
+	return nil
 }
 
 // DropRange removes pages overlapping [start, end) from the set.
 func (ps *PageSet) DropRange(start, end uint64) {
-	dropRange(ps.Pages, start, end)
+	dropRange(ps.pages, start, end)
 	dropRange(ps.LazyPages, start, end)
-	dropRange(ps.ParentPages, start, end)
-	dropRange(ps.ZeroPages, start, end)
-	dropRange(ps.DeltaPages, start, end)
-	dropRange(ps.owned, start, end)
 }
 
 func dropRange[V any](m map[uint64]V, start, end uint64) {
@@ -880,14 +882,9 @@ func dropRange[V any](m map[uint64]V, start, end uint64) {
 
 // InstallPage sets a page's full contents.
 func (ps *PageSet) InstallPage(addr uint64, data []byte) {
-	pg := make([]byte, mem.PageSize)
-	copy(pg, data)
-	base := addr / mem.PageSize * mem.PageSize
-	ps.own(base, pg)
-	delete(ps.LazyPages, base)
-	delete(ps.ParentPages, base)
-	delete(ps.ZeroPages, base)
-	delete(ps.DeltaPages, base)
+	pg := new([mem.PageSize]byte)
+	copy(pg[:], data)
+	ps.put(addr/mem.PageSize*mem.PageSize, setPage{data: pg, class: PageData, owned: true})
 }
 
 // XorPages returns a ⊕ b over min(len(a), len(b)) bytes into a fresh

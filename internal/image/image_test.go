@@ -89,7 +89,7 @@ func cowDir(t *testing.T, n int) (*image.ImageDir, []byte) {
 	for i := 0; i < n; i++ {
 		ps.InstallPage(cowBase+uint64(i)*mem.PageSize, bytes.Repeat([]byte{byte(i + 1)}, mem.PageSize))
 	}
-	ps.ZeroPages[cowBase+uint64(n)*mem.PageSize] = true
+	ps.Put(cowBase+uint64(n)*mem.PageSize, image.PageZero, nil)
 	dir := image.NewImageDir()
 	ps.Store(dir)
 	pages, _ := dir.Get("pages.img")
@@ -163,11 +163,18 @@ func TestPageSetCopyOnWrite(t *testing.T) {
 			// ownership ended there, so writing every page again must
 			// reach neither directory.
 			blob := out.Marshal()
-			for a := range ps.Pages {
+			pm, err := out.Pagemap()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pm.EachPage(func(a uint64, class image.PageClass) {
+				if class != image.PageData {
+					return
+				}
 				if err := ps.WriteU64(a+24, 0x1111111111111111); err != nil {
 					t.Fatal(err)
 				}
-			}
+			})
 			if got, _ := out.Get("pages.img"); !bytes.Equal(got, stored) || !bytes.Equal(out.Marshal(), blob) {
 				t.Fatal("a write after Store reached the directory stored into")
 			}
@@ -196,8 +203,9 @@ func TestImageDirConcurrentReaders(t *testing.T) {
 					t.Error("Get(pages.img) differs between readers")
 				}
 				ps, err := image.LoadPageSet(dir)
-				if err != nil || len(ps.Pages) != 64 || !bytes.Equal(ps.Pages[cowBase], want[:mem.PageSize]) {
-					t.Errorf("LoadPageSet: %d pages, err %v", len(ps.Pages), err)
+				if err != nil || ps.Class(cowBase+63*mem.PageSize) != image.PageData || ps.Class(cowBase+64*mem.PageSize) != image.PageZero ||
+					!bytes.Equal(ps.Data(cowBase), want[:mem.PageSize]) {
+					t.Errorf("LoadPageSet: page 63 %v, page 64 %v, err %v", ps.Class(cowBase+63*mem.PageSize), ps.Class(cowBase+64*mem.PageSize), err)
 				}
 				if pl, _ := dir.Payload(); pl.Len() != len(want) || dir.Size() < uint64(len(want)) {
 					t.Errorf("Payload is %d bytes, Size %d, want %d of pages", pl.Len(), dir.Size(), len(want))

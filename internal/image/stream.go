@@ -5,10 +5,8 @@
 // the payload. Because the layout is deterministic (field 1 name, field
 // 2 data, both always emitted), a consumer does not need the whole blob
 // to start working: the StreamSplitter parses frames incrementally from
-// whatever bytes have arrived and hands file payloads to a StreamSink as
-// they stream in. This is what lets a restore begin mapping VMAs and
-// verifying metadata — the small files sort before pages.img — while
-// page payloads are still on the wire.
+// whatever bytes have arrived and rebuilds the directory file by file as
+// they stream in.
 package image
 
 import (
@@ -18,23 +16,6 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/imgproto"
 )
-
-// StreamSink consumes an image directory file by file as it decodes.
-// Events arrive strictly in stream order: BeginFile(name, size), then
-// FileChunk zero or more times covering exactly size bytes, then
-// EndFile. Chunks alias the buffers handed to StreamSplitter.Write and
-// are stable: whoever calls Write never writes those bytes again, so a
-// sink may keep a chunk by reference for as long as it likes. It must not
-// write through one either — the other files of the stream share the
-// same buffer.
-type StreamSink interface {
-	// BeginFile announces the next file and its exact payload size.
-	BeginFile(name string, size int) error
-	// FileChunk delivers the next run of payload bytes.
-	FileChunk(p []byte) error
-	// EndFile marks the payload complete.
-	EndFile() error
-}
 
 // maxStreamName bounds a frame's file name so a corrupt header cannot
 // make the splitter buffer unbounded garbage while "waiting for the
@@ -47,24 +28,48 @@ const maxStreamName = 4096
 const maxFrameHeader = maxStreamName + 6*10
 
 // StreamSplitter incrementally parses the ImageDir wire encoding
-// (concatenated FrameFile frames) and feeds a StreamSink. Write may be
-// called with arbitrarily fragmented input — segment by segment as the
-// transport decompresses them; Close verifies the stream ended on a
-// frame boundary.
+// (concatenated FrameFile frames) and rebuilds the directory in memory
+// (UnmarshalImageDir is a splitter over one blob). Write may be called
+// with arbitrarily fragmented input — segment by segment as the transport
+// decompresses them; Close verifies the stream ended on a frame boundary.
+//
+// A file that arrives in one chunk — every file of a blob parsed whole,
+// and pages.img of any image that fits one transport segment — is kept by
+// reference, so the directory aliases the buffers the stream was written
+// from; only a file spanning chunks is assembled in a buffer of its own.
 type StreamSplitter struct {
-	sink StreamSink
+	dir *ImageDir
 	// hdr accumulates header bytes (outer tag+len, name field, data
 	// field tag+len) until they parse; payload bytes never land here.
 	hdr []byte
+	// name and buf are the file being received: the bytes of it that
+	// have arrived.
+	name string
+	buf  []byte
 	// remaining counts payload bytes still owed to the current file;
 	// zero means the splitter is between frames, parsing a header.
 	remaining int
-	err       error
+	// prealloc bounds what a file's buffer is allocated at on a frame
+	// header's say-so.
+	prealloc int
+	err      error
 }
 
-// NewStreamSplitter returns a splitter feeding sink.
-func NewStreamSplitter(sink StreamSink) *StreamSplitter {
-	return &StreamSplitter{sink: sink}
+// streamPrealloc is the bound for a stream of unknown length. A larger
+// file's buffer doubles as its payload actually arrives, so a header that
+// lies about the size costs at most twice the bytes delivered; files up
+// to the bound get one exact allocation.
+const streamPrealloc = 8 << 20
+
+// NewStreamSplitter returns a splitter for a stream of total bytes that
+// the caller already holds whole: no file in it can be larger, so a file
+// that has to be assembled gets one exact allocation. A total of 0 means
+// the length is the peer's claim, and streamPrealloc bounds the buffers.
+func NewStreamSplitter(total int) *StreamSplitter {
+	if total == 0 {
+		total = streamPrealloc
+	}
+	return &StreamSplitter{dir: NewImageDir(), prealloc: total}
 }
 
 // errNeedMore signals an incomplete header; more input will resolve it.
@@ -72,9 +77,10 @@ var errNeedMore = errors.New("need more bytes")
 
 // Write implements io.Writer: it consumes p completely or fails. After
 // an error the splitter is poisoned and every later call returns it. The
-// sink may retain slices of p (see StreamSink), so the caller gives p up:
-// a marshaled blob, a freshly decompressed or received segment — never a
-// buffer it refills.
+// directory keeps slices of p, so the caller gives p up: a marshaled
+// blob, a freshly decompressed or received segment — never a buffer it
+// refills, and never one it writes through: the other files of the
+// stream share the same buffer.
 func (s *StreamSplitter) Write(p []byte) (int, error) {
 	if s.err != nil {
 		return 0, s.err
@@ -84,7 +90,7 @@ func (s *StreamSplitter) Write(p []byte) (int, error) {
 		if s.remaining == 0 {
 			// Header bytes are tiny (tag/length varints plus the name):
 			// buffer only as many as a header can span, so payload bytes
-			// that follow it in p reach the sink by reference, never
+			// that follow it in p reach the directory by reference, never
 			// through hdr.
 			held := len(s.hdr)
 			take := min(len(p), maxFrameHeader-held)
@@ -100,52 +106,67 @@ func (s *StreamSplitter) Write(p []byte) (int, error) {
 				// accepts, and a refusal, never a spin, if it stops doing so.
 				err = fmt.Errorf("image: stream frame header exceeds %d bytes", maxFrameHeader)
 			}
-			if err == nil {
-				err = s.sink.BeginFile(name, dataLen)
-			}
 			if err != nil {
-				return s.fail(err)
+				s.err = err
+				return 0, err
 			}
 			// The header ended used-held bytes into p; the payload (none,
 			// for an empty file) starts there.
 			p = p[used-held:]
 			s.hdr = s.hdr[:0]
-			s.remaining = dataLen
+			s.name, s.buf, s.remaining = name, []byte{}, dataLen
 		}
 		if take := min(len(p), s.remaining); take > 0 {
-			if err := s.sink.FileChunk(p[:take]); err != nil {
-				return s.fail(err)
-			}
+			s.chunk(p[:take])
 			s.remaining -= take
 			p = p[take:]
 		}
 		if s.remaining == 0 {
-			if err := s.sink.EndFile(); err != nil {
-				return s.fail(err)
-			}
+			s.dir.Put(s.name, s.buf)
+			s.name, s.buf = "", nil
 		}
 	}
 	return n, nil
 }
 
-// fail poisons the splitter with err.
-func (s *StreamSplitter) fail(err error) (int, error) {
-	s.err = err
-	return 0, err
+// chunk appends p, the next bytes of the current file, to it. A first
+// chunk that is the whole file is the file: chunks are stable, so it is
+// kept as it came, capped so an append cannot reach the frame behind it.
+// Otherwise the file's buffer is allocated when its first bytes arrive,
+// in one step with copying them in, so only the part they do not cover is
+// zeroed first.
+func (s *StreamSplitter) chunk(p []byte) {
+	size := len(s.buf) + s.remaining
+	if cap(s.buf) == 0 {
+		if len(p) == size {
+			s.buf = p[:len(p):len(p)]
+			return
+		}
+		buf := make([]byte, max(len(p), min(size, s.prealloc)))
+		copy(buf, p)
+		s.buf = buf[:len(p)]
+		return
+	}
+	if need := len(s.buf) + len(p); need > cap(s.buf) {
+		grown := make([]byte, len(s.buf), min(size, max(need, 2*cap(s.buf))))
+		copy(grown, s.buf)
+		s.buf = grown
+	}
+	s.buf = append(s.buf, p...)
 }
 
-// Close verifies the stream ended exactly on a frame boundary.
-func (s *StreamSplitter) Close() error {
-	if s.err != nil {
-		return s.err
+// Close verifies the stream ended exactly on a frame boundary and returns
+// the directory it carried.
+func (s *StreamSplitter) Close() (*ImageDir, error) {
+	switch {
+	case s.err != nil:
+		return nil, s.err
+	case s.remaining > 0:
+		return nil, fmt.Errorf("image: stream truncated: %d payload bytes missing", s.remaining)
+	case len(s.hdr) > 0:
+		return nil, fmt.Errorf("image: stream truncated inside a frame header (%d bytes)", len(s.hdr))
 	}
-	if s.remaining > 0 {
-		return fmt.Errorf("image: stream truncated: %d payload bytes missing", s.remaining)
-	}
-	if len(s.hdr) > 0 {
-		return fmt.Errorf("image: stream truncated inside a frame header (%d bytes)", len(s.hdr))
-	}
-	return nil
+	return s.dir, nil
 }
 
 // parseFrameHeader parses one FrameFile prefix — outer tag and length,
@@ -225,76 +246,3 @@ func parseFrameHeader(b []byte) (name string, dataLen, used int, err error) {
 	}
 	return name, int(dlen), off, nil
 }
-
-// DirSink is the trivial StreamSink: it rebuilds the ImageDir in memory
-// (UnmarshalImageDir is a splitter over one). A file that arrives in one
-// chunk — every file of a blob parsed whole, and pages.img of any image
-// that fits one transport segment — is kept by reference, so the directory
-// aliases the buffers the stream was written from; only a file spanning
-// chunks is assembled in a buffer of its own.
-type DirSink struct {
-	dir  *ImageDir
-	name string
-	size int
-	buf  []byte
-	// prealloc bounds what FileChunk allocates on a frame header's say-so.
-	prealloc int
-}
-
-// dirSinkPrealloc is the bound for a stream of unknown length. A larger
-// file's buffer doubles as its payload actually arrives, so a header that
-// lies about the size costs at most twice the bytes delivered; files up
-// to the bound get one exact allocation.
-const dirSinkPrealloc = 8 << 20
-
-// NewDirSink returns a sink accumulating into a fresh directory from a
-// stream whose length is the peer's claim.
-func NewDirSink() *DirSink { return &DirSink{dir: NewImageDir(), prealloc: dirSinkPrealloc} }
-
-// NewDirSinkFor returns a sink for a stream the caller already holds
-// whole, total bytes of it: no file in it can be larger, so a file that
-// has to be assembled gets one exact allocation.
-func NewDirSinkFor(total int) *DirSink { return &DirSink{dir: NewImageDir(), prealloc: total} }
-
-// Dir returns the directory built so far.
-func (d *DirSink) Dir() *ImageDir { return d.dir }
-
-// BeginFile implements StreamSink.
-func (d *DirSink) BeginFile(name string, size int) error {
-	d.name, d.size, d.buf = name, size, []byte{}
-	return nil
-}
-
-// FileChunk implements StreamSink. A first chunk that is the whole file
-// is the file: chunks are stable, so it is kept as it came, capped so an
-// append cannot reach the frame behind it. Otherwise the file's buffer is
-// allocated when its first bytes arrive, in one step with copying them
-// in, so only the part they do not cover is zeroed first.
-func (d *DirSink) FileChunk(p []byte) error {
-	if cap(d.buf) == 0 {
-		if len(p) == d.size {
-			d.buf = p[:len(p):len(p)]
-			return nil
-		}
-		buf := make([]byte, max(len(p), min(d.size, d.prealloc)))
-		copy(buf, p)
-		d.buf = buf[:len(p)]
-		return nil
-	}
-	if need := len(d.buf) + len(p); need > cap(d.buf) {
-		grown := make([]byte, len(d.buf), min(d.size, max(need, 2*cap(d.buf))))
-		copy(grown, d.buf)
-		d.buf = grown
-	}
-	d.buf = append(d.buf, p...)
-	return nil
-}
-
-// EndFile implements StreamSink.
-func (d *DirSink) EndFile() error {
-	d.dir.Put(d.name, d.buf)
-	d.name, d.buf = "", nil
-	return nil
-}
-
-var _ StreamSink = (*DirSink)(nil)

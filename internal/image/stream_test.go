@@ -24,13 +24,12 @@ func testDir() *image.ImageDir {
 	return d
 }
 
-// splitInto feeds blob to a fresh DirSink splitter in the given chunk
-// sizes (the final chunk takes the remainder) and returns the rebuilt
-// directory.
+// splitInto feeds blob to a fresh splitter of a stream of unknown length
+// in the given chunk sizes (the final chunk takes the remainder) and
+// returns the rebuilt directory.
 func splitInto(t *testing.T, blob []byte, sizes func(remaining int) int) *image.ImageDir {
 	t.Helper()
-	sink := image.NewDirSink()
-	sp := image.NewStreamSplitter(sink)
+	sp := image.NewStreamSplitter(0)
 	for off := 0; off < len(blob); {
 		n := sizes(len(blob) - off)
 		if n <= 0 || n > len(blob)-off {
@@ -41,10 +40,11 @@ func splitInto(t *testing.T, blob []byte, sizes func(remaining int) int) *image.
 		}
 		off += n
 	}
-	if err := sp.Close(); err != nil {
+	dir, err := sp.Close()
+	if err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	return sink.Dir()
+	return dir
 }
 
 // TestStreamSplitterRoundTrip: splitting Marshal output must rebuild the
@@ -67,20 +67,20 @@ func TestStreamSplitterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamSplitterOrder: the sink must observe files in marshaled
+// TestStreamSplitterOrder: the splitter must see files in marshaled
 // (sorted) order with metadata strictly before pages.img — the property
 // the streaming restore pipeline is built on.
 func TestStreamSplitterOrder(t *testing.T) {
 	d := testDir()
-	sink := image.NewDirSink()
-	sp := image.NewStreamSplitter(sink)
+	sp := image.NewStreamSplitter(0)
 	if _, err := sp.Write(d.Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.Close(); err != nil {
+	dir, err := sp.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	names := sink.Dir().Names()
+	names := dir.Names()
 	if names[len(names)-1] != "pages.img" {
 		t.Fatalf("pages.img is not last in %v", names)
 	}
@@ -88,12 +88,11 @@ func TestStreamSplitterOrder(t *testing.T) {
 
 // TestStreamSplitterEmptyStream: zero input is a complete (empty) image.
 func TestStreamSplitterEmptyStream(t *testing.T) {
-	sink := image.NewDirSink()
-	sp := image.NewStreamSplitter(sink)
-	if err := sp.Close(); err != nil {
+	dir, err := image.NewStreamSplitter(0).Close()
+	if err != nil {
 		t.Fatalf("Close on empty stream: %v", err)
 	}
-	if n := len(sink.Dir().Names()); n != 0 {
+	if n := len(dir.Names()); n != 0 {
 		t.Fatalf("empty stream produced %d files", n)
 	}
 }
@@ -103,11 +102,11 @@ func TestStreamSplitterEmptyStream(t *testing.T) {
 func TestStreamSplitterTruncated(t *testing.T) {
 	blob := testDir().Marshal()
 	for _, cut := range []int{1, 5, len(blob) / 2, len(blob) - 1} {
-		sp := image.NewStreamSplitter(image.NewDirSink())
+		sp := image.NewStreamSplitter(0)
 		if _, err := sp.Write(blob[:cut]); err != nil {
 			continue // already detected — fine
 		}
-		if err := sp.Close(); err == nil {
+		if _, err := sp.Close(); err == nil {
 			t.Errorf("cut=%d: Close accepted a truncated stream", cut)
 		}
 	}
@@ -116,9 +115,9 @@ func TestStreamSplitterTruncated(t *testing.T) {
 // TestStreamSplitterMalformed: garbage framing must error instead of
 // being interpreted as a file.
 func TestStreamSplitterMalformed(t *testing.T) {
-	sp := image.NewStreamSplitter(image.NewDirSink())
+	sp := image.NewStreamSplitter(0)
 	_, werr := sp.Write(bytes.Repeat([]byte{0xff}, 64))
-	cerr := sp.Close()
+	_, cerr := sp.Close()
 	if werr == nil && cerr == nil {
 		t.Fatal("garbage stream accepted")
 	}
@@ -126,7 +125,7 @@ func TestStreamSplitterMalformed(t *testing.T) {
 
 // TestStreamSplitterPoisoned: after an error every later Write fails.
 func TestStreamSplitterPoisoned(t *testing.T) {
-	sp := image.NewStreamSplitter(image.NewDirSink())
+	sp := image.NewStreamSplitter(0)
 	if _, err := sp.Write(bytes.Repeat([]byte{0xff}, 64)); err == nil {
 		t.Skip("first write did not error on this framing; poisoning not reachable")
 	}
@@ -135,30 +134,23 @@ func TestStreamSplitterPoisoned(t *testing.T) {
 	}
 }
 
-type failErr struct{}
-
-func (e *failErr) Error() string { return "sink refused" }
-
-// TestStreamSplitterSinkError: a sink error surfaces from Write.
+// TestStreamSplitterSinkError: a refusal in the middle of a stream — a
+// bad frame header just before pages.img, after every other file has
+// landed — surfaces from Write, and Close returns no directory.
 func TestStreamSplitterSinkError(t *testing.T) {
-	blob := testDir().Marshal()
-	sp := image.NewStreamSplitter(refuseSink{inner: image.NewDirSink()})
-	_, werr := sp.Write(blob)
-	if werr == nil {
-		t.Fatal("sink error was swallowed")
+	d := testDir()
+	blob := d.Marshal()
+	pages, _ := d.Get("pages.img")
+	at := len(blob) - len(image.FrameFile("pages.img", pages))
+	blob[at] ^= 0xff // the frame's tag
+	sp := image.NewStreamSplitter(len(blob))
+	if _, err := sp.Write(blob); err == nil {
+		t.Fatal("a bad frame header was accepted")
+	}
+	if dir, err := sp.Close(); err == nil || dir != nil {
+		t.Fatalf("Close after a refusal: dir %v, err %v — want no directory and the error", dir, err)
 	}
 }
-
-type refuseSink struct{ inner *image.DirSink }
-
-func (r refuseSink) BeginFile(name string, size int) error {
-	if name == "pages.img" {
-		return &failErr{}
-	}
-	return r.inner.BeginFile(name, size)
-}
-func (r refuseSink) FileChunk(p []byte) error { return r.inner.FileChunk(p) }
-func (r refuseSink) EndFile() error           { return r.inner.EndFile() }
 
 // paddedUvarint is v as a non-canonical ten-byte varint — the longest
 // encoding imgproto.Uvarint accepts.
@@ -197,40 +189,38 @@ func TestStreamSplitterLongestHeader(t *testing.T) {
 			t.Errorf("%s: longest-header frame decoded to %q", name, got)
 		}
 	}
-	sp := image.NewStreamSplitter(image.NewDirSink())
+	sp := image.NewStreamSplitter(0)
 	if _, err := sp.Write(frame(4097)); err == nil {
 		t.Error("a name over the cap was accepted")
 	}
 }
 
-// TestDirSinkLargeFile: a file larger than what a sink commits up front
-// on a header's say-so still lands intact through the growth path, and a
-// sink told the stream's length allocates it once, exactly.
+// TestDirSinkLargeFile: a file larger than what a splitter commits up
+// front on a header's say-so still lands intact through the growth path,
+// and a splitter told the stream's length allocates it once, exactly.
 func TestDirSinkLargeFile(t *testing.T) {
 	d := image.NewImageDir()
 	big := make([]byte, 20<<20)
 	rand.New(rand.NewSource(3)).Read(big)
 	d.Put("pages.img", big)
 	blob := d.Marshal()
-	for name, sink := range map[string]*image.DirSink{
-		"claimed": image.NewDirSink(),
-		"known":   image.NewDirSinkFor(len(blob)),
-	} {
-		sp := image.NewStreamSplitter(sink)
+	for name, total := range map[string]int{"claimed": 0, "known": len(blob)} {
+		sp := image.NewStreamSplitter(total)
 		for off := 0; off < len(blob); off += 4 << 20 {
 			if _, err := sp.Write(blob[off:min(off+4<<20, len(blob))]); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		if err := sp.Close(); err != nil {
+		dir, err := sp.Close()
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, _ := sink.Dir().Get("pages.img")
+		got, _ := dir.Get("pages.img")
 		if !bytes.Equal(got, big) {
-			t.Errorf("%s: large file corrupted in the sink", name)
+			t.Errorf("%s: large file corrupted in the splitter", name)
 		}
 		if name == "known" && cap(got) != len(big) {
-			t.Errorf("known-length sink: buffer cap %d for a %d-byte file, want exact", cap(got), len(big))
+			t.Errorf("known-length splitter: buffer cap %d for a %d-byte file, want exact", cap(got), len(big))
 		}
 	}
 }
