@@ -508,6 +508,33 @@ func BenchmarkImgcheckVerify(b *testing.B) {
 	}
 }
 
+// BenchmarkImageCodec is a profiling handle on the metadata image codec
+// over the kv_vanilla workload's class-A rediska dump: decode opens a view
+// of the directory, which decodes every file but pages.img once, and
+// encode commits a view's typed forms back, which encodes each of them
+// once.
+func BenchmarkImageCodec(b *testing.B) {
+	_, p, _ := pausedBench(b, "rediska", workloads.ClassA, 12000)
+	dir, err := criu.Dump(p, criu.DumpOpts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			image.Open(dir)
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		v := image.Open(dir)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v.Commit()
+		}
+	})
+}
+
 // BenchmarkMigrateVanilla is the kv_vanilla workload of the host-time
 // benchmark (bench/) as a Go benchmark, so the image path can be
 // profiled: a 12000-key class-A rediska server (3.5 MB image) cloned from a

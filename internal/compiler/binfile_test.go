@@ -1,6 +1,9 @@
 package compiler_test
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/compiler"
@@ -69,5 +72,30 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 	if _, err := compiler.UnmarshalBinary([]byte("DELF1\n\xff\xff\xff")); err == nil {
 		t.Error("want parse error")
+	}
+}
+
+// TestDELFFixturesRoundTrip pins DELF bytes the way TestGoldenImageDigests
+// pins image bytes: every committed updatecheck fixture decodes and
+// re-encodes to its own bytes (make fixtures-check regenerates the same
+// files from fresh compiles).
+func TestDELFFixturesRoundTrip(t *testing.T) {
+	paths, err := filepath.Glob("../updatecheck/testdata/*.delf")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no DELF fixtures (%v)", err)
+	}
+	for _, path := range paths {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := compiler.UnmarshalBinary(blob)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if !bytes.Equal(compiler.MarshalBinary(b), blob) {
+			t.Errorf("%s: re-encoding moved its bytes", path)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/image"
+	"github.com/dapper-sim/dapper/internal/imgproto"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
@@ -24,8 +25,8 @@ func TestCoreImageRoundTrip(t *testing.T) {
 	}
 	c.Regs.PC = 0x400abc
 	c.Regs.TLS = 0x60002010
-	got, err := criu.UnmarshalCore(c.Marshal())
-	if err != nil {
+	got := &criu.CoreImage{}
+	if err := imgproto.Unmarshal(imgproto.Marshal(c), got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(c, got) {
@@ -41,8 +42,8 @@ func TestMMImageRoundTrip(t *testing.T) {
 			{Start: 0x6ff00000, End: 0x6ff40000, Kind: 4, Prot: 3, TID: 2},
 		},
 	}
-	got, err := criu.UnmarshalMM(m.Marshal())
-	if err != nil {
+	got := &criu.MMImage{}
+	if err := imgproto.Unmarshal(imgproto.Marshal(m), got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(m, got) {
@@ -55,8 +56,8 @@ func TestInventoryRoundTrip(t *testing.T) {
 		Arch: isa.SX86, TIDs: []int{1, 2, 5},
 		Mutexes: []criu.MutexEntry{{ID: 7, Holder: 2, Recurse: 3}},
 	}
-	got, err := criu.UnmarshalInventory(iv.Marshal())
-	if err != nil {
+	got := &criu.InventoryImage{}
+	if err := imgproto.Unmarshal(imgproto.Marshal(iv), got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(iv, got) {
@@ -101,8 +102,8 @@ func TestPageSetStoreLoadRoundTrip(t *testing.T) {
 	ps.Store(dir)
 
 	pmRaw, _ := dir.Get("pagemap.img")
-	pm, err := criu.UnmarshalPagemap(pmRaw)
-	if err != nil {
+	pm := &criu.PagemapImage{}
+	if err := imgproto.Unmarshal(pmRaw, pm); err != nil {
 		t.Fatal(err)
 	}
 	// Expect three coalesced entries: eager x2, lazy x2, eager x1.
@@ -159,13 +160,13 @@ func TestPageSetReadWrite(t *testing.T) {
 
 func TestCritJSONRoundTrip(t *testing.T) {
 	dir := criu.NewImageDir()
-	dir.Put("inventory.img", (&criu.InventoryImage{Arch: isa.SX86, TIDs: []int{1}}).Marshal())
-	dir.Put("files.img", (&criu.FilesImage{ExePath: "/bin/x.sx86"}).Marshal())
+	dir.Put("inventory.img", imgproto.Marshal(&criu.InventoryImage{Arch: isa.SX86, TIDs: []int{1}}))
+	dir.Put("files.img", imgproto.Marshal(&criu.FilesImage{ExePath: "/bin/x.sx86"}))
 	core := &criu.CoreImage{TID: 1, Arch: isa.SX86}
 	core.Regs.PC = 0x401000
-	dir.Put("core-1.img", core.Marshal())
-	dir.Put("mm.img", (&criu.MMImage{Brk: 0x20000000}).Marshal())
-	dir.Put("pagemap.img", (&criu.PagemapImage{}).Marshal())
+	dir.Put("core-1.img", imgproto.Marshal(core))
+	dir.Put("mm.img", imgproto.Marshal(&criu.MMImage{Brk: 0x20000000}))
+	dir.Put("pagemap.img", imgproto.Marshal(&criu.PagemapImage{}))
 	dir.Put("pages.img", nil)
 	dir.Put("custom.img", []byte("extra"))
 
@@ -193,7 +194,7 @@ func TestCritJSONRoundTrip(t *testing.T) {
 // scripted CRIT transformation would.
 func TestCritEditWorkflow(t *testing.T) {
 	dir := criu.NewImageDir()
-	dir.Put("files.img", (&criu.FilesImage{ExePath: "/bin/app.sx86"}).Marshal())
+	dir.Put("files.img", imgproto.Marshal(&criu.FilesImage{ExePath: "/bin/app.sx86"}))
 	doc, err := criu.Decode(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -248,12 +249,12 @@ func TestRestoreErrorPaths(t *testing.T) {
 	}
 	// Inventory present but files image missing.
 	dir := criu.NewImageDir()
-	dir.Put("inventory.img", (&criu.InventoryImage{Arch: isa.SX86, TIDs: []int{1}}).Marshal())
+	dir.Put("inventory.img", imgproto.Marshal(&criu.InventoryImage{Arch: isa.SX86, TIDs: []int{1}}))
 	if _, err := criu.Restore(k, dir, criu.MapProvider{}); err == nil {
 		t.Error("restore without files.img succeeded")
 	}
 	// Files image referencing an unregistered binary.
-	dir.Put("files.img", (&criu.FilesImage{ExePath: "/bin/ghost.sx86"}).Marshal())
+	dir.Put("files.img", imgproto.Marshal(&criu.FilesImage{ExePath: "/bin/ghost.sx86"}))
 	if _, err := criu.Restore(k, dir, criu.MapProvider{}); err == nil {
 		t.Error("restore with unresolvable executable succeeded")
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/image"
+	"github.com/dapper-sim/dapper/internal/imgproto"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
@@ -93,7 +94,7 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 			TID: t.TID, Arch: p.Arch, Regs: t.Regs,
 			StackLow: t.StackLow, StackHigh: t.StackHigh, TLSBlock: t.TLSBlock,
 		}
-		dir.Put(image.CoreName(t.TID), core.Marshal())
+		dir.Put(image.CoreName(t.TID), imgproto.Marshal(core))
 	}
 	if len(inv.TIDs) == 0 {
 		return nil, fmt.Errorf("criu: no live threads to dump")
@@ -102,15 +103,15 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 		holder, recurse := p.MutexState(id)
 		inv.Mutexes = append(inv.Mutexes, MutexEntry{ID: id, Holder: holder, Recurse: recurse})
 	}
-	dir.Put(image.InventoryName, inv.Marshal())
+	dir.Put(image.InventoryName, imgproto.Marshal(inv))
 
 	mm := &MMImage{Brk: p.Brk}
 	for _, v := range p.SortedVMAs() {
 		mm.VMAs = append(mm.VMAs, VMAEntry{Start: v.Start, End: v.End, Kind: uint8(v.Kind), Prot: v.Prot, TID: v.TID})
 	}
-	dir.Put(image.MMName, mm.Marshal())
+	dir.Put(image.MMName, imgproto.Marshal(mm))
 
-	dir.Put(image.FilesName, (&FilesImage{ExePath: p.ExePath}).Marshal())
+	dir.Put(image.FilesName, imgproto.Marshal(&FilesImage{ExePath: p.ExePath}))
 
 	execPages := execContextPages(p)
 	popPages := p.AS.PopulatedPages()

@@ -44,20 +44,12 @@ type (
 	PageSet = image.PageSet
 )
 
-// UnmarshalCore decodes a core image.
-func UnmarshalCore(b []byte) (*CoreImage, error) { return image.UnmarshalCore(b) }
-
-// UnmarshalMM decodes an mm image.
-func UnmarshalMM(b []byte) (*MMImage, error) { return image.UnmarshalMM(b) }
-
-// UnmarshalPagemap decodes a pagemap image.
-func UnmarshalPagemap(b []byte) (*PagemapImage, error) { return image.UnmarshalPagemap(b) }
-
-// UnmarshalFiles decodes a files image.
-func UnmarshalFiles(b []byte) (*FilesImage, error) { return image.UnmarshalFiles(b) }
-
-// UnmarshalInventory decodes an inventory image.
-func UnmarshalInventory(b []byte) (*InventoryImage, error) { return image.UnmarshalInventory(b) }
+// UnmarshalFiles decodes a files image; on an error the image is
+// incomplete.
+func UnmarshalFiles(b []byte) (*FilesImage, error) {
+	f := &FilesImage{}
+	return f, imgproto.Unmarshal(b, f)
+}
 
 // NewImageDir returns an empty directory.
 func NewImageDir() *ImageDir { return image.NewImageDir() }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/imgproto"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/monitor"
 )
@@ -46,8 +47,8 @@ func TestRestorePreFlightRejectsShuffledPagemap(t *testing.T) {
 	if !ok {
 		t.Fatal("dump has no pagemap.img")
 	}
-	pm, err := criu.UnmarshalPagemap(raw)
-	if err != nil {
+	pm := &criu.PagemapImage{}
+	if err := imgproto.Unmarshal(raw, pm); err != nil {
 		t.Fatal(err)
 	}
 	if len(pm.Entries) < 2 {
@@ -56,9 +57,9 @@ func TestRestorePreFlightRejectsShuffledPagemap(t *testing.T) {
 	for i, j := 0, len(pm.Entries)-1; i < j; i, j = i+1, j-1 {
 		pm.Entries[i], pm.Entries[j] = pm.Entries[j], pm.Entries[i]
 	}
-	dir.Put("pagemap.img", pm.Marshal())
+	dir.Put("pagemap.img", imgproto.Marshal(pm))
 
-	_, err = criu.Restore(kernel.New(kernel.Config{}), dir, prov)
+	_, err := criu.Restore(kernel.New(kernel.Config{}), dir, prov)
 	if err == nil {
 		t.Fatal("Restore accepted a shuffled pagemap")
 	}

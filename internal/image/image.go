@@ -17,7 +17,6 @@ package image
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -29,141 +28,27 @@ import (
 
 // CoreImage is core-<tid>.img: one thread's architectural state.
 type CoreImage struct {
-	TID       int         `json:"tid"`
-	Arch      isa.Arch    `json:"arch"`
-	Regs      isa.RegFile `json:"regs"`
-	StackLow  uint64      `json:"stackLow"`
-	StackHigh uint64      `json:"stackHigh"`
-	TLSBlock  uint64      `json:"tlsBlock"`
-}
-
-// Marshal encodes the image.
-func (c *CoreImage) Marshal() []byte {
-	var e imgproto.Encoder
-	e.Uint64(1, uint64(c.TID))
-	e.Uint64(2, uint64(c.Arch))
-	for _, r := range c.Regs.R {
-		e.Fixed64(3, r)
-	}
-	e.Fixed64(4, c.Regs.PC)
-	e.Fixed64(5, c.Regs.TLS)
-	e.Fixed64(6, c.StackLow)
-	e.Fixed64(7, c.StackHigh)
-	e.Fixed64(8, c.TLSBlock)
-	return e.Bytes()
-}
-
-// UnmarshalCore decodes a core image.
-func UnmarshalCore(b []byte) (*CoreImage, error) {
-	c := &CoreImage{}
-	nreg := 0
-	err := imgproto.NewDecoder(b).Each(func(f uint32, d *imgproto.Decoder) error {
-		v, err := d.FieldUint64()
-		if err != nil {
-			return err
-		}
-		switch f {
-		case 1:
-			c.TID = int(v)
-		case 2:
-			c.Arch = isa.Arch(v)
-		case 3:
-			if nreg < isa.NumRegs {
-				c.Regs.R[nreg] = v
-				nreg++
-			}
-		case 4:
-			c.Regs.PC = v
-		case 5:
-			c.Regs.TLS = v
-		case 6:
-			c.StackLow = v
-		case 7:
-			c.StackHigh = v
-		case 8:
-			c.TLSBlock = v
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("image: core image: %w", err)
-	}
-	return c, nil
+	TID       int         `json:"tid" img:"1"`
+	Arch      isa.Arch    `json:"arch" img:"2"`
+	Regs      isa.RegFile `json:"regs" img:",inline"` // fields 3-5
+	StackLow  uint64      `json:"stackLow" img:"6,fixed"`
+	StackHigh uint64      `json:"stackHigh" img:"7,fixed"`
+	TLSBlock  uint64      `json:"tlsBlock" img:"8,fixed"`
 }
 
 // VMAEntry describes one mapped area in the mm image.
 type VMAEntry struct {
-	Start uint64 `json:"start"`
-	End   uint64 `json:"end"`
-	Kind  uint8  `json:"kind"`
-	Prot  uint8  `json:"prot"`
-	TID   int    `json:"tid,omitempty"`
+	Start uint64 `json:"start" img:"1,fixed"`
+	End   uint64 `json:"end" img:"2,fixed"`
+	Kind  uint8  `json:"kind" img:"3"`
+	Prot  uint8  `json:"prot" img:"4"`
+	TID   int    `json:"tid,omitempty" img:"5"`
 }
 
 // MMImage is mm.img: the address-space description.
 type MMImage struct {
-	VMAs []VMAEntry `json:"vmas"`
-	Brk  uint64     `json:"brk"`
-}
-
-// Marshal encodes the image.
-func (m *MMImage) Marshal() []byte {
-	var e imgproto.Encoder
-	for _, v := range m.VMAs {
-		e.Message(1, func(n *imgproto.Encoder) {
-			n.Fixed64(1, v.Start)
-			n.Fixed64(2, v.End)
-			n.Uint64(3, uint64(v.Kind))
-			n.Uint64(4, uint64(v.Prot))
-			n.Uint64(5, uint64(v.TID))
-		})
-	}
-	e.Fixed64(2, m.Brk)
-	return e.Bytes()
-}
-
-// UnmarshalMM decodes an mm image.
-func UnmarshalMM(b []byte) (*MMImage, error) {
-	m := &MMImage{}
-	err := imgproto.NewDecoder(b).Each(func(f uint32, d *imgproto.Decoder) error {
-		switch f {
-		case 1:
-			var v VMAEntry
-			if err := d.FieldMessage(func(nf uint32, nd *imgproto.Decoder) error {
-				u, err := nd.FieldUint64()
-				if err != nil {
-					return err
-				}
-				switch nf {
-				case 1:
-					v.Start = u
-				case 2:
-					v.End = u
-				case 3:
-					v.Kind = uint8(u)
-				case 4:
-					v.Prot = uint8(u)
-				case 5:
-					v.TID = int(u)
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
-			m.VMAs = append(m.VMAs, v)
-		case 2:
-			u, err := d.FieldUint64()
-			if err != nil {
-				return err
-			}
-			m.Brk = u
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("image: mm image: %w", err)
-	}
-	return m, nil
+	VMAs []VMAEntry `json:"vmas" img:"1"`
+	Brk  uint64     `json:"brk" img:"2,fixed"`
 }
 
 // PagemapEntry describes a run of pages. Lazy entries have no bytes in
@@ -179,19 +64,28 @@ func UnmarshalMM(b []byte) (*MMImage, error) {
 // codec compresses away. Resolving a delta page therefore needs the
 // parent chain, like in_parent but with local bytes.
 type PagemapEntry struct {
-	Vaddr    uint64 `json:"vaddr"`
-	NrPages  uint32 `json:"nrPages"`
-	Lazy     bool   `json:"lazy,omitempty"`
-	InParent bool   `json:"inParent,omitempty"`
-	Zero     bool   `json:"zero,omitempty"`
+	// Fields 6 and 7 were the within-dump page dedup back-reference older
+	// builds wrote. An entry carrying one is refused: skipped like an
+	// unknown field, it would decode as a data run whose bytes pages.img
+	// never carried.
+	_ struct{} `img:"6,retired"`
+	_ struct{} `img:"7,retired"`
+
+	Vaddr    uint64 `json:"vaddr" img:"1,fixed"`
+	NrPages  uint32 `json:"nrPages" img:"2"`
+	Lazy     bool   `json:"lazy,omitempty" img:"3"`
+	InParent bool   `json:"inParent,omitempty" img:"4"`
+	Zero     bool   `json:"zero,omitempty" img:"5"`
 	// Delta marks the run's pages.img bytes as XORed against the same
-	// page's content in the parent chain (incremental dumps only).
-	Delta bool `json:"delta,omitempty"`
+	// page's content in the parent chain (incremental dumps only). It is
+	// written only on delta runs, so other images keep the encoding they
+	// had before delta runs existed.
+	Delta bool `json:"delta,omitempty" img:"8,omitempty"`
 }
 
-// ErrRetiredField is what UnmarshalPagemap returns for an entry carrying
-// field 6 or 7, the within-dump dedup back-reference older builds wrote.
-var ErrRetiredField = errors.New("retired field")
+// ErrRetiredField is what decoding a pagemap returns for an entry
+// carrying field 6 or 7.
+var ErrRetiredField = imgproto.ErrRetiredField
 
 // Class is the one reading of an entry's flags. A well-formed entry sets
 // at most one (imgcheck's pagemap-flags invariant refuses the rest before
@@ -213,7 +107,7 @@ func (en PagemapEntry) Class() PageClass {
 
 // PagemapImage is pagemap.img: the index into pages.img.
 type PagemapImage struct {
-	Entries []PagemapEntry `json:"entries"`
+	Entries []PagemapEntry `json:"entries" img:"1"`
 }
 
 // EachPage calls fn for every page the pagemap describes, in file order,
@@ -237,179 +131,23 @@ func (p *PagemapImage) Counts() (n [PageDelta + 1]int) {
 	return n
 }
 
-// Marshal encodes the image.
-func (p *PagemapImage) Marshal() []byte {
-	var e imgproto.Encoder
-	for _, en := range p.Entries {
-		e.Message(1, func(n *imgproto.Encoder) {
-			n.Fixed64(1, en.Vaddr)
-			n.Uint64(2, uint64(en.NrPages))
-			n.Bool(3, en.Lazy)
-			n.Bool(4, en.InParent)
-			n.Bool(5, en.Zero)
-			// Field 8 appears only on delta runs, so non-delta images keep
-			// the historical byte-identical encoding. Fields 6 and 7 are
-			// retired (see UnmarshalPagemap).
-			if en.Delta {
-				n.Bool(8, true)
-			}
-		})
-	}
-	return e.Bytes()
-}
-
-// UnmarshalPagemap decodes a pagemap image.
-func UnmarshalPagemap(b []byte) (*PagemapImage, error) {
-	p := &PagemapImage{}
-	err := imgproto.NewDecoder(b).Each(func(f uint32, d *imgproto.Decoder) error {
-		if f != 1 {
-			return nil
-		}
-		var en PagemapEntry
-		if err := d.FieldMessage(func(nf uint32, nd *imgproto.Decoder) error {
-			switch nf {
-			case 1:
-				u, err := nd.FieldUint64()
-				en.Vaddr = u
-				return err
-			case 2:
-				u, err := nd.FieldUint64()
-				en.NrPages = uint32(u)
-				return err
-			case 3:
-				v, err := nd.FieldBool()
-				en.Lazy = v
-				return err
-			case 4:
-				v, err := nd.FieldBool()
-				en.InParent = v
-				return err
-			case 5:
-				v, err := nd.FieldBool()
-				en.Zero = v
-				return err
-			case 6, 7:
-				// Skipping these like an unknown field would decode the entry
-				// as a data run whose bytes pages.img never carried.
-				return fmt.Errorf("entry at 0x%x: %w %d (page dedup back-reference; re-dump the process with this build)", en.Vaddr, ErrRetiredField, nf)
-			case 8:
-				v, err := nd.FieldBool()
-				en.Delta = v
-				return err
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		p.Entries = append(p.Entries, en)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("image: pagemap image: %w", err)
-	}
-	return p, nil
-}
-
 // FilesImage is files.img: the open files (here, the executable).
 type FilesImage struct {
-	ExePath string `json:"exePath"`
-}
-
-// Marshal encodes the image.
-func (f *FilesImage) Marshal() []byte {
-	var e imgproto.Encoder
-	e.String(1, f.ExePath)
-	return e.Bytes()
-}
-
-// UnmarshalFiles decodes a files image.
-func UnmarshalFiles(b []byte) (*FilesImage, error) {
-	f := &FilesImage{}
-	err := imgproto.NewDecoder(b).Each(func(fl uint32, d *imgproto.Decoder) error {
-		if fl == 1 {
-			s, err := d.FieldString()
-			f.ExePath = s
-			return err
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("image: files image: %w", err)
-	}
-	return f, nil
+	ExePath string `json:"exePath" img:"1"`
 }
 
 // MutexEntry is a held mutex recorded in the inventory.
 type MutexEntry struct {
-	ID      uint64 `json:"id"`
-	Holder  int    `json:"holder"`
-	Recurse int    `json:"recurse"`
+	ID      uint64 `json:"id" img:"1"`
+	Holder  int    `json:"holder" img:"2"`
+	Recurse int    `json:"recurse" img:"3"`
 }
 
 // InventoryImage is inventory.img: dump-wide facts.
 type InventoryImage struct {
-	Arch    isa.Arch     `json:"arch"`
-	TIDs    []int        `json:"tids"`
-	Mutexes []MutexEntry `json:"mutexes,omitempty"`
-}
-
-// Marshal encodes the image.
-func (iv *InventoryImage) Marshal() []byte {
-	var e imgproto.Encoder
-	e.Uint64(1, uint64(iv.Arch))
-	for _, t := range iv.TIDs {
-		e.Uint64(2, uint64(t))
-	}
-	for _, m := range iv.Mutexes {
-		e.Message(3, func(n *imgproto.Encoder) {
-			n.Uint64(1, m.ID)
-			n.Uint64(2, uint64(m.Holder))
-			n.Uint64(3, uint64(m.Recurse))
-		})
-	}
-	return e.Bytes()
-}
-
-// UnmarshalInventory decodes an inventory image.
-func UnmarshalInventory(b []byte) (*InventoryImage, error) {
-	iv := &InventoryImage{}
-	err := imgproto.NewDecoder(b).Each(func(f uint32, d *imgproto.Decoder) error {
-		switch f {
-		case 1:
-			u, err := d.FieldUint64()
-			iv.Arch = isa.Arch(u)
-			return err
-		case 2:
-			u, err := d.FieldUint64()
-			iv.TIDs = append(iv.TIDs, int(u))
-			return err
-		case 3:
-			var m MutexEntry
-			if err := d.FieldMessage(func(nf uint32, nd *imgproto.Decoder) error {
-				u, err := nd.FieldUint64()
-				if err != nil {
-					return err
-				}
-				switch nf {
-				case 1:
-					m.ID = u
-				case 2:
-					m.Holder = int(u)
-				case 3:
-					m.Recurse = int(u)
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
-			iv.Mutexes = append(iv.Mutexes, m)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("image: inventory image: %w", err)
-	}
-	return iv, nil
+	Arch    isa.Arch     `json:"arch" img:"1"`
+	TIDs    []int        `json:"tids" img:"2"`
+	Mutexes []MutexEntry `json:"mutexes,omitempty" img:"3"`
 }
 
 // ImageDir is the checkpoint directory (held in memory, like the paper's
@@ -530,9 +268,8 @@ func FrameFile(name string, data []byte) []byte {
 // and length (parseFrameHeader reads them back).
 func frameHeader(name string, dataLen int) []byte {
 	const lenDelimited = byte(imgproto.WireBytes)
-	var e imgproto.Encoder
-	e.String(1, name)
-	inner := imgproto.AppendUvarint(append(e.Bytes(), 2<<3|lenDelimited), uint64(dataLen))
+	inner := imgproto.AppendUvarint([]byte{1<<3 | lenDelimited}, uint64(len(name)))
+	inner = imgproto.AppendUvarint(append(append(inner, name...), 2<<3|lenDelimited), uint64(dataLen))
 	hdr := imgproto.AppendUvarint([]byte{1<<3 | lenDelimited}, uint64(len(inner)+dataLen))
 	return append(hdr, inner...)
 }
@@ -690,7 +427,7 @@ func (ps *PageSet) put(a uint64, p setPage) {
 // of the directory.
 func (d *ImageDir) Pagemap() (*PagemapImage, error) {
 	if raw, ok := d.files[PagemapName]; ok {
-		return UnmarshalPagemap(raw)
+		return decode[PagemapImage](PagemapName, raw)
 	}
 	return nil, fmt.Errorf("image: %w %s", ErrMissing, PagemapName)
 }
@@ -812,7 +549,7 @@ func EncodePages(dir *ImageDir, recs []PageRecord) {
 		})
 		i = j
 	}
-	dir.Put(PagemapName, pm.Marshal())
+	dir.Put(PagemapName, imgproto.Marshal(&pm))
 	dir.PutPages(payload)
 }
 

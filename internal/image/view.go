@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"github.com/dapper-sim/dapper/internal/imgproto"
 )
 
 // The image files of a directory. Core images are named by CoreName.
@@ -59,17 +61,17 @@ func Open(dir *ImageDir) *View {
 		var err error
 		switch {
 		case name == InventoryName:
-			v.Inventory, err = UnmarshalInventory(raw)
+			v.Inventory, err = decode[InventoryImage](name, raw)
 		case name == FilesName:
-			v.Files, err = UnmarshalFiles(raw)
+			v.Files, err = decode[FilesImage](name, raw)
 		case name == MMName:
-			v.MM, err = UnmarshalMM(raw)
+			v.MM, err = decode[MMImage](name, raw)
 		case name == PagemapName:
-			v.Pagemap, err = UnmarshalPagemap(raw)
+			v.Pagemap, err = decode[PagemapImage](name, raw)
 		case name == PagesName:
 		case strings.HasPrefix(name, corePrefix):
 			var c *CoreImage
-			if c, err = UnmarshalCore(raw); err == nil {
+			if c, err = decode[CoreImage](name, raw); err == nil {
 				v.Cores[name] = c
 			}
 		default:
@@ -80,6 +82,15 @@ func Open(dir *ImageDir) *View {
 		}
 	}
 	return v
+}
+
+// decode reads the image file name holds as a T.
+func decode[T any](name string, raw []byte) (*T, error) {
+	v := new(T)
+	if err := imgproto.Unmarshal(raw, v); err != nil {
+		return nil, fmt.Errorf("image: %s: %w", name, err)
+	}
+	return v, nil
 }
 
 // Names lists the directory's files in sorted order.
@@ -130,20 +141,20 @@ func (v *View) PageSet() (*PageSet, error) {
 // are. This is the view's one write, and its last act.
 func (v *View) Commit() {
 	if v.Inventory != nil {
-		v.dir.Put(InventoryName, v.Inventory.Marshal())
+		v.dir.Put(InventoryName, imgproto.Marshal(v.Inventory))
 	}
 	if v.Files != nil {
-		v.dir.Put(FilesName, v.Files.Marshal())
+		v.dir.Put(FilesName, imgproto.Marshal(v.Files))
 	}
 	if v.MM != nil {
-		v.dir.Put(MMName, v.MM.Marshal())
+		v.dir.Put(MMName, imgproto.Marshal(v.MM))
 	}
 	for name, c := range v.Cores {
-		v.dir.Put(name, c.Marshal())
+		v.dir.Put(name, imgproto.Marshal(c))
 	}
 	if v.ps != nil {
 		v.ps.Store(v.dir)
 	} else if v.Pagemap != nil {
-		v.dir.Put(PagemapName, v.Pagemap.Marshal())
+		v.dir.Put(PagemapName, imgproto.Marshal(v.Pagemap))
 	}
 }

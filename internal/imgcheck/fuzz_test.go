@@ -10,6 +10,7 @@ import (
 	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/imgcheck"
+	"github.com/dapper-sim/dapper/internal/imgproto"
 	"github.com/dapper-sim/dapper/internal/mem"
 )
 
@@ -56,7 +57,7 @@ func damage(t *testing.T, chain []*criu.ImageDir, prog []byte) []*criu.ImageDir 
 			pm.Entries = append(pm.Entries[:j+1:j+1], pm.Entries[j:]...)
 		}
 		n := pm.Counts()
-		out[i].Put(image.PagemapName, pm.Marshal())
+		out[i].Put(image.PagemapName, imgproto.Marshal(pm))
 		out[i].Put(image.PagesName, bytes.Repeat([]byte{0x41 + byte(i)}, (n[image.PageData]+n[image.PageDelta])*mem.PageSize))
 	}
 	return out

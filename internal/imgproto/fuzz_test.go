@@ -60,74 +60,49 @@ func fuzzMessage(u1, fx uint64, s []byte, nested uint64) []byte {
 	return e.Bytes()
 }
 
-// FuzzDecoder drives the field iterator over both well-formed messages
-// (which must round-trip every field value) and arbitrary mutations
-// (which must fail cleanly, never panic or over-read).
+// fuzzMsg is what fuzzMessage encodes.
+type fuzzMsg struct {
+	U1 uint64 `img:"1"`
+	Fx uint64 `img:"2,fixed"`
+	S  []byte `img:"3"`
+	N  struct {
+		U uint64 `img:"1"`
+		S []byte `img:"2"`
+	} `img:"4"`
+	I int64 `img:"5,zigzag"`
+}
+
+// FuzzDecoder drives Unmarshal over both well-formed messages (which must
+// round-trip every field value, and re-encode to the bytes the Encoder
+// wrote) and arbitrary mutations (which must fail cleanly, never panic or
+// over-read).
 func FuzzDecoder(f *testing.F) {
 	f.Add(uint64(0), uint64(0), []byte(nil), uint64(0), []byte(nil))
 	f.Add(^uint64(0), uint64(1), []byte("payload"), uint64(42), []byte{0xff, 0xff})
 	f.Add(uint64(300), ^uint64(0), bytes.Repeat([]byte{0x80}, 16), uint64(7), []byte{0x0b})
 	f.Fuzz(func(t *testing.T, u1, fx uint64, s []byte, nested uint64, garbage []byte) {
 		msg := fuzzMessage(u1, fx, s, nested)
-		var gotU1, gotFx, gotNested uint64
-		var gotS, gotNS []byte
-		var gotI64 int64
-		err := NewDecoder(msg).Each(func(field uint32, d *Decoder) error {
-			switch field {
-			case 1:
-				v, err := d.FieldUint64()
-				gotU1 = v
-				return err
-			case 2:
-				v, err := d.FieldUint64()
-				gotFx = v
-				return err
-			case 3:
-				v, err := d.FieldBytes()
-				gotS = v
-				return err
-			case 4:
-				return d.FieldMessage(func(nf uint32, nd *Decoder) error {
-					switch nf {
-					case 1:
-						v, err := nd.FieldUint64()
-						gotNested = v
-						return err
-					case 2:
-						v, err := nd.FieldBytes()
-						gotNS = v
-						return err
-					}
-					return nil
-				})
-			case 5:
-				v, err := d.FieldInt64()
-				gotI64 = v
-				return err
-			}
-			return nil
-		})
-		if err != nil {
+		var got fuzzMsg
+		if err := Unmarshal(msg, &got); err != nil {
 			t.Fatalf("well-formed message failed to decode: %v", err)
 		}
-		if gotU1 != u1 || gotFx != fx || gotNested != nested || gotI64 != UnZigZag(u1) {
+		if got.U1 != u1 || got.Fx != fx || got.N.U != nested || got.I != UnZigZag(u1) {
 			t.Fatal("scalar fields did not round-trip")
 		}
-		if !bytes.Equal(gotS, s) || !bytes.Equal(gotNS, s) {
+		if !bytes.Equal(got.S, s) || !bytes.Equal(got.N.S, s) {
 			t.Fatal("bytes fields did not round-trip")
+		}
+		if !bytes.Equal(Marshal(&got), msg) {
+			t.Fatal("Marshal does not write what the Encoder wrote")
 		}
 
 		// Arbitrary corruption: truncations and garbage must error (or
 		// decode as some other valid message) without panicking.
 		for cut := 0; cut < len(msg); cut += 1 + len(msg)/8 {
-			_ = NewDecoder(msg[:cut]).Each(func(uint32, *Decoder) error { return nil })
+			_ = Unmarshal(msg[:cut], &fuzzMsg{})
 		}
-		_ = NewDecoder(garbage).Each(func(_ uint32, d *Decoder) error {
-			_, _ = d.FieldUint64()
-			_, _ = d.FieldBytes()
-			return nil
-		})
-		_ = NewDecoder(append(append([]byte(nil), garbage...), msg...)).Each(func(uint32, *Decoder) error { return nil })
+		_ = Unmarshal(garbage, &fuzzMsg{})
+		_ = Unmarshal(append(append([]byte(nil), garbage...), msg...), &fuzzMsg{})
 	})
 }
 

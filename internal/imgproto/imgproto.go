@@ -4,18 +4,18 @@
 // CRIU serializes most of its image files as protocol-buffer messages; this
 // package provides a from-scratch, dependency-free implementation of the
 // same wire encoding (base-128 varints, zig-zag signed integers, tagged
-// fields, and length-delimited payloads). Image and binary types marshal
-// themselves through an Encoder and parse through a Decoder, which keeps
-// the on-disk representation stable and independent of Go struct layout —
-// exactly the property CRIT relies on to decode, rewrite, and re-encode
-// images.
+// fields, and length-delimited payloads). Image and binary types state
+// their format once, as struct tags, and Marshal and Unmarshal (schema.go)
+// read them, which keeps the on-disk representation stable and
+// independent of Go struct layout — exactly the property CRIT relies on to
+// decode, rewrite, and re-encode images. Encoder is the field-level layer
+// beneath, for messages built by hand.
 package imgproto
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // WireType identifies how a field's payload is encoded on the wire.
@@ -41,10 +41,16 @@ var (
 // FieldError records a decoding failure at a specific field number.
 type FieldError struct {
 	Field uint32
-	Err   error
+	// Name is the Go field the number decodes into, as Type.Field, when
+	// Unmarshal knows it.
+	Name string
+	Err  error
 }
 
 func (e *FieldError) Error() string {
+	if e.Name != "" {
+		return fmt.Sprintf("imgproto: %s (field %d): %v", e.Name, e.Field, e.Err)
+	}
 	return fmt.Sprintf("imgproto: field %d: %v", e.Field, e.Err)
 }
 
@@ -92,15 +98,9 @@ type Encoder struct {
 	buf []byte
 }
 
-// NewEncoder returns an Encoder that appends to buf (which may be nil).
-func NewEncoder(buf []byte) *Encoder { return &Encoder{buf: buf} }
-
 // Bytes returns the encoded message. The returned slice aliases the
 // Encoder's internal buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
-
-// Len returns the current encoded length in bytes.
-func (e *Encoder) Len() int { return len(e.buf) }
 
 func (e *Encoder) tag(field uint32, wt WireType) {
 	e.buf = AppendUvarint(e.buf, uint64(field)<<3|uint64(wt))
@@ -132,11 +132,6 @@ func (e *Encoder) Fixed64(field uint32, v uint64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 }
 
-// Float64 appends field as the IEEE-754 bits of v.
-func (e *Encoder) Float64(field uint32, v float64) {
-	e.Fixed64(field, math.Float64bits(v))
-}
-
 // Bytes appends field as a length-delimited byte string.
 func (e *Encoder) BytesField(field uint32, v []byte) {
 	e.tag(field, WireBytes)
@@ -151,29 +146,28 @@ func (e *Encoder) String(field uint32, v string) {
 	e.buf = append(e.buf, v...)
 }
 
-// Message appends field as a length-delimited nested message produced by fn.
+// Message appends field as a length-delimited nested message, the fields
+// fn appends. One byte is reserved for the length; a message too long for
+// it moves up once its length is known.
 func (e *Encoder) Message(field uint32, fn func(*Encoder)) {
-	var nested Encoder
-	fn(&nested)
-	e.BytesField(field, nested.buf)
-}
-
-// Uint64s appends each element of vs as a repeated varint field.
-func (e *Encoder) Uint64s(field uint32, vs []uint64) {
-	for _, v := range vs {
-		e.Uint64(field, v)
+	e.tag(field, WireBytes)
+	start := len(e.buf)
+	e.buf = append(e.buf, 0)
+	fn(e)
+	n := len(e.buf) - start - 1
+	if n < 0x80 {
+		e.buf[start] = byte(n)
+		return
 	}
+	var l [10]byte
+	ln := AppendUvarint(l[:0], uint64(n))
+	e.buf = append(e.buf, ln[1:]...)
+	copy(e.buf[start+len(ln):], e.buf[start+1:start+1+n])
+	copy(e.buf[start:], ln)
 }
 
-// Int64s appends each element of vs as a repeated zig-zag field.
-func (e *Encoder) Int64s(field uint32, vs []int64) {
-	for _, v := range vs {
-		e.Int64(field, v)
-	}
-}
-
-// Decoder iterates over the fields of an encoded message.
-type Decoder struct {
+// decoder walks the fields of an encoded message.
+type decoder struct {
 	buf []byte
 	off int
 
@@ -184,12 +178,8 @@ type Decoder struct {
 	raw []byte
 }
 
-// NewDecoder returns a Decoder reading from buf.
-func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
-
-// next advances to the next field, returning any wire-level error; Each
-// drives it over the whole message and stops at the first failure.
-func (d *Decoder) next() error {
+// next advances to the next field, returning any wire-level error.
+func (d *decoder) next() error {
 	tag, n, err := Uvarint(d.buf[d.off:])
 	if err != nil {
 		return err
@@ -228,76 +218,4 @@ func (d *Decoder) next() error {
 		return &FieldError{Field: d.field, Err: ErrBadWireType}
 	}
 	return nil
-}
-
-// Each calls fn for every field in the message. fn receives the field
-// number and the Decoder positioned at that field's payload; it should use
-// the typed accessors (FieldUint64, FieldBytes, ...) to read it. Decoding
-// stops at the first error from the wire or from fn.
-func (d *Decoder) Each(fn func(field uint32, d *Decoder) error) error {
-	for d.off < len(d.buf) {
-		if err := d.next(); err != nil {
-			return err
-		}
-		if err := fn(d.field, d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// FieldUint64 returns the current field as an unsigned varint or fixed64.
-func (d *Decoder) FieldUint64() (uint64, error) {
-	switch d.wt {
-	case WireVarint, WireFixed64:
-		return d.u64, nil
-	default:
-		return 0, &FieldError{Field: d.field, Err: fmt.Errorf("want numeric, got wire type %d", d.wt)}
-	}
-}
-
-// FieldInt64 returns the current field as a zig-zag signed integer.
-func (d *Decoder) FieldInt64() (int64, error) {
-	u, err := d.FieldUint64()
-	if err != nil {
-		return 0, err
-	}
-	return UnZigZag(u), nil
-}
-
-// FieldBool returns the current field as a boolean.
-func (d *Decoder) FieldBool() (bool, error) {
-	u, err := d.FieldUint64()
-	return u != 0, err
-}
-
-// FieldFloat64 returns the current field interpreted as IEEE-754 bits.
-func (d *Decoder) FieldFloat64() (float64, error) {
-	u, err := d.FieldUint64()
-	return math.Float64frombits(u), err
-}
-
-// FieldBytes returns the current length-delimited field. The slice aliases
-// the Decoder's buffer.
-func (d *Decoder) FieldBytes() ([]byte, error) {
-	if d.wt != WireBytes {
-		return nil, &FieldError{Field: d.field, Err: fmt.Errorf("want bytes, got wire type %d", d.wt)}
-	}
-	return d.raw, nil
-}
-
-// FieldString returns the current length-delimited field as a string.
-func (d *Decoder) FieldString() (string, error) {
-	b, err := d.FieldBytes()
-	return string(b), err
-}
-
-// FieldMessage decodes the current length-delimited field as a nested
-// message by invoking fn for each of its fields.
-func (d *Decoder) FieldMessage(fn func(field uint32, d *Decoder) error) error {
-	b, err := d.FieldBytes()
-	if err != nil {
-		return err
-	}
-	return NewDecoder(b).Each(fn)
 }

@@ -63,110 +63,82 @@ func TestZigZagProperty(t *testing.T) {
 	}
 }
 
+// allTypes is a message with a field of every shape Unmarshal decodes.
+type allTypes struct {
+	U   uint64   `img:"1"`
+	I   int64    `img:"2,zigzag"`
+	B   bool     `img:"3"`
+	F   uint64   `img:"4,fixed"`
+	By  []byte   `img:"6"`
+	S   string   `img:"7"`
+	N   nested   `img:"8"`
+	Rep []uint64 `img:"9"`
+}
+
+type nested struct {
+	U uint64 `img:"1"`
+	S string `img:"2"`
+}
+
 func TestEncoderDecoderAllTypes(t *testing.T) {
 	var e Encoder
 	e.Uint64(1, 42)
 	e.Int64(2, -7)
 	e.Bool(3, true)
 	e.Fixed64(4, 0xdeadbeefcafe)
-	e.Float64(5, 3.5)
 	e.BytesField(6, []byte{1, 2, 3})
 	e.String(7, "hello")
 	e.Message(8, func(n *Encoder) {
 		n.Uint64(1, 9)
 		n.String(2, "nested")
 	})
-	e.Uint64s(9, []uint64{5, 6, 7})
+	for _, v := range []uint64{5, 6, 7} {
+		e.Uint64(9, v)
+	}
 
-	var (
-		gotU   uint64
-		gotI   int64
-		gotB   bool
-		gotF64 uint64
-		gotFl  float64
-		gotBy  []byte
-		gotS   string
-		nestU  uint64
-		nestS  string
-		rep    []uint64
-	)
-	d := NewDecoder(e.Bytes())
-	err := d.Each(func(f uint32, d *Decoder) error {
-		var err error
-		switch f {
-		case 1:
-			gotU, err = d.FieldUint64()
-		case 2:
-			gotI, err = d.FieldInt64()
-		case 3:
-			gotB, err = d.FieldBool()
-		case 4:
-			gotF64, err = d.FieldUint64()
-		case 5:
-			gotFl, err = d.FieldFloat64()
-		case 6:
-			gotBy, err = d.FieldBytes()
-		case 7:
-			gotS, err = d.FieldString()
-		case 8:
-			err = d.FieldMessage(func(nf uint32, nd *Decoder) error {
-				var nerr error
-				switch nf {
-				case 1:
-					nestU, nerr = nd.FieldUint64()
-				case 2:
-					nestS, nerr = nd.FieldString()
-				}
-				return nerr
-			})
-		case 9:
-			v, verr := d.FieldUint64()
-			rep = append(rep, v)
-			err = verr
-		}
-		return err
-	})
-	if err != nil {
+	var got allTypes
+	if err := Unmarshal(e.Bytes(), &got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if gotU != 42 || gotI != -7 || !gotB || gotF64 != 0xdeadbeefcafe || gotFl != 3.5 {
-		t.Errorf("numeric fields wrong: %d %d %v %x %v", gotU, gotI, gotB, gotF64, gotFl)
+	if got.U != 42 || got.I != -7 || !got.B || got.F != 0xdeadbeefcafe {
+		t.Errorf("numeric fields wrong: %d %d %v %x", got.U, got.I, got.B, got.F)
 	}
-	if !bytes.Equal(gotBy, []byte{1, 2, 3}) || gotS != "hello" {
-		t.Errorf("bytes/string wrong: %v %q", gotBy, gotS)
+	if !bytes.Equal(got.By, []byte{1, 2, 3}) || got.S != "hello" {
+		t.Errorf("bytes/string wrong: %v %q", got.By, got.S)
 	}
-	if nestU != 9 || nestS != "nested" {
-		t.Errorf("nested wrong: %d %q", nestU, nestS)
+	if got.N != (nested{9, "nested"}) {
+		t.Errorf("nested wrong: %+v", got.N)
 	}
-	if len(rep) != 3 || rep[0] != 5 || rep[2] != 7 {
-		t.Errorf("repeated wrong: %v", rep)
+	if len(got.Rep) != 3 || got.Rep[0] != 5 || got.Rep[2] != 7 {
+		t.Errorf("repeated wrong: %v", got.Rep)
+	}
+	if !bytes.Equal(Marshal(&got), e.Bytes()) {
+		t.Errorf("Marshal does not write what the Encoder wrote")
 	}
 }
 
 func TestDecoderUnknownFieldsSkipped(t *testing.T) {
-	// A decoder that only looks at field 2 must still traverse field 1.
+	// A message that only declares field 2 must still traverse field 1.
 	var e Encoder
 	e.String(1, "ignored")
 	e.Uint64(2, 11)
-	var got uint64
-	err := NewDecoder(e.Bytes()).Each(func(f uint32, d *Decoder) error {
-		if f == 2 {
-			v, err := d.FieldUint64()
-			got = v
-			return err
-		}
-		return nil
-	})
-	if err != nil || got != 11 {
-		t.Fatalf("got %d, err %v", got, err)
+	var got struct {
+		V uint64 `img:"2"`
 	}
+	if err := Unmarshal(e.Bytes(), &got); err != nil || got.V != 11 {
+		t.Fatalf("got %d, err %v", got.V, err)
+	}
+}
+
+type bytesField struct {
+	B []byte `img:"1"`
 }
 
 func TestDecoderTruncatedMessage(t *testing.T) {
 	var e Encoder
 	e.BytesField(1, bytes.Repeat([]byte{7}, 100))
 	b := e.Bytes()
-	err := NewDecoder(b[:len(b)-1]).Each(func(uint32, *Decoder) error { return nil })
+	err := Unmarshal(b[:len(b)-1], &bytesField{})
 	var fe *FieldError
 	if !errors.As(err, &fe) || !errors.Is(err, ErrTruncated) {
 		t.Fatalf("want FieldError{ErrTruncated}, got %v", err)
@@ -179,11 +151,7 @@ func TestDecoderTruncatedMessage(t *testing.T) {
 func TestDecoderWrongType(t *testing.T) {
 	var e Encoder
 	e.Uint64(1, 5)
-	err := NewDecoder(e.Bytes()).Each(func(f uint32, d *Decoder) error {
-		_, err := d.FieldBytes()
-		return err
-	})
-	if err == nil {
+	if err := Unmarshal(e.Bytes(), &bytesField{}); err == nil {
 		t.Fatal("want error reading varint as bytes")
 	}
 }
@@ -191,10 +159,17 @@ func TestDecoderWrongType(t *testing.T) {
 func TestDecoderBadWireType(t *testing.T) {
 	// Tag with wire type 5 (unused).
 	b := AppendUvarint(nil, 1<<3|5)
-	err := NewDecoder(b).Each(func(uint32, *Decoder) error { return nil })
-	if !errors.Is(err, ErrBadWireType) {
+	if err := Unmarshal(b, &bytesField{}); !errors.Is(err, ErrBadWireType) {
 		t.Fatalf("want ErrBadWireType, got %v", err)
 	}
+}
+
+// scalars is a message of one field of each scalar kind.
+type scalars struct {
+	U uint64 `img:"1"`
+	I int64  `img:"2,zigzag"`
+	S string `img:"3"`
+	B []byte `img:"4"`
 }
 
 func TestEncoderRoundTripProperty(t *testing.T) {
@@ -204,25 +179,9 @@ func TestEncoderRoundTripProperty(t *testing.T) {
 		e.Int64(2, i)
 		e.String(3, s)
 		e.BytesField(4, raw)
-		var gu uint64
-		var gi int64
-		var gs string
-		var gb []byte
-		err := NewDecoder(e.Bytes()).Each(func(f uint32, d *Decoder) error {
-			var err error
-			switch f {
-			case 1:
-				gu, err = d.FieldUint64()
-			case 2:
-				gi, err = d.FieldInt64()
-			case 3:
-				gs, err = d.FieldString()
-			case 4:
-				gb, err = d.FieldBytes()
-			}
-			return err
-		})
-		return err == nil && gu == u && gi == i && gs == s && bytes.Equal(gb, raw)
+		var got scalars
+		err := Unmarshal(e.Bytes(), &got)
+		return err == nil && got.U == u && got.I == i && got.S == s && bytes.Equal(got.B, raw)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -245,21 +204,12 @@ func BenchmarkDecodeSmallMessage(b *testing.B) {
 	var e Encoder
 	e.Uint64(1, 123456)
 	e.Int64(2, -98765)
-	e.BytesField(3, bytes.Repeat([]byte{0xab}, 64))
+	e.BytesField(4, bytes.Repeat([]byte{0xab}, 64))
 	buf := e.Bytes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = NewDecoder(buf).Each(func(f uint32, d *Decoder) error {
-			switch f {
-			case 1, 2:
-				_, err := d.FieldUint64()
-				return err
-			case 3:
-				_, err := d.FieldBytes()
-				return err
-			}
-			return nil
-		})
+		var got scalars
+		_ = Unmarshal(buf, &got)
 	}
 }

@@ -74,11 +74,12 @@ const NumRegs = 16
 // RegFile is a thread's architectural register state. Float values are
 // stored as IEEE-754 bits in the same registers (the simulated ISAs share
 // one register file between integer and floating-point operations; see
-// DESIGN.md §6).
+// DESIGN.md §6). Its img tags are fields 3-5 of the core image that
+// inlines it (internal/image).
 type RegFile struct {
-	R   [NumRegs]uint64
-	PC  uint64
-	TLS uint64 // TLS base register (FS base on SX86, TPIDR on SARM)
+	R   [NumRegs]uint64 `img:"3,fixed"`
+	PC  uint64          `img:"4,fixed"`
+	TLS uint64          `img:"5,fixed"` // TLS base register (FS base on SX86, TPIDR on SARM)
 }
 
 // Op is the architecture-independent semantic operation of an instruction.

@@ -16,14 +16,16 @@ import (
 // it, the loaders and the static verifiers all import, so each of them
 // holds the same type: compiler.Binary and updatecheck.Binary are aliases
 // of it, and the verifiers still never import the compiler.
+//
+// Its img struct tags are the DELF wire format (compiler.MarshalBinary).
 type Binary struct {
-	Arch       isa.Arch
-	Text       []byte
-	Data       []byte
-	Entry      uint64
-	ThreadExit uint64
-	Symbols    map[string]uint64
-	Meta       *Metadata
+	Arch       isa.Arch          `img:"1"`
+	Text       []byte            `img:"2"`
+	Data       []byte            `img:"3"`
+	Entry      uint64            `img:"4,fixed"`
+	ThreadExit uint64            `img:"5,fixed"`
+	Symbols    map[string]uint64 `img:"6,fixed"`
+	Meta       *Metadata         `img:"7"`
 }
 
 // CoderFor returns the machine-code coder for an architecture.

@@ -4,6 +4,9 @@
 // with locations for *both* architectures, mirroring the paper's LLVM
 // stack-map records (Fig. 4).
 //
+// Its img struct tags are the DELF wire format of the metadata section
+// (internal/imgproto).
+//
 // The metadata is consumed by three parties: the runtime monitor (to
 // validate trap PCs and roll blocked threads back to wrapper entries), the
 // process rewriter (to translate registers and rebuild stacks across
@@ -29,10 +32,10 @@ func ArchIdx(a isa.Arch) int {
 // Location says where a live value resides at a site on one architecture.
 type Location struct {
 	// InReg: the value is in the register with the given DWARF number.
-	InReg    bool
-	DwarfReg int
+	InReg    bool `img:"1"`
+	DwarfReg int  `img:"2,zigzag"`
 	// Otherwise it is in the frame slot at FP - FrameOff.
-	FrameOff int64
+	FrameOff int64 `img:"3,zigzag"`
 }
 
 func (l Location) String() string {
@@ -45,12 +48,12 @@ func (l Location) String() string {
 // LiveValue is one live value record at a site.
 type LiveValue struct {
 	// SlotID identifies the value (parameter i uses slot id i).
-	SlotID int
+	SlotID int `img:"1"`
 	// Ptr marks pointer-typed values whose stack references must be
 	// remapped when frames are rebuilt for the other ABI.
-	Ptr bool
+	Ptr bool `img:"2"`
 	// Loc gives the value's location per architecture (ArchIdx order).
-	Loc [2]Location
+	Loc [2]Location `img:"3"`
 }
 
 // SiteKind distinguishes equivalence-point flavors.
@@ -65,22 +68,22 @@ const (
 // SitePCs are the per-architecture program counters of a site.
 type SitePCs struct {
 	// TrapPC is the address of the TRAP instruction (entry sites).
-	TrapPC uint64
+	TrapPC uint64 `img:"1,fixed"`
 	// ResumePC is where execution resumes after a transform: the checker
 	// start for entry sites (the checker re-reads the now-clear flag).
-	ResumePC uint64
+	ResumePC uint64 `img:"2,fixed"`
 	// RetAddr is the return address of a call site (the PC immediately
 	// after the CALL/BL instruction).
-	RetAddr uint64
+	RetAddr uint64 `img:"3,fixed"`
 }
 
 // Site is one equivalence point.
 type Site struct {
-	ID   int
-	Func string
-	Kind SiteKind
-	PCs  [2]SitePCs
-	Live []LiveValue
+	ID   int         `img:"1"`
+	Func string      `img:"2"`
+	Kind SiteKind    `img:"3"`
+	PCs  [2]SitePCs  `img:"4"`
+	Live []LiveValue `img:"5"`
 }
 
 // SlotKind classifies frame slots.
@@ -96,45 +99,45 @@ const (
 
 // Slot describes one frame slot of a function.
 type Slot struct {
-	ID   int
-	Name string
-	Kind SlotKind
+	ID   int      `img:"1"`
+	Name string   `img:"2"`
+	Kind SlotKind `img:"3"`
 	// Size in bytes (8 for scalars, 8*len for arrays).
-	Size int64
+	Size int64 `img:"4,zigzag"`
 	// Ptr marks pointer-typed scalar slots.
-	Ptr bool
+	Ptr bool `img:"5"`
 	// Off is the per-architecture frame offset: the slot occupies
 	// [FP-Off, FP-Off+Size).
-	Off [2]int64
+	Off [2]int64 `img:"6,zigzag,split"`
 	// PairAccessed marks slots touched by LDP/STP pair instructions on
 	// the given architecture; the stack shuffler excludes them (the
 	// paper's explanation for the lower aarch64 entropy). Indexed like
 	// Off.
-	PairAccessed [2]bool
+	PairAccessed [2]bool `img:"8,split"`
 }
 
 // Func is the per-function metadata record.
 type Func struct {
-	Name string
+	Name string `img:"1"`
 	// Addr and Size are identical across architectures (the aligned
 	// unified address space).
-	Addr uint64
-	Size uint64
+	Addr uint64 `img:"2,fixed"`
+	Size uint64 `img:"3,fixed"`
 	// NumParams counts declared parameters (slots 0..NumParams-1).
-	NumParams int
+	NumParams int `img:"4"`
 	// Blocking marks runtime wrappers around blocking syscalls: threads
 	// found blocked inside one are rolled back to its entry site.
-	Blocking bool
+	Blocking bool `img:"5"`
 	// Wrapper marks all compiler-emitted runtime functions.
-	Wrapper bool
+	Wrapper bool `img:"6"`
 	// FrameLocal is the per-architecture size of the locals area
 	// (excluding the fixed saved-FP/return-address header).
-	FrameLocal [2]int64
-	Slots      []Slot
+	FrameLocal [2]int64 `img:"7,zigzag,split"`
+	Slots      []Slot   `img:"9"`
 	// EntrySite is the function's entry equivalence point; CallSites are
 	// within its body.
-	EntrySite *Site
-	CallSites []*Site
+	EntrySite *Site   `img:"10"`
+	CallSites []*Site `img:"11"`
 }
 
 // SlotByID returns the slot record with the given id.
@@ -149,7 +152,7 @@ func (f *Func) SlotByID(id int) (*Slot, bool) {
 
 // Metadata is the program-level stack map, embedded in both binaries.
 type Metadata struct {
-	Funcs []*Func
+	Funcs []*Func `img:"1"`
 
 	byName    map[string]*Func
 	byRetAddr [2]map[uint64]*Site

@@ -3,9 +3,9 @@
 // gen_fixtures.go regenerates the broken-binary corpus consumed by
 // fixtures_test.go: deliberately corrupted DELF binaries, one per
 // soundness invariant, plus old/new pairs for the global-layout diff
-// invariants. Run from this directory:
+// invariants:
 //
-//	go run gen_fixtures.go
+//	go run internal/updatecheck/testdata/gen_fixtures.go internal/updatecheck/testdata
 //
 // Every fixture starts from a fresh compile of the same base program and
 // applies exactly one mutation — to the metadata (decode, mutate,
@@ -17,6 +17,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/isa"
@@ -136,7 +137,14 @@ func main() {
 }
 `
 
+// outDir is where the fixtures are written, the one argument.
+var outDir string
+
 func main() {
+	if len(os.Args) != 2 {
+		die("usage: gen_fixtures OUTDIR")
+	}
+	outDir = os.Args[1]
 	emit("dangling-site", func(b *compiler.Binary) {
 		// An extra call-site record whose return address points into the
 		// alignment padding: no CALL precedes it.
@@ -239,7 +247,7 @@ func main() {
 	writeBin("global-moved.new", compileARM(movedSrc))
 	writeBin("global-removed.old", compileARM(baseSrc))
 	writeBin("global-removed.new", compileARM(removedSrc))
-	fmt.Println("fixtures written")
+	fmt.Println("fixtures written to", outDir)
 }
 
 // emit compiles a fresh base binary, applies one mutation, re-marshals.
@@ -258,7 +266,7 @@ func compileARM(src string) *compiler.Binary {
 }
 
 func writeBin(name string, b *compiler.Binary) {
-	if err := os.WriteFile(name+".delf", b.Marshal(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(outDir, name+".delf"), compiler.MarshalBinary(b), 0o644); err != nil {
 		die("write %s: %v", name, err)
 	}
 }
