@@ -469,6 +469,29 @@ func BenchmarkPageSetStore(b *testing.B) {
 	}
 }
 
+// BenchmarkInstallPages is a profiling handle on restore's install: one
+// criu.Restore per iteration of the kv_vanilla workload's class-A rediska
+// dump (about 850 data pages), whose address space adopts every page of
+// the directory's pages.img into its page table.
+func BenchmarkInstallPages(b *testing.B) {
+	xeon, p, _ := pausedBench(b, "rediska", workloads.ClassA, 12000)
+	dir, err := criu.Dump(p, criu.DumpOpts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clone, err := criu.Restore(xeon.K, dir, xeon.Binaries)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		xeon.K.Reap(clone)
+		b.StartTimer()
+	}
+}
+
 // BenchmarkRewrite is a profiling handle on the cross-ISA rewrite —
 // per-thread core translation plus stack rebuild — of a multithreaded
 // PARSEC workload.

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -58,7 +59,7 @@ var migrateModes = []struct {
 		opts:           cluster.MigrateOpts{PreCopy: &cluster.PreCopyOpts{TCP: true}, Delta: true, Codec: criu.CodecFlate},
 		stages:         "cluster.listen round vm.between_rounds downtime kernel.reap",
 		roundStages:    "monitor.pause criu.dump criu.advance_base cluster.send_recv imgcheck.verify monitor.resume",
-		downtimeStages: "monitor.pause criu.dump_incr criu.advance_base cluster.send_recv imgcheck.verify imgcheck.verify criu.flatten core.rewrite criu.restore",
+		downtimeStages: "monitor.pause criu.dump_incr cluster.send_recv imgcheck.verify imgcheck.verify criu.flatten core.rewrite criu.restore",
 	},
 }
 
@@ -190,6 +191,43 @@ func TestMigrateHostSpans(t *testing.T) {
 		}
 	})
 }
+
+// TestPreCopyFinalRoundSkipsAdvanceBase: the convergence decision is made
+// once the dump returns, so only a round another round follows folds its
+// link into the delta base. In a two-round Delta pre-copy
+// criu.advance_base runs under the first window and never under the
+// downtime window, and what crosses the link is byte for byte what it was
+// when the final round folded its link as well.
+func TestPreCopyFinalRoundSkipsAdvanceBase(t *testing.T) {
+	opts := cluster.MigrateOpts{PreCopy: &cluster.PreCopyOpts{TCP: true}, Delta: true, Codec: criu.CodecFlate, Obs: obs.New()}
+	bd := migrateRediska(t, opts).Breakdown
+	if bd.Rounds != 2 {
+		t.Fatalf("converged in %d rounds, want 2", bd.Rounds)
+	}
+	rep := opts.Obs.Report()
+	host, _ := rep.Span("migrate.host")
+	folds := map[string]int{}
+	for _, w := range rep.Children(host.ID) {
+		folds[w.Name] += strings.Count(childNames(rep, w.ID), "criu.advance_base")
+	}
+	if folds["round"] != 1 || folds["downtime"] != 0 {
+		t.Errorf("criu.advance_base under round %d times, under downtime %d times; want 1 and 0", folds["round"], folds["downtime"])
+	}
+	if want := []uint64{preCopyRound0Wire, preCopyRound1Wire}; !slices.Equal(bd.RoundBytes, want) {
+		t.Errorf("round wire bytes %v, want %v", bd.RoundBytes, want)
+	}
+	if bd.ImageBytes != preCopyFinalImage {
+		t.Errorf("final image %d bytes, want %d", bd.ImageBytes, preCopyFinalImage)
+	}
+}
+
+// The wire and image bytes of TestPreCopyFinalRoundSkipsAdvanceBase's
+// migration, as measured when every round advanced the delta base.
+const (
+	preCopyRound0Wire = 28498
+	preCopyRound1Wire = 814
+	preCopyFinalImage = 1561806
+)
 
 // coverage is the share of a span its direct children account for.
 func coverage(rep *obs.Report, ev obs.SpanEvent) float64 {

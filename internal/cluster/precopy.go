@@ -81,19 +81,21 @@ func (m *migration) preCopy() (*MigrationResult, error) {
 	for round := 0; ; round++ {
 		window := m.host.StartChild("round")
 		m.at = window
-		dir, n, err := m.shipRound(parent)
+		dopts := criu.DumpOpts{Parent: parent, TrackMem: true}
+		if m.opts.Delta && parent != nil {
+			dopts.DeltaBase = m.base
+		}
+		dir, err := m.checkpoint(dopts)
 		if err != nil {
 			return nil, fmt.Errorf("pre-copy round %d: %w", round, err)
 		}
 		dataPages := criu.DumpedPages(dir)
-		parent = dir
-		bd.RoundBytes = append(bd.RoundBytes, n)
-		ck := CheckpointTime(dir.Size())
-		xfer := InfiniBand.TransferTime(n)
 
 		// Convergence: the first round always pre-copies; afterwards stop
 		// when the delta is small enough, cheap enough to ship within the
 		// downtime target, no longer shrinking, or the source has quiesced.
+		// All of it is known once the dump returns, so the last round does
+		// not fold its link into a delta base nothing will read.
 		final := round+1 >= maxPreCopyRounds || idle
 		if round >= 1 && !final {
 			final = dataPages <= stopPages ||
@@ -101,6 +103,14 @@ func (m *migration) preCopy() (*MigrationResult, error) {
 				(prevPages >= 0 && dataPages >= prevPages)
 		}
 		prevPages = dataPages
+		n, err := m.shipRound(dir, !final)
+		if err != nil {
+			return nil, fmt.Errorf("pre-copy round %d: %w", round, err)
+		}
+		parent = dir
+		bd.RoundBytes = append(bd.RoundBytes, n)
+		ck := CheckpointTime(dir.Size())
+		xfer := InfiniBand.TransferTime(n)
 		if final {
 			window.Rename("downtime")
 			bd.Checkpoint = ck
@@ -134,15 +144,19 @@ func (m *migration) preCopy() (*MigrationResult, error) {
 	if err := m.stage("imgcheck.verify", m.chain.Verify); err != nil {
 		return nil, err
 	}
+	rewrite := m.src.Spec.Arch != m.dst.Spec.Arch || m.opts.Shuffle
 	var flat *criu.ImageDir
+	var v *image.View // opened in the flatten's stage: the window's time stays in stages
 	if err := m.stage("criu.flatten", func() (err error) {
-		flat, err = m.chain.Flatten()
+		if flat, err = m.chain.Flatten(); err == nil && rewrite {
+			v = image.Open(flat)
+		}
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	if m.src.Spec.Arch != m.dst.Spec.Arch || m.opts.Shuffle {
-		if err := m.recode(image.Open(flat)); err != nil {
+	if rewrite {
+		if err := m.recode(v); err != nil {
 			return nil, err
 		}
 	}
@@ -159,36 +173,26 @@ func (m *migration) preCopy() (*MigrationResult, error) {
 	return m.finish(p2), nil
 }
 
-// shipRound is the part every pre-copy window shares: checkpoint the
-// source against the previous round's dump, ship the images, and push the
-// link the destination received into its chain.
-func (m *migration) shipRound(parent *criu.ImageDir) (dir *criu.ImageDir, wire uint64, err error) {
-	dopts := criu.DumpOpts{Parent: parent, TrackMem: true}
-	if m.opts.Delta && parent != nil {
-		dopts.DeltaBase = m.base
-	}
-	if dir, err = m.checkpoint(dopts); err != nil {
-		return nil, 0, err
-	}
-	if m.opts.Delta {
-		// Fold this round into the resolved chain content so the next
-		// round's deltas encode against it.
+// shipRound is what every pre-copy window does after its dump: fold the
+// dump into the delta base if another round reads it, ship the images, and
+// push the link the destination received into its chain.
+func (m *migration) shipRound(dir *criu.ImageDir, another bool) (wire uint64, err error) {
+	if m.opts.Delta && another {
 		if err := m.stage("criu.advance_base", func() (err error) {
 			m.base, err = criu.AdvanceBase(m.base, dir)
 			return err
 		}); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 	}
 	got, wire, err := m.ship(dir)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	// Each received link is verified — structure, then every page against
 	// the chain so far — and folded on arrival, over one view: a checkpoint
 	// corrupted in transit fails this round, with the invariant named.
-	err = m.stage("imgcheck.verify", func() error { return m.chain.Push(image.Open(got)) })
-	return dir, wire, err
+	return wire, m.stage("imgcheck.verify", func() error { return m.chain.Push(image.Open(got)) })
 }
 
 // runBetweenRounds lets the resumed source run its between-round budget

@@ -44,11 +44,12 @@ func FoldLink(older *PageSet, pm *PagemapImage, pages Payload, refuse func(addr 
 		class := marked
 		switch marked {
 		case PageParent:
-			class, pg = older.Class(addr), older.Data(addr)
+			was := older.get(addr)
+			class, pg = was.class, was.bytes()
 		case PageDelta:
-			switch older.Class(addr) {
+			switch was := older.get(addr); was.class {
 			case PageData:
-				class, pg = PageData, XorPages(pg, older.Data(addr))
+				class, pg = PageData, XorPages(pg, was.data[:])
 			case PageZero:
 				class = PageData // the XOR of zeros is the delta itself
 			}
