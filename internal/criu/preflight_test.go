@@ -8,6 +8,7 @@ import (
 	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/imgproto"
 	"github.com/dapper-sim/dapper/internal/kernel"
+	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/monitor"
 )
 
@@ -64,6 +65,34 @@ func TestRestorePreFlightRejectsShuffledPagemap(t *testing.T) {
 		t.Fatal("Restore accepted a shuffled pagemap")
 	}
 	for _, want := range []string{"restore pre-flight", "pagemap-order"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// TestRestorePreFlightRejectsHugeVMA: mem keeps a page-table slot for
+// every page a VMA spans, so a VMA past the address-space layout — here
+// 2^52 pages — must be refused before restore maps it, not allocated.
+func TestRestorePreFlightRejectsHugeVMA(t *testing.T) {
+	dir, prov := pausedDump(t)
+	raw, ok := dir.Get("mm.img")
+	if !ok {
+		t.Fatal("dump has no mm.img")
+	}
+	mm := &criu.MMImage{}
+	if err := imgproto.Unmarshal(raw, mm); err != nil {
+		t.Fatal(err)
+	}
+	last := mm.VMAs[len(mm.VMAs)-1]
+	mm.VMAs = append(mm.VMAs, criu.VMAEntry{Start: last.End, End: 0xFFFF_FFFF_FFFF_F000, Kind: uint8(mem.VMAHeap), Prot: last.Prot})
+	dir.Put("mm.img", imgproto.Marshal(mm))
+
+	_, err := criu.Restore(kernel.New(kernel.Config{}), dir, prov)
+	if err == nil {
+		t.Fatal("Restore accepted a VMA past the stack top")
+	}
+	for _, want := range []string{"restore pre-flight", "vma-order"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}

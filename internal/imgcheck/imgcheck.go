@@ -40,7 +40,7 @@ import (
 const (
 	InvMissingImage  = "missing-image"  // required image file absent
 	InvImageDecode   = "image-decode"   // an image fails to decode (truncation/corruption)
-	InvVMAOrder      = "vma-order"      // mm VMAs unsorted, overlapping, inverted, or unaligned
+	InvVMAOrder      = "vma-order"      // mm VMAs unsorted, overlapping, inverted, unaligned, or above the stack top
 	InvPagemapOrder  = "pagemap-order"  // pagemap entries unsorted, overlapping, or empty
 	InvPagemapFlags  = "pagemap-flags"  // entry claims more than one of lazy/in_parent/zero/delta
 	InvPagemapMapped = "pagemap-mapped" // pagemap page outside every VMA
@@ -147,8 +147,8 @@ func decode(v *image.View, r *Report) (ok bool) {
 func checkStructure(v *image.View, r *Report) {
 	mm, pm := v.MM, v.Pagemap
 	for i, v := range mm.VMAs {
-		if v.Start >= v.End || v.Start%mem.PageSize != 0 || v.End%mem.PageSize != 0 {
-			r.add(InvVMAOrder, "vma %d [0x%x,0x%x) inverted or unaligned", i, v.Start, v.End)
+		if v.Start >= v.End || v.Start%mem.PageSize != 0 || v.End%mem.PageSize != 0 || v.End > isa.StackTop {
+			r.add(InvVMAOrder, "vma %d [0x%x,0x%x) inverted, unaligned or above the stack top", i, v.Start, v.End)
 		}
 		if i > 0 && v.Start < mm.VMAs[i-1].End {
 			r.add(InvVMAOrder, "vma %d [0x%x,0x%x) overlaps or precedes [0x%x,0x%x)",

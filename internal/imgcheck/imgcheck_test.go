@@ -39,6 +39,7 @@ var fixtureWant = map[string]string{
 	"sx86_highregs.json":     imgcheck.InvCoreRegs,
 	"stack_inverted.json":    imgcheck.InvCoreStack,
 	"vma_overlap.json":       imgcheck.InvVMAOrder,
+	"vma_huge.json":          imgcheck.InvVMAOrder,
 	"dedup_retired.json":     imgcheck.InvImageDecode,
 }
 

@@ -193,6 +193,11 @@ func main() {
 	d.MM.VMAs[1].End = tlsLo + page
 	fixtures["vma_overlap.json"] = []*criu.CritDoc{d}
 
+	// vma-order: a VMA past the address-space layout, spanning 2^52 pages.
+	d = baseDoc()
+	d.MM.VMAs = append(d.MM.VMAs, criu.VMAEntry{Start: stackHi, End: 0xFFFF_FFFF_FFFF_F000, Kind: 3, Prot: 3})
+	fixtures["vma_huge.json"] = []*criu.CritDoc{d}
+
 	// image-decode: the image a build with the retired within-dump page
 	// dedup wrote — well-formed then: the second data page is a backwards
 	// reference to the first (pagemap fields 6 and 7) and carries no

@@ -13,7 +13,7 @@ import "slices"
 // as if every page's soft-dirty bit had just been reset.
 func (as *AddressSpace) StartDirtyTracking() {
 	as.tracking = true
-	as.dirty = make(map[uint64]struct{})
+	as.dirty = make(map[uint64]bool)
 	as.flushTLB()
 }
 
@@ -38,11 +38,15 @@ func (as *AddressSpace) CollectDirty() []uint64 {
 	return out
 }
 
+// Dirty reports whether page idx was written since tracking started (or
+// since the last ClearSoftDirty).
+func (as *AddressSpace) Dirty(idx uint64) bool { return as.dirty[idx] }
+
 // ClearSoftDirty resets every page's soft-dirty bit; tracking stays in
 // whatever state it was.
 func (as *AddressSpace) ClearSoftDirty() {
 	if as.tracking {
-		as.dirty = make(map[uint64]struct{})
+		as.dirty = make(map[uint64]bool)
 		as.flushTLB()
 	}
 }
@@ -52,6 +56,6 @@ func (as *AddressSpace) ClearSoftDirty() {
 // page was marked, and clearing the marks flushes the TLB.
 func (as *AddressSpace) markDirty(idx uint64) {
 	if as.tracking {
-		as.dirty[idx] = struct{}{}
+		as.dirty[idx] = true
 	}
 }

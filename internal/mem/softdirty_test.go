@@ -64,3 +64,38 @@ func TestSoftDirtyTracksStores(t *testing.T) {
 		t.Errorf("stores tracked after stop: %v", got)
 	}
 }
+
+// TestDirtyAgreesWithCollectDirty: the per-page query criu.Dump asks is
+// the membership test of the collected set, tracking on or off.
+func TestDirtyAgreesWithCollectDirty(t *testing.T) {
+	as := dirtySpace(t)
+	check := func(step string) {
+		t.Helper()
+		in := map[uint64]bool{}
+		for _, idx := range as.CollectDirty() {
+			in[idx] = true
+		}
+		for idx := uint64(0x10000 / mem.PageSize); idx < 0x21000/mem.PageSize; idx++ {
+			if as.Dirty(idx) != in[idx] {
+				t.Errorf("%s: Dirty(%#x) = %v, CollectDirty has it: %v", step, idx, as.Dirty(idx), in[idx])
+			}
+		}
+	}
+	if err := as.WriteU64(0x10000, 1); err != nil {
+		t.Fatal(err)
+	}
+	check("untracked store")
+	as.StartDirtyTracking()
+	if err := as.WriteU64(0x11008, 7); err != nil {
+		t.Fatal(err)
+	}
+	as.InstallPage(0x20000/mem.PageSize, nil) // outside the VMA
+	if err := as.Resize(0x10000, 0x1e000); err != nil {
+		t.Fatal(err)
+	}
+	check("tracked stores and a shrink")
+	as.ClearSoftDirty()
+	check("cleared")
+	as.StopDirtyTracking()
+	check("stopped")
+}
