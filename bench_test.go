@@ -492,6 +492,37 @@ func BenchmarkInstallPages(b *testing.B) {
 	}
 }
 
+// BenchmarkSendImages is a profiling handle on kv_precopy's round 0: one
+// CodecFlate send of the workload's class-A rediska dump (12 000 keys,
+// about 3.5 MB) over loopback TCP to an ImageReceiver, and the directory
+// taken off it. B/op counts both ends of the socket.
+func BenchmarkSendImages(b *testing.B) {
+	_, p, _ := pausedBench(b, "rediska", workloads.ClassA, 12000)
+	dir, err := criu.Dump(p, criu.DumpOpts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	recv, err := cluster.ListenImages("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer recv.Close()
+	send := func() {
+		if _, _, err := cluster.SendImagesOpts(recv.Addr(), dir, cluster.SendOpts{Codec: criu.CodecFlate}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := recv.TakeWait(10 * time.Second); err != nil {
+			b.Fatal(err)
+		}
+	}
+	send() // warm the codec pools on both ends
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+}
+
 // BenchmarkRewrite is a profiling handle on the cross-ISA rewrite —
 // per-thread core translation plus stack rebuild — of a multithreaded
 // PARSEC workload.

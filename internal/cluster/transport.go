@@ -232,7 +232,8 @@ func shipTimeout(n uint64) time.Duration {
 // wire (image plus framing; smaller when compression wins). The whole
 // send runs under a write deadline so a stalled receiver fails the
 // migration round instead of hanging it forever. A close failure after
-// the writes is reported: it can mean the payload never flushed.
+// the writes is reported: it can mean the payload never flushed. Nothing
+// on the sending side joins the image (writeImageParts).
 func SendImagesOpts(addr string, dir *criu.ImageDir, opts SendOpts) (raw, wire uint64, err error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -243,11 +244,9 @@ func SendImagesOpts(addr string, dir *criu.ImageDir, opts SendOpts) (raw, wire u
 			raw, wire, err = 0, 0, fmt.Errorf("cluster: send images: close: %w", cerr)
 		}
 	}()
-	blob := dir.Marshal()
-	raw = uint64(len(blob))
 	timeout := opts.Timeout
 	if timeout <= 0 {
-		timeout = shipTimeout(raw)
+		timeout = shipTimeout(dir.Size())
 	}
 	// The deadline covers every write of this send and is cleared before
 	// the close: a deadline left armed could fail the connection teardown
@@ -256,7 +255,7 @@ func SendImagesOpts(addr string, dir *criu.ImageDir, opts SendOpts) (raw, wire u
 	if derr := conn.SetWriteDeadline(time.Now().Add(timeout)); derr != nil {
 		return 0, 0, fmt.Errorf("cluster: send images: %w", derr)
 	}
-	if wire, err = writeImageStream(conn, blob, opts.Codec, imageSegment, opts.Obs); err != nil {
+	if raw, wire, err = writeImageParts(conn, dir.Parts(), opts.Codec, imageSegment, opts.Obs); err != nil {
 		return 0, 0, err
 	}
 	if derr := conn.SetWriteDeadline(time.Time{}); derr != nil {

@@ -22,10 +22,10 @@ import (
 //	segment := rawLen(u32 BE) wireLen(u32 BE) codec(u8) payload[wireLen]
 //
 // Segments concatenate (after decoding) to exactly rawTotal bytes of
-// ImageDir.Marshal output. Each segment carries its own codec byte
-// because CodecFlate chooses per segment among plain DEFLATE, DEFLATE
-// over word planes and — when compression does not shrink it — the raw
-// bytes; the header codec records what was requested.
+// ImageDir.Marshal output, the join of ImageDir.Parts. Each segment
+// carries its own codec byte because CodecFlate chooses per segment among
+// plain DEFLATE, DEFLATE over word planes and — when compression does not
+// shrink it — the raw bytes; the header codec records what was requested.
 const (
 	imageMagic     = "DIB3"
 	imageHdrLen    = 16
@@ -36,9 +36,9 @@ const (
 	// the writer cuts, stays well under it.
 	maxImageSegment = 8 << 20
 	imageSegment    = 4 << 20
-	// recvChunk bounds how much readBounded grows per read, so a corrupt
-	// length header allocates memory only as fast as bytes actually
-	// arrive instead of committing the claimed size up front.
+	// recvChunk is the most readBounded allocates ahead of what has
+	// arrived, so a corrupt length header costs memory only as fast as
+	// bytes actually arrive instead of committing the claimed size.
 	recvChunk = 1 << 20
 )
 
@@ -46,61 +46,75 @@ const (
 // magic — a peer speaking some other framing, or line noise.
 var errNotImageStream = errors.New("cluster: image stream: missing DIB3 magic")
 
-// eachSegment cuts blob into segments of at most segBytes and hands each
-// to emit together with its encoded payload and the codec that actually
-// encoded it (an empty blob still yields one empty segment). For
-// CodecNone the payload aliases blob. It is the one place a stream's
-// segments, their wire size and the "wire.*" telemetry are decided, so a
-// TCP send and an in-process transfer of the same blob report the same
-// figures. It returns the stream's total wire size, header included, and
-// refuses a blob over the transfer cap before emitting anything.
-func eachSegment(blob []byte, codec criu.Codec, segBytes int, reg *obs.Registry, emit func(raw, payload []byte, used criu.Codec) error) (uint64, error) {
-	if uint64(len(blob)) > maxImageBytes {
-		return 0, fmt.Errorf("cluster: image of %d bytes exceeds limit", len(blob))
+// eachSegment cuts the image parts hold, read end to end, into segments
+// of at most segBytes and hands emit each one's framing (the stream
+// header in front of the first), payload — its own parts for CodecNone,
+// else the one buffer the codec encoded them into — raw length and the
+// codec that actually encoded it; an empty image is one empty segment.
+// It is the one place a stream's bytes, its wire size and the "wire.*"
+// telemetry are decided, so a TCP send and an in-process transfer report
+// the same figures. It returns the image's length and the stream's, and
+// refuses an image over the transfer cap before emitting anything. emit
+// must not keep the framing or the list.
+func eachSegment(parts [][]byte, codec criu.Codec, segBytes int, reg *obs.Registry, emit func(framing []byte, payload [][]byte, rawLen int, used criu.Codec) error) (raw, wire uint64, err error) {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
 	}
-	wire := uint64(imageHdrLen)
-	for off := 0; ; {
-		end := min(off+segBytes, len(blob))
-		raw := blob[off:end]
+	if uint64(total) > maxImageBytes {
+		return 0, 0, fmt.Errorf("cluster: image of %d bytes exceeds limit", total)
+	}
+	framing := make([]byte, imageHdrLen, imageHdrLen+imageSegHdrLen)
+	copy(framing, imageMagic)
+	framing[4] = byte(codec)
+	binary.BigEndian.PutUint64(framing[8:16], uint64(total))
+	var head []byte // what is left of the part being cut
+	seg := make([][]byte, 0, len(parts))
+	for done := 0; ; {
+		n := 0
+		for seg = seg[:0]; n < segBytes && done+n < total; {
+			for len(head) == 0 {
+				head, parts = parts[0], parts[1:]
+			}
+			c := min(len(head), segBytes-n)
+			seg, head, n = append(seg, head[:c]), head[c:], n+c
+		}
 		//lint:ignore wallclock codec_ns is host-side codec cost telemetry, never part of modeled migration time
 		start := time.Now()
-		payload, used, err := codec.Compress(raw)
+		out, used, err := codec.Compress(seg...)
 		//lint:ignore wallclock codec_ns is host-side codec cost telemetry, never part of modeled migration time
 		reg.Histogram("wire.codec_ns").Observe(time.Since(start))
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		if err := emit(raw, payload, used); err != nil {
-			return 0, err
+		payload, payloadLen := seg, n
+		if used != criu.CodecNone {
+			payload, payloadLen = [][]byte{out}, len(out)
 		}
-		wire += uint64(imageSegHdrLen + len(payload))
+		framing = binary.BigEndian.AppendUint32(framing, uint32(n))
+		framing = append(binary.BigEndian.AppendUint32(framing, uint32(payloadLen)), byte(used))
+		if err := emit(framing, payload, n, used); err != nil {
+			return 0, 0, err
+		}
+		wire += uint64(len(framing) + payloadLen)
+		framing = framing[:0]
 		reg.Counter("wire.batches").Inc()
 		reg.Counter(criu.WireFormCounter(used)).Inc()
-		reg.Counter("wire.bytes_raw").Add(uint64(len(raw)))
-		reg.Counter("wire.bytes_wire").Add(uint64(imageSegHdrLen + len(payload)))
-		if off = end; off == len(blob) {
-			return wire, nil
+		reg.Counter("wire.bytes_raw").Add(uint64(n))
+		reg.Counter("wire.bytes_wire").Add(uint64(imageSegHdrLen + payloadLen))
+		if done += n; done == total {
+			return uint64(total), wire, nil
 		}
 	}
 }
 
-// writeImageStream writes blob as a segmented stream, compressing each
-// segment with codec, and returns the total bytes put on the wire. Wire
+// writeImageParts writes the image parts hold as a segmented stream, each
+// segment in one gathered write — uncompressed, straight from the frames
+// — and returns the image's length and the bytes put on the wire. Wire
 // telemetry ("wire.*") lands in reg; nil disables recording.
-func writeImageStream(w io.Writer, blob []byte, codec criu.Codec, segBytes int, reg *obs.Registry) (uint64, error) {
-	// The stream header rides in front of the first segment, so nothing
-	// is written for a blob eachSegment refuses.
-	hdr := make([]byte, imageHdrLen, imageHdrLen+imageSegHdrLen)
-	copy(hdr, imageMagic)
-	hdr[4] = byte(codec)
-	binary.BigEndian.PutUint64(hdr[8:16], uint64(len(blob)))
-	return eachSegment(blob, codec, segBytes, reg, func(raw, payload []byte, used criu.Codec) error {
-		var seg [imageSegHdrLen]byte
-		binary.BigEndian.PutUint32(seg[0:4], uint32(len(raw)))
-		binary.BigEndian.PutUint32(seg[4:8], uint32(len(payload)))
-		seg[8] = byte(used)
-		bufs := net.Buffers{append(hdr, seg[:]...), payload}
-		hdr = hdr[:0]
+func writeImageParts(w io.Writer, parts [][]byte, codec criu.Codec, segBytes int, reg *obs.Registry) (raw, wire uint64, err error) {
+	return eachSegment(parts, codec, segBytes, reg, func(framing []byte, payload [][]byte, _ int, _ criu.Codec) error {
+		bufs := append(net.Buffers{framing}, payload...)
 		_, err := bufs.WriteTo(w)
 		return err
 	})
@@ -117,13 +131,17 @@ func writeImageStream(w io.Writer, blob []byte, codec criu.Codec, segBytes int, 
 // up: it is the destination's from here on.
 func transfer(blob []byte, codec criu.Codec, reg *obs.Registry) (*criu.ImageDir, uint64, error) {
 	sp := image.NewStreamSplitter(len(blob))
-	wire, err := eachSegment(blob, codec, imageSegment, reg, func(raw, payload []byte, used criu.Codec) error {
-		dec, err := used.Decompress(payload, len(raw))
-		if err != nil {
-			return err
+	_, wire, err := eachSegment([][]byte{blob}, codec, imageSegment, reg, func(_ []byte, payload [][]byte, rawLen int, used criu.Codec) error {
+		for _, p := range payload { // one buffer, or none for an empty blob
+			dec, err := used.Decompress(p, rawLen)
+			if err != nil {
+				return err
+			}
+			if _, err = sp.Write(dec); err != nil {
+				return err
+			}
 		}
-		_, err = sp.Write(dec)
-		return err
+		return nil
 	})
 	if err != nil {
 		return nil, 0, err
@@ -204,17 +222,28 @@ func readImageDirFrom(r io.Reader) (*criu.ImageDir, error) {
 	}
 }
 
-// readBounded reads exactly n bytes, growing the buffer in bounded
-// chunks so the allocation tracks delivery, not the peer's claim.
+// readBounded reads exactly n bytes. What arrives is kept in chunks,
+// each at most as long as all that came before it (recvChunk at first),
+// so a header that lies about n costs at most twice the bytes actually
+// sent, plus recvChunk. Once all but the last recvChunk bytes are in, the
+// n-byte buffer is allocated, each chunk is copied into it once, and the
+// rest is read straight into it: under 2n allocated in all.
 func readBounded(r io.Reader, n uint64) ([]byte, error) {
-	blob := make([]byte, 0, min(n, recvChunk))
-	for uint64(len(blob)) < n {
-		c := min(n-uint64(len(blob)), recvChunk)
-		off := len(blob)
-		blob = append(blob, make([]byte, c)...)
-		if _, err := io.ReadFull(r, blob[off:]); err != nil {
+	var chunks [][]byte
+	for got := uint64(0); n-got > recvChunk; {
+		c := make([]byte, min(n-got-recvChunk, max(got, recvChunk)))
+		if _, err := io.ReadFull(r, c); err != nil {
 			return nil, err
 		}
+		chunks, got = append(chunks, c), got+uint64(len(c))
+	}
+	blob := make([]byte, n)
+	off := 0
+	for _, c := range chunks {
+		off += copy(blob[off:], c)
+	}
+	if _, err := io.ReadFull(r, blob[off:]); err != nil {
+		return nil, err
 	}
 	return blob, nil
 }

@@ -3,12 +3,20 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"strings"
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/obs"
 )
+
+// writeImageStream writes a marshaled blob as a one-part image: the
+// stream a TCP send of the directory it came from puts on the wire.
+func writeImageStream(w io.Writer, blob []byte, codec criu.Codec, segBytes int, reg *obs.Registry) (uint64, error) {
+	_, wire, err := writeImageParts(w, [][]byte{blob}, codec, segBytes, reg)
+	return wire, err
+}
 
 // wireTestDir builds a directory whose marshaled blob is big enough to
 // span several small segments and compressible enough that flate wins.

@@ -159,8 +159,8 @@ type InventoryImage struct {
 // slices (EncodePages) — a dump's alias the paused source's frames, which
 // its address space keeps copy-on-write, and a stored set's are the pages
 // it held — so a rewrite that touched a few pages moves none of the
-// others; the list becomes contiguous where the bytes must be anyway, in
-// Marshal. Payload reads either form without joining it, and
+// others; the list becomes contiguous where the bytes must be anyway: in
+// Marshal, or on a TCP receiver. Payload reads either form unjoined, and
 // Get("pages.img") joins a list into a fresh buffer on every call —
 // nothing is cached, so concurrent readers of one directory never write
 // to it.
@@ -275,15 +275,29 @@ func frameHeader(name string, dataLen int) []byte {
 	return append(hdr, inner...)
 }
 
-// Marshal flattens the directory into one blob for network transfer:
-// bytes.Join sizes the blob up front and copies each frame header and
-// each file's bytes into place exactly once, into memory it does not
-// zero first. A pages.img in list form is gathered here, page by page,
-// straight to its place in the blob — the one copy it gets between the
-// rewriter and the wire. Padding in front of the blob, outside it, starts
-// pages.img's data on a page boundary (the Go heap page-aligns allocations
-// over 32 KiB): a restore adopting the received pages reads aligned words.
+// Parts returns the slices Marshal joins, in order: each frame header,
+// then the file's bytes (pages.img's pages, in list form). Read-only.
+func (d *ImageDir) Parts() [][]byte {
+	parts, _ := d.parts()
+	return parts[1:]
+}
+
+// Marshal flattens the directory into one blob: bytes.Join of Parts
+// sizes it up front and copies each part into place exactly once, into
+// memory it does not zero first — a pages.img in list form page by page,
+// the one copy it gets between the rewriter and an in-process wire.
+// Padding in front of the blob, outside it, starts pages.img's data on a
+// page boundary (the Go heap page-aligns allocations over 32 KiB): a
+// restore adopting the received pages reads aligned words.
 func (d *ImageDir) Marshal() []byte {
+	parts, pad := d.parts()
+	parts[0] = blobPadding[:pad]
+	return bytes.Join(parts, nil)[pad:]
+}
+
+// parts lists Parts after a free slot and returns the padding Marshal
+// puts there.
+func (d *ImageDir) parts() ([][]byte, int) {
 	names := d.Names()
 	parts := make([][]byte, 1, 1+2*len(names)+len(d.pageList))
 	at, pad := 0, 0 // the next part's offset in the blob; the padding
@@ -300,8 +314,7 @@ func (d *ImageDir) Marshal() []byte {
 		parts = append(append(parts, hdr), file...)
 		at += len(hdr) + size
 	}
-	parts[0] = blobPadding[:pad]
-	return bytes.Join(parts, nil)[pad:]
+	return parts, pad
 }
 
 var blobPadding [mem.PageSize]byte // what Marshal puts in front of a blob

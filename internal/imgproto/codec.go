@@ -100,6 +100,7 @@ type flateEncoder struct {
 	zw    *flate.Writer
 	buf   bytes.Buffer
 	lanes []byte
+	block [8 * laneBlock]byte // one lane-block of words, gathered from the parts
 }
 
 // flateDecoder is Decompress's counterpart: the inflater, the reader
@@ -154,20 +155,21 @@ func (e *flateEncoder) deflate(blockLen int, parts ...[]byte) error {
 	return nil
 }
 
-// chooseForm runs the form trial on raw. It is a function of raw alone,
-// so a replayed migration chooses — and sizes — every payload the same.
-func (e *flateEncoder) chooseForm(raw []byte) (Codec, error) {
-	if len(raw) < trialFloor {
+// chooseForm runs the form trial on the n bytes parts hold, a function of
+// those bytes alone: a replayed migration sizes every payload the same.
+func (e *flateEncoder) chooseForm(parts [][]byte, n int) (Codec, error) {
+	if n < trialFloor {
 		return CodecFlate, nil
 	}
 	const sampleLen = trialChunks * trialChunk
 	e.lanes = grow(e.lanes, 2*sampleLen)
 	sample, planes := e.lanes[:sampleLen], e.lanes[sampleLen:]
+	r := partReader{parts: parts}
 	for i := 0; i < trialChunks; i++ {
 		// Chunk starts keep the payload's word phase, so the sample's
 		// planes are the payload's planes.
-		off := (len(raw) - trialChunk) / (trialChunks - 1) * i &^ 7
-		copy(sample[i*trialChunk:], raw[off:off+trialChunk])
+		off := (n - trialChunk) / (trialChunks - 1) * i &^ 7
+		r.readAt(off, sample[i*trialChunk:][:trialChunk])
 	}
 	e.buf.Reset()
 	if err := e.deflate(sampleLen, sample); err != nil {
@@ -195,30 +197,64 @@ func (e *flateEncoder) chooseForm(raw []byte) (Codec, error) {
 }
 
 // compress is CodecFlate.Compress on this encoder.
-func (e *flateEncoder) compress(raw []byte) ([]byte, Codec, error) {
-	form, err := e.chooseForm(raw)
-	if err != nil {
-		return nil, 0, err
-	}
+func (e *flateEncoder) compress(parts ...[]byte) ([]byte, Codec, error) {
+	n := partsLen(parts)
+	form, err := e.chooseForm(parts, n)
 	e.buf.Reset()
-	switch form {
-	case CodecNone:
-		return raw, CodecNone, nil
-	case CodecFlateWords:
-		err = e.deflateLanes(raw)
-	default:
-		err = e.deflate(len(raw), raw)
+	switch {
+	case err != nil: // returned below
+	case form == CodecFlateWords:
+		err = e.deflateLanes(parts...)
+	case form == CodecFlate:
+		err = e.deflate(n, parts...)
 	}
 	if err != nil {
 		return nil, 0, err
 	}
-	if e.buf.Len() >= len(raw) {
-		return raw, CodecNone, nil
+	if form == CodecNone || e.buf.Len() >= n {
+		return verbatim(parts), CodecNone, nil
 	}
 	return bytes.Clone(e.buf.Bytes()), form, nil
 }
 
-// deflateLanes appends raw's CodecFlateWords payload to e.buf:
+// partsLen is the length of the payload parts hold.
+func partsLen(parts [][]byte) int {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	return n
+}
+
+// verbatim is the CodecNone payload of parts (see Compress).
+func verbatim(parts [][]byte) []byte {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	return nil
+}
+
+// partReader reads a payload held as a list of parts, front to back.
+type partReader struct {
+	parts [][]byte // the parts not yet read past
+	at    int      // the payload offset parts[0] starts at
+}
+
+// readAt copies the payload's bytes from off on into dst, and returns
+// dst. Successive offsets never go back.
+func (r *partReader) readAt(off int, dst []byte) []byte {
+	for n := 0; n < len(dst); {
+		if p := r.parts[0]; off+n < r.at+len(p) {
+			n += copy(dst[n:], p[off+n-r.at:])
+		} else {
+			r.at, r.parts = r.at+len(p), r.parts[1:]
+		}
+	}
+	return dst
+}
+
+// deflateLanes appends to e.buf the CodecFlateWords payload of the bytes
+// parts hold, read end to end as raw:
 //
 //	lanemap ‖ DEFLATE(occupied lane-blocks ‖ tail)
 //
@@ -231,10 +267,12 @@ func (e *flateEncoder) compress(raw []byte) ([]byte, Codec, error) {
 // level 1's 64 KiB blocks still give each lane a Huffman table of its
 // own, and last the len(raw)%8 bytes that make up no whole word. The
 // encoding is canonical: a bit is never set over an all-zero lane-block,
-// so equal payloads encode to equal bytes.
-func (e *flateEncoder) deflateLanes(raw []byte) error {
-	nw := len(raw) / 8
+// so equal payloads encode to equal bytes. Blocks are gathered to e.block.
+func (e *flateEncoder) deflateLanes(parts ...[]byte) error {
+	n := partsLen(parts)
+	nw := n / 8
 	e.lanes = grow(e.lanes, 8*nw)
+	r := partReader{parts: parts}
 	// Lane j's blocks collect at the front of its own nw-byte region. Each
 	// block is transposed to where every lane's next block would start, and
 	// only the lanes it turns out to occupy move past it.
@@ -245,7 +283,7 @@ func (e *flateEncoder) deflateLanes(raw []byte) error {
 		for j := range dst {
 			dst[j] = e.lanes[j*nw+fill[j]:][:bw]
 		}
-		or := toLanes(&dst, raw[8*off:8*(off+bw)])
+		or := toLanes(&dst, r.readAt(8*off, e.block[:8*bw]))
 		var occupied byte
 		for j := range fill {
 			if byte(or>>(8*j)) != 0 {
@@ -255,12 +293,12 @@ func (e *flateEncoder) deflateLanes(raw []byte) error {
 		}
 		e.buf.WriteByte(occupied)
 	}
-	var parts [9][]byte
+	var lanes [9][]byte
 	for j := range fill {
-		parts[j] = e.lanes[j*nw:][:fill[j]]
+		lanes[j] = e.lanes[j*nw:][:fill[j]]
 	}
-	parts[8] = raw[8*nw:]
-	return e.deflate(len(raw), parts[:]...)
+	lanes[8] = r.readAt(8*nw, e.block[:n%8])
+	return e.deflate(n, lanes[:]...)
 }
 
 // inflate decodes wire into dst, which it must fill exactly.
@@ -463,19 +501,20 @@ func fromLanes(dst []byte, lanes *[8][]byte) {
 	}
 }
 
-// Compress encodes raw for the wire and returns the payload together
-// with the codec that actually encoded it — for CodecFlate one of
-// CodecFlate, CodecFlateWords and CodecNone, so len(payload) <= len(raw)
-// always holds. The returned payload may alias raw (for CodecNone);
-// callers must write it before reusing the buffer.
-func (c Codec) Compress(raw []byte) ([]byte, Codec, error) {
+// Compress encodes the payload parts hold, read end to end and never
+// joined (one buffer is one part), and returns it with the codec that
+// actually encoded it — for CodecFlate one of CodecFlate, CodecFlateWords
+// and CodecNone, so it is never longer than the parts. A CodecNone
+// payload is the one part, aliased, or nil for several: the caller sends
+// its parts. Callers must write it before reusing the buffers.
+func (c Codec) Compress(parts ...[]byte) ([]byte, Codec, error) {
 	switch c {
 	case CodecNone:
-		return raw, CodecNone, nil
+		return verbatim(parts), CodecNone, nil
 	case CodecFlate:
 		e := flateEncoders.Get().(*flateEncoder)
 		defer flateEncoders.Put(e)
-		return e.compress(raw)
+		return e.compress(parts...)
 	default:
 		return nil, 0, fmt.Errorf("imgproto: codec %s cannot encode batch payloads", c)
 	}

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	mrand "math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -326,6 +327,78 @@ func TestCodecCompressDeterministic(t *testing.T) {
 	}
 }
 
+// TestCodecCompressAnySplit: Compress reads its payload as a list of
+// parts, and how the payload is split must not show — any split gives
+// the bytes and the codec the joined payload gets, for every form:
+// splits with empty parts, with parts shorter than a word, and with one
+// part per byte around a lane-block edge and over the tail no whole word
+// covers. A raw result is the caller's own parts, so it comes back nil.
+func TestCodecCompressAnySplit(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(1))
+	randomSplit := func(raw []byte) [][]byte {
+		var parts [][]byte
+		for len(raw) > 0 {
+			n := 0
+			switch rng.Intn(4) {
+			case 0: // empty
+			case 1:
+				n = 1 + rng.Intn(7) // inside a word
+			default:
+				n = 1 + rng.Intn(80<<10)
+			}
+			n = min(n, len(raw))
+			parts, raw = append(parts, raw[:n]), raw[n:]
+		}
+		return append(parts, nil)
+	}
+	bytewise := func(raw []byte, from, to int) [][]byte {
+		from, to = min(max(from, 0), len(raw)), min(to, len(raw))
+		parts := [][]byte{raw[:from]}
+		for i := from; i < to; i++ {
+			parts = append(parts, raw[i:i+1])
+		}
+		return append(parts, raw[to:])
+	}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want Codec
+	}{
+		{"integer words", intPages(300), CodecFlateWords},
+		{"integer words out of phase", intPages(257)[3:], CodecFlateWords},
+		{"doubles", floatPages(300), CodecFlate},
+		{"noise", noise(300 * 4096), CodecNone},
+		{"small batch", kvPages(7), CodecFlate},
+		{"empty", nil, CodecNone},
+	} {
+		want, used, err := CodecFlate.Compress(tc.raw)
+		if err != nil || used != tc.want {
+			t.Fatalf("%s: joined payload encoded as %s, want %s (err %v)", tc.name, used, tc.want, err)
+		}
+		edge := 8 * laneBlock
+		splits := [][][]byte{
+			bytewise(tc.raw, edge-21, edge+21),
+			bytewise(tc.raw, len(tc.raw)-19, len(tc.raw)),
+		}
+		for i := 0; i < 6; i++ {
+			splits = append(splits, randomSplit(tc.raw))
+		}
+		for i, parts := range splits {
+			got, gotUsed, err := CodecFlate.Compress(parts...)
+			switch {
+			case err != nil:
+				t.Fatalf("%s split %d: %v", tc.name, i, err)
+			case gotUsed != used:
+				t.Errorf("%s split %d (%d parts): encoded as %s, joined as %s", tc.name, i, len(parts), gotUsed, used)
+			case used == CodecNone && got != nil:
+				t.Errorf("%s split %d: a raw payload of %d parts came back as %d bytes, not nil", tc.name, i, len(parts), len(got))
+			case used != CodecNone && !bytes.Equal(got, want):
+				t.Errorf("%s split %d (%d parts): %d bytes, joined %d", tc.name, i, len(parts), len(got), len(want))
+			}
+		}
+	}
+}
+
 func TestCodecDecompressRejectsLies(t *testing.T) {
 	type lie struct {
 		name   string
@@ -498,7 +571,7 @@ func TestCodecFlatePooledMatchesFresh(t *testing.T) {
 			if p.want == CodecFlateWords {
 				want = imgprototest.FlateWords(p.raw, 0)
 			}
-			for _, compress := range []func([]byte) ([]byte, Codec, error){CodecFlate.Compress, e.compress} {
+			for _, compress := range []func(...[]byte) ([]byte, Codec, error){CodecFlate.Compress, e.compress} {
 				got, used, err := compress(p.raw)
 				if err != nil || used != p.want {
 					t.Fatalf("round %d payload %d: used %s, want %s, err %v", round, i, used, p.want, err)
