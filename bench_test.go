@@ -523,6 +523,55 @@ func BenchmarkSendImages(b *testing.B) {
 	}
 }
 
+// BenchmarkLazyFault is a profiling handle on the post-copy fault path:
+// the kv_lazy workload's paused class-A rediska server (12 000 keys)
+// behind a real PageServer on loopback, and a destination address space
+// with the same areas mapped and the page client installed as its fault
+// handler. One iteration is one fault — a word read from a missing page,
+// which the client fetches into the frame the space installs — so ns/op,
+// B/op and allocs/op are per fault, both ends of the socket together.
+// Once every page has been faulted, a fresh destination is mapped outside
+// the timer. It uses only APIs older than PageSource.ReadPage, so it runs
+// unchanged in a clone of an older parent.
+func BenchmarkLazyFault(b *testing.B) {
+	_, p, _ := pausedBench(b, "rediska", workloads.ClassA, 12000)
+	srv, err := criu.ServePages("127.0.0.1:0", criu.NewProcessPageSource(p))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := criu.DialPageServer(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	pages := p.AS.PopulatedPages()
+	dst := &kernel.Process{}
+	fresh := func() {
+		dst.AS = mem.NewAddressSpace()
+		for _, v := range p.AS.VMAs() {
+			if err := dst.AS.Map(v); err != nil {
+				b.Fatal(err)
+			}
+		}
+		criu.InstallLazyHandler(dst, client)
+	}
+	fresh()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(pages)
+		if k == 0 && i > 0 {
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		if _, err := dst.AS.ReadU64(pages[k] * mem.PageSize); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRewrite is a profiling handle on the cross-ISA rewrite —
 // per-thread core translation plus stack rebuild — of a multithreaded
 // PARSEC workload.

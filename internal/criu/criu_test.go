@@ -239,7 +239,11 @@ func TestTCPPageServer(t *testing.T) {
 
 type pageFunc func(uint64) ([]byte, error)
 
-func (f pageFunc) FetchPage(addr uint64) ([]byte, error) { return f(addr) }
+func (f pageFunc) ReadPage(addr uint64, dst *[mem.PageSize]byte) error {
+	page, err := f(addr)
+	copy(dst[:], page)
+	return err
+}
 
 func TestRestoreErrorPaths(t *testing.T) {
 	k := kernel.New(kernel.Config{})

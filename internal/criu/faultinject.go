@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/dapper-sim/dapper/internal/mem"
 )
 
 // Fault injection for the page-transport layer. These wrappers make the
@@ -18,7 +20,7 @@ import (
 type FaultSpec struct {
 	// Seed seeds the fault pattern.
 	Seed int64
-	// FailRate is the probability a FlakySource.FetchPage call fails with
+	// FailRate is the probability a FlakySource.ReadPage call fails with
 	// an injected error (surfacing to TCP clients as an error frame).
 	FailRate float64
 	// DropRate is the probability a FlakyListener connection write is
@@ -64,17 +66,17 @@ func NewFlakySource(src PageSource, spec FaultSpec) *FlakySource {
 	return &FlakySource{src: src, spec: spec, roll: newFaultRoller(spec.Seed)}
 }
 
-// FetchPage implements PageSource.
-func (f *FlakySource) FetchPage(addr uint64) ([]byte, error) {
+// ReadPage implements PageSource.
+func (f *FlakySource) ReadPage(addr uint64, dst *[mem.PageSize]byte) error {
 	if f.roll.roll(f.spec.LatencyRate) {
 		f.delays.Add(1)
 		time.Sleep(f.spec.Latency)
 	}
 	if f.roll.roll(f.spec.FailRate) {
 		f.failures.Add(1)
-		return nil, fmt.Errorf("faultinject: injected fetch failure for page 0x%x", addr)
+		return fmt.Errorf("faultinject: injected fetch failure for page 0x%x", addr)
 	}
-	return f.src.FetchPage(addr)
+	return f.src.ReadPage(addr, dst)
 }
 
 // Failures returns how many fetches were failed by injection.

@@ -9,27 +9,24 @@ import (
 	"github.com/dapper-sim/dapper/internal/obs"
 )
 
-// PageSource serves page contents for post-copy restoration. The
-// destination's fault handler calls FetchPage for every missing page.
-// The returned bytes are read-only and valid until the next FetchPage on
-// this source: a source may hand out its own frames by reference, and
-// both consumers copy before they ask again — the in-process handler
-// into the destination frame, the TCP server into the response it writes
-// before reading the next request.
+// PageSource serves page contents for post-copy restoration. ReadPage
+// fills dst, a page the caller owns, with the page at addr — the
+// destination's fault handler passes the frame it is about to install,
+// the TCP server the payload region of the response it is about to
+// write — so no source lends out bytes of its own. On error dst's
+// contents are undefined.
 //
 // Implementations: ProcessPageSource (in-process, same-host),
 // RemotePageSource (TCP client, see pageclient.go), FlakySource
 // (fault-injection wrapper, see faultinject.go).
 type PageSource interface {
-	FetchPage(addr uint64) ([]byte, error)
+	ReadPage(addr uint64, dst *[mem.PageSize]byte) error
 }
 
 // ProcessPageSource serves pages directly from a (stopped) source
 // process's address space — the in-process page server used by same-host
 // tests and by the cluster's in-memory transport. Pages that were never
-// populated on the source are returned zeroed (demand-zero semantics).
-// The source process stays stopped for as long as it serves pages, so
-// FetchPage returns its frames by reference and copies nothing.
+// populated on the source are served zeroed (demand-zero semantics).
 type ProcessPageSource struct {
 	mu    sync.Mutex
 	p     *kernel.Process
@@ -40,7 +37,7 @@ type ProcessPageSource struct {
 // PageServerStats counts page-server activity (drives the Fig. 7 model).
 // It is a snapshot of obs counters (see Stats).
 type PageServerStats struct {
-	// Requests counts FetchPage calls, including ones that failed.
+	// Requests counts ReadPage calls, including ones that failed.
 	Requests uint64
 	// BytesSent counts payload bytes of successful fetches.
 	BytesSent uint64
@@ -69,21 +66,20 @@ func NewProcessPageSourceObs(p *kernel.Process, reg *obs.Registry) *ProcessPageS
 	}
 }
 
-// FetchPage implements PageSource.
-func (s *ProcessPageSource) FetchPage(addr uint64) ([]byte, error) {
+// ReadPage implements PageSource: it copies the stopped source's frame
+// into dst, or clears dst for a page never populated.
+func (s *ProcessPageSource) ReadPage(addr uint64, dst *[mem.PageSize]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reqs.Inc()
 	s.bytes.Add(mem.PageSize)
 	if data, ok := s.p.AS.PageData(addr / mem.PageSize); ok {
-		return data, nil
+		copy(dst[:], data)
+	} else {
+		clear(dst[:])
 	}
-	return zeroPage[:], nil
+	return nil
 }
-
-// zeroPage is the one demand-zero page every never-populated address is
-// served from.
-var zeroPage [mem.PageSize]byte
 
 // Stats returns a snapshot of the counters.
 func (s *ProcessPageSource) Stats() PageServerStats {
@@ -117,26 +113,25 @@ type obsSource struct {
 	lat     *obs.Histogram
 }
 
-func (o *obsSource) FetchPage(addr uint64) ([]byte, error) {
+func (o *obsSource) ReadPage(addr uint64, dst *[mem.PageSize]byte) error {
 	start := time.Now()
-	page, err := o.src.FetchPage(addr)
+	err := o.src.ReadPage(addr, dst)
 	o.lat.Observe(time.Since(start))
 	o.fetches.Inc()
 	if err != nil {
 		o.errs.Inc()
-		return nil, err
+		return err
 	}
-	o.bytes.Add(uint64(len(page)))
-	return page, nil
+	o.bytes.Add(mem.PageSize)
+	return nil
 }
 
-// InstallLazyHandler wires a restored process's page faults to a source.
-// A FetchPage error propagates out of the faulting memory access as a
-// *mem.FaultError whose Cause is the transport error (see
+// InstallLazyHandler wires a restored process's page faults to a source:
+// each fault reads the page straight into the frame the address space
+// installs. A ReadPage error propagates out of the faulting memory access
+// as a *mem.FaultError whose Cause is the transport error (see
 // kernel.IsLazyFaultError), failing the process rather than silently
 // zero-filling the page.
 func InstallLazyHandler(p *kernel.Process, src PageSource) {
-	p.AS.SetFaultHandler(func(pageAddr uint64) ([]byte, error) {
-		return src.FetchPage(pageAddr)
-	})
+	p.AS.SetFaultHandler(src.ReadPage)
 }

@@ -1,6 +1,7 @@
 package criu
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/imgproto"
+	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/obs"
 )
 
@@ -74,7 +76,7 @@ func (o PageClientOpts) withDefaults() PageClientOpts {
 // PageClientStats counts client-side transport activity. It is a snapshot
 // of the client's obs counters (see Stats).
 type PageClientStats struct {
-	Fetches      uint64 // successful FetchPage calls
+	Fetches      uint64 // successful ReadPage calls
 	Retries      uint64 // attempts beyond each fetch's first
 	Reconnects   uint64 // redials after the connection broke
 	Timeouts     uint64 // attempts abandoned at FetchTimeout
@@ -88,10 +90,10 @@ type PageClientStats struct {
 	RedialsExhausted uint64
 }
 
-// ErrPageClientClosed is returned by FetchPage after Close.
+// ErrPageClientClosed is returned by ReadPage after Close.
 var ErrPageClientClosed = errors.New("criu: page client closed")
 
-// ErrRedialExhausted is returned by FetchPage once the client has burned
+// ErrRedialExhausted is returned by ReadPage once the client has burned
 // through its RedialBudget of consecutive failed connection incarnations.
 // It is sticky and terminal: retrying cannot help against a server that
 // keeps accepting connections and keeps failing them.
@@ -115,7 +117,10 @@ type RemotePageSource struct {
 
 	// mu is held for the whole of a fetch, retries included; the fields
 	// below it belong to whoever holds it.
-	mu        sync.Mutex
+	mu sync.Mutex
+	// br reads the current connection through a buffer of one whole
+	// frame, so a response usually costs one read.
+	br        *bufio.Reader
 	nextID    uint32
 	everAlive bool
 	// sawFrame records whether the current connection incarnation has
@@ -144,7 +149,8 @@ func DialPageServer(addr string) (*RemotePageSource, error) {
 // established eagerly so an unreachable server fails here rather than at
 // the first page fault.
 func DialPageServerOpts(addr string, opts PageClientOpts) (*RemotePageSource, error) {
-	c := &RemotePageSource{addr: addr, opts: opts.withDefaults()}
+	c := &RemotePageSource{addr: addr, opts: opts.withDefaults(),
+		br: bufio.NewReaderSize(nil, pageRespHdrLen+mem.PageSize)}
 	reg := c.opts.Obs
 	if reg == nil {
 		reg = obs.New()
@@ -199,8 +205,19 @@ func (c *RemotePageSource) isClosed() bool {
 	return c.closed
 }
 
-// FetchPage implements PageSource with retry and reconnection.
+// FetchPage is ReadPage into a fresh page. It exists only for
+// bench/staged.go and tests; ROADMAP item 1(d) removes its last non-test
+// caller.
 func (c *RemotePageSource) FetchPage(addr uint64) ([]byte, error) {
+	page := new([mem.PageSize]byte)
+	if err := c.ReadPage(addr, page); err != nil {
+		return nil, err
+	}
+	return page[:], nil
+}
+
+// ReadPage implements PageSource with retry and reconnection.
+func (c *RemotePageSource) ReadPage(addr uint64, dst *[mem.PageSize]byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	backoff := c.opts.RetryBackoff
@@ -213,38 +230,38 @@ func (c *RemotePageSource) FetchPage(addr uint64) ([]byte, error) {
 				backoff *= 2
 			}
 		}
-		page, err := c.roundTrip(addr)
+		err := c.roundTrip(addr, dst)
 		if err == nil {
 			c.fetches.Inc()
-			c.bytes.Add(uint64(len(page)))
-			return page, nil
+			c.bytes.Add(mem.PageSize)
+			return nil
 		}
 		if errors.Is(err, ErrPageClientClosed) || errors.Is(err, ErrRedialExhausted) {
-			return nil, err
+			return err
 		}
 		lastErr = err
 	}
-	return nil, fmt.Errorf("criu: page fetch 0x%x failed after %d attempts: %w",
+	return fmt.Errorf("criu: page fetch 0x%x failed after %d attempts: %w",
 		addr, c.opts.MaxRetries+1, lastErr)
 }
 
 // roundTrip performs one fetch attempt; the caller holds c.mu. Any
 // transport or framing error leaves the stream position unknown, so it
 // drops the connection and the next attempt redials.
-func (c *RemotePageSource) roundTrip(addr uint64) ([]byte, error) {
+func (c *RemotePageSource) roundTrip(addr uint64, dst *[mem.PageSize]byte) error {
 	conn, err := c.live()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	req := pageRequest{ID: c.nextID, Addr: addr}
 	c.nextID++
-	resp, err := requestPage(conn, req, c.opts.FetchTimeout)
+	resp, err := requestPage(conn, c.br, req, dst, c.opts.FetchTimeout)
 	if err != nil {
 		c.drop(conn)
 		if c.isClosed() {
 			// Close tore the connection down under us: not a server
 			// failure, and never counted as one.
-			return nil, ErrPageClientClosed
+			return ErrPageClientClosed
 		}
 		if errors.Is(err, errPageDesync) {
 			// A corrupt frame, not a closed conn: the retry redials
@@ -257,7 +274,7 @@ func (c *RemotePageSource) roundTrip(addr uint64) ([]byte, error) {
 		if !c.sawFrame {
 			c.noteFail()
 		}
-		return nil, fmt.Errorf("criu: page fetch 0x%x: %w", addr, err)
+		return fmt.Errorf("criu: page fetch 0x%x: %w", addr, err)
 	}
 	if !c.sawFrame {
 		// The client reached a server that actually speaks the protocol.
@@ -266,17 +283,19 @@ func (c *RemotePageSource) roundTrip(addr uint64) ([]byte, error) {
 	}
 	if resp.Remote != "" {
 		c.remoteErrs.Inc()
-		return nil, &RemoteFetchError{Addr: addr, Msg: resp.Remote}
+		return &RemoteFetchError{Addr: addr, Msg: resp.Remote}
 	}
-	return resp.Page, nil
+	return nil
 }
 
-// requestPage writes one request and reads the response frame that
-// answers it, both under one deadline, which is cleared before returning
-// so it cannot fire during a later, unrelated fetch. A transport that
-// cannot arm or clear the deadline is treated as broken — talking
-// unbounded to it could hang forever.
-func requestPage(conn net.Conn, req pageRequest, timeout time.Duration) (resp pageResponse, err error) {
+// requestPage writes one request to conn and reads the response that
+// answers it into dst through br, conn's reader, both under one deadline,
+// which is cleared before returning so it cannot fire during a later,
+// unrelated fetch. A transport that cannot arm or clear the deadline is
+// treated as broken — talking unbounded to it could hang forever. With
+// one request in flight nothing may follow the response: a byte br holds
+// past it is a desync of this fetch, not the next fetch's bad magic.
+func requestPage(conn net.Conn, br *bufio.Reader, req pageRequest, dst *[mem.PageSize]byte, timeout time.Duration) (resp pageResponse, err error) {
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return pageResponse{}, err
 	}
@@ -288,9 +307,13 @@ func requestPage(conn net.Conn, req pageRequest, timeout time.Duration) (resp pa
 	if err := writePageRequest(conn, req); err != nil {
 		return pageResponse{}, err
 	}
-	resp, err = readPageResponse(conn)
-	if err == nil && resp.ID != req.ID {
+	resp, err = readPageFrame(br, dst)
+	switch {
+	case err != nil:
+	case resp.ID != req.ID:
 		err = fmt.Errorf("%w: response to request %d while %d is in flight", errPageDesync, resp.ID, req.ID)
+	case br.Buffered() > 0:
+		err = fmt.Errorf("%w: %d bytes after the response to request %d", errPageDesync, br.Buffered(), req.ID)
 	}
 	return resp, err
 }
@@ -330,6 +353,7 @@ func (c *RemotePageSource) live() (net.Conn, error) {
 	}
 	c.conn = conn
 	c.connMu.Unlock()
+	c.br.Reset(conn)
 	if c.everAlive {
 		c.reconnects.Inc()
 	}

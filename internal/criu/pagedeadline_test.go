@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/obs"
 )
 
@@ -153,8 +154,7 @@ func TestPageServerCloseRacesInflightFetch(t *testing.T) {
 	src := ObsSource(c, reg)
 	done := make(chan error, 1)
 	go func() {
-		_, err := src.FetchPage(0)
-		done <- err
+		done <- src.ReadPage(0, new([mem.PageSize]byte))
 	}()
 	<-entered // the fetch is in flight inside the server's source
 

@@ -30,11 +30,12 @@ import (
 //	  status 0x00 (OK):  rawLen = PageSize; payload decodes, per codec, to the page
 //	  status 0x01 (ERR): codec = none, rawLen = wireLen <= 1 KiB; payload is the message
 //
-// An ERR frame reports a server-side FetchPage failure for that request
+// An ERR frame reports a server-side ReadPage failure for that request
 // only; the connection stays synchronized and usable. Any header field
 // out of these bounds, a payload that does not decode to exactly rawLen
-// bytes, or a reqID other than the one in flight desynchronizes the
-// stream (errPageDesync) and the reader must drop the connection.
+// bytes, a reqID other than the one in flight, or a byte arriving after
+// the response while no request is in flight desynchronizes the stream
+// (errPageDesync) and the reader must drop the connection.
 const (
 	pageReqLen = 12
 
@@ -67,7 +68,7 @@ type pageRequest struct {
 // pageResponse is one server->client frame, decoded.
 type pageResponse struct {
 	ID   uint32
-	Page []byte // nil when the frame is an error frame
+	Page []byte // the reader's dst; nil when the frame is an error frame
 	// Remote holds the server-reported error message for ERR frames.
 	Remote string
 }
@@ -144,40 +145,44 @@ func pageHello(conn net.Conn, want imgproto.Codec, timeout time.Duration) (err e
 	return nil
 }
 
-// appendPageResponse appends the response frame answering request id to
-// buf: an ERR frame carrying fetchErr's message if it is set, else an OK
-// frame carrying page encoded with codec. Header and payload share one
-// buffer so the frame leaves in one write — one syscall, and one roll of
-// a lossy link's dice, per response. Compress never expands, so an OK
-// frame is at most pageRespHdrLen + PageSize bytes. rawN is the payload's
-// size before the codec, for telemetry.
-func appendPageResponse(buf []byte, codec imgproto.Codec, id uint32, page []byte, fetchErr error) (frame []byte, rawN int, err error) {
-	status, raw := byte(pageStatusOK), page
+// encodePageResponse turns buf — pageRespHdrLen bytes of room for the
+// header, then the page answering request id — into that request's
+// response frame, in place, and returns the frame: an ERR frame carrying
+// fetchErr's message if it is set, else an OK frame carrying the page
+// encoded with codec. A page that goes out as CodecNone is not moved;
+// a compressed one is copied over the page it was made from, which
+// Compress never expands past. Header and payload share one buffer so
+// the frame leaves in one write — one syscall, and one roll of a lossy
+// link's dice, per response. rawN is the payload's size before the
+// codec, for telemetry.
+func encodePageResponse(buf []byte, codec imgproto.Codec, id uint32, fetchErr error) (frame []byte, rawN int, err error) {
+	status, raw := byte(pageStatusOK), buf[pageRespHdrLen:pageRespHdrLen+mem.PageSize]
 	if fetchErr != nil {
-		msg := fetchErr.Error()
-		if len(msg) > maxPageErrMsg {
-			msg = msg[:maxPageErrMsg]
-		}
-		status, raw, codec = pageStatusErr, []byte(msg), imgproto.CodecNone
+		raw = raw[:copy(raw[:maxPageErrMsg], fetchErr.Error())]
+		status, codec = pageStatusErr, imgproto.CodecNone
 	}
 	payload, used, err := codec.Compress(raw)
 	if err != nil {
-		return buf, 0, err
+		return nil, 0, err
 	}
-	buf = append(buf, pageRespMagic, byte(used), status)
-	buf = binary.BigEndian.AppendUint32(buf, id)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(raw)))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	return append(buf, payload...), len(raw), nil
+	if used != imgproto.CodecNone { // a CodecNone payload is raw itself
+		copy(raw, payload)
+	}
+	buf[0], buf[1], buf[2] = pageRespMagic, byte(used), status
+	binary.BigEndian.PutUint32(buf[3:7], id)
+	binary.BigEndian.PutUint32(buf[7:11], uint32(len(raw)))
+	binary.BigEndian.PutUint32(buf[11:15], uint32(len(payload)))
+	return buf[:pageRespHdrLen+len(payload)], len(raw), nil
 }
 
-// readPageResponse reads and validates one response frame. Every length
-// is checked against the protocol's bounds before it is allocated, so a
-// header can ask for a page at most. Framing violations wrap
-// errPageDesync so the caller can distinguish them from plain connection
-// teardown. An uncompressed page is read straight into the buffer that
-// is returned.
-func readPageResponse(r io.Reader) (pageResponse, error) {
+// readPageFrame reads and validates one response frame, and nothing past
+// it, leaving an OK frame's page in dst. Every length is checked against
+// the protocol's bounds before a payload byte is read, so a header can
+// ask for a page at most. Framing violations wrap errPageDesync so the
+// caller can distinguish them from plain connection teardown. An
+// uncompressed page is read straight into dst; a compressed one is
+// inflated and copied in. On error dst's contents are undefined.
+func readPageFrame(r io.Reader, dst *[mem.PageSize]byte) (pageResponse, error) {
 	var hdr [pageRespHdrLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return pageResponse{}, err
@@ -204,7 +209,10 @@ func readPageResponse(r io.Reader) (pageResponse, error) {
 		// payload larger than its raw size proves corruption.
 		return pageResponse{}, fmt.Errorf("%w: wire payload %d exceeds raw size %d", errPageDesync, wireLen, rawLen)
 	}
-	payload := make([]byte, wireLen)
+	payload := dst[:wireLen] // an uncompressed page is read in place
+	if status != pageStatusOK || codec != imgproto.CodecNone {
+		payload = make([]byte, wireLen)
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return pageResponse{}, err
 	}
@@ -213,7 +221,10 @@ func readPageResponse(r io.Reader) (pageResponse, error) {
 		return pageResponse{}, fmt.Errorf("%w: %v", errPageDesync, err)
 	}
 	if status == pageStatusOK {
-		resp.Page = raw
+		if codec != imgproto.CodecNone {
+			copy(dst[:], raw)
+		}
+		resp.Page = dst[:]
 		return resp, nil
 	}
 	resp.Remote = string(raw)

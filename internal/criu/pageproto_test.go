@@ -1,6 +1,7 @@
 package criu
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -25,14 +26,27 @@ const (
 	respWireOff   = 11
 )
 
-// respFrame is appendPageResponse into a fresh buffer.
+// respFrame is newPageResponse, failing t on an encoding error.
 func respFrame(t testing.TB, codec imgproto.Codec, id uint32, page []byte, fetchErr error) []byte {
 	t.Helper()
-	frame, _, err := appendPageResponse(nil, codec, id, page, fetchErr)
+	frame, err := newPageResponse(codec, id, page, fetchErr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return frame
+}
+
+// newPageResponse is encodePageResponse over a fresh buffer holding page.
+func newPageResponse(codec imgproto.Codec, id uint32, page []byte, fetchErr error) ([]byte, error) {
+	buf := make([]byte, pageRespHdrLen+mem.PageSize)
+	copy(buf[pageRespHdrLen:], page)
+	frame, _, err := encodePageResponse(buf, codec, id, fetchErr)
+	return frame, err
+}
+
+// readPageResponse is readPageFrame into a fresh page.
+func readPageResponse(r io.Reader) (pageResponse, error) {
+	return readPageFrame(r, new([mem.PageSize]byte))
 }
 
 func TestPageBatchRoundTrip(t *testing.T) {
@@ -256,7 +270,7 @@ func TestPageServerRefusesSecondHello(t *testing.T) {
 	if err := pageHello(conn, imgproto.CodecNone, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := requestPage(conn, pageRequest{ID: 0, Addr: 3 * mem.PageSize}, 2*time.Second)
+	resp, err := requestPage(conn, bufio.NewReader(conn), pageRequest{ID: 0, Addr: 3 * mem.PageSize}, new([mem.PageSize]byte), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,6 +300,59 @@ func expectClosed(t *testing.T, conn net.Conn, after string) {
 	}
 }
 
+// fakePageServer serves the page protocol on a loopback listener until
+// the test ends: it answers every hello with CodecNone and request req on
+// the connNo-th connection (from 1) with the bytes respond returns, in
+// one write.
+func fakePageServer(t *testing.T, respond func(connNo int, req pageRequest) []byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// wg.Wait must run after ln.Close (LIFO cleanups): the accept
+	// goroutine only exits once the listener dies.
+	var wg sync.WaitGroup
+	t.Cleanup(wg.Wait)
+	t.Cleanup(func() {
+		// Test-server teardown; accept-loop exit is the observable effect.
+		_ = ln.Close()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for connNo := 1; ; connNo++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func(c net.Conn, connNo int) {
+				defer wg.Done()
+				// Serving goroutine owns the conn for its whole life.
+				defer func() { _ = c.Close() }()
+				req, err := readPageRequest(c)
+				if err != nil || !isHelloRequest(req) {
+					return
+				}
+				if err := writeHelloAck(c, imgproto.CodecNone); err != nil {
+					return
+				}
+				for {
+					req, err := readPageRequest(c)
+					if err != nil {
+						return
+					}
+					if _, err := c.Write(respond(connNo, req)); err != nil {
+						return
+					}
+				}
+			}(conn, connNo)
+		}
+	}()
+	return ln.Addr().String()
+}
+
 // TestPageBatchDesyncRecovery serves a response frame that violates the
 // framing — a codec byte no decoder exists for, a reqID other than the one
 // in flight — on the first connection. The client must drop that
@@ -300,59 +367,14 @@ func TestPageBatchDesyncRecovery(t *testing.T) {
 		{"reqID not in flight", func(frame []byte) { frame[respIDOff+3] ^= 0x01 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// wg.Wait must run after ln.Close (LIFO defers): the accept
-			// goroutine only exits once the listener dies.
-			var wg sync.WaitGroup
-			defer wg.Wait()
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				// Test-server teardown; accept-loop exit is the observable effect.
-				_ = ln.Close()
-			}()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for connNo := 1; ; connNo++ {
-					conn, err := ln.Accept()
-					if err != nil {
-						return
-					}
-					wg.Add(1)
-					go func(c net.Conn, corrupt bool) {
-						defer wg.Done()
-						// Serving goroutine owns the conn for its whole life.
-						defer func() { _ = c.Close() }()
-						req, err := readPageRequest(c)
-						if err != nil || !isHelloRequest(req) {
-							return
-						}
-						if err := writeHelloAck(c, imgproto.CodecNone); err != nil {
-							return
-						}
-						for {
-							req, err := readPageRequest(c)
-							if err != nil {
-								return
-							}
-							frame, _, err := appendPageResponse(nil, imgproto.CodecNone, req.ID, pagePattern(req.Addr), nil)
-							if err != nil {
-								return
-							}
-							if corrupt {
-								tc.corrupt(frame)
-							}
-							if _, err := c.Write(frame); err != nil {
-								return
-							}
-						}
-					}(conn, connNo == 1)
+			addr := fakePageServer(t, func(connNo int, req pageRequest) []byte {
+				frame, err := newPageResponse(imgproto.CodecNone, req.ID, pagePattern(req.Addr), nil)
+				if err == nil && connNo == 1 {
+					tc.corrupt(frame)
 				}
-			}()
-
-			c, err := DialPageServerOpts(ln.Addr().String(), PageClientOpts{
+				return frame
+			})
+			c, err := DialPageServerOpts(addr, PageClientOpts{
 				Codec:      imgproto.CodecFlate,
 				MaxRetries: 4, RetryBackoff: time.Millisecond, FetchTimeout: time.Second,
 			})
@@ -360,12 +382,11 @@ func TestPageBatchDesyncRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			addr := uint64(5) * mem.PageSize
-			page, err := c.FetchPage(addr)
+			page, err := c.FetchPage(5 * mem.PageSize)
 			if err != nil {
 				t.Fatalf("fetch never recovered from the desync: %v", err)
 			}
-			checkPage(t, addr, page)
+			checkPage(t, 5*mem.PageSize, page)
 			st := c.Stats()
 			if st.Desyncs != 1 {
 				t.Errorf("Desyncs = %d, want 1 for the one corrupt frame", st.Desyncs)
@@ -377,6 +398,44 @@ func TestPageBatchDesyncRecovery(t *testing.T) {
 				t.Errorf("Fetches = %d, Retries = %d; want one fetch that retried", st.Fetches, st.Retries)
 			}
 		})
+	}
+}
+
+// TestPageResponseTrailingBytes: with one request in flight nothing may
+// follow a response, so bytes that arrive behind a well-formed frame are
+// a desync of the fetch that read them — the connection is dropped and
+// the fetch completes on a fresh one — not a bad magic on the next fetch.
+// The frame is deflated, so it and the junk fit the client's read buffer
+// together.
+func TestPageResponseTrailingBytes(t *testing.T) {
+	addr := fakePageServer(t, func(connNo int, req pageRequest) []byte {
+		frame, err := newPageResponse(imgproto.CodecFlate, req.ID, pagePattern(req.Addr), nil)
+		if err == nil && connNo == 1 {
+			frame = append(frame, 0x5A, 0x5A, 0x5A)
+		}
+		return frame
+	})
+	c, err := DialPageServerOpts(addr, PageClientOpts{
+		Codec:      imgproto.CodecFlate,
+		MaxRetries: 4, RetryBackoff: time.Millisecond, FetchTimeout: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i, want := range []PageClientStats{
+		{Fetches: 1, Retries: 1, Reconnects: 1, Desyncs: 1, BytesRead: mem.PageSize},
+		{Fetches: 2, Retries: 1, Reconnects: 1, Desyncs: 1, BytesRead: 2 * mem.PageSize},
+	} {
+		addr := uint64(5+i) * mem.PageSize
+		page, err := c.FetchPage(addr)
+		if err != nil {
+			t.Fatalf("fetch %d: %v", i, err)
+		}
+		checkPage(t, addr, page)
+		if st := c.Stats(); st != want {
+			t.Errorf("after fetch %d: %+v, want %+v", i, st, want)
+		}
 	}
 }
 

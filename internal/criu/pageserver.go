@@ -7,13 +7,14 @@ import (
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/imgproto"
+	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/obs"
 )
 
-// PageServer serves FetchPage requests over TCP using the frame protocol
-// in pageproto.go. Each accepted connection is served by its own
-// goroutine, one request at a time: read a request, fetch the page, write
-// the response frame. A FetchPage failure is reported to the client as an
+// PageServer serves page requests over TCP using the frame protocol in
+// pageproto.go. Each accepted connection is served by its own goroutine,
+// one request at a time: read a request, read the page into the response
+// frame, write the frame. A ReadPage failure is reported to the client as an
 // explicit error frame instead of dropping the connection, so one bad
 // page cannot desynchronize an otherwise healthy stream.
 type PageServer struct {
@@ -171,7 +172,12 @@ func (s *PageServer) serveConn(conn net.Conn) {
 	if writeHelloAck(conn, codec) != nil {
 		return
 	}
-	var frame []byte // reused: the previous response is written before the next request is read
+	// One response buffer, reused: the previous response is written
+	// before the next request is read. The source fills its payload
+	// region and the frame is encoded around it, so this side copies a
+	// page once, when the source reads it.
+	buf := make([]byte, pageRespHdrLen+mem.PageSize)
+	page := (*[mem.PageSize]byte)(buf[pageRespHdrLen:])
 	for {
 		req, err := readPageRequest(conn)
 		if err != nil || isHelloRequest(req) {
@@ -180,17 +186,16 @@ func (s *PageServer) serveConn(conn net.Conn) {
 			return
 		}
 		start := time.Now()
-		page, ferr := s.src.FetchPage(req.Addr)
+		ferr := s.src.ReadPage(req.Addr, page)
 		s.svcLat.Observe(time.Since(start))
 		s.reqs.Inc()
 		if ferr != nil {
 			s.errsC.Inc()
 		} else {
-			s.bytesSent.Add(uint64(len(page)))
+			s.bytesSent.Add(mem.PageSize)
 		}
 		start = time.Now()
-		var rawN int
-		frame, rawN, err = appendPageResponse(frame[:0], codec, req.ID, page, ferr)
+		frame, rawN, err := encodePageResponse(buf, codec, req.ID, ferr)
 		s.codecNs.Observe(time.Since(start))
 		if err == nil {
 			_, err = conn.Write(frame)
@@ -199,7 +204,7 @@ func (s *PageServer) serveConn(conn net.Conn) {
 			return
 		}
 		s.frames.Inc()
-		s.forms[frame[1]].Inc() // the codec byte appendPageResponse just wrote
+		s.forms[frame[1]].Inc() // the codec byte encodePageResponse just wrote
 		s.bytesRaw.Add(uint64(rawN))
 		s.bytesWire.Add(uint64(len(frame)))
 	}

@@ -26,21 +26,26 @@ type mapSource struct {
 
 func pagePattern(addr uint64) []byte {
 	page := make([]byte, mem.PageSize)
-	for i := 0; i < len(page); i += 8 {
-		binary.LittleEndian.PutUint64(page[i:], addr^uint64(i))
-	}
+	fillPattern(addr, page)
 	return page
 }
 
-func (m *mapSource) FetchPage(addr uint64) ([]byte, error) {
+func fillPattern(addr uint64, page []byte) {
+	for i := 0; i < len(page); i += 8 {
+		binary.LittleEndian.PutUint64(page[i:], addr^uint64(i))
+	}
+}
+
+func (m *mapSource) ReadPage(addr uint64, dst *[mem.PageSize]byte) error {
 	m.mu.Lock()
 	m.requests++
 	err := m.failAddr[addr]
 	m.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return pagePattern(addr), nil
+	fillPattern(addr, dst[:])
+	return nil
 }
 
 func (m *mapSource) Requests() uint64 {
@@ -334,11 +339,12 @@ func TestPageServerCloseUnblocksClients(t *testing.T) {
 }
 
 // TestLazyFaultBudget pins the fault path's copy budget (docs/perf.md):
-// from the stopped source's frame to the page FetchPage returns there is
-// one copy on each side of the socket — into the server's reused response
-// frame, and off the wire into the page returned — and the client owns
-// no goroutine. Every second page was never populated on the source and
-// is served from the one shared zero page.
+// from the stopped source's frame to the caller's page there is one copy
+// on each side of the socket — into the payload region of the server's
+// reused response frame, and off the wire into the caller's page — so a
+// fetch allocates no page on either end, and the client owns no
+// goroutine. Every second page was never populated on the source and is
+// served as a cleared one.
 func TestLazyFaultBudget(t *testing.T) {
 	const n = 256
 	as := mem.NewAddressSpace()
@@ -357,25 +363,26 @@ func TestLazyFaultBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	var page [mem.PageSize]byte
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for idx := uint64(0); idx < n; idx++ {
-		page, err := c.FetchPage(idx * mem.PageSize)
-		if err != nil {
+		page[8] = 0xFF // a cleared page must be cleared by the fetch
+		if err := c.ReadPage(idx*mem.PageSize, &page); err != nil {
 			t.Fatal(err)
 		}
 		want := idx*mem.PageSize ^ 8 // pagePattern's second word
 		if idx%2 == 1 {
 			want = 0
 		}
-		if got := binary.LittleEndian.Uint64(page[8:]); len(page) != mem.PageSize || got != want {
-			t.Fatalf("page %d: %d bytes, word 1 = 0x%x, want 0x%x", idx, len(page), got, want)
+		if got := binary.LittleEndian.Uint64(page[8:]); got != want {
+			t.Fatalf("page %d: word 1 = 0x%x, want 0x%x", idx, got, want)
 		}
 	}
 	runtime.ReadMemStats(&after)
 	perFetch := (after.TotalAlloc - before.TotalAlloc) / n
-	t.Logf("heap allocated per fetch, both ends of the socket: %d B (%.2f pages)", perFetch, float64(perFetch)/mem.PageSize)
-	if limit := uint64(2*mem.PageSize + 512); perFetch > limit {
+	t.Logf("heap allocated per fetch into the caller's page, both ends of the socket: %d B", perFetch)
+	if limit := uint64(512); perFetch > limit {
 		t.Errorf("a fetch allocates %d B, budget %d", perFetch, limit)
 	}
 	// One more than before the dial: the server's goroutine for this
@@ -385,6 +392,60 @@ func TestLazyFaultBudget(t *testing.T) {
 	}
 }
 
+// TestLazyFaultDestinationBudget is the fault path end to end at the
+// destination: a restored process's address space faults n pages through
+// InstallLazyHandler and a real page client. Each fault allocates the
+// frame the space installs and not a second page — the client reads the
+// response into that frame, and the space installs it without a copy.
+func TestLazyFaultDestinationBudget(t *testing.T) {
+	const n, base = 256, uint64(0x10000)
+	src := mem.NewAddressSpace()
+	for idx := uint64(0); idx < n; idx++ {
+		src.InstallPage(base/mem.PageSize+idx, pagePattern(base+idx*mem.PageSize))
+	}
+	srv, err := ServePages("127.0.0.1:0", NewProcessPageSource(&kernel.Process{AS: src}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dst := &kernel.Process{AS: mem.NewAddressSpace()}
+	if err := dst.AS.Map(mem.VMA{Start: base, End: base + n*mem.PageSize, Kind: mem.VMAHeap, Prot: mem.ProtRead | mem.ProtWrite}); err != nil {
+		t.Fatal(err)
+	}
+	InstallLazyHandler(dst, c)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for idx := uint64(0); idx < n; idx++ {
+		addr := base + idx*mem.PageSize
+		got, err := dst.AS.ReadU64(addr + 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := addr ^ 8; got != want { // pagePattern's second word
+			t.Fatalf("page 0x%x: word 1 = 0x%x, want 0x%x", addr, got, want)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := c.Stats().Fetches; got != n {
+		t.Fatalf("%d fetches for %d faults", got, n)
+	}
+	perFault := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("heap allocated per fault, both ends of the socket: %d B (%.2f pages)", perFault, float64(perFault)/mem.PageSize)
+	if limit := uint64(mem.PageSize + 256); perFault > limit {
+		t.Errorf("a fault allocates %d B, budget %d", perFault, limit)
+	}
+}
+
 type fetchFunc func(addr uint64) ([]byte, error)
 
-func (f fetchFunc) FetchPage(addr uint64) ([]byte, error) { return f(addr) }
+func (f fetchFunc) ReadPage(addr uint64, dst *[mem.PageSize]byte) error {
+	page, err := f(addr)
+	copy(dst[:], page)
+	return err
+}

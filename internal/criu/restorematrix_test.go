@@ -195,11 +195,11 @@ type recordingSource struct {
 	addrs map[uint64]bool
 }
 
-func (r *recordingSource) FetchPage(addr uint64) ([]byte, error) {
+func (r *recordingSource) ReadPage(addr uint64, dst *[mem.PageSize]byte) error {
 	r.mu.Lock()
 	r.addrs[addr] = true
 	r.mu.Unlock()
-	return r.inner.FetchPage(addr)
+	return r.inner.ReadPage(addr, dst)
 }
 
 // TestLazyRestoreZeroPagesNotFetched is the satellite regression: a lazy

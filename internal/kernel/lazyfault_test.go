@@ -43,8 +43,8 @@ func TestLazyFaultPropagatesThroughRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	transport := errors.New("injected transport failure")
-	as.SetFaultHandler(func(pageAddr uint64) ([]byte, error) {
-		return nil, transport
+	as.SetFaultHandler(func(uint64, *[mem.PageSize]byte) error {
+		return transport
 	})
 	_, err := as.ReadU64(0x10000)
 	if err == nil {
@@ -59,10 +59,9 @@ func TestLazyFaultPropagatesThroughRun(t *testing.T) {
 
 	// The failure must not be sticky: once the handler recovers (the
 	// client reconnected), the same access succeeds.
-	as.SetFaultHandler(func(pageAddr uint64) ([]byte, error) {
-		page := make([]byte, mem.PageSize)
-		page[0] = 0x2a
-		return page, nil
+	as.SetFaultHandler(func(_ uint64, frame *[mem.PageSize]byte) error {
+		frame[0] = 0x2a
+		return nil
 	})
 	v, err := as.ReadU64(0x10000)
 	if err != nil {

@@ -110,18 +110,11 @@ type Page struct {
 	shared  bool
 }
 
-// newPage returns a private frame holding a copy of data (up to PageSize
-// bytes; nil yields a zero page).
-func newPage(data []byte, version uint64) *Page {
-	p := &Page{Data: new([PageSize]byte), Version: version}
-	copy(p.Data[:], data)
-	return p
-}
-
-// FaultHandler populates a missing page on first access. It returns the
-// page contents (PageSize bytes) or an error. A nil handler means missing
-// pages are demand-zero.
-type FaultHandler func(pageAddr uint64) ([]byte, error)
+// FaultHandler populates a missing page on first access. It fills frame,
+// a zeroed frame the space allocated, which the space then installs as it
+// is; on error the frame is dropped and the access faults. The handler
+// must not keep frame. A nil handler means missing pages are demand-zero.
+type FaultHandler func(pageAddr uint64, frame *[PageSize]byte) error
 
 // tlbWays is the size of each software TLB. One entry each is not
 // enough: a guest alternates between its stack, its globals, the heap and
@@ -355,14 +348,13 @@ func (as *AddressSpace) page(addr uint64, write bool) (*Page, error) {
 	}
 	s := &as.table[i][(addr-as.vmas[i].Start)/PageSize]
 	if *s == nil {
-		var data []byte
+		p := &Page{Data: new([PageSize]byte)}
 		if as.fault != nil {
-			var err error
-			if data, err = as.fault(addr / PageSize * PageSize); err != nil {
+			if err := as.fault(addr/PageSize*PageSize, p.Data); err != nil {
 				return nil, &FaultError{Addr: addr, Cause: err}
 			}
 		}
-		*s = newPage(data, 0)
+		*s = p
 		as.resident++
 	}
 	return *s, nil
@@ -570,7 +562,9 @@ func (as *AddressSpace) DropPage(idx uint64) {
 // handler (used by restore).
 func (as *AddressSpace) InstallPage(idx uint64, data []byte) {
 	as.markDirty(idx)
-	as.set(idx, newPage(data, 1))
+	p := &Page{Data: new([PageSize]byte), Version: 1}
+	copy(p.Data[:], data)
+	as.set(idx, p)
 	as.flushTLB()
 }
 

@@ -153,11 +153,10 @@ func TestReadAvailStopsAtBoundary(t *testing.T) {
 func TestFaultHandlerPopulatesPages(t *testing.T) {
 	as := mapped(t)
 	calls := 0
-	as.SetFaultHandler(func(pageAddr uint64) ([]byte, error) {
+	as.SetFaultHandler(func(pageAddr uint64, frame *[mem.PageSize]byte) error {
 		calls++
-		pg := make([]byte, mem.PageSize)
-		pg[0] = byte(pageAddr >> 12)
-		return pg, nil
+		frame[0] = byte(pageAddr >> 12)
+		return nil
 	})
 	v, err := as.ReadU64(0x12000)
 	if err != nil {
@@ -174,7 +173,7 @@ func TestFaultHandlerPopulatesPages(t *testing.T) {
 		t.Errorf("handler called %d times, want 1", calls)
 	}
 	// Handler errors surface as faults.
-	as.SetFaultHandler(func(uint64) ([]byte, error) { return nil, fmt.Errorf("boom") })
+	as.SetFaultHandler(func(uint64, *[mem.PageSize]byte) error { return fmt.Errorf("boom") })
 	if _, err := as.ReadU64(0x13000); err == nil {
 		t.Error("handler error did not fault")
 	}

@@ -74,11 +74,12 @@ func TestAddressSpaceMatchesModel(t *testing.T) {
 		if err := mapRange(48, 56); err != nil {
 			t.Fatal(err)
 		}
-		as.SetFaultHandler(func(addr uint64) ([]byte, error) {
+		as.SetFaultHandler(func(addr uint64, frame *[mem.PageSize]byte) error {
 			if addr/mem.PageSize%7 == 0 {
-				return nil, errors.New("page server down")
+				return errors.New("page server down")
 			}
-			return pageOf(byte(addr / mem.PageSize)), nil
+			copy(frame[:], pageOf(byte(addr/mem.PageSize)))
+			return nil
 		})
 		for step := 0; step < 600; step++ {
 			where := fmt.Sprintf("seed %d step %d", seed, step)

@@ -87,9 +87,10 @@ func TestTLBFlushPoints(t *testing.T) {
 		},
 		"DropPage": func(t *testing.T, as *mem.AddressSpace) {
 			calls := 0
-			as.SetFaultHandler(func(pageAddr uint64) ([]byte, error) {
+			as.SetFaultHandler(func(pageAddr uint64, frame *[mem.PageSize]byte) error {
 				calls++
-				return pageOf(0x5C), nil
+				copy(frame[:], pageOf(0x5C))
+				return nil
 			})
 			prime(t, as)
 			as.DropPage(tlbIdx)
@@ -187,7 +188,10 @@ func TestTLBFlushPoints(t *testing.T) {
 			}
 		},
 		"SetFaultHandler": func(t *testing.T, as *mem.AddressSpace) {
-			as.SetFaultHandler(func(uint64) ([]byte, error) { return pageOf(0x66), nil })
+			as.SetFaultHandler(func(_ uint64, frame *[mem.PageSize]byte) error {
+				copy(frame[:], pageOf(0x66))
+				return nil
+			})
 			if v := readWord(t, as, tlbPage+8); v != 0xAA {
 				t.Errorf("resident page re-faulted: %#x", v)
 			}
