@@ -76,8 +76,8 @@ loc:
 # over its ceiling. The ceilings are the counts of the last PR that moved
 # them; a PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it, and a PR that removes lines lowers it.
-LOC_CEILING = 26336
-LOC_MIGRATION_CEILING = 9091
+LOC_CEILING = 26540
+LOC_MIGRATION_CEILING = 9260
 loc-check:
 	@$(LOC_COUNT); all=$$(count internal cmd); mig=$$(count $(addprefix internal/,$(MIGRATION_PKGS))); \
 	if [ $$all -gt $(LOC_CEILING) ] || [ $$mig -gt $(LOC_MIGRATION_CEILING) ]; then \
@@ -133,7 +133,7 @@ bench-json:
 # pre-copy; the run itself fails if the codec stack saves nothing — and the
 # fleet table, as JSON for the CI artifacts.
 bench-quick:
-	$(GO) test -race -run=^$$ -bench='^Benchmark(Dump|FoldLink|PageSetStore|InstallPages|SendImages|LazyFault|Rewrite|ImgcheckVerify|ImageCodec)$$' -benchtime=1x .
+	$(GO) test -race -run=^$$ -bench='^Benchmark(Dump|FoldLink|PageSetStore|InstallPages|SendImages|LazyFault|LazyFaultRun|Rewrite|ImgcheckVerify|ImageCodec)$$' -benchtime=1x .
 	$(GO) run ./cmd/dapper-bench -jsonout BENCH_wirecodec.json wirecodec
 	$(GO) run ./cmd/dapper-bench -jsonout BENCH_fleet.json fleet
 

@@ -21,14 +21,17 @@ type FaultSpec struct {
 	// Seed seeds the fault pattern.
 	Seed int64
 	// FailRate is the probability a FlakySource.ReadPage call fails with
-	// an injected error (surfacing to TCP clients as an error frame).
+	// an injected error. Rates apply per page read: a TCP server's failed
+	// read of the requested page reaches the client as an error frame, of
+	// another page of its run as a not-sent frame.
 	FailRate float64
 	// DropRate is the probability a FlakyListener connection write is
 	// truncated mid-frame and the connection torn down — the
 	// "server died mid-page" failure.
 	DropRate float64
 	// Latency is added to an operation with probability LatencyRate —
-	// the "slow server" failure that trips client fetch deadlines.
+	// the "slow server" failure that trips client fetch deadlines; the
+	// delays of a run's page reads add up in front of its response.
 	Latency     time.Duration
 	LatencyRate float64
 }

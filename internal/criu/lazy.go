@@ -1,6 +1,7 @@
 package criu
 
 import (
+	"sort"
 	"sync"
 	"time"
 
@@ -37,12 +38,14 @@ type ProcessPageSource struct {
 // PageServerStats counts page-server activity (drives the Fig. 7 model).
 // It is a snapshot of obs counters (see Stats).
 type PageServerStats struct {
-	// Requests counts ReadPage calls, including ones that failed.
+	// Requests counts ReadPage calls, including ones that failed; for the
+	// TCP server, request frames, each of which may read a run of pages.
 	Requests uint64
-	// BytesSent counts payload bytes of successful fetches.
+	// BytesSent counts payload bytes of pages read successfully.
 	BytesSent uint64
-	// Errors counts fetches that failed (reported to clients as error
-	// frames by the TCP server rather than dropped connections).
+	// Errors counts page reads that failed (reported to clients as error
+	// or not-sent frames by the TCP server rather than dropped
+	// connections).
 	Errors uint64
 }
 
@@ -114,24 +117,89 @@ type obsSource struct {
 }
 
 func (o *obsSource) ReadPage(addr uint64, dst *[mem.PageSize]byte) error {
+	_, err := o.readRun(addr, dst, nil)
+	return err
+}
+
+func (o *obsSource) readRun(addr uint64, dst *[mem.PageSize]byte, run *lazyRun) (int, error) {
 	start := time.Now()
-	err := o.src.ReadPage(addr, dst)
+	landed, err := fetchRun(o.src, addr, dst, run)
 	o.lat.Observe(time.Since(start))
 	o.fetches.Inc()
+	pages := landed
 	if err != nil {
 		o.errs.Inc()
-		return err
+	} else {
+		pages++
 	}
-	o.bytes.Add(mem.PageSize)
-	return nil
+	o.bytes.Add(uint64(pages) * mem.PageSize)
+	return landed, err
+}
+
+// runReader is a PageSource that can answer a fault with more of its run
+// in the same round trip (RemotePageSource), or ObsSource passing the run
+// on to the source it wraps. readRun returns the run pages that arrived.
+type runReader interface {
+	readRun(addr uint64, dst *[mem.PageSize]byte, run *lazyRun) (int, error)
+}
+
+// fetchRun is src.ReadPage plus, if src fetches runs, the pages of addr's
+// run that run wants (nil: none), and returns how many of those arrived;
+// any other source, the in-process one with no round trip to amortize
+// among them, answers the faulting page alone.
+func fetchRun(src PageSource, addr uint64, dst *[mem.PageSize]byte, run *lazyRun) (int, error) {
+	if r, ok := src.(runReader); ok {
+		return r.readRun(addr, dst, run)
+	}
+	return 0, src.ReadPage(addr, dst)
+}
+
+// lazyRun is the destination's side of a fault's run.
+type lazyRun struct {
+	as   *mem.AddressSpace
+	addr uint64 // the faulting page
+}
+
+// want names the other pages of the faulting page's run that the dump
+// left on the source, that lie in the faulting page's VMA (never text),
+// and that the space lacks (never a page it holds or wrote). It is asked
+// afresh on every attempt.
+func (r *lazyRun) want() (want uint16) {
+	vma, _ := r.as.FindVMA(r.addr)
+	base, lazy := runBase(r.addr)/mem.PageSize, r.as.LazyPages()
+	i := sort.Search(len(lazy), func(i int) bool { return lazy[i].End > base })
+	for _, rg := range lazy[i:] {
+		if rg.Start >= base+runPages {
+			break
+		}
+		for idx := max(rg.Start, base); idx < min(rg.End, base+runPages); idx++ {
+			if _, held := r.as.PageData(idx); !held && vma.Contains(idx*mem.PageSize) && idx*mem.PageSize != r.addr {
+				want |= 1 << (idx - base)
+			}
+		}
+	}
+	return want
+}
+
+// land installs a page of the run that arrived, unless one is resident.
+func (r *lazyRun) land(addr uint64, frame *[mem.PageSize]byte) {
+	r.as.FillPage(addr/mem.PageSize, frame)
 }
 
 // InstallLazyHandler wires a restored process's page faults to a source:
 // each fault reads the page straight into the frame the address space
-// installs. A ReadPage error propagates out of the faulting memory access
-// as a *mem.FaultError whose Cause is the transport error (see
-// kernel.IsLazyFaultError), failing the process rather than silently
-// zero-filling the page.
+// installs. Over TCP the fault's first request also fetches the other
+// pages of its aligned 64 KiB run that p.AS.LazyPages lists and the space
+// lacks, and installs each as if it had faulted; a retry asks for the
+// faulting page alone. A ReadPage error propagates out of the faulting
+// memory access as a *mem.FaultError whose Cause is the transport error
+// (see kernel.IsLazyFaultError), failing the process rather than
+// silently zero-filling the page.
 func InstallLazyHandler(p *kernel.Process, src PageSource) {
-	p.AS.SetFaultHandler(src.ReadPage)
+	run := &lazyRun{as: p.AS}
+	p.AS.SetFaultHandler(func(addr uint64, frame *[mem.PageSize]byte) error {
+		run.addr = addr
+		_, err := fetchRun(src, addr, frame, run)
+		return err
+	})
 }

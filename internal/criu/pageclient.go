@@ -76,12 +76,12 @@ func (o PageClientOpts) withDefaults() PageClientOpts {
 // PageClientStats counts client-side transport activity. It is a snapshot
 // of the client's obs counters (see Stats).
 type PageClientStats struct {
-	Fetches      uint64 // successful ReadPage calls
+	Fetches      uint64 // successful requests (ReadPage calls and faults)
 	Retries      uint64 // attempts beyond each fetch's first
 	Reconnects   uint64 // redials after the connection broke
 	Timeouts     uint64 // attempts abandoned at FetchTimeout
 	RemoteErrors uint64 // explicit error frames from the server
-	BytesRead    uint64 // page payload bytes received
+	BytesRead    uint64 // page payload bytes received, run pages included
 	// Desyncs counts connections dropped because a response frame
 	// violated the framing, as opposed to plain teardown.
 	Desyncs uint64
@@ -103,8 +103,10 @@ var ErrRedialExhausted = errors.New("criu: page connection redial budget exhaust
 // connection with one request in flight, a deadline per attempt, and
 // bounded retry-and-reconnect. The restored process faults one page at a
 // time on the goroutine that steps it, so there is never a second
-// request to overlap with the first. It implements PageSource and is
-// safe for concurrent use: concurrent fetches take turns.
+// request to overlap with the first; instead a fault's one request asks
+// for the rest of its run (see InstallLazyHandler). It implements
+// PageSource and is safe for concurrent use: concurrent fetches take
+// turns.
 type RemotePageSource struct {
 	addr string
 	opts PageClientOpts
@@ -218,6 +220,15 @@ func (c *RemotePageSource) FetchPage(addr uint64) ([]byte, error) {
 
 // ReadPage implements PageSource with retry and reconnection.
 func (c *RemotePageSource) ReadPage(addr uint64, dst *[mem.PageSize]byte) error {
+	_, err := c.readRun(addr, dst, nil)
+	return err
+}
+
+// readRun implements runReader: ReadPage whose first attempt also asks
+// for the pages of addr's run that run wants. A retry asks for addr
+// alone: the server reads a whole response before writing it, so a run
+// delayed by one slow read would likely be delayed again on a retry.
+func (c *RemotePageSource) readRun(addr uint64, dst *[mem.PageSize]byte, run *lazyRun) (landed int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	backoff := c.opts.RetryBackoff
@@ -230,38 +241,45 @@ func (c *RemotePageSource) ReadPage(addr uint64, dst *[mem.PageSize]byte) error 
 				backoff *= 2
 			}
 		}
-		err := c.roundTrip(addr, dst)
+		n, err := c.roundTrip(addr, dst, run)
+		landed += n
 		if err == nil {
 			c.fetches.Inc()
 			c.bytes.Add(mem.PageSize)
-			return nil
+			return landed, nil
 		}
 		if errors.Is(err, ErrPageClientClosed) || errors.Is(err, ErrRedialExhausted) {
-			return err
+			return landed, err
 		}
-		lastErr = err
+		lastErr, run = err, nil
 	}
-	return fmt.Errorf("criu: page fetch 0x%x failed after %d attempts: %w",
+	return landed, fmt.Errorf("criu: page fetch 0x%x failed after %d attempts: %w",
 		addr, c.opts.MaxRetries+1, lastErr)
 }
 
-// roundTrip performs one fetch attempt; the caller holds c.mu. Any
-// transport or framing error leaves the stream position unknown, so it
-// drops the connection and the next attempt redials.
-func (c *RemotePageSource) roundTrip(addr uint64, dst *[mem.PageSize]byte) error {
+// roundTrip performs one fetch attempt and returns the run pages it
+// landed; the caller holds c.mu. Any transport or framing error leaves
+// the stream position unknown, so it drops the connection and the next
+// attempt redials.
+func (c *RemotePageSource) roundTrip(addr uint64, dst *[mem.PageSize]byte, run *lazyRun) (int, error) {
 	conn, err := c.live()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	req := pageRequest{ID: c.nextID, Addr: addr}
 	c.nextID++
-	resp, err := requestPage(conn, c.br, req, dst, c.opts.FetchTimeout)
+	var land func(uint64, *[mem.PageSize]byte)
+	if run != nil {
+		req.Want, land = run.want(), run.land
+	}
+	landed, remote, err := requestPage(conn, c.br, req, dst, land, c.opts.FetchTimeout)
+	c.bytes.Add(uint64(landed) * mem.PageSize)
 	if err != nil {
 		c.drop(conn)
 		if c.isClosed() {
 			// Close tore the connection down under us: not a server
 			// failure, and never counted as one.
-			return ErrPageClientClosed
+			return landed, ErrPageClientClosed
 		}
 		if errors.Is(err, errPageDesync) {
 			// A corrupt frame, not a closed conn: the retry redials
@@ -274,30 +292,31 @@ func (c *RemotePageSource) roundTrip(addr uint64, dst *[mem.PageSize]byte) error
 		if !c.sawFrame {
 			c.noteFail()
 		}
-		return fmt.Errorf("criu: page fetch 0x%x: %w", addr, err)
+		return landed, fmt.Errorf("criu: page fetch 0x%x: %w", addr, err)
 	}
 	if !c.sawFrame {
 		// The client reached a server that actually speaks the protocol.
 		c.sawFrame = true
 		c.fails = 0
 	}
-	if resp.Remote != "" {
+	if remote != "" {
 		c.remoteErrs.Inc()
-		return &RemoteFetchError{Addr: addr, Msg: resp.Remote}
+		return landed, &RemoteFetchError{Addr: addr, Msg: remote}
 	}
-	return nil
+	return landed, nil
 }
 
 // requestPage writes one request to conn and reads the response that
-// answers it into dst through br, conn's reader, both under one deadline,
-// which is cleared before returning so it cannot fire during a later,
-// unrelated fetch. A transport that cannot arm or clear the deadline is
-// treated as broken — talking unbounded to it could hang forever. With
-// one request in flight nothing may follow the response: a byte br holds
-// past it is a desync of this fetch, not the next fetch's bad magic.
-func requestPage(conn net.Conn, br *bufio.Reader, req pageRequest, dst *[mem.PageSize]byte, timeout time.Duration) (resp pageResponse, err error) {
+// answers it through br, conn's reader — the requested page into dst, the
+// wanted pages of its run to land — both under one deadline, which is
+// cleared before returning so it cannot fire during a later, unrelated
+// fetch. A transport that cannot arm or clear the deadline is treated as
+// broken — talking unbounded to it could hang forever. With one request
+// in flight nothing may follow the response: a byte br holds past it is a
+// desync of this fetch, not the next fetch's bad magic.
+func requestPage(conn net.Conn, br *bufio.Reader, req pageRequest, dst *[mem.PageSize]byte, land func(uint64, *[mem.PageSize]byte), timeout time.Duration) (landed int, remote string, err error) {
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return pageResponse{}, err
+		return 0, "", err
 	}
 	defer func() {
 		if cerr := conn.SetDeadline(time.Time{}); err == nil && cerr != nil {
@@ -305,17 +324,13 @@ func requestPage(conn net.Conn, br *bufio.Reader, req pageRequest, dst *[mem.Pag
 		}
 	}()
 	if err := writePageRequest(conn, req); err != nil {
-		return pageResponse{}, err
+		return 0, "", err
 	}
-	resp, err = readPageFrame(br, dst)
-	switch {
-	case err != nil:
-	case resp.ID != req.ID:
-		err = fmt.Errorf("%w: response to request %d while %d is in flight", errPageDesync, resp.ID, req.ID)
-	case br.Buffered() > 0:
+	landed, remote, err = readPageRun(br, req, dst, land)
+	if err == nil && br.Buffered() > 0 {
 		err = fmt.Errorf("%w: %d bytes after the response to request %d", errPageDesync, br.Buffered(), req.ID)
 	}
-	return resp, err
+	return landed, remote, err
 }
 
 // live returns the connection, dialing and negotiating a fresh one if

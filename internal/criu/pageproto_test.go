@@ -24,6 +24,8 @@ const (
 	respIDOff     = 3
 	respRawOff    = 7
 	respWireOff   = 11
+	respOffOff    = 15
+	respLeftOff   = 16
 )
 
 // respFrame is newPageResponse, failing t on an encoding error.
@@ -36,17 +38,31 @@ func respFrame(t testing.TB, codec imgproto.Codec, id uint32, page []byte, fetch
 	return frame
 }
 
-// newPageResponse is encodePageResponse over a fresh buffer holding page.
+// newPageResponse is the whole response to request id for one page:
+// encodePageFrame over a fresh buffer holding page.
 func newPageResponse(codec imgproto.Codec, id uint32, page []byte, fetchErr error) ([]byte, error) {
 	buf := make([]byte, pageRespHdrLen+mem.PageSize)
 	copy(buf[pageRespHdrLen:], page)
-	frame, _, err := encodePageResponse(buf, codec, id, fetchErr)
+	frame, _, err := encodePageFrame(buf, codec, id, 0, 0, fetchErr)
 	return frame, err
 }
 
-// readPageResponse is readPageFrame into a fresh page.
-func readPageResponse(r io.Reader) (pageResponse, error) {
-	return readPageFrame(r, new([mem.PageSize]byte))
+// pageResponse is the response to a request for one page, decoded.
+type pageResponse struct {
+	ID     uint32
+	Page   []byte // nil when the frame is an error frame
+	Remote string // the server's message for an error frame
+}
+
+// readPageResponse is readPageRun of the response to a request for one
+// page — request id — into a fresh page.
+func readPageResponse(r io.Reader, id uint32) (pageResponse, error) {
+	page := new([mem.PageSize]byte)
+	_, remote, err := readPageRun(r, pageRequest{ID: id, Addr: 5 * mem.PageSize}, page, nil)
+	if err != nil || remote != "" {
+		return pageResponse{ID: id, Remote: remote}, err
+	}
+	return pageResponse{ID: id, Page: page[:]}, nil
 }
 
 func TestPageBatchRoundTrip(t *testing.T) {
@@ -71,7 +87,7 @@ func TestPageBatchRoundTrip(t *testing.T) {
 				addr   uint64
 				remote string
 			}{{0, ""}, {0, "no such page"}, {7 * mem.PageSize, ""}} {
-				resp, err := readPageResponse(&stream)
+				resp, err := readPageResponse(&stream, uint32(i+1))
 				if err != nil {
 					t.Fatalf("frame %d: %v", i, err)
 				}
@@ -179,7 +195,7 @@ func TestReadPageBatchDesync(t *testing.T) {
 	for _, tc := range malformedPageFrames(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := bytes.NewReader(tc.frame)
-			_, err := readPageResponse(r)
+			_, err := readPageResponse(r, 9)
 			if err == nil {
 				t.Fatal("corrupt response frame decoded without error")
 			}
@@ -193,10 +209,105 @@ func TestReadPageBatchDesync(t *testing.T) {
 	}
 }
 
+// runRequest is the request the run responses below answer: page 5 of
+// the run at 0x40000, with pages 1, 6, 7 and 12 of it wanted too.
+var runRequest = pageRequest{ID: 9, Addr: 0x40000 + 5*mem.PageSize, Want: 1<<1 | 1<<6 | 1<<7 | 1<<12}
+
+// runFrames is the server's response to runRequest, frame by frame, with
+// the pages notSent names going out as NOT SENT.
+func runFrames(t testing.TB, codec imgproto.Codec, notSent uint16) [][]byte {
+	t.Helper()
+	srv := &PageServer{src: fetchFunc(func(addr uint64) ([]byte, error) {
+		if notSent&runBit(addr) != 0 {
+			return nil, errors.New("page withheld")
+		}
+		return pagePattern(addr), nil
+	})}
+	resp, err := srv.answer(make([]byte, runPages*(pageRespHdrLen+mem.PageSize)), codec, runRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames [][]byte
+	for len(resp) > 0 {
+		n := pageRespHdrLen + int(binary.BigEndian.Uint32(resp[respWireOff:]))
+		frames = append(frames, resp[:n:n])
+		resp = resp[n:]
+	}
+	return frames
+}
+
+// malformedRuns is every way a response to runRequest can break the run
+// framing while each of its frames is well formed on its own. Each is a
+// desync; it also seeds FuzzReadPageResponse.
+func malformedRuns(t testing.TB) []struct {
+	name   string
+	stream []byte
+} {
+	join := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+	f := runFrames(t, imgproto.CodecNone, 0)
+	outside := bytes.Clone(f[2])
+	outside[respOffOff] = 3 // page 8: in the run, not wanted
+	notSentPayload := bytes.Clone(runFrames(t, imgproto.CodecNone, 1<<6)[2])
+	notSentPayload = append(notSentPayload, 0, 0, 0, 0, 0, 0, 0, 0)
+	binary.BigEndian.PutUint32(notSentPayload[respRawOff:], 8)
+	binary.BigEndian.PutUint32(notSentPayload[respWireOff:], 8)
+	extra := bytes.Clone(f[0])
+	extra[respLeftOff]++
+	missing := bytes.Clone(f[2])
+	missing[respLeftOff]-- // a sender that skipped page 7 on purpose
+	errFrame := append(bytes.Clone(f[2][:pageRespHdrLen]), "gone"...)
+	errFrame[respStatusOff] = pageStatusErr
+	binary.BigEndian.PutUint32(errFrame[respRawOff:], 4)
+	binary.BigEndian.PutUint32(errFrame[respWireOff:], 4)
+	return []struct {
+		name   string
+		stream []byte
+	}{
+		{"frame for a page outside the want set", join(f[0], f[1], outside, f[3], f[4])},
+		{"frame out of address order", join(f[0], f[2], f[1], f[3], f[4])},
+		{"missing frame", join(f[0], f[1], f[2], f[4])},
+		{"missing frame, counted", join(f[0], f[1], missing, f[4])},
+		{"extra frame", join(extra, f[1], f[2], f[3], f[4], f[4])},
+		{"not-sent frame with a payload", join(f[0], f[1], notSentPayload, f[3], f[4])},
+		{"error frame for a page of the run", join(f[0], f[1], errFrame, f[3], f[4])},
+		{"bytes after the last frame", join(f[0], f[1], f[2], f[3], f[4], []byte{0xB3})},
+	}
+}
+
+// TestReadPageRunDesync: a run response whose frames are each well
+// formed is still refused, as a desync, if they are not exactly the
+// frames due — and the reader stops at the response's last frame, so a
+// byte behind it is left for requestPage's check.
+func TestReadPageRunDesync(t *testing.T) {
+	good := bytes.Join(runFrames(t, imgproto.CodecNone, 0), nil)
+	landed, remote, err := readPageRun(bytes.NewReader(good), runRequest, new([mem.PageSize]byte), func(uint64, *[mem.PageSize]byte) {})
+	if err != nil || remote != "" || landed != 4 {
+		t.Fatalf("well-formed run: %d landed, %q, %v; want 4, no message, no error", landed, remote, err)
+	}
+	for _, tc := range malformedRuns(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			r := bytes.NewReader(tc.stream)
+			_, _, err := readPageRun(r, runRequest, new([mem.PageSize]byte), func(uint64, *[mem.PageSize]byte) {})
+			if err == nil {
+				if r.Len() == 0 {
+					t.Fatal("malformed run response read without error")
+				}
+				return // requestPage's check: bytes after the response
+			}
+			if !errors.Is(err, errPageDesync) {
+				t.Errorf("error %v, want a desync", err)
+			}
+		})
+	}
+}
+
 // FuzzReadPageResponse: the one reader of bytes the page server sends
-// never panics, returns a whole page or a message or an error, and turns
-// a header that asks for more than a page away without reading — so
-// without allocating for — a byte of payload.
+// never panics; read as the response to a request for one page it
+// returns a whole page or a message or an error, and turns a header that
+// asks for more than a page away without reading — so without allocating
+// for — a byte of payload; read as the response to runRequest it lands
+// only pages of the want set, each at most once, and takes in at most
+// runPages frames of a page each.
 func FuzzReadPageResponse(f *testing.F) {
 	for _, tc := range malformedPageFrames(f) {
 		f.Add(tc.frame)
@@ -205,27 +316,50 @@ func FuzzReadPageResponse(f *testing.F) {
 	f.Add(respFrame(f, imgproto.CodecFlate, 2, pagePattern(mem.PageSize), nil))
 	f.Add(respFrame(f, imgproto.CodecFlate, 3, make([]byte, mem.PageSize), nil))
 	f.Add(respFrame(f, imgproto.CodecNone, 4, nil, errors.New("backing store gone")))
+	for _, tc := range malformedRuns(f) {
+		f.Add(tc.stream)
+	}
+	f.Add(bytes.Join(runFrames(f, imgproto.CodecNone, 0), nil))
+	f.Add(bytes.Join(runFrames(f, imgproto.CodecFlate, 1<<7|1<<12), nil))
 	f.Fuzz(func(t *testing.T, frame []byte) {
+		var id uint32 // the request in flight: whichever the header names
+		if len(frame) >= respIDOff+4 {
+			id = binary.BigEndian.Uint32(frame[respIDOff:])
+		}
 		r := bytes.NewReader(frame)
-		resp, err := readPageResponse(r)
+		resp, err := readPageResponse(r, id)
 		if err == nil && len(resp.Page) != mem.PageSize && resp.Remote == "" {
 			t.Fatalf("accepted a frame with a %d-byte page and no message", len(resp.Page))
 		}
 		if err == nil && resp.Page != nil && resp.Remote != "" {
 			t.Fatal("accepted a frame as both a page and an error")
 		}
-		if len(frame) < pageRespHdrLen {
-			return
+		if len(frame) >= pageRespHdrLen {
+			raw := binary.BigEndian.Uint32(frame[respRawOff:])
+			wire := binary.BigEndian.Uint32(frame[respWireOff:])
+			if raw > mem.PageSize || wire > mem.PageSize {
+				if err == nil {
+					t.Fatalf("accepted a frame of %d raw, %d wire bytes", raw, wire)
+				}
+				if read := len(frame) - r.Len(); read != pageRespHdrLen {
+					t.Fatalf("read %d bytes of a frame whose header asks for more than a page", read)
+				}
+			}
 		}
-		raw := binary.BigEndian.Uint32(frame[respRawOff:])
-		wire := binary.BigEndian.Uint32(frame[respWireOff:])
-		if raw > mem.PageSize || wire > mem.PageSize {
-			if err == nil {
-				t.Fatalf("accepted a frame of %d raw, %d wire bytes", raw, wire)
+
+		r = bytes.NewReader(frame)
+		seen := map[uint64]bool{}
+		landed, _, _ := readPageRun(r, runRequest, new([mem.PageSize]byte), func(addr uint64, _ *[mem.PageSize]byte) {
+			if addr == runRequest.Addr || runBase(addr) != runBase(runRequest.Addr) || runRequest.Want&runBit(addr) == 0 || seen[addr] {
+				t.Fatalf("landed page 0x%x: not wanted, or twice", addr)
 			}
-			if read := len(frame) - r.Len(); read != pageRespHdrLen {
-				t.Fatalf("read %d bytes of a frame whose header asks for more than a page", read)
-			}
+			seen[addr] = true
+		})
+		if landed != len(seen) {
+			t.Fatalf("reported %d pages landed, landed %d", landed, len(seen))
+		}
+		if read := len(frame) - r.Len(); read > runPages*(pageRespHdrLen+mem.PageSize) {
+			t.Fatalf("read %d bytes of one response: more than %d frames of a page", read, runPages)
 		}
 	})
 }
@@ -270,11 +404,11 @@ func TestPageServerRefusesSecondHello(t *testing.T) {
 	if err := pageHello(conn, imgproto.CodecNone, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := requestPage(conn, bufio.NewReader(conn), pageRequest{ID: 0, Addr: 3 * mem.PageSize}, new([mem.PageSize]byte), 2*time.Second)
-	if err != nil {
+	page := new([mem.PageSize]byte)
+	if _, _, err := requestPage(conn, bufio.NewReader(conn), pageRequest{ID: 0, Addr: 3 * mem.PageSize}, page, nil, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	checkPage(t, 3*mem.PageSize, resp.Page)
+	checkPage(t, 3*mem.PageSize, page[:])
 	if err := writePageRequest(conn, helloRequest(imgproto.CodecFlate)); err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +620,7 @@ func TestPageCodecDecodableNotRequestable(t *testing.T) {
 			if got := imgproto.Codec(tc.frame[respCodecOff]); got != tc.codec {
 				t.Fatalf("frame went out as %s, want %s", got, tc.codec)
 			}
-			resp, err := readPageResponse(bytes.NewReader(tc.frame))
+			resp, err := readPageResponse(bytes.NewReader(tc.frame), 7)
 			if !tc.decodes {
 				if !errors.Is(err, errPageDesync) {
 					t.Errorf("frame: error %v, want a desync", err)

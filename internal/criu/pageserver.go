@@ -2,6 +2,7 @@ package criu
 
 import (
 	"fmt"
+	"math/bits"
 	"net"
 	"sync"
 	"time"
@@ -13,10 +14,12 @@ import (
 
 // PageServer serves page requests over TCP using the frame protocol in
 // pageproto.go. Each accepted connection is served by its own goroutine,
-// one request at a time: read a request, read the page into the response
-// frame, write the frame. A ReadPage failure is reported to the client as an
-// explicit error frame instead of dropping the connection, so one bad
-// page cannot desynchronize an otherwise healthy stream.
+// one request at a time: read a request, read the page and the wanted
+// pages of its run into the response, write the response. A ReadPage
+// failure is reported to the client as an explicit error (or not-sent)
+// frame instead of dropping the connection, so one bad page cannot
+// desynchronize an otherwise healthy stream. The server reads every page
+// through its PageSource's ReadPage, whatever the source is.
 type PageServer struct {
 	src PageSource
 	ln  net.Listener
@@ -89,8 +92,8 @@ func ServePagesObs(ln net.Listener, src PageSource, reg *obs.Registry) *PageServ
 func (s *PageServer) Addr() string { return s.ln.Addr().String() }
 
 // Stats returns a snapshot of the server-side counters: every request
-// frame received, bytes of page payload sent, and fetches answered with an
-// error frame.
+// frame received, bytes of page payload sent, and page reads answered with
+// an error or not-sent frame.
 func (s *PageServer) Stats() PageServerStats {
 	return PageServerStats{
 		Requests:  s.reqs.Value(),
@@ -157,6 +160,12 @@ func (s *PageServer) acceptLoop() {
 	}
 }
 
+// runBuf is a response buffer, room for a run of maximal frames. They are
+// pooled: a migration dials one connection and should not allocate one.
+type runBuf = [runPages * (pageRespHdrLen + mem.PageSize)]byte
+
+var runBufs = sync.Pool{New: func() any { return new(runBuf) }}
+
 func (s *PageServer) serveConn(conn net.Conn) {
 	// The hello is mandatory: a peer that opens with anything else does
 	// not speak this protocol.
@@ -173,39 +182,59 @@ func (s *PageServer) serveConn(conn net.Conn) {
 		return
 	}
 	// One response buffer, reused: the previous response is written
-	// before the next request is read. The source fills its payload
-	// region and the frame is encoded around it, so this side copies a
-	// page once, when the source reads it.
-	buf := make([]byte, pageRespHdrLen+mem.PageSize)
-	page := (*[mem.PageSize]byte)(buf[pageRespHdrLen:])
+	// before the next request is read.
+	buf := runBufs.Get().(*runBuf)
+	defer runBufs.Put(buf)
 	for {
 		req, err := readPageRequest(conn)
-		if err != nil || isHelloRequest(req) {
+		if err != nil || isHelloRequest(req) || req.Want&runBit(req.Addr) != 0 {
 			// A second hello on a negotiated connection is a protocol
 			// violation, not a renegotiation.
 			return
 		}
+		resp, err := s.answer(buf[:], codec, req)
+		if err == nil {
+			_, err = conn.Write(resp)
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// answer encodes the response to req into buf: req.Addr's frame, then
+// one per wanted page in address order. The source fills each frame's
+// payload region and the frame is encoded around it, packed behind the
+// one before, so a page is copied once and the response leaves in one
+// write — one syscall, and one roll of a lossy link's dice.
+func (s *PageServer) answer(buf []byte, codec imgproto.Codec, req pageRequest) ([]byte, error) {
+	s.reqs.Inc()
+	n := 0
+	addr, want := req.Addr, req.Want
+	for left := bits.OnesCount16(want); left >= 0; left-- {
+		page := (*[mem.PageSize]byte)(buf[n+pageRespHdrLen:])
 		start := time.Now()
-		ferr := s.src.ReadPage(req.Addr, page)
-		s.svcLat.Observe(time.Since(start))
-		s.reqs.Inc()
+		ferr := s.src.ReadPage(addr, page)
+		read := time.Now()
+		s.svcLat.Observe(read.Sub(start))
 		if ferr != nil {
 			s.errsC.Inc()
 		} else {
 			s.bytesSent.Add(mem.PageSize)
 		}
-		start = time.Now()
-		frame, rawN, err := encodePageResponse(buf, codec, req.ID, ferr)
-		s.codecNs.Observe(time.Since(start))
-		if err == nil {
-			_, err = conn.Write(frame)
-		}
+		off := int(int64(addr-req.Addr) / mem.PageSize)
+		frame, rawN, err := encodePageFrame(buf[n:], codec, req.ID, off, left, ferr)
+		s.codecNs.Observe(time.Since(read))
 		if err != nil {
-			return
+			return nil, err
 		}
 		s.frames.Inc()
-		s.forms[frame[1]].Inc() // the codec byte encodePageResponse just wrote
+		s.forms[frame[1]].Inc() // the codec byte encodePageFrame just wrote
 		s.bytesRaw.Add(uint64(rawN))
 		s.bytesWire.Add(uint64(len(frame)))
+		n += len(frame)
+		addr = runBase(req.Addr) + uint64(bits.TrailingZeros16(want))*mem.PageSize
+		want &= want - 1
 	}
+	return buf[:n], nil
 }

@@ -135,7 +135,8 @@ func preflight(v *image.View, provider BinaryProvider) (*compiler.Binary, error)
 // flag, and adoption by the kernel. Zero pages are materialized only when
 // the image is lazy: a post-copy restore installs a fault handler, and a
 // zero page must never round-trip to the page server; lazy pages are left
-// for that handler. It also returns the number of pages installed.
+// for that handler, and listed in the address space's LazyPages. It also
+// returns the number of pages installed.
 func install(k *kernel.Kernel, v *image.View, bin *compiler.Binary) (*kernel.Process, int, error) {
 	n := v.Pagemap.Counts()
 	if n[image.PageParent] > 0 {
@@ -172,6 +173,13 @@ func install(k *kernel.Kernel, v *image.View, bin *compiler.Binary) (*kernel.Pro
 	})
 	as.InstallPages(dataPages, v.Pages.Page)
 	installed += len(dataPages)
+	var lazy []mem.PageRange
+	for _, en := range v.Pagemap.Entries {
+		if start := en.Vaddr / mem.PageSize; en.Lazy {
+			lazy = append(lazy, mem.PageRange{Start: start, End: start + uint64(en.NrPages)})
+		}
+	}
+	as.SetLazyPages(lazy)
 
 	inv := v.Inventory
 	p := kernel.NewRestoredProcess(inv.Arch, stackmap.CoderFor(inv.Arch), as)

@@ -277,6 +277,16 @@ func main() {
 			t.Errorf("zero page 0x%x not materialized at restore", addr)
 		}
 	}
+	// The lazy pages, and only those, are listed for the fault handler.
+	var lazy []uint64
+	for _, rg := range p2.AS.LazyPages() {
+		for idx := rg.Start; idx < rg.End; idx++ {
+			lazy = append(lazy, idx*mem.PageSize)
+		}
+	}
+	if !slices.Equal(lazy, pages[image.PageLazy]) {
+		t.Errorf("restore listed %d lazy pages, the pagemap %d", len(lazy), len(pages[image.PageLazy]))
+	}
 	rec := &recordingSource{inner: criu.NewProcessPageSource(p), addrs: map[uint64]bool{}}
 	criu.InstallLazyHandler(p2, rec)
 	if err := k2.Run(p2); err != nil {

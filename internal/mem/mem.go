@@ -166,6 +166,7 @@ type AddressSpace struct {
 	tlbMisses uint64
 
 	fault FaultHandler
+	lazy  []PageRange // SetLazyPages
 
 	// tracking/dirty implement soft-dirty page tracking (see softdirty.go):
 	// while tracking is on, every store records its page index in dirty.
@@ -194,6 +195,17 @@ func (as *AddressSpace) SetFaultHandler(h FaultHandler) {
 	as.fault = h
 	as.flushTLB()
 }
+
+// PageRange is the pages with indices in [Start, End).
+type PageRange struct{ Start, End uint64 }
+
+// SetLazyPages records, sorted and disjoint, the pages a post-copy restore
+// left on its source: absent here, and the fault handler's to fetch, ahead
+// of their own faults if it likes.
+func (as *AddressSpace) SetLazyPages(r []PageRange) { as.lazy = r }
+
+// LazyPages returns what SetLazyPages recorded.
+func (as *AddressSpace) LazyPages() []PageRange { return as.lazy }
 
 // flushTLB forgets every cached verdict. Each method that changes what a
 // page index means — which frame is behind it, whether it is mapped,
@@ -348,16 +360,39 @@ func (as *AddressSpace) page(addr uint64, write bool) (*Page, error) {
 	}
 	s := &as.table[i][(addr-as.vmas[i].Start)/PageSize]
 	if *s == nil {
-		p := &Page{Data: new([PageSize]byte)}
+		frame := new([PageSize]byte)
 		if as.fault != nil {
-			if err := as.fault(addr/PageSize*PageSize, p.Data); err != nil {
+			if err := as.fault(addr/PageSize*PageSize, frame); err != nil {
 				return nil, &FaultError{Addr: addr, Cause: err}
 			}
 		}
-		*s = p
-		as.resident++
+		as.fill(s, frame)
 	}
 	return *s, nil
+}
+
+// fill installs frame as the page of the empty slot s, as a fault does:
+// private, and with nothing cached to flush.
+func (as *AddressSpace) fill(s **Page, frame *[PageSize]byte) {
+	*s = &Page{Data: frame}
+	as.resident++
+}
+
+// FillPage installs frame, which the space then owns, as page idx exactly
+// as a fault installs its handler's frame, if idx is in a VMA and has no
+// page: it never replaces one. A fault handler may call it for other pages
+// (criu's post-copy handler lands the rest of a fetched run this way).
+func (as *AddressSpace) FillPage(idx uint64, frame *[PageSize]byte) bool {
+	i := as.vmaAt(idx * PageSize)
+	if i < 0 {
+		return false
+	}
+	s := &as.table[i][idx-as.vmas[i].Start/PageSize]
+	if *s != nil {
+		return false
+	}
+	as.fill(s, frame)
+	return true
 }
 
 // ReadU64 reads an 8-byte little-endian word.

@@ -179,6 +179,46 @@ func TestFaultHandlerPopulatesPages(t *testing.T) {
 	}
 }
 
+// TestFillPageFromFaultHandler: a fault handler may install other pages
+// with FillPage, each as a fault installs its own — private, resident, the
+// frame itself — but only into an empty slot inside a VMA: it never
+// replaces a resident page.
+func TestFillPageFromFaultHandler(t *testing.T) {
+	as := mapped(t)
+	if err := as.WriteU64(0x12008, 7); err != nil { // resident before the fault
+		t.Fatal(err)
+	}
+	frames := map[uint64]*[mem.PageSize]byte{}
+	as.SetFaultHandler(func(pageAddr uint64, frame *[mem.PageSize]byte) error {
+		for _, idx := range []uint64{0x11, 0x12, 0x13, 1 << 40} {
+			f := new([mem.PageSize]byte)
+			f[8] = byte(idx)
+			if as.FillPage(idx, f) {
+				frames[idx] = f
+			}
+		}
+		frame[8] = 0xFF
+		return nil
+	})
+	if v, err := as.ReadU64(0x10008); err != nil || v != 0xFF {
+		t.Fatalf("faulting page: %x, %v", v, err)
+	}
+	if len(frames) != 2 || frames[0x11] == nil || frames[0x13] == nil {
+		t.Fatalf("FillPage installed %d pages, want 0x11 and 0x13 only", len(frames))
+	}
+	for idx, want := range map[uint64]uint64{0x11: 0x11, 0x12: 7, 0x13: 0x13} {
+		if v, err := as.ReadU64(idx*mem.PageSize + 8); err != nil || v != want {
+			t.Errorf("page 0x%x: word 1 = %x (%v), want %x", idx, v, err, want)
+		}
+	}
+	if data, _ := as.PageData(0x11); &data[0] != &frames[0x11][0] || as.PageShared(0x11) {
+		t.Error("a filled page is not its frame, private")
+	}
+	if got := as.ResidentBytes() / mem.PageSize; got != 4 {
+		t.Errorf("%d pages resident, want 4", got)
+	}
+}
+
 func TestDropAndInstallPage(t *testing.T) {
 	as := mapped(t)
 	if err := as.WriteU64(0x14000, 42); err != nil {
