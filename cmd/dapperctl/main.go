@@ -49,9 +49,8 @@
 //	    List every job the daemon knows with state and attempt counts.
 //
 //	dapperctl status -socket dapperd.sock [-json] [-full]
-//	    Fleet summary: per-node utilization and queue depths. -full
-//	    prints the whole report including migration latency percentiles
-//	    and the obs payload.
+//	    Fleet report: job counts, migration latency percentiles and
+//	    per-node utilization. -full adds the obs payload to -json.
 //
 //	dapperctl drain-node -socket dapperd.sock [-undrain] NODE
 //	    Stop placing new migrations on NODE (in-flight ones finish);
@@ -627,55 +626,34 @@ func cmdStatus(args []string) error {
 	fs := flag.NewFlagSet("status", flag.ContinueOnError)
 	socket := fleetSocket(fs)
 	jsonOut := fs.Bool("json", false, "emit JSON")
-	full := fs.Bool("full", false, "full report including latency percentiles and obs payload")
+	full := fs.Bool("full", false, "include the obs telemetry payload (with -json)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("usage: dapperctl status [-socket S] [-json] [-full]")
 	}
+	req := fleet.Request{Op: fleet.OpStatus}
 	if *full {
-		resp, err := fleet.Call(*socket, fleet.Request{Op: fleet.OpReport})
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			data, err := resp.Report.JSON()
-			if err != nil {
-				return err
-			}
-			fmt.Println(string(data))
-			return nil
-		}
-		fmt.Print(resp.Report.Text())
-		return nil
+		req.Op = fleet.OpReport
 	}
-	resp, err := fleet.Call(*socket, fleet.Request{Op: fleet.OpStatus})
+	resp, err := fleet.Call(*socket, req)
 	if err != nil {
 		return err
 	}
-	st := resp.Status
+	rep := resp.Status
+	if *full {
+		rep = resp.Report
+	}
 	if *jsonOut {
-		data, err := json.MarshalIndent(st, "", "  ")
+		data, err := rep.JSON()
 		if err != nil {
 			return err
 		}
 		fmt.Println(string(data))
 		return nil
 	}
-	fmt.Printf("fleet: policy=%s jobs %d submitted / %d done / %d failed / %d pending / %d running retries=%d rollbacks=%d\n",
-		st.Policy, st.Submitted, st.Done, st.Failed, st.Pending, st.Running, st.Retries, st.Rollbacks)
-	for _, n := range st.Nodes {
-		status := ""
-		if n.Drained {
-			status += " DRAINED"
-		}
-		if n.Down {
-			status += " DOWN"
-		}
-		fmt.Printf("node %-10s %s cap=%d running=%d peak=%d done=%d failed=%d util=%.2f%s\n",
-			n.Name, n.Arch, n.Capacity, n.Running, n.HighWater, n.Done, n.Failed, n.Utilization, status)
-	}
+	fmt.Print(rep.Text())
 	return nil
 }
 

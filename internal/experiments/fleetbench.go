@@ -46,11 +46,10 @@ func main() {
 // wall-clock the queue took to drain.
 func fleetRun(c workloads.Class, conc int) (*fleet.FleetReport, time.Duration, error) {
 	m, err := fleet.NewManager(fleet.Config{
-		MaxJobs:       conc,
-		Policy:        "isa-affinity",
-		RetryBase:     time.Millisecond,
-		RetryMax:      20 * time.Millisecond,
-		SchedulerTick: 2 * time.Millisecond,
+		MaxJobs:   conc,
+		Policy:    "isa-affinity",
+		RetryBase: time.Millisecond,
+		RetryMax:  20 * time.Millisecond,
 	})
 	if err != nil {
 		return nil, 0, err

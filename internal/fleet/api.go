@@ -31,43 +31,15 @@ type Request struct {
 	Undrain bool   `json:"undrain,omitempty"`
 }
 
-// StatusView is the OpStatus summary: the fleet report without the full
-// obs payload.
-type StatusView struct {
-	Policy    string       `json:"policy"`
-	Nodes     []NodeReport `json:"nodes"`
-	Submitted uint64       `json:"jobs_submitted"`
-	Done      uint64       `json:"jobs_done"`
-	Failed    uint64       `json:"jobs_failed"`
-	Pending   int          `json:"jobs_pending"`
-	Running   int          `json:"jobs_running"`
-	Retries   uint64       `json:"retries"`
-	Rollbacks uint64       `json:"rollbacks"`
-}
-
 // Response is the daemon's answer.
 type Response struct {
 	OK  bool   `json:"ok"`
 	Err string `json:"err,omitempty"`
 
-	JobID  int          `json:"job_id,omitempty"`
-	Job    *JobView     `json:"job,omitempty"`
-	Jobs   []JobView    `json:"jobs,omitempty"`
-	Status *StatusView  `json:"status,omitempty"`
+	JobID int       `json:"job_id,omitempty"`
+	Job   *JobView  `json:"job,omitempty"`
+	Jobs  []JobView `json:"jobs,omitempty"`
+	// Status answers OpStatus: the fleet report without its obs payload.
+	Status *FleetReport `json:"status,omitempty"`
 	Report *FleetReport `json:"report,omitempty"`
-}
-
-// status condenses a report into the OpStatus view.
-func statusOf(rep *FleetReport) *StatusView {
-	return &StatusView{
-		Policy:    rep.Policy,
-		Nodes:     rep.Nodes,
-		Submitted: rep.Submitted,
-		Done:      rep.Done,
-		Failed:    rep.FailedJ,
-		Pending:   rep.Pending,
-		Running:   rep.Running,
-		Retries:   rep.Retries,
-		Rollbacks: rep.Rollbacks,
-	}
 }

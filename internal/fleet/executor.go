@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -11,7 +12,9 @@ import (
 	"github.com/dapper-sim/dapper/internal/monitor"
 )
 
-// The executor runs one migration attempt end to end:
+// The executor runs one attempt of a job, then settles its outcome. A
+// clone job's attempt restores its manifest (attemptClone, clone.go); a
+// migration's runs end to end:
 //
 //  1. First attempt only: start the job's program on the source node and
 //     run it to the spec's cycle fraction (the migration point).
@@ -22,125 +25,157 @@ import (
 //  3. Lazy jobs then run the restored process, realizing post-copy
 //     faults; a fetch that exhausts its retries surfaces as a
 //     kernel.IsLazyFaultError.
-//  4. On a retryable failure: roll back to the source — release the
+//  4. On a transport failure: roll back to the source — release the
 //     transport, reap the dead restored process
 //     (cluster.MigrationResult.Rollback), resume the paused source at
-//     its equivalence points (monitor.ResumeLocal) — and requeue the job
-//     with exponential backoff.
-//  5. On success: run the restored process to completion and verify its
+//     its equivalence points (monitor.ResumeLocal) — and return a
+//     retryable error, so settle requeues the job with exponential
+//     backoff.
+//  5. On success: run the restored process to completion, verify its
 //     combined console output against the program's native reference —
-//     the end-to-end corruption check.
+//     the end-to-end corruption check — and reap it.
 //
 // Node slots are held for the attempt's whole lifetime and released
-// before the backoff sleep, so a retrying job never starves its nodes.
+// before the backoff, so a retrying job never starves its nodes. When a
+// job ends, retire reaps its source process and releases a clone job's
+// manifest pin, so a finished job leaves no process in any node's kernel.
 
 // maxPauses bounds the monitor's equivalence-point wait per attempt.
 const maxPauses = 1 << 20
+
+// retryable marks an attempt failure the job can retry from: every clone
+// job failure (the pinned manifest is still there to restore), and a
+// migration failure whose rollback kept the source process.
+type retryable struct{ error }
+
+func (e retryable) Unwrap() error { return e.error }
 
 // runJob is the executor goroutine: one attempt, then state transition.
 func (m *Manager) runJob(job *Job, src, dst *NodeState, attempt int) {
 	defer m.wg.Done()
 	//lint:ignore wallclock host busy-time for slot utilization accounting; feeds fleet.attempt_host_ns, never a modeled breakdown
 	start := time.Now()
-	err := m.attempt(job, src, dst, attempt)
+	var err error
+	if job.Spec.Manifest != "" {
+		err = m.attemptClone(job, dst)
+	} else {
+		err = m.attempt(job, src, dst, attempt)
+	}
 	//lint:ignore wallclock host busy-time for slot utilization accounting; feeds fleet.attempt_host_ns, never a modeled breakdown
 	busy := time.Since(start)
-	src.release(busy)
-	dst.release(busy)
+	nodes := held(src, dst)
+	nodes.release(busy)
 	m.jobSlots.Release()
 	m.reg.Histogram("fleet.attempt_host_ns").Observe(busy)
-	m.settle(job, src, dst, err)
+	m.settle(job, nodes, err)
 	m.kick()
 }
 
 // settle applies an attempt's outcome to the job under the manager lock
-// and journals the transition.
-func (m *Manager) settle(job *Job, src, dst *NodeState, err error) {
+// and journals the transition. A failed attempt is retried while budget
+// is left if its error is retryable; the retry's backoff deadline arms a
+// timer that wakes the scheduler. A job that ends is retired.
+func (m *Manager) settle(job *Job, nodes slots, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err == nil {
-		job.State = Done
-		job.Err = ""
-		job.proc = nil
-		src.done.Add(1)
-		dst.done.Add(1)
+	var ev Event
+	switch {
+	case err == nil:
+		job.State, job.Err = Done, ""
 		m.reg.Counter("fleet.jobs_done").Inc()
-		m.reg.Histogram("fleet.migration_ns").Observe(job.MigrationTime)
-		m.reg.Histogram("fleet.downtime_ns").Observe(job.Downtime)
-		if jerr := m.journal.Append(Event{Type: "done", Job: job.ID, Retries: job.Retries}); jerr != nil {
-			job.Err = jerr.Error()
+		if job.Spec.Manifest == "" { // a clone job migrates nothing
+			m.reg.Histogram("fleet.migration_ns").Observe(job.MigrationTime)
+			m.reg.Histogram("fleet.downtime_ns").Observe(job.Downtime)
 		}
-		return
-	}
-	src.failed.Add(1)
-	dst.failed.Add(1)
-	m.reg.Counter("fleet.attempts_failed").Inc()
-	retryable := job.proc != nil // rollback preserved the source process
-	if retryable && job.Attempts <= job.Spec.MaxRetries {
-		job.State = Pending
+		ev = Event{Type: "done", Job: job.ID, Retries: job.Retries}
+	case errors.As(err, new(retryable)) && job.Attempts <= job.Spec.MaxRetries:
+		job.State, job.Err = Pending, err.Error()
 		job.Retries++
-		job.Err = err.Error()
+		backoff := m.backoffFor(job.Attempts)
 		//lint:ignore wallclock retry backoff is host-side scheduling; the modeled migration clock never sees it
-		job.notBefore = time.Now().Add(m.backoffFor(job.Attempts))
+		job.notBefore = time.Now().Add(backoff)
+		time.AfterFunc(backoff, m.kick)
 		m.reg.Counter("fleet.retries").Inc()
-		if jerr := m.journal.Append(Event{Type: "retry", Job: job.ID, Err: err.Error()}); jerr != nil {
-			job.State = Failed
-			job.Err = jerr.Error()
-		}
-		return
+		ev = Event{Type: "retry", Job: job.ID, Err: job.Err}
+	default:
+		job.State, job.Err = Failed, err.Error()
+		m.reg.Counter("fleet.jobs_failed").Inc()
+		ev = Event{Type: "failed", Job: job.ID, Err: job.Err, Retries: job.Retries}
 	}
-	job.State = Failed
-	job.Err = err.Error()
-	job.proc = nil
-	m.reg.Counter("fleet.jobs_failed").Inc()
-	if jerr := m.journal.Append(Event{Type: "failed", Job: job.ID, Err: err.Error(), Retries: job.Retries}); jerr != nil {
+	if err != nil {
+		m.reg.Counter("fleet.attempts_failed").Inc()
+	}
+	for _, n := range nodes {
+		if err == nil {
+			n.done.Add(1)
+		} else {
+			n.failed.Add(1)
+		}
+	}
+	if jerr := m.journal.Append(ev); jerr != nil {
+		// A retry the journal does not hold would be lost on restart;
+		// fail the job rather than run it unjournaled.
+		if job.State == Pending {
+			job.State = Failed
+		}
 		job.Err = jerr.Error()
+	}
+	if job.State != Pending {
+		m.retire(job)
+	}
+}
+
+// retire releases what a job holds once it has ended: its source process
+// (paused, resumed by a rollback, or never migrated) and a clone job's
+// manifest pin. It runs after the terminal event is journaled, so a crash
+// in between leaks only the pin, which startup reconciliation releases
+// (Unref of an absent ref is a no-op). Callers hold m.mu.
+func (m *Manager) retire(job *Job) {
+	if job.proc != nil {
+		m.nodes[job.Src].Node.K.Reap(job.proc)
+		job.proc = nil
+	}
+	if job.Spec.Manifest != "" {
+		if err := m.cfg.Registry.Unref(job.Spec.Manifest, cloneOwner(job.ID)); err != nil && job.Err == "" {
+			job.Err = err.Error()
+		}
 	}
 }
 
 // attempt runs one migration attempt. A nil error means the job is done
-// (migrated, run to completion, output verified). On a retryable failure
-// the source process is left alive and resumed, and job.proc stays set;
-// on an unrecoverable failure job.proc is cleared so settle fails the
-// job terminally regardless of retry budget.
+// (migrated, run to completion, output verified). A failure is retryable
+// only if rollback resumed the source process; the job keeps that
+// process in job.proc either way until retire reaps it.
 func (m *Manager) attempt(job *Job, src, dst *NodeState, attempt int) error {
 	m.mu.Lock()
 	prog := m.programs[job.Spec.Program]
 	m.mu.Unlock()
 	if prog == nil {
-		job.proc = nil
 		return fmt.Errorf("fleet: program %q vanished", job.Spec.Program)
 	}
 	refCycles, refOut, err := prog.reference(src.Node.Spec)
 	if err != nil {
-		job.proc = nil
 		return err
 	}
 
 	// First dispatch: materialize the source process at the migration
 	// point.
 	if job.proc == nil {
-		proc, err := src.Node.Start(job.Spec.Program)
-		if err != nil {
-			job.proc = nil
+		if job.proc, err = src.Node.Start(job.Spec.Program); err != nil {
 			return fmt.Errorf("fleet: start %q on %s: %w", job.Spec.Program, src.Name, err)
 		}
-		alive, err := src.Node.K.RunBudget(proc, uint64(float64(refCycles)*job.Spec.RunFrac))
+		alive, err := src.Node.K.RunBudget(job.proc, uint64(float64(refCycles)*job.Spec.RunFrac))
 		if err != nil {
-			job.proc = nil
 			return fmt.Errorf("fleet: run to %.0f%%: %w", job.Spec.RunFrac*100, err)
 		}
 		if !alive {
-			job.proc = nil
 			return fmt.Errorf("fleet: %q finished before the %.0f%% migration point", job.Spec.Program, job.Spec.RunFrac*100)
 		}
-		job.proc = &srcProcess{node: src.Name, proc: proc}
 	}
-	proc := job.proc.proc
+	proc := job.proc
 
 	opts, err := m.migrateOpts(job, attempt, refCycles)
 	if err != nil {
-		job.proc = nil
 		return err
 	}
 
@@ -148,9 +183,10 @@ func (m *Manager) attempt(job *Job, src, dst *NodeState, attempt int) error {
 	if err != nil {
 		// The source is still paused at its equivalence points (or never
 		// fully parked); resume it so the next attempt can re-pause.
-		m.rollbackToSource(job, src, proc, prog)
-		return fmt.Errorf("fleet: migrate %s->%s: %w", src.Name, dst.Name, err)
+		return m.rollbackToSource(src, proc, prog, fmt.Errorf("fleet: migrate %s->%s: %w", src.Name, dst.Name, err))
 	}
+	// The restored process has done its work once its output is read.
+	defer dst.Node.K.Reap(res.Proc)
 
 	// Run the restored process to completion on the destination. For
 	// lazy jobs this is where injected post-copy faults surface.
@@ -160,21 +196,18 @@ func (m *Manager) attempt(job *Job, src, dst *NodeState, attempt int) error {
 			if rbErr := res.Rollback(); rbErr != nil {
 				runErr = fmt.Errorf("%w (rollback: %v)", runErr, rbErr)
 			}
-			m.rollbackToSource(job, src, proc, prog)
-			return fmt.Errorf("fleet: post-copy run on %s: %w", dst.Name, runErr)
+			return m.rollbackToSource(src, proc, prog, fmt.Errorf("fleet: post-copy run on %s: %w", dst.Name, runErr))
 		}
 		// Not a transport failure — the source may already be reaped
 		// (vanilla/precopy); fail terminally.
 		if cerr := res.Close(); cerr != nil {
 			runErr = fmt.Errorf("%w (close: %v)", runErr, cerr)
 		}
-		job.proc = nil
 		return fmt.Errorf("fleet: run restored process on %s: %w", dst.Name, runErr)
 	}
 	res.FinalizeLazyStats()
 	srcOut := proc.ConsoleString()
 	if err := res.Close(); err != nil {
-		job.proc = nil
 		return fmt.Errorf("fleet: close migration: %w", err)
 	}
 
@@ -182,7 +215,6 @@ func (m *Manager) attempt(job *Job, src, dst *NodeState, attempt int) error {
 	// output must equal the native run exactly.
 	total := srcOut + res.Proc.ConsoleString()
 	if total != refOut {
-		job.proc = nil
 		m.reg.Counter("fleet.corrupt_outputs").Inc()
 		return fmt.Errorf("fleet: corrupt migration: output %q != native %q", total, refOut)
 	}
@@ -248,13 +280,14 @@ func (m *Manager) migrateOpts(job *Job, attempt int, refCycles uint64) (cluster.
 }
 
 // rollbackToSource resumes the job's paused source process so a later
-// attempt can re-pause and re-dump it. If the resume itself fails the
-// job cannot continue from this process; it is cleared so the job fails
-// terminally.
-func (m *Manager) rollbackToSource(job *Job, src *NodeState, proc *kernel.Process, prog *program) {
+// attempt can re-pause and re-dump it, and returns err as retryable. If
+// the resume itself fails the job cannot continue from this process, and
+// err is returned unmarked so the job fails terminally.
+func (m *Manager) rollbackToSource(src *NodeState, proc *kernel.Process, prog *program, err error) error {
 	m.reg.Counter("fleet.rollbacks").Inc()
-	if err := monitor.New(src.Node.K, proc, prog.pair.Meta).ResumeLocal(); err != nil {
-		job.proc = nil
+	if rerr := monitor.New(src.Node.K, proc, prog.pair.Meta).ResumeLocal(); rerr != nil {
 		m.reg.Counter("fleet.rollback_failures").Inc()
+		return err
 	}
+	return retryable{err}
 }

@@ -7,9 +7,10 @@
 //
 //   - a set of named nodes (mixed SX86/SARM cluster.Nodes with per-node
 //     migration-slot capacities, bounded by parallel.Semaphore);
-//   - a job queue of migration requests journaled to disk (see
-//     journal.go), so a restarted daemon resumes its queue without loss
-//     or duplication;
+//   - a job queue journaled to disk (see journal.go), so a restarted
+//     daemon resumes its queue without loss or duplication; a job
+//     migrates a process, or restores a registry checkpoint onto a node
+//     as N clones (see clone.go), through one lifecycle;
 //   - a pluggable placement policy (least-loaded, isa-affinity,
 //     round-robin — see placement.go) that picks each job's destination;
 //   - node heartbeats with mark-down of unresponsive nodes (see
@@ -38,7 +39,6 @@ import (
 	"github.com/dapper-sim/dapper/internal/cluster"
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/isa"
-	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/obs"
 	"github.com/dapper-sim/dapper/internal/parallel"
 	"github.com/dapper-sim/dapper/internal/registry"
@@ -64,13 +64,6 @@ type Config struct {
 	// Heartbeat configures node health probing; zero values select
 	// defaults (see HeartbeatConfig).
 	Heartbeat HeartbeatConfig
-	// SchedulerTick is the scheduler's idle re-scan period (default
-	// 5ms): the interval at which backoff deadlines and freed slots are
-	// re-examined even when no completion wakes the scheduler.
-	SchedulerTick time.Duration
-	// Obs is the fleet telemetry registry; nil creates a private one
-	// (the report always works).
-	Obs *obs.Registry
 	// Registry is the persistent content-addressed checkpoint store
 	// clone jobs restore from (see JobSpec.Manifest). Required for
 	// clone jobs; plain migration jobs ignore it. The manager pins each
@@ -87,13 +80,7 @@ func (c Config) withDefaults() Config {
 	if c.RetryMax <= 0 {
 		c.RetryMax = time.Second
 	}
-	if c.SchedulerTick <= 0 {
-		c.SchedulerTick = 5 * time.Millisecond
-	}
 	c.Heartbeat = c.Heartbeat.withDefaults()
-	if c.Obs == nil {
-		c.Obs = obs.New()
-	}
 	return c
 }
 
@@ -158,6 +145,44 @@ func (n *NodeState) release(busy time.Duration) {
 	n.slots.Release()
 }
 
+// slots are the nodes whose migration slots one attempt holds: a
+// migration's source and destination, a clone job's destination alone.
+type slots []*NodeState
+
+// held builds an attempt's slots; src is nil for a clone job.
+func held(src, dst *NodeState) slots {
+	if src == nil {
+		return slots{dst}
+	}
+	return slots{src, dst}
+}
+
+// acquire takes a slot on every node or on none.
+func (s slots) acquire() bool {
+	for i, n := range s {
+		if !n.acquire() {
+			s[:i].release(0)
+			return false
+		}
+	}
+	return true
+}
+
+func (s slots) release(busy time.Duration) {
+	for _, n := range s {
+		n.release(busy)
+	}
+}
+
+func (s slots) down() bool {
+	for _, n := range s {
+		if n.Down() {
+			return true
+		}
+	}
+	return false
+}
+
 // program is a registered migratable program: a compiled DapC pair plus
 // the per-arch reference runs the executor needs (total cycles to place
 // the migration point, native output to verify identity).
@@ -217,7 +242,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:      cfg,
-		reg:      cfg.Obs,
+		reg:      obs.New(),
 		journal:  j,
 		policy:   policy,
 		nodes:    map[string]*NodeState{},
@@ -601,13 +626,11 @@ func (m *Manager) Job(id int) (JobView, bool) {
 	return j.view(), true
 }
 
-// schedulerLoop dispatches pending jobs whenever something changes (a
-// submit, a completed attempt, a heartbeat transition) and on a short
-// tick that re-examines retry backoff deadlines.
+// schedulerLoop dispatches pending jobs whenever something changes: a
+// submit, a finished attempt, a drain or heartbeat transition, or a
+// retry's backoff deadline (settle arms a timer that kicks it).
 func (m *Manager) schedulerLoop() {
 	defer m.wg.Done()
-	tick := time.NewTicker(m.cfg.SchedulerTick)
-	defer tick.Stop()
 	for {
 		m.schedule()
 		select {
@@ -615,7 +638,6 @@ func (m *Manager) schedulerLoop() {
 			// Let in-flight executors finish; they are part of m.wg.
 			return
 		case <-m.wake:
-		case <-tick.C:
 		}
 	}
 }
@@ -627,7 +649,7 @@ func eligible(n *NodeState) bool {
 
 // schedule scans pending jobs in submission order and dispatches every
 // one it can place right now. Slot acquisition is all-or-nothing per
-// job: source slot, then destination slot, then a fleet-wide slot; any
+// job: a fleet-wide slot, then one on every node the attempt holds; any
 // miss releases what was taken and leaves the job pending.
 func (m *Manager) schedule() {
 	//lint:ignore wallclock scheduler scan compares host-side retry-backoff deadlines; modeled time is untouched
@@ -642,25 +664,15 @@ func (m *Manager) schedule() {
 		if job.State != Pending || now.Before(job.notBefore) {
 			continue
 		}
-		if job.Spec.Manifest != "" {
-			if !m.scheduleClone(job) {
-				return // fleet-wide bound reached
-			}
-			continue
-		}
 		src, dst := m.pickPlacement(job)
-		if src == nil || dst == nil {
+		if dst == nil {
 			continue
 		}
 		if !m.jobSlots.TryAcquire() {
 			return // fleet-wide bound reached; nothing more dispatches now
 		}
-		if !src.acquire() {
-			m.jobSlots.Release()
-			continue
-		}
-		if !dst.acquire() {
-			src.release(0)
+		nodes := held(src, dst)
+		if !nodes.acquire() {
 			m.jobSlots.Release()
 			continue
 		}
@@ -673,25 +685,27 @@ func (m *Manager) schedule() {
 		// fails cleanly back to Pending here — counted, slots released —
 		// instead of dispatching onto a node the prober just declared
 		// dead and burning a retry attempt on a guaranteed failure.
-		if src.Down() || dst.Down() {
-			src.release(0)
-			dst.release(0)
+		if nodes.down() {
+			nodes.release(0)
 			m.jobSlots.Release()
 			m.reg.Counter("fleet.placement_races").Inc()
 			continue
 		}
 		job.State = Running
 		job.Attempts++
-		job.Src, job.Dst = src.Name, dst.Name
+		job.Dst = dst.Name
+		if src != nil {
+			job.Src = src.Name
+		}
 		attempt := job.Attempts
-		if err := m.journal.Append(Event{Type: "start", Job: job.ID, Attempt: attempt, Src: src.Name, Dst: dst.Name}); err != nil {
+		if err := m.journal.Append(Event{Type: "start", Job: job.ID, Attempt: attempt, Src: job.Src, Dst: job.Dst}); err != nil {
 			// A journal that stops accepting writes is fatal for
 			// durability; fail the job rather than run it unjournaled.
 			job.State = Failed
 			job.Err = err.Error()
-			src.release(0)
-			dst.release(0)
+			nodes.release(0)
 			m.jobSlots.Release()
+			m.retire(job)
 			continue
 		}
 		m.reg.Counter("fleet.dispatches").Inc()
@@ -700,11 +714,15 @@ func (m *Manager) schedule() {
 	}
 }
 
-// pickPlacement chooses the job's (source, destination) pair. The source
+// pickPlacement chooses the job's nodes. A clone job restores a stored
+// checkpoint, so it needs only a destination. A migration's source
 // choice considers destination viability: a free node is no source at
 // all if taking it leaves the job's TargetArch constraint unsatisfiable,
 // so every viable source is tried in load order before giving up.
-func (m *Manager) pickPlacement(job *Job) (*NodeState, *NodeState) {
+func (m *Manager) pickPlacement(job *Job) (src, dst *NodeState) {
+	if job.Spec.Manifest != "" {
+		return nil, m.pickDest(job, nil)
+	}
 	for _, src := range m.sourceCandidates(job) {
 		if dst := m.pickDest(job, src); dst != nil {
 			return src, dst
@@ -720,7 +738,7 @@ func (m *Manager) sourceCandidates(job *Job) []*NodeState {
 	// there. A down source cannot be worked around — the job waits for
 	// the node to come back.
 	if job.proc != nil {
-		n := m.nodes[job.proc.node]
+		n := m.nodes[job.Src]
 		if n == nil || n.Down() || n.Running() >= n.Capacity {
 			return nil
 		}
@@ -759,21 +777,12 @@ func (m *Manager) pickDest(job *Job, src *NodeState) *NodeState {
 	var candidates []*NodeState
 	for _, name := range m.nodeOrder {
 		n := m.nodes[name]
-		if n == src || !eligible(n) {
-			continue
-		}
-		if constrained && n.Arch() != wantArch {
+		if n == src || !eligible(n) || (constrained && n.Arch() != wantArch) {
 			continue
 		}
 		candidates = append(candidates, n)
 	}
 	return m.policy.Pick(job, src, candidates)
-}
-
-// srcProcess is a job's live source-side process.
-type srcProcess struct {
-	node string
-	proc *kernel.Process
 }
 
 // backoffFor computes the exponential retry backoff for a (1-based)

@@ -42,10 +42,9 @@ func main() {
 // fastConfig keeps scheduler/heartbeat/backoff latencies test-sized.
 func fastConfig() Config {
 	return Config{
-		RetryBase:     time.Millisecond,
-		RetryMax:      20 * time.Millisecond,
-		SchedulerTick: 2 * time.Millisecond,
-		Heartbeat:     HeartbeatConfig{Interval: 10 * time.Millisecond, MaxMissed: 3},
+		RetryBase: time.Millisecond,
+		RetryMax:  20 * time.Millisecond,
+		Heartbeat: HeartbeatConfig{Interval: 10 * time.Millisecond, MaxMissed: 3},
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/imgproto"
+	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/workloads"
 )
 
@@ -213,9 +214,9 @@ type Job struct {
 	// notBefore gates redispatch after a retry backoff.
 	notBefore time.Time
 
-	// proc is the job's live source process (nil until first dispatch,
-	// nil again after the job reaches a terminal state).
-	proc *srcProcess
+	// proc is the job's source process on node Src (nil until first
+	// dispatch, nil again once retire reaps it).
+	proc *kernel.Process
 
 	// Results of the final successful attempt.
 	MigrationTime time.Duration

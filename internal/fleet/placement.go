@@ -18,8 +18,8 @@ type Placement interface {
 	// Name is the policy's registry key.
 	Name() string
 	// Pick returns the chosen node, or nil when candidates is empty.
-	// candidates is sorted by node name; src is nil when the job has not
-	// been placed on a source yet.
+	// candidates is sorted by node name; src is nil for a clone job,
+	// which has no source.
 	Pick(job *Job, src *NodeState, candidates []*NodeState) *NodeState
 }
 

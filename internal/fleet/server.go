@@ -119,7 +119,9 @@ func (s *Server) dispatch(req Request) Response {
 		}
 		return Response{OK: true, Job: &v}
 	case OpStatus:
-		return Response{OK: true, Status: statusOf(s.m.Report())}
+		rep := s.m.Report()
+		rep.Obs = nil
+		return Response{OK: true, Status: rep}
 	case OpDrain:
 		if err := s.m.Drain(req.Node, !req.Undrain); err != nil {
 			return fail(err)
