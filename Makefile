@@ -76,8 +76,8 @@ loc:
 # over its ceiling. The ceilings are the counts of the last PR that moved
 # them; a PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it, and a PR that removes lines lowers it.
-LOC_CEILING = 26404
-LOC_MIGRATION_CEILING = 9147
+LOC_CEILING = 26175
+LOC_MIGRATION_CEILING = 8860
 loc-check:
 	@$(LOC_COUNT); all=$$(count internal cmd); mig=$$(count $(addprefix internal/,$(MIGRATION_PKGS))); \
 	if [ $$all -gt $(LOC_CEILING) ] || [ $$mig -gt $(LOC_MIGRATION_CEILING) ]; then \
@@ -163,11 +163,11 @@ fleet-smoke:
 	$(GO) run ./cmd/dapper-bench -jsonout BENCH_fleet.json fleet
 
 # registry-smoke gates the persistent checkpoint store: the registry
-# package's crash-replay and GC tests plus the COW clone path under the
-# race detector, then the registry table — cross-dump dedup hit-rate on
-# an evolving rediska server and clone fan-out latency at N=1/4/16 —
-# which itself hard-fails on a zero hit-rate, zero shared frames, or any
-# clone answering queries differently from its siblings.
+# package's push, pull and crash-replay tests plus the COW clone path
+# under the race detector, then the registry table — cross-dump dedup
+# hit-rate on an evolving rediska server and clone fan-out latency at
+# N=1/4/16 — which itself hard-fails on a zero hit-rate, zero shared
+# frames, or any clone answering queries differently from its siblings.
 registry-smoke:
 	$(GO) test -race ./internal/registry/ ./internal/kernel/
 	$(GO) test -race -run TestClone ./internal/cluster/ ./internal/fleet/

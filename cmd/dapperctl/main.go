@@ -458,7 +458,7 @@ func cmdClone(args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		m, pst, err := store.Push(dir, registry.PushOpts{})
+		m, pst, err := store.Push(dir)
 		if err != nil {
 			return err
 		}

@@ -20,9 +20,8 @@
 // -registry opens a persistent content-addressed checkpoint store
 // (docs/registry.md) and enables clone jobs: dapperctl submit -manifest
 // ID -clone N restores a stored checkpoint onto a placed node N times
-// with copy-on-write page sharing. The daemon pins each clone job's
-// manifest against registry GC until the job is terminal, across
-// restarts.
+// with copy-on-write page sharing. A journal holding a pending clone job
+// replays only with a -registry that holds the job's manifest.
 package main
 
 import (

@@ -70,7 +70,7 @@ func pushCheckpoint(t *testing.T, store *registry.Store) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := store.Push(dir, registry.PushOpts{})
+	m, _, err := store.Push(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,8 +135,8 @@ func f() { _ = clock.Now(); clock.Sleep(0) }`, checks.Wallclock)
 }
 
 func TestJournalfsync(t *testing.T) {
-	// Seeded: temp-file write renamed into place with no Sync — the bytes
-	// were never made durable.
+	// Seeded: temp-file write renamed into place with no Sync — neither
+	// the bytes nor the new name were made durable.
 	diags := lint(t, "internal/registry", `package p
 import "os"
 func writeThing(path string, data []byte) error {
@@ -146,9 +146,9 @@ func writeThing(path string, data []byte) error {
 	if err := tmp.Close(); err != nil { return err }
 	return os.Rename(tmp.Name(), path)
 }`, checks.Journalfsync)
-	expect(t, diags, "never Synced")
+	expect(t, diags, "never Synced", "os.Rename names a file")
 
-	// Compliant: same shape with a Sync before the close.
+	// Seeded: the bytes are synced, but the rename's new name is not.
 	diags = lint(t, "internal/registry", `package p
 import "os"
 func writeThing(path string, data []byte) error {
@@ -158,6 +158,46 @@ func writeThing(path string, data []byte) error {
 	if err := tmp.Sync(); err != nil { return err }
 	if err := tmp.Close(); err != nil { return err }
 	return os.Rename(tmp.Name(), path)
+}`, checks.Journalfsync)
+	expect(t, diags, "os.Rename names a file")
+
+	// Compliant: bytes synced before the close, the directory after the
+	// rename.
+	diags = lint(t, "internal/registry", `package p
+import (
+	"os"
+	"path/filepath"
+)
+func writeThing(path string, data []byte) error {
+	tmp, err := os.CreateTemp(".", "x-*")
+	if err != nil { return err }
+	if _, err := tmp.Write(data); err != nil { return err }
+	if err := tmp.Sync(); err != nil { return err }
+	if err := tmp.Close(); err != nil { return err }
+	if err := os.Rename(tmp.Name(), path); err != nil { return err }
+	return journal.SyncDir(filepath.Dir(path))
+}`, checks.Journalfsync)
+	expect(t, diags)
+
+	// Seeded: a journal created with O_CREATE and no directory sync.
+	diags = lint(t, "internal/journal", `package p
+import "os"
+func Open(path string) (*os.File, error) {
+	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+}`, checks.Journalfsync)
+	expect(t, diags, "os.OpenFile names a file")
+
+	// Compliant: the same open followed by the package's own SyncDir; an
+	// open without O_CREATE names nothing.
+	diags = lint(t, "internal/journal", `package p
+import "os"
+func Open(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil { return nil, err }
+	return f, SyncDir(dirOf(path))
+}
+func Reopen(path string) (*os.File, error) {
+	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 }`, checks.Journalfsync)
 	expect(t, diags)
 

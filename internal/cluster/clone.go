@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/imgcheck"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/obs"
 	"github.com/dapper-sim/dapper/internal/registry"
@@ -22,7 +23,7 @@ type CloneResult struct {
 	// Procs holds one restored process per target node, in target order.
 	Procs []*kernel.Process
 	// SharedPages is how many pages each clone adopted, copy-on-write, from
-	// the one flattened directory the clones share.
+	// the one pulled directory the clones share.
 	SharedPages int
 	// PullHost and RestoreHost are real host wall times for
 	// materializing the image and restoring all clones.
@@ -31,9 +32,9 @@ type CloneResult struct {
 }
 
 // CloneFromRegistry restores one stored checkpoint onto every target
-// node — the serverless-style warm-start fan-out. The manifest chain is
-// pulled once, verified link by link as it is flattened, and then
-// restored N times, each restore adopting its pages copy-on-write: all
+// node — the serverless-style warm-start fan-out. The manifest is pulled
+// once, verified, and then restored N times, each restore adopting its
+// pages copy-on-write: all
 // clones share one set of resident page frames until a clone's first
 // write to a page privatizes its copy.
 //
@@ -46,16 +47,14 @@ func CloneFromRegistry(store *registry.Store, manifest string, targets []*Node, 
 	}
 	//lint:ignore wallclock clone latency is real host time by definition, reported separately from modeled migration time
 	pullStart := time.Now()
-	chain, err := store.PullChain(manifest)
+	dir, err := store.Pull(manifest)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: clone: %w", err)
 	}
 	// Pre-flight once for the whole fan-out: every chunk was re-hashed
-	// inside Pull, but the store checks nothing about a chain, so every link
-	// (a lone checkpoint is a chain of one) must satisfy every static
-	// invariant before what it flattens to is installed anywhere.
-	dir, err := criu.FlattenChain(chain)
-	if err != nil {
+	// inside Pull, but the store checks nothing about an image, so it must
+	// satisfy every static invariant before it is installed anywhere.
+	if err := imgcheck.Verify(dir); err != nil {
 		return nil, fmt.Errorf("cluster: clone pre-flight: %w", err)
 	}
 	res := &CloneResult{

@@ -46,7 +46,7 @@ func TestCloneFanOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest, _, err := store.Push(dir, registry.PushOpts{Owner: "test"})
+	manifest, _, err := store.Push(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestCloneFanOut(t *testing.T) {
 	}
 }
 
-// TestCloneRefusesDamagedChain: the store checks nothing about a chain, so
-// a pulled one is verified link by link as it is flattened. The corpus's
-// skipped-in_parent chain — every link sound on its own, link 2 deferring
-// to a page link 1 dropped — used to reach the flattener unverified; now
-// the clone is refused by invariant name before any target restores.
+// TestCloneRefusesDamagedChain: the store checks nothing about an image,
+// so a pulled one is verified before any target restores it. The last link
+// of the corpus's skipped-in_parent chain is sound as a link, but alone it
+// defers pages to a parent no one will supply; the clone is refused by
+// invariant name before any target adopts a process.
 func TestCloneRefusesDamagedChain(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "imgcheck", "testdata", "skipped_in_parent.json"))
 	if err != nil {
@@ -116,25 +116,21 @@ func TestCloneRefusesDamagedChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = store.Close() }() // read-side close; nothing to flush
-	parent := ""
-	for i, raw := range docs {
-		link, err := criu.EncodeJSON(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := imgcheck.VerifyLink(link); err != nil {
-			t.Fatalf("link %d is not sound on its own: %v", i, err)
-		}
-		manifest, _, err := store.Push(link, registry.PushOpts{Parent: parent})
-		if err != nil {
-			t.Fatalf("push link %d: %v", i, err)
-		}
-		parent = manifest.ID
+	link, err := criu.EncodeJSON(docs[len(docs)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := imgcheck.VerifyLink(link); err != nil {
+		t.Fatalf("the last link is not sound on its own: %v", err)
+	}
+	manifest, _, err := store.Push(link)
+	if err != nil {
+		t.Fatal(err)
 	}
 	targets := []*cluster.Node{cluster.NewNode(cluster.XeonSpec), cluster.NewNode(cluster.XeonSpec)}
-	_, err = cluster.CloneFromRegistry(store, parent, targets, cluster.CloneOpts{})
+	_, err = cluster.CloneFromRegistry(store, manifest.ID, targets, cluster.CloneOpts{})
 	if err == nil || !strings.Contains(err.Error(), imgcheck.InvInParent) {
-		t.Fatalf("clone of the damaged chain: err %v, want a refusal naming %s", err, imgcheck.InvInParent)
+		t.Fatalf("clone of the lone incremental link: err %v, want a refusal naming %s", err, imgcheck.InvInParent)
 	}
 	for i, node := range targets {
 		if n := node.K.Live(); n != 0 {

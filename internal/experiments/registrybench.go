@@ -113,7 +113,7 @@ func Registry(c workloads.Class) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, pst, err := store.Push(img, registry.PushOpts{})
+		m, pst, err := store.Push(img)
 		if err != nil {
 			return nil, err
 		}

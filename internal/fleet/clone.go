@@ -12,38 +12,18 @@ import (
 // runs the same lifecycle as a migration job (schedule, runJob, settle,
 // retire); only its placement and its attempt differ. There is no live
 // source process, so placement picks a destination alone — the "source"
-// is the manifest, pinned in the registry under owner "job-<id>" from submit
-// until the job is terminal so GC can never sweep a checkpoint a
-// pending job still needs. The pin lives in the registry's own journal;
-// the fleet journal records the job transitions. A crash between the
-// two journals' writes is healed at startup by re-asserting pins for
-// pending jobs and re-releasing them for terminal ones (both
-// idempotent).
+// is the manifest, which the registry never deletes.
 
-// cloneOwner is the registry ref owner tag for a clone job's pin.
-func cloneOwner(id int) string { return fmt.Sprintf("job-%d", id) }
-
-// reconcileClonePins aligns registry manifest pins with the replayed job
-// states at startup. Called from NewManager before the scheduler exists.
-func (m *Manager) reconcileClonePins() error {
-	for _, id := range m.jobOrder {
-		job := m.jobs[id]
-		if job.Spec.Manifest == "" {
-			continue
-		}
-		if m.cfg.Registry == nil {
-			return fmt.Errorf("fleet: journaled clone job %d needs Config.Registry", id)
-		}
-		switch job.State {
-		case Pending:
-			if err := m.cfg.Registry.Ref(job.Spec.Manifest, cloneOwner(id)); err != nil {
-				return fmt.Errorf("fleet: re-pin clone job %d: %w", id, err)
-			}
-		case Done, Failed:
-			if err := m.cfg.Registry.Unref(job.Spec.Manifest, cloneOwner(id)); err != nil {
-				return fmt.Errorf("fleet: release clone job %d: %w", id, err)
-			}
-		}
+// checkManifest refuses a clone job the manager could not run: one with
+// no configured registry to restore from, or whose manifest the registry
+// lacks. Submit runs it on every clone job, NewManager on every replayed
+// pending one, so attemptClone never meets either.
+func (m *Manager) checkManifest(manifest string) error {
+	if m.cfg.Registry == nil {
+		return fmt.Errorf("clone job needs a configured registry")
+	}
+	if m.cfg.Registry.Manifest(manifest) == nil {
+		return fmt.Errorf("unknown manifest %.12s", manifest)
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,38 +50,28 @@ func pushCheckpoint(t *testing.T, store *registry.Store) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := store.Push(dir, registry.PushOpts{})
+	m, _, err := store.Push(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m.ID
 }
 
-// TestCloneJobPinsManifestAcrossReplay is the crash-window proof for the
-// two-journal design: job states live in the fleet journal, manifest
-// pins in the registry journal, and a crash can land exactly between
-// the fsync of a job-completion event and the matching refcount update.
-// The test forges that crash — a "done" event durably journaled, the
-// Unref never issued — restarts the manager, and proves that (a) replay
-// reconciliation releases the leaked pin, (b) no chunk is GC'd while a
-// replayed pending job still references the manifest, and (c) the
-// pending job then executes from those chunks and its own release makes
-// the checkpoint collectable.
-func TestCloneJobPinsManifestAcrossReplay(t *testing.T) {
+// TestCloneJobSurvivesRestart: a clone job journaled as pending replays
+// as pending and completes on the restarted manager, and one whose "done"
+// event reached the journal — forged here, as if the process died right
+// after the append — replays as done and never runs again.
+func TestCloneJobSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	store, err := registry.Open(filepath.Join(dir, "registry"), registry.Opts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = store.Close() }() // plain teardown
+	store := openStore(t)
 	manifest := pushCheckpoint(t, store)
 
 	cfg := fastConfig()
 	cfg.Journal = filepath.Join(dir, "fleet.jsonl")
 	cfg.Registry = store
 
-	// Lifetime 1: two clone jobs submitted, both pinning the manifest.
-	// The manager is never started, so both sit Pending.
+	// Lifetime 1: two clone jobs submitted. The manager is never
+	// started, so both sit Pending.
 	m1, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -98,11 +90,6 @@ func TestCloneJobPinsManifestAcrossReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := store.Manifest(manifest).Refs(); got != 2 {
-		t.Fatalf("manifest refs after two submits: %d, want 2", got)
-	}
-	// The crash: job B's completion event reaches the fleet journal
-	// (fsync'd by Append) but the process dies before the registry Unref.
 	if err := m1.journal.Append(Event{Type: "done", Job: idB}); err != nil {
 		t.Fatal(err)
 	}
@@ -110,31 +97,18 @@ func TestCloneJobPinsManifestAcrossReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Lifetime 2: replay. Reconciliation must release B's leaked pin and
-	// keep A's.
+	// Lifetime 2: replay, then run what is still pending.
 	m2, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stopManager(t, m2)
-	if got := store.Manifest(manifest).Refs(); got != 1 {
-		t.Fatalf("manifest refs after replay: %d, want 1 (job A pending, job B done)", got)
-	}
 	if v, _ := m2.Job(idB); v.State != "done" {
 		t.Fatalf("job B after replay: %s, want done", v.State)
 	}
-
-	// GC with the replayed pending job's pin live must sweep nothing.
-	gst, err := store.GC()
-	if err != nil {
-		t.Fatal(err)
+	if v, _ := m2.Job(idA); v.State != "pending" {
+		t.Fatalf("job A after replay: %s, want pending", v.State)
 	}
-	if gst.SweptManifests != 0 || gst.SweptChunks != 0 {
-		t.Fatalf("GC swept %d manifests / %d chunks under a replayed pending job's pin",
-			gst.SweptManifests, gst.SweptChunks)
-	}
-
-	// The pending job executes from the surviving chunks.
 	if err := m2.AddNode("pi0", cluster.PiSpec, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -147,19 +121,53 @@ func TestCloneJobPinsManifestAcrossReplay(t *testing.T) {
 	if v, _ := m2.Job(idA); v.State != "done" {
 		t.Fatalf("job A after restart: state %s (err %q)", v.State, v.Err)
 	}
-	if got := store.Manifest(manifest).Refs(); got != 0 {
-		t.Fatalf("manifest refs after job A completed: %d, want 0", got)
+	if v, _ := m2.Job(idB); v.Attempts != 0 {
+		t.Fatalf("job B ran %d attempts after it replayed as done", v.Attempts)
 	}
-	// Nothing pins the checkpoint now; GC reclaims it fully.
-	gst, err = store.GC()
+}
+
+// TestReplayedCloneJobNeedsRegistry: a journal holding a pending clone job
+// opens only with a registry that holds the job's manifest, and the
+// refusal names the job. Replaying it anyway would hand the scheduler a
+// job with nothing to restore from.
+func TestReplayedCloneJobNeedsRegistry(t *testing.T) {
+	store := openStore(t)
+	cfg := fastConfig()
+	cfg.Journal = filepath.Join(t.TempDir(), "fleet.jsonl")
+	cfg.Registry = store
+	m1, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gst.SweptManifests == 0 || gst.SweptChunks == 0 {
-		t.Fatalf("final GC swept %d manifests / %d chunks, want both nonzero",
-			gst.SweptManifests, gst.SweptChunks)
+	if err := m1.AddNode("pi0", cluster.PiSpec, 1); err != nil {
+		t.Fatal(err)
 	}
-	if st := store.Stat(); st.Chunks != 0 || st.Manifests != 0 {
-		t.Fatalf("store not empty after final GC: %+v", st)
+	if err := m1.RegisterProgram("counter", counter); err != nil {
+		t.Fatal(err)
+	}
+	id, err := m1.Submit(JobSpec{Program: "counter", Manifest: pushCheckpoint(t, store), DstNode: "pi0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		store *registry.Store
+	}{
+		{"no registry", nil},
+		{"manifest missing", openStore(t)},
+	} {
+		cfg.Registry = tc.store
+		m2, err := NewManager(cfg)
+		if err == nil {
+			stopManager(t, m2)
+			t.Fatalf("%s: the journal replayed", tc.name)
+		}
+		if want := fmt.Sprintf("job %d", id); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: refusal %q does not name %s", tc.name, err, want)
+		}
 	}
 }

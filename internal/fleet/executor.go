@@ -37,14 +37,14 @@ import (
 //
 // Node slots are held for the attempt's whole lifetime and released
 // before the backoff, so a retrying job never starves its nodes. When a
-// job ends, retire reaps its source process and releases a clone job's
-// manifest pin, so a finished job leaves no process in any node's kernel.
+// job ends, retire reaps its source process, so a finished job leaves no
+// process in any node's kernel.
 
 // maxPauses bounds the monitor's equivalence-point wait per attempt.
 const maxPauses = 1 << 20
 
 // retryable marks an attempt failure the job can retry from: every clone
-// job failure (the pinned manifest is still there to restore), and a
+// job failure (the manifest is still there to restore), and a
 // migration failure whose rollback kept the source process.
 type retryable struct{ error }
 
@@ -126,19 +126,12 @@ func (m *Manager) settle(job *Job, nodes slots, err error) {
 }
 
 // retire releases what a job holds once it has ended: its source process
-// (paused, resumed by a rollback, or never migrated) and a clone job's
-// manifest pin. It runs after the terminal event is journaled, so a crash
-// in between leaks only the pin, which startup reconciliation releases
-// (Unref of an absent ref is a no-op). Callers hold m.mu.
+// (paused, resumed by a rollback, or never migrated). It runs after the
+// terminal event is journaled. Callers hold m.mu.
 func (m *Manager) retire(job *Job) {
 	if job.proc != nil {
 		m.nodes[job.Src].Node.K.Reap(job.proc)
 		job.proc = nil
-	}
-	if job.Spec.Manifest != "" {
-		if err := m.cfg.Registry.Unref(job.Spec.Manifest, cloneOwner(job.ID)); err != nil && job.Err == "" {
-			job.Err = err.Error()
-		}
 	}
 }
 

@@ -65,11 +65,9 @@ type Config struct {
 	// defaults (see HeartbeatConfig).
 	Heartbeat HeartbeatConfig
 	// Registry is the persistent content-addressed checkpoint store
-	// clone jobs restore from (see JobSpec.Manifest). Required for
-	// clone jobs; plain migration jobs ignore it. The manager pins each
-	// clone job's manifest in the store (owner "job-<id>") from submit
-	// until the job is terminal, and reconciles those pins against the
-	// replayed job states at startup.
+	// clone jobs restore from (see JobSpec.Manifest). Required to submit
+	// a clone job, and to replay a journal holding a pending one; plain
+	// migration jobs ignore it.
 	Registry *registry.Store
 }
 
@@ -262,21 +260,17 @@ func NewManager(cfg Config) (*Manager, error) {
 		m.nextID = st.nextID
 	}
 	for _, job := range st.jobs {
+		if job.State == Pending && job.Spec.Manifest != "" {
+			if err := m.checkManifest(job.Spec.Manifest); err != nil {
+				_ = j.Close() // surfacing the replay refusal; close is cleanup
+				return nil, fmt.Errorf("fleet: journaled clone job %d: %w", job.ID, err)
+			}
+		}
 		m.jobs[job.ID] = job
 		m.jobOrder = append(m.jobOrder, job.ID)
 		if job.State == Pending {
 			m.reg.Counter("fleet.jobs_resumed").Inc()
 		}
-	}
-	// Clone-job manifest pins live in the registry's journal, job states
-	// in the fleet journal; a crash can land between any fsync of one
-	// and the matching update of the other. Both Ref and Unref are
-	// idempotent per owner, so replaying the job states onto the
-	// registry heals every such window: pending jobs re-assert their
-	// pins, terminal jobs release any pin the crash leaked.
-	if err := m.reconcileClonePins(); err != nil {
-		_ = j.Close() // surfacing the reconcile error; close is cleanup
-		return nil, err
 	}
 	return m, nil
 }
@@ -463,13 +457,9 @@ func (m *Manager) Submit(spec JobSpec) (int, error) {
 		}
 	}
 	if spec.Manifest != "" {
-		if m.cfg.Registry == nil {
+		if err := m.checkManifest(spec.Manifest); err != nil {
 			m.mu.Unlock()
-			return 0, fmt.Errorf("fleet: clone job needs a configured registry")
-		}
-		if m.cfg.Registry.Manifest(spec.Manifest) == nil {
-			m.mu.Unlock()
-			return 0, fmt.Errorf("fleet: unknown manifest %.12s", spec.Manifest)
+			return 0, fmt.Errorf("fleet: %w", err)
 		}
 	}
 	id := m.nextID
@@ -478,12 +468,6 @@ func (m *Manager) Submit(spec JobSpec) (int, error) {
 	m.jobs[id] = job
 	m.jobOrder = append(m.jobOrder, id)
 	err := m.journal.Append(Event{Type: "submit", Job: id, Spec: &spec})
-	if err == nil && spec.Manifest != "" {
-		// Pin after the submit event is durable: a crash between the two
-		// leaves a journaled pending job with no pin, which startup
-		// reconciliation re-asserts (Ref is idempotent per owner).
-		err = m.cfg.Registry.Ref(spec.Manifest, cloneOwner(id))
-	}
 	m.mu.Unlock()
 	if err != nil {
 		return 0, err

@@ -137,8 +137,6 @@ type JobSpec struct {
 	// Manifest turns the job into a clone job: instead of migrating a
 	// live process, the executor restores this checkpoint manifest from
 	// the manager's registry (Config.Registry) onto the placed node.
-	// The manager pins the manifest against registry GC (owner
-	// "job-<id>") from submit until the job is terminal.
 	Manifest string `json:"manifest,omitempty"`
 	// Clone is the clone job's fan-out: how many copies to restore onto
 	// the placed node (default 1). All clones share resident page

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -40,7 +41,9 @@ type Journal[E any] struct {
 // last replayed event's. A torn tail is cut off, and a final line missing
 // only its newline is terminated, before the file opens for append: the
 // next event must start on a line of its own, or the following replay
-// would read it glued to the leftover bytes and drop it with them.
+// would read it glued to the leftover bytes and drop it with them. The
+// directory is synced after the open, so a journal the open created keeps
+// its name through a crash along with the first event appended to it.
 func Open[E any](path string, seqOf func(*E) *int64) (*Journal[E], []E, error) {
 	events, end, terminated, err := replay[E](path)
 	if err != nil {
@@ -63,11 +66,33 @@ func Open[E any](path string, seqOf func(*E) *int64) (*Journal[E], []E, error) {
 		_ = f.Close() // the repair error is the one to report
 		return nil, nil, fmt.Errorf("journal: repair tail: %w", err)
 	}
+	if err := SyncDir(filepath.Dir(path)); err != nil {
+		_ = f.Close() // the sync error is the one to report
+		return nil, nil, err
+	}
 	j := &Journal[E]{f: f, seqOf: seqOf}
 	if n := len(events); n > 0 {
 		j.seq = *seqOf(&events[n-1])
 	}
 	return j, events, nil
+}
+
+// SyncDir fsyncs a directory. Syncing a file makes its bytes durable,
+// not the directory entry naming it: after creating or renaming a file
+// whose existence a caller is about to acknowledge, sync its directory.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("journal: sync dir: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("journal: sync dir: %w", err)
+	}
+	return nil
 }
 
 // scanLine is bufio.ScanLines keeping each line's terminator, so replay

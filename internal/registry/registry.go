@@ -6,15 +6,12 @@
 //
 //   - a chunk is one 4K page payload, stored once under its SHA-256;
 //   - a manifest describes one checkpoint: the small metadata images
-//     verbatim plus the ordered chunk list that reassembles pages.img,
-//     and an optional parent link for incremental/delta chains;
-//   - manifests carry owner-tagged references; a manifest is live while
-//     it has owners or a live descendant, and mark-and-sweep GC deletes
-//     chunks only reachable from dead manifests;
-//   - every metadata mutation (manifest, ref, unref, sweep) is one
-//     fsync'd line in a JSONL journal with the fleet journal's
-//     torn-tail discipline, so a crashed store replays to exactly the
-//     refcounts it had durably reached.
+//     verbatim plus the ordered chunk list that reassembles pages.img;
+//   - every pushed manifest is one fsync'd line in a JSONL journal with
+//     the fleet journal's torn-tail discipline, so a crashed store
+//     replays to exactly the manifests it had durably acknowledged.
+//
+// The store keeps what it is pushed: nothing is ever deleted.
 package registry
 
 import (
@@ -42,22 +39,12 @@ type Manifest struct {
 	// ID is the hex SHA-256 of the manifest's canonical serialization,
 	// so pushing a byte-identical image yields the same manifest.
 	ID string `json:"id"`
-	// Parent links an incremental dump to the manifest it was dumped
-	// against (in_parent/delta pages resolve into it). A live manifest
-	// pins its whole parent chain.
-	Parent string `json:"parent,omitempty"`
 	// Meta holds every image file except pages.img, verbatim.
 	Meta map[string][]byte `json:"meta"`
 	// PageChunks is the ordered chunk list whose concatenation is
 	// pages.img.
 	PageChunks []string `json:"page_chunks"`
-
-	// owners is the live reference set, rebuilt from the journal.
-	owners map[string]bool
 }
-
-// Refs reports the number of live owner references.
-func (m *Manifest) Refs() int { return len(m.owners) }
 
 // PushStats reports what one push stored and elided.
 type PushStats struct {
@@ -65,15 +52,6 @@ type PushStats struct {
 	ChunksNew   uint64 // chunks written by this push
 	BytesStored uint64 // ChunksNew * ChunkSize (+ partial tail)
 	BytesElided uint64 // ChunksHit * ChunkSize: payload not re-stored
-}
-
-// PushOpts configures one push.
-type PushOpts struct {
-	// Parent is the manifest ID this image is incremental against.
-	Parent string
-	// Owner, when non-empty, takes a reference on the pushed manifest in
-	// the same operation, so the manifest is born pinned.
-	Owner string
 }
 
 // Opts configures Open.
@@ -108,7 +86,8 @@ func Open(dir string, opts Opts) (*Store, error) {
 	}
 	// The chunk index comes from the directory itself, not the journal:
 	// chunk files land before the manifest naming them is journaled, so
-	// a crash can leave orphans (GC's job), never dangling references.
+	// a crash can leave orphan chunks (named by no manifest, harmless: a
+	// later push of the same page reuses them), never dangling references.
 	entries, err := os.ReadDir(filepath.Join(dir, "chunks"))
 	if err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
@@ -131,32 +110,13 @@ func Open(dir string, opts Opts) (*Store, error) {
 
 // apply folds one replayed journal event into the in-memory state.
 func (s *Store) apply(ev event) {
-	switch ev.Type {
-	case "manifest":
-		if ev.Manifest == nil || ev.Manifest.ID == "" {
-			return
-		}
-		if _, dup := s.manifests[ev.Manifest.ID]; dup {
-			return // idempotent re-push: first event wins
-		}
-		m := ev.Manifest
-		m.owners = make(map[string]bool)
-		s.manifests[m.ID] = m
-	case "ref":
-		if m := s.manifests[ev.ID]; m != nil && ev.Owner != "" {
-			m.owners[ev.Owner] = true
-		}
-	case "unref":
-		if m := s.manifests[ev.ID]; m != nil {
-			delete(m.owners, ev.Owner)
-		}
-	case "sweep":
-		for _, id := range ev.Manifests {
-			delete(s.manifests, id)
-		}
-		// Swept chunk files are already gone from disk; the directory
-		// scan at Open never saw them. Nothing to fold.
+	if ev.Type != "manifest" || ev.Manifest == nil || ev.Manifest.ID == "" {
+		return
 	}
+	if _, dup := s.manifests[ev.Manifest.ID]; dup {
+		return // idempotent re-push: first event wins
+	}
+	s.manifests[ev.Manifest.ID] = ev.Manifest
 }
 
 // chunkPath returns the on-disk location of a chunk.
@@ -171,10 +131,9 @@ func hashChunk(b []byte) string {
 }
 
 // manifestID derives the content address of a manifest from its
-// canonical serialization (parent, sorted meta, ordered chunk list).
-func manifestID(parent string, meta map[string][]byte, chunks []string) string {
+// canonical serialization (sorted meta, ordered chunk list).
+func manifestID(meta map[string][]byte, chunks []string) string {
 	h := sha256.New()
-	h.Write([]byte("parent\x00" + parent + "\x00"))
 	names := make([]string, 0, len(meta))
 	for name := range meta {
 		names = append(names, name)
@@ -193,7 +152,7 @@ func manifestID(parent string, meta map[string][]byte, chunks []string) string {
 // Push stores an image directory: new page chunks are written, already
 // present ones elided, and the manifest journaled durably. Pushing the
 // same image twice is idempotent and returns the same manifest ID.
-func (s *Store) Push(dir *image.ImageDir, opts PushOpts) (*Manifest, PushStats, error) {
+func (s *Store) Push(dir *image.ImageDir) (*Manifest, PushStats, error) {
 	var stats PushStats
 	meta := make(map[string][]byte)
 	var pages []byte
@@ -219,9 +178,6 @@ func (s *Store) Push(dir *image.ImageDir, opts PushOpts) (*Manifest, PushStats, 
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if opts.Parent != "" && s.manifests[opts.Parent] == nil {
-		return nil, stats, fmt.Errorf("registry: push parent %.12s: unknown manifest", opts.Parent)
-	}
 	for i, h := range hashes {
 		off := i * ChunkSize
 		end := off + ChunkSize
@@ -245,38 +201,31 @@ func (s *Store) Push(dir *image.ImageDir, opts PushOpts) (*Manifest, PushStats, 
 	s.reg.Counter("registry.bytes_stored").Add(stats.BytesStored)
 	s.reg.Counter("registry.bytes_elided").Add(stats.BytesElided)
 
-	id := manifestID(opts.Parent, meta, hashes)
+	id := manifestID(meta, hashes)
 	m := s.manifests[id]
 	if m == nil {
-		m = &Manifest{
-			ID: id, Parent: opts.Parent, Meta: meta, PageChunks: hashes,
-			owners: make(map[string]bool),
-		}
-		// Chunks are on disk before this line is durable, so a replayed
-		// manifest never names a chunk the crash lost (orphan chunks are
-		// GC's problem, dangling references would be corruption).
+		m = &Manifest{ID: id, Meta: meta, PageChunks: hashes}
+		// Chunks and their names are durable before this line is, so a
+		// replayed manifest never names a chunk the crash lost (an orphan
+		// chunk is harmless, a dangling reference would be corruption).
 		if err := s.j.Append(event{Type: "manifest", Manifest: m}); err != nil {
 			return nil, stats, err
 		}
 		s.manifests[id] = m
 		s.reg.Counter("registry.manifests").Inc()
 	}
-	if opts.Owner != "" && !m.owners[opts.Owner] {
-		if err := s.j.Append(event{Type: "ref", ID: id, Owner: opts.Owner}); err != nil {
-			return nil, stats, err
-		}
-		m.owners[opts.Owner] = true
-	}
 	return m, stats, nil
 }
 
 // writeChunk lands a chunk file atomically AND durably: temp file in the
-// same directory, fsync, then rename. The fsync is load-bearing — the
-// journal acknowledges the manifest referencing this chunk immediately
-// after, and rename only makes the *name* durable; without syncing the
-// bytes a crash could leave a journaled manifest pointing at an empty or
-// torn chunk. (Integrity is still re-verified by hash on every pull, so
-// the failure would be detected — but the checkpoint would be lost.)
+// same directory, fsync, rename, then fsync the directory. Both syncs are
+// load-bearing — the journal acknowledges the manifest referencing this
+// chunk immediately after. Without the file sync a crash could leave a
+// journaled manifest pointing at an empty or torn chunk; without the
+// directory sync the rename itself may not survive, leaving the manifest
+// pointing at no chunk at all. (Integrity is still re-verified by hash on
+// every pull, so either failure would be detected — but the checkpoint
+// would be lost.)
 func writeChunk(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".chunk-*")
 	if err != nil {
@@ -300,7 +249,7 @@ func writeChunk(path string, data []byte) error {
 		_ = os.Remove(tmp.Name())
 		return fmt.Errorf("registry: write chunk: %w", err)
 	}
-	return nil
+	return journal.SyncDir(filepath.Dir(path))
 }
 
 // Manifest returns a stored manifest by ID, or nil.
@@ -351,87 +300,6 @@ func (s *Store) Pull(id string) (*image.ImageDir, error) {
 	dir.Put("pages.img", pages)
 	s.reg.Counter("registry.pull_chunks").Add(uint64(len(m.PageChunks)))
 	return dir, nil
-}
-
-// Chain returns the manifest chain ending at id, oldest first — the
-// order FlattenChain wants the materialized directories in.
-func (s *Store) Chain(id string) ([]*Manifest, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var rev []*Manifest
-	seen := make(map[string]bool)
-	for cur := id; cur != ""; {
-		if seen[cur] {
-			return nil, fmt.Errorf("registry: chain %.12s: parent cycle at %.12s", id, cur)
-		}
-		seen[cur] = true
-		m := s.manifests[cur]
-		if m == nil {
-			return nil, fmt.Errorf("registry: chain %.12s: unknown manifest %.12s", id, cur)
-		}
-		rev = append(rev, m)
-		cur = m.Parent
-	}
-	chain := make([]*Manifest, len(rev))
-	for i, m := range rev {
-		chain[len(rev)-1-i] = m
-	}
-	return chain, nil
-}
-
-// PullChain materializes the whole chain ending at id, oldest first.
-func (s *Store) PullChain(id string) ([]*image.ImageDir, error) {
-	chain, err := s.Chain(id)
-	if err != nil {
-		return nil, err
-	}
-	dirs := make([]*image.ImageDir, len(chain))
-	for i, m := range chain {
-		if dirs[i], err = s.Pull(m.ID); err != nil {
-			return nil, err
-		}
-	}
-	return dirs, nil
-}
-
-// Ref takes an owner-tagged reference on a manifest. Idempotent per
-// owner, journaled durably before it takes effect.
-func (s *Store) Ref(id, owner string) error {
-	if owner == "" {
-		return fmt.Errorf("registry: ref %.12s: empty owner", id)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.manifests[id]
-	if m == nil {
-		return fmt.Errorf("registry: ref %.12s: unknown manifest", id)
-	}
-	if m.owners[owner] {
-		return nil
-	}
-	if err := s.j.Append(event{Type: "ref", ID: id, Owner: owner}); err != nil {
-		return err
-	}
-	m.owners[owner] = true
-	return nil
-}
-
-// Unref drops an owner's reference. Dropping a reference the owner does
-// not hold is a no-op, which is what makes post-crash reconciliation
-// idempotent: callers re-release on replay without tracking whether the
-// release landed before the crash.
-func (s *Store) Unref(id, owner string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.manifests[id]
-	if m == nil || !m.owners[owner] {
-		return nil
-	}
-	if err := s.j.Append(event{Type: "unref", ID: id, Owner: owner}); err != nil {
-		return err
-	}
-	delete(m.owners, owner)
-	return nil
 }
 
 // Stats is a point-in-time inventory.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestPushPullRoundTrip(t *testing.T) {
 	defer func() { _ = s.Close() }() // test teardown; errors surfaced by assertions
 
 	dir := testDir("meta-1", 0x11, 0x22, 0x11, 0x33)
-	m, stats, err := s.Push(dir, PushOpts{Owner: "t"})
+	m, stats, err := s.Push(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestPushPullRoundTrip(t *testing.T) {
 	sameDir(t, dir, back)
 
 	// Idempotent re-push: same ID, every chunk a hit.
-	m2, stats2, err := s.Push(dir, PushOpts{})
+	m2, stats2, err := s.Push(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +88,11 @@ func TestCrossDumpDedup(t *testing.T) {
 	}
 	defer func() { _ = s.Close() }() // test teardown; errors surfaced by assertions
 
-	if _, _, err := s.Push(testDir("dump-1", 0x11, 0x22, 0x33), PushOpts{Owner: "t"}); err != nil {
+	if _, _, err := s.Push(testDir("dump-1", 0x11, 0x22, 0x33)); err != nil {
 		t.Fatal(err)
 	}
 	// Second dump shares two of three pages.
-	_, stats, err := s.Push(testDir("dump-2", 0x11, 0x22, 0x44), PushOpts{Owner: "t"})
+	_, stats, err := s.Push(testDir("dump-2", 0x11, 0x22, 0x44))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,75 +104,18 @@ func TestCrossDumpDedup(t *testing.T) {
 	}
 }
 
-func TestGCKeepsReferencedAndChains(t *testing.T) {
-	s, err := Open(t.TempDir(), Opts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = s.Close() }() // test teardown; errors surfaced by assertions
-
-	base, _, err := s.Push(testDir("base", 0x11, 0x22), PushOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	child, _, err := s.Push(testDir("child", 0x33), PushOpts{Parent: base.ID, Owner: "job-1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead, _, err := s.Push(testDir("dead", 0x44), PushOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	stats, err := s.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The child's reference pins its parent chain; only "dead" goes.
-	if stats.SweptManifests != 1 || stats.SweptChunks != 1 {
-		t.Fatalf("gc = %+v, want 1 manifest / 1 chunk swept", stats)
-	}
-	if s.Manifest(dead.ID) != nil {
-		t.Fatal("unreferenced manifest survived GC")
-	}
-	if _, err := s.Pull(base.ID); err != nil {
-		t.Fatalf("parent of a referenced manifest swept: %v", err)
-	}
-	dirs, err := s.PullChain(child.ID)
-	if err != nil || len(dirs) != 2 {
-		t.Fatalf("PullChain = %d dirs, %v; want 2, nil", len(dirs), err)
-	}
-
-	// Releasing the last reference makes the whole chain collectable.
-	if err := s.Unref(child.ID, "job-1"); err != nil {
-		t.Fatal(err)
-	}
-	stats, err = s.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SweptManifests != 2 || stats.SweptChunks != 3 {
-		t.Fatalf("gc after unref = %+v, want 2 manifests / 3 chunks swept", stats)
-	}
-	if st := s.Stat(); st.Chunks != 0 || st.Manifests != 0 {
-		t.Fatalf("store not empty after final GC: %+v", st)
-	}
-}
-
 func TestJournalReplayAcrossReopen(t *testing.T) {
 	root := t.TempDir()
 	s, err := Open(root, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := s.Push(testDir("meta", 0x11, 0x22), PushOpts{Owner: "job-1"})
+	m, _, err := s.Push(testDir("meta", 0x11, 0x22))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Ref(m.ID, "job-2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Unref(m.ID, "job-1"); err != nil {
+	m2, _, err := s.Push(testDir("meta-2", 0x22, 0x33))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -184,7 +128,7 @@ func TestJournalReplayAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"type":"unref","id":"` + m.ID); err != nil {
+	if _, err := f.WriteString(`{"type":"manifest","manifest":{"id":"` + m.ID); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -196,24 +140,20 @@ func TestJournalReplayAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = s2.Close() }() // test teardown; errors surfaced by assertions
-	got := s2.Manifest(m.ID)
-	if got == nil || got.Refs() != 1 {
-		t.Fatalf("replayed manifest refs = %v, want 1 (job-2)", got)
+	want := []string{m.ID, m2.ID}
+	sort.Strings(want)
+	if got := s2.Manifests(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("replayed manifests %v, want %v: the torn tail must name nothing", got, want)
 	}
 	back, err := s2.Pull(m.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameDir(t, testDir("meta", 0x11, 0x22), back)
-
-	// The torn unref never became durable, so GC must not sweep.
-	if stats, err := s2.GC(); err != nil || stats.SweptManifests != 0 {
-		t.Fatalf("gc = %+v, %v; want nothing swept", stats, err)
-	}
 }
 
 // TestJournalAppendAfterTornTail (ROADMAP 4c): a store reopened over a
-// torn tail keeps journaling, and the first mutation it acknowledges
+// torn tail keeps journaling, and the first manifest it acknowledges
 // must still be there on the open after that.
 func TestJournalAppendAfterTornTail(t *testing.T) {
 	root := t.TempDir()
@@ -221,7 +161,7 @@ func TestJournalAppendAfterTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := s.Push(testDir("meta", 0x11, 0x22), PushOpts{Owner: "job-1"})
+	m, _, err := s.Push(testDir("meta", 0x11, 0x22))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +172,7 @@ func TestJournalAppendAfterTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"type":"unref","id":"` + m.ID); err != nil {
+	if _, err := f.WriteString(`{"type":"manifest","manifest":{"id":"` + m.ID); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -243,7 +183,8 @@ func TestJournalAppendAfterTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Ref(m.ID, "job-2"); err != nil {
+	m2, _, err := s2.Push(testDir("meta-2", 0x33))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Close(); err != nil {
@@ -254,8 +195,11 @@ func TestJournalAppendAfterTornTail(t *testing.T) {
 		t.Fatalf("open after append: %v", err)
 	}
 	defer func() { _ = s3.Close() }() // test teardown; errors surfaced by assertions
-	if got := s3.Manifest(m.ID); got == nil || got.Refs() != 2 {
-		t.Fatalf("replayed manifest = %v, want 2 refs (job-1 and the appended job-2)", got)
+	if s3.Manifest(m.ID) == nil || s3.Manifest(m2.ID) == nil {
+		t.Fatalf("replayed manifests %v, want both %.12s and the appended %.12s", s3.Manifests(), m.ID, m2.ID)
+	}
+	if _, err := s3.Pull(m2.ID); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -265,7 +209,7 @@ func TestJournalTornMidFileRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Push(testDir("meta", 0x11), PushOpts{Owner: "t"}); err != nil {
+	if _, _, err := s.Push(testDir("meta", 0x11)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -291,7 +235,7 @@ func TestPullDetectsCorruptChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = s.Close() }() // test teardown; errors surfaced by assertions
-	m, _, err := s.Push(testDir("meta", 0x11), PushOpts{Owner: "t"})
+	m, _, err := s.Push(testDir("meta", 0x11))
 	if err != nil {
 		t.Fatal(err)
 	}
