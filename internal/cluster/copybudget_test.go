@@ -77,20 +77,20 @@ func allocMultiple(t *testing.T, prepare func(xeon, pi *cluster.Node, p *kernel.
 }
 
 // TestMigrateCopyBudget holds the image path to its copy budget (docs/
-// perf.md, "Copy budget"): a stop-and-copy cross-ISA migration copies the
-// page payload once — marshal makes it the contiguous blob the wire
-// carries — and not at all in the stages that dump, read, rewrite a few
-// pages of it, receive it or install it: the dump is a copy-on-write
-// snapshot of the source's frames, and the restore adopts the received
-// pages as copy-on-write frames. One payload-sized buffer plus maps and
-// metadata come to about 1.2x; the budget is 1.5x. With install copying
-// into fresh frames it was 2.2x, with the dump gathering pages.img 3.2x,
-// with a rewriter that re-encoded it and a sink that copied what it was
-// handed 5.4x, and before there was a budget, 21x. Chaining the shuffle
-// policy stores the page set a second time and still copies once (1.2x,
-// from 6.4x), so it has the same budget.
+// perf.md, "Copy budget"): in process, a stop-and-copy cross-ISA migration
+// makes no payload copy at all. The dump is a copy-on-write snapshot of the
+// source's frames, the rewrite moves only the few pages it edits, the
+// in-process link hands the destination the directory itself, not a
+// marshaled blob, and the restore adopts its pages as copy-on-write frames.
+// What is left is maps and metadata, about 0.11x; the budget is 0.5x.
+// With the link marshaling the directory into the blob a wire would carry
+// it was 1.1x, with install copying into fresh frames too 2.2x, with the
+// dump gathering pages.img 3.2x, with a rewriter that re-encoded it and a
+// sink that copied what it was handed 5.4x, and before there was a budget,
+// 21x. Chaining the shuffle policy stores the page set a second time and
+// still copies no payload (0.15x, from 6.4x), so it has the same budget.
 func TestMigrateCopyBudget(t *testing.T) {
-	const budget = 1.5
+	const budget = 0.5
 	for name, opts := range map[string]cluster.MigrateOpts{
 		"cross-ISA":              {},
 		"cross-ISA then shuffle": {Shuffle: true, ShuffleSeed: 3},
@@ -106,7 +106,7 @@ func TestMigrateCopyBudget(t *testing.T) {
 				}
 			})
 			if got > budget {
-				t.Errorf("Migrate allocated %.2fx the image, over the copy budget of %gx: some stage copies the payload again", got, budget)
+				t.Errorf("Migrate allocated %.2fx the image, over the copy budget of %gx: some stage copies the payload", got, budget)
 			}
 		})
 	}

@@ -21,11 +21,27 @@ func MalformedStreams(t testing.TB, blob []byte) [][]byte {
 	return out
 }
 
-// Transfer is the in-process hand-off a vanilla Migrate ships its blob
-// through, without a codec: the directory returned aliases blob.
-func Transfer(blob []byte) (*criu.ImageDir, error) {
-	dir, _, err := transfer(blob, criu.CodecNone, nil)
-	return dir, err
+// Transfer is the in-process hand-off a vanilla Migrate ships its images
+// through, without a codec: the directory returned shares dir's bytes.
+func Transfer(dir *criu.ImageDir) (*criu.ImageDir, error) {
+	got, _, _, err := transfer(dir, criu.CodecNone, nil)
+	return got, err
+}
+
+// PreCopyKeepingSource runs Migrate's pre-copy composition but leaves the
+// source paused where Migrate reaps it, so a test can resume it as a
+// caller that gave up on the migration does. It also returns the
+// destination's chain flattened once more: the pages it restored from,
+// before the recode.
+func PreCopyKeepingSource(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts MigrateOpts) (*MigrationResult, *criu.ImageDir, error) {
+	opts.MaxPauses = 1 << 20
+	m := &migration{src: src, dst: dst, p: p, opts: opts, mon: monitor.New(src.K, p, meta), recodeNode: fasterNode(src, dst)}
+	res, err := m.preCopy()
+	if err != nil {
+		return nil, nil, err
+	}
+	flat, err := m.chain.Flatten()
+	return res, flat, err
 }
 
 // DisabledStageAllocs reports how many heap allocations one stage() costs

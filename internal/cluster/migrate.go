@@ -101,6 +101,11 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 		}
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	if !opts.Lazy {
+		// Nothing will ever fault back to the source: reap it now instead
+		// of leaking it SIGSTOPed forever. Its console stays readable.
+		_ = m.stage("kernel.reap", func() error { src.K.Reap(p); return nil }) // Reap cannot fail
+	}
 	return res, nil
 }
 
@@ -254,18 +259,16 @@ func (m *migration) verifyTarget(dir *criu.ImageDir) error {
 
 // ship copies one image directory over the link (scp) and returns it as
 // the destination sees it, with the bytes the link carried. In process,
-// the blob is handed over segment by segment exactly as a TCP transfer
-// would carry it, so the wire figure is measured, not estimated; over TCP
-// it goes through the real ImageReceiver. Both carry the same segments and
-// report the same figure for the same images.
+// transfer cuts the directory's parts into the segments a TCP transfer
+// would carry, so the wire figure is measured, not estimated, and hands
+// the directory over by reference; over TCP it goes through the real
+// ImageReceiver. Both carry the same segments and report the same figure
+// for the same images.
 func (m *migration) ship(dir *criu.ImageDir) (got *criu.ImageDir, wire uint64, err error) {
 	var raw uint64
 	if m.recv == nil {
-		var blob []byte
-		_ = m.stage("image.marshal", func() error { blob = dir.Marshal(); return nil }) // Marshal cannot fail
-		raw = uint64(len(blob))
 		err = m.stage("cluster.transfer", func() (err error) {
-			got, wire, err = transfer(blob, m.opts.Codec, m.opts.Obs)
+			got, raw, wire, err = transfer(dir, m.opts.Codec, m.opts.Obs)
 			return err
 		})
 	} else {
@@ -298,7 +301,7 @@ func (m *migration) restore(dir *criu.ImageDir) (p2 *kernel.Process, err error) 
 }
 
 // finish turns the stages' modeled costs into the Breakdown's totals, the
-// one modeled span tree and the counters, and releases the source.
+// one modeled span tree and the counters.
 func (m *migration) finish(p2 *kernel.Process) *MigrationResult {
 	bd := &m.bd
 	// Downtime is the stop-and-copy interruption, composed of the MODELED
@@ -338,13 +341,7 @@ func (m *migration) finish(p2 *kernel.Process) *MigrationResult {
 	reg.Counter("migrate.image_bytes").Add(bd.ImageBytes)
 	reg.Histogram("recode.host_ns").Observe(bd.RecodeHost)
 
-	res := &MigrationResult{Proc: p2, Breakdown: *bd, srcKernel: m.src.K, srcProc: m.p, dstKernel: m.dst.K, obs: reg, restoredBreaks: p2.AS.CowBreaks()}
-	if !m.opts.Lazy {
-		// Nothing will ever fault back to the source: reap it now instead
-		// of leaking it SIGSTOPed forever. Its console stays readable.
-		_ = m.stage("kernel.reap", func() error { m.src.K.Reap(m.p); return nil }) // Reap cannot fail
-	}
-	return res
+	return &MigrationResult{Proc: p2, Breakdown: *bd, srcKernel: m.src.K, srcProc: m.p, dstKernel: m.dst.K, obs: reg, restoredBreaks: p2.AS.CowBreaks()}
 }
 
 // servePostCopy is the lazy tail: the paused source process becomes the

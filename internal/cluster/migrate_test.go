@@ -30,29 +30,29 @@ var migrateModes = []struct {
 }{
 	{
 		name:   "vanilla",
-		stages: "monitor.pause criu.dump imgcheck.verify core.rewrite imgcheck.target_binary image.marshal cluster.transfer criu.restore kernel.reap",
+		stages: "monitor.pause criu.dump imgcheck.verify core.rewrite imgcheck.target_binary cluster.transfer criu.restore kernel.reap",
 	},
 	{
 		name:   "lazy",
 		opts:   cluster.MigrateOpts{Lazy: true},
-		stages: "monitor.pause criu.dump imgcheck.verify core.rewrite imgcheck.target_binary image.marshal cluster.transfer criu.restore criu.lazy_setup",
+		stages: "monitor.pause criu.dump imgcheck.verify core.rewrite imgcheck.target_binary cluster.transfer criu.restore criu.lazy_setup",
 	},
 	{
 		name:   "lazy-tcp",
 		opts:   cluster.MigrateOpts{Lazy: true, LazyTCP: true},
-		stages: "monitor.pause criu.dump imgcheck.verify core.rewrite imgcheck.target_binary image.marshal cluster.transfer criu.restore criu.lazy_setup",
+		stages: "monitor.pause criu.dump imgcheck.verify core.rewrite imgcheck.target_binary cluster.transfer criu.restore criu.lazy_setup",
 	},
 	{
 		name:   "shuffle",
 		opts:   cluster.MigrateOpts{Shuffle: true, ShuffleSeed: 7},
-		stages: "monitor.pause criu.dump imgcheck.verify core.rewrite core.shuffle imgcheck.target_binary image.marshal cluster.transfer criu.restore kernel.reap",
+		stages: "monitor.pause criu.dump imgcheck.verify core.rewrite core.shuffle imgcheck.target_binary cluster.transfer criu.restore kernel.reap",
 	},
 	{
 		name:           "precopy",
 		opts:           cluster.MigrateOpts{PreCopy: &cluster.PreCopyOpts{}},
 		stages:         "round vm.between_rounds downtime kernel.reap",
-		roundStages:    "monitor.pause criu.dump image.marshal cluster.transfer imgcheck.verify monitor.resume",
-		downtimeStages: "monitor.pause criu.dump_incr image.marshal cluster.transfer imgcheck.verify imgcheck.verify criu.flatten core.rewrite criu.restore",
+		roundStages:    "monitor.pause criu.dump cluster.transfer imgcheck.verify monitor.resume",
+		downtimeStages: "monitor.pause criu.dump_incr cluster.transfer imgcheck.verify imgcheck.verify criu.flatten core.rewrite criu.restore",
 	},
 	{
 		name:           "precopy-tcp-delta-flate",

@@ -120,37 +120,45 @@ func writeImageParts(w io.Writer, parts [][]byte, codec criu.Codec, segBytes int
 	})
 }
 
-// transfer is the in-process hand-off of an image blob to the directory
-// the destination restores from: the blob is cut, encoded and decoded
-// segment by segment exactly as a TCP send would carry it — so the
-// returned wire size is measured, not estimated — but by reference, with
-// no stream in between: for CodecNone each segment reaches the splitter
-// still aliasing blob, and it keeps every file that arrives in one chunk
-// by reference, so the directory returned aliases blob (or the decoded
-// segments) and the hand-off copies no image byte. The caller gives blob
-// up: it is the destination's from here on.
-func transfer(blob []byte, codec criu.Codec, reg *obs.Registry) (*criu.ImageDir, uint64, error) {
-	sp := image.NewStreamSplitter(len(blob))
-	_, wire, err := eachSegment([][]byte{blob}, codec, imageSegment, reg, func(_ []byte, payload [][]byte, rawLen int, used criu.Codec) error {
-		for _, p := range payload { // one buffer, or none for an empty blob
-			dec, err := used.Decompress(p, rawLen)
-			if err != nil {
-				return err
+// transfer is the in-process hand-off of an image directory to the one
+// the destination restores from. The directory's parts are cut and
+// encoded segment by segment exactly as a TCP send would carry them, so
+// the image and wire sizes returned are measured, not estimated. For
+// CodecNone there is no buffer for the link to carry: the destination
+// gets dir.Share(), and the hand-off copies no image byte. A compressed
+// codec's segments are decoded into an image.StreamSplitter, as a
+// receiver would, so a codec that cannot read back what it wrote fails
+// the migration in process too. dir's bytes are the destination's as much
+// as the caller's from here on: neither writes through them again.
+func transfer(dir *criu.ImageDir, codec criu.Codec, reg *obs.Registry) (got *criu.ImageDir, raw, wire uint64, err error) {
+	var sp *image.StreamSplitter
+	if codec != criu.CodecNone {
+		sp = image.NewStreamSplitter(int(dir.Size())) // no file is larger
+	}
+	raw, wire, err = eachSegment(dir.Parts(), codec, imageSegment, reg, func(_ []byte, payload [][]byte, rawLen int, used criu.Codec) (err error) {
+		if sp == nil {
+			return nil
+		}
+		for _, p := range payload { // the segment's parts, or one encoded buffer
+			if used != criu.CodecNone {
+				if p, err = used.Decompress(p, rawLen); err != nil {
+					return err
+				}
 			}
-			if _, err = sp.Write(dec); err != nil {
+			if _, err = sp.Write(p); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, 0, err
+	switch {
+	case err != nil:
+		return nil, 0, 0, err
+	case sp == nil:
+		return dir.Share(), raw, wire, nil
 	}
-	dir, err := sp.Close()
-	if err != nil {
-		return nil, 0, err
-	}
-	return dir, wire, nil
+	got, err = sp.Close()
+	return got, raw, wire, err
 }
 
 // readImageDirFrom is the one parser of the image stream: it reads a

@@ -109,7 +109,8 @@ func integerHeapDir(n int) *criu.ImageDir {
 // say how many segments went out in each form.
 func TestImageStreamCodecBytes(t *testing.T) {
 	const wordPlanes = criu.Codec(2)
-	blob := integerHeapDir(5 << 16).Marshal() // 2.5 MiB: two segments below
+	dir := integerHeapDir(5 << 16)
+	blob := dir.Marshal() // 2.5 MiB: two segments below
 	reg := obs.New()
 	var buf bytes.Buffer
 	if _, err := writeImageStream(&buf, blob, criu.CodecFlate, 2<<20, reg); err != nil {
@@ -155,7 +156,7 @@ func TestImageStreamCodecBytes(t *testing.T) {
 			t.Errorf("%s: decoded directory differs from source", tc.name)
 		}
 	}
-	if _, _, err := transfer(blob, wordPlanes, nil); err == nil {
+	if _, _, _, err := transfer(dir, wordPlanes, nil); err == nil {
 		t.Error("the word-plane form was accepted as a requested codec")
 	}
 }

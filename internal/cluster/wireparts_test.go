@@ -86,7 +86,9 @@ func randomPagesDir() *criu.ImageDir {
 // blob — for both codecs, and for segment sizes that cut inside a page
 // and inside a word — on the three payloads CodecFlate tells apart: an
 // integer heap (word planes), a float workload (plain DEFLATE) and noise
-// (raw).
+// (raw). An in-process transfer of the directory cuts the same segments:
+// it reports the same figures and delivers a directory that marshals to
+// the same blob.
 func TestImageStreamPartsMatchMarshal(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -122,6 +124,15 @@ func TestImageStreamPartsMatchMarshal(t *testing.T) {
 					}
 					if codec == criu.CodecFlate && segBytes == imageSegment && reg.Counter(tc.form).Value() == 0 {
 						t.Errorf("no segment went out as %s", tc.form)
+					}
+					if segBytes == imageSegment {
+						got, tr, tw, err := transfer(tc.dir, codec, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if same := bytes.Equal(got.Marshal(), blob); tr != raw || tw != wb || !same {
+							t.Errorf("in process: %d image and %d wire bytes (the stream: %d and %d), same directory %v", tr, tw, raw, wb, same)
+						}
 					}
 				})
 			}

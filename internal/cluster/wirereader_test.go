@@ -163,7 +163,7 @@ func TestReadImageStreamMalformed(t *testing.T) {
 	blob := dir.Marshal()
 
 	// The corpus is built around a stream that is itself fine.
-	got, wire, err := transfer(blob, criu.CodecNone, nil)
+	got, _, wire, err := transfer(dir, criu.CodecNone, nil)
 	if err != nil {
 		t.Fatalf("valid stream refused: %v", err)
 	}

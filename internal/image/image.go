@@ -190,6 +190,16 @@ func (d *ImageDir) PutPages(pages [][]byte) {
 	d.pageList = pages
 }
 
+// Share returns a second directory over d's bytes: a new file map whose
+// entries are d's slices, and d's page list, all by reference. No image
+// byte is copied, so both directories are bound by PutPages' contract —
+// nobody writes through a slice of either again; a restore adopts the
+// pages copy-on-write, so each process that maps them breaks a share on
+// its own first store. Put and PutPages on one leave the other as it was.
+func (d *ImageDir) Share() *ImageDir {
+	return &ImageDir{files: maps.Clone(d.files), pageList: d.pageList}
+}
+
 // Get reads a file. The bytes are the directory's own, except for a
 // pages.img held in list form, which is joined into a new buffer.
 func (d *ImageDir) Get(name string) ([]byte, bool) {
