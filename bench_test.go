@@ -8,6 +8,7 @@
 package dapper
 
 import (
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -537,12 +538,13 @@ func BenchmarkSendImages(b *testing.B) {
 // PageSource.ReadPage, so it runs unchanged in a clone of an older parent.
 func BenchmarkLazyFault(b *testing.B) {
 	_, p, _ := pausedBench(b, "rediska", workloads.ClassA, 12000)
-	srv, err := criu.ServePages("127.0.0.1:0", criu.NewProcessPageSource(p))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
+	srv := criu.ServePagesOn(ln, criu.NewProcessPageSource(p))
 	defer srv.Close()
-	client, err := criu.DialPageServer(srv.Addr())
+	client, err := criu.DialPageServerOpts(srv.Addr(), criu.PageClientOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -584,12 +586,13 @@ func BenchmarkLazyFault(b *testing.B) {
 // of the trade a run makes.
 func BenchmarkLazyFaultRun(b *testing.B) {
 	_, p, _ := pausedBench(b, "rediska", workloads.ClassA, 12000)
-	srv, err := criu.ServePages("127.0.0.1:0", criu.NewProcessPageSource(p))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
+	srv := criu.ServePagesOn(ln, criu.NewProcessPageSource(p))
 	defer srv.Close()
-	client, err := criu.DialPageServer(srv.Addr())
+	client, err := criu.DialPageServerOpts(srv.Addr(), criu.PageClientOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}

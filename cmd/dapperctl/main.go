@@ -268,60 +268,83 @@ func cmdRestore(args []string) error {
 	return nil
 }
 
-func cmdMigrate(args []string) error {
-	fs := flag.NewFlagSet("migrate", flag.ContinueOnError)
+// migration is what migrate and stats share: a source process paused at
+// the migration point, both nodes with both binaries installed, and the
+// options the mode flags chose.
+type migration struct {
+	src, dst *cluster.Node
+	p        *kernel.Process
+	bin      *compiler.Binary // the source's
+	opts     cluster.MigrateOpts
+}
+
+// migrationFlags registers the flags migrate and stats share on fs; the
+// returned func parses args and sets the migration up.
+func migrationFlags(fs *flag.FlagSet, lazyUsage, usage string) func(args []string) (*migration, error) {
 	at := fs.Float64("at", 0.5, "migration position as a fraction of total cycles")
-	lazy := fs.Bool("lazy", false, "post-copy migration")
+	lazy := fs.Bool("lazy", false, lazyUsage)
 	precopy := fs.Bool("precopy", false, "iterative pre-copy migration")
-	shuffle := fs.Bool("shuffle", false, "also re-randomize the stack layout during the rewrite")
 	codec := fs.String("codec", "none", "wire codec: none (uncompressed) or flate (compressed)")
 	delta := fs.Bool("delta", false, "XOR-delta encode re-dirtied pre-copy pages (requires -precopy)")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func(args []string) (*migration, error) {
+		if err := fs.Parse(args); err != nil {
+			return nil, err
+		}
+		if fs.NArg() != 2 {
+			return nil, fmt.Errorf("%s", usage)
+		}
+		if *lazy && *precopy {
+			return nil, fmt.Errorf("-lazy and -precopy are mutually exclusive")
+		}
+		if *delta && !*precopy {
+			return nil, fmt.Errorf("-delta requires -precopy (delta encoding applies to pre-copy rounds)")
+		}
+		wireCodec, err := fleet.ParseCodec(*codec)
+		if err != nil {
+			return nil, err
+		}
+		srcNode, p, srcBin, err := startAndRunTo(fs.Arg(0), *at)
+		if err != nil {
+			return nil, err
+		}
+		dstBin, err := loadBinary(fs.Arg(1))
+		if err != nil {
+			return nil, err
+		}
+		dstNode := nodeFor(dstBin.Arch)
+		for _, n := range []*cluster.Node{srcNode, dstNode} {
+			n.Binaries[exePathOf(fs.Arg(0), srcBin.Arch)] = srcBin
+			n.Binaries[exePathOf(fs.Arg(1), dstBin.Arch)] = dstBin
+		}
+		m := &migration{src: srcNode, dst: dstNode, p: p, bin: srcBin,
+			opts: cluster.MigrateOpts{Lazy: *lazy, Codec: wireCodec, Delta: *delta}}
+		if *precopy {
+			m.opts.PreCopy = &cluster.PreCopyOpts{}
+		}
+		return m, nil
 	}
-	if fs.NArg() != 2 {
-		return fmt.Errorf("usage: dapperctl migrate [-at F] [-lazy|-precopy] [-codec C] [-delta] src.delf dst.delf")
-	}
-	if *lazy && *precopy {
-		return fmt.Errorf("-lazy and -precopy are mutually exclusive")
-	}
-	if *delta && !*precopy {
-		return fmt.Errorf("-delta requires -precopy (delta encoding applies to pre-copy rounds)")
-	}
-	wireCodec, err := fleet.ParseCodec(*codec)
+}
+
+func cmdMigrate(args []string) error {
+	fs := flag.NewFlagSet("migrate", flag.ContinueOnError)
+	shuffle := fs.Bool("shuffle", false, "also re-randomize the stack layout during the rewrite")
+	parse := migrationFlags(fs, "post-copy migration",
+		"usage: dapperctl migrate [-at F] [-lazy|-precopy] [-codec C] [-delta] src.delf dst.delf")
+	m, err := parse(args)
 	if err != nil {
 		return err
 	}
-	srcNode, p, srcBin, err := startAndRunTo(fs.Arg(0), *at)
+	m.opts.Shuffle, m.opts.ShuffleSeed = *shuffle, 1
+	res, err := cluster.Migrate(m.src, m.dst, m.p, m.bin.Meta, m.opts)
 	if err != nil {
 		return err
 	}
-	dstBin, err := loadBinary(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	dstNode := nodeFor(dstBin.Arch)
-	srcNode.Binaries[exePathOf(fs.Arg(0), srcBin.Arch)] = srcBin
-	srcNode.Binaries[exePathOf(fs.Arg(1), dstBin.Arch)] = dstBin
-	dstNode.Binaries[exePathOf(fs.Arg(0), srcBin.Arch)] = srcBin
-	dstNode.Binaries[exePathOf(fs.Arg(1), dstBin.Arch)] = dstBin
-	opts := cluster.MigrateOpts{
-		Lazy: *lazy, Shuffle: *shuffle, ShuffleSeed: 1,
-		Codec: wireCodec, Delta: *delta,
-	}
-	if *precopy {
-		opts.PreCopy = &cluster.PreCopyOpts{}
-	}
-	res, err := cluster.Migrate(srcNode, dstNode, p, srcBin.Meta, opts)
-	if err != nil {
-		return err
-	}
-	out1 := p.ConsoleString()
+	out1 := m.p.ConsoleString()
 	proc := res.Proc
 	if *shuffle {
 		fmt.Println("(stack layout re-randomized during the rewrite)")
 	}
-	if err := dstNode.K.Run(proc); err != nil {
+	if err := m.dst.K.Run(proc); err != nil {
 		return err
 	}
 	bd := res.Breakdown
@@ -335,50 +358,16 @@ func cmdMigrate(args []string) error {
 // prints the obs report.
 func cmdStats(args []string) (err error) {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
-	at := fs.Float64("at", 0.5, "migration position as a fraction of total cycles")
-	lazy := fs.Bool("lazy", false, "post-copy migration (over a real TCP page server)")
-	precopy := fs.Bool("precopy", false, "iterative pre-copy migration")
-	codec := fs.String("codec", "none", "wire codec: none (uncompressed) or flate (compressed)")
-	delta := fs.Bool("delta", false, "XOR-delta encode re-dirtied pre-copy pages (requires -precopy)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 2 {
-		return fmt.Errorf("usage: dapperctl stats [-at F] [-lazy|-precopy] [-codec C] [-delta] [-json] src.delf dst.delf")
-	}
-	if *lazy && *precopy {
-		return fmt.Errorf("-lazy and -precopy are mutually exclusive")
-	}
-	if *delta && !*precopy {
-		return fmt.Errorf("-delta requires -precopy (delta encoding applies to pre-copy rounds)")
-	}
-	wireCodec, err := fleet.ParseCodec(*codec)
+	parse := migrationFlags(fs, "post-copy migration (over a real TCP page server)",
+		"usage: dapperctl stats [-at F] [-lazy|-precopy] [-codec C] [-delta] [-json] src.delf dst.delf")
+	m, err := parse(args)
 	if err != nil {
 		return err
 	}
-	srcNode, p, srcBin, err := startAndRunTo(fs.Arg(0), *at)
-	if err != nil {
-		return err
-	}
-	dstBin, err := loadBinary(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	dstNode := nodeFor(dstBin.Arch)
-	srcNode.Binaries[exePathOf(fs.Arg(0), srcBin.Arch)] = srcBin
-	srcNode.Binaries[exePathOf(fs.Arg(1), dstBin.Arch)] = dstBin
-	dstNode.Binaries[exePathOf(fs.Arg(0), srcBin.Arch)] = srcBin
-	dstNode.Binaries[exePathOf(fs.Arg(1), dstBin.Arch)] = dstBin
 	reg := obs.New()
-	opts := cluster.MigrateOpts{
-		Obs: reg, Lazy: *lazy, LazyTCP: *lazy,
-		Codec: wireCodec, Delta: *delta,
-	}
-	if *precopy {
-		opts.PreCopy = &cluster.PreCopyOpts{}
-	}
-	res, err := cluster.Migrate(srcNode, dstNode, p, srcBin.Meta, opts)
+	m.opts.Obs, m.opts.LazyTCP = reg, m.opts.Lazy
+	res, err := cluster.Migrate(m.src, m.dst, m.p, m.bin.Meta, m.opts)
 	if err != nil {
 		return err
 	}
@@ -390,7 +379,7 @@ func cmdStats(args []string) (err error) {
 		}
 	}()
 	// Run to completion so post-copy faults are realized in the report.
-	if err := dstNode.K.Run(res.Proc); err != nil {
+	if err := m.dst.K.Run(res.Proc); err != nil {
 		return err
 	}
 	res.FinalizeLazyStats()

@@ -262,8 +262,8 @@ func f(s *srv) {
 }`, checks.Goreap)
 	expect(t, diags)
 
-	// Compliant: a semaphore-bounded literal — the held slot is the reap
-	// (the image receiver's pattern).
+	// Seeded: a semaphore-bounded literal. A held slot bounds the fan-out
+	// but joins nothing, so Close cannot wait for the goroutine.
 	diags = lint(t, "internal/criu", `package p
 func f(c *client) {
 	if !c.sem.TryAcquire() {
@@ -274,24 +274,21 @@ func f(c *client) {
 		c.fetch()
 	}()
 }`, checks.Goreap)
-	expect(t, diags)
+	expect(t, diags, "no join/reap path")
 
-	// The worker-pool substrate is in scope: a pool that forgot its
+	// The shared accept loop is in scope: a server that forgot its
 	// WaitGroup arm is seeded...
-	diags = lint(t, "internal/parallel", `package p
-func f(pool *Pool) {
-	go pool.body()
+	diags = lint(t, "internal/netserve", `package p
+func f(s *Server, conn net.Conn) {
+	go s.serve(conn)
 }`, checks.Goreap)
 	expect(t, diags, "no join/reap path")
 
-	// ...and the real Pool shape (Add before launch) is compliant.
-	diags = lint(t, "internal/parallel", `package p
-func f(pool *Pool, workers int) {
-	pool.wg.Add(workers)
-	for w := 0; w < workers; w = w + 1 {
-		go pool.body()
-	}
-	pool.wg.Wait()
+	// ...and the real shape (Add before launch) is compliant.
+	diags = lint(t, "internal/netserve", `package p
+func f(s *Server) {
+	s.wg.Add(1)
+	go s.acceptLoop()
 }`, checks.Goreap)
 	expect(t, diags)
 

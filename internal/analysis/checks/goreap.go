@@ -7,24 +7,21 @@ import (
 )
 
 // Goreap requires every goroutine launched in the transport packages
-// (internal/criu, internal/cluster), beside the semaphore that bounds
-// their fan-out (internal/parallel), in the fleet control plane
-// (internal/fleet — scheduler/heartbeat loops, per-job executors, and the control socket's
-// accept/serve goroutines), and in the persistent checkpoint store
-// (internal/registry — its journal and GC must never leave background
-// writers unjoined past Close) to have a visible join/reap path. A leaked
-// serving goroutine outlives its migration, holds its connection, and
-// makes "Close waits for the serving goroutines" a lie — the exact leak
-// class the post-copy hardening fixed; in the daemon it also makes
-// Manager.Stop return while executors still mutate nodes.
+// (internal/criu, internal/cluster, internal/image), in the one accept
+// loop their servers share (internal/netserve), in the fleet control
+// plane (internal/fleet — scheduler/heartbeat loops and per-job
+// executors), and in the persistent checkpoint store (internal/registry)
+// to have a visible join/reap path. A leaked serving goroutine outlives
+// its migration, holds its connection, and makes "Close waits for the
+// serving goroutines" a lie — the exact leak class the post-copy
+// hardening fixed; in the daemon it also makes Manager.Stop return while
+// executors still mutate nodes.
 //
 // A `go` statement passes if either
 //   - the enclosing function calls .Add(...) (a WaitGroup arm) somewhere
 //     before the launch, or
 //   - the launched function literal itself calls .Done() (WaitGroup
-//     join) or .Release() (semaphore-bounded fire-and-forget, the image
-//     receiver's pattern: the slot is held for the goroutine's whole
-//     lifetime, so draining the semaphore IS the reap).
+//     join).
 //
 // Fire-and-forget goroutines whose lifetime is genuinely bounded another
 // way (reader loops reaped by closing their connection) carry a
@@ -33,7 +30,7 @@ var Goreap = &analysis.Analyzer{
 	Name:      "goreap",
 	Doc:       "goroutines in transport packages need a join/reap path",
 	SkipTests: true,
-	Packages:  []string{"internal/criu", "internal/cluster", "internal/parallel", "internal/fleet", "internal/registry", "internal/image"},
+	Packages:  []string{"internal/criu", "internal/cluster", "internal/netserve", "internal/fleet", "internal/registry", "internal/image"},
 	Run: func(p *analysis.Pass) {
 		for _, f := range p.Files {
 			eachFuncBody(f, func(body *ast.BlockStmt) {
@@ -63,7 +60,7 @@ var Goreap = &analysis.Analyzer{
 						}
 					}
 					if !armed {
-						p.Reportf(g.Pos(), "goroutine has no join/reap path: no WaitGroup.Add before launch and no .Done() or .Release() in its body; a leaked goroutine outlives the migration")
+						p.Reportf(g.Pos(), "goroutine has no join/reap path: no WaitGroup.Add before launch and no .Done() in its body; a leaked goroutine outlives the migration")
 					}
 					return true
 				})
@@ -73,13 +70,12 @@ var Goreap = &analysis.Analyzer{
 }
 
 // callsReap reports whether the function literal's body calls .Done()
-// (WaitGroup join) or .Release() (semaphore slot held for the
-// goroutine's lifetime).
+// (WaitGroup join).
 func callsReap(lit *ast.FuncLit) bool {
 	found := false
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if methodCall(call, "Done") != nil || methodCall(call, "Release") != nil {
+			if methodCall(call, "Done") != nil {
 				found = true
 				return false
 			}

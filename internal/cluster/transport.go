@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/netserve"
 	"github.com/dapper-sim/dapper/internal/obs"
-	"github.com/dapper-sim/dapper/internal/parallel"
 )
 
 // ImageReceiver accepts checkpoint image directories over TCP — the scp
@@ -20,32 +20,28 @@ import (
 // A malformed payload (missing magic, truncated header, truncated body,
 // oversized image, undecodable directory) is dropped, counted in Errors,
 // and does not affect other transfers. Concurrent inbound transfers beyond
-// maxInflight are rejected at accept and counted the same way.
+// maxInflight are shed before a byte is read and counted the same way.
 type ImageReceiver struct {
-	ln net.Listener
-	// sem bounds concurrent serving goroutines; a slot is taken before
-	// each one is spawned and released when it exits.
-	sem *parallel.Semaphore
+	srv *netserve.Server
+	// tokens bounds concurrent transfers: a handler takes one before it
+	// reads a byte and returns it when the read ends.
+	tokens chan struct{}
 
-	mu     sync.Mutex
-	recv   []*criu.ImageDir
-	conns  map[net.Conn]struct{}
-	errs   uint64
-	closed bool
+	mu   sync.Mutex
+	recv []*criu.ImageDir
+	errs uint64
 
 	// notify wakes TakeWait blockers when a directory arrives; done is
 	// closed by Close so blocked waiters fail fast instead of timing out.
-	notify chan struct{}
-	done   chan struct{}
-
-	wg        sync.WaitGroup
+	notify    chan struct{}
+	done      chan struct{}
 	closeOnce sync.Once
-	closeErr  error
 }
 
 // maxInflight bounds concurrent inbound transfers. A connection accepted
-// while every slot is busy is dropped immediately and counted in Errors —
-// backpressure instead of unbounded buffering of attacker-sized payloads.
+// while every token is taken is dropped before a byte is read and
+// counted in Errors — backpressure instead of unbounded buffering of
+// attacker-sized payloads.
 const maxInflight = 8
 
 // ListenImages starts a receiver on addr ("127.0.0.1:0" for tests).
@@ -55,22 +51,19 @@ func ListenImages(addr string) (*ImageReceiver, error) {
 		return nil, fmt.Errorf("cluster: image receiver: %w", err)
 	}
 	r := &ImageReceiver{
-		ln:     ln,
-		sem:    parallel.NewSemaphore(maxInflight),
-		conns:  make(map[net.Conn]struct{}),
+		tokens: make(chan struct{}, maxInflight),
 		notify: make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
-	r.wg.Add(1)
-	go r.acceptLoop()
+	r.srv = netserve.Serve(ln, r.receive)
 	return r, nil
 }
 
 // Addr returns the listen address.
-func (r *ImageReceiver) Addr() string { return r.ln.Addr().String() }
+func (r *ImageReceiver) Addr() string { return r.srv.Addr() }
 
 // Errors returns how many inbound transfers were discarded: malformed
-// payloads plus connections rejected at the maxInflight bound.
+// payloads plus connections shed at the maxInflight bound.
 func (r *ImageReceiver) Errors() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -81,25 +74,8 @@ func (r *ImageReceiver) Errors() uint64 {
 // its goroutines. It is idempotent: extra calls return the first call's
 // result.
 func (r *ImageReceiver) Close() error {
-	r.closeOnce.Do(func() {
-		close(r.done)
-		r.mu.Lock()
-		r.closed = true
-		conns := make([]net.Conn, 0, len(r.conns))
-		for c := range r.conns {
-			conns = append(conns, c)
-		}
-		r.mu.Unlock()
-		r.closeErr = r.ln.Close()
-		for _, c := range conns {
-			// The serving goroutine owns each conn and closes it on its
-			// own exit; this forced close races that benignly, so a
-			// double-close error here carries no signal.
-			_ = c.Close()
-		}
-		r.wg.Wait()
-	})
-	return r.closeErr
+	r.closeOnce.Do(func() { close(r.done) })
+	return r.srv.Close()
 }
 
 // Take removes and returns the oldest received directory, or nil.
@@ -150,57 +126,35 @@ func (r *ImageReceiver) TakeWait(timeout time.Duration) (*criu.ImageDir, error) 
 	}
 }
 
-func (r *ImageReceiver) acceptLoop() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			return
-		}
+// receive reads one transfer from conn. Over the inflight bound it sheds
+// the connection before reading a byte; the sender sees the reset and
+// can retry.
+func (r *ImageReceiver) receive(conn net.Conn) {
+	select {
+	case r.tokens <- struct{}{}:
+		defer func() { <-r.tokens }()
+	default:
 		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			// Rejecting an accept that raced Close; there is no caller
-			// to report a close failure to.
-			_ = conn.Close()
-			return
-		}
-		if !r.sem.TryAcquire() {
-			r.errs++
-			r.mu.Unlock()
-			// Over the inbound-transfer bound: shed the connection before
-			// reading a byte. The sender sees the reset and can retry.
-			_ = conn.Close()
-			continue
-		}
-		r.conns[conn] = struct{}{}
+		r.errs++
 		r.mu.Unlock()
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer r.sem.Release()
-			dir, err := readImageDirFrom(conn)
-			// The payload is fully read (or failed and counted); a close
-			// error after that is peer-FIN noise.
-			_ = conn.Close()
-			r.mu.Lock()
-			delete(r.conns, conn)
-			if err != nil {
-				r.errs++
-			} else {
-				r.recv = append(r.recv, dir)
-			}
-			r.mu.Unlock()
-			if err == nil {
-				// Wake a TakeWait blocker; the buffered channel makes the
-				// signal level-triggered, so a wakeup is never lost even
-				// with no waiter parked right now.
-				select {
-				case r.notify <- struct{}{}:
-				default:
-				}
-			}
-		}()
+		return
+	}
+	dir, err := readImageDirFrom(conn)
+	r.mu.Lock()
+	if err != nil {
+		r.errs++
+	} else {
+		r.recv = append(r.recv, dir)
+	}
+	r.mu.Unlock()
+	if err == nil {
+		// Wake a TakeWait blocker; the buffered channel makes the signal
+		// level-triggered, so a wakeup is never lost even with no waiter
+		// parked right now.
+		select {
+		case r.notify <- struct{}{}:
+		default:
+		}
 	}
 }
 

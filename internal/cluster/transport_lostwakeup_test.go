@@ -30,7 +30,7 @@ func TestTakeWaitCollapsedSignal(t *testing.T) {
 	// Both waiters must be parked in the select before the injection.
 	time.Sleep(50 * time.Millisecond)
 
-	// Two arrivals, one token: exactly what acceptLoop produces when both
+	// Two arrivals, one token: exactly what receive produces when both
 	// connections append before either signal lands a parked receiver.
 	d1 := criu.NewImageDir()
 	d1.Put("inventory.img", []byte{1})

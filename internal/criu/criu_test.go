@@ -2,6 +2,7 @@ package criu_test
 
 import (
 	"bytes"
+	"net"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -216,12 +217,13 @@ func TestTCPPageServer(t *testing.T) {
 		pg[1] = 0x77
 		return pg, nil
 	})
-	srv, err := criu.ServePages("127.0.0.1:0", src)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := criu.ServePagesOn(ln, src)
 	defer srv.Close()
-	client, err := criu.DialPageServer(srv.Addr())
+	client, err := criu.DialPageServerOpts(srv.Addr(), criu.PageClientOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,10 +260,7 @@ func TestLazyRunDeadlineRetry(t *testing.T) {
 	src := NewFlakySource(&mapSource{}, FaultSpec{
 		Seed: 7, FailRate: 0.2, Latency: 150 * time.Millisecond, LatencyRate: 0.4,
 	})
-	srv, err := ServePages("127.0.0.1:0", src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServePagesOn(listen(t), src)
 	defer srv.Close()
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
 		FetchTimeout: 40 * time.Millisecond,

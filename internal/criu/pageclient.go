@@ -142,11 +142,6 @@ type RemotePageSource struct {
 	closed bool
 }
 
-// DialPageServer connects to a page server with default options.
-func DialPageServer(addr string) (*RemotePageSource, error) {
-	return DialPageServerOpts(addr, PageClientOpts{})
-}
-
 // DialPageServerOpts connects to a page server. The connection is
 // established eagerly so an unreachable server fails here rather than at
 // the first page fault.

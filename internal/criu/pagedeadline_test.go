@@ -54,10 +54,7 @@ func (c *deadlineConn) counts() (arms, clears int) {
 // and each fetch's — must be cleared once its exchange is over, so the
 // connection never carries a stale deadline into a later fetch.
 func TestPageClientClearsWriteDeadline(t *testing.T) {
-	srv, err := ServePages("127.0.0.1:0", &mapSource{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServePagesOn(listen(t), &mapSource{})
 	defer srv.Close()
 	var dc *deadlineConn
 	var mu sync.Mutex
@@ -98,10 +95,7 @@ func TestPageClientClearsWriteDeadline(t *testing.T) {
 // fails cannot bound its exchanges — the error must fail the fetch
 // attempt instead of being silently ignored.
 func TestPageClientSurfacesDeadlineError(t *testing.T) {
-	srv, err := ServePages("127.0.0.1:0", &mapSource{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServePagesOn(listen(t), &mapSource{})
 	defer srv.Close()
 	sentinel := &net.OpError{Op: "set", Err: errors.New("deadlines unsupported")}
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
@@ -137,10 +131,7 @@ func TestPageServerCloseRacesInflightFetch(t *testing.T) {
 		<-release
 		return pagePattern(addr), nil
 	})
-	srv, err := ServePages("127.0.0.1:0", slow)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServePagesOn(listen(t), slow)
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
 		FetchTimeout: 200 * time.Millisecond,
 		MaxRetries:   2, RetryBackoff: time.Millisecond,

@@ -368,10 +368,7 @@ func FuzzReadPageResponse(f *testing.F) {
 // frame is an ordinary page request gets the connection closed without a
 // byte in reply, and the request is never served.
 func TestPageServerRequiresHello(t *testing.T) {
-	srv, err := ServePages("127.0.0.1:0", &mapSource{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServePagesOn(listen(t), &mapSource{})
 	defer srv.Close()
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -391,10 +388,7 @@ func TestPageServerRequiresHello(t *testing.T) {
 // nothing else. A second one, after a page has been served, is a protocol
 // violation that closes the connection — there is no renegotiation.
 func TestPageServerRefusesSecondHello(t *testing.T) {
-	srv, err := ServePages("127.0.0.1:0", &mapSource{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServePagesOn(listen(t), &mapSource{})
 	defer srv.Close()
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -598,10 +592,7 @@ func TestPageCodecDecodableNotRequestable(t *testing.T) {
 	unknown := respFrame(t, imgproto.CodecNone, 7, page, nil)
 	unknown[respCodecOff] = 0x7F
 
-	srv, err := ServePages("127.0.0.1:0", &mapSource{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServePagesOn(listen(t), &mapSource{})
 	defer srv.Close()
 
 	for _, tc := range []struct {

@@ -1,7 +1,6 @@
 package criu
 
 import (
-	"fmt"
 	"math/bits"
 	"net"
 	"sync"
@@ -9,6 +8,7 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/imgproto"
 	"github.com/dapper-sim/dapper/internal/mem"
+	"github.com/dapper-sim/dapper/internal/netserve"
 	"github.com/dapper-sim/dapper/internal/obs"
 )
 
@@ -22,7 +22,6 @@ import (
 // through its PageSource's ReadPage, whatever the source is.
 type PageServer struct {
 	src PageSource
-	ln  net.Listener
 
 	// Serving counters live in an obs registry ("pageserver.*"); the
 	// service-latency histogram records every fetch, failed ones included.
@@ -36,22 +35,7 @@ type PageServer struct {
 	forms                       [len(wireFormCounters)]*obs.Counter
 	codecNs                     *obs.Histogram
 
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-	closeErr  error
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-}
-
-// ServePages starts a TCP page server on addr ("127.0.0.1:0" for tests).
-func ServePages(addr string, src PageSource) (*PageServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("criu: page server: %w", err)
-	}
-	return ServePagesOn(ln, src), nil
+	srv *netserve.Server
 }
 
 // ServePagesOn starts a page server on an existing listener with a private
@@ -70,7 +54,7 @@ func ServePagesObs(ln net.Listener, src PageSource, reg *obs.Registry) *PageServ
 		reg = obs.New()
 	}
 	s := &PageServer{
-		src: src, ln: ln, conns: make(map[net.Conn]struct{}),
+		src:       src,
 		reqs:      reg.Counter("pageserver.requests"),
 		bytesSent: reg.Counter("pageserver.bytes_sent"),
 		errsC:     reg.Counter("pageserver.errors"),
@@ -83,13 +67,12 @@ func ServePagesObs(ln net.Listener, src PageSource, reg *obs.Registry) *PageServ
 	for form, name := range wireFormCounters {
 		s.forms[form] = reg.Counter(name)
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.srv = netserve.Serve(ln, s.serveConn)
 	return s
 }
 
 // Addr returns the listen address.
-func (s *PageServer) Addr() string { return s.ln.Addr().String() }
+func (s *PageServer) Addr() string { return s.srv.Addr() }
 
 // Stats returns a snapshot of the server-side counters: every request
 // frame received, bytes of page payload sent, and page reads answered with
@@ -105,60 +88,7 @@ func (s *PageServer) Stats() PageServerStats {
 // Close stops the listener, closes every open connection, and waits for
 // the serving goroutines. It is idempotent: extra calls return the first
 // call's result.
-func (s *PageServer) Close() error {
-	s.closeOnce.Do(func() {
-		s.mu.Lock()
-		s.closed = true
-		conns := make([]net.Conn, 0, len(s.conns))
-		for c := range s.conns {
-			conns = append(conns, c)
-		}
-		s.mu.Unlock()
-		s.closeErr = s.ln.Close()
-		for _, c := range conns {
-			// Each serving goroutine closes its own conn on exit; this
-			// forced close races that benignly, so a double-close error
-			// carries no signal.
-			_ = c.Close()
-		}
-		s.wg.Wait()
-	})
-	return s.closeErr
-}
-
-func (s *PageServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			// Either Close shut the listener or it failed fatally; in both
-			// cases there is nothing more to accept.
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			// Rejecting an accept that raced Close; no caller to report
-			// a close failure to.
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-			// serveConn already drained the request stream; PageServer.Close
-			// may have closed the conn first, so an error here is expected
-			// double-close noise.
-			_ = conn.Close()
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
-}
+func (s *PageServer) Close() error { return s.srv.Close() }
 
 // runBuf is a response buffer, room for a run of maximal frames. They are
 // pooled: a migration dials one connection and should not allocate one.

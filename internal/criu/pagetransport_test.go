@@ -143,10 +143,7 @@ func TestPageClientPipelinedConcurrentFetches(t *testing.T) {
 func TestPageServerErrorFrame(t *testing.T) {
 	bad := uint64(7) * mem.PageSize
 	src := &mapSource{failAddr: map[uint64]error{bad: errors.New("disk on fire")}}
-	srv, err := ServePages("127.0.0.1:0", src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServePagesOn(listen(t), src)
 	defer srv.Close()
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
 		MaxRetries: 2, RetryBackoff: time.Millisecond,
@@ -237,10 +234,7 @@ func TestPageClientDeadlineRetry(t *testing.T) {
 	src := NewFlakySource(&mapSource{}, FaultSpec{
 		Seed: 7, Latency: 150 * time.Millisecond, LatencyRate: 0.4,
 	})
-	srv, err := ServePages("127.0.0.1:0", src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServePagesOn(listen(t), src)
 	defer srv.Close()
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
 		FetchTimeout: 40 * time.Millisecond,
@@ -275,11 +269,8 @@ func TestPageClientDeadlineRetry(t *testing.T) {
 }
 
 func TestPageServerAndClientCloseIdempotent(t *testing.T) {
-	srv, err := ServePages("127.0.0.1:0", &mapSource{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := DialPageServer(srv.Addr())
+	srv := ServePagesOn(listen(t), &mapSource{})
+	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,10 +299,7 @@ func TestPageServerCloseUnblocksClients(t *testing.T) {
 		<-blocker
 		return pagePattern(addr), nil
 	})
-	srv, err := ServePages("127.0.0.1:0", slow)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServePagesOn(listen(t), slow)
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
 		FetchTimeout: 50 * time.Millisecond, MaxRetries: 1, RetryBackoff: time.Millisecond,
 	})
@@ -351,10 +339,7 @@ func TestLazyFaultBudget(t *testing.T) {
 	for idx := uint64(0); idx < n; idx += 2 {
 		as.InstallPage(idx, pagePattern(idx*mem.PageSize))
 	}
-	srv, err := ServePages("127.0.0.1:0", NewProcessPageSource(&kernel.Process{AS: as}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServePagesOn(listen(t), NewProcessPageSource(&kernel.Process{AS: as}))
 	defer srv.Close()
 
 	goroutines := runtime.NumGoroutine()
@@ -408,10 +393,7 @@ func TestLazyFaultDestinationBudget(t *testing.T) {
 	for idx := uint64(0); idx < n; idx++ {
 		src.InstallPage(base/mem.PageSize+idx, pagePattern(base+idx*mem.PageSize))
 	}
-	srv, err := ServePages("127.0.0.1:0", NewProcessPageSource(&kernel.Process{AS: src}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := ServePagesOn(listen(t), NewProcessPageSource(&kernel.Process{AS: src}))
 	defer srv.Close()
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{})
 	if err != nil {

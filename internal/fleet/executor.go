@@ -65,7 +65,7 @@ func (m *Manager) runJob(job *Job, src, dst *NodeState, attempt int) {
 	busy := time.Since(start)
 	nodes := held(src, dst)
 	nodes.release(busy)
-	m.jobSlots.Release()
+	<-m.jobSlots
 	m.reg.Histogram("fleet.attempt_host_ns").Observe(busy)
 	m.settle(job, nodes, err)
 	m.kick()

@@ -6,7 +6,8 @@
 // A Manager owns:
 //
 //   - a set of named nodes (mixed SX86/SARM cluster.Nodes with per-node
-//     migration-slot capacities, bounded by parallel.Semaphore);
+//     migration-slot capacities: a node takes a slot by compare-and-swap
+//     of its running gauge against Capacity);
 //   - a job queue journaled to disk (see journal.go), so a restarted
 //     daemon resumes its queue without loss or duplication; a job
 //     migrates a process, or restores a registry checkpoint onto a node
@@ -40,7 +41,6 @@ import (
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/obs"
-	"github.com/dapper-sim/dapper/internal/parallel"
 	"github.com/dapper-sim/dapper/internal/registry"
 	"github.com/dapper-sim/dapper/internal/updatecheck"
 	"github.com/dapper-sim/dapper/internal/workloads"
@@ -90,7 +90,6 @@ type NodeState struct {
 	Node     *cluster.Node
 	Capacity int
 
-	slots     *parallel.Semaphore
 	running   atomic.Int64
 	highWater atomic.Int64
 	busyNs    atomic.Int64
@@ -120,27 +119,30 @@ func (n *NodeState) Drained() bool { return n.drained.Load() }
 // Down reports whether heartbeats have marked the node unresponsive.
 func (n *NodeState) Down() bool { return n.down.Load() }
 
-// acquire takes a migration slot, maintaining the running gauge and its
-// high-water mark.
+// acquire takes a migration slot — a compare-and-swap of the running
+// gauge against Capacity — and maintains the gauge's high-water mark.
 func (n *NodeState) acquire() bool {
-	if !n.slots.TryAcquire() {
-		return false
-	}
-	r := n.running.Add(1)
 	for {
-		hw := n.highWater.Load()
-		if r <= hw || n.highWater.CompareAndSwap(hw, r) {
-			break
+		r := n.running.Load()
+		if r >= int64(n.Capacity) {
+			return false
 		}
+		if !n.running.CompareAndSwap(r, r+1) {
+			continue
+		}
+		for hw := n.highWater.Load(); hw <= r; hw = n.highWater.Load() {
+			if n.highWater.CompareAndSwap(hw, r+1) {
+				break
+			}
+		}
+		return true
 	}
-	return true
 }
 
 // release returns a slot and charges the node for the busy time.
 func (n *NodeState) release(busy time.Duration) {
 	n.running.Add(-1)
 	n.busyNs.Add(int64(busy))
-	n.slots.Release()
 }
 
 // slots are the nodes whose migration slots one attempt holds: a
@@ -213,7 +215,7 @@ type Manager struct {
 	started   bool
 	stopped   bool
 
-	jobSlots *parallel.Semaphore
+	jobSlots chan struct{} // the fleet-wide bound: one token per attempt in flight
 	start    time.Time
 
 	stop chan struct{}
@@ -298,7 +300,6 @@ func (m *Manager) AddNode(name string, spec cluster.NodeSpec, capacity int) erro
 		Name:     name,
 		Node:     cluster.NewNode(spec),
 		Capacity: capacity,
-		slots:    parallel.NewSemaphore(capacity),
 	}
 	n.probe.Store(func() error { return nil })
 	for _, p := range m.programs {
@@ -502,7 +503,7 @@ func (m *Manager) Start() error {
 			maxJobs += n.Capacity
 		}
 	}
-	m.jobSlots = parallel.NewSemaphore(maxJobs)
+	m.jobSlots = make(chan struct{}, maxJobs)
 	//lint:ignore wallclock daemon start stamp for the uptime figure, reported as host time by design
 	m.start = time.Now()
 	m.started = true
@@ -652,12 +653,14 @@ func (m *Manager) schedule() {
 		if dst == nil {
 			continue
 		}
-		if !m.jobSlots.TryAcquire() {
+		select {
+		case m.jobSlots <- struct{}{}:
+		default:
 			return // fleet-wide bound reached; nothing more dispatches now
 		}
 		nodes := held(src, dst)
 		if !nodes.acquire() {
-			m.jobSlots.Release()
+			<-m.jobSlots
 			continue
 		}
 		if m.testHookAfterAcquire != nil {
@@ -671,7 +674,7 @@ func (m *Manager) schedule() {
 		// dead and burning a retry attempt on a guaranteed failure.
 		if nodes.down() {
 			nodes.release(0)
-			m.jobSlots.Release()
+			<-m.jobSlots
 			m.reg.Counter("fleet.placement_races").Inc()
 			continue
 		}
@@ -688,7 +691,7 @@ func (m *Manager) schedule() {
 			job.State = Failed
 			job.Err = err.Error()
 			nodes.release(0)
-			m.jobSlots.Release()
+			<-m.jobSlots
 			m.retire(job)
 			continue
 		}

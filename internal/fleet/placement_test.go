@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
-	"github.com/dapper-sim/dapper/internal/parallel"
 )
 
 // testNode builds a detached NodeState (no manager) for placement tests.
@@ -14,7 +13,6 @@ func testNode(name string, spec cluster.NodeSpec, capacity, running int) *NodeSt
 		Name:     name,
 		Node:     cluster.NewNode(spec),
 		Capacity: capacity,
-		slots:    parallel.NewSemaphore(capacity),
 	}
 	for i := 0; i < running; i++ {
 		if !n.acquire() {

@@ -2,22 +2,18 @@ package fleet
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"os"
-	"sync"
+
+	"github.com/dapper-sim/dapper/internal/netserve"
 )
 
 // Server exposes a Manager over a local socket. One request/response
 // pair per connection (see api.go).
 type Server struct {
-	m  *Manager
-	ln net.Listener
-
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
+	m   *Manager
+	srv *netserve.Server
 }
 
 // Serve listens on the unix-domain socket at path (removing a stale
@@ -30,9 +26,8 @@ func Serve(m *Manager, path string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: listen %s: %w", path, err)
 	}
-	s := &Server{m: m, ln: ln}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &Server{m: m}
+	s.srv = netserve.Serve(ln, s.handle)
 	return s, nil
 }
 
@@ -57,42 +52,17 @@ func removeStaleSocket(path string) error {
 }
 
 // Addr returns the socket path.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			// Listener closed (shutdown) or a transient accept error; a
-			// closed listener ends the loop.
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		s.wg.Add(1)
-		go s.handle(conn)
-	}
-}
-
+// handle serves one request; netserve closes conn when it returns.
 func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		// The response has been flushed (or the connection is already
-		// broken); nothing actionable remains on this one-shot conn.
-		_ = conn.Close()
-	}()
 	var req Request
 	if err := json.NewDecoder(conn).Decode(&req); err != nil {
 		return
 	}
 	resp := s.dispatch(req)
-	// An encode failure means the client went away mid-response; the
-	// daemon has nothing to do about it.
+	// An encode failure means the client went away mid-response (or Close
+	// cut the connection); the daemon has nothing to do about it.
 	_ = json.NewEncoder(conn).Encode(resp)
 }
 
@@ -134,19 +104,12 @@ func (s *Server) dispatch(req Request) Response {
 	}
 }
 
-// Close stops accepting, waits for in-flight connections, and removes
-// the socket file.
+// Close stops accepting, closes every open connection, waits for the
+// handlers, and removes the socket file. A request already dispatching
+// completes (a submit is still journaled), but its reply may be lost. It
+// is idempotent: extra calls return the first call's result.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	if err != nil {
+	if err := s.srv.Close(); err != nil {
 		return fmt.Errorf("fleet: close listener: %w", err)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"net"
 	"path/filepath"
 	"testing"
 	"time"
@@ -135,5 +136,39 @@ func TestServerStaleSocket(t *testing.T) {
 	}
 	if _, err := Call(socket, Request{Op: OpPing}); err == nil {
 		t.Error("ping of a closed server succeeded")
+	}
+}
+
+// TestServerCloseIdleClient verifies a client that connects and sends
+// nothing does not hold Close: a SIGTERM'd dapperd closes its socket
+// before Manager.Stop, so a wedged Close would keep the journal and the
+// registry open.
+func TestServerCloseIdleClient(t *testing.T) {
+	m := mixedFleet(t, fastConfig(), 1)
+	defer stopManager(t, m)
+	socket := filepath.Join(t.TempDir(), "d.sock")
+	srv, err := Serve(m, socket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := net.Dial("unix", socket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	// Connections are accepted in order, so once this ping is answered the
+	// idle one has a handler blocked reading its request.
+	if _, err := Call(socket, Request{Op: OpPing}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close still blocked 1s after it was called, waiting on a client that sent nothing")
 	}
 }
