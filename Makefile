@@ -76,8 +76,8 @@ loc:
 # over its ceiling. The ceilings are the counts of the last PR that moved
 # them; a PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it, and a PR that removes lines lowers it.
-LOC_CEILING = 26072
-LOC_MIGRATION_CEILING = 8720
+LOC_CEILING = 25800
+LOC_MIGRATION_CEILING = 8713
 loc-check:
 	@$(LOC_COUNT); all=$$(count internal cmd); mig=$$(count $(addprefix internal/,$(MIGRATION_PKGS))); \
 	if [ $$all -gt $(LOC_CEILING) ] || [ $$mig -gt $(LOC_MIGRATION_CEILING) ]; then \
@@ -128,14 +128,9 @@ bench-json:
 
 # bench-quick runs the dump, chain-fold, page-set store, install, image-send,
 # lazy-fault, rewrite, verify and image-codec profiling benchmarks one
-# iteration each under the race detector and regenerates the wirecodec table
-# — bytes-on-wire for raw vs batched vs flate vs delta+flate on a live
-# pre-copy; the run itself fails if the codec stack saves nothing — and the
-# fleet table, as JSON for the CI artifacts.
+# iteration each under the race detector.
 bench-quick:
 	$(GO) test -race -run=^$$ -bench='^Benchmark(Dump|FoldLink|PageSetStore|InstallPages|SendImages|LazyFault|LazyFaultRun|Rewrite|ImgcheckVerify|ImageCodec)$$' -benchtime=1x .
-	$(GO) run ./cmd/dapper-bench -jsonout BENCH_wirecodec.json wirecodec
-	$(GO) run ./cmd/dapper-bench -jsonout BENCH_fleet.json fleet
 
 # fuzz-smoke runs every Fuzz* target in the repo — found with `go test
 # -list`, so a new one joins by existing — for 10 s each, one `go test`

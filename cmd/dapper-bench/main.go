@@ -47,23 +47,22 @@ func run(args []string) error {
 	experiments.LazyTCP = *lazyTCP
 	c := workloads.Class(strings.ToUpper(*class))
 	gens := map[string]genFunc{
-		"fig1":      experiments.Fig1,
-		"fig5":      experiments.Fig5,
-		"fig6":      experiments.Fig6,
-		"fig7":      experiments.Fig7,
-		"fig8":      experiments.Fig8,
-		"fig9":      experiments.Fig9,
-		"fig7x":     experiments.Fig7x,
-		"fig10":     experiments.Fig10,
-		"fig11":     experiments.Fig11,
-		"wirecodec": experiments.Wirecodec,
-		"fleet":     experiments.Fleet,
-		"registry":  experiments.Registry,
+		"fig1":     experiments.Fig1,
+		"fig5":     experiments.Fig5,
+		"fig6":     experiments.Fig6,
+		"fig7":     experiments.Fig7,
+		"fig8":     experiments.Fig8,
+		"fig9":     experiments.Fig9,
+		"fig7x":    experiments.Fig7x,
+		"fig10":    experiments.Fig10,
+		"fig11":    experiments.Fig11,
+		"fleet":    experiments.Fleet,
+		"registry": experiments.Registry,
 		"attacks": func(workloads.Class) (*experiments.Table, error) {
 			return experiments.Attacks()
 		},
 	}
-	order := []string{"fig1", "fig5", "fig6", "fig7", "fig7x", "fig8", "fig9", "fig10", "fig11", "wirecodec", "fleet", "registry", "attacks"}
+	order := []string{"fig1", "fig5", "fig6", "fig7", "fig7x", "fig8", "fig9", "fig10", "fig11", "fleet", "registry", "attacks"}
 
 	want := fs.Args()
 	if len(want) == 0 || (len(want) == 1 && want[0] == "all") {

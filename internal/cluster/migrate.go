@@ -79,7 +79,7 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 		src: src, dst: dst, p: p, opts: opts,
 		mon:        monitor.New(src.K, p, meta).WithObs(opts.Obs),
 		recodeNode: fasterNode(src, dst),
-		host:       opts.Obs.StartSpan("migrate.host"),
+		host:       opts.Obs.NewSpan("migrate.host"),
 	}
 	m.at = m.host
 	// A failed migration still closes its window and its root, so the
@@ -114,7 +114,7 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 // the host tree does. On a disabled registry the span is nil: no clock is
 // read and nothing is allocated.
 func (m *migration) stage(name string, fn func() error) error {
-	sp := m.at.StartChild(name)
+	sp := m.at.Child(name)
 	err := fn()
 	sp.End()
 	if err != nil {

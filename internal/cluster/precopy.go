@@ -79,7 +79,7 @@ func (m *migration) preCopy() (*MigrationResult, error) {
 	prevPages := -1
 	idle := false
 	for round := 0; ; round++ {
-		window := m.host.StartChild("round")
+		window := m.host.Child("round")
 		m.at = window
 		dopts := criu.DumpOpts{Parent: parent, TrackMem: true}
 		if m.opts.Delta && parent != nil {

@@ -10,6 +10,8 @@ import (
 	"strings"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
+	"github.com/dapper-sim/dapper/internal/compiler"
+	"github.com/dapper-sim/dapper/internal/energy"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/obs"
 	"github.com/dapper-sim/dapper/internal/workloads"
@@ -169,35 +171,48 @@ func kb(n uint64) string { return fmt.Sprintf("%.1f", float64(n)/1024) }
 // fig5Benchmarks are the single-threaded programs of the Fig. 5 sweep.
 var fig5Benchmarks = []string{"cg", "mg", "ep", "ft", "is", "linpack", "dhrystone", "kmeans"}
 
-// newPairOfNodes boots a Xeon and a Pi with the workload installed.
-func newPairOfNodes(w workloads.Workload, c workloads.Class) (*cluster.Node, *cluster.Node, error) {
-	pair, err := workloads.CompilePair(w, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	xeon := cluster.NewNode(cluster.XeonSpec)
-	pi := cluster.NewNode(cluster.PiSpec)
-	xeon.Install(w.Name, pair)
-	pi.Install(w.Name, pair)
-	return xeon, pi, nil
+// fixture is one program, compiled once, installed on a freshly booted
+// Xeon (the source of every migration) and Pi (its destination).
+type fixture struct {
+	name     string
+	pair     *compiler.Pair
+	xeon, pi *cluster.Node
 }
 
-// runToFraction measures a native run and replays to the given fraction of
-// its cycles, returning the running process (nil if it finished first).
-func runToFraction(node *cluster.Node, name string, frac float64) (*kernel.Process, uint64, error) {
-	ref, err := node.Start(name)
+// boot installs pair as name on a new Xeon and a new Pi.
+func boot(name string, pair *compiler.Pair) *fixture {
+	f := &fixture{name: name, pair: pair, xeon: cluster.NewNode(cluster.XeonSpec), pi: cluster.NewNode(cluster.PiSpec)}
+	f.xeon.Install(name, pair)
+	f.pi.Install(name, pair)
+	return f
+}
+
+// newFixture compiles w at class c and boots it.
+func newFixture(w workloads.Workload, c workloads.Class) (*fixture, error) {
+	pair, err := workloads.CompilePair(w, c)
+	if err != nil {
+		return nil, err
+	}
+	return boot(w.Name, pair), nil
+}
+
+// runToFraction measures a native run on the Xeon and replays to the
+// given fraction of its cycles, returning the running process (nil if it
+// finished first) and the native run's cycles.
+func (f *fixture) runToFraction(frac float64) (*kernel.Process, uint64, error) {
+	ref, err := f.xeon.Start(f.name)
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := node.K.Run(ref); err != nil {
+	if err := f.xeon.K.Run(ref); err != nil {
 		return nil, 0, fmt.Errorf("native run: %w", err)
 	}
 	total := ref.VCycles
-	p, err := node.Start(name)
+	p, err := f.xeon.Start(f.name)
 	if err != nil {
 		return nil, 0, err
 	}
-	alive, err := node.K.RunBudget(p, uint64(float64(total)*frac))
+	alive, err := f.xeon.K.RunBudget(p, uint64(float64(total)*frac))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -207,8 +222,60 @@ func runToFraction(node *cluster.Node, name string, frac float64) (*kernel.Proce
 	return p, total, nil
 }
 
+// drain steps a server on the Xeon until it blocks on recv with its
+// input consumed, and drops what it wrote.
+func (f *fixture) drain(p *kernel.Process) error {
+	for i := 0; i < 50_000_000; i++ {
+		st, err := f.xeon.K.Step(p)
+		if err != nil {
+			return err
+		}
+		if st.Blocked == 1 && p.PendingInput() == 0 {
+			p.TakeOutput()
+			return nil
+		}
+	}
+	return fmt.Errorf("%s never drained its input", p.ExePath)
+}
+
+// migrate moves p from the Xeon to the Pi in the given mode, with a fresh
+// obs registry attached; pre sets the rounds of a pre-copy. run, if set,
+// gets the restored process before the migration's plumbing closes, so
+// post-copy traffic it causes is counted. The returned report carries the
+// span tree and transport counters of the run.
+func (f *fixture) migrate(p *kernel.Process, mode migMode, pre *cluster.PreCopyOpts, run func(*kernel.Process) error) (_ *cluster.Breakdown, _ *obs.Report, err error) {
+	reg := obs.New()
+	opts := cluster.MigrateOpts{Obs: reg}
+	switch mode {
+	case modeLazy:
+		opts.Lazy, opts.LazyTCP = true, LazyTCP
+	case modePreCopy:
+		opts.PreCopy = pre
+	}
+	res, err := cluster.Migrate(f.xeon, f.pi, p, f.pair.Meta, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Leaked lazy plumbing must fail the experiment, not silently skew
+	// later measurements sharing the process.
+	defer func() {
+		if cerr := res.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}()
+	if run != nil {
+		if err := run(res.Proc); err != nil {
+			return nil, nil, fmt.Errorf("post-migration: %w", err)
+		}
+	}
+	if mode == modeLazy {
+		res.FinalizeLazyStats()
+	}
+	return &res.Breakdown, reg.Report(), nil
+}
+
 // MigrateOnce runs one workload to frac on the Xeon and migrates it to the
-// Pi, returning the breakdown (the primitive behind Figs. 5 and 7).
+// Pi, returning the breakdown (the primitive behind Figs. 5 and 8).
 func MigrateOnce(w workloads.Workload, c workloads.Class, frac float64, lazy bool) (*cluster.Breakdown, error) {
 	mode := modeVanilla
 	if lazy {
@@ -265,38 +332,18 @@ func Fig6(c workloads.Class) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		xeon, pi, err := newPairOfNodes(w, c)
+		f, err := newFixture(w, c)
 		if err != nil {
 			return nil, err
 		}
-		pair, err := workloads.CompilePair(w, c)
+		pa, err := f.pi.Start(name)
 		if err != nil {
 			return nil, err
 		}
-		// Native times.
-		px, err := xeon.Start(w.Name)
-		if err != nil {
+		if err := f.pi.K.Run(pa); err != nil {
 			return nil, err
 		}
-		if err := xeon.K.Run(px); err != nil {
-			return nil, err
-		}
-		pa, err := pi.Start(w.Name)
-		if err != nil {
-			return nil, err
-		}
-		if err := pi.K.Run(pa); err != nil {
-			return nil, err
-		}
-		tx := xeon.SecondsFor(px.VCycles)
-		ta := pi.SecondsFor(pa.VCycles)
-
-		// Migrated run.
-		xeon2, pi2, err := newPairOfNodes(w, c)
-		if err != nil {
-			return nil, err
-		}
-		p, _, err := runToFraction(xeon2, w.Name, 0.5)
+		p, native, err := f.runToFraction(0.5)
 		if err != nil {
 			return nil, err
 		}
@@ -304,17 +351,21 @@ func Fig6(c workloads.Class) (*Table, error) {
 			return nil, fmt.Errorf("fig6 %s finished early", name)
 		}
 		half1 := p.VCycles
-		res, err := cluster.Migrate(xeon2, pi2, p, pair.Meta, cluster.MigrateOpts{})
+		var half2 uint64
+		bd, _, err := f.migrate(p, modeVanilla, nil, func(dst *kernel.Process) error {
+			err := f.pi.K.Run(dst)
+			half2 = dst.VCycles
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		if err := pi2.K.Run(res.Proc); err != nil {
-			return nil, err
-		}
+		tx := f.xeon.SecondsFor(native)
+		ta := f.pi.SecondsFor(pa.VCycles)
 		// Compute time splits across the two machines; the migration
 		// pause is reported separately (the paper's totals include it,
 		// but at simulator scales it would mask the compute split).
-		tc := xeon2.SecondsFor(half1) + pi2.SecondsFor(res.Proc.VCycles)
+		tc := f.xeon.SecondsFor(half1) + f.pi.SecondsFor(half2)
 		between := "yes"
 		if tc < tx || tc > ta {
 			between = "no"
@@ -322,7 +373,7 @@ func Fig6(c workloads.Class) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			name,
 			fmt.Sprintf("%.2f", tx*1000), fmt.Sprintf("%.2f", ta*1000),
-			fmt.Sprintf("%.2f", tc*1000), ms(res.Breakdown.Total()), between,
+			fmt.Sprintf("%.2f", tc*1000), ms(bd.Total()), between,
 		})
 	}
 	t.Notes = append(t.Notes, "paper: DAPPER's total execution time lies between native x86 and native arm")
@@ -340,13 +391,10 @@ func Fig7(_ workloads.Class) (*Table, error) {
 		Title:  "vanilla vs lazy (post-copy) migration breakdown",
 		Header: []string{"case", "mode", "checkpoint(ms)", "recode(ms)", "scp(ms)", "restore(ms)", "images(KiB)", "post-copy-pages", "post-copy(KiB)"},
 	}
-	addRow := func(label string, bd *cluster.Breakdown, lazy bool) {
-		mode := "vanilla"
-		if lazy {
-			mode = "lazy"
-		}
+	modes := []migMode{modeVanilla, modeLazy}
+	addRow := func(label string, mode migMode, bd *cluster.Breakdown) {
 		t.Rows = append(t.Rows, []string{
-			label, mode, ms(bd.Checkpoint), ms(bd.Recode), ms(bd.Copy), ms(bd.Restore),
+			label, mode.String(), ms(bd.Checkpoint), ms(bd.Recode), ms(bd.Copy), ms(bd.Restore),
 			kb(bd.ImageBytes), fmt.Sprintf("%d", bd.LazyFetches), kb(bd.LazyBytes),
 		})
 	}
@@ -359,40 +407,29 @@ func Fig7(_ workloads.Class) (*Table, error) {
 			label string
 			frac  float64
 		}{{"init", 0.05}, {"mid", 0.5}, {"end", 0.9}} {
-			for _, lazy := range []bool{false, true} {
-				bd, err := MigrateOnce(w, c, pos.frac, lazy)
+			for _, mode := range modes {
+				bd, _, err := migrateOnceMode(w, c, pos.frac, mode)
 				if err != nil {
 					return nil, fmt.Errorf("fig7 %s %s: %w", name, pos.label, err)
 				}
-				addRow(name+"-"+pos.label, bd, lazy)
+				addRow(name+"-"+pos.label, mode, bd)
 			}
 		}
 	}
 	// rediska at three database sizes.
 	for _, db := range []uint64{100, 2000, 12000} {
-		for _, lazy := range []bool{false, true} {
-			bd, err := migrateRediska(c, db, lazy)
+		for _, mode := range modes {
+			bd, _, err := migrateRediskaMode(c, db, mode)
 			if err != nil {
 				return nil, fmt.Errorf("fig7 rediska %d: %w", db, err)
 			}
-			addRow(fmt.Sprintf("rediska-%dkeys", db), bd, lazy)
+			addRow(fmt.Sprintf("rediska-%dkeys", db), mode, bd)
 		}
 	}
 	t.Notes = append(t.Notes,
 		"paper: lazy migration slashes checkpoint+scp, restores in ~8 ms, and wins more as heap grows",
 		"post-copy pages are served on demand by the source-side page server")
 	return t, nil
-}
-
-// migrateRediska loads db keys into the server, migrates it, and (for
-// lazy) drives queries so pages actually fault over.
-func migrateRediska(c workloads.Class, db uint64, lazy bool) (*cluster.Breakdown, error) {
-	mode := modeVanilla
-	if lazy {
-		mode = modeLazy
-	}
-	bd, _, err := migrateRediskaMode(c, db, mode)
-	return bd, err
 }
 
 // Fig8 regenerates the heterogeneous-cluster energy/throughput experiment.
@@ -415,17 +452,15 @@ func Fig8(c workloads.Class) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		xeon := cluster.NewNode(cluster.XeonSpec)
-		pair, err := workloads.CompilePair(w, c)
+		f, err := newFixture(w, c)
 		if err != nil {
 			return nil, err
 		}
-		xeon.Install(w.Name, pair)
-		p, err := xeon.Start(w.Name)
+		p, err := f.xeon.Start(name)
 		if err != nil {
 			return nil, err
 		}
-		if err := xeon.K.Run(p); err != nil {
+		if err := f.xeon.K.Run(p); err != nil {
 			return nil, err
 		}
 		target := classBSeconds[name]
@@ -433,9 +468,9 @@ func Fig8(c workloads.Class) (*Table, error) {
 		if scale < 1 {
 			scale = 1
 		}
-		job := energyJob(name, uint64(float64(p.VCycles)*scale))
+		job := energy.JobClass{Name: name, Cycles: uint64(float64(p.VCycles) * scale)}
 		for _, pis := range []int{1, 3} {
-			imp, err := compareEnergy(job, pis, evict)
+			imp, err := energy.Compare(job, pis, evict)
 			if err != nil {
 				return nil, err
 			}

@@ -32,127 +32,69 @@ func (m migMode) String() string {
 	}
 }
 
-// migrateOnceMode generalizes MigrateOnce over the three modes. Every
-// migration runs with a fresh obs registry attached; the returned report
-// carries the span tree and transport counters for the run.
-func migrateOnceMode(w workloads.Workload, c workloads.Class, frac float64, mode migMode) (_ *cluster.Breakdown, _ *obs.Report, err error) {
-	xeon, pi, err := newPairOfNodes(w, c)
+// migrateOnceMode generalizes MigrateOnce over the three modes, returning
+// the run's telemetry report with its breakdown.
+func migrateOnceMode(w workloads.Workload, c workloads.Class, frac float64, mode migMode) (*cluster.Breakdown, *obs.Report, error) {
+	f, err := newFixture(w, c)
 	if err != nil {
 		return nil, nil, err
 	}
-	p, total, err := runToFraction(xeon, w.Name, frac)
+	p, total, err := f.runToFraction(frac)
 	if err != nil {
 		return nil, nil, err
 	}
 	if p == nil {
 		return nil, nil, fmt.Errorf("%s finished before the %.0f%% checkpoint", w.Name, frac*100)
 	}
-	pair, err := workloads.CompilePair(w, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	reg := obs.New()
-	opts := cluster.MigrateOpts{Obs: reg}
-	switch mode {
-	case modeLazy:
-		opts.Lazy, opts.LazyTCP = true, LazyTCP
-	case modePreCopy:
-		// Run ~5% of the workload between rounds so deltas are real.
-		opts.PreCopy = &cluster.PreCopyOpts{RoundBudget: total/20 + 1}
-	}
-	res, err := cluster.Migrate(xeon, pi, p, pair.Meta, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Leaked lazy plumbing must fail the experiment, not silently skew
-	// later measurements sharing the process.
-	defer func() {
-		if cerr := res.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	// Finish the run so the lazy page traffic is realized.
+	// Run ~5% of the workload between pre-copy rounds so deltas are real.
+	pre := &cluster.PreCopyOpts{RoundBudget: total/20 + 1}
+	var run func(*kernel.Process) error
 	if mode == modeLazy {
-		if err := pi.K.Run(res.Proc); err != nil {
-			return nil, nil, fmt.Errorf("post-migration: %w", err)
-		}
-		res.FinalizeLazyStats()
+		// Finish the run so the lazy page traffic is realized.
+		run = f.pi.K.Run
 	}
-	return &res.Breakdown, reg.Report(), nil
+	return f.migrate(p, mode, pre, run)
 }
 
 // migrateRediskaMode loads db keys into the server and migrates it in the
-// given mode. For lazy, post-migration queries realize the paging traffic;
-// for pre-copy, a write burst per round keeps the server dirtying pages
-// while the chain is in flight.
-func migrateRediskaMode(c workloads.Class, db uint64, mode migMode) (_ *cluster.Breakdown, _ *obs.Report, err error) {
+// given mode. Queries after the migration realize post-copy's paging
+// traffic; for pre-copy, a write burst per round keeps the server dirtying
+// pages while the chain is in flight.
+func migrateRediskaMode(c workloads.Class, db uint64, mode migMode) (*cluster.Breakdown, *obs.Report, error) {
 	w, err := workloads.Get("rediska")
 	if err != nil {
 		return nil, nil, err
 	}
-	xeon, pi, err := newPairOfNodes(w, c)
+	f, err := newFixture(w, c)
 	if err != nil {
 		return nil, nil, err
 	}
-	pair, err := workloads.CompilePair(w, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := xeon.Start(w.Name)
+	p, err := f.xeon.Start(w.Name)
 	if err != nil {
 		return nil, nil, err
 	}
 	p.PushInput(workloads.RediskaLoad(db))
-	for i := 0; i < 5_000_000; i++ {
-		st, err := xeon.K.Step(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		if st.Blocked == 1 && p.PendingInput() == 0 {
-			break
-		}
-	}
-	p.TakeOutput()
-	reg := obs.New()
-	opts := cluster.MigrateOpts{Obs: reg}
-	switch mode {
-	case modeLazy:
-		opts.Lazy, opts.LazyTCP = true, LazyTCP
-	case modePreCopy:
-		opts.PreCopy = &cluster.PreCopyOpts{
-			RunUntilIdle: true,
-			BetweenRounds: func(p *kernel.Process, round int) {
-				// 32 overwrites per round dirty a bounded working set.
-				for i := uint64(0); i < 32; i++ {
-					k := (uint64(round)*32 + i) % db
-					p.PushInput(workloads.RediskaSet(1000000+7*k, k))
-				}
-			},
-		}
-	}
-	res, err := cluster.Migrate(xeon, pi, p, pair.Meta, opts)
-	if err != nil {
+	if err := f.drain(p); err != nil {
 		return nil, nil, err
 	}
-	// As in migrateOnceMode: leaked lazy plumbing fails the experiment.
-	defer func() {
-		if cerr := res.Close(); cerr != nil && err == nil {
-			err = cerr
+	pre := &cluster.PreCopyOpts{
+		RunUntilIdle: true,
+		BetweenRounds: func(p *kernel.Process, round int) {
+			// 32 overwrites per round dirty a bounded working set.
+			for i := uint64(0); i < 32; i++ {
+				k := (uint64(round)*32 + i) % db
+				p.PushInput(workloads.RediskaSet(1000000+7*k, k))
+			}
+		},
+	}
+	return f.migrate(p, mode, pre, func(dst *kernel.Process) error {
+		// Query every 10th key to realize post-copy traffic.
+		for k := uint64(0); k < db; k += 10 {
+			dst.PushInput(workloads.RediskaGet(1000000 + 7*k))
 		}
-	}()
-	p2 := res.Proc
-	// Query every 10th key to realize post-copy traffic.
-	for k := uint64(0); k < db; k += 10 {
-		p2.PushInput(workloads.RediskaGet(1000000 + 7*k))
-	}
-	p2.CloseInput()
-	if err := pi.K.Run(p2); err != nil {
-		return nil, nil, err
-	}
-	if mode == modeLazy {
-		res.FinalizeLazyStats()
-	}
-	return &res.Breakdown, reg.Report(), nil
+		dst.CloseInput()
+		return f.pi.K.Run(dst)
+	})
 }
 
 // Fig7x extends Fig. 7 with the restoration mode the paper leaves

@@ -6,7 +6,6 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/cluster"
 	"github.com/dapper-sim/dapper/internal/criu"
-	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/monitor"
 	"github.com/dapper-sim/dapper/internal/obs"
 	"github.com/dapper-sim/dapper/internal/registry"
@@ -18,21 +17,6 @@ const registryDB = 800
 
 // registryFanouts are the clone fan-out widths of the latency sweep.
 var registryFanouts = []int{1, 4, 16}
-
-// driveUntilBlocked steps the server until it has consumed its pending
-// input and blocks on recv again (the fig7x idle loop).
-func driveUntilBlocked(node *cluster.Node, p *kernel.Process) error {
-	for i := 0; i < 5_000_000; i++ {
-		st, err := node.K.Step(p)
-		if err != nil {
-			return err
-		}
-		if st.Blocked == 1 && p.PendingInput() == 0 {
-			return nil
-		}
-	}
-	return fmt.Errorf("server never drained its input")
-}
 
 // Registry measures the persistent content-addressed checkpoint store
 // (docs/registry.md) in both directions: the dedup hit-rate across
@@ -46,7 +30,7 @@ func Registry(c workloads.Class) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pair, err := workloads.CompilePair(w, c)
+	f, err := newFixture(w, c)
 	if err != nil {
 		return nil, err
 	}
@@ -81,17 +65,14 @@ func Registry(c workloads.Class) (*Table, error) {
 	// The server: load the database, then checkpoint after each burst of
 	// writes. Dumps of one evolving process are exactly the cross-dump
 	// workload the chunk store exists for.
-	node := cluster.NewNode(cluster.XeonSpec)
-	node.Install(w.Name, pair)
-	p, err := node.Start(w.Name)
+	p, err := f.xeon.Start(w.Name)
 	if err != nil {
 		return nil, err
 	}
 	p.PushInput(workloads.RediskaLoad(registryDB))
-	if err := driveUntilBlocked(node, p); err != nil {
+	if err := f.drain(p); err != nil {
 		return nil, err
 	}
-	p.TakeOutput()
 
 	var manifest string
 	for round := 0; round < 3; round++ {
@@ -100,12 +81,11 @@ func Registry(c workloads.Class) (*Table, error) {
 				k := (uint64(round)*64 + i) % registryDB
 				p.PushInput(workloads.RediskaSet(1000000+7*k, k+uint64(round)))
 			}
-			if err := driveUntilBlocked(node, p); err != nil {
+			if err := f.drain(p); err != nil {
 				return nil, err
 			}
-			p.TakeOutput()
 		}
-		mon := monitor.New(node.K, p, pair.Meta)
+		mon := monitor.New(f.xeon.K, p, f.pair.Meta)
 		if err := mon.Pause(1 << 22); err != nil {
 			return nil, err
 		}
@@ -144,7 +124,7 @@ func Registry(c workloads.Class) (*Table, error) {
 		targets := make([]*cluster.Node, n)
 		for i := range targets {
 			targets[i] = cluster.NewNode(cluster.XeonSpec)
-			targets[i].Install(w.Name, pair)
+			targets[i].Install(w.Name, f.pair)
 		}
 		res, err := cluster.CloneFromRegistry(store, manifest, targets, cluster.CloneOpts{Obs: reg})
 		if err != nil {

@@ -2,27 +2,17 @@ package experiments
 
 import (
 	"fmt"
-
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/attack"
 	"github.com/dapper-sim/dapper/internal/cluster"
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/core"
-	"github.com/dapper-sim/dapper/internal/energy"
 	"github.com/dapper-sim/dapper/internal/gadget"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/workloads"
 )
-
-func energyJob(name string, cycles uint64) energy.JobClass {
-	return energy.JobClass{Name: name, Cycles: cycles}
-}
-
-func compareEnergy(job energy.JobClass, pis int, evictSec float64) (energy.Improvement, error) {
-	return energy.Compare(job, pis, evictSec)
-}
 
 // figSecurityBenchmarks are the programs shuffled and scanned in
 // Figs. 9-11 (rediska and nginz stand in for the paper's Redis and Nginx).
@@ -231,29 +221,22 @@ func Attacks() (*Table, error) {
 	t.Rows = append(t.Rows, []string{"bopc", "admin+key chain", "stack shuffling", rate(hits, trials)})
 
 	// 4. Min-DOP vs cross-ISA migration.
-	xeon := cluster.NewNode(cluster.XeonSpec)
-	pi := cluster.NewNode(cluster.PiSpec)
-	xeon.Install("vuln", pair)
-	pi.Install("vuln", pair)
-	p, err := xeon.Start("vuln")
+	f := boot("vuln", pair)
+	p, err := f.xeon.Start("vuln")
 	if err != nil {
 		return nil, err
 	}
 	p.PushInput(workloads.Words(1, 0)) // benign
-	for i := 0; i < 100000; i++ {
-		st, err := xeon.K.Step(p)
-		if err != nil {
-			return nil, err
-		}
-		if st.Blocked == 1 && p.PendingInput() == 0 {
-			break
-		}
-	}
-	mres, err := cluster.Migrate(xeon, pi, p, pair.Meta, cluster.MigrateOpts{})
-	if err != nil {
+	if err := f.drain(p); err != nil {
 		return nil, err
 	}
-	out := attack.Fire(pi.K, mres.Proc, dop)
+	var out attack.Result
+	if _, _, err := f.migrate(p, modeVanilla, nil, func(dst *kernel.Process) error {
+		out = attack.Fire(f.pi.K, dst, dop)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
 	t.Rows = append(t.Rows, []string{"min-dop", "x86-layout payload", "cross-ISA migration", rate(b2i(out.Escalated), 1)})
 	t.Notes = append(t.Notes,
 		"paper: shuffling breaks DOP gadget chaining/dispatching; cross-ISA rewriting relocates all live values")

@@ -224,13 +224,10 @@ func (d *ImageDir) Payload() (Payload, bool) {
 	return Payload{flat: flat, list: d.pageList}, ok
 }
 
-// Len returns the file's size in bytes.
+// Len returns the file's size in bytes. A list holds one page per slice
+// (PutPages), so it is not summed.
 func (p Payload) Len() int {
-	n := len(p.flat)
-	for _, pg := range p.list {
-		n += len(pg)
-	}
-	return n
+	return len(p.flat) + len(p.list)*mem.PageSize
 }
 
 // Page returns the i'th page of the file, capped so an append cannot run
@@ -261,10 +258,7 @@ func (d *ImageDir) Size() uint64 {
 	for _, b := range d.files {
 		n += uint64(len(b))
 	}
-	for _, pg := range d.pageList {
-		n += uint64(len(pg))
-	}
-	return n
+	return n + uint64(len(d.pageList))*mem.PageSize
 }
 
 // FrameFile encodes one directory entry exactly as it appears inside
@@ -312,11 +306,10 @@ func (d *ImageDir) parts() ([][]byte, int) {
 	parts := make([][]byte, 1, 1+2*len(names)+len(d.pageList))
 	at, pad := 0, 0 // the next part's offset in the blob; the padding
 	for _, name := range names {
-		file := [][]byte{d.files[name]}
+		file, size := [][]byte{d.files[name]}, len(d.files[name])
 		if name == PagesName && len(d.pageList) > 0 {
-			file = d.pageList
+			file, size = d.pageList, len(d.pageList)*mem.PageSize
 		}
-		size := Payload{list: file}.Len()
 		hdr := frameHeader(name, size)
 		if name == PagesName {
 			pad = -(at + len(hdr)) & (mem.PageSize - 1)

@@ -211,8 +211,8 @@ func bucketMid(i int) time.Duration {
 // --- spans ---
 
 // Span is one phase of work, nestable into a tree. It finishes exactly
-// once, either by End (wall-clock duration since StartSpan/StartChild) or
-// by Finish (an explicit, typically modeled, duration); finishing pushes
+// once, either by End (wall-clock duration since NewSpan/Child) or by
+// Finish (an explicit, typically modeled, duration); finishing pushes
 // one event into the registry's ring. The nil Span is a no-op, so span
 // trees built on a disabled registry cost nothing.
 type Span struct {
@@ -224,11 +224,8 @@ type Span struct {
 	done   atomic.Bool
 }
 
-// StartSpan begins a wall-clock root span.
-func (r *Registry) StartSpan(name string) *Span { return r.newSpan(name, 0) }
-
-// NewSpan creates a root span intended to be finished with an explicit
-// duration (Finish) — the carrier for modeled virtual-time phases.
+// NewSpan creates a root span. Finish it with End (wall clock) or Finish
+// (explicit duration).
 func (r *Registry) NewSpan(name string) *Span { return r.newSpan(name, 0) }
 
 func (r *Registry) newSpan(name string, parent uint64) *Span {
@@ -237,9 +234,6 @@ func (r *Registry) newSpan(name string, parent uint64) *Span {
 	}
 	return &Span{reg: r, id: r.spanID.Add(1), parent: parent, name: name, start: time.Now()}
 }
-
-// StartChild begins a wall-clock child span.
-func (s *Span) StartChild(name string) *Span { return s.Child(name) }
 
 // Child creates a nested span. Finish it with End (wall clock) or Finish
 // (explicit duration).

@@ -124,7 +124,7 @@ func TestSpanTree(t *testing.T) {
 
 func TestSpanWallClock(t *testing.T) {
 	reg := New()
-	sp := reg.StartSpan("work")
+	sp := reg.NewSpan("work")
 	time.Sleep(2 * time.Millisecond)
 	sp.End()
 	rep := reg.Report()
@@ -188,7 +188,7 @@ func TestNilRegistryNoOps(t *testing.T) {
 	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Sum() != 0 {
 		t.Error("nil histogram recorded")
 	}
-	sp := reg.StartSpan("root")
+	sp := reg.NewSpan("root")
 	child := sp.Child("child")
 	child.End()
 	sp.Finish(time.Second)
@@ -249,7 +249,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		var reg *Registry
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sp := reg.StartSpan("s")
+			sp := reg.NewSpan("s")
 			sp.End()
 		}
 	})

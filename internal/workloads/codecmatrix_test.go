@@ -149,8 +149,7 @@ func TestPreCopyCodecMatrix(t *testing.T) {
 		}
 	}
 	// The headline saving: delta+flate must beat the uncompressed baseline
-	// on the wire (the wirecodec experiment fails its run on the same
-	// condition).
+	// on the wire.
 	if deltaFlateWire != 0 && deltaFlateWire >= baseline.WireBytes {
 		t.Errorf("delta+flate wire %d not below uncompressed baseline %d", deltaFlateWire, baseline.WireBytes)
 	}
