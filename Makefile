@@ -76,8 +76,8 @@ loc:
 # over its ceiling. The ceilings are the counts of the last PR that moved
 # them; a PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it, and a PR that removes lines lowers it.
-LOC_CEILING = 25800
-LOC_MIGRATION_CEILING = 8713
+LOC_CEILING = 25656
+LOC_MIGRATION_CEILING = 8580
 loc-check:
 	@$(LOC_COUNT); all=$$(count internal cmd); mig=$$(count $(addprefix internal/,$(MIGRATION_PKGS))); \
 	if [ $$all -gt $(LOC_CEILING) ] || [ $$mig -gt $(LOC_MIGRATION_CEILING) ]; then \
@@ -146,12 +146,11 @@ fuzz-smoke:
 	done
 
 # fleet-smoke gates the control plane: the fleet package's deterministic
-# fault-injection tests (retry, rollback, journal resume, drain,
-# heartbeat mark-down) and the shared-node concurrency tests under the
-# race detector, then the fleet throughput table — migs/sec and retry
-# rate at fleet-wide concurrency 1/4/8 — which itself hard-fails if any
-# job fails, any restored output is corrupt, or the retry path never
-# fires.
+# fault-injection tests (retry, rollback, journal resume, drain) and the
+# shared-node concurrency tests under the race detector, then the fleet
+# throughput table — migs/sec and retry rate at fleet-wide concurrency
+# 1/4/8 — which itself hard-fails if any job fails, any restored output
+# is corrupt, or the retry path never fires.
 fleet-smoke:
 	$(GO) test -race ./internal/fleet/
 	$(GO) test -race -run TestConcurrent ./internal/cluster/
@@ -163,10 +162,12 @@ fleet-smoke:
 # hit-rate on an evolving rediska server and clone fan-out latency at
 # N=1/4/16 — which itself hard-fails on a zero hit-rate, zero shared
 # frames, or any clone answering queries differently from its siblings.
+# The run's table goes to BENCH_registry_run.json (gitignored); the
+# committed BENCH_registry.json is the baseline it is checked against.
 registry-smoke:
 	$(GO) test -race ./internal/registry/ ./internal/kernel/
 	$(GO) test -race -run TestClone ./internal/cluster/ ./internal/fleet/
-	$(GO) run ./cmd/dapper-bench -jsonout BENCH_registry.json -check BENCH_registry.json registry
+	$(GO) run ./cmd/dapper-bench -jsonout BENCH_registry_run.json -check BENCH_registry.json registry
 
 # bench-obs measures the telemetry fast paths: the Disabled* benchmarks
 # are the nil-registry no-ops every migration pays even with telemetry

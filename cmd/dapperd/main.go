@@ -1,7 +1,7 @@
 // Command dapperd is the fleet-level migration control plane daemon: it
 // owns a set of simulated nodes (mixed SX86 Xeon-class and SARM Pi-class
 // machines), a journaled queue of migration jobs, a placement policy,
-// per-node concurrency bounds, node heartbeats, and the retry/rollback
+// per-node concurrency bounds, node drains, and the retry/rollback
 // machinery — everything in internal/fleet — and exposes it over a local
 // unix socket that dapperctl's submit/status/jobs/drain-node subcommands
 // speak to.
@@ -31,7 +31,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
 	"github.com/dapper-sim/dapper/internal/fleet"
@@ -57,8 +56,6 @@ type options struct {
 	policy   string
 	programs []string
 	class    workloads.Class
-	hbEvery  time.Duration
-	hbMissed int
 }
 
 func parseFlags(args []string) (options, error) {
@@ -72,8 +69,6 @@ func parseFlags(args []string) (options, error) {
 	policy := fs.String("policy", "least-loaded", "placement policy: least-loaded, isa-affinity, or round-robin")
 	programs := fs.String("programs", "", "comma-separated workloads to pre-register (e.g. cg,mg,rediska)")
 	class := fs.String("class", "S", "problem class for pre-registered workloads")
-	hbEvery := fs.Duration("hb-interval", 50*time.Millisecond, "heartbeat probe interval")
-	hbMissed := fs.Int("hb-max-missed", 3, "consecutive missed heartbeats before a node is marked down")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
 	}
@@ -89,8 +84,6 @@ func parseFlags(args []string) (options, error) {
 		cap:      *capacity,
 		policy:   *policy,
 		class:    workloads.Class(strings.ToUpper(*class)),
-		hbEvery:  *hbEvery,
-		hbMissed: *hbMissed,
 	}
 	if *programs != "" {
 		o.programs = strings.Split(*programs, ",")
@@ -118,10 +111,6 @@ func buildManager(o options) (*fleet.Manager, *registry.Store, error) {
 		Journal:  o.journal,
 		Policy:   o.policy,
 		Registry: store,
-		Heartbeat: fleet.HeartbeatConfig{
-			Interval:  o.hbEvery,
-			MaxMissed: o.hbMissed,
-		},
 	})
 	if err != nil {
 		if store != nil {

@@ -89,7 +89,6 @@ func TestDaemonRegistryCloneJob(t *testing.T) {
 		"-journal", filepath.Join(dir, "d.journal"),
 		"-registry", filepath.Join(dir, "reg"),
 		"-xeons", "1", "-pis", "1", "-cap", "2",
-		"-hb-interval", "10ms",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,13 +9,13 @@ import (
 // Goreap requires every goroutine launched in the transport packages
 // (internal/criu, internal/cluster, internal/image), in the one accept
 // loop their servers share (internal/netserve), in the fleet control
-// plane (internal/fleet — scheduler/heartbeat loops and per-job
-// executors), and in the persistent checkpoint store (internal/registry)
-// to have a visible join/reap path. A leaked serving goroutine outlives
-// its migration, holds its connection, and makes "Close waits for the
+// plane (internal/fleet — the scheduler loop and per-job executors), and
+// in the persistent checkpoint store (internal/registry) to have a
+// visible join/reap path. A leaked serving goroutine outlives its
+// migration, holds its connection, and makes "Close waits for the
 // serving goroutines" a lie — the exact leak class the post-copy
-// hardening fixed; in the daemon it also makes Manager.Stop return while
-// executors still mutate nodes.
+// hardening fixed; in the daemon it also makes Manager.Stop return
+// while executors still mutate nodes.
 //
 // A `go` statement passes if either
 //   - the enclosing function calls .Add(...) (a WaitGroup arm) somewhere

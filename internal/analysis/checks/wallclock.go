@@ -17,9 +17,9 @@ import (
 //
 // internal/fleet and internal/registry are in scope too: their *results*
 // (reports, journals) embed migration breakdowns that must stay modeled,
-// while their *control plane* (backoff timers, heartbeat ages, uptime)
-// legitimately runs on host time — each such site carries a //lint:ignore
-// stating why the read cannot leak into a modeled figure.
+// while their *control plane* (backoff timers, uptime) legitimately runs
+// on host time — each such site carries a //lint:ignore stating why the
+// read cannot leak into a modeled figure.
 var Wallclock = &analysis.Analyzer{
 	Name:      "wallclock",
 	Doc:       "no time.Now/time.Since in modeled-timing packages",

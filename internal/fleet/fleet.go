@@ -14,8 +14,8 @@
 //     as N clones (see clone.go), through one lifecycle;
 //   - a pluggable placement policy (least-loaded, isa-affinity,
 //     round-robin — see placement.go) that picks each job's destination;
-//   - node heartbeats with mark-down of unresponsive nodes (see
-//     heartbeat.go) and drain semantics for planned maintenance;
+//   - drain semantics for planned maintenance: a drained node takes no
+//     new placements;
 //   - retry with exponential backoff plus rollback-to-source on
 //     mid-migration failure (see executor.go), exercised
 //     deterministically with criu.FlakySource/FlakyListener;
@@ -61,9 +61,6 @@ type Config struct {
 	// per attempt up to RetryMax (default 1s).
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// Heartbeat configures node health probing; zero values select
-	// defaults (see HeartbeatConfig).
-	Heartbeat HeartbeatConfig
 	// Registry is the persistent content-addressed checkpoint store
 	// clone jobs restore from (see JobSpec.Manifest). Required to submit
 	// a clone job, and to replay a journal holding a pending one; plain
@@ -78,12 +75,11 @@ func (c Config) withDefaults() Config {
 	if c.RetryMax <= 0 {
 		c.RetryMax = time.Second
 	}
-	c.Heartbeat = c.Heartbeat.withDefaults()
 	return c
 }
 
 // NodeState couples a cluster node with its control-plane state:
-// capacity accounting, health, and drain status. Everything mutable is
+// capacity accounting and drain status. Everything mutable is
 // atomic so executors update it without taking the manager lock.
 type NodeState struct {
 	Name     string
@@ -97,9 +93,6 @@ type NodeState struct {
 	failed    atomic.Uint64
 
 	drained atomic.Bool
-	down    atomic.Bool
-	missed  atomic.Int64
-	probe   atomic.Value // func() error
 }
 
 // Arch returns the node's ISA.
@@ -115,9 +108,6 @@ func (n *NodeState) HighWater() int { return int(n.highWater.Load()) }
 
 // Drained reports whether the node is draining (no new placements).
 func (n *NodeState) Drained() bool { return n.drained.Load() }
-
-// Down reports whether heartbeats have marked the node unresponsive.
-func (n *NodeState) Down() bool { return n.down.Load() }
 
 // acquire takes a migration slot — a compare-and-swap of the running
 // gauge against Capacity — and maintains the gauge's high-water mark.
@@ -174,15 +164,6 @@ func (s slots) release(busy time.Duration) {
 	}
 }
 
-func (s slots) down() bool {
-	for _, n := range s {
-		if n.Down() {
-			return true
-		}
-	}
-	return false
-}
-
 // program is a registered migratable program: a compiled DapC pair plus
 // the per-arch reference runs the executor needs (total cycles to place
 // the migration point, native output to verify identity).
@@ -221,11 +202,6 @@ type Manager struct {
 	stop chan struct{}
 	wake chan struct{}
 	wg   sync.WaitGroup
-
-	// testHookAfterAcquire, when set, runs between a placement's slot
-	// acquisitions and its mark-down re-check; tests inject a heartbeat
-	// transition there to force the race deterministically.
-	testHookAfterAcquire func(job *Job, src, dst *NodeState)
 }
 
 // NewManager builds a manager, replaying the configured journal: journaled
@@ -301,7 +277,6 @@ func (m *Manager) AddNode(name string, spec cluster.NodeSpec, capacity int) erro
 		Node:     cluster.NewNode(spec),
 		Capacity: capacity,
 	}
-	n.probe.Store(func() error { return nil })
 	for _, p := range m.programs {
 		n.Node.Install(p.name, p.pair)
 	}
@@ -486,7 +461,7 @@ func (m *Manager) kick() {
 	}
 }
 
-// Start launches the scheduler and heartbeat loops.
+// Start launches the scheduler loop.
 func (m *Manager) Start() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -507,9 +482,8 @@ func (m *Manager) Start() error {
 	//lint:ignore wallclock daemon start stamp for the uptime figure, reported as host time by design
 	m.start = time.Now()
 	m.started = true
-	m.wg.Add(2)
+	m.wg.Add(1)
 	go m.schedulerLoop()
-	go m.heartbeatLoop()
 	return nil
 }
 
@@ -574,21 +548,6 @@ func (m *Manager) Drain(name string, drain bool) error {
 	return nil
 }
 
-// SetProbe installs a health probe for a node (tests simulate
-// unresponsive nodes by making it fail). Probes must be fast and
-// synchronous; the default always succeeds.
-func (m *Manager) SetProbe(name string, probe func() error) error {
-	n, ok := m.NodeByName(name)
-	if !ok {
-		return fmt.Errorf("fleet: unknown node %q", name)
-	}
-	if probe == nil {
-		probe = func() error { return nil }
-	}
-	n.probe.Store(probe)
-	return nil
-}
-
 // Jobs returns a snapshot of every job in submission order.
 func (m *Manager) Jobs() []JobView {
 	m.mu.Lock()
@@ -612,7 +571,7 @@ func (m *Manager) Job(id int) (JobView, bool) {
 }
 
 // schedulerLoop dispatches pending jobs whenever something changes: a
-// submit, a finished attempt, a drain or heartbeat transition, or a
+// submit, a finished attempt, a drain or undrain, or a
 // retry's backoff deadline (settle arms a timer that kicks it).
 func (m *Manager) schedulerLoop() {
 	defer m.wg.Done()
@@ -629,7 +588,7 @@ func (m *Manager) schedulerLoop() {
 
 // eligible reports whether a node can take a new placement.
 func eligible(n *NodeState) bool {
-	return !n.Down() && !n.Drained() && n.Running() < n.Capacity
+	return !n.Drained() && n.Running() < n.Capacity
 }
 
 // schedule scans pending jobs in submission order and dispatches every
@@ -661,21 +620,6 @@ func (m *Manager) schedule() {
 		nodes := held(src, dst)
 		if !nodes.acquire() {
 			<-m.jobSlots
-			continue
-		}
-		if m.testHookAfterAcquire != nil {
-			m.testHookAfterAcquire(job, src, dst)
-		}
-		// The heartbeat flips down flags without taking m.mu, so a node
-		// can be marked down between the eligibility scan above and this
-		// point. Re-check now that the slots are held: a doomed placement
-		// fails cleanly back to Pending here — counted, slots released —
-		// instead of dispatching onto a node the prober just declared
-		// dead and burning a retry attempt on a guaranteed failure.
-		if nodes.down() {
-			nodes.release(0)
-			<-m.jobSlots
-			m.reg.Counter("fleet.placement_races").Inc()
 			continue
 		}
 		job.State = Running
@@ -722,11 +666,10 @@ func (m *Manager) pickPlacement(job *Job) (src, dst *NodeState) {
 // already runs) on, best first.
 func (m *Manager) sourceCandidates(job *Job) []*NodeState {
 	// Sticky after the first dispatch: the paused source process lives
-	// there. A down source cannot be worked around — the job waits for
-	// the node to come back.
+	// there, so the job waits for a slot on it, drained or not.
 	if job.proc != nil {
 		n := m.nodes[job.Src]
-		if n == nil || n.Down() || n.Running() >= n.Capacity {
+		if n == nil || n.Running() >= n.Capacity {
 			return nil
 		}
 		return []*NodeState{n}

@@ -39,12 +39,11 @@ func main() {
 	printi(acc);
 }`
 
-// fastConfig keeps scheduler/heartbeat/backoff latencies test-sized.
+// fastConfig keeps retry backoff test-sized.
 func fastConfig() Config {
 	return Config{
 		RetryBase: time.Millisecond,
 		RetryMax:  20 * time.Millisecond,
-		Heartbeat: HeartbeatConfig{Interval: 10 * time.Millisecond, MaxMissed: 3},
 	}
 }
 
@@ -284,110 +283,77 @@ func doneCount(m *Manager) int {
 }
 
 // TestFleetDrain verifies drain semantics: a drained node takes no new
-// placements, and undraining it releases the queue.
+// placements, and undraining it releases the queue. In every row pi0 is
+// the job's only possible destination — the one other node for a
+// xeon0-sourced migration, or the DstNode pin of a migration or a clone
+// job — so the job must stay pending, holding no slot on either node,
+// until pi0 is undrained.
 func TestFleetDrain(t *testing.T) {
-	cfg := fastConfig()
-	m, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		spec func(t *testing.T, cfg *Config) JobSpec
+	}{
+		{"only-destination", func(*testing.T, *Config) JobSpec {
+			return JobSpec{Program: "counter", SrcNode: "xeon0"}
+		}},
+		{"pinned-migration", func(*testing.T, *Config) JobSpec {
+			return JobSpec{Program: "counter", DstNode: "pi0"}
+		}},
+		{"pinned-clone", func(t *testing.T, cfg *Config) JobSpec {
+			cfg.Registry = openStore(t)
+			return JobSpec{Program: "counter", Manifest: pushCheckpoint(t, cfg.Registry), DstNode: "pi0"}
+		}},
 	}
-	defer stopManager(t, m)
-	if err := m.AddNode("xeon0", cluster.XeonSpec, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AddNode("pi0", cluster.PiSpec, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RegisterProgram("counter", counter); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Drain("pi0", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// The only possible destination for a xeon0-sourced job is pi0,
-	// which is drained, so the job must stay pending.
-	id, err := m.Submit(JobSpec{Program: "counter", SrcNode: "xeon0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if v, _ := m.Job(id); v.State != "pending" {
-		t.Fatalf("job placed on a drained node: state %s", v.State)
-	}
-	if err := m.Drain("pi0", false); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WaitIdle(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := m.Job(id); v.State != "done" {
-		t.Fatalf("job after undrain: state %s (err %q)", v.State, v.Err)
-	}
-	if m.Report().Drains != 1 {
-		t.Errorf("drains counter: %d, want 1", m.Report().Drains)
-	}
-}
-
-// TestFleetHeartbeat verifies mark-down and recovery: a node whose probe
-// fails repeatedly leaves the placement pool and rejoins when the probe
-// heals, at which point blocked jobs complete.
-func TestFleetHeartbeat(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Heartbeat = HeartbeatConfig{Interval: 2 * time.Millisecond, MaxMissed: 2}
-	m, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopManager(t, m)
-	if err := m.AddNode("xeon0", cluster.XeonSpec, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AddNode("pi0", cluster.PiSpec, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RegisterProgram("counter", counter); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetProbe("pi0", func() error { return fmt.Errorf("unreachable") }); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Start(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(time.Second)
-	for {
-		n, _ := m.NodeByName("pi0")
-		if n.Down() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("pi0 never marked down")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	id, err := m.Submit(JobSpec{Program: "counter", SrcNode: "xeon0", DstNode: "pi0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if v, _ := m.Job(id); v.State != "pending" {
-		t.Fatalf("job placed on a down node: state %s", v.State)
-	}
-	if err := m.SetProbe("pi0", nil); err != nil { // nil restores the always-ok probe
-		t.Fatal(err)
-	}
-	if err := m.WaitIdle(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := m.Job(id); v.State != "done" {
-		t.Fatalf("job after node recovery: state %s (err %q)", v.State, v.Err)
-	}
-	rep := m.Report()
-	if rep.NodesDown == 0 {
-		t.Error("nodes_marked_down counter never fired")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fastConfig()
+			spec := tc.spec(t, &cfg)
+			m, err := NewManager(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stopManager(t, m)
+			if err := m.AddNode("xeon0", cluster.XeonSpec, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.AddNode("pi0", cluster.PiSpec, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.RegisterProgram("counter", counter); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Drain("pi0", true); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Start(); err != nil {
+				t.Fatal(err)
+			}
+			id, err := m.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(50 * time.Millisecond)
+			if v, _ := m.Job(id); v.State != "pending" {
+				t.Fatalf("job placed on a drained node: state %s", v.State)
+			}
+			for _, n := range m.Nodes() {
+				if n.Running() != 0 {
+					t.Fatalf("%s holds %d slots while its job waits for a drained node", n.Name, n.Running())
+				}
+			}
+			if err := m.Drain("pi0", false); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.WaitIdle(time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			if v, _ := m.Job(id); v.State != "done" {
+				t.Fatalf("job after undrain: state %s (err %q)", v.State, v.Err)
+			}
+			if m.Report().Drains != 1 {
+				t.Errorf("drains counter: %d, want 1", m.Report().Drains)
+			}
+		})
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // TestMain fails the package if a test leaves a goroutine behind: a
-// manager's scheduler, heartbeat or executor that Stop did not join, or a
+// manager's scheduler or executor that Stop did not join, or a
 // control-socket server a test did not close.
 func TestMain(m *testing.M) {
 	before := runtime.NumGoroutine()

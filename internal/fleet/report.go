@@ -24,7 +24,6 @@ type NodeReport struct {
 	// means every slot was occupied the whole time.
 	Utilization float64 `json:"utilization"`
 	Drained     bool    `json:"drained,omitempty"`
-	Down        bool    `json:"down,omitempty"`
 }
 
 // FleetReport is the obs-backed control-plane summary dapperctl prints
@@ -44,7 +43,6 @@ type FleetReport struct {
 	Rollbacks uint64 `json:"rollbacks"`
 	Corrupt   uint64 `json:"corrupt_outputs"`
 	Drains    uint64 `json:"drains,omitempty"`
-	NodesDown uint64 `json:"nodes_marked_down,omitempty"`
 
 	// Migration latency percentiles (modeled migration time) across
 	// completed jobs, from the fleet.migration_ns histogram.
@@ -96,7 +94,6 @@ func (m *Manager) Report() *FleetReport {
 		Rollbacks: m.reg.Counter("fleet.rollbacks").Value(),
 		Corrupt:   m.reg.Counter("fleet.corrupt_outputs").Value(),
 		Drains:    m.reg.Counter("fleet.drains").Value(),
-		NodesDown: m.reg.Counter("fleet.nodes_marked_down").Value(),
 
 		MigrationP50:  m.reg.Histogram("fleet.migration_ns").Quantile(0.50),
 		MigrationP95:  m.reg.Histogram("fleet.migration_ns").Quantile(0.95),
@@ -123,7 +120,6 @@ func (m *Manager) Report() *FleetReport {
 			Failed:      n.failed.Load(),
 			Utilization: util,
 			Drained:     n.Drained(),
-			Down:        n.Down(),
 		})
 	}
 	return rep
@@ -145,10 +141,7 @@ func (r *FleetReport) Text() string {
 	for _, n := range r.Nodes {
 		status := ""
 		if n.Drained {
-			status += " DRAINED"
-		}
-		if n.Down {
-			status += " DOWN"
+			status = " DRAINED"
 		}
 		fmt.Fprintf(&sb, "node %-10s %s cap=%d running=%d peak=%d done=%d failed=%d util=%.2f%s\n",
 			n.Name, n.Arch, n.Capacity, n.Running, n.HighWater, n.Done, n.Failed, n.Utilization, status)
