@@ -76,8 +76,8 @@ loc:
 # over its ceiling. The ceilings are the counts of the last PR that moved
 # them; a PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it, and a PR that removes lines lowers it.
-LOC_CEILING = 25656
-LOC_MIGRATION_CEILING = 8580
+LOC_CEILING = 25639
+LOC_MIGRATION_CEILING = 8563
 loc-check:
 	@$(LOC_COUNT); all=$$(count internal cmd); mig=$$(count $(addprefix internal/,$(MIGRATION_PKGS))); \
 	if [ $$all -gt $(LOC_CEILING) ] || [ $$mig -gt $(LOC_MIGRATION_CEILING) ]; then \
@@ -162,8 +162,10 @@ fleet-smoke:
 # hit-rate on an evolving rediska server and clone fan-out latency at
 # N=1/4/16 — which itself hard-fails on a zero hit-rate, zero shared
 # frames, or any clone answering queries differently from its siblings.
-# The run's table goes to BENCH_registry_run.json (gitignored); the
-# committed BENCH_registry.json is the baseline it is checked against.
+# The run's table goes to BENCH_registry_run.json, which is not tracked
+# (.gitignore names it with BENCH_fig7x.json and BENCH_fleet.json, the
+# other gates' outputs); the committed BENCH_registry.json is the
+# baseline it is checked against.
 registry-smoke:
 	$(GO) test -race ./internal/registry/ ./internal/kernel/
 	$(GO) test -race -run TestClone ./internal/cluster/ ./internal/fleet/

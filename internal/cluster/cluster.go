@@ -15,7 +15,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -158,20 +157,18 @@ type MigrateOpts struct {
 	// MigrationResult; call Close when paging is done.
 	LazyTCP bool
 	// PageClient tunes the TCP page client (deadlines, retries, redial
-	// budget); nil selects criu's defaults.
+	// budget); nil selects criu's defaults. Its codec and registry are
+	// always Codec and Obs below.
 	PageClient *criu.PageClientOpts
-	// WrapPageSource, if set, wraps the page source serving lazy faults —
-	// tests interpose criu.FlakySource here to inject fetch failures.
-	WrapPageSource func(criu.PageSource) criu.PageSource
-	// WrapListener, if set, wraps the TCP page server's listener — tests
-	// interpose criu.FlakyListener here to inject connection drops.
-	WrapListener func(net.Listener) net.Listener
+	// Faults, if set, makes the post-copy page transport faulty (see
+	// criu.FaultSpec): fetch failures and latency at the page source, on
+	// both the in-process and the TCP path, and connection drops at the
+	// TCP page server's listener.
+	Faults *criu.FaultSpec
 	// Shuffle additionally re-randomizes the stack layout during the
 	// rewrite (policy chaining); ShuffleSeed selects the permutation.
 	Shuffle     bool
 	ShuffleSeed int64
-	// MaxPauses bounds the monitor's wait for equivalence points.
-	MaxPauses int
 	// PreCopy selects iterative pre-copy migration (see precopy.go): the
 	// process keeps running while dirty pages are shipped in rounds, and
 	// pauses only for the final delta. Incompatible with Lazy.
@@ -185,13 +182,12 @@ type MigrateOpts struct {
 	// ~1 ns per site, with no clock read and no allocation.
 	Obs *obs.Registry
 	// Codec selects the wire codec for image transfers (and, for LazyTCP,
-	// the page client's batch frames unless PageClient asks for
-	// compression itself): CodecNone (the zero value) frames without
-	// compressing; CodecFlate compresses each segment and batch, in the
-	// form — plain DEFLATE, DEFLATE over 64-bit word planes, or raw — a
-	// sample of that payload favours (docs/transport.md). Those two are
-	// all there is to ask for. Restored images are byte-identical across
-	// both; only Breakdown.WireBytes changes.
+	// the page client's batch frames): CodecNone (the zero value) frames
+	// without compressing; CodecFlate compresses each segment and batch,
+	// in the form — plain DEFLATE, DEFLATE over 64-bit word planes, or
+	// raw — a sample of that payload favours (docs/transport.md). Those
+	// two are all there is to ask for. Restored images are byte-identical
+	// across both; only Breakdown.WireBytes changes.
 	Codec criu.Codec
 	// Delta enables XOR-delta encoding of re-dirtied pages in pre-copy
 	// rounds (requires PreCopy): a page the chain already holds ships as

@@ -34,7 +34,6 @@ func Transfer(dir *criu.ImageDir) (*criu.ImageDir, error) {
 // destination's chain flattened once more: the pages it restored from,
 // before the recode.
 func PreCopyKeepingSource(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts MigrateOpts) (*MigrationResult, *criu.ImageDir, error) {
-	opts.MaxPauses = 1 << 20
 	m := &migration{src: src, dst: dst, p: p, opts: opts, mon: monitor.New(src.K, p, meta), recodeNode: fasterNode(src, dst)}
 	res, err := m.preCopy()
 	if err != nil {
@@ -61,7 +60,7 @@ func DisabledStageAllocs() float64 {
 // a link fail to fold, so this is how a test gets a refused round.
 func PreCopyForgettingChain(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts MigrateOpts) error {
 	pc := *opts.PreCopy
-	opts.PreCopy, opts.MaxPauses = &pc, 1<<20
+	opts.PreCopy = &pc
 	m := &migration{src: src, dst: dst, p: p, opts: opts, mon: monitor.New(src.K, p, meta), recodeNode: fasterNode(src, dst)}
 	pc.BetweenRounds = func(*kernel.Process, int) { m.chain = imgcheck.Chain{} }
 	_, err := m.preCopy()

@@ -62,13 +62,13 @@ type migration struct {
 
 type roundCost struct{ ck, xfer, recode time.Duration }
 
+// maxPauses bounds the monitor's wait for equivalence points.
+const maxPauses = 1 << 20
+
 // Migrate checkpoints p on src, rewrites it for dst's architecture, copies
 // the images, and restores it on dst. The returned process is ready to
 // run. meta must be the program's stack-map metadata.
 func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts MigrateOpts) (*MigrationResult, error) {
-	if opts.MaxPauses == 0 {
-		opts.MaxPauses = 1 << 20
-	}
 	if opts.Delta && opts.PreCopy == nil {
 		return nil, fmt.Errorf("cluster: delta encoding requires pre-copy migration")
 	}
@@ -170,7 +170,7 @@ func (m *migration) stopAndCopy() (*MigrationResult, error) {
 
 // checkpoint pauses the process at equivalence points and dumps it.
 func (m *migration) checkpoint(dopts criu.DumpOpts) (dir *criu.ImageDir, err error) {
-	if err := m.stage("monitor.pause", func() error { return m.mon.Pause(m.opts.MaxPauses) }); err != nil {
+	if err := m.stage("monitor.pause", func() error { return m.mon.Pause(maxPauses) }); err != nil {
 		return nil, err
 	}
 	name := "criu.dump"
@@ -328,7 +328,6 @@ func (m *migration) finish(p2 *kernel.Process) *MigrationResult {
 		pc.Finish(bd.PreCopyTime)
 		reg.Counter("precopy.rounds").Add(uint64(bd.Rounds))
 		reg.Counter("precopy.bytes").Add(bd.PreCopyBytes)
-		reg.Counter("precopy.chain_depth").Add(uint64(bd.Rounds))
 	}
 	dt := root.Child("downtime")
 	dt.Child("checkpoint").Finish(bd.Checkpoint)
@@ -352,8 +351,8 @@ func (m *migration) servePostCopy(res *MigrationResult) (*MigrationResult, error
 	err := m.stage("criu.lazy_setup", func() error {
 		res.Source = criu.NewProcessPageSourceObs(m.p, opts.Obs)
 		var pageSrc criu.PageSource = res.Source
-		if opts.WrapPageSource != nil {
-			pageSrc = opts.WrapPageSource(pageSrc)
+		if opts.Faults != nil {
+			pageSrc = criu.NewFlakySource(pageSrc, *opts.Faults, opts.Obs)
 		}
 		if !opts.LazyTCP {
 			criu.InstallLazyHandler(p2, criu.ObsSource(pageSrc, opts.Obs))
@@ -363,22 +362,15 @@ func (m *migration) servePostCopy(res *MigrationResult) (*MigrationResult, error
 		if err != nil {
 			return fmt.Errorf("page server: %w", err)
 		}
-		if opts.WrapListener != nil {
-			ln = opts.WrapListener(ln)
+		if opts.Faults != nil {
+			ln = criu.NewFlakyListener(ln, *opts.Faults, opts.Obs)
 		}
 		srv := criu.ServePagesObs(ln, pageSrc, opts.Obs)
 		var copts criu.PageClientOpts
 		if opts.PageClient != nil {
 			copts = *opts.PageClient
 		}
-		if copts.Obs == nil {
-			copts.Obs = opts.Obs
-		}
-		if copts.Codec == criu.CodecNone {
-			// The migration-level codec extends to the post-copy page stream
-			// unless the client options ask for compression themselves.
-			copts.Codec = opts.Codec
-		}
+		copts.Codec, copts.Obs = opts.Codec, opts.Obs
 		client, err := criu.DialPageServerOpts(srv.Addr(), copts)
 		if err != nil {
 			err = fmt.Errorf("page client: %w", err)

@@ -11,6 +11,7 @@ import (
 	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/monitor"
+	"github.com/dapper-sim/dapper/internal/obs"
 )
 
 func waitForErrors(t *testing.T, r *cluster.ImageReceiver, want uint64) {
@@ -190,19 +191,12 @@ func TestLazyMigrationTCPWithFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var flakySrc *criu.FlakySource
-	var flakyLn *criu.FlakyListener
+	reg := obs.New()
 	res, err := cluster.Migrate(xeon, pi, p, pair.Meta, cluster.MigrateOpts{
 		Lazy:    true,
 		LazyTCP: true,
-		WrapPageSource: func(src criu.PageSource) criu.PageSource {
-			flakySrc = criu.NewFlakySource(src, criu.FaultSpec{Seed: 1, FailRate: 0.25})
-			return flakySrc
-		},
-		WrapListener: func(ln net.Listener) net.Listener {
-			flakyLn = criu.NewFlakyListener(ln, criu.FaultSpec{Seed: 2, DropRate: 0.05})
-			return flakyLn
-		},
+		Faults:  &criu.FaultSpec{Seed: 1, FailRate: 0.25, DropRate: 0.05},
+		Obs:     reg,
 		PageClient: &criu.PageClientOpts{
 			FetchTimeout: time.Second,
 			MaxRetries:   14, RetryBackoff: time.Millisecond,
@@ -236,21 +230,21 @@ func TestLazyMigrationTCPWithFaults(t *testing.T) {
 	}
 	// The injected fault volume must be at least 10% of the request
 	// stream, or the test is not demonstrating resilience.
-	injected := flakySrc.Failures() + flakyLn.Drops()
-	if injected*10 < srvStats.Requests {
+	failures, drops := reg.Counter("faults.failures").Value(), reg.Counter("faults.drops").Value()
+	if injected := failures + drops; injected*10 < srvStats.Requests {
 		t.Errorf("injected faults %d (< 10%% of %d requests): fault rate too low to be meaningful",
 			injected, srvStats.Requests)
 	}
-	if srvStats.Errors != flakySrc.Failures() {
+	if srvStats.Errors != failures {
 		t.Errorf("server error frames %d != injected fetch failures %d",
-			srvStats.Errors, flakySrc.Failures())
+			srvStats.Errors, failures)
 	}
 	cst := res.PageClientStats()
 	if cst.Retries == 0 {
 		t.Errorf("faults injected but client never retried: %+v", cst)
 	}
 	t.Logf("served %d requests (%d errors, %d drops); client: %d fetches, %d retries, %d reconnects, %d timeouts",
-		srvStats.Requests, srvStats.Errors, flakyLn.Drops(),
+		srvStats.Requests, srvStats.Errors, drops,
 		cst.Fetches, cst.Retries, cst.Reconnects, cst.Timeouts)
 
 	// Close reaps the source.
@@ -283,9 +277,7 @@ func TestLazyTCPSetupFailureReapsRestored(t *testing.T) {
 	}
 	res, err := cluster.Migrate(xeon, pi, p, pair.Meta, cluster.MigrateOpts{
 		Lazy: true, LazyTCP: true,
-		WrapListener: func(ln net.Listener) net.Listener {
-			return criu.NewFlakyListener(ln, criu.FaultSpec{Seed: 1, DropRate: 1})
-		},
+		Faults:     &criu.FaultSpec{Seed: 1, DropRate: 1},
 		PageClient: &criu.PageClientOpts{DialTimeout: 500 * time.Millisecond},
 	})
 	if err == nil {

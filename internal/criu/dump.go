@@ -78,6 +78,7 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 	inv := &InventoryImage{Arch: p.Arch}
 	for _, t := range p.Threads {
 		if t.State == kernel.ThreadExited {
+			inv.Exited = append(inv.Exited, t.TID)
 			continue
 		}
 		if t.State != kernel.ThreadTrapped {

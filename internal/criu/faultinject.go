@@ -5,10 +5,10 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/mem"
+	"github.com/dapper-sim/dapper/internal/obs"
 )
 
 // Fault injection for the page-transport layer. These wrappers make the
@@ -16,7 +16,11 @@ import (
 // comes from one seeded source, so a given (seed, workload) pair injects
 // the same fault pattern modulo goroutine interleaving.
 
-// FaultSpec configures injected faults.
+// FaultSpec configures injected faults. One spec describes a faulty page
+// transport; cluster.Migrate applies each rate where it acts: FailRate and
+// the latency to the page source (NewFlakySource), DropRate to the TCP
+// page server's listener (NewFlakyListener). Each wrapper rolls its own
+// dice from Seed.
 type FaultSpec struct {
 	// Seed seeds the fault pattern.
 	Seed int64
@@ -29,7 +33,7 @@ type FaultSpec struct {
 	// truncated mid-frame and the connection torn down — the
 	// "server died mid-page" failure.
 	DropRate float64
-	// Latency is added to an operation with probability LatencyRate —
+	// Latency is added to a page read with probability LatencyRate —
 	// the "slow server" failure that trips client fetch deadlines; the
 	// delays of a run's page reads add up in front of its response.
 	Latency     time.Duration
@@ -54,53 +58,67 @@ func (r *faultRoller) roll(p float64) bool {
 	return r.rng.Float64() < p
 }
 
+// faultRegistry is where a wrapper counts what it injects: reg, or a
+// private registry when reg is nil, so the counts stay readable.
+func faultRegistry(reg *obs.Registry) *obs.Registry {
+	if reg == nil {
+		return obs.New()
+	}
+	return reg
+}
+
 // FlakySource wraps a PageSource, injecting latency and failures per
 // FaultSpec. It implements PageSource.
 type FlakySource struct {
-	src      PageSource
-	spec     FaultSpec
-	roll     *faultRoller
-	failures atomic.Uint64
-	delays   atomic.Uint64
+	src              PageSource
+	spec             FaultSpec
+	roll             *faultRoller
+	failures, delays *obs.Counter
 }
 
-// NewFlakySource wraps src.
-func NewFlakySource(src PageSource, spec FaultSpec) *FlakySource {
-	return &FlakySource{src: src, spec: spec, roll: newFaultRoller(spec.Seed)}
+// NewFlakySource wraps src, counting injected failures and delays into
+// reg ("faults.failures", "faults.delays").
+func NewFlakySource(src PageSource, spec FaultSpec, reg *obs.Registry) *FlakySource {
+	reg = faultRegistry(reg)
+	return &FlakySource{
+		src: src, spec: spec, roll: newFaultRoller(spec.Seed),
+		failures: reg.Counter("faults.failures"), delays: reg.Counter("faults.delays"),
+	}
 }
 
 // ReadPage implements PageSource.
 func (f *FlakySource) ReadPage(addr uint64, dst *[mem.PageSize]byte) error {
 	if f.roll.roll(f.spec.LatencyRate) {
-		f.delays.Add(1)
+		f.delays.Inc()
 		time.Sleep(f.spec.Latency)
 	}
 	if f.roll.roll(f.spec.FailRate) {
-		f.failures.Add(1)
+		f.failures.Inc()
 		return fmt.Errorf("faultinject: injected fetch failure for page 0x%x", addr)
 	}
 	return f.src.ReadPage(addr, dst)
 }
 
 // Failures returns how many fetches were failed by injection.
-func (f *FlakySource) Failures() uint64 { return f.failures.Load() }
+func (f *FlakySource) Failures() uint64 { return f.failures.Value() }
 
 // Delays returns how many fetches had latency injected.
-func (f *FlakySource) Delays() uint64 { return f.delays.Load() }
+func (f *FlakySource) Delays() uint64 { return f.delays.Value() }
 
-// FlakyListener wraps a net.Listener so accepted connections inject write
-// truncation/teardown and latency per FaultSpec — simulating a page server
+// FlakyListener wraps a net.Listener so accepted connections truncate and
+// tear down writes per FaultSpec.DropRate — simulating a page server
 // whose connections die mid-response.
 type FlakyListener struct {
 	net.Listener
 	spec  FaultSpec
 	roll  *faultRoller
-	drops atomic.Uint64
+	drops *obs.Counter
 }
 
-// NewFlakyListener wraps ln.
-func NewFlakyListener(ln net.Listener, spec FaultSpec) *FlakyListener {
-	return &FlakyListener{Listener: ln, spec: spec, roll: newFaultRoller(spec.Seed)}
+// NewFlakyListener wraps ln, counting injected drops into reg
+// ("faults.drops").
+func NewFlakyListener(ln net.Listener, spec FaultSpec, reg *obs.Registry) *FlakyListener {
+	return &FlakyListener{Listener: ln, spec: spec, roll: newFaultRoller(spec.Seed), drops: faultRegistry(reg).Counter("faults.drops")}
 }
 
 // Accept implements net.Listener.
@@ -113,7 +131,7 @@ func (l *FlakyListener) Accept() (net.Conn, error) {
 }
 
 // Drops returns how many connection-killing truncations were injected.
-func (l *FlakyListener) Drops() uint64 { return l.drops.Load() }
+func (l *FlakyListener) Drops() uint64 { return l.drops.Value() }
 
 type flakyConn struct {
 	net.Conn
@@ -121,11 +139,8 @@ type flakyConn struct {
 }
 
 func (c *flakyConn) Write(b []byte) (int, error) {
-	if c.l.roll.roll(c.l.spec.LatencyRate) {
-		time.Sleep(c.l.spec.Latency)
-	}
 	if c.l.roll.roll(c.l.spec.DropRate) {
-		c.l.drops.Add(1)
+		c.l.drops.Inc()
 		n, _ := c.Conn.Write(b[:len(b)/2])
 		// The injected Write error below is the fault being delivered; a
 		// close failure on the deliberately-killed conn adds nothing.

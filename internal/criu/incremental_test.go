@@ -311,7 +311,7 @@ func TestIncrementalChainFlakyFinalDelta(t *testing.T) {
 		}
 		return pg, nil
 	})
-	flaky := criu.NewFlakySource(src, criu.FaultSpec{Seed: 41, FailRate: 0.4})
+	flaky := criu.NewFlakySource(src, criu.FaultSpec{Seed: 41, FailRate: 0.4}, nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -259,7 +259,7 @@ func TestLazyRunOverFetch(t *testing.T) {
 func TestLazyRunDeadlineRetry(t *testing.T) {
 	src := NewFlakySource(&mapSource{}, FaultSpec{
 		Seed: 7, FailRate: 0.2, Latency: 150 * time.Millisecond, LatencyRate: 0.4,
-	})
+	}, nil)
 	srv := ServePagesOn(listen(t), src)
 	defer srv.Close()
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{

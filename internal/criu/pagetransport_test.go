@@ -222,7 +222,7 @@ func newFlakyServer(t *testing.T, spec FaultSpec, src PageSource) (*FlakyListene
 	if err != nil {
 		t.Fatal(err)
 	}
-	flaky := NewFlakyListener(ln, spec)
+	flaky := NewFlakyListener(ln, spec, nil)
 	return flaky, ServePagesOn(flaky, src)
 }
 
@@ -233,7 +233,7 @@ func newFlakyServer(t *testing.T, spec FaultSpec, src PageSource) (*FlakyListene
 func TestPageClientDeadlineRetry(t *testing.T) {
 	src := NewFlakySource(&mapSource{}, FaultSpec{
 		Seed: 7, Latency: 150 * time.Millisecond, LatencyRate: 0.4,
-	})
+	}, nil)
 	srv := ServePagesOn(listen(t), src)
 	defer srv.Close()
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{

@@ -198,6 +198,9 @@ func install(k *kernel.Kernel, v *image.View, bin *compiler.Binary) (*kernel.Pro
 		}
 		p.AddRestoredThread(t)
 	}
+	for _, tid := range inv.Exited {
+		p.AddRestoredThread(&kernel.Thread{TID: tid, State: kernel.ThreadExited})
+	}
 	for _, m := range inv.Mutexes {
 		p.RestoreMutex(m.ID, m.Holder, m.Recurse)
 	}

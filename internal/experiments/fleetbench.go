@@ -85,7 +85,7 @@ func fleetRun(c workloads.Class, conc int) (*fleet.FleetReport, time.Duration, e
 				Opts:    fleet.JobOpts{Lazy: true},
 				Faults: &fleet.FaultPlan{
 					FailAttempts: 1,
-					FlakySource:  &criu.FaultSpec{Seed: int64(1000 + i), FailRate: 1.0},
+					Faults:       &criu.FaultSpec{Seed: int64(1000 + i), FailRate: 1.0},
 				},
 			}
 		case 1: // vanilla over the compressed wire

@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
@@ -40,9 +39,6 @@ import (
 // job ends, retire reaps its source process, so a finished job leaves no
 // process in any node's kernel.
 
-// maxPauses bounds the monitor's equivalence-point wait per attempt.
-const maxPauses = 1 << 20
-
 // retryable marks an attempt failure the job can retry from: every clone
 // job failure (the manifest is still there to restore), and a
 // migration failure whose rollback kept the source process.
@@ -63,21 +59,21 @@ func (m *Manager) runJob(job *Job, src, dst *NodeState, attempt int) {
 	}
 	//lint:ignore wallclock host busy-time for slot utilization accounting; feeds fleet.attempt_host_ns, never a modeled breakdown
 	busy := time.Since(start)
-	nodes := held(src, dst)
-	nodes.release(busy)
-	<-m.jobSlots
 	m.reg.Histogram("fleet.attempt_host_ns").Observe(busy)
-	m.settle(job, nodes, err)
+	m.settle(job, held(src, dst), busy, err)
 	m.kick()
 }
 
-// settle applies an attempt's outcome to the job under the manager lock
-// and journals the transition. A failed attempt is retried while budget
-// is left if its error is retryable; the retry's backoff deadline arms a
-// timer that wakes the scheduler. A job that ends is retired.
-func (m *Manager) settle(job *Job, nodes slots, err error) {
+// settle gives back the attempt's slots, applies its outcome to the job
+// under the manager lock and journals the transition. A failed attempt
+// is retried while budget is left if its error is retryable; the retry's
+// backoff deadline arms a timer that wakes the scheduler. A job that ends
+// is retired.
+func (m *Manager) settle(job *Job, nodes slots, busy time.Duration, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	nodes.release(busy)
+	m.inflight--
 	var ev Event
 	switch {
 	case err == nil:
@@ -225,19 +221,18 @@ func (m *Manager) attempt(job *Job, src, dst *NodeState, attempt int) error {
 }
 
 // migrateOpts builds the attempt's cluster.MigrateOpts from the job
-// spec, wiring in — on fault-plan attempts — the criu fault injectors.
+// spec, with — on fault-plan attempts — the plan's fault spec.
 func (m *Manager) migrateOpts(job *Job, attempt int, refCycles uint64) (cluster.MigrateOpts, error) {
 	codec, err := job.Spec.Opts.MigrateCodec()
 	if err != nil {
 		return cluster.MigrateOpts{}, err
 	}
 	opts := cluster.MigrateOpts{
-		Codec:     codec,
-		Delta:     job.Spec.Opts.Delta,
-		Lazy:      job.Spec.Opts.Lazy,
-		LazyTCP:   job.Spec.Opts.Lazy,
-		Obs:       m.reg,
-		MaxPauses: maxPauses,
+		Codec:   codec,
+		Delta:   job.Spec.Opts.Delta,
+		Lazy:    job.Spec.Opts.Lazy,
+		LazyTCP: job.Spec.Opts.Lazy,
+		Obs:     m.reg,
 	}
 	if job.Spec.Opts.PreCopy {
 		// Scale the between-round run budget to the program: the library
@@ -249,18 +244,7 @@ func (m *Manager) migrateOpts(job *Job, attempt int, refCycles uint64) (cluster.
 		if !opts.Lazy {
 			return cluster.MigrateOpts{}, fmt.Errorf("fleet: fault plans require a lazy job (faults live in the page transport)")
 		}
-		if spec := plan.FlakySource; spec != nil {
-			s := *spec
-			opts.WrapPageSource = func(src criu.PageSource) criu.PageSource {
-				return criu.NewFlakySource(src, s)
-			}
-		}
-		if spec := plan.FlakyListener; spec != nil {
-			s := *spec
-			opts.WrapListener = func(ln net.Listener) net.Listener {
-				return criu.NewFlakyListener(ln, s)
-			}
-		}
+		opts.Faults = plan.Faults
 		// Fail fast and deterministically: no fetch retries, so the
 		// first injected fault of an attempt surfaces immediately.
 		opts.PageClient = &criu.PageClientOpts{

@@ -6,8 +6,8 @@
 // A Manager owns:
 //
 //   - a set of named nodes (mixed SX86/SARM cluster.Nodes with per-node
-//     migration-slot capacities: a node takes a slot by compare-and-swap
-//     of its running gauge against Capacity);
+//     migration-slot capacities, and a fleet-wide bound on attempts in
+//     flight, all counted under the manager lock);
 //   - a job queue journaled to disk (see journal.go), so a restarted
 //     daemon resumes its queue without loss or duplication; a job
 //     migrates a process, or restores a registry checkpoint onto a node
@@ -18,7 +18,7 @@
 //     new placements;
 //   - retry with exponential backoff plus rollback-to-source on
 //     mid-migration failure (see executor.go), exercised
-//     deterministically with criu.FlakySource/FlakyListener;
+//     deterministically by a job's FaultPlan, one criu.FaultSpec;
 //   - an obs.Registry-backed fleet report: per-node utilization,
 //     migration latency percentiles, retry and rollback counts (see
 //     report.go).
@@ -79,8 +79,9 @@ func (c Config) withDefaults() Config {
 }
 
 // NodeState couples a cluster node with its control-plane state:
-// capacity accounting and drain status. Everything mutable is
-// atomic so executors update it without taking the manager lock.
+// capacity accounting and drain status. The gauges are atomic so Report
+// and tests read them without the manager lock; slots change only under
+// it (see Manager.inflight).
 type NodeState struct {
 	Name     string
 	Node     *cluster.Node
@@ -109,32 +110,6 @@ func (n *NodeState) HighWater() int { return int(n.highWater.Load()) }
 // Drained reports whether the node is draining (no new placements).
 func (n *NodeState) Drained() bool { return n.drained.Load() }
 
-// acquire takes a migration slot — a compare-and-swap of the running
-// gauge against Capacity — and maintains the gauge's high-water mark.
-func (n *NodeState) acquire() bool {
-	for {
-		r := n.running.Load()
-		if r >= int64(n.Capacity) {
-			return false
-		}
-		if !n.running.CompareAndSwap(r, r+1) {
-			continue
-		}
-		for hw := n.highWater.Load(); hw <= r; hw = n.highWater.Load() {
-			if n.highWater.CompareAndSwap(hw, r+1) {
-				break
-			}
-		}
-		return true
-	}
-}
-
-// release returns a slot and charges the node for the busy time.
-func (n *NodeState) release(busy time.Duration) {
-	n.running.Add(-1)
-	n.busyNs.Add(int64(busy))
-}
-
 // slots are the nodes whose migration slots one attempt holds: a
 // migration's source and destination, a clone job's destination alone.
 type slots []*NodeState
@@ -147,20 +122,22 @@ func held(src, dst *NodeState) slots {
 	return slots{src, dst}
 }
 
-// acquire takes a slot on every node or on none.
-func (s slots) acquire() bool {
-	for i, n := range s {
-		if !n.acquire() {
-			s[:i].release(0)
-			return false
+// acquire takes a slot on every node and maintains each gauge's
+// high-water mark. The caller holds m.mu and has seen every node
+// eligible.
+func (s slots) acquire() {
+	for _, n := range s {
+		if r := n.running.Add(1); r > n.highWater.Load() {
+			n.highWater.Store(r)
 		}
 	}
-	return true
 }
 
+// release returns the slots and charges each node for the busy time.
 func (s slots) release(busy time.Duration) {
 	for _, n := range s {
-		n.release(busy)
+		n.running.Add(-1)
+		n.busyNs.Add(int64(busy))
 	}
 }
 
@@ -196,8 +173,12 @@ type Manager struct {
 	started   bool
 	stopped   bool
 
-	jobSlots chan struct{} // the fleet-wide bound: one token per attempt in flight
-	start    time.Time
+	// Slot accounting happens under mu alone: schedule takes an
+	// attempt's node slots and its place in inflight, settle gives both
+	// back. So the free slot pickPlacement saw is still free when
+	// schedule takes it, and inflight never passes maxJobs.
+	inflight, maxJobs int
+	start             time.Time
 
 	stop chan struct{}
 	wake chan struct{}
@@ -471,14 +452,12 @@ func (m *Manager) Start() error {
 	if len(m.nodes) == 0 {
 		return fmt.Errorf("fleet: no nodes")
 	}
-	maxJobs := m.cfg.MaxJobs
-	if maxJobs <= 0 {
-		maxJobs = 0
+	m.maxJobs = m.cfg.MaxJobs
+	if m.maxJobs <= 0 {
 		for _, n := range m.nodes {
-			maxJobs += n.Capacity
+			m.maxJobs += n.Capacity
 		}
 	}
-	m.jobSlots = make(chan struct{}, maxJobs)
 	//lint:ignore wallclock daemon start stamp for the uptime figure, reported as host time by design
 	m.start = time.Now()
 	m.started = true
@@ -592,9 +571,9 @@ func eligible(n *NodeState) bool {
 }
 
 // schedule scans pending jobs in submission order and dispatches every
-// one it can place right now. Slot acquisition is all-or-nothing per
-// job: a fleet-wide slot, then one on every node the attempt holds; any
-// miss releases what was taken and leaves the job pending.
+// one it can place right now, until the fleet-wide bound is reached. A
+// placement names only nodes with a free slot, so taking them cannot
+// fail.
 func (m *Manager) schedule() {
 	//lint:ignore wallclock scheduler scan compares host-side retry-backoff deadlines; modeled time is untouched
 	now := time.Now()
@@ -612,16 +591,12 @@ func (m *Manager) schedule() {
 		if dst == nil {
 			continue
 		}
-		select {
-		case m.jobSlots <- struct{}{}:
-		default:
-			return // fleet-wide bound reached; nothing more dispatches now
+		if m.inflight >= m.maxJobs {
+			return
 		}
+		m.inflight++
 		nodes := held(src, dst)
-		if !nodes.acquire() {
-			<-m.jobSlots
-			continue
-		}
+		nodes.acquire()
 		job.State = Running
 		job.Attempts++
 		job.Dst = dst.Name
@@ -635,7 +610,7 @@ func (m *Manager) schedule() {
 			job.State = Failed
 			job.Err = err.Error()
 			nodes.release(0)
-			<-m.jobSlots
+			m.inflight--
 			m.retire(job)
 			continue
 		}

@@ -95,9 +95,9 @@ func TestFleetSmoke(t *testing.T) {
 	flaky := func(seed int64, listener bool) *FaultPlan {
 		plan := &FaultPlan{FailAttempts: 1}
 		if listener {
-			plan.FlakyListener = &criu.FaultSpec{Seed: seed, DropRate: 1.0}
+			plan.Faults = &criu.FaultSpec{Seed: seed, DropRate: 1.0}
 		} else {
-			plan.FlakySource = &criu.FaultSpec{Seed: seed, FailRate: 1.0}
+			plan.Faults = &criu.FaultSpec{Seed: seed, FailRate: 1.0}
 		}
 		return plan
 	}
@@ -272,6 +272,52 @@ func TestFleetResume(t *testing.T) {
 	}
 }
 
+// TestFleetMaxJobs pins the fleet-wide bound on attempts in flight. Two
+// nodes of capacity 2 have room for two migrations at once, and every job
+// is submitted before Start, so the first scheduling pass sees them all:
+// it dispatches two unless MaxJobs holds it to one. The unbounded row
+// shows the pass does reach two, so the bounded row's 1 is the bound's.
+func TestFleetMaxJobs(t *testing.T) {
+	for _, tc := range []struct{ maxJobs, wantHighWater int }{{1, 1}, {0, 2}} {
+		t.Run(fmt.Sprintf("max-jobs=%d", tc.maxJobs), func(t *testing.T) {
+			cfg := fastConfig()
+			cfg.MaxJobs = tc.maxJobs
+			m, err := NewManager(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stopManager(t, m)
+			for name, spec := range map[string]cluster.NodeSpec{"xeon0": cluster.XeonSpec, "pi0": cluster.PiSpec} {
+				if err := m.AddNode(name, spec, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.RegisterProgram("counter", counter); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if _, err := m.Submit(JobSpec{Program: "counter"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.WaitIdle(time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			if n := doneCount(m); n != 3 {
+				t.Errorf("%d of 3 jobs done", n)
+			}
+			for _, n := range m.Nodes() {
+				if n.HighWater() != tc.wantHighWater {
+					t.Errorf("%s: high-water %d slots, want %d", n.Name, n.HighWater(), tc.wantHighWater)
+				}
+			}
+		})
+	}
+}
+
 func doneCount(m *Manager) int {
 	n := 0
 	for _, v := range m.Jobs() {
@@ -372,7 +418,7 @@ func TestFleetRetryExhaustion(t *testing.T) {
 		Opts:       JobOpts{Lazy: true},
 		Faults: &FaultPlan{
 			FailAttempts: 99, // every attempt fails
-			FlakySource:  &criu.FaultSpec{Seed: 7, FailRate: 1.0},
+			Faults:       &criu.FaultSpec{Seed: 7, FailRate: 1.0},
 		},
 	})
 	if err != nil {

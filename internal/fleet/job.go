@@ -83,24 +83,21 @@ func ParseCodec(name string) (imgproto.Codec, error) {
 
 // FaultPlan injects deterministic transport faults into a job's early
 // attempts, exercising the retry/rollback path end to end. Attempts
-// 1..FailAttempts run with the configured criu fault wrappers installed;
+// 1..FailAttempts migrate with Faults (cluster.MigrateOpts.Faults);
 // later attempts run clean, so a job with FailAttempts < retry budget is
 // guaranteed to converge.
 type FaultPlan struct {
 	// FailAttempts is how many leading attempts get faults injected.
 	FailAttempts int `json:"fail_attempts,omitempty"`
-	// FlakySource wraps the post-copy page source in criu.FlakySource
-	// with this spec (fetch failures and latency).
-	FlakySource *criu.FaultSpec `json:"flaky_source,omitempty"`
-	// FlakyListener wraps the page server's listener in
-	// criu.FlakyListener with this spec (mid-frame connection drops).
-	FlakyListener *criu.FaultSpec `json:"flaky_listener,omitempty"`
+	// Faults is the page transport's fault spec on those attempts: fetch
+	// failures and latency at the page source, mid-frame connection drops
+	// at the page server's listener.
+	Faults *criu.FaultSpec `json:"faults,omitempty"`
 }
 
 // Active reports whether attempt (1-based) has faults injected.
 func (f *FaultPlan) Active(attempt int) bool {
-	return f != nil && attempt <= f.FailAttempts &&
-		(f.FlakySource != nil || f.FlakyListener != nil)
+	return f != nil && f.Faults != nil && attempt <= f.FailAttempts
 }
 
 // JobSpec describes one migration job: which program to run, where to

@@ -29,7 +29,7 @@ func openStore(t *testing.T) *registry.Store {
 // migration left one process behind and a three-way clone job three.
 func TestJobsLeaveNoProcesses(t *testing.T) {
 	alwaysFail := func(attempts int) *FaultPlan {
-		return &FaultPlan{FailAttempts: attempts, FlakySource: &criu.FaultSpec{Seed: 7, FailRate: 1.0}}
+		return &FaultPlan{FailAttempts: attempts, Faults: &criu.FaultSpec{Seed: 7, FailRate: 1.0}}
 	}
 	cases := []struct {
 		name  string

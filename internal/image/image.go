@@ -144,11 +144,16 @@ type MutexEntry struct {
 	Recurse int    `json:"recurse" img:"3"`
 }
 
-// InventoryImage is inventory.img: dump-wide facts.
+// InventoryImage is inventory.img: dump-wide facts. TIDs are the live
+// threads, each with a core image. Exited are the threads that have
+// exited: the kernel keeps an exited thread's record, and a join of it
+// returns at once, so the image keeps the record too. An exited thread
+// has no core.
 type InventoryImage struct {
 	Arch    isa.Arch     `json:"arch" img:"1"`
 	TIDs    []int        `json:"tids" img:"2"`
 	Mutexes []MutexEntry `json:"mutexes,omitempty" img:"3"`
+	Exited  []int        `json:"exited,omitempty" img:"4"`
 }
 
 // ImageDir is the checkpoint directory (held in memory, like the paper's

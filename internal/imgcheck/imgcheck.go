@@ -27,6 +27,7 @@ package imgcheck
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/dapper-sim/dapper/internal/image"
@@ -50,6 +51,7 @@ const (
 	InvCoreStack     = "core-stack"     // thread stack range inverted or unmapped
 	InvCorePC        = "core-pc"        // thread PC outside every VMA
 	InvCoreTID       = "core-tid"       // core images and inventory TIDs disagree
+	InvExitedTID     = "exited-tid"     // an exited tid is also live, listed twice, or has a core image
 	InvSymbolAlign   = "symbol-align"   // per-ISA site PCs fall outside their function's unified address range
 	InvDeltaChain    = "delta-chain"    // delta page with no in-chain content to apply the XOR to
 )
@@ -132,10 +134,23 @@ func decode(v *image.View, r *Report) (ok bool) {
 			r.add(InvCoreTID, "%s carries tid %d", name, core.TID)
 		}
 	}
+	exited := v.Inventory.Exited
+	for i, tid := range exited {
+		switch {
+		case seen[tid]:
+			r.add(InvExitedTID, "tid %d is both live and exited", tid)
+		case slices.Contains(exited[:i], tid):
+			r.add(InvExitedTID, "inventory lists exited tid %d twice", tid)
+		}
+	}
 	for _, name := range v.Names() {
 		var tid int
 		if n, _ := fmt.Sscanf(name, "core-%d.img", &tid); n == 1 && !seen[tid] {
-			r.add(InvCoreTID, "%s has no inventory entry", name)
+			if slices.Contains(exited, tid) {
+				r.add(InvExitedTID, "%s belongs to exited tid %d", name, tid)
+			} else {
+				r.add(InvCoreTID, "%s has no inventory entry", name)
+			}
 		}
 	}
 	return ok

@@ -35,6 +35,8 @@ var fixtureWant = map[string]string{
 	"skipped_in_parent.json": imgcheck.InvInParent,
 	"truncated_core.json":    imgcheck.InvImageDecode,
 	"missing_core.json":      imgcheck.InvMissingImage,
+	"exited_live.json":       imgcheck.InvExitedTID,
+	"exited_core.json":       imgcheck.InvExitedTID,
 	"pc_unmapped.json":       imgcheck.InvCorePC,
 	"sx86_highregs.json":     imgcheck.InvCoreRegs,
 	"stack_inverted.json":    imgcheck.InvCoreStack,

@@ -173,6 +173,20 @@ func main() {
 	d.Inventory.TIDs = []int{1, 2}
 	fixtures["missing_core.json"] = []*criu.CritDoc{d}
 
+	// exited-tid: tid 1 is listed live, with its core, and exited too.
+	d = baseDoc()
+	d.Inventory.Exited = []int{1}
+	fixtures["exited_live.json"] = []*criu.CritDoc{d}
+
+	// exited-tid: exited tid 2 carries a core image, which only a live
+	// thread has.
+	d = baseDoc()
+	d.Inventory.Exited = []int{2}
+	core2 := *d.Cores[0]
+	core2.TID = 2
+	d.Cores = append(d.Cores, &core2)
+	fixtures["exited_core.json"] = []*criu.CritDoc{d}
+
 	// core-pc: the thread's PC points outside every VMA.
 	d = baseDoc()
 	d.Cores[0].Regs.PC = 0xDEAD_0000

@@ -1,6 +1,7 @@
 package workloads_test
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
@@ -61,6 +62,68 @@ func TestMigrateWorkloadsMidRun(t *testing.T) {
 				t.Errorf("output mismatch after migration:\n got %q\nwant %q", got, want)
 			}
 		})
+	}
+}
+
+// TestMigrateJoinsExitedThreads migrates the three 4-thread PARSEC
+// workloads late in their run, at k/25 of the source's native cycles for
+// k = 22..24, where a worker has exited and main has not yet joined it.
+// The exited worker is process state: a restored process that lost it
+// fails its join with "join: no thread". Both directions, stop-and-copy
+// and in-process post-copy; every point must finish with the native
+// output.
+func TestMigrateJoinsExitedThreads(t *testing.T) {
+	for _, name := range []string{"blackscholes", "streamcluster", "swaptions"} {
+		w, err := workloads.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair, err := workloads.CompilePair(w, workloads.ClassS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range []struct {
+			name     string
+			src, dst cluster.NodeSpec
+		}{{"x86-arm", cluster.XeonSpec, cluster.PiSpec}, {"arm-x86", cluster.PiSpec, cluster.XeonSpec}} {
+			ref := cluster.NewNode(dir.src)
+			ref.Install(name, pair)
+			rp, err := ref.Start(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.K.Run(rp); err != nil {
+				t.Fatal(err)
+			}
+			want := rp.ConsoleString()
+			for k := uint64(22); k <= 24; k++ {
+				for _, lazy := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/%s/k=%d/lazy=%v", name, dir.name, k, lazy), func(t *testing.T) {
+						src, dst := cluster.NewNode(dir.src), cluster.NewNode(dir.dst)
+						src.Install(name, pair)
+						dst.Install(name, pair)
+						p, err := src.Start(name)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if alive, err := src.K.RunBudget(p, rp.VCycles*k/25); err != nil || !alive {
+							t.Fatalf("run to %d/25: alive %v, %v", k, alive, err)
+						}
+						res, err := cluster.Migrate(src, dst, p, pair.Meta, cluster.MigrateOpts{Lazy: lazy})
+						if err != nil {
+							t.Fatalf("migrate: %v", err)
+						}
+						defer res.Close()
+						if err := dst.K.Run(res.Proc); err != nil {
+							t.Fatalf("after restore: %v", err)
+						}
+						if got := p.ConsoleString() + res.Proc.ConsoleString(); got != want {
+							t.Errorf("output %q, want %q", got, want)
+						}
+					})
+				}
+			}
+		}
 	}
 }
 
