@@ -159,15 +159,13 @@ func (r *ImageReceiver) receive(conn net.Conn) {
 }
 
 // SendOpts tunes SendImagesOpts; the zero value sends uncompressed
-// segments under a link-derived write deadline.
+// segments. The whole send runs under a write deadline derived from the
+// link model (shipTimeout), so a slow modeled link never trips the real
+// transport.
 type SendOpts struct {
 	// Codec is the per-segment wire codec; the zero value, CodecNone,
 	// frames without compressing.
 	Codec criu.Codec
-	// Timeout bounds the whole send. Zero derives it from the link
-	// model (shipTimeout), so a slow modeled link never trips the real
-	// transport.
-	Timeout time.Duration
 	// Obs receives the wire telemetry ("wire.*"); nil disables it.
 	Obs *obs.Registry
 }
@@ -198,15 +196,11 @@ func SendImagesOpts(addr string, dir *criu.ImageDir, opts SendOpts) (raw, wire u
 			raw, wire, err = 0, 0, fmt.Errorf("cluster: send images: close: %w", cerr)
 		}
 	}()
-	timeout := opts.Timeout
-	if timeout <= 0 {
-		timeout = shipTimeout(dir.Size())
-	}
 	// The deadline covers every write of this send and is cleared before
 	// the close: a deadline left armed could fail the connection teardown
 	// with a timeout that belongs to a payload already delivered.
 	//lint:ignore wallclock write deadlines are real host-transport time by definition, never part of modeled migration cost
-	if derr := conn.SetWriteDeadline(time.Now().Add(timeout)); derr != nil {
+	if derr := conn.SetWriteDeadline(time.Now().Add(shipTimeout(dir.Size()))); derr != nil {
 		return 0, 0, fmt.Errorf("cluster: send images: %w", derr)
 	}
 	if raw, wire, err = writeImageParts(conn, dir.Parts(), opts.Codec, imageSegment, opts.Obs); err != nil {

@@ -277,8 +277,7 @@ func TestLazyTCPSetupFailureReapsRestored(t *testing.T) {
 	}
 	res, err := cluster.Migrate(xeon, pi, p, pair.Meta, cluster.MigrateOpts{
 		Lazy: true, LazyTCP: true,
-		Faults:     &criu.FaultSpec{Seed: 1, DropRate: 1},
-		PageClient: &criu.PageClientOpts{DialTimeout: 500 * time.Millisecond},
+		Faults: &criu.FaultSpec{Seed: 1, DropRate: 1},
 	})
 	if err == nil {
 		res.Close()

@@ -103,9 +103,7 @@ func TestSendImagesStalledReceiverDeadline(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := cluster.SendImagesOpts(ln.Addr().String(), dir, cluster.SendOpts{
-			Timeout: 300 * time.Millisecond,
-		})
+		_, _, err := cluster.SendImagesOpts(ln.Addr().String(), dir, cluster.SendOpts{})
 		done <- err
 	}()
 	select {

@@ -26,8 +26,8 @@ type FaultSpec struct {
 	Seed int64
 	// FailRate is the probability a FlakySource.ReadPage call fails with
 	// an injected error. Rates apply per page read: a TCP server's failed
-	// read of the requested page reaches the client as an error frame, of
-	// another page of its run as a not-sent frame.
+	// read of the requested page reaches the client as an error frame, and
+	// another page of its run is left out of the response.
 	FailRate float64
 	// DropRate is the probability a FlakyListener connection write is
 	// truncated mid-frame and the connection torn down — the

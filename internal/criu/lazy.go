@@ -43,9 +43,9 @@ type PageServerStats struct {
 	Requests uint64
 	// BytesSent counts payload bytes of pages read successfully.
 	BytesSent uint64
-	// Errors counts page reads that failed (reported to clients as error
-	// or not-sent frames by the TCP server rather than dropped
-	// connections).
+	// Errors counts page reads that failed (reported to clients by the
+	// TCP server as an error frame, or a wanted page left out of a
+	// response, rather than dropped connections).
 	Errors uint64
 }
 

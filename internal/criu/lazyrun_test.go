@@ -1,6 +1,7 @@
 package criu
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dapper-sim/dapper/internal/imgproto"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/obs"
@@ -128,10 +130,9 @@ func readPattern(t *testing.T, p *kernel.Process, addr uint64) {
 func TestLazyRunRoundTrips(t *testing.T) {
 	const runs = 16
 	const n = runs * runPages
-	// The third response is cut inside its seventh frame: the faulting
+	// The third response is cut inside its seventh page: the faulting
 	// page and five of the run have landed.
-	frameLen := pageRespHdrLen + mem.PageSize
-	cut := &cutListener{write: 4, at: 6*frameLen + frameLen/2}
+	cut := &cutListener{write: 4, at: pageRespHdrLen + 6*mem.PageSize + mem.PageSize/2}
 	for _, tc := range []struct {
 		name string
 		ln   func(net.Listener) net.Listener
@@ -253,8 +254,8 @@ func TestLazyRunOverFetch(t *testing.T) {
 // reads past the fetch deadline, and fails 20 %, so a request carrying a
 // run of k pages is late with probability 1 - 0.6^(k+1). Every fault must
 // still land its page through the timeout, redial and retry path, which
-// asks for the faulting page alone; a failed read of a run page comes back
-// not sent and that page faults later. A retry that asked for the run
+// asks for the faulting page alone; a failed read of a run page is left
+// out of the response and that page faults later. A retry that asked for the run
 // again would succeed about once in 3 000 tries for a full run.
 func TestLazyRunDeadlineRetry(t *testing.T) {
 	src := NewFlakySource(&mapSource{}, FaultSpec{
@@ -288,4 +289,58 @@ func TestLazyRunDeadlineRetry(t *testing.T) {
 		t.Errorf("%d attempts timed out but only %d redials: a timed-out connection was reused", st.Timeouts, st.Reconnects)
 	}
 	t.Logf("%d faults: %d requests answered, %d retries, %d timeouts, %d delays, %d failed reads", runPages, st.Fetches, st.Retries, st.Timeouts, src.Delays(), src.Failures())
+}
+
+// failOnceSource is mapSource whose first read of the page at addr fails.
+type failOnceSource struct {
+	mapSource
+	addr   uint64
+	failed atomic.Bool
+}
+
+func (s *failOnceSource) ReadPage(addr uint64, dst *[mem.PageSize]byte) error {
+	if addr == s.addr && s.failed.CompareAndSwap(false, true) {
+		return errors.New("page withheld")
+	}
+	return s.mapSource.ReadPage(addr, dst)
+}
+
+// TestLazyRunFlateSkipsFailedPage: over a real PageServer speaking flate,
+// the source fails a wanted page of a fault's run once. The response
+// leaves that page out, the client lands exactly the pages it names, and
+// the failed page faults on its own later, alone.
+func TestLazyRunFlateSkipsFailedPage(t *testing.T) {
+	first := runBase0 / mem.PageSize
+	src := &failOnceSource{addr: runBase0 + 3*mem.PageSize}
+	reg := obs.New()
+	srv := ServePagesObs(listen(t), src, reg)
+	defer srv.Close()
+	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{Codec: imgproto.CodecFlate, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p := lazyHeap(t, runPages)
+	InstallLazyHandler(p, c)
+
+	readPattern(t, p, runBase0)
+	for i := uint64(1); i < runPages; i++ {
+		if _, resident := p.AS.PageData(first + i); resident != (i != 3) {
+			t.Errorf("page %d resident = %v after the run", i, resident)
+		}
+	}
+	if st := c.Stats(); st.BytesRead != (runPages-1)*mem.PageSize || st.RemoteErrors != 0 {
+		t.Errorf("client took in %d pages and %d remote errors, want %d and none", st.BytesRead/mem.PageSize, st.RemoteErrors, runPages-1)
+	}
+	readPattern(t, p, src.addr)
+	for i := uint64(0); i < runPages; i++ {
+		data, _ := p.AS.PageData(first + i)
+		checkPage(t, runBase0+i*mem.PageSize, data)
+	}
+	if st := srv.Stats(); st.Requests != 2 || st.Errors != 1 || st.BytesSent != runPages*mem.PageSize {
+		t.Errorf("server: %+v, want 2 requests, 1 error, %d pages sent", st, runPages)
+	}
+	if got := reg.Counter("wire.form.flate").Value(); got != 2 {
+		t.Errorf("%d responses went out deflated, want both", got)
+	}
 }

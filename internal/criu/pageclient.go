@@ -27,19 +27,6 @@ type PageClientOpts struct {
 	// RetryBackoff is the delay before the first retry (default 5ms),
 	// doubling per subsequent retry up to 32x.
 	RetryBackoff time.Duration
-	// DialTimeout bounds one (re)connection attempt (default 1s),
-	// including the hello.
-	DialTimeout time.Duration
-	// RedialBudget bounds consecutive failed connection incarnations
-	// (default 8). Dial failures, failed hellos, and connections
-	// that die — or time out — before delivering a single well-formed
-	// frame all count; any good frame resets the count. A client past its
-	// budget is poisoned: further fetches fail immediately with
-	// ErrRedialExhausted (counted in pageclient.redial_exhausted)
-	// instead of redialing a server that accepts connections but never
-	// speaks the protocol — an unguarded client would redial such a
-	// server forever, once per retry of every faulted page.
-	RedialBudget int
 	// Codec is the page codec requested from the server in each
 	// connection's hello; the zero value, CodecNone, frames without
 	// compression.
@@ -64,14 +51,23 @@ func (o PageClientOpts) withDefaults() PageClientOpts {
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 5 * time.Millisecond
 	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = time.Second
-	}
-	if o.RedialBudget <= 0 {
-		o.RedialBudget = 8
-	}
 	return o
 }
+
+const (
+	// dialTimeout bounds one (re)connection attempt, including the hello.
+	dialTimeout = time.Second
+	// redialBudget bounds consecutive failed connection incarnations.
+	// Dial failures, failed hellos, and connections that die — or time
+	// out — before delivering a single well-formed response all count;
+	// any good response resets the count. A client past its budget is
+	// poisoned: further fetches fail immediately with ErrRedialExhausted
+	// (counted in pageclient.redial_exhausted) instead of redialing a
+	// server that accepts connections but never speaks the protocol — an
+	// unguarded client would redial such a server forever, once per retry
+	// of every faulted page.
+	redialBudget = 8
+)
 
 // PageClientStats counts client-side transport activity. It is a snapshot
 // of the client's obs counters (see Stats).
@@ -85,8 +81,8 @@ type PageClientStats struct {
 	// Desyncs counts connections dropped because a response frame
 	// violated the framing, as opposed to plain teardown.
 	Desyncs uint64
-	// RedialsExhausted is 1 once the client is poisoned after RedialBudget
-	// consecutive failed connection incarnations.
+	// RedialsExhausted is 1 once the client is poisoned after
+	// redialBudget consecutive failed connection incarnations.
 	RedialsExhausted uint64
 }
 
@@ -94,7 +90,7 @@ type PageClientStats struct {
 var ErrPageClientClosed = errors.New("criu: page client closed")
 
 // ErrRedialExhausted is returned by ReadPage once the client has burned
-// through its RedialBudget of consecutive failed connection incarnations.
+// through its budget of consecutive failed connection incarnations.
 // It is sticky and terminal: retrying cannot help against a server that
 // keeps accepting connections and keeps failing them.
 var ErrRedialExhausted = errors.New("criu: page connection redial budget exhausted")
@@ -120,8 +116,8 @@ type RemotePageSource struct {
 	// mu is held for the whole of a fetch, retries included; the fields
 	// below it belong to whoever holds it.
 	mu sync.Mutex
-	// br reads the current connection through a buffer of one whole
-	// frame, so a response usually costs one read.
+	// br reads the current connection through a buffer of a header and
+	// a page, so a one-page response usually costs one read.
 	br        *bufio.Reader
 	nextID    uint32
 	everAlive bool
@@ -131,7 +127,7 @@ type RemotePageSource struct {
 	sawFrame bool
 	// fails counts consecutive incarnations that never produced a good
 	// frame (dial errors, hello failures, instant desyncs). At
-	// RedialBudget the client is poisoned: live stops dialing, so nothing
+	// redialBudget the client is poisoned: live stops dialing, so nothing
 	// can reset the count again.
 	fails int
 
@@ -321,7 +317,7 @@ func requestPage(conn net.Conn, br *bufio.Reader, req pageRequest, dst *[mem.Pag
 	if err := writePageRequest(conn, req); err != nil {
 		return 0, "", err
 	}
-	landed, remote, err = readPageRun(br, req, dst, land)
+	landed, remote, err = readPageResponse(br, req, dst, land)
 	if err == nil && br.Buffered() > 0 {
 		err = fmt.Errorf("%w: %d bytes after the response to request %d", errPageDesync, br.Buffered(), req.ID)
 	}
@@ -331,7 +327,7 @@ func requestPage(conn net.Conn, br *bufio.Reader, req pageRequest, dst *[mem.Pag
 // live returns the connection, dialing and negotiating a fresh one if
 // there is none; the caller holds c.mu.
 func (c *RemotePageSource) live() (net.Conn, error) {
-	if c.fails >= c.opts.RedialBudget {
+	if c.fails >= redialBudget {
 		return nil, ErrRedialExhausted
 	}
 	c.connMu.Lock()
@@ -345,7 +341,7 @@ func (c *RemotePageSource) live() (net.Conn, error) {
 	}
 	conn, err := c.dial()
 	if err == nil {
-		if err = pageHello(conn, c.opts.Codec, c.opts.DialTimeout); err != nil {
+		if err = pageHello(conn, c.opts.Codec, dialTimeout); err != nil {
 			// The hello died mid-frame, leaving the stream position
 			// unknown; the conn is unusable either way.
 			_ = conn.Close()
@@ -375,7 +371,7 @@ func (c *RemotePageSource) dial() (net.Conn, error) {
 	if c.opts.Dial != nil {
 		return c.opts.Dial(c.addr)
 	}
-	return net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	return net.DialTimeout("tcp", c.addr, dialTimeout)
 }
 
 // drop tears down a connection incarnation after a failed request.
@@ -393,7 +389,7 @@ func (c *RemotePageSource) drop(conn net.Conn) {
 // noteFail records one failed incarnation; the caller holds c.mu.
 func (c *RemotePageSource) noteFail() {
 	c.fails++
-	if c.fails == c.opts.RedialBudget {
+	if c.fails == redialBudget {
 		c.redialExhausted.Inc()
 	}
 }

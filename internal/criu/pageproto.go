@@ -1,6 +1,8 @@
 package criu
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,30 +19,27 @@ import (
 // full specification.
 //
 // A connection carries one request at a time: the restored process faults
-// a page, the client writes a request and reads the response that answers
-// it, a frame for the page and one for each page of its aligned run that
-// the request wants. Every connection opens with a hello, a request-shaped
-// frame whose reqID and address carry magic values plus the codec the
-// client asks for; the server acknowledges with the codec it will use. A
-// first frame that is not a hello, a second hello, or a request wanting
-// its own page closes the connection.
+// a page, the client writes a request and reads the one frame that
+// answers it, carrying the page and the pages of its aligned run that the
+// request wants and the server could read. Every connection opens with a
+// hello, a request-shaped frame whose reqID and address carry magic values
+// plus the codec the client asks for; the server acknowledges with the
+// codec it will use. A first frame that is not a hello, a second hello, or
+// a request wanting its own page closes the connection.
 //
 //	request   := reqID(u32 BE) pageAddr(u64 BE) want(u16 BE: bit i = page i of pageAddr's run)
 //	hello     := request with reqID = 0xD4B3FACE, pageAddr = 0xD4B3C0DE00000000 | codec
 //	hello-ack := reqID(u32 BE) 0x02 version(u8) codec(u8)
-//	response  := pageAddr's frame, then one per wanted page in address order
-//	frame     := 0xB3 codec(u8) status(u8) reqID(u32 BE) rawLen(u32 BE) wireLen(u32 BE)
-//	             off(i8: pages from pageAddr) left(u8: frames after this one) payload[wireLen]
-//	  status 0x00 (OK):       rawLen = PageSize; payload decodes, per codec, to the page
-//	  status 0x01 (ERR):      off = 0, codec = none, rawLen = wireLen <= 1 KiB; payload is the message
-//	  status 0x03 (NOT SENT): off != 0, codec = none, rawLen = wireLen = 0
+//	response  := 0xB3 codec(u8) status(u8) reqID(u32 BE) sent(u16 BE) rawLen(u32 BE) wireLen(u32 BE)
+//	             payload[wireLen]
+//	  status 0x00 (OK):  sent names only pages of want; rawLen = (1 + popcount(sent)) * PageSize;
+//	                     payload decodes, per codec, to pageAddr's page, then sent's pages in address order
+//	  status 0x01 (ERR): sent = 0, codec = none, rawLen = wireLen <= 1 KiB; payload is the message
 //
-// An ERR frame reports a server-side ReadPage failure of the requested
-// page, a NOT SENT frame one of a wanted page, which faults on its own
-// later; the connection stays synchronized and usable. Any header field
-// out of these bounds, a frame other than the one due next, a payload
-// that does not decode to exactly rawLen bytes, or a byte arriving after
-// the response while no request is in flight desynchronizes the stream
+// A failed read of the requested page is an ERR frame, one of a wanted
+// page leaves it out of sent; the connection stays usable. Any header
+// field out of these bounds, a payload that does not decode to exactly
+// rawLen bytes, or a byte after the response desynchronizes the stream
 // (errPageDesync) and the reader must drop the connection.
 const (
 	pageReqLen = 14
@@ -50,16 +49,15 @@ const (
 	pageHelloAddrMagic = 0xD4B3C0DE00000000
 	pageHelloAddrMask  = 0xFFFFFFFFFFFFFF00
 	pageHelloAckLen    = 7
-	pageProtoVersion   = 5
+	pageProtoVersion   = 6
 
-	pageRespMagic     = 0xB3
-	pageRespHdrLen    = 17
-	pageStatusOK      = 0x00
-	pageStatusErr     = 0x01
-	pageStatusHello   = 0x02
-	pageStatusNotSent = 0x03
+	pageRespMagic   = 0xB3
+	pageRespHdrLen  = 17
+	pageStatusOK    = 0x00
+	pageStatusErr   = 0x01
+	pageStatusHello = 0x02
 	// maxPageErrMsg bounds error-frame messages: with it, no header can
-	// ask the reader for more than a page.
+	// ask the reader for more than a run of pages.
 	maxPageErrMsg = 1 << 10
 )
 
@@ -154,130 +152,87 @@ func pageHello(conn net.Conn, want imgproto.Codec, timeout time.Duration) (err e
 	return nil
 }
 
-// encodePageFrame turns buf — header room, then the page off pages from
-// the one request id asked for — into that page's frame in place, left
-// frames before the response ends: an OK frame carrying the page encoded
-// with codec (a compressed page is copied over the one it was made from,
-// which Compress never expands past), or if fetchErr is set an ERR frame
-// with its message for the requested page, a bare NOT SENT frame for
-// another. rawN is the payload's size before the codec, for telemetry.
-func encodePageFrame(buf []byte, codec imgproto.Codec, id uint32, off, left int, fetchErr error) (frame []byte, rawN int, err error) {
-	status, raw := byte(pageStatusOK), buf[pageRespHdrLen:pageRespHdrLen+mem.PageSize]
-	switch {
-	case fetchErr != nil && off == 0:
-		raw = raw[:copy(raw[:maxPageErrMsg], fetchErr.Error())]
-		status, codec = pageStatusErr, imgproto.CodecNone
-	case fetchErr != nil:
-		raw = raw[:0]
-		status, codec = pageStatusNotSent, imgproto.CodecNone
-	}
+// encodePageResponse turns buf — header room, then the n payload bytes
+// before the codec: the pages of an OK frame, or an ERR frame's message —
+// into the response to request id in place. A compressed payload is
+// copied over the one it was made from, which Compress never expands past.
+func encodePageResponse(buf []byte, codec imgproto.Codec, status byte, id uint32, sent uint16, n int) ([]byte, error) {
+	raw := buf[pageRespHdrLen : pageRespHdrLen+n]
 	payload, used, err := codec.Compress(raw)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if used != imgproto.CodecNone { // a CodecNone payload is raw itself
 		copy(raw, payload)
 	}
 	buf[0], buf[1], buf[2] = pageRespMagic, byte(used), status
 	binary.BigEndian.PutUint32(buf[3:7], id)
-	binary.BigEndian.PutUint32(buf[7:11], uint32(len(raw)))
-	binary.BigEndian.PutUint32(buf[11:15], uint32(len(payload)))
-	buf[15], buf[16] = byte(int8(off)), byte(left)
-	return buf[:pageRespHdrLen+len(payload)], len(raw), nil
+	binary.BigEndian.PutUint16(buf[7:9], sent)
+	binary.BigEndian.PutUint32(buf[9:13], uint32(n))
+	binary.BigEndian.PutUint32(buf[13:17], uint32(len(payload)))
+	return buf[:pageRespHdrLen+len(payload)], nil
 }
 
-// readPageFrame reads one frame of the response to req, and nothing past
-// it: the frame due next, for the page at due with left frames after it.
-// Its header is checked against the protocol's bounds and against what is
-// due before a payload byte is read, so no header can ask for more than a
-// page. It reads an OK frame's page into dst, or into a fresh frame if dst
-// is nil, and returns it (nil for NOT SENT), or returns an ERR frame's
-// message. Framing violations wrap errPageDesync, which a plain teardown
-// mid-frame does not. On error the page's contents are undefined.
-func readPageFrame(r io.Reader, req pageRequest, due uint64, left int, dst *[mem.PageSize]byte) (page *[mem.PageSize]byte, remote string, err error) {
+// readPageResponse reads the response to req through r, and nothing past
+// it: the requested page into dst, then the pages sent names, in address
+// order, each into a fresh frame handed to land. The whole header is
+// checked against the protocol's bounds and against req before a payload
+// byte is read, so no header can ask for more than a run of pages. It
+// returns the pages landed, which stay landed on error, or the server's
+// message if req.Addr could not be read. Framing violations wrap
+// errPageDesync, which a plain teardown mid-response does not. On error
+// dst's contents are undefined.
+func readPageResponse(r io.Reader, req pageRequest, dst *[mem.PageSize]byte, land func(addr uint64, frame *[mem.PageSize]byte)) (landed int, remote string, err error) {
 	var hdr [pageRespHdrLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, "", err
-	}
-	codec, status, id := imgproto.Codec(hdr[1]), hdr[2], binary.BigEndian.Uint32(hdr[3:7])
-	rawLen := binary.BigEndian.Uint32(hdr[7:11])
-	wireLen := binary.BigEndian.Uint32(hdr[11:15])
-	addr := req.Addr + uint64(int64(int8(hdr[15])))*mem.PageSize
-	switch {
-	case hdr[0] != pageRespMagic:
-		return nil, "", fmt.Errorf("%w: bad magic 0x%02x", errPageDesync, hdr[0])
-	case !codec.Valid():
-		return nil, "", fmt.Errorf("%w: bad codec byte 0x%02x", errPageDesync, hdr[1])
-	case status != pageStatusOK && status != pageStatusErr && status != pageStatusNotSent:
-		return nil, "", fmt.Errorf("%w: bad status byte 0x%02x", errPageDesync, status)
-	case status == pageStatusOK && rawLen != mem.PageSize:
-		return nil, "", fmt.Errorf("%w: page frame of %d raw bytes", errPageDesync, rawLen)
-	case status == pageStatusErr && (rawLen > maxPageErrMsg || due != req.Addr):
-		return nil, "", fmt.Errorf("%w: error frame of %d bytes for page 0x%x", errPageDesync, rawLen, due)
-	case status == pageStatusNotSent && (rawLen != 0 || due == req.Addr):
-		return nil, "", fmt.Errorf("%w: not-sent frame of %d bytes for page 0x%x", errPageDesync, rawLen, due)
-	case status != pageStatusOK && codec != imgproto.CodecNone:
-		return nil, "", fmt.Errorf("%w: error frame encoded as %s", errPageDesync, codec)
-	case wireLen > rawLen:
-		// Compress never expands (it falls back to CodecNone), so a wire
-		// payload larger than its raw size proves corruption.
-		return nil, "", fmt.Errorf("%w: wire payload %d exceeds raw size %d", errPageDesync, wireLen, rawLen)
-	case id != req.ID:
-		return nil, "", fmt.Errorf("%w: response to request %d while %d is in flight", errPageDesync, id, req.ID)
-	case addr != due:
-		return nil, "", fmt.Errorf("%w: frame for page 0x%x where 0x%x is due", errPageDesync, addr, due)
-	case int(hdr[16]) != left:
-		return nil, "", fmt.Errorf("%w: frame says %d frames follow, %d are due", errPageDesync, hdr[16], left)
-	case status == pageStatusNotSent:
-		return nil, "", nil
-	}
-	if dst == nil {
-		dst = new([mem.PageSize]byte)
-	}
-	payload := dst[:wireLen] // an uncompressed page is read in place
-	if status != pageStatusOK || codec != imgproto.CodecNone {
-		payload = make([]byte, wireLen)
-	}
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, "", err
-	}
-	raw, err := codec.Decompress(payload, int(rawLen))
-	switch {
-	case err != nil:
-		return nil, "", fmt.Errorf("%w: %v", errPageDesync, err)
-	case status == pageStatusErr && len(raw) == 0:
-		return nil, "unspecified server error", nil
-	case status == pageStatusErr:
-		return nil, string(raw), nil
-	case codec != imgproto.CodecNone:
-		copy(dst[:], raw)
-	}
-	return dst, "", nil
-}
-
-// readPageRun reads the response to req through r, and nothing past it:
-// req.Addr's frame into dst, then one frame per wanted page in address
-// order, each page that came into a fresh frame handed to land. A
-// response is at most runPages frames of a page. It returns the pages
-// landed, which stay landed on error, and the server's message if
-// req.Addr could not be read.
-func readPageRun(r io.Reader, req pageRequest, dst *[mem.PageSize]byte, land func(addr uint64, frame *[mem.PageSize]byte)) (landed int, remote string, err error) {
-	want := req.Want &^ runBit(req.Addr)
-	if _, remote, err = readPageFrame(r, req, req.Addr, bits.OnesCount16(want), dst); err != nil {
 		return 0, "", err
 	}
-	for ; want != 0; want &= want - 1 {
-		due := runBase(req.Addr) + uint64(bits.TrailingZeros16(want))*mem.PageSize
-		frame, _, err := readPageFrame(r, req, due, bits.OnesCount16(want)-1, nil)
-		if err != nil {
+	codec, status, id := imgproto.Codec(hdr[1]), hdr[2], binary.BigEndian.Uint32(hdr[3:7])
+	sent, rawLen, wireLen := binary.BigEndian.Uint16(hdr[7:9]), binary.BigEndian.Uint32(hdr[9:13]), binary.BigEndian.Uint32(hdr[13:17])
+	switch {
+	case hdr[0] != pageRespMagic || !codec.Valid() || status != pageStatusOK && status != pageStatusErr:
+		return 0, "", fmt.Errorf("%w: bad magic, codec or status (% x)", errPageDesync, hdr[:3])
+	case id != req.ID:
+		return 0, "", fmt.Errorf("%w: response to request %d while %d is in flight", errPageDesync, id, req.ID)
+	case sent&^req.Want != 0: // want never names req.Addr itself
+		return 0, "", fmt.Errorf("%w: sent pages 0x%04x where 0x%04x were wanted", errPageDesync, sent, req.Want)
+	case status == pageStatusOK && rawLen != uint32(1+bits.OnesCount16(sent))*mem.PageSize:
+		return 0, "", fmt.Errorf("%w: %d raw bytes for the page and sent pages 0x%04x", errPageDesync, rawLen, sent)
+	case status == pageStatusErr && (sent != 0 || codec != imgproto.CodecNone || rawLen > maxPageErrMsg):
+		return 0, "", fmt.Errorf("%w: error frame of %d bytes, %s, sending 0x%04x", errPageDesync, rawLen, codec, sent)
+	case wireLen > rawLen || codec == imgproto.CodecNone && wireLen != rawLen:
+		// Compress never expands, so a larger wire payload proves corruption.
+		return 0, "", fmt.Errorf("%w: %s payload of %d bytes for %d raw", errPageDesync, codec, wireLen, rawLen)
+	}
+	// An uncompressed payload is read in place; anything else is read
+	// whole and decoded, and its pages are read from that.
+	payload := r
+	if codec != imgproto.CodecNone || status == pageStatusErr {
+		wire := make([]byte, wireLen)
+		if _, err := io.ReadFull(r, wire); err != nil {
+			return 0, "", err
+		}
+		raw, err := codec.Decompress(wire, int(rawLen))
+		switch {
+		case err != nil:
+			return 0, "", fmt.Errorf("%w: %v", errPageDesync, err)
+		case status == pageStatusErr:
+			return 0, cmp.Or(string(raw), "unspecified server error"), nil
+		}
+		payload = bytes.NewReader(raw)
+	}
+	if _, err := io.ReadFull(payload, dst[:]); err != nil {
+		return 0, "", err
+	}
+	for ; sent != 0; sent &= sent - 1 {
+		frame := new([mem.PageSize]byte)
+		if _, err := io.ReadFull(payload, frame[:]); err != nil {
 			return landed, "", err
 		}
-		if frame != nil {
-			land(due, frame)
-			landed++
-		}
+		land(runBase(req.Addr)+uint64(bits.TrailingZeros16(sent))*mem.PageSize, frame)
+		landed++
 	}
-	return landed, remote, nil
+	return landed, "", nil
 }
 
 // RemoteFetchError is a server-reported page-fetch failure, relayed to the

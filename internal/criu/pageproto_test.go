@@ -5,8 +5,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math/bits"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -22,11 +25,17 @@ const (
 	respCodecOff  = 1
 	respStatusOff = 2
 	respIDOff     = 3
-	respRawOff    = 7
-	respWireOff   = 11
-	respOffOff    = 15
-	respLeftOff   = 16
+	respSentOff   = 7
+	respRawOff    = 9
+	respWireOff   = 13
 )
+
+// answerWith is a PageServer's response to req, encoded with codec, the
+// pages read from src.
+func answerWith(codec imgproto.Codec, req pageRequest, src PageSource) ([]byte, error) {
+	buf := new(runBuf)
+	return (&PageServer{src: src}).answer(buf[:], codec, req)
+}
 
 // respFrame is newPageResponse, failing t on an encoding error.
 func respFrame(t testing.TB, codec imgproto.Codec, id uint32, page []byte, fetchErr error) []byte {
@@ -38,13 +47,12 @@ func respFrame(t testing.TB, codec imgproto.Codec, id uint32, page []byte, fetch
 	return frame
 }
 
-// newPageResponse is the whole response to request id for one page:
-// encodePageFrame over a fresh buffer holding page.
+// newPageResponse is the server's response to request id for one page,
+// whose read returns page or fetchErr.
 func newPageResponse(codec imgproto.Codec, id uint32, page []byte, fetchErr error) ([]byte, error) {
-	buf := make([]byte, pageRespHdrLen+mem.PageSize)
-	copy(buf[pageRespHdrLen:], page)
-	frame, _, err := encodePageFrame(buf, codec, id, 0, 0, fetchErr)
-	return frame, err
+	return answerWith(codec, pageRequest{ID: id, Addr: 5 * mem.PageSize}, fetchFunc(func(uint64) ([]byte, error) {
+		return page, fetchErr
+	}))
 }
 
 // pageResponse is the response to a request for one page, decoded.
@@ -54,11 +62,11 @@ type pageResponse struct {
 	Remote string // the server's message for an error frame
 }
 
-// readPageResponse is readPageRun of the response to a request for one
+// readOnePage is readPageResponse of the response to a request for one
 // page — request id — into a fresh page.
-func readPageResponse(r io.Reader, id uint32) (pageResponse, error) {
+func readOnePage(r io.Reader, id uint32) (pageResponse, error) {
 	page := new([mem.PageSize]byte)
-	_, remote, err := readPageRun(r, pageRequest{ID: id, Addr: 5 * mem.PageSize}, page, nil)
+	_, remote, err := readPageResponse(r, pageRequest{ID: id, Addr: 5 * mem.PageSize}, page, nil)
 	if err != nil || remote != "" {
 		return pageResponse{ID: id, Remote: remote}, err
 	}
@@ -68,18 +76,18 @@ func readPageResponse(r io.Reader, id uint32) (pageResponse, error) {
 func TestPageBatchRoundTrip(t *testing.T) {
 	for _, codec := range []imgproto.Codec{imgproto.CodecNone, imgproto.CodecFlate} {
 		t.Run(codec.String(), func(t *testing.T) {
-			// Three frames back to back on one stream: the reader must
-			// consume exactly one frame per call.
+			// Three responses back to back on one stream: the reader must
+			// consume exactly one per call.
 			var stream bytes.Buffer
 			for _, f := range [][]byte{
 				respFrame(t, codec, 1, pagePattern(0), nil),
 				respFrame(t, codec, 2, nil, errors.New("no such page")),
 				respFrame(t, codec, 3, pagePattern(7*mem.PageSize), nil),
 			} {
-				// Compress never expands: a frame is at most header + raw
-				// payload, whatever codec was asked for.
+				// Compress never expands: a response is at most header +
+				// raw payload, whatever codec was asked for.
 				if len(f) > pageRespHdrLen+mem.PageSize {
-					t.Errorf("frame of %d bytes exceeds a page + header", len(f))
+					t.Errorf("response of %d bytes exceeds a page + header", len(f))
 				}
 				stream.Write(f)
 			}
@@ -87,24 +95,24 @@ func TestPageBatchRoundTrip(t *testing.T) {
 				addr   uint64
 				remote string
 			}{{0, ""}, {0, "no such page"}, {7 * mem.PageSize, ""}} {
-				resp, err := readPageResponse(&stream, uint32(i+1))
+				resp, err := readOnePage(&stream, uint32(i+1))
 				if err != nil {
-					t.Fatalf("frame %d: %v", i, err)
+					t.Fatalf("response %d: %v", i, err)
 				}
 				if resp.ID != uint32(i+1) {
-					t.Errorf("frame %d ID = %d, want %d", i, resp.ID, i+1)
+					t.Errorf("response %d ID = %d, want %d", i, resp.ID, i+1)
 				}
 				if resp.Remote != want.remote {
-					t.Errorf("frame %d message %q, want %q", i, resp.Remote, want.remote)
+					t.Errorf("response %d message %q, want %q", i, resp.Remote, want.remote)
 				}
 				if want.remote == "" {
 					checkPage(t, want.addr, resp.Page)
 				} else if resp.Page != nil {
-					t.Errorf("frame %d: error frame carries a page", i)
+					t.Errorf("response %d: error frame carries a page", i)
 				}
 			}
 			if stream.Len() != 0 {
-				t.Errorf("%d bytes left after the last frame", stream.Len())
+				t.Errorf("%d bytes left after the last response", stream.Len())
 			}
 		})
 	}
@@ -127,230 +135,206 @@ func TestPageBatchFlateShrinks(t *testing.T) {
 	}
 }
 
-// malformedPageFrame is one way a response frame can violate the protocol.
-type malformedPageFrame struct {
-	name  string
-	frame []byte
-	// desync: the violation must be flagged errPageDesync, which a merely
-	// truncated stream (a clean teardown mid-frame) must NOT be.
-	desync bool
-	// atHeader: the frame must be refused on its header alone, before a
-	// payload byte is read — or a buffer for one allocated.
-	atHeader bool
-}
-
-// malformedPageFrames is every class of framing violation, built by
-// mutating a well-formed frame. It also seeds FuzzReadPageResponse.
-func malformedPageFrames(t testing.TB) []malformedPageFrame {
-	page := pagePattern(mem.PageSize)
-	ok := func(mutate func(b []byte) []byte) []byte {
-		return mutate(respFrame(t, imgproto.CodecNone, 9, page, nil))
-	}
-	fail := func(mutate func(b []byte) []byte) []byte {
-		return mutate(respFrame(t, imgproto.CodecNone, 9, nil, errors.New("disk on fire")))
-	}
-	put := binary.BigEndian.PutUint32
-	return []malformedPageFrame{
-		{"bad magic", ok(func(b []byte) []byte { b[0] = 0x5A; return b }), true, true},
-		{"bad codec byte", ok(func(b []byte) []byte { b[respCodecOff] = 0x7F; return b }), true, true},
-		{"bad status byte", ok(func(b []byte) []byte { b[respStatusOff] = pageStatusHello; return b }), true, true},
-		{"raw size over limit", ok(func(b []byte) []byte { put(b[respRawOff:], 1<<24); return b }), true, true},
-		{"page frame short of a page", ok(func(b []byte) []byte {
-			put(b[respRawOff:], mem.PageSize-8)
-			put(b[respWireOff:], mem.PageSize-8)
-			return b[:len(b)-8]
-		}), true, true},
-		{"wire exceeds raw", ok(func(b []byte) []byte {
-			put(b[respWireOff:], mem.PageSize+1)
-			return append(b, 0x00) // keep the payload read satisfiable
-		}), true, true},
-		{"uncompressed payload short of raw", ok(func(b []byte) []byte {
-			put(b[respWireOff:], mem.PageSize-8)
-			return b[:len(b)-8]
-		}), true, false},
-		{"error frame over limit", fail(func(b []byte) []byte {
-			b = append(b[:pageRespHdrLen], make([]byte, maxPageErrMsg+1)...)
-			put(b[respRawOff:], maxPageErrMsg+1)
-			put(b[respWireOff:], maxPageErrMsg+1)
-			return b
-		}), true, true},
-		{"error frame with a codec", fail(func(b []byte) []byte { b[respCodecOff] = byte(imgproto.CodecFlate); return b }), true, true},
-		{"trailing bytes", func() []byte {
-			b := respFrame(t, imgproto.CodecFlate, 9, page, nil)
-			put(b[respWireOff:], uint32(len(b)-pageRespHdrLen+2))
-			return append(b, 0xAA, 0xBB)
-		}(), true, false},
-		{"garbled flate payload", ok(func(b []byte) []byte {
-			b[respCodecOff] = byte(imgproto.CodecFlate) // none-payload labeled flate
-			return b
-		}), true, false},
-		{"truncated payload", ok(func(b []byte) []byte { return b[:len(b)-10] }), false, false},
-		{"truncated header", ok(func(b []byte) []byte { return b[:pageRespHdrLen-1] }), false, false},
-	}
-}
-
-// TestReadPageBatchDesync feeds readPageResponse every class of framing
-// violation.
-func TestReadPageBatchDesync(t *testing.T) {
-	for _, tc := range malformedPageFrames(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			r := bytes.NewReader(tc.frame)
-			_, err := readPageResponse(r, 9)
-			if err == nil {
-				t.Fatal("corrupt response frame decoded without error")
-			}
-			if got := errors.Is(err, errPageDesync); got != tc.desync {
-				t.Errorf("errors.Is(err, errPageDesync) = %v, want %v (err: %v)", got, tc.desync, err)
-			}
-			if read := len(tc.frame) - r.Len(); tc.atHeader && read != pageRespHdrLen {
-				t.Errorf("reader consumed %d bytes of a frame its %d-byte header condemns", read, pageRespHdrLen)
-			}
-		})
-	}
-}
-
 // runRequest is the request the run responses below answer: page 5 of
 // the run at 0x40000, with pages 1, 6, 7 and 12 of it wanted too.
 var runRequest = pageRequest{ID: 9, Addr: 0x40000 + 5*mem.PageSize, Want: 1<<1 | 1<<6 | 1<<7 | 1<<12}
 
-// runFrames is the server's response to runRequest, frame by frame, with
-// the pages notSent names going out as NOT SENT.
-func runFrames(t testing.TB, codec imgproto.Codec, notSent uint16) [][]byte {
+// runResponse is the server's response to runRequest, encoded with
+// codec, from a source that fails the reads of the pages fail names.
+func runResponse(t testing.TB, codec imgproto.Codec, fail uint16) []byte {
 	t.Helper()
-	srv := &PageServer{src: fetchFunc(func(addr uint64) ([]byte, error) {
-		if notSent&runBit(addr) != 0 {
+	resp, err := answerWith(codec, runRequest, fetchFunc(func(addr uint64) ([]byte, error) {
+		if fail&runBit(addr) != 0 {
 			return nil, errors.New("page withheld")
 		}
 		return pagePattern(addr), nil
-	})}
-	resp, err := srv.answer(make([]byte, runPages*(pageRespHdrLen+mem.PageSize)), codec, runRequest)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var frames [][]byte
-	for len(resp) > 0 {
-		n := pageRespHdrLen + int(binary.BigEndian.Uint32(resp[respWireOff:]))
-		frames = append(frames, resp[:n:n])
-		resp = resp[n:]
+	if got := imgproto.Codec(resp[respCodecOff]); fail&runBit(runRequest.Addr) == 0 && got != codec {
+		t.Fatalf("run response went out as %s, want %s", got, codec)
 	}
-	return frames
+	return resp
 }
 
-// malformedRuns is every way a response to runRequest can break the run
-// framing while each of its frames is well formed on its own. Each is a
-// desync; it also seeds FuzzReadPageResponse.
-func malformedRuns(t testing.TB) []struct {
-	name   string
-	stream []byte
-} {
-	join := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
-	f := runFrames(t, imgproto.CodecNone, 0)
-	outside := bytes.Clone(f[2])
-	outside[respOffOff] = 3 // page 8: in the run, not wanted
-	notSentPayload := bytes.Clone(runFrames(t, imgproto.CodecNone, 1<<6)[2])
-	notSentPayload = append(notSentPayload, 0, 0, 0, 0, 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(notSentPayload[respRawOff:], 8)
-	binary.BigEndian.PutUint32(notSentPayload[respWireOff:], 8)
-	extra := bytes.Clone(f[0])
-	extra[respLeftOff]++
-	missing := bytes.Clone(f[2])
-	missing[respLeftOff]-- // a sender that skipped page 7 on purpose
-	errFrame := append(bytes.Clone(f[2][:pageRespHdrLen]), "gone"...)
-	errFrame[respStatusOff] = pageStatusErr
-	binary.BigEndian.PutUint32(errFrame[respRawOff:], 4)
-	binary.BigEndian.PutUint32(errFrame[respWireOff:], 4)
-	return []struct {
-		name   string
-		stream []byte
-	}{
-		{"frame for a page outside the want set", join(f[0], f[1], outside, f[3], f[4])},
-		{"frame out of address order", join(f[0], f[2], f[1], f[3], f[4])},
-		{"missing frame", join(f[0], f[1], f[2], f[4])},
-		{"missing frame, counted", join(f[0], f[1], missing, f[4])},
-		{"extra frame", join(extra, f[1], f[2], f[3], f[4], f[4])},
-		{"not-sent frame with a payload", join(f[0], f[1], notSentPayload, f[3], f[4])},
-		{"error frame for a page of the run", join(f[0], f[1], errFrame, f[3], f[4])},
-		{"bytes after the last frame", join(f[0], f[1], f[2], f[3], f[4], []byte{0xB3})},
-	}
-}
-
-// TestReadPageRunDesync: a run response whose frames are each well
-// formed is still refused, as a desync, if they are not exactly the
-// frames due — and the reader stops at the response's last frame, so a
-// byte behind it is left for requestPage's check.
-func TestReadPageRunDesync(t *testing.T) {
-	good := bytes.Join(runFrames(t, imgproto.CodecNone, 0), nil)
-	landed, remote, err := readPageRun(bytes.NewReader(good), runRequest, new([mem.PageSize]byte), func(uint64, *[mem.PageSize]byte) {})
-	if err != nil || remote != "" || landed != 4 {
-		t.Fatalf("well-formed run: %d landed, %q, %v; want 4, no message, no error", landed, remote, err)
-	}
-	for _, tc := range malformedRuns(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			r := bytes.NewReader(tc.stream)
-			_, _, err := readPageRun(r, runRequest, new([mem.PageSize]byte), func(uint64, *[mem.PageSize]byte) {})
-			if err == nil {
-				if r.Len() == 0 {
-					t.Fatal("malformed run response read without error")
-				}
-				return // requestPage's check: bytes after the response
+// TestReadPageResponseRun: read as the answer to runRequest, a response
+// lands exactly the pages its sent field names, in address order, each
+// once, and the reader stops at its last byte. A wanted page the source
+// could not read is left out and does not land; a requested page it
+// could not read ends the response with the server's message.
+func TestReadPageResponseRun(t *testing.T) {
+	for _, codec := range []imgproto.Codec{imgproto.CodecNone, imgproto.CodecFlate} {
+		for _, fail := range []uint16{0, 1 << 7, runBit(runRequest.Addr)} {
+			resp := runResponse(t, codec, fail)
+			r := bytes.NewReader(resp)
+			dst := new([mem.PageSize]byte)
+			var got []uint64
+			landed, remote, err := readPageResponse(r, runRequest, dst, func(addr uint64, frame *[mem.PageSize]byte) {
+				checkPage(t, addr, frame[:])
+				got = append(got, addr)
+			})
+			if err != nil || r.Len() != 0 {
+				t.Fatalf("%s, failing 0x%04x: %v with %d bytes left", codec, fail, err, r.Len())
 			}
-			if !errors.Is(err, errPageDesync) {
-				t.Errorf("error %v, want a desync", err)
+			var want []uint64
+			if fail&runBit(runRequest.Addr) != 0 {
+				if remote != "page withheld" {
+					t.Errorf("%s: error response read as message %q", codec, remote)
+				}
+			} else {
+				checkPage(t, runRequest.Addr, dst[:])
+				for w := runRequest.Want &^ fail; w != 0; w &= w - 1 {
+					want = append(want, runBase(runRequest.Addr)+uint64(bits.TrailingZeros16(w))*mem.PageSize)
+				}
+			}
+			if !slices.Equal(got, want) || landed != len(got) {
+				t.Errorf("%s, failing 0x%04x: landed %x (reported %d), want %x", codec, fail, got, landed, want)
+			}
+		}
+	}
+}
+
+// malformedResponse is one way a response to runRequest can violate the
+// protocol.
+type malformedResponse struct {
+	name string
+	resp []byte
+	// desync: the violation must be flagged errPageDesync, which a merely
+	// truncated stream (a clean teardown mid-response) must NOT be.
+	desync bool
+	// atHeader: the response must be refused on its header alone, before
+	// a payload byte is read — or a buffer for one allocated.
+	atHeader bool
+}
+
+// malformedResponses is every class of framing violation, each built by
+// changing a well-formed response to runRequest. It drives
+// TestReadPageResponseDesync and seeds FuzzReadPageResponse.
+func malformedResponses(t testing.TB) []malformedResponse {
+	put16, put32 := binary.BigEndian.PutUint16, binary.BigEndian.PutUint32
+	change := func(resp []byte, f func(b []byte) []byte) []byte { return f(bytes.Clone(resp)) }
+	ok := runResponse(t, imgproto.CodecNone, 0)
+	flate := runResponse(t, imgproto.CodecFlate, 0)
+	fail := runResponse(t, imgproto.CodecNone, runBit(runRequest.Addr))
+	okPages := uint32(1+bits.OnesCount16(runRequest.Want)) * mem.PageSize
+	// sendMore names page i in ok's sent field and carries a page more.
+	sendMore := func(i uint) []byte {
+		return change(ok, func(b []byte) []byte {
+			put16(b[respSentOff:], runRequest.Want|1<<i)
+			put32(b[respRawOff:], okPages+mem.PageSize)
+			put32(b[respWireOff:], okPages+mem.PageSize)
+			return append(b, make([]byte, mem.PageSize)...)
+		})
+	}
+	return []malformedResponse{
+		{"bad magic", change(ok, func(b []byte) []byte { b[0] = 0x5A; return b }), true, true},
+		{"bad codec byte", change(ok, func(b []byte) []byte { b[respCodecOff] = 0x7F; return b }), true, true},
+		{"bad status byte", change(ok, func(b []byte) []byte { b[respStatusOff] = pageStatusHello; return b }), true, true},
+		{"retired NOT SENT status", change(ok, func(b []byte) []byte { b[respStatusOff] = 0x03; return b }), true, true},
+		{"reqID not in flight", change(ok, func(b []byte) []byte { b[respIDOff+3] ^= 0x01; return b }), true, true},
+		{"sent page outside want", sendMore(8), true, true},
+		{"sent bit on the requested page", sendMore(5), true, true},
+		{"rawLen short of sent", change(ok, func(b []byte) []byte {
+			put32(b[respRawOff:], okPages-mem.PageSize)
+			put32(b[respWireOff:], okPages-mem.PageSize)
+			return b[:len(b)-mem.PageSize]
+		}), true, true},
+		{"rawLen over sent", change(ok, func(b []byte) []byte { put16(b[respSentOff:], runRequest.Want&^(1<<12)); return b }), true, true},
+		{"raw size over a run", change(ok, func(b []byte) []byte { put32(b[respRawOff:], 1<<24); return b }), true, true},
+		{"error frame sending pages", change(fail, func(b []byte) []byte { put16(b[respSentOff:], 1<<6); return b }), true, true},
+		{"error frame with a codec", change(fail, func(b []byte) []byte { b[respCodecOff] = byte(imgproto.CodecFlate); return b }), true, true},
+		{"error frame over 1 KiB", change(fail, func(b []byte) []byte {
+			b = append(b[:pageRespHdrLen], make([]byte, maxPageErrMsg+1)...)
+			put32(b[respRawOff:], maxPageErrMsg+1)
+			put32(b[respWireOff:], maxPageErrMsg+1)
+			return b
+		}), true, true},
+		{"wire exceeds raw", change(flate, func(b []byte) []byte {
+			put32(b[respWireOff:], okPages+1)
+			return append(b, make([]byte, okPages+1)...) // keep the payload read satisfiable
+		}), true, true},
+		{"uncompressed payload short of raw", change(ok, func(b []byte) []byte {
+			put32(b[respWireOff:], okPages-8)
+			return b[:len(b)-8]
+		}), true, true},
+		{"flate payload decodes short", change(runResponse(t, imgproto.CodecFlate, 1<<12), func(b []byte) []byte {
+			put16(b[respSentOff:], runRequest.Want)
+			put32(b[respRawOff:], okPages)
+			return b
+		}), true, false},
+		{"garbled flate payload", change(ok, func(b []byte) []byte {
+			b[respCodecOff] = byte(imgproto.CodecFlate) // none-payload labeled flate
+			return b
+		}), true, false},
+		{"byte past the response", append(bytes.Clone(ok), pageRespMagic), true, false},
+		{"truncated payload", ok[:len(ok)-10], false, false},
+		{"truncated header", ok[:pageRespHdrLen-1], false, false},
+	}
+}
+
+// TestReadPageResponseDesync feeds readPageResponse every class of
+// framing violation, as the answer to runRequest.
+func TestReadPageResponseDesync(t *testing.T) {
+	for _, tc := range malformedResponses(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			r := bytes.NewReader(tc.resp)
+			landed, _, err := readPageResponse(r, runRequest, new([mem.PageSize]byte), func(uint64, *[mem.PageSize]byte) {})
+			if err == nil && r.Len() > 0 {
+				// The reader stops at the response's last byte; what
+				// follows is requestPage's to refuse
+				// (TestPageResponseTrailingBytes).
+				err = fmt.Errorf("%w: %d bytes after the response", errPageDesync, r.Len())
+			}
+			if err == nil {
+				t.Fatal("malformed response read without error")
+			}
+			if got := errors.Is(err, errPageDesync); got != tc.desync {
+				t.Errorf("errors.Is(err, errPageDesync) = %v, want %v (err: %v)", got, tc.desync, err)
+			}
+			if read := len(tc.resp) - r.Len(); tc.atHeader && (read != pageRespHdrLen || landed != 0) {
+				t.Errorf("reader consumed %d bytes and landed %d pages of a response its %d-byte header condemns", read, landed, pageRespHdrLen)
 			}
 		})
 	}
 }
 
 // FuzzReadPageResponse: the one reader of bytes the page server sends
-// never panics; read as the response to a request for one page it
-// returns a whole page or a message or an error, and turns a header that
-// asks for more than a page away without reading — so without allocating
-// for — a byte of payload; read as the response to runRequest it lands
-// only pages of the want set, each at most once, and takes in at most
-// runPages frames of a page each.
+// never panics. Read as the response to a request for one page it
+// returns a whole page or a message or an error. Read as the response to
+// runRequest it lands only pages of the want set, each at most once,
+// turns a header asking for more than a run of pages away without
+// reading — so without allocating for — a byte of payload, and never
+// reads past a header and a run of pages.
 func FuzzReadPageResponse(f *testing.F) {
-	for _, tc := range malformedPageFrames(f) {
-		f.Add(tc.frame)
+	for _, tc := range malformedResponses(f) {
+		f.Add(tc.resp)
 	}
 	f.Add(respFrame(f, imgproto.CodecNone, 1, pagePattern(0), nil))
 	f.Add(respFrame(f, imgproto.CodecFlate, 2, pagePattern(mem.PageSize), nil))
 	f.Add(respFrame(f, imgproto.CodecFlate, 3, make([]byte, mem.PageSize), nil))
 	f.Add(respFrame(f, imgproto.CodecNone, 4, nil, errors.New("backing store gone")))
-	for _, tc := range malformedRuns(f) {
-		f.Add(tc.stream)
-	}
-	f.Add(bytes.Join(runFrames(f, imgproto.CodecNone, 0), nil))
-	f.Add(bytes.Join(runFrames(f, imgproto.CodecFlate, 1<<7|1<<12), nil))
-	f.Fuzz(func(t *testing.T, frame []byte) {
+	f.Add(runResponse(f, imgproto.CodecNone, 0))
+	f.Add(runResponse(f, imgproto.CodecFlate, 1<<7|1<<12))
+	f.Fuzz(func(t *testing.T, resp []byte) {
 		var id uint32 // the request in flight: whichever the header names
-		if len(frame) >= respIDOff+4 {
-			id = binary.BigEndian.Uint32(frame[respIDOff:])
+		if len(resp) >= respIDOff+4 {
+			id = binary.BigEndian.Uint32(resp[respIDOff:])
 		}
-		r := bytes.NewReader(frame)
-		resp, err := readPageResponse(r, id)
-		if err == nil && len(resp.Page) != mem.PageSize && resp.Remote == "" {
-			t.Fatalf("accepted a frame with a %d-byte page and no message", len(resp.Page))
+		one, err := readOnePage(bytes.NewReader(resp), id)
+		if err == nil && len(one.Page) != mem.PageSize && one.Remote == "" {
+			t.Fatalf("accepted a response with a %d-byte page and no message", len(one.Page))
 		}
-		if err == nil && resp.Page != nil && resp.Remote != "" {
-			t.Fatal("accepted a frame as both a page and an error")
-		}
-		if len(frame) >= pageRespHdrLen {
-			raw := binary.BigEndian.Uint32(frame[respRawOff:])
-			wire := binary.BigEndian.Uint32(frame[respWireOff:])
-			if raw > mem.PageSize || wire > mem.PageSize {
-				if err == nil {
-					t.Fatalf("accepted a frame of %d raw, %d wire bytes", raw, wire)
-				}
-				if read := len(frame) - r.Len(); read != pageRespHdrLen {
-					t.Fatalf("read %d bytes of a frame whose header asks for more than a page", read)
-				}
-			}
+		if err == nil && one.Page != nil && one.Remote != "" {
+			t.Fatal("accepted a response as both a page and an error")
 		}
 
-		r = bytes.NewReader(frame)
+		req := runRequest
+		req.ID = id
+		r := bytes.NewReader(resp)
 		seen := map[uint64]bool{}
-		landed, _, _ := readPageRun(r, runRequest, new([mem.PageSize]byte), func(addr uint64, _ *[mem.PageSize]byte) {
-			if addr == runRequest.Addr || runBase(addr) != runBase(runRequest.Addr) || runRequest.Want&runBit(addr) == 0 || seen[addr] {
+		landed, _, err := readPageResponse(r, req, new([mem.PageSize]byte), func(addr uint64, _ *[mem.PageSize]byte) {
+			if addr == req.Addr || runBase(addr) != runBase(req.Addr) || req.Want&runBit(addr) == 0 || seen[addr] {
 				t.Fatalf("landed page 0x%x: not wanted, or twice", addr)
 			}
 			seen[addr] = true
@@ -358,8 +342,21 @@ func FuzzReadPageResponse(f *testing.F) {
 		if landed != len(seen) {
 			t.Fatalf("reported %d pages landed, landed %d", landed, len(seen))
 		}
-		if read := len(frame) - r.Len(); read > runPages*(pageRespHdrLen+mem.PageSize) {
-			t.Fatalf("read %d bytes of one response: more than %d frames of a page", read, runPages)
+		read := len(resp) - r.Len()
+		if read > pageRespHdrLen+runPages*mem.PageSize {
+			t.Fatalf("read %d bytes of one response: more than a run of pages", read)
+		}
+		if len(resp) >= pageRespHdrLen {
+			raw := binary.BigEndian.Uint32(resp[respRawOff:])
+			wire := binary.BigEndian.Uint32(resp[respWireOff:])
+			if raw > runPages*mem.PageSize || wire > runPages*mem.PageSize {
+				if err == nil {
+					t.Fatalf("accepted a response of %d raw, %d wire bytes", raw, wire)
+				}
+				if read != pageRespHdrLen {
+					t.Fatalf("read %d bytes of a response whose header asks for more than a run", read)
+				}
+			}
 		}
 	})
 }
@@ -611,7 +608,7 @@ func TestPageCodecDecodableNotRequestable(t *testing.T) {
 			if got := imgproto.Codec(tc.frame[respCodecOff]); got != tc.codec {
 				t.Fatalf("frame went out as %s, want %s", got, tc.codec)
 			}
-			resp, err := readPageResponse(bytes.NewReader(tc.frame), 7)
+			resp, err := readOnePage(bytes.NewReader(tc.frame), 7)
 			if !tc.decodes {
 				if !errors.Is(err, errPageDesync) {
 					t.Errorf("frame: error %v, want a desync", err)

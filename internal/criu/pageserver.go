@@ -15,11 +15,10 @@ import (
 // PageServer serves page requests over TCP using the frame protocol in
 // pageproto.go. Each accepted connection is served by its own goroutine,
 // one request at a time: read a request, read the page and the wanted
-// pages of its run into the response, write the response. A ReadPage
-// failure is reported to the client as an explicit error (or not-sent)
-// frame instead of dropping the connection, so one bad page cannot
-// desynchronize an otherwise healthy stream. The server reads every page
-// through its PageSource's ReadPage, whatever the source is.
+// pages of its run into the response, write the response. A failed
+// ReadPage is answered — with an error frame, or a wanted page left out —
+// so one bad page cannot desynchronize an otherwise healthy stream. The
+// server reads every page through its PageSource's ReadPage.
 type PageServer struct {
 	src PageSource
 
@@ -28,9 +27,9 @@ type PageServer struct {
 	reqs, bytesSent, errsC *obs.Counter
 	svcLat                 *obs.Histogram
 	// Wire telemetry ("wire.*", names shared with the image transport; a
-	// response frame is what wire.batches counts here): frames sent,
-	// payload bytes before and after the codec, frames per form actually
-	// sent (indexed by codec byte), and time spent encoding them.
+	// response is what wire.batches counts here): responses sent, payload
+	// bytes before and after the codec, responses per form actually sent
+	// (indexed by codec byte), and time spent encoding them.
 	frames, bytesRaw, bytesWire *obs.Counter
 	forms                       [len(wireFormCounters)]*obs.Counter
 	codecNs                     *obs.Histogram
@@ -75,8 +74,7 @@ func ServePagesObs(ln net.Listener, src PageSource, reg *obs.Registry) *PageServ
 func (s *PageServer) Addr() string { return s.srv.Addr() }
 
 // Stats returns a snapshot of the server-side counters: every request
-// frame received, bytes of page payload sent, and page reads answered with
-// an error or not-sent frame.
+// frame received, bytes of page payload sent, and page reads that failed.
 func (s *PageServer) Stats() PageServerStats {
 	return PageServerStats{
 		Requests:  s.reqs.Value(),
@@ -90,9 +88,10 @@ func (s *PageServer) Stats() PageServerStats {
 // call's result.
 func (s *PageServer) Close() error { return s.srv.Close() }
 
-// runBuf is a response buffer, room for a run of maximal frames. They are
-// pooled: a migration dials one connection and should not allocate one.
-type runBuf = [runPages * (pageRespHdrLen + mem.PageSize)]byte
+// runBuf is a response buffer, room for a header and a run of pages.
+// They are pooled: a migration dials one connection and should not
+// allocate one.
+type runBuf = [pageRespHdrLen + runPages*mem.PageSize]byte
 
 var runBufs = sync.Pool{New: func() any { return new(runBuf) }}
 
@@ -132,39 +131,45 @@ func (s *PageServer) serveConn(conn net.Conn) {
 	}
 }
 
-// answer encodes the response to req into buf: req.Addr's frame, then
-// one per wanted page in address order. The source fills each frame's
-// payload region and the frame is encoded around it, packed behind the
-// one before, so a page is copied once and the response leaves in one
-// write — one syscall, and one roll of a lossy link's dice.
+// answer encodes the response to req into buf: req.Addr's page, then
+// each wanted page in address order, read by the source into the payload
+// region of buf behind the one before and encoded with one Compress, so
+// a page is copied once and the response leaves in one write — one
+// syscall, and one roll of a lossy link's dice. A wanted page that fails
+// to read is left out of the response; if req.Addr's does, the response
+// is an ERR frame and the rest of the run is not read.
 func (s *PageServer) answer(buf []byte, codec imgproto.Codec, req pageRequest) ([]byte, error) {
 	s.reqs.Inc()
-	n := 0
-	addr, want := req.Addr, req.Want
-	for left := bits.OnesCount16(want); left >= 0; left-- {
-		page := (*[mem.PageSize]byte)(buf[n+pageRespHdrLen:])
+	status, sent, n := byte(pageStatusOK), uint16(0), 0 // n: payload bytes before the codec
+	for addr, want := req.Addr, req.Want; ; want &= want - 1 {
 		start := time.Now()
-		ferr := s.src.ReadPage(addr, page)
-		read := time.Now()
-		s.svcLat.Observe(read.Sub(start))
-		if ferr != nil {
-			s.errsC.Inc()
-		} else {
-			s.bytesSent.Add(mem.PageSize)
-		}
-		off := int(int64(addr-req.Addr) / mem.PageSize)
-		frame, rawN, err := encodePageFrame(buf[n:], codec, req.ID, off, left, ferr)
-		s.codecNs.Observe(time.Since(read))
+		err := s.src.ReadPage(addr, (*[mem.PageSize]byte)(buf[pageRespHdrLen+n:]))
+		s.svcLat.Observe(time.Since(start))
 		if err != nil {
-			return nil, err
+			s.errsC.Inc()
 		}
-		s.frames.Inc()
-		s.forms[frame[1]].Inc() // the codec byte encodePageFrame just wrote
-		s.bytesRaw.Add(uint64(rawN))
-		s.bytesWire.Add(uint64(len(frame)))
-		n += len(frame)
+		switch {
+		case err == nil:
+			s.bytesSent.Add(mem.PageSize)
+			sent, n = sent|runBit(addr), n+mem.PageSize
+		case addr == req.Addr:
+			status, codec, want = pageStatusErr, imgproto.CodecNone, 0
+			n = copy(buf[pageRespHdrLen:pageRespHdrLen+maxPageErrMsg], err.Error())
+		}
+		if want == 0 {
+			break
+		}
 		addr = runBase(req.Addr) + uint64(bits.TrailingZeros16(want))*mem.PageSize
-		want &= want - 1
 	}
-	return buf[:n], nil
+	start := time.Now()
+	frame, err := encodePageResponse(buf, codec, status, req.ID, sent&^runBit(req.Addr), n)
+	s.codecNs.Observe(time.Since(start))
+	if err != nil {
+		return nil, err
+	}
+	s.frames.Inc()
+	s.forms[frame[1]].Inc() // the codec byte encodePageResponse just wrote
+	s.bytesRaw.Add(uint64(n))
+	s.bytesWire.Add(uint64(len(frame)))
+	return frame, nil
 }

@@ -336,6 +336,9 @@ func TestPageServerCloseUnblocksClients(t *testing.T) {
 func TestLazyFaultBudget(t *testing.T) {
 	const n = 256
 	as := mem.NewAddressSpace()
+	if err := as.Map(mem.VMA{Start: 0, End: n * mem.PageSize, Kind: mem.VMAHeap}); err != nil {
+		t.Fatal(err)
+	}
 	for idx := uint64(0); idx < n; idx += 2 {
 		as.InstallPage(idx, pagePattern(idx*mem.PageSize))
 	}
@@ -390,6 +393,9 @@ func TestLazyFaultBudget(t *testing.T) {
 func TestLazyFaultDestinationBudget(t *testing.T) {
 	const n, base = 256, uint64(0x10000)
 	src := mem.NewAddressSpace()
+	if err := src.Map(mem.VMA{Start: base, End: base + n*mem.PageSize, Kind: mem.VMAHeap}); err != nil {
+		t.Fatal(err)
+	}
 	for idx := uint64(0); idx < n; idx++ {
 		src.InstallPage(base/mem.PageSize+idx, pagePattern(base+idx*mem.PageSize))
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/imgproto"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
@@ -93,6 +94,33 @@ func TestRestorePreFlightRejectsHugeVMA(t *testing.T) {
 		t.Fatal("Restore accepted a VMA past the stack top")
 	}
 	for _, want := range []string{"restore pre-flight", "vma-order"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// TestRestorePreFlightRejectsUnmappedPage: a data page the pagemap names
+// outside every VMA is one the guest could never reach and the address
+// space has no slot for, so restore refuses the image as pagemap-mapped
+// instead of installing it.
+func TestRestorePreFlightRejectsUnmappedPage(t *testing.T) {
+	dir, prov := pausedDump(t)
+	v := image.Open(dir)
+	if first := v.MM.VMAs[0].Start; first <= mem.PageSize || v.Pagemap.Entries[0].Vaddr < first {
+		t.Fatalf("need an unmapped page below the first VMA at 0x%x", first)
+	}
+	pm := *v.Pagemap
+	pm.Entries = append([]criu.PagemapEntry{{Vaddr: mem.PageSize, NrPages: 1}}, pm.Entries...)
+	dir.Put("pagemap.img", imgproto.Marshal(&pm))
+	raw, _ := dir.Get("pages.img")
+	dir.Put("pages.img", append(make([]byte, mem.PageSize), raw...))
+
+	_, err := criu.Restore(kernel.New(kernel.Config{}), dir, prov)
+	if err == nil {
+		t.Fatal("Restore accepted a data page outside every VMA")
+	}
+	for _, want := range []string{"restore pre-flight", "pagemap-mapped"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}

@@ -64,12 +64,11 @@ func TestRedialBudgetExhausted(t *testing.T) {
 	serveHelloThenGarbage(t, ln)
 
 	var dials atomic.Uint64
-	const budget = 3
+	const budget = redialBudget
 	c, err := DialPageServerOpts(ln.Addr().String(), PageClientOpts{
 		Codec:        imgproto.CodecNone,
 		MaxRetries:   20,
 		RetryBackoff: time.Millisecond,
-		RedialBudget: budget,
 		Dial: func(addr string) (net.Conn, error) {
 			dials.Add(1)
 			return net.DialTimeout("tcp", addr, time.Second)
@@ -123,12 +122,11 @@ func TestRedialBudgetResetsOnGoodFrame(t *testing.T) {
 	// Connect for real, then fail the next (budget-1) dials, repeatedly:
 	// with consecutive counting the client stays healthy forever; with
 	// cumulative counting it would poison on the second cycle.
-	const budget = 3
+	const budget = redialBudget
 	var dials atomic.Uint64
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
 		MaxRetries:   8,
 		RetryBackoff: time.Millisecond,
-		RedialBudget: budget,
 		Dial: func(addr string) (net.Conn, error) {
 			if dials.Add(1)%budget != 1 {
 				return nil, errors.New("transient dial failure")

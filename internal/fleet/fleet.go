@@ -587,12 +587,14 @@ func (m *Manager) schedule() {
 		if job.State != Pending || now.Before(job.notBefore) {
 			continue
 		}
+		// The bound comes first: a placement turns a round-robin cursor,
+		// which must not move for a job that is not dispatched.
+		if m.inflight >= m.maxJobs {
+			return
+		}
 		src, dst := m.pickPlacement(job)
 		if dst == nil {
 			continue
-		}
-		if m.inflight >= m.maxJobs {
-			return
 		}
 		m.inflight++
 		nodes := held(src, dst)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -315,6 +316,50 @@ func TestFleetMaxJobs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFleetMaxJobsKeepsRotation: a job the fleet-wide bound holds back
+// is not placed, so it does not turn the round-robin cursor. Four jobs
+// from one pinned source, submitted before Start and run one at a time,
+// land on the three destinations in rotation, none skipped.
+func TestFleetMaxJobsKeepsRotation(t *testing.T) {
+	cfg := fastConfig()
+	cfg.MaxJobs = 1
+	cfg.Policy = "round-robin"
+	m, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopManager(t, m)
+	if err := m.AddNode("xeon0", cluster.XeonSpec, 2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := m.AddNode(fmt.Sprintf("pi%d", i), cluster.PiSpec, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.RegisterProgram("counter", counter); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := m.Submit(JobSpec{Program: "counter", SrcNode: "xeon0"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WaitIdle(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, v := range m.Jobs() {
+		got = append(got, v.Dst)
+	}
+	if want := []string{"pi0", "pi1", "pi2", "pi0"}; !slices.Equal(got, want) || doneCount(m) != 4 {
+		t.Errorf("destinations %v (%d done), want %v, all done", got, doneCount(m), want)
 	}
 }
 

@@ -157,7 +157,8 @@ func decode(v *image.View, r *Report) (ok bool) {
 }
 
 // checkStructure runs the per-directory structural invariants shared by
-// VerifyLink and Verify: VMA ordering, pagemap ordering and flags, and the
+// VerifyLink and Verify: VMA ordering, pagemap ordering and flags, every
+// pagemap page inside a VMA (restore keeps no page outside them), and the
 // exact pages.img byte count.
 func checkStructure(v *image.View, r *Report) {
 	mm, pm := v.MM, v.Pagemap
@@ -198,6 +199,9 @@ func checkStructure(v *image.View, r *Report) {
 		if flags > 1 {
 			r.add(InvPagemapFlags, "entry %d at 0x%x sets %d of lazy/in_parent/zero/delta", i, en.Vaddr, flags)
 		}
+		if end := en.Vaddr + uint64(en.NrPages)*mem.PageSize; !vmaCover(mm, en.Vaddr, end) {
+			r.add(InvPagemapMapped, "entry %d [0x%x,0x%x) outside the mapped vmas", i, en.Vaddr, end)
+		}
 	}
 	// The pages.img byte accounting. Delta entries carry bytes (the XOR
 	// payload is a full page), so they count exactly like plain data
@@ -236,16 +240,10 @@ func vmaCover(mm *image.MMImage, lo, hi uint64) bool {
 }
 
 // checkAddressSpace runs the self-contained address-space invariants:
-// every pagemap page inside a VMA, and for each core the inventory vouches
-// for (decode named the others) thread PC mapped, stack mapped and upright,
-// and register file within the core's ISA width.
+// for each core the inventory vouches for (decode named the others)
+// thread PC mapped, stack mapped and upright, and register file within
+// the core's ISA width.
 func checkAddressSpace(v *image.View, r *Report) {
-	for i, en := range v.Pagemap.Entries {
-		end := en.Vaddr + uint64(en.NrPages)*mem.PageSize
-		if !vmaCover(v.MM, en.Vaddr, end) {
-			r.add(InvPagemapMapped, "entry %d [0x%x,0x%x) outside the mapped vmas", i, en.Vaddr, end)
-		}
-	}
 	for _, tid := range v.Inventory.TIDs {
 		if core, err := v.Core(tid); err == nil && core.TID == tid {
 			checkCore(v, core, r)

@@ -28,6 +28,7 @@ var fixtureWant = map[string]string{
 	"pagemap_overlap.json":   imgcheck.InvPagemapOrder,
 	"pagemap_unsorted.json":  imgcheck.InvPagemapOrder,
 	"pagemap_flags.json":     imgcheck.InvPagemapFlags,
+	"pagemap_unmapped.json":  imgcheck.InvPagemapMapped,
 	"zero_with_bytes.json":   imgcheck.InvPagesBytes,
 	"truncated_pages.json":   imgcheck.InvPagesBytes,
 	"cyclic_in_parent.json":  imgcheck.InvInParent,

@@ -107,6 +107,12 @@ func main() {
 	d.Pagemap.Entries[1] = criu.PagemapEntry{Vaddr: stackHi - page, NrPages: 1, Zero: true, InParent: true}
 	fixtures["pagemap_flags.json"] = []*criu.CritDoc{d}
 
+	// pagemap-mapped: the data page lies outside every VMA, where restore
+	// has no slot to keep it in.
+	d = baseDoc()
+	d.Pagemap.Entries[0].Vaddr = 0x5000_0000
+	fixtures["pagemap_unmapped.json"] = []*criu.CritDoc{d}
+
 	// pages-bytes: a zero-flagged entry must carry no bytes, but pages.img
 	// still holds a full page for it.
 	d = baseDoc()

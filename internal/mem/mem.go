@@ -147,11 +147,9 @@ func tlbSlot(idx uint64) uint64 { return (idx ^ idx>>16) % tlbWays }
 type AddressSpace struct {
 	vmas []VMA // sorted by Start
 	// table is the page table, in address order: table[i][j] is the page
-	// at index vmas[i].Start/PageSize+j, or nil.
-	table [][]*Page
-	// stray holds the pages outside every VMA (nil once dropped): any index
-	// can be installed, and a shrink keeps the pages past the old end.
-	stray    []strayPage
+	// at index vmas[i].Start/PageSize+j, or nil. A page outside every VMA
+	// has no slot: it is never kept.
+	table    [][]*Page
 	resident int
 
 	// rtlb and wtlb serve ReadU64 and WriteU64; they are separate so that
@@ -179,11 +177,6 @@ type AddressSpace struct {
 	// checkpoint of this one (a dump's pages.img aliases the frames).
 	shared    int
 	cowBreaks uint64
-}
-
-type strayPage struct {
-	idx  uint64
-	page *Page
 }
 
 // NewAddressSpace returns an empty address space.
@@ -241,20 +234,8 @@ func (as *AddressSpace) Map(v VMA) error {
 	i, _ := slices.BinarySearchFunc(as.vmas, v.Start, func(o VMA, start uint64) int { return cmp.Compare(o.Start, start) })
 	as.vmas = slices.Insert(as.vmas, i, v)
 	as.table = slices.Insert(as.table, i, make([]*Page, (v.End-v.Start)/PageSize))
-	as.rehome()
 	as.flushTLB()
 	return nil
-}
-
-// rehome moves the stray pages a VMA now covers into its slots.
-func (as *AddressSpace) rehome() {
-	stray := as.stray
-	as.stray = nil
-	for _, s := range stray {
-		if s.page != nil {
-			*as.slot(s.idx, true) = s.page
-		}
-	}
 }
 
 // Resize grows or shrinks the VMA whose start matches start (used by sbrk).
@@ -277,7 +258,6 @@ func (as *AddressSpace) Resize(start, newEnd uint64) error {
 			n, t := int((newEnd-start)/PageSize), as.table[i]
 			as.table[i] = slices.Grow(t[:min(n, len(t))], max(n-len(t), 0))[:n] // in place: a shrink left the tail nil
 			as.vmas[i].End = newEnd
-			as.rehome()
 			as.flushTLB()
 			return nil
 		}
@@ -314,27 +294,19 @@ func (as *AddressSpace) vmaAt(addr uint64) int {
 	return -1
 }
 
-// slot returns where the page table keeps page idx: its VMA's slot, or its
-// stray entry, which is added if add is set (nil if not and there is none).
-func (as *AddressSpace) slot(idx uint64, add bool) **Page {
+// slot returns where the page table keeps page idx, its VMA's slot, or
+// nil if no VMA contains it.
+func (as *AddressSpace) slot(idx uint64) **Page {
 	if i := as.vmaAt(idx * PageSize); i >= 0 {
 		return &as.table[i][idx-as.vmas[i].Start/PageSize]
 	}
-	for i := range as.stray {
-		if as.stray[i].idx == idx {
-			return &as.stray[i].page
-		}
-	}
-	if !add {
-		return nil
-	}
-	as.stray = append(as.stray, strayPage{idx: idx})
-	return &as.stray[len(as.stray)-1].page
+	return nil
 }
 
-// set makes p (nil: none) the page at idx, keeping the counts.
+// set makes p (nil: none) the page at idx, keeping the counts. Outside
+// every VMA there is no page to drop, and p is not kept.
 func (as *AddressSpace) set(idx uint64, p *Page) {
-	if s := as.slot(idx, p != nil); s != nil { // nil: no page to drop
+	if s := as.slot(idx); s != nil {
 		as.count(*s, -1)
 		as.count(p, 1)
 		*s = p
@@ -383,12 +355,8 @@ func (as *AddressSpace) fill(s **Page, frame *[PageSize]byte) {
 // page: it never replaces one. A fault handler may call it for other pages
 // (criu's post-copy handler lands the rest of a fetched run this way).
 func (as *AddressSpace) FillPage(idx uint64, frame *[PageSize]byte) bool {
-	i := as.vmaAt(idx * PageSize)
-	if i < 0 {
-		return false
-	}
-	s := &as.table[i][idx-as.vmas[i].Start/PageSize]
-	if *s != nil {
+	s := as.slot(idx)
+	if s == nil || *s != nil {
 		return false
 	}
 	as.fill(s, frame)
@@ -561,25 +529,16 @@ func (as *AddressSpace) MappedPages(fn func(v VMA, idx uint64, data []byte) (kee
 }
 
 // PopulatedPages returns the sorted indices of pages that are resident.
-// Only pages outside every VMA, which no process has, take a sort.
 func (as *AddressSpace) PopulatedPages() []uint64 {
 	out := make([]uint64, 0, as.resident)
 	as.MappedPages(func(_ VMA, idx uint64, _ []byte) bool { out = append(out, idx); return false })
-	for _, s := range as.stray {
-		if s.page != nil {
-			out = append(out, s.idx)
-		}
-	}
-	if len(as.stray) > 0 {
-		slices.Sort(out)
-	}
 	return out
 }
 
 // PageData returns the contents of page idx if it is resident: the frame
 // itself, read-only, which a store changes unless SharePages marked it.
 func (as *AddressSpace) PageData(idx uint64) ([]byte, bool) {
-	if s := as.slot(idx, false); s != nil && *s != nil {
+	if s := as.slot(idx); s != nil && *s != nil {
 		return (*s).Data[:], true
 	}
 	return nil, false
@@ -594,7 +553,8 @@ func (as *AddressSpace) DropPage(idx uint64) {
 
 // InstallPage populates page idx with a private copy of data (up to
 // PageSize bytes; nil yields a zero page) without going through the fault
-// handler (used by restore).
+// handler (used by restore, which maps an image's VMAs first: a page
+// outside every VMA is not kept).
 func (as *AddressSpace) InstallPage(idx uint64, data []byte) {
 	as.markDirty(idx)
 	p := &Page{Data: new([PageSize]byte), Version: 1}
@@ -629,7 +589,7 @@ func (as *AddressSpace) InstallPages(idxs []uint64, data func(i int) []byte) {
 // privatizes a copy instead. Every index must be resident.
 func (as *AddressSpace) SharePages(idxs []uint64) {
 	for _, idx := range idxs {
-		if s := as.slot(idx, false); s != nil && *s != nil && !(*s).shared {
+		if s := as.slot(idx); s != nil && *s != nil && !(*s).shared {
 			(*s).shared = true
 			as.shared++
 		}
@@ -649,7 +609,7 @@ func (as *AddressSpace) CowBreaks() uint64 { return as.cowBreaks }
 // PageShared reports whether page idx is resident as an unbroken
 // copy-on-write share.
 func (as *AddressSpace) PageShared(idx uint64) bool {
-	s := as.slot(idx, false)
+	s := as.slot(idx)
 	return s != nil && *s != nil && (*s).shared
 }
 
