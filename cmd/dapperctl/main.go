@@ -18,7 +18,7 @@
 //	dapperctl migrate -at 0.5 [-lazy|-precopy] [-shuffle] [-codec none|flate] [-delta] prog.sx86.delf prog.sarm.delf
 //	    Full live migration x86 -> arm with the phase breakdown. -codec
 //	    selects the wire codec (none frames without compressing, flate
-//	    compresses each segment and batch); -delta XOR-delta-encodes
+//	    compresses each segment and page response); -delta XOR-delta-encodes
 //	    re-dirtied pre-copy pages and requires -precopy.
 //
 //	dapperctl stats -at 0.5 [-lazy|-precopy] [-codec none|flate] [-delta] [-json] prog.sx86.delf prog.sarm.delf

@@ -156,8 +156,8 @@ type MigrateOpts struct {
 	// Requires Lazy. The server and client live inside the
 	// MigrationResult; call Close when paging is done.
 	LazyTCP bool
-	// PageClient tunes the TCP page client (deadlines, retries, redial
-	// budget); nil selects criu's defaults. Its codec and registry are
+	// PageClient tunes the TCP page client (deadline, retries, backoff);
+	// nil selects criu's defaults. Its codec and registry are
 	// always Codec and Obs below.
 	PageClient *criu.PageClientOpts
 	// Faults, if set, makes the post-copy page transport faulty (see
@@ -182,8 +182,8 @@ type MigrateOpts struct {
 	// ~1 ns per site, with no clock read and no allocation.
 	Obs *obs.Registry
 	// Codec selects the wire codec for image transfers (and, for LazyTCP,
-	// the page client's batch frames): CodecNone (the zero value) frames
-	// without compressing; CodecFlate compresses each segment and batch,
+	// the page responses): CodecNone (the zero value) frames without
+	// compressing; CodecFlate compresses each segment and page response,
 	// in the form — plain DEFLATE, DEFLATE over 64-bit word planes, or
 	// raw — a sample of that payload favours (docs/transport.md). Those
 	// two are all there is to ask for. Restored images are byte-identical

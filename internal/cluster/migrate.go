@@ -14,17 +14,20 @@ import (
 	"github.com/dapper-sim/dapper/internal/monitor"
 	"github.com/dapper-sim/dapper/internal/obs"
 	"github.com/dapper-sim/dapper/internal/stackmap"
-	"github.com/dapper-sim/dapper/internal/updatecheck"
 )
 
 // A migration is the paper's strictly sequential pipeline — checkpoint,
 // rewrite, copy, restore — and the three modes are three orders of the
 // same stages:
 //
-//	vanilla   checkpoint → recode → verifyTarget → ship → restore → finish
+//	vanilla   checkpoint → recode → ship → restore → finish
 //	lazy      the same on a lazy dump, then servePostCopy
 //	pre-copy  {checkpoint → ship → verify and fold link}* → verify newest
 //	          → flatten → recode → restore → finish  (precopy.go)
+//
+// The source checks the image it dumped (imgcheck.verify); the
+// image-vs-binary check runs once, inside restore, on the bytes that
+// shipped and the binary the destination has installed.
 //
 // The stages are methods on one per-call struct, composed by plain calls:
 // the modes differ in order and one of them loops, which a call sequence
@@ -148,9 +151,6 @@ func (m *migration) stopAndCopy() (*MigrationResult, error) {
 		return nil, err
 	}
 	m.bd.Recode = RecodeTime(m.recodeNode, dir.Size())
-	if err := m.verifyTarget(dir); err != nil {
-		return nil, err
-	}
 	got, wire, err := m.ship(dir)
 	if err != nil {
 		return nil, err
@@ -233,30 +233,6 @@ func (m *migration) rewriteForDest(v *image.View) error {
 	})
 }
 
-// verifyTarget is the source-side version-skew pre-flight: the rewritten
-// image must resolve against the exact binary the destination restores
-// into (thread PCs at known sites, return addresses at known call sites) —
-// the one its files entry names, read from a view opened on the directory
-// as the rewrite left it. Catching skew here refuses the migration before
-// any bytes ship.
-func (m *migration) verifyTarget(dir *criu.ImageDir) error {
-	return m.stage("imgcheck.target_binary", func() error {
-		v := image.Open(dir)
-		if err := v.Fault(image.FilesName); err != nil {
-			return err
-		}
-		path := v.Files.ExePath
-		bin, err := m.src.Binaries.Open(path)
-		if err != nil || bin.Meta == nil {
-			return err
-		}
-		if err := updatecheck.CheckImage(v, bin).Err(); err != nil {
-			return fmt.Errorf("recode pre-flight: image/binary version skew for %q: %w", path, err)
-		}
-		return nil
-	})
-}
-
 // ship copies one image directory over the link (scp) and returns it as
 // the destination sees it, with the bytes the link carried. In process,
 // transfer cuts the directory's parts into the segments a TCP transfer
@@ -290,7 +266,9 @@ func (m *migration) ship(dir *criu.ImageDir) (got *criu.ImageDir, wire uint64, e
 }
 
 // restore rebuilds the process on the destination. RestoreWith runs its
-// own pre-flights (VerifyLink, the image-vs-binary check) first.
+// own pre-flights (the link check, the image-vs-binary check) first: it is
+// the one place version skew is refused, against the binary the process
+// lands in.
 func (m *migration) restore(dir *criu.ImageDir) (p2 *kernel.Process, err error) {
 	err = m.stage("criu.restore", func() (err error) {
 		p2, err = criu.RestoreWith(m.dst.K, dir, m.dst.Binaries, criu.RestoreOpts{Obs: m.opts.Obs})

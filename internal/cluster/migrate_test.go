@@ -30,22 +30,22 @@ var migrateModes = []struct {
 }{
 	{
 		name:   "vanilla",
-		stages: "monitor.pause criu.dump imgcheck.verify core.rewrite imgcheck.target_binary cluster.transfer criu.restore kernel.reap",
+		stages: "monitor.pause criu.dump imgcheck.verify core.rewrite cluster.transfer criu.restore kernel.reap",
 	},
 	{
 		name:   "lazy",
 		opts:   cluster.MigrateOpts{Lazy: true},
-		stages: "monitor.pause criu.dump imgcheck.verify core.rewrite imgcheck.target_binary cluster.transfer criu.restore criu.lazy_setup",
+		stages: "monitor.pause criu.dump imgcheck.verify core.rewrite cluster.transfer criu.restore criu.lazy_setup",
 	},
 	{
 		name:   "lazy-tcp",
 		opts:   cluster.MigrateOpts{Lazy: true, LazyTCP: true},
-		stages: "monitor.pause criu.dump imgcheck.verify core.rewrite imgcheck.target_binary cluster.transfer criu.restore criu.lazy_setup",
+		stages: "monitor.pause criu.dump imgcheck.verify core.rewrite cluster.transfer criu.restore criu.lazy_setup",
 	},
 	{
 		name:   "shuffle",
 		opts:   cluster.MigrateOpts{Shuffle: true, ShuffleSeed: 7},
-		stages: "monitor.pause criu.dump imgcheck.verify core.rewrite core.shuffle imgcheck.target_binary cluster.transfer criu.restore kernel.reap",
+		stages: "monitor.pause criu.dump imgcheck.verify core.rewrite core.shuffle cluster.transfer criu.restore kernel.reap",
 	},
 	{
 		name:           "precopy",

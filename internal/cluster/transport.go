@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/dapper-sim/dapper/internal/criu"
@@ -26,14 +27,12 @@ type ImageReceiver struct {
 	// tokens bounds concurrent transfers: a handler takes one before it
 	// reads a byte and returns it when the read ends.
 	tokens chan struct{}
+	// got queues received directories, oldest first.
+	got  chan *criu.ImageDir
+	errs atomic.Uint64
 
-	mu   sync.Mutex
-	recv []*criu.ImageDir
-	errs uint64
-
-	// notify wakes TakeWait blockers when a directory arrives; done is
-	// closed by Close so blocked waiters fail fast instead of timing out.
-	notify    chan struct{}
+	// done is closed by Close, so blocked waiters fail fast instead of
+	// timing out and a handler never waits on an untaken directory.
 	done      chan struct{}
 	closeOnce sync.Once
 }
@@ -52,7 +51,7 @@ func ListenImages(addr string) (*ImageReceiver, error) {
 	}
 	r := &ImageReceiver{
 		tokens: make(chan struct{}, maxInflight),
-		notify: make(chan struct{}, 1),
+		got:    make(chan *criu.ImageDir, maxInflight),
 		done:   make(chan struct{}),
 	}
 	r.srv = netserve.Serve(ln, r.receive)
@@ -64,11 +63,7 @@ func (r *ImageReceiver) Addr() string { return r.srv.Addr() }
 
 // Errors returns how many inbound transfers were discarded: malformed
 // payloads plus connections shed at the maxInflight bound.
-func (r *ImageReceiver) Errors() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.errs
-}
+func (r *ImageReceiver) Errors() uint64 { return r.errs.Load() }
 
 // Close stops the receiver, closes in-flight connections, and waits for
 // its goroutines. It is idempotent: extra calls return the first call's
@@ -80,49 +75,27 @@ func (r *ImageReceiver) Close() error {
 
 // Take removes and returns the oldest received directory, or nil.
 func (r *ImageReceiver) Take() *criu.ImageDir {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.recv) == 0 {
+	select {
+	case d := <-r.got:
+		return d
+	default:
 		return nil
 	}
-	d := r.recv[0]
-	r.recv = r.recv[1:]
-	if len(r.recv) > 0 {
-		// Re-arm the signal: arrivals with no waiter parked collapse into
-		// the single buffered token, so after consuming one directory the
-		// token must be re-raised while more remain — otherwise a second
-		// waiter sleeps its full timeout next to a non-empty queue.
-		select {
-		case r.notify <- struct{}{}:
-		default:
-		}
-	}
-	return d
 }
 
 // TakeWait blocks until a received directory is available and returns it.
-// It is channel-notified — no polling — and fails with an error when the
-// receiver is closed or nothing arrives within timeout. Multiple waiters
-// are safe; each arrival wakes one.
+// It fails with an error when the receiver is closed or nothing arrives
+// within timeout. Multiple waiters are safe; each arrival wakes one.
 func (r *ImageReceiver) TakeWait(timeout time.Duration) (*criu.ImageDir, error) {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	for {
-		if d := r.Take(); d != nil {
-			return d, nil
-		}
-		select {
-		case <-r.notify:
-			// Something arrived (or a sibling consumed it); re-check.
-		case <-r.done:
-			// Drain anything that raced with Close before giving up.
-			if d := r.Take(); d != nil {
-				return d, nil
-			}
-			return nil, fmt.Errorf("cluster: image receiver closed (%d malformed transfers)", r.Errors())
-		case <-timer.C:
-			return nil, fmt.Errorf("cluster: image receiver: nothing arrived within %v (%d malformed transfers)", timeout, r.Errors())
-		}
+	select {
+	case d := <-r.got:
+		return d, nil
+	case <-r.done:
+		return nil, fmt.Errorf("cluster: image receiver closed (%d malformed transfers)", r.Errors())
+	case <-timer.C:
+		return nil, fmt.Errorf("cluster: image receiver: nothing arrived within %v (%d malformed transfers)", timeout, r.Errors())
 	}
 }
 
@@ -134,27 +107,17 @@ func (r *ImageReceiver) receive(conn net.Conn) {
 	case r.tokens <- struct{}{}:
 		defer func() { <-r.tokens }()
 	default:
-		r.mu.Lock()
-		r.errs++
-		r.mu.Unlock()
+		r.errs.Add(1)
 		return
 	}
 	dir, err := readImageDirFrom(conn)
-	r.mu.Lock()
 	if err != nil {
-		r.errs++
-	} else {
-		r.recv = append(r.recv, dir)
+		r.errs.Add(1)
+		return
 	}
-	r.mu.Unlock()
-	if err == nil {
-		// Wake a TakeWait blocker; the buffered channel makes the signal
-		// level-triggered, so a wakeup is never lost even with no waiter
-		// parked right now.
-		select {
-		case r.notify <- struct{}{}:
-		default:
-		}
+	select {
+	case r.got <- dir:
+	case <-r.done:
 	}
 }
 

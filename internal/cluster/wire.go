@@ -15,7 +15,7 @@ import (
 
 // Image transfer wire format: a self-describing segmented stream with
 // optional per-segment compression, sharing the codec layer (and its
-// telemetry names) with the page protocol's batch frames. See
+// telemetry names) with the page protocol's responses. See
 // docs/transport.md.
 //
 //	stream  := "DIB3" codec(u8) pad(3 zero bytes) rawTotal(u64 BE) segment...

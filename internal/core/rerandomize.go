@@ -23,22 +23,20 @@ type Rerandomizer struct {
 	Meta *stackmap.Metadata
 	// Seed is advanced every epoch.
 	Seed int64
-	// MaxPauses bounds each epoch's wait for quiescence.
-	MaxPauses int
 	// Epochs counts completed re-randomizations.
 	Epochs int
 	// LastBits is the entropy introduced by the latest epoch.
 	LastBits float64
 }
 
+// rerandomizeMaxPauses bounds each epoch's wait for quiescence.
+const rerandomizeMaxPauses = 1 << 22
+
 // Step performs one re-randomization epoch on p, returning the restored
 // process (the old process object is dead afterwards).
 func (r *Rerandomizer) Step(p *kernel.Process) (*kernel.Process, error) {
-	if r.MaxPauses == 0 {
-		r.MaxPauses = 1 << 22
-	}
 	mon := monitor.New(r.K, p, r.Meta)
-	if err := mon.Pause(r.MaxPauses); err != nil {
+	if err := mon.Pause(rerandomizeMaxPauses); err != nil {
 		return nil, fmt.Errorf("core: rerandomize epoch %d: %w", r.Epochs, err)
 	}
 	dir, err := criu.Dump(p, criu.DumpOpts{})

@@ -60,18 +60,18 @@ func UnmarshalImageDir(b []byte) (*ImageDir, error) { return image.UnmarshalImag
 // LoadPageSet parses the pagemap/pages pair from a directory.
 func LoadPageSet(dir *ImageDir) (*PageSet, error) { return image.LoadPageSet(dir) }
 
-// Codec selects the wire codec for batched transport frames; see
-// imgproto.Codec and docs/transport.md. Re-exported so transport callers
-// need not import the codec layer directly.
+// Codec selects the wire codec for transport payloads (image segments and
+// page responses); see imgproto.Codec and docs/transport.md. Re-exported so
+// transport callers need not import the codec layer directly.
 type Codec = imgproto.Codec
 
 // Wire codecs, re-exported from imgproto.
 const (
-	// CodecNone batches frames without compression (the zero value).
+	// CodecNone frames payloads without compression (the zero value).
 	CodecNone = imgproto.CodecNone
-	// CodecFlate batches frames and DEFLATE-compresses each batch, over
-	// the payload's bytes or its word planes, whichever a sample of it
-	// says is smaller; the form used is named beside each payload and is
+	// CodecFlate DEFLATE-compresses each framed payload, over the
+	// payload's bytes or its word planes, whichever a sample of it says
+	// is smaller; the form used is named beside each payload and is
 	// nothing a caller selects.
 	CodecFlate = imgproto.CodecFlate
 )
@@ -86,7 +86,7 @@ var wireFormCounters = [...]string{
 
 // WireFormCounter names the counter of payloads sent in the form used,
 // a codec Compress returned: with CodecFlate requested, the three say how
-// many segments and batches went out raw, as plain DEFLATE and as DEFLATE
+// many payloads went out raw, as plain DEFLATE and as DEFLATE
 // over word planes — the first thing to read when one migration's wire
 // is ten times another's.
 func WireFormCounter(used Codec) string { return wireFormCounters[used] }

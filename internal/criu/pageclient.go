@@ -199,7 +199,7 @@ func (c *RemotePageSource) isClosed() bool {
 }
 
 // FetchPage is ReadPage into a fresh page. It exists only for
-// bench/staged.go and tests; ROADMAP item 1(d) removes its last non-test
+// bench/staged.go and tests; ROADMAP item 2(d) removes its last non-test
 // caller.
 func (c *RemotePageSource) FetchPage(addr uint64) ([]byte, error) {
 	page := new([mem.PageSize]byte)

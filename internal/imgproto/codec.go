@@ -516,11 +516,11 @@ func (c Codec) Compress(parts ...[]byte) ([]byte, Codec, error) {
 		defer flateEncoders.Put(e)
 		return e.compress(parts...)
 	default:
-		return nil, 0, fmt.Errorf("imgproto: codec %s cannot encode batch payloads", c)
+		return nil, 0, fmt.Errorf("imgproto: codec %s cannot encode payloads", c)
 	}
 }
 
-// Decompress decodes a batch payload produced by Compress with this
+// Decompress decodes a payload produced by Compress with this
 // codec, verifying it expands to exactly rawLen bytes with no trailing
 // garbage.
 func (c Codec) Decompress(wire []byte, rawLen int) ([]byte, error) {
@@ -543,6 +543,6 @@ func (c Codec) Decompress(wire []byte, rawLen int) ([]byte, error) {
 		defer flateDecoders.Put(d)
 		return d.inflateLanes(wire, rawLen)
 	default:
-		return nil, fmt.Errorf("imgproto: codec %s cannot decode batch payloads", c)
+		return nil, fmt.Errorf("imgproto: codec %s cannot decode payloads", c)
 	}
 }
