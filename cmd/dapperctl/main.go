@@ -168,33 +168,33 @@ func cmdRun(args []string) error {
 }
 
 // startAndRunTo loads a binary and runs it to a fraction of its total
-// cycles, returning the node and paused-point process.
-func startAndRunTo(path string, frac float64) (*cluster.Node, *kernel.Process, *compiler.Binary, error) {
+// cycles, returning the node, the paused-point process and the total.
+func startAndRunTo(path string, frac float64) (*cluster.Node, *kernel.Process, *compiler.Binary, uint64, error) {
 	bin, err := loadBinary(path)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, 0, err
 	}
 	node := nodeFor(bin.Arch)
 	// Measure the total first.
 	ref, err := node.K.StartProcess(bin.LoadSpec(exePathOf(path, bin.Arch)))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, 0, err
 	}
 	if err := node.K.Run(ref); err != nil {
-		return nil, nil, nil, fmt.Errorf("reference run: %w", err)
+		return nil, nil, nil, 0, fmt.Errorf("reference run: %w", err)
 	}
 	p, err := node.K.StartProcess(bin.LoadSpec(exePathOf(path, bin.Arch)))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, 0, err
 	}
 	alive, err := node.K.RunBudget(p, uint64(float64(ref.VCycles)*frac))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, 0, err
 	}
 	if !alive {
-		return nil, nil, nil, fmt.Errorf("program finished before the %.0f%% point", frac*100)
+		return nil, nil, nil, 0, fmt.Errorf("program finished before the %.0f%% point", frac*100)
 	}
-	return node, p, bin, nil
+	return node, p, bin, ref.VCycles, nil
 }
 
 func cmdCheckpoint(args []string) error {
@@ -208,7 +208,7 @@ func cmdCheckpoint(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: dapperctl checkpoint [-at F] [-out FILE] prog.delf")
 	}
-	node, p, bin, err := startAndRunTo(fs.Arg(0), *at)
+	node, p, bin, _, err := startAndRunTo(fs.Arg(0), *at)
 	if err != nil {
 		return err
 	}
@@ -303,7 +303,7 @@ func migrationFlags(fs *flag.FlagSet, lazyUsage, usage string) func(args []strin
 		if err != nil {
 			return nil, err
 		}
-		srcNode, p, srcBin, err := startAndRunTo(fs.Arg(0), *at)
+		srcNode, p, srcBin, total, err := startAndRunTo(fs.Arg(0), *at)
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +319,9 @@ func migrationFlags(fs *flag.FlagSet, lazyUsage, usage string) func(args []strin
 		m := &migration{src: srcNode, dst: dstNode, p: p, bin: srcBin,
 			opts: cluster.MigrateOpts{Lazy: *lazy, Codec: wireCodec, Delta: *delta}}
 		if *precopy {
-			m.opts.PreCopy = &cluster.PreCopyOpts{}
+			// A round of a twentieth of the run, as the fleet runs them:
+			// the default budget outlasts a short program whole.
+			m.opts.PreCopy = &cluster.PreCopyOpts{RoundBudget: total/20 + 1}
 		}
 		return m, nil
 	}
@@ -435,7 +437,7 @@ func cmdClone(args []string) (err error) {
 
 	id := *manifestID
 	if id == "" {
-		node, p, srcBin, err := startAndRunTo(fs.Arg(0), *at)
+		node, p, srcBin, _, err := startAndRunTo(fs.Arg(0), *at)
 		if err != nil {
 			return err
 		}

@@ -349,3 +349,48 @@ func TestLazyFaultErrorSurfaces(t *testing.T) {
 		t.Errorf("error %v not identified as a lazy-fault transport error", err)
 	}
 }
+
+// TestLazyFetchFailureEndsGuest pins the premise that bounds the page
+// client by MaxRetries alone: a fetch that fails every attempt fails the
+// faulting process outright, so it never fetches again and nothing can
+// redial the page server past one fault's attempts.
+func TestLazyFetchFailureEndsGuest(t *testing.T) {
+	pair, err := compiler.Compile(heapSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xeon := cluster.NewNode(cluster.XeonSpec)
+	pi := cluster.NewNode(cluster.PiSpec)
+	xeon.Install("heapy", pair)
+	pi.Install("heapy", pair)
+	p, err := xeon.Start("heapy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := xeon.K.RunBudget(p, 200_000); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cluster.Migrate(xeon, pi, p, pair.Meta, cluster.MigrateOpts{
+		Lazy: true, LazyTCP: true,
+		Faults:     &criu.FaultSpec{Seed: 1, FailRate: 1},
+		PageClient: &criu.PageClientOpts{MaxRetries: 2, RetryBackoff: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pi.K.Run(res.Proc); !kernel.IsLazyFaultError(err) {
+		t.Fatalf("run = %v, want a lazy-fault error", err)
+	}
+	if !res.Proc.Exited {
+		t.Error("the faulting process outlived its failed fetch")
+	}
+	if got := res.PageStats().Requests; got != 3 {
+		t.Errorf("page server saw %d requests, want 3 (one fault, MaxRetries 2)", got)
+	}
+	if err := res.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if n := pi.K.Live(); n != 0 {
+		t.Errorf("destination holds %d processes after Rollback, want 0", n)
+	}
+}

@@ -54,20 +54,8 @@ func (o PageClientOpts) withDefaults() PageClientOpts {
 	return o
 }
 
-const (
-	// dialTimeout bounds one (re)connection attempt, including the hello.
-	dialTimeout = time.Second
-	// redialBudget bounds consecutive failed connection incarnations.
-	// Dial failures, failed hellos, and connections that die — or time
-	// out — before delivering a single well-formed response all count;
-	// any good response resets the count. A client past its budget is
-	// poisoned: further fetches fail immediately with ErrRedialExhausted
-	// (counted in pageclient.redial_exhausted) instead of redialing a
-	// server that accepts connections but never speaks the protocol — an
-	// unguarded client would redial such a server forever, once per retry
-	// of every faulted page.
-	redialBudget = 8
-)
+// dialTimeout bounds one (re)connection attempt, including the hello.
+const dialTimeout = time.Second
 
 // PageClientStats counts client-side transport activity. It is a snapshot
 // of the client's obs counters (see Stats).
@@ -81,23 +69,16 @@ type PageClientStats struct {
 	// Desyncs counts connections dropped because a response frame
 	// violated the framing, as opposed to plain teardown.
 	Desyncs uint64
-	// RedialsExhausted is 1 once the client is poisoned after
-	// redialBudget consecutive failed connection incarnations.
-	RedialsExhausted uint64
 }
 
 // ErrPageClientClosed is returned by ReadPage after Close.
 var ErrPageClientClosed = errors.New("criu: page client closed")
 
-// ErrRedialExhausted is returned by ReadPage once the client has burned
-// through its budget of consecutive failed connection incarnations.
-// It is sticky and terminal: retrying cannot help against a server that
-// keeps accepting connections and keeps failing them.
-var ErrRedialExhausted = errors.New("criu: page connection redial budget exhausted")
-
 // RemotePageSource is the client side of the TCP page server: one
 // connection with one request in flight, a deadline per attempt, and
-// bounded retry-and-reconnect. The restored process faults one page at a
+// retry-and-reconnect bounded by MaxRetries alone: a fetch that fails
+// every attempt fails the faulting process, which never fetches again.
+// The restored process faults one page at a
 // time on the goroutine that steps it, so there is never a second
 // request to overlap with the first; instead a fault's one request asks
 // for the rest of its run (see InstallLazyHandler). It implements
@@ -111,31 +92,18 @@ type RemotePageSource struct {
 	// private one); Stats snapshots them.
 	fetches, retries, reconnects *obs.Counter
 	timeouts, remoteErrs, bytes  *obs.Counter
-	desyncs, redialExhausted     *obs.Counter
+	desyncs                      *obs.Counter
 
-	// mu is held for the whole of a fetch, retries included; the fields
-	// below it belong to whoever holds it.
-	mu sync.Mutex
-	// br reads the current connection through a buffer of a header and
-	// a page, so a one-page response usually costs one read.
+	// mu is held for the whole of a fetch, retries included, and by
+	// Close; the fields below it belong to whoever holds it.
+	mu     sync.Mutex
+	conn   net.Conn
+	closed bool
+	// br reads conn through a buffer of a header and a page, so a
+	// one-page response usually costs one read.
 	br        *bufio.Reader
 	nextID    uint32
 	everAlive bool
-	// sawFrame records whether the current connection incarnation has
-	// delivered a well-formed response frame; one dropped without any
-	// counts against the redial budget.
-	sawFrame bool
-	// fails counts consecutive incarnations that never produced a good
-	// frame (dial errors, hello failures, instant desyncs). At
-	// redialBudget the client is poisoned: live stops dialing, so nothing
-	// can reset the count again.
-	fails int
-
-	// connMu guards conn and closed, and nothing is awaited under it, so
-	// Close can reach the socket of a fetch blocked in a read under mu.
-	connMu sync.Mutex
-	conn   net.Conn
-	closed bool
 }
 
 // DialPageServerOpts connects to a page server. The connection is
@@ -155,7 +123,6 @@ func DialPageServerOpts(addr string, opts PageClientOpts) (*RemotePageSource, er
 	c.remoteErrs = reg.Counter("pageclient.remote_errors")
 	c.bytes = reg.Counter("pageclient.bytes_read")
 	c.desyncs = reg.Counter("pageclient.desync")
-	c.redialExhausted = reg.Counter("pageclient.redial_exhausted")
 	if _, err := c.live(); err != nil { // nobody else holds c yet
 		return nil, fmt.Errorf("criu: page client: %w", err)
 	}
@@ -165,37 +132,27 @@ func DialPageServerOpts(addr string, opts PageClientOpts) (*RemotePageSource, er
 // Stats returns a snapshot of the client counters.
 func (c *RemotePageSource) Stats() PageClientStats {
 	return PageClientStats{
-		Fetches:          c.fetches.Value(),
-		Retries:          c.retries.Value(),
-		Reconnects:       c.reconnects.Value(),
-		Timeouts:         c.timeouts.Value(),
-		RemoteErrors:     c.remoteErrs.Value(),
-		BytesRead:        c.bytes.Value(),
-		Desyncs:          c.desyncs.Value(),
-		RedialsExhausted: c.redialExhausted.Value(),
+		Fetches:      c.fetches.Value(),
+		Retries:      c.retries.Value(),
+		Reconnects:   c.reconnects.Value(),
+		Timeouts:     c.timeouts.Value(),
+		RemoteErrors: c.remoteErrs.Value(),
+		BytesRead:    c.bytes.Value(),
+		Desyncs:      c.desyncs.Value(),
 	}
 }
 
-// Close tears down the connection and fails a fetch in flight with
-// ErrPageClientClosed. It may be called from any goroutine and is
-// idempotent.
+// Close tears down the connection; later fetches fail with
+// ErrPageClientClosed. A fetch in flight is not aborted: Close waits for
+// it, and its per-attempt deadlines bound the wait. Close is idempotent.
 func (c *RemotePageSource) Close() error {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.closed = true
 	if c.conn != nil {
-		// Nothing is flushed by this close and nobody can act on its
-		// failing: the fetch in flight, if any, fails either way.
-		_ = c.conn.Close()
-		c.conn = nil
+		c.drop()
 	}
 	return nil
-}
-
-func (c *RemotePageSource) isClosed() bool {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	return c.closed
 }
 
 // FetchPage is ReadPage into a fresh page. It exists only for
@@ -239,7 +196,7 @@ func (c *RemotePageSource) readRun(addr uint64, dst *[mem.PageSize]byte, run *la
 			c.bytes.Add(mem.PageSize)
 			return landed, nil
 		}
-		if errors.Is(err, ErrPageClientClosed) || errors.Is(err, ErrRedialExhausted) {
+		if errors.Is(err, ErrPageClientClosed) {
 			return landed, err
 		}
 		lastErr, run = err, nil
@@ -266,12 +223,7 @@ func (c *RemotePageSource) roundTrip(addr uint64, dst *[mem.PageSize]byte, run *
 	landed, remote, err := requestPage(conn, c.br, req, dst, land, c.opts.FetchTimeout)
 	c.bytes.Add(uint64(landed) * mem.PageSize)
 	if err != nil {
-		c.drop(conn)
-		if c.isClosed() {
-			// Close tore the connection down under us: not a server
-			// failure, and never counted as one.
-			return landed, ErrPageClientClosed
-		}
+		c.drop()
 		if errors.Is(err, errPageDesync) {
 			// A corrupt frame, not a closed conn: the retry redials
 			// transparently, so this counter is the only visible trace.
@@ -280,15 +232,7 @@ func (c *RemotePageSource) roundTrip(addr uint64, dst *[mem.PageSize]byte, run *
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			c.timeouts.Inc()
 		}
-		if !c.sawFrame {
-			c.noteFail()
-		}
 		return landed, fmt.Errorf("criu: page fetch 0x%x: %w", addr, err)
-	}
-	if !c.sawFrame {
-		// The client reached a server that actually speaks the protocol.
-		c.sawFrame = true
-		c.fails = 0
 	}
 	if remote != "" {
 		c.remoteErrs.Inc()
@@ -327,17 +271,11 @@ func requestPage(conn net.Conn, br *bufio.Reader, req pageRequest, dst *[mem.Pag
 // live returns the connection, dialing and negotiating a fresh one if
 // there is none; the caller holds c.mu.
 func (c *RemotePageSource) live() (net.Conn, error) {
-	if c.fails >= redialBudget {
-		return nil, ErrRedialExhausted
-	}
-	c.connMu.Lock()
-	conn, closed := c.conn, c.closed
-	c.connMu.Unlock()
-	if closed {
+	if c.closed {
 		return nil, ErrPageClientClosed
 	}
-	if conn != nil {
-		return conn, nil
+	if c.conn != nil {
+		return c.conn, nil
 	}
 	conn, err := c.dial()
 	if err == nil {
@@ -348,22 +286,14 @@ func (c *RemotePageSource) live() (net.Conn, error) {
 		}
 	}
 	if err != nil {
-		c.noteFail()
 		return nil, err
 	}
-	c.connMu.Lock()
-	if c.closed {
-		c.connMu.Unlock()
-		_ = conn.Close() // Close won the race; this conn was never handed out
-		return nil, ErrPageClientClosed
-	}
 	c.conn = conn
-	c.connMu.Unlock()
 	c.br.Reset(conn)
 	if c.everAlive {
 		c.reconnects.Inc()
 	}
-	c.everAlive, c.sawFrame = true, false
+	c.everAlive = true
 	return conn, nil
 }
 
@@ -374,22 +304,10 @@ func (c *RemotePageSource) dial() (net.Conn, error) {
 	return net.DialTimeout("tcp", c.addr, dialTimeout)
 }
 
-// drop tears down a connection incarnation after a failed request.
-func (c *RemotePageSource) drop(conn net.Conn) {
-	c.connMu.Lock()
-	if c.conn == conn {
-		c.conn = nil
-	}
-	c.connMu.Unlock()
-	// The incarnation is already condemned (its error is on its way to
-	// the caller); a failure to close it alters nothing.
-	_ = conn.Close()
-}
-
-// noteFail records one failed incarnation; the caller holds c.mu.
-func (c *RemotePageSource) noteFail() {
-	c.fails++
-	if c.fails == redialBudget {
-		c.redialExhausted.Inc()
-	}
+// drop tears down the current connection; the caller holds c.mu.
+func (c *RemotePageSource) drop() {
+	// The connection is condemned (by a failed request or by Close);
+	// a failure to close it alters nothing.
+	_ = c.conn.Close()
+	c.conn = nil
 }
