@@ -76,8 +76,8 @@ loc:
 # over its ceiling. The ceilings are the counts of the last PR that moved
 # them; a PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it, and a PR that removes lines lowers it.
-LOC_CEILING = 25408
-LOC_MIGRATION_CEILING = 8372
+LOC_CEILING = 25160
+LOC_MIGRATION_CEILING = 8319
 loc-check:
 	@$(LOC_COUNT); all=$$(count internal cmd); mig=$$(count $(addprefix internal/,$(MIGRATION_PKGS))); \
 	if [ $$all -gt $(LOC_CEILING) ] || [ $$mig -gt $(LOC_MIGRATION_CEILING) ]; then \

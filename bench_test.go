@@ -467,7 +467,7 @@ func BenchmarkPageSetStore(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		ps.Store(criu.NewImageDir())
+		ps.Store(image.NewImageDir())
 	}
 }
 
@@ -549,7 +549,8 @@ func BenchmarkLazyFault(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer client.Close()
-	pages := p.AS.PopulatedPages()
+	var pages []uint64
+	p.AS.MappedPages(func(_ mem.VMA, idx uint64, _ []byte) bool { pages = append(pages, idx); return false })
 	dst := &kernel.Process{}
 	fresh := func() {
 		dst.AS = mem.NewAddressSpace()
@@ -597,7 +598,8 @@ func BenchmarkLazyFaultRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer client.Close()
-	pages := p.AS.PopulatedPages()
+	var pages []uint64
+	p.AS.MappedPages(func(_ mem.VMA, idx uint64, _ []byte) bool { pages = append(pages, idx); return false })
 	var lazy []mem.PageRange
 	for _, idx := range pages {
 		if n := len(lazy); n > 0 && lazy[n-1].End == idx {

@@ -281,7 +281,7 @@ type migration struct {
 // migrationFlags registers the flags migrate and stats share on fs; the
 // returned func parses args and sets the migration up.
 func migrationFlags(fs *flag.FlagSet, lazyUsage, usage string) func(args []string) (*migration, error) {
-	at := fs.Float64("at", 0.5, "migration position as a fraction of total cycles")
+	at := fs.Float64("at", 0.5, "migrate at the first equivalence point at or after fraction F")
 	lazy := fs.Bool("lazy", false, lazyUsage)
 	precopy := fs.Bool("precopy", false, "iterative pre-copy migration")
 	codec := fs.String("codec", "none", "wire codec: none (uncompressed) or flate (compressed)")
@@ -526,7 +526,7 @@ func cmdSubmit(args []string) error {
 	socket := fleetSocket(fs)
 	program := fs.String("program", "", "registered program to migrate (required)")
 	class := fs.String("class", "", "problem class override for registry workloads")
-	at := fs.Float64("at", 0.5, "migration position as a fraction of total cycles")
+	at := fs.Float64("at", 0.5, "migrate at the first equivalence point at or after fraction F")
 	lazy := fs.Bool("lazy", false, "post-copy migration")
 	precopy := fs.Bool("precopy", false, "iterative pre-copy migration")
 	codec := fs.String("codec", "none", "wire codec: none or flate")

@@ -67,19 +67,7 @@ func main() {
 // program, so a short program is still running at the final pause and
 // migrates with its native output.
 func TestMigratePreCopyShortProgram(t *testing.T) {
-	pair, err := compiler.Compile(shortProg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	var paths []string
-	for _, bin := range []*compiler.Binary{pair.X86, pair.ARM} {
-		path := filepath.Join(dir, fmt.Sprintf("prog.%s.delf", bin.Arch))
-		if err := os.WriteFile(path, compiler.MarshalBinary(bin), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, path)
-	}
+	paths := writePair(t, shortProg)
 	native := captureStdout(t, func() error { return run([]string{"run", paths[0]}) })
 	want := native[:strings.Index(native, "[exit")]
 	for _, args := range [][]string{
@@ -92,6 +80,64 @@ func TestMigratePreCopyShortProgram(t *testing.T) {
 			t.Errorf("%v: output %q, want the native %q", args, out, want)
 		}
 	}
+}
+
+// loopsProg makes no call inside either of its loops: its only
+// equivalence points are main's entry and the printi at its end.
+const loopsProg = `
+var acc int;
+func main() {
+	var i int;
+	for i = 0; i < 20000; i = i + 1 {
+		acc = acc + (i % 7);
+	}
+	for i = 0; i < 20000; i = i + 1 {
+		acc = acc + (i % 5);
+	}
+	printi(acc);
+}`
+
+// TestMigratePreCopyNoCallsInLoops: a pause at the middle of such a
+// program parks it at its final printi, so stop-and-copy migrates it
+// there, and pre-copy's round 0 dumps it there and its first
+// between-round run reaches exit. The refusal says which round, at what
+// guest cycle the pause parked the source, and that the program exited.
+func TestMigratePreCopyNoCallsInLoops(t *testing.T) {
+	paths := writePair(t, loopsProg)
+	native := captureStdout(t, func() error { return run([]string{"run", paths[0]}) })
+	want := native[:strings.Index(native, "[exit")]
+	if out := captureStdout(t, func() error { return run(append([]string{"migrate"}, paths...)) }); !strings.Contains(out, "output: "+want) {
+		t.Errorf("migrate: output %q, want the native %q", out, want)
+	}
+	err := run(append([]string{"migrate", "-precopy"}, paths...))
+	if err == nil {
+		t.Fatal("migrate -precopy succeeded on a program whose pause parks it at its end")
+	}
+	for _, frag := range []string{"round 0 paused the source at guest cycle ", "reached exit before round 1"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Errorf("error %q does not say %q", err, frag)
+		}
+	}
+}
+
+// writePair compiles src for both ISAs into a temporary directory and
+// returns the x86 and the ARM binary's paths.
+func writePair(t *testing.T, src string) []string {
+	t.Helper()
+	pair, err := compiler.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var paths []string
+	for _, bin := range []*compiler.Binary{pair.X86, pair.ARM} {
+		path := filepath.Join(dir, fmt.Sprintf("prog.%s.delf", bin.Arch))
+		if err := os.WriteFile(path, compiler.MarshalBinary(bin), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	return paths
 }
 
 // captureStdout runs f with os.Stdout redirected and returns what it

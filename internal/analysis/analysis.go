@@ -103,19 +103,10 @@ type Pass struct {
 
 // Reportf records an error-severity finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, SeverityError, format, args...)
-}
-
-// Warnf records a warning-severity finding at pos.
-func (p *Pass) Warnf(pos token.Pos, format string, args ...any) {
-	p.report(pos, SeverityWarning, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, sev Severity, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Check:    p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Severity: sev,
+		Severity: SeverityError,
 	})
 }

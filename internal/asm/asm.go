@@ -50,9 +50,6 @@ func New(coder isa.Coder) *Fragment {
 	return &Fragment{coder: coder, labels: make(map[Label]int)}
 }
 
-// Coder returns the fragment's coder.
-func (f *Fragment) Coder() isa.Coder { return f.coder }
-
 // NewLabel allocates an unbound label.
 func (f *Fragment) NewLabel() Label {
 	f.nextLb++

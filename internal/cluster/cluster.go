@@ -95,11 +95,6 @@ func (n *Node) SecondsFor(cycles uint64) float64 {
 	return float64(cycles) / (n.Spec.ClockHz * n.Spec.IPC)
 }
 
-// Duration converts guest cycles to a time.Duration on this node.
-func (n *Node) Duration(cycles uint64) time.Duration {
-	return time.Duration(n.SecondsFor(cycles) * float64(time.Second))
-}
-
 // Breakdown is the per-phase cost of one migration (the bars of Figs. 5
 // and 7).
 type Breakdown struct {
@@ -153,17 +148,18 @@ type MigrateOpts struct {
 	Lazy bool
 	// LazyTCP serves post-copy pages over a real TCP page server (the
 	// cross-node deployment path) instead of in-process FetchPage calls.
-	// Requires Lazy. The server and client live inside the
-	// MigrationResult; call Close when paging is done.
+	// Requires Lazy, as PageClient and Faults do: Migrate refuses each
+	// without it. The server and client live inside the MigrationResult;
+	// call Close when paging is done.
 	LazyTCP bool
 	// PageClient tunes the TCP page client (deadline, retries, backoff);
 	// nil selects criu's defaults. Its codec and registry are
-	// always Codec and Obs below.
+	// always Codec and Obs below. Requires Lazy.
 	PageClient *criu.PageClientOpts
 	// Faults, if set, makes the post-copy page transport faulty (see
 	// criu.FaultSpec): fetch failures and latency at the page source, on
 	// both the in-process and the TCP path, and connection drops at the
-	// TCP page server's listener.
+	// TCP page server's listener. Requires Lazy.
 	Faults *criu.FaultSpec
 	// Shuffle additionally re-randomizes the stack layout during the
 	// rewrite (policy chaining); ShuffleSeed selects the permutation.

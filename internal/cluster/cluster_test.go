@@ -1,10 +1,12 @@
 package cluster_test
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
 	"github.com/dapper-sim/dapper/internal/compiler"
+	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/kernel"
 )
 
@@ -226,5 +228,44 @@ func TestMigrateWithShuffle(t *testing.T) {
 	}
 	if shuffled.Meta == pair.Meta {
 		t.Error("destination still serves the unshuffled metadata")
+	}
+}
+
+// TestMigrateRefusesOptionsWithoutLazy: the page transport's options act
+// only on a lazy migration's faults, so Migrate refuses each of them
+// without Lazy, by name, before it touches the process — which then runs
+// on to the native output.
+func TestMigrateRefusesOptionsWithoutLazy(t *testing.T) {
+	xeon, pi, pair := setup(t)
+	want := nativeOut(t, xeon)
+	for _, tc := range []struct {
+		name string
+		opts cluster.MigrateOpts
+		want string
+	}{
+		{"LazyTCP", cluster.MigrateOpts{LazyTCP: true}, "LazyTCP requires lazy migration"},
+		{"Faults", cluster.MigrateOpts{Faults: &criu.FaultSpec{FailRate: 1}}, "fault injection (Faults) requires lazy migration"},
+		{"PageClient", cluster.MigrateOpts{PageClient: &criu.PageClientOpts{MaxRetries: 1}}, "PageClient options require lazy migration"},
+		{"PageClient with pre-copy", cluster.MigrateOpts{PreCopy: &cluster.PreCopyOpts{}, PageClient: &criu.PageClientOpts{}}, "PageClient options require lazy migration"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := xeon.Start("work")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := xeon.K.RunBudget(p, 100_000); err != nil {
+				t.Fatal(err)
+			}
+			_, err = cluster.Migrate(xeon, pi, p, pair.Meta, tc.opts)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Migrate: %v, want a refusal naming %q", err, tc.want)
+			}
+			if err := xeon.K.Run(p); err != nil {
+				t.Fatal(err)
+			}
+			if got := p.ConsoleString(); got != want {
+				t.Errorf("source after the refusal printed %q, want the native %q", got, want)
+			}
+		})
 	}
 }

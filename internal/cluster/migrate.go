@@ -78,6 +78,17 @@ func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts Mi
 	if opts.PreCopy != nil && opts.Lazy {
 		return nil, fmt.Errorf("cluster: pre-copy is incompatible with lazy migration")
 	}
+	// The page transport's options act only on a lazy migration's page
+	// faults; anywhere else they would be dropped without a word.
+	switch {
+	case opts.Lazy:
+	case opts.LazyTCP:
+		return nil, fmt.Errorf("cluster: LazyTCP requires lazy migration")
+	case opts.Faults != nil:
+		return nil, fmt.Errorf("cluster: fault injection (Faults) requires lazy migration: faults act on the page transport")
+	case opts.PageClient != nil:
+		return nil, fmt.Errorf("cluster: PageClient options require lazy migration")
+	}
 	m := &migration{
 		src: src, dst: dst, p: p, opts: opts,
 		mon:        monitor.New(src.K, p, meta).WithObs(opts.Obs),

@@ -8,6 +8,7 @@ import (
 	"github.com/dapper-sim/dapper/internal/cluster"
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/obs"
 )
@@ -60,7 +61,7 @@ type kernelProc struct {
 // --- TakeWait (the busy-poll replacement) ---
 
 func tinyImageDir() *criu.ImageDir {
-	d := criu.NewImageDir()
+	d := image.NewImageDir()
 	d.Put("blob.img", []byte("takewait test payload"))
 	return d
 }

@@ -199,6 +199,7 @@ func (m *migration) shipRound(dir *criu.ImageDir, another bool) (wire uint64, er
 // and reports whether it blocked with its input drained and nobody
 // feeding it — nothing left to dirty, so the next round is the last.
 func (m *migration) runBetweenRounds(pc *PreCopyOpts, round int) (idle bool, err error) {
+	parked := m.p.VCycles // where this round's pause left the source
 	if pc.BetweenRounds != nil {
 		pc.BetweenRounds(m.p, round)
 	}
@@ -215,7 +216,11 @@ func (m *migration) runBetweenRounds(pc *PreCopyOpts, round int) (idle bool, err
 			return false, fmt.Errorf("pre-copy run (round %d): %w", round, err)
 		}
 		if !alive {
-			return false, fmt.Errorf("pre-copy: process exited during round %d", round)
+			// A pause runs on to the next equivalence point, a call: in a
+			// program whose loops make none, that can be the end of the run.
+			return false, fmt.Errorf("pre-copy: round %d paused the source at guest cycle %d, and the program reached exit before round %d "+
+				"(a pause waits for the next equivalence point, a call; a program whose loops make none has its next one near its end)",
+				round, parked, round+1)
 		}
 		if !pc.RunUntilIdle {
 			break

@@ -73,16 +73,6 @@ func (r *ImageReceiver) Close() error {
 	return r.srv.Close()
 }
 
-// Take removes and returns the oldest received directory, or nil.
-func (r *ImageReceiver) Take() *criu.ImageDir {
-	select {
-	case d := <-r.got:
-		return d
-	default:
-		return nil
-	}
-}
-
 // TakeWait blocks until a received directory is available and returns it.
 // It fails with an error when the receiver is closed or nothing arrives
 // within timeout. Multiple waiters are safe; each arrival wakes one.

@@ -9,6 +9,7 @@ import (
 	"github.com/dapper-sim/dapper/internal/cluster"
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/monitor"
 	"github.com/dapper-sim/dapper/internal/obs"
@@ -67,24 +68,18 @@ func TestImageReceiverMalformedPayloads(t *testing.T) {
 	send(streamHdr(8 << 30))
 	waitForErrors(t, recvr, 3)
 
-	if d := recvr.Take(); d != nil {
+	if d, err := recvr.TakeWait(10 * time.Millisecond); err == nil {
 		t.Fatalf("malformed payloads produced a directory: %v", d.Names())
 	}
 
 	// The receiver must still be healthy for a real transfer.
-	dir := criu.NewImageDir()
+	dir := image.NewImageDir()
 	dir.Put("inventory.img", []byte{1, 2, 3, 4})
 	if _, _, err := cluster.SendImagesOpts(recvr.Addr(), dir, cluster.SendOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	var got *criu.ImageDir
-	deadline := time.Now().Add(2 * time.Second)
-	for got == nil && time.Now().Before(deadline) {
-		got = recvr.Take()
-		time.Sleep(time.Millisecond)
-	}
-	if got == nil {
-		t.Fatal("well-formed transfer after malformed ones never arrived")
+	if _, err := recvr.TakeWait(2 * time.Second); err != nil {
+		t.Fatalf("well-formed transfer after malformed ones never arrived: %v", err)
 	}
 	if recvr.Errors() != 3 {
 		t.Errorf("Errors = %d, want 3", recvr.Errors())

@@ -10,11 +10,12 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/cluster"
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 )
 
 // smallDir builds a minimal valid image directory for transfer tests.
 func smallDir(tag byte) *criu.ImageDir {
-	dir := criu.NewImageDir()
+	dir := image.NewImageDir()
 	dir.Put("inventory.img", []byte{tag, 2, 3, 4})
 	return dir
 }
@@ -98,7 +99,7 @@ func TestSendImagesStalledReceiverDeadline(t *testing.T) {
 
 	// Big enough to overrun every socket buffer between sender and the
 	// never-reading peer.
-	dir := criu.NewImageDir()
+	dir := image.NewImageDir()
 	dir.Put("pages.img", bytes.Repeat([]byte{0x42}, 64<<20))
 
 	done := make(chan error, 1)
@@ -126,7 +127,7 @@ func TestSendImagesCodecOverTCP(t *testing.T) {
 	}
 	defer recvr.Close()
 
-	dir := criu.NewImageDir()
+	dir := image.NewImageDir()
 	dir.Put("core-1.img", []byte{1, 2, 3})
 	dir.Put("pages.img", bytes.Repeat([]byte{0}, 1<<20))
 	blob := dir.Marshal()
@@ -182,7 +183,7 @@ func TestImageReceiverMaxInflight(t *testing.T) {
 	// the reset lands); the receiver-side reject count is the contract.
 	_, _, _ = cluster.SendImagesOpts(recvr.Addr(), smallDir(1), cluster.SendOpts{})
 	waitForErrors(t, recvr, 1)
-	if d := recvr.Take(); d != nil {
+	if d, err := recvr.TakeWait(10 * time.Millisecond); err == nil {
 		t.Fatalf("over-bound transfer produced a directory: %v", d.Names())
 	}
 
@@ -235,7 +236,7 @@ func TestImageReceiverMalformedV3Streams(t *testing.T) {
 		waitForErrors(t, recvr, want)
 	}
 
-	if d := recvr.Take(); d != nil {
+	if d, err := recvr.TakeWait(10 * time.Millisecond); err == nil {
 		t.Fatalf("malformed v3 stream produced a directory: %v", d.Names())
 	}
 	// Still healthy for a real v3 transfer.

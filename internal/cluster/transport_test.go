@@ -62,15 +62,9 @@ func TestMigrationOverRealTCP(t *testing.T) {
 	if sent == 0 {
 		t.Fatal("nothing sent")
 	}
-	var got *criu.ImageDir
-	for i := 0; i < 100 && got == nil; i++ {
-		got = recvr.Take()
-		if got == nil {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	if got == nil {
-		t.Fatal("receiver never produced the directory")
+	got, err := recvr.TakeWait(time.Second)
+	if err != nil {
+		t.Fatalf("receiver never produced the directory: %v", err)
 	}
 	p2, err := criu.Restore(pi.K, got, pi.Binaries)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/obs"
 )
 
@@ -21,7 +22,7 @@ func writeImageStream(w io.Writer, blob []byte, codec criu.Codec, segBytes int, 
 // wireTestDir builds a directory whose marshaled blob is big enough to
 // span several small segments and compressible enough that flate wins.
 func wireTestDir() *criu.ImageDir {
-	dir := criu.NewImageDir()
+	dir := image.NewImageDir()
 	dir.Put("core-1.img", bytes.Repeat([]byte{0xAB, 0xCD}, 512))
 	dir.Put("mm.img", bytes.Repeat([]byte{0x00}, 64<<10))
 	dir.Put("pages.img", bytes.Repeat([]byte("dapper"), 20<<10))
@@ -66,7 +67,7 @@ func TestImageStreamRoundTrip(t *testing.T) {
 // TestImageStreamEmptyDir: a directory with no files still round-trips
 // (one empty segment), since pre-copy rounds can legitimately be empty.
 func TestImageStreamEmptyDir(t *testing.T) {
-	dir := criu.NewImageDir()
+	dir := image.NewImageDir()
 	blob := dir.Marshal()
 	var buf bytes.Buffer
 	if _, err := writeImageStream(&buf, blob, criu.CodecFlate, imageSegment, nil); err != nil {
@@ -95,7 +96,7 @@ func integerHeapDir(n int) *criu.ImageDir {
 		v := [3]uint64{uint64(i) / 3, 0x10000000 + uint64(i)*32, x >> 58}[i%3]
 		binary.LittleEndian.PutUint64(pages[8*i:], v)
 	}
-	dir := criu.NewImageDir()
+	dir := image.NewImageDir()
 	dir.Put("pages.img", pages)
 	return dir
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/monitor"
 	"github.com/dapper-sim/dapper/internal/obs"
@@ -74,7 +75,7 @@ func randomPagesDir() *criu.ImageDir {
 		pages[i] = make([]byte, mem.PageSize)
 		rng.Read(pages[i])
 	}
-	dir := criu.NewImageDir()
+	dir := image.NewImageDir()
 	dir.Put("core-1.img", []byte{1, 2, 3, 4, 5})
 	dir.Put("mm.img", bytes.Repeat([]byte{9}, 77))
 	dir.PutPages(pages)

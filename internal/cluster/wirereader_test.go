@@ -12,7 +12,7 @@ import (
 
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/criu"
-	"github.com/dapper-sim/dapper/internal/image"
+	"github.com/dapper-sim/dapper/internal/imgproto"
 	"github.com/dapper-sim/dapper/internal/monitor"
 )
 
@@ -219,7 +219,7 @@ func TestRetiredDedupImageRefused(t *testing.T) {
 		if err == nil {
 			t.Fatal("an image with retired dedup entries was accepted")
 		}
-		for _, want := range []string{"image-decode", image.ErrRetiredField.Error()} {
+		for _, want := range []string{"image-decode", imgproto.ErrRetiredField.Error()} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("error %q does not name %q", err, want)
 			}

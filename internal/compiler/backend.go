@@ -30,7 +30,7 @@ type siteLabels struct {
 	checkerStart asm.Label
 	trap         asm.Label
 	retAddr      asm.Label
-	kind         ir.Op // OpInvalid for entry, OpCall for call sites
+	kind         ir.Op // zero for entry, OpCall for call sites
 	liveSlots    []int
 }
 

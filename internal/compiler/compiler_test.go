@@ -324,13 +324,13 @@ func main() {
 		t.Fatal("never trapped after flag set")
 	}
 	// The trap PC must match a known equivalence point.
-	snap, err := tr.GetRegs(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	site, ok := pair.Meta.SiteByTrapPC(isa.SX86, snap.Regs.PC)
+	th, ok := p.Thread(1)
 	if !ok {
-		t.Fatalf("trap PC 0x%x is not a known equivalence point", snap.Regs.PC)
+		t.Fatal("no thread 1")
+	}
+	site, ok := pair.Meta.SiteByTrapPC(isa.SX86, th.Regs.PC)
+	if !ok {
+		t.Fatalf("trap PC 0x%x is not a known equivalence point", th.Regs.PC)
 	}
 	if site.Kind != 1 { // SiteEntry
 		t.Errorf("trap at non-entry site %+v", site)

@@ -69,7 +69,7 @@ func Apply(v *image.View, ctx *Context, p Policy) error {
 	if err != nil {
 		return err
 	}
-	cores := make([]*criu.CoreImage, len(v.Inventory.TIDs))
+	cores := make([]*image.CoreImage, len(v.Inventory.TIDs))
 	for i, tid := range v.Inventory.TIDs {
 		c, err := v.Core(tid)
 		if err != nil {

@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/stackmap"
@@ -77,7 +78,7 @@ func (fr *frame) resolveDst(dst Side) error {
 // RewriteThread transforms one thread's state from src to dst layout. It
 // rewrites the thread's stack pages inside ps and returns the new core
 // image. The thread must be parked at an entry equivalence point.
-func RewriteThread(core *criu.CoreImage, ps *criu.PageSet, src, dst Side) (*criu.CoreImage, error) {
+func RewriteThread(core *image.CoreImage, ps *criu.PageSet, src, dst Side) (*image.CoreImage, error) {
 	if core.Arch != src.Arch {
 		return nil, fmt.Errorf("core: thread %d dumped as %v, rewrite source is %v", core.TID, core.Arch, src.Arch)
 	}

@@ -98,7 +98,7 @@ func editLink(t *testing.T, chain []*criu.ImageDir, i int, edit func(ps *criu.Pa
 		t.Fatal(err)
 	}
 	edit(ps)
-	link := criu.NewImageDir()
+	link := image.NewImageDir()
 	for _, name := range chain[i].Names() {
 		if name != image.PagemapName && name != image.PagesName {
 			raw, _ := chain[i].Get(name)

@@ -138,13 +138,13 @@ func TestRestoreNeverWritesItsDirectory(t *testing.T) {
 	seen := asSnapshot(second)
 
 	writes := map[string]uint64{"flag": isa.FlagAddr}
-	for _, idx := range first.PopulatedPages() {
-		v, _ := first.FindVMA(idx * mem.PageSize)
+	first.MappedPages(func(v mem.VMA, idx uint64, _ []byte) bool {
 		name := map[mem.VMAKind]string{mem.VMAText: "text", mem.VMAData: "data"}[v.Kind]
 		if _, taken := writes[name]; name != "" && !taken && idx != isa.FlagAddr/mem.PageSize {
 			writes[name] = idx * mem.PageSize
 		}
-	}
+		return false
+	})
 	if len(writes) != 3 {
 		t.Fatalf("want a text page, a data page and the flag page to write, found %v", writes)
 	}

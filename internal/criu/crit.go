@@ -12,11 +12,11 @@ import (
 // the binary images; CRIT exists for inspection and for scripting
 // transformations, exactly as in the paper ("decode to JSON, encode back").
 type CritDoc struct {
-	Inventory *InventoryImage `json:"inventory,omitempty"`
-	MM        *MMImage        `json:"mm,omitempty"`
-	Pagemap   *PagemapImage   `json:"pagemap,omitempty"`
-	Files     *FilesImage     `json:"files,omitempty"`
-	Cores     []*CoreImage    `json:"cores,omitempty"`
+	Inventory *image.InventoryImage `json:"inventory,omitempty"`
+	MM        *image.MMImage        `json:"mm,omitempty"`
+	Pagemap   *image.PagemapImage   `json:"pagemap,omitempty"`
+	Files     *image.FilesImage     `json:"files,omitempty"`
+	Cores     []*image.CoreImage    `json:"cores,omitempty"`
 	// Pages carries the raw page payload (base64 in JSON).
 	Pages []byte `json:"pages,omitempty"`
 	// Extra keeps unknown image files (e.g. policy-specific additions).
@@ -42,7 +42,7 @@ func Decode(dir *ImageDir) (*CritDoc, error) {
 
 // Encode converts a CRIT document back to an image directory.
 func Encode(doc *CritDoc) *ImageDir {
-	dir := NewImageDir()
+	dir := image.NewImageDir()
 	v := image.Open(dir)
 	v.Inventory, v.MM, v.Pagemap, v.Files = doc.Inventory, doc.MM, doc.Pagemap, doc.Files
 	for _, c := range doc.Cores {

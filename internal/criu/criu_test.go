@@ -17,7 +17,7 @@ import (
 )
 
 func TestCoreImageRoundTrip(t *testing.T) {
-	c := &criu.CoreImage{
+	c := &image.CoreImage{
 		TID: 3, Arch: isa.SARM,
 		StackLow: 0x6ff00000, StackHigh: 0x6ff40000, TLSBlock: 0x60002000,
 	}
@@ -26,7 +26,7 @@ func TestCoreImageRoundTrip(t *testing.T) {
 	}
 	c.Regs.PC = 0x400abc
 	c.Regs.TLS = 0x60002010
-	got := &criu.CoreImage{}
+	got := &image.CoreImage{}
 	if err := imgproto.Unmarshal(imgproto.Marshal(c), got); err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +36,14 @@ func TestCoreImageRoundTrip(t *testing.T) {
 }
 
 func TestMMImageRoundTrip(t *testing.T) {
-	m := &criu.MMImage{
+	m := &image.MMImage{
 		Brk: 0x20004000,
-		VMAs: []criu.VMAEntry{
+		VMAs: []image.VMAEntry{
 			{Start: 0x400000, End: 0x410000, Kind: 1, Prot: 5},
 			{Start: 0x6ff00000, End: 0x6ff40000, Kind: 4, Prot: 3, TID: 2},
 		},
 	}
-	got := &criu.MMImage{}
+	got := &image.MMImage{}
 	if err := imgproto.Unmarshal(imgproto.Marshal(m), got); err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestMMImageRoundTrip(t *testing.T) {
 }
 
 func TestInventoryRoundTrip(t *testing.T) {
-	iv := &criu.InventoryImage{
+	iv := &image.InventoryImage{
 		Arch: isa.SX86, TIDs: []int{1, 2, 5},
-		Mutexes: []criu.MutexEntry{{ID: 7, Holder: 2, Recurse: 3}},
+		Mutexes: []image.MutexEntry{{ID: 7, Holder: 2, Recurse: 3}},
 	}
-	got := &criu.InventoryImage{}
+	got := &image.InventoryImage{}
 	if err := imgproto.Unmarshal(imgproto.Marshal(iv), got); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestInventoryRoundTrip(t *testing.T) {
 
 func TestImageDirRoundTripProperty(t *testing.T) {
 	f := func(a, b []byte) bool {
-		dir := criu.NewImageDir()
+		dir := image.NewImageDir()
 		dir.Put("a.img", a)
 		dir.Put("b.img", b)
 		got, err := criu.UnmarshalImageDir(dir.Marshal())
@@ -85,8 +85,8 @@ func TestImageDirRoundTripProperty(t *testing.T) {
 }
 
 func TestPageSetStoreLoadRoundTrip(t *testing.T) {
-	dir := criu.NewImageDir()
-	ps := image.NewPageSet()
+	dir := image.NewImageDir()
+	ps := emptyPageSet(t)
 	mk := func(fill byte) []byte {
 		pg := make([]byte, mem.PageSize)
 		for i := range pg {
@@ -103,7 +103,7 @@ func TestPageSetStoreLoadRoundTrip(t *testing.T) {
 	ps.Store(dir)
 
 	pmRaw, _ := dir.Get("pagemap.img")
-	pm := &criu.PagemapImage{}
+	pm := &image.PagemapImage{}
 	if err := imgproto.Unmarshal(pmRaw, pm); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestPageSetStoreLoadRoundTrip(t *testing.T) {
 }
 
 func TestPageSetReadWrite(t *testing.T) {
-	ps := image.NewPageSet()
+	ps := emptyPageSet(t)
 	ps.Put(0x3000, image.PageLazy, nil)
 	if err := ps.WriteU64(0x1008, 0xdead); err != nil {
 		t.Fatal(err)
@@ -160,14 +160,14 @@ func TestPageSetReadWrite(t *testing.T) {
 }
 
 func TestCritJSONRoundTrip(t *testing.T) {
-	dir := criu.NewImageDir()
-	dir.Put("inventory.img", imgproto.Marshal(&criu.InventoryImage{Arch: isa.SX86, TIDs: []int{1}}))
-	dir.Put("files.img", imgproto.Marshal(&criu.FilesImage{ExePath: "/bin/x.sx86"}))
-	core := &criu.CoreImage{TID: 1, Arch: isa.SX86}
+	dir := image.NewImageDir()
+	dir.Put("inventory.img", imgproto.Marshal(&image.InventoryImage{Arch: isa.SX86, TIDs: []int{1}}))
+	dir.Put("files.img", imgproto.Marshal(&image.FilesImage{ExePath: "/bin/x.sx86"}))
+	core := &image.CoreImage{TID: 1, Arch: isa.SX86}
 	core.Regs.PC = 0x401000
 	dir.Put("core-1.img", imgproto.Marshal(core))
-	dir.Put("mm.img", imgproto.Marshal(&criu.MMImage{Brk: 0x20000000}))
-	dir.Put("pagemap.img", imgproto.Marshal(&criu.PagemapImage{}))
+	dir.Put("mm.img", imgproto.Marshal(&image.MMImage{Brk: 0x20000000}))
+	dir.Put("pagemap.img", imgproto.Marshal(&image.PagemapImage{}))
 	dir.Put("pages.img", nil)
 	dir.Put("custom.img", []byte("extra"))
 
@@ -194,8 +194,8 @@ func TestCritJSONRoundTrip(t *testing.T) {
 // TestCritEditWorkflow modifies an image through the JSON form, the way a
 // scripted CRIT transformation would.
 func TestCritEditWorkflow(t *testing.T) {
-	dir := criu.NewImageDir()
-	dir.Put("files.img", imgproto.Marshal(&criu.FilesImage{ExePath: "/bin/app.sx86"}))
+	dir := image.NewImageDir()
+	dir.Put("files.img", imgproto.Marshal(&image.FilesImage{ExePath: "/bin/app.sx86"}))
 	doc, err := criu.Decode(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -250,17 +250,17 @@ func (f pageFunc) ReadPage(addr uint64, dst *[mem.PageSize]byte) error {
 func TestRestoreErrorPaths(t *testing.T) {
 	k := kernel.New(kernel.Config{})
 	// Empty directory: every required image missing.
-	if _, err := criu.Restore(k, criu.NewImageDir(), criu.MapProvider{}); err == nil {
+	if _, err := criu.Restore(k, image.NewImageDir(), criu.MapProvider{}); err == nil {
 		t.Error("restore of empty directory succeeded")
 	}
 	// Inventory present but files image missing.
-	dir := criu.NewImageDir()
-	dir.Put("inventory.img", imgproto.Marshal(&criu.InventoryImage{Arch: isa.SX86, TIDs: []int{1}}))
+	dir := image.NewImageDir()
+	dir.Put("inventory.img", imgproto.Marshal(&image.InventoryImage{Arch: isa.SX86, TIDs: []int{1}}))
 	if _, err := criu.Restore(k, dir, criu.MapProvider{}); err == nil {
 		t.Error("restore without files.img succeeded")
 	}
 	// Files image referencing an unregistered binary.
-	dir.Put("files.img", imgproto.Marshal(&criu.FilesImage{ExePath: "/bin/ghost.sx86"}))
+	dir.Put("files.img", imgproto.Marshal(&image.FilesImage{ExePath: "/bin/ghost.sx86"}))
 	if _, err := criu.Restore(k, dir, criu.MapProvider{}); err == nil {
 		t.Error("restore with unresolvable executable succeeded")
 	}
@@ -285,4 +285,15 @@ func TestDumpRequiresQuiescence(t *testing.T) {
 	if _, err := criu.Dump(p, criu.DumpOpts{}); err == nil {
 		t.Error("dump of non-quiescent process succeeded")
 	}
+}
+
+// emptyPageSet is the page set of an empty pagemap.
+func emptyPageSet(t testing.TB) *image.PageSet {
+	dir := image.NewImageDir()
+	dir.Put(image.PagemapName, nil)
+	ps, err := image.LoadPageSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
 }

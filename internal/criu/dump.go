@@ -74,8 +74,8 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 			return nil, fmt.Errorf("criu: parent images: %w", err)
 		}
 	}
-	dir := NewImageDir()
-	inv := &InventoryImage{Arch: p.Arch}
+	dir := image.NewImageDir()
+	inv := &image.InventoryImage{Arch: p.Arch}
 	for _, t := range p.Threads {
 		if t.State == kernel.ThreadExited {
 			inv.Exited = append(inv.Exited, t.TID)
@@ -85,7 +85,7 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 			return nil, fmt.Errorf("criu: thread %d in state %v, not at an equivalence point", t.TID, t.State)
 		}
 		inv.TIDs = append(inv.TIDs, t.TID)
-		core := &CoreImage{
+		core := &image.CoreImage{
 			TID: t.TID, Arch: p.Arch, Regs: t.Regs,
 			StackLow: t.StackLow, StackHigh: t.StackHigh, TLSBlock: t.TLSBlock,
 		}
@@ -96,17 +96,17 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 	}
 	for _, id := range p.HeldMutexes() {
 		holder, recurse := p.MutexState(id)
-		inv.Mutexes = append(inv.Mutexes, MutexEntry{ID: id, Holder: holder, Recurse: recurse})
+		inv.Mutexes = append(inv.Mutexes, image.MutexEntry{ID: id, Holder: holder, Recurse: recurse})
 	}
 	dir.Put(image.InventoryName, imgproto.Marshal(inv))
 
-	mm := &MMImage{Brk: p.Brk}
+	mm := &image.MMImage{Brk: p.Brk}
 	for _, v := range p.SortedVMAs() {
-		mm.VMAs = append(mm.VMAs, VMAEntry{Start: v.Start, End: v.End, Kind: uint8(v.Kind), Prot: v.Prot, TID: v.TID})
+		mm.VMAs = append(mm.VMAs, image.VMAEntry{Start: v.Start, End: v.End, Kind: uint8(v.Kind), Prot: v.Prot, TID: v.TID})
 	}
 	dir.Put(image.MMName, imgproto.Marshal(mm))
 
-	dir.Put(image.FilesName, imgproto.Marshal(&FilesImage{ExePath: p.ExePath}))
+	dir.Put(image.FilesName, imgproto.Marshal(&image.FilesImage{ExePath: p.ExePath}))
 
 	execPages := execContextPages(p)
 	// Classify the resident pages in address order. A data record is the

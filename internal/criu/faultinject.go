@@ -58,15 +58,6 @@ func (r *faultRoller) roll(p float64) bool {
 	return r.rng.Float64() < p
 }
 
-// faultRegistry is where a wrapper counts what it injects: reg, or a
-// private registry when reg is nil, so the counts stay readable.
-func faultRegistry(reg *obs.Registry) *obs.Registry {
-	if reg == nil {
-		return obs.New()
-	}
-	return reg
-}
-
 // FlakySource wraps a PageSource, injecting latency and failures per
 // FaultSpec. It implements PageSource.
 type FlakySource struct {
@@ -77,9 +68,8 @@ type FlakySource struct {
 }
 
 // NewFlakySource wraps src, counting injected failures and delays into
-// reg ("faults.failures", "faults.delays").
+// reg ("faults.failures", "faults.delays"); a nil reg counts nothing.
 func NewFlakySource(src PageSource, spec FaultSpec, reg *obs.Registry) *FlakySource {
-	reg = faultRegistry(reg)
 	return &FlakySource{
 		src: src, spec: spec, roll: newFaultRoller(spec.Seed),
 		failures: reg.Counter("faults.failures"), delays: reg.Counter("faults.delays"),
@@ -99,12 +89,6 @@ func (f *FlakySource) ReadPage(addr uint64, dst *[mem.PageSize]byte) error {
 	return f.src.ReadPage(addr, dst)
 }
 
-// Failures returns how many fetches were failed by injection.
-func (f *FlakySource) Failures() uint64 { return f.failures.Value() }
-
-// Delays returns how many fetches had latency injected.
-func (f *FlakySource) Delays() uint64 { return f.delays.Value() }
-
 // FlakyListener wraps a net.Listener so accepted connections truncate and
 // tear down writes per FaultSpec.DropRate — simulating a page server
 // whose connections die mid-response.
@@ -116,9 +100,9 @@ type FlakyListener struct {
 }
 
 // NewFlakyListener wraps ln, counting injected drops into reg
-// ("faults.drops").
+// ("faults.drops"); a nil reg counts nothing.
 func NewFlakyListener(ln net.Listener, spec FaultSpec, reg *obs.Registry) *FlakyListener {
-	return &FlakyListener{Listener: ln, spec: spec, roll: newFaultRoller(spec.Seed), drops: faultRegistry(reg).Counter("faults.drops")}
+	return &FlakyListener{Listener: ln, spec: spec, roll: newFaultRoller(spec.Seed), drops: reg.Counter("faults.drops")}
 }
 
 // Accept implements net.Listener.
@@ -129,9 +113,6 @@ func (l *FlakyListener) Accept() (net.Conn, error) {
 	}
 	return &flakyConn{Conn: conn, l: l}, nil
 }
-
-// Drops returns how many connection-killing truncations were injected.
-func (l *FlakyListener) Drops() uint64 { return l.drops.Value() }
 
 type flakyConn struct {
 	net.Conn

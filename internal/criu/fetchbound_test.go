@@ -63,7 +63,7 @@ func TestFetchBoundedByRetries(t *testing.T) {
 	c, err := DialPageServerOpts(ln.Addr().String(), PageClientOpts{
 		MaxRetries:   retries,
 		RetryBackoff: time.Millisecond,
-		Dial: func(addr string) (net.Conn, error) {
+		dial: func(addr string) (net.Conn, error) {
 			dials.Add(1)
 			return net.DialTimeout("tcp", addr, time.Second)
 		},

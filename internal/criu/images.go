@@ -5,10 +5,11 @@
 // (post-copy) page server.
 //
 // The image formats themselves (typed views, wire codec, ImageDir,
-// PageSet) live in internal/image; this file re-exports them under their
-// historical criu names so existing callers — and the paper's CRIU
-// vocabulary — keep working. New code that only reads or verifies images
-// (e.g. internal/imgcheck) should import internal/image directly.
+// PageSet) live in internal/image, and code names them there. This file
+// re-exports ImageDir, PageSet, UnmarshalFiles, UnmarshalImageDir and
+// LoadPageSet only because the host-time benchmark (bench/) still names
+// them; they go when ROADMAP item 2(d) rewrites bench/. The codec names
+// are the transport's own vocabulary (MigrateOpts.Codec, PageClientOpts).
 package criu
 
 import (
@@ -17,26 +18,8 @@ import (
 )
 
 // Image types, re-exported from internal/image. Type aliases preserve
-// identity: a criu.ImageDir IS an image.ImageDir, so values flow freely
-// between the codec layer, the verifier, and the restore machinery.
+// identity: a criu.ImageDir IS an image.ImageDir.
 type (
-	// CoreImage is core-<tid>.img: one thread's architectural state.
-	CoreImage = image.CoreImage
-	// VMAEntry describes one mapped area in the mm image.
-	VMAEntry = image.VMAEntry
-	// MMImage is mm.img: the address-space description.
-	MMImage = image.MMImage
-	// PagemapEntry describes a run of pages (see image.PagemapEntry for
-	// the lazy/in_parent/zero flag semantics).
-	PagemapEntry = image.PagemapEntry
-	// PagemapImage is pagemap.img: the index into pages.img.
-	PagemapImage = image.PagemapImage
-	// FilesImage is files.img: the open files (here, the executable).
-	FilesImage = image.FilesImage
-	// MutexEntry is a held mutex recorded in the inventory.
-	MutexEntry = image.MutexEntry
-	// InventoryImage is inventory.img: dump-wide facts.
-	InventoryImage = image.InventoryImage
 	// ImageDir is the checkpoint directory (held in memory, like the
 	// paper's tmpfs checkpoint target).
 	ImageDir = image.ImageDir
@@ -46,13 +29,10 @@ type (
 
 // UnmarshalFiles decodes a files image; on an error the image is
 // incomplete.
-func UnmarshalFiles(b []byte) (*FilesImage, error) {
-	f := &FilesImage{}
+func UnmarshalFiles(b []byte) (*image.FilesImage, error) {
+	f := &image.FilesImage{}
 	return f, imgproto.Unmarshal(b, f)
 }
-
-// NewImageDir returns an empty directory.
-func NewImageDir() *ImageDir { return image.NewImageDir() }
 
 // UnmarshalImageDir parses a directory blob; the directory aliases b.
 func UnmarshalImageDir(b []byte) (*ImageDir, error) { return image.UnmarshalImageDir(b) }

@@ -146,7 +146,7 @@ func pagesByClass(t *testing.T, dir *criu.ImageDir) map[image.PageClass][]uint64
 // setPages is pagesByClass of the pagemap ps stores.
 func setPages(t *testing.T, ps *criu.PageSet) map[image.PageClass][]uint64 {
 	t.Helper()
-	dir := criu.NewImageDir()
+	dir := image.NewImageDir()
 	ps.Store(dir)
 	return pagesByClass(t, dir)
 }
@@ -311,7 +311,8 @@ func TestIncrementalChainFlakyFinalDelta(t *testing.T) {
 		}
 		return pg, nil
 	})
-	flaky := criu.NewFlakySource(src, criu.FaultSpec{Seed: 41, FailRate: 0.4}, nil)
+	faults := obs.New()
+	flaky := criu.NewFlakySource(src, criu.FaultSpec{Seed: 41, FailRate: 0.4}, faults)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +326,7 @@ func TestIncrementalChainFlakyFinalDelta(t *testing.T) {
 	defer client.Close()
 
 	// Rebuild the delta from fetched pages, keeping the flag-only entries.
-	rebuilt := image.NewPageSet()
+	rebuilt := emptyPageSet(t)
 	for class, addrs := range pagesByClass(t, final) {
 		for _, a := range addrs {
 			var pg []byte
@@ -337,7 +338,7 @@ func TestIncrementalChainFlakyFinalDelta(t *testing.T) {
 			rebuilt.Put(a, class, pg)
 		}
 	}
-	fetched := criu.NewImageDir()
+	fetched := image.NewImageDir()
 	for _, name := range final.Names() {
 		if name == "pagemap.img" || name == "pages.img" {
 			continue
@@ -365,7 +366,7 @@ func TestIncrementalChainFlakyFinalDelta(t *testing.T) {
 			t.Errorf("page 0x%x corrupted by flaky transfer", a)
 		}
 	}
-	if flaky.Failures() == 0 {
+	if faults.Counter("faults.failures").Value() == 0 {
 		t.Error("fault injector never fired; the test exercised nothing")
 	}
 }

@@ -258,9 +258,10 @@ func TestLazyRunOverFetch(t *testing.T) {
 // out of the response and that page faults later. A retry that asked for the run
 // again would succeed about once in 3 000 tries for a full run.
 func TestLazyRunDeadlineRetry(t *testing.T) {
+	faults := obs.New()
 	src := NewFlakySource(&mapSource{}, FaultSpec{
 		Seed: 7, FailRate: 0.2, Latency: 150 * time.Millisecond, LatencyRate: 0.4,
-	}, nil)
+	}, faults)
 	srv := ServePagesOn(listen(t), src)
 	defer srv.Close()
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
@@ -282,13 +283,14 @@ func TestLazyRunDeadlineRetry(t *testing.T) {
 		checkPage(t, addr, data)
 	}
 	st := c.Stats()
-	if src.Delays() == 0 || src.Failures() == 0 || st.Timeouts == 0 {
-		t.Fatalf("injected %d delays and %d failures, %d attempts timed out: the test exercised nothing", src.Delays(), src.Failures(), st.Timeouts)
+	delays, failures := faults.Counter("faults.delays").Value(), faults.Counter("faults.failures").Value()
+	if delays == 0 || failures == 0 || st.Timeouts == 0 {
+		t.Fatalf("injected %d delays and %d failures, %d attempts timed out: the test exercised nothing", delays, failures, st.Timeouts)
 	}
 	if st.Reconnects < st.Timeouts {
 		t.Errorf("%d attempts timed out but only %d redials: a timed-out connection was reused", st.Timeouts, st.Reconnects)
 	}
-	t.Logf("%d faults: %d requests answered, %d retries, %d timeouts, %d delays, %d failed reads", runPages, st.Fetches, st.Retries, st.Timeouts, src.Delays(), src.Failures())
+	t.Logf("%d faults: %d requests answered, %d retries, %d timeouts, %d delays, %d failed reads", runPages, st.Fetches, st.Retries, st.Timeouts, delays, failures)
 }
 
 // failOnceSource is mapSource whose first read of the page at addr fails.

@@ -31,12 +31,13 @@ type PageClientOpts struct {
 	// connection's hello; the zero value, CodecNone, frames without
 	// compression.
 	Codec imgproto.Codec
-	// Dial overrides the dialer; tests inject faulty transports here.
-	Dial func(addr string) (net.Conn, error)
 	// Obs, if set, is the telemetry registry the client records into
 	// ("pageclient.*" counters). Nil gives the client a private registry
 	// so Stats keeps working.
 	Obs *obs.Registry
+	// dial overrides the dialer; this package's tests inject faulty
+	// transports here.
+	dial func(addr string) (net.Conn, error)
 }
 
 func (o PageClientOpts) withDefaults() PageClientOpts {
@@ -298,8 +299,8 @@ func (c *RemotePageSource) live() (net.Conn, error) {
 }
 
 func (c *RemotePageSource) dial() (net.Conn, error) {
-	if c.opts.Dial != nil {
-		return c.opts.Dial(c.addr)
+	if c.opts.dial != nil {
+		return c.opts.dial(c.addr)
 	}
 	return net.DialTimeout("tcp", c.addr, dialTimeout)
 }

@@ -59,7 +59,7 @@ func TestPageClientClearsWriteDeadline(t *testing.T) {
 	var dc *deadlineConn
 	var mu sync.Mutex
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
-		Dial: func(addr string) (net.Conn, error) {
+		dial: func(addr string) (net.Conn, error) {
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {
 				return nil, err
@@ -101,7 +101,7 @@ func TestPageClientSurfacesDeadlineError(t *testing.T) {
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
 		MaxRetries: 1, RetryBackoff: time.Millisecond,
 		FetchTimeout: 200 * time.Millisecond,
-		Dial: func(addr string) (net.Conn, error) {
+		dial: func(addr string) (net.Conn, error) {
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {
 				return nil, err

@@ -55,9 +55,10 @@ func TestPagePathAllocs(t *testing.T) {
 		t.Fatalf("the image holds %d data pages, want the benchmark's 850 or so", len(idxs))
 	}
 
-	t.Run("PopulatedPages", func(t *testing.T) {
-		if n := testing.AllocsPerRun(10, func() { p.AS.PopulatedPages() }); n != 1 {
-			t.Errorf("PopulatedPages allocates %v times, want 1: the index list", n)
+	t.Run("MappedPages", func(t *testing.T) {
+		walk := func(mem.VMA, uint64, []byte) bool { return false }
+		if n := testing.AllocsPerRun(10, func() { p.AS.MappedPages(walk) }); n != 0 {
+			t.Errorf("MappedPages allocates %v times, want 0", n)
 		}
 	})
 	t.Run("InstallPages", func(t *testing.T) {
@@ -82,7 +83,7 @@ func TestPagePathAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := criu.NewImageDir()
+		out := image.NewImageDir()
 		ps.Store(out) // the directory's files exist from here on
 		stored := image.Open(out)
 		var recs []image.PageRecord

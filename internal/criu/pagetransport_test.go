@@ -185,7 +185,7 @@ func TestPageServerErrorFrame(t *testing.T) {
 // TestPageClientReconnectAfterDrop injects mid-frame connection drops on
 // the server side; every fetch must still succeed via retry+reconnect.
 func TestPageClientReconnectAfterDrop(t *testing.T) {
-	flaky, fsrv := newFlakyServer(t, FaultSpec{Seed: 42, DropRate: 0.3}, &mapSource{})
+	faults, fsrv := newFlakyServer(t, FaultSpec{Seed: 42, DropRate: 0.3}, &mapSource{})
 	defer fsrv.Close()
 
 	c, err := DialPageServerOpts(fsrv.Addr(), PageClientOpts{
@@ -204,26 +204,29 @@ func TestPageClientReconnectAfterDrop(t *testing.T) {
 		}
 		checkPage(t, addr, page)
 	}
-	if flaky.Drops() == 0 {
+	drops := faults.Counter("faults.drops").Value()
+	if drops == 0 {
 		t.Fatal("fault injector never dropped a connection; test exercised nothing")
 	}
 	st := c.Stats()
 	if st.Reconnects == 0 {
-		t.Errorf("drops injected (%d) but client never reconnected: %+v", flaky.Drops(), st)
+		t.Errorf("drops injected (%d) but client never reconnected: %+v", drops, st)
 	}
 	if st.Fetches != n {
 		t.Errorf("Fetches = %d, want %d", st.Fetches, n)
 	}
 }
 
-func newFlakyServer(t *testing.T, spec FaultSpec, src PageSource) (*FlakyListener, *PageServer) {
+// newFlakyServer serves src behind a FlakyListener that counts its drops
+// into the returned registry.
+func newFlakyServer(t *testing.T, spec FaultSpec, src PageSource) (*obs.Registry, *PageServer) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	flaky := NewFlakyListener(ln, spec, nil)
-	return flaky, ServePagesOn(flaky, src)
+	faults := obs.New()
+	return faults, ServePagesOn(NewFlakyListener(ln, spec, faults), src)
 }
 
 // TestPageClientDeadlineRetry injects latency above the fetch deadline on
@@ -231,9 +234,10 @@ func newFlakyServer(t *testing.T, spec FaultSpec, src PageSource) (*FlakyListene
 // attempt lands. A timed-out attempt drops its connection, so the late
 // response dies with it and can never be taken for the retry's.
 func TestPageClientDeadlineRetry(t *testing.T) {
+	faults := obs.New()
 	src := NewFlakySource(&mapSource{}, FaultSpec{
 		Seed: 7, Latency: 150 * time.Millisecond, LatencyRate: 0.4,
-	}, nil)
+	}, faults)
 	srv := ServePagesOn(listen(t), src)
 	defer srv.Close()
 	c, err := DialPageServerOpts(srv.Addr(), PageClientOpts{
@@ -253,12 +257,13 @@ func TestPageClientDeadlineRetry(t *testing.T) {
 		}
 		checkPage(t, addr, page)
 	}
-	if src.Delays() == 0 {
+	delays := faults.Counter("faults.delays").Value()
+	if delays == 0 {
 		t.Fatal("no latency was injected; test exercised nothing")
 	}
 	st := c.Stats()
 	if st.Timeouts == 0 {
-		t.Errorf("latency injected (%d delays) but no attempt timed out: %+v", src.Delays(), st)
+		t.Errorf("latency injected (%d delays) but no attempt timed out: %+v", delays, st)
 	}
 	if st.Reconnects < st.Timeouts {
 		t.Errorf("%d attempts timed out but only %d redials: a timed-out connection was reused", st.Timeouts, st.Reconnects)

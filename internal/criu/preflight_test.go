@@ -49,7 +49,7 @@ func TestRestorePreFlightRejectsShuffledPagemap(t *testing.T) {
 	if !ok {
 		t.Fatal("dump has no pagemap.img")
 	}
-	pm := &criu.PagemapImage{}
+	pm := &image.PagemapImage{}
 	if err := imgproto.Unmarshal(raw, pm); err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +81,12 @@ func TestRestorePreFlightRejectsHugeVMA(t *testing.T) {
 	if !ok {
 		t.Fatal("dump has no mm.img")
 	}
-	mm := &criu.MMImage{}
+	mm := &image.MMImage{}
 	if err := imgproto.Unmarshal(raw, mm); err != nil {
 		t.Fatal(err)
 	}
 	last := mm.VMAs[len(mm.VMAs)-1]
-	mm.VMAs = append(mm.VMAs, criu.VMAEntry{Start: last.End, End: 0xFFFF_FFFF_FFFF_F000, Kind: uint8(mem.VMAHeap), Prot: last.Prot})
+	mm.VMAs = append(mm.VMAs, image.VMAEntry{Start: last.End, End: 0xFFFF_FFFF_FFFF_F000, Kind: uint8(mem.VMAHeap), Prot: last.Prot})
 	dir.Put("mm.img", imgproto.Marshal(mm))
 
 	_, err := criu.Restore(kernel.New(kernel.Config{}), dir, prov)
@@ -111,7 +111,7 @@ func TestRestorePreFlightRejectsUnmappedPage(t *testing.T) {
 		t.Fatalf("need an unmapped page below the first VMA at 0x%x", first)
 	}
 	pm := *v.Pagemap
-	pm.Entries = append([]criu.PagemapEntry{{Vaddr: mem.PageSize, NrPages: 1}}, pm.Entries...)
+	pm.Entries = append([]image.PagemapEntry{{Vaddr: mem.PageSize, NrPages: 1}}, pm.Entries...)
 	dir.Put("pagemap.img", imgproto.Marshal(&pm))
 	raw, _ := dir.Get("pages.img")
 	dir.Put("pages.img", append(make([]byte, mem.PageSize), raw...))

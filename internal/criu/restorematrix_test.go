@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -77,16 +76,14 @@ func pausedDupPair(t *testing.T) (*kernel.Process, *compiler.Pair) {
 // asSnapshot serializes an address space's populated pages in index
 // order — the byte-identity fingerprint for the restore matrix.
 func asSnapshot(as *mem.AddressSpace) []byte {
-	idxs := as.PopulatedPages()
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	var buf bytes.Buffer
-	for _, idx := range idxs {
+	as.MappedPages(func(_ mem.VMA, idx uint64, data []byte) bool {
 		var hdr [8]byte
 		binary.BigEndian.PutUint64(hdr[:], idx)
 		buf.Write(hdr[:])
-		data, _ := as.PageData(idx)
 		buf.Write(data)
-	}
+		return false
+	})
 	return buf.Bytes()
 }
 
@@ -139,7 +136,9 @@ func TestRestoreMatrixByteIdentical(t *testing.T) {
 				t.Fatalf("%s restore %s: %v", img.name, label, err)
 			}
 			check(label, p.AS)
-			for _, idx := range p.AS.PopulatedPages() {
+			var idxs []uint64
+			p.AS.MappedPages(func(_ mem.VMA, idx uint64, _ []byte) bool { idxs = append(idxs, idx); return false })
+			for _, idx := range idxs {
 				if err := p.AS.WriteU64(idx*mem.PageSize, ^uint64(0)); err != nil {
 					t.Fatal(err)
 				}

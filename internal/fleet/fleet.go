@@ -234,9 +234,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Obs returns the fleet telemetry registry.
-func (m *Manager) Obs() *obs.Registry { return m.reg }
-
 // AddNode boots a node from spec under the given name with capacity
 // concurrent migration slots. Nodes must be added before Start; every
 // registered program is installed on the new node.
@@ -265,13 +262,6 @@ func (m *Manager) AddNode(name string, spec cluster.NodeSpec, capacity int) erro
 	m.nodeOrder = append(m.nodeOrder, name)
 	sort.Strings(m.nodeOrder)
 	return nil
-}
-
-// Nodes returns the nodes in name order.
-func (m *Manager) Nodes() []*NodeState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.nodeList()
 }
 
 func (m *Manager) nodeList() []*NodeState {

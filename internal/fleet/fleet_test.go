@@ -252,7 +252,7 @@ func TestFleetResume(t *testing.T) {
 	}
 	// No duplication: the second lifetime completed exactly the resumed
 	// jobs, and every job is terminal-done exactly once overall.
-	if got := m2.Obs().Counter("fleet.jobs_done").Value(); got != uint64(jobs-len(finished)) {
+	if got := m2.Report().Done; got != uint64(jobs-len(finished)) {
 		t.Errorf("second lifetime completed %d jobs, want %d", got, jobs-len(finished))
 	}
 	for _, v := range m2.Jobs() {
@@ -310,9 +310,9 @@ func TestFleetMaxJobs(t *testing.T) {
 			if n := doneCount(m); n != 3 {
 				t.Errorf("%d of 3 jobs done", n)
 			}
-			for _, n := range m.Nodes() {
-				if n.HighWater() != tc.wantHighWater {
-					t.Errorf("%s: high-water %d slots, want %d", n.Name, n.HighWater(), tc.wantHighWater)
+			for _, n := range m.Report().Nodes {
+				if n.HighWater != tc.wantHighWater {
+					t.Errorf("%s: high-water %d slots, want %d", n.Name, n.HighWater, tc.wantHighWater)
 				}
 			}
 		})
@@ -427,9 +427,9 @@ func TestFleetDrain(t *testing.T) {
 			if v, _ := m.Job(id); v.State != "pending" {
 				t.Fatalf("job placed on a drained node: state %s", v.State)
 			}
-			for _, n := range m.Nodes() {
-				if n.Running() != 0 {
-					t.Fatalf("%s holds %d slots while its job waits for a drained node", n.Name, n.Running())
+			for _, n := range m.Report().Nodes {
+				if n.Running != 0 {
+					t.Fatalf("%s holds %d slots while its job waits for a drained node", n.Name, n.Running)
 				}
 			}
 			if err := m.Drain("pi0", false); err != nil {

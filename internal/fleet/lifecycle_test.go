@@ -68,7 +68,8 @@ func TestJobsLeaveNoProcesses(t *testing.T) {
 				t.Fatalf("state %s (err %q), want %s", v.State, v.Err, tc.want)
 			}
 			live := 0
-			for _, n := range m.Nodes() {
+			for _, r := range m.Report().Nodes {
+				n, _ := m.NodeByName(r.Name)
 				live += n.Node.K.Live()
 			}
 			if live != 0 {
@@ -113,7 +114,7 @@ func TestCloneJobRetries(t *testing.T) {
 	if v.State != "failed" || v.Attempts != 3 {
 		t.Fatalf("state %s after %d attempts (err %q), want failed after 3", v.State, v.Attempts, v.Err)
 	}
-	if got := m.Obs().Counter("fleet.retries").Value(); got != 2 {
+	if got := m.Report().Retries; got != 2 {
 		t.Errorf("fleet.retries = %d, want 2", got)
 	}
 }

@@ -84,10 +84,6 @@ type PagemapEntry struct {
 	Delta bool `json:"delta,omitempty" img:"8,omitempty"`
 }
 
-// ErrRetiredField is what decoding a pagemap returns for an entry
-// carrying field 6 or 7.
-var ErrRetiredField = imgproto.ErrRetiredField
-
 // Class is the one reading of an entry's flags. A well-formed entry sets
 // at most one (imgcheck's pagemap-flags invariant refuses the rest before
 // anything acts on the class), so the order below decides nothing for an
@@ -519,9 +515,6 @@ func sizedPageSet(n [PageDelta + 1]int) *PageSet {
 		LazyPages: make(map[uint64]bool, n[PageLazy]),
 	}
 }
-
-// NewPageSet returns an empty page set: the set of an empty pagemap.
-func NewPageSet() *PageSet { return sizedPageSet([PageDelta + 1]int{}) }
 
 // Store serializes the page set back into the directory, coalescing
 // contiguous same-class (data/lazy/in_parent/zero/delta) runs. The

@@ -18,7 +18,7 @@ import (
 func TestRefusedWriteLeavesPageSet(t *testing.T) {
 	const lazy, zero, absent, borrowed = 0x10000, 0x11000, 0x12000, 0x13000
 	data := bytes.Repeat([]byte{0x5a}, mem.PageSize)
-	ps := image.NewPageSet()
+	ps := emptyPageSet(t)
 	ps.Put(lazy, image.PageLazy, nil)
 	ps.Put(zero, image.PageZero, nil)
 	ps.Put(borrowed, image.PageData, data)
@@ -73,7 +73,7 @@ func TestPageSetMatchesModel(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		ps := image.NewPageSet()
+		ps := emptyPageSet(t)
 		model := map[uint64]*modelPage{}
 		var lent [][2][]byte // buffers handed to Put, with a copy
 		type stored struct {
@@ -232,4 +232,15 @@ func checkStored(t *testing.T, where string, dir *image.ImageDir, model map[uint
 	if listed != len(model) || next*mem.PageSize != payload.Len() {
 		t.Fatalf("%s: the pagemap lists %d pages and pages.img holds %d bytes; model %d pages", where, listed, payload.Len(), len(model))
 	}
+}
+
+// emptyPageSet is the page set of an empty pagemap.
+func emptyPageSet(t testing.TB) *image.PageSet {
+	dir := image.NewImageDir()
+	dir.Put(image.PagemapName, nil)
+	ps, err := image.LoadPageSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
 }

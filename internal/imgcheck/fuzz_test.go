@@ -28,7 +28,7 @@ func damage(t *testing.T, chain []*criu.ImageDir, prog []byte) []*criu.ImageDir 
 			t.Fatal(err)
 		}
 		pms[i] = v.Pagemap
-		out[i] = criu.NewImageDir()
+		out[i] = image.NewImageDir()
 		for _, name := range link.Names() {
 			raw, _ := link.Get(name)
 			out[i].Put(name, raw)

@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 
 	"github.com/dapper-sim/dapper/internal/criu"
+	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/imgproto"
 	"github.com/dapper-sim/dapper/internal/isa"
 )
@@ -41,23 +42,23 @@ const (
 // one sx86 thread parked in text, one data page with bytes, one zero
 // stack page.
 func baseDoc() *criu.CritDoc {
-	core := &criu.CoreImage{
+	core := &image.CoreImage{
 		TID: 1, Arch: isa.SX86,
 		StackLow: stackLo, StackHigh: stackHi, TLSBlock: tlsLo,
 	}
 	core.Regs.PC = textLo
 	core.Regs.TLS = tlsLo
 	return &criu.CritDoc{
-		Inventory: &criu.InventoryImage{Arch: isa.SX86, TIDs: []int{1}},
-		MM: &criu.MMImage{Brk: 0x2000_0000, VMAs: []criu.VMAEntry{
+		Inventory: &image.InventoryImage{Arch: isa.SX86, TIDs: []int{1}},
+		MM: &image.MMImage{Brk: 0x2000_0000, VMAs: []image.VMAEntry{
 			{Start: textLo, End: textHi, Kind: 1, Prot: 5},
 			{Start: dataLo, End: dataHi, Kind: 2, Prot: 3},
 			{Start: tlsLo, End: tlsHi, Kind: 5, Prot: 3},
 			{Start: stackLo, End: stackHi, Kind: 4, Prot: 3},
 		}},
-		Files: &criu.FilesImage{ExePath: "/bin/fixture.sx86"},
-		Cores: []*criu.CoreImage{core},
-		Pagemap: &criu.PagemapImage{Entries: []criu.PagemapEntry{
+		Files: &image.FilesImage{ExePath: "/bin/fixture.sx86"},
+		Cores: []*image.CoreImage{core},
+		Pagemap: &image.PagemapImage{Entries: []image.PagemapEntry{
 			{Vaddr: dataLo, NrPages: 1},
 			{Vaddr: stackHi - page, NrPages: 1, Zero: true},
 		}},
@@ -88,7 +89,7 @@ func main() {
 
 	// pagemap-order: second entry overlaps the first run.
 	d := baseDoc()
-	d.Pagemap.Entries = []criu.PagemapEntry{
+	d.Pagemap.Entries = []image.PagemapEntry{
 		{Vaddr: dataLo, NrPages: 1},
 		{Vaddr: dataLo, NrPages: 1, Zero: true},
 	}
@@ -96,7 +97,7 @@ func main() {
 
 	// pagemap-order: entries shuffled out of address order.
 	d = baseDoc()
-	d.Pagemap.Entries = []criu.PagemapEntry{
+	d.Pagemap.Entries = []image.PagemapEntry{
 		{Vaddr: stackHi - page, NrPages: 1, Zero: true},
 		{Vaddr: dataLo, NrPages: 1},
 	}
@@ -104,7 +105,7 @@ func main() {
 
 	// pagemap-flags: one entry claims both zero and in_parent.
 	d = baseDoc()
-	d.Pagemap.Entries[1] = criu.PagemapEntry{Vaddr: stackHi - page, NrPages: 1, Zero: true, InParent: true}
+	d.Pagemap.Entries[1] = image.PagemapEntry{Vaddr: stackHi - page, NrPages: 1, Zero: true, InParent: true}
 	fixtures["pagemap_flags.json"] = []*criu.CritDoc{d}
 
 	// pagemap-mapped: the data page lies outside every VMA, where restore
@@ -116,25 +117,25 @@ func main() {
 	// pages-bytes: a zero-flagged entry must carry no bytes, but pages.img
 	// still holds a full page for it.
 	d = baseDoc()
-	d.Pagemap.Entries = []criu.PagemapEntry{{Vaddr: stackHi - page, NrPages: 1, Zero: true}}
+	d.Pagemap.Entries = []image.PagemapEntry{{Vaddr: stackHi - page, NrPages: 1, Zero: true}}
 	fixtures["zero_with_bytes.json"] = []*criu.CritDoc{d}
 
 	// pages-bytes: pagemap describes two data pages, pages.img holds one.
 	d = baseDoc()
-	d.Pagemap.Entries = []criu.PagemapEntry{{Vaddr: dataLo, NrPages: 2}}
+	d.Pagemap.Entries = []image.PagemapEntry{{Vaddr: dataLo, NrPages: 2}}
 	d.MM.VMAs[1].End = dataLo + 2*page
 	fixtures["truncated_pages.json"] = []*criu.CritDoc{d}
 
 	// inparent-chain: the ROOT of a chain marks a page in_parent — the
 	// reference can never terminate (a cycle squashed into a chain).
 	root := baseDoc()
-	root.Pagemap.Entries = []criu.PagemapEntry{
+	root.Pagemap.Entries = []image.PagemapEntry{
 		{Vaddr: dataLo, NrPages: 1, InParent: true},
 		{Vaddr: stackHi - page, NrPages: 1, Zero: true},
 	}
 	emptyPages(root)
 	delta := baseDoc()
-	delta.Pagemap.Entries = []criu.PagemapEntry{
+	delta.Pagemap.Entries = []image.PagemapEntry{
 		{Vaddr: dataLo, NrPages: 1, InParent: true},
 		{Vaddr: stackHi - page, NrPages: 1, Zero: true},
 	}
@@ -144,7 +145,7 @@ func main() {
 	// inparent-chain: a delta's in_parent page that no older link carries.
 	root = baseDoc()
 	delta = baseDoc()
-	delta.Pagemap.Entries = []criu.PagemapEntry{
+	delta.Pagemap.Entries = []image.PagemapEntry{
 		{Vaddr: dataLo + 0x10*page, NrPages: 1, InParent: true},
 	}
 	delta.MM.VMAs[1].End = dataLo + 0x11*page
@@ -157,10 +158,10 @@ func main() {
 	// resolve it against; every link on its own passes VerifyLink.
 	root = baseDoc()
 	skip := baseDoc()
-	skip.Pagemap.Entries = []criu.PagemapEntry{{Vaddr: stackHi - page, NrPages: 1, Zero: true}}
+	skip.Pagemap.Entries = []image.PagemapEntry{{Vaddr: stackHi - page, NrPages: 1, Zero: true}}
 	emptyPages(skip)
 	delta = baseDoc()
-	delta.Pagemap.Entries = []criu.PagemapEntry{
+	delta.Pagemap.Entries = []image.PagemapEntry{
 		{Vaddr: dataLo, NrPages: 1, InParent: true},
 		{Vaddr: stackHi - page, NrPages: 1, Zero: true},
 	}
@@ -215,7 +216,7 @@ func main() {
 
 	// vma-order: a VMA past the address-space layout, spanning 2^52 pages.
 	d = baseDoc()
-	d.MM.VMAs = append(d.MM.VMAs, criu.VMAEntry{Start: stackHi, End: 0xFFFF_FFFF_FFFF_F000, Kind: 3, Prot: 3})
+	d.MM.VMAs = append(d.MM.VMAs, image.VMAEntry{Start: stackHi, End: 0xFFFF_FFFF_FFFF_F000, Kind: 3, Prot: 3})
 	fixtures["vma_huge.json"] = []*criu.CritDoc{d}
 
 	// image-decode: the image a build with the retired within-dump page

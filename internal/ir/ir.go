@@ -37,9 +37,9 @@ type Op uint8
 
 // IR operations.
 const (
-	OpInvalid    Op = iota
-	OpConstInt      // Dst = Imm
-	OpConstFloat    // Dst = F
+	_            Op = iota // the zero Op is invalid
+	OpConstInt             // Dst = Imm
+	OpConstFloat           // Dst = F
 
 	OpIAdd // Dst = A op B
 	OpISub
@@ -229,16 +229,6 @@ type Program struct {
 	Strings []StrLit
 	// NextSiteID is the site-id counter (site 0 is unused).
 	NextSiteID int
-}
-
-// FuncByName finds a function.
-func (p *Program) FuncByName(name string) (*Func, bool) {
-	for _, f := range p.Funcs {
-		if f.Name == name {
-			return f, true
-		}
-	}
-	return nil, false
 }
 
 // NewSite allocates a fresh equivalence-point site id.

@@ -8,6 +8,16 @@ import (
 	"github.com/dapper-sim/dapper/internal/lang"
 )
 
+// funcByName finds one of prog's functions.
+func funcByName(prog *ir.Program, name string) (*ir.Func, bool) {
+	for _, f := range prog.Funcs {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return nil, false
+}
+
 func lower(t *testing.T, src string) *ir.Program {
 	t.Helper()
 	file, err := lang.Parse(src)
@@ -33,7 +43,7 @@ func main() {
 	x = add(1, 2) + add(3, 4);
 	printi(x);
 }`)
-	mainFn, ok := prog.FuncByName("main")
+	mainFn, ok := funcByName(prog, "main")
 	if !ok {
 		t.Fatal("no main")
 	}
@@ -55,10 +65,10 @@ func main() {
 	if calls != 3 {
 		t.Errorf("calls = %d, want 3\n%s", calls, prog.Dump())
 	}
-	if _, ok := prog.FuncByName("_start"); !ok {
+	if _, ok := funcByName(prog, "_start"); !ok {
 		t.Error("missing _start")
 	}
-	if _, ok := prog.FuncByName("__printi"); !ok {
+	if _, ok := funcByName(prog, "__printi"); !ok {
 		t.Error("missing __printi wrapper")
 	}
 }
@@ -75,7 +85,7 @@ func main() {
 	x = f() + f();
 	printi(x);
 }`)
-	mainFn, _ := prog.FuncByName("main")
+	mainFn, _ := funcByName(prog, "main")
 	dump := prog.Dump()
 	// The left f() result must be stored to a temp slot before the right
 	// f() call and reloaded after.
@@ -109,7 +119,7 @@ func main() {
 	a = g(a);     // b live across this call (used later); dead is not
 	printi(a + b);
 }`)
-	mainFn, _ := prog.FuncByName("main")
+	mainFn, _ := funcByName(prog, "main")
 	slotByName := map[string]int{}
 	for _, s := range mainFn.Slots {
 		slotByName[s.Name] = s.ID
@@ -151,7 +161,7 @@ func main() {
 	x = buf[0];
 	printi(x);
 }`)
-	mainFn, _ := prog.FuncByName("main")
+	mainFn, _ := funcByName(prog, "main")
 	var bufSlot int = -1
 	for _, s := range mainFn.Slots {
 		if s.Name == "buf" {
@@ -184,7 +194,7 @@ func TestWrapperProperties(t *testing.T) {
 		"__join": true, "__lock": true, "__recv": true,
 		"__unlock": false, "__spawn": false, "__print": false,
 	} {
-		f, ok := prog.FuncByName(name)
+		f, ok := funcByName(prog, name)
 		if !ok {
 			t.Errorf("missing wrapper %s", name)
 			continue
@@ -198,7 +208,7 @@ func TestWrapperProperties(t *testing.T) {
 	}
 	// Lock must increment the TLS lock depth after the syscall; unlock
 	// must decrement before it.
-	lock, _ := prog.FuncByName("__lock")
+	lock, _ := funcByName(prog, "__lock")
 	order := []ir.Op{}
 	for _, in := range lock.Blocks[0].Instrs {
 		if in.Op == ir.OpSyscall || in.Op == ir.OpTlsStore {
@@ -208,7 +218,7 @@ func TestWrapperProperties(t *testing.T) {
 	if len(order) != 2 || order[0] != ir.OpSyscall || order[1] != ir.OpTlsStore {
 		t.Errorf("__lock op order = %v", order)
 	}
-	unlock, _ := prog.FuncByName("__unlock")
+	unlock, _ := funcByName(prog, "__unlock")
 	order = order[:0]
 	for _, in := range unlock.Blocks[0].Instrs {
 		if in.Op == ir.OpSyscall || in.Op == ir.OpTlsStore {
@@ -232,7 +242,7 @@ func main() {
 		t.Fatal("nil program")
 	}
 	// All vreg depths must stay within the emergency bound.
-	mainFn, _ := prog.FuncByName("main")
+	mainFn, _ := funcByName(prog, "main")
 	for v, d := range mainFn.VRegDepth {
 		if int(d) > ir.MaxDepth+2 {
 			t.Errorf("vreg %d depth %d exceeds bound", v, d)

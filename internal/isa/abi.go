@@ -28,10 +28,8 @@ const FlagAddr = DataBase
 // into the block — mirroring the libc difference between the FS base on
 // x86-64 and TPIDR on aarch64 that DAPPER must correct when rewriting.
 const (
-	TLSSlotTID       = 0  // byte offset of the thread id slot
-	TLSSlotLockDepth = 8  // byte offset of the checker-disable lock depth
-	TLSSlotScratch   = 16 // byte offset of a per-thread scratch word
-	TLSBlockSize     = 64
+	TLSSlotTID       = 0 // byte offset of the thread id slot
+	TLSSlotLockDepth = 8 // byte offset of the checker-disable lock depth
 )
 
 // ABI describes the calling convention and frame conventions of one

@@ -49,18 +49,6 @@ func (a Arch) Other() Arch {
 	return SX86
 }
 
-// ParseArch converts a command-line architecture name.
-func ParseArch(s string) (Arch, error) {
-	switch s {
-	case "sx86", "x86", "x86-64":
-		return SX86, nil
-	case "sarm", "arm", "aarch64":
-		return SARM, nil
-	default:
-		return 0, fmt.Errorf("isa: unknown architecture %q", s)
-	}
-}
-
 // Reg names a general-purpose register. SX86 uses R0..R7, SARM R0..R15.
 type Reg uint8
 
@@ -89,7 +77,7 @@ type Op uint8
 // Semantic operations. Some exist on only one ISA (e.g. OpPush on SX86,
 // OpLoadPair on SARM); the common interpreter supports the union.
 const (
-	OpInvalid Op = iota
+	_ Op = iota // the zero Op is invalid
 	OpNop
 	OpTrap    // breakpoint (0xCC on SX86, 0xD4200000 on SARM)
 	OpSyscall // kernel call; number and args per ABI

@@ -502,9 +502,6 @@ func (k *Kernel) summarize(p *Process) StepStatus {
 	return st
 }
 
-// Status reports the current thread-state summary without running.
-func (k *Kernel) Status(p *Process) StepStatus { return k.summarize(p) }
-
 func (p *Process) fail(err error) {
 	p.Err = err
 	p.Exited = true

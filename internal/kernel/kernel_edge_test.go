@@ -31,7 +31,7 @@ func TestRecursiveMutex(t *testing.T) {
 	if err := k.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if p.MutexHolder(1) != 0 {
+	if holder, _ := p.MutexState(1); holder != 0 {
 		t.Error("mutex still held after balanced unlocks")
 	}
 }

@@ -370,8 +370,10 @@ func TestTracerPeekPoke(t *testing.T) {
 			if p.ExitCode != 9 {
 				t.Errorf("exit = %d, want 9", p.ExitCode)
 			}
-			if len(tr.Threads()) != 0 {
-				t.Errorf("live threads after exit: %v", tr.Threads())
+			for _, th := range p.Threads {
+				if th.State != kernel.ThreadExited {
+					t.Errorf("thread %d live after exit", th.TID)
+				}
 			}
 		})
 	}

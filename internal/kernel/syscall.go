@@ -210,10 +210,6 @@ func (p *Process) mutex(id uint64) *mutexState {
 	return m
 }
 
-// MutexHolder reports which thread holds mutex id (0 if free). Exposed for
-// the monitor's validation and for tests.
-func (p *Process) MutexHolder(id uint64) int { return p.mutex(id).holder }
-
 // HeldMutexes returns the ids of currently held mutexes in ascending
 // order (the CRIU dumper records them in the inventory image).
 func (p *Process) HeldMutexes() []uint64 {

@@ -18,9 +18,6 @@ type Tracer struct {
 // Attach returns a tracer for p (PTRACE_ATTACH).
 func Attach(p *Process) *Tracer { return &Tracer{p: p} }
 
-// Process returns the traced process.
-func (tr *Tracer) Process() *Process { return tr.p }
-
 // PeekData reads an 8-byte word from the tracee (PTRACE_PEEKDATA).
 func (tr *Tracer) PeekData(addr uint64) (uint64, error) {
 	return tr.p.AS.ReadU64(addr)
@@ -29,22 +26,6 @@ func (tr *Tracer) PeekData(addr uint64) (uint64, error) {
 // PokeData writes an 8-byte word into the tracee (PTRACE_POKEDATA).
 func (tr *Tracer) PokeData(addr, v uint64) error {
 	return tr.p.AS.WriteU64(addr, v)
-}
-
-// GetRegs returns a copy of a thread's register file (PTRACE_GETREGS).
-func (tr *Tracer) GetRegs(tid int) (RegSnapshot, error) {
-	t, ok := tr.p.Thread(tid)
-	if !ok {
-		return RegSnapshot{}, fmt.Errorf("kernel: no thread %d", tid)
-	}
-	return RegSnapshot{Regs: t.Regs, State: t.State, Pending: clonePending(t.Pending)}, nil
-}
-
-// RegSnapshot couples a register file with the thread's run state.
-type RegSnapshot struct {
-	Regs    isa.RegFile
-	State   ThreadState
-	Pending *PendingSyscall
 }
 
 // SetRegs overwrites a thread's register file (PTRACE_SETREGS).
@@ -103,22 +84,3 @@ func (tr *Tracer) Stop() { tr.p.Stopped = true }
 
 // Resume lifts SIGSTOP.
 func (tr *Tracer) Resume() { tr.p.Stopped = false }
-
-// Threads lists thread ids, mirroring /proc/<pid>/task.
-func (tr *Tracer) Threads() []int {
-	out := make([]int, 0, len(tr.p.Threads))
-	for _, t := range tr.p.Threads {
-		if t.State != ThreadExited {
-			out = append(out, t.TID)
-		}
-	}
-	return out
-}
-
-func clonePending(p *PendingSyscall) *PendingSyscall {
-	if p == nil {
-		return nil
-	}
-	cp := *p
-	return &cp
-}

@@ -101,9 +101,10 @@ func (e *FaultError) Unwrap() error { return e.Cause }
 // Version its write version (used by the interpreter, together with the
 // Page's identity, to invalidate its predecoded tables when code pages are
 // rewritten or replaced). The frame may be a window of a buffer the space
-// did not allocate and shares copy-on-write (InstallPages, SharePages):
-// shared says so until the first write breaks the share by pointing the
-// Page at a private copy. The Page itself is the space's own.
+// did not allocate and shares copy-on-write (InstallPages, or a frame a
+// MappedPages callback kept): shared says so until the first write breaks
+// the share by pointing the Page at a private copy. The Page itself is the
+// space's own.
 type Page struct {
 	Data    *[PageSize]byte
 	Version uint64
@@ -512,7 +513,10 @@ func (as *AddressSpace) CodePage(idx uint64) (*Page, error) {
 
 // MappedPages calls fn for every resident page inside a VMA, in address
 // order, with its VMA, index and frame (read-only, as PageData); a frame fn
-// keeps (returns true for) becomes a copy-on-write share, as with SharePages.
+// keeps (returns true for) becomes a copy-on-write share, with one TLB
+// flush and no copy: a dump keeps those frames as its snapshot
+// (criu.Dump), and the space's next store to one of the pages privatizes
+// a copy instead.
 func (as *AddressSpace) MappedPages(fn func(v VMA, idx uint64, data []byte) (keep bool)) {
 	shared := as.shared
 	for i, v := range as.vmas {
@@ -528,27 +532,13 @@ func (as *AddressSpace) MappedPages(fn func(v VMA, idx uint64, data []byte) (kee
 	}
 }
 
-// PopulatedPages returns the sorted indices of pages that are resident.
-func (as *AddressSpace) PopulatedPages() []uint64 {
-	out := make([]uint64, 0, as.resident)
-	as.MappedPages(func(_ VMA, idx uint64, _ []byte) bool { out = append(out, idx); return false })
-	return out
-}
-
 // PageData returns the contents of page idx if it is resident: the frame
-// itself, read-only, which a store changes unless SharePages marked it.
+// itself, read-only, which a store changes unless MappedPages kept it.
 func (as *AddressSpace) PageData(idx uint64) ([]byte, bool) {
 	if s := as.slot(idx); s != nil && *s != nil {
 		return (*s).Data[:], true
 	}
 	return nil, false
-}
-
-// DropPage discards a resident page (used when converting a dump to a lazy
-// one: the page stays on the source and is fetched on fault).
-func (as *AddressSpace) DropPage(idx uint64) {
-	as.set(idx, nil)
-	as.flushTLB()
 }
 
 // InstallPage populates page idx with a private copy of data (up to
@@ -583,35 +573,14 @@ func (as *AddressSpace) InstallPages(idxs []uint64, data func(i int) []byte) {
 	as.flushTLB()
 }
 
-// SharePages marks the resident frames of pages idxs copy-on-write, with
-// one TLB flush and no copy: a dump keeps their PageData slices as its
-// snapshot (criu.Dump), and the space's next store to one of the pages
-// privatizes a copy instead. Every index must be resident.
-func (as *AddressSpace) SharePages(idxs []uint64) {
-	for _, idx := range idxs {
-		if s := as.slot(idx); s != nil && *s != nil && !(*s).shared {
-			(*s).shared = true
-			as.shared++
-		}
-	}
-	as.flushTLB()
-}
-
 // SharedResidentPages reports how many resident pages are still
-// copy-on-write shares (adopted by InstallPages or marked by SharePages,
+// copy-on-write shares (adopted by InstallPages or kept by MappedPages,
 // not yet written).
 func (as *AddressSpace) SharedResidentPages() int { return as.shared }
 
 // CowBreaks reports how many shared pages this space has privatized on
 // first write.
 func (as *AddressSpace) CowBreaks() uint64 { return as.cowBreaks }
-
-// PageShared reports whether page idx is resident as an unbroken
-// copy-on-write share.
-func (as *AddressSpace) PageShared(idx uint64) bool {
-	s := as.slot(idx)
-	return s != nil && *s != nil && (*s).shared
-}
 
 // ResidentBytes returns the number of bytes in populated pages.
 func (as *AddressSpace) ResidentBytes() uint64 { return uint64(as.resident) * PageSize }

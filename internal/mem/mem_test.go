@@ -211,7 +211,7 @@ func TestFillPageFromFaultHandler(t *testing.T) {
 			t.Errorf("page 0x%x: word 1 = %x (%v), want %x", idx, v, err, want)
 		}
 	}
-	if data, _ := as.PageData(0x11); &data[0] != &frames[0x11][0] || as.PageShared(0x11) {
+	if data, _ := as.PageData(0x11); &data[0] != &frames[0x11][0] || as.SharedResidentPages() != 0 {
 		t.Error("a filled page is not its frame, private")
 	}
 	if got := as.ResidentBytes() / mem.PageSize; got != 4 {
@@ -219,18 +219,8 @@ func TestFillPageFromFaultHandler(t *testing.T) {
 	}
 }
 
-func TestDropAndInstallPage(t *testing.T) {
+func TestInstallPage(t *testing.T) {
 	as := mapped(t)
-	if err := as.WriteU64(0x14000, 42); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(as.PopulatedPages()); got != 1 {
-		t.Fatalf("populated = %d", got)
-	}
-	as.DropPage(0x14)
-	if got := len(as.PopulatedPages()); got != 0 {
-		t.Fatalf("after drop populated = %d", got)
-	}
 	data := make([]byte, mem.PageSize)
 	data[8] = 9
 	as.InstallPage(0x15, data)

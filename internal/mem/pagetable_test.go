@@ -22,12 +22,12 @@ type modelFrame struct {
 
 // TestAddressSpaceMatchesModel runs seeded random sequences of Map,
 // growing and shrinking Resize, InstallPage and InstallPages (also at
-// indices outside every VMA, which keep no page), DropPage, SharePages, share-breaking
-// WriteU64 and WriteBytes, and loads that fault pages in through a
-// handler, against a map of modelFrame keyed by page index. After every
-// step PopulatedPages must list the model's indices in order, PageData
-// return the model's frame, PageShared its share bit, and
-// SharedResidentPages, ResidentBytes and CowBreaks the model's counts.
+// indices outside every VMA, which keep no page), MappedPages keeping
+// some frames, share-breaking WriteU64 and WriteBytes, and loads that
+// fault pages in through a handler, against a map of modelFrame keyed by
+// page index. After every step MappedPages must walk the model's indices
+// in order, PageData return the model's frame, and SharedResidentPages,
+// ResidentBytes and CowBreaks the model's counts.
 func TestAddressSpaceMatchesModel(t *testing.T) {
 	const lo, hi = 8, 88 // page indices the steps pick from
 	for seed := int64(1); seed <= 24; seed++ {
@@ -127,19 +127,12 @@ func TestAddressSpaceMatchesModel(t *testing.T) {
 					}
 				}
 				as.InstallPages(idxs, func(i int) []byte { return buf[i*mem.PageSize : (i+1)*mem.PageSize] })
-			case op < 36:
-				as.DropPage(idx)
-				delete(model, idx)
 			case op < 42: // share some resident pages, as a dump does
-				var idxs []uint64
-				for i, m := range model {
-					if rng.Intn(2) == 0 {
-						idxs = append(idxs, i)
-						m.shared = true
-					}
-				}
-				slices.Sort(idxs)
-				as.SharePages(idxs)
+				as.MappedPages(func(_ mem.VMA, i uint64, _ []byte) bool {
+					keep := rng.Intn(2) == 0
+					model[i].shared = model[i].shared || keep
+					return keep
+				})
 			case op < 70: // word store, sometimes across a page boundary
 				off := uint64(rng.Intn(mem.PageSize/8)) * 8
 				if rng.Intn(6) == 0 {
@@ -203,8 +196,10 @@ func checkModel(t *testing.T, where string, as *mem.AddressSpace, model map[uint
 		}
 	}
 	slices.Sort(want)
-	if got := as.PopulatedPages(); !slices.Equal(got, want) {
-		t.Fatalf("%s: PopulatedPages %v, model %v", where, got, want)
+	var got []uint64
+	as.MappedPages(func(_ mem.VMA, idx uint64, _ []byte) bool { got = append(got, idx); return false })
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: MappedPages walks %v, model %v", where, got, want)
 	}
 	for _, idx := range want {
 		m := model[idx]
@@ -220,9 +215,6 @@ func checkModel(t *testing.T, where string, as *mem.AddressSpace, model map[uint
 		case &data[0] != m.frame:
 			t.Fatalf("%s: page %d moved to another frame", where, idx)
 		}
-		if got := as.PageShared(idx); got != m.shared {
-			t.Fatalf("%s: PageShared(%d) = %v, model %v", where, idx, got, m.shared)
-		}
 	}
 	if got := as.SharedResidentPages(); got != shared {
 		t.Fatalf("%s: SharedResidentPages = %d, model %d", where, got, shared)
@@ -236,9 +228,9 @@ func checkModel(t *testing.T, where string, as *mem.AddressSpace, model map[uint
 }
 
 // TestMappedPagesWalk: the dump's walk yields every resident page in
-// address order with its area and frame, as
-// PopulatedPages, FindVMA and PageData name them, and the frames it keeps
-// become copy-on-write shares while the rest stay as they were.
+// address order with its area and frame, as FindVMA and PageData name
+// them, and the frames it keeps become copy-on-write shares while the
+// rest stay as they were.
 func TestMappedPagesWalk(t *testing.T) {
 	as := mem.NewAddressSpace()
 	for _, v := range []mem.VMA{{Start: 0x30000, End: 0x34000, Kind: mem.VMAHeap}, {Start: 0x10000, End: 0x14000, Kind: mem.VMAData}} {
@@ -263,11 +255,6 @@ func TestMappedPagesWalk(t *testing.T) {
 	})
 	if want := []uint64{0x11, 0x12, 0x13, 0x30, 0x33}; !slices.Equal(walked, want) {
 		t.Fatalf("walked %#x, want the mapped resident pages %#x", walked, want)
-	}
-	for _, idx := range as.PopulatedPages() {
-		if want := idx == 0x11 || idx == 0x12 || idx == 0x13 || idx == 0x33; as.PageShared(idx) != want {
-			t.Errorf("page %#x shared %v after the walk, want %v", idx, !want, want)
-		}
 	}
 	if got := as.SharedResidentPages(); got != 4 {
 		t.Errorf("SharedResidentPages = %d, want 4", got)

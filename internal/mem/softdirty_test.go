@@ -16,6 +16,17 @@ func dirtySpace(t *testing.T) *mem.AddressSpace {
 	return as
 }
 
+// dirtyPages lists the pages among the n from page first that Dirty
+// reports.
+func dirtyPages(as *mem.AddressSpace, first, n uint64) (out []uint64) {
+	for idx := first; idx < first+n; idx++ {
+		if as.Dirty(idx) {
+			out = append(out, idx)
+		}
+	}
+	return out
+}
+
 func TestSoftDirtyTracksStores(t *testing.T) {
 	as := dirtySpace(t)
 	if as.DirtyTracking() {
@@ -25,10 +36,10 @@ func TestSoftDirtyTracksStores(t *testing.T) {
 	if err := as.WriteU64(0x10000, 1); err != nil {
 		t.Fatal(err)
 	}
-	as.StartDirtyTracking()
-	if got := as.CollectDirty(); len(got) != 0 {
-		t.Fatalf("dirty set not cleared at start: %v", got)
+	if got := dirtyPages(as, 0x10, 16); len(got) != 0 {
+		t.Fatalf("untracked store marked %v", got)
 	}
+	as.StartDirtyTracking()
 	// A word store, a cross-page byte store, and an InstallPage all mark.
 	if err := as.WriteU64(0x11008, 7); err != nil {
 		t.Fatal(err)
@@ -38,64 +49,26 @@ func TestSoftDirtyTracksStores(t *testing.T) {
 	}
 	as.InstallPage(0x14000/mem.PageSize, []byte{1})
 	want := []uint64{0x11000 / mem.PageSize, 0x12000 / mem.PageSize, 0x13000 / mem.PageSize, 0x14000 / mem.PageSize}
-	if got := as.CollectDirty(); !reflect.DeepEqual(got, want) {
-		t.Errorf("CollectDirty = %v, want %v", got, want)
+	if got := dirtyPages(as, 0x10, 16); !reflect.DeepEqual(got, want) {
+		t.Errorf("dirty pages = %v, want %v", got, want)
 	}
-	// CollectDirty is non-destructive; ClearSoftDirty resets.
-	if got := as.CollectDirty(); len(got) != 4 {
-		t.Errorf("second collect lost entries: %v", got)
-	}
-	as.ClearSoftDirty()
-	if got := as.CollectDirty(); len(got) != 0 {
-		t.Errorf("dirty set survives clear: %v", got)
+	// Restarting tracking resets the set.
+	as.StartDirtyTracking()
+	if got := dirtyPages(as, 0x10, 16); len(got) != 0 {
+		t.Errorf("dirty set survives a restart: %v", got)
 	}
 	// Reads never dirty.
 	if _, err := as.ReadU64(0x11008); err != nil {
 		t.Fatal(err)
 	}
-	if got := as.CollectDirty(); len(got) != 0 {
+	if got := dirtyPages(as, 0x10, 16); len(got) != 0 {
 		t.Errorf("read marked pages dirty: %v", got)
 	}
 	as.StopDirtyTracking()
 	if err := as.WriteU64(0x10000, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := as.CollectDirty(); len(got) != 0 {
+	if got := dirtyPages(as, 0x10, 16); len(got) != 0 {
 		t.Errorf("stores tracked after stop: %v", got)
 	}
-}
-
-// TestDirtyAgreesWithCollectDirty: the per-page query criu.Dump asks is
-// the membership test of the collected set, tracking on or off.
-func TestDirtyAgreesWithCollectDirty(t *testing.T) {
-	as := dirtySpace(t)
-	check := func(step string) {
-		t.Helper()
-		in := map[uint64]bool{}
-		for _, idx := range as.CollectDirty() {
-			in[idx] = true
-		}
-		for idx := uint64(0x10000 / mem.PageSize); idx < 0x21000/mem.PageSize; idx++ {
-			if as.Dirty(idx) != in[idx] {
-				t.Errorf("%s: Dirty(%#x) = %v, CollectDirty has it: %v", step, idx, as.Dirty(idx), in[idx])
-			}
-		}
-	}
-	if err := as.WriteU64(0x10000, 1); err != nil {
-		t.Fatal(err)
-	}
-	check("untracked store")
-	as.StartDirtyTracking()
-	if err := as.WriteU64(0x11008, 7); err != nil {
-		t.Fatal(err)
-	}
-	as.InstallPage(0x20000/mem.PageSize, nil) // outside the VMA
-	if err := as.Resize(0x10000, 0x1e000); err != nil {
-		t.Fatal(err)
-	}
-	check("tracked stores and a shrink")
-	as.ClearSoftDirty()
-	check("cleared")
-	as.StopDirtyTracking()
-	check("stopped")
 }

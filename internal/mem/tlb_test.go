@@ -85,26 +85,6 @@ func TestTLBFlushPoints(t *testing.T) {
 				t.Errorf("store to the shrunk-away page: %v", err)
 			}
 		},
-		"DropPage": func(t *testing.T, as *mem.AddressSpace) {
-			calls := 0
-			as.SetFaultHandler(func(pageAddr uint64, frame *[mem.PageSize]byte) error {
-				calls++
-				copy(frame[:], pageOf(0x5C))
-				return nil
-			})
-			prime(t, as)
-			as.DropPage(tlbIdx)
-			if v := readWord(t, as, tlbPage+8); v != 0x5C5C5C5C5C5C5C5C || calls != 1 {
-				t.Errorf("load after the drop = %#x with %d handler calls, want the handler's page and 1", v, calls)
-			}
-			as.DropPage(tlbIdx)
-			if err := as.WriteU64(tlbPage+16, 7); err != nil {
-				t.Fatal(err)
-			}
-			if v := readWord(t, as, tlbPage+8); v != 0x5C5C5C5C5C5C5C5C || calls != 2 {
-				t.Errorf("store after the drop landed in a frame the handler did not fill (%#x, %d calls)", v, calls)
-			}
-		},
 		"InstallPage": func(t *testing.T, as *mem.AddressSpace) {
 			as.InstallPage(tlbIdx, pageOf(0x11))
 			checkReplaced(t, as, 0x11)
@@ -124,7 +104,7 @@ func TestTLBFlushPoints(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if as.CowBreaks() != 1 || as.PageShared(tlbIdx) {
+			if as.CowBreaks() != 1 || as.SharedResidentPages() != 0 {
 				t.Errorf("three stores broke the share %d times, want exactly once", as.CowBreaks())
 			}
 			if !bytes.Equal(shared, pageOf(0x33)) {
@@ -169,11 +149,11 @@ func TestTLBFlushPoints(t *testing.T) {
 				t.Errorf("shared bytes written or %d breaks", as.CowBreaks())
 			}
 		},
-		"SharePages": func(t *testing.T, as *mem.AddressSpace) {
+		"MappedPages keep": func(t *testing.T, as *mem.AddressSpace) {
 			// The write entry still points at the frame; a store through it
 			// would reach the snapshot.
 			snap, _ := as.PageData(tlbIdx)
-			as.SharePages([]uint64{tlbIdx})
+			as.MappedPages(func(_ mem.VMA, idx uint64, _ []byte) bool { return idx == tlbIdx })
 			if err := as.WriteU64(tlbPage+8, 0x77); err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +163,7 @@ func TestTLBFlushPoints(t *testing.T) {
 			if v := readWord(t, as, tlbPage+8); v != 0x77 {
 				t.Errorf("load after the break = %#x, want the stored 0x77", v)
 			}
-			if as.CowBreaks() != 1 || as.PageShared(tlbIdx) || as.SharedResidentPages() != 0 {
+			if as.CowBreaks() != 1 || as.SharedResidentPages() != 0 {
 				t.Errorf("%d breaks, %d shares left; want one break, none left", as.CowBreaks(), as.SharedResidentPages())
 			}
 		},
@@ -220,10 +200,10 @@ func TestTLBFlushPoints(t *testing.T) {
 			as.StartDirtyTracking()
 			checkStoreMarks(t, as)
 		},
-		"ClearSoftDirty": func(t *testing.T, as *mem.AddressSpace) {
+		"restart tracking": func(t *testing.T, as *mem.AddressSpace) {
 			as.StartDirtyTracking()
 			prime(t, as)
-			as.ClearSoftDirty()
+			as.StartDirtyTracking()
 			checkStoreMarks(t, as)
 		},
 	}
@@ -264,30 +244,30 @@ func checkReplaced(t *testing.T, as *mem.AddressSpace, b byte) {
 }
 
 // checkStoreMarks: with tracking on and the set empty, a store to the
-// primed page must show up in CollectDirty.
+// primed page must mark it dirty.
 func checkStoreMarks(t *testing.T, as *mem.AddressSpace) {
 	t.Helper()
-	if got := as.CollectDirty(); len(got) != 0 {
-		t.Fatalf("dirty set not empty: %v", got)
+	if as.Dirty(tlbIdx) {
+		t.Fatal("primed page dirty before the store")
 	}
 	if err := as.WriteU64(tlbPage+8, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := as.CollectDirty(); !slices.Equal(got, []uint64{tlbIdx}) {
-		t.Errorf("dirty set after a store = %v, want [%d]", got, tlbIdx)
+	if !as.Dirty(tlbIdx) {
+		t.Errorf("page %d not dirty after a store", tlbIdx)
 	}
 }
 
 // TestSoftDirtyMatchesNaiveModel drives random sequences of stores, loads,
-// tracking switches, soft-dirty clears, page installs, adoptions, dumps,
-// resizes and drops, and compares CollectDirty after every step with a set
+// tracking switches, page installs, adoptions, dumps and resizes, and
+// compares the pages Dirty reports after every step with a set
 // the test keeps by the obvious rule: while tracking is on, anything that
 // writes or unmaps a page adds it. The write TLB skips markDirty on a hit; this is
 // the test that it only does so when the mark is already there. A dump
 // keeps every resident page's frame and shares it, as criu.Dump does, and
 // the last few dumps' pages and adopted buffers must keep their
 // bytes through everything after: stores that hit, miss or straddle,
-// WriteBytes, installs, shares, drops and resizes.
+// WriteBytes, installs, shares and resizes.
 func TestSoftDirtyMatchesNaiveModel(t *testing.T) {
 	const pages = 24
 	first := tlbBase / mem.PageSize
@@ -358,11 +338,6 @@ func TestSoftDirtyMatchesNaiveModel(t *testing.T) {
 				if err == nil {
 					mark(idx)
 				}
-			case op < 69:
-				as.ClearSoftDirty()
-				if tracking {
-					model = map[uint64]bool{}
-				}
 			case op < 72:
 				as.StartDirtyTracking()
 				tracking, model = true, map[uint64]bool{}
@@ -387,17 +362,12 @@ func TestSoftDirtyMatchesNaiveModel(t *testing.T) {
 					adopted = adopted[1:]
 				}
 			case op < 90: // dump
-				resident := as.PopulatedPages()
-				dump := make(map[uint64]kept, len(resident))
-				for _, i := range resident {
-					pg, _ := as.PageData(i)
-					dump[i] = kept{pg, bytes.Clone(pg)}
-				}
-				as.SharePages(resident)
+				dump := make(map[uint64]kept)
+				as.MappedPages(func(_ mem.VMA, i uint64, pg []byte) bool { dump[i] = kept{pg, bytes.Clone(pg)}; return true })
 				if dumps = append(dumps, dump); len(dumps) > 4 {
 					dumps = dumps[1:]
 				}
-			case op < 95: // sbrk, either way; a shrink marks what it unmaps
+			default: // sbrk, either way; a shrink marks what it unmaps
 				newEnd := first + 1 + uint64(rng.Intn(pages))
 				if err := as.Resize(tlbBase, newEnd*mem.PageSize); err != nil {
 					t.Fatal(err)
@@ -406,8 +376,6 @@ func TestSoftDirtyMatchesNaiveModel(t *testing.T) {
 					mark(i)
 				}
 				end = newEnd
-			default:
-				as.DropPage(idx)
 			}
 			// Only the pages a step names can be written by it.
 			unchanged(step, idx, idx+1)
@@ -416,7 +384,7 @@ func TestSoftDirtyMatchesNaiveModel(t *testing.T) {
 				want = append(want, idx)
 			}
 			slices.Sort(want)
-			if got := as.CollectDirty(); !slices.Equal(got, want) {
+			if got := dirtyPages(as, first, pages); !slices.Equal(got, want) {
 				t.Fatalf("seed %d step %d: dirty set %v, model %v", seed, step, got, want)
 			}
 		}

@@ -56,9 +56,6 @@ func (m *Monitor) WithObs(reg *obs.Registry) *Monitor {
 	return m
 }
 
-// Tracer exposes the underlying tracer (for tests and tooling).
-func (m *Monitor) Tracer() *kernel.Tracer { return m.tr }
-
 // ErrNotQuiescing is returned when threads fail to reach equivalence
 // points within the pass budget (e.g. a loop with no function calls).
 var ErrNotQuiescing = errors.New("monitor: threads did not reach equivalence points")

@@ -62,9 +62,6 @@ type Registry struct {
 	dropped  uint64
 }
 
-// Enabled reports whether the registry records anything.
-func (r *Registry) Enabled() bool { return r != nil }
-
 // Counter returns the named counter, creating it on first use. Callers on
 // hot paths should resolve once and keep the pointer. Returns nil (a
 // no-op counter) on the disabled registry.

@@ -84,15 +84,6 @@ func (rep *Report) Span(name string) (SpanEvent, bool) {
 	return SpanEvent{}, false
 }
 
-// SpanDur returns the duration of the first span with the given name, or
-// 0 if absent.
-func (rep *Report) SpanDur(name string) time.Duration {
-	if ev, ok := rep.Span(name); ok {
-		return ev.Dur()
-	}
-	return 0
-}
-
 // Child returns the first finished child of span parent with the given
 // name. Names repeat across trees (the modeled "migration" tree and the
 // host "migrate.host" tree both have a "downtime"), so a lookup that must

@@ -81,41 +81,6 @@ type DiffReport struct {
 	Globals []Violation
 }
 
-// Func returns the diff for one function, or nil.
-func (d *DiffReport) Func(name string) *FuncDiff {
-	for i := range d.Funcs {
-		if d.Funcs[i].Name == name {
-			return &d.Funcs[i]
-		}
-	}
-	return nil
-}
-
-// Blocking returns the diffs classified blocking.
-func (d *DiffReport) Blocking() []*FuncDiff {
-	var out []*FuncDiff
-	for i := range d.Funcs {
-		if d.Funcs[i].Class == ClassBlocking {
-			out = append(out, &d.Funcs[i])
-		}
-	}
-	return out
-}
-
-// Err returns nil when the update can be applied at all — no blocking
-// function and an unchanged global layout — and an error naming every
-// violated invariant otherwise.
-func (d *DiffReport) Err() error {
-	r := &Report{}
-	for i := range d.Funcs {
-		if d.Funcs[i].Class == ClassBlocking {
-			r.Violations = append(r.Violations, d.Funcs[i].Violations...)
-		}
-	}
-	r.Violations = append(r.Violations, d.Globals...)
-	return r.Err()
-}
-
 // Diff classifies every function of the old binary against the new one.
 // Only metadata and symbols are consulted (Text and Arch may be zero):
 // the state contract lives entirely in the stack maps.

@@ -1,6 +1,7 @@
 package updatecheck_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -180,13 +181,11 @@ func TestDiffStateCompatiblePatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := updatecheck.Diff(toBin(p1.X86), toBin(p2.X86))
-	if err := d.Err(); err != nil {
-		t.Fatalf("state-compatible patch rejected: %v", err)
-	}
-	fd := d.Func("work")
-	if fd == nil {
+	i := slices.IndexFunc(d.Funcs, func(f updatecheck.FuncDiff) bool { return f.Name == "work" })
+	if i < 0 {
 		t.Fatal("no diff for work")
 	}
+	fd := &d.Funcs[i]
 	if fd.Class == updatecheck.ClassBlocking {
 		t.Fatalf("work classifies blocking: %v", fd.Violations)
 	}
@@ -211,10 +210,11 @@ func TestDiffArityChangeBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := updatecheck.Diff(toBin(p1.X86), toBin(p2.X86))
-	fd := d.Func("work")
-	if fd == nil {
+	i := slices.IndexFunc(d.Funcs, func(f updatecheck.FuncDiff) bool { return f.Name == "work" })
+	if i < 0 {
 		t.Fatal("no diff for work")
 	}
+	fd := &d.Funcs[i]
 	if fd.Class != updatecheck.ClassBlocking {
 		t.Fatalf("arity-changing patch classifies %v, want blocking", fd.Class)
 	}

@@ -101,7 +101,7 @@ func loopProgram(tb testing.TB, arch isa.Arch, body func(*asm.Fragment, isa.Arch
 	abi := isa.ABIFor(arch)
 	r := &isa.RegFile{PC: isa.TextBase}
 	r.R[abi.SP] = isa.StackTop - 64
-	return vm.New(abi, f.Coder(), as), r
+	return vm.New(abi, coders()[arch], as), r
 }
 
 // perIter counts the guest instructions and cycles of one loop iteration

@@ -41,7 +41,7 @@ func buildMachine(t *testing.T, arch isa.Arch, f *asm.Fragment) (*vm.Machine, *i
 		t.Fatal(err)
 	}
 	abi := isa.ABIFor(arch)
-	m := vm.New(abi, f.Coder(), as)
+	m := vm.New(abi, coders()[arch], as)
 	r := &isa.RegFile{PC: isa.TextBase, TLS: abi.TLSRegValue(isa.TLSBase)}
 	r.R[abi.SP] = isa.StackTop
 	return m, r
@@ -377,7 +377,7 @@ func fourThreads(tb testing.TB, arch isa.Arch) (*kernel.Kernel, *kernel.Process)
 	}
 	k := kernel.New(kernel.Config{Cores: 4})
 	p, err := k.StartProcess(kernel.LoadSpec{
-		Arch: arch, Coder: f.Coder(), Text: code, Data: make([]byte, 1024),
+		Arch: arch, Coder: coders()[arch], Text: code, Data: make([]byte, 1024),
 		Entry: isa.TextBase, ThreadExit: labels[threadExit], ExePath: "/bin/step4-" + arch.String(),
 	})
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
+	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/workloads"
 )
 
@@ -110,13 +111,13 @@ func runGolden(t *testing.T, w workloads.Workload, arch isa.Arch) (guestGolden, 
 	g.Syscalls = p.Syscalls
 	h := sha256.New()
 	var word [8]byte
-	for _, idx := range p.AS.PopulatedPages() {
-		data, _ := p.AS.PageData(idx)
+	p.AS.MappedPages(func(_ mem.VMA, idx uint64, data []byte) bool {
 		binary.LittleEndian.PutUint64(word[:], idx)
 		h.Write(word[:])
 		h.Write(data)
 		g.Pages++
-	}
+		return false
+	})
 	g.Memory = hex.EncodeToString(h.Sum(nil))
 	return g, p
 }

@@ -15,7 +15,10 @@ import (
 // bit-identical console output versus the native run — the repository's
 // headline invariant exercised on the actual evaluation programs.
 func TestMigrateWorkloadsMidRun(t *testing.T) {
-	for _, w := range workloads.Batches() {
+	for _, w := range workloads.All() {
+		if w.Kind != workloads.Batch {
+			continue
+		}
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()

@@ -13,7 +13,10 @@ import (
 // after an iterative pre-copy migration must be byte-identical to the
 // uninterrupted native run.
 func TestPreCopyMigrateBatches(t *testing.T) {
-	for _, w := range workloads.Batches() {
+	for _, w := range workloads.All() {
+		if w.Kind != workloads.Batch {
+			continue
+		}
 		for _, frac := range []uint64{3, 6} { // tenths of the native run
 			w, frac := w, frac
 			t.Run(w.Name+"-0."+string('0'+rune(frac)), func(t *testing.T) {

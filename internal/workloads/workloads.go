@@ -77,17 +77,6 @@ func All() []Workload {
 	return out
 }
 
-// Batches returns the run-to-completion workloads.
-func Batches() []Workload {
-	var out []Workload
-	for _, w := range registry {
-		if w.Kind == Batch {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // Get finds a workload by name.
 func Get(name string) (Workload, error) {
 	for _, w := range registry {
