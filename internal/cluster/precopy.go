@@ -9,6 +9,7 @@ import (
 	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
+	"github.com/dapper-sim/dapper/internal/monitor"
 )
 
 // Pre-copy migration: the third restoration mode next to vanilla and
@@ -76,6 +77,7 @@ func (m *migration) preCopy() (*MigrationResult, error) {
 	bd := &m.bd
 
 	var parent *criu.ImageDir // source-side previous dump
+	var parked uint64         // the guest cycle the last pause parked the source at
 	prevPages := -1
 	idle := false
 	for round := 0; ; round++ {
@@ -86,9 +88,13 @@ func (m *migration) preCopy() (*MigrationResult, error) {
 			dopts.DeltaBase = m.base
 		}
 		dir, err := m.checkpoint(dopts)
+		if round > 0 && errors.Is(err, monitor.ErrExited) {
+			return nil, exitedBefore(round-1, parked)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("pre-copy round %d: %w", round, err)
 		}
+		parked = m.p.VCycles
 		dataPages := criu.DumpedPages(dir)
 
 		// Convergence: the first round always pre-copies; afterwards stop
@@ -130,7 +136,7 @@ func (m *migration) preCopy() (*MigrationResult, error) {
 		m.at = m.host
 		if err := m.stage("vm.between_rounds", func() (err error) {
 			breaks := m.p.AS.CowBreaks() // the dumps' snapshots, paid for here
-			idle, err = m.runBetweenRounds(&pc, round)
+			idle, err = m.runBetweenRounds(&pc, round, parked)
 			m.opts.Obs.Counter("precopy.cow_breaks").Add(m.p.AS.CowBreaks() - breaks)
 			return err
 		}); err != nil {
@@ -195,11 +201,19 @@ func (m *migration) shipRound(dir *criu.ImageDir, another bool) (wire uint64, er
 	return wire, m.stage("imgcheck.verify", func() error { return m.chain.Push(image.Open(got)) })
 }
 
-// runBetweenRounds lets the resumed source run its between-round budget
-// and reports whether it blocked with its input drained and nobody
-// feeding it — nothing left to dirty, so the next round is the last.
-func (m *migration) runBetweenRounds(pc *PreCopyOpts, round int) (idle bool, err error) {
-	parked := m.p.VCycles // where this round's pause left the source
+// exitedBefore refuses a pre-copy whose source, parked at guest cycle parked
+// by round's pause, reached exit before the next round's pause parked it.
+func exitedBefore(round int, parked uint64) error {
+	return fmt.Errorf("pre-copy: round %d paused the source at guest cycle %d, and the program reached exit before round %d "+
+		"(a pause waits for the next equivalence point, a call; a program whose loops make none has its next one near its end)",
+		round, parked, round+1)
+}
+
+// runBetweenRounds lets the resumed source, parked at guest cycle parked,
+// run its between-round budget and reports whether it blocked with its
+// input drained and nobody feeding it — nothing left to dirty, so the next
+// round is the last.
+func (m *migration) runBetweenRounds(pc *PreCopyOpts, round int, parked uint64) (idle bool, err error) {
 	if pc.BetweenRounds != nil {
 		pc.BetweenRounds(m.p, round)
 	}
@@ -216,11 +230,7 @@ func (m *migration) runBetweenRounds(pc *PreCopyOpts, round int) (idle bool, err
 			return false, fmt.Errorf("pre-copy run (round %d): %w", round, err)
 		}
 		if !alive {
-			// A pause runs on to the next equivalence point, a call: in a
-			// program whose loops make none, that can be the end of the run.
-			return false, fmt.Errorf("pre-copy: round %d paused the source at guest cycle %d, and the program reached exit before round %d "+
-				"(a pause waits for the next equivalence point, a call; a program whose loops make none has its next one near its end)",
-				round, parked, round+1)
+			return false, exitedBefore(round, parked)
 		}
 		if !pc.RunUntilIdle {
 			break

@@ -32,33 +32,39 @@ type Rerandomizer struct {
 // rerandomizeMaxPauses bounds each epoch's wait for quiescence.
 const rerandomizeMaxPauses = 1 << 22
 
-// Step performs one re-randomization epoch on p, returning the restored
-// process (the old process object is dead afterwards).
+// Step performs one re-randomization epoch on p and returns the restored
+// process, reaping p once it is restored. A Step that fails after its
+// pause leaves p paused, and its error says so.
 func (r *Rerandomizer) Step(p *kernel.Process) (*kernel.Process, error) {
 	mon := monitor.New(r.K, p, r.Meta)
 	if err := mon.Pause(rerandomizeMaxPauses); err != nil {
 		return nil, fmt.Errorf("core: rerandomize epoch %d: %w", r.Epochs, err)
 	}
+	paused := func(err error) error {
+		return fmt.Errorf("core: rerandomize epoch %d: %w (the source is left paused)", r.Epochs, err)
+	}
 	dir, err := criu.Dump(p, criu.DumpOpts{})
 	if err != nil {
-		return nil, fmt.Errorf("core: rerandomize epoch %d: %w", r.Epochs, err)
+		return nil, paused(err)
 	}
 	r.Seed++
 	var report ShuffleReport
 	pol := StackShufflePolicy{Seed: r.Seed, Report: &report}
 	if err := pol.Rewrite(dir, &Context{Binaries: r.Binaries}); err != nil {
-		return nil, fmt.Errorf("core: rerandomize epoch %d: %w", r.Epochs, err)
+		return nil, paused(err)
 	}
 	np, err := criu.Restore(r.K, dir, r.Binaries)
 	if err != nil {
-		return nil, fmt.Errorf("core: rerandomize epoch %d: %w", r.Epochs, err)
+		return nil, paused(err)
 	}
 	// The process now runs the freshly instrumented binary; subsequent
 	// epochs must unwind with ITS metadata.
 	bin, err := r.Binaries.Open(np.ExePath)
 	if err != nil {
-		return nil, err
+		r.K.Reap(np)
+		return nil, paused(err)
 	}
+	r.K.Reap(p)
 	r.Meta = bin.Meta
 	r.Epochs++
 	r.LastBits = report.AvgBitsApp

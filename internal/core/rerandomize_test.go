@@ -1,9 +1,11 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/core"
+	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/stackmap"
@@ -44,6 +46,10 @@ func TestPeriodicRerandomization(t *testing.T) {
 				t.Fatalf("%v: %v", arch, err)
 			}
 			layouts = append(layouts, layoutSignature(rr.Meta, arch))
+			// Each epoch reaps the process it restored from.
+			if live := k.Live(); live != 1 {
+				t.Fatalf("%v: %d processes live after epoch %d, want 1", arch, live, e)
+			}
 		}
 		if err := k.Run(p); err != nil {
 			t.Fatalf("%v: final run: %v", arch, err)
@@ -66,6 +72,35 @@ func TestPeriodicRerandomization(t *testing.T) {
 				t.Errorf("%v: epoch %d layout identical to epoch %d", arch, i, i-1)
 			}
 		}
+	}
+}
+
+// TestRerandomizeFailureLeavesSourcePaused: an epoch that fails after its
+// pause — here the shuffle, which finds no binary to instrument — returns
+// an error that says the source is left paused, and leaves it so: live,
+// stopped, and the only process.
+func TestRerandomizeFailureLeavesSourcePaused(t *testing.T) {
+	w := buildWorld(t, "rerand", shuffleSrc)
+	_, cycles := w.runNative(t, isa.SX86, 1)
+	k := kernel.New(kernel.Config{})
+	path := compilerPath(w, isa.SX86)
+	bin, err := w.provider.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := k.StartProcess(bin.LoadSpec(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alive, err := k.RunBudget(p, cycles/8); err != nil || !alive {
+		t.Fatalf("run to the epoch: alive %v, err %v", alive, err)
+	}
+	rr := &core.Rerandomizer{K: k, Binaries: criu.MapProvider{}, Meta: bin.Meta, Seed: 1000}
+	if _, err := rr.Step(p); err == nil || !strings.Contains(err.Error(), "the source is left paused") {
+		t.Fatalf("epoch with no binaries: err %v, want it to say the source is left paused", err)
+	}
+	if !p.Stopped || p.Exited || k.Live() != 1 || rr.Epochs != 0 {
+		t.Fatalf("after the failed epoch: stopped %v, exited %v, %d live, %d epochs; want the source alone, paused", p.Stopped, p.Exited, k.Live(), rr.Epochs)
 	}
 }
 

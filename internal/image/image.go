@@ -659,16 +659,20 @@ func (ps *PageSet) InstallPage(addr uint64, data []byte) {
 }
 
 // XorPages returns a ⊕ b over min(len(a), len(b)) bytes into a fresh
-// page-sized buffer — the delta encoder (page content vs parent content)
-// and its inverse are the same operation.
+// page-sized buffer, the rest of a after them — the delta encoder (page
+// content vs parent content) and its inverse are the same operation. It
+// works a 64-bit word at a time.
 func XorPages(a, b []byte) []byte {
 	out := make([]byte, mem.PageSize)
-	n := copy(out, a)
-	if len(b) < n {
-		n = len(b)
+	n := min(len(a), len(b), len(out))
+	le := binary.LittleEndian
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		le.PutUint64(out[i:], le.Uint64(a[i:])^le.Uint64(b[i:]))
 	}
-	for i := 0; i < n; i++ {
-		out[i] ^= b[i]
+	for ; i < n; i++ {
+		out[i] = a[i] ^ b[i]
 	}
+	copy(out[n:], a[n:])
 	return out
 }

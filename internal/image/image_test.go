@@ -218,3 +218,30 @@ func TestImageDirConcurrentReaders(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestXorPagesMatchesBytewise holds the word-at-a-time XOR to a byte loop
+// for every length of a and b around a word's and a page's edges: a fresh
+// page, a ⊕ b over the shorter, the rest of a after it, zeros past a.
+func TestXorPagesMatchesBytewise(t *testing.T) {
+	a, b := make([]byte, mem.PageSize+9), make([]byte, mem.PageSize+9)
+	for i := range a {
+		a[i], b[i] = byte(i*7+1), byte(i*13+5)
+	}
+	lens := []int{0, 1, 7, 8, 9, 15, 16, 17, mem.PageSize - 1, mem.PageSize, mem.PageSize + 9}
+	for _, na := range lens {
+		for _, nb := range lens {
+			want := make([]byte, mem.PageSize)
+			copy(want, a[:na])
+			for i := 0; i < min(na, nb, mem.PageSize); i++ {
+				want[i] ^= b[i]
+			}
+			got := image.XorPages(a[:na], b[:nb])
+			if !bytes.Equal(got, want) {
+				t.Fatalf("len(a) %d, len(b) %d: XorPages differs from the byte loop", na, nb)
+			}
+			if &got[0] == &a[0] || &got[0] == &b[0] {
+				t.Fatalf("len(a) %d, len(b) %d: XorPages returned an argument's bytes", na, nb)
+			}
+		}
+	}
+}

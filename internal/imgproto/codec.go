@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 )
 
@@ -27,13 +28,14 @@ const (
 	// exceeds the raw payload.
 	CodecFlate
 	// CodecFlateWords is DEFLATE of the payload's byte lanes — byte j of
-	// every 64-bit word — with the lanes nobody uses left out (see
-	// deflateLanes for the layout). Guest scalars are 8 bytes wide, and a
-	// heap of small integers is mostly zero bytes but hardly any zero
-	// words: lane by lane it is slowly varying streams and lanes that are
-	// zero from end to end, where byte-wise LZ77 over the words themselves
-	// meets a literal every two or three bytes. CodecFlate.Compress picks
-	// it per payload; it is decodable but never requestable.
+	// every 64-bit word, or of every word's difference from the one before
+	// — with the lanes nobody uses left out (see deflateLanes for the
+	// layout). Guest scalars are 8 bytes wide, and a heap of small integers
+	// is mostly zero bytes but hardly any zero words: lane by lane it is
+	// slowly varying streams and lanes that are zero from end to end, where
+	// byte-wise LZ77 over the words themselves meets a literal every two or
+	// three bytes. CodecFlate.Compress picks it per payload; it is
+	// decodable but never requestable.
 	CodecFlateWords
 )
 
@@ -73,12 +75,17 @@ const flateLevel = flate.BestSpeed
 // smaller result names the form the whole payload is encoded in, and
 // when neither saves 1/trialMinSaving of the sample the payload goes out
 // raw without being deflated at all. Smaller payloads stay plain: the two
-// sample deflates cost about as much as compressing 128 KiB outright.
+// sample deflates cost about as much as compressing 128 KiB outright. A
+// sample whose chunks leave trialSparseLanes of their eight lanes all zero,
+// trialSparseChunks of them or more, names the word planes undeflated:
+// each empty lane is an eighth of a chunk the planes drop for a bit.
 const (
-	trialFloor     = 1 << 20
-	trialChunks    = 16
-	trialChunk     = 4096
-	trialMinSaving = 16
+	trialFloor        = 1 << 20
+	trialChunks       = 16
+	trialChunk        = 4096
+	trialMinSaving    = 16
+	trialSparseChunks = 12
+	trialSparseLanes  = 4
 )
 
 // laneBlock is the number of words one byte of a CodecFlateWords lane map
@@ -92,14 +99,15 @@ var zeroLane [laneBlock]byte
 
 // flateEncoder is the reusable half of a CodecFlate Compress call: the
 // compressor (about 640 KB of state a fresh flate.NewWriter allocates),
-// the scratch buffer it writes into, and the buffer a payload's byte
-// lanes are laid out in. A page stream compresses a payload per
-// fault, so all are pooled and Reset per call; only the exact-size
-// payload handed to the caller is allocated.
+// the scratch buffer it writes into, and the buffers a payload's byte
+// lanes and their maps are laid out in. A page stream compresses a
+// payload per fault, so all are pooled and Reset per call; only the
+// exact-size payload handed to the caller is allocated.
 type flateEncoder struct {
 	zw    *flate.Writer
 	buf   bytes.Buffer
 	lanes []byte
+	maps  []byte              // a CodecFlateWords payload's lane and difference maps
 	block [8 * laneBlock]byte // one lane-block of words, gathered from the parts
 }
 
@@ -165,11 +173,19 @@ func (e *flateEncoder) chooseForm(parts [][]byte, n int) (Codec, error) {
 	e.lanes = grow(e.lanes, 2*sampleLen)
 	sample, planes := e.lanes[:sampleLen], e.lanes[sampleLen:]
 	r := partReader{parts: parts}
+	sparse := 0
 	for i := 0; i < trialChunks; i++ {
 		// Chunk starts keep the payload's word phase, so the sample's
 		// planes are the payload's planes.
 		off := (n - trialChunk) / (trialChunks - 1) * i &^ 7
-		r.readAt(off, sample[i*trialChunk:][:trialChunk])
+		chunk := r.readAt(off, sample[i*trialChunk:][:trialChunk])
+		if 8-bits.OnesCount8(occupancy(wordsOr(chunk))) >= trialSparseLanes {
+			sparse++
+		}
+	}
+	// Not all: an image opens with its metadata files, never sparse.
+	if sparse >= trialSparseChunks {
+		return CodecFlateWords, nil
 	}
 	e.buf.Reset()
 	if err := e.deflate(sampleLen, sample); err != nil {
@@ -180,7 +196,11 @@ func (e *flateEncoder) chooseForm(parts [][]byte, n int) (Codec, error) {
 	// payload over the floor no block spans two planes and each plane is
 	// coded with a Huffman table of its own. Eight planes sharing the
 	// sample's one table would read up to a third larger than they go out.
-	toPlanes(planes, sample)
+	var lanes [8][]byte
+	for j := range lanes {
+		lanes[j] = planes[j*sampleLen/8:][:sampleLen/8]
+	}
+	toLanes(&lanes, sample, 0, false)
 	e.buf.Reset()
 	if err := e.deflate(sampleLen/8, planes); err != nil {
 		return 0, err
@@ -256,49 +276,86 @@ func (r *partReader) readAt(off int, dst []byte) []byte {
 // deflateLanes appends to e.buf the CodecFlateWords payload of the bytes
 // parts hold, read end to end as raw:
 //
-//	lanemap ‖ DEFLATE(occupied lane-blocks ‖ tail)
+//	lanemap ‖ deltamap ‖ DEFLATE(occupied lane-blocks ‖ tail)
 //
 // raw's len(raw)/8 whole words are cut into blocks of laneBlock words, the
-// last one possibly short. The lane map has one byte per block, outside
-// the DEFLATE stream, so its length follows from len(raw) alone; bit j of
-// it is set when byte j of any word in the block is non-zero. Only those
-// lane-blocks are in the stream, each the block's byte j of every word in
-// order, laid lane-major — all of lane 0's, then all of lane 1's — so
-// level 1's 64 KiB blocks still give each lane a Huffman table of its
-// own, and last the len(raw)%8 bytes that make up no whole word. The
-// encoding is canonical: a bit is never set over an all-zero lane-block,
-// so equal payloads encode to equal bytes. Blocks are gathered to e.block.
+// last one possibly short. The maps are outside the DEFLATE stream, so
+// their lengths follow from len(raw) alone: a byte per block, then a bit
+// per block (bit b%8 of byte b/8, zero past the last block). A block whose
+// difference bit is set stores word i − word i−1 mod 2^64 (word −1: the
+// last of the block before, or 0) in place of word i; it is set exactly
+// when that leaves strictly more lanes all zero. Bit j of the lane-map
+// byte is set when byte j of any stored word is non-zero. Only those
+// lane-blocks are in the stream, each the block's byte j of every stored
+// word in order, laid lane-major — all of lane 0's, then all of lane 1's
+// — so level 1's 64 KiB blocks still give each lane a Huffman table of
+// its own, and last the len(raw)%8 bytes that make up no whole word.
+// Every bit depends on the block's bytes and the word before it alone, so
+// equal payloads encode to equal bytes. Blocks are gathered to e.block.
 func (e *flateEncoder) deflateLanes(parts ...[]byte) error {
 	n := partsLen(parts)
 	nw := n / 8
+	nblk := (nw + laneBlock - 1) / laneBlock
 	e.lanes = grow(e.lanes, 8*nw)
+	e.maps = grow(e.maps, nblk+(nblk+7)/8)
+	clear(e.maps)
+	lanemap, deltamap := e.maps[:nblk], e.maps[nblk:]
 	r := partReader{parts: parts}
 	// Lane j's blocks collect at the front of its own nw-byte region. Each
 	// block is transposed to where every lane's next block would start, and
 	// only the lanes it turns out to occupy move past it.
 	var fill [8]int
-	for off := 0; off < nw; off += laneBlock {
+	var prev uint64 // the word before the block
+	delta := false  // the form the block before took: this one's guess
+	for b := range lanemap {
+		off := b * laneBlock
 		bw := min(laneBlock, nw-off)
 		var dst [8][]byte
 		for j := range dst {
 			dst[j] = e.lanes[j*nw+fill[j]:][:bw]
 		}
-		or := toLanes(&dst, r.readAt(8*off, e.block[:8*bw]))
-		var occupied byte
-		for j := range fill {
-			if byte(or>>(8*j)) != 0 {
-				occupied |= 1 << j
-				fill[j] += bw
-			}
+		block := r.readAt(8*off, e.block[:8*bw])
+		words, diffs := toLanes(&dst, block, prev, delta)
+		if want := bits.OnesCount8(occupancy(diffs)) < bits.OnesCount8(occupancy(words)); want != delta {
+			delta = want
+			toLanes(&dst, block, prev, delta)
 		}
-		e.buf.WriteByte(occupied)
+		if delta {
+			words = diffs
+			deltamap[b/8] |= 1 << (b % 8)
+		}
+		lanemap[b] = occupancy(words)
+		for j := range fill {
+			fill[j] += int(lanemap[b]>>j&1) * bw
+		}
+		prev = binary.LittleEndian.Uint64(block[len(block)-8:])
 	}
+	e.buf.Write(e.maps)
 	var lanes [9][]byte
 	for j := range fill {
 		lanes[j] = e.lanes[j*nw:][:fill[j]]
 	}
 	lanes[8] = r.readAt(8*nw, e.block[:n%8])
 	return e.deflate(n, lanes[:]...)
+}
+
+// occupancy is the lane-map byte of words whose OR is or: bit j is set
+// when byte j of or is non-zero.
+func occupancy(or uint64) (occupied byte) {
+	for j := 0; j < 8; j++ {
+		if byte(or>>(8*j)) != 0 {
+			occupied |= 1 << j
+		}
+	}
+	return occupied
+}
+
+// wordsOr returns the OR of src's whole little-endian 64-bit words.
+func wordsOr(src []byte) (or uint64) {
+	for ; len(src) >= 8; src = src[8:] {
+		or |= binary.LittleEndian.Uint64(src)
+	}
+	return or
 }
 
 // inflate decodes wire into dst, which it must fill exactly.
@@ -329,21 +386,26 @@ func (d *flateDecoder) inflate(dst, wire []byte) error {
 }
 
 // inflateLanes decodes a CodecFlateWords payload (see deflateLanes) of
-// rawLen raw bytes. The lane map sizes the inflate buffer — never past
-// rawLen, whatever it claims — and the stream must fill that buffer
-// exactly, as inflate checks, before the output is made. A set bit over
-// a lane-block that then inflates to zeros is data like any other: only
+// rawLen raw bytes. The maps, sized by rawLen, must be on the wire, with
+// no difference bit past the last block. The lane map then sizes the
+// inflate buffer — never past rawLen, whatever it claims — and the stream
+// must fill that buffer exactly, as inflate checks, before the output is
+// made. Set bits the encoder would not set are data like any other: only
 // the encoder is canonical. What ties rawLen to the payload is that byte
 // count, so a rawLen other than the encoder's is refused when it changes
-// the map's length or what the map adds up to — not when the words it
-// adds or drops lie in lanes the last block's map leaves empty.
+// the maps' length or what the lane map adds up to — not when the words
+// it adds or drops lie in lanes the last block's map leaves empty.
 func (d *flateDecoder) inflateLanes(wire []byte, rawLen int) ([]byte, error) {
 	nw := rawLen / 8
 	nblk := (nw + laneBlock - 1) / laneBlock
-	if len(wire) < nblk {
-		return nil, fmt.Errorf("imgproto: flate-words payload of %d bytes is shorter than the %d-byte lane map its %d raw bytes need", len(wire), nblk, rawLen)
+	hdr := nblk + (nblk+7)/8
+	if len(wire) < hdr {
+		return nil, fmt.Errorf("imgproto: flate-words payload of %d bytes is shorter than the %d-byte lane map and %d-byte difference map its %d raw bytes need", len(wire), nblk, hdr-nblk, rawLen)
 	}
-	lanemap, wire := wire[:nblk], wire[nblk:]
+	lanemap, deltamap, wire := wire[:nblk], wire[nblk:hdr], wire[hdr:]
+	if nblk%8 != 0 && deltamap[nblk/8]>>(nblk%8) != 0 {
+		return nil, fmt.Errorf("imgproto: flate-words difference map byte %08b sets a bit past the last of its %d blocks", deltamap[nblk/8], nblk)
+	}
 	var next [8]int // where lane j's next block starts; first, lane j's length
 	for b, occupied := range lanemap {
 		bw := min(laneBlock, nw-b*laneBlock)
@@ -361,7 +423,9 @@ func (d *flateDecoder) inflateLanes(wire []byte, rawLen int) ([]byte, error) {
 	}
 	raw := make([]byte, rawLen)
 	for b, occupied := range lanemap {
-		if occupied == 0 {
+		// A difference block with no lane occupied repeats the word before.
+		delta := deltamap[b/8]>>(b%8)&1 != 0
+		if occupied == 0 && !delta {
 			continue
 		}
 		off := b * laneBlock
@@ -375,7 +439,8 @@ func (d *flateDecoder) inflateLanes(wire []byte, rawLen int) ([]byte, error) {
 				src[j] = zeroLane[:bw]
 			}
 		}
-		fromLanes(raw[8*off:8*(off+bw)], &src)
+		prev := wordsOr(raw[max(8*off-8, 0) : 8*off]) // the word before, or 0
+		fromLanes(raw[8*off:8*(off+bw)], &src, prev, delta)
 	}
 	copy(raw[8*nw:], d.lanes[total:])
 	return raw, nil
@@ -388,22 +453,6 @@ func grow(buf []byte, n int) []byte {
 		return make([]byte, n)
 	}
 	return buf[:n]
-}
-
-// toPlanes transposes src, read as little-endian 64-bit words, into its
-// eight byte planes: dst holds byte 0 of every word, then byte 1 of
-// every word, and so on, and last the len(src)%8 bytes that make up no
-// whole word, unchanged. len(dst) must equal len(src). Nothing depends
-// on where the guest's words actually start within src: a payload out of
-// phase by k bytes yields the same planes in rotated order.
-func toPlanes(dst, src []byte) {
-	n := len(src) / 8
-	var planes [8][]byte
-	for j := range planes {
-		planes[j] = dst[j*n : (j+1)*n]
-	}
-	toLanes(&planes, src[:8*n])
-	copy(dst[8*n:], src[8*n:])
 }
 
 // transpose8 transposes the 8×8 byte matrix whose row k is word k, least
@@ -438,21 +487,24 @@ func swapBits(a, b uint64, shift uint, mask uint64) (uint64, uint64) {
 }
 
 // toLanes writes byte j of word i of src — little-endian 64-bit words,
-// len(src) a multiple of 8 — to lanes[j][i], eight words at a time, and
-// returns the OR of all the words: byte j of it is zero exactly when lane
-// j came out all zero.
-func toLanes(lanes *[8][]byte, src []byte) uint64 {
+// len(src) a multiple of 8 — to lanes[j][i], eight words at a time, or
+// with delta set byte j of word i − word i−1 (word −1 is prev). It returns
+// the OR of the words and the OR of the differences, whichever it wrote.
+func toLanes(lanes *[8][]byte, src []byte, prev uint64, delta bool) (words, diffs uint64) {
 	le := binary.LittleEndian
 	n := len(src) / 8
 	l0, l1, l2, l3 := lanes[0][:n], lanes[1][:n], lanes[2][:n], lanes[3][:n]
 	l4, l5, l6, l7 := lanes[4][:n], lanes[5][:n], lanes[6][:n], lanes[7][:n]
-	var or uint64
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		s := src[8*i : 8*i+64]
 		a0, a1, a2, a3 := le.Uint64(s), le.Uint64(s[8:]), le.Uint64(s[16:]), le.Uint64(s[24:])
 		a4, a5, a6, a7 := le.Uint64(s[32:]), le.Uint64(s[40:]), le.Uint64(s[48:]), le.Uint64(s[56:])
-		or |= a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7
+		d0, d1, d2, d3, d4, d5, d6, d7 := a0-prev, a1-a0, a2-a1, a3-a2, a4-a3, a5-a4, a6-a5, a7-a6
+		words, diffs, prev = words|a0|a1|a2|a3|a4|a5|a6|a7, diffs|d0|d1|d2|d3|d4|d5|d6|d7, a7
+		if delta {
+			a0, a1, a2, a3, a4, a5, a6, a7 = d0, d1, d2, d3, d4, d5, d6, d7
+		}
 		a0, a1, a2, a3, a4, a5, a6, a7 = transpose8(a0, a1, a2, a3, a4, a5, a6, a7)
 		le.PutUint64(l0[i:], a0)
 		le.PutUint64(l1[i:], a1)
@@ -465,16 +517,20 @@ func toLanes(lanes *[8][]byte, src []byte) uint64 {
 	}
 	for ; i < n; i++ {
 		w := le.Uint64(src[8*i:])
-		or |= w
+		d := w - prev
+		words, diffs, prev = words|w, diffs|d, w
+		if delta {
+			w = d
+		}
 		l0[i], l1[i], l2[i], l3[i] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
 		l4[i], l5[i], l6[i], l7[i] = byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56)
 	}
-	return or
+	return words, diffs
 }
 
 // fromLanes is toLanes' inverse: word i of dst takes its byte j from
-// lanes[j][i].
-func fromLanes(dst []byte, lanes *[8][]byte) {
+// lanes[j][i], and with delta set adds dst's word i−1 (word −1 is prev).
+func fromLanes(dst []byte, lanes *[8][]byte, prev uint64, delta bool) {
 	le := binary.LittleEndian
 	n := len(dst) / 8
 	l0, l1, l2, l3 := lanes[0][:n], lanes[1][:n], lanes[2][:n], lanes[3][:n]
@@ -484,6 +540,17 @@ func fromLanes(dst []byte, lanes *[8][]byte) {
 		a0, a1, a2, a3 := le.Uint64(l0[i:]), le.Uint64(l1[i:]), le.Uint64(l2[i:]), le.Uint64(l3[i:])
 		a4, a5, a6, a7 := le.Uint64(l4[i:]), le.Uint64(l5[i:]), le.Uint64(l6[i:]), le.Uint64(l7[i:])
 		a0, a1, a2, a3, a4, a5, a6, a7 = transpose8(a0, a1, a2, a3, a4, a5, a6, a7)
+		if delta {
+			a0 += prev
+			a1 += a0
+			a2 += a1
+			a3 += a2
+			a4 += a3
+			a5 += a4
+			a6 += a5
+			a7 += a6
+			prev = a7
+		}
 		d := dst[8*i : 8*i+64]
 		le.PutUint64(d, a0)
 		le.PutUint64(d[8:], a1)
@@ -497,6 +564,10 @@ func fromLanes(dst []byte, lanes *[8][]byte) {
 	for ; i < n; i++ {
 		w := uint64(l0[i]) | uint64(l1[i])<<8 | uint64(l2[i])<<16 | uint64(l3[i])<<24 |
 			uint64(l4[i])<<32 | uint64(l5[i])<<40 | uint64(l6[i])<<48 | uint64(l7[i])<<56
+		if delta {
+			w += prev
+			prev = w
+		}
 		le.PutUint64(dst[8*i:], w)
 	}
 }

@@ -107,14 +107,53 @@ func sparsePages(n int) []byte {
 	return raw
 }
 
+// stridePages builds n pages shaped like a key-value server's heap of
+// records: pointer-like words a constant 48 bytes apart, with a jump of
+// up to 1 MiB to a new base every 320 words. As words they occupy four
+// lanes; as differences, three, and one almost everywhere: every block
+// goes out as differences.
+func stridePages(n int) []byte {
+	raw := make([]byte, n*4096)
+	x := uint64(0x9e3779b97f4a7c15)
+	v := uint64(0x10000000)
+	for i := 0; i < len(raw)/8; i++ {
+		if i%320 == 0 {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			v += x >> 44
+		}
+		binary.LittleEndian.PutUint64(raw[8*i:], v)
+		v += 48
+	}
+	return raw
+}
+
+// planesOf splits buf into eight planes of n bytes each.
+func planesOf(buf []byte, n int) *[8][]byte {
+	var planes [8][]byte
+	for j := range planes {
+		planes[j] = buf[j*n : (j+1)*n]
+	}
+	return &planes
+}
+
+// toPlanes transposes src, read as little-endian 64-bit words, into its
+// eight byte planes with the encoder's kernel: dst holds byte 0 of every
+// word, then byte 1 of every word, and so on, and last the len(src)%8
+// bytes that make up no whole word, unchanged. Nothing depends on where
+// the guest's words start within src: a payload out of phase by k bytes
+// yields the same planes in rotated order.
+func toPlanes(dst, src []byte) {
+	n := len(src) / 8
+	toLanes(planesOf(dst, n), src[:8*n], 0, false)
+	copy(dst[8*n:], src[8*n:])
+}
+
 // fromPlanes is toPlanes' inverse, on the decoder's kernel.
 func fromPlanes(dst, src []byte) {
 	n := len(src) / 8
-	var planes [8][]byte
-	for j := range planes {
-		planes[j] = src[j*n : (j+1)*n]
-	}
-	fromLanes(dst[:8*n], &planes)
+	fromLanes(dst[:8*n], planesOf(src, n), 0, false)
 	copy(dst[8*n:], src[8*n:])
 }
 
@@ -128,6 +167,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		kvPages(300),
 		intPages(300),
 		sparsePages(300),
+		stridePages(300),
 		floatPages(300),
 		noise(trialFloor),
 	}
@@ -160,9 +200,10 @@ func TestCodecRoundTrip(t *testing.T) {
 
 // TestPlanesLayout pins the transposition the wire format names — byte k
 // of every whole word in plane k, planes in order, the len%8 tail last
-// and unchanged — then the lane map laid over it, and holds the
-// eight-words-at-a-time kernel to the byte-wise reference in both
-// directions for every length class at every word phase.
+// and unchanged — then the lane and difference maps laid over it, and
+// holds the eight-words-at-a-time kernels, words and differences, to the
+// byte-wise reference in both directions for every length class at every
+// word phase.
 func TestPlanesLayout(t *testing.T) {
 	src := []byte("A1234567B1234567C1234567xyz")
 	const want = "ABC" + "111" + "222" + "333" + "444" + "555" + "666" + "777" + "xyz"
@@ -174,7 +215,8 @@ func TestPlanesLayout(t *testing.T) {
 
 	// Three blocks: lanes 0 and 2 of the first occupied, the second all
 	// zero, the third five words long with lanes 0 and 7 occupied, and a
-	// three-byte tail.
+	// three-byte tail. Each block's differences occupy as many lanes as
+	// its words or more, so the difference map is zero.
 	raw := bytes.Repeat([]byte{0xB0, 0, 0xB2, 0, 0, 0, 0, 0}, laneBlock)
 	raw = append(raw, make([]byte, 8*laneBlock)...)
 	raw = append(raw, bytes.Repeat([]byte{0xC0, 0, 0, 0, 0, 0, 0, 0xC7}, 5)...)
@@ -190,17 +232,45 @@ func TestPlanesLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	wire := e.buf.Bytes()
-	if !bytes.Equal(wire[:3], wantMap) {
-		t.Fatalf("lane map %08b, want %08b", wire[:3], wantMap)
+	if !bytes.Equal(wire[:3], wantMap) || wire[3] != 0 {
+		t.Fatalf("lane map %08b and difference map %08b, want %08b and 0", wire[:3], wire[3], wantMap)
 	}
-	if body, err := io.ReadAll(flate.NewReader(bytes.NewReader(wire[3:]))); err != nil || !bytes.Equal(body, wantBody) {
+	if body, err := io.ReadAll(flate.NewReader(bytes.NewReader(wire[4:]))); err != nil || !bytes.Equal(body, wantBody) {
 		t.Fatalf("%d-byte body (err %v), want lane 0 of blocks 0 and 2, lane 2 of block 0, lane 7 of block 2 and the tail: %d bytes", len(body), err, len(wantBody))
 	}
-	if refMap, refBody := imgprototest.Lanes(raw, 0); !bytes.Equal(refMap, wantMap) || !bytes.Equal(refBody, wantBody) {
+	if refMap, refDelta, refBody := imgprototest.Lanes(raw, 0); !bytes.Equal(refMap, wantMap) || !bytes.Equal(refDelta, []byte{0}) || !bytes.Equal(refBody, wantBody) {
 		t.Fatal("the reference encoder disagrees with the literal layout")
 	}
 	if back, err := CodecFlateWords.Decompress(wire, len(raw)); err != nil || !bytes.Equal(back, raw) {
 		t.Fatalf("the three-block payload did not round-trip: %v", err)
+	}
+
+	// Two blocks of differences: a stride of 3 from 0 (lanes 0 and 1 as
+	// words; as differences lane 0 alone, 0 and then 3 for every word
+	// after), then the stride's last word repeated, which as differences
+	// is all zeros and maps no lane at all.
+	raw = nil
+	for i := 0; i < laneBlock; i++ {
+		raw = binary.LittleEndian.AppendUint64(raw, 3*uint64(i))
+	}
+	last := raw[len(raw)-8:]
+	for i := 0; i < 9; i++ {
+		raw = append(raw, last...)
+	}
+	wantMap, wantDelta := []byte{1 << 0, 0}, []byte{0b11}
+	wantBody = append([]byte{0}, bytes.Repeat([]byte{3}, laneBlock-1)...)
+	e.buf.Reset()
+	if err := e.deflateLanes(raw); err != nil {
+		t.Fatal(err)
+	}
+	if refMap, refDelta, refBody := imgprototest.Lanes(raw, 0); !bytes.Equal(refMap, wantMap) || !bytes.Equal(refDelta, wantDelta) || !bytes.Equal(refBody, wantBody) {
+		t.Fatalf("the reference encoder maps %08b and %08b, want %08b and %08b", refMap, refDelta, wantMap, wantDelta)
+	}
+	if got := e.buf.Bytes(); !bytes.Equal(got, imgprototest.FlateWords(raw, 0)) {
+		t.Fatalf("difference blocks: maps %08b, want %08b and %08b", got[:3], wantMap, wantDelta)
+	}
+	if back, err := CodecFlateWords.Decompress(e.buf.Bytes(), len(raw)); err != nil || !bytes.Equal(back, raw) {
+		t.Fatalf("the difference payload did not round-trip: %v", err)
 	}
 
 	buf := noise(208)
@@ -216,6 +286,24 @@ func TestPlanesLayout(t *testing.T) {
 			fromPlanes(back, planes)
 			if !bytes.Equal(back, raw) {
 				t.Fatalf("phase %d length %d: fromPlanes(toPlanes(x)) != x", phase, n)
+			}
+
+			// The difference kernels, from a word before that is not zero.
+			const prev = 0x8877665544332211
+			words := raw[:n&^7]
+			diffs := imgprototest.Diff(words, prev)
+			got := make([]byte, len(words))
+			gotWords, gotDiffs := toLanes(planesOf(got, n/8), words, prev, true)
+			if !bytes.Equal(got, imgprototest.Planes(diffs)) {
+				t.Fatalf("phase %d length %d: toLanes' differences differ from the byte-wise reference", phase, n)
+			}
+			if gotWords != wordsOr(words) || gotDiffs != wordsOr(diffs) {
+				t.Fatalf("phase %d length %d: toLanes ORs %x and %x, want %x and %x", phase, n, gotWords, gotDiffs, wordsOr(words), wordsOr(diffs))
+			}
+			back = make([]byte, len(words))
+			fromLanes(back, planesOf(got, n/8), prev, true)
+			if !bytes.Equal(back, words) {
+				t.Fatalf("phase %d length %d: fromLanes' running sum does not undo the differences", phase, n)
 			}
 		}
 	}
@@ -233,6 +321,7 @@ func TestCodecFlateChoosesForm(t *testing.T) {
 	}{
 		{"integers", intPages(512), CodecFlateWords},
 		{"integers, out of phase", intPages(512)[3:], CodecFlateWords},
+		{"pointer strides", stridePages(512), CodecFlateWords},
 		{"a quarter noise", kvPages(512), CodecFlate},
 		{"doubles", floatPages(512), CodecFlate},
 		{"noise", noise(2 * trialFloor), CodecNone},
@@ -256,6 +345,35 @@ func TestCodecFlateChoosesForm(t *testing.T) {
 	}
 	if CodecFlateWords.Requestable() || !CodecFlateWords.Valid() || !CodecFlate.Requestable() || !CodecNone.Requestable() {
 		t.Error("requestable codecs are none and flate; the word-plane form is decodable only")
+	}
+}
+
+// TestCodecTrialSkipsLaneSparse: a payload over the floor goes out as
+// word planes without a sample deflate once trialSparseChunks of its
+// sample chunks each leave trialSparseLanes of their lanes empty — and
+// with one such chunk fewer the trial runs.
+func TestCodecTrialSkipsLaneSparse(t *testing.T) {
+	const n = trialFloor
+	for _, tc := range []struct {
+		sparse int
+		skip   bool
+	}{{trialChunks, true}, {trialSparseChunks, true}, {trialSparseChunks - 1, false}} {
+		raw := noise(n)
+		for i := 0; i < tc.sparse; i++ {
+			chunk := raw[(n-trialChunk)/(trialChunks-1)*i&^7:][:trialChunk]
+			for off := 0; off < len(chunk); off += 8 {
+				clear(chunk[off+8-trialSparseLanes : off+8])
+			}
+		}
+		e := newFlateEncoder()
+		e.buf.WriteString("not deflated")
+		form, err := e.chooseForm([][]byte{raw}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if skipped := e.buf.String() == "not deflated"; skipped != tc.skip || skipped && form != CodecFlateWords {
+			t.Errorf("%d lane-sparse chunks: trial skipped %v, want %v; form %s", tc.sparse, skipped, tc.skip, form)
+		}
 	}
 }
 
@@ -304,6 +422,7 @@ func TestCodecCompressDeterministic(t *testing.T) {
 		{bytes.Repeat([]byte("state-rewriting"), 512), CodecFlate},
 		{intPages(300), CodecFlateWords},
 		{sparsePages(300), CodecFlateWords},
+		{stridePages(300), CodecFlateWords},
 		{floatPages(300), CodecFlate},
 	} {
 		a, usedA, err := CodecFlate.Compress(tc.raw)
@@ -320,9 +439,10 @@ func TestCodecCompressDeterministic(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("%s output differs between identical inputs", tc.want)
 		}
-		// Canonical: no bit of the lane map is set over an all-zero lane.
-		if lanemap, _ := imgprototest.Lanes(tc.raw, 0); tc.want == CodecFlateWords && !bytes.HasPrefix(a, lanemap) {
-			t.Fatalf("lane map %08b, want the canonical %08b", a[:len(lanemap)], lanemap)
+		// Canonical: no bit of the lane map is set over an all-zero lane,
+		// and a block is differences exactly when they empty more lanes.
+		if lanemap, deltamap, _ := imgprototest.Lanes(tc.raw, 0); tc.want == CodecFlateWords && !bytes.HasPrefix(a, append(lanemap, deltamap...)) {
+			t.Fatalf("maps %08b, want the canonical %08b and %08b", a[:len(lanemap)+len(deltamap)], lanemap, deltamap)
 		}
 	}
 }
@@ -366,6 +486,7 @@ func TestCodecCompressAnySplit(t *testing.T) {
 	}{
 		{"integer words", intPages(300), CodecFlateWords},
 		{"integer words out of phase", intPages(257)[3:], CodecFlateWords},
+		{"pointer strides", stridePages(300), CodecFlateWords},
 		{"doubles", floatPages(300), CodecFlate},
 		{"noise", noise(300 * 4096), CodecNone},
 		{"small batch", kvPages(7), CodecFlate},
@@ -411,14 +532,15 @@ func TestCodecDecompressRejectsLies(t *testing.T) {
 		wire[i] ^= bit
 		return wire
 	}
-	for _, raw := range [][]byte{bytes.Repeat([]byte{7}, 256), intPages(300), intPages(257)[5:]} {
+	for _, raw := range [][]byte{bytes.Repeat([]byte{7}, 256), intPages(300), intPages(257)[5:], stridePages(300)} {
 		wire, used, err := CodecFlate.Compress(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, hdr := CodecFlate, 0
+		want, nblk, hdr := CodecFlate, 0, 0
 		if len(raw) >= trialFloor {
-			want, hdr = CodecFlateWords, (len(raw)/8+laneBlock-1)/laneBlock
+			want, nblk = CodecFlateWords, (len(raw)/8+laneBlock-1)/laneBlock
+			hdr = nblk + (nblk+7)/8
 		}
 		if used != want {
 			t.Fatalf("%d-byte payload encoded as %s, want %s", len(raw), used, want)
@@ -426,8 +548,9 @@ func TestCodecDecompressRejectsLies(t *testing.T) {
 		short := "longer than"
 		if used == CodecFlateWords && len(raw)%8 == 0 {
 			// One byte less turns the last word into a seven-byte tail:
-			// seven bytes more to inflate, one fewer in each of intPages'
-			// four occupied lanes.
+			// seven bytes more to inflate, one fewer in each of the last
+			// block's occupied lanes — four for intPages, three for
+			// stridePages.
 			short = "truncated"
 		}
 		lies := []lie{
@@ -438,18 +561,29 @@ func TestCodecDecompressRejectsLies(t *testing.T) {
 			{"corrupt stream", flip(wire, hdr, wire[hdr]^0xff), len(raw), "corrupt input"},
 		}
 		if used == CodecFlateWords {
-			// intPages occupies four lanes of every block: which four is
-			// the payload's phase.
-			empty, occupied := ^wire[0]&-^wire[0], wire[hdr-1]&-wire[hdr-1]
+			// Every block of intPages and stridePages leaves lanes empty:
+			// which ones is the payload's phase and form.
+			empty, occupied := ^wire[0]&-^wire[0], wire[nblk-1]&-wire[nblk-1]
 			if empty == 0 || occupied == 0 {
-				t.Fatalf("lane map %08b has no empty lane to claim or no occupied one to deny", wire[:hdr])
+				t.Fatalf("lane map %08b has no empty lane to claim or no occupied one to deny", wire[:nblk])
+			}
+			if nblk%8 == 0 {
+				t.Fatalf("%d blocks leave no padding bit in the difference map", nblk)
 			}
 			lies = append(lies,
-				lie{"wire shorter than the lane map", wire[:hdr-1], len(raw), "shorter than the"},
+				lie{"wire shorter than the maps", wire[:hdr-1], len(raw), "-byte difference map its"},
+				lie{"wire as long as the lane map", wire[:nblk], len(raw), "-byte difference map its"},
 				lie{"no wire at all", nil, len(raw), "shorter than the"},
 				lie{"map bit flipped on", flip(wire, 0, empty), len(raw), "truncated"},
-				lie{"map bit flipped off", flip(wire, hdr-1, occupied), len(raw), "longer than"},
+				lie{"map bit flipped off", flip(wire, nblk-1, occupied), len(raw), "longer than"},
+				lie{"difference bit past the last block", flip(wire, hdr-1, 1<<(nblk%8)), len(raw), "past the last"},
 			)
+			// Not a lie: a flipped difference bit reads block 0's lanes as
+			// the other form, which is data all the same.
+			back, err := used.Decompress(flip(wire, nblk, 1), len(raw))
+			if err != nil || len(back) != len(raw) || bytes.Equal(back, raw) {
+				t.Fatalf("difference bit of block 0 flipped: %d bytes, equal to the payload %v, err %v", len(back), bytes.Equal(back, raw), err)
+			}
 		}
 		for _, lie := range lies {
 			_, err := used.Decompress(lie.wire, lie.rawLen)
@@ -509,6 +643,7 @@ func TestCodecFlateWordsAllocBound(t *testing.T) {
 	const rawLen = 4<<20 + 5
 	const slack = 64 << 10
 	nblk := (rawLen/8 + laneBlock - 1) / laneBlock
+	ndelta := (nblk + 7) / 8
 	allocated := func(d *flateDecoder, wire []byte) (uint64, error) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -516,16 +651,18 @@ func TestCodecFlateWordsAllocBound(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc, err
 	}
-	full := bytes.Repeat([]byte{0xff}, nblk)
+	// Every lane claimed, and every block differences.
+	full := append(bytes.Repeat([]byte{0xff}, nblk), bytes.Repeat([]byte{0xff}, ndelta)...)
 	zeros := imgprototest.Deflate(make([]byte, rawLen))
 	for _, tc := range []struct {
 		name string
 		wire []byte
 	}{
+		{"only a lane map", full[:nblk]},
 		{"every lane claimed, no stream", full},
 		{"every lane claimed, stream too long", append(bytes.Clone(full), imgprototest.Deflate(make([]byte, rawLen+1))...)},
 		{"every lane claimed, stream short", append(bytes.Clone(full), imgprototest.Deflate(make([]byte, rawLen/2))...)},
-		{"no lane claimed, stream of rawLen", append(make([]byte, nblk), zeros...)},
+		{"no lane claimed, stream of rawLen", append(make([]byte, nblk+ndelta), zeros...)},
 	} {
 		n, err := allocated(newFlateDecoder(), tc.wire)
 		if err == nil {
@@ -562,6 +699,7 @@ func TestCodecFlatePooledMatchesFresh(t *testing.T) {
 		{intPages(257)[3:], CodecFlateWords},
 		{floatPages(300), CodecFlate},
 		{sparsePages(300), CodecFlateWords},
+		{stridePages(300), CodecFlateWords},
 		{kvPages(7), CodecFlate},
 	}
 	e := newFlateEncoder()
@@ -592,9 +730,11 @@ func TestCodecFlatePooledMatchesFresh(t *testing.T) {
 // transport uses it at — a 32-page batch of the page stream, under the
 // form trial's floor, and a 4 MiB segment of the image stream — and, for
 // the segment, on each shape the trial tells apart: integer words (word
-// planes win), the same with five of the eight lanes empty (the benchmark
-// image's shape), repeated doubles (plain wins) and noise (sent raw). The
-// form chosen and the ratio it reached are reported beside the timings.
+// planes win), the same with five of the eight lanes empty, pointers a
+// constant stride apart (the benchmark image's heap: every block goes out
+// as differences), repeated doubles (plain wins) and noise (sent raw).
+// The form chosen and the ratio it reached are reported beside the
+// timings.
 func BenchmarkCodecFlate(b *testing.B) {
 	random := make([]byte, 4<<20)
 	if _, err := rand.Read(random); err != nil {
@@ -608,6 +748,7 @@ func BenchmarkCodecFlate(b *testing.B) {
 		{"segment4M", kvPages(1024)},
 		{"segment4M-int", intPages(1024)},
 		{"segment4M-sparse", sparsePages(1024)},
+		{"segment4M-stride", stridePages(1024)},
 		{"segment4M-float", floatPages(1024)},
 		{"segment4M-random", random},
 	} {

@@ -118,9 +118,12 @@ func FuzzDecoder(f *testing.F) {
 // byte short.
 func FuzzCodecDecompress(f *testing.F) {
 	const maxRaw = 8 << 20
-	// The last seed is two blocks of words, the second short and ending
-	// in zeros.
-	raws := [][]byte{nil, kvPages(8), intPages(8), floatPages(8), append(sparsePages(9), make([]byte, 3*4096+3)...)}
+	// The fifth seed is two blocks of words, the second short and ending
+	// in zeros; the sixth one block of differences; the seventh two, the
+	// second its first's last word repeated, so its lane-map byte is 0.
+	stride := stridePages(8)
+	raws := [][]byte{nil, kvPages(8), intPages(8), floatPages(8), append(sparsePages(9), make([]byte, 3*4096+3)...),
+		stride, append(bytes.Clone(stride), bytes.Repeat(stride[len(stride)-8:], 100)...)}
 	for k := 1; k < 8; k++ {
 		raws = append(raws, kvPages(1)[k:]) // lengths 7...1 mod 8
 	}

@@ -60,6 +60,11 @@ func (m *Monitor) WithObs(reg *obs.Registry) *Monitor {
 // points within the pass budget (e.g. a loop with no function calls).
 var ErrNotQuiescing = errors.New("monitor: threads did not reach equivalence points")
 
+// ErrExited is returned when the process exits before every thread has
+// parked: a pause runs on to each thread's next equivalence point, and the
+// program reached its end first.
+var ErrExited = errors.New("monitor: process exited before pausing")
+
 // Pause drives every live thread to an equivalence point and SIGSTOPs the
 // process. maxPasses bounds the scheduler passes spent waiting (threads in
 // critical sections need time to release their locks).
@@ -96,7 +101,7 @@ func (m *Monitor) Pause(maxPasses int) error {
 			return fmt.Errorf("monitor: step: %w", err)
 		}
 		if st.Exited {
-			return fmt.Errorf("monitor: process exited before pausing")
+			return ErrExited
 		}
 		m.obs.Counter("monitor.passes").Inc()
 		// Roll back threads blocked in synchronization wrappers.

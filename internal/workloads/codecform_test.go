@@ -22,9 +22,12 @@ import (
 // is over the trial's floor; it and `is`, the two integer heaps, must go
 // out as word planes — and, with the lanes nobody uses left out, no
 // larger than DEFLATE of all eight planes, the form's layout before it
-// had a lane map.
+// had a lane map. Rediska's heap of pointers a stride apart must store
+// some lane-blocks as word differences, and `is`, whose words the
+// differences would not empty, none.
 func TestCodecFormChoice(t *testing.T) {
 	wantWords := map[string]bool{"rediska": true, "is": true}
+	wantDiffs := map[string]bool{"rediska": true}
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -82,6 +85,15 @@ func TestCodecFormChoice(t *testing.T) {
 				t.Logf("DEFLATE of all eight planes %d bytes, of the occupied lanes and their map %d", planes, len(wire))
 				if len(wire) > planes {
 					t.Errorf("%d bytes with the lane map, %d without: leaving lanes out made the payload larger", len(wire), planes)
+				}
+				lanemap, deltamap, _ := imgprototest.Lanes(blob, 0)
+				diffs := 0
+				for b := range lanemap {
+					diffs += int(deltamap[b/8] >> (b % 8) & 1)
+				}
+				t.Logf("%d of %d lane-blocks stored as word differences", diffs, len(lanemap))
+				if got := diffs > 0; got != wantDiffs[w.Name] {
+					t.Errorf("%d lane-blocks of differences; some expected: %v", diffs, wantDiffs[w.Name])
 				}
 			}
 			back, err := used.Decompress(wire, len(blob))

@@ -1,6 +1,7 @@
 package workloads_test
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/cluster"
@@ -364,5 +365,57 @@ func TestPreCopyLazyConflict(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("lazy+pre-copy migration succeeded; want an error")
+	}
+}
+
+// TestPreCopyExitInsideRoundPause: late in a run, a pre-copy's between-round
+// budget — a twentieth of what remains, but never less than one scheduler
+// pass — can leave the source so near its end that the next round's pause,
+// running on to an equivalence point, meets exit first. `is` on arm at
+// 23/25 and 24/25 of its native cycles does, and the refusal names the
+// round, the guest cycle the previous pause parked the source at and why,
+// as a source that exits in the between-round run does.
+func TestPreCopyExitInsideRoundPause(t *testing.T) {
+	w, err := workloads.Get("is")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := workloads.CompilePair(w, workloads.ClassS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := cluster.NewNode(cluster.PiSpec)
+	ref.Install(w.Name, pair)
+	rp, err := ref.Start(w.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.K.Run(rp); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []uint64{23, 24} {
+		pi := cluster.NewNode(cluster.PiSpec)
+		xeon := cluster.NewNode(cluster.XeonSpec)
+		pi.Install(w.Name, pair)
+		xeon.Install(w.Name, pair)
+		p, err := pi.Start(w.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := rp.VCycles * k / 25
+		if alive, err := pi.K.RunBudget(p, at); err != nil || !alive {
+			t.Fatalf("%d/25: run to the migration point: alive %v, err %v", k, alive, err)
+		}
+		_, err = cluster.Migrate(pi, xeon, p, pair.Meta, cluster.MigrateOpts{
+			PreCopy: &cluster.PreCopyOpts{RoundBudget: (rp.VCycles-at)/20 + 1},
+		})
+		if err == nil {
+			t.Fatalf("%d/25: migrated; want the source to exit inside round 1's pause", k)
+		}
+		for _, frag := range []string{"round 0 paused the source at guest cycle ", "reached exit before round 1"} {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("%d/25: refused as %q, want it to say %q", k, err, frag)
+			}
+		}
 	}
 }
