@@ -21,6 +21,10 @@
 //	    compresses each segment and page response); -delta XOR-delta-encodes
 //	    re-dirtied pre-copy pages and requires -precopy.
 //
+//	dapperctl migrate -shuffle prog.sx86.delf prog.sx86.delf
+//	    One file named twice migrates within its node: with -shuffle,
+//	    one epoch of periodic stack re-randomization (nothing is copied).
+//
 //	dapperctl stats -at 0.5 [-lazy|-precopy] [-codec none|flate] [-delta] [-json] prog.sx86.delf prog.sarm.delf
 //	    Run a migration with telemetry attached and print the full obs
 //	    report: counters, latency histograms, and the phase span tree
@@ -312,6 +316,9 @@ func migrationFlags(fs *flag.FlagSet, lazyUsage, usage string) func(args []strin
 			return nil, err
 		}
 		dstNode := nodeFor(dstBin.Arch)
+		if fs.Arg(1) == fs.Arg(0) { // one file named twice: rewrite in place
+			dstNode = srcNode
+		}
 		for _, n := range []*cluster.Node{srcNode, dstNode} {
 			n.Binaries[exePathOf(fs.Arg(0), srcBin.Arch)] = srcBin
 			n.Binaries[exePathOf(fs.Arg(1), dstBin.Arch)] = dstBin

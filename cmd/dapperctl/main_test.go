@@ -82,6 +82,23 @@ func TestMigratePreCopyShortProgram(t *testing.T) {
 	}
 }
 
+// TestMigrateInPlace: one file named twice is a migration within its
+// node, so -shuffle is one re-randomization epoch: the native output, and
+// nothing copied.
+func TestMigrateInPlace(t *testing.T) {
+	for _, path := range writePair(t, shortProg) {
+		native := captureStdout(t, func() error { return run([]string{"run", path}) })
+		want := native[:strings.Index(native, "[exit")]
+		out := captureStdout(t, func() error { return run([]string{"migrate", "-shuffle", path, path}) })
+		if !strings.Contains(out, "output: "+want) {
+			t.Errorf("%s: output %q, want the native %q", path, out, want)
+		}
+		if !strings.Contains(out, " copy=0s ") || !strings.Contains(out, " wire=0B") {
+			t.Errorf("%s: breakdown %q, want copy=0s and wire=0B", path, out)
+		}
+	}
+}
+
 // loopsProg makes no call inside either of its loops: its only
 // equivalence points are main's entry and the printi at its end.
 const loopsProg = `

@@ -2,8 +2,8 @@
 // vulnerable server (stack buffer overflow, as in the paper's Min-DOP case
 // study) is attacked with a payload crafted from its binary's frame
 // layout; the attack succeeds. The server is then re-randomized — both
-// offline (shuffled binary) and live (checkpoint + shuffle policy +
-// restore) — and the stale payload misses.
+// offline (shuffled binary) and live (an in-place cluster.Migrate with
+// Shuffle) — and the stale payload misses.
 package main
 
 import (
@@ -11,12 +11,11 @@ import (
 	"log"
 
 	"github.com/dapper-sim/dapper/internal/attack"
+	"github.com/dapper-sim/dapper/internal/cluster"
 	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/core"
-	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
-	"github.com/dapper-sim/dapper/internal/monitor"
 )
 
 func main() {
@@ -74,19 +73,19 @@ func run() error {
 			seed, report.AvgBitsApp, verdict(fire(shuffled, payload)))
 	}
 
-	// 3) Live re-randomization: checkpoint the RUNNING server, apply the
-	// shuffle policy to the image, restore, then attack.
+	// 3) Live re-randomization: an in-place migration of the RUNNING
+	// server, re-drawing its stack layout, then attack.
 	fmt.Println("\n3) live re-randomization of a running server:")
-	provider := criu.MapProvider{"/bin/vuln.sx86": pair.X86, "/bin/vuln.sarm": pair.ARM}
-	k := kernel.New(kernel.Config{})
-	p, err := k.StartProcess(pair.X86.LoadSpec("/bin/vuln.sx86"))
+	n := cluster.NewNode(cluster.XeonSpec)
+	n.Install("vuln", pair)
+	p, err := n.Start("vuln")
 	if err != nil {
 		return err
 	}
 	// Serve one benign request so the server has warm state.
 	p.PushInput(make([]byte, 16))
 	for i := 0; i < 100000; i++ {
-		st, err := k.Step(p)
+		st, err := n.K.Step(p)
 		if err != nil {
 			return err
 		}
@@ -94,27 +93,13 @@ func run() error {
 			break
 		}
 	}
-	mon := monitor.New(k, p, pair.Meta)
-	if err := mon.Pause(1 << 20); err != nil {
-		return err
-	}
-	dir, err := criu.Dump(p, criu.DumpOpts{})
+	res, err := cluster.Migrate(n, n, p, pair.Meta, cluster.MigrateOpts{Shuffle: true, ShuffleSeed: 99})
 	if err != nil {
 		return err
 	}
-	var report core.ShuffleReport
-	pol := core.StackShufflePolicy{Seed: 99, Report: &report}
-	if err := pol.Rewrite(dir, &core.Context{Binaries: provider}); err != nil {
-		return err
-	}
-	k2 := kernel.New(kernel.Config{})
-	p2, err := criu.Restore(k2, dir, provider)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("   checkpointed, shuffled (%.1f bits), restored; firing stale payload...\n", report.AvgBitsApp)
-	res := attack.Fire(k2, p2, payload)
-	fmt.Println("   ->", verdict(res))
-	fmt.Printf("   server console: %q\n", res.Output)
+	fmt.Printf("   migrated in place with a fresh layout (copy=%v); firing stale payload...\n", res.Breakdown.Copy)
+	r := attack.Fire(n.K, res.Proc, payload)
+	fmt.Println("   ->", verdict(r))
+	fmt.Printf("   server console: %q\n", r.Output)
 	return nil
 }

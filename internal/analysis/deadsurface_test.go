@@ -18,7 +18,8 @@ import (
 //
 //   - deadexport: every exported func, method, type, var and const
 //     declared in a non-test file under internal/ is referenced by some
-//     non-test file, outside its own declaration;
+//     non-test file, outside its own declaration (a method's receiver
+//     and an interface assertion, var _ I = T{}, do not count);
 //   - deadopt: every exported field of an exported struct whose name
 //     ends in Opts, Config, Spec or Plan is set by some non-test file:
 //     a key of a composite literal, a positional literal of the struct,
@@ -32,7 +33,7 @@ import (
 var deadSurfaceAllow = map[string]string{
 	"deadexport internal/core.GuessProbability":      "reference formula (paper §IV-B) the shuffle tests compare the entropy report against",
 	"deadexport internal/core.PossibleFrames":        "reference formula (paper §IV-B) the shuffle tests compare the entropy report against",
-	"deadexport internal/core.Rerandomizer.Step":     "the paper's periodic re-randomization (§I); TestPeriodicRerandomization drives it, no command does yet",
+	"deadexport internal/core.LiveUpdatePolicy":      "§I's live update; a program needs MigrateOpts.Policy (ROADMAP 15(b)), which waits for bench/ to stop setting Shuffle",
 	"deadexport internal/image.FrameFile":            "the framing oracle: image and core tests rebuild Marshal's blob from Names and Get with it",
 	"deadexport internal/ir.Program.Dump":            "the IR printer the ir tests read lowered code through",
 	"deadexport internal/kernel.Kernel.Live":         "the leak checks of the cluster and fleet tests count what a migration leaves in a node's table",
@@ -131,18 +132,20 @@ func deadSurfaceFindings(fset *token.FileSet, pkgs []*Package) map[string]bool {
 
 	used := make(map[types.Object]bool)
 	set := make(map[types.Object]bool)
+	nonUses := make(map[*ast.Ident]bool)
 	for _, p := range pkgs {
 		if p.Info == nil {
 			continue
 		}
-		for id, obj := range p.Info.Uses {
-			obj = origin(obj)
-			if d, ok := exports[obj]; ok && (id.Pos() < d.from || id.Pos() >= d.to) {
-				used[obj] = true
-			}
-		}
 		for _, f := range nonTestFiles(fset, p.Files) {
 			markSets(p.Info, f, set)
+			markNonUses(f, nonUses)
+		}
+		for id, obj := range p.Info.Uses {
+			obj = origin(obj)
+			if d, ok := exports[obj]; ok && !nonUses[id] && (id.Pos() < d.from || id.Pos() >= d.to) {
+				used[obj] = true
+			}
 		}
 	}
 
@@ -242,6 +245,35 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
+// markNonUses records the identifiers in f that name a type without
+// using it: a method's receiver, which is part of the type's own
+// declaration, and an interface assertion, var _ I = T{}, a compile-time
+// check that runs nothing. Neither keeps T (or I) alive.
+func markNonUses(f *ast.File, nonUses map[*ast.Ident]bool) {
+	mark := func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				nonUses[id] = true
+			}
+			return true
+		})
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv != nil {
+				mark(d.Recv)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				if s, ok := spec.(*ast.ValueSpec); ok && s.Type != nil && !slices.ContainsFunc(s.Names, func(id *ast.Ident) bool { return id.Name != "_" }) {
+					mark(s)
+				}
+			}
+		}
+	}
+}
+
 // markSets records the struct fields f sets: composite-literal keys,
 // every field of a positional literal, and assignment targets.
 func markSets(info *types.Info, f *ast.File, set map[types.Object]bool) {
@@ -292,15 +324,16 @@ func TestDeadSurface(t *testing.T) {
 }
 
 // TestDeadSurfaceFixture runs the same check over a fixture module whose
-// declarations say what must be reported: an export nobody calls and an
-// option field only a test sets are findings; an export a sibling
-// package calls, a method reached through an interface and a field a
-// program sets are not. With an allowlist, a listed finding is quiet, and
-// an entry that is no longer a finding, or has no reason, fails.
+// declarations say what must be reported: an export nobody calls, a type
+// only its methods and an interface assertion name, and an option field
+// only a test sets are findings; an export a sibling package calls, a
+// method reached through an interface and a field a program sets are
+// not. With an allowlist, a listed finding is quiet, and an entry that is
+// no longer a finding, or has no reason, fails.
 func TestDeadSurfaceFixture(t *testing.T) {
 	root := filepath.Join("testdata", "deadsurface")
 	got := deadSurface(t, root, []string{"./..."}, nil)
-	want := []string{"deadexport internal/a.Unused", "deadopt internal/a.XOpts.TestOnly"}
+	want := []string{"deadexport internal/a.Asserted", "deadexport internal/a.Unused", "deadopt internal/a.XOpts.TestOnly"}
 	if !slices.Equal(got, want) {
 		t.Errorf("findings:\n got %q\nwant %q", got, want)
 	}
@@ -312,6 +345,7 @@ func TestDeadSurfaceFixture(t *testing.T) {
 	got = deadSurface(t, root, []string{"./..."}, allow)
 	want = []string{
 		"allowlist entry without a reason: deadopt internal/a.XOpts.Set",
+		"deadexport internal/a.Asserted",
 		"deadopt internal/a.XOpts.TestOnly",
 		"stale allowlist entry: deadexport internal/a.Called",
 		"stale allowlist entry: deadopt internal/a.XOpts.Set",

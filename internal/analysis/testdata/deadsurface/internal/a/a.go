@@ -18,6 +18,15 @@ type Square struct{ Side int }
 // interface of the module declares its name.
 func (s Square) Area() int { return s.Side * s.Side }
 
+// Asserted satisfies Shape, but only its own method and the assertion
+// below name it: deadexport reports it.
+type Asserted struct{}
+
+// Area is Shape's method: not reported.
+func (Asserted) Area() int { return 0 }
+
+var _ Shape = Asserted{}
+
 // XOpts is an options struct.
 type XOpts struct {
 	// TestOnly is set by a _test.go file alone: deadopt reports it.

@@ -105,7 +105,7 @@ type Breakdown struct {
 	// RecodeHost is the real wall time the Go rewriter took (reported by
 	// the benchmarks alongside the modeled time).
 	RecodeHost time.Duration
-	// ImageBytes is the marshaled image size before any wire codec.
+	// ImageBytes is the image size before any wire codec (marshaled, if shipped).
 	ImageBytes uint64
 	// WireBytes is what actually crossed the link: the image after
 	// per-segment compression, plus the stream's framing. Copy is modeled

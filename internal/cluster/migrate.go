@@ -70,7 +70,9 @@ const maxPauses = 1 << 20
 
 // Migrate checkpoints p on src, rewrites it for dst's architecture, copies
 // the images, and restores it on dst. The returned process is ready to
-// run. meta must be the program's stack-map metadata.
+// run. meta must be the program's stack-map metadata. With src == dst it
+// rewrites in place (a Shuffle epoch re-randomizes p): a stop-and-copy
+// ships nothing, and a pre-copy runs its rounds as usual.
 func Migrate(src, dst *Node, p *kernel.Process, meta *stackmap.Metadata, opts MigrateOpts) (*MigrationResult, error) {
 	if opts.Delta && opts.PreCopy == nil {
 		return nil, fmt.Errorf("cluster: delta encoding requires pre-copy migration")
@@ -162,11 +164,16 @@ func (m *migration) stopAndCopy() (*MigrationResult, error) {
 		return nil, err
 	}
 	m.bd.Recode = RecodeTime(m.recodeNode, dir.Size())
-	got, wire, err := m.ship(dir)
-	if err != nil {
-		return nil, err
+	got := dir
+	if m.src == m.dst { // no link to cross: Copy and WireBytes stay 0
+		got, m.bd.ImageBytes = dir.Share(), dir.Size()
+	} else {
+		var wire uint64
+		if got, wire, err = m.ship(dir); err != nil {
+			return nil, err
+		}
+		m.bd.Copy = InfiniBand.TransferTime(wire)
 	}
-	m.bd.Copy = InfiniBand.TransferTime(wire)
 	m.bd.Rounds = 1
 	p2, err := m.restore(got)
 	if err != nil {
@@ -196,22 +203,15 @@ func (m *migration) checkpoint(dopts criu.DumpOpts) (dir *criu.ImageDir, err err
 	return dir, err
 }
 
-// recode rewrites the image for the destination and takes the one host
-// reading a Breakdown carries.
+// recode rewrites an open view for the destination: the cross-ISA rewrite
+// when the architectures differ, then the optional stack shuffle — each
+// its own stage on the host clock, both over the one view, which whichever
+// runs last commits. It takes the one host reading a Breakdown carries.
 func (m *migration) recode(v *image.View) error {
 	//lint:ignore wallclock RecodeHost is real host time by definition, reported separately and never part of modeled downtime
 	hostStart := time.Now()
-	err := m.rewriteForDest(v)
 	//lint:ignore wallclock RecodeHost is real host time by definition, reported separately and never part of modeled downtime
-	m.bd.RecodeHost = time.Since(hostStart)
-	return err
-}
-
-// rewriteForDest runs the recode pipeline on an open view: the cross-ISA
-// rewrite when the architectures differ, then the optional stack shuffle —
-// each its own stage on the host clock, both over the one view, which
-// whichever runs last commits.
-func (m *migration) rewriteForDest(v *image.View) error {
+	defer func() { m.bd.RecodeHost = time.Since(hostStart) }()
 	ctx := &core.Context{Binaries: m.src.Binaries, Obs: m.opts.Obs}
 	if m.src.Spec.Arch != m.dst.Spec.Arch {
 		if err := m.stage("core.rewrite", func() error {
@@ -232,8 +232,7 @@ func (m *migration) rewriteForDest(v *image.View) error {
 			return err
 		}
 		v.Commit()
-		// The shuffled binary must be visible on BOTH nodes: register it
-		// into the destination's provider too.
+		// The shuffled binary must be visible on both nodes (on one, twice).
 		path := v.Files.ExePath
 		bin, err := m.src.Binaries.Open(path)
 		if err != nil {

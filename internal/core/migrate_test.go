@@ -286,39 +286,6 @@ func main() {
 	}
 }
 
-// TestNopPolicyRoundTrip checkpoints, applies the identity policy, and
-// restores on the SAME architecture.
-func TestNopPolicyRoundTrip(t *testing.T) {
-	w := buildWorld(t, "nop", countdownSrc)
-	want, cycles := w.runNative(t, isa.SX86, 1)
-	k1, p1 := w.start(t, isa.SX86, 1)
-	if _, err := k1.RunBudget(p1, cycles/2); err != nil {
-		t.Fatal(err)
-	}
-	mon := monitor.New(k1, p1, w.pair.Meta)
-	if err := mon.Pause(1 << 20); err != nil {
-		t.Fatal(err)
-	}
-	dir, err := criu.Dump(p1, criu.DumpOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := (core.NopPolicy{}).Rewrite(dir, nil); err != nil {
-		t.Fatal(err)
-	}
-	k2 := kernel.New(kernel.Config{})
-	p2, err := criu.Restore(k2, dir, w.provider)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k2.Run(p2); err != nil {
-		t.Fatal(err)
-	}
-	if got := p1.ConsoleString() + p2.ConsoleString(); got != want {
-		t.Errorf("same-arch C/R mismatch:\n got %q\nwant %q", got, want)
-	}
-}
-
 // TestSourceResumesAfterCheckpoint verifies the monitor can resume the
 // original process after a dump (periodic snapshot scenario).
 func TestSourceResumesAfterCheckpoint(t *testing.T) {

@@ -20,7 +20,8 @@ type Context struct {
 
 // Policy transforms a checkpoint image directory in place. Policies are
 // DAPPER's extensibility point: cross-ISA migration and stack shuffling
-// are the two the paper evaluates; NopPolicy demonstrates the plumbing.
+// are the two the paper evaluates; live update is one of the others §I
+// names.
 //
 // A policy states what it decides — Plan — and Apply, the one rewrite
 // driver, does everything else. Rewrite is the policy run alone on a
@@ -28,8 +29,8 @@ type Context struct {
 type Policy interface {
 	Name() string
 	// Plan reads the open view (inventory and files are there to read) and
-	// returns the rewrite the policy wants, or nil for none. Its refusals
-	// — an unsuitable binary, an incompatible patch — are its errors.
+	// returns the rewrite the policy wants. Its refusals — an unsuitable
+	// binary, an incompatible patch — are its errors.
 	Plan(v *image.View, ctx *Context) (*Plan, error)
 	Rewrite(dir *criu.ImageDir, ctx *Context) error
 }
@@ -62,7 +63,7 @@ func Apply(v *image.View, ctx *Context, p Policy) error {
 		return fmt.Errorf("core: %w", err)
 	}
 	plan, err := p.Plan(v, ctx)
-	if err != nil || plan == nil {
+	if err != nil {
 		return err
 	}
 	ps, err := v.PageSet()
@@ -110,21 +111,6 @@ func rewriteDir(dir *criu.ImageDir, ctx *Context, p Policy) error {
 	v.Commit()
 	return nil
 }
-
-// NopPolicy decodes and re-encodes the images without changing state —
-// the minimal policy, useful as a baseline and a plumbing test.
-type NopPolicy struct{}
-
-// Name implements Policy.
-func (NopPolicy) Name() string { return "nop" }
-
-// Plan implements Policy: nothing to rewrite.
-func (NopPolicy) Plan(*image.View, *Context) (*Plan, error) { return nil, nil }
-
-// Rewrite implements Policy.
-func (p NopPolicy) Rewrite(dir *criu.ImageDir, ctx *Context) error { return rewriteDir(dir, ctx, p) }
-
-var _ Policy = NopPolicy{}
 
 // CrossISAPolicy rewrites the image so the process restores on the other
 // architecture: registers are translated through the stack maps, every

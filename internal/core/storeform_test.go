@@ -59,8 +59,9 @@ func pausedDump(t *testing.T, name string) (*criu.ImageDir, criu.MapProvider) {
 
 // TestStoredFormByteIdentical pins what PageSet.Store's page-list form of
 // pages.img may never change: any byte, size or name a reader of the
-// directory sees. After every policy (and the cross-ISA-then-shuffle
-// chain) on rediska and streamcluster, the rewritten directory must be
+// directory sees. After a view is opened and committed unedited, and
+// after every policy (and the cross-ISA-then-shuffle chain), on rediska
+// and streamcluster, the rewritten directory must be
 // indistinguishable from the flat one its own blob parses back into —
 // Marshal, FrameFile over Names with Get, Size (which feeds RecodeTime and
 // RestoreTime, so a drift would move modeled columns) and the page set a
@@ -71,7 +72,7 @@ func TestStoredFormByteIdentical(t *testing.T) {
 		// every function of which classifies safe.
 		patched := compiler.ExePath(name+"-v2", isa.SX86)
 		policies := map[string][]core.Policy{
-			"nop":           {core.NopPolicy{}},
+			"unedited":      {},
 			"cross-isa":     {core.CrossISAPolicy{}},
 			"shuffle":       {core.StackShufflePolicy{Seed: 7}},
 			"live-update":   {core.LiveUpdatePolicy{NewExePath: patched}},
@@ -81,6 +82,9 @@ func TestStoredFormByteIdentical(t *testing.T) {
 			t.Run(name+"/"+pname, func(t *testing.T) {
 				dir, bins := pausedDump(t, name)
 				bins[patched] = bins[compiler.ExePath(name, isa.SX86)]
+				if len(chain) == 0 {
+					image.Open(dir).Commit()
+				}
 				for _, pol := range chain {
 					if err := pol.Rewrite(dir, &core.Context{Binaries: bins}); err != nil {
 						t.Fatalf("%s: %v", pol.Name(), err)
