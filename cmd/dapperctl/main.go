@@ -16,10 +16,12 @@
 //	    Restore an image directory (binaries resolve the files image).
 //
 //	dapperctl migrate -at 0.5 [-lazy|-precopy] [-shuffle] [-codec none|flate] [-delta] prog.sx86.delf prog.sarm.delf
-//	    Full live migration x86 -> arm with the phase breakdown. -codec
-//	    selects the wire codec (none frames without compressing, flate
-//	    compresses each segment and page response); -delta XOR-delta-encodes
-//	    re-dirtied pre-copy pages and requires -precopy.
+//	    Full live migration x86 -> arm with the phase breakdown. -lazy
+//	    migrates post-copy, serving pages over a real TCP page server
+//	    (as stats -lazy does). -codec selects the wire codec (none
+//	    frames without compressing, flate compresses each segment and
+//	    page response); -delta XOR-delta-encodes re-dirtied pre-copy
+//	    pages and requires -precopy.
 //
 //	dapperctl migrate -shuffle prog.sx86.delf prog.sx86.delf
 //	    One file named twice migrates within its node: with -shuffle,
@@ -54,7 +56,7 @@
 //
 //	dapperctl status -socket dapperd.sock [-json] [-full]
 //	    Fleet report: job counts, migration latency percentiles and
-//	    per-node utilization. -full adds the obs payload to -json.
+//	    per-node utilization. -full keeps the obs payload in -json.
 //
 //	dapperctl drain-node -socket dapperd.sock [-undrain] NODE
 //	    Stop placing new migrations on NODE (in-flight ones finish);
@@ -284,9 +286,9 @@ type migration struct {
 
 // migrationFlags registers the flags migrate and stats share on fs; the
 // returned func parses args and sets the migration up.
-func migrationFlags(fs *flag.FlagSet, lazyUsage, usage string) func(args []string) (*migration, error) {
+func migrationFlags(fs *flag.FlagSet, usage string) func(args []string) (*migration, error) {
 	at := fs.Float64("at", 0.5, "migrate at the first equivalence point at or after fraction F")
-	lazy := fs.Bool("lazy", false, lazyUsage)
+	lazy := fs.Bool("lazy", false, "post-copy migration (over a real TCP page server)")
 	precopy := fs.Bool("precopy", false, "iterative pre-copy migration")
 	codec := fs.String("codec", "none", "wire codec: none (uncompressed) or flate (compressed)")
 	delta := fs.Bool("delta", false, "XOR-delta encode re-dirtied pre-copy pages (requires -precopy)")
@@ -324,7 +326,7 @@ func migrationFlags(fs *flag.FlagSet, lazyUsage, usage string) func(args []strin
 			n.Binaries[exePathOf(fs.Arg(1), dstBin.Arch)] = dstBin
 		}
 		m := &migration{src: srcNode, dst: dstNode, p: p, bin: srcBin,
-			opts: cluster.MigrateOpts{Lazy: *lazy, Codec: wireCodec, Delta: *delta}}
+			opts: cluster.MigrateOpts{Lazy: *lazy, LazyTCP: *lazy, Codec: wireCodec, Delta: *delta}}
 		if *precopy {
 			// A round of a twentieth of the run, as the fleet runs them:
 			// the default budget outlasts a short program whole.
@@ -334,10 +336,10 @@ func migrationFlags(fs *flag.FlagSet, lazyUsage, usage string) func(args []strin
 	}
 }
 
-func cmdMigrate(args []string) error {
+func cmdMigrate(args []string) (err error) {
 	fs := flag.NewFlagSet("migrate", flag.ContinueOnError)
 	shuffle := fs.Bool("shuffle", false, "also re-randomize the stack layout during the rewrite")
-	parse := migrationFlags(fs, "post-copy migration",
+	parse := migrationFlags(fs,
 		"usage: dapperctl migrate [-at F] [-lazy|-precopy] [-codec C] [-delta] src.delf dst.delf")
 	m, err := parse(args)
 	if err != nil {
@@ -348,6 +350,11 @@ func cmdMigrate(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if cerr := res.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}()
 	out1 := m.p.ConsoleString()
 	proc := res.Proc
 	if *shuffle {
@@ -368,14 +375,14 @@ func cmdMigrate(args []string) error {
 func cmdStats(args []string) (err error) {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text")
-	parse := migrationFlags(fs, "post-copy migration (over a real TCP page server)",
+	parse := migrationFlags(fs,
 		"usage: dapperctl stats [-at F] [-lazy|-precopy] [-codec C] [-delta] [-json] src.delf dst.delf")
 	m, err := parse(args)
 	if err != nil {
 		return err
 	}
 	reg := obs.New()
-	m.opts.Obs, m.opts.LazyTCP = reg, m.opts.Lazy
+	m.opts.Obs = reg
 	res, err := cluster.Migrate(m.src, m.dst, m.p, m.bin.Meta, m.opts)
 	if err != nil {
 		return err
@@ -536,7 +543,7 @@ func cmdSubmit(args []string) error {
 	at := fs.Float64("at", 0.5, "migrate at the first equivalence point at or after fraction F")
 	lazy := fs.Bool("lazy", false, "post-copy migration")
 	precopy := fs.Bool("precopy", false, "iterative pre-copy migration")
-	codec := fs.String("codec", "none", "wire codec: none or flate")
+	codec := fs.String("codec", "", "wire codec: none (the default) or flate")
 	delta := fs.Bool("delta", false, "XOR-delta pre-copy rounds (requires -precopy)")
 	src := fs.String("src", "", "pin the source node by name")
 	dst := fs.String("dst", "", "pin the destination node by name")
@@ -603,14 +610,14 @@ func cmdJobs(args []string) error {
 	}
 	for _, j := range resp.Jobs {
 		line := fmt.Sprintf("job %-4d %-10s %-8s mode=%-7s attempts=%d retries=%d",
-			j.ID, j.Program, j.State, j.Mode, j.Attempts, j.Retries)
+			j.ID, j.Spec.Program, j.State, j.Mode(), j.Attempts, j.Retries)
 		if j.Src != "" {
 			line += fmt.Sprintf(" %s->%s", j.Src, j.Dst)
-		} else if j.Manifest != "" && j.Dst != "" {
-			line += fmt.Sprintf(" %.12s->%s x%d", j.Manifest, j.Dst, j.Clones)
+		} else if j.Spec.Manifest != "" && j.Dst != "" {
+			line += fmt.Sprintf(" %.12s->%s x%d", j.Spec.Manifest, j.Dst, j.Spec.Clone)
 		}
-		if j.State == "done" {
-			line += fmt.Sprintf(" migration=%v downtime=%v", j.Migration, j.Downtime)
+		if j.State == fleet.Done {
+			line += fmt.Sprintf(" migration=%v downtime=%v", j.MigrationTime, j.Downtime)
 		}
 		if j.Err != "" {
 			line += " err=" + j.Err
@@ -631,17 +638,13 @@ func cmdStatus(args []string) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("usage: dapperctl status [-socket S] [-json] [-full]")
 	}
-	req := fleet.Request{Op: fleet.OpStatus}
-	if *full {
-		req.Op = fleet.OpReport
-	}
-	resp, err := fleet.Call(*socket, req)
+	resp, err := fleet.Call(*socket, fleet.Request{Op: fleet.OpStatus})
 	if err != nil {
 		return err
 	}
 	rep := resp.Status
-	if *full {
-		rep = resp.Report
+	if !*full {
+		rep.Obs = nil
 	}
 	if *jsonOut {
 		data, err := rep.JSON()

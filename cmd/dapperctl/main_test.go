@@ -1,14 +1,18 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/dapper-sim/dapper/internal/cluster"
 	"github.com/dapper-sim/dapper/internal/compiler"
+	"github.com/dapper-sim/dapper/internal/fleet"
 	"github.com/dapper-sim/dapper/internal/isa"
 )
 
@@ -65,7 +69,8 @@ func main() {
 
 // TestMigratePreCopyShortProgram: dapperctl sizes pre-copy rounds to the
 // program, so a short program is still running at the final pause and
-// migrates with its native output.
+// migrates with its native output. The -lazy rows serve post-copy pages
+// over the TCP page server, in migrate and stats alike.
 func TestMigratePreCopyShortProgram(t *testing.T) {
 	paths := writePair(t, shortProg)
 	native := captureStdout(t, func() error { return run([]string{"run", paths[0]}) })
@@ -74,6 +79,9 @@ func TestMigratePreCopyShortProgram(t *testing.T) {
 		{"migrate", "-precopy"},
 		{"migrate", "-precopy", "-delta", "-codec", "flate"},
 		{"stats", "-precopy"},
+		{"migrate", "-lazy"},
+		{"migrate", "-lazy", "-codec", "flate"},
+		{"stats", "-lazy"},
 	} {
 		out := captureStdout(t, func() error { return run(append(args, paths...)) })
 		if args[0] == "migrate" && !strings.Contains(out, "output: "+want) {
@@ -133,6 +141,84 @@ func TestMigratePreCopyNoCallsInLoops(t *testing.T) {
 	for _, frag := range []string{"round 0 paused the source at guest cycle ", "reached exit before round 1"} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Errorf("error %q does not say %q", err, frag)
+		}
+	}
+}
+
+// TestFleetClientCommands drives submit, jobs and status against a real
+// daemon socket: jobs -json decodes into fleet.Job records, the text
+// listing keeps its column layout, and status carries the obs payload
+// only with -full.
+func TestFleetClientCommands(t *testing.T) {
+	m, err := fleet.NewManager(fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := m.Stop(); err != nil {
+			t.Errorf("stop: %v", err)
+		}
+	}()
+	if err := m.AddNode("xeon0", cluster.XeonSpec, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddNode("pi0", cluster.PiSpec, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RegisterProgram("short", shortProg); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	socket := filepath.Join(t.TempDir(), "d.sock")
+	srv, err := fleet.Serve(m, socket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := srv.Close(); err != nil {
+			t.Errorf("server close: %v", err)
+		}
+	}()
+
+	if out := captureStdout(t, func() error { return run([]string{"submit", "-socket", socket, "-program", "short"}) }); out != "job 1 submitted\n" {
+		t.Fatalf("submit printed %q", out)
+	}
+	if err := m.WaitIdle(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+
+	var jobs []fleet.Job
+	out := captureStdout(t, func() error { return run([]string{"jobs", "-socket", socket, "-json"}) })
+	if err := json.Unmarshal([]byte(out), &jobs); err != nil {
+		t.Fatalf("jobs -json: %v\n%s", err, out)
+	}
+	if len(jobs) != 1 || jobs[0].State != fleet.Done || jobs[0].Spec.Program != "short" {
+		t.Fatalf("jobs -json decoded as %+v, want one done job of short", jobs)
+	}
+	text := captureStdout(t, func() error { return run([]string{"jobs", "-socket", socket}) })
+	if want := "job 1    short      done     mode=vanilla attempts=1 retries=0 "; !strings.HasPrefix(text, want) || !strings.Contains(text, " migration=") {
+		t.Errorf("jobs listed %q, want it to start %q and carry the migration time", text, want)
+	}
+
+	for _, tc := range []struct {
+		args    []string
+		wantObs bool
+	}{
+		{[]string{"status", "-socket", socket, "-json"}, false},
+		{[]string{"status", "-socket", socket, "-json", "-full"}, true},
+	} {
+		var rep map[string]json.RawMessage
+		out := captureStdout(t, func() error { return run(tc.args) })
+		if err := json.Unmarshal([]byte(out), &rep); err != nil {
+			t.Fatalf("%v: %v\n%s", tc.args, err, out)
+		}
+		if _, hasObs := rep["obs"]; hasObs != tc.wantObs {
+			t.Errorf("%v: obs present %v, want %v", tc.args, hasObs, tc.wantObs)
+		}
+		if string(rep["jobs_done"]) != "1" {
+			t.Errorf("%v: jobs_done %s, want 1", tc.args, rep["jobs_done"])
 		}
 	}
 }

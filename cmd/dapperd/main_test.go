@@ -142,8 +142,8 @@ func TestDaemonRegistryCloneJob(t *testing.T) {
 		if j.State != "done" {
 			t.Fatalf("clone job state %s (err %q), want done", j.State, j.Err)
 		}
-		if j.Mode != "clone" || j.Clones != 3 || j.Manifest != manifest {
-			t.Fatalf("clone job view: mode=%s clones=%d manifest=%.12s", j.Mode, j.Clones, j.Manifest)
+		if j.Mode() != "clone" || j.Spec.Clone != 3 || j.Spec.Manifest != manifest {
+			t.Fatalf("clone job: mode=%s clones=%d manifest=%.12s", j.Mode(), j.Spec.Clone, j.Spec.Manifest)
 		}
 	}
 	if !found {

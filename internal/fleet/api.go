@@ -16,7 +16,6 @@ const (
 	OpJob    = "job"
 	OpStatus = "status"
 	OpDrain  = "drain"
-	OpReport = "report"
 )
 
 // Request is one client call.
@@ -36,10 +35,10 @@ type Response struct {
 	OK  bool   `json:"ok"`
 	Err string `json:"err,omitempty"`
 
-	JobID int       `json:"job_id,omitempty"`
-	Job   *JobView  `json:"job,omitempty"`
-	Jobs  []JobView `json:"jobs,omitempty"`
-	// Status answers OpStatus: the fleet report without its obs payload.
+	JobID int   `json:"job_id,omitempty"`
+	Job   *Job  `json:"job,omitempty"`
+	Jobs  []Job `json:"jobs,omitempty"`
+	// Status answers OpStatus: the whole fleet report, obs payload
+	// included.
 	Status *FleetReport `json:"status,omitempty"`
-	Report *FleetReport `json:"report,omitempty"`
 }

@@ -171,3 +171,36 @@ func TestReplayedCloneJobNeedsRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneJobRefusals: a clone job restores a stored checkpoint, so a
+// fault plan (which acts on a page transport it has none of) and a wire
+// codec (it sends nothing over a wire) are refused at submit, with the
+// rule named. The registry holds the manifest, so nothing else refuses
+// them.
+func TestCloneJobRefusals(t *testing.T) {
+	store := openStore(t)
+	cfg := fastConfig()
+	cfg.Registry = store
+	m := mixedFleet(t, cfg, 1)
+	defer stopManager(t, m)
+	manifest := pushCheckpoint(t, store)
+	faults := &FaultPlan{FailAttempts: 1, Faults: &criu.FaultSpec{FailRate: 1}}
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		want string
+	}{
+		{"fault plan", JobSpec{Program: "counter", Manifest: manifest, Faults: faults}, "fault plans require a lazy job"},
+		{"codec", JobSpec{Program: "counter", Manifest: manifest, Opts: JobOpts{Codec: "flate"}}, "codec do not apply"},
+	} {
+		_, err := m.Submit(tc.spec)
+		if err == nil {
+			t.Errorf("%s: clone job accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: refusal %q does not say %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := m.Submit(JobSpec{Program: "counter", Manifest: manifest}); err != nil {
+		t.Errorf("plain clone job refused: %v", err)
+	}
+}

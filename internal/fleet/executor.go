@@ -149,11 +149,16 @@ func (m *Manager) attempt(job *Job, src, dst *NodeState, attempt int) error {
 
 	// First dispatch: materialize the source process at the migration
 	// point.
-	if job.proc == nil {
-		if job.proc, err = src.Node.Start(job.Spec.Program); err != nil {
+	proc := job.proc
+	if proc == nil {
+		if proc, err = src.Node.Start(job.Spec.Program); err != nil {
 			return fmt.Errorf("fleet: start %q on %s: %w", job.Spec.Program, src.Name, err)
 		}
-		alive, err := src.Node.K.RunBudget(job.proc, uint64(float64(refCycles)*job.Spec.RunFrac))
+		// Jobs and Job copy the record under m.mu.
+		m.mu.Lock()
+		job.proc = proc
+		m.mu.Unlock()
+		alive, err := src.Node.K.RunBudget(proc, uint64(float64(refCycles)*job.Spec.RunFrac))
 		if err != nil {
 			return fmt.Errorf("fleet: run to %.0f%%: %w", job.Spec.RunFrac*100, err)
 		}
@@ -161,7 +166,6 @@ func (m *Manager) attempt(job *Job, src, dst *NodeState, attempt int) error {
 			return fmt.Errorf("fleet: %q finished before the %.0f%% migration point", job.Spec.Program, job.Spec.RunFrac*100)
 		}
 	}
-	proc := job.proc
 
 	opts, err := m.migrateOpts(job, attempt, refCycles)
 	if err != nil {
@@ -223,7 +227,7 @@ func (m *Manager) attempt(job *Job, src, dst *NodeState, attempt int) error {
 // migrateOpts builds the attempt's cluster.MigrateOpts from the job
 // spec, with — on fault-plan attempts — the plan's fault spec.
 func (m *Manager) migrateOpts(job *Job, attempt int, refCycles uint64) (cluster.MigrateOpts, error) {
-	codec, err := job.Spec.Opts.MigrateCodec()
+	codec, err := ParseCodec(job.Spec.Opts.Codec)
 	if err != nil {
 		return cluster.MigrateOpts{}, err
 	}
@@ -241,9 +245,6 @@ func (m *Manager) migrateOpts(job *Job, attempt int, refCycles uint64) (cluster.
 		opts.PreCopy = &cluster.PreCopyOpts{RoundBudget: refCycles/20 + 1}
 	}
 	if plan := job.Spec.Faults; plan.Active(attempt) {
-		if !opts.Lazy {
-			return cluster.MigrateOpts{}, fmt.Errorf("fleet: fault plans require a lazy job (faults live in the page transport)")
-		}
 		opts.Faults = plan.Faults
 		// Fail fast and deterministically: no fetch retries, so the
 		// first injected fault of an attempt surfaces immediately.

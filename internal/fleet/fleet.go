@@ -12,7 +12,7 @@
 //     daemon resumes its queue without loss or duplication; a job
 //     migrates a process, or restores a registry checkpoint onto a node
 //     as N clones (see clone.go), through one lifecycle;
-//   - a pluggable placement policy (least-loaded, isa-affinity,
+//   - a placement policy function (least-loaded, isa-affinity,
 //     round-robin — see placement.go) that picks each job's destination;
 //   - drain semantics for planned maintenance: a drained node takes no
 //     new placements;
@@ -69,6 +69,9 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if c.Policy == "" {
+		c.Policy = "least-loaded"
+	}
 	if c.RetryBase <= 0 {
 		c.RetryBase = 10 * time.Millisecond
 	}
@@ -211,7 +214,8 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	st := digestEvents(history)
 	for _, ev := range st.programs {
-		if err := m.registerReplayed(ev); err != nil {
+		p := &program{name: ev.Name, source: ev.Source, workload: ev.Workload, class: ev.Class}
+		if err := m.register(p, false); err != nil {
 			return nil, err
 		}
 	}
@@ -284,25 +288,18 @@ func (m *Manager) NodeByName(name string) (*NodeState, bool) {
 // it for both ISAs, installs it on every node, and journals the source so
 // a restarted daemon can re-register it.
 func (m *Manager) RegisterProgram(name, source string) error {
-	return m.register(&program{name: name, source: source})
+	return m.register(&program{name: name, source: source}, true)
 }
 
 // RegisterWorkload registers a workloads-registry program (cg, mg,
 // rediska, ...) at a class.
 func (m *Manager) RegisterWorkload(name string, class workloads.Class) error {
-	return m.register(&program{name: name, workload: name, class: class})
+	return m.register(&program{name: name, workload: name, class: class}, true)
 }
 
-func (m *Manager) registerReplayed(ev Event) error {
-	p := &program{name: ev.Name, source: ev.Source, workload: ev.Workload, class: ev.Class}
-	return m.registerLocked(p, false)
-}
-
-func (m *Manager) register(p *program) error {
-	return m.registerLocked(p, true)
-}
-
-func (m *Manager) registerLocked(p *program, journal bool) error {
+// register compiles, verifies and installs p on every node, journaling
+// the registration unless it is a replay of one.
+func (m *Manager) register(p *program, journal bool) error {
 	var pair *compiler.Pair
 	var err error
 	if p.workload != "" {
@@ -517,26 +514,28 @@ func (m *Manager) Drain(name string, drain bool) error {
 	return nil
 }
 
-// Jobs returns a snapshot of every job in submission order.
-func (m *Manager) Jobs() []JobView {
+// Jobs returns a copy of every job in submission order. A copy shares
+// its Spec.Faults plan with the manager's record: read it, do not write
+// it.
+func (m *Manager) Jobs() []Job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]JobView, 0, len(m.jobOrder))
+	out := make([]Job, 0, len(m.jobOrder))
 	for _, id := range m.jobOrder {
-		out = append(out, m.jobs[id].view())
+		out = append(out, *m.jobs[id])
 	}
 	return out
 }
 
-// Job returns one job's snapshot.
-func (m *Manager) Job(id int) (JobView, bool) {
+// Job returns a copy of one job.
+func (m *Manager) Job(id int) (Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
-		return JobView{}, false
+		return Job{}, false
 	}
-	return j.view(), true
+	return *j, true
 }
 
 // schedulerLoop dispatches pending jobs whenever something changes: a
@@ -679,7 +678,7 @@ func (m *Manager) pickDest(job *Job, src *NodeState) *NodeState {
 		}
 		candidates = append(candidates, n)
 	}
-	return m.policy.Pick(job, src, candidates)
+	return m.policy(job, src, candidates)
 }
 
 // backoffFor computes the exponential retry backoff for a (1-based)

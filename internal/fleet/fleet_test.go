@@ -139,7 +139,7 @@ func TestFleetSmoke(t *testing.T) {
 		if v.State != "done" {
 			t.Errorf("job %d: state %s (err %q), want done", id, v.State, v.Err)
 		}
-		if v.Migration <= 0 || v.ImageBytes == 0 {
+		if v.MigrationTime <= 0 || v.ImageBytes == 0 {
 			t.Errorf("job %d: missing migration stats: %+v", id, v)
 		}
 	}
@@ -484,28 +484,57 @@ func TestFleetRetryExhaustion(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation pins the submit-side error surface.
+// TestSubmitValidation pins the submit-side error surface: each refusal
+// names the rule it enforces.
 func TestSubmitValidation(t *testing.T) {
 	m := mixedFleet(t, fastConfig(), 1)
 	defer stopManager(t, m)
+	faults := &FaultPlan{FailAttempts: 1, Faults: &criu.FaultSpec{FailRate: 1}}
 	cases := []struct {
 		name string
 		spec JobSpec
+		want string
 	}{
-		{"no program", JobSpec{}},
-		{"unknown program", JobSpec{Program: "nope"}},
-		{"bad codec", JobSpec{Program: "counter", Opts: JobOpts{Codec: "zstd"}}},
-		{"delta without precopy", JobSpec{Program: "counter", Opts: JobOpts{Delta: true}}},
-		{"lazy and precopy", JobSpec{Program: "counter", Opts: JobOpts{Lazy: true, PreCopy: true}}},
-		{"bad arch", JobSpec{Program: "counter", TargetArch: "riscv"}},
-		{"bad src", JobSpec{Program: "counter", SrcNode: "ghost"}},
-		{"bad dst", JobSpec{Program: "counter", DstNode: "ghost"}},
-		{"bad frac", JobSpec{Program: "counter", RunFrac: 1.5}},
+		{"no program", JobSpec{}, "needs a program"},
+		{"unknown program", JobSpec{Program: "nope"}, "unknown program"},
+		{"bad codec", JobSpec{Program: "counter", Opts: JobOpts{Codec: "zstd"}}, "unknown codec"},
+		{"delta without precopy", JobSpec{Program: "counter", Opts: JobOpts{Delta: true}}, "requires precopy"},
+		{"lazy and precopy", JobSpec{Program: "counter", Opts: JobOpts{Lazy: true, PreCopy: true}}, "mutually exclusive"},
+		{"bad arch", JobSpec{Program: "counter", TargetArch: "riscv"}, "unknown target arch"},
+		{"bad src", JobSpec{Program: "counter", SrcNode: "ghost"}, "unknown source node"},
+		{"bad dst", JobSpec{Program: "counter", DstNode: "ghost"}, "unknown destination node"},
+		{"bad frac", JobSpec{Program: "counter", RunFrac: 1.5}, "run fraction"},
+		{"faults on vanilla", JobSpec{Program: "counter", Faults: faults}, "fault plans require a lazy job"},
+		{"faults on precopy", JobSpec{Program: "counter", Opts: JobOpts{PreCopy: true}, Faults: faults}, "fault plans require a lazy job"},
 	}
 	for _, tc := range cases {
-		if _, err := m.Submit(tc.spec); err == nil {
+		_, err := m.Submit(tc.spec)
+		if err == nil {
 			t.Errorf("%s: submit accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: refusal %q does not say %q", tc.name, err, tc.want)
 		}
+	}
+	if jobs := m.Jobs(); len(jobs) != 0 {
+		t.Errorf("refused submits left %d jobs", len(jobs))
+	}
+}
+
+// TestJobsReturnsCopies: a caller that mutates what Jobs or Job returns
+// leaves the manager's record as it was.
+func TestJobsReturnsCopies(t *testing.T) {
+	m := mixedFleet(t, fastConfig(), 1)
+	defer stopManager(t, m)
+	id, err := m.Submit(JobSpec{Program: "counter"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := m.Jobs()
+	jobs[0].State, jobs[0].Err, jobs[0].Spec.Program = Failed, "scribbled", "other"
+	one, _ := m.Job(id)
+	one.Retries = 7
+	if v, _ := m.Job(id); v.State != Pending || v.Err != "" || v.Spec.Program != "counter" || v.Retries != 0 {
+		t.Errorf("manager's record changed through a returned copy: %+v", v)
 	}
 }
 

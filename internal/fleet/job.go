@@ -21,31 +21,15 @@ import (
 // Failed. A daemon restart moves Running jobs back to Pending — the
 // attempt's in-memory process state is gone, so the job re-runs from
 // scratch, which the journal makes loss- and duplication-free.
-type JobState uint8
+type JobState string
 
-// Job states.
+// Job states, named as the jobs listing and the control socket print them.
 const (
-	Pending JobState = iota + 1
-	Running
-	Done
-	Failed
+	Pending JobState = "pending"
+	Running JobState = "running"
+	Done    JobState = "done"
+	Failed  JobState = "failed"
 )
-
-// String renders the state for reports and the jobs listing.
-func (s JobState) String() string {
-	switch s {
-	case Pending:
-		return "pending"
-	case Running:
-		return "running"
-	case Done:
-		return "done"
-	case Failed:
-		return "failed"
-	default:
-		return fmt.Sprintf("state(%d)", uint8(s))
-	}
-}
 
 // JobOpts is the per-job migration configuration, the fleet-level mirror
 // of cluster.MigrateOpts: the migration mode, the wire codec and XOR-delta
@@ -60,12 +44,6 @@ type JobOpts struct {
 	Lazy bool `json:"lazy,omitempty"`
 	// PreCopy selects iterative pre-copy migration.
 	PreCopy bool `json:"precopy,omitempty"`
-}
-
-// MigrateCodec resolves the codec name. Unknown names are an error so a
-// typo fails the submit, not the migration.
-func (o JobOpts) MigrateCodec() (imgproto.Codec, error) {
-	return ParseCodec(o.Codec)
 }
 
 // ParseCodec maps a codec name ("", "none", "flate") to the wire codec
@@ -160,8 +138,11 @@ func (s *JobSpec) normalize() error {
 	if s.Opts.Lazy && s.Opts.PreCopy {
 		return fmt.Errorf("fleet: lazy and precopy are mutually exclusive")
 	}
-	if _, err := s.Opts.MigrateCodec(); err != nil {
+	if _, err := ParseCodec(s.Opts.Codec); err != nil {
 		return err
+	}
+	if s.Faults != nil && s.Faults.Faults != nil && !s.Opts.Lazy {
+		return fmt.Errorf("fleet: fault plans require a lazy job (faults live in the page transport)")
 	}
 	switch s.TargetArch {
 	case "", "sx86", "sarm":
@@ -178,8 +159,8 @@ func (s *JobSpec) normalize() error {
 		return fmt.Errorf("fleet: clone count without a manifest")
 	}
 	if s.Manifest != "" {
-		if s.Opts.Lazy || s.Opts.PreCopy || s.Opts.Delta {
-			return fmt.Errorf("fleet: clone jobs restore a stored checkpoint; lazy/precopy/delta do not apply")
+		if s.Opts.Lazy || s.Opts.PreCopy || s.Opts.Delta || s.Opts.Codec != "" {
+			return fmt.Errorf("fleet: clone jobs restore a stored checkpoint; lazy/precopy/delta/codec do not apply")
 		}
 		if s.SrcNode != "" {
 			return fmt.Errorf("fleet: clone jobs have no source node")
@@ -191,20 +172,22 @@ func (s *JobSpec) normalize() error {
 	return nil
 }
 
-// Job is the manager's record of one submitted migration.
+// Job is the manager's record of one submitted migration, and its wire
+// form on the control socket.
 type Job struct {
-	ID   int
-	Spec JobSpec
+	ID   int     `json:"id"`
+	Spec JobSpec `json:"spec"`
 
-	State    JobState
-	Attempts int // attempts started this daemon lifetime
-	Retries  int // attempts beyond the first (including prior lifetimes)
-	Resumed  bool
-	Err      string
+	State    JobState `json:"state"`
+	Attempts int      `json:"attempts"` // attempts started this daemon lifetime
+	Retries  int      `json:"retries"`  // attempts beyond the first (including prior lifetimes)
+	Resumed  bool     `json:"resumed,omitempty"`
+	Err      string   `json:"err,omitempty"`
 
 	// Src/Dst are the nodes of the latest attempt. Src is sticky after
 	// the first dispatch: the paused source process lives there.
-	Src, Dst string
+	Src string `json:"src,omitempty"`
+	Dst string `json:"dst,omitempty"`
 
 	// notBefore gates redispatch after a retry backoff.
 	notBefore time.Time
@@ -214,63 +197,23 @@ type Job struct {
 	proc *kernel.Process
 
 	// Results of the final successful attempt.
-	MigrationTime time.Duration
-	Downtime      time.Duration
-	ImageBytes    uint64
-	WireBytes     uint64
-	Output        string
+	MigrationTime time.Duration `json:"migration_ns,omitempty"`
+	Downtime      time.Duration `json:"downtime_ns,omitempty"`
+	ImageBytes    uint64        `json:"image_bytes,omitempty"`
+	WireBytes     uint64        `json:"wire_bytes,omitempty"`
+	Output        string        `json:"-"`
 }
 
-// JobView is the externally visible snapshot of a Job, serialized over
-// the control socket.
-type JobView struct {
-	ID         int           `json:"id"`
-	Program    string        `json:"program"`
-	State      string        `json:"state"`
-	Attempts   int           `json:"attempts"`
-	Retries    int           `json:"retries"`
-	Resumed    bool          `json:"resumed,omitempty"`
-	Src        string        `json:"src,omitempty"`
-	Dst        string        `json:"dst,omitempty"`
-	Err        string        `json:"err,omitempty"`
-	Mode       string        `json:"mode"`
-	Codec      string        `json:"codec,omitempty"`
-	Delta      bool          `json:"delta,omitempty"`
-	Migration  time.Duration `json:"migration_ns,omitempty"`
-	Downtime   time.Duration `json:"downtime_ns,omitempty"`
-	ImageBytes uint64        `json:"image_bytes,omitempty"`
-	WireBytes  uint64        `json:"wire_bytes,omitempty"`
-	Manifest   string        `json:"manifest,omitempty"`
-	Clones     int           `json:"clones,omitempty"`
-}
-
-func (j *Job) view() JobView {
-	mode := "vanilla"
-	if j.Spec.Manifest != "" {
-		mode = "clone"
-	} else if j.Spec.Opts.Lazy {
-		mode = "lazy"
-	} else if j.Spec.Opts.PreCopy {
-		mode = "precopy"
+// Mode names the job's kind for listings: clone, lazy, precopy or
+// vanilla.
+func (j *Job) Mode() string {
+	switch {
+	case j.Spec.Manifest != "":
+		return "clone"
+	case j.Spec.Opts.Lazy:
+		return "lazy"
+	case j.Spec.Opts.PreCopy:
+		return "precopy"
 	}
-	return JobView{
-		ID:         j.ID,
-		Program:    j.Spec.Program,
-		State:      j.State.String(),
-		Attempts:   j.Attempts,
-		Retries:    j.Retries,
-		Resumed:    j.Resumed,
-		Src:        j.Src,
-		Dst:        j.Dst,
-		Err:        j.Err,
-		Mode:       mode,
-		Codec:      j.Spec.Opts.Codec,
-		Delta:      j.Spec.Opts.Delta,
-		Migration:  j.MigrationTime,
-		Downtime:   j.Downtime,
-		ImageBytes: j.ImageBytes,
-		WireBytes:  j.WireBytes,
-		Manifest:   j.Spec.Manifest,
-		Clones:     j.Spec.Clone,
-	}
+	return "vanilla"
 }

@@ -110,10 +110,10 @@ func TestRetiredJobOptsIgnored(t *testing.T) {
 			t.Errorf("job %d: state %s err %q, want done", v.ID, v.State, v.Err)
 		}
 	}
-	if v, _ := m.Job(1); v.Codec != "flate" || !v.Resumed {
+	if v, _ := m.Job(1); v.Spec.Opts.Codec != "flate" || !v.Resumed {
 		t.Errorf("journaled job resumed as %+v, want its flate codec kept", v)
 	}
-	if v, _ := m.Job(2); v.Mode != "vanilla" || !v.Resumed {
+	if v, _ := m.Job(2); v.Mode() != "vanilla" || !v.Resumed {
 		t.Errorf("journaled stream job resumed as %+v, want a plain vanilla job", v)
 	}
 }

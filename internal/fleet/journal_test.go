@@ -3,8 +3,12 @@ package fleet
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/dapper-sim/dapper/internal/criu"
 )
 
 func specPtr() *JobSpec {
@@ -163,5 +167,63 @@ func TestNilJournal(t *testing.T) {
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJournalReplayMatchesJobs: replaying a finished fleet's journal
+// rebuilds its job table — every job's spec, state, retry count and
+// error — over a queue that covers each mode, a retried fault plan, an
+// exhausted retry budget and a job allowed no retries.
+func TestJournalReplayMatchesJobs(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Journal = filepath.Join(t.TempDir(), "fleet.journal")
+	m := mixedFleet(t, cfg, 2)
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	fail := func(attempts int) *FaultPlan {
+		return &FaultPlan{FailAttempts: attempts, Faults: &criu.FaultSpec{Seed: 7, FailRate: 1.0}}
+	}
+	lazy := JobOpts{Lazy: true}
+	for _, spec := range []JobSpec{
+		{Program: "counter"},
+		{Program: "counter", Opts: lazy},
+		{Program: "counter", Opts: JobOpts{PreCopy: true, Delta: true, Codec: "flate"}},
+		{Program: "counter", Opts: lazy, Faults: fail(1)},
+		{Program: "counter", Opts: lazy, Faults: fail(99), MaxRetries: 2},
+		{Program: "counter", Opts: lazy, Faults: fail(1), MaxRetries: -1},
+		{Program: "counter", MaxRetries: -1},
+	} {
+		if _, err := m.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.WaitIdle(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	live := m.Jobs()
+	events, err := replayJournal(cfg.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := digestEvents(events).jobs
+	if len(replayed) != len(live) {
+		t.Fatalf("replay has %d jobs, the fleet ran %d", len(replayed), len(live))
+	}
+	key := func(j Job) Job {
+		return Job{ID: j.ID, Spec: j.Spec, State: j.State, Retries: j.Retries, Err: j.Err}
+	}
+	states := map[JobState]int{}
+	for i, j := range live {
+		if got, want := key(*replayed[i]), key(j); !reflect.DeepEqual(got, want) {
+			t.Errorf("job %d replays as %+v, ran as %+v", j.ID, got, want)
+		}
+		states[j.State]++
+	}
+	if states[Done] != 5 || states[Failed] != 2 {
+		t.Errorf("states %v, want 5 done and 2 failed", states)
 	}
 }

@@ -34,7 +34,7 @@ func TestJobsLeaveNoProcesses(t *testing.T) {
 	cases := []struct {
 		name  string
 		spec  JobSpec
-		want  string
+		want  JobState
 		clone bool
 	}{
 		{name: "vanilla", spec: JobSpec{Program: "counter"}, want: "done"},

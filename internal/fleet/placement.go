@@ -2,37 +2,30 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/dapper-sim/dapper/internal/isa"
 )
 
-// Placement picks a destination node for a job. The manager pre-filters
-// candidates — only alive, undrained nodes with a free migration slot
-// that are not the job's source (and match the job's TargetArch, if any)
-// are offered — so a policy ranks eligibility, it does not re-derive it.
-// Policies must be pure functions of their arguments plus their own
-// state (the round-robin cursor), so placement is deterministic for a
-// deterministic submission order.
-type Placement interface {
-	// Name is the policy's registry key.
-	Name() string
-	// Pick returns the chosen node, or nil when candidates is empty.
-	// candidates is sorted by node name; src is nil for a clone job,
-	// which has no source.
-	Pick(job *Job, src *NodeState, candidates []*NodeState) *NodeState
-}
+// Placement picks a destination node for a job, or nil when candidates
+// is empty. The manager pre-filters candidates — only alive, undrained
+// nodes with a free migration slot that are not the job's source (and
+// match the job's TargetArch, if any) are offered, sorted by node name —
+// so a policy ranks eligibility, it does not re-derive it. src is nil
+// for a clone job, which has no source. A policy is a pure function of
+// its arguments plus its own state (the round-robin cursor), so
+// placement is deterministic for a deterministic submission order.
+type Placement func(job *Job, src *NodeState, candidates []*NodeState) *NodeState
 
-// NewPlacement builds a placement policy by name: "least-loaded" (the
-// default), "isa-affinity", or "round-robin".
+// NewPlacement builds a placement policy by name: "least-loaded",
+// "isa-affinity", or "round-robin".
 func NewPlacement(name string) (Placement, error) {
 	switch name {
-	case "", "least-loaded":
-		return &leastLoaded{}, nil
+	case "least-loaded":
+		return leastLoaded, nil
 	case "isa-affinity":
-		return &isaAffinity{}, nil
+		return isaAffinity, nil
 	case "round-robin":
-		return &roundRobin{}, nil
+		return roundRobin(), nil
 	default:
 		return nil, fmt.Errorf("fleet: unknown placement policy %q (want least-loaded, isa-affinity, or round-robin)", name)
 	}
@@ -41,15 +34,7 @@ func NewPlacement(name string) (Placement, error) {
 // leastLoaded picks the node with the lowest occupancy fraction
 // (running migrations / capacity), breaking ties by name for
 // determinism.
-type leastLoaded struct{}
-
-func (*leastLoaded) Name() string { return "least-loaded" }
-
-func (*leastLoaded) Pick(_ *Job, _ *NodeState, candidates []*NodeState) *NodeState {
-	return minByLoad(candidates)
-}
-
-func minByLoad(candidates []*NodeState) *NodeState {
+func leastLoaded(_ *Job, _ *NodeState, candidates []*NodeState) *NodeState {
 	var best *NodeState
 	var bestLoad float64
 	for _, n := range candidates {
@@ -66,11 +51,7 @@ func minByLoad(candidates []*NodeState) *NodeState {
 // default a job lands on the other architecture (load permitting),
 // falling back to same-ISA nodes only when no cross-ISA candidate is
 // offered. Ties inside the preferred class break least-loaded.
-type isaAffinity struct{}
-
-func (*isaAffinity) Name() string { return "isa-affinity" }
-
-func (*isaAffinity) Pick(_ *Job, src *NodeState, candidates []*NodeState) *NodeState {
+func isaAffinity(job *Job, src *NodeState, candidates []*NodeState) *NodeState {
 	if src != nil {
 		var cross []*NodeState
 		for _, n := range candidates {
@@ -79,29 +60,25 @@ func (*isaAffinity) Pick(_ *Job, src *NodeState, candidates []*NodeState) *NodeS
 			}
 		}
 		if len(cross) > 0 {
-			return minByLoad(cross)
+			return leastLoaded(job, src, cross)
 		}
 	}
-	return minByLoad(candidates)
+	return leastLoaded(job, src, candidates)
 }
 
 // roundRobin cycles through nodes in name order, skipping ineligible
 // ones. The cursor advances only on successful picks, so a temporarily
 // full node does not permanently shift the rotation.
-type roundRobin struct {
-	cursor int
-}
-
-func (*roundRobin) Name() string { return "round-robin" }
-
-func (r *roundRobin) Pick(_ *Job, _ *NodeState, candidates []*NodeState) *NodeState {
-	if len(candidates) == 0 {
-		return nil
+func roundRobin() Placement {
+	cursor := 0
+	return func(_ *Job, _ *NodeState, candidates []*NodeState) *NodeState {
+		if len(candidates) == 0 {
+			return nil
+		}
+		pick := candidates[cursor%len(candidates)]
+		cursor++
+		return pick
 	}
-	sort.Slice(candidates, func(i, k int) bool { return candidates[i].Name < candidates[k].Name })
-	pick := candidates[r.cursor%len(candidates)]
-	r.cursor++
-	return pick
 }
 
 // archOf parses a TargetArch constraint; "" means unconstrained.

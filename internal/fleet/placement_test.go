@@ -25,23 +25,23 @@ func TestLeastLoadedPlacement(t *testing.T) {
 	}
 	idle := testNode("b-idle", cluster.PiSpec, 2, 0)
 	half := testNode("a-half", cluster.XeonSpec, 2, 1)
-	if got := p.Pick(nil, nil, []*NodeState{half, idle}); got != idle {
+	if got := p(nil, nil, []*NodeState{half, idle}); got != idle {
 		t.Errorf("picked %s, want the idle node", got.Name)
 	}
 	// Ties break to the first candidate (candidates arrive name-sorted).
 	tieA := testNode("a", cluster.XeonSpec, 2, 1)
 	tieB := testNode("b", cluster.PiSpec, 2, 1)
-	if got := p.Pick(nil, nil, []*NodeState{tieA, tieB}); got != tieA {
+	if got := p(nil, nil, []*NodeState{tieA, tieB}); got != tieA {
 		t.Errorf("tie picked %s, want a", got.Name)
 	}
-	if p.Pick(nil, nil, nil) != nil {
+	if p(nil, nil, nil) != nil {
 		t.Error("empty candidates produced a pick")
 	}
 	// Load is a fraction of capacity, not an absolute count: 2/8 busy
 	// beats 1/2 busy.
 	big := testNode("big", cluster.XeonSpec, 8, 2)
 	small := testNode("small", cluster.PiSpec, 2, 1)
-	if got := p.Pick(nil, nil, []*NodeState{big, small}); got != big {
+	if got := p(nil, nil, []*NodeState{big, small}); got != big {
 		t.Errorf("picked %s, want the fractionally idler big node", got.Name)
 	}
 }
@@ -55,15 +55,15 @@ func TestISAAffinityPlacement(t *testing.T) {
 	sameIdle := testNode("xeon1", cluster.XeonSpec, 2, 0)
 	crossBusy := testNode("pi0", cluster.PiSpec, 2, 1)
 	// Cross-ISA wins even when busier.
-	if got := p.Pick(nil, src, []*NodeState{crossBusy, sameIdle}); got != crossBusy {
+	if got := p(nil, src, []*NodeState{crossBusy, sameIdle}); got != crossBusy {
 		t.Errorf("picked %s, want the cross-ISA node", got.Name)
 	}
 	// With no cross-ISA candidate it degrades to least-loaded.
-	if got := p.Pick(nil, src, []*NodeState{sameIdle}); got != sameIdle {
+	if got := p(nil, src, []*NodeState{sameIdle}); got != sameIdle {
 		t.Errorf("picked %v, want the same-ISA fallback", got)
 	}
 	// Without a source yet, plain least-loaded.
-	if got := p.Pick(nil, nil, []*NodeState{crossBusy, sameIdle}); got != sameIdle {
+	if got := p(nil, nil, []*NodeState{crossBusy, sameIdle}); got != sameIdle {
 		t.Errorf("sourceless pick %s, want least-loaded", got.Name)
 	}
 }
@@ -78,7 +78,7 @@ func TestRoundRobinPlacement(t *testing.T) {
 	c := testNode("c", cluster.PiSpec, 2, 0)
 	got := []string{}
 	for i := 0; i < 4; i++ {
-		got = append(got, p.Pick(nil, nil, []*NodeState{a, b, c}).Name)
+		got = append(got, p(nil, nil, []*NodeState{a, b, c}).Name)
 	}
 	want := []string{"a", "b", "c", "a"}
 	for i := range want {
@@ -92,11 +92,12 @@ func TestNewPlacementErrors(t *testing.T) {
 	if _, err := NewPlacement("chaos"); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	p, err := NewPlacement("")
+	m, err := NewManager(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name() != "least-loaded" {
-		t.Errorf("default policy %s", p.Name())
+	defer stopManager(t, m)
+	if got := m.Report().Policy; got != "least-loaded" {
+		t.Errorf("default policy %s", got)
 	}
 }

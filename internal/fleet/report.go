@@ -78,11 +78,10 @@ func (m *Manager) Report() *FleetReport {
 		}
 	}
 	nodes := m.nodeList()
-	policy := m.policy.Name()
 	m.mu.Unlock()
 
 	rep := &FleetReport{
-		Policy:    policy,
+		Policy:    m.cfg.Policy,
 		Uptime:    uptime.Seconds(),
 		Pending:   pending,
 		Running:   running,

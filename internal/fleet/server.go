@@ -89,16 +89,12 @@ func (s *Server) dispatch(req Request) Response {
 		}
 		return Response{OK: true, Job: &v}
 	case OpStatus:
-		rep := s.m.Report()
-		rep.Obs = nil
-		return Response{OK: true, Status: rep}
+		return Response{OK: true, Status: s.m.Report()}
 	case OpDrain:
 		if err := s.m.Drain(req.Node, !req.Undrain); err != nil {
 			return fail(err)
 		}
 		return Response{OK: true}
-	case OpReport:
-		return Response{OK: true, Report: s.m.Report()}
 	default:
 		return fail(fmt.Errorf("fleet: unknown op %q", req.Op))
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // TestServerRoundTrip drives the whole control surface over a real unix
-// socket: ping, submit, job/jobs, status, drain, report — the same calls
+// socket: ping, submit, job/jobs, status, drain — the same calls
 // dapperctl makes.
 func TestServerRoundTrip(t *testing.T) {
 	m := mixedFleet(t, fastConfig(), 2)
@@ -91,15 +91,15 @@ func TestServerRoundTrip(t *testing.T) {
 	if err != nil || !dr.OK {
 		t.Fatalf("drain: %v", err)
 	}
-	rr, err := Call(socket, Request{Op: OpReport})
+	rr, err := Call(socket, Request{Op: OpStatus})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Report == nil || rr.Report.Obs == nil {
-		t.Fatal("report over the wire lost its obs payload")
+	if rr.Status == nil || rr.Status.Obs == nil {
+		t.Fatal("status over the wire lost its obs payload")
 	}
 	drained := false
-	for _, n := range rr.Report.Nodes {
+	for _, n := range rr.Status.Nodes {
 		if n.Name == "pi0" && n.Drained {
 			drained = true
 		}
