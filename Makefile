@@ -76,7 +76,7 @@ loc:
 # over its ceiling. The ceilings are the counts of the last PR that moved
 # them; a PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it, and a PR that removes lines lowers it.
-LOC_CEILING = 25128
+LOC_CEILING = 25123
 LOC_MIGRATION_CEILING = 8352
 loc-check:
 	@$(LOC_COUNT); all=$$(count internal cmd); mig=$$(count $(addprefix internal/,$(MIGRATION_PKGS))); \
@@ -99,10 +99,16 @@ bench:
 # bench-vm times the interpreter alone: host nanoseconds per guest
 # instruction for an ALU loop, a load/store loop and a call/return loop on
 # each ISA, and for kernel.Step over four threads (docs/perf.md,
-# "Interpreter budget"). The budget itself — no slow-path entry, no
-# allocation on a warm loop — is gated by TestInterpreterHitPath in tier-1.
+# "Interpreter budget"). Each row runs five times for 0.2 s (~8 s in all)
+# and prints its minimum: one reading varies by tens of percent on a
+# shared machine, the minimum much less. The budget itself — no slow-path
+# entry, no allocation on a warm loop — is gated by TestInterpreterHitPath
+# in tier-1.
 bench-vm:
-	$(GO) test -run=^$$ -bench=InterpreterLoop ./internal/vm
+	@out=$$($(GO) test -run=^$$ -bench=InterpreterLoop -count=5 -benchtime=0.2s ./internal/vm) || { printf '%s\n' "$$out"; exit 1; }; \
+	printf '%s\n' "$$out" | awk '/^Benchmark/ { for (i = 2; i < NF; i++) if ($$(i+1) == "ns/guest-inst") v = $$i + 0; \
+		if (!($$1 in min)) { row[n++] = $$1; min[$$1] = v } else if (v < min[$$1]) min[$$1] = v } \
+		END { for (i = 0; i < n; i++) printf "%-44s %6.2f ns/guest-inst (min of 5)\n", row[i], min[row[i]] }'
 
 # bench-codec runs the flate codec's benchmarks one iteration each — a
 # segment of every shape the form trial tells apart, a page batch, and the

@@ -215,7 +215,7 @@ func typeCheck(fset *token.FileSet, modPath string, pkgs []*Package) {
 		byImport[importPathOf(modPath, p)] = p
 	}
 	si := &stubImporter{local: make(map[string]*types.Package), stubs: make(map[string]*types.Package)}
-	for _, p := range topoOrder(modPath, pkgs, byImport) {
+	for _, p := range topoOrder(fset, pkgs, byImport) {
 		files := nonTestFiles(fset, p.Files)
 		if len(files) == 0 {
 			continue
@@ -248,8 +248,10 @@ func importPathOf(modPath string, p *Package) string {
 
 // topoOrder sorts packages so local dependencies are checked before their
 // importers; cycles (which the go tool would reject anyway) fall back to
-// input order.
-func topoOrder(modPath string, pkgs []*Package, byImport map[string]*Package) []*Package {
+// input order. Only non-test files are type-checked, so only their imports
+// count: an external test may import a package that imports the one under
+// test, and following it would check that importer first, against a stub.
+func topoOrder(fset *token.FileSet, pkgs []*Package, byImport map[string]*Package) []*Package {
 	state := make(map[*Package]int) // 0 new, 1 visiting, 2 done
 	var out []*Package
 	var visit func(p *Package)
@@ -258,7 +260,7 @@ func topoOrder(modPath string, pkgs []*Package, byImport map[string]*Package) []
 			return
 		}
 		state[p] = 1
-		for _, f := range p.Files {
+		for _, f := range nonTestFiles(fset, p.Files) {
 			for _, imp := range f.Imports {
 				path, err := strconv.Unquote(imp.Path.Value)
 				if err != nil {

@@ -3,12 +3,16 @@ package vm_test
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"github.com/dapper-sim/dapper/internal/asm"
+	"github.com/dapper-sim/dapper/internal/compiler"
 	"github.com/dapper-sim/dapper/internal/isa"
+	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/vm"
+	"github.com/dapper-sim/dapper/internal/workloads"
 )
 
 // archs fixes the order sub-tests and sub-benchmarks run in; coders()
@@ -161,6 +165,114 @@ func TestInterpreterHitPath(t *testing.T) {
 				t.Errorf("a warm run allocates %.0f times, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestSplitBudgetMatchesWhole runs every loop, and the mixed one, for the
+// same number of instructions as one Run and as Runs whose budgets cycle
+// through 1..7. A Run starts from the register file alone — its budget
+// counts down from maxSteps and it trusts no code page until it fetches
+// one — so wherever a budget runs out, the next Run must carry on exactly
+// there: the same registers, cycles and memory.
+func TestSplitBudgetMatchesWhole(t *testing.T) {
+	const steps = 5000
+	for _, name := range []string{"alu", "loadstore", "callret", "mixed"} {
+		body := loopBodies[name]
+		if name == "mixed" {
+			body = mixedBody
+		}
+		for _, arch := range archs {
+			t.Run(name+"/"+arch.String(), func(t *testing.T) {
+				run := func(budget func(i int) int) (*vm.Machine, *isa.RegFile, uint64) {
+					m, r := loopProgram(t, arch, body)
+					r.R[2] = 1 << 40
+					var cycles uint64
+					for i, left := 0, steps; left > 0; i++ {
+						n := min(budget(i), left)
+						stop, err := m.Run(r, n)
+						if err != nil || stop.Kind != vm.StopQuantum {
+							t.Fatalf("stop %+v, err %v", stop, err)
+						}
+						cycles += stop.Cycles
+						left -= n
+					}
+					return m, r, cycles
+				}
+				wm, wr, wc := run(func(int) int { return steps })
+				sm, sr, sc := run(func(i int) int { return i%7 + 1 })
+				if *sr != *wr {
+					t.Errorf("registers after split Runs\n%+v\nafter one Run\n%+v", *sr, *wr)
+				}
+				if sc != wc {
+					t.Errorf("split Runs took %d cycles, one Run %d", sc, wc)
+				}
+				for _, area := range [][2]uint64{
+					{isa.DataBase, isa.DataBase + 0x10000},
+					{isa.StackTop - mem.PageSize, isa.StackTop},
+				} {
+					split, whole := make([]byte, area[1]-area[0]), make([]byte, area[1]-area[0])
+					if err := sm.AS.ReadBytes(area[0], split); err != nil {
+						t.Fatal(err)
+					}
+					if err := wm.AS.ReadBytes(area[0], whole); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(split, whole) {
+						t.Errorf("memory [0x%x, 0x%x) differs between split Runs and one Run", area[0], area[1])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDecodeTableBytes is the ceiling on what the predecode tables cost: the
+// bytes a fresh Machine allocates to decode every PC a class-S streamcluster
+// run executes, summed over both ISAs. The ceiling is what the uint16
+// windows this layout replaced took, 94 144 bytes, plus 5 %; the 64-entry
+// pointer windows take 96 864. A slot store that buys speed with memory
+// fails here, not first in the benchmark's alloc_mb_per_op: 256-entry
+// windows of slot pointers, 2 KB each, ran as fast and take 108 512.
+func TestDecodeTableBytes(t *testing.T) {
+	const ceiling = 94_144 * 105 / 100
+	w, err := workloads.Get("streamcluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := workloads.CompilePair(w, workloads.ClassS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var total uint64
+	for _, bin := range []*compiler.Binary{pair.X86, pair.ARM} {
+		start := func() (*kernel.Kernel, *kernel.Process) {
+			k := kernel.New(kernel.Config{Cores: w.Threads})
+			p, err := k.StartProcess(bin.LoadSpec(compiler.ExePath(w.Name, bin.Arch)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return k, p
+		}
+		k, ran := start()
+		if err := k.Run(ran); err != nil {
+			t.Fatal(err)
+		}
+		pcs := ran.Machine.DecodedPCs()
+		_, p := start()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, pc := range pcs {
+			if err := p.Machine.Fetch(pc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		t.Logf("%v: %d PCs decoded into %d bytes of tables", bin.Arch, len(pcs), after.TotalAlloc-before.TotalAlloc)
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	if total > ceiling {
+		t.Errorf("the tables take %d bytes, ceiling %d", total, ceiling)
 	}
 }
 

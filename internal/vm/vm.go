@@ -9,14 +9,15 @@
 // The interpreter has a per-instruction budget (docs/perf.md, "Interpreter
 // budget"): an instruction that hits executes with no hash-map access, no
 // VMA search, no isa.Inst copy and no allocation. Code is predecoded, one
-// compact slot per executed PC, into a table per code page (codePage) that
-// Run reaches through a pointer it keeps while execution stays on the
-// page; loads and stores go through the address space's software TLB. A
-// table is valid for one frame at one write version — checked when a page
-// is entered, and again after every store the running instruction makes —
-// so process rewrites that swap or patch code pages (the DAPPER cross-ISA
-// transform, the stack-shuffling SBI, self-modifying guests) take effect
-// on the next fetch.
+// compact slot per executed PC, into a table per code page (codePage)
+// whose windows hold each slot's pointer; Run keeps the window it executes
+// in, so a fetch is one load from PC to slot, and carries little else from
+// one instruction to the next. Loads and stores go through the address
+// space's software TLB. A table is valid for one frame at one write
+// version — checked when a page is entered, and again after every store
+// the running instruction makes — so process rewrites that swap or patch
+// code pages (the DAPPER cross-ISA transform, the stack-shuffling SBI,
+// self-modifying guests) take effect on the next fetch.
 package vm
 
 import (
@@ -104,29 +105,25 @@ type codePage struct {
 	// index maps a page offset to its slot, in two levels so that a page
 	// costs memory in proportion to the code executed from it: the page is
 	// cut into windows of windowSize bytes, and a window is allocated when
-	// the first PC inside it is decoded. An entry of 0 means not decoded
-	// yet, so slots[0] is never used.
+	// the first PC inside it is decoded. A nil entry is a PC not decoded
+	// yet; a slot is allocated when its PC is.
 	index pageIndex
-	slots []slot
 }
 
-// windowSize trades the memory of a sparsely executed page (2 bytes of
-// index per byte of window touched) against how often Run has to step
-// from one window to the next through the page's index.
-const windowSize = 256
+// windowSize trades the memory of a sparsely executed page (a window costs
+// 8 bytes per byte of code it covers) against how often Run has to step
+// from one window to the next through the page's index. An entry is the
+// slot's pointer, so a fetch inside the window is one load from PC to slot.
+const windowSize = 64
 
 type (
-	window    [windowSize]uint16
+	window    [windowSize]*slot
 	pageIndex [mem.PageSize / windowSize]*window
 )
 
-// noCode and noWindow are the index of no page and the window of no code:
-// every lookup misses. Run points at them until the first fetch and after
-// a store that may have changed code.
-var (
-	noCode   pageIndex
-	noWindow window
-)
+// noWindow is the window of no code: every lookup misses. Run points at it
+// until its first fetch and after a store that may have changed code.
+var noWindow window
 
 // codeWays is how many code pages a Machine keeps tables for, direct-
 // mapped by page index. Two pages sharing a way evict each other's table
@@ -142,7 +139,9 @@ type Machine struct {
 	AS    *mem.AddressSpace
 
 	pages [codeWays]*codePage
-	// cur is the page of the most recent fetch.
+	// cur is the page of the most recent fetch while Run may trust its
+	// table, nil when it may not: Run clears it on entry and after a store
+	// that may have changed code, and only fetchSlow sets it.
 	cur *codePage
 	// scratch holds an instruction that crosses into the next page; it is
 	// decoded afresh each time, since no one frame's version covers it.
@@ -172,8 +171,8 @@ func (m *Machine) DecodedPCs() []uint64 {
 			if w == nil {
 				continue
 			}
-			for off, i := range w {
-				if i != 0 {
+			for off, s := range w {
+				if s != nil {
 					out = append(out, cp.idx*mem.PageSize+uint64(n*windowSize+off))
 				}
 			}
@@ -203,7 +202,6 @@ func (m *Machine) fetchSlow(pc uint64) (*slot, error) {
 			// Another page, another frame behind this one, or rewritten
 			// bytes: nothing decoded so far can be trusted.
 			cp.index = pageIndex{}
-			cp.slots = append(cp.slots[:0], slot{})
 			cp.idx, cp.frame, cp.version = idx, frame, frame.Version
 		}
 		cp.epoch = m.AS.Epoch()
@@ -213,8 +211,8 @@ func (m *Machine) fetchSlow(pc uint64) (*slot, error) {
 	if w == nil {
 		w = new(window)
 		cp.index[off/windowSize] = w
-	} else if i := w[off%windowSize]; i != 0 {
-		return &cp.slots[i], nil
+	} else if s := w[off%windowSize]; s != nil {
+		return s, nil
 	}
 	var inst isa.Inst
 	var err error
@@ -232,9 +230,10 @@ func (m *Machine) fetchSlow(pc uint64) (*slot, error) {
 		m.scratch = makeSlot(inst)
 		return &m.scratch, nil
 	}
-	w[off%windowSize] = uint16(len(cp.slots))
-	cp.slots = append(cp.slots, makeSlot(inst))
-	return &cp.slots[len(cp.slots)-1], nil
+	s := new(slot)
+	*s = makeSlot(inst)
+	w[off%windowSize] = s
+	return s, nil
 }
 
 // codeStale reports whether the current code page may no longer be what
@@ -252,48 +251,36 @@ func (m *Machine) Run(r *isa.RegFile, maxSteps int) (Stop, error) {
 	// Register numbers are masked, not bounds-checked: the file has
 	// NumRegs slots and both decoders produce numbers below that.
 	const rmask = isa.NumRegs - 1
-	var (
-		as      = m.AS
-		sp      = m.ABI.SP & rmask
-		lr      = m.ABI.LR & rmask
-		onStack = m.ABI.RetAddrOnStack
-		pc      = r.PC
-		cycles  uint64
-		// base, index and slots are the current code page, wbase and win
-		// the window of it execution is in: straight-line code and
-		// branches inside the window look no further than win, branches
-		// inside the page no further than index.
-		base  uint64
-		index = &noCode
-		slots []slot
-		wbase uint64
-		win   = &noWindow
-		s     *slot
-		err   error
-		why   string
-	)
-	for step := 0; step < maxSteps; step++ {
-		var i uint16
+	// Go's ABI has no callee-saved registers, so whatever the loop keeps
+	// live across the cases that call ReadU64 or WriteU64 is spilled and
+	// reloaded on every instruction. The loop keeps only the PC, the
+	// cycles, the budget and the window execution is in (wbase, win):
+	// straight-line code and branches inside the window look no further
+	// than win. The ABI, the address space and the current page are read
+	// from m where they are used, and faults leave through fault.
+	m.cur = nil
+	pc, cycles := r.PC, uint64(0)
+	wbase, win := uint64(0), &noWindow
+	for ; maxSteps > 0; maxSteps-- {
+		var s *slot
 		if off := pc - wbase; off < windowSize {
-			i = win[off]
+			s = win[off]
 		}
-		if i == 0 {
-			if off := pc - base; off < mem.PageSize {
-				if w := index[off/windowSize]; w != nil {
+		if s == nil {
+			if cp := m.cur; cp != nil && pc/mem.PageSize == cp.idx {
+				if w := cp.index[pc%mem.PageSize/windowSize]; w != nil {
 					wbase, win = pc&^(windowSize-1), w
-					i = w[off%windowSize]
+					s = w[pc%windowSize]
 				}
 			}
-		}
-		if i != 0 {
-			s = &slots[i]
-		} else {
-			if s, err = m.fetchSlow(pc); err != nil {
-				r.PC = pc
-				return Stop{Cycles: cycles}, err
+			if s == nil {
+				var err error
+				if s, err = m.fetchSlow(pc); err != nil {
+					r.PC = pc
+					return Stop{Cycles: cycles}, err
+				}
+				wbase, win = pc&^(windowSize-1), m.cur.index[pc%mem.PageSize/windowSize]
 			}
-			base, index, slots = m.cur.idx*mem.PageSize, &m.cur.index, m.cur.slots
-			wbase, win = pc&^(windowSize-1), index[pc%mem.PageSize/windowSize]
 		}
 		if s.op == isa.OpTrap {
 			r.PC = pc
@@ -316,38 +303,39 @@ func (m *Machine) Run(r *isa.RegFile, maxSteps int) (Stop, error) {
 		case isa.OpMov:
 			r.R[s.rd&rmask] = r.R[s.rn&rmask]
 		case isa.OpLoad:
-			var v uint64
-			if v, err = as.ReadU64(r.R[s.rn&rmask] + uint64(s.imm)); err != nil {
-				goto fault
+			v, err := m.AS.ReadU64(r.R[s.rn&rmask] + uint64(s.imm))
+			if err != nil {
+				return fault(r, pc, cycles, s, err, "")
 			}
 			r.R[s.rd&rmask] = v
 		case isa.OpStore:
-			if err = as.WriteU64(r.R[s.rn&rmask]+uint64(s.imm), r.R[s.rd&rmask]); err != nil {
-				goto fault
+			if err := m.AS.WriteU64(r.R[s.rn&rmask]+uint64(s.imm), r.R[s.rd&rmask]); err != nil {
+				return fault(r, pc, cycles, s, err, "")
 			}
 			if m.codeStale() {
-				index, win = &noCode, &noWindow
+				m.cur, win = nil, &noWindow
 			}
 		case isa.OpLoadPair:
-			var v1, v2 uint64
 			addr := r.R[s.rn&rmask] + uint64(s.imm)
-			if v1, err = as.ReadU64(addr); err != nil {
-				goto fault
+			v1, err := m.AS.ReadU64(addr)
+			if err != nil {
+				return fault(r, pc, cycles, s, err, "")
 			}
-			if v2, err = as.ReadU64(addr + 8); err != nil {
-				goto fault
+			v2, err := m.AS.ReadU64(addr + 8)
+			if err != nil {
+				return fault(r, pc, cycles, s, err, "")
 			}
 			r.R[s.rd&rmask], r.R[s.rm&rmask] = v1, v2
 		case isa.OpStorePair:
 			addr := r.R[s.rn&rmask] + uint64(s.imm)
-			if err = as.WriteU64(addr, r.R[s.rd&rmask]); err != nil {
-				goto fault
+			if err := m.AS.WriteU64(addr, r.R[s.rd&rmask]); err != nil {
+				return fault(r, pc, cycles, s, err, "")
 			}
-			if err = as.WriteU64(addr+8, r.R[s.rm&rmask]); err != nil {
-				goto fault
+			if err := m.AS.WriteU64(addr+8, r.R[s.rm&rmask]); err != nil {
+				return fault(r, pc, cycles, s, err, "")
 			}
 			if m.codeStale() {
-				index, win = &noCode, &noWindow
+				m.cur, win = nil, &noWindow
 			}
 		case isa.OpLea, isa.OpAddImm:
 			r.R[s.rd&rmask] = r.R[s.rn&rmask] + uint64(s.imm)
@@ -359,14 +347,12 @@ func (m *Machine) Run(r *isa.RegFile, maxSteps int) (Stop, error) {
 			r.R[s.rd&rmask] = uint64(int64(r.R[s.rn&rmask]) * int64(r.R[s.rm&rmask]))
 		case isa.OpDiv:
 			if r.R[s.rm&rmask] == 0 {
-				why = "integer divide by zero"
-				goto fault
+				return fault(r, pc, cycles, s, nil, "integer divide by zero")
 			}
 			r.R[s.rd&rmask] = uint64(int64(r.R[s.rn&rmask]) / int64(r.R[s.rm&rmask]))
 		case isa.OpMod:
 			if r.R[s.rm&rmask] == 0 {
-				why = "integer modulo by zero"
-				goto fault
+				return fault(r, pc, cycles, s, nil, "integer modulo by zero")
 			}
 			r.R[s.rd&rmask] = uint64(int64(r.R[s.rn&rmask]) % int64(r.R[s.rm&rmask]))
 		case isa.OpAnd:
@@ -410,44 +396,48 @@ func (m *Machine) Run(r *isa.RegFile, maxSteps int) (Stop, error) {
 		case isa.OpFCmpLe:
 			r.R[s.rd&rmask] = btoi(b2f(r.R[s.rn&rmask]) <= b2f(r.R[s.rm&rmask]))
 		case isa.OpPush:
+			sp := m.ABI.SP & rmask
 			r.R[sp] -= 8
-			if err = as.WriteU64(r.R[sp], r.R[s.rd&rmask]); err != nil {
-				goto fault
+			if err := m.AS.WriteU64(r.R[sp], r.R[s.rd&rmask]); err != nil {
+				return fault(r, pc, cycles, s, err, "")
 			}
 			if m.codeStale() {
-				index, win = &noCode, &noWindow
+				m.cur, win = nil, &noWindow
 			}
 		case isa.OpPop:
-			var v uint64
-			if v, err = as.ReadU64(r.R[sp]); err != nil {
-				goto fault
+			sp := m.ABI.SP & rmask
+			v, err := m.AS.ReadU64(r.R[sp])
+			if err != nil {
+				return fault(r, pc, cycles, s, err, "")
 			}
 			r.R[s.rd&rmask] = v
 			r.R[sp] += 8
 		case isa.OpCall:
-			if onStack {
+			if m.ABI.RetAddrOnStack {
+				sp := m.ABI.SP & rmask
 				r.R[sp] -= 8
-				if err = as.WriteU64(r.R[sp], next); err != nil {
-					goto fault
+				if err := m.AS.WriteU64(r.R[sp], next); err != nil {
+					return fault(r, pc, cycles, s, err, "")
 				}
 				if m.codeStale() {
-					index, win = &noCode, &noWindow
+					m.cur, win = nil, &noWindow
 				}
 			} else {
-				r.R[lr] = next
+				r.R[m.ABI.LR&rmask] = next
 			}
 			pc = uint64(s.imm)
 			continue
 		case isa.OpRet:
-			if onStack {
-				var v uint64
-				if v, err = as.ReadU64(r.R[sp]); err != nil {
-					goto fault
+			if m.ABI.RetAddrOnStack {
+				sp := m.ABI.SP & rmask
+				v, err := m.AS.ReadU64(r.R[sp])
+				if err != nil {
+					return fault(r, pc, cycles, s, err, "")
 				}
 				r.R[sp] += 8
 				pc = v
 			} else {
-				pc = r.R[lr]
+				pc = r.R[m.ABI.LR&rmask]
 			}
 			continue
 		case isa.OpJmp:
@@ -464,32 +454,35 @@ func (m *Machine) Run(r *isa.RegFile, maxSteps int) (Stop, error) {
 				continue
 			}
 		case isa.OpTlsLoad:
-			var v uint64
-			if v, err = as.ReadU64(r.TLS + uint64(s.imm)); err != nil {
-				goto fault
+			v, err := m.AS.ReadU64(r.TLS + uint64(s.imm))
+			if err != nil {
+				return fault(r, pc, cycles, s, err, "")
 			}
 			r.R[s.rd&rmask] = v
 		case isa.OpTlsStore:
-			if err = as.WriteU64(r.TLS+uint64(s.imm), r.R[s.rd&rmask]); err != nil {
-				goto fault
+			if err := m.AS.WriteU64(r.TLS+uint64(s.imm), r.R[s.rd&rmask]); err != nil {
+				return fault(r, pc, cycles, s, err, "")
 			}
 			if m.codeStale() {
-				index, win = &noCode, &noWindow
+				m.cur, win = nil, &noWindow
 			}
 		case isa.OpMrs:
 			r.R[s.rd&rmask] = r.TLS
 		case isa.OpMsr:
 			r.TLS = r.R[s.rd&rmask]
 		default:
-			why = "unimplemented operation"
-			goto fault
+			return fault(r, pc, cycles, s, nil, "unimplemented operation")
 		}
 		pc = next
 	}
 	r.PC = pc
 	return Stop{Kind: StopQuantum, Cycles: cycles}, nil
+}
 
-fault:
+// fault ends Run at the instruction s at pc, which raised err or, when err
+// is nil, the interpreter's own fault why. It rebuilds the isa.Inst for
+// the ExecError: the only place one exists.
+func fault(r *isa.RegFile, pc, cycles uint64, s *slot, err error, why string) (Stop, error) {
 	r.PC = pc
 	return Stop{Cycles: cycles}, &ExecError{PC: pc, Inst: s.inst(), Err: err, Why: why}
 }

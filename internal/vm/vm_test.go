@@ -192,42 +192,6 @@ func TestFloatOps(t *testing.T) {
 	}
 }
 
-func TestDivideByZeroFaults(t *testing.T) {
-	for arch, coder := range coders() {
-		t.Run(arch.String(), func(t *testing.T) {
-			f := asm.New(coder)
-			emitImm(f, arch, 1, 10)
-			emitImm(f, arch, 2, 0)
-			f.Emit(isa.Inst{Op: isa.OpDiv, Rd: 1, Rn: 1, Rm: 2})
-			m, r := buildMachine(t, arch, f)
-			_, err := m.Run(r, 100)
-			var ee *vm.ExecError
-			if !errors.As(err, &ee) {
-				t.Fatalf("want ExecError, got %v", err)
-			}
-		})
-	}
-}
-
-func TestUnmappedAccessFaults(t *testing.T) {
-	for arch, coder := range coders() {
-		t.Run(arch.String(), func(t *testing.T) {
-			f := asm.New(coder)
-			emitImm(f, arch, 1, 0x10) // unmapped low address
-			f.Emit(isa.Inst{Op: isa.OpLoad, Rd: 2, Rn: 1, Imm: 0})
-			m, r := buildMachine(t, arch, f)
-			_, err := m.Run(r, 100)
-			var fe *mem.FaultError
-			if !errors.As(err, &fe) {
-				t.Fatalf("want FaultError, got %v", err)
-			}
-			if fe.Addr != 0x10 {
-				t.Errorf("fault addr = 0x%x, want 0x10", fe.Addr)
-			}
-		})
-	}
-}
-
 func TestTLSOps(t *testing.T) {
 	for arch, coder := range coders() {
 		t.Run(arch.String(), func(t *testing.T) {
@@ -390,4 +354,141 @@ func fourThreads(tb testing.TB, arch isa.Arch) (*kernel.Kernel, *kernel.Process)
 		tb.Fatalf("%d threads after the first pass, want 4", len(p.Threads))
 	}
 	return k, p
+}
+
+// nopAsUnimplemented decodes NOP as an op past the last one the
+// interpreter implements; no real encoding decodes to one.
+type nopAsUnimplemented struct{ isa.Coder }
+
+func (c nopAsUnimplemented) Decode(b []byte, pc uint64) (isa.Inst, error) {
+	in, err := c.Coder.Decode(b, pc)
+	if in.Op == isa.OpNop {
+		in.Op = isa.OpMsr + 1
+	}
+	return in, err
+}
+
+// TestFaultExits is every way an instruction faults, on each ISA that has
+// the instruction. Run must stop at the faulting instruction: r.PC and
+// ExecError.PC at it, ExecError.Inst its decoded form, Stop.Cycles the
+// cycles of the instructions before it plus its own cost (the kernel
+// charges a faulting instruction), and the registers as the instructions
+// before it left them — except SP after a push or a stack call, which
+// move it before their store faults.
+func TestFaultExits(t *testing.T) {
+	const unmapped = 0x18 // below every VMA
+	lastWord := isa.DataBase + 0x10000 - 8
+	rows := []struct {
+		name    string
+		arch    isa.Arch // 0: both
+		inst    isa.Inst // a Call branches to the trap after it
+		regs    func(abi *isa.ABI, r *isa.RegFile)
+		addr    uint64 // the address that faults; 0: the interpreter's own fault
+		spMoves bool
+	}{
+		{name: "Load", inst: isa.Inst{Op: isa.OpLoad, Rd: 2, Rn: 1, Imm: 8}, addr: unmapped + 8,
+			regs: func(_ *isa.ABI, r *isa.RegFile) { r.R[1] = unmapped }},
+		{name: "Store", inst: isa.Inst{Op: isa.OpStore, Rd: 2, Rn: 1, Imm: 8}, addr: unmapped + 8,
+			regs: func(_ *isa.ABI, r *isa.RegFile) { r.R[1] = unmapped }},
+		{name: "LoadPair", arch: isa.SARM, inst: isa.Inst{Op: isa.OpLoadPair, Rd: 2, Rm: 3, Rn: 1}, addr: unmapped,
+			regs: func(_ *isa.ABI, r *isa.RegFile) { r.R[1] = unmapped }},
+		{name: "StorePairSecondWord", arch: isa.SARM, inst: isa.Inst{Op: isa.OpStorePair, Rd: 2, Rm: 3, Rn: 1}, addr: lastWord + 8,
+			regs: func(_ *isa.ABI, r *isa.RegFile) { r.R[1] = lastWord }},
+		{name: "Push", arch: isa.SX86, inst: isa.Inst{Op: isa.OpPush, Rd: 2}, addr: unmapped - 8, spMoves: true,
+			regs: func(abi *isa.ABI, r *isa.RegFile) { r.R[abi.SP] = unmapped }},
+		{name: "Pop", arch: isa.SX86, inst: isa.Inst{Op: isa.OpPop, Rd: 2}, addr: unmapped,
+			regs: func(abi *isa.ABI, r *isa.RegFile) { r.R[abi.SP] = unmapped }},
+		{name: "CallStack", arch: isa.SX86, inst: isa.Inst{Op: isa.OpCall}, addr: unmapped - 8, spMoves: true,
+			regs: func(abi *isa.ABI, r *isa.RegFile) { r.R[abi.SP] = unmapped }},
+		{name: "RetStack", arch: isa.SX86, inst: isa.Inst{Op: isa.OpRet}, addr: unmapped,
+			regs: func(abi *isa.ABI, r *isa.RegFile) { r.R[abi.SP] = unmapped }},
+		{name: "TlsLoad", inst: isa.Inst{Op: isa.OpTlsLoad, Rd: 2, Imm: 8}, addr: unmapped + 8,
+			regs: func(_ *isa.ABI, r *isa.RegFile) { r.TLS = unmapped }},
+		{name: "TlsStore", inst: isa.Inst{Op: isa.OpTlsStore, Rd: 2, Imm: 8}, addr: unmapped + 8,
+			regs: func(_ *isa.ABI, r *isa.RegFile) { r.TLS = unmapped }},
+		{name: "DivByZero", inst: isa.Inst{Op: isa.OpDiv, Rd: 1, Rn: 1, Rm: 2},
+			regs: func(_ *isa.ABI, r *isa.RegFile) { r.R[1] = 10 }},
+		{name: "ModByZero", inst: isa.Inst{Op: isa.OpMod, Rd: 1, Rn: 1, Rm: 2},
+			regs: func(_ *isa.ABI, r *isa.RegFile) { r.R[1] = 10 }},
+		{name: "Unimplemented", inst: isa.Inst{Op: isa.OpNop},
+			regs: func(*isa.ABI, *isa.RegFile) {}},
+	}
+	for _, arch := range archs {
+		for _, tc := range rows {
+			if tc.arch != 0 && tc.arch != arch {
+				continue
+			}
+			t.Run(arch.String()+"/"+tc.name, func(t *testing.T) {
+				abi := isa.ABIFor(arch)
+				coder := isa.Coder(nopAsUnimplemented{coders()[arch]})
+				f := asm.New(coder)
+				trap := f.NewLabel()
+				emitImm(f, arch, 5, 7) // something to count before the fault
+				f.Emit(isa.Inst{Op: isa.OpAddImm, Rd: 5, Rn: 5, Imm: 1})
+				at := f.Here()
+				if tc.inst.Op == isa.OpCall {
+					f.EmitBranch(tc.inst, trap)
+				} else {
+					f.Emit(tc.inst)
+				}
+				f.Define(trap)
+				f.Emit(isa.Inst{Op: isa.OpTrap})
+				code, labels, err := f.Assemble(isa.TextBase, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pc := labels[at]
+				inst, err := coder.Decode(code[pc-isa.TextBase:], pc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				start := func() (*vm.Machine, *isa.RegFile) {
+					m, r := buildMachine(t, arch, f)
+					tc.regs(abi, r)
+					return vm.New(abi, coder, m.AS), r
+				}
+
+				// The reference: single-step up to the faulting instruction.
+				m, r := start()
+				var before uint64
+				for r.PC != pc {
+					stop, err := m.Run(r, 1)
+					if err != nil || stop.Kind != vm.StopQuantum {
+						t.Fatalf("stepping to 0x%x: stop %+v, err %v", pc, stop, err)
+					}
+					before += stop.Cycles
+				}
+				want := *r
+				if tc.spMoves {
+					want.R[abi.SP] -= 8
+				}
+
+				m, r = start()
+				stop, err := m.Run(r, 100)
+				var ee *vm.ExecError
+				if !errors.As(err, &ee) {
+					t.Fatalf("stop %+v, err %v; want an ExecError", stop, err)
+				}
+				if r.PC != pc || ee.PC != pc {
+					t.Errorf("r.PC 0x%x, ExecError.PC 0x%x; want both at the faulting instruction, 0x%x", r.PC, ee.PC, pc)
+				}
+				var fe *mem.FaultError
+				switch {
+				case tc.addr == 0 && (ee.Err != nil || ee.Why == ""):
+					t.Errorf("ExecError %v: want the interpreter's own fault", ee)
+				case tc.addr != 0 && (!errors.As(err, &fe) || fe.Addr != tc.addr):
+					t.Errorf("ExecError %v: want a fault at 0x%x", ee, tc.addr)
+				}
+				if ee.Inst != inst {
+					t.Errorf("ExecError.Inst %+v, want %+v", ee.Inst, inst)
+				}
+				if want := before + inst.Cycles(); stop.Cycles != want {
+					t.Errorf("Stop.Cycles %d, want %d (%d before the fault, %d its own)", stop.Cycles, want, before, inst.Cycles())
+				}
+				if *r != want {
+					t.Errorf("registers after the fault\n%+v\nwant\n%+v", *r, want)
+				}
+			})
+		}
+	}
 }
