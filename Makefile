@@ -20,13 +20,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# updatecheck runs the static cross-version verifier's selftest: every
-# workload binary on both ISAs must pass the stack-map soundness pass,
-# and an identical recompile must classify every function safe (see
-# docs/updatecheck.md). The deliberately-broken-binary corpus is covered
-# by `go test ./internal/updatecheck/`.
+# updatecheck runs the static cross-version verifier's two whole-repo
+# properties: every workload binary on both ISAs must pass the stack-map
+# soundness pass, and an identical recompile must classify every function
+# safe (see docs/updatecheck.md). The deliberately-broken-binary corpus is
+# covered by the rest of `go test ./internal/updatecheck/`.
 updatecheck:
-	$(GO) run ./cmd/dapper-updatecheck -selftest
+	$(GO) test -run '^(TestWorkloadSoundness|TestRecompileDiffSafe)$$' ./internal/updatecheck
 
 # fixtures-check regenerates both committed fixture corpora, the broken
 # DELF binaries of internal/updatecheck/testdata and the invalid image sets
@@ -76,7 +76,7 @@ loc:
 # over its ceiling. The ceilings are the counts of the last PR that moved
 # them; a PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it, and a PR that removes lines lowers it.
-LOC_CEILING = 25123
+LOC_CEILING = 24733
 LOC_MIGRATION_CEILING = 8352
 loc-check:
 	@$(LOC_COUNT); all=$$(count internal cmd); mig=$$(count $(addprefix internal/,$(MIGRATION_PKGS))); \

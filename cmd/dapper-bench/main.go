@@ -31,7 +31,6 @@ func run(args []string) error {
 	class := fs.String("class", "S", "problem class: S, A, or B")
 	out := fs.String("out", "", "also append markdown tables to this file")
 	jsonOut := fs.String("jsonout", "", "also write the generated tables as a JSON array to this file")
-	lazyTCP := fs.Bool("lazytcp", false, "serve post-copy pages over a real TCP page server (fig7)")
 	check := fs.String("check", "", "compare the modeled columns of the generated tables with this stored -jsonout or -out file and fail on any difference")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -44,7 +43,6 @@ func run(args []string) error {
 			return err
 		}
 	}
-	experiments.LazyTCP = *lazyTCP
 	c := workloads.Class(strings.ToUpper(*class))
 	gens := map[string]genFunc{
 		"fig1":     experiments.Fig1,

@@ -9,7 +9,6 @@
 //	dapper-updatecheck [-json] BINARY.delf
 //	dapper-updatecheck [-json] OLD.delf NEW.delf
 //	dapper-updatecheck [-json] -image CHECKPOINT.imgdir BINARY.delf
-//	dapper-updatecheck -selftest
 //
 // With one binary it runs the soundness pass (pass 1): every recorded
 // equivalence-point site must exist, decode, and be reachable; every live
@@ -20,11 +19,6 @@
 // state-transfer executor would need. With -image it checks a checkpoint
 // against the binary it would restore into (pass 3): thread PCs and stack
 // return addresses must resolve in the target's stack maps.
-//
-// -selftest compiles every registered workload for both ISAs and requires
-// the soundness pass to verify each binary clean, then recompiles a
-// sample and requires the diff pass to classify every function safe —
-// the property `make updatecheck` pins in CI.
 //
 // The exit status is 0 only when every pass ran clean; diagnostics name
 // the violated invariant (see docs/updatecheck.md for the taxonomy).
@@ -40,31 +34,26 @@ import (
 	"github.com/dapper-sim/dapper/internal/criu"
 	"github.com/dapper-sim/dapper/internal/image"
 	"github.com/dapper-sim/dapper/internal/updatecheck"
-	"github.com/dapper-sim/dapper/internal/workloads"
 )
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text")
 	imagePath := flag.String("image", "", "checkpoint image blob to verify against the binary (pass 3)")
-	selftest := flag.Bool("selftest", false, "verify every compiled workload and a recompile diff")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: dapper-updatecheck [-json] BINARY.delf\n"+
 			"       dapper-updatecheck [-json] OLD.delf NEW.delf\n"+
-			"       dapper-updatecheck [-json] -image CHECKPOINT.imgdir BINARY.delf\n"+
-			"       dapper-updatecheck -selftest\n")
+			"       dapper-updatecheck [-json] -image CHECKPOINT.imgdir BINARY.delf\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if err := run(flag.Args(), *jsonOut, *imagePath, *selftest); err != nil {
+	if err := run(flag.Args(), *jsonOut, *imagePath); err != nil {
 		fmt.Fprintln(os.Stderr, "dapper-updatecheck:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, jsonOut bool, imagePath string, selftest bool) error {
+func run(args []string, jsonOut bool, imagePath string) error {
 	switch {
-	case selftest:
-		return runSelftest()
 	case imagePath != "":
 		if len(args) != 1 {
 			return fmt.Errorf("-image takes exactly one binary argument")
@@ -225,49 +214,5 @@ func emitJSON(v any, ok bool) error {
 	if !ok {
 		return fmt.Errorf("verification failed")
 	}
-	return nil
-}
-
-// runSelftest is the `make updatecheck` body: every workload binary on
-// both ISAs must pass the soundness pass, and an identical recompile must
-// classify every function safe.
-func runSelftest() error {
-	checked := 0
-	for _, w := range workloads.All() {
-		pair, err := workloads.CompilePair(w, workloads.ClassS)
-		if err != nil {
-			return fmt.Errorf("compile %s: %w", w.Name, err)
-		}
-		for _, b := range []*compiler.Binary{pair.X86, pair.ARM} {
-			if r := updatecheck.CheckBinary(b); len(r.Violations) > 0 {
-				return fmt.Errorf("%s/%v: %w", w.Name, b.Arch, r.Err())
-			}
-			checked++
-		}
-	}
-	// A recompile of identical source is the diff pass's fixed point.
-	w, err := workloads.Get("cg")
-	if err != nil {
-		return err
-	}
-	src := w.Source(workloads.ClassS)
-	p1, err := compiler.Compile(src)
-	if err != nil {
-		return err
-	}
-	p2, err := compiler.Compile(src)
-	if err != nil {
-		return err
-	}
-	oldB, newB := p1.X86, p2.X86
-	for _, fd := range updatecheck.Diff(oldB, newB).Funcs {
-		if fd.Class != updatecheck.ClassSafe {
-			return fmt.Errorf("recompile diff: func %s classifies %v, want safe", fd.Name, fd.Class)
-		}
-	}
-	if err := updatecheck.Compatible(oldB, newB); err != nil {
-		return fmt.Errorf("recompile diff: %w", err)
-	}
-	fmt.Printf("updatecheck selftest: %d workload binaries sound, recompile diff safe\n", checked)
 	return nil
 }

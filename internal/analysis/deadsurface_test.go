@@ -39,6 +39,7 @@ var deadSurfaceAllow = map[string]string{
 	"deadexport internal/kernel.Kernel.Live":         "the leak checks of the cluster and fleet tests count what a migration leaves in a node's table",
 	"deadexport internal/mem.AddressSpace.TLBMisses": "the interpreter hit-path gate (vm, mem tests) reads it",
 	"deadexport internal/vm.Machine.DecodedPCs":      "the dynamic half of ROADMAP item 12(c); updatecheck's oracle test reads the executed PCs through it",
+	"deadexport internal/workloads.All":              "the sweep the soundness, golden, determinism and agreement tests run over every workload; make updatecheck is two of those tests",
 	"deadexport internal/workloads.NginzCompute":     "request builder: the client side of the nginz guest server, used by the golden tests",
 	"deadexport internal/workloads.NginzStatic":      "request builder: the client side of the nginz guest server, used by the golden tests",
 	"deadexport internal/workloads.NginzStats":       "request builder: the client side of the nginz guest server, used by the golden tests",

@@ -248,7 +248,7 @@ func (f *fixture) migrate(p *kernel.Process, mode migMode, pre *cluster.PreCopyO
 	opts := cluster.MigrateOpts{Obs: reg}
 	switch mode {
 	case modeLazy:
-		opts.Lazy, opts.LazyTCP = true, LazyTCP
+		opts.Lazy = true
 	case modePreCopy:
 		opts.PreCopy = pre
 	}
@@ -284,11 +284,6 @@ func MigrateOnce(w workloads.Workload, c workloads.Class, frac float64, lazy boo
 	bd, _, err := migrateOnceMode(w, c, frac, mode)
 	return bd, err
 }
-
-// LazyTCP makes the lazy-migration experiments serve post-copy pages over
-// a real TCP page server (dapper-bench -lazytcp) instead of in-process
-// calls, exercising the resilient transport end to end.
-var LazyTCP bool
 
 // Fig5 regenerates the cross-ISA transformation time breakdown.
 func Fig5(c workloads.Class) (*Table, error) {

@@ -4,6 +4,10 @@
 // instructions, PC-relative branches, and BL/RET through a link register.
 // Its BRK word is exactly 0xD4200000, matching the aarch64 breakpoint
 // encoding cited by the paper.
+//
+// The instruction set is the table below: one row per encoding, giving
+// the semantic op, the word's fixed bits (the opcode byte is bits 24..31)
+// and its operand layout. Size, Encode and Decode read nothing else.
 package sarm
 
 import (
@@ -22,77 +26,73 @@ const BRKWord uint32 = 0xD4200000
 // RETWord is the fixed encoding of RET (branch to link register).
 const RETWord uint32 = 0x44000000
 
-// Opcode bytes (bits 24..31 of the instruction word).
+// layout is an operand layout. Register fields are rd (bits 20..23), rn
+// (16..19) and rm (12..15); imm12 is bits 0..11, sign-extended. Branch
+// offsets count words from the instruction's own address.
+type layout uint8
+
 const (
-	opNOP  = 0x01
-	opSVC  = 0x03
-	opBRK  = 0xD4
-	opMOVZ = 0x10 // rd(20..23) sh(18..19) imm16(0..15)
-	opMOVK = 0x11
-	opMOV  = 0x12 // rd rn
-	opLDR  = 0x13 // rd, [rn, #imm12s]
-	opSTR  = 0x14
-	opLDP  = 0x15 // rd, rm, [rn, #imm12s]
-	opSTP  = 0x16
-
-	opADD = 0x20 // rd, rn, rm
-	opSUB = 0x21
-	opMUL = 0x22
-	opDIV = 0x23
-	opMOD = 0x24
-	opAND = 0x25
-	opOR  = 0x26
-	opXOR = 0x27
-	opSHL = 0x28
-	opSHR = 0x29
-
-	opADDI = 0x2A // rd, rn, #imm12s
-
-	opFADD = 0x30
-	opFSUB = 0x31
-	opFMUL = 0x32
-	opFDIV = 0x33
-	opITOF = 0x34
-	opFTOI = 0x35
-
-	opFCMPEQ = 0x36
-	opFCMPLT = 0x37
-	opCMPEQ  = 0x38
-	opCMPNE  = 0x39
-	opCMPLT  = 0x3A
-	opCMPLE  = 0x3B
-	opCMPGT  = 0x3C
-	opCMPGE  = 0x3D
-	opFCMPLE = 0x3E
-
-	opB    = 0x40 // imm24 signed word offset, PC-relative
-	opBL   = 0x41
-	opCBZ  = 0x42 // rd, imm20 signed word offset
-	opCBNZ = 0x43
-	opRET  = 0x44
-
-	opMRS   = 0x50 // rd = TPIDR
-	opMSR   = 0x51 // TPIDR = rd
-	opLDTLS = 0x52 // rd = mem[TPIDR + imm16s]
-	opSTTLS = 0x53
+	none   layout = iota // not a SARM instruction
+	bare                 // no operands; the low 24 bits are ignored
+	exact                // no operands; the word must be exactly the row's
+	movw                 // rd, sh(18..19), imm16(0..15)
+	movImm               // rd = imm64 as MOVZ + 3×MOVK, always 4 words
+	regs                 // rd, rn
+	mem                  // rd, [rn, #imm12]
+	addi                 // rd, rn, #imm12
+	pair                 // rd, rm, [rn, #imm12]
+	alu                  // rd, rn, rm
+	branch               // imm24 word offset
+	cbz                  // rd, imm20 word offset
+	reg                  // rd
+	tls                  // rd, [TPIDR, #imm16]
 )
 
-var alu3 = map[isa.Op]byte{
-	isa.OpAdd: opADD, isa.OpSub: opSUB, isa.OpMul: opMUL, isa.OpDiv: opDIV,
-	isa.OpMod: opMOD, isa.OpAnd: opAND, isa.OpOr: opOR, isa.OpXor: opXOR,
-	isa.OpShl: opSHL, isa.OpShr: opSHR,
-	isa.OpFAdd: opFADD, isa.OpFSub: opFSUB, isa.OpFMul: opFMUL, isa.OpFDiv: opFDIV,
-	isa.OpCmpEq: opCMPEQ, isa.OpCmpNe: opCMPNE, isa.OpCmpLt: opCMPLT,
-	isa.OpCmpLe: opCMPLE, isa.OpCmpGt: opCMPGT, isa.OpCmpGe: opCMPGE,
-	isa.OpFCmpEq: opFCMPEQ, isa.OpFCmpLt: opFCMPLT, isa.OpFCmpLe: opFCMPLE,
+type encoding struct {
+	op   isa.Op
+	word uint32
+	l    layout
 }
 
-var alu3Rev = func() map[byte]isa.Op {
-	m := make(map[byte]isa.Op, len(alu3))
-	for op, b := range alu3 {
-		m[b] = op
+// table is the instruction set. Where two rows share an opcode byte the
+// first is what Decode yields: OpMovImm is built from MOVZ and MOVK words,
+// and OpLea encodes as ADDI, which decodes as OpAddImm.
+var table = [...]encoding{
+	{isa.OpNop, 0x01 << 24, bare}, {isa.OpSyscall, 0x03 << 24, bare},
+	{isa.OpTrap, BRKWord, exact}, {isa.OpRet, RETWord, exact},
+
+	{isa.OpMovZ, 0x10 << 24, movw}, {isa.OpMovK, 0x11 << 24, movw}, {isa.OpMovImm, 0x10 << 24, movImm},
+	{isa.OpMov, 0x12 << 24, regs}, {isa.OpLoad, 0x13 << 24, mem}, {isa.OpStore, 0x14 << 24, mem},
+	{isa.OpLoadPair, 0x15 << 24, pair}, {isa.OpStorePair, 0x16 << 24, pair},
+
+	{isa.OpAdd, 0x20 << 24, alu}, {isa.OpSub, 0x21 << 24, alu}, {isa.OpMul, 0x22 << 24, alu},
+	{isa.OpDiv, 0x23 << 24, alu}, {isa.OpMod, 0x24 << 24, alu}, {isa.OpAnd, 0x25 << 24, alu},
+	{isa.OpOr, 0x26 << 24, alu}, {isa.OpXor, 0x27 << 24, alu}, {isa.OpShl, 0x28 << 24, alu},
+	{isa.OpShr, 0x29 << 24, alu}, {isa.OpAddImm, 0x2A << 24, addi}, {isa.OpLea, 0x2A << 24, addi},
+
+	{isa.OpFAdd, 0x30 << 24, alu}, {isa.OpFSub, 0x31 << 24, alu}, {isa.OpFMul, 0x32 << 24, alu},
+	{isa.OpFDiv, 0x33 << 24, alu}, {isa.OpItoF, 0x34 << 24, regs}, {isa.OpFtoI, 0x35 << 24, regs},
+
+	{isa.OpFCmpEq, 0x36 << 24, alu}, {isa.OpFCmpLt, 0x37 << 24, alu}, {isa.OpCmpEq, 0x38 << 24, alu},
+	{isa.OpCmpNe, 0x39 << 24, alu}, {isa.OpCmpLt, 0x3A << 24, alu}, {isa.OpCmpLe, 0x3B << 24, alu},
+	{isa.OpCmpGt, 0x3C << 24, alu}, {isa.OpCmpGe, 0x3D << 24, alu}, {isa.OpFCmpLe, 0x3E << 24, alu},
+
+	{isa.OpJmp, 0x40 << 24, branch}, {isa.OpCall, 0x41 << 24, branch},
+	{isa.OpJz, 0x42 << 24, cbz}, {isa.OpJnz, 0x43 << 24, cbz},
+
+	{isa.OpMrs, 0x50 << 24, reg}, {isa.OpMsr, 0x51 << 24, reg}, // rd = TPIDR; TPIDR = rd
+	{isa.OpTlsLoad, 0x52 << 24, tls}, {isa.OpTlsStore, 0x53 << 24, tls},
+}
+
+// byOp and byCode index the table by semantic op and by opcode byte.
+var byOp, byCode = func() (o, c [256]encoding) {
+	for _, e := range table {
+		o[e.op] = e
+		if c[e.word>>24].l == none {
+			c[e.word>>24] = e
+		}
 	}
-	return m
+	return o, c
 }()
 
 // Coder encodes and decodes SARM machine code. It is stateless.
@@ -108,7 +108,7 @@ func (Coder) Arch() isa.Arch { return isa.SARM }
 // to a fixed MOVZ + 3×MOVK sequence (16 bytes) so that sizing is
 // value-independent.
 func (Coder) Size(inst isa.Inst) int {
-	if inst.Op == isa.OpMovImm {
+	if byOp[inst.Op].l == movImm {
 		return 4 * WordSize
 	}
 	return WordSize
@@ -124,173 +124,89 @@ func fitsSigned(v int64, bits uint) bool {
 	return v >= -limit && v < limit
 }
 
-func checkReg(rs ...isa.Reg) error {
-	for _, r := range rs {
-		if r > 15 {
-			return fmt.Errorf("sarm: register r%d out of range", r)
-		}
+func badReg(r isa.Reg) error { return fmt.Errorf("sarm: register r%d out of range", r) }
+
+// branchWords returns the word offset from pc to target, or an error if
+// it is misaligned or does not fit bits.
+func branchWords(target int64, pc uint64, bits uint, name string) (uint32, error) {
+	off := target - int64(pc)
+	if off%WordSize != 0 {
+		return 0, fmt.Errorf("sarm: branch target 0x%x misaligned", uint64(target))
 	}
-	return nil
-}
-
-func word(op byte, rd, rn, rm isa.Reg, imm12 int64) uint32 {
-	return uint32(op)<<24 | uint32(rd&0xf)<<20 | uint32(rn&0xf)<<16 |
-		uint32(rm&0xf)<<12 | uint32(imm12)&0xfff
-}
-
-func appendWord(dst []byte, w uint32) []byte {
-	return binary.LittleEndian.AppendUint32(dst, w)
+	if words := off / WordSize; !fitsSigned(words, bits) {
+		return 0, fmt.Errorf("sarm: %s offset %d words exceeds imm%d", name, words, bits)
+	}
+	return uint32(off / WordSize), nil
 }
 
 // Encode appends the encoding of inst at address pc to dst. Branch targets
 // in inst.Imm are absolute; PC-relative displacements are computed here.
-func (c Coder) Encode(dst []byte, inst isa.Inst, pc uint64) ([]byte, error) {
-	switch inst.Op {
-	case isa.OpNop:
-		return appendWord(dst, uint32(opNOP)<<24), nil
-	case isa.OpTrap:
-		return appendWord(dst, BRKWord), nil
-	case isa.OpSyscall:
-		return appendWord(dst, uint32(opSVC)<<24), nil
-	case isa.OpRet:
-		return appendWord(dst, RETWord), nil
-	case isa.OpMovImm:
-		if err := checkReg(inst.Rd); err != nil {
+func (Coder) Encode(dst []byte, inst isa.Inst, pc uint64) ([]byte, error) {
+	e := byOp[inst.Op]
+	w := e.word
+	switch e.l {
+	case none:
+		return nil, fmt.Errorf("sarm: cannot encode %v", inst.Op)
+	case bare, exact:
+		return binary.LittleEndian.AppendUint32(dst, w), nil
+	case branch:
+		words, err := branchWords(inst.Imm, pc, 24, "branch")
+		if err != nil {
 			return nil, err
 		}
-		u := uint64(inst.Imm)
-		for sh := 0; sh < 4; sh++ {
-			op := byte(opMOVK)
-			if sh == 0 {
-				op = opMOVZ
-			}
-			chunk := uint32(u >> (16 * sh) & 0xffff)
-			w := uint32(op)<<24 | uint32(inst.Rd&0xf)<<20 | uint32(sh)<<18 | chunk
-			dst = appendWord(dst, w)
-		}
-		return dst, nil
-	case isa.OpMovZ, isa.OpMovK:
-		if err := checkReg(inst.Rd); err != nil {
-			return nil, err
-		}
+		return binary.LittleEndian.AppendUint32(dst, w|words&0xffffff), nil
+	}
+	if inst.Rd > 15 {
+		return nil, badReg(inst.Rd)
+	}
+	w |= uint32(inst.Rd) << 20
+	switch e.l {
+	case movw:
 		if inst.Imm < 0 || inst.Imm > 0xffff || inst.Sh > 3 {
 			return nil, fmt.Errorf("sarm: movz/movk immediate %d shift %d out of range", inst.Imm, inst.Sh)
 		}
-		op := byte(opMOVZ)
-		if inst.Op == isa.OpMovK {
-			op = opMOVK
+		w |= uint32(inst.Sh)<<18 | uint32(inst.Imm)
+	case movImm:
+		u, movk := uint64(inst.Imm), byOp[isa.OpMovK].word|uint32(inst.Rd)<<20
+		dst = binary.LittleEndian.AppendUint32(dst, w|uint32(u&0xffff))
+		for sh := 1; sh < 4; sh++ {
+			dst = binary.LittleEndian.AppendUint32(dst, movk|uint32(sh)<<18|uint32(u>>(16*sh)&0xffff))
 		}
-		w := uint32(op)<<24 | uint32(inst.Rd&0xf)<<20 | uint32(inst.Sh)<<18 | uint32(inst.Imm)
-		return appendWord(dst, w), nil
-	case isa.OpMov:
-		if err := checkReg(inst.Rd, inst.Rn); err != nil {
-			return nil, err
+		return dst, nil
+	case regs, mem, addi, pair, alu:
+		if inst.Rn > 15 {
+			return nil, badReg(inst.Rn)
 		}
-		return appendWord(dst, word(opMOV, inst.Rd, inst.Rn, 0, 0)), nil
-	case isa.OpLoad, isa.OpStore:
-		if err := checkReg(inst.Rd, inst.Rn); err != nil {
-			return nil, err
+		w |= uint32(inst.Rn) << 16
+		if e.l == pair || e.l == alu {
+			if inst.Rm > 15 {
+				return nil, badReg(inst.Rm)
+			}
+			w |= uint32(inst.Rm) << 12
+		}
+		if e.l == regs || e.l == alu {
+			break
 		}
 		if !fitsSigned(inst.Imm, 12) {
+			if e.l == addi {
+				return nil, fmt.Errorf("sarm: addi: immediate %d exceeds imm12", inst.Imm)
+			}
 			return nil, fmt.Errorf("sarm: %v: offset %d exceeds imm12", inst.Op, inst.Imm)
 		}
-		op := byte(opLDR)
-		if inst.Op == isa.OpStore {
-			op = opSTR
-		}
-		return appendWord(dst, word(op, inst.Rd, inst.Rn, 0, inst.Imm)), nil
-	case isa.OpLoadPair, isa.OpStorePair:
-		if err := checkReg(inst.Rd, inst.Rn, inst.Rm); err != nil {
+		w |= uint32(inst.Imm) & 0xfff
+	case cbz:
+		words, err := branchWords(inst.Imm, pc, 20, "cbz")
+		if err != nil {
 			return nil, err
 		}
-		if !fitsSigned(inst.Imm, 12) {
-			return nil, fmt.Errorf("sarm: %v: offset %d exceeds imm12", inst.Op, inst.Imm)
-		}
-		op := byte(opLDP)
-		if inst.Op == isa.OpStorePair {
-			op = opSTP
-		}
-		return appendWord(dst, word(op, inst.Rd, inst.Rn, inst.Rm, inst.Imm)), nil
-	case isa.OpLea, isa.OpAddImm:
-		if err := checkReg(inst.Rd, inst.Rn); err != nil {
-			return nil, err
-		}
-		if !fitsSigned(inst.Imm, 12) {
-			return nil, fmt.Errorf("sarm: addi: immediate %d exceeds imm12", inst.Imm)
-		}
-		return appendWord(dst, word(opADDI, inst.Rd, inst.Rn, 0, inst.Imm)), nil
-	case isa.OpItoF, isa.OpFtoI:
-		if err := checkReg(inst.Rd, inst.Rn); err != nil {
-			return nil, err
-		}
-		op := byte(opITOF)
-		if inst.Op == isa.OpFtoI {
-			op = opFTOI
-		}
-		return appendWord(dst, word(op, inst.Rd, inst.Rn, 0, 0)), nil
-	case isa.OpJmp, isa.OpCall:
-		off := inst.Imm - int64(pc)
-		if off%WordSize != 0 {
-			return nil, fmt.Errorf("sarm: branch target 0x%x misaligned", uint64(inst.Imm))
-		}
-		words := off / WordSize
-		if !fitsSigned(words, 24) {
-			return nil, fmt.Errorf("sarm: branch offset %d words exceeds imm24", words)
-		}
-		op := byte(opB)
-		if inst.Op == isa.OpCall {
-			op = opBL
-		}
-		return appendWord(dst, uint32(op)<<24|uint32(words)&0xffffff), nil
-	case isa.OpJz, isa.OpJnz:
-		if err := checkReg(inst.Rd); err != nil {
-			return nil, err
-		}
-		off := inst.Imm - int64(pc)
-		if off%WordSize != 0 {
-			return nil, fmt.Errorf("sarm: branch target 0x%x misaligned", uint64(inst.Imm))
-		}
-		words := off / WordSize
-		if !fitsSigned(words, 20) {
-			return nil, fmt.Errorf("sarm: cbz offset %d words exceeds imm20", words)
-		}
-		op := byte(opCBZ)
-		if inst.Op == isa.OpJnz {
-			op = opCBNZ
-		}
-		return appendWord(dst, uint32(op)<<24|uint32(inst.Rd&0xf)<<20|uint32(words)&0xfffff), nil
-	case isa.OpMrs, isa.OpMsr:
-		if err := checkReg(inst.Rd); err != nil {
-			return nil, err
-		}
-		op := byte(opMRS)
-		if inst.Op == isa.OpMsr {
-			op = opMSR
-		}
-		return appendWord(dst, word(op, inst.Rd, 0, 0, 0)), nil
-	case isa.OpTlsLoad, isa.OpTlsStore:
-		if err := checkReg(inst.Rd); err != nil {
-			return nil, err
-		}
+		w |= words & 0xfffff
+	case tls:
 		if !fitsSigned(inst.Imm, 16) {
 			return nil, fmt.Errorf("sarm: tls offset %d exceeds imm16", inst.Imm)
 		}
-		op := byte(opLDTLS)
-		if inst.Op == isa.OpTlsStore {
-			op = opSTTLS
-		}
-		w := uint32(op)<<24 | uint32(inst.Rd&0xf)<<20 | uint32(inst.Imm)&0xffff
-		return appendWord(dst, w), nil
-	default:
-		op, ok := alu3[inst.Op]
-		if !ok {
-			return nil, fmt.Errorf("sarm: cannot encode %v", inst.Op)
-		}
-		if err := checkReg(inst.Rd, inst.Rn, inst.Rm); err != nil {
-			return nil, err
-		}
-		return appendWord(dst, word(op, inst.Rd, inst.Rn, inst.Rm, 0)), nil
+		w |= uint32(inst.Imm) & 0xffff
 	}
+	return binary.LittleEndian.AppendUint32(dst, w), nil
 }
 
 // DecodeError reports an undecodable instruction word.
@@ -309,89 +225,33 @@ func (Coder) Decode(b []byte, pc uint64) (isa.Inst, error) {
 		return isa.Inst{}, &DecodeError{PC: pc}
 	}
 	w := binary.LittleEndian.Uint32(b)
-	op := byte(w >> 24)
-	rd := isa.Reg(w >> 20 & 0xf)
-	rn := isa.Reg(w >> 16 & 0xf)
-	rm := isa.Reg(w >> 12 & 0xf)
-	imm12 := signExt(w&0xfff, 12)
-	out := isa.Inst{Len: WordSize}
-	switch op {
-	case opNOP:
-		out.Op = isa.OpNop
-	case opBRK:
-		if w != BRKWord {
-			return isa.Inst{}, &DecodeError{PC: pc, Word: w}
+	e := byCode[w>>24]
+	rd, rn, rm := isa.Reg(w>>20&0xf), isa.Reg(w>>16&0xf), isa.Reg(w>>12&0xf)
+	switch e.l {
+	case bare:
+		return isa.Inst{Op: e.op, Len: WordSize}, nil
+	case exact:
+		if w == e.word {
+			return isa.Inst{Op: e.op, Len: WordSize}, nil
 		}
-		out.Op = isa.OpTrap
-	case opSVC:
-		out.Op = isa.OpSyscall
-	case opRET:
-		if w != RETWord {
-			return isa.Inst{}, &DecodeError{PC: pc, Word: w}
-		}
-		out.Op = isa.OpRet
-	case opMOVZ, opMOVK:
-		out.Op = isa.OpMovZ
-		if op == opMOVK {
-			out.Op = isa.OpMovK
-		}
-		out.Rd = rd
-		out.Sh = uint8(w >> 18 & 3)
-		out.Imm = int64(w & 0xffff)
-	case opMOV:
-		out.Op, out.Rd, out.Rn = isa.OpMov, rd, rn
-	case opLDR, opSTR:
-		out.Op = isa.OpLoad
-		if op == opSTR {
-			out.Op = isa.OpStore
-		}
-		out.Rd, out.Rn, out.Imm = rd, rn, imm12
-	case opLDP, opSTP:
-		out.Op = isa.OpLoadPair
-		if op == opSTP {
-			out.Op = isa.OpStorePair
-		}
-		out.Rd, out.Rn, out.Rm, out.Imm = rd, rn, rm, imm12
-	case opADDI:
-		out.Op, out.Rd, out.Rn, out.Imm = isa.OpAddImm, rd, rn, imm12
-	case opITOF, opFTOI:
-		out.Op = isa.OpItoF
-		if op == opFTOI {
-			out.Op = isa.OpFtoI
-		}
-		out.Rd, out.Rn = rd, rn
-	case opB, opBL:
-		out.Op = isa.OpJmp
-		if op == opBL {
-			out.Op = isa.OpCall
-		}
-		out.Imm = int64(pc) + WordSize*signExt(w&0xffffff, 24)
-	case opCBZ, opCBNZ:
-		out.Op = isa.OpJz
-		if op == opCBNZ {
-			out.Op = isa.OpJnz
-		}
-		out.Rd = rd
-		out.Imm = int64(pc) + WordSize*signExt(w&0xfffff, 20)
-	case opMRS, opMSR:
-		out.Op = isa.OpMrs
-		if op == opMSR {
-			out.Op = isa.OpMsr
-		}
-		out.Rd = rd
-	case opLDTLS, opSTTLS:
-		out.Op = isa.OpTlsLoad
-		if op == opSTTLS {
-			out.Op = isa.OpTlsStore
-		}
-		out.Rd = rd
-		out.Imm = signExt(w&0xffff, 16)
-	default:
-		sem, ok := alu3Rev[op]
-		if !ok {
-			return isa.Inst{}, &DecodeError{PC: pc, Word: w}
-		}
-		out.Op, out.Rd, out.Rn, out.Rm = sem, rd, rn, rm
+	case movw:
+		return isa.Inst{Op: e.op, Rd: rd, Sh: uint8(w >> 18 & 3), Imm: int64(w & 0xffff), Len: WordSize}, nil
+	case regs:
+		return isa.Inst{Op: e.op, Rd: rd, Rn: rn, Len: WordSize}, nil
+	case mem, addi:
+		return isa.Inst{Op: e.op, Rd: rd, Rn: rn, Imm: signExt(w&0xfff, 12), Len: WordSize}, nil
+	case pair:
+		return isa.Inst{Op: e.op, Rd: rd, Rn: rn, Rm: rm, Imm: signExt(w&0xfff, 12), Len: WordSize}, nil
+	case alu:
+		return isa.Inst{Op: e.op, Rd: rd, Rn: rn, Rm: rm, Len: WordSize}, nil
+	case branch:
+		return isa.Inst{Op: e.op, Imm: int64(pc) + WordSize*signExt(w&0xffffff, 24), Len: WordSize}, nil
+	case cbz:
+		return isa.Inst{Op: e.op, Rd: rd, Imm: int64(pc) + WordSize*signExt(w&0xfffff, 20), Len: WordSize}, nil
+	case reg:
+		return isa.Inst{Op: e.op, Rd: rd, Len: WordSize}, nil
+	case tls:
+		return isa.Inst{Op: e.op, Rd: rd, Imm: signExt(w&0xffff, 16), Len: WordSize}, nil
 	}
-	return out, nil
+	return isa.Inst{}, &DecodeError{PC: pc, Word: w}
 }

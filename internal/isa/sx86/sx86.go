@@ -4,6 +4,10 @@
 // stack. Its one-byte RET (0xC3) and TRAP (0xCC) mirror x86-64, which
 // matters for the ROP-gadget experiments: gadgets can start at unintended
 // byte offsets.
+//
+// The instruction set is the table below: one row per encoding, giving
+// the semantic op, its opcode byte and its operand layout. Size, Encode
+// and Decode read nothing else.
 package sx86
 
 import (
@@ -13,80 +17,67 @@ import (
 	"github.com/dapper-sim/dapper/internal/isa"
 )
 
-// Opcode bytes. ALU register-register forms encode the destination as both
-// first source and destination (rd = rd OP rm), the classic two-operand
-// CISC shape.
+// layout is an operand layout. The opcode byte comes first; rd<<4|rn packs
+// two registers into one byte, and a one-register form spends the whole
+// byte on rd. Immediates are little-endian.
+type layout uint8
+
 const (
-	opNOP     = 0x90
-	opTRAP    = 0xCC
-	opSYSCALL = 0x0F
-	opRET     = 0xC3
-
-	opMOVri = 0x10 // [op][rd][imm64]          10 bytes
-	opMOVrr = 0x11 // [op][rd<<4|rn]            2 bytes
-	opLOAD  = 0x12 // [op][rd<<4|rn][disp32]    6 bytes
-	opSTORE = 0x13
-	opLEA   = 0x14
-
-	opADD = 0x20 // [op][rd<<4|rm]              2 bytes
-	opSUB = 0x21
-	opMUL = 0x22
-	opDIV = 0x23
-	opMOD = 0x24
-	opAND = 0x25
-	opOR  = 0x26
-	opXOR = 0x27
-	opSHL = 0x28
-	opSHR = 0x29
-
-	opADDri = 0x2A // [op][rd][imm32]           6 bytes
-
-	opFADD = 0x30
-	opFSUB = 0x31
-	opFMUL = 0x32
-	opFDIV = 0x33
-	opITOF = 0x34 // [op][rd<<4|rn]
-	opFTOI = 0x35
-
-	opFCMPEQ = 0x36
-	opFCMPLT = 0x37
-	opCMPEQ  = 0x38
-	opCMPNE  = 0x39
-	opCMPLT  = 0x3A
-	opCMPLE  = 0x3B
-	opCMPGT  = 0x3C
-	opCMPGE  = 0x3D
-	opFCMPLE = 0x3E
-
-	opPUSH = 0x50 // [op][rd]                   2 bytes
-	opPOP  = 0x51
-	opCALL = 0x52 // [op][imm64 absolute]       9 bytes
-	opJMP  = 0x53
-	opJZ   = 0x54 // [op][rd][imm64 absolute]  10 bytes
-	opJNZ  = 0x55
-
-	opTLSLD = 0x58 // [op][rd][disp32]          6 bytes
-	opTLSST = 0x59
-	opMRS   = 0x5A // [op][rd]                  2 bytes
-	opMSR   = 0x5B
+	none     layout = iota // not an SX86 instruction
+	bare                   // [op]                          1 byte
+	reg                    // [op][rd]                      2 bytes
+	regs                   // [op][rd<<4|rn]                2 bytes
+	alu                    // [op][rd<<4|rm], rd = rn       2 bytes
+	regsDisp               // [op][rd<<4|rn][disp32]        6 bytes
+	addImm                 // [op][rd][imm32], rd = rn      6 bytes
+	regDisp                // [op][rd][disp32]              6 bytes
+	target                 // [op][imm64 absolute]          9 bytes
+	regImm                 // [op][rd][imm64]              10 bytes
 )
 
-var aluOps = map[isa.Op]byte{
-	isa.OpAdd: opADD, isa.OpSub: opSUB, isa.OpMul: opMUL, isa.OpDiv: opDIV,
-	isa.OpMod: opMOD, isa.OpAnd: opAND, isa.OpOr: opOR, isa.OpXor: opXOR,
-	isa.OpShl: opSHL, isa.OpShr: opSHR,
-	isa.OpFAdd: opFADD, isa.OpFSub: opFSUB, isa.OpFMul: opFMUL, isa.OpFDiv: opFDIV,
-	isa.OpCmpEq: opCMPEQ, isa.OpCmpNe: opCMPNE, isa.OpCmpLt: opCMPLT,
-	isa.OpCmpLe: opCMPLE, isa.OpCmpGt: opCMPGT, isa.OpCmpGe: opCMPGE,
-	isa.OpFCmpEq: opFCMPEQ, isa.OpFCmpLt: opFCMPLT, isa.OpFCmpLe: opFCMPLE,
+var size = [...]int{none: 0, bare: 1, reg: 2, regs: 2, alu: 2, regsDisp: 6, addImm: 6, regDisp: 6, target: 9, regImm: 10}
+
+type encoding struct {
+	op   isa.Op
+	code byte
+	l    layout
 }
 
-var aluOpsRev = func() map[byte]isa.Op {
-	m := make(map[byte]isa.Op, len(aluOps))
-	for op, b := range aluOps {
-		m[b] = op
+// table is the instruction set. ALU forms are two-operand: the destination
+// is also the first source (rd = rd OP rm), the classic CISC shape.
+var table = [...]encoding{
+	{isa.OpNop, 0x90, bare}, {isa.OpTrap, 0xCC, bare},
+	{isa.OpSyscall, 0x0F, bare}, {isa.OpRet, 0xC3, bare},
+
+	{isa.OpMovImm, 0x10, regImm}, {isa.OpMov, 0x11, regs},
+	{isa.OpLoad, 0x12, regsDisp}, {isa.OpStore, 0x13, regsDisp}, {isa.OpLea, 0x14, regsDisp},
+
+	{isa.OpAdd, 0x20, alu}, {isa.OpSub, 0x21, alu}, {isa.OpMul, 0x22, alu},
+	{isa.OpDiv, 0x23, alu}, {isa.OpMod, 0x24, alu}, {isa.OpAnd, 0x25, alu},
+	{isa.OpOr, 0x26, alu}, {isa.OpXor, 0x27, alu}, {isa.OpShl, 0x28, alu},
+	{isa.OpShr, 0x29, alu}, {isa.OpAddImm, 0x2A, addImm},
+
+	{isa.OpFAdd, 0x30, alu}, {isa.OpFSub, 0x31, alu}, {isa.OpFMul, 0x32, alu},
+	{isa.OpFDiv, 0x33, alu}, {isa.OpItoF, 0x34, regs}, {isa.OpFtoI, 0x35, regs},
+
+	{isa.OpFCmpEq, 0x36, alu}, {isa.OpFCmpLt, 0x37, alu}, {isa.OpCmpEq, 0x38, alu},
+	{isa.OpCmpNe, 0x39, alu}, {isa.OpCmpLt, 0x3A, alu}, {isa.OpCmpLe, 0x3B, alu},
+	{isa.OpCmpGt, 0x3C, alu}, {isa.OpCmpGe, 0x3D, alu}, {isa.OpFCmpLe, 0x3E, alu},
+
+	{isa.OpPush, 0x50, reg}, {isa.OpPop, 0x51, reg},
+	{isa.OpCall, 0x52, target}, {isa.OpJmp, 0x53, target},
+	{isa.OpJz, 0x54, regImm}, {isa.OpJnz, 0x55, regImm},
+
+	{isa.OpTlsLoad, 0x58, regDisp}, {isa.OpTlsStore, 0x59, regDisp},
+	{isa.OpMrs, 0x5A, reg}, {isa.OpMsr, 0x5B, reg},
+}
+
+// byOp and byCode index the table by semantic op and by opcode byte.
+var byOp, byCode = func() (o, c [256]encoding) {
+	for _, e := range table {
+		o[e.op], c[e.code] = e, e
 	}
-	return m
+	return o, c
 }()
 
 // Coder encodes and decodes SX86 machine code. It is stateless.
@@ -97,164 +88,68 @@ var _ isa.Coder = Coder{}
 // Arch reports isa.SX86.
 func (Coder) Arch() isa.Arch { return isa.SX86 }
 
-// Size returns the encoded length of inst in bytes. SX86 sizes depend only
-// on the opcode, so label-patching assembly needs a single sizing pass.
-func (Coder) Size(inst isa.Inst) int {
-	switch inst.Op {
-	case isa.OpNop, isa.OpTrap, isa.OpSyscall, isa.OpRet:
-		return 1
-	case isa.OpMov, isa.OpItoF, isa.OpFtoI, isa.OpPush, isa.OpPop, isa.OpMrs, isa.OpMsr:
-		return 2
-	case isa.OpMovImm:
-		return 10
-	case isa.OpLoad, isa.OpStore, isa.OpLea, isa.OpAddImm, isa.OpTlsLoad, isa.OpTlsStore:
-		return 6
-	case isa.OpCall, isa.OpJmp:
-		return 9
-	case isa.OpJz, isa.OpJnz:
-		return 10
-	default:
-		if _, ok := aluOps[inst.Op]; ok {
-			return 2
-		}
-		return 0
-	}
-}
+// Size returns the encoded length of inst in bytes, 0 if SX86 cannot
+// encode it. SX86 sizes depend only on the opcode, so label-patching
+// assembly needs a single sizing pass.
+func (Coder) Size(inst isa.Inst) int { return size[byOp[inst.Op].l] }
 
-func checkReg(rs ...isa.Reg) error {
-	for _, r := range rs {
-		if r > 7 {
-			return fmt.Errorf("sx86: register r%d out of range", r)
-		}
-	}
-	return nil
-}
+func badReg(r isa.Reg) error { return fmt.Errorf("sx86: register r%d out of range", r) }
 
 func fitsInt32(v int64) bool { return v >= -1<<31 && v < 1<<31 }
 
 // Encode appends the encoding of inst to dst. Branch targets in inst.Imm
 // are absolute addresses (SX86 branches encode absolute targets directly).
-func (c Coder) Encode(dst []byte, inst isa.Inst, _ uint64) ([]byte, error) {
-	switch inst.Op {
-	case isa.OpNop:
-		return append(dst, opNOP), nil
-	case isa.OpTrap:
-		return append(dst, opTRAP), nil
-	case isa.OpSyscall:
-		return append(dst, opSYSCALL), nil
-	case isa.OpRet:
-		return append(dst, opRET), nil
-	case isa.OpMovImm:
-		if err := checkReg(inst.Rd); err != nil {
-			return nil, err
+func (Coder) Encode(dst []byte, inst isa.Inst, _ uint64) ([]byte, error) {
+	e := byOp[inst.Op]
+	switch e.l {
+	case none:
+		return nil, fmt.Errorf("sx86: cannot encode %v", inst.Op)
+	case bare:
+		return append(dst, e.code), nil
+	case target:
+		return binary.LittleEndian.AppendUint64(append(dst, e.code), uint64(inst.Imm)), nil
+	case alu, addImm:
+		if inst.Rd != inst.Rn {
+			return nil, fmt.Errorf("sx86: %v requires rd == rn (two-operand form), got r%d, r%d", inst.Op, inst.Rd, inst.Rn)
 		}
-		dst = append(dst, opMOVri, byte(inst.Rd))
-		return binary.LittleEndian.AppendUint64(dst, uint64(inst.Imm)), nil
-	case isa.OpMov:
-		if err := checkReg(inst.Rd, inst.Rn); err != nil {
-			return nil, err
+	}
+	if inst.Rd > 7 {
+		return nil, badReg(inst.Rd)
+	}
+	rd := byte(inst.Rd)
+	switch e.l {
+	case reg:
+		return append(dst, e.code, rd), nil
+	case regs:
+		if inst.Rn > 7 {
+			return nil, badReg(inst.Rn)
 		}
-		return append(dst, opMOVrr, byte(inst.Rd)<<4|byte(inst.Rn)), nil
-	case isa.OpLoad, isa.OpStore, isa.OpLea:
-		if err := checkReg(inst.Rd, inst.Rn); err != nil {
-			return nil, err
+		return append(dst, e.code, rd<<4|byte(inst.Rn)), nil
+	case alu:
+		if inst.Rm > 7 {
+			return nil, badReg(inst.Rm)
+		}
+		return append(dst, e.code, rd<<4|byte(inst.Rm)), nil
+	case regsDisp:
+		if inst.Rn > 7 {
+			return nil, badReg(inst.Rn)
 		}
 		if !fitsInt32(inst.Imm) {
 			return nil, fmt.Errorf("sx86: %v: displacement %d exceeds 32 bits", inst.Op, inst.Imm)
 		}
-		var op byte
-		switch inst.Op {
-		case isa.OpLoad:
-			op = opLOAD
-		case isa.OpStore:
-			op = opSTORE
-		default:
-			op = opLEA
-		}
-		dst = append(dst, op, byte(inst.Rd)<<4|byte(inst.Rn))
-		return binary.LittleEndian.AppendUint32(dst, uint32(int32(inst.Imm))), nil
-	case isa.OpAddImm:
-		if inst.Rd != inst.Rn {
-			return nil, fmt.Errorf("sx86: addi requires rd == rn (two-operand form), got r%d, r%d", inst.Rd, inst.Rn)
-		}
-		if err := checkReg(inst.Rd); err != nil {
-			return nil, err
-		}
+		rd = rd<<4 | byte(inst.Rn)
+	case addImm:
 		if !fitsInt32(inst.Imm) {
-			return nil, fmt.Errorf("sx86: addi: immediate %d exceeds 32 bits", inst.Imm)
+			return nil, fmt.Errorf("sx86: %v: immediate %d exceeds 32 bits", inst.Op, inst.Imm)
 		}
-		dst = append(dst, opADDri, byte(inst.Rd))
-		return binary.LittleEndian.AppendUint32(dst, uint32(int32(inst.Imm))), nil
-	case isa.OpItoF, isa.OpFtoI:
-		if err := checkReg(inst.Rd, inst.Rn); err != nil {
-			return nil, err
-		}
-		op := byte(opITOF)
-		if inst.Op == isa.OpFtoI {
-			op = opFTOI
-		}
-		return append(dst, op, byte(inst.Rd)<<4|byte(inst.Rn)), nil
-	case isa.OpPush, isa.OpPop:
-		if err := checkReg(inst.Rd); err != nil {
-			return nil, err
-		}
-		op := byte(opPUSH)
-		if inst.Op == isa.OpPop {
-			op = opPOP
-		}
-		return append(dst, op, byte(inst.Rd)), nil
-	case isa.OpCall, isa.OpJmp:
-		op := byte(opCALL)
-		if inst.Op == isa.OpJmp {
-			op = opJMP
-		}
-		dst = append(dst, op)
-		return binary.LittleEndian.AppendUint64(dst, uint64(inst.Imm)), nil
-	case isa.OpJz, isa.OpJnz:
-		if err := checkReg(inst.Rd); err != nil {
-			return nil, err
-		}
-		op := byte(opJZ)
-		if inst.Op == isa.OpJnz {
-			op = opJNZ
-		}
-		dst = append(dst, op, byte(inst.Rd))
-		return binary.LittleEndian.AppendUint64(dst, uint64(inst.Imm)), nil
-	case isa.OpTlsLoad, isa.OpTlsStore:
-		if err := checkReg(inst.Rd); err != nil {
-			return nil, err
-		}
+	case regDisp:
 		if !fitsInt32(inst.Imm) {
 			return nil, fmt.Errorf("sx86: tls displacement %d exceeds 32 bits", inst.Imm)
 		}
-		op := byte(opTLSLD)
-		if inst.Op == isa.OpTlsStore {
-			op = opTLSST
-		}
-		dst = append(dst, op, byte(inst.Rd))
-		return binary.LittleEndian.AppendUint32(dst, uint32(int32(inst.Imm))), nil
-	case isa.OpMrs, isa.OpMsr:
-		if err := checkReg(inst.Rd); err != nil {
-			return nil, err
-		}
-		op := byte(opMRS)
-		if inst.Op == isa.OpMsr {
-			op = opMSR
-		}
-		return append(dst, op, byte(inst.Rd)), nil
-	default:
-		op, ok := aluOps[inst.Op]
-		if !ok {
-			return nil, fmt.Errorf("sx86: cannot encode %v", inst.Op)
-		}
-		if inst.Rd != inst.Rn {
-			return nil, fmt.Errorf("sx86: %v requires rd == rn (two-operand form), got r%d, r%d", inst.Op, inst.Rd, inst.Rn)
-		}
-		if err := checkReg(inst.Rd, inst.Rm); err != nil {
-			return nil, err
-		}
-		return append(dst, op, byte(inst.Rd)<<4|byte(inst.Rm)), nil
+	default: // regImm
+		return binary.LittleEndian.AppendUint64(append(dst, e.code, rd), uint64(inst.Imm)), nil
 	}
+	return binary.LittleEndian.AppendUint32(append(dst, e.code, rd), uint32(int32(inst.Imm))), nil
 }
 
 // DecodeError reports an undecodable byte sequence.
@@ -268,129 +163,40 @@ func (e *DecodeError) Error() string {
 	return fmt.Sprintf("sx86: illegal instruction at 0x%x (opcode 0x%02x): %s", e.PC, e.Opcode, e.Reason)
 }
 
-func need(b []byte, n int, pc uint64) error {
-	if len(b) < n {
-		return &DecodeError{PC: pc, Opcode: b[0], Reason: "truncated"}
-	}
-	return nil
-}
-
 // Decode decodes one instruction starting at b[0], which sits at address
 // pc. The returned Inst.Len gives the bytes consumed.
-func (c Coder) Decode(b []byte, pc uint64) (isa.Inst, error) {
+func (Coder) Decode(b []byte, pc uint64) (isa.Inst, error) {
 	if len(b) == 0 {
 		return isa.Inst{}, &DecodeError{PC: pc, Reason: "empty"}
 	}
-	op := b[0]
-	regs2 := func() (isa.Reg, isa.Reg, error) {
-		if err := need(b, 2, pc); err != nil {
-			return 0, 0, err
-		}
-		return isa.Reg(b[1] >> 4), isa.Reg(b[1] & 0x0f), nil
+	e := byCode[b[0]]
+	n := size[e.l]
+	if n == 0 {
+		return isa.Inst{}, &DecodeError{PC: pc, Opcode: b[0], Reason: "unknown opcode"}
 	}
-	switch op {
-	case opNOP:
-		return isa.Inst{Op: isa.OpNop, Len: 1}, nil
-	case opTRAP:
-		return isa.Inst{Op: isa.OpTrap, Len: 1}, nil
-	case opSYSCALL:
-		return isa.Inst{Op: isa.OpSyscall, Len: 1}, nil
-	case opRET:
-		return isa.Inst{Op: isa.OpRet, Len: 1}, nil
-	case opMOVri:
-		if err := need(b, 10, pc); err != nil {
-			return isa.Inst{}, err
-		}
-		return isa.Inst{Op: isa.OpMovImm, Rd: isa.Reg(b[1]), Imm: int64(binary.LittleEndian.Uint64(b[2:])), Len: 10}, nil
-	case opMOVrr:
-		rd, rn, err := regs2()
-		if err != nil {
-			return isa.Inst{}, err
-		}
-		return isa.Inst{Op: isa.OpMov, Rd: rd, Rn: rn, Len: 2}, nil
-	case opLOAD, opSTORE, opLEA:
-		if err := need(b, 6, pc); err != nil {
-			return isa.Inst{}, err
-		}
-		sem := isa.OpLoad
-		if op == opSTORE {
-			sem = isa.OpStore
-		} else if op == opLEA {
-			sem = isa.OpLea
-		}
-		return isa.Inst{
-			Op: sem, Rd: isa.Reg(b[1] >> 4), Rn: isa.Reg(b[1] & 0x0f),
-			Imm: int64(int32(binary.LittleEndian.Uint32(b[2:]))), Len: 6,
-		}, nil
-	case opADDri:
-		if err := need(b, 6, pc); err != nil {
-			return isa.Inst{}, err
-		}
-		rd := isa.Reg(b[1])
-		return isa.Inst{Op: isa.OpAddImm, Rd: rd, Rn: rd, Imm: int64(int32(binary.LittleEndian.Uint32(b[2:]))), Len: 6}, nil
-	case opITOF, opFTOI:
-		rd, rn, err := regs2()
-		if err != nil {
-			return isa.Inst{}, err
-		}
-		sem := isa.OpItoF
-		if op == opFTOI {
-			sem = isa.OpFtoI
-		}
-		return isa.Inst{Op: sem, Rd: rd, Rn: rn, Len: 2}, nil
-	case opPUSH, opPOP:
-		if err := need(b, 2, pc); err != nil {
-			return isa.Inst{}, err
-		}
-		sem := isa.OpPush
-		if op == opPOP {
-			sem = isa.OpPop
-		}
-		return isa.Inst{Op: sem, Rd: isa.Reg(b[1]), Len: 2}, nil
-	case opCALL, opJMP:
-		if err := need(b, 9, pc); err != nil {
-			return isa.Inst{}, err
-		}
-		sem := isa.OpCall
-		if op == opJMP {
-			sem = isa.OpJmp
-		}
-		return isa.Inst{Op: sem, Imm: int64(binary.LittleEndian.Uint64(b[1:])), Len: 9}, nil
-	case opJZ, opJNZ:
-		if err := need(b, 10, pc); err != nil {
-			return isa.Inst{}, err
-		}
-		sem := isa.OpJz
-		if op == opJNZ {
-			sem = isa.OpJnz
-		}
-		return isa.Inst{Op: sem, Rd: isa.Reg(b[1]), Imm: int64(binary.LittleEndian.Uint64(b[2:])), Len: 10}, nil
-	case opTLSLD, opTLSST:
-		if err := need(b, 6, pc); err != nil {
-			return isa.Inst{}, err
-		}
-		sem := isa.OpTlsLoad
-		if op == opTLSST {
-			sem = isa.OpTlsStore
-		}
-		return isa.Inst{Op: sem, Rd: isa.Reg(b[1]), Imm: int64(int32(binary.LittleEndian.Uint32(b[2:]))), Len: 6}, nil
-	case opMRS, opMSR:
-		if err := need(b, 2, pc); err != nil {
-			return isa.Inst{}, err
-		}
-		sem := isa.OpMrs
-		if op == opMSR {
-			sem = isa.OpMsr
-		}
-		return isa.Inst{Op: sem, Rd: isa.Reg(b[1]), Len: 2}, nil
-	default:
-		if sem, ok := aluOpsRev[op]; ok {
-			rd, rm, err := regs2()
-			if err != nil {
-				return isa.Inst{}, err
-			}
-			return isa.Inst{Op: sem, Rd: rd, Rn: rd, Rm: rm, Len: 2}, nil
-		}
-		return isa.Inst{}, &DecodeError{PC: pc, Opcode: op, Reason: "unknown opcode"}
+	if len(b) < n {
+		return isa.Inst{}, &DecodeError{PC: pc, Opcode: b[0], Reason: "truncated"}
+	}
+	switch e.l {
+	case bare:
+		return isa.Inst{Op: e.op, Len: n}, nil
+	case reg:
+		return isa.Inst{Op: e.op, Rd: isa.Reg(b[1]), Len: n}, nil
+	case regs:
+		return isa.Inst{Op: e.op, Rd: isa.Reg(b[1] >> 4), Rn: isa.Reg(b[1] & 0x0f), Len: n}, nil
+	case alu:
+		return isa.Inst{Op: e.op, Rd: isa.Reg(b[1] >> 4), Rn: isa.Reg(b[1] >> 4), Rm: isa.Reg(b[1] & 0x0f), Len: n}, nil
+	case regsDisp:
+		return isa.Inst{Op: e.op, Rd: isa.Reg(b[1] >> 4), Rn: isa.Reg(b[1] & 0x0f), Imm: disp32(b), Len: n}, nil
+	case addImm:
+		return isa.Inst{Op: e.op, Rd: isa.Reg(b[1]), Rn: isa.Reg(b[1]), Imm: disp32(b), Len: n}, nil
+	case regDisp:
+		return isa.Inst{Op: e.op, Rd: isa.Reg(b[1]), Imm: disp32(b), Len: n}, nil
+	case target:
+		return isa.Inst{Op: e.op, Imm: int64(binary.LittleEndian.Uint64(b[1:])), Len: n}, nil
+	default: // regImm
+		return isa.Inst{Op: e.op, Rd: isa.Reg(b[1]), Imm: int64(binary.LittleEndian.Uint64(b[2:])), Len: n}, nil
 	}
 }
+
+func disp32(b []byte) int64 { return int64(int32(binary.LittleEndian.Uint32(b[2:]))) }

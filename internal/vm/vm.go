@@ -396,11 +396,17 @@ func (m *Machine) Run(r *isa.RegFile, maxSteps int) (Stop, error) {
 		case isa.OpFCmpLe:
 			r.R[s.rd&rmask] = btoi(b2f(r.R[s.rn&rmask]) <= b2f(r.R[s.rm&rmask]))
 		case isa.OpPush:
+			// SP moves only once the store lands, so a fault leaves it
+			// as it was; a push of SP itself stores the moved SP.
 			sp := m.ABI.SP & rmask
-			r.R[sp] -= 8
-			if err := m.AS.WriteU64(r.R[sp], r.R[s.rd&rmask]); err != nil {
+			top, v := r.R[sp]-8, r.R[s.rd&rmask]
+			if s.rd&rmask == sp {
+				v = top
+			}
+			if err := m.AS.WriteU64(top, v); err != nil {
 				return fault(r, pc, cycles, s, err, "")
 			}
+			r.R[sp] = top
 			if m.codeStale() {
 				m.cur, win = nil, &noWindow
 			}
@@ -415,10 +421,10 @@ func (m *Machine) Run(r *isa.RegFile, maxSteps int) (Stop, error) {
 		case isa.OpCall:
 			if m.ABI.RetAddrOnStack {
 				sp := m.ABI.SP & rmask
-				r.R[sp] -= 8
-				if err := m.AS.WriteU64(r.R[sp], next); err != nil {
+				if err := m.AS.WriteU64(r.R[sp]-8, next); err != nil {
 					return fault(r, pc, cycles, s, err, "")
 				}
+				r.R[sp] -= 8
 				if m.codeStale() {
 					m.cur, win = nil, &noWindow
 				}
