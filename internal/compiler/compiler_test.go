@@ -360,6 +360,24 @@ func TestCompileErrorsPropagate(t *testing.T) {
 	}
 }
 
+// TestOversizedGlobalsRefused: a global array too large for the data
+// section is a compile error. Its size in bytes used to overflow int64,
+// so Compile either panicked while allocating the data section or, when
+// the size wrapped to 0, compiled the array as empty.
+func TestOversizedGlobalsRefused(t *testing.T) {
+	for _, src := range []string{
+		`var g[1152921504606846976] int; func main() { g[0] = 1; }`,
+		`var g[2305843009213693952] int; func main() { }`,
+		`var a[1152921504606846976] int; var b[1152921504606846976] float; func main() { }`,
+	} {
+		_, err := compiler.Compile(src)
+		const want = "dapc: globals and string literals do not fit the 268435456-byte data section"
+		if err == nil || err.Error() != want {
+			t.Errorf("Compile(%q)\n got %v\nwant %s", src, err, want)
+		}
+	}
+}
+
 func TestRecvSendProgram(t *testing.T) {
 	pair, err := compiler.Compile(`
 func main() {

@@ -3,33 +3,64 @@ package ir
 import (
 	"fmt"
 
+	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/lang"
 )
 
 // Lower compiles a checked DapC file into an IR program, appending the
-// runtime wrapper functions and computing call-site liveness.
-func Lower(file *lang.File, info *lang.Info) (*Program, error) {
-	prog := &Program{}
-	for _, g := range file.Globals {
-		size := int64(8)
-		if g.ArrayLen >= 0 {
-			size = 8 * g.ArrayLen
+// runtime wrapper functions and computing call-site liveness. Its first
+// error ends the lowering (fail).
+func Lower(file *lang.File, info *lang.Info) (prog *Program, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e, ok := r.(lowerError)
+			if !ok {
+				panic(r)
+			}
+			prog, err = nil, e.err
 		}
-		prog.Globals = append(prog.Globals, GlobalDef{Name: g.Name, Size: size, Ptr: g.Type.IsPtr() && g.ArrayLen < 0})
+	}()
+	// The data section [isa.DataBase, isa.HeapBase) holds the flag word,
+	// then the globals, then the pooled strings, each a whole number of
+	// words; room counts the words left, so no size is formed that does
+	// not fit.
+	room := int64(isa.HeapBase-isa.DataBase)/8 - 1
+	take := func(words int64) {
+		if words > room {
+			fail("dapc: globals and string literals do not fit the %d-byte data section", isa.HeapBase-isa.DataBase)
+		}
+		room -= words
+	}
+	prog = &Program{}
+	for _, g := range file.Globals {
+		words := int64(1)
+		if g.ArrayLen >= 0 {
+			words = g.ArrayLen
+		}
+		take(words)
+		prog.Globals = append(prog.Globals, GlobalDef{Name: g.Name, Size: 8 * words, Ptr: g.Type.IsPtr() && g.ArrayLen < 0})
 	}
 	lw := &lowerer{prog: prog, info: info, strs: make(map[string]string)}
 	for _, fn := range file.Funcs {
-		f, err := lw.lowerFunc(fn)
-		if err != nil {
-			return nil, err
-		}
-		prog.Funcs = append(prog.Funcs, f)
+		prog.Funcs = append(prog.Funcs, lw.lowerFunc(fn))
+	}
+	for _, s := range prog.Strings {
+		take((int64(len(s.Data)) + 7) / 8)
 	}
 	addRuntime(prog)
 	for _, f := range prog.Funcs {
 		ComputeLiveness(f)
 	}
 	return prog, nil
+}
+
+// lowerError carries the lowerer's first error to Lower, which returns it.
+type lowerError struct{ err error }
+
+// fail refuses the program: it panics with a lowerError, which Lower
+// recovers, so the lowerer need not pass errors up.
+func fail(format string, args ...any) {
+	panic(lowerError{fmt.Errorf(format, args...)})
 }
 
 // builtinWrapper maps DapC builtins to runtime wrapper functions.
@@ -139,7 +170,7 @@ func (lw *lowerer) pop() VReg {
 	return v
 }
 
-func (lw *lowerer) lowerFunc(fn *lang.FuncDecl) (*Func, error) {
+func (lw *lowerer) lowerFunc(fn *lang.FuncDecl) *Func {
 	f := &Func{
 		Name:      fn.Name,
 		NumParams: len(fn.Params),
@@ -173,9 +204,7 @@ func (lw *lowerer) lowerFunc(fn *lang.FuncDecl) (*Func, error) {
 	lw.tempFree = map[bool][]int{}
 	lw.tempUsed = map[bool][]int{}
 	lw.loops = nil
-	if err := lw.lowerBlock(fn.Body); err != nil {
-		return nil, err
-	}
+	lw.lowerBlock(fn.Body)
 	if !f.Blocks[lw.cur].Terminated() {
 		if f.HasRet {
 			v := lw.newVReg(0, false)
@@ -185,19 +214,16 @@ func (lw *lowerer) lowerFunc(fn *lang.FuncDecl) (*Func, error) {
 			lw.emit(Instr{Op: OpRet, A: NoVReg})
 		}
 	}
-	return f, nil
+	return f
 }
 
-func (lw *lowerer) lowerBlock(b *lang.Block) error {
+func (lw *lowerer) lowerBlock(b *lang.Block) {
 	for _, s := range b.Stmts {
-		if err := lw.lowerStmt(s); err != nil {
-			return err
-		}
+		lw.lowerStmt(s)
 	}
-	return nil
 }
 
-func (lw *lowerer) lowerStmt(s lang.Stmt) error {
+func (lw *lowerer) lowerStmt(s lang.Stmt) {
 	defer lw.resetTemps()
 	switch s := s.(type) {
 	case *lang.VarDecl:
@@ -212,16 +238,11 @@ func (lw *lowerer) lowerStmt(s lang.Stmt) error {
 				lw.emit(Instr{Op: OpConstInt, Dst: z, Imm: 0})
 				lw.emit(Instr{Op: OpStoreSlot, Slot: obj.SlotID, A: z})
 			}
-			return nil
+			return
 		}
-		v, err := lw.gen(s.Init, 0)
-		if err != nil {
-			return err
-		}
-		lw.emit(Instr{Op: OpStoreSlot, Slot: obj.SlotID, A: v})
-		return nil
+		lw.emit(Instr{Op: OpStoreSlot, Slot: obj.SlotID, A: lw.gen(s.Init, 0)})
 	case *lang.Assign:
-		return lw.lowerAssign(s)
+		lw.lowerAssign(s)
 	case *lang.If:
 		thenB := lw.f.NewBlock()
 		doneB := lw.f.NewBlock()
@@ -229,52 +250,38 @@ func (lw *lowerer) lowerStmt(s lang.Stmt) error {
 		if s.Else != nil {
 			elseB = lw.f.NewBlock()
 		}
-		if err := lw.genCond(s.Cond, thenB, elseB); err != nil {
-			return err
-		}
+		lw.genCond(s.Cond, thenB, elseB)
 		lw.setBlock(thenB)
-		if err := lw.lowerBlock(s.Then); err != nil {
-			return err
-		}
+		lw.lowerBlock(s.Then)
 		if !lw.f.Blocks[lw.cur].Terminated() {
 			lw.emit(Instr{Op: OpJmp, T1: doneB})
 		}
 		if s.Else != nil {
 			lw.setBlock(elseB)
-			if err := lw.lowerBlock(s.Else); err != nil {
-				return err
-			}
+			lw.lowerBlock(s.Else)
 			if !lw.f.Blocks[lw.cur].Terminated() {
 				lw.emit(Instr{Op: OpJmp, T1: doneB})
 			}
 		}
 		lw.setBlock(doneB)
-		return nil
 	case *lang.While:
 		condB := lw.f.NewBlock()
 		bodyB := lw.f.NewBlock()
 		doneB := lw.f.NewBlock()
 		lw.emit(Instr{Op: OpJmp, T1: condB})
 		lw.setBlock(condB)
-		if err := lw.genCond(s.Cond, bodyB, doneB); err != nil {
-			return err
-		}
+		lw.genCond(s.Cond, bodyB, doneB)
 		lw.loops = append(lw.loops, loopCtx{breakBlk: doneB, contBlk: condB})
 		lw.setBlock(bodyB)
-		if err := lw.lowerBlock(s.Body); err != nil {
-			return err
-		}
+		lw.lowerBlock(s.Body)
 		lw.loops = lw.loops[:len(lw.loops)-1]
 		if !lw.f.Blocks[lw.cur].Terminated() {
 			lw.emit(Instr{Op: OpJmp, T1: condB})
 		}
 		lw.setBlock(doneB)
-		return nil
 	case *lang.For:
 		if s.Init != nil {
-			if err := lw.lowerStmt(s.Init); err != nil {
-				return err
-			}
+			lw.lowerStmt(s.Init)
 		}
 		condB := lw.f.NewBlock()
 		bodyB := lw.f.NewBlock()
@@ -283,141 +290,105 @@ func (lw *lowerer) lowerStmt(s lang.Stmt) error {
 		lw.emit(Instr{Op: OpJmp, T1: condB})
 		lw.setBlock(condB)
 		if s.Cond != nil {
-			if err := lw.genCond(s.Cond, bodyB, doneB); err != nil {
-				return err
-			}
+			lw.genCond(s.Cond, bodyB, doneB)
 		} else {
 			lw.emit(Instr{Op: OpJmp, T1: bodyB})
 		}
 		lw.loops = append(lw.loops, loopCtx{breakBlk: doneB, contBlk: postB})
 		lw.setBlock(bodyB)
-		if err := lw.lowerBlock(s.Body); err != nil {
-			return err
-		}
+		lw.lowerBlock(s.Body)
 		lw.loops = lw.loops[:len(lw.loops)-1]
 		if !lw.f.Blocks[lw.cur].Terminated() {
 			lw.emit(Instr{Op: OpJmp, T1: postB})
 		}
 		lw.setBlock(postB)
 		if s.Post != nil {
-			if err := lw.lowerStmt(s.Post); err != nil {
-				return err
-			}
+			lw.lowerStmt(s.Post)
 		}
 		lw.emit(Instr{Op: OpJmp, T1: condB})
 		lw.setBlock(doneB)
-		return nil
 	case *lang.Return:
 		if s.Val == nil {
 			lw.emit(Instr{Op: OpRet, A: NoVReg})
 		} else {
-			v, err := lw.gen(s.Val, 0)
-			if err != nil {
-				return err
-			}
-			lw.emit(Instr{Op: OpRet, A: v})
+			lw.emit(Instr{Op: OpRet, A: lw.gen(s.Val, 0)})
 		}
 		// Continue lowering into a fresh (unreachable) block so trailing
 		// statements don't corrupt the terminated one.
 		lw.setBlock(lw.f.NewBlock())
-		return nil
 	case *lang.Break:
 		if len(lw.loops) == 0 {
-			return fmt.Errorf("dapc: break outside loop")
+			fail("dapc: break outside loop")
 		}
 		lw.emit(Instr{Op: OpJmp, T1: lw.loops[len(lw.loops)-1].breakBlk})
 		lw.setBlock(lw.f.NewBlock())
-		return nil
 	case *lang.Continue:
 		if len(lw.loops) == 0 {
-			return fmt.Errorf("dapc: continue outside loop")
+			fail("dapc: continue outside loop")
 		}
 		lw.emit(Instr{Op: OpJmp, T1: lw.loops[len(lw.loops)-1].contBlk})
 		lw.setBlock(lw.f.NewBlock())
-		return nil
 	case *lang.ExprStmt:
-		_, err := lw.genAllowVoid(s.X, 0)
-		return err
+		lw.genAllowVoid(s.X, 0)
 	case *lang.Block:
-		return lw.lowerBlock(s)
+		lw.lowerBlock(s)
 	default:
-		return fmt.Errorf("dapc: cannot lower %T", s)
+		fail("dapc: cannot lower %T", s)
 	}
 }
 
-func (lw *lowerer) lowerAssign(s *lang.Assign) error {
+func (lw *lowerer) lowerAssign(s *lang.Assign) {
 	switch lhs := s.LHS.(type) {
 	case *lang.Ident:
 		switch obj := lw.info.Uses[lhs].(type) {
 		case *lang.LocalObj:
-			v, err := lw.gen(s.RHS, 0)
-			if err != nil {
-				return err
-			}
-			lw.emit(Instr{Op: OpStoreSlot, Slot: obj.SlotID, A: v})
-			return nil
+			lw.emit(Instr{Op: OpStoreSlot, Slot: obj.SlotID, A: lw.gen(s.RHS, 0)})
 		case *lang.GlobalObj:
 			addr := lw.newVReg(0, true)
 			lw.emit(Instr{Op: OpGlobalAddr, Dst: addr, Sym: obj.Name})
-			lw.push(addr, true)
-			v, err := lw.gen(s.RHS, 1)
-			if err != nil {
-				return err
-			}
-			addr = lw.pop()
-			lw.emit(Instr{Op: OpStore, A: addr, B: v})
-			return nil
+			lw.store(addr, s.RHS)
 		default:
-			return fmt.Errorf("dapc: bad assignment target %q", lhs.Name)
+			fail("dapc: bad assignment target %q", lhs.Name)
 		}
 	default:
-		addr, err := lw.genAddr(s.LHS, 0)
-		if err != nil {
-			return err
-		}
-		lw.push(addr, true)
-		v, err := lw.gen(s.RHS, 1)
-		if err != nil {
-			return err
-		}
-		addr = lw.pop()
-		lw.emit(Instr{Op: OpStore, A: addr, B: v})
-		return nil
+		lw.store(lw.genAddr(s.LHS, 0), s.RHS)
 	}
+}
+
+// store evaluates rhs above addr, at depth 1, and stores it there.
+func (lw *lowerer) store(addr VReg, rhs lang.Expr) {
+	lw.push(addr, true)
+	v := lw.gen(rhs, 1)
+	addr = lw.pop()
+	lw.emit(Instr{Op: OpStore, A: addr, B: v})
 }
 
 // genCond lowers a boolean context with short-circuiting, branching to
 // tBlk or fBlk.
-func (lw *lowerer) genCond(e lang.Expr, tBlk, fBlk int) error {
+func (lw *lowerer) genCond(e lang.Expr, tBlk, fBlk int) {
 	switch ex := e.(type) {
 	case *lang.Binary:
 		switch ex.Op {
 		case "&&":
 			mid := lw.f.NewBlock()
-			if err := lw.genCond(ex.L, mid, fBlk); err != nil {
-				return err
-			}
+			lw.genCond(ex.L, mid, fBlk)
 			lw.setBlock(mid)
-			return lw.genCond(ex.R, tBlk, fBlk)
+			lw.genCond(ex.R, tBlk, fBlk)
+			return
 		case "||":
 			mid := lw.f.NewBlock()
-			if err := lw.genCond(ex.L, tBlk, mid); err != nil {
-				return err
-			}
+			lw.genCond(ex.L, tBlk, mid)
 			lw.setBlock(mid)
-			return lw.genCond(ex.R, tBlk, fBlk)
+			lw.genCond(ex.R, tBlk, fBlk)
+			return
 		}
 	case *lang.Unary:
 		if ex.Op == "!" {
-			return lw.genCond(ex.X, fBlk, tBlk)
+			lw.genCond(ex.X, fBlk, tBlk)
+			return
 		}
 	}
-	v, err := lw.gen(e, 0)
-	if err != nil {
-		return err
-	}
-	lw.emit(Instr{Op: OpBr, A: v, T1: tBlk, T2: fBlk})
-	return nil
+	lw.emit(Instr{Op: OpBr, A: lw.gen(e, 0), T1: tBlk, T2: fBlk})
 }
 
 var intBinOps = map[string]Op{
@@ -432,7 +403,7 @@ var floatBinOps = map[string]Op{
 	"==": OpFCmpEq, "<": OpFCmpLt, "<=": OpFCmpLe,
 }
 
-func (lw *lowerer) genAllowVoid(e lang.Expr, d int) (VReg, error) {
+func (lw *lowerer) genAllowVoid(e lang.Expr, d int) VReg {
 	if call, ok := e.(*lang.Call); ok {
 		return lw.genCall(call, d)
 	}
@@ -440,7 +411,7 @@ func (lw *lowerer) genAllowVoid(e lang.Expr, d int) (VReg, error) {
 }
 
 // gen evaluates e into a vreg at depth d (0 <= d <= MaxDepth+1).
-func (lw *lowerer) gen(e lang.Expr, d int) (VReg, error) {
+func (lw *lowerer) gen(e lang.Expr, d int) VReg {
 	isPtr := false
 	if t, ok := lw.info.Types[e]; ok && t != nil {
 		isPtr = t.IsPtr()
@@ -449,11 +420,11 @@ func (lw *lowerer) gen(e lang.Expr, d int) (VReg, error) {
 	case *lang.IntLit:
 		v := lw.newVReg(d, false)
 		lw.emit(Instr{Op: OpConstInt, Dst: v, Imm: ex.Val})
-		return v, nil
+		return v
 	case *lang.FloatLit:
 		v := lw.newVReg(d, false)
 		lw.emit(Instr{Op: OpConstFloat, Dst: v, F: ex.Val})
-		return v, nil
+		return v
 	case *lang.Ident:
 		switch obj := lw.info.Uses[ex].(type) {
 		case *lang.LocalObj:
@@ -463,7 +434,7 @@ func (lw *lowerer) gen(e lang.Expr, d int) (VReg, error) {
 			} else {
 				lw.emit(Instr{Op: OpLoadSlot, Dst: v, Slot: obj.SlotID})
 			}
-			return v, nil
+			return v
 		case *lang.GlobalObj:
 			v := lw.newVReg(d, isPtr)
 			if obj.IsArray {
@@ -473,28 +444,21 @@ func (lw *lowerer) gen(e lang.Expr, d int) (VReg, error) {
 				lw.emit(Instr{Op: OpGlobalAddr, Dst: a, Sym: obj.Name})
 				lw.emit(Instr{Op: OpLoad, Dst: v, A: a})
 			}
-			return v, nil
-		default:
-			return NoVReg, fmt.Errorf("dapc: cannot evaluate %q", ex.Name)
+			return v
 		}
+		fail("dapc: cannot evaluate %q", ex.Name)
 	case *lang.Index:
-		addr, err := lw.genAddr(ex, d)
-		if err != nil {
-			return NoVReg, err
-		}
+		addr := lw.genAddr(ex, d)
 		v := lw.newVReg(d, isPtr)
 		lw.emit(Instr{Op: OpLoad, Dst: v, A: addr})
-		return v, nil
+		return v
 	case *lang.Unary:
 		switch ex.Op {
 		case "-":
 			// Evaluate x first, then a zero constant (constants cannot
 			// contain calls, so no spill is needed): v = 0 - x.
 			t := lw.info.Types[ex.X]
-			x, err := lw.gen(ex.X, d)
-			if err != nil {
-				return NoVReg, err
-			}
+			x := lw.gen(ex.X, d)
 			zero := lw.newVReg(d+1, false)
 			op := OpISub
 			if t.Kind == lang.TypeFloat {
@@ -505,42 +469,33 @@ func (lw *lowerer) gen(e lang.Expr, d int) (VReg, error) {
 			}
 			v := lw.newVReg(d, false)
 			lw.emit(Instr{Op: op, Dst: v, A: zero, B: x})
-			return v, nil
+			return v
 		case "!":
-			x, err := lw.gen(ex.X, d)
-			if err != nil {
-				return NoVReg, err
-			}
+			x := lw.gen(ex.X, d)
 			z := lw.newVReg(d+1, false)
 			lw.emit(Instr{Op: OpConstInt, Dst: z, Imm: 0})
 			v := lw.newVReg(d, false)
 			lw.emit(Instr{Op: OpICmpEq, Dst: v, A: x, B: z})
-			return v, nil
+			return v
 		case "&":
 			return lw.genAddr(ex.X, d)
 		case "*":
-			a, err := lw.gen(ex.X, d)
-			if err != nil {
-				return NoVReg, err
-			}
+			a := lw.gen(ex.X, d)
 			v := lw.newVReg(d, isPtr)
 			lw.emit(Instr{Op: OpLoad, Dst: v, A: a})
-			return v, nil
+			return v
 		}
-		return NoVReg, fmt.Errorf("dapc: unary %q", ex.Op)
+		fail("dapc: unary %q", ex.Op)
 	case *lang.Binary:
 		if ex.Op == "&&" || ex.Op == "||" {
 			return lw.genLogicalValue(ex, d)
 		}
 		return lw.genBinary(ex, d)
 	case *lang.Cast:
-		x, err := lw.gen(ex.X, d)
-		if err != nil {
-			return NoVReg, err
-		}
+		x := lw.gen(ex.X, d)
 		from := lw.info.Types[ex.X]
 		if from.Equal(ex.To) {
-			return x, nil
+			return x
 		}
 		v := lw.newVReg(d, false)
 		if ex.To.Kind == lang.TypeFloat {
@@ -548,22 +503,19 @@ func (lw *lowerer) gen(e lang.Expr, d int) (VReg, error) {
 		} else {
 			lw.emit(Instr{Op: OpFtoI, Dst: v, A: x})
 		}
-		return v, nil
+		return v
 	case *lang.Call:
-		v, err := lw.genCall(ex, d)
-		if err != nil {
-			return NoVReg, err
-		}
+		v := lw.genCall(ex, d)
 		if v == NoVReg {
-			return NoVReg, fmt.Errorf("dapc: void call %q used as value", ex.Name)
+			fail("dapc: void call %q used as value", ex.Name)
 		}
-		return v, nil
-	default:
-		return NoVReg, fmt.Errorf("dapc: cannot lower expression %T", e)
+		return v
 	}
+	fail("dapc: cannot lower expression %T", e)
+	return NoVReg
 }
 
-func (lw *lowerer) genBinary(ex *lang.Binary, d int) (VReg, error) {
+func (lw *lowerer) genBinary(ex *lang.Binary, d int) VReg {
 	lt := lw.info.Types[ex.L]
 	isFloat := lt.Kind == lang.TypeFloat
 	var op Op
@@ -574,62 +526,50 @@ func (lw *lowerer) genBinary(ex *lang.Binary, d int) (VReg, error) {
 		if !ok {
 			switch ex.Op {
 			case "!=":
-				eq, err := lw.genBinary(&lang.Binary{Pos: ex.Pos, Op: "==", L: ex.L, R: ex.R}, d)
-				if err != nil {
-					return NoVReg, err
-				}
+				eq := lw.genBinary(&lang.Binary{Pos: ex.Pos, Op: "==", L: ex.L, R: ex.R}, d)
 				z := lw.newVReg(d+1, false)
 				lw.emit(Instr{Op: OpConstInt, Dst: z, Imm: 0})
 				v := lw.newVReg(d, false)
 				lw.emit(Instr{Op: OpICmpEq, Dst: v, A: eq, B: z})
-				return v, nil
+				return v
 			case ">":
 				return lw.genBinary(&lang.Binary{Pos: ex.Pos, Op: "<", L: ex.R, R: ex.L}, d)
 			case ">=":
 				return lw.genBinary(&lang.Binary{Pos: ex.Pos, Op: "<=", L: ex.R, R: ex.L}, d)
 			default:
-				return NoVReg, fmt.Errorf("dapc: float operator %q", ex.Op)
+				fail("dapc: float operator %q", ex.Op)
 			}
 		}
 	} else {
 		op, ok = intBinOps[ex.Op]
 		if !ok {
-			return NoVReg, fmt.Errorf("dapc: operator %q", ex.Op)
+			fail("dapc: operator %q", ex.Op)
 		}
 	}
 
-	lv, err := lw.gen(ex.L, d)
-	if err != nil {
-		return NoVReg, err
-	}
+	lv := lw.gen(ex.L, d)
 	resPtr := false
 	if t := lw.info.Types[ex]; t != nil {
 		resPtr = t.IsPtr()
 	}
 	if d+1 <= MaxDepth+1 {
 		lw.push(lv, lw.vregPtrOf(lv))
-		rv, err := lw.gen(ex.R, d+1)
-		if err != nil {
-			return NoVReg, err
-		}
+		rv := lw.gen(ex.R, d+1)
 		lv = lw.pop()
 		v := lw.newVReg(d, resPtr)
 		lw.emit(Instr{Op: op, Dst: v, A: lv, B: rv})
-		return v, nil
+		return v
 	}
 	// Depth exhausted: spill the left operand, evaluate the right at the
 	// same depth, reload the left into the emergency depth.
 	t := lw.newTemp(lw.vregPtrOf(lv))
 	lw.emit(Instr{Op: OpStoreSlot, Slot: t, A: lv})
-	rv, err := lw.gen(ex.R, d)
-	if err != nil {
-		return NoVReg, err
-	}
+	rv := lw.gen(ex.R, d)
 	lre := lw.newVReg(MaxDepth+2, lw.vregPtrOf(lv))
 	lw.emit(Instr{Op: OpLoadSlot, Dst: lre, Slot: t})
 	v := lw.newVReg(d, resPtr)
 	lw.emit(Instr{Op: op, Dst: v, A: lre, B: rv})
-	return v, nil
+	return v
 }
 
 func (lw *lowerer) vregPtrOf(v VReg) bool {
@@ -642,7 +582,7 @@ func (lw *lowerer) vregPtrOf(v VReg) bool {
 // genLogicalValue lowers a && b / a || b in value position. The whole
 // evaluation stack is spilled first so the reload at the join block is
 // path-independent.
-func (lw *lowerer) genLogicalValue(ex *lang.Binary, d int) (VReg, error) {
+func (lw *lowerer) genLogicalValue(ex *lang.Binary, d int) VReg {
 	spilled := lw.spillAll()
 	res := lw.newTemp(false)
 	tB := lw.f.NewBlock()
@@ -650,9 +590,7 @@ func (lw *lowerer) genLogicalValue(ex *lang.Binary, d int) (VReg, error) {
 	done := lw.f.NewBlock()
 	savedStack, savedPtr := lw.stack, lw.stackPtr
 	lw.stack, lw.stackPtr = nil, nil
-	if err := lw.genCond(ex, tB, fB); err != nil {
-		return NoVReg, err
-	}
+	lw.genCond(ex, tB, fB)
 	lw.setBlock(tB)
 	one := lw.newVReg(0, false)
 	lw.emit(Instr{Op: OpConstInt, Dst: one, Imm: 1})
@@ -668,50 +606,42 @@ func (lw *lowerer) genLogicalValue(ex *lang.Binary, d int) (VReg, error) {
 	lw.reloadAll(spilled)
 	v := lw.newVReg(d, false)
 	lw.emit(Instr{Op: OpLoadSlot, Dst: v, Slot: res})
-	return v, nil
+	return v
 }
 
 // genAddr computes the address of an lvalue at depth d.
-func (lw *lowerer) genAddr(e lang.Expr, d int) (VReg, error) {
+func (lw *lowerer) genAddr(e lang.Expr, d int) VReg {
 	switch ex := e.(type) {
 	case *lang.Ident:
+		v := lw.newVReg(d, true)
 		switch obj := lw.info.Uses[ex].(type) {
 		case *lang.LocalObj:
-			v := lw.newVReg(d, true)
 			lw.emit(Instr{Op: OpSlotAddr, Dst: v, Slot: obj.SlotID})
-			return v, nil
 		case *lang.GlobalObj:
-			v := lw.newVReg(d, true)
 			lw.emit(Instr{Op: OpGlobalAddr, Dst: v, Sym: obj.Name})
-			return v, nil
 		default:
-			return NoVReg, fmt.Errorf("dapc: cannot take address of %q", ex.Name)
+			fail("dapc: cannot take address of %q", ex.Name)
 		}
+		return v
 	case *lang.Index:
 		if d+1 > MaxDepth+1 {
-			return NoVReg, fmt.Errorf("dapc: expression too deeply nested (indexing at depth %d)", d)
+			fail("dapc: expression too deeply nested (indexing at depth %d)", d)
 		}
-		base, err := lw.gen(ex.Base, d)
-		if err != nil {
-			return NoVReg, err
-		}
-		lw.push(base, true)
-		idx, err := lw.gen(ex.Idx, d+1)
-		if err != nil {
-			return NoVReg, err
-		}
-		base = lw.pop()
+		lw.push(lw.gen(ex.Base, d), true)
+		idx := lw.gen(ex.Idx, d+1)
+		base := lw.pop()
 		scaled := lw.newVReg(d+1, false)
 		lw.emit(Instr{Op: OpIMul, Dst: scaled, A: idx, B: lw.constAt(8, d+2)})
 		v := lw.newVReg(d, true)
 		lw.emit(Instr{Op: OpIAdd, Dst: v, A: base, B: scaled})
-		return v, nil
+		return v
 	case *lang.Unary:
 		if ex.Op == "*" {
 			return lw.gen(ex.X, d)
 		}
 	}
-	return NoVReg, fmt.Errorf("dapc: not an addressable expression: %T", e)
+	fail("dapc: not an addressable expression: %T", e)
+	return NoVReg
 }
 
 // constAt emits an integer constant at the given depth (the emergency
@@ -727,7 +657,7 @@ func (lw *lowerer) constAt(v int64, d int) VReg {
 
 // genCall lowers calls to user functions and builtins. It returns NoVReg
 // for void calls.
-func (lw *lowerer) genCall(e *lang.Call, d int) (VReg, error) {
+func (lw *lowerer) genCall(e *lang.Call, d int) VReg {
 	// print(literal) gets its pooled string.
 	if e.Name == "print" {
 		lit := e.Args[0].(*lang.StrLit)
@@ -749,11 +679,7 @@ func (lw *lowerer) genCall(e *lang.Call, d int) (VReg, error) {
 		lw.emit(Instr{Op: OpFuncAddr, Dst: fv, Sym: fnID.Name})
 		lw.emit(Instr{Op: OpStoreSlot, Slot: fSlot, A: fv})
 		aSlot := lw.newTemp(false)
-		av, err := lw.gen(e.Args[1], d)
-		if err != nil {
-			return NoVReg, err
-		}
-		lw.emit(Instr{Op: OpStoreSlot, Slot: aSlot, A: av})
+		lw.emit(Instr{Op: OpStoreSlot, Slot: aSlot, A: lw.gen(e.Args[1], d)})
 		return lw.emitCall("__spawn", []int{fSlot, aSlot}, true, false, d)
 	}
 
@@ -769,15 +695,12 @@ func (lw *lowerer) genCall(e *lang.Call, d int) (VReg, error) {
 		hasRet = fn.Ret.Kind != lang.TypeVoid
 		retPtr = fn.Ret.IsPtr()
 	} else {
-		return NoVReg, fmt.Errorf("dapc: unknown call target %q", e.Name)
+		fail("dapc: unknown call target %q", e.Name)
 	}
 
 	slots := make([]int, 0, len(e.Args))
 	for _, a := range e.Args {
-		av, err := lw.gen(a, d)
-		if err != nil {
-			return NoVReg, err
-		}
+		av := lw.gen(a, d)
 		t := lw.info.Types[a]
 		slot := lw.newTemp(t != nil && t.IsPtr())
 		lw.emit(Instr{Op: OpStoreSlot, Slot: slot, A: av})
@@ -787,7 +710,7 @@ func (lw *lowerer) genCall(e *lang.Call, d int) (VReg, error) {
 }
 
 // emitCall spills the evaluation stack, emits the call, and reloads.
-func (lw *lowerer) emitCall(target string, argSlots []int, hasRet, retPtr bool, d int) (VReg, error) {
+func (lw *lowerer) emitCall(target string, argSlots []int, hasRet, retPtr bool, d int) VReg {
 	spilled := lw.spillAll()
 	dst := NoVReg
 	if hasRet {
@@ -799,7 +722,7 @@ func (lw *lowerer) emitCall(target string, argSlots []int, hasRet, retPtr bool, 
 		Site:     lw.prog.NewSite(),
 	})
 	lw.reloadAll(spilled)
-	return dst, nil
+	return dst
 }
 
 func (lw *lowerer) internString(s string) string {

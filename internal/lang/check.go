@@ -73,7 +73,6 @@ type Info struct {
 }
 
 type checker struct {
-	file *File
 	info *Info
 
 	fn     *FuncDecl
@@ -81,8 +80,10 @@ type checker struct {
 	scopes []map[string]*LocalObj
 }
 
-// Check type-checks the file and resolves references.
-func Check(file *File) (*Info, error) {
+// Check type-checks the file and resolves references. Its first error
+// ends the check (fail).
+func Check(file *File) (_ *Info, err error) {
+	defer catch(&err)
 	info := &Info{
 		Types:      make(map[Expr]*Type),
 		Uses:       make(map[*Ident]Object),
@@ -91,39 +92,37 @@ func Check(file *File) (*Info, error) {
 		Funcs:      make(map[string]*FuncDecl),
 		Globals:    make(map[string]*GlobalObj),
 	}
-	c := &checker{file: file, info: info}
+	c := &checker{info: info}
 	for _, g := range file.Globals {
 		if _, dup := info.Globals[g.Name]; dup {
-			return nil, errf(g.Pos, "duplicate global %q", g.Name)
+			fail(g.Pos, "duplicate global %q", g.Name)
 		}
 		if g.ArrayLen >= 0 && g.Type.IsPtr() {
-			return nil, errf(g.Pos, "arrays of pointers are not supported (each pointer must be a named slot for stack rewriting)")
+			fail(g.Pos, "arrays of pointers are not supported (each pointer must be a named slot for stack rewriting)")
 		}
 		info.Globals[g.Name] = &GlobalObj{Name: g.Name, Type: g.Type, IsArray: g.ArrayLen >= 0, ArrayLen: g.ArrayLen}
 	}
 	for _, fn := range file.Funcs {
 		if _, dup := info.Funcs[fn.Name]; dup {
-			return nil, errf(fn.Pos, "duplicate function %q", fn.Name)
+			fail(fn.Pos, "duplicate function %q", fn.Name)
 		}
 		if _, isBuiltin := Builtins[fn.Name]; isBuiltin || fn.Name == "print" || fn.Name == "spawn" {
-			return nil, errf(fn.Pos, "function %q shadows a builtin", fn.Name)
+			fail(fn.Pos, "function %q shadows a builtin", fn.Name)
 		}
 		info.Funcs[fn.Name] = fn
 	}
 	if _, ok := info.Funcs["main"]; !ok {
-		return nil, errf(Pos{Line: 1, Col: 1}, "missing func main")
+		fail(Pos{Line: 1, Col: 1}, "missing func main")
 	}
 	for _, fn := range file.Funcs {
-		if err := c.checkFunc(fn); err != nil {
-			return nil, err
-		}
+		c.checkFunc(fn)
 	}
 	return info, nil
 }
 
-func (c *checker) checkFunc(fn *FuncDecl) error {
+func (c *checker) checkFunc(fn *FuncDecl) {
 	if len(fn.Params) > 3 {
-		return errf(fn.Pos, "function %q has %d parameters; the cross-ISA ABI supports at most 3", fn.Name, len(fn.Params))
+		fail(fn.Pos, "function %q has %d parameters; the cross-ISA ABI supports at most 3", fn.Name, len(fn.Params))
 	}
 	c.fn = fn
 	c.locals = nil
@@ -132,15 +131,12 @@ func (c *checker) checkFunc(fn *FuncDecl) error {
 		obj := &LocalObj{Name: p.Name, Type: p.Type, IsParam: true, ParamIdx: i, SlotID: len(c.locals)}
 		c.locals = append(c.locals, obj)
 		if _, dup := c.scopes[0][p.Name]; dup {
-			return errf(fn.Pos, "duplicate parameter %q", p.Name)
+			fail(fn.Pos, "duplicate parameter %q", p.Name)
 		}
 		c.scopes[0][p.Name] = obj
 	}
-	if err := c.checkBlock(fn.Body); err != nil {
-		return err
-	}
+	c.checkBlock(fn.Body)
 	c.info.FuncLocals[fn] = c.locals
-	return nil
 }
 
 func (c *checker) push() { c.scopes = append(c.scopes, make(map[string]*LocalObj)) }
@@ -155,168 +151,117 @@ func (c *checker) lookup(name string) (*LocalObj, bool) {
 	return nil, false
 }
 
-func (c *checker) checkBlock(b *Block) error {
+func (c *checker) checkBlock(b *Block) {
 	c.push()
-	defer c.pop()
 	for _, s := range b.Stmts {
-		if err := c.checkStmt(s); err != nil {
-			return err
-		}
+		c.checkStmt(s)
 	}
-	return nil
+	c.pop()
 }
 
-func (c *checker) declare(d *VarDecl) error {
+func (c *checker) declare(d *VarDecl) {
 	scope := c.scopes[len(c.scopes)-1]
 	if _, dup := scope[d.Name]; dup {
-		return errf(d.Pos, "duplicate variable %q in this scope", d.Name)
+		fail(d.Pos, "duplicate variable %q in this scope", d.Name)
 	}
 	if d.ArrayLen >= 0 && d.Type.IsPtr() {
-		return errf(d.Pos, "arrays of pointers are not supported (each pointer must be a named slot for stack rewriting)")
+		fail(d.Pos, "arrays of pointers are not supported (each pointer must be a named slot for stack rewriting)")
 	}
 	obj := &LocalObj{Name: d.Name, Type: d.Type, IsArray: d.ArrayLen >= 0, ArrayLen: d.ArrayLen, SlotID: len(c.locals)}
 	c.locals = append(c.locals, obj)
 	scope[d.Name] = obj
 	c.info.LocalOf[d] = obj
-	return nil
 }
 
-func (c *checker) checkStmt(s Stmt) error {
+// checkCond checks a condition, which must be an int.
+func (c *checker) checkCond(what string, pos Pos, cond Expr) {
+	if t := c.checkExpr(cond); t.Kind != TypeInt {
+		fail(pos, "%s condition must be int, got %s", what, t)
+	}
+}
+
+func (c *checker) checkStmt(s Stmt) {
 	switch s := s.(type) {
 	case *VarDecl:
-		if err := c.declare(s); err != nil {
-			return err
-		}
+		c.declare(s)
 		if s.Init != nil {
-			t, err := c.checkExpr(s.Init)
-			if err != nil {
-				return err
-			}
-			if !t.Equal(s.Type) {
-				return errf(s.Pos, "cannot initialize %s %q with %s", s.Type, s.Name, t)
+			if t := c.checkExpr(s.Init); !t.Equal(s.Type) {
+				fail(s.Pos, "cannot initialize %s %q with %s", s.Type, s.Name, t)
 			}
 		}
-		return nil
 	case *Assign:
-		lt, err := c.checkLValue(s.LHS)
-		if err != nil {
-			return err
+		lt := c.checkLValue(s.LHS)
+		if rt := c.checkExpr(s.RHS); !lt.Equal(rt) {
+			fail(s.Pos, "cannot assign %s to %s", rt, lt)
 		}
-		rt, err := c.checkExpr(s.RHS)
-		if err != nil {
-			return err
-		}
-		if !lt.Equal(rt) {
-			return errf(s.Pos, "cannot assign %s to %s", rt, lt)
-		}
-		return nil
 	case *If:
-		t, err := c.checkExpr(s.Cond)
-		if err != nil {
-			return err
-		}
-		if t.Kind != TypeInt {
-			return errf(s.Pos, "if condition must be int, got %s", t)
-		}
-		if err := c.checkBlock(s.Then); err != nil {
-			return err
-		}
+		c.checkCond("if", s.Pos, s.Cond)
+		c.checkBlock(s.Then)
 		if s.Else != nil {
-			return c.checkBlock(s.Else)
+			c.checkBlock(s.Else)
 		}
-		return nil
 	case *While:
-		t, err := c.checkExpr(s.Cond)
-		if err != nil {
-			return err
-		}
-		if t.Kind != TypeInt {
-			return errf(s.Pos, "while condition must be int, got %s", t)
-		}
-		return c.checkBlock(s.Body)
+		c.checkCond("while", s.Pos, s.Cond)
+		c.checkBlock(s.Body)
 	case *For:
 		c.push()
-		defer c.pop()
 		if s.Init != nil {
-			if err := c.checkStmt(s.Init); err != nil {
-				return err
-			}
+			c.checkStmt(s.Init)
 		}
 		if s.Cond != nil {
-			t, err := c.checkExpr(s.Cond)
-			if err != nil {
-				return err
-			}
-			if t.Kind != TypeInt {
-				return errf(s.Pos, "for condition must be int, got %s", t)
-			}
+			c.checkCond("for", s.Pos, s.Cond)
 		}
 		if s.Post != nil {
-			if err := c.checkStmt(s.Post); err != nil {
-				return err
-			}
+			c.checkStmt(s.Post)
 		}
-		return c.checkBlock(s.Body)
+		c.checkBlock(s.Body)
+		c.pop()
 	case *Return:
 		if s.Val == nil {
 			if c.fn.Ret.Kind != TypeVoid {
-				return errf(s.Pos, "missing return value in %q", c.fn.Name)
+				fail(s.Pos, "missing return value in %q", c.fn.Name)
 			}
-			return nil
+		} else if t := c.checkExpr(s.Val); !t.Equal(c.fn.Ret) {
+			fail(s.Pos, "return type %s does not match %s", t, c.fn.Ret)
 		}
-		t, err := c.checkExpr(s.Val)
-		if err != nil {
-			return err
-		}
-		if !t.Equal(c.fn.Ret) {
-			return errf(s.Pos, "return type %s does not match %s", t, c.fn.Ret)
-		}
-		return nil
 	case *Break, *Continue:
-		return nil
 	case *ExprStmt:
-		_, err := c.checkExprAllowVoid(s.X)
-		return err
+		c.checkExprAllowVoid(s.X)
 	case *Block:
-		return c.checkBlock(s)
+		c.checkBlock(s)
 	default:
-		return fmt.Errorf("dapc: unknown statement %T", s)
+		panic(fmt.Sprintf("dapc: unknown statement %T", s))
 	}
 }
 
 // checkLValue types an assignable expression.
-func (c *checker) checkLValue(e Expr) (*Type, error) {
+func (c *checker) checkLValue(e Expr) *Type {
 	switch e := e.(type) {
 	case *Ident:
-		t, err := c.checkExpr(e)
-		if err != nil {
-			return nil, err
-		}
-		if obj, ok := c.info.Uses[e]; ok {
-			switch o := obj.(type) {
-			case *LocalObj:
-				if o.IsArray {
-					return nil, errf(e.Pos, "cannot assign to array %q", e.Name)
-				}
-			case *GlobalObj:
-				if o.IsArray {
-					return nil, errf(e.Pos, "cannot assign to array %q", e.Name)
-				}
-			case *FuncObj:
-				return nil, errf(e.Pos, "cannot assign to function %q", e.Name)
+		t := c.checkExpr(e)
+		switch o := c.info.Uses[e].(type) {
+		case *LocalObj:
+			if o.IsArray {
+				fail(e.Pos, "cannot assign to array %q", e.Name)
 			}
+		case *GlobalObj:
+			if o.IsArray {
+				fail(e.Pos, "cannot assign to array %q", e.Name)
+			}
+		case *FuncObj:
+			fail(e.Pos, "cannot assign to function %q", e.Name)
 		}
-		return t, nil
+		return t
 	case *Index:
 		return c.checkExpr(e)
 	case *Unary:
 		if e.Op != "*" {
-			return nil, errf(e.Pos, "not an lvalue")
+			fail(e.Pos, "not an lvalue")
 		}
 		return c.checkExpr(e)
-	default:
-		return nil, errf(exprPos(e), "not an lvalue")
 	}
+	fail(exprPos(e), "not an lvalue")
+	return nil
 }
 
 func exprPos(e Expr) Pos {
@@ -344,244 +289,202 @@ func exprPos(e Expr) Pos {
 	}
 }
 
-func (c *checker) checkExpr(e Expr) (*Type, error) {
-	t, err := c.checkExprAllowVoid(e)
-	if err != nil {
-		return nil, err
-	}
+func (c *checker) checkExpr(e Expr) *Type {
+	t := c.checkExprAllowVoid(e)
 	if t.Kind == TypeVoid {
-		return nil, errf(exprPos(e), "void value used as expression")
+		fail(exprPos(e), "void value used as expression")
 	}
-	return t, nil
+	return t
 }
 
-func (c *checker) checkExprAllowVoid(e Expr) (*Type, error) {
-	t, err := c.typeOf(e)
-	if err != nil {
-		return nil, err
-	}
+func (c *checker) checkExprAllowVoid(e Expr) *Type {
+	t := c.typeOf(e)
 	c.info.Types[e] = t
-	return t, nil
+	return t
 }
 
-func (c *checker) typeOf(e Expr) (*Type, error) {
+func (c *checker) typeOf(e Expr) *Type {
 	switch e := e.(type) {
 	case *IntLit:
-		return IntType, nil
+		return IntType
 	case *FloatLit:
-		return FloatType, nil
+		return FloatType
 	case *StrLit:
-		return nil, errf(e.Pos, "string literals may only appear as print() arguments")
+		fail(e.Pos, "string literals may only appear as print() arguments")
 	case *Ident:
 		if obj, ok := c.lookup(e.Name); ok {
 			c.info.Uses[e] = obj
 			if obj.IsArray {
-				return &Type{Kind: TypePtr, Elem: obj.Type}, nil
+				return &Type{Kind: TypePtr, Elem: obj.Type}
 			}
-			return obj.Type, nil
+			return obj.Type
 		}
 		if g, ok := c.info.Globals[e.Name]; ok {
 			c.info.Uses[e] = g
 			if g.IsArray {
-				return &Type{Kind: TypePtr, Elem: g.Type}, nil
+				return &Type{Kind: TypePtr, Elem: g.Type}
 			}
-			return g.Type, nil
+			return g.Type
 		}
 		if fn, ok := c.info.Funcs[e.Name]; ok {
 			c.info.Uses[e] = &FuncObj{Decl: fn}
-			return nil, errf(e.Pos, "function %q used as value (only spawn takes a function)", e.Name)
+			fail(e.Pos, "function %q used as value (only spawn takes a function)", e.Name)
 		}
-		return nil, errf(e.Pos, "undefined: %q", e.Name)
+		fail(e.Pos, "undefined: %q", e.Name)
 	case *Index:
-		bt, err := c.checkExpr(e.Base)
-		if err != nil {
-			return nil, err
-		}
+		bt := c.checkExpr(e.Base)
 		if bt.Kind != TypePtr {
-			return nil, errf(e.Pos, "cannot index %s", bt)
+			fail(e.Pos, "cannot index %s", bt)
 		}
-		it, err := c.checkExpr(e.Idx)
-		if err != nil {
-			return nil, err
+		if it := c.checkExpr(e.Idx); it.Kind != TypeInt {
+			fail(e.Pos, "index must be int, got %s", it)
 		}
-		if it.Kind != TypeInt {
-			return nil, errf(e.Pos, "index must be int, got %s", it)
-		}
-		return bt.Elem, nil
+		return bt.Elem
 	case *Unary:
-		switch e.Op {
-		case "-":
-			t, err := c.checkExpr(e.X)
-			if err != nil {
-				return nil, err
-			}
-			if t.Kind != TypeInt && t.Kind != TypeFloat {
-				return nil, errf(e.Pos, "cannot negate %s", t)
-			}
-			return t, nil
-		case "!":
-			t, err := c.checkExpr(e.X)
-			if err != nil {
-				return nil, err
-			}
-			if t.Kind != TypeInt {
-				return nil, errf(e.Pos, "operand of ! must be int, got %s", t)
-			}
-			return IntType, nil
-		case "&":
-			switch x := e.X.(type) {
-			case *Ident:
-				t, err := c.checkExpr(x)
-				if err != nil {
-					return nil, err
-				}
-				if t.Kind == TypePtr {
-					if obj, ok := c.info.Uses[x]; ok {
-						if lo, isLocal := obj.(*LocalObj); isLocal && lo.IsArray {
-							// &array is the array address itself.
-							return t, nil
-						}
-						if g, isGlobal := obj.(*GlobalObj); isGlobal && g.IsArray {
-							return t, nil
-						}
-					}
-				}
-				return &Type{Kind: TypePtr, Elem: t}, nil
-			case *Index:
-				t, err := c.checkExpr(x)
-				if err != nil {
-					return nil, err
-				}
-				return &Type{Kind: TypePtr, Elem: t}, nil
-			default:
-				return nil, errf(e.Pos, "cannot take address of this expression")
-			}
-		case "*":
-			t, err := c.checkExpr(e.X)
-			if err != nil {
-				return nil, err
-			}
-			if t.Kind != TypePtr {
-				return nil, errf(e.Pos, "cannot dereference %s", t)
-			}
-			return t.Elem, nil
-		default:
-			return nil, errf(e.Pos, "unknown unary operator %q", e.Op)
-		}
+		return c.typeOfUnary(e)
 	case *Binary:
-		lt, err := c.checkExpr(e.L)
-		if err != nil {
-			return nil, err
-		}
-		rt, err := c.checkExpr(e.R)
-		if err != nil {
-			return nil, err
-		}
-		switch e.Op {
-		case "&&", "||", "%", "&", "|", "^", "<<", ">>":
-			if lt.Kind != TypeInt || rt.Kind != TypeInt {
-				return nil, errf(e.Pos, "operator %q requires int operands, got %s and %s", e.Op, lt, rt)
-			}
-			return IntType, nil
-		case "+", "-", "*", "/":
-			if !lt.Equal(rt) || (lt.Kind != TypeInt && lt.Kind != TypeFloat) {
-				return nil, errf(e.Pos, "operator %q requires matching numeric operands, got %s and %s", e.Op, lt, rt)
-			}
-			return lt, nil
-		case "==", "!=", "<", "<=", ">", ">=":
-			if !lt.Equal(rt) {
-				return nil, errf(e.Pos, "cannot compare %s with %s", lt, rt)
-			}
-			return IntType, nil
-		default:
-			return nil, errf(e.Pos, "unknown operator %q", e.Op)
-		}
+		return c.typeOfBinary(e)
 	case *Cast:
-		t, err := c.checkExpr(e.X)
-		if err != nil {
-			return nil, err
+		if t := c.checkExpr(e.X); t.Kind != TypeInt && t.Kind != TypeFloat {
+			fail(e.Pos, "cannot cast %s", t)
 		}
-		if t.Kind != TypeInt && t.Kind != TypeFloat {
-			return nil, errf(e.Pos, "cannot cast %s", t)
-		}
-		return e.To, nil
+		return e.To
 	case *Call:
 		return c.checkCall(e)
-	default:
-		return nil, fmt.Errorf("dapc: unknown expression %T", e)
+	}
+	panic(fmt.Sprintf("dapc: unknown expression %T", e))
+}
+
+func (c *checker) typeOfUnary(e *Unary) *Type {
+	switch e.Op {
+	case "-":
+		t := c.checkExpr(e.X)
+		if t.Kind != TypeInt && t.Kind != TypeFloat {
+			fail(e.Pos, "cannot negate %s", t)
+		}
+		return t
+	case "!":
+		if t := c.checkExpr(e.X); t.Kind != TypeInt {
+			fail(e.Pos, "operand of ! must be int, got %s", t)
+		}
+		return IntType
+	case "&":
+		switch x := e.X.(type) {
+		case *Ident:
+			t := c.checkExpr(x)
+			if t.Kind == TypePtr {
+				switch o := c.info.Uses[x].(type) {
+				case *LocalObj:
+					if o.IsArray {
+						// &array is the array address itself.
+						return t
+					}
+				case *GlobalObj:
+					if o.IsArray {
+						return t
+					}
+				}
+			}
+			return &Type{Kind: TypePtr, Elem: t}
+		case *Index:
+			return &Type{Kind: TypePtr, Elem: c.checkExpr(x)}
+		}
+		fail(e.Pos, "cannot take address of this expression")
+	case "*":
+		t := c.checkExpr(e.X)
+		if t.Kind != TypePtr {
+			fail(e.Pos, "cannot dereference %s", t)
+		}
+		return t.Elem
+	}
+	fail(e.Pos, "unknown unary operator %q", e.Op)
+	return nil
+}
+
+func (c *checker) typeOfBinary(e *Binary) *Type {
+	lt := c.checkExpr(e.L)
+	rt := c.checkExpr(e.R)
+	switch e.Op {
+	case "&&", "||", "%", "&", "|", "^", "<<", ">>":
+		if lt.Kind != TypeInt || rt.Kind != TypeInt {
+			fail(e.Pos, "operator %q requires int operands, got %s and %s", e.Op, lt, rt)
+		}
+		return IntType
+	case "+", "-", "*", "/":
+		if !lt.Equal(rt) || (lt.Kind != TypeInt && lt.Kind != TypeFloat) {
+			fail(e.Pos, "operator %q requires matching numeric operands, got %s and %s", e.Op, lt, rt)
+		}
+		return lt
+	case "==", "!=", "<", "<=", ">", ">=":
+		if !lt.Equal(rt) {
+			fail(e.Pos, "cannot compare %s with %s", lt, rt)
+		}
+		return IntType
+	}
+	fail(e.Pos, "unknown operator %q", e.Op)
+	return nil
+}
+
+// checkArgs checks a call's arguments against its parameter types; a
+// builtin's pointer parameter takes any pointer.
+func (c *checker) checkArgs(e *Call, params []*Type, builtin bool) {
+	if len(e.Args) != len(params) {
+		fail(e.Pos, "%s takes %d arguments, got %d", e.Name, len(params), len(e.Args))
+	}
+	for i, a := range e.Args {
+		t, want := c.checkExpr(a), params[i]
+		if builtin && want.Kind == TypePtr && t.Kind == TypePtr {
+			continue
+		}
+		if !t.Equal(want) {
+			fail(e.Pos, "%s argument %d: want %s, got %s", e.Name, i+1, want, t)
+		}
 	}
 }
 
-func (c *checker) checkCall(e *Call) (*Type, error) {
+func (c *checker) checkCall(e *Call) *Type {
 	switch e.Name {
 	case "print":
 		if len(e.Args) != 1 {
-			return nil, errf(e.Pos, "print takes exactly one string literal")
+			fail(e.Pos, "print takes exactly one string literal")
 		}
 		if _, ok := e.Args[0].(*StrLit); !ok {
-			return nil, errf(e.Pos, "print takes a string literal (use printi/printf for values)")
+			fail(e.Pos, "print takes a string literal (use printi/printf for values)")
 		}
-		return VoidType, nil
+		return VoidType
 	case "spawn":
 		if len(e.Args) != 2 {
-			return nil, errf(e.Pos, "spawn takes (function, int)")
+			fail(e.Pos, "spawn takes (function, int)")
 		}
 		id, ok := e.Args[0].(*Ident)
 		if !ok {
-			return nil, errf(e.Pos, "spawn's first argument must be a function name")
+			fail(e.Pos, "spawn's first argument must be a function name")
 		}
 		fn, ok := c.info.Funcs[id.Name]
 		if !ok {
-			return nil, errf(e.Pos, "spawn: undefined function %q", id.Name)
+			fail(e.Pos, "spawn: undefined function %q", id.Name)
 		}
 		if len(fn.Params) != 1 || fn.Params[0].Type.Kind != TypeInt || fn.Ret.Kind != TypeVoid {
-			return nil, errf(e.Pos, "spawn target %q must have signature func(int)", id.Name)
+			fail(e.Pos, "spawn target %q must have signature func(int)", id.Name)
 		}
 		c.info.Uses[id] = &FuncObj{Decl: fn}
-		t, err := c.checkExpr(e.Args[1])
-		if err != nil {
-			return nil, err
+		if t := c.checkExpr(e.Args[1]); t.Kind != TypeInt {
+			fail(e.Pos, "spawn argument must be int")
 		}
-		if t.Kind != TypeInt {
-			return nil, errf(e.Pos, "spawn argument must be int")
-		}
-		return IntType, nil
+		return IntType
 	}
 	if sig, ok := Builtins[e.Name]; ok {
-		if len(e.Args) != len(sig.Params) {
-			return nil, errf(e.Pos, "%s takes %d arguments, got %d", e.Name, len(sig.Params), len(e.Args))
-		}
-		for i, a := range e.Args {
-			t, err := c.checkExpr(a)
-			if err != nil {
-				return nil, err
-			}
-			want := sig.Params[i]
-			// Buffer-taking builtins accept any pointer.
-			if want.Kind == TypePtr && t.Kind == TypePtr {
-				continue
-			}
-			if !t.Equal(want) {
-				return nil, errf(e.Pos, "%s argument %d: want %s, got %s", e.Name, i+1, want, t)
-			}
-		}
-		return sig.Ret, nil
+		c.checkArgs(e, sig.Params, true)
+		return sig.Ret
 	}
 	fn, ok := c.info.Funcs[e.Name]
 	if !ok {
-		return nil, errf(e.Pos, "call of undefined function %q", e.Name)
+		fail(e.Pos, "call of undefined function %q", e.Name)
 	}
-	if len(e.Args) != len(fn.Params) {
-		return nil, errf(e.Pos, "%s takes %d arguments, got %d", e.Name, len(fn.Params), len(e.Args))
+	params := make([]*Type, len(fn.Params))
+	for i, p := range fn.Params {
+		params[i] = p.Type
 	}
-	for i, a := range e.Args {
-		t, err := c.checkExpr(a)
-		if err != nil {
-			return nil, err
-		}
-		if !t.Equal(fn.Params[i].Type) {
-			return nil, errf(e.Pos, "%s argument %d: want %s, got %s", e.Name, i+1, fn.Params[i].Type, t)
-		}
-	}
-	return fn.Ret, nil
+	c.checkArgs(e, params, false)
+	return fn.Ret
 }

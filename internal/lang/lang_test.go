@@ -1,6 +1,10 @@
 package lang
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -100,10 +104,7 @@ func TestParseAndCheckGoodProgram(t *testing.T) {
 }
 
 func TestLexerLiterals(t *testing.T) {
-	toks, err := LexAll(`42 0x1f 3.5 1e3 "a\nb" name`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	toks := lex(`42 0x1f 3.5 1e3 "a\nb" name`)
 	if toks[0].Int != 42 || toks[1].Int != 31 {
 		t.Errorf("ints: %+v %+v", toks[0], toks[1])
 	}
@@ -121,66 +122,96 @@ func TestLexerLiterals(t *testing.T) {
 	}
 }
 
-func TestCheckErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want string
-	}{
-		{"undefined var", `func main() { x = 1; }`, "undefined"},
-		{"type mismatch", `func main() { var x int; x = 1.5; }`, "assign"},
-		{"bad condition", `func main() { if 1.5 { } }`, "int"},
-		{"call arity", `func f(a int) int { return a; } func main() { var x int; x = f(1, 2); }`, "argument"},
-		{"assign to array", `func main() { var a[3] int; a = a; }`, "array"},
-		{"missing main", `func other() { }`, "main"},
-		{"too many params", `func f(a int, b int, c int, d int) { } func main() { }`, "at most 3"},
-		{"void in expr", `func main() { var x int; x = yield(); }`, "void"},
-		{"spawn sig", `func f(a float) { } func main() { var t int; t = spawn(f, 0); }`, "signature"},
-		{"string outside print", `func main() { printi("x"); }`, "string"},
-		{"deref int", `func main() { var x int; x = *x; }`, "dereference"},
-		{"compare mismatch", `func main() { var x int; if x == 1.5 { } }`, "compare"},
-		{"dup local", `func main() { var x int; var x int; }`, "duplicate"},
-		{"break ok", `func main() { while 1 { break; } }`, ""},
-		{"ptr array local", `func main() { var a[3] *int; }`, "arrays of pointers"},
-		{"ptr array global", `var g[3] *int; func main() { }`, "arrays of pointers"},
+// refusal is one row of an error table in testdata: a source text and
+// the exact error the front end returns for it.
+type refusal struct {
+	line      int // of the source text, in the table file
+	src, want string
+}
+
+// readRefusals reads an error table: each row is a source text written
+// as a Go string literal on one line and its error on the next; blank
+// lines and lines starting with # are skipped.
+func readRefusals(t *testing.T, name string) []refusal {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			file, err := Parse(tc.src)
-			if err == nil {
-				_, err = Check(file)
+	var rows []refusal
+	var src *refusal
+	for i, line := range strings.Split(string(data), "\n") {
+		switch {
+		case line == "" || strings.HasPrefix(line, "#"):
+		case src == nil:
+			s, err := strconv.Unquote(line)
+			if err != nil {
+				t.Fatalf("%s:%d: %v", name, i+1, err)
 			}
-			if tc.want == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("want error containing %q, got none", tc.want)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("want error containing %q, got %v", tc.want, err)
-			}
-		})
+			src = &refusal{line: i + 1, src: s}
+		default:
+			src.want = line
+			rows = append(rows, *src)
+			src = nil
+		}
+	}
+	if src != nil {
+		t.Fatalf("%s:%d: source without an error", name, src.line)
+	}
+	return rows
+}
+
+// TestParseErrors pins every refusal of the lexer and the parser by its
+// full text and position.
+func TestParseErrors(t *testing.T) {
+	for _, r := range readRefusals(t, "parse_errors.txt") {
+		_, err := Parse(r.src)
+		if err == nil || err.Error() != r.want {
+			t.Errorf("parse_errors.txt:%d: Parse(%q)\n got %v\nwant %s", r.line, r.src, err, r.want)
+		}
 	}
 }
 
-func TestParseErrors(t *testing.T) {
-	cases := []string{
-		`func main() { var x int`,
-		`func main() { x = ; }`,
-		`func main() { if { } }`,
-		`var x;`,
-		`func main() { print("unterminated); }`,
-		`const C = ;`,
-		`func main() { /* never closed `,
-	}
-	for _, src := range cases {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("no parse error for %q", src)
+// TestCheckErrors pins every refusal of the checker by its full text and
+// position; each source parses.
+func TestCheckErrors(t *testing.T) {
+	for _, r := range readRefusals(t, "check_errors.txt") {
+		file, err := Parse(r.src)
+		if err != nil {
+			t.Errorf("check_errors.txt:%d: Parse(%q): %v", r.line, r.src, err)
+			continue
+		}
+		if _, err := Check(file); err == nil || err.Error() != r.want {
+			t.Errorf("check_errors.txt:%d: Check(%q)\n got %v\nwant %s", r.line, r.src, err, r.want)
 		}
 	}
+}
+
+// TestGlobalArrayLength: a global array's length must be positive, as a
+// local array's must. A zero length used to be accepted, and a negative
+// one declared a scalar.
+func TestGlobalArrayLength(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`var g[0] int; func main() { }`, "dapc: 1:1: array length must be positive"},
+		{`var g[0-1] int; func main() { }`, "dapc: 1:1: array length must be positive"},
+		{"const N = 4;\nvar a[N] int;\nvar g[N - 5] float;", "dapc: 3:1: array length must be positive"},
+	} {
+		if _, err := Parse(tc.src); err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%q)\n got %v\nwant %s", tc.src, err, tc.want)
+		}
+	}
+}
+
+// TestCheckRaisesOtherPanics: Parse and Check recover only the *Error
+// that fail raises. Any other panic is a bug and reaches the caller; here
+// a function without a body makes the checker dereference nil.
+func TestCheckRaisesOtherPanics(t *testing.T) {
+	defer func() {
+		if _, ok := recover().(runtime.Error); !ok {
+			t.Error("Check did not raise the runtime error again")
+		}
+	}()
+	Check(&File{Funcs: []*FuncDecl{{Name: "main", Ret: VoidType}}})
 }
 
 func TestElseIfChain(t *testing.T) {

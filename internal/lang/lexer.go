@@ -5,34 +5,29 @@ import (
 	"strings"
 )
 
-// Lexer tokenizes DapC source.
-type Lexer struct {
+// lexer tokenizes DapC source.
+type lexer struct {
 	src  string
 	off  int
 	line int
 	col  int
 }
 
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
-}
-
-func (l *Lexer) peek() byte {
+func (l *lexer) peek() byte {
 	if l.off >= len(l.src) {
 		return 0
 	}
 	return l.src[l.off]
 }
 
-func (l *Lexer) peek2() byte {
+func (l *lexer) peek2() byte {
 	if l.off+1 >= len(l.src) {
 		return 0
 	}
 	return l.src[l.off+1]
 }
 
-func (l *Lexer) adv() byte {
+func (l *lexer) adv() byte {
 	c := l.src[l.off]
 	l.off++
 	if c == '\n' {
@@ -44,16 +39,15 @@ func (l *Lexer) adv() byte {
 	return c
 }
 
-func (l *Lexer) pos() Pos { return Pos{Line: l.line, Col: l.col} }
+func (l *lexer) pos() Pos { return Pos{Line: l.line, Col: l.col} }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 func isAlpha(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
 
-// skipSpace consumes whitespace and comments. It returns an error for an
-// unterminated block comment.
-func (l *Lexer) skipSpace() error {
+// skipSpace consumes whitespace and comments.
+func (l *lexer) skipSpace() {
 	for l.off < len(l.src) {
 		c := l.peek()
 		switch {
@@ -69,7 +63,7 @@ func (l *Lexer) skipSpace() error {
 			l.adv()
 			for {
 				if l.off >= len(l.src) {
-					return errf(start, "unterminated block comment")
+					fail(start, "unterminated block comment")
 				}
 				if l.peek() == '*' && l.peek2() == '/' {
 					l.adv()
@@ -79,25 +73,22 @@ func (l *Lexer) skipSpace() error {
 				l.adv()
 			}
 		default:
-			return nil
+			return
 		}
 	}
-	return nil
 }
 
 // twoCharPuncts are matched before single-character punctuation.
 var twoCharPuncts = []string{"==", "!=", "<=", ">=", "&&", "||", "<<", ">>"}
 
-// Next returns the next token.
-func (l *Lexer) Next() (Token, error) {
-	if err := l.skipSpace(); err != nil {
-		return Token{}, err
-	}
+// next returns the next token.
+func (l *lexer) next() Token {
+	l.skipSpace()
 	pos := l.pos()
 	tok := Token{Line: pos.Line, Col: pos.Col}
 	if l.off >= len(l.src) {
 		tok.Kind = TokEOF
-		return tok, nil
+		return tok
 	}
 	c := l.peek()
 	switch {
@@ -121,19 +112,19 @@ func (l *Lexer) Next() (Token, error) {
 		if isFloat {
 			f, err := strconv.ParseFloat(text, 64)
 			if err != nil {
-				return Token{}, errf(pos, "bad float literal %q", text)
+				fail(pos, "bad float literal %q", text)
 			}
 			tok.Kind = TokFloat
 			tok.Float = f
 		} else {
 			v, err := strconv.ParseInt(text, 0, 64)
 			if err != nil {
-				return Token{}, errf(pos, "bad integer literal %q", text)
+				fail(pos, "bad integer literal %q", text)
 			}
 			tok.Kind = TokInt
 			tok.Int = v
 		}
-		return tok, nil
+		return tok
 	case isAlpha(c):
 		start := l.off
 		for l.off < len(l.src) && (isAlpha(l.peek()) || isDigit(l.peek())) {
@@ -145,13 +136,13 @@ func (l *Lexer) Next() (Token, error) {
 		} else {
 			tok.Kind = TokIdent
 		}
-		return tok, nil
+		return tok
 	case c == '"':
 		l.adv()
 		var sb strings.Builder
 		for {
 			if l.off >= len(l.src) {
-				return Token{}, errf(pos, "unterminated string literal")
+				fail(pos, "unterminated string literal")
 			}
 			ch := l.adv()
 			if ch == '"' {
@@ -159,7 +150,7 @@ func (l *Lexer) Next() (Token, error) {
 			}
 			if ch == '\\' {
 				if l.off >= len(l.src) {
-					return Token{}, errf(pos, "unterminated escape")
+					fail(pos, "unterminated escape")
 				}
 				esc := l.adv()
 				switch esc {
@@ -174,7 +165,7 @@ func (l *Lexer) Next() (Token, error) {
 				case '0':
 					sb.WriteByte(0)
 				default:
-					return Token{}, errf(pos, "unknown escape \\%c", esc)
+					fail(pos, "unknown escape \\%c", esc)
 				}
 				continue
 			}
@@ -183,7 +174,7 @@ func (l *Lexer) Next() (Token, error) {
 		tok.Kind = TokString
 		tok.Str = sb.String()
 		tok.Text = sb.String()
-		return tok, nil
+		return tok
 	default:
 		for _, p := range twoCharPuncts {
 			if strings.HasPrefix(l.src[l.off:], p) {
@@ -191,31 +182,28 @@ func (l *Lexer) Next() (Token, error) {
 				l.adv()
 				tok.Kind = TokPunct
 				tok.Text = p
-				return tok, nil
+				return tok
 			}
 		}
-		if strings.ContainsRune("+-*/%<>=!&|^(){}[],;", rune(c)) {
-			l.adv()
-			tok.Kind = TokPunct
-			tok.Text = string(c)
-			return tok, nil
+		if !strings.ContainsRune("+-*/%<>=!&|^(){}[],;", rune(c)) {
+			fail(pos, "unexpected character %q", c)
 		}
-		return Token{}, errf(pos, "unexpected character %q", c)
+		l.adv()
+		tok.Kind = TokPunct
+		tok.Text = string(c)
+		return tok
 	}
 }
 
-// LexAll tokenizes the whole input (trailing EOF token included).
-func LexAll(src string) ([]Token, error) {
-	l := NewLexer(src)
+// lex tokenizes the whole input (trailing EOF token included).
+func lex(src string) []Token {
+	l := &lexer{src: src, line: 1, col: 1}
 	var out []Token
 	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
+		t := l.next()
 		out = append(out, t)
 		if t.Kind == TokEOF {
-			return out, nil
+			return out
 		}
 	}
 }

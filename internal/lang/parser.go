@@ -2,8 +2,9 @@ package lang
 
 import "fmt"
 
-// Parser builds the AST with one token of lookahead.
-type Parser struct {
+// parser builds the AST with one token of lookahead. Its first error
+// ends the parse (fail).
+type parser struct {
 	toks []Token
 	pos  int
 	// consts collects named constants so later literals can fold.
@@ -11,26 +12,23 @@ type Parser struct {
 }
 
 // Parse parses a DapC source file.
-func Parse(src string) (*File, error) {
-	toks, err := LexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks, consts: make(map[string]int64)}
-	return p.file()
+func Parse(src string) (_ *File, err error) {
+	defer catch(&err)
+	p := &parser{toks: lex(src), consts: make(map[string]int64)}
+	return p.file(), nil
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() Token  { return p.toks[p.pos] }
+func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
 
-func (p *Parser) curPos() Pos { return Pos{Line: p.cur().Line, Col: p.cur().Col} }
+func (p *parser) curPos() Pos { return Pos{Line: p.cur().Line, Col: p.cur().Col} }
 
-func (p *Parser) is(kind TokKind, text string) bool {
+func (p *parser) is(kind TokKind, text string) bool {
 	t := p.cur()
 	return t.Kind == kind && (text == "" || t.Text == text)
 }
 
-func (p *Parser) accept(kind TokKind, text string) bool {
+func (p *parser) accept(kind TokKind, text string) bool {
 	if p.is(kind, text) {
 		p.pos++
 		return true
@@ -38,489 +36,292 @@ func (p *Parser) accept(kind TokKind, text string) bool {
 	return false
 }
 
-func (p *Parser) expect(kind TokKind, text string) (Token, error) {
+func (p *parser) expect(kind TokKind, text string) Token {
 	if !p.is(kind, text) {
 		want := text
 		if want == "" {
 			want = fmt.Sprintf("token kind %d", kind)
 		}
-		return Token{}, errf(p.curPos(), "expected %q, found %q", want, p.cur().String())
+		fail(p.curPos(), "expected %q, found %q", want, p.cur().String())
 	}
-	return p.next(), nil
+	return p.next()
 }
 
-func (p *Parser) file() (*File, error) {
+func (p *parser) file() *File {
 	f := &File{}
 	for !p.is(TokEOF, "") {
 		switch {
 		case p.is(TokKeyword, "var"):
-			g, err := p.globalDecl()
-			if err != nil {
-				return nil, err
-			}
-			f.Globals = append(f.Globals, g)
+			f.Globals = append(f.Globals, p.globalDecl())
 		case p.is(TokKeyword, "const"):
-			c, err := p.constDecl()
-			if err != nil {
-				return nil, err
-			}
+			c := p.constDecl()
 			p.consts[c.Name] = c.Val
 			f.Consts = append(f.Consts, c)
 		case p.is(TokKeyword, "func"):
-			fn, err := p.funcDecl()
-			if err != nil {
-				return nil, err
-			}
-			f.Funcs = append(f.Funcs, fn)
+			f.Funcs = append(f.Funcs, p.funcDecl())
 		default:
-			return nil, errf(p.curPos(), "expected declaration, found %q", p.cur().String())
+			fail(p.curPos(), "expected declaration, found %q", p.cur().String())
 		}
 	}
-	return f, nil
+	return f
 }
 
 // parseType parses int, float, *int, *float, **int, ...
-func (p *Parser) parseType() (*Type, error) {
-	if p.accept(TokPunct, "*") {
-		elem, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		return &Type{Kind: TypePtr, Elem: elem}, nil
-	}
+func (p *parser) parseType() *Type {
 	switch {
+	case p.accept(TokPunct, "*"):
+		return &Type{Kind: TypePtr, Elem: p.parseType()}
 	case p.accept(TokKeyword, "int"):
-		return IntType, nil
+		return IntType
 	case p.accept(TokKeyword, "float"):
-		return FloatType, nil
-	default:
-		return nil, errf(p.curPos(), "expected type, found %q", p.cur().String())
+		return FloatType
 	}
+	fail(p.curPos(), "expected type, found %q", p.cur().String())
+	return nil
+}
+
+// arrayLen parses the length of an array declaration after its "[":
+// N ] with N a positive constant expression.
+func (p *parser) arrayLen(decl Pos) int64 {
+	n := p.constExpr()
+	if n <= 0 {
+		fail(decl, "array length must be positive")
+	}
+	p.expect(TokPunct, "]")
+	return n
 }
 
 // globalDecl: var name type ;  |  var name [ N ] type ;
-func (p *Parser) globalDecl() (*GlobalDecl, error) {
+func (p *parser) globalDecl() *GlobalDecl {
 	pos := p.curPos()
 	p.next() // var
-	name, err := p.expect(TokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	g := &GlobalDecl{Pos: pos, Name: name.Text, ArrayLen: -1}
+	g := &GlobalDecl{Pos: pos, Name: p.expect(TokIdent, "").Text, ArrayLen: -1}
 	if p.accept(TokPunct, "[") {
-		n, err := p.constExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokPunct, "]"); err != nil {
-			return nil, err
-		}
-		g.ArrayLen = n
+		g.ArrayLen = p.arrayLen(pos)
 	}
-	g.Type, err = p.parseType()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokPunct, ";"); err != nil {
-		return nil, err
-	}
-	return g, nil
+	g.Type = p.parseType()
+	p.expect(TokPunct, ";")
+	return g
 }
 
 // constDecl: const NAME = intconst ;
-func (p *Parser) constDecl() (*ConstDecl, error) {
+func (p *parser) constDecl() *ConstDecl {
 	pos := p.curPos()
 	p.next() // const
-	name, err := p.expect(TokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokPunct, "="); err != nil {
-		return nil, err
-	}
-	v, err := p.constExpr()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokPunct, ";"); err != nil {
-		return nil, err
-	}
-	return &ConstDecl{Pos: pos, Name: name.Text, Val: v}, nil
+	name := p.expect(TokIdent, "")
+	p.expect(TokPunct, "=")
+	v := p.constExpr()
+	p.expect(TokPunct, ";")
+	return &ConstDecl{Pos: pos, Name: name.Text, Val: v}
 }
 
 // constExpr evaluates a compile-time integer expression (literals, named
 // constants, + - * / % << >> and parentheses).
-func (p *Parser) constExpr() (int64, error) {
-	return p.constShift()
-}
-
-func (p *Parser) constShift() (int64, error) {
-	v, err := p.constAdd()
-	if err != nil {
-		return 0, err
-	}
+func (p *parser) constExpr() int64 {
+	v := p.constAdd()
 	for {
 		switch {
 		case p.accept(TokPunct, "<<"):
-			r, err := p.constAdd()
-			if err != nil {
-				return 0, err
-			}
-			v <<= uint(r)
+			v <<= uint(p.constAdd())
 		case p.accept(TokPunct, ">>"):
-			r, err := p.constAdd()
-			if err != nil {
-				return 0, err
-			}
-			v >>= uint(r)
+			v >>= uint(p.constAdd())
 		default:
-			return v, nil
+			return v
 		}
 	}
 }
 
-func (p *Parser) constAdd() (int64, error) {
-	v, err := p.constMul()
-	if err != nil {
-		return 0, err
-	}
+func (p *parser) constAdd() int64 {
+	v := p.constMul()
 	for {
 		switch {
 		case p.accept(TokPunct, "+"):
-			r, err := p.constMul()
-			if err != nil {
-				return 0, err
-			}
-			v += r
+			v += p.constMul()
 		case p.accept(TokPunct, "-"):
-			r, err := p.constMul()
-			if err != nil {
-				return 0, err
-			}
-			v -= r
+			v -= p.constMul()
 		default:
-			return v, nil
+			return v
 		}
 	}
 }
 
-func (p *Parser) constMul() (int64, error) {
-	v, err := p.constAtom()
-	if err != nil {
-		return 0, err
-	}
+func (p *parser) constMul() int64 {
+	v := p.constAtom()
 	for {
 		switch {
 		case p.accept(TokPunct, "*"):
-			r, err := p.constAtom()
-			if err != nil {
-				return 0, err
-			}
-			v *= r
+			v *= p.constAtom()
 		case p.accept(TokPunct, "/"):
-			r, err := p.constAtom()
-			if err != nil {
-				return 0, err
-			}
+			r := p.constAtom()
 			if r == 0 {
-				return 0, errf(p.curPos(), "constant division by zero")
+				fail(p.curPos(), "constant division by zero")
 			}
 			v /= r
 		case p.accept(TokPunct, "%"):
-			r, err := p.constAtom()
-			if err != nil {
-				return 0, err
-			}
+			r := p.constAtom()
 			if r == 0 {
-				return 0, errf(p.curPos(), "constant modulo by zero")
+				fail(p.curPos(), "constant modulo by zero")
 			}
 			v %= r
 		default:
-			return v, nil
+			return v
 		}
 	}
 }
 
-func (p *Parser) constAtom() (int64, error) {
+func (p *parser) constAtom() int64 {
 	pos := p.curPos()
 	t := p.cur()
 	switch {
 	case t.Kind == TokInt:
 		p.next()
-		return t.Int, nil
+		return t.Int
 	case t.Kind == TokIdent:
-		if v, ok := p.consts[t.Text]; ok {
-			p.next()
-			return v, nil
+		v, ok := p.consts[t.Text]
+		if !ok {
+			fail(pos, "unknown constant %q", t.Text)
 		}
-		return 0, errf(pos, "unknown constant %q", t.Text)
+		p.next()
+		return v
 	case p.accept(TokPunct, "("):
-		v, err := p.constExpr()
-		if err != nil {
-			return 0, err
-		}
-		if _, err := p.expect(TokPunct, ")"); err != nil {
-			return 0, err
-		}
-		return v, nil
+		v := p.constExpr()
+		p.expect(TokPunct, ")")
+		return v
 	case p.accept(TokPunct, "-"):
-		v, err := p.constAtom()
-		return -v, err
-	default:
-		return 0, errf(pos, "expected constant expression, found %q", t.String())
+		return -p.constAtom()
 	}
+	fail(pos, "expected constant expression, found %q", t.String())
+	return 0
 }
 
 // funcDecl: func name ( params ) [type] { body }
-func (p *Parser) funcDecl() (*FuncDecl, error) {
+func (p *parser) funcDecl() *FuncDecl {
 	pos := p.curPos()
 	p.next() // func
-	name, err := p.expect(TokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokPunct, "("); err != nil {
-		return nil, err
-	}
-	fn := &FuncDecl{Pos: pos, Name: name.Text, Ret: VoidType}
+	fn := &FuncDecl{Pos: pos, Name: p.expect(TokIdent, "").Text, Ret: VoidType}
+	p.expect(TokPunct, "(")
 	for !p.is(TokPunct, ")") {
 		if len(fn.Params) > 0 {
-			if _, err := p.expect(TokPunct, ","); err != nil {
-				return nil, err
-			}
+			p.expect(TokPunct, ",")
 		}
-		pn, err := p.expect(TokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		pt, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		fn.Params = append(fn.Params, Param{Name: pn.Text, Type: pt})
+		name := p.expect(TokIdent, "").Text
+		fn.Params = append(fn.Params, Param{Name: name, Type: p.parseType()})
 	}
 	p.next() // )
 	if !p.is(TokPunct, "{") {
-		fn.Ret, err = p.parseType()
-		if err != nil {
-			return nil, err
-		}
+		fn.Ret = p.parseType()
 	}
-	fn.Body, err = p.block()
-	if err != nil {
-		return nil, err
-	}
-	return fn, nil
+	fn.Body = p.block()
+	return fn
 }
 
-func (p *Parser) block() (*Block, error) {
+func (p *parser) block() *Block {
 	pos := p.curPos()
-	if _, err := p.expect(TokPunct, "{"); err != nil {
-		return nil, err
-	}
+	p.expect(TokPunct, "{")
 	b := &Block{Pos: pos}
 	for !p.is(TokPunct, "}") {
 		if p.is(TokEOF, "") {
-			return nil, errf(pos, "unterminated block")
+			fail(pos, "unterminated block")
 		}
-		s, err := p.stmt()
-		if err != nil {
-			return nil, err
-		}
-		b.Stmts = append(b.Stmts, s)
+		b.Stmts = append(b.Stmts, p.stmt())
 	}
 	p.next() // }
-	return b, nil
+	return b
 }
 
-func (p *Parser) stmt() (Stmt, error) {
+func (p *parser) stmt() Stmt {
 	pos := p.curPos()
+	var s Stmt
 	switch {
-	case p.is(TokKeyword, "var"):
-		s, err := p.varDecl()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokPunct, ";"); err != nil {
-			return nil, err
-		}
-		return s, nil
 	case p.is(TokKeyword, "if"):
 		return p.ifStmt()
-	case p.is(TokKeyword, "while"):
-		p.next()
-		cond, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		body, err := p.block()
-		if err != nil {
-			return nil, err
-		}
-		return &While{Pos: pos, Cond: cond, Body: body}, nil
+	case p.accept(TokKeyword, "while"):
+		return &While{Pos: pos, Cond: p.expr(), Body: p.block()}
 	case p.is(TokKeyword, "for"):
 		return p.forStmt()
-	case p.is(TokKeyword, "return"):
-		p.next()
-		r := &Return{Pos: pos}
-		if !p.is(TokPunct, ";") {
-			v, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			r.Val = v
-		}
-		if _, err := p.expect(TokPunct, ";"); err != nil {
-			return nil, err
-		}
-		return r, nil
-	case p.accept(TokKeyword, "break"):
-		if _, err := p.expect(TokPunct, ";"); err != nil {
-			return nil, err
-		}
-		return &Break{Pos: pos}, nil
-	case p.accept(TokKeyword, "continue"):
-		if _, err := p.expect(TokPunct, ";"); err != nil {
-			return nil, err
-		}
-		return &Continue{Pos: pos}, nil
 	case p.is(TokPunct, "{"):
 		return p.block()
+	case p.is(TokKeyword, "var"):
+		s = p.varDecl()
+	case p.accept(TokKeyword, "return"):
+		r := &Return{Pos: pos}
+		if !p.is(TokPunct, ";") {
+			r.Val = p.expr()
+		}
+		s = r
+	case p.accept(TokKeyword, "break"):
+		s = &Break{Pos: pos}
+	case p.accept(TokKeyword, "continue"):
+		s = &Continue{Pos: pos}
 	default:
-		s, err := p.simpleStmt()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokPunct, ";"); err != nil {
-			return nil, err
-		}
-		return s, nil
+		s = p.simpleStmt()
 	}
+	p.expect(TokPunct, ";")
+	return s
 }
 
 // varDecl (without trailing semicolon): var name [N] type [= expr]
-func (p *Parser) varDecl() (*VarDecl, error) {
+func (p *parser) varDecl() *VarDecl {
 	pos := p.curPos()
 	p.next() // var
-	name, err := p.expect(TokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	d := &VarDecl{Pos: pos, Name: name.Text, ArrayLen: -1}
+	d := &VarDecl{Pos: pos, Name: p.expect(TokIdent, "").Text, ArrayLen: -1}
 	if p.accept(TokPunct, "[") {
-		n, err := p.constExpr()
-		if err != nil {
-			return nil, err
-		}
-		if n <= 0 {
-			return nil, errf(pos, "array length must be positive")
-		}
-		if _, err := p.expect(TokPunct, "]"); err != nil {
-			return nil, err
-		}
-		d.ArrayLen = n
+		d.ArrayLen = p.arrayLen(pos)
 	}
-	d.Type, err = p.parseType()
-	if err != nil {
-		return nil, err
-	}
+	d.Type = p.parseType()
 	if p.accept(TokPunct, "=") {
 		if d.ArrayLen >= 0 {
-			return nil, errf(pos, "array declarations cannot have initializers")
+			fail(pos, "array declarations cannot have initializers")
 		}
-		d.Init, err = p.expr()
-		if err != nil {
-			return nil, err
-		}
+		d.Init = p.expr()
 	}
-	return d, nil
+	return d
 }
 
 // simpleStmt: assignment or expression statement.
-func (p *Parser) simpleStmt() (Stmt, error) {
+func (p *parser) simpleStmt() Stmt {
 	pos := p.curPos()
-	lhs, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
+	lhs := p.expr()
 	if p.accept(TokPunct, "=") {
-		rhs, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		return &Assign{Pos: pos, LHS: lhs, RHS: rhs}, nil
+		return &Assign{Pos: pos, LHS: lhs, RHS: p.expr()}
 	}
-	return &ExprStmt{Pos: pos, X: lhs}, nil
+	return &ExprStmt{Pos: pos, X: lhs}
 }
 
-func (p *Parser) ifStmt() (Stmt, error) {
+func (p *parser) ifStmt() Stmt {
 	pos := p.curPos()
 	p.next() // if
-	cond, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	then, err := p.block()
-	if err != nil {
-		return nil, err
-	}
-	s := &If{Pos: pos, Cond: cond, Then: then}
+	s := &If{Pos: pos, Cond: p.expr(), Then: p.block()}
 	if p.accept(TokKeyword, "else") {
 		if p.is(TokKeyword, "if") {
-			elif, err := p.ifStmt()
-			if err != nil {
-				return nil, err
-			}
-			s.Else = &Block{Pos: pos, Stmts: []Stmt{elif}}
+			s.Else = &Block{Pos: pos, Stmts: []Stmt{p.ifStmt()}}
 		} else {
-			s.Else, err = p.block()
-			if err != nil {
-				return nil, err
-			}
+			s.Else = p.block()
 		}
 	}
-	return s, nil
+	return s
 }
 
 // forStmt: for [init]; [cond]; [post] { body }
-func (p *Parser) forStmt() (Stmt, error) {
+func (p *parser) forStmt() Stmt {
 	pos := p.curPos()
 	p.next() // for
 	f := &For{Pos: pos}
-	var err error
+	if p.is(TokKeyword, "var") {
+		f.Init = p.varDecl()
+	} else if !p.is(TokPunct, ";") {
+		f.Init = p.simpleStmt()
+	}
+	p.expect(TokPunct, ";")
 	if !p.is(TokPunct, ";") {
-		if p.is(TokKeyword, "var") {
-			f.Init, err = p.varDecl()
-		} else {
-			f.Init, err = p.simpleStmt()
-		}
-		if err != nil {
-			return nil, err
-		}
+		f.Cond = p.expr()
 	}
-	if _, err := p.expect(TokPunct, ";"); err != nil {
-		return nil, err
-	}
-	if !p.is(TokPunct, ";") {
-		f.Cond, err = p.expr()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if _, err := p.expect(TokPunct, ";"); err != nil {
-		return nil, err
-	}
+	p.expect(TokPunct, ";")
 	if !p.is(TokPunct, "{") {
-		f.Post, err = p.simpleStmt()
-		if err != nil {
-			return nil, err
-		}
+		f.Post = p.simpleStmt()
 	}
-	f.Body, err = p.block()
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
+	f.Body = p.block()
+	return f
 }
 
 // Expression parsing: precedence climbing.
@@ -537,150 +338,93 @@ var binPrec = map[string]int{
 	"*": 9, "/": 9, "%": 9,
 }
 
-func (p *Parser) expr() (Expr, error) { return p.binExpr(1) }
+func (p *parser) expr() Expr { return p.binExpr(1) }
 
-func (p *Parser) binExpr(minPrec int) (Expr, error) {
-	lhs, err := p.unary()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) binExpr(minPrec int) Expr {
+	lhs := p.unary()
 	for {
 		t := p.cur()
 		if t.Kind != TokPunct {
-			return lhs, nil
+			return lhs
 		}
 		prec, ok := binPrec[t.Text]
 		if !ok || prec < minPrec {
-			return lhs, nil
+			return lhs
 		}
 		pos := p.curPos()
 		p.next()
-		rhs, err := p.binExpr(prec + 1)
-		if err != nil {
-			return nil, err
-		}
-		lhs = &Binary{Pos: pos, Op: t.Text, L: lhs, R: rhs}
+		lhs = &Binary{Pos: pos, Op: t.Text, L: lhs, R: p.binExpr(prec + 1)}
 	}
 }
 
-func (p *Parser) unary() (Expr, error) {
+func (p *parser) unary() Expr {
 	pos := p.curPos()
-	switch {
-	case p.accept(TokPunct, "-"):
-		x, err := p.unary()
-		if err != nil {
-			return nil, err
+	for _, op := range []string{"-", "!", "&", "*"} {
+		if p.accept(TokPunct, op) {
+			return &Unary{Pos: pos, Op: op, X: p.unary()}
 		}
-		return &Unary{Pos: pos, Op: "-", X: x}, nil
-	case p.accept(TokPunct, "!"):
-		x, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Pos: pos, Op: "!", X: x}, nil
-	case p.accept(TokPunct, "&"):
-		x, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Pos: pos, Op: "&", X: x}, nil
-	case p.accept(TokPunct, "*"):
-		x, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Pos: pos, Op: "*", X: x}, nil
-	default:
-		return p.postfix()
 	}
+	return p.postfix()
 }
 
-func (p *Parser) postfix() (Expr, error) {
-	x, err := p.primary()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) postfix() Expr {
+	x := p.primary()
 	for {
 		pos := p.curPos()
-		if p.accept(TokPunct, "[") {
-			idx, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokPunct, "]"); err != nil {
-				return nil, err
-			}
-			x = &Index{Pos: pos, Base: x, Idx: idx}
-			continue
+		if !p.accept(TokPunct, "[") {
+			return x
 		}
-		return x, nil
+		x = &Index{Pos: pos, Base: x, Idx: p.expr()}
+		p.expect(TokPunct, "]")
 	}
 }
 
-func (p *Parser) primary() (Expr, error) {
+func (p *parser) primary() Expr {
 	pos := p.curPos()
 	t := p.cur()
 	switch {
 	case t.Kind == TokInt:
 		p.next()
-		return &IntLit{Pos: pos, Val: t.Int}, nil
+		return &IntLit{Pos: pos, Val: t.Int}
 	case t.Kind == TokFloat:
 		p.next()
-		return &FloatLit{Pos: pos, Val: t.Float}, nil
+		return &FloatLit{Pos: pos, Val: t.Float}
 	case t.Kind == TokString:
 		p.next()
-		return &StrLit{Pos: pos, Val: t.Str}, nil
+		return &StrLit{Pos: pos, Val: t.Str}
 	case t.Kind == TokKeyword && (t.Text == "int" || t.Text == "float"):
 		// Cast: int(expr) or float(expr).
 		p.next()
-		if _, err := p.expect(TokPunct, "("); err != nil {
-			return nil, err
-		}
-		x, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokPunct, ")"); err != nil {
-			return nil, err
-		}
+		p.expect(TokPunct, "(")
 		to := IntType
 		if t.Text == "float" {
 			to = FloatType
 		}
-		return &Cast{Pos: pos, To: to, X: x}, nil
+		c := &Cast{Pos: pos, To: to, X: p.expr()}
+		p.expect(TokPunct, ")")
+		return c
 	case t.Kind == TokIdent:
 		p.next()
 		if v, ok := p.consts[t.Text]; ok {
-			return &IntLit{Pos: pos, Val: v}, nil
+			return &IntLit{Pos: pos, Val: v}
 		}
-		if p.accept(TokPunct, "(") {
-			c := &Call{Pos: pos, Name: t.Text}
-			for !p.is(TokPunct, ")") {
-				if len(c.Args) > 0 {
-					if _, err := p.expect(TokPunct, ","); err != nil {
-						return nil, err
-					}
-				}
-				a, err := p.expr()
-				if err != nil {
-					return nil, err
-				}
-				c.Args = append(c.Args, a)
+		if !p.accept(TokPunct, "(") {
+			return &Ident{Pos: pos, Name: t.Text}
+		}
+		c := &Call{Pos: pos, Name: t.Text}
+		for !p.is(TokPunct, ")") {
+			if len(c.Args) > 0 {
+				p.expect(TokPunct, ",")
 			}
-			p.next() // )
-			return c, nil
+			c.Args = append(c.Args, p.expr())
 		}
-		return &Ident{Pos: pos, Name: t.Text}, nil
+		p.next() // )
+		return c
 	case p.accept(TokPunct, "("):
-		x, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokPunct, ")"); err != nil {
-			return nil, err
-		}
-		return x, nil
-	default:
-		return nil, errf(pos, "expected expression, found %q", t.String())
+		x := p.expr()
+		p.expect(TokPunct, ")")
+		return x
 	}
+	fail(pos, "expected expression, found %q", t.String())
+	return nil
 }

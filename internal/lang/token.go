@@ -65,8 +65,23 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("dapc: %s: %s", e.Pos, e.Msg) }
 
-func errf(pos Pos, format string, args ...any) error {
-	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+// fail refuses the source: the first error ends the phase. It panics
+// with the *Error, and Parse and Check recover it in catch, so the lexer,
+// the parser and the checker need not pass errors up.
+func fail(pos Pos, format string, args ...any) {
+	panic(&Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+}
+
+// catch, deferred by Parse and Check, turns a panic raised by fail into
+// the phase's error; any other panic is a bug and is raised again.
+func catch(err *error) {
+	if r := recover(); r != nil {
+		e, ok := r.(*Error)
+		if !ok {
+			panic(r)
+		}
+		*err = e
+	}
 }
 
 var keywords = map[string]bool{
