@@ -76,8 +76,8 @@ loc:
 # over its ceiling. The ceilings are the counts of the last PR that moved
 # them; a PR that needs more lines raises the number here, in its own
 # diff, where a reviewer sees it, and a PR that removes lines lowers it.
-LOC_CEILING = 24306
-LOC_MIGRATION_CEILING = 8352
+LOC_CEILING = 24309
+LOC_MIGRATION_CEILING = 8342
 loc-check:
 	@$(LOC_COUNT); all=$$(count internal cmd); mig=$$(count $(addprefix internal/,$(MIGRATION_PKGS))); \
 	if [ $$all -gt $(LOC_CEILING) ] || [ $$mig -gt $(LOC_MIGRATION_CEILING) ]; then \
@@ -136,7 +136,7 @@ bench-json:
 # lazy-fault, rewrite, verify and image-codec profiling benchmarks one
 # iteration each under the race detector.
 bench-quick:
-	$(GO) test -race -run=^$$ -bench='^Benchmark(Dump|FoldLink|PageSetStore|InstallPages|SendImages|LazyFault|LazyFaultRun|Rewrite|ImgcheckVerify|ImageCodec)$$' -benchtime=1x .
+	$(GO) test -race -run=^$$ -bench='^Benchmark(Dump|FoldLink|PageSetStore|InstallPages|SendImages|LazyFault|LazyFaultRun|Rewrite|RewriteLazy|ImgcheckVerify|ImageCodec)$$' -benchtime=1x .
 
 # fuzz-smoke runs every Fuzz* target in the repo — found with `go test
 # -list`, so a new one joins by existing — for 10 s each, one `go test`

@@ -27,6 +27,7 @@ import (
 	"github.com/dapper-sim/dapper/internal/mem"
 	"github.com/dapper-sim/dapper/internal/monitor"
 	"github.com/dapper-sim/dapper/internal/obs"
+	"github.com/dapper-sim/dapper/internal/updatecheck"
 	"github.com/dapper-sim/dapper/internal/workloads"
 )
 
@@ -671,6 +672,32 @@ func BenchmarkRewrite(b *testing.B) {
 		}
 		ctx := &core.Context{Binaries: xeon.Binaries}
 		if err := (core.CrossISAPolicy{Target: isa.SARM}).Rewrite(d2, ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRewriteLazy is a profiling handle on what a post-copy
+// migration does to its image between dump and install: the cross-ISA
+// rewrite of the kv_lazy workload's class-B rediska dump (24,000 keys,
+// almost every page lazy), then restore's pre-flight check of the
+// rewritten image against the target binary, which loads the page set a
+// second time. Each iteration rewrites a fresh share of the dump.
+func BenchmarkRewriteLazy(b *testing.B) {
+	xeon, p, pair := pausedBench(b, "rediska", workloads.ClassB, 24000)
+	dir, err := criu.Dump(p, criu.DumpOpts{Lazy: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d2 := dir.Share()
+		ctx := &core.Context{Binaries: xeon.Binaries}
+		if err := (core.CrossISAPolicy{Target: isa.SARM}).Rewrite(d2, ctx); err != nil {
+			b.Fatal(err)
+		}
+		if err := updatecheck.CheckImage(image.Open(d2), pair.ARM).Err(); err != nil {
 			b.Fatal(err)
 		}
 	}

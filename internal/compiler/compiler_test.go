@@ -378,6 +378,41 @@ func TestOversizedGlobalsRefused(t *testing.T) {
 	}
 }
 
+// TestOversizedLocalsRefused: a local array whose frame cannot fit a
+// thread's stack is refused by name before any backend runs. Without the
+// check, 8·2^62 bytes wrapped to a 0-byte slot that compiled, and an
+// 8 TiB frame reached the SX86 assembler as an immediate it cannot
+// encode. A frame that leaves its callers room compiles and runs on both
+// ISAs; the check bounds one frame, and frames that overflow the stack
+// together fault at run time, as deep recursion does.
+func TestOversizedLocalsRefused(t *testing.T) {
+	for _, src := range []string{
+		`func main() { var a[4611686018427387904] int; a[0] = 1; }`,
+		`func main() { var a[1099511627776] int; }`,
+		`func main() { var a[32767] int; }`,
+	} {
+		_, err := compiler.Compile(src)
+		const want = `dapc: local "a" of main does not fit the 262144-byte stack`
+		if err == nil || err.Error() != want {
+			t.Errorf("Compile(%q)\n got %v\nwant %s", src, err, want)
+		}
+	}
+	pair, err := compiler.Compile(`func main() { var a[32700] int; a[0] = 1; a[32699] = a[0]; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arch := range []isa.Arch{isa.SX86, isa.SARM} {
+		k := kernel.New(kernel.Config{})
+		p, err := k.StartProcess(pair.ByArch(arch).LoadSpec("/bin/big"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Run(p); err != nil {
+			t.Errorf("%v: %v", arch, err)
+		}
+	}
+}
+
 func TestRecvSendProgram(t *testing.T) {
 	pair, err := compiler.Compile(`
 func main() {

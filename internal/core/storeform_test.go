@@ -20,12 +20,18 @@ import (
 // streamcluster a fixed cycle budget into its four-thread run — and dumps
 // it, returning the directory and a provider holding both binaries.
 func pausedDump(t *testing.T, name string) (*criu.ImageDir, criu.MapProvider) {
+	return pausedDumpOf(t, name, workloads.ClassS, 400, criu.DumpOpts{})
+}
+
+// pausedDumpOf is pausedDump at another class, rediska preload and dump
+// options.
+func pausedDumpOf(t *testing.T, name string, class workloads.Class, keys uint64, opts criu.DumpOpts) (*criu.ImageDir, criu.MapProvider) {
 	t.Helper()
 	w, err := workloads.Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := workloads.CompilePair(w, workloads.ClassS)
+	pair, err := workloads.CompilePair(w, class)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +41,7 @@ func pausedDump(t *testing.T, name string) (*criu.ImageDir, criu.MapProvider) {
 		t.Fatal(err)
 	}
 	if name == "rediska" {
-		p.PushInput(workloads.RediskaLoad(400))
+		p.PushInput(workloads.RediskaLoad(keys))
 		for st, err := k.Step(p); st.Blocked != 1 || p.PendingInput() != 0; st, err = k.Step(p) {
 			if err != nil {
 				t.Fatal(err)
@@ -47,7 +53,7 @@ func pausedDump(t *testing.T, name string) (*criu.ImageDir, criu.MapProvider) {
 	if err := monitor.New(k, p, pair.Meta).Pause(1 << 20); err != nil {
 		t.Fatal(err)
 	}
-	dir, err := criu.Dump(p, criu.DumpOpts{})
+	dir, err := criu.Dump(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

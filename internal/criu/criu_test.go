@@ -14,6 +14,7 @@ import (
 	"github.com/dapper-sim/dapper/internal/isa"
 	"github.com/dapper-sim/dapper/internal/kernel"
 	"github.com/dapper-sim/dapper/internal/mem"
+	"github.com/dapper-sim/dapper/internal/monitor"
 )
 
 func TestCoreImageRoundTrip(t *testing.T) {
@@ -130,6 +131,42 @@ func TestPageSetStoreLoadRoundTrip(t *testing.T) {
 	}
 	if got.Data(0x12000) != nil {
 		t.Error("lazy page has eager content")
+	}
+}
+
+// TestLoadPageSetListsLazyPages: criu.LoadPageSet of a post-copy dump
+// lists in LazyPages exactly the pages the dump left on the source — each
+// resident page outside the text, stacks and TLS but for the first data
+// page, which holds the DAPPER flag — and the set classes each of them
+// PageLazy. The host-time benchmark ranges over LazyPages to pick the
+// pages its page-fetch probe asks for.
+func TestLoadPageSetListsLazyPages(t *testing.T) {
+	k, p, pair := goldenProc(t, "rediska")
+	if err := monitor.New(k, p, pair.Meta).Pause(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := criu.Dump(p, criu.DumpOpts{Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := criu.LoadPageSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	p.AS.MappedPages(func(v mem.VMA, idx uint64, _ []byte) bool {
+		a := idx * mem.PageSize
+		lazy := v.Kind != mem.VMAText && v.Kind != mem.VMAStack && v.Kind != mem.VMATLS && a != isa.DataBase
+		if lazy {
+			want++
+		}
+		if ps.LazyPages[a] != lazy || (ps.Class(a) == image.PageLazy) != lazy {
+			t.Errorf("page 0x%x of a %v VMA: listed %v, class %v; lazy %v", a, v.Kind, ps.LazyPages[a], ps.Class(a), lazy)
+		}
+		return false
+	})
+	if want == 0 || len(ps.LazyPages) != want {
+		t.Errorf("LazyPages lists %d pages, the dump left %d", len(ps.LazyPages), want)
 	}
 }
 

@@ -8,8 +8,9 @@
 // PageSet) live in internal/image, and code names them there. This file
 // re-exports ImageDir, PageSet, UnmarshalFiles, UnmarshalImageDir and
 // LoadPageSet only because the host-time benchmark (bench/) still names
-// them; they go when ROADMAP item 2(d) rewrites bench/. The codec names
-// are the transport's own vocabulary (MigrateOpts.Codec, PageClientOpts).
+// them; they go when ROADMAP item 2(d) rewrites bench/, and with them
+// PageSet.LazyPages, which only LoadPageSet fills. The codec names are the
+// transport's own vocabulary (MigrateOpts.Codec, PageClientOpts).
 package criu
 
 import (
@@ -37,8 +38,23 @@ func UnmarshalFiles(b []byte) (*image.FilesImage, error) {
 // UnmarshalImageDir parses a directory blob; the directory aliases b.
 func UnmarshalImageDir(b []byte) (*ImageDir, error) { return image.UnmarshalImageDir(b) }
 
-// LoadPageSet parses the pagemap/pages pair from a directory.
-func LoadPageSet(dir *ImageDir) (*PageSet, error) { return image.LoadPageSet(dir) }
+// LoadPageSet parses the pagemap/pages pair from a directory and lists
+// the pagemap's lazy pages in LazyPages, where bench/ picks the pages its
+// page-fetch probe asks for.
+func LoadPageSet(dir *ImageDir) (*PageSet, error) {
+	ps, err := image.LoadPageSet(dir)
+	if err != nil {
+		return nil, err
+	}
+	pm, _ := dir.Pagemap() // the load above decoded it without error
+	ps.LazyPages = map[uint64]bool{}
+	pm.EachPage(func(a uint64, class image.PageClass) {
+		if class == image.PageLazy {
+			ps.LazyPages[a] = true
+		}
+	})
+	return ps, nil
+}
 
 // Codec selects the wire codec for transport payloads (image segments and
 // page responses); see imgproto.Codec and docs/transport.md. Re-exported so

@@ -353,26 +353,25 @@ func UnmarshalImageDir(b []byte) (*ImageDir, error) {
 // page slices and the set's ownership ends, so a write after Store cannot
 // reach that directory.
 //
-// Every page-aligned address is in at most one of pages and LazyPages, so
-// a page has exactly one class. Read with Class, Data and ReadU64; mutate
-// with Put, WriteU64, InstallPage and DropRange.
+// Every page, lazy ones included, is one record of pages, so a page has
+// exactly one class. Read with Class, Data and ReadU64; mutate with Put,
+// WriteU64, InstallPage and DropRange.
 type PageSet struct {
-	// pages holds every page of the set but the lazy ones, sorted by
-	// address: loaded in pagemap order by appending, stored without a sort.
+	// pages holds every page of the set, sorted by address: loaded in
+	// pagemap order by appending, stored without a sort.
 	pages []setPage
-	// LazyPages records pages left on the source node. A lazy page carries
-	// no bytes, and the set never resolves, reads or writes through one, so
-	// it needs no record: it stays a plain set of addresses, which callers
-	// outside this module (bench/staged.go) count and range over. Read only;
-	// Put is what makes a page lazy or not.
+	// LazyPages is no part of the set, which neither reads nor writes it:
+	// criu.LoadPageSet fills it from the pagemap for bench/staged.go, which
+	// ranges over it to pick the pages it probes. It goes with ROADMAP item
+	// 2(d)'s rewrite of bench/.
 	LazyPages map[uint64]bool
 }
 
-// setPage is one non-lazy page of a PageSet.
+// setPage is one page of a PageSet.
 type setPage struct {
 	addr uint64
 	// data is the page's pages.img bytes — content, or the XOR for
-	// PageDelta — and nil for zero and in_parent pages.
+	// PageDelta — and nil for zero, lazy and in_parent pages.
 	data  *[mem.PageSize]byte
 	class PageClass
 	// owned marks bytes this set allocated itself and nothing else
@@ -405,14 +404,11 @@ func (ps *PageSet) find(a uint64) (int, bool) {
 	return i, i < len(ps.pages) && ps.pages[i].addr == a
 }
 
-// get returns the record of the page at a: of class PageLazy for a lazy
-// page, PageAbsent if there is none.
+// get returns the record of the page at a, of class PageAbsent if there is
+// none.
 func (ps *PageSet) get(a uint64) setPage {
 	if i, ok := ps.find(a); ok {
 		return ps.pages[i]
-	}
-	if ps.LazyPages[a] {
-		return setPage{addr: a, class: PageLazy}
 	}
 	return setPage{}
 }
@@ -455,7 +451,7 @@ func (ps *PageSet) put(a uint64, p setPage) {
 	p.addr = a
 	i, ok := ps.find(a)
 	switch {
-	case p.class == PageLazy || p.class == PageAbsent:
+	case p.class == PageAbsent:
 		if ok {
 			ps.pages = slices.Delete(ps.pages, i, i+1)
 		}
@@ -463,11 +459,6 @@ func (ps *PageSet) put(a uint64, p setPage) {
 		ps.pages[i] = p
 	default: // appends when a is past the last page, as a load in pagemap order is
 		ps.pages = slices.Insert(ps.pages, i, p)
-	}
-	if p.class == PageLazy {
-		ps.LazyPages[a] = true
-	} else {
-		delete(ps.LazyPages, a)
 	}
 }
 
@@ -510,39 +501,23 @@ func newPageSet(pm *PagemapImage, pages Payload) (*PageSet, error) {
 
 // sizedPageSet returns an empty set with room for n pages of each class.
 func sizedPageSet(n [PageDelta + 1]int) *PageSet {
-	return &PageSet{
-		pages:     make([]setPage, 0, n[PageData]+n[PageDelta]+n[PageParent]+n[PageZero]),
-		LazyPages: make(map[uint64]bool, n[PageLazy]),
-	}
+	return &PageSet{pages: make([]setPage, 0, n[PageData]+n[PageDelta]+n[PageParent]+n[PageZero]+n[PageLazy])}
 }
 
 // Store serializes the page set back into the directory, coalescing
 // contiguous same-class (data/lazy/in_parent/zero/delta) runs. The
-// emitted pagemap depends only on the set's contents: its pages are kept
-// in address order, and lazy ones, if any, are sorted and merged in. No
-// page is copied: pages.img goes into the directory as the list of the
-// set's page slices (ImageDir.PutPages), and since the directory shares
-// them from here on the set stops owning any — its next write to a page
-// copies it.
+// emitted pagemap depends only on the set's contents, which are kept in
+// address order. No page is copied: pages.img goes into the directory as
+// the list of the set's page slices (ImageDir.PutPages), and since the
+// directory shares them from here on the set stops owning any — its next
+// write to a page copies it.
 func (ps *PageSet) Store(dir *ImageDir) {
-	lazy := make([]uint64, 0, len(ps.LazyPages))
-	for a := range ps.LazyPages {
-		lazy = append(lazy, a)
-	}
-	slices.Sort(lazy)
-	recs := make([]PageRecord, 0, len(ps.pages)+len(lazy))
-	lazyBelow := func(a uint64) {
-		for ; len(lazy) > 0 && lazy[0] < a; lazy = lazy[1:] {
-			recs = append(recs, PageRecord{Addr: lazy[0], Class: PageLazy})
-		}
-	}
+	recs := make([]PageRecord, len(ps.pages))
 	for i := range ps.pages {
 		p := &ps.pages[i]
-		lazyBelow(p.addr)
-		recs = append(recs, PageRecord{Addr: p.addr, Class: p.class, Data: p.bytes()})
+		recs[i] = PageRecord{Addr: p.addr, Class: p.class, Data: p.bytes()}
 		p.owned = false
 	}
-	lazyBelow(^uint64(0))
 	EncodePages(dir, recs)
 }
 
@@ -648,7 +623,6 @@ func (ps *PageSet) DropRange(start, end uint64) {
 	i, _ := ps.find(start)
 	j, _ := ps.find(end)
 	ps.pages = slices.Delete(ps.pages, i, max(i, j))
-	maps.DeleteFunc(ps.LazyPages, func(a uint64, _ bool) bool { return a >= start && a < end })
 }
 
 // InstallPage sets a page's full contents.

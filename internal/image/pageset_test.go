@@ -56,13 +56,16 @@ type modelPage struct {
 }
 
 // TestPageSetMatchesModel runs seeded sequences of every mutator over a
-// few addresses — Put of each class, aligned and page-crossing WriteU64,
-// InstallPage, DropRange and Store→LoadPageSet round trips — and after each
-// step requires Class, Data and ReadU64 to agree with a map of modelPage.
-// Each Store's pagemap must list the model's pages once each, in address
-// order, with the model's bytes in pages.img. Nothing the set borrowed may
-// change: no buffer handed to Put, and no directory it was stored into or
-// loaded from.
+// few addresses — Put of each class and of lazy runs, aligned and
+// page-crossing WriteU64, InstallPage, DropRange and Store→LoadPageSet
+// round trips — and after each step requires Class, Data and ReadU64 to
+// agree with a map of modelPage. Each Store's pagemap must list the
+// model's pages once each, in address order, with the model's bytes in
+// pages.img. Nothing the set borrowed may change: no buffer handed to Put,
+// and no directory it was stored into or loaded from. Lazy pages are
+// records of the set like any other, so the seeds must reach a write onto
+// a lazy page, a DropRange across a lazy run, and a Store and a load of a
+// lazy run.
 func TestPageSetMatchesModel(t *testing.T) {
 	const nAddr = 8
 	addr := func(i int) uint64 { return 0x40000 + uint64(i)*mem.PageSize }
@@ -70,6 +73,11 @@ func TestPageSetMatchesModel(t *testing.T) {
 		pg := make([]byte, mem.PageSize)
 		rng.Read(pg)
 		return pg
+	}
+	// How often the seeds reached each lazy-page case.
+	var lazyWrites, lazyDrops, lazyStores, lazyLoads int
+	isLazy := func(model map[uint64]*modelPage, a uint64) bool {
+		return model[a] != nil && model[a].class == image.PageLazy
 	}
 	for seed := int64(1); seed <= 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -103,7 +111,7 @@ func TestPageSetMatchesModel(t *testing.T) {
 			if m != nil {
 				was = m.class
 			}
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				class := image.PageClass(rng.Intn(int(image.PageDelta) + 1))
 				var pg []byte
@@ -124,6 +132,9 @@ func TestPageSetMatchesModel(t *testing.T) {
 				if refused != (err != nil) {
 					t.Fatalf("%s: WriteU64 at 0x%x over a page of class %v: err %v", where, a+off, was, err)
 				}
+				if was == image.PageLazy {
+					lazyWrites++
+				}
 				if !refused {
 					if was != image.PageData {
 						m = &modelPage{class: image.PageData}
@@ -142,7 +153,10 @@ func TestPageSetMatchesModel(t *testing.T) {
 				copy(model[a].data[:], pg)
 				pg[0]++ // the set holds a copy
 			case 4:
-				hi := i + rng.Intn(3)
+				hi := i + rng.Intn(4)
+				if hi > i+1 && isLazy(model, a) && isLazy(model, addr(i+1)) {
+					lazyDrops++
+				}
 				ps.DropRange(a, addr(hi))
 				for j := i; j < hi; j++ {
 					delete(model, addr(j))
@@ -152,19 +166,39 @@ func TestPageSetMatchesModel(t *testing.T) {
 				ps.Store(dir)
 				checkStored(t, where, dir, model)
 				dirs = append(dirs, stored{dir, dir.Marshal()})
+				run := false
+				for j := 0; j+1 < nAddr; j++ {
+					run = run || isLazy(model, addr(j)) && isLazy(model, addr(j+1))
+				}
+				if run {
+					lazyStores++
+				}
 				if rng.Intn(2) == 0 {
+					if run {
+						lazyLoads++
+					}
 					var err error
 					if ps, err = image.LoadPageSet(dir); err != nil {
 						t.Fatalf("%s: %v", where, err)
 					}
 				}
 				unchanged(where)
+			case 6: // a lazy run, as a post-copy dump leaves a heap behind
+				hi := min(i+1+rng.Intn(3), nAddr)
+				for j := i; j < hi; j++ {
+					ps.Put(addr(j), image.PageLazy, nil)
+					model[addr(j)] = &modelPage{class: image.PageLazy}
+				}
 			}
 			for j := 0; j < nAddr; j++ {
 				checkPage(t, where, ps, addr(j), model[addr(j)], uint64(rng.Intn(mem.PageSize/8))*8)
 			}
 		}
 		unchanged(fmt.Sprintf("seed %d", seed))
+	}
+	t.Logf("lazy cases reached: %d writes, %d run drops, %d run stores, %d run loads", lazyWrites, lazyDrops, lazyStores, lazyLoads)
+	if lazyWrites == 0 || lazyDrops == 0 || lazyStores == 0 || lazyLoads == 0 {
+		t.Error("the seeds missed a lazy-page case")
 	}
 }
 

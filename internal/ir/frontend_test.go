@@ -112,6 +112,47 @@ func TestDataSectionLimit(t *testing.T) {
 	}
 }
 
+// TestFrameLimit: a function's slots — parameters, locals, arrays and
+// the lowerer's temps — and its saved frame pointer and return address
+// must fit a thread's stack, isa.StackSize = 2^15 words; the slot that
+// would outgrow it is named. Lengths near 2^63 bytes are refused the same
+// way, without forming their size.
+func TestFrameLimit(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want string // "": fits
+	}{
+		{`func main() { var a[32766] int; }`, ""},
+		{`func main() { var a[32767] int; }`, `dapc: local "a" of main does not fit the 262144-byte stack`},
+		{`func f(x int, y *int) { var a[32764] float; } func main() { }`, ""},
+		{`func f(x int, y *int) { var a[32764] float; var b int; } func main() { }`, `dapc: local "b" of f does not fit the 262144-byte stack`},
+		{`func main() { var a[32765] int; var x int; x = a[a[0]] + 1; }`, ""},
+		{`func main() { var a[32765] int; var x int; var y int; x = a[a[0]] + 1; }`, `dapc: local "y" of main does not fit the 262144-byte stack`},
+		{`func main() { var a[32764] int; var x int; x = a[0] && 1; }`, ""},
+		{`func main() { var a[32765] int; var x int; x = a[0] && 1; }`, `dapc: local "$t2" of main does not fit the 262144-byte stack`},
+		{`func main() { var a[4611686018427387904] int; a[0] = 1; }`, `dapc: local "a" of main does not fit the 262144-byte stack`},
+		{`func main() { var a[9223372036854775807] int; }`, `dapc: local "a" of main does not fit the 262144-byte stack`},
+		{`func main() { var a[16384] int; var b[16384] int; }`, `dapc: local "b" of main does not fit the 262144-byte stack`},
+		{`func f() { var a[32766] int; } func main() { var a[32766] int; f(); }`, ""},
+	} {
+		file, err := lang.Parse(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := lang.Check(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ir.Lower(file, info)
+		if tc.want == "" && err != nil {
+			t.Errorf("Lower(%q): %v", tc.src, err)
+		}
+		if tc.want != "" && (err == nil || err.Error() != tc.want) {
+			t.Errorf("Lower(%q)\n got %v\nwant %s", tc.src, err, tc.want)
+		}
+	}
+}
+
 // TestLowerRaisesOtherPanics: Lower recovers only its own refusals. Any
 // other panic is a bug and reaches the caller; here an Info without types
 // makes the lowerer dereference nil.

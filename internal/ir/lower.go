@@ -95,6 +95,17 @@ type lowerer struct {
 	tempUsed map[bool][]int
 
 	loops []loopCtx
+	room  int64 // words of a thread's stack left for the current frame
+}
+
+// reserve takes words of the current frame for the slot named name,
+// refusing a frame that outgrows a thread's stack. Like Lower's data
+// section count, it forms no size that does not fit.
+func (lw *lowerer) reserve(name string, words int64) {
+	if words > lw.room {
+		fail("dapc: local %q of %s does not fit the %d-byte stack", name, lw.f.Name, isa.StackSize)
+	}
+	lw.room -= words
 }
 
 func (lw *lowerer) emit(in Instr) {
@@ -120,8 +131,10 @@ func (lw *lowerer) newTemp(ptr bool) int {
 		return id
 	}
 	id := len(lw.f.Slots)
+	name := fmt.Sprintf("$t%d", id)
+	lw.reserve(name, 1)
 	lw.f.Slots = append(lw.f.Slots, SlotDef{
-		ID: id, Name: fmt.Sprintf("$t%d", id), Kind: SlotTemp, Size: 8, Ptr: ptr,
+		ID: id, Name: name, Kind: SlotTemp, Size: 8, Ptr: ptr,
 	})
 	lw.tempUsed[ptr] = append(lw.tempUsed[ptr], id)
 	return id
@@ -181,24 +194,24 @@ func (lw *lowerer) lowerFunc(fn *lang.FuncDecl) *Func {
 		f.ParamPtr = append(f.ParamPtr, p.Type.IsPtr())
 	}
 	// Slots: params first, then locals, in checker order; temps appended
-	// during lowering.
+	// during lowering. The frame holds them and the saved frame pointer
+	// and return address, two words.
+	lw.f, lw.room = f, int64(isa.StackSize)/8-2
 	for _, lo := range lw.info.FuncLocals[fn] {
-		kind := SlotLocal
-		size := int64(8)
+		kind, words := SlotLocal, int64(1)
 		if lo.IsParam {
 			kind = SlotParam
 		}
 		if lo.IsArray {
-			kind = SlotArray
-			size = 8 * lo.ArrayLen
+			kind, words = SlotArray, lo.ArrayLen
 		}
+		lw.reserve(lo.Name, words)
 		f.Slots = append(f.Slots, SlotDef{
-			ID: lo.SlotID, Name: lo.Name, Kind: kind, Size: size,
+			ID: lo.SlotID, Name: lo.Name, Kind: kind, Size: 8 * words,
 			Ptr: !lo.IsArray && lo.Type.IsPtr(), ArrayLen: lo.ArrayLen,
 		})
 	}
 	f.EntrySiteID = lw.prog.NewSite()
-	lw.f = f
 	lw.cur = f.NewBlock()
 	lw.stack, lw.stackPtr, lw.vregPtr = nil, nil, nil
 	lw.tempFree = map[bool][]int{}
