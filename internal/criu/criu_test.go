@@ -87,7 +87,7 @@ func TestImageDirRoundTripProperty(t *testing.T) {
 
 func TestPageSetStoreLoadRoundTrip(t *testing.T) {
 	dir := image.NewImageDir()
-	ps := emptyPageSet(t)
+	ps := image.NewPageSet(0)
 	mk := func(fill byte) []byte {
 		pg := make([]byte, mem.PageSize)
 		for i := range pg {
@@ -171,7 +171,7 @@ func TestLoadPageSetListsLazyPages(t *testing.T) {
 }
 
 func TestPageSetReadWrite(t *testing.T) {
-	ps := emptyPageSet(t)
+	ps := image.NewPageSet(0)
 	ps.Put(0x3000, image.PageLazy, nil)
 	if err := ps.WriteU64(0x1008, 0xdead); err != nil {
 		t.Fatal(err)
@@ -322,15 +322,4 @@ func TestDumpRequiresQuiescence(t *testing.T) {
 	if _, err := criu.Dump(p, criu.DumpOpts{}); err == nil {
 		t.Error("dump of non-quiescent process succeeded")
 	}
-}
-
-// emptyPageSet is the page set of an empty pagemap.
-func emptyPageSet(t testing.TB) *image.PageSet {
-	dir := image.NewImageDir()
-	dir.Put(image.PagemapName, nil)
-	ps, err := image.LoadPageSet(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ps
 }

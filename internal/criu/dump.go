@@ -63,16 +63,16 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 	if opts.DeltaBase != nil && opts.Parent == nil {
 		return nil, fmt.Errorf("criu: delta encoding requires an incremental dump (set Parent)")
 	}
-	var inParent map[uint64]bool
+	var parent []image.PagemapEntry // the parent's runs not yet passed by the walk below
 	if opts.Parent != nil {
 		if !p.AS.DirtyTracking() {
 			return nil, fmt.Errorf("criu: incremental dump of pid %d without dirty tracking (take the parent dump with TrackMem)", p.PID)
 		}
-		var err error
-		inParent, err = CoveredPages(opts.Parent)
+		pm, err := opts.Parent.Pagemap()
 		if err != nil {
 			return nil, fmt.Errorf("criu: parent images: %w", err)
 		}
+		parent = pm.Entries
 	}
 	dir := image.NewImageDir()
 	inv := &image.InventoryImage{Arch: p.Arch}
@@ -101,7 +101,7 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 	dir.Put(image.InventoryName, imgproto.Marshal(inv))
 
 	mm := &image.MMImage{Brk: p.Brk}
-	for _, v := range p.SortedVMAs() {
+	for _, v := range p.AS.VMAs() {
 		mm.VMAs = append(mm.VMAs, image.VMAEntry{Start: v.Start, End: v.End, Kind: uint8(v.Kind), Prot: v.Prot, TID: v.TID})
 	}
 	dir.Put(image.MMName, imgproto.Marshal(mm))
@@ -109,12 +109,20 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 	dir.Put(image.FilesName, imgproto.Marshal(&image.FilesImage{ExePath: p.ExePath}))
 
 	execPages := execContextPages(p)
-	// Classify the resident pages in address order. A data record is the
-	// frame itself, which the walk keeps: the dump is a snapshot.
-	recs := make([]image.PageRecord, 0, p.AS.ResidentBytes()/mem.PageSize)
+	// Classify the resident pages in address order. A data page is the
+	// frame itself, which the walk keeps: the dump is a snapshot. The
+	// parent's pagemap is in address order too, so one cursor over its
+	// runs answers whether the parent holds a page: it names every page
+	// the chain holds as of that dump, of any class.
+	ps := image.NewPageSet(int(p.AS.ResidentBytes() / mem.PageSize))
+	var perClass [image.PageDelta + 1]uint64
 	p.AS.MappedPages(func(vma mem.VMA, idx uint64, data []byte) bool {
 		addr := idx * mem.PageSize
-		rec := image.PageRecord{Addr: addr}
+		for len(parent) > 0 && parent[0].Vaddr+uint64(parent[0].NrPages)*mem.PageSize <= addr {
+			parent = parent[1:]
+		}
+		inParent := len(parent) > 0 && parent[0].Vaddr <= addr
+		class := image.PageData
 		switch {
 		case vma.Kind == mem.VMAText && !execPages[addr]:
 			// CRIU only dumps the execution-context code page(s); the rest
@@ -124,43 +132,37 @@ func Dump(p *kernel.Process, opts DumpOpts) (*ImageDir, error) {
 			// Post-copy keeps data/heap contents behind, except the first
 			// data page: it holds the DAPPER flag, which the restored
 			// process must read (cleared) without a network fault.
-			rec.Class = image.PageLazy
-		case opts.Parent != nil && inParent[addr] && !p.AS.Dirty(idx):
+			class = image.PageLazy
+		case inParent && !p.AS.Dirty(idx):
 			// Unchanged since the parent checkpoint: the chain holds it.
-			rec.Class = image.PageParent
+			class = image.PageParent
 		case allZero(data):
-			rec.Class = image.PageZero
-		default:
-			rec.Class, rec.Data = image.PageData, data
-			if opts.DeltaBase != nil && opts.Parent != nil && inParent[addr] {
-				// Dirty page with known parent content: ship the XOR.
-				// A zero base page would XOR to the page itself, and an
-				// unresolved one has no usable bytes: Data is nil for both.
-				if basePg := opts.DeltaBase.Data(addr); basePg != nil {
-					if bytes.Equal(data, basePg) {
-						// Soft-dirty false positive: content is unchanged,
-						// so the chain still holds it — no bytes at all.
-						rec.Class, rec.Data = image.PageParent, nil
-					} else {
-						rec.Class, rec.Data = image.PageDelta, image.XorPages(data, basePg)
-					}
+			class = image.PageZero
+		case inParent && opts.DeltaBase != nil:
+			// Dirty page with known parent content: ship the XOR. A zero
+			// base page would XOR to the page itself, and an unresolved
+			// one has no usable bytes: Data is nil for both.
+			if basePg := opts.DeltaBase.Data(addr); basePg != nil {
+				if bytes.Equal(data, basePg) {
+					// Soft-dirty false positive: content is unchanged, so
+					// the chain still holds it — no bytes at all.
+					class = image.PageParent
+				} else {
+					class, data = image.PageDelta, image.XorPages(data, basePg)
 				}
 			}
 		}
-		recs = append(recs, rec)
-		return rec.Class == image.PageData
+		ps.Put(addr, class, data)
+		perClass[class]++
+		return class == image.PageData
 	})
-	image.EncodePages(dir, recs)
+	ps.Store(dir)
 	if opts.TrackMem {
 		p.AS.StartDirtyTracking()
 	}
 	// All obs calls are nil-safe: with no registry this block is four
 	// no-op lookups on a cold path.
 	opts.Obs.Counter("dump.count").Inc()
-	var perClass [image.PageDelta + 1]uint64
-	for i := range recs {
-		perClass[recs[i].Class]++
-	}
 	opts.Obs.Counter("dump.pages_dumped").Add(perClass[image.PageData] + perClass[image.PageDelta])
 	opts.Obs.Counter("dump.pages_zero").Add(perClass[image.PageZero])
 	opts.Obs.Counter("dump.pages_lazy").Add(perClass[image.PageLazy])

@@ -9,29 +9,14 @@ import (
 )
 
 // Incremental checkpoint chains (pre-copy migration). Each dump taken with
-// DumpOpts.Parent records unchanged pages as in_parent entries; the chain
-// is folded link by link (image.FoldLink) into a single self-contained
-// directory before restore, mirroring CRIU's parent-image directories.
+// DumpOpts.Parent records unchanged pages as in_parent entries: a page the
+// parent's pagemap names and the soft-dirty tracker has not marked since,
+// found by walking the parent's runs alongside the dump's own address
+// order. The chain is folded link by link (image.FoldLink) into a single
+// self-contained directory before restore, mirroring CRIU's parent-image
+// directories.
 // Dumps taken with DumpOpts.DeltaBase additionally ship re-dirtied pages as
 // XOR deltas against the chain's resolved content, which the fold undoes.
-
-// CoveredPages returns every page address the directory's pagemap
-// mentions, regardless of entry kind — the addresses the chain holds as of
-// that dump, since a dump emits an entry (data, zero, or in_parent) for
-// every dumpable resident page.
-func CoveredPages(dir *ImageDir) (map[uint64]bool, error) {
-	pm, err := dir.Pagemap()
-	if err != nil {
-		return nil, fmt.Errorf("criu: %w", err)
-	}
-	total := 0
-	for _, n := range pm.Counts() {
-		total += n
-	}
-	out := make(map[uint64]bool, total)
-	pm.EachPage(func(addr uint64, _ image.PageClass) { out[addr] = true })
-	return out, nil
-}
 
 // DumpedPages returns the number of pages whose bytes the directory
 // actually carries (the data and delta pages of pages.img) — the size of

@@ -280,11 +280,11 @@ func TestIncrementalChainMatchesFullDump(t *testing.T) {
 				if n := criu.DumpedPages(d); n >= fullPages {
 					t.Errorf("delta %d dumped %d pages, full dump only %d", i+1, n, fullPages)
 				}
-				cov, err := criu.CoveredPages(d)
+				pm, err := d.Pagemap()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if n := criu.DumpedPages(d); len(cov) == n {
+				if n := pm.Counts(); n[image.PageParent]+n[image.PageZero] == 0 {
 					t.Errorf("delta %d has no in_parent/zero entries", i+1)
 				}
 			}
@@ -326,7 +326,7 @@ func TestIncrementalChainFlakyFinalDelta(t *testing.T) {
 	defer client.Close()
 
 	// Rebuild the delta from fetched pages, keeping the flag-only entries.
-	rebuilt := emptyPageSet(t)
+	rebuilt := image.NewPageSet(0)
 	for class, addrs := range pagesByClass(t, final) {
 		for _, a := range addrs {
 			var pg []byte
@@ -397,6 +397,134 @@ func TestIncrementalDumpGuards(t *testing.T) {
 	// A chain missing its base cannot resolve.
 	if _, err := criu.FlattenChain(chain[1:]); err == nil {
 		t.Error("flatten of truncated chain succeeded")
+	}
+}
+
+// heapGrower takes a fresh heap page every round, so brk moves up between
+// any two pauses, and only reads its global array.
+const heapGrower = `
+var data[2048] int;
+var sink int;
+func grow(round int) {
+	var p *int;
+	p = alloc(4096);
+	p[0] = round + 1;
+	p[511] = round;
+	sink = sink + data[round % 2048];
+}
+func main() {
+	var round int;
+	for round = 0; round < 4000; round = round + 1 {
+		grow(round);
+	}
+	printi(sink);
+}`
+
+// TestIncrementalParentMatchesOracle checks every link's in_parent pages
+// against their definition, computed with a map before the dump: a page
+// the link lists is in_parent iff the previous link's pagemap names it and
+// the soft-dirty tracker has not marked it since. The address space moves
+// between rounds: the heap grows by brk, so new pages land below the
+// parent's stack and TLS runs; the test reads a fresh stack page in round
+// 1, which is then resident but not dirty, just past a run of the parent;
+// and it writes a page of the global array in round 2 alone, which is data
+// there and in_parent after.
+func TestIncrementalParentMatchesOracle(t *testing.T) {
+	pair, err := compiler.Compile(heapGrower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kernel.New(kernel.Config{Cores: 2, Quantum: 97})
+	p, err := k.StartProcess(pair.X86.LoadSpec("/bin/grow.sx86"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack, ok := p.AS.FindVMA(p.Threads[0].StackLow)
+	if !ok {
+		t.Fatal("no stack VMA")
+	}
+	// The stack's two lowest pages, which the program never reaches: the
+	// test reads the first in round 0 and the second in round 1, each read
+	// mapping a zero frame with no store, the second just past a run of
+	// its parent. once is a page of data[], which the program only reads.
+	read, once := stack.Start+mem.PageSize, isa.DataBase+2*mem.PageSize
+	mon := monitor.New(k, p, pair.Meta)
+	var prev *criu.ImageDir
+	var heapEnd uint64
+	for r := 0; r <= 3; r++ {
+		if r > 0 {
+			if err := mon.ResumeLocal(); err != nil {
+				t.Fatalf("resume %d: %v", r, err)
+			}
+		}
+		if alive, err := k.RunBudget(p, 20_000); err != nil || !alive {
+			t.Fatalf("run %d: alive=%v err=%v", r, alive, err)
+		}
+		if err := mon.Pause(1 << 20); err != nil {
+			t.Fatalf("pause %d: %v", r, err)
+		}
+		switch r {
+		case 0, 1:
+			if _, err := p.AS.ReadU64(stack.Start + uint64(r)*mem.PageSize); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			if err := p.AS.WriteU64(once, 0xfeed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h, ok := p.AS.FindVMA(isa.HeapBase)
+		if !ok || h.End <= heapEnd {
+			t.Fatalf("round %d: the heap ends at 0x%x, before at 0x%x: want it grown", r, h.End, heapEnd)
+		}
+		heapEnd = h.End
+		clean := map[uint64]bool{} // the previous link's pages, true if not dirtied since
+		if prev != nil {
+			pm, err := prev.Pagemap()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pm.EachPage(func(a uint64, _ image.PageClass) { clean[a] = !p.AS.Dirty(a / mem.PageSize) })
+		}
+		link, err := criu.Dump(p, criu.DumpOpts{Parent: prev, TrackMem: true})
+		if err != nil {
+			t.Fatalf("dump %d: %v", r, err)
+		}
+		pm, err := link.Pagemap()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var parents, fresh int
+		firstFresh, lastParent := uint64(0), uint64(0)
+		pm.EachPage(func(a uint64, class image.PageClass) {
+			if want := clean[a]; want != (class == image.PageParent) {
+				t.Errorf("round %d: page 0x%x is %v, the oracle says in_parent=%v", r, a, class, want)
+			}
+			if class == image.PageParent {
+				parents, lastParent = parents+1, a
+			}
+			if _, ok := clean[a]; !ok {
+				if fresh == 0 {
+					firstFresh = a
+				}
+				fresh++
+			}
+		})
+		t.Logf("round %d: %d in_parent pages, %d pages new to the chain", r, parents, fresh)
+		if r > 0 && (fresh == 0 || lastParent < firstFresh) {
+			t.Errorf("round %d: no in_parent page after the new page at 0x%x: the parent's runs were not walked past a new one", r, firstFresh)
+		}
+		ps, err := criu.LoadPageSet(link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, inPrev := clean[read]; r == 1 && (ps.Class(read) != image.PageZero || inPrev) {
+			t.Errorf("round 1: the page first read in round 1 is %v (in the parent: %v), want a zero page new to the chain", ps.Class(read), inPrev)
+		}
+		if want := map[int]image.PageClass{2: image.PageData, 3: image.PageParent}[r]; r >= 2 && ps.Class(once) != want {
+			t.Errorf("round %d: the page written in round 2 is %v, want %v", r, ps.Class(once), want)
+		}
+		prev = link
 	}
 }
 

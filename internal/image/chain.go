@@ -1,11 +1,6 @@
 package image
 
-import (
-	"fmt"
-	"maps"
-
-	"github.com/dapper-sim/dapper/internal/mem"
-)
+import "maps"
 
 // FoldLink is the chain rule, stated once: it applies one link of an
 // incremental chain — pagemap and pages.img — to older, the chain's
@@ -26,21 +21,10 @@ import (
 // copied — the result borrows the link's and older's — except an applied
 // XOR. The error is a pages.img shorter than the pagemap describes.
 func FoldLink(older *PageSet, pm *PagemapImage, pages Payload, refuse func(addr uint64, marked PageClass)) (*PageSet, error) {
-	n := pm.Counts()
-	if want := (n[PageData] + n[PageDelta]) * mem.PageSize; want > pages.Len() {
-		return nil, fmt.Errorf("image: pages.img truncated: pagemap describes %d data bytes, file carries %d", want, pages.Len())
-	}
 	if older == nil {
 		older = &PageSet{}
 	}
-	state := sizedPageSet(n)
-	next := 0 // index into pages.img of the next data or delta page
-	pm.EachPage(func(addr uint64, marked PageClass) {
-		var pg []byte
-		if marked == PageData || marked == PageDelta {
-			pg = pages.Page(next)
-			next++
-		}
+	return loadLink(pm, pages, func(state *PageSet, addr uint64, marked PageClass, pg []byte) {
 		class := marked
 		switch marked {
 		case PageParent:
@@ -61,7 +45,6 @@ func FoldLink(older *PageSet, pm *PagemapImage, pages Payload, refuse func(addr 
 			refuse(addr, marked)
 		}
 	})
-	return state, nil
 }
 
 // Flatten returns the self-contained directory of a chain whose newest

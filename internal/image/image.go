@@ -156,15 +156,14 @@ type InventoryImage struct {
 // tmpfs checkpoint target).
 //
 // pages.img has two forms. A received stream and Put hold it flat, as one
-// buffer. A dump and PageSet.Store leave it as the ordered list of page
-// slices (EncodePages) — a dump's alias the paused source's frames, which
-// its address space keeps copy-on-write, and a stored set's are the pages
-// it held — so a rewrite that touched a few pages moves none of the
-// others; the list becomes contiguous where the bytes must be anyway: in
-// Marshal, or on a TCP receiver. Payload reads either form unjoined, and
-// Get("pages.img") joins a list into a fresh buffer on every call —
-// nothing is cached, so concurrent readers of one directory never write
-// to it.
+// buffer. PageSet.Store, which a dump ends in, leaves it as the ordered
+// list of the set's page slices — a dump's alias the paused source's
+// frames, which its address space keeps copy-on-write — so a rewrite that
+// touched a few pages moves none of the others; the list becomes
+// contiguous where the bytes must be anyway: in Marshal, or on a TCP
+// receiver. Payload reads either form unjoined, and Get("pages.img") joins
+// a list into a fresh buffer on every call — nothing is cached, so
+// concurrent readers of one directory never write to it.
 type ImageDir struct {
 	files map[string][]byte
 	// pageList is pages.img in list form; files["pages.img"] is then a nil
@@ -440,7 +439,7 @@ func (ps *PageSet) Data(a uint64) []byte {
 // page. Other classes ignore data.
 func (ps *PageSet) Put(a uint64, class PageClass, data []byte) {
 	var pg *[mem.PageSize]byte
-	if data != nil {
+	if class == PageData || class == PageDelta {
 		pg = (*[mem.PageSize]byte)(data)
 	}
 	ps.put(a, setPage{data: pg, class: class})
@@ -479,88 +478,65 @@ func LoadPageSet(dir *ImageDir) (*PageSet, error) { return Open(dir).PageSet() }
 // copied or joined: every data and delta page aliases its 4K of pages.img
 // in whichever form the directory holds it.
 func newPageSet(pm *PagemapImage, pages Payload) (*PageSet, error) {
-	// Per-class page counts size the set exactly once, and the payload
-	// total bounds-checks pages.img up front so the loop below never
-	// re-checks per page.
+	return loadLink(pm, pages, (*PageSet).Put)
+}
+
+// loadLink walks a pagemap and its payload into a new set: it sizes the
+// set once from the pagemap's page counts, bounds-checks pages.img against
+// them up front so the walk never re-checks per page, and hands put each
+// page in pagemap order with its pages.img bytes, nil for classes without.
+func loadLink(pm *PagemapImage, pages Payload, put func(ps *PageSet, addr uint64, class PageClass, data []byte)) (*PageSet, error) {
 	n := pm.Counts()
 	if want := (n[PageData] + n[PageDelta]) * mem.PageSize; want > pages.Len() {
 		return nil, fmt.Errorf("image: pages.img truncated: pagemap describes %d data bytes, file carries %d", want, pages.Len())
 	}
-	ps := sizedPageSet(n)
-	next := 0 // index into pages.img of the next data page
+	ps := NewPageSet(n[PageData] + n[PageDelta] + n[PageParent] + n[PageZero] + n[PageLazy])
+	next := 0 // index into pages.img of the next data or delta page
 	pm.EachPage(func(addr uint64, class PageClass) {
 		var pg []byte
 		if class == PageData || class == PageDelta {
 			pg = pages.Page(next)
 			next++
 		}
-		ps.Put(addr, class, pg)
+		put(ps, addr, class, pg)
 	})
 	return ps, nil
 }
 
-// sizedPageSet returns an empty set with room for n pages of each class.
-func sizedPageSet(n [PageDelta + 1]int) *PageSet {
-	return &PageSet{pages: make([]setPage, 0, n[PageData]+n[PageDelta]+n[PageParent]+n[PageZero]+n[PageLazy])}
-}
+// NewPageSet returns an empty set with room for n pages.
+func NewPageSet(n int) *PageSet { return &PageSet{pages: make([]setPage, 0, n)} }
 
-// Store serializes the page set back into the directory, coalescing
-// contiguous same-class (data/lazy/in_parent/zero/delta) runs. The
-// emitted pagemap depends only on the set's contents, which are kept in
+// Store writes pagemap.img and pages.img for the set into the directory:
+// the one page encoder, behind criu.Dump and every rewrite. Contiguous
+// same-class (data/lazy/in_parent/zero/delta) pages coalesce into runs, so
+// the pagemap depends only on the set's contents, which are kept in
 // address order. No page is copied: pages.img goes into the directory as
-// the list of the set's page slices (ImageDir.PutPages), and since the
-// directory shares them from here on the set stops owning any — its next
-// write to a page copies it.
+// the list of the set's data and delta page slices (ImageDir.PutPages),
+// and since the directory shares them from here on the set stops owning
+// any — its next write to a page copies it.
 func (ps *PageSet) Store(dir *ImageDir) {
-	recs := make([]PageRecord, len(ps.pages))
-	for i := range ps.pages {
-		p := &ps.pages[i]
-		recs[i] = PageRecord{Addr: p.addr, Class: p.class, Data: p.bytes()}
-		p.owned = false
-	}
-	EncodePages(dir, recs)
-}
-
-// PageRecord is one page of the sequence EncodePages encodes.
-type PageRecord struct {
-	Addr  uint64
-	Class PageClass
-	// Data is the page's pages.img bytes (content, or the XOR for
-	// PageDelta); read only for PageData and PageDelta.
-	Data []byte
-}
-
-// EncodePages writes pagemap.img and pages.img for a page sequence sorted
-// by address (PageAbsent records are skipped): the one encoder behind
-// criu.Dump and PageSet.Store. Contiguous same-class pages coalesce into
-// runs, and pages.img goes into the directory as the list of the data and
-// delta records' slices (ImageDir.PutPages) — no page is copied, so the
-// directory owns the slices from here on.
-func EncodePages(dir *ImageDir, recs []PageRecord) {
-	var pm PagemapImage
 	nPayload := 0
-	for _, r := range recs {
-		if r.Class == PageData || r.Class == PageDelta {
+	for i := range ps.pages {
+		if ps.pages[i].data != nil {
 			nPayload++
 		}
 	}
+	var pm PagemapImage
 	payload := make([][]byte, 0, nPayload)
-	for i := 0; i < len(recs); {
-		r := recs[i]
-		if r.Class == PageAbsent {
-			i++
-			continue
-		}
+	for i := 0; i < len(ps.pages); {
+		first := ps.pages[i]
 		j := i
-		for ; j < len(recs) && recs[j].Addr == r.Addr+uint64(j-i)*mem.PageSize && recs[j].Class == r.Class; j++ {
-			if r.Class == PageData || r.Class == PageDelta {
-				payload = append(payload, recs[j].Data)
+		for ; j < len(ps.pages) && ps.pages[j].addr == first.addr+uint64(j-i)*mem.PageSize && ps.pages[j].class == first.class; j++ {
+			p := &ps.pages[j]
+			if p.data != nil {
+				payload = append(payload, p.data[:])
 			}
+			p.owned = false
 		}
 		pm.Entries = append(pm.Entries, PagemapEntry{
-			Vaddr: r.Addr, NrPages: uint32(j - i),
-			Lazy: r.Class == PageLazy, InParent: r.Class == PageParent, Zero: r.Class == PageZero,
-			Delta: r.Class == PageDelta,
+			Vaddr: first.addr, NrPages: uint32(j - i),
+			Lazy: first.class == PageLazy, InParent: first.class == PageParent, Zero: first.class == PageZero,
+			Delta: first.class == PageDelta,
 		})
 		i = j
 	}

@@ -85,7 +85,7 @@ const cowBase = 0x10000
 // copy of its pages.img to compare against later.
 func cowDir(t *testing.T, n int) (*image.ImageDir, []byte) {
 	t.Helper()
-	ps := emptyPageSet(t)
+	ps := image.NewPageSet(0)
 	for i := 0; i < n; i++ {
 		ps.InstallPage(cowBase+uint64(i)*mem.PageSize, bytes.Repeat([]byte{byte(i + 1)}, mem.PageSize))
 	}

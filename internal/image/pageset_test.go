@@ -18,7 +18,7 @@ import (
 func TestRefusedWriteLeavesPageSet(t *testing.T) {
 	const lazy, zero, absent, borrowed = 0x10000, 0x11000, 0x12000, 0x13000
 	data := bytes.Repeat([]byte{0x5a}, mem.PageSize)
-	ps := emptyPageSet(t)
+	ps := image.NewPageSet(0)
 	ps.Put(lazy, image.PageLazy, nil)
 	ps.Put(zero, image.PageZero, nil)
 	ps.Put(borrowed, image.PageData, data)
@@ -44,6 +44,27 @@ func TestRefusedWriteLeavesPageSet(t *testing.T) {
 	}
 	if !bytes.Equal(data, bytes.Repeat([]byte{0x5a}, mem.PageSize)) {
 		t.Error("a refused write reached the borrowed page")
+	}
+}
+
+// TestPutIgnoresBytelessData: Put keeps bytes for data and delta pages
+// alone, so a dump can hand every page its frame. A zero and a lazy page
+// given a slice — short of a page, even — store no byte of it.
+func TestPutIgnoresBytelessData(t *testing.T) {
+	ps := image.NewPageSet(2)
+	ps.Put(0x10000, image.PageZero, []byte{1, 2, 3})
+	ps.Put(0x11000, image.PageLazy, []byte{4})
+	dir := image.NewImageDir()
+	ps.Store(dir)
+	pm, err := dir.Pagemap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := pm.Counts(); n[image.PageZero] != 1 || n[image.PageLazy] != 1 {
+		t.Errorf("the pagemap counts %v pages by class, want one zero and one lazy", n)
+	}
+	if pages, _ := dir.Payload(); pages.Len() != 0 {
+		t.Errorf("pages.img holds %d bytes for a zero and a lazy page", pages.Len())
 	}
 }
 
@@ -81,7 +102,7 @@ func TestPageSetMatchesModel(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		ps := emptyPageSet(t)
+		ps := image.NewPageSet(0)
 		model := map[uint64]*modelPage{}
 		var lent [][2][]byte // buffers handed to Put, with a copy
 		type stored struct {
@@ -266,15 +287,4 @@ func checkStored(t *testing.T, where string, dir *image.ImageDir, model map[uint
 	if listed != len(model) || next*mem.PageSize != payload.Len() {
 		t.Fatalf("%s: the pagemap lists %d pages and pages.img holds %d bytes; model %d pages", where, listed, payload.Len(), len(model))
 	}
-}
-
-// emptyPageSet is the page set of an empty pagemap.
-func emptyPageSet(t testing.TB) *image.PageSet {
-	dir := image.NewImageDir()
-	dir.Put(image.PagemapName, nil)
-	ps, err := image.LoadPageSet(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ps
 }

@@ -189,7 +189,7 @@ func (k *Kernel) StartProcess(spec LoadSpec) (*Process, error) {
 	if err := as.Map(mem.VMA{Start: isa.TextBase, End: textEnd, Kind: mem.VMAText, Prot: mem.ProtRead | mem.ProtExec}); err != nil {
 		return nil, err
 	}
-	dataEnd := isa.DataBase + roundUpPage(maxU64(uint64(len(spec.Data)), mem.PageSize))
+	dataEnd := isa.DataBase + roundUpPage(max(uint64(len(spec.Data)), mem.PageSize))
 	if err := as.Map(mem.VMA{Start: isa.DataBase, End: dataEnd, Kind: mem.VMAData, Prot: mem.ProtRead | mem.ProtWrite}); err != nil {
 		return nil, err
 	}
@@ -558,18 +558,8 @@ func roundUpPage(n uint64) uint64 {
 	return (n + mem.PageSize - 1) / mem.PageSize * mem.PageSize
 }
 
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // appendInt is a strconv helper shared by print syscalls.
 func appendInt(b *bytes.Buffer, v int64) {
 	var tmp [20]byte
 	b.Write(strconv.AppendInt(tmp[:0], v, 10))
 }
-
-// SortedVMAs returns the process VMAs ordered by start address (dump order).
-func (p *Process) SortedVMAs() []mem.VMA { return p.AS.VMAs() }
